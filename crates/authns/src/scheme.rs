@@ -9,7 +9,6 @@
 
 use std::fmt;
 use std::net::Ipv4Addr;
-use std::str::FromStr;
 
 use orscope_dns_wire::Name;
 
@@ -39,16 +38,21 @@ impl ProbeLabel {
         Self { cluster, seq }
     }
 
-    /// The two leading labels, e.g. `("or007", "0001234")`.
-    pub fn labels(&self) -> (String, String) {
-        (format!("or{:03}", self.cluster), format!("{:07}", self.seq))
+    /// The two leading labels as ASCII bytes, e.g.
+    /// `(*b"or007", *b"0001234")`. Stack buffers: the prober formats one
+    /// name per probe, so this must not allocate.
+    pub fn labels(&self) -> ([u8; 5], [u8; 7]) {
+        let mut first = *b"or000";
+        write_digits(&mut first[2..], u64::from(self.cluster));
+        let mut second = [b'0'; 7];
+        write_digits(&mut second, self.seq);
+        (first, second)
     }
 
     /// The full qname under `zone`, e.g. `or007.0001234.<zone>`.
     pub fn qname(&self, zone: &Name) -> Name {
-        let (a, b) = self.labels();
-        zone.prepend(&b)
-            .and_then(|n| n.prepend(&a))
+        let (first, second) = self.labels();
+        Name::from_labels([&first[..], &second[..]].into_iter().chain(zone.labels()))
             .expect("probe labels are always valid")
     }
 
@@ -60,19 +64,19 @@ impl ProbeLabel {
         }
         let mut labels = qname.labels();
         // DNS names are case-insensitive (and DNS 0x20 clients scramble
-        // case deliberately): normalize before parsing.
-        let first = std::str::from_utf8(labels.next()?)
-            .ok()?
-            .to_ascii_lowercase();
-        let second = std::str::from_utf8(labels.next()?)
-            .ok()?
-            .to_ascii_lowercase();
-        let cluster_digits = first.strip_prefix("or")?;
-        if cluster_digits.len() != 3 || second.len() != 7 {
+        // case deliberately): accept the `or` prefix in either case.
+        let [o, r, cluster @ ..] = labels.next()? else {
+            return None;
+        };
+        if !o.eq_ignore_ascii_case(&b'o') || !r.eq_ignore_ascii_case(&b'r') || cluster.len() != 3 {
             return None;
         }
-        let cluster = u32::from_str(cluster_digits).ok()?;
-        let seq = u64::from_str(&second).ok()?;
+        let second = labels.next()?;
+        if second.len() != 7 {
+            return None;
+        }
+        let cluster = parse_digits(cluster)? as u32;
+        let seq = parse_digits(second)?;
         if seq >= CLUSTER_CAPACITY {
             return None;
         }
@@ -80,10 +84,30 @@ impl ProbeLabel {
     }
 }
 
+/// Fills `out` with the decimal digits of `value`, zero-padded on the
+/// left (the value's range is bounded by [`ProbeLabel::new`]).
+fn write_digits(out: &mut [u8], mut value: u64) {
+    for slot in out.iter_mut().rev() {
+        *slot = b'0' + (value % 10) as u8;
+        value /= 10;
+    }
+}
+
+/// The value of an all-ASCII-digits byte string (at most 7 digits here,
+/// so it cannot overflow).
+fn parse_digits(digits: &[u8]) -> Option<u64> {
+    digits.iter().try_fold(0u64, |value, &byte| {
+        byte.is_ascii_digit()
+            .then(|| value * 10 + u64::from(byte - b'0'))
+    })
+}
+
 impl fmt::Display for ProbeLabel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (a, b) = self.labels();
-        write!(f, "{a}.{b}")
+        let (first, second) = self.labels();
+        // The buffers hold only `or` and ASCII digits.
+        let text = |bytes| std::str::from_utf8(bytes).expect("ASCII labels");
+        write!(f, "{}.{}", text(&first), text(&second))
     }
 }
 
@@ -167,6 +191,8 @@ mod tests {
             "or000.0000001.example.net",
             "deep.or000.0000001.ucfsealresearch.net",
             "or000.9999999.ucfsealresearch.net", // seq >= capacity
+            "or+12.0000001.ucfsealresearch.net", // signs are not digits
+            "or000.+000001.ucfsealresearch.net",
         ] {
             let name: Name = bad.parse().unwrap();
             assert_eq!(ProbeLabel::parse(&name, &z), None, "{bad}");

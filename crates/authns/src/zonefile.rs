@@ -440,8 +440,7 @@ host6                 IN AAAA 2001:db8::7
         );
         for seq in 0..100 {
             let label = ProbeLabel::new(0, seq);
-            let (a, b) = label.labels();
-            text.push_str(&format!("{a}.{b} IN A {}\n", ground_truth(label)));
+            text.push_str(&format!("{label} IN A {}\n", ground_truth(label)));
         }
         let zone = parse(&text).unwrap();
         assert_eq!(zone.record_count(), 100);

@@ -16,43 +16,16 @@
 //! Not a criterion harness: the deliverable is the JSON artifact.
 //! `--smoke` shrinks the workload for CI liveness checks.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use orscope_bench::alloc::{allocs, CountingAlloc};
 use orscope_dns_wire::{Message, Question, RData, Record};
 use orscope_netsim::scheduler::RawQueue;
 use orscope_netsim::{Context, Datagram, Endpoint, SchedulerKind, SimNet, SimTime};
 
-/// System allocator wrapper counting every allocation (reallocs included:
-/// each is a fresh backing acquisition on the measured path).
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
 
 /// Ignores everything; the simulator's own event machinery is the load.
 struct Sink;

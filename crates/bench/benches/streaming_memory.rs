@@ -16,9 +16,7 @@
 //! harness: the deliverable is the JSON artifact. `--smoke` shrinks the
 //! workload for CI liveness checks.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use bytes::Bytes;
 use orscope_analysis::tables::{
@@ -28,6 +26,7 @@ use orscope_analysis::tables::{
 use orscope_analysis::{Dataset, FlowSet, RecordSink, StreamingAnalyzer};
 use orscope_authns::scheme::{ground_truth, ProbeLabel};
 use orscope_authns::{CapturedPacket, Direction};
+use orscope_bench::alloc::{peak_above, reset_peak, CountingAlloc};
 use orscope_dns_wire::{Message, Name, Question, RData, Rcode, Record};
 use orscope_geo::{GeoDb, GeoRecord};
 use orscope_netsim::SimTime;
@@ -35,50 +34,8 @@ use orscope_prober::{ProbeStats, R2Capture};
 use orscope_resolver::paper::Year;
 use orscope_threatintel::{Category, ThreatDb};
 
-/// System allocator wrapper tracking live bytes and their high-water
-/// mark. Relaxed ordering suffices: the bench is single-threaded.
-struct TrackingAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn note_alloc(size: usize) {
-    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for TrackingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        note_alloc(new_size);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static ALLOC: TrackingAlloc = TrackingAlloc;
-
-/// Resets the high-water mark to the current live level and returns
-/// that baseline; the arm's peak is then `PEAK - baseline`.
-fn reset_peak() -> usize {
-    let live = LIVE.load(Ordering::Relaxed);
-    PEAK.store(live, Ordering::Relaxed);
-    live
-}
-
-fn peak_above(baseline: usize) -> usize {
-    PEAK.load(Ordering::Relaxed).saturating_sub(baseline)
-}
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// SplitMix64, so both arms replay the identical stream from a seed.
 struct Rng(u64);

@@ -48,6 +48,76 @@ pub fn run_campaign(year: Year, scale: f64) -> CampaignResult {
         .unwrap()
 }
 
+pub mod alloc {
+    //! The one counting allocator of the `benches/` targets. A bench
+    //! installs it with `#[global_allocator] static ALLOC: CountingAlloc
+    //! = CountingAlloc;` and reads the counters through the functions
+    //! here. Relaxed ordering suffices: the benches that read them are
+    //! single-threaded.
+
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+    /// The system allocator, counting every acquisition (reallocations
+    /// included: each is a fresh backing acquisition on the measured
+    /// path) and tracking live bytes with their high-water mark.
+    pub struct CountingAlloc;
+
+    static ALLOCS: AtomicU64 = AtomicU64::new(0);
+    static LIVE: AtomicUsize = AtomicUsize::new(0);
+    static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+    fn acquired(size: usize) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+
+    // SAFETY: every method forwards to `System` with the caller's own
+    // arguments, so `System`'s guarantees carry over unchanged; the
+    // counter updates touch only private atomics and cannot allocate or
+    // unwind.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            acquired(layout.size());
+            // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+            acquired(new_size);
+            // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    /// Acquisitions so far (zero unless [`CountingAlloc`] is this
+    /// binary's global allocator).
+    pub fn allocs() -> u64 {
+        ALLOCS.load(Ordering::Relaxed)
+    }
+
+    /// Resets the high-water mark to the current live level and returns
+    /// that baseline; an arm's peak is then [`peak_above`] it.
+    pub fn reset_peak() -> usize {
+        let live = LIVE.load(Ordering::Relaxed);
+        PEAK.store(live, Ordering::Relaxed);
+        live
+    }
+
+    /// Peak live bytes above `baseline` since the last [`reset_peak`].
+    pub fn peak_above(baseline: usize) -> usize {
+        PEAK.load(Ordering::Relaxed).saturating_sub(baseline)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

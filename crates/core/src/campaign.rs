@@ -9,22 +9,21 @@ use orscope_authns::{
     AuthTelemetry, AuthoritativeServer, CaptureHandle, CapturedPacket, ClusterZone, RootServer,
     TldServer, Zone,
 };
-use orscope_ipspace::{AllowedSpace, ScanPermutation};
 use orscope_netsim::{
-    fx_map_with_capacity, FaultPlan, FxHashMap, HashLatency, LazyRegistry, NetStats, NetTelemetry,
-    SchedulerKind, SimNet, SimTime,
+    FaultPlan, HashLatency, LazyRegistry, NetStats, NetTelemetry, SchedulerKind, SimNet, SimTime,
 };
 use orscope_prober::{
     ProbeStats, Prober, ProberConfig, ProberHandle, ProberTelemetry, R2Capture, ScanCheckpoint,
-    SlotSchedule,
+    SlotSchedule, TargetSource,
 };
 use orscope_resolver::paper::{Year, YearSpec};
-use orscope_resolver::population::{shard_index, Population, PopulationConfig};
+use orscope_resolver::population::{Population, PopulationConfig};
 use orscope_resolver::{ProfiledResolver, ResolverConfig, ResolverTelemetry};
 use orscope_telemetry::{Collector, PhaseSpan, Scope, TelemetrySnapshot};
 
 use crate::error::{CampaignError, DegradedReport, ShardFailure, ShardSabotage};
 use crate::infra::{seed_geo_db, seed_threat_db, Infra};
+use crate::plan::TargetPlan;
 use crate::result::CampaignResult;
 
 /// Configuration of one reproduction campaign.
@@ -443,12 +442,18 @@ impl Campaign {
             bus.install_class_index(crate::bus::ClassIndex::from_population(&population));
         }
 
-        // The target list is built once from the master seed, before any
-        // partitioning, so every shard count scans the same addresses in
-        // the same global order.
-        let targets = self.build_targets(&spec, &population);
+        // The scan plan is derived once from the master seed, so every
+        // shard count scans the same addresses in the same global order
+        // — but only the silent fill is built here. Each shard walks the
+        // scan permutation itself and keeps the targets it owns, with
+        // their campaign-wide send slots.
+        let population = std::sync::Arc::new(population);
+        let targets = TargetPlan::new(config, &spec, std::sync::Arc::clone(&population));
 
         // ---- shard planning ----
+        // Resolvers (and their forwarders) and off-port responders live
+        // where `Population::shard` puts them, which is where the plan's
+        // placement sends their probes.
         let shards = config.shards;
         let shard_pops: Vec<Population>;
         let shard_populations: Vec<&Population> = if shards == 1 {
@@ -457,45 +462,6 @@ impl Campaign {
             shard_pops = population.shard(shards);
             shard_pops.iter().collect()
         };
-        // Placement: resolvers (and their forwarders) and off-port
-        // responders go where `Population::shard` put them; silent fill
-        // targets hash straight to a shard. Each target keeps its global
-        // scan index so every shard sends on the campaign-wide pacing
-        // grid (send times — and therefore time-windowed fault exposure
-        // — are shard-layout-invariant).
-        let mut shard_targets: Vec<Vec<Ipv4Addr>> = vec![Vec::new(); shards];
-        let mut shard_slots: Vec<Vec<u64>> = vec![Vec::new(); shards];
-        if shards == 1 {
-            shard_slots[0] = (0..targets.len() as u64).collect();
-            shard_targets[0] = targets;
-        } else {
-            // Pre-sized FxHash map: this is O(population) inserts on the
-            // planning path and would otherwise rehash its way up.
-            let mut owner: FxHashMap<Ipv4Addr, usize> = fx_map_with_capacity(
-                shard_populations
-                    .iter()
-                    .map(|p| p.resolvers.len() + p.off_port.len() + p.upstreams.len())
-                    .sum(),
-            );
-            for (index, part) in shard_populations.iter().enumerate() {
-                for addr in part
-                    .resolvers
-                    .addrs()
-                    .chain(part.off_port.addrs())
-                    .chain(part.upstreams.addrs())
-                {
-                    owner.insert(addr, index);
-                }
-            }
-            for (global_index, addr) in targets.into_iter().enumerate() {
-                let index = owner
-                    .get(&addr)
-                    .copied()
-                    .unwrap_or_else(|| shard_index(addr, shards));
-                shard_targets[index].push(addr);
-                shard_slots[index].push(global_index as u64);
-            }
-        }
         // Disjoint cluster namespaces per shard keep merged qnames
         // globally unique (1,000 clusters shared across <= 64 shards).
         let cluster_stride = 1_000 / shards as u32;
@@ -507,18 +473,13 @@ impl Campaign {
         // missing from the merge and the result carries a
         // `DegradedReport`.
         let runs: Vec<ShardRun> = std::thread::scope(|scope| {
+            let targets = &targets;
             let handles: Vec<_> = shard_populations
                 .iter()
                 .copied()
-                .zip(shard_targets.into_iter().zip(shard_slots))
                 .enumerate()
-                .map(|(index, (shard_pop, (targets, slots)))| {
+                .map(|(index, shard_pop)| {
                     scope.spawn(move || {
-                        // Shared buffers: attempt 0 and the retry plan
-                        // read the same allocation instead of doubling
-                        // ~12 bytes per target for the whole scan.
-                        let targets = std::sync::Arc::new(targets);
-                        let slots = std::sync::Arc::new(slots);
                         let mut retried = false;
                         for attempt in 0..2u32 {
                             let plan = ShardPlan {
@@ -533,8 +494,8 @@ impl Campaign {
                                 total_rate_pps: knobs.total_rate,
                                 base_cluster: index as u32 * cluster_stride,
                                 cluster_capacity: knobs.cluster_capacity,
-                                targets: std::sync::Arc::clone(&targets),
-                                slot_indices: std::sync::Arc::clone(&slots),
+                                // A retry walks the permutation afresh.
+                                targets: TargetSource::new(targets.shard(index, shards)),
                                 population: shard_pop,
                             };
                             match catch_unwind(AssertUnwindSafe(|| self.run_shard(plan))) {
@@ -612,6 +573,13 @@ impl Campaign {
                     .collect(),
             )
         };
+        debug_assert!(
+            degraded.as_ref().is_some_and(DegradedReport::is_partial)
+                || dataset.q1 == targets.len(),
+            "whole campaign probed {} of {} planned targets",
+            dataset.q1,
+            targets.len()
+        );
         let mut stream: Option<StreamingAnalyzer> = None;
         let mut net_stats = NetStats::default();
         let mut auth_packets: Vec<CapturedPacket> = Vec::new();
@@ -826,7 +794,6 @@ impl Campaign {
         }
 
         // ---- prober ----
-        let q1_planned = plan.targets.len() as u64;
         let prober_handle = ProberHandle::new();
         let mut prober_config = ProberConfig::new(infra.zone.clone(), plan.targets);
         prober_config.rate_pps = plan.total_rate_pps;
@@ -836,10 +803,9 @@ impl Campaign {
         prober_config.checkpoint_every = config.checkpoint_every;
         if resume.is_none() {
             // Campaign-global send slots; a resumed scan paces locally
-            // over its remaining-targets list instead.
+            // over its remaining targets instead.
             prober_config.slots = Some(SlotSchedule {
                 total_rate_pps: plan.total_rate_pps,
-                indices: plan.slot_indices,
             });
         }
         let prober = match resume {
@@ -858,51 +824,10 @@ impl Campaign {
             prober_handle,
             auth_capture,
             collector,
-            q1_planned,
             cluster_capacity: plan.cluster_capacity,
             analyzer: None,
             bus: self.bus.clone(),
         }
-    }
-
-    /// Builds the scan-ordered target list: all responders embedded in
-    /// either the full scaled space or a fast-mode sample of silents.
-    pub(crate) fn build_targets(&self, spec: &YearSpec, population: &Population) -> Vec<Ipv4Addr> {
-        let config = &self.config;
-        let mut targets: Vec<Ipv4Addr> = population
-            .resolvers
-            .addrs()
-            .chain(population.off_port.addrs())
-            .collect();
-        let responders = targets.len() as u64;
-        let total = if config.full_q1 {
-            ((spec.q1 as f64 / config.scale).round() as u64).max(responders)
-        } else {
-            responders + (responders as f64 * config.non_responder_factor) as u64
-        };
-        // Silent fill: fresh probeable addresses not already used.
-        let used: orscope_netsim::FxHashSet<Ipv4Addr> = targets
-            .iter()
-            .copied()
-            .chain(config.infra.addresses())
-            .collect();
-        let space = AllowedSpace::probeable();
-        let mut ranks = ScanPermutation::new(space.len(), config.seed ^ 0x51E7).iter();
-        while (targets.len() as u64) < total {
-            let rank = ranks.next().expect("space exhausted") as u64;
-            let addr = space.nth(rank).expect("rank in range");
-            if !used.contains(&addr) {
-                targets.push(addr);
-            }
-        }
-        // Scan order: permute so responders are interleaved with silents
-        // the way a real pseudorandom scan interleaves live hosts.
-        let order = ScanPermutation::new(targets.len() as u64, config.seed ^ 0x0DE2);
-        let mut ordered = Vec::with_capacity(targets.len());
-        for idx in order.iter() {
-            ordered.push(targets[idx as usize]);
-        }
-        ordered
     }
 }
 
@@ -933,8 +858,9 @@ struct ShardRun {
 }
 
 /// Everything one shard needs to run independently: its slice of the
-/// population and targets plus derived knobs. Borrows the shard
-/// population, so shard threads are spawned inside `std::thread::scope`.
+/// population, its walk of the target plan, and derived knobs. Borrows
+/// the shard population, so shard threads are spawned inside
+/// `std::thread::scope`.
 pub(crate) struct ShardPlan<'a> {
     /// Shard index (0-based).
     pub(crate) shard: usize,
@@ -948,13 +874,9 @@ pub(crate) struct ShardPlan<'a> {
     pub(crate) base_cluster: u32,
     /// Names per cluster (shared across shards).
     pub(crate) cluster_capacity: u64,
-    /// This shard's targets, in global scan order. Shared with the
-    /// supervisor's retry plan and the prober: at full paper scale these
-    /// lists run to hundreds of megabytes, so the plan must be cheap to
-    /// clone for the second supervised attempt.
-    pub(crate) targets: std::sync::Arc<Vec<Ipv4Addr>>,
-    /// Global scan index of each target (drives the send-slot grid).
-    pub(crate) slot_indices: std::sync::Arc<Vec<u64>>,
+    /// This shard's targets with their campaign-wide send slots, in
+    /// scan order (see [`TargetPlan::shard`]).
+    pub(crate) targets: TargetSource,
     /// The resolvers, off-port responders, and upstreams this shard owns.
     pub(crate) population: &'a Population,
 }
@@ -1012,8 +934,6 @@ pub(crate) struct ShardWorld {
     pub(crate) auth_capture: CaptureHandle,
     /// The shard's telemetry collector.
     pub(crate) collector: Collector,
-    /// How many Q1 probes this shard is expected to send.
-    pub(crate) q1_planned: u64,
     /// Names per subdomain cluster (for the load-time model).
     pub(crate) cluster_capacity: u64,
     /// The shard's streaming accumulators, when capture-time sinks are
@@ -1067,7 +987,6 @@ impl ShardWorld {
     pub(crate) fn collect(self, probe_span: PhaseSpan) -> ShardOutcome {
         let probe_stats = self.prober_handle.stats();
         debug_assert!(probe_stats.done, "scan did not drain");
-        debug_assert_eq!(probe_stats.q1_sent, self.q1_planned);
         let q2 = self.auth_capture.count(orscope_authns::Direction::Inbound) as u64;
         let r1 = self.auth_capture.count(orscope_authns::Direction::Outbound) as u64;
         // Scan wall clock: probe completion plus the zone-cluster load

@@ -217,12 +217,13 @@ pub mod integrity {
 
 use orscope_authns::CapturedPacket;
 use orscope_netsim::SimTime;
-use orscope_prober::{Prober, R2Capture, ScanCheckpoint};
+use orscope_prober::{Prober, R2Capture, ScanCheckpoint, TargetSource};
 use orscope_resolver::paper::YearSpec;
 
 use crate::campaign::{Campaign, ShardPlan};
 use crate::error::CampaignError;
 use crate::infra::{seed_geo_db, seed_threat_db};
+use crate::plan::TargetPlan;
 use crate::result::CampaignResult;
 
 /// A suspended single-shard campaign: scan cursor plus everything the
@@ -264,10 +265,9 @@ impl Campaign {
             )));
         }
         let spec = YearSpec::get(config.year);
-        let population = self.build_population();
+        let population = std::sync::Arc::new(self.build_population());
         let knobs = self.shard_knobs(&spec);
-        let targets = self.build_targets(&spec, &population);
-        let slot_indices: Vec<u64> = (0..targets.len() as u64).collect();
+        let targets = TargetPlan::new(config, &spec, std::sync::Arc::clone(&population));
         let plan = ShardPlan {
             shard: 0,
             attempt: 0,
@@ -275,8 +275,7 @@ impl Campaign {
             total_rate_pps: knobs.total_rate,
             base_cluster: 0,
             cluster_capacity: knobs.cluster_capacity,
-            targets: std::sync::Arc::new(targets),
-            slot_indices: std::sync::Arc::new(slot_indices),
+            targets: TargetSource::new(targets.shard(0, 1)),
             population: &population,
         };
         let mut world = self.build_shard(plan, None);
@@ -328,14 +327,16 @@ impl Campaign {
             )));
         }
         let spec = YearSpec::get(config.year);
-        let population = self.build_population();
+        let population = std::sync::Arc::new(self.build_population());
         let threat = seed_threat_db(&population);
         let geo = seed_geo_db(&population);
         let knobs = self.shard_knobs(&spec);
-        // The full original target list (the cursor indexes into it),
-        // with the interrupted probes re-appended at the tail.
-        let mut targets = self.build_targets(&spec, &population);
-        targets.extend(checkpoint.outstanding.iter().copied());
+        // The original target walk (the prober skips to the cursor), with
+        // the interrupted probes re-appended at the tail. Resume paces
+        // locally: the global slot grid described the uninterrupted
+        // scan, not the remaining-targets tail.
+        let targets = TargetPlan::new(config, &spec, std::sync::Arc::clone(&population));
+        let tail = (targets.len()..).zip(checkpoint.outstanding.clone());
         let plan = ShardPlan {
             shard: 0,
             attempt: 0,
@@ -343,10 +344,7 @@ impl Campaign {
             total_rate_pps: knobs.total_rate,
             base_cluster: 0,
             cluster_capacity: knobs.cluster_capacity,
-            targets: std::sync::Arc::new(targets),
-            // Resume paces locally: the global slot grid described the
-            // uninterrupted scan, not the remaining-targets tail.
-            slot_indices: std::sync::Arc::new(Vec::new()),
+            targets: TargetSource::new(targets.shard(0, 1).chain(tail)),
             population: &population,
         };
         let mut world = self.build_shard(plan, Some(&checkpoint.scan));

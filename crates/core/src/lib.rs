@@ -28,6 +28,7 @@ pub mod campaign;
 pub mod checkpoint;
 pub mod error;
 pub mod infra;
+mod plan;
 pub mod result;
 pub mod tap;
 pub mod trend;

@@ -24,7 +24,8 @@ pub struct CampaignResult {
     dataset: Dataset,
     threat: ThreatDb,
     geo: GeoDb,
-    population: Population,
+    /// Shared with each shard's target plan while the scan runs.
+    population: std::sync::Arc<Population>,
     net_stats: NetStats,
     materialized_hosts: usize,
     auth_packets: Vec<CapturedPacket>,
@@ -48,7 +49,7 @@ impl CampaignResult {
         dataset: Dataset,
         threat: ThreatDb,
         geo: GeoDb,
-        population: Population,
+        population: std::sync::Arc<Population>,
         net_stats: NetStats,
         materialized_hosts: usize,
         auth_packets: Vec<CapturedPacket>,

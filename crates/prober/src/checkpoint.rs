@@ -18,7 +18,7 @@ use crate::subdomain::SubdomainGenerator;
 /// A serializable snapshot of scan progress.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScanCheckpoint {
-    /// Index of the next unprobed target.
+    /// Targets already pulled from the scan's target stream.
     pub next_target: usize,
     /// Current cluster of the subdomain generator.
     pub cluster: u32,
@@ -108,13 +108,16 @@ impl Prober {
             .reuse_pool_labels()
             .map(|l| (l.cluster, l.seq))
             .collect();
-        reuse_pool.extend(self.outstanding_labels().map(|l| (l.cluster, l.seq)));
+        reuse_pool.extend(
+            self.outstanding_labels()
+                .into_iter()
+                .map(|l| (l.cluster, l.seq)),
+        );
         let stats = self.handle().stats();
         ScanCheckpoint {
-            // Outstanding targets are re-probed: rewind the cursor to
-            // the earliest unresolved target... targets may interleave,
-            // so instead keep the cursor and re-append outstanding
-            // targets via `resume_targets`.
+            // Outstanding targets interleave with answered ones, so the
+            // cursor is not rewound to re-probe them: the resumer chains
+            // `Prober::outstanding_targets` after the target stream.
             next_target: self.next_target(),
             cluster: self.generator().cluster(),
             next_seq: self.generator().next_seq(),
@@ -125,12 +128,6 @@ impl Prober {
             q1_sent: stats.q1_sent,
             r2_captured: stats.r2_captured,
         }
-    }
-
-    /// The targets that were in flight at checkpoint time; append these
-    /// to the remaining target list when resuming so they are re-probed.
-    pub fn outstanding_targets(&self) -> Vec<std::net::Ipv4Addr> {
-        self.outstanding_target_addrs()
     }
 }
 
@@ -154,7 +151,7 @@ mod tests {
         // The offline build stubs serde_json; only demand the roundtrip
         // when a real backend is linked.
         let json_backend_works =
-            serde_json::from_value::<u32>(serde_json::to_value(1u32).unwrap_or_default()).is_ok();
+            serde_json::from_value::<u32>(serde_json::to_value(&1u32).unwrap_or_default()).is_ok();
         if json_backend_works {
             let back = ScanCheckpoint::from_json(&cp.to_json().unwrap()).unwrap();
             assert_eq!(back, cp);

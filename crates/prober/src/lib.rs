@@ -33,6 +33,6 @@ pub mod telemetry;
 pub use capture::{ProbeStats, ProberHandle, R2Capture, R2Sink};
 pub use checkpoint::ScanCheckpoint;
 pub use pacer::{Pacer, ZeroRateError};
-pub use scan::{Prober, ProberConfig, SlotSchedule};
+pub use scan::{Prober, ProberConfig, SlotSchedule, TargetSource};
 pub use subdomain::SubdomainGenerator;
 pub use telemetry::ProberTelemetry;

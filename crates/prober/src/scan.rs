@@ -1,52 +1,95 @@
 //! The prober endpoint: paced scanning, qname matching, reuse.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+use std::iter::Peekable;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 use orscope_authns::scheme::ProbeLabel;
 use orscope_dns_wire::wire::Reader;
 use orscope_dns_wire::{Header, Message, Name, Question};
-use orscope_netsim::{Context, Datagram, Endpoint, SimTime};
+use orscope_netsim::{Context, Datagram, Endpoint, FxHashMap, SimTime};
 
 use crate::capture::{ProberHandle, R2Capture};
 use crate::pacer::{Pacer, ZeroRateError};
 use crate::subdomain::SubdomainGenerator;
 use crate::telemetry::ProberTelemetry;
 
+/// The scan's targets: a stream of `(slot, address)` pairs in scan
+/// order, pulled one at a time.
+///
+/// Like ZMap, the prober never holds the target list. A campaign hands
+/// it an iterator that walks the scan permutation and keeps the pairs
+/// this shard owns; `slot` is the target's campaign-wide scan index,
+/// which [`SlotSchedule`] pacing turns into a send time and local
+/// pacing ignores. A plain list converts with its positions as slots.
+pub struct TargetSource {
+    pairs: Peekable<Box<dyn Iterator<Item = (u64, Ipv4Addr)>>>,
+    /// Pairs handed out so far (the checkpoint cursor).
+    taken: usize,
+}
+
+impl TargetSource {
+    /// Wraps a `(slot, address)` stream. Slots must not decrease.
+    pub fn new(pairs: impl Iterator<Item = (u64, Ipv4Addr)> + 'static) -> Self {
+        let pairs: Box<dyn Iterator<Item = (u64, Ipv4Addr)>> = Box::new(pairs);
+        Self {
+            pairs: pairs.peekable(),
+            taken: 0,
+        }
+    }
+
+    fn peek(&mut self) -> Option<(u64, Ipv4Addr)> {
+        self.pairs.peek().copied()
+    }
+
+    fn next(&mut self) -> Option<(u64, Ipv4Addr)> {
+        let pair = self.pairs.next()?;
+        self.taken += 1;
+        Some(pair)
+    }
+}
+
+impl From<Vec<Ipv4Addr>> for TargetSource {
+    fn from(targets: Vec<Ipv4Addr>) -> Self {
+        Self::new((0u64..).zip(targets))
+    }
+}
+
+impl std::fmt::Debug for TargetSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TargetSource")
+            .field("taken", &self.taken)
+            .finish_non_exhaustive()
+    }
+}
+
 /// Places each target on the campaign-global tick grid.
 ///
-/// A sharded campaign splits the target list across shards, and a local
+/// A sharded campaign splits the targets across shards, and a local
 /// pacer at `rate/shards` would send each shard's targets at slightly
 /// different virtual times than the single-shard scan — enough to move a
 /// probe across a fault-plan window boundary and break shard invariance.
 /// With a schedule, the prober instead ticks at the interval of the
 /// *campaign-wide* rate and sends each target on
-/// [`Pacer::slot_tick`]`(global_index, total_rate_pps)`, which is
-/// provably the tick a single-shard pacer would use.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`Pacer::slot_tick`]`(slot, total_rate_pps)` of the slot its
+/// [`TargetSource`] pairs it with, which is provably the tick a
+/// single-shard pacer would use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlotSchedule {
     /// Campaign-wide packet rate shared by every shard.
     pub total_rate_pps: u64,
-    /// Global scan index of each entry in `ProberConfig::targets`
-    /// (same length, same order). Shared: at full paper scale this is
-    /// hundreds of megabytes, and the campaign supervisor keeps a copy
-    /// for the retry plan, so cloning must not duplicate the buffer.
-    pub indices: Arc<Vec<u64>>,
 }
 
 /// Prober configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct ProberConfig {
     /// The measurement zone (e.g. `ucfsealresearch.net`).
     pub zone: Name,
-    /// Targets in scan order (the campaign pre-permutes them). Shared
-    /// for the same reason as [`SlotSchedule::indices`]: the prober only
-    /// ever reads this list, and at full scale it is too large to clone.
-    pub targets: Arc<Vec<Ipv4Addr>>,
+    /// Targets in scan order, each with its send slot.
+    pub targets: TargetSource,
     /// Send rate in packets per second.
     pub rate_pps: u64,
     /// Names per subdomain cluster.
@@ -70,7 +113,7 @@ pub struct ProberConfig {
 
 impl ProberConfig {
     /// A 2018-style configuration: 100k pps, 2-second reuse window.
-    pub fn new(zone: Name, targets: impl Into<Arc<Vec<Ipv4Addr>>>) -> Self {
+    pub fn new(zone: Name, targets: impl Into<TargetSource>) -> Self {
         Self {
             zone,
             targets: targets.into(),
@@ -107,15 +150,16 @@ pub struct Prober {
     config: ProberConfig,
     pacer: Pacer,
     generator: SubdomainGenerator,
-    next_target: usize,
-    outstanding: HashMap<ProbeLabel, Outstanding>,
-    by_target: HashMap<Ipv4Addr, ProbeLabel>,
+    // Fx, not SipHash with a per-process key: the checkpoint reads these
+    // maps, and the simulator controls every key.
+    outstanding: FxHashMap<ProbeLabel, Outstanding>,
+    by_target: FxHashMap<Ipv4Addr, ProbeLabel>,
     /// Min-heap of `(deadline, xmit)`; with `retry_limit == 0` every
     /// deadline is `sent_at + response_window`, so pop order equals the
     /// old FIFO sweep exactly (ties broken by send order via `xmit`).
     expiry: BinaryHeap<Reverse<(SimTime, u64)>>,
     /// Label carried by each live expiry-heap entry.
-    xmit_labels: HashMap<u64, ProbeLabel>,
+    xmit_labels: FxHashMap<u64, ProbeLabel>,
     next_xmit: u64,
     /// Timer firings so far (index into the tick grid).
     tick: u64,
@@ -129,9 +173,10 @@ pub struct Prober {
 }
 
 impl Prober {
-    /// Creates a prober resuming from `checkpoint`; pair with a target
-    /// list whose tail includes [`crate::checkpoint`]-reported
-    /// outstanding targets.
+    /// Creates a prober resuming from `checkpoint`; pair with the
+    /// original target stream followed by the
+    /// [`Prober::outstanding_targets`] reported at the checkpoint. The
+    /// targets before the checkpoint's cursor are skipped.
     ///
     /// # Errors
     ///
@@ -143,7 +188,11 @@ impl Prober {
     ) -> Result<Self, ZeroRateError> {
         let mut prober = Self::new(config, handle)?;
         prober.generator = checkpoint.restore_generator(&[]);
-        prober.next_target = checkpoint.next_target;
+        for _ in 0..checkpoint.next_target {
+            if prober.config.targets.next().is_none() {
+                break;
+            }
+        }
         if let Some(every) = prober.config.checkpoint_every {
             prober.checkpoints_taken = checkpoint.q1_sent / every.max(1);
         }
@@ -163,27 +212,19 @@ impl Prober {
     /// misconfiguration, reported rather than panicked on).
     pub fn new(config: ProberConfig, handle: ProberHandle) -> Result<Self, ZeroRateError> {
         // In slot mode the timer must tick on the campaign-global grid.
-        let pacer = match &config.slots {
-            Some(slots) => {
-                debug_assert_eq!(
-                    slots.indices.len(),
-                    config.targets.len(),
-                    "slot schedule must cover every target"
-                );
-                Pacer::new(slots.total_rate_pps)?
-            }
-            None => Pacer::new(config.rate_pps)?,
-        };
+        let pacer = Pacer::new(match config.slots {
+            Some(slots) => slots.total_rate_pps,
+            None => config.rate_pps,
+        })?;
         let generator = SubdomainGenerator::with_base(config.cluster_capacity, config.base_cluster);
         Ok(Self {
             config,
             pacer,
             generator,
-            next_target: 0,
-            outstanding: HashMap::new(),
-            by_target: HashMap::new(),
+            outstanding: FxHashMap::default(),
+            by_target: FxHashMap::default(),
             expiry: BinaryHeap::new(),
-            xmit_labels: HashMap::new(),
+            xmit_labels: FxHashMap::default(),
             next_xmit: 0,
             tick: 0,
             checkpoints_taken: 0,
@@ -253,16 +294,14 @@ impl Prober {
     fn send_batch(&mut self, ctx: &mut Context<'_>) {
         let mut sent = 0u64;
         let issued;
-        if self.config.slots.is_some() {
+        if let Some(slots) = self.config.slots {
             // Global-slot mode: emit every owned target whose
             // campaign-wide slot has arrived at this tick.
-            while let Some(&target) = self.config.targets.get(self.next_target) {
-                let slots = self.config.slots.as_ref().expect("slot mode");
-                let slot = Pacer::slot_tick(slots.indices[self.next_target], slots.total_rate_pps);
-                if slot > self.tick {
+            while let Some((slot, target)) = self.config.targets.peek() {
+                if Pacer::slot_tick(slot, slots.total_rate_pps) > self.tick {
                     break;
                 }
-                self.next_target += 1;
+                self.config.targets.next();
                 if self.send_probe(target, ctx) {
                     sent += 1;
                 }
@@ -272,10 +311,9 @@ impl Prober {
             let batch = self.pacer.next_batch();
             issued = batch;
             for _ in 0..batch {
-                let Some(&target) = self.config.targets.get(self.next_target) else {
+                let Some((_, target)) = self.config.targets.next() else {
                     break;
                 };
-                self.next_target += 1;
                 if self.send_probe(target, ctx) {
                     sent += 1;
                 }
@@ -367,19 +405,24 @@ impl Prober {
         &self.generator
     }
 
-    /// Index of the next unprobed target (checkpointing).
+    /// Targets pulled from the source so far (checkpointing).
     pub fn next_target(&self) -> usize {
-        self.next_target
+        self.config.targets.taken
     }
 
-    /// Labels currently in flight (checkpointing).
-    pub fn outstanding_labels(&self) -> impl Iterator<Item = ProbeLabel> + '_ {
-        self.outstanding.keys().copied()
+    /// Labels currently in flight, sorted (checkpointing).
+    pub fn outstanding_labels(&self) -> Vec<ProbeLabel> {
+        let mut labels: Vec<ProbeLabel> = self.outstanding.keys().copied().collect();
+        labels.sort_unstable();
+        labels
     }
 
-    /// Targets currently in flight (checkpointing).
-    pub fn outstanding_target_addrs(&self) -> Vec<Ipv4Addr> {
-        self.outstanding.values().map(|o| o.target).collect()
+    /// The targets in flight, sorted; chain these after the target
+    /// stream when resuming so they are re-probed.
+    pub fn outstanding_targets(&self) -> Vec<Ipv4Addr> {
+        let mut targets: Vec<Ipv4Addr> = self.outstanding.values().map(|o| o.target).collect();
+        targets.sort_unstable();
+        targets
     }
 
     /// Publishes generator counters and completion state.
@@ -463,7 +506,7 @@ impl Endpoint for Prober {
         self.sweep_expired(ctx);
         self.send_batch(ctx);
         self.maybe_checkpoint();
-        let targets_exhausted = self.next_target >= self.config.targets.len();
+        let targets_exhausted = self.config.targets.peek().is_none();
         if targets_exhausted && self.outstanding.is_empty() {
             self.done = true;
         } else {
@@ -784,7 +827,6 @@ mod tests {
         let legacy = sent_times(None);
         let slotted = sent_times(Some(SlotSchedule {
             total_rate_pps: 1_000,
-            indices: Arc::new((0..250).collect()),
         }));
         assert_eq!(legacy.len(), 250);
         assert_eq!(legacy, slotted);
@@ -795,9 +837,8 @@ mod tests {
         // A shard owning every 4th target of a 1000-pps campaign sends
         // on the same tick grid as the full scan: global index 100 goes
         // out on tick ceil(101*100/1000)-1 = 10, i.e. t = 100ms.
-        let targets = vec![Ipv4Addr::new(9, 9, 9, 9)];
         let handle = scan_with(
-            targets,
+            Vec::new(),
             |net| {
                 net.register(
                     Ipv4Addr::new(9, 9, 9, 9),
@@ -805,9 +846,10 @@ mod tests {
                 );
             },
             |config| {
+                config.targets =
+                    TargetSource::new(std::iter::once((100, Ipv4Addr::new(9, 9, 9, 9))));
                 config.slots = Some(SlotSchedule {
                     total_rate_pps: 1_000,
-                    indices: Arc::new(vec![100]),
                 });
             },
         );
@@ -833,7 +875,7 @@ mod tests {
     fn zero_rate_config_is_rejected() {
         let config = ProberConfig {
             rate_pps: 0,
-            ..ProberConfig::new(zone(), vec![])
+            ..ProberConfig::new(zone(), Vec::new())
         };
         assert!(Prober::new(config, ProberHandle::new()).is_err());
     }

@@ -65,9 +65,9 @@ fn build_net(register_responders: bool) -> SimNet {
 
 const PROBER: Ipv4Addr = Ipv4Addr::new(132, 170, 5, 53);
 
-#[test]
-fn interrupted_scan_resumes_to_full_coverage() {
-    // Phase 1: run roughly half the scan, then stop the world.
+/// Runs the scan for two virtual seconds (about half of it) and freezes
+/// it: the live handle, the checkpoint, and the in-flight targets.
+fn interrupted_scan() -> (ProberHandle, ScanCheckpoint, Vec<Ipv4Addr>) {
     let handle = ProberHandle::new();
     let mut net = build_net(true);
     net.register(
@@ -77,16 +77,8 @@ fn interrupted_scan_resumes_to_full_coverage() {
     net.set_timer_for(PROBER, SimTime::ZERO, 0);
     // 400 targets at 100 pps = 4 s; stop at 2 s.
     net.run_until(SimTime::from_secs(2));
-    let stats_mid = handle.stats();
-    assert!(
-        stats_mid.q1_sent > 100 && stats_mid.q1_sent < 300,
-        "{}",
-        stats_mid.q1_sent
-    );
-    assert!(!stats_mid.done);
-
     // Checkpoint the live endpoint through the downcast hook.
-    let (checkpoint, remaining_targets) = net
+    let (checkpoint, outstanding) = net
         .with_host(PROBER, |ep| {
             let prober = ep
                 .as_any_mut()
@@ -95,11 +87,39 @@ fn interrupted_scan_resumes_to_full_coverage() {
             (prober.checkpoint(), prober.outstanding_targets())
         })
         .expect("prober registered");
+    (handle, checkpoint, outstanding)
+}
+
+#[test]
+fn identical_interrupted_scans_write_identical_checkpoints() {
+    // The checkpoint lists in-flight labels and targets out of hash
+    // maps; their order must not depend on per-process hasher keys, or
+    // two identical scans resume differently.
+    let (_, first, first_outstanding) = interrupted_scan();
+    let (_, second, second_outstanding) = interrupted_scan();
+    assert!(first_outstanding.len() > 10, "a window's worth in flight");
+    assert_eq!(first_outstanding, second_outstanding);
+    assert_eq!(first, second);
+    assert_eq!(first.to_json_string(), second.to_json_string());
+}
+
+#[test]
+fn interrupted_scan_resumes_to_full_coverage() {
+    // Phase 1: run roughly half the scan, then stop the world.
+    let (handle, checkpoint, remaining_targets) = interrupted_scan();
+    let stats_mid = handle.stats();
+    assert!(
+        stats_mid.q1_sent > 100 && stats_mid.q1_sent < 300,
+        "{}",
+        stats_mid.q1_sent
+    );
+    assert!(!stats_mid.done);
+
     // Survives serialization. The offline build stubs serde_json (every
     // deserialization fails), so probe the backend first and only demand
     // the roundtrip when a real serde_json is linked.
     let json_backend_works =
-        serde_json::from_value::<u32>(serde_json::to_value(1u32).expect("int")).is_ok();
+        serde_json::from_value::<u32>(serde_json::to_value(&1u32).expect("int")).is_ok();
     let checkpoint = if json_backend_works {
         ScanCheckpoint::from_json(&checkpoint.to_json().expect("serializable")).expect("roundtrip")
     } else {

@@ -629,13 +629,22 @@ impl Population {
         self.resolvers.get(i, &self.table)
     }
 
+    /// The placement affinity of the `i`-th planned resolver: its own
+    /// address, except for forwarders, which follow their upstream so
+    /// the forwarder -> upstream relay never crosses a shard boundary.
+    pub fn affinity(&self, i: usize) -> Ipv4Addr {
+        self.table
+            .get(self.resolvers.profile_id(i))
+            .upstream_addr()
+            .unwrap_or_else(|| self.resolvers.addr(i))
+    }
+
     /// Partitions the population into `shards` disjoint sub-populations
     /// for parallel campaign execution.
     ///
-    /// Placement is by [`shard_index`] of each host's affinity address:
-    /// its own address, except for forwarders, which follow their
-    /// upstream so the forwarder -> upstream relay never crosses a shard
-    /// boundary. Within each shard the original generation order is
+    /// Placement is by [`shard_index`] of each resolver's
+    /// [`Population::affinity`] and of every other host's own address.
+    /// Within each shard the original generation order is
     /// preserved, so `shard(1)` reproduces the population unchanged.
     ///
     /// The threat/geo seed lists (`malicious_answers`, `answer_orgs`)
@@ -660,12 +669,9 @@ impl Population {
             })
             .collect();
         for i in 0..self.resolvers.len() {
-            let addr = self.resolvers.addr(i);
-            let profile = self.resolvers.profile_id(i);
-            let affinity = self.table.get(profile).upstream_addr().unwrap_or(addr);
-            parts[shard_index(affinity, shards)].resolvers.push(
-                addr,
-                profile,
+            parts[shard_index(self.affinity(i), shards)].resolvers.push(
+                self.resolvers.addr(i),
+                self.resolvers.profile_id(i),
                 self.resolvers.country_id(i),
             );
         }

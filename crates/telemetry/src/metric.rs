@@ -95,7 +95,11 @@ impl Gauge {
     #[inline]
     pub fn record_max(&self, value: u64) {
         if let Some(cell) = &self.0 {
-            cell.fetch_max(value, Ordering::Relaxed);
+            // `fetch_max` is a locked compare-exchange loop; most
+            // recordings are not a new maximum and need only the load.
+            if value > cell.load(Ordering::Relaxed) {
+                cell.fetch_max(value, Ordering::Relaxed);
+            }
         }
     }
 

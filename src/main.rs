@@ -38,13 +38,17 @@ use orscope_resolver::paper::Year;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = args.first().map(String::as_str).unwrap_or("help");
+    let run = |known: &[&str], body: fn(&[String]) -> Result<(), String>| {
+        reject_unknown_flags(command, &args[1..], known)?;
+        body(&args[1..])
+    };
     let result = match command {
-        "campaign" => cmd_campaign(&args[1..]),
-        "tables" => cmd_tables(&args[1..]),
-        "trend" => cmd_trend(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "tap" => cmd_tap(&args[1..]),
-        "pcap" => cmd_pcap(&args[1..]),
+        "campaign" => run(CAMPAIGN_FLAGS, cmd_campaign),
+        "tables" => run(TABLES_FLAGS, cmd_tables),
+        "trend" => run(TREND_FLAGS, cmd_trend),
+        "serve" => run(SERVE_FLAGS, cmd_serve),
+        "tap" => run(TAP_FLAGS, cmd_tap),
+        "pcap" => run(PCAP_FLAGS, cmd_pcap),
         "help" | "--help" | "-h" => {
             print_help();
             Ok(())
@@ -136,6 +140,85 @@ fn print_help() {
          \x20                       clients get 408, not a pinned thread)\n\
          \x20 --http-poll-ms MS     accept-loop shutdown polling interval"
     );
+}
+
+/// The flags each subcommand defines (the USAGE block of `print_help`).
+const CAMPAIGN_FLAGS: &[&str] = &[
+    "--year",
+    "--scale",
+    "--seed",
+    "--shards",
+    "--full-q1",
+    "--loss",
+    "--duplicate",
+    "--retries",
+    "--rate",
+    "--authns-outage",
+    "--faults",
+    "--checkpoint-every",
+    "--stop-after",
+    "--checkpoint-file",
+    "--analysis",
+    "--json",
+    "--telemetry",
+];
+const TABLES_FLAGS: &[&str] = &["--scale", "--analysis", "--json"];
+const TREND_FLAGS: &[&str] = &["--steps", "--scale", "--seed"];
+const SERVE_FLAGS: &[&str] = &[
+    "--year",
+    "--scale",
+    "--seed",
+    "--shards",
+    "--epochs",
+    "--epoch-secs",
+    "--port",
+    "--join",
+    "--leave",
+    "--drift",
+    "--headroom",
+    "--churn-seed",
+    "--interval-ms",
+    "--state-dir",
+    "--checkpoint-every",
+    "--keep-generations",
+    "--epoch-deadline",
+    "--fresh",
+    "--http-max-conns",
+    "--http-timeout-ms",
+    "--http-poll-ms",
+];
+const TAP_FLAGS: &[&str] = &[
+    "--url",
+    "--match",
+    "--limit",
+    "--oneshot",
+    "--year",
+    "--scale",
+    "--seed",
+    "--shards",
+];
+const PCAP_FLAGS: &[&str] = &["--year", "--scale"];
+
+/// Flags that take no value.
+const BOOLEAN_FLAGS: &[&str] = &["--full-q1", "--fresh", "--oneshot"];
+
+/// Fails on any `--flag` that `command` does not define: a typo such as
+/// `--shard 4` must not silently run the default.
+fn reject_unknown_flags(command: &str, args: &[String], known: &[&str]) -> Result<(), String> {
+    let mut skip_next = false;
+    for arg in args {
+        if skip_next {
+            skip_next = false;
+        } else if arg.starts_with("--") {
+            if !known.contains(&arg.as_str()) {
+                return Err(format!(
+                    "unknown flag {arg} for `orscope {command}`; try `orscope help`"
+                ));
+            }
+            skip_next = !BOOLEAN_FLAGS.contains(&arg.as_str());
+        }
+    }
+    Ok(())
 }
 
 /// Pulls `--name value` from an argument list.
@@ -692,8 +775,7 @@ fn positionals(args: &[String]) -> Vec<&String> {
             continue;
         }
         if arg.starts_with("--") {
-            // Boolean flags take no value.
-            skip_next = !matches!(arg.as_str(), "--full-q1" | "--fresh" | "--oneshot");
+            skip_next = !BOOLEAN_FLAGS.contains(&arg.as_str());
             continue;
         }
         out.push(arg);
@@ -745,6 +827,21 @@ mod tests {
         assert_eq!(flag_value(&a, "--json").unwrap(), Some("out.json".into()));
         assert_eq!(flag_value(&a, "--seed").unwrap(), None);
         assert!(flag_value(&args(&["--scale"]), "--scale").is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_per_subcommand() {
+        let ok = args(&["--scale", "500", "--full-q1", "--shards", "4"]);
+        assert!(reject_unknown_flags("campaign", &ok, CAMPAIGN_FLAGS).is_ok());
+        // The typo that used to run one shard silently.
+        let err =
+            reject_unknown_flags("campaign", &args(&["--shard", "4"]), CAMPAIGN_FLAGS).unwrap_err();
+        assert!(err.contains("--shard") && err.contains("campaign"), "{err}");
+        // A flag another subcommand defines is still unknown here.
+        assert!(reject_unknown_flags("tables", &ok, TABLES_FLAGS).is_err());
+        // Flag values and positionals are not flags.
+        let pcap = args(&["--scale", "--5", "out.pcap"]);
+        assert!(reject_unknown_flags("pcap", &pcap, PCAP_FLAGS).is_ok());
     }
 
     #[test]
