@@ -51,24 +51,21 @@ pub fn run_campaign(year: Year, scale: f64) -> CampaignResult {
 pub mod alloc {
     //! The one counting allocator of the `benches/` targets. A bench
     //! installs it with `#[global_allocator] static ALLOC: CountingAlloc
-    //! = CountingAlloc;` and reads the counters through the functions
-    //! here. Relaxed ordering suffices: the benches that read them are
-    //! single-threaded.
+    //! = CountingAlloc;` and reads the live-byte peak through the
+    //! functions here. Relaxed ordering suffices: the benches that read
+    //! it are single-threaded.
 
     use std::alloc::{GlobalAlloc, Layout, System};
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// The system allocator, counting every acquisition (reallocations
-    /// included: each is a fresh backing acquisition on the measured
-    /// path) and tracking live bytes with their high-water mark.
+    /// The system allocator, tracking live bytes with their high-water
+    /// mark.
     pub struct CountingAlloc;
 
-    static ALLOCS: AtomicU64 = AtomicU64::new(0);
     static LIVE: AtomicUsize = AtomicUsize::new(0);
     static PEAK: AtomicUsize = AtomicUsize::new(0);
 
     fn acquired(size: usize) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
         let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
         PEAK.fetch_max(live, Ordering::Relaxed);
     }
@@ -96,12 +93,6 @@ pub mod alloc {
             // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
             unsafe { System.realloc(ptr, layout, new_size) }
         }
-    }
-
-    /// Acquisitions so far (zero unless [`CountingAlloc`] is this
-    /// binary's global allocator).
-    pub fn allocs() -> u64 {
-        ALLOCS.load(Ordering::Relaxed)
     }
 
     /// Resets the high-water mark to the current live level and returns

@@ -1,7 +1,6 @@
 //! Campaign assembly and execution.
 
 use std::net::Ipv4Addr;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use orscope_analysis::{AnalysisMode, Dataset, RecordSink, StreamingAnalyzer};
@@ -10,7 +9,7 @@ use orscope_authns::{
     TldServer, Zone,
 };
 use orscope_netsim::{
-    FaultPlan, HashLatency, LazyRegistry, NetStats, NetTelemetry, SchedulerKind, SimNet, SimTime,
+    FaultPlan, HashLatency, LazyRegistry, NetStats, NetTelemetry, SimNet, SimTime,
 };
 use orscope_prober::{
     ProbeStats, Prober, ProberConfig, ProberHandle, ProberTelemetry, R2Capture, ScanCheckpoint,
@@ -25,6 +24,7 @@ use crate::error::{CampaignError, DegradedReport, ShardFailure, ShardSabotage};
 use crate::infra::{seed_geo_db, seed_threat_db, Infra};
 use crate::plan::TargetPlan;
 use crate::result::CampaignResult;
+use crate::supervise::{supervise, Supervised};
 
 /// Configuration of one reproduction campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,9 +51,6 @@ pub struct CampaignConfig {
     /// exponential backoff up to this many times before the target is
     /// abandoned (0 = the paper's fire-and-forget scan).
     pub retry_limit: u32,
-    /// Publish a prober [`ScanCheckpoint`] through its handle every this
-    /// many probes (`None` disables auto-checkpointing).
-    pub checkpoint_every: Option<u64>,
     /// Extra off-port responders (the §V blind-spot ablation).
     pub off_port_responders: u64,
     /// Fraction of standard honest resolvers replaced by CPE forwarders
@@ -63,13 +60,11 @@ pub struct CampaignConfig {
     pub probe_rate_pps: Option<u64>,
     /// When `true`, probe the full scaled address space
     /// (`round(Q1/scale)` targets), reproducing Table II's Q1 exactly.
-    /// When `false`, probe only responders plus
-    /// `non_responder_factor x` as many silent targets — the fast mode
-    /// for tests and examples (every non-Q1 quantity is unaffected
-    /// because silent hosts contribute nothing but Q1 volume).
+    /// When `false`, probe only responders plus twice as many silent
+    /// targets — the fast mode for tests and examples (every non-Q1
+    /// quantity is unaffected because silent hosts contribute nothing
+    /// but Q1 volume).
     pub full_q1: bool,
-    /// Silent-target multiple in fast mode.
-    pub non_responder_factor: f64,
     /// Number of independent shards to partition the campaign across
     /// (1 = the classic single-`SimNet` run). Each shard owns a disjoint
     /// slice of the address space and runs on its own OS thread; results
@@ -79,11 +74,6 @@ pub struct CampaignConfig {
     /// run. On by default; the counters cost one relaxed atomic add per
     /// recording. When off, [`CampaignResult::telemetry`] is `None`.
     pub telemetry: bool,
-    /// Event-scheduler implementation for every shard's `SimNet`. The
-    /// default timing wheel and the reference binary heap produce
-    /// identical event orderings (see the scheduler-invariance tests);
-    /// the knob exists for oracle testing and benchmarking.
-    pub scheduler: SchedulerKind,
     /// Deterministic shard-failure injection for exercising the
     /// supervisor (tests and chaos drills only).
     pub sabotage: Option<ShardSabotage>,
@@ -104,28 +94,8 @@ pub struct CampaignConfig {
     /// Keep raw R2 captures alongside the streaming accumulators
     /// (needed for pcap export; forfeits the memory bound).
     pub retain_raw: bool,
-    /// How resolver endpoints come into existence: the default
-    /// [`Materialization::Lazy`] builds each host on its first packet
-    /// from the population's interned profile table (paper-scale
-    /// populations run in a bounded host table);
-    /// [`Materialization::Eager`] pre-registers every host up front (the
-    /// original pipeline, kept as an oracle). Both produce byte-identical
-    /// reports — see `tests/materialization_oracle.rs`.
-    pub materialization: Materialization,
     /// Infrastructure addresses.
     pub infra: Infra,
-}
-
-/// When resolver endpoints are constructed (see
-/// [`CampaignConfig::materialization`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Materialization {
-    /// Build each host on first packet delivery; release it when it goes
-    /// quiescent (fault-free plans only — impaired hosts stay pinned).
-    #[default]
-    Lazy,
-    /// Pre-register every host before the scan starts.
-    Eager,
 }
 
 impl CampaignConfig {
@@ -139,28 +109,18 @@ impl CampaignConfig {
             duplicate_probability: 0.0,
             faults: FaultPlan::new(),
             retry_limit: 0,
-            checkpoint_every: None,
             off_port_responders: 0,
             forwarder_fraction: 0.0,
             probe_rate_pps: None,
             full_q1: false,
-            non_responder_factor: 2.0,
             shards: 1,
             telemetry: true,
-            scheduler: SchedulerKind::default(),
             sabotage: None,
             virtual_deadline: None,
             analysis: AnalysisMode::default(),
             retain_raw: false,
-            materialization: Materialization::default(),
             infra: Infra::default(),
         }
-    }
-
-    /// Selects when resolver endpoints are constructed (lazy or eager).
-    pub fn with_materialization(mut self, materialization: Materialization) -> Self {
-        self.materialization = materialization;
-        self
     }
 
     /// Selects how captures become tables (streaming or batch).
@@ -199,12 +159,6 @@ impl CampaignConfig {
         self
     }
 
-    /// Selects the event-scheduler implementation.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Sets the independent per-datagram loss probability.
     pub fn with_loss(mut self, probability: f64) -> Self {
         self.loss_probability = probability;
@@ -226,12 +180,6 @@ impl CampaignConfig {
     /// Sets the per-probe retransmission budget.
     pub fn with_retries(mut self, retry_limit: u32) -> Self {
         self.retry_limit = retry_limit;
-        self
-    }
-
-    /// Enables auto-checkpointing every `probes` Q1 packets.
-    pub fn with_checkpoint_every(mut self, probes: u64) -> Self {
-        self.checkpoint_every = Some(probes);
         self
     }
 
@@ -290,12 +238,6 @@ impl CampaignConfig {
                 return invalid(format!("{name} {p} not in [0, 1]"));
             }
         }
-        if !(self.non_responder_factor.is_finite() && self.non_responder_factor >= 0.0) {
-            return invalid(format!(
-                "non_responder_factor {} must be non-negative",
-                self.non_responder_factor
-            ));
-        }
         if self.probe_rate_pps == Some(0) {
             return invalid("probe rate must be positive (got 0 pps)".to_owned());
         }
@@ -335,12 +277,21 @@ pub struct Campaign {
     /// inside) the config so `CampaignConfig` stays a plain comparable
     /// value type.
     bus: Option<std::sync::Arc<crate::bus::RecordBus>>,
+    /// Test builds only: run as the eager reference (see
+    /// `crate::eager_oracle`).
+    #[cfg(test)]
+    pub(crate) preregister_hosts: bool,
 }
 
 impl Campaign {
     /// Creates a campaign.
     pub fn new(config: CampaignConfig) -> Self {
-        Self { config, bus: None }
+        Self {
+            config,
+            bus: None,
+            #[cfg(test)]
+            preregister_hosts: false,
+        }
     }
 
     /// Attaches a record bus: every shard publishes its captured R2 and
@@ -467,12 +418,11 @@ impl Campaign {
         let cluster_stride = 1_000 / shards as u32;
 
         // ---- fan out: one supervised SimNet per shard ----
-        // Each shard runs under `catch_unwind`; a panicking shard is
-        // rebuilt from the same plan (same seed) and retried once. A
-        // second panic marks the shard permanently failed: its slice is
-        // missing from the merge and the result carries a
-        // `DegradedReport`.
-        let runs: Vec<ShardRun> = std::thread::scope(|scope| {
+        // A panicking shard is rebuilt from the same plan (same seed) and
+        // retried once. A second panic marks the shard permanently
+        // failed: its slice is missing from the merge and the result
+        // carries a `DegradedReport`.
+        let runs: Vec<Supervised<ShardOutcome>> = std::thread::scope(|scope| {
             let targets = &targets;
             let handles: Vec<_> = shard_populations
                 .iter()
@@ -480,9 +430,8 @@ impl Campaign {
                 .enumerate()
                 .map(|(index, shard_pop)| {
                     scope.spawn(move || {
-                        let mut retried = false;
-                        for attempt in 0..2u32 {
-                            let plan = ShardPlan {
+                        supervise(|attempt| {
+                            Ok(self.run_shard(ShardPlan {
                                 shard: index,
                                 attempt,
                                 // Decorrelate per-shard simulator seeds;
@@ -497,29 +446,8 @@ impl Campaign {
                                 // A retry walks the permutation afresh.
                                 targets: TargetSource::new(targets.shard(index, shards)),
                                 population: shard_pop,
-                            };
-                            match catch_unwind(AssertUnwindSafe(|| self.run_shard(plan))) {
-                                Ok(outcome) => {
-                                    return ShardRun {
-                                        shard: index,
-                                        retried,
-                                        outcome: Ok(Box::new(outcome)),
-                                    };
-                                }
-                                Err(payload) => {
-                                    if attempt == 0 {
-                                        retried = true;
-                                        continue;
-                                    }
-                                    return ShardRun {
-                                        shard: index,
-                                        retried,
-                                        outcome: Err(panic_text(payload.as_ref())),
-                                    };
-                                }
-                            }
-                        }
-                        unreachable!("a shard returns within two attempts")
+                            }))
+                        })
                     })
                 })
                 .collect();
@@ -533,16 +461,13 @@ impl Campaign {
         let mut failed: Vec<ShardFailure> = Vec::new();
         let mut retried: Vec<usize> = Vec::new();
         let mut outcomes: Vec<ShardOutcome> = Vec::new();
-        for run in runs {
-            if run.retried {
-                retried.push(run.shard);
+        for (shard, run) in runs.into_iter().enumerate() {
+            if run.retried() {
+                retried.push(shard);
             }
             match run.outcome {
-                Ok(outcome) => outcomes.push(*outcome),
-                Err(message) => failed.push(ShardFailure {
-                    shard: run.shard,
-                    message,
-                }),
+                Ok(outcome) => outcomes.push(outcome),
+                Err(message) => failed.push(ShardFailure { shard, message }),
             }
         }
         if outcomes.is_empty() {
@@ -597,12 +522,7 @@ impl Campaign {
                 }
             }
         }
-        if let Some(merged) = stream.as_mut() {
-            dataset.set_r2_total(merged.r2_classified());
-            if config.retain_raw {
-                dataset.attach_raw(merged.take_raw());
-            }
-        }
+        finish_stream(&mut dataset, stream.as_mut(), config.retain_raw);
         // Canonical merged capture order: chronological, with the stable
         // sort breaking cross-shard ties by shard index.
         auth_packets.sort_by_key(|packet| packet.at);
@@ -658,19 +578,14 @@ impl Campaign {
                 );
             }
         }
-        // Every flow keys on a probed responder, so the shard's share of
-        // the responder population bounds the join state exactly. Sizing
-        // the analyzer up front keeps the full-scale arena at its final
-        // footprint instead of doubling past it (the last doubling alone
-        // is ~0.4 GB at scale 1.0).
-        let expected_flows = plan.population.resolvers.len() + plan.population.off_port.len();
+        let population = plan.population;
         let mut world = self.build_shard(plan, None);
+        #[cfg(test)]
+        if self.preregister_hosts {
+            world.preregister_hosts(population, &self.config);
+        }
         if self.config.analysis == AnalysisMode::Streaming {
-            world.attach_streaming(
-                self.config.infra.zone.clone(),
-                self.config.retain_raw,
-                expected_flows,
-            );
+            world.attach_streaming(&self.config, population);
         }
         // ---- run to completion (or the virtual deadline) ----
         let probe_span = world.collector.phase("phase.probe");
@@ -715,7 +630,7 @@ impl Campaign {
         // ---- network & name-server hierarchy ----
         let resolver_config = ResolverConfig::new(infra.root);
         let resolver_telemetry = ResolverTelemetry::from_collector(&collector);
-        let mut builder = SimNet::builder()
+        let mut net = SimNet::builder()
             .seed(plan.sim_seed)
             // Latency hashes from the master seed in every shard so a
             // host's RTTs do not depend on the shard layout.
@@ -725,20 +640,16 @@ impl Campaign {
             // Same mixed plan in every shard: hashed per-flow draws keep
             // chaos decisions identical regardless of layout.
             .faults(config.effective_faults())
-            .scheduler(config.scheduler)
-            .telemetry(NetTelemetry::from_collector(&collector));
-        if config.materialization == Materialization::Lazy {
             // Probed hosts materialize on first packet from the interned
             // profile table; only the upstreams are pre-registered below,
             // because forwarders from many clients share their caches
             // across the whole scan.
-            builder = builder.lazy_hosts(PopulationRegistry::new(
+            .lazy_hosts(PopulationRegistry::new(
                 plan.population,
                 resolver_config.clone(),
                 resolver_telemetry.clone(),
-            ));
-        }
-        let mut net = builder.build();
+            ))
+            .build();
         let mut root = RootServer::new();
         root.delegate(
             "net".parse().expect("static name"),
@@ -765,23 +676,7 @@ impl Campaign {
         auth.set_telemetry(AuthTelemetry::from_collector(&collector));
         net.register(infra.auth, auth);
 
-        // ---- resolver population (this shard's slice) ----
-        if config.materialization == Materialization::Eager {
-            for host in plan
-                .population
-                .resolvers()
-                .chain(plan.population.off_port())
-            {
-                net.register(
-                    host.addr,
-                    ProfiledResolver::new_shared(
-                        std::sync::Arc::clone(host.policy),
-                        resolver_config.clone(),
-                    )
-                    .with_telemetry(resolver_telemetry.clone()),
-                );
-            }
-        }
+        // ---- shared upstreams (this shard's slice) ----
         for host in plan.population.upstreams() {
             net.register(
                 host.addr,
@@ -800,7 +695,6 @@ impl Campaign {
         prober_config.cluster_capacity = plan.cluster_capacity;
         prober_config.base_cluster = plan.base_cluster;
         prober_config.retry_limit = config.retry_limit;
-        prober_config.checkpoint_every = config.checkpoint_every;
         if resume.is_none() {
             // Campaign-global send slots; a resumed scan paces locally
             // over its remaining targets instead.
@@ -831,14 +725,19 @@ impl Campaign {
     }
 }
 
-/// Renders a `catch_unwind` payload as text for the failure report.
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(text) = payload.downcast_ref::<&str>() {
-        (*text).to_owned()
-    } else if let Some(text) = payload.downcast_ref::<String>() {
-        text.clone()
-    } else {
-        "opaque panic payload".to_owned()
+/// Seals a streaming run's dataset: the analyzer, not the (empty)
+/// capture buffer, knows how many R2s were classified, and holds the raw
+/// captures when they were retained.
+pub(crate) fn finish_stream(
+    dataset: &mut Dataset,
+    stream: Option<&mut StreamingAnalyzer>,
+    retain_raw: bool,
+) {
+    if let Some(stream) = stream {
+        dataset.set_r2_total(stream.r2_classified());
+        if retain_raw {
+            dataset.attach_raw(stream.take_raw());
+        }
     }
 }
 
@@ -848,13 +747,6 @@ pub(crate) struct ShardKnobs {
     pub(crate) total_rate: u64,
     /// Names per subdomain cluster.
     pub(crate) cluster_capacity: u64,
-}
-
-/// One supervised shard attempt's result.
-struct ShardRun {
-    shard: usize,
-    retried: bool,
-    outcome: Result<Box<ShardOutcome>, String>,
 }
 
 /// Everything one shard needs to run independently: its slice of the
@@ -955,16 +847,14 @@ impl ShardWorld {
     /// Payloads drop as soon as the last sink returns (unless
     /// `retain_raw`).
     ///
-    /// `expected_flows` pre-sizes the analyzer's join state (pass the
-    /// shard's responder count; an estimate only costs capacity).
-    pub(crate) fn attach_streaming(
-        &mut self,
-        zone: orscope_dns_wire::Name,
-        retain_raw: bool,
-        expected_flows: usize,
-    ) {
-        let mut streaming = StreamingAnalyzer::new(zone, retain_raw);
-        streaming.reserve_flows(expected_flows);
+    /// `population` is the shard's: every flow keys on a probed
+    /// responder, so its responder count bounds the join state exactly.
+    /// Sizing the analyzer up front keeps the full-scale arena at its
+    /// final footprint instead of doubling past it (the last doubling
+    /// alone is ~0.4 GB at scale 1.0).
+    pub(crate) fn attach_streaming(&mut self, config: &CampaignConfig, population: &Population) {
+        let mut streaming = StreamingAnalyzer::new(config.infra.zone.clone(), config.retain_raw);
+        streaming.reserve_flows(population.resolvers.len() + population.off_port.len());
         let analyzer = std::sync::Arc::new(parking_lot::Mutex::new(streaming));
         let r2_sink = analyzer.clone();
         self.prober_handle
@@ -1013,6 +903,8 @@ impl ShardWorld {
             .min(u128::from(u64::MAX)) as u64;
         self.collector
             .record_span("phase.capture_drain", Duration::ZERO, drain_virt);
+        NetTelemetry::from_collector(&self.collector)
+            .publish(self.net.stats(), self.net.queue_depth_hwm());
         ShardOutcome {
             probe_stats,
             captures: self.prober_handle.drain(),
@@ -1038,7 +930,7 @@ pub(crate) struct ShardOutcome {
     pub(crate) q2: u64,
     pub(crate) r1: u64,
     pub(crate) duration_secs: f64,
-    /// Peak live lazily-materialized hosts (0 in eager mode).
+    /// Peak live lazily-materialized hosts.
     pub(crate) materialized_peak: usize,
     pub(crate) net_stats: NetStats,
     pub(crate) auth_packets: Vec<CapturedPacket>,

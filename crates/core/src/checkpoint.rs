@@ -215,12 +215,13 @@ pub mod integrity {
     }
 }
 
+use orscope_analysis::{AnalysisMode, RecordSink};
 use orscope_authns::CapturedPacket;
 use orscope_netsim::SimTime;
 use orscope_prober::{Prober, R2Capture, ScanCheckpoint, TargetSource};
 use orscope_resolver::paper::YearSpec;
 
-use crate::campaign::{Campaign, ShardPlan};
+use crate::campaign::{finish_stream, Campaign, ShardPlan};
 use crate::error::CampaignError;
 use crate::infra::{seed_geo_db, seed_threat_db};
 use crate::plan::TargetPlan;
@@ -348,20 +349,38 @@ impl Campaign {
             population: &population,
         };
         let mut world = self.build_shard(plan, Some(&checkpoint.scan));
+        if config.analysis == AnalysisMode::Streaming {
+            // The first phase buffered its captures into the checkpoint;
+            // fold them into the analyzer the second phase streams into.
+            world.attach_streaming(config, &population);
+            let mut analyzer = world.analyzer.as_ref().expect("just attached").lock();
+            for packet in &checkpoint.auth_packets {
+                analyzer.on_auth(packet);
+            }
+            for capture in &checkpoint.captures {
+                analyzer.on_r2(capture);
+            }
+        }
         let probe_span = world.collector.phase("phase.probe");
         world.net.run_until_idle();
         let mut outcome = world.collect(probe_span);
 
         // ---- merge the two phases ----
-        let mut captures = checkpoint.captures.clone();
-        captures.append(&mut outcome.captures);
-        outcome.captures = captures;
         outcome.q2 += checkpoint.q2;
         outcome.r1 += checkpoint.r1;
-        let mut auth_packets = checkpoint.auth_packets.clone();
-        auth_packets.append(&mut outcome.auth_packets);
-        auth_packets.sort_by_key(|packet| packet.at);
-        let dataset = outcome.dataset(config);
+        let mut stream = outcome.analysis.take();
+        let mut auth_packets = Vec::new();
+        if stream.is_none() {
+            // Batch mode: splice the buffered halves.
+            let mut captures = checkpoint.captures.clone();
+            captures.append(&mut outcome.captures);
+            outcome.captures = captures;
+            auth_packets = checkpoint.auth_packets.clone();
+            auth_packets.append(&mut outcome.auth_packets);
+            auth_packets.sort_by_key(|packet| packet.at);
+        }
+        let mut dataset = outcome.dataset(config);
+        finish_stream(&mut dataset, stream.as_mut(), config.retain_raw);
         Ok(CampaignResult::new(
             config.clone(),
             spec,
@@ -374,9 +393,7 @@ impl Campaign {
             auth_packets,
             config.telemetry.then_some(outcome.telemetry),
             None,
-            // Checkpoint halves are merged as buffered captures, so the
-            // resumed result always analyzes in batch mode.
-            None,
+            stream,
         ))
     }
 }

@@ -1,0 +1,99 @@
+//! The eager reference for lazy host materialization.
+//!
+//! Production builds every probed resolver on its first packet and drops
+//! it again once it is quiescent. The reference is the same world with
+//! every probed host `register`ed before the scan starts, as the
+//! pipeline originally did: a registered slot is pinned, so the lazy
+//! registry is never consulted and nothing is ever released. Reports
+//! must not tell the two apart — at any shard count, in either analysis
+//! mode, with or without faults (which pin materialized hosts and so
+//! exercise the other half of the lazy path).
+
+use orscope_analysis::AnalysisMode;
+use orscope_resolver::paper::Year;
+use orscope_resolver::population::Population;
+use orscope_resolver::{ProfiledResolver, ResolverConfig, ResolverTelemetry};
+
+use crate::campaign::{Campaign, CampaignConfig, ShardWorld};
+use crate::result::CampaignResult;
+
+impl ShardWorld {
+    /// Registers every resolver and off-port responder of `population`
+    /// up front, wired exactly as the lazy registry would build them.
+    pub(crate) fn preregister_hosts(&mut self, population: &Population, config: &CampaignConfig) {
+        let resolver_config = ResolverConfig::new(config.infra.root);
+        let telemetry = ResolverTelemetry::from_collector(&self.collector);
+        for host in population.resolvers().chain(population.off_port()) {
+            self.net.register(
+                host.addr,
+                ProfiledResolver::new_shared(
+                    std::sync::Arc::clone(host.policy),
+                    resolver_config.clone(),
+                )
+                .with_telemetry(telemetry.clone()),
+            );
+        }
+    }
+}
+
+fn run(config: CampaignConfig, eager: bool) -> CampaignResult {
+    let mut campaign = Campaign::new(config);
+    campaign.preregister_hosts = eager;
+    campaign.run().unwrap()
+}
+
+fn tables_json(result: &CampaignResult) -> String {
+    serde_json::to_string(&result.table_reports()).expect("tables serialize")
+}
+
+#[test]
+fn lazy_and_eager_render_byte_identical_reports() {
+    let config = |shards: usize, analysis: AnalysisMode| {
+        CampaignConfig::new(Year::Y2018, 20_000.0)
+            .with_shards(shards)
+            .with_analysis(analysis)
+    };
+    let baseline = run(config(1, AnalysisMode::Batch), true);
+    assert_eq!(
+        baseline.materialized_hosts(),
+        0,
+        "the reference registers every host up front"
+    );
+    let baseline_tables = tables_json(&baseline);
+    let baseline_render = baseline.render();
+    for eager in [false, true] {
+        for analysis in [AnalysisMode::Streaming, AnalysisMode::Batch] {
+            for shards in [1, 2, 4] {
+                let result = run(config(shards, analysis), eager);
+                let context = format!("eager {eager} x {analysis} x {shards} shards");
+                assert_eq!(
+                    result.materialized_hosts() > 0,
+                    !eager,
+                    "only the lazy world materializes on demand: {context}"
+                );
+                assert_eq!(result.dataset().r2(), baseline.dataset().r2(), "{context}");
+                assert_eq!(tables_json(&result), baseline_tables, "{context}");
+                assert_eq!(result.render(), baseline_render, "{context}");
+            }
+        }
+    }
+}
+
+#[test]
+fn lazy_matches_the_reference_under_fault_injection() {
+    // Loss and duplication reshape delivery (dropped R2s, duplicate
+    // deliveries) and also disable quiescence release — fault rules hash
+    // per-flow ordinals, so slots must pin. The lazy world still has to
+    // classify exactly as the eager one.
+    let config = || {
+        CampaignConfig::new(Year::Y2018, 40_000.0)
+            .with_loss(0.1)
+            .with_duplication(0.05)
+    };
+    let lazy = run(config(), false);
+    let eager = run(config(), true);
+    assert!(lazy.materialized_hosts() > 0);
+    assert_eq!(eager.materialized_hosts(), 0);
+    assert_eq!(tables_json(&lazy), tables_json(&eager));
+    assert_eq!(lazy.render(), eager.render());
+}

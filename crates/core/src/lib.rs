@@ -26,19 +26,23 @@
 pub mod bus;
 pub mod campaign;
 pub mod checkpoint;
+#[cfg(test)]
+mod eager_oracle;
 pub mod error;
 pub mod infra;
 mod plan;
 pub mod result;
+pub mod supervise;
 pub mod tap;
 pub mod trend;
 
 pub use bus::{BusStats, ClassIndex, Record, RecordBus, TapLaneStats, DEFAULT_TAP_CAPACITY};
-pub use campaign::{Campaign, CampaignConfig, Materialization};
+pub use campaign::{Campaign, CampaignConfig};
 pub use checkpoint::{integrity, CampaignCheckpoint};
 pub use error::{CampaignError, DegradedReport, ShardFailure, ShardSabotage};
 pub use infra::Infra;
 pub use orscope_analysis::AnalysisMode;
 pub use result::CampaignResult;
+pub use supervise::{supervise, Supervised};
 pub use tap::{PredicateError, TapEvent, TapKind, TapPredicate, TapSubscriber};
 pub use trend::{run_trend, TrendConfig, TrendPoint};

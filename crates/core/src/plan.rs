@@ -19,6 +19,11 @@ use orscope_resolver::population::{shard_index, Population};
 
 use crate::campaign::CampaignConfig;
 
+/// Silent targets probed per responder when the campaign is not in
+/// `full_q1` mode: enough that responders are interleaved with dead
+/// addresses as in a real scan, few enough that tests stay fast.
+const FAST_MODE_SILENT_PER_RESPONDER: u64 = 2;
+
 /// A campaign's targets in scan order, derived on the fly.
 ///
 /// Target `i` of the unpermuted list is responder `i` of the population
@@ -47,7 +52,7 @@ impl TargetPlan {
         let total = if config.full_q1 {
             ((spec.q1 as f64 / config.scale).round() as u64).max(responders)
         } else {
-            responders + (responders as f64 * config.non_responder_factor) as u64
+            responders + responders * FAST_MODE_SILENT_PER_RESPONDER
         };
         // Silent fill: fresh probeable addresses not already used.
         let used: FxHashSet<Ipv4Addr> = population
@@ -146,7 +151,7 @@ mod tests {
         let total = if config.full_q1 {
             ((spec.q1 as f64 / config.scale).round() as u64).max(responders)
         } else {
-            responders + (responders as f64 * config.non_responder_factor) as u64
+            responders + responders * FAST_MODE_SILENT_PER_RESPONDER
         };
         let used: FxHashSet<Ipv4Addr> = targets
             .iter()

@@ -130,8 +130,7 @@ impl CampaignResult {
         &self.net_stats
     }
 
-    /// Peak live lazily-materialized hosts, summed over shards (0 in
-    /// eager mode, where every host exists for the whole run). At paper
+    /// Peak live lazily-materialized hosts, summed over shards. At paper
     /// scale this stays orders of magnitude below the population size —
     /// the number that makes `scale == 1.0` fit in memory.
     pub fn materialized_hosts(&self) -> usize {

@@ -61,7 +61,7 @@ pub mod endpoint;
 pub mod fault;
 pub mod fxhash;
 pub mod latency;
-pub mod scheduler;
+mod scheduler;
 pub mod sim;
 pub mod stats;
 pub mod telemetry;
@@ -72,7 +72,6 @@ pub use endpoint::{Context, Endpoint};
 pub use fault::{FaultKind, FaultPlan, FaultRule, FaultScope};
 pub use fxhash::{fx_map_with_capacity, fx_set_with_capacity, FxHashMap, FxHashSet};
 pub use latency::{FixedLatency, HashLatency, LatencyModel};
-pub use scheduler::SchedulerKind;
 pub use sim::{LazyRegistry, SimNet, SimNetBuilder};
 pub use stats::NetStats;
 pub use telemetry::NetTelemetry;

@@ -1,5 +1,4 @@
-//! Event scheduling: a hierarchical timing wheel, with the legacy binary
-//! heap kept behind a [`SchedulerKind`] knob.
+//! Event scheduling: a hierarchical timing wheel.
 //!
 //! Every simulated packet pays one scheduler push and one pop, so the
 //! queue dominates event-loop cost once campaigns reach millions of
@@ -22,8 +21,9 @@
 //!    `now`), so an event pushed mid-drain with `tick <= cursor` lands in
 //!    the `ready` heap and still sorts correctly against its peers.
 //!
-//! The `properties` integration test runs both schedulers side by side
-//! over arbitrary insertion sequences and asserts identical pop order.
+//! The test module checks the wheel against the reference it replaced,
+//! `BinaryHeap<Reverse<Event>>`, over arbitrary interleavings of push,
+//! pop and peek.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -80,120 +80,6 @@ impl PartialOrd for Event {
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// Which event-queue implementation a [`crate::SimNet`] runs on.
-///
-/// Both produce bit-identical event orderings; the heap is retained so
-/// oracle tests can prove that, and as a fallback while the wheel is
-/// young.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SchedulerKind {
-    /// Hierarchical timing wheel (the default).
-    #[default]
-    Wheel,
-    /// The legacy global binary heap.
-    Heap,
-}
-
-/// The event queue behind [`crate::SimNet`], selected by [`SchedulerKind`].
-#[derive(Debug)]
-pub(crate) enum EventQueue {
-    Heap(BinaryHeap<Reverse<Event>>),
-    Wheel(TimingWheel),
-}
-
-impl EventQueue {
-    pub(crate) fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::Heap => EventQueue::Heap(BinaryHeap::new()),
-            SchedulerKind::Wheel => EventQueue::Wheel(TimingWheel::new()),
-        }
-    }
-
-    pub(crate) fn push(&mut self, event: Event) {
-        match self {
-            EventQueue::Heap(heap) => heap.push(Reverse(event)),
-            EventQueue::Wheel(wheel) => wheel.push(event),
-        }
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<Event> {
-        match self {
-            EventQueue::Heap(heap) => heap.pop().map(|Reverse(event)| event),
-            EventQueue::Wheel(wheel) => wheel.pop(),
-        }
-    }
-
-    /// Virtual time of the next event, without popping it.
-    pub(crate) fn next_at(&mut self) -> Option<SimTime> {
-        match self {
-            EventQueue::Heap(heap) => heap.peek().map(|Reverse(event)| event.at),
-            EventQueue::Wheel(wheel) => wheel.next_at(),
-        }
-    }
-
-    /// Number of pending events (exact — telemetry reports true depth).
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(heap) => heap.len(),
-            EventQueue::Wheel(wheel) => wheel.len(),
-        }
-    }
-}
-
-/// Raw event-queue handle for microbenchmarks and oracle tests.
-///
-/// Bypasses `SimNet` dispatch — endpoint detachment, statistics, the
-/// failure-injection RNG — so the queue's own push/pop cost can be
-/// measured in isolation. Events are timer-shaped; the `(at, seq)`
-/// ordering contract is exactly what [`crate::SimNet`] observes. Not
-/// part of the simulation API proper: nothing outside benches and
-/// tests should need it.
-#[derive(Debug)]
-pub struct RawQueue {
-    queue: EventQueue,
-    seq: u64,
-}
-
-impl RawQueue {
-    /// Creates an empty queue of the given kind.
-    pub fn new(kind: SchedulerKind) -> Self {
-        Self {
-            queue: EventQueue::new(kind),
-            seq: 0,
-        }
-    }
-
-    /// Enqueues a timer-shaped event at `at`; ties pop in push order.
-    pub fn push(&mut self, at: SimTime) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Event {
-            at,
-            seq,
-            kind: EventKind::Timer {
-                addr: Ipv4Addr::UNSPECIFIED,
-                host: HOST_UNRESOLVED,
-                token: seq,
-            },
-        });
-    }
-
-    /// Pops the next pending event as `(at, seq)`.
-    pub fn pop(&mut self) -> Option<(SimTime, u64)> {
-        self.queue.pop().map(|event| (event.at, event.seq))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -402,6 +288,7 @@ impl TimingWheel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::time::Duration;
 
     fn timer(at: SimTime, seq: u64) -> Event {
@@ -506,52 +393,58 @@ mod tests {
         );
     }
 
-    #[test]
-    fn interleaved_push_pop_matches_heap() {
-        // Deterministic pseudo-random interleaving, no RNG crate needed.
-        let mut wheel = TimingWheel::new();
-        let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-        let mut state = 0x243F_6A88_85A3_08D3u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let mut seq = 0u64;
-        let mut virtual_now = SimTime::ZERO;
-        let mut wheel_order = Vec::new();
-        let mut heap_order = Vec::new();
-        for _ in 0..2_000 {
-            let burst = next() % 4;
-            for _ in 0..burst {
-                // Mix of near (same ms), mid (seconds), and far offsets.
-                let offset_nanos = match next() % 5 {
-                    0 => next() % 1_000_000,
-                    1..=3 => next() % 5_000_000_000,
-                    _ => next() % 200_000_000_000_000,
-                };
-                let at = virtual_now + Duration::from_nanos(offset_nanos);
-                wheel.push(timer(at, seq));
-                heap.push(Reverse(timer(at, seq)));
-                seq += 1;
-            }
-            if next() % 3 > 0 {
-                if let Some(event) = wheel.pop() {
-                    virtual_now = event.at;
-                    wheel_order.push((event.at, event.seq));
+    /// Offsets ahead of the last popped time, in nanoseconds: the same
+    /// instant, the same tick (ready heap), then one bound just past each
+    /// wheel level's span (256 ticks, 2^14, 2^20, 2^26), then days ahead
+    /// (overflow list).
+    const OFFSET_BITS: [u32; 7] = [0, 20, 28, 34, 40, 46, 50];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Reference: the wheel and `BinaryHeap<Reverse<Event>>` agree on
+        /// every pop, every peek and every length under arbitrary
+        /// interleavings of `push(at >= last popped)`, `pop` and
+        /// `next_at` — the peek advances the cursor, so a later push can
+        /// land behind it and must still sort ahead of the peeked event.
+        #[test]
+        fn wheel_matches_reference_heap(
+            ops in prop::collection::vec((0u8..8, 0usize..7, any::<u64>()), 1..400),
+        ) {
+            let mut wheel = TimingWheel::new();
+            let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
+            let mut last_popped = SimTime::ZERO;
+            let mut seq = 0u64;
+            for (op, level, raw) in ops {
+                match op {
+                    0..=3 => {
+                        let offset = raw % (1u64 << OFFSET_BITS[level]);
+                        let at = last_popped + Duration::from_nanos(offset);
+                        wheel.push(timer(at, seq));
+                        heap.push(Reverse(timer(at, seq)));
+                        seq += 1;
+                    }
+                    4..=5 => {
+                        let got = wheel.pop().map(|event| (event.at, event.seq));
+                        let want = heap.pop().map(|Reverse(event)| (event.at, event.seq));
+                        prop_assert_eq!(got, want);
+                        if let Some((at, _)) = got {
+                            last_popped = at;
+                        }
+                    }
+                    _ => {
+                        let want = heap.peek().map(|Reverse(event)| event.at);
+                        prop_assert_eq!(wheel.next_at(), want);
+                    }
                 }
-                if let Some(Reverse(event)) = heap.pop() {
-                    heap_order.push((event.at, event.seq));
-                }
+                prop_assert_eq!(wheel.len(), heap.len());
             }
-            assert_eq!(wheel.len(), heap.len());
+            let mut rest = Vec::new();
+            while let Some(Reverse(event)) = heap.pop() {
+                rest.push((event.at, event.seq));
+            }
+            prop_assert_eq!(pop_all(&mut wheel), rest);
         }
-        wheel_order.extend(pop_all(&mut wheel));
-        while let Some(Reverse(event)) = heap.pop() {
-            heap_order.push((event.at, event.seq));
-        }
-        assert_eq!(wheel_order, heap_order);
     }
 
     #[test]

@@ -10,9 +10,8 @@ use crate::endpoint::{Context, Endpoint};
 use crate::fault::{DropKind, FaultInjector, FaultKind, FaultPlan, FaultRule, FaultScope};
 use crate::fxhash::FxHashMap;
 use crate::latency::{HashLatency, LatencyModel};
-use crate::scheduler::{Event, EventKind, EventQueue, HostId, SchedulerKind, HOST_UNRESOLVED};
+use crate::scheduler::{Event, EventKind, HostId, TimingWheel, HOST_UNRESOLVED};
 use crate::stats::NetStats;
-use crate::telemetry::NetTelemetry;
 use crate::time::SimTime;
 
 /// One entry in the slab host table.
@@ -55,8 +54,6 @@ pub struct SimNetBuilder {
     duplicate_probability: f64,
     faults: Option<FaultPlan>,
     max_events: u64,
-    telemetry: NetTelemetry,
-    scheduler: SchedulerKind,
     lazy: Option<Box<dyn LazyRegistry>>,
 }
 
@@ -69,8 +66,6 @@ impl Default for SimNetBuilder {
             duplicate_probability: 0.0,
             faults: None,
             max_events: u64::MAX,
-            telemetry: NetTelemetry::default(),
-            scheduler: SchedulerKind::default(),
             lazy: None,
         }
     }
@@ -81,7 +76,6 @@ impl std::fmt::Debug for SimNetBuilder {
         f.debug_struct("SimNetBuilder")
             .field("seed", &self.seed)
             .field("loss_probability", &self.loss_probability)
-            .field("scheduler", &self.scheduler)
             .finish_non_exhaustive()
     }
 }
@@ -148,20 +142,6 @@ impl SimNetBuilder {
         self
     }
 
-    /// Attaches pre-resolved telemetry handles (default: disabled).
-    pub fn telemetry(mut self, telemetry: NetTelemetry) -> Self {
-        self.telemetry = telemetry;
-        self
-    }
-
-    /// Selects the event-queue implementation (default:
-    /// [`SchedulerKind::Wheel`]). Both kinds produce bit-identical
-    /// event orderings; see [`crate::scheduler`].
-    pub fn scheduler(mut self, kind: SchedulerKind) -> Self {
-        self.scheduler = kind;
-        self
-    }
-
     /// Installs a [`LazyRegistry`]: endpoints for addresses it covers
     /// are built on first delivery instead of being registered up
     /// front, and released again once quiescent (when the fault plan
@@ -204,7 +184,8 @@ impl SimNetBuilder {
             hosts: Vec::new(),
             index: FxHashMap::default(),
             occupied: 0,
-            queue: EventQueue::new(self.scheduler),
+            queue: TimingWheel::new(),
+            queue_depth_hwm: 0,
             now: SimTime::ZERO,
             seq: 0,
             latency: self.latency,
@@ -212,7 +193,6 @@ impl SimNetBuilder {
             rng: ChaCha12Rng::seed_from_u64(self.seed ^ 0x6F72_7363_6F70_6521),
             stats: NetStats::default(),
             max_events: self.max_events,
-            telemetry: self.telemetry,
             lazy: self.lazy,
             release_quiescent,
             free_slots: Vec::new(),
@@ -237,7 +217,9 @@ pub struct SimNet {
     index: FxHashMap<Ipv4Addr, HostId>,
     /// Slots whose `ep` is currently `Some`.
     occupied: usize,
-    queue: EventQueue,
+    queue: TimingWheel,
+    /// High-water mark of `queue.len()`.
+    queue_depth_hwm: usize,
     now: SimTime,
     seq: u64,
     latency: Box<dyn LatencyModel>,
@@ -245,7 +227,6 @@ pub struct SimNet {
     rng: ChaCha12Rng,
     stats: NetStats,
     max_events: u64,
-    telemetry: NetTelemetry,
     /// On-demand endpoint source for the planned population, if any.
     lazy: Option<Box<dyn LazyRegistry>>,
     /// Whether quiescent lazy hosts may be released (fault-free plans).
@@ -360,6 +341,11 @@ impl SimNet {
         &self.stats
     }
 
+    /// The most events ever pending at once.
+    pub fn queue_depth_hwm(&self) -> usize {
+        self.queue_depth_hwm
+    }
+
     /// The fault plan in effect (degenerate rules included).
     pub fn fault_plan(&self) -> &FaultPlan {
         self.faults.plan()
@@ -403,28 +389,22 @@ impl SimNet {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Event { at, seq, kind });
-        self.telemetry
-            .event_queue_depth_hwm
-            .record_max(self.queue.len() as u64);
+        self.queue_depth_hwm = self.queue_depth_hwm.max(self.queue.len());
     }
 
     fn enqueue_datagram(&mut self, dgram: Datagram) {
         self.stats.sent += 1;
-        self.telemetry.datagrams_sent.inc();
         let verdict = self.faults.on_send(dgram.src, dgram.dst, self.now);
         if verdict.faults > 0 {
             self.stats.faults_injected += verdict.faults;
-            self.telemetry.faults_injected.add(verdict.faults);
         }
         match verdict.drop {
             Some(DropKind::Loss) => {
                 self.stats.lost += 1;
-                self.telemetry.datagrams_lost.inc();
                 return;
             }
             Some(DropKind::Blackhole) => {
                 self.stats.blackhole_drops += 1;
-                self.telemetry.blackhole_drops.inc();
                 return;
             }
             None => {}
@@ -435,7 +415,6 @@ impl SimNet {
         if verdict.duplicate {
             // The duplicate trails the original by a small reorder gap.
             self.stats.duplicated += 1;
-            self.telemetry.datagrams_duplicated.inc();
             let dup_at = at + std::time::Duration::from_millis(3);
             self.push_event(
                 dup_at,
@@ -536,7 +515,6 @@ impl SimNet {
         debug_assert!(event.at >= self.now, "time went backwards");
         self.now = event.at;
         self.stats.events += 1;
-        self.telemetry.events_processed.inc();
         match event.kind {
             EventKind::Deliver { dgram, mut host } => {
                 // A crashed host neither receives nor replies; the
@@ -544,23 +522,16 @@ impl SimNet {
                 if self.faults.crashed(dgram.dst, self.now) {
                     self.stats.crash_drops += 1;
                     self.stats.faults_injected += 1;
-                    self.telemetry.crash_drops.inc();
-                    self.telemetry.faults_injected.inc();
                     return true;
                 }
                 // Detach the endpoint so the handler can borrow the
                 // context mutably without aliasing the host table.
                 let Some(mut ep) = self.take_endpoint(&mut host, dgram.dst) else {
                     self.stats.unrouted += 1;
-                    self.telemetry.datagrams_unrouted.inc();
                     return true;
                 };
                 self.stats.delivered += 1;
                 self.stats.bytes_delivered += dgram.payload.len() as u64;
-                self.telemetry.datagrams_delivered.inc();
-                self.telemetry
-                    .bytes_delivered
-                    .add(dgram.payload.len() as u64);
                 let mut outgoing = std::mem::take(&mut self.scratch_out);
                 let mut timers = std::mem::take(&mut self.scratch_timers);
                 let mut ctx = Context::new(
@@ -587,15 +558,12 @@ impl SimNet {
                 if self.faults.crashed(addr, self.now) {
                     self.stats.crash_drops += 1;
                     self.stats.faults_injected += 1;
-                    self.telemetry.crash_drops.inc();
-                    self.telemetry.faults_injected.inc();
                     return true;
                 }
                 let Some(mut ep) = self.take_endpoint(&mut host, addr) else {
                     return true;
                 };
                 self.stats.timers_fired += 1;
-                self.telemetry.timers_fired.inc();
                 let mut outgoing = std::mem::take(&mut self.scratch_out);
                 let mut timers = std::mem::take(&mut self.scratch_timers);
                 let mut ctx =

@@ -2,10 +2,12 @@
 
 use orscope_telemetry::{Collector, Counter, Gauge, Scope};
 
-/// Pre-resolved metric handles for one [`crate::SimNet`]. Built once at
-/// wiring time from a [`Collector`]; the default bundle is fully
-/// disabled, so an uninstrumented simulator pays one `Option` branch per
-/// would-be recording.
+use crate::stats::NetStats;
+
+/// Metric handles for one [`crate::SimNet`]. The simulator itself keeps
+/// only [`NetStats`]; whoever owns the run publishes the finished totals
+/// here once (see [`NetTelemetry::publish`]), so the event loop pays
+/// nothing for telemetry.
 ///
 /// Datagram counts mirror [`crate::NetStats`] field-for-field and are
 /// [`Scope::Global`]: for a failure-free configuration they are per-flow
@@ -59,5 +61,23 @@ impl NetTelemetry {
             timers_fired: collector.counter(Scope::Shard, "net.timers_fired"),
             event_queue_depth_hwm: collector.gauge(Scope::Shard, "net.event_queue_depth_hwm"),
         }
+    }
+
+    /// Adds a run's totals to the handles: every [`NetStats`] field to
+    /// its counter, `queue_depth_hwm` to the high-water gauge.
+    pub fn publish(&self, stats: &NetStats, queue_depth_hwm: usize) {
+        self.datagrams_sent.add(stats.sent);
+        self.datagrams_lost.add(stats.lost);
+        self.datagrams_duplicated.add(stats.duplicated);
+        self.datagrams_delivered.add(stats.delivered);
+        self.datagrams_unrouted.add(stats.unrouted);
+        self.bytes_delivered.add(stats.bytes_delivered);
+        self.faults_injected.add(stats.faults_injected);
+        self.blackhole_drops.add(stats.blackhole_drops);
+        self.crash_drops.add(stats.crash_drops);
+        self.events_processed.add(stats.events);
+        self.timers_fired.add(stats.timers_fired);
+        self.event_queue_depth_hwm
+            .record_max(queue_depth_hwm as u64);
     }
 }

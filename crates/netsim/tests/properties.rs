@@ -227,98 +227,3 @@ proptest! {
         prop_assert_eq!(clean_client as usize, packets.len());
     }
 }
-
-/// Runs a scheduler-observability workload: an echo pair plus a chain of
-/// timers, recording an order-sensitive rolling hash of every delivery.
-/// Any divergence in event ordering between scheduler implementations
-/// changes the hash.
-fn run_traced(
-    kind: orscope_netsim::SchedulerKind,
-    seed: u64,
-    loss: f64,
-    packets: &[(u32, u16, u8)],
-    timers: &[(u64, u64)],
-) -> (u64, u64) {
-    struct Tracer {
-        trace: Arc<parking_lot::Mutex<u64>>,
-    }
-    impl Tracer {
-        fn record(&self, words: [u64; 3]) {
-            let mut h = self.trace.lock();
-            for w in words {
-                *h = (h.rotate_left(7) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            }
-        }
-    }
-    impl Endpoint for Tracer {
-        fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
-            self.record([
-                ctx.now().as_nanos(),
-                dgram.src_port as u64,
-                dgram.payload.len() as u64,
-            ]);
-            if dgram.dst_port == 53 {
-                ctx.send(dgram.reply(dgram.payload.clone()));
-            }
-        }
-        fn handle_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
-            self.record([ctx.now().as_nanos(), u64::MAX, token]);
-        }
-    }
-
-    let mut net = SimNet::builder()
-        .seed(seed)
-        .scheduler(kind)
-        .latency(FixedLatency(Duration::from_millis(7)))
-        .loss_probability(loss)
-        .build();
-    let trace = Arc::new(parking_lot::Mutex::new(0u64));
-    let server = Ipv4Addr::new(10, 200, 0, 1);
-    net.register(
-        server,
-        Tracer {
-            trace: trace.clone(),
-        },
-    );
-    let client = Ipv4Addr::new(10, 200, 0, 2);
-    net.register(
-        client,
-        Tracer {
-            trace: trace.clone(),
-        },
-    );
-    for &(salt, port, len) in packets {
-        net.inject(Datagram::new(
-            (client, 1000 + port % 30_000),
-            (server, 53),
-            vec![salt as u8; len as usize + 1],
-        ));
-    }
-    for &(at_nanos, token) in timers {
-        // Cap at ~39 simulated hours: far timers land in every wheel
-        // level including the unsorted overflow bucket.
-        net.set_timer_for(server, SimTime::from_nanos(at_nanos % (1 << 47)), token);
-    }
-    net.run_until_idle();
-    let hash = *trace.lock();
-    (hash, net.stats().events)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Oracle: the timing wheel and the reference binary heap schedule
-    /// every event — deliveries, duplicates, timers spanning all wheel
-    /// levels — in the identical order.
-    #[test]
-    fn wheel_and_heap_order_events_identically(
-        seed in any::<u64>(),
-        loss in 0.0f64..0.9,
-        packets in prop::collection::vec((any::<u32>(), any::<u16>(), any::<u8>()), 1..40),
-        timers in prop::collection::vec((any::<u64>(), any::<u64>()), 0..20),
-    ) {
-        let wheel = run_traced(orscope_netsim::SchedulerKind::Wheel, seed, loss, &packets, &timers);
-        let heap = run_traced(orscope_netsim::SchedulerKind::Heap, seed, loss, &packets, &timers);
-        prop_assert_eq!(wheel, heap);
-    }
-}

@@ -35,7 +35,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use orscope_core::bus::RecordBus;
-use orscope_core::{Campaign, CampaignConfig, CampaignError, CampaignResult, Infra};
+use orscope_core::{supervise, Campaign, CampaignConfig, CampaignError, CampaignResult, Infra};
 use orscope_dns_wire::Rcode;
 use orscope_netsim::EpochClock;
 use orscope_resolver::paper::Year;
@@ -634,28 +634,24 @@ impl<R: Resolve> Observatory<R> {
 
             // ---- supervised campaign round: attempt, retry once with
             // the identical seed, then degrade ----
-            let mut round = None;
-            for attempt in 0..2u32 {
+            let supervised = supervise(|_attempt| {
                 let sabotaged =
                     config.sabotage.is_some_and(|plan| plan.epoch == epoch) && sabotage_left > 0;
                 if sabotaged {
                     sabotage_left -= 1;
                 }
-                match self.run_round(epoch, &statics, &members, sabotaged) {
-                    Ok(result) => {
-                        round = Some(result);
-                        break;
-                    }
-                    Err(message) => {
-                        if attempt == 0 {
-                            shared.retries_counter.inc();
-                            eprintln!("epoch {epoch} attempt failed ({message}); retrying");
-                        } else {
-                            eprintln!("epoch {epoch} retry failed ({message}); degrading");
-                        }
-                    }
-                }
+                self.run_round(epoch, &statics, &members, sabotaged)
+            });
+            if let Some(message) = &supervised.first_failure {
+                shared.retries_counter.inc();
+                eprintln!("epoch {epoch} attempt failed ({message}); retrying");
             }
+            let round = supervised
+                .outcome
+                .inspect_err(|message| {
+                    eprintln!("epoch {epoch} retry failed ({message}); degrading")
+                })
+                .ok();
 
             let row = match &round {
                 Some(round) => {
@@ -776,11 +772,11 @@ impl<R: Resolve> Observatory<R> {
         })
     }
 
-    /// One supervised campaign attempt for `epoch`: builds the round's
-    /// population (members interned against the shared pool table),
-    /// runs the campaign under `catch_unwind`, and maps every failure
-    /// mode — panic, campaign error, shard-incomplete result — to an
-    /// `Err` so the epoch supervisor can retry or degrade uniformly.
+    /// One campaign attempt for `epoch`: builds the round's population
+    /// (members interned against the shared pool table), runs the
+    /// campaign, and maps a campaign error or a shard-incomplete result
+    /// to an `Err` — a panic reaches [`supervise`] as it is — so the
+    /// epoch supervisor can retry or degrade uniformly.
     fn run_round(
         &self,
         epoch: u64,
@@ -790,59 +786,52 @@ impl<R: Resolve> Observatory<R> {
     ) -> Result<CampaignResult, String> {
         let config = &self.config;
         let bus = Arc::clone(self.shared.bus());
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if sabotaged {
-                panic!("sabotaged epoch attempt");
-            }
-            // The epoch membership re-enters the compact representation
-            // here: each member's (owned) policy is interned against
-            // the shared pool table, so a round's storage stays ~10
-            // bytes per host no matter how large the membership grows.
-            // For the built-in churn model every policy is already a
-            // pool profile and interning allocates nothing new.
-            let mut population = statics.clone();
-            let table = Arc::make_mut(&mut population.table);
-            let mut resolvers = HostList::with_capacity(members.len());
-            for member in members.values() {
-                let profile = table.intern(member.policy.clone());
-                let country = table.intern_country(member.country);
-                resolvers.push(member.addr, profile, country);
-            }
-            population.resolvers = resolvers;
+        if sabotaged {
+            panic!("sabotaged epoch attempt");
+        }
+        // The epoch membership re-enters the compact representation
+        // here: each member's (owned) policy is interned against
+        // the shared pool table, so a round's storage stays ~10
+        // bytes per host no matter how large the membership grows.
+        // For the built-in churn model every policy is already a
+        // pool profile and interning allocates nothing new.
+        let mut population = statics.clone();
+        let table = Arc::make_mut(&mut population.table);
+        let mut resolvers = HostList::with_capacity(members.len());
+        for member in members.values() {
+            let profile = table.intern(member.policy.clone());
+            let country = table.intern_country(member.country);
+            resolvers.push(member.addr, profile, country);
+        }
+        population.resolvers = resolvers;
 
-            let mut campaign_config = CampaignConfig::new(config.year, config.scale)
-                .with_seed(
-                    config
-                        .seed
-                        .wrapping_add(epoch.wrapping_mul(EPOCH_SEED_STRIDE)),
-                )
-                .with_shards(config.shards)
-                .with_telemetry(config.telemetry);
-            if let Some(deadline) = config.epoch_deadline_virtual_secs {
-                campaign_config =
-                    campaign_config.with_virtual_deadline(Duration::from_secs(deadline));
-            }
-            Campaign::new(campaign_config)
-                .with_bus(bus)
-                .run_with_population(population)
-        }));
+        let mut campaign_config = CampaignConfig::new(config.year, config.scale)
+            .with_seed(
+                config
+                    .seed
+                    .wrapping_add(epoch.wrapping_mul(EPOCH_SEED_STRIDE)),
+            )
+            .with_shards(config.shards)
+            .with_telemetry(config.telemetry);
+        if let Some(deadline) = config.epoch_deadline_virtual_secs {
+            campaign_config = campaign_config.with_virtual_deadline(Duration::from_secs(deadline));
+        }
+        let outcome = Campaign::new(campaign_config)
+            .with_bus(bus)
+            .run_with_population(population);
         match outcome {
-            Ok(Ok(round)) => {
-                if round.is_partial() {
-                    // A shard is missing, so the counts depend on the
-                    // shard layout; absorbing them would break
-                    // byte-invariance. Treat like any other failure.
-                    let report = round
-                        .degraded()
-                        .map(ToString::to_string)
-                        .unwrap_or_default();
-                    Err(format!("shard-incomplete result: {}", report.trim_end()))
-                } else {
-                    Ok(round)
-                }
+            Ok(round) if round.is_partial() => {
+                // A shard is missing, so the counts depend on the shard
+                // layout; absorbing them would break byte-invariance.
+                // Treat like any other failure.
+                let report = round
+                    .degraded()
+                    .map(ToString::to_string)
+                    .unwrap_or_default();
+                Err(format!("shard-incomplete result: {}", report.trim_end()))
             }
-            Ok(Err(err)) => Err(err.to_string()),
-            Err(panic) => Err(panic_message(&panic)),
+            Ok(round) => Ok(round),
+            Err(err) => Err(err.to_string()),
         }
     }
 
@@ -872,17 +861,6 @@ fn ensure_state_dir(dir: &Path) -> Result<(), ServeError> {
     std::fs::write(&probe, b"probe")
         .and_then(|()| std::fs::remove_file(&probe))
         .map_err(|err| ServeError::StateDir(format!("{} is not writable: {err}", dir.display())))
-}
-
-/// Best-effort text of a caught panic payload.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(message) = panic.downcast_ref::<&str>() {
-        format!("panic: {message}")
-    } else if let Some(message) = panic.downcast_ref::<String>() {
-        format!("panic: {message}")
-    } else {
-        "panic: <non-string payload>".to_string()
-    }
 }
 
 /// What applying one update did to the membership table.

@@ -9,8 +9,6 @@ use orscope_dns_wire::Name;
 use orscope_netsim::SimTime;
 use parking_lot::Mutex;
 
-use crate::checkpoint::ScanCheckpoint;
-
 /// One captured R2 packet, already joined to its probe by qname.
 #[derive(Debug, Clone)]
 pub struct R2Capture {
@@ -88,9 +86,6 @@ pub type R2Sink = Box<dyn FnMut(&R2Capture) + Send>;
 pub(crate) struct Shared {
     pub(crate) captures: Vec<R2Capture>,
     pub(crate) stats: ProbeStats,
-    /// Most recent auto-checkpoint (see
-    /// `ProberConfig::checkpoint_every`).
-    pub(crate) checkpoint: Option<ScanCheckpoint>,
     /// Streaming sinks; empty means buffer into `captures`.
     pub(crate) sinks: Vec<R2Sink>,
 }
@@ -100,7 +95,6 @@ impl std::fmt::Debug for Shared {
         f.debug_struct("Shared")
             .field("captures", &self.captures)
             .field("stats", &self.stats)
-            .field("checkpoint", &self.checkpoint)
             .field("sinks", &self.sinks.len())
             .finish()
     }
@@ -153,12 +147,6 @@ impl ProberHandle {
     /// Takes the captured responses, leaving the buffer empty.
     pub fn drain(&self) -> Vec<R2Capture> {
         std::mem::take(&mut self.inner.lock().captures)
-    }
-
-    /// The most recent auto-published checkpoint, if the prober was
-    /// configured with `checkpoint_every` and has crossed a boundary.
-    pub fn latest_checkpoint(&self) -> Option<ScanCheckpoint> {
-        self.inner.lock().checkpoint.clone()
     }
 
     /// Installs an additional streaming sink: every capture from now on

@@ -103,9 +103,6 @@ pub struct ProberConfig {
     /// doubles the wait (`response_window * 2^attempt`). Zero (the
     /// paper's fire-and-forget ZMap behavior) is the default.
     pub retry_limit: u32,
-    /// Publish a [`crate::ScanCheckpoint`] through the handle every this
-    /// many Q1 probes (`None` disables auto-checkpointing).
-    pub checkpoint_every: Option<u64>,
     /// Campaign-global send schedule; `None` paces locally at
     /// `rate_pps`.
     pub slots: Option<SlotSchedule>,
@@ -122,7 +119,6 @@ impl ProberConfig {
             base_cluster: 0,
             response_window: Duration::from_secs(2),
             retry_limit: 0,
-            checkpoint_every: None,
             slots: None,
         }
     }
@@ -163,8 +159,6 @@ pub struct Prober {
     next_xmit: u64,
     /// Timer firings so far (index into the tick grid).
     tick: u64,
-    /// Auto-checkpoints published so far.
-    checkpoints_taken: u64,
     handle: ProberHandle,
     done: bool,
     telemetry: ProberTelemetry,
@@ -192,9 +186,6 @@ impl Prober {
             if prober.config.targets.next().is_none() {
                 break;
             }
-        }
-        if let Some(every) = prober.config.checkpoint_every {
-            prober.checkpoints_taken = checkpoint.q1_sent / every.max(1);
         }
         {
             let mut shared = prober.handle.inner.lock();
@@ -227,7 +218,6 @@ impl Prober {
             xmit_labels: FxHashMap::default(),
             next_xmit: 0,
             tick: 0,
-            checkpoints_taken: 0,
             handle,
             done: false,
             telemetry: ProberTelemetry::default(),
@@ -381,20 +371,6 @@ impl Prober {
         self.telemetry.probes_abandoned.add(abandoned);
     }
 
-    /// Publishes a checkpoint through the handle when another
-    /// `checkpoint_every` probes have gone out since the last one.
-    fn maybe_checkpoint(&mut self) {
-        let Some(every) = self.config.checkpoint_every else {
-            return;
-        };
-        let due = self.handle.stats().q1_sent / every.max(1);
-        if due > self.checkpoints_taken {
-            self.checkpoints_taken = due;
-            let cp = self.checkpoint();
-            self.handle.inner.lock().checkpoint = Some(cp);
-        }
-    }
-
     /// The results handle (checkpointing).
     pub fn handle(&self) -> &ProberHandle {
         &self.handle
@@ -505,7 +481,6 @@ impl Endpoint for Prober {
         self.telemetry.pacer_ticks.inc();
         self.sweep_expired(ctx);
         self.send_batch(ctx);
-        self.maybe_checkpoint();
         let targets_exhausted = self.config.targets.peek().is_none();
         if targets_exhausted && self.outstanding.is_empty() {
             self.done = true;
@@ -856,19 +831,6 @@ mod tests {
         let captures = handle.captures();
         assert_eq!(captures.len(), 1);
         assert_eq!(captures[0].sent_at, SimTime::from_nanos(100_000_000));
-    }
-
-    #[test]
-    fn auto_checkpoint_publishes_through_the_handle() {
-        let silent: Vec<Ipv4Addr> = (0..50u32)
-            .map(|i| Ipv4Addr::from(0x0900_0000 + i))
-            .collect();
-        let handle = scan_with(silent, |_| {}, |config| config.checkpoint_every = Some(10));
-        let cp = handle
-            .latest_checkpoint()
-            .expect("a checkpoint must have been published");
-        assert!(cp.next_target >= 10, "cursor advanced: {}", cp.next_target);
-        assert!(cp.q1_sent >= 10);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! orscope campaign [--year 2018] [--scale 1000] [--seed N] [--shards N] [--full-q1]
 //!                  [--loss P] [--duplicate P] [--retries N] [--rate PPS]
 //!                  [--authns-outage FROM:UNTIL] [--faults FILE.json]
-//!                  [--checkpoint-every N] [--stop-after SECS --checkpoint-file FILE]
+//!                  [--stop-after SECS --checkpoint-file FILE]
 //!                  [--analysis streaming|batch] [--json FILE] [--telemetry FILE]
 //! orscope tables   [--scale 500] [--analysis streaming|batch] [--json FILE]
 //! orscope trend    [--steps 6] [--scale 2000]       # 2013 -> 2018 series
@@ -72,7 +72,7 @@ fn print_help() {
          \x20 orscope campaign [--year 2013|2018] [--scale S] [--seed N] [--shards N]\n\
          \x20                  [--full-q1] [--loss P] [--duplicate P] [--retries N]\n\
          \x20                  [--rate PPS] [--authns-outage FROM:UNTIL]\n\
-         \x20                  [--faults FILE.json] [--checkpoint-every N]\n\
+         \x20                  [--faults FILE.json]\n\
          \x20                  [--stop-after SECS --checkpoint-file FILE]\n\
          \x20                  [--analysis streaming|batch] [--json FILE]\n\
          \x20                  [--telemetry FILE]\n\
@@ -119,7 +119,6 @@ fn print_help() {
          \x20 --authns-outage A:B   blackhole the authoritative server between\n\
          \x20                       virtual seconds A and B\n\
          \x20 --faults FILE.json    install a full fault plan from JSON\n\
-         \x20 --checkpoint-every N  publish a scan checkpoint every N probes\n\
          \x20 --stop-after SECS     freeze at SECS of virtual time and write the\n\
          \x20                       scan cursor to --checkpoint-file FILE\n\
          \n\
@@ -155,7 +154,6 @@ const CAMPAIGN_FLAGS: &[&str] = &[
     "--rate",
     "--authns-outage",
     "--faults",
-    "--checkpoint-every",
     "--stop-after",
     "--checkpoint-file",
     "--analysis",
@@ -311,12 +309,6 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             .parse()
             .map_err(|_| format!("--rate: bad number {rate:?}"))?;
         config = config.with_probe_rate(rate);
-    }
-    if let Some(every) = flag_value(args, "--checkpoint-every")? {
-        let every: u64 = every
-            .parse()
-            .map_err(|_| format!("--checkpoint-every: bad number {every:?}"))?;
-        config = config.with_checkpoint_every(every);
     }
     let faults = parse_faults(args, &config)?;
     config = config.with_faults(faults);
@@ -839,6 +831,10 @@ mod tests {
         assert!(err.contains("--shard") && err.contains("campaign"), "{err}");
         // A flag another subcommand defines is still unknown here.
         assert!(reject_unknown_flags("tables", &ok, TABLES_FLAGS).is_err());
+        let every = args(&["--checkpoint-every", "5"]);
+        let err = reject_unknown_flags("campaign", &every, CAMPAIGN_FLAGS).unwrap_err();
+        assert!(err.contains("--checkpoint-every"), "{err}");
+        assert!(reject_unknown_flags("serve", &every, SERVE_FLAGS).is_ok());
         // Flag values and positionals are not flags.
         let pcap = args(&["--scale", "--5", "out.pcap"]);
         assert!(reject_unknown_flags("pcap", &pcap, PCAP_FLAGS).is_ok());
