@@ -20,62 +20,169 @@ use orscope_prober::R2Capture;
 
 use crate::classify::ClassifiedR2;
 
-/// The reconstructed timeline of one probe flow.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Flow {
-    /// The probe label (joins all four packet kinds).
-    pub label: ProbeLabel,
-    /// The probed resolver, from the R2 (or the Q2 source when the R2
-    /// was lost).
-    pub resolver: Option<Ipv4Addr>,
-    /// When the prober sent Q1 (known only for flows with an R2).
-    pub q1_at: Option<SimTime>,
-    /// Arrival times of resolver queries at the authoritative server.
-    pub q2_at: Vec<SimTime>,
-    /// Send times of authoritative responses.
-    pub r1_at: Vec<SimTime>,
-    /// When the prober captured R2.
-    pub r2_at: Option<SimTime>,
+/// One flow of the join: a fixed-size row, no heap behind it.
+///
+/// The Q1/R2 instants live here; the authoritative-side stamps live in
+/// the table's shared [`Stamp`] log, threaded newest-first from `head`.
+/// A vector of them per flow would be a heap allocation (or two) for
+/// each of the millions of responders that recurse at paper scale.
+#[derive(Debug, Clone, Copy)]
+struct FlowRow {
+    /// When the prober sent Q1; meaningful only under [`HAS_R2`]
+    /// (`SimTime::ZERO` is a real send time, so presence is a flag).
+    q1_at: SimTime,
+    /// When the prober captured R2; meaningful only under [`HAS_R2`].
+    r2_at: SimTime,
+    /// The probed resolver; meaningful only under [`HAS_RESOLVER`].
+    resolver: Ipv4Addr,
+    /// Log position + 1 of the flow's newest stamp; 0 for none.
+    head: u32,
+    /// `ProbeLabel::seq`.
+    seq: u32,
+    /// `ProbeLabel::cluster`.
+    cluster: u16,
+    /// Presence bits: [`HAS_RESOLVER`], [`HAS_R2`], [`HAS_Q2`].
+    flags: u8,
 }
 
-impl Flow {
+const HAS_RESOLVER: u8 = 1;
+const HAS_R2: u8 = 1 << 1;
+const HAS_Q2: u8 = 1 << 2;
+
+// The whole point of the layout: DESIGN section 13 budgets 32 B a flow
+// and 12 B an authoritative packet.
+const _: () = assert!(std::mem::size_of::<FlowRow>() <= 32);
+const _: () = assert!(std::mem::size_of::<Stamp>() == 12);
+
+impl FlowRow {
     /// An empty timeline for `label`, filled in as packets fold in.
-    pub(crate) fn stub(label: ProbeLabel) -> Flow {
-        Flow {
-            label,
-            resolver: None,
-            q1_at: None,
-            q2_at: Vec::new(),
-            r1_at: Vec::new(),
-            r2_at: None,
+    fn stub(label: ProbeLabel) -> FlowRow {
+        FlowRow {
+            q1_at: SimTime::ZERO,
+            r2_at: SimTime::ZERO,
+            resolver: Ipv4Addr::UNSPECIFIED,
+            head: 0,
+            seq: u32::try_from(label.seq).expect("ProbeLabel::seq is below CLUSTER_CAPACITY"),
+            cluster: u16::try_from(label.cluster).expect("ProbeLabel::cluster is at most 999"),
+            flags: 0,
         }
     }
 
-    /// End-to-end resolution latency (Q1 -> R2), if both ends exist.
-    pub fn resolution_latency(&self) -> Option<std::time::Duration> {
-        Some(self.r2_at?.since(self.q1_at?))
+    fn label(&self) -> ProbeLabel {
+        ProbeLabel {
+            cluster: u32::from(self.cluster),
+            seq: u64::from(self.seq),
+        }
     }
 
-    /// Whether the flow reached the authoritative server (i.e. the
-    /// responder really recursed rather than answering from thin air).
-    pub fn recursed(&self) -> bool {
-        !self.q2_at.is_empty()
+    /// The label packed into the 8 bytes the index keys on; orders like
+    /// [`ProbeLabel`].
+    fn key(&self) -> u64 {
+        u64::from(self.cluster) << 32 | u64::from(self.seq)
+    }
+
+    fn has(&self, flag: u8) -> bool {
+        self.flags & flag != 0
     }
 }
 
-/// Label-keyed flow join state: a compact index over a dense arena.
+/// One authoritative-side packet in the shared log: its instant, its
+/// direction, and the previous stamp of the same flow.
 ///
-/// A plain `HashMap<ProbeLabel, Flow>` stores every `Flow` inline in
-/// its buckets — at paper scale (~6.5M flows) that is a gigabyte-class
-/// table whose finish-time drain into a `Vec` doubles the footprint at
-/// the worst possible moment. Splitting the join into a 20-byte
-/// label -> slot index plus a `Vec<Flow>` arena keeps the map small,
-/// turns the drain into a move of the arena, and lets the batch and
-/// streaming paths reduce their captures through one structure.
+/// `packed(4)` drops the tail padding a `u64` would force (16 B -> 12 B);
+/// the fields are only ever copied out, never borrowed.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, packed(4))]
+struct Stamp {
+    at: u64,
+    /// `previous << 1 | outbound`, where `previous` is the log position
+    /// + 1 of the flow's next-older stamp (0 ends the chain).
+    link: u32,
+}
+
+/// The largest `position + 1` a [`Stamp::link`] can carry beside its
+/// direction bit.
+const MAX_LINK: u32 = u32::MAX >> 1;
+
+/// A log position (or length) as the `position + 1` form that
+/// [`FlowRow::head`] and [`Stamp::link`] store.
+///
+/// # Panics
+///
+/// Panics, rather than wrapping into some other flow's chain, when the
+/// log outgrows what a link can address (2^31 - 1 stamps, ~80x the
+/// paper's full-scale Q2 + R1 count).
+fn link_to(position_plus_one: usize) -> u32 {
+    u32::try_from(position_plus_one)
+        .ok()
+        .filter(|link| *link <= MAX_LINK)
+        .expect("flow log holds at most 2^31 - 1 stamps")
+}
+
+impl Stamp {
+    fn new(at: SimTime, previous: u32, direction: Direction) -> Stamp {
+        Stamp {
+            at: at.as_nanos(),
+            link: previous << 1 | u32::from(direction == Direction::Outbound),
+        }
+    }
+
+    fn previous(self) -> u32 {
+        self.link >> 1
+    }
+
+    /// This stamp as it reads once `base` stamps of another log sit in
+    /// front of its own.
+    fn behind(self, base: u32) -> Stamp {
+        match self.previous() {
+            0 => self,
+            previous => Stamp {
+                at: self.at,
+                link: link_to((previous + base) as usize) << 1 | self.link & 1,
+            },
+        }
+    }
+
+    fn direction(self) -> Direction {
+        if self.link & 1 == 0 {
+            Direction::Inbound
+        } else {
+            Direction::Outbound
+        }
+    }
+}
+
+/// The instants of one flow's stamps in `direction`, ascending.
+fn timeline(log: &[Stamp], head: u32, direction: Direction) -> Vec<SimTime> {
+    let mut next = head;
+    let mut out: Vec<SimTime> = std::iter::from_fn(|| {
+        let stamp = log[next.checked_sub(1)? as usize];
+        next = stamp.previous();
+        Some(stamp)
+    })
+    .filter(|stamp| stamp.direction() == direction)
+    .map(|stamp| SimTime::from_nanos(stamp.at))
+    .collect();
+    // The chain runs newest-fold-first and, after an absorb, one
+    // table's stamps after the other's; ascending time is the one order
+    // every fold and merge order agrees on.
+    out.sort_unstable();
+    out
+}
+
+/// Label-keyed flow join state: a compact index over a dense arena of
+/// fixed-size rows, plus one append-only stamp log for all of them.
+///
+/// Splitting the join into an 8-byte-key -> slot index, a `Vec` of
+/// rows and a `Vec` of stamps means no flow owns heap memory: the table
+/// is three allocations however many flows recurse, finishing is a move
+/// of the arena and the log, and the batch and streaming paths reduce
+/// their captures through one structure.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FlowTable {
-    index: FxHashMap<ProbeLabel, u32>,
-    flows: Vec<Flow>,
+    index: FxHashMap<u64, u32>,
+    rows: Vec<FlowRow>,
+    log: Vec<Stamp>,
 }
 
 impl FlowTable {
@@ -84,45 +191,200 @@ impl FlowTable {
     pub(crate) fn with_capacity(capacity: usize) -> FlowTable {
         FlowTable {
             index: fx_map_with_capacity(capacity),
-            flows: Vec::with_capacity(capacity),
+            rows: Vec::with_capacity(capacity),
+            log: Vec::new(),
         }
     }
 
     /// Grows the table to hold `additional` more flows without
     /// reallocating. At full scale the arena's last doubling overshoots
-    /// the final footprint by ~0.4 GB, so callers that know the
-    /// responder count ahead of time should reserve it.
+    /// the final footprint, so callers that know the responder count
+    /// ahead of time should reserve it.
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.index.reserve(additional);
-        self.flows.reserve(additional);
+        self.rows.reserve(additional);
     }
 
-    /// The flow for `label`, created as a stub on first touch.
-    pub(crate) fn entry(&mut self, label: ProbeLabel) -> &mut Flow {
-        let FlowTable { index, flows } = self;
-        let slot = *index.entry(label).or_insert_with(|| {
-            flows.push(Flow::stub(label));
-            (flows.len() - 1) as u32
-        });
-        &mut flows[slot as usize]
+    /// The arena slot of the flow for `label`, created as a stub on
+    /// first touch.
+    fn slot(&mut self, label: ProbeLabel) -> usize {
+        let FlowTable { index, rows, .. } = self;
+        let stub = FlowRow::stub(label);
+        *index.entry(stub.key()).or_insert_with(|| {
+            rows.push(stub);
+            u32::try_from(rows.len() - 1).expect("flow arena holds at most 2^32 flows")
+        }) as usize
     }
 
-    /// Moves the joined flows out, dropping the index.
-    pub(crate) fn into_flows(self) -> Vec<Flow> {
-        self.flows
+    /// Folds one R2 observation into the table.
+    pub(crate) fn fold_r2(
+        &mut self,
+        label: ProbeLabel,
+        resolver: Ipv4Addr,
+        sent_at: SimTime,
+        at: SimTime,
+    ) {
+        let slot = self.slot(label);
+        let row = &mut self.rows[slot];
+        row.resolver = resolver;
+        row.q1_at = sent_at;
+        row.r2_at = at;
+        row.flags |= HAS_RESOLVER | HAS_R2;
     }
 
-    /// Clones the joined flows (mid-scan snapshots).
-    pub(crate) fn cloned_flows(&self) -> Vec<Flow> {
-        self.flows.clone()
+    /// Folds one authoritative-server packet into the table, counting
+    /// packets whose qname is not a probe name as foreign.
+    pub(crate) fn fold_auth(&mut self, foreign: &mut u64, packet: &CapturedPacket, zone: &Name) {
+        match question_of(&packet.payload).and_then(|q| ProbeLabel::parse(q.qname(), zone)) {
+            Some(label) => self.fold_stamp(label, packet.direction, packet.at, packet.peer),
+            None => *foreign += 1,
+        }
+    }
+
+    /// Appends one Q2 (`Inbound`) or R1 (`Outbound`) stamp to `label`'s
+    /// chain.
+    fn fold_stamp(&mut self, label: ProbeLabel, direction: Direction, at: SimTime, peer: Ipv4Addr) {
+        let slot = self.slot(label);
+        let row = &mut self.rows[slot];
+        if direction == Direction::Inbound {
+            row.flags |= HAS_Q2;
+            if !row.has(HAS_RESOLVER) {
+                // The R2 was lost (or is yet to come): the Q2 source
+                // stands in for the probed resolver.
+                row.resolver = peer;
+                row.flags |= HAS_RESOLVER;
+            }
+        }
+        self.log.push(Stamp::new(at, row.head, direction));
+        row.head = link_to(self.log.len());
+    }
+
+    /// Merges another table in. Shards probe disjoint cluster ranges, so
+    /// a label almost never spans tables; when one does, this table's
+    /// Q1/R2/resolver win and the stamp chains are joined.
+    pub(crate) fn absorb(&mut self, other: FlowTable) {
+        let FlowTable { index, rows, log } = other;
+        drop(index);
+        self.reserve(rows.len());
+        // The other log lands behind this one, so every link into it
+        // moves by this log's length.
+        let base = link_to(self.log.len());
+        self.log.reserve(log.len());
+        self.log.extend(log.iter().map(|stamp| stamp.behind(base)));
+        drop(log);
+        for row in rows {
+            let slot = self.slot(row.label());
+            let into = &mut self.rows[slot];
+            if !into.has(HAS_RESOLVER) && row.has(HAS_RESOLVER) {
+                into.resolver = row.resolver;
+            }
+            if !into.has(HAS_R2) && row.has(HAS_R2) {
+                into.q1_at = row.q1_at;
+                into.r2_at = row.r2_at;
+            }
+            into.flags |= row.flags;
+            if row.head == 0 {
+                continue;
+            }
+            let head = link_to((row.head + base) as usize);
+            if into.head != 0 {
+                // Hang this table's chain off the oldest stamp of the
+                // one just appended.
+                let mut oldest = head;
+                while self.log[oldest as usize - 1].previous() != 0 {
+                    oldest = self.log[oldest as usize - 1].previous();
+                }
+                self.log[oldest as usize - 1].link |= into.head << 1;
+            }
+            into.head = head;
+        }
+    }
+
+    /// Moves the join out as a [`FlowSet`]: the arena and the log move,
+    /// only the index is dropped.
+    pub(crate) fn finish(self, foreign_auth_packets: u64) -> FlowSet {
+        FlowSet::from_parts(self.rows, self.log, foreign_auth_packets)
+    }
+
+    /// Copies the join into a [`FlowSet`] (mid-scan snapshots).
+    pub(crate) fn snapshot(&self, foreign_auth_packets: u64) -> FlowSet {
+        FlowSet::from_parts(self.rows.clone(), self.log.clone(), foreign_auth_packets)
+    }
+}
+
+/// The reconstructed timeline of one probe flow: a view into the
+/// [`FlowSet`] that holds it.
+#[derive(Clone, Copy)]
+pub struct Flow<'a> {
+    row: &'a FlowRow,
+    log: &'a [Stamp],
+}
+
+impl Flow<'_> {
+    /// The probe label (joins all four packet kinds).
+    pub fn label(&self) -> ProbeLabel {
+        self.row.label()
+    }
+
+    /// The probed resolver, from the R2 (or the Q2 source when the R2
+    /// was lost).
+    pub fn resolver(&self) -> Option<Ipv4Addr> {
+        self.row.has(HAS_RESOLVER).then_some(self.row.resolver)
+    }
+
+    /// When the prober sent Q1 (known only for flows with an R2).
+    pub fn q1_at(&self) -> Option<SimTime> {
+        self.row.has(HAS_R2).then_some(self.row.q1_at)
+    }
+
+    /// When the prober captured R2.
+    pub fn r2_at(&self) -> Option<SimTime> {
+        self.row.has(HAS_R2).then_some(self.row.r2_at)
+    }
+
+    /// Arrival times of resolver queries at the authoritative server,
+    /// ascending.
+    pub fn q2_at(&self) -> Vec<SimTime> {
+        timeline(self.log, self.row.head, Direction::Inbound)
+    }
+
+    /// Send times of authoritative responses, ascending.
+    pub fn r1_at(&self) -> Vec<SimTime> {
+        timeline(self.log, self.row.head, Direction::Outbound)
+    }
+
+    /// End-to-end resolution latency (Q1 -> R2), if both ends exist.
+    pub fn resolution_latency(&self) -> Option<std::time::Duration> {
+        Some(self.r2_at()?.since(self.q1_at()?))
+    }
+
+    /// Whether the flow reached the authoritative server (i.e. the
+    /// responder really recursed rather than answering from thin air).
+    pub fn recursed(&self) -> bool {
+        self.row.has(HAS_Q2)
+    }
+}
+
+impl std::fmt::Debug for Flow<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Flow")
+            .field("label", &self.label())
+            .field("resolver", &self.resolver())
+            .field("q1_at", &self.q1_at())
+            .field("q2_at", &self.q2_at())
+            .field("r1_at", &self.r1_at())
+            .field("r2_at", &self.r2_at())
+            .finish()
     }
 }
 
 /// The joined flow set for one scan.
 #[derive(Debug, Clone, Default)]
 pub struct FlowSet {
-    /// Flows keyed by probe label, in label order.
-    pub flows: Vec<Flow>,
+    /// One row per flow, in label order.
+    rows: Vec<FlowRow>,
+    /// Every Q2/R1 stamp of every flow (see [`FlowRow::head`]).
+    log: Vec<Stamp>,
     /// Auth-server packets whose qname was not a probe name.
     pub foreign_auth_packets: u64,
     /// Sorted resolution latencies, computed on first use so quantile
@@ -131,15 +393,17 @@ pub struct FlowSet {
 }
 
 impl FlowSet {
-    /// Assembles a flow set from already-joined flows (streaming mode).
-    pub(crate) fn from_parts(mut flows: Vec<Flow>, foreign_auth_packets: u64) -> FlowSet {
+    /// Assembles a flow set from a finished join.
+    fn from_parts(mut rows: Vec<FlowRow>, log: Vec<Stamp>, foreign_auth_packets: u64) -> FlowSet {
         // Labels are unique per flow, so the unstable sort is as
         // deterministic as a stable one — and it sorts in place instead
         // of allocating an n/2 scratch buffer, which at paper scale
-        // would sit beside a live multi-million-flow vector.
-        flows.sort_unstable_by_key(|f| f.label);
+        // would sit beside a live multi-million-flow vector. Chains
+        // address the log, not the arena, so rows are free to move.
+        rows.sort_unstable_by_key(FlowRow::key);
         FlowSet {
-            flows,
+            rows,
+            log,
             foreign_auth_packets,
             sorted_latencies: OnceLock::new(),
         }
@@ -160,19 +424,13 @@ impl FlowSet {
             else {
                 continue; // empty-question responses joined elsewhere
             };
-            fold_r2(
-                &mut by_label,
-                label,
-                capture.target,
-                capture.sent_at,
-                capture.at,
-            );
+            by_label.fold_r2(label, capture.target, capture.sent_at, capture.at);
         }
         let mut foreign = 0u64;
         for packet in auth {
-            fold_auth(&mut by_label, &mut foreign, packet, zone);
+            by_label.fold_auth(&mut foreign, packet, zone);
         }
-        FlowSet::from_parts(by_label.into_flows(), foreign)
+        by_label.finish(foreign)
     }
 
     /// Joins classified records and server-side captures: the same
@@ -189,18 +447,34 @@ impl FlowSet {
             let Some(label) = rec.label.or_else(|| ProbeLabel::parse(&rec.qname, zone)) else {
                 continue;
             };
-            fold_r2(&mut by_label, label, rec.resolver, rec.sent_at, rec.at);
+            by_label.fold_r2(label, rec.resolver, rec.sent_at, rec.at);
         }
         let mut foreign = 0u64;
         for packet in auth {
-            fold_auth(&mut by_label, &mut foreign, packet, zone);
+            by_label.fold_auth(&mut foreign, packet, zone);
         }
-        FlowSet::from_parts(by_label.into_flows(), foreign)
+        by_label.finish(foreign)
+    }
+
+    /// Number of flows in the join.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the join holds no flow at all.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Every flow, in label order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Flow<'_>> {
+        let log = &self.log[..];
+        self.rows.iter().map(move |row| Flow { row, log })
     }
 
     /// Number of flows that recursed (reached the authoritative server).
     pub fn recursed_count(&self) -> u64 {
-        self.flows.iter().filter(|f| f.recursed()).count() as u64
+        self.rows.iter().filter(|row| row.has(HAS_Q2)).count() as u64
     }
 
     /// Mean Q2 packets per recursing flow — the resolver-farm fan-out
@@ -210,7 +484,12 @@ impl FlowSet {
         if recursed == 0 {
             return 0.0;
         }
-        let q2: usize = self.flows.iter().map(|f| f.q2_at.len()).sum();
+        // Every stamp in the log belongs to exactly one flow.
+        let q2 = self
+            .log
+            .iter()
+            .filter(|stamp| stamp.direction() == Direction::Inbound)
+            .count();
         q2 as f64 / recursed as f64
     }
 
@@ -224,9 +503,8 @@ impl FlowSet {
     fn sorted(&self) -> &Vec<std::time::Duration> {
         self.sorted_latencies.get_or_init(|| {
             let mut out: Vec<_> = self
-                .flows
                 .iter()
-                .filter_map(Flow::resolution_latency)
+                .filter_map(|flow| flow.resolution_latency())
                 .collect();
             out.sort();
             out
@@ -245,45 +523,6 @@ impl FlowSet {
     }
 }
 
-/// Folds one R2 observation into the label-keyed flow table.
-pub(crate) fn fold_r2(
-    by_label: &mut FlowTable,
-    label: ProbeLabel,
-    resolver: Ipv4Addr,
-    sent_at: SimTime,
-    at: SimTime,
-) {
-    let flow = by_label.entry(label);
-    flow.resolver = Some(resolver);
-    flow.q1_at = Some(sent_at);
-    flow.r2_at = Some(at);
-}
-
-/// Folds one authoritative-server packet into the flow table, counting
-/// packets whose qname is not a probe name as foreign.
-pub(crate) fn fold_auth(
-    by_label: &mut FlowTable,
-    foreign: &mut u64,
-    packet: &CapturedPacket,
-    zone: &Name,
-) {
-    match question_of(&packet.payload).and_then(|q| ProbeLabel::parse(q.qname(), zone)) {
-        Some(label) => {
-            let flow = by_label.entry(label);
-            match packet.direction {
-                Direction::Inbound => {
-                    flow.q2_at.push(packet.at);
-                    if flow.resolver.is_none() {
-                        flow.resolver = Some(packet.peer);
-                    }
-                }
-                Direction::Outbound => flow.r1_at.push(packet.at),
-            }
-        }
-        None => *foreign += 1,
-    }
-}
-
 /// Extracts the first question from a DNS payload, tolerating
 /// undecodable tails. Callers borrow the qname out of the returned
 /// question rather than cloning it.
@@ -298,9 +537,12 @@ fn question_of(payload: &[u8]) -> Option<Question> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use bytes::Bytes;
     use orscope_dns_wire::Message;
+    use proptest::prelude::*;
 
     fn zone() -> Name {
         "ucfsealresearch.net".parse().unwrap()
@@ -342,10 +584,12 @@ mod tests {
             ],
             &zone(),
         );
-        assert_eq!(flows.flows.len(), 1);
-        let flow = &flows.flows[0];
-        assert_eq!(flow.q2_at.len(), 2);
-        assert_eq!(flow.r1_at.len(), 2);
+        assert_eq!(flows.len(), 1);
+        let flow = flows.iter().next().unwrap();
+        assert_eq!(flow.label(), label);
+        let ms = |ms: u64| SimTime::from_nanos(ms * 1_000_000);
+        assert_eq!(flow.q2_at(), [ms(40), ms(55)]);
+        assert_eq!(flow.r1_at(), [ms(41), ms(56)]);
         assert_eq!(
             flow.resolution_latency(),
             Some(std::time::Duration::from_millis(100))
@@ -358,10 +602,11 @@ mod tests {
     fn lost_r2_still_yields_a_flow_from_q2() {
         let label = ProbeLabel::new(0, 2);
         let flows = FlowSet::match_flows(&[], &[auth(label, 40, Direction::Inbound)], &zone());
-        assert_eq!(flows.flows.len(), 1);
-        let flow = &flows.flows[0];
-        assert_eq!(flow.r2_at, None);
-        assert_eq!(flow.resolver, Some(Ipv4Addr::new(9, 9, 9, 9)));
+        assert_eq!(flows.len(), 1);
+        let flow = flows.iter().next().unwrap();
+        assert_eq!(flow.r2_at(), None);
+        assert_eq!(flow.q1_at(), None);
+        assert_eq!(flow.resolver(), Some(Ipv4Addr::new(9, 9, 9, 9)));
         assert_eq!(flow.resolution_latency(), None);
     }
 
@@ -369,7 +614,11 @@ mod tests {
     fn non_recursing_responder_has_empty_q2() {
         let label = ProbeLabel::new(0, 3);
         let flows = FlowSet::match_flows(&[r2(label, 0, 30)], &[], &zone());
-        assert!(!flows.flows[0].recursed());
+        let flow = flows.iter().next().unwrap();
+        assert!(!flow.recursed());
+        assert!(flow.q2_at().is_empty() && flow.r1_at().is_empty());
+        // Time zero is a real send time, not "absent".
+        assert_eq!(flow.q1_at(), Some(SimTime::ZERO));
         assert_eq!(flows.mean_q2_fanout(), 0.0);
     }
 
@@ -384,7 +633,7 @@ mod tests {
             payload: Bytes::from(query.encode().unwrap()),
         };
         let flows = FlowSet::match_flows(&[], &[foreign], &zone());
-        assert_eq!(flows.flows.len(), 0);
+        assert!(flows.is_empty());
         assert_eq!(flows.foreign_auth_packets, 1);
     }
 
@@ -411,5 +660,121 @@ mod tests {
             flows.latency_quantile(0.5),
             Some(std::time::Duration::from_millis(20))
         );
+    }
+
+    #[test]
+    fn links_are_checked_not_wrapped() {
+        assert_eq!(link_to(MAX_LINK as usize), MAX_LINK);
+        let past = std::panic::catch_unwind(|| link_to(MAX_LINK as usize + 1));
+        assert!(past.is_err(), "a link past 2^31 - 1 must panic");
+        // The extremes a link can hold survive the round trip.
+        let stamp = Stamp::new(SimTime::from_nanos(u64::MAX), MAX_LINK, Direction::Outbound);
+        assert_eq!(stamp.previous(), MAX_LINK);
+        assert_eq!(stamp.direction(), Direction::Outbound);
+    }
+
+    /// What the naive join keeps for one label.
+    #[derive(Debug, Default, PartialEq)]
+    struct NaiveFlow {
+        r2: bool,
+        q2_at: Vec<SimTime>,
+        r1_at: Vec<SimTime>,
+    }
+
+    /// The fields of a label's R2 and the source of its Q2s, fixed per
+    /// label so that overlapping tables never disagree about them.
+    fn resolver_of(label: ProbeLabel) -> Ipv4Addr {
+        Ipv4Addr::from(0x0A00_0000 | label.seq as u32)
+    }
+
+    fn sent_at_of(label: ProbeLabel) -> SimTime {
+        // Label 0 sends at time zero.
+        SimTime::from_nanos(label.seq * 1_000)
+    }
+
+    fn orders(tables: usize) -> Vec<Vec<usize>> {
+        if tables == 1 {
+            return vec![vec![0]];
+        }
+        let mut out = Vec::new();
+        for shorter in orders(tables - 1) {
+            for at in 0..tables {
+                let mut order = shorter.clone();
+                order.insert(at, tables - 1);
+                out.push(order);
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any interleaving of R2/Q2/R1 folds (R1 before Q2, R2 first,
+        /// last or never, fan-out from 0 into the seventies), split over
+        /// 1-4 tables absorbed in every order, joins to the timelines a
+        /// map of plain vectors keeps.
+        #[test]
+        fn join_matches_a_naive_map_of_vectors(
+            tables in 1usize..5,
+            ops in prop::collection::vec((0u8..16, 0u64..12, any::<u64>(), 0usize..4), 0..900),
+        ) {
+            let mut naive: BTreeMap<ProbeLabel, NaiveFlow> = BTreeMap::new();
+            let mut parts = vec![FlowTable::default(); tables];
+            for &(kind, seq, at, part) in &ops {
+                // Squaring skews the labels: a few busy flows, some
+                // nearly idle ones.
+                let label = ProbeLabel::new((seq % 2) as u32, seq * seq / 12);
+                let at = SimTime::from_nanos(at);
+                let part = &mut parts[part % tables];
+                let entry = naive.entry(label).or_default();
+                match kind {
+                    0 => {
+                        let r2_at = SimTime::from_nanos(sent_at_of(label).as_nanos() + 7);
+                        part.fold_r2(label, resolver_of(label), sent_at_of(label), r2_at);
+                        entry.r2 = true;
+                    }
+                    1..=8 => {
+                        part.fold_stamp(label, Direction::Inbound, at, resolver_of(label));
+                        entry.q2_at.push(at);
+                    }
+                    _ => {
+                        part.fold_stamp(label, Direction::Outbound, at, resolver_of(label));
+                        entry.r1_at.push(at);
+                    }
+                }
+            }
+            for flow in naive.values_mut() {
+                flow.q2_at.sort();
+                flow.r1_at.sort();
+            }
+            for order in orders(tables) {
+                let mut merged = parts[order[0]].clone();
+                for &next in &order[1..] {
+                    merged.absorb(parts[next].clone());
+                }
+                let flows = merged.finish(0);
+                prop_assert_eq!(flows.len(), naive.len());
+                for (flow, (label, want)) in flows.iter().zip(&naive) {
+                    prop_assert_eq!(flow.label(), *label);
+                    let got = NaiveFlow {
+                        r2: flow.r2_at().is_some(),
+                        q2_at: flow.q2_at(),
+                        r1_at: flow.r1_at(),
+                    };
+                    prop_assert_eq!(&got, want, "order {:?}", order);
+                    prop_assert_eq!(flow.q1_at(), want.r2.then(|| sent_at_of(*label)));
+                    prop_assert_eq!(flow.recursed(), !want.q2_at.is_empty());
+                    let known = want.r2 || flow.recursed();
+                    prop_assert_eq!(flow.resolver(), known.then(|| resolver_of(*label)));
+                }
+                let recursed = naive.values().filter(|f| !f.q2_at.is_empty()).count();
+                prop_assert_eq!(flows.recursed_count(), recursed as u64);
+                let q2: usize = naive.values().map(|f| f.q2_at.len()).sum();
+                if recursed > 0 {
+                    prop_assert_eq!(flows.mean_q2_fanout(), q2 as f64 / recursed as f64);
+                }
+            }
+        }
     }
 }

@@ -31,7 +31,7 @@ use orscope_prober::R2Capture;
 use orscope_threatintel::ThreatDb;
 
 use crate::classify::{classify, AnswerKind};
-use crate::flows::{fold_auth, fold_r2, Flow, FlowSet, FlowTable};
+use crate::flows::{FlowSet, FlowTable};
 use crate::tables::{
     amplification_factor, AmplificationTable, AnswerBreakdown, AsnTable, CountryTable,
     EmptyQuestionReport, FlagTable, Table10, Table3, Table4, Table5, Table6, Table7, Table8,
@@ -154,7 +154,8 @@ pub struct StreamingAnalyzer {
     /// Exact amplification-factor reservoir (8 bytes per response vs
     /// the full payload; sorted at finish for order-independent output).
     amp_factors: Vec<f64>,
-    /// Four-flow join state: a compact label index over a dense arena.
+    /// Four-flow join state: a compact label index over a dense arena
+    /// of fixed-size rows and one shared Q2/R1 stamp log.
     flows: FlowTable,
     /// Auth-server packets whose qname was not a probe name.
     foreign_auth_packets: u64,
@@ -216,17 +217,7 @@ impl StreamingAnalyzer {
         self.empty_question.absorb(&other.empty_question);
         self.amp_factors.extend(other.amp_factors);
         self.raw.extend(other.raw);
-        // Shards probe disjoint cluster ranges, so a label never spans
-        // analyzers and the entry below is almost always a fresh stub;
-        // merge field-by-field anyway so overlap stays defensible.
-        for flow in other.flows.into_flows() {
-            let into = self.flows.entry(flow.label);
-            into.resolver = into.resolver.or(flow.resolver);
-            into.q1_at = into.q1_at.or(flow.q1_at);
-            into.r2_at = into.r2_at.or(flow.r2_at);
-            into.q2_at.extend(flow.q2_at);
-            into.r1_at.extend(flow.r1_at);
-        }
+        self.flows.absorb(other.flows);
         self.foreign_auth_packets += other.foreign_auth_packets;
     }
 
@@ -317,31 +308,18 @@ impl StreamingAnalyzer {
         self.empty_question
     }
 
-    /// The four-flow join, assembled from the streamed flow state.
+    /// The four-flow join, copied out of the streamed flow state.
     pub fn flows(&self) -> FlowSet {
-        let mut flows = self.flows.cloned_flows();
-        Self::finish_flows(&mut flows);
-        FlowSet::from_parts(flows, self.foreign_auth_packets)
+        self.flows.snapshot(self.foreign_auth_packets)
     }
 
     /// Like [`StreamingAnalyzer::flows`] but drains the join state: the
-    /// arena moves into the `FlowSet` without a single flow copied, and
-    /// only the label index is dropped — the finish-time path, where
-    /// the joined flows are the largest live structure the streaming
-    /// mode holds.
+    /// arena and the stamp log move into the `FlowSet` without a single
+    /// flow copied, and only the label index is dropped — the
+    /// finish-time path, where the joined flows are the largest live
+    /// structure the streaming mode holds.
     pub fn take_flows(&mut self) -> FlowSet {
-        let mut flows = std::mem::take(&mut self.flows).into_flows();
-        Self::finish_flows(&mut flows);
-        FlowSet::from_parts(flows, self.foreign_auth_packets)
-    }
-
-    fn finish_flows(flows: &mut [Flow]) {
-        for flow in flows {
-            // Batch mode folds auth packets in global timestamp order;
-            // a stable per-flow sort reproduces that exactly.
-            flow.q2_at.sort();
-            flow.r1_at.sort();
-        }
+        std::mem::take(&mut self.flows).finish(self.foreign_auth_packets)
     }
 
     /// `(resolver, count)` tallies over threat-reported addresses —
@@ -373,7 +351,7 @@ impl RecordSink for StreamingAnalyzer {
             .label
             .or_else(|| ProbeLabel::parse(&rec.qname, &self.zone))
         {
-            fold_r2(&mut self.flows, label, rec.resolver, rec.sent_at, rec.at);
+            self.flows.fold_r2(label, rec.resolver, rec.sent_at, rec.at);
         }
         if !rec.has_question {
             self.empty_question.add(&rec);
@@ -415,12 +393,8 @@ impl RecordSink for StreamingAnalyzer {
     }
 
     fn on_auth(&mut self, packet: &CapturedPacket) {
-        fold_auth(
-            &mut self.flows,
-            &mut self.foreign_auth_packets,
-            packet,
-            &self.zone,
-        );
+        self.flows
+            .fold_auth(&mut self.foreign_auth_packets, packet, &self.zone);
     }
 }
 

@@ -300,10 +300,12 @@ fn generate(seed: u64) -> Vec<(u32, Event)> {
     events
 }
 
-/// Fingerprints a flow join: every statistic the report surfaces.
+/// Fingerprints a flow join: every statistic the report surfaces, and
+/// every flow's whole Q1/Q2/R1/R2 timeline.
 fn flow_fingerprint(flows: &FlowSet) -> String {
+    let timelines: Vec<String> = flows.iter().map(|flow| format!("{flow:?}")).collect();
     format!(
-        "recursed={} fanout={:.6} latencies={:?} foreign={}",
+        "recursed={} fanout={:.6} latencies={:?} foreign={} timelines={timelines:?}",
         flows.recursed_count(),
         flows.mean_q2_fanout(),
         flows.resolution_latencies(),

@@ -14,7 +14,7 @@ fn bench(c: &mut Criterion) {
                 result.auth_packets(),
                 &result.config().infra.zone,
             );
-            black_box(flows.flows.len())
+            black_box(flows.len())
         })
     });
     let flows = result.flows();

@@ -49,11 +49,11 @@ pub fn run_campaign(year: Year, scale: f64) -> CampaignResult {
 }
 
 pub mod alloc {
-    //! The one counting allocator of the `benches/` targets. A bench
-    //! installs it with `#[global_allocator] static ALLOC: CountingAlloc
-    //! = CountingAlloc;` and reads the live-byte peak through the
-    //! functions here. Relaxed ordering suffices: the benches that read
-    //! it are single-threaded.
+    //! The one counting allocator of the `benches/` and `tests/`
+    //! targets. A target installs it with `#[global_allocator] static
+    //! ALLOC: CountingAlloc = CountingAlloc;` and reads the live-byte
+    //! peak and the call count through the functions here. Relaxed
+    //! ordering suffices: the targets that read it are single-threaded.
 
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -64,8 +64,10 @@ pub mod alloc {
 
     static LIVE: AtomicUsize = AtomicUsize::new(0);
     static PEAK: AtomicUsize = AtomicUsize::new(0);
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
 
     fn acquired(size: usize) {
+        CALLS.fetch_add(1, Ordering::Relaxed);
         let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
         PEAK.fetch_max(live, Ordering::Relaxed);
     }
@@ -106,6 +108,11 @@ pub mod alloc {
     /// Peak live bytes above `baseline` since the last [`reset_peak`].
     pub fn peak_above(baseline: usize) -> usize {
         PEAK.load(Ordering::Relaxed).saturating_sub(baseline)
+    }
+
+    /// Allocations and reallocations since the process started.
+    pub fn allocs() -> usize {
+        CALLS.load(Ordering::Relaxed)
     }
 }
 

@@ -773,12 +773,65 @@ pub(crate) struct ShardPlan<'a> {
     pub(crate) population: &'a Population,
 }
 
-/// Materializes `ProfiledResolver` endpoints on demand from a shard's
-/// compact population: a sorted `(packed address, profile id)` index plus
-/// the shared profile table. Covers probed hosts (resolvers and off-port
-/// responders); upstreams are always registered eagerly.
-struct PopulationRegistry {
+/// A sorted `(packed address, profile id)` list under a first-level
+/// directory over the high address bits.
+///
+/// Every datagram to an unmaterialised address looks its destination up
+/// here, silent targets included, and a plain binary search over the
+/// whole list is ~16 dependent loads spread across it. The directory
+/// (at most one byte a host) narrows a lookup to the handful of hosts
+/// sharing the address's top bits: one line of the directory, one or
+/// two of the list.
+struct HostIndex {
     hosts: Vec<(u32, orscope_resolver::ProfileId)>,
+    /// `directory[b]..directory[b + 1]` bounds the hosts whose address
+    /// starts with the bits `b`.
+    directory: Vec<u32>,
+    /// Address bits below the directory's.
+    shift: u32,
+}
+
+impl HostIndex {
+    fn new(mut hosts: Vec<(u32, orscope_resolver::ProfileId)>) -> Self {
+        hosts.sort_unstable_by_key(|&(addr, _)| addr);
+        // Four hosts a bucket on average: 4 B of directory for them.
+        let bits = (hosts.len() / 4).max(1).ilog2().min(24);
+        let shift = 32 - bits;
+        let mut directory = vec![0u32; (1usize << bits) + 1];
+        for &(addr, _) in &hosts {
+            directory[Self::bucket(addr, shift) + 1] += 1;
+        }
+        for bucket in 1..directory.len() {
+            directory[bucket] += directory[bucket - 1];
+        }
+        Self {
+            hosts,
+            directory,
+            shift,
+        }
+    }
+
+    /// Widened first: with a one-bucket directory the shift is all 32 bits.
+    fn bucket(addr: u32, shift: u32) -> usize {
+        (u64::from(addr) >> shift) as usize
+    }
+
+    fn find(&self, addr: Ipv4Addr) -> Option<orscope_resolver::ProfileId> {
+        let addr = u32::from(addr);
+        let bucket = Self::bucket(addr, self.shift);
+        let range = self.directory[bucket] as usize..self.directory[bucket + 1] as usize;
+        let hosts = &self.hosts[range];
+        let slot = hosts.binary_search_by_key(&addr, |&(a, _)| a).ok()?;
+        Some(hosts[slot].1)
+    }
+}
+
+/// Materializes `ProfiledResolver` endpoints on demand from a shard's
+/// compact population: a [`HostIndex`] plus the shared profile table.
+/// Covers probed hosts (resolvers and off-port responders); upstreams
+/// are always registered eagerly.
+struct PopulationRegistry {
+    hosts: HostIndex,
     table: std::sync::Arc<orscope_resolver::ProfileTable>,
     config: ResolverConfig,
     telemetry: ResolverTelemetry,
@@ -792,9 +845,8 @@ impl PopulationRegistry {
                 hosts.push((u32::from(list.addr(i)), list.profile_id(i)));
             }
         }
-        hosts.sort_unstable_by_key(|&(addr, _)| addr);
         Self {
-            hosts,
+            hosts: HostIndex::new(hosts),
             table: std::sync::Arc::clone(population.table()),
             config,
             telemetry,
@@ -804,11 +856,7 @@ impl PopulationRegistry {
 
 impl LazyRegistry for PopulationRegistry {
     fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn orscope_netsim::Endpoint>> {
-        let slot = self
-            .hosts
-            .binary_search_by_key(&u32::from(addr), |&(a, _)| a)
-            .ok()?;
-        let policy = std::sync::Arc::clone(self.table.get(self.hosts[slot].1));
+        let policy = std::sync::Arc::clone(self.table.get(self.hosts.find(addr)?));
         Some(Box::new(
             ProfiledResolver::new_shared(policy, self.config.clone())
                 .with_telemetry(self.telemetry.clone()),
@@ -849,9 +897,8 @@ impl ShardWorld {
     ///
     /// `population` is the shard's: every flow keys on a probed
     /// responder, so its responder count bounds the join state exactly.
-    /// Sizing the analyzer up front keeps the full-scale arena at its
-    /// final footprint instead of doubling past it (the last doubling
-    /// alone is ~0.4 GB at scale 1.0).
+    /// Sizing the analyzer up front keeps the full-scale arena and
+    /// index at their final footprint instead of doubling past it.
     pub(crate) fn attach_streaming(&mut self, config: &CampaignConfig, population: &Population) {
         let mut streaming = StreamingAnalyzer::new(config.infra.zone.clone(), config.retain_raw);
         streaming.reserve_flows(population.resolvers.len() + population.off_port.len());
@@ -959,6 +1006,43 @@ impl ShardOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn host_index_agrees_with_a_plain_binary_search() {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x0D1C);
+        let mut next = move || rng.next_u32();
+        // Sizes on both sides of every directory width from one bucket
+        // up, drawn uniformly and clustered under a few /16s.
+        for size in [0usize, 1, 3, 4, 7, 8, 9, 100, 4_095, 4_096, 70_000] {
+            for spread in [u32::MAX, 0x0003_FFFF] {
+                let mut sorted: Vec<(u32, u32)> = (0..size)
+                    .map(|i| (next() & spread | (next() % 3) << 30, i as u32))
+                    .collect();
+                sorted.sort_unstable();
+                sorted.dedup_by_key(|&mut (addr, _)| addr);
+                let index = HostIndex::new(sorted.clone());
+                // At most a byte a host (and two entries when nearly empty).
+                assert!(4 * index.directory.len() <= sorted.len() + 8);
+                let edges = [0, 1, u32::MAX - 1, u32::MAX];
+                let present = sorted
+                    .iter()
+                    .flat_map(|&(a, _)| [a.wrapping_sub(1), a, a.wrapping_add(1), a ^ 0x8000_0000]);
+                let random: Vec<u32> = (0..1_000).map(|_| next()).collect();
+                for addr in present.chain(edges).chain(random) {
+                    let want = sorted
+                        .binary_search_by_key(&addr, |&(a, _)| a)
+                        .ok()
+                        .map(|slot| sorted[slot].1);
+                    assert_eq!(
+                        index.find(Ipv4Addr::from(addr)),
+                        want,
+                        "{addr:#x} of {size}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn fast_campaign_runs_and_matches_scale() {

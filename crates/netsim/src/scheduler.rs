@@ -108,9 +108,6 @@ pub(crate) struct TimingWheel {
     upper: [Vec<Vec<Event>>; UPPER_LEVELS],
     overflow: Vec<Event>,
     ready: BinaryHeap<Reverse<Event>>,
-    /// Reusable scratch for cascading drains, so re-filing events does
-    /// not shed and re-grow slot capacity every block boundary.
-    spill: Vec<Event>,
     /// Events held in `level0` + `upper` + `overflow` (not `ready`).
     stored: usize,
     /// Per-level occupancy (`[level0, upper0, upper1, upper2]`), so empty
@@ -137,7 +134,6 @@ impl TimingWheel {
             upper: std::array::from_fn(|_| (0..UPPER_SLOTS).map(|_| Vec::new()).collect()),
             overflow: Vec::new(),
             ready: BinaryHeap::new(),
-            spill: Vec::new(),
             stored: 0,
             counts: [0; 1 + UPPER_LEVELS],
         }
@@ -193,28 +189,26 @@ impl TimingWheel {
         }
     }
 
-    /// Re-files one upper-level slot downward through the reusable
-    /// `spill` scratch (slot and scratch both keep their capacity).
+    /// Re-files one upper-level slot downward. The slot's buffer is
+    /// dropped, not kept or handed to another slot: capacity that
+    /// circulates leaves every upper slot holding the high-water mark of
+    /// the busiest one long after it emptied.
     fn cascade_upper(&mut self, level: usize, slot: usize) {
-        let mut spill = std::mem::take(&mut self.spill);
-        std::mem::swap(&mut self.upper[level][slot], &mut spill);
-        self.stored -= spill.len();
-        self.counts[1 + level] -= spill.len();
-        for event in spill.drain(..) {
+        let events = std::mem::take(&mut self.upper[level][slot]);
+        self.stored -= events.len();
+        self.counts[1 + level] -= events.len();
+        for event in events {
             self.place(event);
         }
-        self.spill = spill;
     }
 
     /// Re-files every overflow event relative to the current cursor.
     fn refilter_overflow(&mut self) {
-        let mut spill = std::mem::take(&mut self.spill);
-        std::mem::swap(&mut self.overflow, &mut spill);
-        self.stored -= spill.len();
-        for event in spill.drain(..) {
+        let events = std::mem::take(&mut self.overflow);
+        self.stored -= events.len();
+        for event in events {
             self.place(event);
         }
-        self.spill = spill;
     }
 
     /// Advances the cursor until `ready` holds the next event(s), or the
@@ -391,6 +385,47 @@ mod tests {
             order,
             vec![(SimTime::from_secs(1), 0), (SimTime::from_secs(1), 1)]
         );
+    }
+
+    #[test]
+    fn drained_upper_slots_give_their_capacity_back() {
+        let mut wheel = TimingWheel::new();
+        // A burst through every upper level and the overflow list, and a
+        // handful of stragglers that are still pending when it is gone.
+        let mut seq = 0;
+        for spread in [1u64, 20, 1_500, 200_000] {
+            for i in 0..4_000u64 {
+                wheel.push(timer(
+                    SimTime::from_secs(spread) + Duration::from_micros(i),
+                    seq,
+                ));
+                seq += 1;
+            }
+        }
+        for i in 0..5u64 {
+            wheel.push(timer(SimTime::from_secs(300_000 + i * 4_000), seq));
+            seq += 1;
+        }
+        for _ in 0..16_000 {
+            wheel.pop().expect("the burst is pending");
+        }
+        assert_eq!(wheel.len(), 5);
+        // A vector filled by `push` holds at most twice its length (and
+        // no fewer than four); an emptied slot holds nothing.
+        let slots = wheel.upper.iter().flatten().chain([&wheel.overflow]);
+        for slot in slots {
+            let bound = if slot.is_empty() {
+                0
+            } else {
+                (2 * slot.len()).max(4)
+            };
+            assert!(
+                slot.capacity() <= bound,
+                "a slot of {} events retains capacity for {}",
+                slot.len(),
+                slot.capacity()
+            );
+        }
     }
 
     /// Offsets ahead of the last popped time, in nanoseconds: the same

@@ -346,12 +346,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so
-                // boundaries are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "bad utf-8")?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Everything up to the next quote or backslash is
+                // literal text. Both are ASCII, which never occurs
+                // inside a multi-byte scalar, so the run ends on a
+                // scalar boundary; validating just the run, once, is
+                // what keeps decoding linear in the document.
+                let rest = &bytes[*pos..];
+                let run = rest
+                    .iter()
+                    .position(|b| matches!(b, b'"' | b'\\'))
+                    .unwrap_or(rest.len());
+                out.push_str(std::str::from_utf8(&rest[..run]).map_err(|_| "bad utf-8")?);
+                *pos += run;
             }
         }
     }
@@ -482,6 +488,53 @@ mod tests {
         ] {
             assert!(Wire::decode(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn a_megabyte_string_roundtrips_in_linear_time() {
+        // Escapes, control characters and 2-, 3- and 4-byte scalars all
+        // through the text, so no stretch of it is one plain run.
+        let unit = "plain \"quoted\" back\\slash\n\ttab \u{1} caf\u{e9} \u{20ac} \u{1f50d} ";
+        let text = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(text.len() >= 1 << 20);
+        let document = Wire::obj(vec![("history", Wire::Str(text.clone()))]).encode();
+        let started = std::time::Instant::now();
+        let decoded = Wire::decode(&document).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(decoded.field("history").unwrap(), &Wire::Str(text));
+        // A decoder that validates the rest of the document once per
+        // character does ~5 * 10^11 byte checks here: minutes, not ms.
+        assert!(
+            elapsed < std::time::Duration::from_millis(500),
+            "decoding {} bytes took {elapsed:?}",
+            document.len()
+        );
+    }
+
+    #[test]
+    fn string_bytes_that_are_not_utf8_are_rejected_without_panicking() {
+        let parse = |bytes: &[u8]| parse_string(bytes, &mut 0);
+        assert_eq!(
+            parse("\"caf\u{e9} \u{1f50d}\"".as_bytes()).unwrap(),
+            "caf\u{e9} \u{1f50d}"
+        );
+        for bad in [
+            &b"\"\xff\""[..],    // never a lead byte
+            b"\"\xc3\"",         // lead byte, then the closing quote
+            b"\"\x80abc\"",      // stray continuation byte
+            b"\"\xe2\x82\\n\"",  // scalar cut short by an escape
+            b"\"\xed\xa0\x80\"", // UTF-16 surrogate
+            b"\"\xc0\xaf\"",     // overlong encoding
+            b"\"\xf0\x9f\x94",   // truncated at the end of input
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must not parse");
+        }
+        // Every prefix of a valid string is an error, never a panic.
+        let whole = "\"a\\u00e9\\\\ \u{20ac}\\n\u{1f50d}\"".as_bytes();
+        for cut in 0..whole.len() {
+            assert!(parse(&whole[..cut]).is_err(), "prefix of {cut} bytes");
+        }
+        assert!(parse(whole).is_ok());
     }
 
     #[test]

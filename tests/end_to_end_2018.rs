@@ -264,13 +264,14 @@ fn flow_matching_reconstructs_the_q2_fanout() {
     let expected = (2_752_562.0_f64 / SCALE).round() as u64;
     assert_eq!(flows.recursed_count(), expected);
     // Timelines are ordered: Q1 <= every Q2 <= matching R1 <= R2.
-    for flow in flows.flows.iter().filter(|f| f.recursed()) {
-        let (q1, r2) = (flow.q1_at.unwrap(), flow.r2_at.unwrap());
-        for (&q2, &r1) in flow.q2_at.iter().zip(&flow.r1_at) {
+    for flow in flows.iter().filter(|f| f.recursed()) {
+        let (q1, r2) = (flow.q1_at().unwrap(), flow.r2_at().unwrap());
+        let (q2_at, r1_at) = (flow.q2_at(), flow.r1_at());
+        for (&q2, &r1) in q2_at.iter().zip(&r1_at) {
             assert!(q1 <= q2 && q2 <= r1, "{flow:?}");
         }
         // The first authoritative answer precedes the prober's R2.
-        assert!(flow.r1_at.iter().min().unwrap() <= &r2);
+        assert!(r1_at[0] <= r2);
         assert!(q1 < r2);
     }
     // Latency sanity: medians in the tens-of-ms band the latency model
