@@ -16,7 +16,6 @@ use orscope_dns_wire::wire::Reader;
 use orscope_dns_wire::{Header, Name, Question};
 use orscope_netsim::fxhash::{fx_map_with_capacity, FxHashMap};
 use orscope_netsim::SimTime;
-use orscope_prober::R2Capture;
 
 use crate::classify::ClassifiedR2;
 
@@ -409,34 +408,10 @@ impl FlowSet {
         }
     }
 
-    /// Joins prober-side and server-side captures.
-    ///
-    /// `zone` is the measurement zone the probe names live under.
-    pub fn match_flows(r2: &[R2Capture], auth: &[CapturedPacket], zone: &Name) -> FlowSet {
-        // Nearly every R2 carries a distinct label, so r2.len() is a
-        // tight lower bound that avoids rehash-and-move cycles while the
-        // table fills.
-        let mut by_label = FlowTable::with_capacity(r2.len());
-        for capture in r2 {
-            let Some(label) = capture
-                .label
-                .or_else(|| ProbeLabel::parse(&capture.qname, zone))
-            else {
-                continue; // empty-question responses joined elsewhere
-            };
-            by_label.fold_r2(label, capture.target, capture.sent_at, capture.at);
-        }
-        let mut foreign = 0u64;
-        for packet in auth {
-            by_label.fold_auth(&mut foreign, packet, zone);
-        }
-        by_label.finish(foreign)
-    }
-
-    /// Joins classified records and server-side captures: the same
-    /// four-flow join as [`FlowSet::match_flows`] but driven off the
-    /// classified records, which carry everything the join needs without
-    /// the raw payloads.
+    /// Joins classified records and server-side captures: the
+    /// four-flow join driven off the classified records, which carry
+    /// everything it needs without the raw payloads. `zone` is the
+    /// measurement zone the probe names live under.
     pub fn match_records(
         records: &[ClassifiedR2],
         auth: &[CapturedPacket],
@@ -542,7 +517,10 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use orscope_dns_wire::Message;
+    use orscope_prober::R2Capture;
     use proptest::prelude::*;
+
+    use crate::classify::classify;
 
     fn zone() -> Name {
         "ucfsealresearch.net".parse().unwrap()
@@ -560,6 +538,13 @@ mod tests {
         }
     }
 
+    /// The join as the batch pipeline drives it: classify, then match.
+    fn join(r2: &[R2Capture], auth: &[CapturedPacket]) -> FlowSet {
+        let records: Vec<ClassifiedR2> = r2.iter().filter_map(classify).collect();
+        assert_eq!(records.len(), r2.len());
+        FlowSet::match_records(&records, auth, &zone())
+    }
+
     fn auth(label: ProbeLabel, at_ms: u64, direction: Direction) -> CapturedPacket {
         let query = Message::query(7, Question::a(label.qname(&zone())));
         CapturedPacket {
@@ -574,7 +559,7 @@ mod tests {
     #[test]
     fn joins_all_four_packet_kinds() {
         let label = ProbeLabel::new(0, 1);
-        let flows = FlowSet::match_flows(
+        let flows = join(
             &[r2(label, 0, 100)],
             &[
                 auth(label, 40, Direction::Inbound),
@@ -582,7 +567,6 @@ mod tests {
                 auth(label, 55, Direction::Inbound), // duplicate Q2
                 auth(label, 56, Direction::Outbound),
             ],
-            &zone(),
         );
         assert_eq!(flows.len(), 1);
         let flow = flows.iter().next().unwrap();
@@ -601,7 +585,7 @@ mod tests {
     #[test]
     fn lost_r2_still_yields_a_flow_from_q2() {
         let label = ProbeLabel::new(0, 2);
-        let flows = FlowSet::match_flows(&[], &[auth(label, 40, Direction::Inbound)], &zone());
+        let flows = join(&[], &[auth(label, 40, Direction::Inbound)]);
         assert_eq!(flows.len(), 1);
         let flow = flows.iter().next().unwrap();
         assert_eq!(flow.r2_at(), None);
@@ -613,7 +597,7 @@ mod tests {
     #[test]
     fn non_recursing_responder_has_empty_q2() {
         let label = ProbeLabel::new(0, 3);
-        let flows = FlowSet::match_flows(&[r2(label, 0, 30)], &[], &zone());
+        let flows = join(&[r2(label, 0, 30)], &[]);
         let flow = flows.iter().next().unwrap();
         assert!(!flow.recursed());
         assert!(flow.q2_at().is_empty() && flow.r1_at().is_empty());
@@ -632,21 +616,20 @@ mod tests {
             peer_port: 1,
             payload: Bytes::from(query.encode().unwrap()),
         };
-        let flows = FlowSet::match_flows(&[], &[foreign], &zone());
+        let flows = join(&[], &[foreign]);
         assert!(flows.is_empty());
         assert_eq!(flows.foreign_auth_packets, 1);
     }
 
     #[test]
     fn latency_quantiles() {
-        let flows = FlowSet::match_flows(
+        let flows = join(
             &[
                 r2(ProbeLabel::new(0, 1), 0, 10),
                 r2(ProbeLabel::new(0, 2), 0, 20),
                 r2(ProbeLabel::new(0, 3), 0, 90),
             ],
             &[],
-            &zone(),
         );
         assert_eq!(
             flows.latency_quantile(0.0),

@@ -36,6 +36,7 @@ pub mod tables;
 pub use classify::{classify, AnswerKind, ClassifiedR2};
 pub use dataset::Dataset;
 pub use flows::{Flow, FlowSet};
+pub use orscope_authns::RecordSink;
 pub use report::{Comparison, TableReport};
-pub use stream::{AnalysisMode, RecordSink, StreamingAnalyzer};
+pub use stream::{AnalysisMode, StreamingAnalyzer};
 pub use summary::{ScanSummary, TemporalSummary};

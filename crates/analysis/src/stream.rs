@@ -23,7 +23,7 @@ use std::net::Ipv4Addr;
 use std::str::FromStr;
 
 use orscope_authns::scheme::ProbeLabel;
-use orscope_authns::CapturedPacket;
+use orscope_authns::{CapturedPacket, RecordSink};
 use orscope_dns_wire::{Name, Rcode};
 use orscope_geo::GeoDb;
 use orscope_netsim::fxhash::FxHashMap;
@@ -71,15 +71,6 @@ impl std::fmt::Display for AnalysisMode {
             AnalysisMode::Batch => "batch",
         })
     }
-}
-
-/// A consumer of capture-time packets: the prober feeds R2 responses,
-/// the authoritative server feeds its Q2/R1 log.
-pub trait RecordSink {
-    /// Accepts one R2 response the prober just captured.
-    fn on_r2(&mut self, capture: &R2Capture);
-    /// Accepts one packet the authoritative server just logged.
-    fn on_auth(&mut self, packet: &CapturedPacket);
 }
 
 /// Per-wrong-address tallies: everything Tables VII–X and the

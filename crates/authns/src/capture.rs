@@ -1,10 +1,37 @@
-//! The server-side packet log (the tcpdump of Fig. 2).
+//! The capture layer: the records the paper's two vantage points
+//! produce (R2 at the prober, Q2/R1 at the authoritative server — the
+//! tcpdumps of Fig. 2), the one trait that consumes them, and the
+//! server-side packet log.
 
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::rc::Rc;
 
+use bytes::Bytes;
+use orscope_dns_wire::Name;
 use orscope_netsim::{Datagram, SimTime};
-use parking_lot::Mutex;
+
+use crate::scheme::ProbeLabel;
+
+/// One captured R2 packet, already joined to its probe by qname.
+#[derive(Debug, Clone)]
+pub struct R2Capture {
+    /// The probed target that answered.
+    pub target: Ipv4Addr,
+    /// The probe label whose qname the response matched (`None` for the
+    /// empty-question responses of §IV-B4, which are joined by source
+    /// address instead).
+    pub label: Option<ProbeLabel>,
+    /// The full qname queried.
+    pub qname: Name,
+    /// Virtual receive time.
+    pub at: SimTime,
+    /// When the matching Q1 was sent.
+    pub sent_at: SimTime,
+    /// Raw response payload (kept raw: the analysis side re-decodes,
+    /// including the malformed packets).
+    pub payload: Bytes,
+}
 
 /// Direction of a captured packet relative to the capturing host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,72 +54,84 @@ pub struct CapturedPacket {
     /// Remote port.
     pub peer_port: u16,
     /// Raw UDP payload.
-    pub payload: bytes::Bytes,
+    pub payload: Bytes,
 }
 
-/// A capture-time consumer of server-side packets (streaming analysis,
-/// record bus). When at least one is installed, packets are handed to
-/// every sink in installation order instead of buffering.
-pub type PacketSink = Box<dyn FnMut(&CapturedPacket) + Send>;
+/// A consumer of capture-time packets: the prober feeds R2 responses,
+/// the authoritative server feeds its Q2/R1 log.
+pub trait RecordSink: std::fmt::Debug {
+    /// Accepts one R2 response the prober just captured.
+    fn on_r2(&mut self, capture: &R2Capture);
+    /// Accepts one packet the authoritative server just logged.
+    fn on_auth(&mut self, packet: &CapturedPacket);
+}
 
-#[derive(Default)]
-struct Shared {
+/// One sink shared by the capture points that write into it. Endpoints
+/// are not `Send` and a simulated world never leaves the thread that
+/// built it, so sharing is a reference count and a borrow flag, not a
+/// lock.
+pub type SharedSink = Rc<RefCell<dyn RecordSink>>;
+
+/// The packet log a standalone [`CaptureHandle`] writes into.
+#[derive(Debug, Default)]
+struct PacketLog {
     packets: Vec<CapturedPacket>,
-    /// Monotonic per-direction counters, maintained whether or not a
-    /// sink is installed, so `count` stays O(1) and meaningful in
-    /// streaming mode where `packets` never fills.
     inbound: u64,
     outbound: u64,
-    /// Streaming sinks; empty means buffer into `packets`.
-    sinks: Vec<PacketSink>,
 }
 
-impl std::fmt::Debug for Shared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared")
-            .field("packets", &self.packets)
-            .field("inbound", &self.inbound)
-            .field("outbound", &self.outbound)
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
+impl RecordSink for PacketLog {
+    /// A server-side log has no R2 vantage point.
+    fn on_r2(&mut self, _capture: &R2Capture) {}
 
-impl Shared {
-    fn record(&mut self, packet: CapturedPacket) {
+    fn on_auth(&mut self, packet: &CapturedPacket) {
         match packet.direction {
             Direction::Inbound => self.inbound += 1,
             Direction::Outbound => self.outbound += 1,
         }
-        if self.sinks.is_empty() {
-            self.packets.push(packet);
-            return;
-        }
-        for sink in &mut self.sinks {
-            sink(&packet);
+        self.packets.push(packet.clone());
+    }
+}
+
+/// The authoritative server's capture point: a cloneable handle that
+/// turns datagrams into [`CapturedPacket`]s and hands each to one sink.
+///
+/// [`CaptureHandle::new`] logs into the handle itself, to be read back
+/// after the simulation drains; [`CaptureHandle::with_sink`] feeds a
+/// caller's [`RecordSink`] instead and leaves the handle's log empty.
+#[derive(Debug, Clone)]
+pub struct CaptureHandle {
+    sink: SharedSink,
+    log: Rc<RefCell<PacketLog>>,
+}
+
+impl Default for CaptureHandle {
+    fn default() -> Self {
+        let log = Rc::<RefCell<PacketLog>>::default();
+        Self {
+            sink: log.clone(),
+            log,
         }
     }
 }
 
-/// A shared, cloneable handle to a capture buffer.
-///
-/// The campaign creates one handle per capture point, hands clones to the
-/// capturing endpoints, and reads the accumulated packets after the
-/// simulation drains.
-#[derive(Debug, Clone, Default)]
-pub struct CaptureHandle {
-    inner: Arc<Mutex<Shared>>,
-}
-
 impl CaptureHandle {
-    /// Creates an empty capture buffer.
+    /// Creates a capture point that logs into itself.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Creates a capture point that hands every packet to `sink`.
+    pub fn with_sink(sink: SharedSink) -> Self {
+        Self {
+            sink,
+            log: Rc::default(),
+        }
+    }
+
     /// Records an inbound datagram at time `at`.
     pub fn record_inbound(&self, at: SimTime, dgram: &Datagram) {
-        self.inner.lock().record(CapturedPacket {
+        self.sink.borrow_mut().on_auth(&CapturedPacket {
             at,
             direction: Direction::Inbound,
             peer: dgram.src,
@@ -103,7 +142,7 @@ impl CaptureHandle {
 
     /// Records an outbound datagram at time `at`.
     pub fn record_outbound(&self, at: SimTime, dgram: &Datagram) {
-        self.inner.lock().record(CapturedPacket {
+        self.sink.borrow_mut().on_auth(&CapturedPacket {
             at,
             direction: Direction::Outbound,
             peer: dgram.dst,
@@ -112,45 +151,35 @@ impl CaptureHandle {
         });
     }
 
-    /// Number of buffered packets (zero in streaming mode, where
-    /// packets are consumed at capture time).
+    /// Number of logged packets.
     pub fn len(&self) -> usize {
-        self.inner.lock().packets.len()
+        self.log.borrow().packets.len()
     }
 
-    /// Whether nothing is buffered.
+    /// Whether nothing is logged.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().packets.is_empty()
+        self.log.borrow().packets.is_empty()
     }
 
-    /// Packets seen in `direction` since creation. O(1): maintained as
-    /// a counter, unaffected by [`CaptureHandle::drain`] or a sink.
+    /// Packets logged in `direction` since creation. O(1): maintained
+    /// as a counter, unaffected by [`CaptureHandle::drain`].
     pub fn count(&self, direction: Direction) -> usize {
-        let shared = self.inner.lock();
+        let log = self.log.borrow();
         let n = match direction {
-            Direction::Inbound => shared.inbound,
-            Direction::Outbound => shared.outbound,
+            Direction::Inbound => log.inbound,
+            Direction::Outbound => log.outbound,
         };
         n as usize
     }
 
-    /// Takes the buffered packets, leaving the buffer empty.
+    /// Takes the logged packets, leaving the log empty.
     pub fn drain(&self) -> Vec<CapturedPacket> {
-        std::mem::take(&mut self.inner.lock().packets)
+        std::mem::take(&mut self.log.borrow_mut().packets)
     }
 
-    /// Clones the buffered packets without draining.
+    /// Clones the logged packets without draining.
     pub fn snapshot(&self) -> Vec<CapturedPacket> {
-        self.inner.lock().packets.clone()
-    }
-
-    /// Installs an additional streaming sink: every packet from now on
-    /// is handed to each installed sink (in installation order) at
-    /// capture time instead of buffering, so payloads drop as soon as
-    /// the last sink returns. Install before the simulation starts;
-    /// already-buffered packets stay buffered.
-    pub fn add_sink(&self, sink: impl FnMut(&CapturedPacket) + Send + 'static) {
-        self.inner.lock().sinks.push(Box::new(sink));
+        self.log.borrow().packets.clone()
     }
 }
 
@@ -201,31 +230,26 @@ mod tests {
     }
 
     #[test]
-    fn sink_consumes_instead_of_buffering() {
-        let cap = CaptureHandle::new();
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let sunk = seen.clone();
-        cap.add_sink(move |p| sunk.lock().push((p.direction, p.peer)));
+    fn a_given_sink_receives_every_packet_and_the_handle_logs_nothing() {
+        #[derive(Debug, Default)]
+        struct Seen(Vec<(Direction, Ipv4Addr)>);
+        impl RecordSink for Seen {
+            fn on_r2(&mut self, _capture: &R2Capture) {}
+            fn on_auth(&mut self, packet: &CapturedPacket) {
+                self.0.push((packet.direction, packet.peer));
+            }
+        }
+        let seen = Rc::new(RefCell::new(Seen::default()));
+        let cap = CaptureHandle::with_sink(seen.clone());
         cap.record_inbound(SimTime::ZERO, &dgram());
         cap.record_outbound(SimTime::from_secs(1), &dgram());
-        assert!(cap.is_empty(), "sink mode must not buffer");
-        assert_eq!(cap.count(Direction::Inbound), 1);
-        assert_eq!(cap.count(Direction::Outbound), 1);
-        assert_eq!(seen.lock().len(), 2);
-    }
-
-    #[test]
-    fn multiple_sinks_all_observe_every_packet() {
-        let cap = CaptureHandle::new();
-        let a = Arc::new(Mutex::new(0u32));
-        let b = Arc::new(Mutex::new(0u32));
-        let (ca, cb) = (a.clone(), b.clone());
-        cap.add_sink(move |_| *ca.lock() += 1);
-        cap.add_sink(move |_| *cb.lock() += 1);
-        cap.record_inbound(SimTime::ZERO, &dgram());
-        cap.record_outbound(SimTime::from_secs(1), &dgram());
-        assert!(cap.is_empty(), "sink mode must not buffer");
-        assert_eq!(*a.lock(), 2);
-        assert_eq!(*b.lock(), 2);
+        assert!(cap.is_empty());
+        assert_eq!(
+            seen.borrow().0,
+            [
+                (Direction::Inbound, Ipv4Addr::new(1, 1, 1, 1)),
+                (Direction::Outbound, Ipv4Addr::new(2, 2, 2, 2)),
+            ]
+        );
     }
 }

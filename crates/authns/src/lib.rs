@@ -18,7 +18,8 @@
 //! - [`cluster`]: the 5-million-entry zone cluster with rollover,
 //! - [`server`]: the [`AuthoritativeServer`] endpoint with Q2/R1 capture,
 //! - [`hierarchy`]: [`RootServer`] and [`TldServer`] delegation endpoints,
-//! - [`capture`]: the shared server-side packet log,
+//! - [`capture`]: the captured records (R2, Q2/R1), the [`RecordSink`]
+//!   that consumes them, and the server-side packet log,
 //! - [`zonefile`]: BIND-style master-file parsing and serialization
 //!   (the format the real scan's generated clusters were loaded from).
 
@@ -31,7 +32,7 @@ pub mod telemetry;
 pub mod zone;
 pub mod zonefile;
 
-pub use capture::{CaptureHandle, CapturedPacket, Direction, PacketSink};
+pub use capture::{CaptureHandle, CapturedPacket, Direction, R2Capture, RecordSink, SharedSink};
 pub use cluster::ClusterZone;
 pub use hierarchy::{RootServer, TldServer};
 pub use scheme::{ground_truth, ProbeLabel};

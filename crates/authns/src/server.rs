@@ -278,13 +278,13 @@ mod tests {
         let mut net = SimNet::builder().seed(1).build();
         net.register(SERVER, server(capture.clone()));
         // A sink client to receive the response.
-        struct Sink(std::sync::Arc<parking_lot::Mutex<Option<Message>>>);
+        struct Sink(std::rc::Rc<std::cell::RefCell<Option<Message>>>);
         impl Endpoint for Sink {
             fn handle_datagram(&mut self, dgram: &Datagram, _ctx: &mut Context<'_>) {
-                *self.0.lock() = Some(Message::decode(&dgram.payload).unwrap());
+                *self.0.borrow_mut() = Some(Message::decode(&dgram.payload).unwrap());
             }
         }
-        let slot = std::sync::Arc::new(parking_lot::Mutex::new(None));
+        let slot = std::rc::Rc::new(std::cell::RefCell::new(None));
         net.register(CLIENT, Sink(slot.clone()));
         net.inject(Datagram::new(
             (CLIENT, 40_000),
@@ -292,7 +292,7 @@ mod tests {
             query.encode().unwrap(),
         ));
         net.run_until_idle();
-        let response = slot.lock().take().expect("no response received");
+        let response = slot.borrow_mut().take().expect("no response received");
         (response, capture)
     }
 
@@ -332,13 +332,13 @@ mod tests {
         let capture = CaptureHandle::new();
         let mut net = SimNet::builder().seed(2).build();
         net.register(SERVER, server(capture.clone()));
-        struct Sink(std::sync::Arc<parking_lot::Mutex<Option<Message>>>);
+        struct Sink(std::rc::Rc<std::cell::RefCell<Option<Message>>>);
         impl Endpoint for Sink {
             fn handle_datagram(&mut self, dgram: &Datagram, _ctx: &mut Context<'_>) {
-                *self.0.lock() = Some(Message::decode(&dgram.payload).unwrap());
+                *self.0.borrow_mut() = Some(Message::decode(&dgram.payload).unwrap());
             }
         }
-        let slot = std::sync::Arc::new(parking_lot::Mutex::new(None));
+        let slot = std::rc::Rc::new(std::cell::RefCell::new(None));
         net.register(CLIENT, Sink(slot.clone()));
         net.inject(Datagram::new(
             (CLIENT, 40_000),
@@ -346,7 +346,7 @@ mod tests {
             vec![0xAB, 0xCD, 0xFF],
         ));
         net.run_until_idle();
-        let resp = slot.lock().take().unwrap();
+        let resp = slot.borrow_mut().take().unwrap();
         assert_eq!(resp.header().rcode(), Rcode::FormErr);
         assert_eq!(resp.header().id(), 0xABCD, "echoes the query id bytes");
     }

@@ -1,26 +1,21 @@
 //! The record bus: bounded multi-subscriber fan-out of capture events.
 //!
-//! Historically the capture layer was single-consumer: the prober's
-//! `R2Sink` and the authoritative server's `PacketSink` were hard-wired
-//! one-to-one to the per-shard [`StreamingAnalyzer`]. The bus turns that
-//! into a proper multi-subscriber architecture with two delivery
-//! classes:
+//! A shard's record pipeline has two delivery classes, and the bus is
+//! the second:
 //!
-//! * **Lossless, inline** — the `StreamingAnalyzer` stays a direct sink
-//!   called synchronously on the shard's event-loop thread. Its results
-//!   feed the paper tables and must see every record, so it is *not*
-//!   routed through the bus.
-//! * **Lossy, detached** — tap subscribers ([`RecordBus::subscribe`])
-//!   each get a bounded queue drained on their own thread. The
-//!   publisher only ever `try_send`s: when a consumer stalls and its
-//!   queue fills, records are **dropped and counted** rather than
-//!   blocking `SimNet`. A slow `orscope tap` client can therefore never
-//!   slow a campaign down.
+//! * **Lossless, inline** — the shard's recorder folds every record
+//!   into its analysis synchronously on the shard's event-loop thread.
+//!   That state becomes the paper tables and must see every record, so
+//!   it is *not* routed through the bus.
+//! * **Lossy, detached** — the recorder then publishes the record here.
+//!   Tap subscribers ([`RecordBus::subscribe`]) each get a bounded
+//!   queue drained on their own thread. The publisher only ever
+//!   `try_send`s: when a consumer stalls and its queue fills, records
+//!   are **dropped and counted** rather than blocking `SimNet`. A slow
+//!   `orscope tap` client can therefore never slow a campaign down.
 //!
 //! The fast path is free when nobody is tapping: publishing checks a
 //! relaxed atomic subscriber count and returns before cloning anything.
-//!
-//! [`StreamingAnalyzer`]: orscope_analysis::StreamingAnalyzer
 
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

@@ -1,19 +1,21 @@
 //! Campaign assembly and execution.
 
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use orscope_analysis::{AnalysisMode, Dataset, RecordSink, StreamingAnalyzer};
+use orscope_analysis::{AnalysisMode, Dataset, StreamingAnalyzer};
 use orscope_authns::{
     AuthTelemetry, AuthoritativeServer, CaptureHandle, CapturedPacket, ClusterZone, RootServer,
-    TldServer, Zone,
+    SharedSink, TldServer, Zone,
 };
 use orscope_netsim::{
     FaultPlan, HashLatency, LazyRegistry, NetStats, NetTelemetry, SimNet, SimTime,
 };
 use orscope_prober::{
-    ProbeStats, Prober, ProberConfig, ProberHandle, ProberTelemetry, R2Capture, ScanCheckpoint,
-    SlotSchedule, TargetSource,
+    ProbeStats, Prober, ProberConfig, ProberHandle, ProberTelemetry, ScanCheckpoint, SlotSchedule,
+    TargetSource,
 };
 use orscope_resolver::paper::{Year, YearSpec};
 use orscope_resolver::population::{Population, PopulationConfig};
@@ -23,6 +25,7 @@ use orscope_telemetry::{Collector, PhaseSpan, Scope, TelemetrySnapshot};
 use crate::error::{CampaignError, DegradedReport, ShardFailure, ShardSabotage};
 use crate::infra::{seed_geo_db, seed_threat_db, Infra};
 use crate::plan::TargetPlan;
+use crate::recorder::ShardRecorder;
 use crate::result::CampaignResult;
 use crate::supervise::{supervise, Supervised};
 
@@ -295,10 +298,10 @@ impl Campaign {
     }
 
     /// Attaches a record bus: every shard publishes its captured R2 and
-    /// authoritative-server packets to it (in streaming analysis mode),
-    /// so tap subscribers can watch flows as they classify. Publishing
-    /// is free while the bus has no subscribers, and a slow subscriber
-    /// only ever drops its own records — it cannot stall the scan.
+    /// authoritative-server packets to it, so tap subscribers can watch
+    /// flows as they are recorded. Publishing is free while the bus has
+    /// no subscribers, and a slow subscriber only ever drops its own
+    /// records — it cannot stall the scan.
     pub fn with_bus(mut self, bus: std::sync::Arc<crate::bus::RecordBus>) -> Self {
         self.bus = Some(bus);
         self
@@ -514,8 +517,8 @@ impl Campaign {
             shard_telemetry.push(outcome.telemetry);
             materialized_hosts += outcome.materialized_peak;
             net_stats.absorb(&outcome.net_stats);
-            auth_packets.extend(outcome.auth_packets);
-            if let Some(analysis) = outcome.analysis {
+            auth_packets.extend(outcome.recorder.auth_packets);
+            if let Some(analysis) = outcome.recorder.analyzer {
                 match stream.as_mut() {
                     Some(merged) => merged.absorb(analysis),
                     None => stream = Some(analysis),
@@ -579,13 +582,11 @@ impl Campaign {
             }
         }
         let population = plan.population;
-        let mut world = self.build_shard(plan, None);
+        let recorder = ShardRecorder::new(&self.config, population, self.bus.clone());
+        let mut world = self.build_shard(plan, None, recorder);
         #[cfg(test)]
         if self.preregister_hosts {
             world.preregister_hosts(population, &self.config);
-        }
-        if self.config.analysis == AnalysisMode::Streaming {
-            world.attach_streaming(&self.config, population);
         }
         // ---- run to completion (or the virtual deadline) ----
         let probe_span = world.collector.phase("phase.probe");
@@ -610,11 +611,13 @@ impl Campaign {
 
     /// Assembles one shard's simulator: network, name-server hierarchy,
     /// resolver population, and prober (resumed from `resume` when
-    /// given). The caller decides how far to run it.
+    /// given), with both capture points writing into `recorder`. The
+    /// caller decides how far to run it.
     pub(crate) fn build_shard(
         &self,
         plan: ShardPlan<'_>,
         resume: Option<&ScanCheckpoint>,
+        recorder: ShardRecorder,
     ) -> ShardWorld {
         let config = &self.config;
         let infra = &config.infra;
@@ -661,7 +664,8 @@ impl Campaign {
         tld.delegate(infra.zone.clone(), infra.auth_ns_name.clone(), infra.auth);
         net.register(infra.tld, tld);
 
-        let auth_capture = CaptureHandle::new();
+        let recorder = Rc::new(RefCell::new(recorder));
+        let sink: SharedSink = recorder.clone();
         let mut zone = Zone::new(infra.zone.clone(), infra.auth_ns_name.clone());
         zone.add_a(infra.auth_ns_name.clone(), infra.auth);
         // Apex bulk records: what makes ANY queries amplify (§II-C).
@@ -671,7 +675,10 @@ impl Campaign {
                 &format!("v=measurement{i}; site=ucfsealresearch; key=k{i:016x}"),
             );
         }
-        let mut auth = AuthoritativeServer::new(ClusterZone::new(zone), auth_capture.clone());
+        let mut auth = AuthoritativeServer::new(
+            ClusterZone::new(zone),
+            CaptureHandle::with_sink(sink.clone()),
+        );
         auth.enable_auto_advance(plan.cluster_capacity);
         auth.set_telemetry(AuthTelemetry::from_collector(&collector));
         net.register(infra.auth, auth);
@@ -689,7 +696,7 @@ impl Campaign {
         }
 
         // ---- prober ----
-        let prober_handle = ProberHandle::new();
+        let prober_handle = ProberHandle::with_sink(sink);
         let mut prober_config = ProberConfig::new(infra.zone.clone(), plan.targets);
         prober_config.rate_pps = plan.total_rate_pps;
         prober_config.cluster_capacity = plan.cluster_capacity;
@@ -716,11 +723,9 @@ impl Campaign {
         ShardWorld {
             net,
             prober_handle,
-            auth_capture,
+            recorder,
             collector,
             cluster_capacity: plan.cluster_capacity,
-            analyzer: None,
-            bus: self.bus.clone(),
         }
     }
 }
@@ -868,64 +873,22 @@ impl LazyRegistry for PopulationRegistry {
 pub(crate) struct ShardWorld {
     /// The shard's simulator with every endpoint registered.
     pub(crate) net: SimNet,
-    /// Live view of the prober's captures and counters.
+    /// Live view of the prober's counters.
     pub(crate) prober_handle: ProberHandle,
-    /// Live view of the authoritative server's packet capture.
-    pub(crate) auth_capture: CaptureHandle,
+    /// The shard's record pipeline; the prober and the authoritative
+    /// server hold the other two references.
+    pub(crate) recorder: Rc<RefCell<ShardRecorder>>,
     /// The shard's telemetry collector.
     pub(crate) collector: Collector,
     /// Names per subdomain cluster (for the load-time model).
     pub(crate) cluster_capacity: u64,
-    /// The shard's streaming accumulators, when capture-time sinks are
-    /// installed (see [`ShardWorld::attach_streaming`]).
-    pub(crate) analyzer: Option<std::sync::Arc<parking_lot::Mutex<StreamingAnalyzer>>>,
-    /// The campaign's record bus, when one is attached (see
-    /// [`Campaign::with_bus`]).
-    pub(crate) bus: Option<std::sync::Arc<crate::bus::RecordBus>>,
 }
 
 impl ShardWorld {
-    /// Installs capture-time sinks on the prober and authoritative
-    /// capture handles. Subscriber #1 is the shard's
-    /// [`StreamingAnalyzer`]: called inline and lossless, because its
-    /// accumulators become the paper tables. When a record bus is
-    /// attached, a second sink fans each record out to the bus's tap
-    /// lanes — bounded, drop-counting, never blocking — so any number
-    /// of live taps ride along without perturbing the analyzer.
-    /// Payloads drop as soon as the last sink returns (unless
-    /// `retain_raw`).
-    ///
-    /// `population` is the shard's: every flow keys on a probed
-    /// responder, so its responder count bounds the join state exactly.
-    /// Sizing the analyzer up front keeps the full-scale arena and
-    /// index at their final footprint instead of doubling past it.
-    pub(crate) fn attach_streaming(&mut self, config: &CampaignConfig, population: &Population) {
-        let mut streaming = StreamingAnalyzer::new(config.infra.zone.clone(), config.retain_raw);
-        streaming.reserve_flows(population.resolvers.len() + population.off_port.len());
-        let analyzer = std::sync::Arc::new(parking_lot::Mutex::new(streaming));
-        let r2_sink = analyzer.clone();
-        self.prober_handle
-            .add_sink(move |capture| r2_sink.lock().on_r2(capture));
-        let auth_sink = analyzer.clone();
-        self.auth_capture
-            .add_sink(move |packet| auth_sink.lock().on_auth(packet));
-        self.analyzer = Some(analyzer);
-        if let Some(bus) = &self.bus {
-            let r2_bus = bus.clone();
-            self.prober_handle
-                .add_sink(move |capture| r2_bus.publish_r2(capture));
-            let auth_bus = bus.clone();
-            self.auth_capture
-                .add_sink(move |packet| auth_bus.publish_auth(packet));
-        }
-    }
-
     /// Harvests a completed shard run into a mergeable outcome.
     pub(crate) fn collect(self, probe_span: PhaseSpan) -> ShardOutcome {
         let probe_stats = self.prober_handle.stats();
         debug_assert!(probe_stats.done, "scan did not drain");
-        let q2 = self.auth_capture.count(orscope_authns::Direction::Inbound) as u64;
-        let r1 = self.auth_capture.count(orscope_authns::Direction::Outbound) as u64;
         // Scan wall clock: probe completion plus the zone-cluster load
         // stops (one minute per full cluster, pro-rated at scale).
         let load_secs = probe_stats.clusters_used as f64
@@ -954,18 +917,11 @@ impl ShardWorld {
             .publish(self.net.stats(), self.net.queue_depth_hwm());
         ShardOutcome {
             probe_stats,
-            captures: self.prober_handle.drain(),
-            q2,
-            r1,
             duration_secs,
             materialized_peak: self.net.materialized_peak(),
             net_stats: *self.net.stats(),
-            auth_packets: self.auth_capture.drain(),
             telemetry: self.collector.snapshot(),
-            analysis: self
-                .analyzer
-                .as_ref()
-                .map(|analyzer| std::mem::take(&mut *analyzer.lock())),
+            recorder: self.recorder.take(),
         }
     }
 }
@@ -973,18 +929,13 @@ impl ShardWorld {
 /// What one shard's simulation produced, pre-merge.
 pub(crate) struct ShardOutcome {
     pub(crate) probe_stats: ProbeStats,
-    pub(crate) captures: Vec<R2Capture>,
-    pub(crate) q2: u64,
-    pub(crate) r1: u64,
     pub(crate) duration_secs: f64,
     /// Peak live lazily-materialized hosts.
     pub(crate) materialized_peak: usize,
     pub(crate) net_stats: NetStats,
-    pub(crate) auth_packets: Vec<CapturedPacket>,
     pub(crate) telemetry: TelemetrySnapshot,
-    /// Streaming accumulators, present when the shard ran with
-    /// capture-time sinks installed.
-    pub(crate) analysis: Option<StreamingAnalyzer>,
+    /// Everything the shard recorded.
+    pub(crate) recorder: ShardRecorder,
 }
 
 impl ShardOutcome {
@@ -994,10 +945,10 @@ impl ShardOutcome {
             config.year,
             config.scale,
             self.probe_stats.q1_sent,
-            self.q2,
-            self.r1,
+            self.recorder.q2,
+            self.recorder.r1,
             self.duration_secs,
-            &self.captures,
+            &self.recorder.captures,
             self.probe_stats,
         )
     }

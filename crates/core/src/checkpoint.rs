@@ -215,7 +215,7 @@ pub mod integrity {
     }
 }
 
-use orscope_analysis::{AnalysisMode, RecordSink};
+use orscope_analysis::RecordSink;
 use orscope_authns::CapturedPacket;
 use orscope_netsim::SimTime;
 use orscope_prober::{Prober, R2Capture, ScanCheckpoint, TargetSource};
@@ -225,6 +225,7 @@ use crate::campaign::{finish_stream, Campaign, ShardPlan};
 use crate::error::CampaignError;
 use crate::infra::{seed_geo_db, seed_threat_db};
 use crate::plan::TargetPlan;
+use crate::recorder::ShardRecorder;
 use crate::result::CampaignResult;
 
 /// A suspended single-shard campaign: scan cursor plus everything the
@@ -241,10 +242,6 @@ pub struct CampaignCheckpoint {
     pub captures: Vec<R2Capture>,
     /// The authoritative server's packet capture before the cut.
     pub auth_packets: Vec<CapturedPacket>,
-    /// Q2 packets the authoritative server saw before the cut.
-    pub q2: u64,
-    /// R1 packets the authoritative server sent before the cut.
-    pub r1: u64,
 }
 
 impl Campaign {
@@ -279,7 +276,10 @@ impl Campaign {
             targets: TargetSource::new(targets.shard(0, 1)),
             population: &population,
         };
-        let mut world = self.build_shard(plan, None);
+        // Phase one buffers whatever the analysis mode: the checkpoint
+        // carries the records themselves.
+        let recorder = ShardRecorder::buffering(self.bus().cloned());
+        let mut world = self.build_shard(plan, None, recorder);
         world.net.run_until(SimTime::ZERO + stop_at);
         let (scan, outstanding) = world
             .net
@@ -291,17 +291,12 @@ impl Campaign {
                 (prober.checkpoint(), prober.outstanding_targets())
             })
             .expect("prober registered");
-        let q2 = world.auth_capture.count(orscope_authns::Direction::Inbound) as u64;
-        let r1 = world
-            .auth_capture
-            .count(orscope_authns::Direction::Outbound) as u64;
+        let recorder = world.recorder.take();
         Ok(CampaignCheckpoint {
             scan,
             outstanding,
-            captures: world.prober_handle.drain(),
-            auth_packets: world.auth_capture.drain(),
-            q2,
-            r1,
+            captures: recorder.captures,
+            auth_packets: recorder.auth_packets,
         })
     }
 
@@ -348,39 +343,25 @@ impl Campaign {
             targets: TargetSource::new(targets.shard(0, 1).chain(tail)),
             population: &population,
         };
-        let mut world = self.build_shard(plan, Some(&checkpoint.scan));
-        if config.analysis == AnalysisMode::Streaming {
-            // The first phase buffered its captures into the checkpoint;
-            // fold them into the analyzer the second phase streams into.
-            world.attach_streaming(config, &population);
-            let mut analyzer = world.analyzer.as_ref().expect("just attached").lock();
-            for packet in &checkpoint.auth_packets {
-                analyzer.on_auth(packet);
-            }
-            for capture in &checkpoint.captures {
-                analyzer.on_r2(capture);
-            }
+        // Phase one's records are fed to the recorder phase two writes
+        // into, so the analysis (and any tap) sees the whole campaign.
+        let mut recorder = ShardRecorder::new(config, &population, self.bus().cloned());
+        for packet in &checkpoint.auth_packets {
+            recorder.on_auth(packet);
         }
+        for capture in &checkpoint.captures {
+            recorder.on_r2(capture);
+        }
+        let mut world = self.build_shard(plan, Some(&checkpoint.scan), recorder);
         let probe_span = world.collector.phase("phase.probe");
         world.net.run_until_idle();
         let mut outcome = world.collect(probe_span);
 
-        // ---- merge the two phases ----
-        outcome.q2 += checkpoint.q2;
-        outcome.r1 += checkpoint.r1;
-        let mut stream = outcome.analysis.take();
-        let mut auth_packets = Vec::new();
-        if stream.is_none() {
-            // Batch mode: splice the buffered halves.
-            let mut captures = checkpoint.captures.clone();
-            captures.append(&mut outcome.captures);
-            outcome.captures = captures;
-            auth_packets = checkpoint.auth_packets.clone();
-            auth_packets.append(&mut outcome.auth_packets);
-            auth_packets.sort_by_key(|packet| packet.at);
-        }
         let mut dataset = outcome.dataset(config);
+        let mut stream = outcome.recorder.analyzer.take();
         finish_stream(&mut dataset, stream.as_mut(), config.retain_raw);
+        let mut auth_packets = outcome.recorder.auth_packets;
+        auth_packets.sort_by_key(|packet| packet.at);
         Ok(CampaignResult::new(
             config.clone(),
             spec,

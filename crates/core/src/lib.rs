@@ -31,6 +31,7 @@ mod eager_oracle;
 pub mod error;
 pub mod infra;
 mod plan;
+mod recorder;
 pub mod result;
 pub mod supervise;
 pub mod tap;

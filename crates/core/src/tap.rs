@@ -1,6 +1,6 @@
 //! Live flow tap: predicate-filtered streaming of bus records.
 //!
-//! A [`TapSubscriber`] attaches to a [`RecordBus`](crate::bus::RecordBus),
+//! A [`TapSubscriber`] attaches to a [`RecordBus`],
 //! decodes each record on its own thread (classification and DNS
 //! decoding never run on the event loop), evaluates a small
 //! [`TapPredicate`] against it, and renders matches as one NDJSON line

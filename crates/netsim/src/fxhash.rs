@@ -1,6 +1,6 @@
 //! A minimal FxHash-style hasher for the host index.
 //!
-//! The slab host table resolves an `Ipv4Addr` to a dense [`HostId`]
+//! The slab host table resolves an `Ipv4Addr` to a dense `HostId`
 //! exactly once per enqueued event, so the lookup sits squarely on the
 //! simulator's hot path. SipHash's DoS resistance buys nothing there —
 //! the key space is simulator-controlled — so we use the multiply-xor
@@ -9,8 +9,6 @@
 //! crates' campaign-startup paths (shard planning, address scattering,
 //! profile interning) can share the same hasher instead of paying
 //! SipHash per O(population) insert.
-//!
-//! [`HostId`]: crate::scheduler::HostId
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

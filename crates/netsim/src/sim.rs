@@ -296,7 +296,7 @@ impl SimNet {
     }
 
     /// Removes and returns the host at `addr`, if any. The slot (and
-    /// any [`HostId`] referring to it) stays reserved for `addr`, so a
+    /// any `HostId` referring to it) stays reserved for `addr`, so a
     /// later re-registration resumes receiving in-flight packets.
     pub fn deregister(&mut self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
         let id = *self.index.get(&addr)?;

@@ -1,33 +1,11 @@
 //! The prober-side capture: R2 packets and scan statistics.
 
-use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
-use bytes::Bytes;
-use orscope_authns::scheme::ProbeLabel;
-use orscope_dns_wire::Name;
+pub use orscope_authns::capture::R2Capture;
+use orscope_authns::capture::{CapturedPacket, RecordSink, SharedSink};
 use orscope_netsim::SimTime;
-use parking_lot::Mutex;
-
-/// One captured R2 packet, already joined to its probe by qname.
-#[derive(Debug, Clone)]
-pub struct R2Capture {
-    /// The probed target that answered.
-    pub target: Ipv4Addr,
-    /// The probe label whose qname the response matched (`None` for the
-    /// empty-question responses of §IV-B4, which are joined by source
-    /// address instead).
-    pub label: Option<ProbeLabel>,
-    /// The full qname queried.
-    pub qname: Name,
-    /// Virtual receive time.
-    pub at: SimTime,
-    /// When the matching Q1 was sent.
-    pub sent_at: SimTime,
-    /// Raw response payload (kept raw: the analysis side re-decodes,
-    /// including the malformed packets).
-    pub payload: Bytes,
-}
 
 /// Aggregate scan statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -77,105 +55,105 @@ impl ProbeStats {
     }
 }
 
-/// A capture-time consumer of R2 packets (streaming analysis, record
-/// bus). When at least one is installed, captures are handed to every
-/// sink in installation order instead of buffering.
-pub type R2Sink = Box<dyn FnMut(&R2Capture) + Send>;
-
-#[derive(Default)]
+/// What a standalone [`ProberHandle`] holds: the scan statistics and
+/// the R2 log.
+#[derive(Debug, Default)]
 pub(crate) struct Shared {
     pub(crate) captures: Vec<R2Capture>,
     pub(crate) stats: ProbeStats,
-    /// Streaming sinks; empty means buffer into `captures`.
-    pub(crate) sinks: Vec<R2Sink>,
 }
 
-impl std::fmt::Debug for Shared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared")
-            .field("captures", &self.captures)
-            .field("stats", &self.stats)
-            .field("sinks", &self.sinks.len())
-            .finish()
+impl RecordSink for Shared {
+    fn on_r2(&mut self, capture: &R2Capture) {
+        self.captures.push(capture.clone());
     }
+
+    /// A prober has no server-side vantage point.
+    fn on_auth(&mut self, _packet: &CapturedPacket) {}
 }
 
-impl Shared {
-    /// Routes one captured R2 to every installed sink when streaming,
-    /// or into the buffer otherwise.
-    pub(crate) fn push_capture(&mut self, capture: R2Capture) {
-        if self.sinks.is_empty() {
-            self.captures.push(capture);
-            return;
-        }
-        for sink in &mut self.sinks {
-            sink(&capture);
-        }
-    }
-}
-
-/// A cloneable handle to the prober's capture buffer and statistics.
+/// The prober's capture point: a cloneable handle to the scan statistics
+/// and the one sink every R2 is handed to.
 ///
-/// The campaign keeps one and reads results after the simulation drains;
-/// the [`crate::Prober`] endpoint writes through its own clone.
-#[derive(Debug, Clone, Default)]
+/// [`ProberHandle::new`] logs captures into the handle itself, to be
+/// read back after the simulation drains; [`ProberHandle::with_sink`]
+/// feeds a caller's [`RecordSink`] instead and leaves the handle's log
+/// empty. Statistics are kept in the handle either way.
+#[derive(Debug, Clone)]
 pub struct ProberHandle {
-    pub(crate) inner: Arc<Mutex<Shared>>,
+    pub(crate) inner: Rc<RefCell<Shared>>,
+    pub(crate) sink: SharedSink,
+}
+
+impl Default for ProberHandle {
+    fn default() -> Self {
+        let inner = Rc::<RefCell<Shared>>::default();
+        Self {
+            sink: inner.clone(),
+            inner,
+        }
+    }
 }
 
 impl ProberHandle {
-    /// Creates an empty handle.
+    /// Creates a handle that logs captures into itself.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Creates a handle that hands every capture to `sink`.
+    pub fn with_sink(sink: SharedSink) -> Self {
+        Self {
+            inner: Rc::default(),
+            sink,
+        }
+    }
+
     /// Scan statistics so far.
     pub fn stats(&self) -> ProbeStats {
-        self.inner.lock().stats
+        self.inner.borrow().stats
     }
 
-    /// Number of captured R2 packets.
+    /// Number of logged R2 packets.
     pub fn r2_count(&self) -> usize {
-        self.inner.lock().captures.len()
+        self.inner.borrow().captures.len()
     }
 
-    /// Clones out the captured responses.
+    /// Clones out the logged responses.
     pub fn captures(&self) -> Vec<R2Capture> {
-        self.inner.lock().captures.clone()
+        self.inner.borrow().captures.clone()
     }
 
-    /// Takes the captured responses, leaving the buffer empty.
+    /// Takes the logged responses, leaving the log empty.
     pub fn drain(&self) -> Vec<R2Capture> {
-        std::mem::take(&mut self.inner.lock().captures)
-    }
-
-    /// Installs an additional streaming sink: every capture from now on
-    /// is handed to each installed sink (in installation order) at
-    /// receive time instead of buffering, so payloads drop as soon as
-    /// the last sink returns. Install before the scan starts;
-    /// already-buffered captures stay buffered.
-    pub fn add_sink(&self, sink: impl FnMut(&R2Capture) + Send + 'static) {
-        self.inner.lock().sinks.push(Box::new(sink));
+        std::mem::take(&mut self.inner.borrow_mut().captures)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use orscope_authns::scheme::ProbeLabel;
+    use std::net::Ipv4Addr;
 
-    #[test]
-    fn handle_shares_state() {
-        let handle = ProberHandle::new();
-        let clone = handle.clone();
-        clone.inner.lock().stats.q1_sent = 5;
-        clone.inner.lock().captures.push(R2Capture {
+    fn capture() -> R2Capture {
+        R2Capture {
             target: Ipv4Addr::new(1, 2, 3, 4),
             label: Some(ProbeLabel::new(0, 0)),
             qname: "x.example".parse().unwrap(),
             at: SimTime::ZERO,
             sent_at: SimTime::ZERO,
             payload: Bytes::from_static(b"x"),
-        });
+        }
+    }
+
+    #[test]
+    fn handle_shares_state() {
+        let handle = ProberHandle::new();
+        let clone = handle.clone();
+        clone.inner.borrow_mut().stats.q1_sent = 5;
+        clone.sink.borrow_mut().on_r2(&capture());
         assert_eq!(handle.stats().q1_sent, 5);
         assert_eq!(handle.r2_count(), 1);
         assert_eq!(handle.drain().len(), 1);
@@ -183,24 +161,15 @@ mod tests {
     }
 
     #[test]
-    fn multiple_sinks_all_observe_every_capture() {
-        let handle = ProberHandle::new();
-        let a = Arc::new(Mutex::new(0u32));
-        let b = Arc::new(Mutex::new(0u32));
-        let (ca, cb) = (a.clone(), b.clone());
-        handle.add_sink(move |_| *ca.lock() += 1);
-        handle.add_sink(move |_| *cb.lock() += 1);
-        handle.inner.lock().push_capture(R2Capture {
-            target: Ipv4Addr::new(1, 2, 3, 4),
-            label: Some(ProbeLabel::new(0, 0)),
-            qname: "x.example".parse().unwrap(),
-            at: SimTime::ZERO,
-            sent_at: SimTime::ZERO,
-            payload: Bytes::from_static(b"x"),
-        });
-        assert_eq!(handle.r2_count(), 0, "sink mode must not buffer");
-        assert_eq!(*a.lock(), 1);
-        assert_eq!(*b.lock(), 1);
+    fn a_given_sink_receives_every_capture_and_the_handle_logs_nothing() {
+        let sunk = ProberHandle::new();
+        let handle = ProberHandle::with_sink(sunk.sink.clone());
+        handle.inner.borrow_mut().stats.q1_sent = 2;
+        handle.sink.borrow_mut().on_r2(&capture());
+        assert_eq!(handle.r2_count(), 0);
+        assert_eq!(handle.stats().q1_sent, 2, "statistics stay in the handle");
+        assert_eq!(sunk.r2_count(), 1);
+        assert_eq!(sunk.stats().q1_sent, 0);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod scan;
 pub mod subdomain;
 pub mod telemetry;
 
-pub use capture::{ProbeStats, ProberHandle, R2Capture, R2Sink};
+pub use capture::{ProbeStats, ProberHandle, R2Capture};
 pub use checkpoint::ScanCheckpoint;
 pub use pacer::{Pacer, ZeroRateError};
 pub use scan::{Prober, ProberConfig, SlotSchedule, TargetSource};

@@ -188,7 +188,7 @@ impl Prober {
             }
         }
         {
-            let mut shared = prober.handle.inner.lock();
+            let mut shared = prober.handle.inner.borrow_mut();
             shared.stats.q1_sent = checkpoint.q1_sent;
             shared.stats.r2_captured = checkpoint.r2_captured;
         }
@@ -311,7 +311,7 @@ impl Prober {
         }
         self.telemetry.pacer_tokens_issued.add(issued);
         if sent > 0 {
-            self.handle.inner.lock().stats.q1_sent += sent;
+            self.handle.inner.borrow_mut().stats.q1_sent += sent;
         }
         self.telemetry.probes_sent.add(sent);
         self.telemetry.pacer_tokens_unused.add(issued - sent);
@@ -363,7 +363,7 @@ impl Prober {
             abandoned += 1;
         }
         if retransmitted > 0 || abandoned > 0 {
-            let mut shared = self.handle.inner.lock();
+            let mut shared = self.handle.inner.borrow_mut();
             shared.stats.retransmits_sent += retransmitted;
             shared.stats.probes_abandoned += abandoned;
         }
@@ -403,7 +403,7 @@ impl Prober {
 
     /// Publishes generator counters and completion state.
     fn publish_stats(&mut self, now: SimTime) {
-        let mut shared = self.handle.inner.lock();
+        let mut shared = self.handle.inner.borrow_mut();
         shared.stats.subdomains_fresh = self.generator.fresh();
         shared.stats.subdomains_reused = self.generator.reused();
         shared.stats.clusters_used = self.generator.clusters_used();
@@ -422,7 +422,7 @@ impl Endpoint for Prober {
     fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
         // ZMap only records responses from the scanned port (§V).
         if dgram.src_port != 53 {
-            self.handle.inner.lock().stats.off_port_dropped += 1;
+            self.handle.inner.borrow_mut().stats.off_port_dropped += 1;
             self.telemetry.off_port_dropped.inc();
             return;
         }
@@ -448,7 +448,7 @@ impl Endpoint for Prober {
                 .map(|&label| (label, label.qname(&self.config.zone))),
         };
         let Some((label, qname)) = matched else {
-            self.handle.inner.lock().stats.unmatched += 1;
+            self.handle.inner.borrow_mut().stats.unmatched += 1;
             self.telemetry.unmatched.inc();
             return;
         };
@@ -461,9 +461,8 @@ impl Endpoint for Prober {
         self.telemetry
             .q1_r2_latency_ns
             .record(ctx.now().since(out.sent_at).as_nanos() as u64);
-        let mut shared = self.handle.inner.lock();
-        shared.stats.r2_captured += 1;
-        shared.push_capture(R2Capture {
+        self.handle.inner.borrow_mut().stats.r2_captured += 1;
+        self.handle.sink.borrow_mut().on_r2(&R2Capture {
             target: out.target,
             label: question.is_some().then_some(label),
             qname,

@@ -64,84 +64,85 @@ fn main() -> ExitCode {
     }
 }
 
+const HELP: &str = "orscope — behavioral analysis of open DNS resolvers (DSN'19 reproduction)\n\
+     \n\
+     USAGE:\n\
+     \x20 orscope campaign [--year 2013|2018] [--scale S] [--seed N] [--shards N]\n\
+     \x20                  [--full-q1] [--loss P] [--duplicate P] [--retries N]\n\
+     \x20                  [--rate PPS] [--authns-outage FROM:UNTIL]\n\
+     \x20                  [--faults FILE.json]\n\
+     \x20                  [--stop-after SECS --checkpoint-file FILE]\n\
+     \x20                  [--analysis streaming|batch] [--json FILE]\n\
+     \x20                  [--telemetry FILE]\n\
+     \x20 orscope tables   [--scale S] [--analysis streaming|batch] [--json FILE]\n\
+     \x20 orscope trend    [--steps N] [--scale S] [--seed N]\n\
+     \x20 orscope serve    [--year 2013|2018] [--scale S] [--seed N] [--shards N]\n\
+     \x20                  [--epochs N] [--epoch-secs SECS] [--port P]\n\
+     \x20                  [--join R] [--leave R] [--drift R] [--headroom H]\n\
+     \x20                  [--churn-seed N]\n\
+     \x20                  [--interval-ms MS] [--state-dir DIR]\n\
+     \x20                  [--checkpoint-every N] [--keep-generations K]\n\
+     \x20                  [--epoch-deadline SECS] [--fresh]\n\
+     \x20                  [--http-max-conns N] [--http-timeout-ms MS]\n\
+     \x20                  [--http-poll-ms MS]\n\
+     \x20 orscope tap      [--url http://HOST:PORT] [--match EXPR] [--limit N]\n\
+     \x20                  [--oneshot [--year 2013|2018] [--scale S] [--seed N]\n\
+     \x20                  [--shards N]]\n\
+     \x20 orscope pcap     [--year 2013|2018] [--scale S] OUTPUT.pcap\n\
+     \n\
+     COMMANDS:\n\
+     \x20 campaign  replay one scan and print every table, paper vs measured\n\
+     \x20 tables    replay both scans (the full evaluation of the paper)\n\
+     \x20 trend     the 2013->2018 continuous-monitoring series (section V)\n\
+     \x20 serve     run the resolver observatory: one supervised campaign\n\
+     \x20           round per virtual day over a churning population, live\n\
+     \x20           HTTP surface (/tables /trends /metrics /healthz /readyz),\n\
+     \x20           checkpoint generations with corruption recovery; resumes\n\
+     \x20           from --state-dir unless --fresh; SIGTERM/SIGINT flush a\n\
+     \x20           final verified checkpoint and exit cleanly\n\
+     \x20 tap       stream capture records as NDJSON: attach to a running\n\
+     \x20           `orscope serve` (GET /tap) or, with --oneshot, run a\n\
+     \x20           local campaign and tap it in-process. --match filters\n\
+     \x20           with space-separated clauses: qname=GLOB (e.g.\n\
+     \x20           qname=*.example), rcode=NAME|N, class=CLASS, src=PREFIX,\n\
+     \x20           dst=PREFIX (dotted prefix or CIDR). Taps are lossy by\n\
+     \x20           design: a slow consumer drops records, never slows the\n\
+     \x20           campaign\n\
+     \x20 pcap      run a scan and export the captured R2 traffic as libpcap\n\
+     \n\
+     CHAOS / ROBUSTNESS (campaign):\n\
+     \x20 --loss P              independent per-datagram loss probability\n\
+     \x20 --duplicate P         per-datagram duplication probability\n\
+     \x20 --retries N           per-probe retransmission budget (exp. backoff)\n\
+     \x20 --rate PPS            probe-rate override\n\
+     \x20 --authns-outage A:B   blackhole the authoritative server between\n\
+     \x20                       virtual seconds A and B\n\
+     \x20 --faults FILE.json    install a full fault plan from JSON\n\
+     \x20 --stop-after SECS     freeze at SECS of virtual time and write the\n\
+     \x20                       scan cursor to --checkpoint-file FILE\n\
+     \n\
+     ANALYSIS (campaign, tables):\n\
+     \x20 --analysis MODE       streaming (default): classify at capture time,\n\
+     \x20                       bounded memory; batch: buffer every payload and\n\
+     \x20                       classify after the scan. Reports are identical.\n\
+     \n\
+     UNATTENDED OPERATION (serve):\n\
+     \x20 --keep-generations K  retain the newest K verified checkpoint\n\
+     \x20                       generations (default 3); corrupt ones are\n\
+     \x20                       quarantined as *.corrupt and rolled back over\n\
+     \x20 --epoch-deadline S    virtual-second budget per campaign round; a\n\
+     \x20                       round still busy at S fails the attempt (one\n\
+     \x20                       retry, then the epoch degrades, run continues)\n\
+     \x20 --http-max-conns N    concurrent connections before 503+Retry-After\n\
+     \x20 --http-timeout-ms MS  per-connection read/write timeout (slow-loris\n\
+     \x20                       clients get 408, not a pinned thread)\n\
+     \x20 --http-poll-ms MS     accept-loop shutdown polling interval";
+
 fn print_help() {
-    println!(
-        "orscope — behavioral analysis of open DNS resolvers (DSN'19 reproduction)\n\
-         \n\
-         USAGE:\n\
-         \x20 orscope campaign [--year 2013|2018] [--scale S] [--seed N] [--shards N]\n\
-         \x20                  [--full-q1] [--loss P] [--duplicate P] [--retries N]\n\
-         \x20                  [--rate PPS] [--authns-outage FROM:UNTIL]\n\
-         \x20                  [--faults FILE.json]\n\
-         \x20                  [--stop-after SECS --checkpoint-file FILE]\n\
-         \x20                  [--analysis streaming|batch] [--json FILE]\n\
-         \x20                  [--telemetry FILE]\n\
-         \x20 orscope tables   [--scale S] [--analysis streaming|batch] [--json FILE]\n\
-         \x20 orscope trend    [--steps N] [--scale S] [--seed N]\n\
-         \x20 orscope serve    [--year 2013|2018] [--scale S] [--seed N] [--shards N]\n\
-         \x20                  [--epochs N] [--epoch-secs SECS] [--port P]\n\
-         \x20                  [--join R] [--leave R] [--drift R] [--headroom H]\n\
-         \x20                  [--interval-ms MS] [--state-dir DIR]\n\
-         \x20                  [--checkpoint-every N] [--keep-generations K]\n\
-         \x20                  [--epoch-deadline SECS] [--fresh]\n\
-         \x20                  [--http-max-conns N] [--http-timeout-ms MS]\n\
-         \x20                  [--http-poll-ms MS]\n\
-         \x20 orscope tap      [--url http://HOST:PORT] [--match EXPR] [--limit N]\n\
-         \x20                  [--oneshot [--year 2013|2018] [--scale S] [--seed N]\n\
-         \x20                  [--shards N]]\n\
-         \x20 orscope pcap     [--year 2013|2018] [--scale S] OUTPUT.pcap\n\
-         \n\
-         COMMANDS:\n\
-         \x20 campaign  replay one scan and print every table, paper vs measured\n\
-         \x20 tables    replay both scans (the full evaluation of the paper)\n\
-         \x20 trend     the 2013->2018 continuous-monitoring series (section V)\n\
-         \x20 serve     run the resolver observatory: one supervised campaign\n\
-         \x20           round per virtual day over a churning population, live\n\
-         \x20           HTTP surface (/tables /trends /metrics /healthz /readyz),\n\
-         \x20           checkpoint generations with corruption recovery; resumes\n\
-         \x20           from --state-dir unless --fresh; SIGTERM/SIGINT flush a\n\
-         \x20           final verified checkpoint and exit cleanly\n\
-         \x20 tap       stream capture records as NDJSON: attach to a running\n\
-         \x20           `orscope serve` (GET /tap) or, with --oneshot, run a\n\
-         \x20           local campaign and tap it in-process. --match filters\n\
-         \x20           with space-separated clauses: qname=GLOB (e.g.\n\
-         \x20           qname=*.example), rcode=NAME|N, class=CLASS, src=PREFIX,\n\
-         \x20           dst=PREFIX (dotted prefix or CIDR). Taps are lossy by\n\
-         \x20           design: a slow consumer drops records, never slows the\n\
-         \x20           campaign\n\
-         \x20 pcap      run a scan and export the captured R2 traffic as libpcap\n\
-         \n\
-         CHAOS / ROBUSTNESS (campaign):\n\
-         \x20 --loss P              independent per-datagram loss probability\n\
-         \x20 --duplicate P         per-datagram duplication probability\n\
-         \x20 --retries N           per-probe retransmission budget (exp. backoff)\n\
-         \x20 --rate PPS            probe-rate override\n\
-         \x20 --authns-outage A:B   blackhole the authoritative server between\n\
-         \x20                       virtual seconds A and B\n\
-         \x20 --faults FILE.json    install a full fault plan from JSON\n\
-         \x20 --stop-after SECS     freeze at SECS of virtual time and write the\n\
-         \x20                       scan cursor to --checkpoint-file FILE\n\
-         \n\
-         ANALYSIS (campaign, tables):\n\
-         \x20 --analysis MODE       streaming (default): classify at capture time,\n\
-         \x20                       bounded memory; batch: buffer every payload and\n\
-         \x20                       classify after the scan. Reports are identical.\n\
-         \n\
-         UNATTENDED OPERATION (serve):\n\
-         \x20 --keep-generations K  retain the newest K verified checkpoint\n\
-         \x20                       generations (default 3); corrupt ones are\n\
-         \x20                       quarantined as *.corrupt and rolled back over\n\
-         \x20 --epoch-deadline S    virtual-second budget per campaign round; a\n\
-         \x20                       round still busy at S fails the attempt (one\n\
-         \x20                       retry, then the epoch degrades, run continues)\n\
-         \x20 --http-max-conns N    concurrent connections before 503+Retry-After\n\
-         \x20 --http-timeout-ms MS  per-connection read/write timeout (slow-loris\n\
-         \x20                       clients get 408, not a pinned thread)\n\
-         \x20 --http-poll-ms MS     accept-loop shutdown polling interval"
-    );
+    println!("{HELP}");
 }
 
-/// The flags each subcommand defines (the USAGE block of `print_help`).
+/// The flags each subcommand defines (the USAGE block of [`HELP`]).
 const CAMPAIGN_FLAGS: &[&str] = &[
     "--year",
     "--scale",
@@ -838,6 +839,34 @@ mod tests {
         // Flag values and positionals are not flags.
         let pcap = args(&["--scale", "--5", "out.pcap"]);
         assert!(reject_unknown_flags("pcap", &pcap, PCAP_FLAGS).is_ok());
+    }
+
+    #[test]
+    fn every_flag_is_in_its_subcommands_usage() {
+        let usage = HELP
+            .split("\n\n")
+            .nth(1)
+            .expect("USAGE is the second block");
+        let stanzas: Vec<&str> = usage.split("\n  orscope ").skip(1).collect();
+        for (command, flags) in [
+            ("campaign", CAMPAIGN_FLAGS),
+            ("tables", TABLES_FLAGS),
+            ("trend", TREND_FLAGS),
+            ("serve", SERVE_FLAGS),
+            ("tap", TAP_FLAGS),
+            ("pcap", PCAP_FLAGS),
+        ] {
+            let stanza = stanzas
+                .iter()
+                .find(|stanza| stanza.starts_with(command))
+                .unwrap_or_else(|| panic!("no usage for {command}"));
+            for flag in flags {
+                assert!(
+                    stanza.contains(&format!("{flag} ")) || stanza.contains(&format!("{flag}]")),
+                    "{command}: {flag} is parsed but not in the help text"
+                );
+            }
+        }
     }
 
     #[test]

@@ -86,24 +86,19 @@ fn reports_are_identical_with_zero_one_or_many_taps() {
                 baseline_render,
                 "taps perturbed render: {analysis} x {shards} shards"
             );
-            if analysis == AnalysisMode::Streaming {
-                // Taps ride the streaming capture path; batch runs
-                // (the oracle, and checkpoint-resume) publish nothing.
-                let stats = bus.stats();
-                assert!(stats.published > 0, "streaming run published nothing");
-                assert!(
-                    stats.dropped > 0,
-                    "a never-drained capacity-1 lane must drop"
-                );
-                assert!(stalled.dropped() > 0, "drops must land on the full lane");
-                assert_eq!(
-                    roomy.dropped() + narrow.dropped() + stalled.dropped(),
-                    stats.dropped,
-                    "bus drop total must equal the per-lane sum"
-                );
-            } else {
-                assert_eq!(bus.stats().published, 0, "batch runs must not publish");
-            }
+            // One recorder per shard publishes in both analysis modes.
+            let stats = bus.stats();
+            assert!(stats.published > 0, "{analysis} run published nothing");
+            assert!(
+                stats.dropped > 0,
+                "a never-drained capacity-1 lane must drop"
+            );
+            assert!(stalled.dropped() > 0, "drops must land on the full lane");
+            assert_eq!(
+                roomy.dropped() + narrow.dropped() + stalled.dropped(),
+                stats.dropped,
+                "bus drop total must equal the per-lane sum"
+            );
             drop((roomy, narrow, stalled));
         }
     }
@@ -111,9 +106,13 @@ fn reports_are_identical_with_zero_one_or_many_taps() {
 
 #[test]
 fn concurrent_tap_drain_is_unobservable_in_reports() {
-    let baseline = Campaign::new(config(AnalysisMode::Streaming, 2))
-        .run()
-        .unwrap();
+    for analysis in [AnalysisMode::Streaming, AnalysisMode::Batch] {
+        concurrent_tap_drain(analysis);
+    }
+}
+
+fn concurrent_tap_drain(analysis: AnalysisMode) {
+    let baseline = Campaign::new(config(analysis, 2)).run().unwrap();
     let bus = Arc::new(RecordBus::new());
     let tap = TapSubscriber::attach(
         &bus,
@@ -139,7 +138,7 @@ fn concurrent_tap_drain_is_unobservable_in_reports() {
             seen
         })
     };
-    let result = Campaign::new(config(AnalysisMode::Streaming, 2))
+    let result = Campaign::new(config(analysis, 2))
         .with_bus(bus)
         .run()
         .unwrap();
