@@ -2,11 +2,11 @@
 
 use std::fmt;
 
-use serde::Serialize;
+use orscope_json::Wire;
 
 /// One compared quantity: the paper's figure against the (de-scaled)
 /// measured one.
-#[derive(Debug, Clone, Serialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Comparison {
     /// What is being compared (e.g. `"Table III W_incorr"`).
     pub name: String,
@@ -53,6 +53,15 @@ impl Comparison {
     pub fn within(&self, tolerance: f64) -> bool {
         (self.ratio() - 1.0).abs() <= tolerance
     }
+
+    /// The JSON form (sorted keys, as the report documents are).
+    pub fn to_wire(&self) -> Wire {
+        Wire::obj(vec![
+            ("measured", Wire::from(self.measured)),
+            ("name", Wire::from(self.name.as_str())),
+            ("paper", Wire::from(self.paper)),
+        ])
+    }
 }
 
 impl fmt::Display for Comparison {
@@ -69,7 +78,7 @@ impl fmt::Display for Comparison {
 }
 
 /// A named block of comparisons for one table.
-#[derive(Debug, Clone, Serialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableReport {
     /// The table's name, e.g. `"Table IV (RA flag)"`.
     pub title: String,
@@ -90,6 +99,24 @@ impl TableReport {
     pub fn push(&mut self, comparison: Comparison) -> &mut Self {
         self.comparisons.push(comparison);
         self
+    }
+
+    /// The JSON form: `{"comparisons": [...], "title": ...}`.
+    pub fn to_wire(&self) -> Wire {
+        Wire::obj(vec![
+            (
+                "comparisons",
+                Wire::Arr(self.comparisons.iter().map(Comparison::to_wire).collect()),
+            ),
+            ("title", Wire::from(self.title.as_str())),
+        ])
+    }
+
+    /// A campaign's table blocks as one JSON array — the `tables` member
+    /// of the report, and (compact-encoded) the bytes the invariance
+    /// suites compare.
+    pub fn all_to_wire(reports: &[TableReport]) -> Wire {
+        Wire::Arr(reports.iter().map(TableReport::to_wire).collect())
     }
 
     /// The worst relative deviation across rows with nonzero paper
@@ -128,6 +155,17 @@ mod tests {
         assert!(zero.within(0.0));
         let inf = Comparison::counts("i", 0, 5);
         assert!(!inf.within(10.0));
+    }
+
+    #[test]
+    fn json_form_lists_members_sorted_and_keeps_float_fractions() {
+        let mut r = TableReport::new("Table \"T\"");
+        r.push(Comparison::counts("a", 100, 103));
+        r.push(Comparison::ratios("b", 2.5, 0.1));
+        assert_eq!(
+            TableReport::all_to_wire(&[r]).encode(),
+            r#"[{"comparisons":[{"measured":103.0,"name":"a","paper":100.0},{"measured":0.1,"name":"b","paper":2.5}],"title":"Table \"T\""}]"#
+        );
     }
 
     #[test]

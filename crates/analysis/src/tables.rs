@@ -8,13 +8,12 @@ use orscope_dns_wire::Rcode;
 use orscope_geo::GeoDb;
 use orscope_resolver::paper::{AnswerClass, YearSpec};
 use orscope_threatintel::{Category, ThreatDb};
-use serde::Serialize;
 
 use crate::classify::{AnswerKind, ClassifiedR2};
 use crate::dataset::Dataset;
 
 /// The W/O / W_corr / W_incorr triple used by Tables III, IV and V.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnswerBreakdown {
     /// Responses without an answer section.
     pub wo: u64,
@@ -141,7 +140,7 @@ impl fmt::Display for Table2 {
 }
 
 /// Table III: answer presence and correctness over the matched packets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Table3(pub AnswerBreakdown);
 
 impl Table3 {

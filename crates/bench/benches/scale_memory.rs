@@ -14,7 +14,8 @@
 //! population (~6.5M responders). It must finish on a single core within
 //! a 2 GiB peak.
 //!
-//! Not a criterion harness: the deliverable is the JSON artifact.
+//! A plain `main`, not a timing harness: the deliverable is the JSON
+//! artifact.
 //! `--smoke` runs only the scale-200 point, whose peak is a count that
 //! repeats exactly (one thread, a counting allocator), so CI gates on
 //! it: [`SCALE_200_BYTES_PER_RESPONDER`].
@@ -23,6 +24,7 @@ use std::time::Instant;
 
 use orscope_bench::alloc::{peak_above, reset_peak, CountingAlloc};
 use orscope_core::{Campaign, CampaignConfig};
+use orscope_json::Wire;
 use orscope_resolver::paper::Year;
 
 #[global_allocator]
@@ -36,7 +38,7 @@ const SCALE_200_BYTES_PER_RESPONDER: u64 = 195;
 
 /// Runs one campaign and returns its JSON entry, its peak live bytes and
 /// its responder count.
-fn run_point(scale: f64) -> (String, usize, u64) {
+fn run_point(scale: f64) -> (Wire, usize, u64) {
     let config = CampaignConfig::new(Year::Y2018, scale).with_telemetry(false);
     let campaign = Campaign::new(config);
     let baseline = reset_peak();
@@ -57,13 +59,14 @@ fn run_point(scale: f64) -> (String, usize, u64) {
         "the host table must stay an order of magnitude below the \
          responders it serves (peak {hosts} hosts for {r2} responders)"
     );
-    let entry = format!(
-        "    {{\n      \"scale\": {scale},\n      \"r2\": {r2},\n      \
-         \"peak_live_bytes\": {peak_bytes},\n      \
-         \"materialized_hosts_peak\": {hosts},\n      \
-         \"events\": {events},\n      \
-         \"events_per_sec\": {events_per_sec:.0}\n    }}"
-    );
+    let entry = Wire::obj(vec![
+        ("scale", Wire::from(scale)),
+        ("r2", Wire::from(r2)),
+        ("peak_live_bytes", Wire::from(peak_bytes)),
+        ("materialized_hosts_peak", Wire::from(hosts)),
+        ("events", Wire::from(events)),
+        ("events_per_sec", Wire::from(events_per_sec.round() as u64)),
+    ]);
     (entry, peak_bytes, r2)
 }
 
@@ -89,12 +92,20 @@ fn main() {
             "a campaign at scale {scale} must fit in 2 GiB of live heap (got {peak_bytes} bytes)"
         );
     }
-    let json = format!(
-        "{{\n  \"bench\": \"scale_memory\",\n  \"smoke\": {smoke},\n  \
-         \"metric\": \"peak live bytes above baseline and events/sec over full Campaign::run \
-         (2018, streaming analysis)\",\n  \"scales\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
+    let json = Wire::obj(vec![
+        ("bench", Wire::from("scale_memory")),
+        ("smoke", Wire::from(smoke)),
+        (
+            "metric",
+            Wire::from(
+                "peak live bytes above baseline and events/sec over full Campaign::run \
+                 (2018, streaming analysis)",
+            ),
+        ),
+        ("scales", Wire::Arr(entries)),
+    ])
+    .encode_pretty()
+        + "\n";
     if smoke {
         // CI liveness check: exercise everything, commit nothing.
         eprintln!("{json}");

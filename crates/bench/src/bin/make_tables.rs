@@ -18,6 +18,7 @@
 //! diagnostics and phase spans — in Prometheus text format.
 
 use orscope_core::{Campaign, CampaignConfig};
+use orscope_json::Wire;
 use orscope_resolver::paper::Year;
 
 /// Pulls `--name value` out of `args`, removing both tokens.
@@ -81,12 +82,11 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let blob = serde_json::json!({ "scale": scale, "years": json_years });
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&blob).expect("serializable"),
-        )
-        .expect("write json");
+        let blob = Wire::obj(vec![
+            ("scale", Wire::from(scale)),
+            ("years", Wire::Arr(json_years)),
+        ]);
+        std::fs::write(&path, blob.encode_pretty()).expect("write json");
         eprintln!("wrote {path}");
     }
     if let Some(path) = markdown_path {

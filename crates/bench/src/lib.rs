@@ -1,52 +1,6 @@
 #![warn(missing_docs)]
-//! Shared fixtures for the benchmark harness.
-//!
-//! Every `benches/table*.rs` target regenerates one of the paper's
-//! tables; this crate provides the campaign fixtures they benchmark
-//! against, built once per process.
-
-use std::sync::OnceLock;
-
-use orscope_core::{AnalysisMode, Campaign, CampaignConfig, CampaignResult};
-use orscope_resolver::paper::Year;
-
-/// Scale used by the per-table benches: fine enough that every table is
-/// populated, fast enough to build in well under a second.
-pub const BENCH_SCALE: f64 = 2_000.0;
-
-/// A completed 2018 campaign, built once. Runs in batch mode: the
-/// per-table benches time the record-fold generators, which need the
-/// classified records the streaming default discards at capture time.
-pub fn campaign_2018() -> &'static CampaignResult {
-    static RESULT: OnceLock<CampaignResult> = OnceLock::new();
-    RESULT.get_or_init(|| {
-        Campaign::new(
-            CampaignConfig::new(Year::Y2018, BENCH_SCALE).with_analysis(AnalysisMode::Batch),
-        )
-        .run()
-        .unwrap()
-    })
-}
-
-/// A completed 2013 campaign, built once (batch mode, as above).
-pub fn campaign_2013() -> &'static CampaignResult {
-    static RESULT: OnceLock<CampaignResult> = OnceLock::new();
-    RESULT.get_or_init(|| {
-        Campaign::new(
-            CampaignConfig::new(Year::Y2013, BENCH_SCALE).with_analysis(AnalysisMode::Batch),
-        )
-        .run()
-        .unwrap()
-    })
-}
-
-/// Runs a fresh (non-cached) campaign; used by the pipeline benches
-/// that measure the scan itself.
-pub fn run_campaign(year: Year, scale: f64) -> CampaignResult {
-    Campaign::new(CampaignConfig::new(year, scale))
-        .run()
-        .unwrap()
-}
+//! Shared support for the memory benchmarks (`benches/`) and the
+//! allocation test (`tests/`).
 
 pub mod alloc {
     //! The one counting allocator of the `benches/` and `tests/`
@@ -113,16 +67,5 @@ pub mod alloc {
     /// Allocations and reallocations since the process started.
     pub fn allocs() -> usize {
         CALLS.load(Ordering::Relaxed)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fixtures_build() {
-        assert!(campaign_2018().dataset().r2() > 1_000);
-        assert!(campaign_2013().dataset().r2() > campaign_2018().dataset().r2());
     }
 }

@@ -42,10 +42,6 @@ fn run(config: CampaignConfig, eager: bool) -> CampaignResult {
     campaign.run().unwrap()
 }
 
-fn tables_json(result: &CampaignResult) -> String {
-    serde_json::to_string(&result.table_reports()).expect("tables serialize")
-}
-
 #[test]
 fn lazy_and_eager_render_byte_identical_reports() {
     let config = |shards: usize, analysis: AnalysisMode| {
@@ -59,7 +55,7 @@ fn lazy_and_eager_render_byte_identical_reports() {
         0,
         "the reference registers every host up front"
     );
-    let baseline_tables = tables_json(&baseline);
+    let baseline_tables = baseline.tables_json();
     let baseline_render = baseline.render();
     for eager in [false, true] {
         for analysis in [AnalysisMode::Streaming, AnalysisMode::Batch] {
@@ -72,7 +68,7 @@ fn lazy_and_eager_render_byte_identical_reports() {
                     "only the lazy world materializes on demand: {context}"
                 );
                 assert_eq!(result.dataset().r2(), baseline.dataset().r2(), "{context}");
-                assert_eq!(tables_json(&result), baseline_tables, "{context}");
+                assert_eq!(result.tables_json(), baseline_tables, "{context}");
                 assert_eq!(result.render(), baseline_render, "{context}");
             }
         }
@@ -94,6 +90,6 @@ fn lazy_matches_the_reference_under_fault_injection() {
     let eager = run(config(), true);
     assert!(lazy.materialized_hosts() > 0);
     assert_eq!(eager.materialized_hosts(), 0);
-    assert_eq!(tables_json(&lazy), tables_json(&eager));
+    assert_eq!(lazy.tables_json(), eager.tables_json());
     assert_eq!(lazy.render(), eager.render());
 }

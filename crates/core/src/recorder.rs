@@ -221,7 +221,7 @@ mod tests {
                 .resume_from(&checkpoint)
                 .unwrap();
             assert_eq!(result.dataset().r2(), checkpoint.captures.len() as u64);
-            serde_json::to_string(&result.table_reports()).expect("tables serialize")
+            result.tables_json()
         };
         assert_eq!(tables(AnalysisMode::Streaming), tables(AnalysisMode::Batch));
     }

@@ -7,6 +7,7 @@ use orscope_analysis::tables::{
 use orscope_analysis::{Comparison, Dataset, FlowSet, ScanSummary, StreamingAnalyzer, TableReport};
 use orscope_authns::CapturedPacket;
 use orscope_geo::GeoDb;
+use orscope_json::Wire;
 use orscope_netsim::NetStats;
 use orscope_resolver::paper::YearSpec;
 use orscope_resolver::population::Population;
@@ -528,20 +529,27 @@ impl CampaignResult {
         out
     }
 
-    /// Serializes the comparison report to JSON.
-    pub fn to_json(&self) -> serde_json::Value {
-        serde_json::json!({
-            "year": self.spec.year.as_u16(),
-            "scale": self.config.scale,
-            "seed": self.config.seed,
-            "shards": self.config.shards,
-            "partial": self.is_partial(),
-            "q1": self.dataset.q1,
-            "q2": self.dataset.q2,
-            "r1": self.dataset.r1,
-            "r2": self.dataset.r2(),
-            "duration_secs": self.dataset.duration_secs,
-            "tables": self.table_reports(),
-        })
+    /// The table blocks alone as compact JSON: the bytes the invariance
+    /// suites compare across shard counts, analysis modes, taps and
+    /// resumes.
+    pub fn tables_json(&self) -> String {
+        TableReport::all_to_wire(&self.table_reports()).encode()
+    }
+
+    /// The comparison report as a JSON value (sorted keys).
+    pub fn to_json(&self) -> Wire {
+        Wire::obj(vec![
+            ("duration_secs", Wire::from(self.dataset.duration_secs)),
+            ("partial", Wire::from(self.is_partial())),
+            ("q1", Wire::from(self.dataset.q1)),
+            ("q2", Wire::from(self.dataset.q2)),
+            ("r1", Wire::from(self.dataset.r1)),
+            ("r2", Wire::from(self.dataset.r2())),
+            ("scale", Wire::from(self.config.scale)),
+            ("seed", Wire::from(self.config.seed)),
+            ("shards", Wire::from(self.config.shards)),
+            ("tables", TableReport::all_to_wire(&self.table_reports())),
+            ("year", Wire::from(self.spec.year.as_u16())),
+        ])
     }
 }

@@ -380,9 +380,10 @@ pub struct TapEvent {
 
 impl TapEvent {
     /// Renders the event as one NDJSON object (no trailing newline),
-    /// with fields in a stable order. Hand-formatted: the only strings
-    /// are addresses, qnames and enum labels, and the output must stay
-    /// a dependency-free hot loop on the tap drain thread.
+    /// with fields in a stable order. The fixed fields are written
+    /// directly — the only strings are addresses, enum labels and the
+    /// qname, which goes through the shared escaper — so the tap drain
+    /// thread's hot loop builds no value tree.
     pub fn to_ndjson(&self) -> String {
         let mut line = String::with_capacity(128);
         line.push_str("{\"at\":");
@@ -396,7 +397,9 @@ impl TapEvent {
         line.push('"');
         if let Some(qname) = &self.qname {
             line.push_str(",\"qname\":\"");
-            push_json_escaped(&mut line, qname);
+            // Restricted ASCII in practice, but a hostile payload could
+            // decode to anything.
+            orscope_json::escape_into(&mut line, qname);
             line.push('"');
         }
         if let Some(rcode) = self.rcode {
@@ -413,19 +416,6 @@ impl TapEvent {
         line.push_str(&self.payload_len.to_string());
         line.push('}');
         line
-    }
-}
-
-/// Escapes `text` for a JSON string literal. Qnames are restricted
-/// ASCII in practice, but a hostile payload could decode to anything.
-fn push_json_escaped(out: &mut String, text: &str) {
-    for ch in text.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
     }
 }
 
@@ -691,6 +681,6 @@ mod tests {
     fn ndjson_escapes_hostile_qnames() {
         let mut e = event(TapKind::R2);
         e.qname = Some("a\"b\\c\nd".into());
-        assert!(e.to_ndjson().contains("a\\\"b\\\\c\\u000ad"));
+        assert!(e.to_ndjson().contains("a\\\"b\\\\c\\nd"));
     }
 }

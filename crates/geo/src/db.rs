@@ -201,122 +201,3 @@ mod tests {
         assert_eq!(db.range_count(), 1);
     }
 }
-
-/// JSON persistence, mirroring the downloadable-database distribution
-/// model of ip2location LITE.
-impl GeoDb {
-    /// Serializes the database to JSON.
-    pub fn to_json(&self) -> serde_json::Value {
-        let mut exact: Vec<_> = self.exact.iter().collect();
-        exact.sort_by_key(|(ip, _)| **ip);
-        let exact: Vec<serde_json::Value> = exact
-            .into_iter()
-            .map(|(ip, rec)| serde_json::json!({ "ip": ip.to_string(), "record": rec }))
-            .collect();
-        let mut ranges = self.ranges.clone();
-        ranges.sort_by_key(|&(f, l, _)| (f, l));
-        let ranges: Vec<serde_json::Value> = ranges
-            .into_iter()
-            .map(|(first, last, rec)| {
-                serde_json::json!({
-                    "first": Ipv4Addr::from(first).to_string(),
-                    "last": Ipv4Addr::from(last).to_string(),
-                    "record": rec,
-                })
-            })
-            .collect();
-        serde_json::json!({ "format": "orscope-geo/1", "exact": exact, "ranges": ranges })
-    }
-
-    /// Loads a database produced by [`GeoDb::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed entry.
-    pub fn from_json(value: &serde_json::Value) -> Result<Self, String> {
-        if value.get("format").and_then(|f| f.as_str()) != Some("orscope-geo/1") {
-            return Err("unknown geo-db format".into());
-        }
-        let mut db = GeoDb::new();
-        for entry in value
-            .get("exact")
-            .and_then(|e| e.as_array())
-            .ok_or("missing exact")?
-        {
-            let ip: Ipv4Addr = entry
-                .get("ip")
-                .and_then(|v| v.as_str())
-                .ok_or("exact entry without ip")?
-                .parse()
-                .map_err(|e| format!("bad ip: {e}"))?;
-            let record = serde_json::from_value(
-                entry
-                    .get("record")
-                    .cloned()
-                    .ok_or("exact entry without record")?,
-            )
-            .map_err(|e| format!("bad record: {e}"))?;
-            db.insert_exact(ip, record);
-        }
-        for entry in value
-            .get("ranges")
-            .and_then(|e| e.as_array())
-            .ok_or("missing ranges")?
-        {
-            let parse_ip = |key: &str| -> Result<Ipv4Addr, String> {
-                entry
-                    .get(key)
-                    .and_then(|v| v.as_str())
-                    .ok_or(format!("range entry without {key}"))?
-                    .parse()
-                    .map_err(|e| format!("bad {key}: {e}"))
-            };
-            let record = serde_json::from_value(
-                entry
-                    .get("record")
-                    .cloned()
-                    .ok_or("range entry without record")?,
-            )
-            .map_err(|e| format!("bad record: {e}"))?;
-            db.insert_range(parse_ip("first")?, parse_ip("last")?, record);
-        }
-        db.finalize();
-        Ok(db)
-    }
-}
-
-#[cfg(test)]
-mod persistence_tests {
-    use super::*;
-    use crate::record::GeoRecord;
-
-    #[test]
-    fn geo_db_roundtrip() {
-        let mut db = GeoDb::new();
-        db.insert_exact(
-            Ipv4Addr::new(208, 91, 197, 91),
-            GeoRecord::new("VG", 40034, "Confluence Network Inc"),
-        );
-        db.insert_range(
-            Ipv4Addr::new(100, 0, 0, 0),
-            Ipv4Addr::new(100, 255, 255, 255),
-            GeoRecord::new("US", 7018, "AT&T"),
-        );
-        let json = db.to_json();
-        let back = GeoDb::from_json(&json).unwrap();
-        assert_eq!(back.lookup(Ipv4Addr::new(208, 91, 197, 91)).country, "VG");
-        assert_eq!(back.lookup(Ipv4Addr::new(100, 5, 5, 5)).asn, 7018);
-        assert_eq!(json, back.to_json(), "stable serialization");
-    }
-
-    #[test]
-    fn rejects_malformed() {
-        assert!(GeoDb::from_json(&serde_json::json!({"format": "x"})).is_err());
-        assert!(GeoDb::from_json(&serde_json::json!({
-            "format": "orscope-geo/1",
-            "exact": [{"ip": "bad"}],
-            "ranges": []
-        }))
-        .is_err());
-    }
-}

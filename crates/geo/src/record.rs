@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The result of a geolocation lookup.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GeoRecord {
     /// ISO 3166-1 alpha-2 country code (e.g. `"US"`), or `"ZZ"` when the
     /// location is unknown.

@@ -4,8 +4,6 @@ use std::fmt;
 use std::net::Ipv4Addr;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// An IPv4 CIDR block such as `192.168.0.0/16`.
 ///
 /// The network address is stored normalized: host bits below the prefix
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!block.contains_addr(Ipv4Addr::new(198, 20, 0, 0)));
 /// # Ok::<(), orscope_ipspace::ParseCidrError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cidr {
     network: u32,
     prefix_len: u8,

@@ -14,18 +14,40 @@
 //! chaos runs reproducible *and* shard-invariant: partitioning a
 //! campaign across shards never changes which packets a fault hits.
 //! Purely time-based faults (blackhole, crash) are trivially invariant.
+//!
+//! # The `--faults FILE.json` schema
+//!
+//! A plan is also a JSON document ([`FaultPlan::to_json`],
+//! [`FaultPlan::from_json_str`]) so an operator can script impairments
+//! without recompiling:
+//!
+//! ```json
+//! {"seed": 7, "rules": [
+//!   {"from": {"secs": 0, "nanos": 0}, "until": {"secs": 60, "nanos": 0},
+//!    "scope": "All", "kind": {"Loss": {"probability": 0.1}}}
+//! ]}
+//! ```
+//!
+//! Durations are `{"secs", "nanos"}` offsets from simulation start.
+//! `scope` is `"All"`, `{"Host": "a.b.c.d"}` or `{"Link": {"src": ..,
+//! "dst": ..}}`; `kind` is `"Blackhole"`, `"Crash"`, `{"Loss":
+//! {"probability": p}}`, `{"Duplicate": {"probability": p}}`, `{"Delay":
+//! {"extra": DURATION, "jitter": DURATION}}` or `{"Reorder":
+//! {"probability": p, "max_shift": DURATION}}`. Loading rejects unknown
+//! variants, missing members and everything [`FaultPlan::validate`]
+//! does, naming the offending member.
 
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
+use orscope_json::Wire;
 
 use crate::fxhash::FxHashMap;
 use crate::latency::mix;
 use crate::time::SimTime;
 
 /// Which traffic a rule applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultScope {
     /// Every datagram in the simulation.
     All,
@@ -59,10 +81,76 @@ impl FaultScope {
             FaultScope::Link { .. } => false,
         }
     }
+
+    fn to_wire(self) -> Wire {
+        let ip = |addr: Ipv4Addr| Wire::from(addr.to_string());
+        match self {
+            FaultScope::All => Wire::from("All"),
+            FaultScope::Host(host) => Wire::obj(vec![("Host", ip(host))]),
+            FaultScope::Link { src, dst } => Wire::obj(vec![(
+                "Link",
+                Wire::obj(vec![("src", ip(src)), ("dst", ip(dst))]),
+            )]),
+        }
+    }
+
+    fn from_wire(wire: &Wire) -> Result<Self, String> {
+        read_variant(wire, |name, body| {
+            Ok(match (name, body) {
+                ("All", Wire::Null) => FaultScope::All,
+                ("Host", host) => FaultScope::Host(ip_from_wire(host)?),
+                ("Link", link) => FaultScope::Link {
+                    src: link.field_as("src", ip_from_wire)?,
+                    dst: link.field_as("dst", ip_from_wire)?,
+                },
+                _ => return Err("unknown variant (expected All, Host or Link)".to_owned()),
+            })
+        })
+    }
+}
+
+/// Reads the externally tagged form of an enum — `"Name"` for a unit
+/// variant (`read` sees a `null` payload), `{"Name": payload}` otherwise
+/// — and prefixes what `read` rejects with the variant's name.
+fn read_variant<T>(
+    wire: &Wire,
+    read: impl FnOnce(&str, &Wire) -> Result<T, String>,
+) -> Result<T, String> {
+    let (name, payload) = match wire {
+        Wire::Str(name) => (name, &Wire::Null),
+        Wire::Obj(members) if members.len() == 1 => (&members[0].0, &members[0].1),
+        other => {
+            return Err(format!(
+                "expected a variant name or a one-member object, got {other:?}"
+            ))
+        }
+    };
+    read(name, payload).map_err(|err| format!("{name}: {err}"))
+}
+
+fn ip_from_wire(wire: &Wire) -> Result<Ipv4Addr, String> {
+    let text = wire.as_str()?;
+    text.parse()
+        .map_err(|_| format!("{text:?} is not an IPv4 address"))
+}
+
+fn duration_to_wire(duration: Duration) -> Wire {
+    Wire::obj(vec![
+        ("secs", Wire::from(duration.as_secs())),
+        ("nanos", Wire::from(duration.subsec_nanos())),
+    ])
+}
+
+fn duration_from_wire(wire: &Wire) -> Result<Duration, String> {
+    let nanos: u32 = wire.field_as("nanos", Wire::as_uint)?;
+    if nanos >= 1_000_000_000 {
+        return Err(format!("nanos: {nanos} is a whole second or more"));
+    }
+    Ok(Duration::new(wire.field_as("secs", Wire::as_u64)?, nanos))
 }
 
 /// The impairment a rule applies while active.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Drop each matching datagram independently with `probability`.
     Loss {
@@ -108,11 +196,74 @@ impl FaultKind {
             _ => None,
         }
     }
+
+    fn to_wire(self) -> Wire {
+        let tagged = |name: &str, members| Wire::obj(vec![(name, Wire::obj(members))]);
+        match self {
+            FaultKind::Loss { probability } => {
+                tagged("Loss", vec![("probability", Wire::from(probability))])
+            }
+            FaultKind::Duplicate { probability } => {
+                tagged("Duplicate", vec![("probability", Wire::from(probability))])
+            }
+            FaultKind::Delay { extra, jitter } => tagged(
+                "Delay",
+                vec![
+                    ("extra", duration_to_wire(extra)),
+                    ("jitter", duration_to_wire(jitter)),
+                ],
+            ),
+            FaultKind::Reorder {
+                probability,
+                max_shift,
+            } => tagged(
+                "Reorder",
+                vec![
+                    ("probability", Wire::from(probability)),
+                    ("max_shift", duration_to_wire(max_shift)),
+                ],
+            ),
+            FaultKind::Blackhole => Wire::from("Blackhole"),
+            FaultKind::Crash => Wire::from("Crash"),
+        }
+    }
+
+    fn from_wire(wire: &Wire) -> Result<Self, String> {
+        read_variant(wire, |name, body| {
+            let probability = || body.field_as("probability", Wire::as_f64);
+            let duration = |member| body.field_as(member, duration_from_wire);
+            Ok(match (name, body) {
+                ("Loss", _) => FaultKind::Loss {
+                    probability: probability()?,
+                },
+                ("Duplicate", _) => FaultKind::Duplicate {
+                    probability: probability()?,
+                },
+                ("Delay", _) => FaultKind::Delay {
+                    extra: duration("extra")?,
+                    jitter: duration("jitter")?,
+                },
+                ("Reorder", _) => FaultKind::Reorder {
+                    probability: probability()?,
+                    max_shift: duration("max_shift")?,
+                },
+                ("Blackhole", Wire::Null) => FaultKind::Blackhole,
+                ("Crash", Wire::Null) => FaultKind::Crash,
+                _ => {
+                    return Err(
+                        "unknown variant (expected Loss, Duplicate, Delay, Reorder, \
+                                Blackhole or Crash)"
+                            .to_owned(),
+                    )
+                }
+            })
+        })
+    }
 }
 
 /// One scheduled impairment: a kind, a scope, and an active window
 /// `[from, until)` in virtual time since simulation start.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultRule {
     /// Window start (inclusive), as an offset from simulation start.
     pub from: Duration,
@@ -145,6 +296,24 @@ impl FaultRule {
         let offset = now.since(SimTime::ZERO);
         self.from <= offset && offset < self.until
     }
+
+    fn to_wire(self) -> Wire {
+        Wire::obj(vec![
+            ("from", duration_to_wire(self.from)),
+            ("until", duration_to_wire(self.until)),
+            ("scope", self.scope.to_wire()),
+            ("kind", self.kind.to_wire()),
+        ])
+    }
+
+    fn from_wire(wire: &Wire) -> Result<Self, String> {
+        Ok(Self {
+            from: wire.field_as("from", duration_from_wire)?,
+            until: wire.field_as("until", duration_from_wire)?,
+            scope: wire.field_as("scope", FaultScope::from_wire)?,
+            kind: wire.field_as("kind", FaultKind::from_wire)?,
+        })
+    }
 }
 
 /// A reproducible schedule of impairments.
@@ -152,7 +321,7 @@ impl FaultRule {
 /// The plan's `seed` drives every hashed draw; two runs with the same
 /// plan (and traffic) experience byte-identical faults. An empty plan
 /// is a fault-free network.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed for the hashed per-datagram draws.
     pub seed: u64,
@@ -198,6 +367,50 @@ impl FaultPlan {
             FaultScope::All,
             FaultKind::Loss { probability },
         ))
+    }
+
+    /// The plan as a JSON value, in the layout the module documentation
+    /// spells out (what `--faults FILE.json` reads).
+    pub fn to_json(&self) -> Wire {
+        Wire::obj(vec![
+            ("seed", Wire::from(self.seed)),
+            (
+                "rules",
+                Wire::Arr(self.rules.iter().map(|rule| rule.to_wire()).collect()),
+            ),
+        ])
+    }
+
+    /// Loads and [validates](Self::validate) a plan from its JSON value.
+    ///
+    /// # Errors
+    ///
+    /// The path to the first missing, mistyped, unknown or out-of-range
+    /// member, e.g. `rules: rule 0: kind: Loss: probability: ...`.
+    pub fn from_json(value: &Wire) -> Result<Self, String> {
+        let rules = |rules: &Wire| {
+            rules
+                .as_arr()?
+                .iter()
+                .enumerate()
+                .map(|(i, rule)| FaultRule::from_wire(rule).map_err(|e| format!("rule {i}: {e}")))
+                .collect()
+        };
+        let plan = Self {
+            seed: value.field_as("seed", Wire::as_u64)?,
+            rules: value.field_as("rules", rules)?,
+        };
+        plan.validate()?;
+        Ok(plan)
+    }
+
+    /// Loads and validates a plan from JSON text (a `--faults` file).
+    ///
+    /// # Errors
+    ///
+    /// The syntax error, or what [`Self::from_json`] rejects.
+    pub fn from_json_str(text: &str) -> Result<Self, String> {
+        Self::from_json(&Wire::decode(text)?)
     }
 
     /// Validates every rule: probabilities in `[0, 1]`, non-empty

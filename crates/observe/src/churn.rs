@@ -24,12 +24,11 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use orscope_resolver::population::{HostList, Population, PopulationConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::resolve::{Resolution, Resolve, Update};
 
 /// Per-epoch churn intensities, as fractions of the current population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChurnConfig {
     /// Fraction of the population that joins each epoch (drawn from the
     /// spare pool; clamped when the pool runs dry).

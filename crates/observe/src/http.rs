@@ -45,6 +45,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use orscope_core::{Infra, TapPredicate, TapSubscriber, DEFAULT_TAP_CAPACITY};
+use orscope_json::Wire;
 
 use crate::observatory::ObservatoryShared;
 
@@ -422,20 +423,6 @@ fn parse_tap_params(query: &str) -> Result<(TapPredicate, Option<u64>), String> 
     Ok((predicate, limit))
 }
 
-/// Minimal JSON string escaping for error bodies that echo user input.
-fn json_escape(input: &str) -> String {
-    let mut out = String::with_capacity(input.len());
-    for ch in input.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            ch if (ch as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", ch as u32)),
-            ch => out.push(ch),
-        }
-    }
-    out
-}
-
 /// One HTTP/1.1 chunk: hex length, CRLF, payload, CRLF.
 fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> io::Result<()> {
     stream.write_all(format!("{:x}\r\n", data.len()).as_bytes())?;
@@ -467,7 +454,9 @@ fn stream_tap(
     let (predicate, limit) = match parse_tap_params(query) {
         Ok(parsed) => parsed,
         Err(message) => {
-            let body = format!("{{\"error\":\"{}\"}}\n", json_escape(&message));
+            // The message echoes user input, so it goes through the
+            // encoder's escaping.
+            let body = Wire::obj(vec![("error", Wire::from(message))]).encode() + "\n";
             let result = write_response(
                 &mut stream,
                 "400 Bad Request",

@@ -59,7 +59,6 @@
 //! ```
 
 pub mod churn;
-pub(crate) mod codec;
 pub mod http;
 pub mod observatory;
 pub mod resolve;

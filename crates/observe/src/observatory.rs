@@ -419,9 +419,9 @@ impl ObservatoryShared {
     /// The `/healthz` document, as served. Liveness only: 200 as long
     /// as the process runs, through recovery and degraded epochs alike.
     pub fn healthz_bytes(&self) -> Vec<u8> {
-        // Hand-formatted (like the checkpoint codec): the probes must
-        // answer even if a serializer is misbehaving — they are what
-        // the operator's monitoring trusts.
+        // Fixed fields written directly (numbers and two fixed words,
+        // nothing to escape): the probes are what the operator's
+        // monitoring trusts, so they build no value tree on the way out.
         let status = if self.is_healthy() { "ok" } else { "stopping" };
         format!(
             "{{\n  \"epochs_completed\": {},\n  \"population\": {},\n  \"status\": \"{status}\"\n}}\n",

@@ -5,18 +5,17 @@
 //! bookkeeping (joins/leaves/drifts and a profile-transition matrix) —
 //! and absorbed into [`RollingTables`], the single structure behind the
 //! `/tables` and `/trends` endpoints and the serve checkpoint. Every
-//! field is integer counts or ratios of them, serialized through
-//! `serde_json` with fixed insertion order, so two observatories that
-//! absorbed the same rows render byte-identical documents — the
-//! property the shard-count and resume determinism suites assert.
+//! field is integer counts or ratios of them, and both encodings of the
+//! state go through [`orscope_json::Wire`] with a fixed member order —
+//! the served documents sorted by key, the checkpoint form in field
+//! order — so two observatories that absorbed the same rows render
+//! byte-identical documents — the property the shard-count and resume
+//! determinism suites assert.
 
 use std::collections::BTreeMap;
 
+use orscope_json::Wire;
 use orscope_resolver::ProfileClass;
-use serde::{Deserialize, Serialize};
-use serde_json::{json, Map, Value};
-
-use crate::codec::{count_map, Wire};
 
 /// Number of behavior classes a member can be in.
 pub const N_CLASSES: usize = ProfileClass::ALL.len();
@@ -34,7 +33,7 @@ pub const N_ROWS: usize = N_CLASSES + 2;
 /// lands in exactly one cell, so a per-epoch matrix totals to that
 /// epoch's population size — the conservation law the determinism
 /// suite checks, degraded epochs included.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransitionMatrix {
     counts: Vec<Vec<u64>>,
 }
@@ -135,29 +134,36 @@ impl TransitionMatrix {
     }
 
     /// A labeled JSON rendering: `{"from_honest": {"honest": n, ...},
-    /// ..., "join": {...}, "skip": {...}}`, rows and columns in
-    /// [`ProfileClass::ALL`] order.
-    pub fn to_json(&self) -> Value {
-        let mut rows = Map::new();
-        let row_json = |cols: &[u64]| {
-            let mut row = Map::new();
-            for (class, &count) in ProfileClass::ALL.iter().zip(cols) {
-                row.insert(class.as_str().to_string(), json!(count));
-            }
-            Value::Object(row)
+    /// ..., "join": {...}, "skip": {...}}`, rows and columns sorted by
+    /// label.
+    pub fn to_json(&self) -> Wire {
+        let sorted = |mut members: Vec<(String, Wire)>| {
+            members.sort_by(|a, b| a.0.cmp(&b.0));
+            Wire::Obj(members)
         };
-        for (class, cols) in ProfileClass::ALL.iter().zip(&self.counts) {
-            rows.insert(format!("from_{class}"), row_json(cols));
-        }
-        rows.insert("join".to_string(), row_json(&self.counts[N_CLASSES]));
-        rows.insert("skip".to_string(), row_json(&self.counts[N_CLASSES + 1]));
-        Value::Object(rows)
+        let row_json = |cols: &[u64]| {
+            sorted(
+                ProfileClass::ALL
+                    .iter()
+                    .zip(cols)
+                    .map(|(class, &count)| (class.as_str().to_owned(), Wire::U64(count)))
+                    .collect(),
+            )
+        };
+        let mut rows: Vec<(String, Wire)> = ProfileClass::ALL
+            .iter()
+            .zip(&self.counts)
+            .map(|(class, cols)| (format!("from_{class}"), row_json(cols)))
+            .collect();
+        rows.push(("join".to_owned(), row_json(&self.counts[N_CLASSES])));
+        rows.push(("skip".to_owned(), row_json(&self.counts[N_CLASSES + 1])));
+        sorted(rows)
     }
 }
 
 /// One epoch's reduction: classification counts from the campaign round
 /// plus the churn that produced this epoch's membership.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochRow {
     /// Epoch index (0-based).
     pub epoch: u64,
@@ -197,7 +203,6 @@ pub struct EpochRow {
     /// matrix `skip` pseudo-row; only the free-text failure reason stays
     /// out of the row, because it can mention layout details (shard
     /// indices) that would break shard-invariant table bytes.
-    #[serde(default)]
     pub degraded: bool,
 }
 
@@ -218,7 +223,7 @@ impl EpochRow {
             ("nxdomain", Wire::U64(self.nxdomain)),
             ("refused", Wire::U64(self.refused)),
             ("malicious", Wire::U64(self.malicious)),
-            ("class_counts", count_map(&self.class_counts)),
+            ("class_counts", Wire::from(&self.class_counts)),
             ("transitions", self.transitions.to_wire()),
             ("degraded", Wire::Bool(self.degraded)),
         ])
@@ -226,29 +231,29 @@ impl EpochRow {
 
     pub(crate) fn from_wire(wire: &Wire) -> Result<Self, String> {
         Ok(Self {
-            epoch: wire.field("epoch")?.as_u64()?,
-            virtual_day: wire.field("virtual_day")?.as_f64()?,
-            population: wire.field("population")?.as_u64()?,
-            joins: wire.field("joins")?.as_u64()?,
-            leaves: wire.field("leaves")?.as_u64()?,
-            drifts: wire.field("drifts")?.as_u64()?,
-            r2: wire.field("r2")?.as_u64()?,
-            without_answer: wire.field("without_answer")?.as_u64()?,
-            correct: wire.field("correct")?.as_u64()?,
-            incorrect: wire.field("incorrect")?.as_u64()?,
-            err_pct: wire.field("err_pct")?.as_f64()?,
-            nxdomain: wire.field("nxdomain")?.as_u64()?,
-            refused: wire.field("refused")?.as_u64()?,
-            malicious: wire.field("malicious")?.as_u64()?,
-            class_counts: wire.field("class_counts")?.as_count_map()?,
-            transitions: TransitionMatrix::from_wire(wire.field("transitions")?)?,
-            degraded: wire.field("degraded")?.as_bool()?,
+            epoch: wire.field_as("epoch", Wire::as_u64)?,
+            virtual_day: wire.field_as("virtual_day", Wire::as_f64)?,
+            population: wire.field_as("population", Wire::as_u64)?,
+            joins: wire.field_as("joins", Wire::as_u64)?,
+            leaves: wire.field_as("leaves", Wire::as_u64)?,
+            drifts: wire.field_as("drifts", Wire::as_u64)?,
+            r2: wire.field_as("r2", Wire::as_u64)?,
+            without_answer: wire.field_as("without_answer", Wire::as_u64)?,
+            correct: wire.field_as("correct", Wire::as_u64)?,
+            incorrect: wire.field_as("incorrect", Wire::as_u64)?,
+            err_pct: wire.field_as("err_pct", Wire::as_f64)?,
+            nxdomain: wire.field_as("nxdomain", Wire::as_u64)?,
+            refused: wire.field_as("refused", Wire::as_u64)?,
+            malicious: wire.field_as("malicious", Wire::as_u64)?,
+            class_counts: wire.field_as("class_counts", Wire::as_count_map)?,
+            transitions: wire.field_as("transitions", TransitionMatrix::from_wire)?,
+            degraded: wire.field_as("degraded", Wire::as_bool)?,
         })
     }
 }
 
 /// Whole-run accumulators.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Totals {
     /// Campaign rounds absorbed.
     pub epochs_completed: u64,
@@ -266,7 +271,6 @@ pub struct Totals {
     /// Drift events across all epochs.
     pub drifts: u64,
     /// Epochs whose campaign round degraded instead of completing.
-    #[serde(default)]
     pub epochs_degraded: u64,
 }
 
@@ -286,21 +290,21 @@ impl Totals {
 
     pub(crate) fn from_wire(wire: &Wire) -> Result<Self, String> {
         Ok(Self {
-            epochs_completed: wire.field("epochs_completed")?.as_u64()?,
-            r2: wire.field("r2")?.as_u64()?,
-            incorrect: wire.field("incorrect")?.as_u64()?,
-            malicious: wire.field("malicious")?.as_u64()?,
-            joins: wire.field("joins")?.as_u64()?,
-            leaves: wire.field("leaves")?.as_u64()?,
-            drifts: wire.field("drifts")?.as_u64()?,
-            epochs_degraded: wire.field("epochs_degraded")?.as_u64()?,
+            epochs_completed: wire.field_as("epochs_completed", Wire::as_u64)?,
+            r2: wire.field_as("r2", Wire::as_u64)?,
+            incorrect: wire.field_as("incorrect", Wire::as_u64)?,
+            malicious: wire.field_as("malicious", Wire::as_u64)?,
+            joins: wire.field_as("joins", Wire::as_u64)?,
+            leaves: wire.field_as("leaves", Wire::as_u64)?,
+            drifts: wire.field_as("drifts", Wire::as_u64)?,
+            epochs_degraded: wire.field_as("epochs_degraded", Wire::as_u64)?,
         })
     }
 }
 
 /// The observatory's accumulated state: every absorbed epoch row, the
 /// cumulative transition matrix, and run totals.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RollingTables {
     epochs: Vec<EpochRow>,
     cumulative: TransitionMatrix,
@@ -375,92 +379,106 @@ impl RollingTables {
     }
 
     /// The `/tables` document: the latest epoch in full, cumulative
-    /// transitions, and run totals.
-    pub fn tables_json(&self) -> Value {
-        let latest = self.epochs.last();
-        json!({
-            "epochs_completed": self.totals.epochs_completed,
-            "latest": latest.map(|row| json!({
-                "epoch": row.epoch,
-                "virtual_day": row.virtual_day,
-                "degraded": row.degraded,
-                "population": row.population,
-                "churn": {
-                    "joins": row.joins,
-                    "leaves": row.leaves,
-                    "drifts": row.drifts,
-                },
-                "classification": {
-                    "r2": row.r2,
-                    "without_answer": row.without_answer,
-                    "correct": row.correct,
-                    "incorrect": row.incorrect,
-                    "err_pct": row.err_pct,
-                    "nxdomain": row.nxdomain,
-                    "refused": row.refused,
-                    "malicious": row.malicious,
-                },
-                "population_by_class": row.class_counts,
-                "transitions": row.transitions.to_json(),
-            })),
-            "cumulative_transitions": self.cumulative.to_json(),
-            "totals": {
-                "epochs_degraded": self.totals.epochs_degraded,
-                "r2": self.totals.r2,
-                "incorrect": self.totals.incorrect,
-                "malicious": self.totals.malicious,
-                "joins": self.totals.joins,
-                "leaves": self.totals.leaves,
-                "drifts": self.totals.drifts,
-            },
-        })
+    /// transitions, and run totals. Members are listed sorted by key at
+    /// every level — the served bytes are pinned by checksum.
+    pub fn tables_json(&self) -> Wire {
+        let latest = self.epochs.last().map(|row| {
+            Wire::obj(vec![
+                (
+                    "churn",
+                    Wire::obj(vec![
+                        ("drifts", Wire::from(row.drifts)),
+                        ("joins", Wire::from(row.joins)),
+                        ("leaves", Wire::from(row.leaves)),
+                    ]),
+                ),
+                (
+                    "classification",
+                    Wire::obj(vec![
+                        ("correct", Wire::from(row.correct)),
+                        ("err_pct", Wire::from(row.err_pct)),
+                        ("incorrect", Wire::from(row.incorrect)),
+                        ("malicious", Wire::from(row.malicious)),
+                        ("nxdomain", Wire::from(row.nxdomain)),
+                        ("r2", Wire::from(row.r2)),
+                        ("refused", Wire::from(row.refused)),
+                        ("without_answer", Wire::from(row.without_answer)),
+                    ]),
+                ),
+                ("degraded", Wire::from(row.degraded)),
+                ("epoch", Wire::from(row.epoch)),
+                ("population", Wire::from(row.population)),
+                ("population_by_class", Wire::from(&row.class_counts)),
+                ("transitions", row.transitions.to_json()),
+                ("virtual_day", Wire::from(row.virtual_day)),
+            ])
+        });
+        Wire::obj(vec![
+            ("cumulative_transitions", self.cumulative.to_json()),
+            ("epochs_completed", Wire::from(self.totals.epochs_completed)),
+            ("latest", Wire::from(latest)),
+            (
+                "totals",
+                Wire::obj(vec![
+                    ("drifts", Wire::from(self.totals.drifts)),
+                    ("epochs_degraded", Wire::from(self.totals.epochs_degraded)),
+                    ("incorrect", Wire::from(self.totals.incorrect)),
+                    ("joins", Wire::from(self.totals.joins)),
+                    ("leaves", Wire::from(self.totals.leaves)),
+                    ("malicious", Wire::from(self.totals.malicious)),
+                    ("r2", Wire::from(self.totals.r2)),
+                ]),
+            ),
+        ])
     }
 
     /// The `/trends` document: the per-epoch series plus consecutive-
-    /// epoch deltas of the headline numbers.
-    pub fn trends_json(&self) -> Value {
-        let series: Vec<Value> = self
+    /// epoch deltas of the headline numbers (members sorted by key, as
+    /// in [`Self::tables_json`]).
+    pub fn trends_json(&self) -> Wire {
+        let series = self
             .epochs
             .iter()
             .map(|row| {
-                json!({
-                    "epoch": row.epoch,
-                    "virtual_day": row.virtual_day,
-                    "degraded": row.degraded,
-                    "population": row.population,
-                    "joins": row.joins,
-                    "leaves": row.leaves,
-                    "drifts": row.drifts,
-                    "moved": row.transitions.moved(),
-                    "r2": row.r2,
-                    "incorrect": row.incorrect,
-                    "err_pct": row.err_pct,
-                    "malicious": row.malicious,
-                    "population_by_class": row.class_counts,
-                })
+                Wire::obj(vec![
+                    ("degraded", Wire::from(row.degraded)),
+                    ("drifts", Wire::from(row.drifts)),
+                    ("epoch", Wire::from(row.epoch)),
+                    ("err_pct", Wire::from(row.err_pct)),
+                    ("incorrect", Wire::from(row.incorrect)),
+                    ("joins", Wire::from(row.joins)),
+                    ("leaves", Wire::from(row.leaves)),
+                    ("malicious", Wire::from(row.malicious)),
+                    ("moved", Wire::from(row.transitions.moved())),
+                    ("population", Wire::from(row.population)),
+                    ("population_by_class", Wire::from(&row.class_counts)),
+                    ("r2", Wire::from(row.r2)),
+                    ("virtual_day", Wire::from(row.virtual_day)),
+                ])
             })
             .collect();
-        let deltas: Vec<Value> = self
+        let deltas = self
             .epochs
             .windows(2)
             .map(|pair| {
                 let (prev, next) = (&pair[0], &pair[1]);
-                json!({
-                    "epoch": next.epoch,
-                    "population": next.population as i64 - prev.population as i64,
-                    "r2": next.r2 as i64 - prev.r2 as i64,
-                    "incorrect": next.incorrect as i64 - prev.incorrect as i64,
-                    "err_pct": next.err_pct - prev.err_pct,
-                    "malicious": next.malicious as i64 - prev.malicious as i64,
-                })
+                let delta = |next: u64, prev: u64| Wire::from(next as i64 - prev as i64);
+                Wire::obj(vec![
+                    ("epoch", Wire::from(next.epoch)),
+                    ("err_pct", Wire::from(next.err_pct - prev.err_pct)),
+                    ("incorrect", delta(next.incorrect, prev.incorrect)),
+                    ("malicious", delta(next.malicious, prev.malicious)),
+                    ("population", delta(next.population, prev.population)),
+                    ("r2", delta(next.r2, prev.r2)),
+                ])
             })
             .collect();
-        json!({
-            "epochs_completed": self.totals.epochs_completed,
-            "epochs_degraded": self.totals.epochs_degraded,
-            "series": series,
-            "deltas": deltas,
-        })
+        Wire::obj(vec![
+            ("deltas", Wire::Arr(deltas)),
+            ("epochs_completed", Wire::from(self.totals.epochs_completed)),
+            ("epochs_degraded", Wire::from(self.totals.epochs_degraded)),
+            ("series", Wire::Arr(series)),
+        ])
     }
 
     /// The checkpoint wire form of the whole rolling state.
@@ -485,8 +503,8 @@ impl RollingTables {
                 .iter()
                 .map(EpochRow::from_wire)
                 .collect::<Result<Vec<EpochRow>, String>>()?,
-            cumulative: TransitionMatrix::from_wire(wire.field("cumulative")?)?,
-            totals: Totals::from_wire(wire.field("totals")?)?,
+            cumulative: wire.field_as("cumulative", TransitionMatrix::from_wire)?,
+            totals: wire.field_as("totals", Totals::from_wire)?,
         })
     }
 
@@ -501,10 +519,8 @@ impl RollingTables {
     }
 }
 
-fn render(value: &Value) -> Vec<u8> {
-    let mut bytes = serde_json::to_string_pretty(value)
-        .expect("tables are plain data")
-        .into_bytes();
+fn render(value: &Wire) -> Vec<u8> {
+    let mut bytes = value.encode_pretty().into_bytes();
     bytes.push(b'\n');
     bytes
 }
@@ -566,10 +582,10 @@ mod tests {
         let mut matrix = TransitionMatrix::default();
         matrix.record(Some(ProfileClass::Forwarder), ProfileClass::Silent);
         let value = matrix.to_json();
-        assert_eq!(value["from_forwarder"]["silent"], json!(1));
-        assert_eq!(value["join"]["honest"], json!(0));
+        assert_eq!(value["from_forwarder"]["silent"], Wire::U64(1));
+        assert_eq!(value["join"]["honest"], Wire::U64(0));
         assert_eq!(
-            value.as_object().unwrap().len(),
+            value.as_obj().unwrap().len(),
             N_ROWS,
             "one row per class plus the join and skip pseudo-rows"
         );
@@ -584,7 +600,7 @@ mod tests {
         assert_eq!(matrix.total(), 3, "skipped members still count");
         assert_eq!(matrix.moved(), 0, "a skip is not a class change");
         assert_eq!(matrix.get_skip(ProfileClass::Honest), 2);
-        assert_eq!(matrix.to_json()["skip"]["refusing"], json!(1));
+        assert_eq!(matrix.to_json()["skip"]["refusing"], Wire::U64(1));
     }
 
     #[test]
@@ -601,12 +617,15 @@ mod tests {
         tables.absorb_epoch(bad);
         assert_eq!(tables.totals().epochs_degraded, 1);
         let doc = tables.tables_json();
-        assert_eq!(doc["latest"]["degraded"], json!(true));
-        assert_eq!(doc["totals"]["epochs_degraded"], json!(1));
-        assert_eq!(doc["cumulative_transitions"]["skip"]["honest"], json!(10));
+        assert_eq!(doc["latest"]["degraded"], Wire::Bool(true));
+        assert_eq!(doc["totals"]["epochs_degraded"], Wire::U64(1));
+        assert_eq!(
+            doc["cumulative_transitions"]["skip"]["honest"],
+            Wire::U64(10)
+        );
         let trends = tables.trends_json();
-        assert_eq!(trends["epochs_degraded"], json!(1));
-        assert_eq!(trends["series"][1]["degraded"], json!(true));
+        assert_eq!(trends["epochs_degraded"], Wire::U64(1));
+        assert_eq!(trends["series"][1]["degraded"], Wire::Bool(true));
         tables.validate().expect("conservation holds");
     }
 
@@ -638,8 +657,8 @@ mod tests {
         assert_eq!(tables.totals().leaves, 1);
         assert_eq!(tables.latest().unwrap().epoch, 1);
         let cumulative = tables.tables_json()["cumulative_transitions"].clone();
-        assert_eq!(cumulative["join"]["honest"], json!(10));
-        assert_eq!(cumulative["from_honest"]["honest"], json!(11));
+        assert_eq!(cumulative["join"]["honest"], Wire::U64(10));
+        assert_eq!(cumulative["from_honest"]["honest"], Wire::U64(11));
     }
 
     #[test]
@@ -649,10 +668,28 @@ mod tests {
         tables.absorb_epoch(row(1, 11));
         assert_eq!(tables.tables_bytes(), tables.tables_bytes());
         assert_eq!(tables.trends_bytes(), tables.trends_bytes());
-        let encoded = serde_json::to_string(&tables).unwrap();
-        let decoded: RollingTables = serde_json::from_str(&encoded).unwrap();
-        assert_eq!(decoded, tables);
-        assert_eq!(decoded.tables_bytes(), tables.tables_bytes());
+        for (served, document) in [
+            (tables.tables_bytes(), tables.tables_json()),
+            (tables.trends_bytes(), tables.trends_json()),
+        ] {
+            assert_eq!(Wire::decode(served).unwrap(), document);
+            assert_members_sorted(&document);
+        }
+    }
+
+    /// The served documents are specified as sorted-key at every level.
+    fn assert_members_sorted(value: &Wire) {
+        match value {
+            Wire::Obj(members) => {
+                let keys: Vec<&String> = members.iter().map(|(key, _)| key).collect();
+                assert!(keys.windows(2).all(|pair| pair[0] < pair[1]), "{keys:?}");
+                members
+                    .iter()
+                    .for_each(|(_, member)| assert_members_sorted(member));
+            }
+            Wire::Arr(items) => items.iter().for_each(assert_members_sorted),
+            _ => {}
+        }
     }
 
     #[test]
@@ -680,9 +717,9 @@ mod tests {
         tables.absorb_epoch(row(0, 10));
         tables.absorb_epoch(row(1, 8));
         let trends = tables.trends_json();
-        assert_eq!(trends["series"].as_array().unwrap().len(), 2);
-        let deltas = trends["deltas"].as_array().unwrap();
+        assert_eq!(trends["series"].as_arr().unwrap().len(), 2);
+        let deltas = trends["deltas"].as_arr().unwrap();
         assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0]["population"], json!(-2));
+        assert_eq!(deltas[0]["population"], Wire::I64(-2));
     }
 }

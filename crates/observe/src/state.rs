@@ -26,16 +26,15 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use orscope_core::integrity;
-use serde::{Deserialize, Serialize};
+use orscope_json::Wire;
 
 use crate::churn::ChurnConfig;
-use crate::codec::{opt_u64, Wire};
 use crate::series::RollingTables;
 
 /// The identity of a serve run: everything that determines its output.
 /// Two runs with equal fingerprints produce byte-identical tables, so a
 /// checkpoint is only resumable into a run with the same fingerprint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fingerprint {
     /// Scan year being reproduced.
     pub year: u16,
@@ -52,7 +51,6 @@ pub struct Fingerprint {
     pub churn: ChurnConfig,
     /// Per-epoch virtual-time budget. Part of the identity because a
     /// deadline that fires degrades epochs, which changes the tables.
-    #[serde(default)]
     pub epoch_deadline_virtual_secs: Option<u64>,
 }
 
@@ -89,7 +87,7 @@ impl Fingerprint {
             ),
             (
                 "epoch_deadline_virtual_secs",
-                opt_u64(self.epoch_deadline_virtual_secs),
+                Wire::from(self.epoch_deadline_virtual_secs),
             ),
         ])
     }
@@ -97,21 +95,20 @@ impl Fingerprint {
     fn from_wire(wire: &Wire) -> Result<Self, String> {
         let churn = wire.field("churn")?;
         Ok(Self {
-            year: u16::try_from(wire.field("year")?.as_u64()?)
-                .map_err(|_| "year out of range".to_owned())?,
-            scale: wire.field("scale")?.as_f64()?,
-            seed: wire.field("seed")?.as_u64()?,
-            shards: usize::try_from(wire.field("shards")?.as_u64()?)
-                .map_err(|_| "shards out of range".to_owned())?,
-            epoch_virtual_secs: wire.field("epoch_virtual_secs")?.as_u64()?,
+            year: wire.field_as("year", Wire::as_uint)?,
+            scale: wire.field_as("scale", Wire::as_f64)?,
+            seed: wire.field_as("seed", Wire::as_u64)?,
+            shards: wire.field_as("shards", Wire::as_uint)?,
+            epoch_virtual_secs: wire.field_as("epoch_virtual_secs", Wire::as_u64)?,
             churn: ChurnConfig {
-                join_rate: churn.field("join_rate")?.as_f64()?,
-                leave_rate: churn.field("leave_rate")?.as_f64()?,
-                drift_rate: churn.field("drift_rate")?.as_f64()?,
-                pool_headroom: churn.field("pool_headroom")?.as_f64()?,
-                seed: churn.field("seed")?.as_u64()?,
+                join_rate: churn.field_as("join_rate", Wire::as_f64)?,
+                leave_rate: churn.field_as("leave_rate", Wire::as_f64)?,
+                drift_rate: churn.field_as("drift_rate", Wire::as_f64)?,
+                pool_headroom: churn.field_as("pool_headroom", Wire::as_f64)?,
+                seed: churn.field_as("seed", Wire::as_u64)?,
             },
-            epoch_deadline_virtual_secs: wire.field("epoch_deadline_virtual_secs")?.as_opt_u64()?,
+            epoch_deadline_virtual_secs: wire
+                .field_as("epoch_deadline_virtual_secs", Wire::as_opt_u64)?,
         })
     }
 }
@@ -138,7 +135,7 @@ impl Recovery {
 }
 
 /// A resumable snapshot of an observatory run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObservatoryCheckpoint {
     /// Identity of the run that wrote this.
     pub fingerprint: Fingerprint,
@@ -174,14 +171,14 @@ impl ObservatoryCheckpoint {
     }
 
     fn from_wire(wire: &Wire) -> Result<Self, String> {
-        let version = wire.field("version")?.as_u64()?;
+        let version = wire.field_as("version", Wire::as_u64)?;
         if version != 1 {
             return Err(format!("unsupported checkpoint version {version}"));
         }
         Ok(Self {
-            fingerprint: Fingerprint::from_wire(wire.field("fingerprint")?)?,
-            epochs_done: wire.field("epochs_done")?.as_u64()?,
-            tables: RollingTables::from_wire(wire.field("tables")?)?,
+            fingerprint: wire.field_as("fingerprint", Fingerprint::from_wire)?,
+            epochs_done: wire.field_as("epochs_done", Wire::as_u64)?,
+            tables: wire.field_as("tables", RollingTables::from_wire)?,
         })
     }
 
@@ -282,8 +279,7 @@ impl ObservatoryCheckpoint {
     /// A description of the first failed check.
     pub fn verify(bytes: &[u8], generation: u64) -> Result<Self, String> {
         let payload = integrity::unseal(bytes).map_err(|err| err.to_string())?;
-        let text = std::str::from_utf8(payload).map_err(|err| format!("parse: non-utf8: {err}"))?;
-        let wire = Wire::decode(text.trim_end()).map_err(|err| format!("parse: {err}"))?;
+        let wire = Wire::decode(payload).map_err(|err| format!("parse: {err}"))?;
         let checkpoint = Self::from_wire(&wire).map_err(|err| format!("parse: {err}"))?;
         if checkpoint.epochs_done != generation {
             return Err(format!(

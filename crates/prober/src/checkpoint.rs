@@ -8,15 +8,14 @@
 //! the reuse pool on resume and the targets are re-probed, which only
 //! re-sends a response-window's worth of Q1.
 
-use serde::{Deserialize, Serialize};
-
 use orscope_authns::scheme::ProbeLabel;
+use orscope_json::Wire;
 
 use crate::scan::Prober;
 use crate::subdomain::SubdomainGenerator;
 
 /// A serializable snapshot of scan progress.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanCheckpoint {
     /// Targets already pulled from the scan's target stream.
     pub next_target: usize,
@@ -39,44 +38,66 @@ pub struct ScanCheckpoint {
 }
 
 impl ScanCheckpoint {
-    /// Serializes to JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns the serde error text on failure. Serialization of this
-    /// plain-data struct should not fail, but the result feeds an
-    /// operator-facing file write, so the error is surfaced rather than
-    /// panicked on.
-    pub fn to_json(&self) -> Result<serde_json::Value, String> {
-        serde_json::to_value(self).map_err(|e| e.to_string())
+    /// The cursor as a JSON value: one member per field, sorted by
+    /// name, `reuse_pool` as `[cluster, seq]` pairs.
+    pub fn to_json(&self) -> Wire {
+        let reuse_pool = self
+            .reuse_pool
+            .iter()
+            .map(|&(cluster, seq)| Wire::Arr(vec![Wire::from(cluster), Wire::from(seq)]))
+            .collect();
+        Wire::obj(vec![
+            ("cluster", Wire::from(self.cluster)),
+            ("cluster_capacity", Wire::from(self.cluster_capacity)),
+            ("fresh", Wire::from(self.fresh)),
+            ("next_seq", Wire::from(self.next_seq)),
+            ("next_target", Wire::from(self.next_target)),
+            ("q1_sent", Wire::from(self.q1_sent)),
+            ("r2_captured", Wire::from(self.r2_captured)),
+            ("reuse_pool", Wire::Arr(reuse_pool)),
+            ("reused", Wire::from(self.reused)),
+        ])
     }
 
-    /// Serializes to a JSON string suitable for writing to a
+    /// The cursor as pretty JSON text, suitable for writing to a
     /// checkpoint file.
-    ///
-    /// # Errors
-    ///
-    /// Returns the serde error text on failure.
-    pub fn to_json_string(&self) -> Result<String, String> {
-        serde_json::to_string_pretty(self).map_err(|e| e.to_string())
+    pub fn to_json_string(&self) -> String {
+        self.to_json().encode_pretty()
     }
 
-    /// Loads from JSON.
+    /// Loads from a JSON value.
     ///
     /// # Errors
     ///
-    /// Returns the serde error text for malformed documents.
-    pub fn from_json(value: &serde_json::Value) -> Result<Self, String> {
-        serde_json::from_value(value.clone()).map_err(|e| e.to_string())
+    /// Names the first member that is missing, mistyped or out of its
+    /// field's range.
+    pub fn from_json(value: &Wire) -> Result<Self, String> {
+        let pair = |pair: &Wire| match pair.as_arr()? {
+            [cluster, seq] => Ok((cluster.as_uint()?, seq.as_u64()?)),
+            _ => Err(format!("expected a [cluster, seq] pair, got {pair:?}")),
+        };
+        let reuse_pool =
+            |pool: &Wire| -> Result<_, String> { pool.as_arr()?.iter().map(pair).collect() };
+        Ok(Self {
+            next_target: value.field_as("next_target", Wire::as_uint)?,
+            cluster: value.field_as("cluster", Wire::as_uint)?,
+            next_seq: value.field_as("next_seq", Wire::as_u64)?,
+            cluster_capacity: value.field_as("cluster_capacity", Wire::as_u64)?,
+            reuse_pool: value.field_as("reuse_pool", reuse_pool)?,
+            fresh: value.field_as("fresh", Wire::as_u64)?,
+            reused: value.field_as("reused", Wire::as_u64)?,
+            q1_sent: value.field_as("q1_sent", Wire::as_u64)?,
+            r2_captured: value.field_as("r2_captured", Wire::as_u64)?,
+        })
     }
 
-    /// Loads from a JSON string (a checkpoint file's contents).
+    /// Loads from JSON text (a checkpoint file's contents).
     ///
     /// # Errors
     ///
-    /// Returns the serde error text for malformed documents.
+    /// The syntax error, or what [`Self::from_json`] rejects.
     pub fn from_json_str(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| e.to_string())
+        Self::from_json(&Wire::decode(text)?)
     }
 
     /// Rebuilds a generator positioned at this checkpoint, with every
@@ -148,15 +169,36 @@ mod tests {
             q1_sent: 12_000,
             r2_captured: 40,
         };
-        // The offline build stubs serde_json; only demand the roundtrip
-        // when a real backend is linked.
-        let json_backend_works =
-            serde_json::from_value::<u32>(serde_json::to_value(&1u32).unwrap_or_default()).is_ok();
-        if json_backend_works {
-            let back = ScanCheckpoint::from_json(&cp.to_json().unwrap()).unwrap();
-            assert_eq!(back, cp);
+        assert_eq!(ScanCheckpoint::from_json(&cp.to_json()).unwrap(), cp);
+        assert_eq!(
+            ScanCheckpoint::from_json_str(&cp.to_json_string()).unwrap(),
+            cp
+        );
+        assert_eq!(
+            cp.to_json().encode(),
+            r#"{"cluster":2,"cluster_capacity":5000,"fresh":10000,"next_seq":99,"next_target":12345,"q1_sent":12000,"r2_captured":40,"reuse_pool":[[0,7],[1,8]],"reused":2000}"#
+        );
+    }
+
+    #[test]
+    fn malformed_cursors_are_named_errors() {
+        let load = ScanCheckpoint::from_json_str;
+        assert!(load(r#"{"nope": 1}"#).unwrap_err().contains("missing"));
+        assert!(load("[").is_err());
+        let good = r#"{"cluster":2,"cluster_capacity":5,"fresh":1,"next_seq":9,"next_target":1,"q1_sent":1,"r2_captured":0,"reuse_pool":[[0,7]],"reused":2}"#;
+        assert!(load(good).is_ok());
+        for (from, to, needle) in [
+            (r#""cluster":2"#, r#""cluster":4294967296"#, "cluster"),
+            (r#""fresh":1"#, r#""fresh":-1"#, "fresh"),
+            (r#""fresh":1"#, r#""fresh":1.5"#, "fresh"),
+            ("[[0,7]]", "[[0,7,1]]", "reuse_pool"),
+            ("[[0,7]]", "[[0]]", "reuse_pool"),
+            ("[[0,7]]", "[7]", "reuse_pool"),
+            ("[[0,7]]", r#"[["0",7]]"#, "reuse_pool"),
+        ] {
+            let err = load(&good.replace(from, to)).unwrap_err();
+            assert!(err.contains(needle), "{to}: {err}");
         }
-        assert!(ScanCheckpoint::from_json(&serde_json::json!({"nope": 1})).is_err());
     }
 
     #[test]

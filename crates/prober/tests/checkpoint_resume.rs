@@ -115,16 +115,9 @@ fn interrupted_scan_resumes_to_full_coverage() {
     );
     assert!(!stats_mid.done);
 
-    // Survives serialization. The offline build stubs serde_json (every
-    // deserialization fails), so probe the backend first and only demand
-    // the roundtrip when a real serde_json is linked.
-    let json_backend_works =
-        serde_json::from_value::<u32>(serde_json::to_value(&1u32).expect("int")).is_ok();
-    let checkpoint = if json_backend_works {
-        ScanCheckpoint::from_json(&checkpoint.to_json().expect("serializable")).expect("roundtrip")
-    } else {
-        checkpoint
-    };
+    // Survives serialization.
+    let checkpoint =
+        ScanCheckpoint::from_json_str(&checkpoint.to_json_string()).expect("roundtrip");
 
     // Phase 2: a fresh world resumes from the checkpoint; outstanding
     // targets are re-appended so their probes are re-sent.

@@ -3,6 +3,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use orscope_json::escape_into;
+
 use crate::collector::Scope;
 use crate::metric::{bucket_bounds, BUCKET_COUNT};
 
@@ -180,31 +182,33 @@ impl TelemetrySnapshot {
     /// line (e.g. `("year", 2018)` when one file carries both scans).
     pub fn to_jsonl_tagged(&self, tags: &[(&str, u64)]) -> String {
         let mut out = String::new();
-        let tag_fragment: String = tags
-            .iter()
-            .map(|(key, value)| format!("{}:{value},", json_string(key)))
-            .collect();
+        // Every line opens the same way: the tags, the kind, the name
+        // (metric names are plain ASCII, but escaping keeps the exporter
+        // total).
+        let mut tag_fragment = String::new();
+        for (key, value) in tags {
+            tag_fragment.push('"');
+            escape_into(&mut tag_fragment, key);
+            let _ = write!(tag_fragment, "\":{value},");
+        }
+        let open_line = |out: &mut String, kind: &str, name: &str| {
+            let _ = write!(out, "{{{tag_fragment}\"kind\":\"{kind}\",\"name\":\"");
+            escape_into(out, name);
+            out.push('"');
+        };
         for (name, metric) in &self.counters {
             if metric.scope != Scope::Global {
                 continue;
             }
-            let _ = writeln!(
-                out,
-                "{{{tag_fragment}\"kind\":\"counter\",\"name\":{},\"value\":{}}}",
-                json_string(name),
-                metric.value
-            );
+            open_line(&mut out, "counter", name);
+            let _ = writeln!(out, ",\"value\":{}}}", metric.value);
         }
         for (name, metric) in &self.gauges {
             if metric.scope != Scope::Global {
                 continue;
             }
-            let _ = writeln!(
-                out,
-                "{{{tag_fragment}\"kind\":\"gauge\",\"name\":{},\"value\":{}}}",
-                json_string(name),
-                metric.value
-            );
+            open_line(&mut out, "gauge", name);
+            let _ = writeln!(out, ",\"value\":{}}}", metric.value);
         }
         for (name, histogram) in &self.histograms {
             if histogram.scope != Scope::Global {
@@ -221,15 +225,11 @@ impl TelemetrySnapshot {
                 })
                 .collect::<Vec<_>>()
                 .join(",");
+            open_line(&mut out, "histogram", name);
             let _ = writeln!(
                 out,
-                "{{{tag_fragment}\"kind\":\"histogram\",\"name\":{},\"count\":{},\"sum\":{},\
-                 \"min\":{},\"max\":{},\"buckets\":[{buckets}]}}",
-                json_string(name),
-                histogram.count,
-                histogram.sum,
-                histogram.min,
-                histogram.max,
+                ",\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{buckets}]}}",
+                histogram.count, histogram.sum, histogram.min, histogram.max,
             );
         }
         out
@@ -338,28 +338,6 @@ fn prom_name(name: &str) -> String {
     for ch in name.chars() {
         out.push(if ch.is_ascii_alphanumeric() { ch } else { '_' });
     }
-    out
-}
-
-/// `value` as a quoted JSON string (metric names are plain ASCII, but
-/// escaping keeps the exporter total).
-fn json_string(value: &str) -> String {
-    let mut out = String::with_capacity(value.len() + 2);
-    out.push('"');
-    for ch in value.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -488,8 +466,31 @@ mod tests {
     }
 
     #[test]
-    fn json_string_escapes_controls() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    fn jsonl_lines_are_json_even_with_hostile_names() {
+        let mut snapshot = sample();
+        snapshot.counters.insert(
+            "a\"b\\c\n\u{1}".into(),
+            MetricValue {
+                scope: Scope::Global,
+                value: 1,
+            },
+        );
+        let jsonl = snapshot.to_jsonl_tagged(&[("ye\"ar", 2018)]);
+        let lines: Vec<&str> = jsonl.lines().collect();
+        assert_eq!(
+            lines[0],
+            r#"{"ye\"ar":2018,"kind":"counter","name":"a\"b\\c\n\u0001","value":1}"#
+        );
+        assert_eq!(
+            lines[1],
+            r#"{"ye\"ar":2018,"kind":"counter","name":"net.datagrams_sent","value":12}"#
+        );
+        assert!(lines[2].starts_with(
+            r#"{"ye\"ar":2018,"kind":"histogram","name":"prober.q1_r2_latency_ns","count":3,"sum":900903,"min":3,"max":900000,"buckets":[["#
+        ));
+        for line in lines {
+            let value = orscope_json::Wire::decode(line).expect("every line is a JSON object");
+            assert_eq!(value["ye\"ar"], orscope_json::Wire::U64(2018));
+        }
     }
 }

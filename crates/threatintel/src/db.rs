@@ -137,95 +137,3 @@ mod tests {
         assert_eq!(db.reported_address_count(), 2);
     }
 }
-
-/// JSON persistence: a threat feed can be exported and re-imported, the
-/// way real reputation feeds are distributed as daily dumps.
-impl ThreatDb {
-    /// Serializes the full report store to JSON.
-    pub fn to_json(&self) -> serde_json::Value {
-        let entries: Vec<serde_json::Value> = {
-            let mut keys: Vec<_> = self.reports.keys().collect();
-            keys.sort();
-            keys.into_iter()
-                .map(|ip| {
-                    serde_json::json!({
-                        "ip": ip.to_string(),
-                        "reports": self.reports[ip],
-                    })
-                })
-                .collect()
-        };
-        serde_json::json!({ "format": "orscope-threat-feed/1", "entries": entries })
-    }
-
-    /// Loads a feed produced by [`ThreatDb::to_json`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed entry.
-    pub fn from_json(value: &serde_json::Value) -> Result<Self, String> {
-        if value.get("format").and_then(|f| f.as_str()) != Some("orscope-threat-feed/1") {
-            return Err("unknown feed format".into());
-        }
-        let mut db = ThreatDb::new();
-        let entries = value
-            .get("entries")
-            .and_then(|e| e.as_array())
-            .ok_or("missing entries array")?;
-        for entry in entries {
-            let ip: Ipv4Addr = entry
-                .get("ip")
-                .and_then(|v| v.as_str())
-                .ok_or("entry without ip")?
-                .parse()
-                .map_err(|e| format!("bad ip: {e}"))?;
-            let reports: Vec<Report> = serde_json::from_value(
-                entry
-                    .get("reports")
-                    .cloned()
-                    .ok_or("entry without reports")?,
-            )
-            .map_err(|e| format!("bad reports for {ip}: {e}"))?;
-            for report in reports {
-                db.add_report(ip, report);
-            }
-        }
-        Ok(db)
-    }
-}
-
-#[cfg(test)]
-mod persistence_tests {
-    use super::*;
-
-    #[test]
-    fn feed_roundtrip() {
-        let mut db = ThreatDb::new();
-        db.seed(Ipv4Addr::new(74, 220, 199, 15), Category::Malware, 3);
-        db.seed(Ipv4Addr::new(208, 91, 197, 91), Category::Phishing, 2);
-        db.add_report(
-            Ipv4Addr::new(208, 91, 197, 91),
-            Report::new(Category::Botnet),
-        );
-        let json = db.to_json();
-        let back = ThreatDb::from_json(&json).unwrap();
-        assert_eq!(back.reported_address_count(), 2);
-        assert_eq!(
-            back.dominant_category(Ipv4Addr::new(74, 220, 199, 15)),
-            Some(Category::Malware)
-        );
-        assert_eq!(back.lookup(Ipv4Addr::new(208, 91, 197, 91)).len(), 3);
-        // Serialization is stable (sorted by address).
-        assert_eq!(json, back.to_json());
-    }
-
-    #[test]
-    fn rejects_malformed_feeds() {
-        assert!(ThreatDb::from_json(&serde_json::json!({})).is_err());
-        assert!(ThreatDb::from_json(&serde_json::json!({
-            "format": "orscope-threat-feed/1",
-            "entries": [{"ip": "not-an-ip", "reports": []}]
-        }))
-        .is_err());
-    }
-}

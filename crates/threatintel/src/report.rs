@@ -2,12 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::category::Category;
 
 /// The feed a report came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReportSource {
     /// Aggregated community feed (the Cymon analogue).
     CommunityFeed,
@@ -21,7 +19,7 @@ pub enum ReportSource {
 }
 
 /// A single report: category, source, and a day-granularity timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Report {
     /// What the address was reported for.
     pub category: Category,

@@ -9,6 +9,8 @@
 //!
 //! The facade re-exports every workspace crate:
 //!
+//! - [`json`] — the one JSON value, writer and depth-bounded reader
+//!   reports, checkpoints and fault plans go through,
 //! - [`dns_wire`] — DNS wire format (names, header flags, rdata, codec),
 //! - [`netsim`] — the discrete-event simulated internet,
 //! - [`ipspace`] — reserved blocks, scan permutations, probeable space,
@@ -40,6 +42,7 @@ pub use orscope_core as core;
 pub use orscope_dns_wire as dns_wire;
 pub use orscope_geo as geo;
 pub use orscope_ipspace as ipspace;
+pub use orscope_json as json;
 pub use orscope_netsim as netsim;
 pub use orscope_observe as observe;
 pub use orscope_prober as prober;

@@ -31,6 +31,7 @@ use orscope_core::{
     run_trend, AnalysisMode, Campaign, CampaignConfig, PredicateError, RecordBus, TapPredicate,
     TapSubscriber, TrendConfig, DEFAULT_TAP_CAPACITY,
 };
+use orscope_json::Wire;
 use orscope_netsim::{FaultKind, FaultPlan, FaultRule, FaultScope};
 use orscope_observe::{http, ChurnConfig, HttpConfig, Observatory, ServeConfig};
 use orscope_resolver::paper::Year;
@@ -268,7 +269,7 @@ fn parse_faults(args: &[String], config: &CampaignConfig) -> Result<FaultPlan, S
         Some(path) => {
             let text =
                 std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-            serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?
+            FaultPlan::from_json_str(&text).map_err(|e| format!("parsing {path}: {e}"))?
         }
     };
     if let Some(window) = flag_value(args, "--authns-outage")? {
@@ -325,7 +326,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         let checkpoint = Campaign::new(config)
             .run_partial(Duration::from_secs_f64(stop))
             .map_err(|e| e.to_string())?;
-        let blob = checkpoint.scan.to_json_string()?;
+        let blob = checkpoint.scan.to_json_string();
         std::fs::write(&path, blob).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!(
             "froze at {stop}s: {} probes sent, {} in flight; cursor written to {path}",
@@ -348,8 +349,8 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     );
     println!("{}", result.render());
     if let Some(path) = flag_value(args, "--json")? {
-        let blob = serde_json::to_string_pretty(&result.to_json()).expect("serializable");
-        std::fs::write(&path, blob).map_err(|e| format!("writing {path}: {e}"))?;
+        std::fs::write(&path, result.to_json().encode_pretty())
+            .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
     if let Some(path) = flag_value(args, "--telemetry")? {
@@ -373,12 +374,11 @@ fn cmd_tables(args: &[String]) -> Result<(), String> {
         blobs.push(result.to_json());
     }
     if let Some(path) = flag_value(args, "--json")? {
-        let blob = serde_json::json!({ "scale": scale, "years": blobs });
-        std::fs::write(
-            &path,
-            serde_json::to_string_pretty(&blob).expect("serializable"),
-        )
-        .map_err(|e| format!("writing {path}: {e}"))?;
+        let blob = Wire::obj(vec![
+            ("scale", Wire::from(scale)),
+            ("years", Wire::Arr(blobs)),
+        ]);
+        std::fs::write(&path, blob.encode_pretty()).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
     Ok(())

@@ -5,15 +5,11 @@
 //! byte-identical reports at every shard count and under fault
 //! injection. Batch is the oracle; this test pins streaming to it.
 
-use orscope_core::{AnalysisMode, Campaign, CampaignConfig, CampaignResult};
+use orscope_core::{AnalysisMode, Campaign, CampaignConfig};
 use orscope_resolver::paper::Year;
 
 /// Serialized table reports: the byte-level comparison surface (wall
 /// clock is excluded; it is never mode- or shard-invariant).
-fn tables_json(result: &CampaignResult) -> String {
-    serde_json::to_string(&result.table_reports()).expect("tables serialize")
-}
-
 #[test]
 fn reports_are_byte_identical_across_analysis_modes_and_shards() {
     let run = |analysis: AnalysisMode, shards: usize| {
@@ -23,7 +19,7 @@ fn reports_are_byte_identical_across_analysis_modes_and_shards() {
         Campaign::new(config).run().unwrap()
     };
     let baseline = run(AnalysisMode::Batch, 1);
-    let baseline_tables = tables_json(&baseline);
+    let baseline_tables = baseline.tables_json();
     let baseline_render = baseline.render();
     for analysis in [AnalysisMode::Streaming, AnalysisMode::Batch] {
         for shards in [1, 2, 4] {
@@ -34,7 +30,7 @@ fn reports_are_byte_identical_across_analysis_modes_and_shards() {
                 "R2 diverged: {analysis} x {shards} shards"
             );
             assert_eq!(
-                tables_json(&result),
+                result.tables_json(),
                 baseline_tables,
                 "table reports diverged: {analysis} x {shards} shards"
             );
@@ -61,7 +57,7 @@ fn failure_injection_is_analysis_mode_invariant() {
     };
     let streaming = run(AnalysisMode::Streaming);
     let batch = run(AnalysisMode::Batch);
-    assert_eq!(tables_json(&streaming), tables_json(&batch));
+    assert_eq!(streaming.tables_json(), batch.tables_json());
     assert_eq!(streaming.render(), batch.render());
 }
 

@@ -14,10 +14,6 @@ use orscope_resolver::paper::Year;
 
 /// Serialized table reports: the byte-level comparison surface (same
 /// convention as the shard-invariance suite).
-fn tables_json(result: &orscope_core::CampaignResult) -> String {
-    serde_json::to_string(&result.table_reports()).expect("tables serialize")
-}
-
 /// Campaign seed for every test in this suite. The CI chaos matrix
 /// re-runs the whole suite under several seeds via
 /// `ORSCOPE_CHAOS_SEED`; the properties asserted here are relational
@@ -115,11 +111,11 @@ fn authns_blackhole_is_survived_and_shard_invariant() {
     // The fault schedule is part of the campaign seed: every shard
     // layout must see the identical impairments and produce the
     // identical tables.
-    let baseline = tables_json(&faulted);
+    let baseline = faulted.tables_json();
     for shards in [2, 4] {
         let sharded = run(shards, true, 0);
         assert_eq!(
-            tables_json(&sharded),
+            sharded.tables_json(),
             baseline,
             "faulted tables diverged at {shards} shards"
         );
@@ -178,17 +174,13 @@ fn interrupted_campaign_resumes_to_identical_tables() {
         let resumed = Campaign::new(config()).resume_from(&checkpoint).unwrap();
 
         // The classified dataset must not depend on the interruption:
-        // every table report but Table II is byte-identical. (Table II
+        // every table report but Table II is identical. (Table II
         // legitimately differs — its Q1 and Q2 count the re-probed
         // tail.)
         assert_eq!(resumed.dataset().r2(), straight.dataset().r2());
         let (resumed_tables, straight_tables) = (resumed.table_reports(), straight.table_reports());
         assert!(straight_tables[0].title.starts_with("Table II "));
-        assert_eq!(
-            serde_json::to_string(&resumed_tables[1..]).expect("tables serialize"),
-            serde_json::to_string(&straight_tables[1..]).expect("tables serialize"),
-            "{analysis}"
-        );
+        assert_eq!(resumed_tables[1..], straight_tables[1..], "{analysis}");
         assert_eq!(servfails(&resumed), servfails(&straight));
         // Q1 legitimately overcounts on resume: probes in flight at the
         // interruption are re-sent. The overcount is exactly the
@@ -213,7 +205,7 @@ fn supervised_retry_is_invisible_in_the_result() {
     // The supervisor reran the shard with its original seed, so the
     // merged tables are byte-identical to the undisturbed run; only the
     // degraded report records that anything happened.
-    assert_eq!(tables_json(&sabotaged), tables_json(&clean));
+    assert_eq!(sabotaged.tables_json(), clean.tables_json());
     assert_eq!(sabotaged.dataset().r2(), clean.dataset().r2());
     let degraded = sabotaged.degraded().expect("retry must be reported");
     assert_eq!(degraded.retried, vec![1]);

@@ -3,6 +3,7 @@
 //! shape is pinned here.
 
 use orscope_core::{Campaign, CampaignConfig};
+use orscope_json::Wire;
 use orscope_resolver::paper::Year;
 
 #[test]
@@ -26,13 +27,13 @@ fn report_json_schema_is_stable() {
     ] {
         assert!(json.get(key).is_some(), "missing {key}");
     }
-    assert_eq!(json["year"], 2018);
-    assert_eq!(json["scale"], 20_000.0);
+    assert_eq!(json["year"], Wire::U64(2018));
+    assert_eq!(json["scale"], Wire::F64(20_000.0));
     assert_eq!(json["q2"], json["r1"]);
 
     // Tables: every block has a title and comparisons with the fixed
     // triple of fields.
-    let tables = json["tables"].as_array().expect("tables array");
+    let tables = json["tables"].as_arr().expect("tables array");
     assert!(tables.len() >= 10, "{} table blocks", tables.len());
     let titles: Vec<&str> = tables
         .iter()
@@ -57,19 +58,18 @@ fn report_json_schema_is_stable() {
         );
     }
     for table in tables {
-        let comparisons = table["comparisons"].as_array().expect("comparisons");
+        let comparisons = table["comparisons"].as_arr().expect("comparisons");
         assert!(!comparisons.is_empty());
         for c in comparisons {
-            assert!(c["name"].is_string());
-            assert!(c["paper"].is_number());
-            assert!(c["measured"].is_number());
+            assert!(c["name"].as_str().is_ok());
+            assert!(c["paper"].as_f64().is_ok());
+            assert!(c["measured"].as_f64().is_ok());
         }
     }
 
-    // The report round-trips through serde_json text.
-    let text = serde_json::to_string(&json).expect("serializable");
-    let back: serde_json::Value = serde_json::from_str(&text).expect("parseable");
-    assert_eq!(back, json);
+    // The report round-trips through its text, compact and pretty.
+    assert_eq!(Wire::decode(json.encode()).expect("parseable"), json);
+    assert_eq!(Wire::decode(json.encode_pretty()).expect("parseable"), json);
 }
 
 #[test]

@@ -12,10 +12,6 @@ use orscope_resolver::paper::Year;
 /// the byte-level comparison surface. Wall-clock duration is *not*
 /// shard-invariant (shards run concurrently), so the comparison covers
 /// the tables rather than the full report envelope.
-fn tables_json(result: &orscope_core::CampaignResult) -> String {
-    serde_json::to_string(&result.table_reports()).expect("tables serialize")
-}
-
 #[test]
 fn tables_are_byte_identical_across_shard_counts() {
     let run = |shards: usize| {
@@ -23,7 +19,7 @@ fn tables_are_byte_identical_across_shard_counts() {
         Campaign::new(config).run().unwrap()
     };
     let single = run(1);
-    let baseline = tables_json(&single);
+    let baseline = single.tables_json();
     for shards in [4, 8] {
         let sharded = run(shards);
         assert_eq!(
@@ -47,7 +43,7 @@ fn tables_are_byte_identical_across_shard_counts() {
             "R2 diverged at {shards} shards"
         );
         assert_eq!(
-            tables_json(&sharded),
+            sharded.tables_json(),
             baseline,
             "table reports diverged at {shards} shards"
         );
@@ -67,11 +63,11 @@ fn invariance_holds_with_forwarders_and_off_port_responders() {
         Campaign::new(config).run().unwrap()
     };
     let single = run(1);
-    let baseline = tables_json(&single);
+    let baseline = single.tables_json();
     for shards in [4, 8] {
         let sharded = run(shards);
         assert_eq!(
-            tables_json(&sharded),
+            sharded.tables_json(),
             baseline,
             "table reports diverged at {shards} shards with forwarders"
         );
@@ -85,8 +81,8 @@ fn invariance_holds_for_the_2013_scan() {
         let config = CampaignConfig::new(Year::Y2013, 20_000.0).with_shards(shards);
         Campaign::new(config).run().unwrap()
     };
-    let baseline = tables_json(&run(1));
-    assert_eq!(tables_json(&run(4)), baseline);
+    let baseline = run(1).tables_json();
+    assert_eq!(run(4).tables_json(), baseline);
 }
 
 #[test]

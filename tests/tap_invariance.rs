@@ -12,17 +12,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use orscope_core::{
-    AnalysisMode, Campaign, CampaignConfig, CampaignResult, Infra, RecordBus, TapPredicate,
-    TapSubscriber, DEFAULT_TAP_CAPACITY,
+    AnalysisMode, Campaign, CampaignConfig, Infra, RecordBus, TapPredicate, TapSubscriber,
+    DEFAULT_TAP_CAPACITY,
 };
 use orscope_resolver::paper::Year;
 
 /// Serialized table reports: the byte-level comparison surface (wall
 /// clock is excluded; it is never invariant).
-fn tables_json(result: &CampaignResult) -> String {
-    serde_json::to_string(&result.table_reports()).expect("tables serialize")
-}
-
 fn config(analysis: AnalysisMode, shards: usize) -> CampaignConfig {
     CampaignConfig::new(Year::Y2018, 10_000.0)
         .with_shards(shards)
@@ -34,7 +30,7 @@ fn reports_are_identical_with_zero_one_or_many_taps() {
     for analysis in [AnalysisMode::Streaming, AnalysisMode::Batch] {
         for shards in [1, 2, 4] {
             let baseline = Campaign::new(config(analysis, shards)).run().unwrap();
-            let baseline_tables = tables_json(&baseline);
+            let baseline_tables = baseline.tables_json();
             let baseline_render = baseline.render();
 
             // A bus with no subscribers: the publish fast path.
@@ -44,7 +40,7 @@ fn reports_are_identical_with_zero_one_or_many_taps() {
                 .run()
                 .unwrap();
             assert_eq!(
-                tables_json(&with_empty_bus),
+                with_empty_bus.tables_json(),
                 baseline_tables,
                 "empty bus perturbed tables: {analysis} x {shards} shards"
             );
@@ -77,7 +73,7 @@ fn reports_are_identical_with_zero_one_or_many_taps() {
                 .run()
                 .unwrap();
             assert_eq!(
-                tables_json(&with_taps),
+                with_taps.tables_json(),
                 baseline_tables,
                 "taps perturbed tables: {analysis} x {shards} shards"
             );
@@ -145,6 +141,6 @@ fn concurrent_tap_drain(analysis: AnalysisMode) {
     stop.store(true, Ordering::SeqCst);
     let seen = drainer.join().unwrap();
     assert!(seen > 0, "a drained match-all tap must observe records");
-    assert_eq!(tables_json(&result), tables_json(&baseline));
+    assert_eq!(result.tables_json(), baseline.tables_json());
     assert_eq!(result.render(), baseline.render());
 }

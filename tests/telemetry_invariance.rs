@@ -148,8 +148,8 @@ fn disabling_telemetry_removes_the_snapshot_and_changes_nothing_else() {
     let off = Campaign::new(config).run().unwrap();
     assert!(off.telemetry().is_none());
     assert_eq!(
-        serde_json::to_string(&off.table_reports()).expect("tables serialize"),
-        serde_json::to_string(&on.table_reports()).expect("tables serialize"),
+        off.tables_json(),
+        on.tables_json(),
         "telemetry changed the measured tables"
     );
 }
