@@ -24,7 +24,6 @@ use std::time::Instant;
 
 use orscope_bench::alloc::{peak_above, reset_peak, CountingAlloc};
 use orscope_core::{Campaign, CampaignConfig};
-use orscope_json::Wire;
 use orscope_resolver::paper::Year;
 
 #[global_allocator]
@@ -38,7 +37,7 @@ const SCALE_200_BYTES_PER_RESPONDER: u64 = 195;
 
 /// Runs one campaign and returns its JSON entry, its peak live bytes and
 /// its responder count.
-fn run_point(scale: f64) -> (Wire, usize, u64) {
+fn run_point(scale: f64) -> (String, usize, u64) {
     let config = CampaignConfig::new(Year::Y2018, scale).with_telemetry(false);
     let campaign = Campaign::new(config);
     let baseline = reset_peak();
@@ -59,14 +58,13 @@ fn run_point(scale: f64) -> (Wire, usize, u64) {
         "the host table must stay an order of magnitude below the \
          responders it serves (peak {hosts} hosts for {r2} responders)"
     );
-    let entry = Wire::obj(vec![
-        ("scale", Wire::from(scale)),
-        ("r2", Wire::from(r2)),
-        ("peak_live_bytes", Wire::from(peak_bytes)),
-        ("materialized_hosts_peak", Wire::from(hosts)),
-        ("events", Wire::from(events)),
-        ("events_per_sec", Wire::from(events_per_sec.round() as u64)),
-    ]);
+    let entry = format!(
+        "    {{\n      \"scale\": {scale},\n      \"r2\": {r2},\n      \
+         \"peak_live_bytes\": {peak_bytes},\n      \
+         \"materialized_hosts_peak\": {hosts},\n      \
+         \"events\": {events},\n      \
+         \"events_per_sec\": {events_per_sec:.0}\n    }}"
+    );
     (entry, peak_bytes, r2)
 }
 
@@ -92,20 +90,12 @@ fn main() {
             "a campaign at scale {scale} must fit in 2 GiB of live heap (got {peak_bytes} bytes)"
         );
     }
-    let json = Wire::obj(vec![
-        ("bench", Wire::from("scale_memory")),
-        ("smoke", Wire::from(smoke)),
-        (
-            "metric",
-            Wire::from(
-                "peak live bytes above baseline and events/sec over full Campaign::run \
-                 (2018, streaming analysis)",
-            ),
-        ),
-        ("scales", Wire::Arr(entries)),
-    ])
-    .encode_pretty()
-        + "\n";
+    let json = format!(
+        "{{\n  \"bench\": \"scale_memory\",\n  \"smoke\": {smoke},\n  \
+         \"metric\": \"peak live bytes above baseline and events/sec over full Campaign::run \
+         (2018, streaming analysis)\",\n  \"scales\": [\n{}\n  ]\n}}\n",
+        entries.join(",\n")
+    );
     if smoke {
         // CI liveness check: exercise everything, commit nothing.
         eprintln!("{json}");

@@ -29,7 +29,6 @@ use orscope_authns::{CapturedPacket, Direction};
 use orscope_bench::alloc::{peak_above, reset_peak, CountingAlloc};
 use orscope_dns_wire::{Message, Name, Question, RData, Rcode, Record};
 use orscope_geo::{GeoDb, GeoRecord};
-use orscope_json::Wire;
 use orscope_netsim::SimTime;
 use orscope_prober::{ProbeStats, R2Capture};
 use orscope_resolver::paper::Year;
@@ -285,9 +284,9 @@ fn main() {
     };
     let (geo, threat) = (geo_db(), threat_db());
 
-    let mut entries = Vec::new();
+    let mut entries = String::new();
     let mut last_ratio = 0f64;
-    for responses in &scales {
+    for (i, responses) in scales.iter().enumerate() {
         let (batch_peak, batch_tables) = batch_arm(42, *responses, &geo, &threat);
         let (stream_peak, stream_tables) = streaming_arm(42, *responses, &geo, &threat);
         assert_eq!(
@@ -300,28 +299,22 @@ fn main() {
             "{responses:>7} responses: batch peak {:>12} B  streaming peak {:>12} B  ({ratio:.1}x)",
             batch_peak, stream_peak
         );
-        entries.push(Wire::obj(vec![
-            ("responses", Wire::from(*responses)),
-            ("batch_peak_live_bytes", Wire::from(batch_peak)),
-            ("streaming_peak_live_bytes", Wire::from(stream_peak)),
-            (
-                "batch_over_streaming",
-                Wire::from((ratio * 100.0).round() / 100.0),
-            ),
-        ]));
+        if i > 0 {
+            entries.push_str(",\n");
+        }
+        entries.push_str(&format!(
+            "    {{\n      \"responses\": {responses},\n      \
+             \"batch_peak_live_bytes\": {batch_peak},\n      \
+             \"streaming_peak_live_bytes\": {stream_peak},\n      \
+             \"batch_over_streaming\": {ratio:.2}\n    }}"
+        ));
     }
 
-    let json = Wire::obj(vec![
-        ("bench", Wire::from("streaming_memory")),
-        ("smoke", Wire::from(smoke)),
-        (
-            "metric",
-            Wire::from("peak live capture/analysis bytes above baseline"),
-        ),
-        ("scales", Wire::Arr(entries)),
-    ])
-    .encode_pretty()
-        + "\n";
+    let json = format!(
+        "{{\n  \"bench\": \"streaming_memory\",\n  \"smoke\": {smoke},\n  \
+         \"metric\": \"peak live capture/analysis bytes above baseline\",\n  \
+         \"scales\": [\n{entries}\n  ]\n}}\n"
+    );
     assert!(
         last_ratio >= 5.0,
         "streaming must hold peak live bytes at least 5x below batch \

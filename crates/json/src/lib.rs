@@ -26,12 +26,23 @@
 //!   always with a fraction or an exponent (`12.0`, `1e300`), so a
 //!   float decodes as a float — and read back with
 //!   `str::parse::<f64>`, which recovers the identical bit pattern.
+//!   That is the form of the offline stand-in (`orbench/standins`) for
+//!   the derive-based JSON crate this one replaced, which the committed
+//!   checksums were taken with — not in every case the published
+//!   crate's: for magnitudes in `[1e-5, 1e-4)` `{:?}` writes `1e-5`
+//!   where ryu writes `0.00001`. Same value either way, and the reader
+//!   takes both.
 //! - The pretty form is two-space indented with `": "` after keys and
 //!   `[]` / `{}` for empty containers.
 //!
 //! The reader is total: arbitrary bytes produce `Ok` or `Err`, never a
 //! panic, in time and memory linear in the input, with container
-//! nesting bounded at [`MAX_DEPTH`].
+//! nesting bounded at [`MAX_DEPTH`]. It accepts the JSON grammar and no
+//! more — numbers as RFC 8259 spells them (no `+5`, `.5`, `1.` or
+//! `01`), `\u` escapes of exactly four hex digits with UTF-16 surrogate
+//! pairs combined and lone halves rejected, no raw control bytes inside
+//! strings. A repeated object member decodes (the value keeps both);
+//! [`Wire::field`], which every typed reader goes through, rejects it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -176,7 +187,8 @@ impl Wire {
 
     // ---- typed accessors (decoding helpers) ----
 
-    /// The value of member `name`, if `self` is an object that has it.
+    /// The value of member `name` (the first, should a hostile document
+    /// repeat it), if `self` is an object that has it.
     pub fn get(&self, name: &str) -> Option<&Wire> {
         match self {
             Wire::Obj(fields) => fields
@@ -191,13 +203,18 @@ impl Wire {
     ///
     /// # Errors
     ///
-    /// If `self` is not an object or the field is missing.
+    /// If `self` is not an object, or the field is missing or there
+    /// twice (the typed readers do not pick one of two spellings of a
+    /// member).
     pub fn field(&self, name: &str) -> Result<&Wire, String> {
-        match self {
-            Wire::Obj(_) => self
-                .get(name)
-                .ok_or_else(|| format!("missing field {name:?}")),
-            _ => Err(format!("expected object around field {name:?}")),
+        let Wire::Obj(fields) = self else {
+            return Err(format!("expected object around field {name:?}"));
+        };
+        let mut matches = fields.iter().filter(|(key, _)| key == name);
+        match (matches.next(), matches.next()) {
+            (Some((_, value)), None) => Ok(value),
+            (None, _) => Err(format!("missing field {name:?}")),
+            (Some(_), Some(_)) => Err(format!("duplicate field {name:?}")),
         }
     }
 
@@ -318,12 +335,17 @@ impl Wire {
     ///
     /// # Errors
     ///
-    /// If it is not an object of unsigned integers.
+    /// If it is not an object of unsigned integers, or repeats a key.
     pub fn as_count_map(&self) -> Result<BTreeMap<String, u64>, String> {
-        self.as_obj()?
+        let fields = self.as_obj()?;
+        let map = fields
             .iter()
             .map(|(key, value)| Ok((key.clone(), value.as_u64()?)))
-            .collect()
+            .collect::<Result<BTreeMap<_, _>, String>>()?;
+        if map.len() != fields.len() {
+            return Err("duplicate key in count map".to_owned());
+        }
+        Ok(map)
     }
 }
 
@@ -499,16 +521,43 @@ fn parse_literal(bytes: &[u8], pos: &mut usize, literal: &str) -> Result<(), Str
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Wire, String> {
     let start = *pos;
-    while let Some(b) = bytes.get(*pos) {
-        if matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
             *pos += 1;
-        } else {
-            break;
         }
+        *pos - from
+    };
+    // The JSON grammar, checked before `str::parse` (which would also
+    // take "+5", ".5", "1." and "01"): an optional minus, an integer
+    // part without a leading zero, an optional fraction, an optional
+    // exponent.
+    if bytes.get(*pos) == Some(&b'-') {
+        *pos += 1;
     }
-    let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "bad number".to_owned())?;
-    if text.is_empty() {
+    let leading_zero = bytes.get(*pos) == Some(&b'0');
+    let mut well_formed = match digits(pos) {
+        0 => false,
+        1 => true,
+        _ => !leading_zero,
+    };
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        well_formed &= digits(pos) > 0;
+    }
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        well_formed &= digits(pos) > 0;
+    }
+    if *pos == start {
         return Err(format!("expected value at offset {start}"));
+    }
+    let text = String::from_utf8_lossy(&bytes[start..*pos]);
+    if !well_formed {
+        return Err(format!("bad number {text:?} at offset {start}"));
     }
     // Integers first (exact for the full u64 and i64 ranges: seeds use
     // all 64 bits), floats as the fallback.
@@ -522,6 +571,15 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Wire, String> {
         Ok(x) if x.is_finite() => Ok(Wire::F64(x)),
         _ => Err(format!("bad number {text:?} at offset {start}")),
     }
+}
+
+/// The four hex digits of a `\u` escape starting at `at`.
+fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let digits = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+    digits.iter().try_fold(0u32, |code, &digit| {
+        let value = char::from(digit).to_digit(16).ok_or("bad \\u escape")?;
+        Ok(code << 4 | value)
+    })
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -546,29 +604,45 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{0008}'),
                     Some(b'f') => out.push('\u{000c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).ok_or("bad \\u escape")?);
+                        let mut code = parse_hex4(bytes, *pos + 1)?;
                         *pos += 4;
+                        if (0xD800..0xDC00).contains(&code) {
+                            // A scalar beyond the basic plane is a
+                            // UTF-16 pair: the low half must follow.
+                            let low = match bytes.get(*pos + 1..*pos + 3) {
+                                Some(b"\\u") => parse_hex4(bytes, *pos + 3)?,
+                                _ => 0,
+                            };
+                            if !(0xDC00..0xE000).contains(&low) {
+                                return Err("unpaired surrogate in \\u escape".to_owned());
+                            }
+                            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                            *pos += 6;
+                        }
+                        out.push(char::from_u32(code).ok_or("unpaired surrogate in \\u escape")?);
                     }
                     _ => return Err("bad escape".to_owned()),
                 }
                 *pos += 1;
             }
             Some(_) => {
-                // Everything up to the next quote or backslash is
-                // literal text. Both are ASCII, which never occurs
-                // inside a multi-byte scalar, so the run ends on a
-                // scalar boundary; validating just the run, once, is
-                // what keeps decoding linear in the document.
+                // Everything up to the next quote, backslash or (never
+                // legal unescaped) control byte is literal text. All of
+                // those are ASCII, which never occurs inside a
+                // multi-byte scalar, so the run ends on a scalar
+                // boundary; validating just the run, once, is what
+                // keeps decoding linear in the document.
                 let rest = &bytes[*pos..];
                 let run = rest
                     .iter()
-                    .position(|b| matches!(b, b'"' | b'\\'))
+                    .position(|b| matches!(b, b'"' | b'\\' | 0x00..=0x1f))
                     .unwrap_or(rest.len());
+                if rest.get(run).is_some_and(|b| *b < 0x20) {
+                    return Err(format!(
+                        "unescaped control byte in string at offset {}",
+                        *pos + run
+                    ));
+                }
                 out.push_str(std::str::from_utf8(&rest[..run]).map_err(|_| "bad utf-8")?);
                 *pos += run;
             }
@@ -747,9 +821,52 @@ mod tests {
             "1e999",
             "-",
             "--1",
+            // What `str::parse` would take but the JSON grammar does not.
+            "+5",
+            ".5",
+            "1.",
+            "01",
+            "-01",
+            "1e",
+            "1e+",
+            "1.e3",
+            "0x10",
+            // Escapes: four hex digits, surrogates only in pairs.
+            r#""\u+041""#,
+            r#""\u41""#,
+            r#""\ud83d""#,
+            r#""\ud83d\n""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+            r#""\x41""#,
+            // Control bytes inside a string must be escaped.
+            "\"a\nb\"",
+            "\"a\u{0}b\"",
+            "\"tab\there\"",
         ] {
             assert!(Wire::decode(bad).is_err(), "{bad:?} must not parse");
         }
+        for (good, expected) in [
+            ("0", Wire::U64(0)),
+            ("-0.0", Wire::F64(-0.0)),
+            ("0.5e-3", Wire::F64(0.0005)),
+            ("0.00001", Wire::F64(1e-5)),
+            ("1E+2", Wire::F64(100.0)),
+            (r#""\ud83d\ude00 \u00E9""#, Wire::from("\u{1f600} \u{e9}")),
+            (r#""\udbff\udfff""#, Wire::from("\u{10ffff}")),
+        ] {
+            assert_eq!(Wire::decode(good), Ok(expected), "{good:?}");
+        }
+    }
+
+    #[test]
+    fn typed_readers_reject_a_member_that_is_there_twice() {
+        let twice = Wire::decode(r#"{"a":1,"b":2,"a":3}"#).unwrap();
+        assert_eq!(twice.get("a"), Some(&Wire::U64(1)));
+        assert_eq!(twice.field("b"), Ok(&Wire::U64(2)));
+        let err = twice.field_as("a", Wire::as_u64).unwrap_err();
+        assert!(err.contains("duplicate") && err.contains("\"a\""), "{err}");
+        assert!(twice.as_count_map().unwrap_err().contains("duplicate"));
     }
 
     #[test]

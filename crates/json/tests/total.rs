@@ -6,11 +6,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use orscope_json::{Wire, MAX_DEPTH};
-
-mod hostile;
-use hostile::{for_each_hostile_input, SplitMix64};
 
 thread_local! {
     /// Bytes this thread has requested from the allocator (the test
@@ -18,6 +16,9 @@ thread_local! {
     static REQUESTED: Cell<usize> = const { Cell::new(0) };
 }
 
+/// Counts bytes *requested* per thread — not `orscope_bench::alloc`'s
+/// process-wide live peak, and this leaf crate cannot depend on that
+/// one anyway.
 struct CountingAlloc;
 
 // SAFETY: every method forwards to `System` with the caller's own
@@ -44,6 +45,72 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Sebastiano Vigna's SplitMix64 — one `u64` of state, no dependency.
+struct SplitMix64(u64);
+
+impl SplitMix64 {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A draw in `0..bound` (`bound` > 0).
+    fn below(&mut self, bound: usize) -> usize {
+        (self.next() % bound as u64) as usize
+    }
+}
+
+/// Structural bytes, digits, literal fragments and a stray non-UTF-8
+/// byte: soup drawn from this gets much deeper into a JSON reader than
+/// uniform bytes do.
+const ALPHABET: &[u8] = b"{}[]\",:\\ \n\t-+.eEu0123456789truefalsn\xff";
+
+/// Runs `check` on `rounds` generated inputs, one per seed `0..rounds`.
+/// A third are arbitrary bytes, a third alphabet soup, a third copies
+/// of a `valid` document with a few bytes flipped, inserted, deleted,
+/// doubled or cut off. When `check` panics, the seed and the input are
+/// printed before the panic continues.
+fn for_each_hostile_input(valid: &[String], rounds: u64, mut check: impl FnMut(&[u8])) {
+    for seed in 0..rounds {
+        let mut rng = SplitMix64(seed);
+        let input: Vec<u8> = match seed % 3 {
+            0 => (0..rng.below(64)).map(|_| rng.next() as u8).collect(),
+            1 => (0..rng.below(96))
+                .map(|_| ALPHABET[rng.below(ALPHABET.len())])
+                .collect(),
+            _ => {
+                let mut bytes = valid[rng.below(valid.len())].clone().into_bytes();
+                for _ in 0..1 + rng.below(4) {
+                    let at = rng.below(bytes.len().max(1)).min(bytes.len());
+                    match rng.below(5) {
+                        0 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
+                        1 => bytes.insert(at, ALPHABET[rng.below(ALPHABET.len())]),
+                        2 if at < bytes.len() => {
+                            bytes.remove(at);
+                        }
+                        3 => {
+                            let tail = bytes[at..].to_vec();
+                            bytes.extend_from_slice(&tail);
+                        }
+                        _ => bytes.truncate(at),
+                    }
+                }
+                bytes
+            }
+        };
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| check(&input))) {
+            eprintln!(
+                "failing seed {seed}: input {:?}",
+                String::from_utf8_lossy(&input)
+            );
+            resume_unwind(panic);
+        }
+    }
+}
 
 /// Heap bytes the reader may request per input byte, every regrowth of
 /// every vector counted in full. The worst honest cases measure 64

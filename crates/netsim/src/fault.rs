@@ -17,8 +17,8 @@
 //!
 //! # The `--faults FILE.json` schema
 //!
-//! A plan is also a JSON document ([`FaultPlan::to_json`],
-//! [`FaultPlan::from_json_str`]) so an operator can script impairments
+//! A plan also loads from a JSON document
+//! ([`FaultPlan::from_json_str`]) so an operator can script impairments
 //! without recompiling:
 //!
 //! ```json
@@ -82,18 +82,6 @@ impl FaultScope {
         }
     }
 
-    fn to_wire(self) -> Wire {
-        let ip = |addr: Ipv4Addr| Wire::from(addr.to_string());
-        match self {
-            FaultScope::All => Wire::from("All"),
-            FaultScope::Host(host) => Wire::obj(vec![("Host", ip(host))]),
-            FaultScope::Link { src, dst } => Wire::obj(vec![(
-                "Link",
-                Wire::obj(vec![("src", ip(src)), ("dst", ip(dst))]),
-            )]),
-        }
-    }
-
     fn from_wire(wire: &Wire) -> Result<Self, String> {
         read_variant(wire, |name, body| {
             Ok(match (name, body) {
@@ -132,13 +120,6 @@ fn ip_from_wire(wire: &Wire) -> Result<Ipv4Addr, String> {
     let text = wire.as_str()?;
     text.parse()
         .map_err(|_| format!("{text:?} is not an IPv4 address"))
-}
-
-fn duration_to_wire(duration: Duration) -> Wire {
-    Wire::obj(vec![
-        ("secs", Wire::from(duration.as_secs())),
-        ("nanos", Wire::from(duration.subsec_nanos())),
-    ])
 }
 
 fn duration_from_wire(wire: &Wire) -> Result<Duration, String> {
@@ -194,37 +175,6 @@ impl FaultKind {
             | FaultKind::Duplicate { probability }
             | FaultKind::Reorder { probability, .. } => Some(*probability),
             _ => None,
-        }
-    }
-
-    fn to_wire(self) -> Wire {
-        let tagged = |name: &str, members| Wire::obj(vec![(name, Wire::obj(members))]);
-        match self {
-            FaultKind::Loss { probability } => {
-                tagged("Loss", vec![("probability", Wire::from(probability))])
-            }
-            FaultKind::Duplicate { probability } => {
-                tagged("Duplicate", vec![("probability", Wire::from(probability))])
-            }
-            FaultKind::Delay { extra, jitter } => tagged(
-                "Delay",
-                vec![
-                    ("extra", duration_to_wire(extra)),
-                    ("jitter", duration_to_wire(jitter)),
-                ],
-            ),
-            FaultKind::Reorder {
-                probability,
-                max_shift,
-            } => tagged(
-                "Reorder",
-                vec![
-                    ("probability", Wire::from(probability)),
-                    ("max_shift", duration_to_wire(max_shift)),
-                ],
-            ),
-            FaultKind::Blackhole => Wire::from("Blackhole"),
-            FaultKind::Crash => Wire::from("Crash"),
         }
     }
 
@@ -297,15 +247,6 @@ impl FaultRule {
         self.from <= offset && offset < self.until
     }
 
-    fn to_wire(self) -> Wire {
-        Wire::obj(vec![
-            ("from", duration_to_wire(self.from)),
-            ("until", duration_to_wire(self.until)),
-            ("scope", self.scope.to_wire()),
-            ("kind", self.kind.to_wire()),
-        ])
-    }
-
     fn from_wire(wire: &Wire) -> Result<Self, String> {
         Ok(Self {
             from: wire.field_as("from", duration_from_wire)?,
@@ -369,25 +310,17 @@ impl FaultPlan {
         ))
     }
 
-    /// The plan as a JSON value, in the layout the module documentation
-    /// spells out (what `--faults FILE.json` reads).
-    pub fn to_json(&self) -> Wire {
-        Wire::obj(vec![
-            ("seed", Wire::from(self.seed)),
-            (
-                "rules",
-                Wire::Arr(self.rules.iter().map(|rule| rule.to_wire()).collect()),
-            ),
-        ])
-    }
-
-    /// Loads and [validates](Self::validate) a plan from its JSON value.
+    /// Loads and [validates](Self::validate) a plan from JSON text (a
+    /// `--faults` file), in the layout the module documentation spells
+    /// out.
     ///
     /// # Errors
     ///
-    /// The path to the first missing, mistyped, unknown or out-of-range
-    /// member, e.g. `rules: rule 0: kind: Loss: probability: ...`.
-    pub fn from_json(value: &Wire) -> Result<Self, String> {
+    /// The syntax error, or the path to the first missing, mistyped,
+    /// unknown or out-of-range member, e.g. `rules: rule 0: kind: Loss:
+    /// probability: ...`.
+    pub fn from_json_str(text: &str) -> Result<Self, String> {
+        let value = Wire::decode(text)?;
         let rules = |rules: &Wire| {
             rules
                 .as_arr()?
@@ -402,15 +335,6 @@ impl FaultPlan {
         };
         plan.validate()?;
         Ok(plan)
-    }
-
-    /// Loads and validates a plan from JSON text (a `--faults` file).
-    ///
-    /// # Errors
-    ///
-    /// The syntax error, or what [`Self::from_json`] rejects.
-    pub fn from_json_str(text: &str) -> Result<Self, String> {
-        Self::from_json(&Wire::decode(text)?)
     }
 
     /// Validates every rule: probabilities in `[0, 1]`, non-empty

@@ -25,12 +25,28 @@ fn same_seed_reproduces_the_sharded_report_byte_for_byte() {
 
 #[test]
 fn different_seeds_produce_different_reports() {
-    // Strip the echoed seed field first, so the assertion is about the
-    // measurement actually changing, not the config being echoed back.
-    // On a lossless network the report's counts are the calibrated
-    // population's and no seed moves them (only addresses and latencies
-    // in the text rendering change); under loss the seed decides which
-    // datagrams drop, and that reaches every table.
+    // The default (lossless) configuration. What the seed reaches there
+    // is the text report: which addresses the population occupies
+    // (Table VIII's rows) and every latency draw (the flow summary's
+    // median). Drop the header line, which echoes the seed, so the
+    // assertion is about the measurement, not the config echoed back.
+    let body = |seed: u64| {
+        let config = CampaignConfig::new(Year::Y2018, 20_000.0).with_seed(seed);
+        let text = Campaign::new(config).run().unwrap().render();
+        let (header, body) = text.split_once('\n').expect("header line");
+        assert!(header.contains(&format!("seed {seed:#x}")), "{header}");
+        body.to_owned()
+    };
+    assert_ne!(body(7), body(8));
+}
+
+#[test]
+fn different_seeds_produce_different_json_reports_under_loss() {
+    // The JSON report carries counts only, and on a lossless network
+    // those are the calibrated population's, whatever the seed: `--seed
+    // 7` and `--seed 8` documents differ in their `seed` member alone.
+    // Under loss the seed decides which datagrams drop, and that moves
+    // the counts. Strip the echoed seed first, as above.
     let strip = |seed: u64| {
         let config = CampaignConfig::new(Year::Y2018, 20_000.0)
             .with_seed(seed)
