@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-use orscope_dns_wire::{Message, Name, RData, Rcode, Record};
+use orscope_dns_wire::{Message, MessageBuilder, Name, RData, Rcode, Record};
 use orscope_netsim::{Context, Datagram, Endpoint};
 
 /// A delegation entry: the child zone's name server and its glue address.
@@ -49,17 +49,15 @@ impl DelegationTable {
         None
     }
 
-    /// Builds a referral (or NXDomain) response for a query.
-    fn respond(&self, query: &Message) -> Message {
+    /// Builds a referral (or NXDomain) response for a query with
+    /// `builder`.
+    fn respond(&self, query: &Message, builder: MessageBuilder) -> Message {
+        let builder = builder.response_to(query);
         let Some(question) = query.first_question() else {
-            return Message::builder()
-                .response_to(query)
-                .rcode(Rcode::FormErr)
-                .build();
+            return builder.rcode(Rcode::FormErr).build();
         };
         match self.find(question.qname()) {
-            Some(d) => Message::builder()
-                .response_to(query)
+            Some(d) => builder
                 .authority(Record::in_class(
                     d.zone.clone(),
                     172_800,
@@ -67,10 +65,7 @@ impl DelegationTable {
                 ))
                 .additional(Record::in_class(d.ns.clone(), 172_800, RData::A(d.glue)))
                 .build(),
-            None => Message::builder()
-                .response_to(query)
-                .rcode(Rcode::NXDomain)
-                .build(),
+            None => builder.rcode(Rcode::NXDomain).build(),
         }
     }
 }
@@ -82,6 +77,12 @@ macro_rules! delegation_endpoint {
         pub struct $name {
             table: DelegationTable,
             queries_served: std::cell::Cell<u64>,
+            /// Scratch the query in hand is decoded into, the referral
+            /// is built in, and it is encoded through: each reuses the
+            /// previous packet's storage.
+            inbound: Message,
+            outbound: Message,
+            scratch: Vec<u8>,
         }
 
         impl $name {
@@ -103,8 +104,12 @@ macro_rules! delegation_endpoint {
 
             /// Builds the referral response for a decoded query.
             pub fn respond(&self, query: &Message) -> Message {
+                self.respond_with(query, Message::builder())
+            }
+
+            fn respond_with(&self, query: &Message, builder: MessageBuilder) -> Message {
                 self.queries_served.set(self.queries_served.get() + 1);
-                self.table.respond(query)
+                self.table.respond(query, builder)
             }
         }
 
@@ -113,16 +118,19 @@ macro_rules! delegation_endpoint {
                 if dgram.dst_port != 53 {
                     return;
                 }
-                let Ok(query) = Message::decode(&dgram.payload) else {
-                    return;
-                };
-                if query.header().is_response() {
-                    return;
+                let mut query = std::mem::take(&mut self.inbound);
+                if query.decode_into(&dgram.payload).is_ok() && !query.header().is_response() {
+                    let builder = MessageBuilder::reusing(std::mem::take(&mut self.outbound));
+                    let response = self.respond_with(&query, builder);
+                    if response
+                        .encode_truncated_into(query.response_size_limit(), &mut self.scratch)
+                        .is_ok()
+                    {
+                        ctx.send(dgram.reply(bytes::Bytes::copy_from_slice(&self.scratch)));
+                    }
+                    self.outbound = response;
                 }
-                let response = self.respond(&query);
-                if let Ok(wire) = response.encode_truncated(query.response_size_limit()) {
-                    ctx.send(dgram.reply(wire));
-                }
+                self.inbound = query;
             }
         }
     };

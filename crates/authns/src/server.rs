@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
-use orscope_dns_wire::{Message, Rcode};
+use orscope_dns_wire::{Message, MessageBuilder, Rcode};
 use orscope_netsim::{Context, Datagram, Endpoint, SimTime};
 
 use crate::capture::CaptureHandle;
@@ -61,6 +61,10 @@ pub struct AuthoritativeServer {
     /// Responses suppressed by RRL.
     rrl_dropped: u64,
     telemetry: AuthTelemetry,
+    /// Scratch the query in hand is decoded into and the response is
+    /// built in: each reuses the previous packet's section vectors.
+    inbound: Message,
+    outbound: Message,
     /// Reusable wire-encoding buffer; steady-state responses encode
     /// without allocating.
     scratch: Vec<u8>,
@@ -80,6 +84,8 @@ impl AuthoritativeServer {
             rrl_state: HashMap::new(),
             rrl_dropped: 0,
             telemetry: AuthTelemetry::default(),
+            inbound: Message::default(),
+            outbound: Message::default(),
             scratch: Vec::with_capacity(512),
         }
     }
@@ -148,12 +154,18 @@ impl AuthoritativeServer {
         self.queries_served
     }
 
+    /// Starts the next response in the previous one's storage.
+    fn builder(&mut self) -> MessageBuilder {
+        MessageBuilder::reusing(std::mem::take(&mut self.outbound))
+    }
+
     /// Builds the authoritative response for a decoded query.
     pub fn respond(&mut self, query: &Message) -> Message {
         self.queries_served += 1;
         let Some(question) = query.first_question() else {
             self.telemetry.record(None, Rcode::FormErr);
-            return Message::builder()
+            return self
+                .builder()
                 .response_to(query)
                 .rcode(Rcode::FormErr)
                 .build();
@@ -179,7 +191,7 @@ impl AuthoritativeServer {
                 }
             }
         }
-        let mut builder = Message::builder().response_to(query).authoritative(true);
+        let mut builder = self.builder().response_to(query).authoritative(true);
         match self.zone.lookup(question.qname(), question.qtype()) {
             ZoneAnswer::Answer(records) => {
                 for rec in records {
@@ -214,33 +226,35 @@ impl Endpoint for AuthoritativeServer {
         if !self.rrl_permits(dgram.src, ctx.now()) {
             return; // RRL: drop, don't answer (slip=0)
         }
-        let (response, size_limit) = match Message::decode(&dgram.payload) {
-            Ok(query) if !query.header().is_response() => {
-                let limit = query.response_size_limit();
-                (self.respond(&query), limit)
+        let mut query = std::mem::take(&mut self.inbound);
+        let answer = match query.decode_into(&dgram.payload) {
+            Ok(()) if !query.header().is_response() => {
+                Some((self.respond(&query), query.response_size_limit()))
             }
-            Ok(_) => return, // stray response; a server ignores these
+            Ok(()) => None, // stray response; a server ignores these
             Err(_) => {
                 // BIND answers undecodable queries with FormErr when it
                 // can at least read the ID; we echo a minimal FormErr.
-                let id = if dgram.payload.len() >= 2 {
-                    u16::from_be_bytes([dgram.payload[0], dgram.payload[1]])
-                } else {
-                    0
+                let id = match dgram.payload[..] {
+                    [hi, lo, ..] => u16::from_be_bytes([hi, lo]),
+                    _ => 0,
                 };
-                let mut m = Message::builder().id(id).rcode(Rcode::FormErr).build();
+                let mut m = self.builder().id(id).rcode(Rcode::FormErr).build();
                 m.header_mut().set_response(true);
                 self.telemetry.record(None, Rcode::FormErr);
-                (m, Message::CLASSIC_UDP_LIMIT)
+                Some((m, Message::CLASSIC_UDP_LIMIT))
             }
+        };
+        self.inbound = query;
+        let Some((response, size_limit)) = answer else {
+            return;
         };
         // UDP responses are truncated to the client's advertised budget
         // (512 bytes for non-EDNS clients), with TC set — the size
         // behaviour §II-C's amplification discussion hinges on.
-        if response
-            .encode_truncated_into(size_limit, &mut self.scratch)
-            .is_err()
-        {
+        let encoded = response.encode_truncated_into(size_limit, &mut self.scratch);
+        self.outbound = response;
+        if encoded.is_err() {
             return;
         }
         let reply = dgram.reply(bytes::Bytes::copy_from_slice(&self.scratch));

@@ -54,7 +54,7 @@ impl Zone {
         let soa = Record::in_class(
             origin.clone(),
             3600,
-            RData::Soa(Soa {
+            RData::Soa(Box::new(Soa {
                 mname: primary_ns.clone(),
                 rname: origin
                     .prepend("hostmaster")
@@ -64,7 +64,7 @@ impl Zone {
                 retry: 900,
                 expire: 1_209_600,
                 minimum: 300,
-            }),
+            })),
         );
         let ns = vec![Record::in_class(
             origin.clone(),
@@ -83,7 +83,7 @@ impl Zone {
     /// Creates a zone from an explicit SOA payload (zone-file loading).
     pub fn new_with_soa(origin: Name, soa: Soa) -> Self {
         Self {
-            soa: Record::in_class(origin.clone(), 3600, RData::Soa(soa)),
+            soa: Record::in_class(origin.clone(), 3600, RData::Soa(Box::new(soa))),
             ns: Vec::new(),
             origin,
             records: BTreeMap::new(),

@@ -82,7 +82,7 @@ fn err(line: usize, reason: impl Into<String>) -> ZoneFileError {
 pub fn parse(text: &str) -> Result<Zone, ZoneFileError> {
     let mut origin: Option<Name> = None;
     let mut default_ttl: u32 = 3600;
-    let mut soa: Option<(Name, u32, Soa)> = None;
+    let mut soa: Option<(Name, u32, Box<Soa>)> = None;
     let mut ns: Vec<(Name, u32, Name)> = Vec::new();
     let mut records: Vec<Record> = Vec::new();
 
@@ -159,7 +159,7 @@ pub fn parse(text: &str) -> Result<Zone, ZoneFileError> {
     if ns.is_empty() {
         return Err(err(0, "no NS record"));
     }
-    let mut zone = Zone::new_with_soa(origin, soa);
+    let mut zone = Zone::new_with_soa(origin, *soa);
     for (owner, ttl, target) in ns {
         zone.add_ns(owner, ttl, target);
     }
@@ -300,7 +300,7 @@ fn parse_rdata(rtype: &str, tokens: &[String], origin: &Name) -> Result<RData, S
             preference: need(0)?.parse().map_err(|_| "bad MX preference")?,
             exchange: resolve_name(need(1)?, origin)?,
         }),
-        "SOA" => Ok(RData::Soa(Soa {
+        "SOA" => Ok(RData::Soa(Box::new(Soa {
             mname: resolve_name(need(0)?, origin)?,
             rname: resolve_name(need(1)?, origin)?,
             serial: need(2)?.parse().map_err(|_| "bad SOA serial")?,
@@ -308,7 +308,7 @@ fn parse_rdata(rtype: &str, tokens: &[String], origin: &Name) -> Result<RData, S
             retry: need(4)?.parse().map_err(|_| "bad SOA retry")?,
             expire: need(5)?.parse().map_err(|_| "bad SOA expire")?,
             minimum: need(6)?.parse().map_err(|_| "bad SOA minimum")?,
-        })),
+        }))),
         "TXT" => {
             if tokens.is_empty() {
                 return Err("TXT rdata too short".into());

@@ -29,10 +29,12 @@ use orscope_resolver::paper::Year;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Peak live bytes per responder the scale-200 point may cost: 10 %
-/// above the 177 it measures (5,759,392 B for 32,531 responders). A
-/// flow join with a heap vector or two per flow, or a timing wheel that
-/// keeps drained slots' buffers, lands near 310.
+/// Peak live bytes per responder the scale-200 point may cost: 7 %
+/// above the 183 it measures (5,943,256 B for 32,531 responders; 6 of
+/// the 183 are the scratch messages of the ~46 resolvers live at once
+/// and of the pooled ones). A flow join with a heap vector or two per
+/// flow, or a timing wheel that keeps drained slots' buffers, lands
+/// near 310.
 const SCALE_200_BYTES_PER_RESPONDER: u64 = 195;
 
 /// Runs one campaign and returns its JSON entry, its peak live bytes and

@@ -19,9 +19,11 @@ pub mod alloc {
     static LIVE: AtomicUsize = AtomicUsize::new(0);
     static PEAK: AtomicUsize = AtomicUsize::new(0);
     static CALLS: AtomicUsize = AtomicUsize::new(0);
+    static REQUESTED: AtomicUsize = AtomicUsize::new(0);
 
     fn acquired(size: usize) {
         CALLS.fetch_add(1, Ordering::Relaxed);
+        REQUESTED.fetch_add(size, Ordering::Relaxed);
         let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
         PEAK.fetch_max(live, Ordering::Relaxed);
     }
@@ -67,5 +69,11 @@ pub mod alloc {
     /// Allocations and reallocations since the process started.
     pub fn allocs() -> usize {
         CALLS.load(Ordering::Relaxed)
+    }
+
+    /// Bytes those calls asked for (a reallocation counts its whole new
+    /// size), freed or not.
+    pub fn requested_bytes() -> usize {
+        REQUESTED.load(Ordering::Relaxed)
     }
 }

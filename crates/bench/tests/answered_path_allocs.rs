@@ -1,0 +1,44 @@
+//! The answered path reuses what it built for the previous packet: a
+//! whole fast one-shard campaign — population, plan, scan, analysis —
+//! spends about one allocation an event, the datagram payload, and a
+//! few hundred requested bytes. When every decode built its section
+//! vectors, every materialization its resolver and every upstream
+//! response a copy of the pending resolution, the same run spent 4.09
+//! allocations and 3,364 bytes an event. The counts repeat exactly from
+//! run to run. One test per binary, because the allocator counts
+//! process-wide.
+
+use orscope_bench::alloc::{allocs, requested_bytes, CountingAlloc};
+use orscope_core::{Campaign, CampaignConfig};
+use orscope_resolver::paper::Year;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocations an event the run may spend (it measures 1.06).
+const ALLOCS_PER_EVENT: f64 = 1.5;
+/// Requested bytes an event the run may spend (it measures 306).
+const BYTES_PER_EVENT: f64 = 800.0;
+
+#[test]
+fn a_fast_campaign_allocates_about_once_an_event() {
+    let campaign = Campaign::new(CampaignConfig::new(Year::Y2018, 2000.0));
+    let (calls, bytes) = (allocs(), requested_bytes());
+    let result = campaign.run().expect("campaign runs");
+    let (calls, bytes) = (allocs() - calls, requested_bytes() - bytes);
+    let events = result.net_stats().events as f64;
+    assert!(
+        result.materializations() > 10 * result.materialized_hosts() as u64,
+        "the run must have released and recycled its resolvers"
+    );
+    let (calls, bytes) = (calls as f64 / events, bytes as f64 / events);
+    eprintln!("{events} events: {calls:.3} allocations, {bytes:.1} requested bytes an event");
+    assert!(
+        calls <= ALLOCS_PER_EVENT,
+        "{calls:.3} allocations an event (budget {ALLOCS_PER_EVENT})"
+    );
+    assert!(
+        bytes <= BYTES_PER_EVENT,
+        "{bytes:.1} requested bytes an event (budget {BYTES_PER_EVENT})"
+    );
+}

@@ -512,10 +512,11 @@ impl Campaign {
         let mut net_stats = NetStats::default();
         let mut auth_packets: Vec<CapturedPacket> = Vec::new();
         let mut shard_telemetry: Vec<TelemetrySnapshot> = Vec::new();
-        let mut materialized_hosts = 0usize;
+        let mut materialized = Materialized::default();
         for outcome in outcomes {
             shard_telemetry.push(outcome.telemetry);
-            materialized_hosts += outcome.materialized_peak;
+            materialized.peak += outcome.materialized.peak;
+            materialized.total += outcome.materialized.total;
             net_stats.absorb(&outcome.net_stats);
             auth_packets.extend(outcome.recorder.auth_packets);
             if let Some(analysis) = outcome.recorder.analyzer {
@@ -543,7 +544,7 @@ impl Campaign {
             geo,
             population,
             net_stats,
-            materialized_hosts,
+            materialized,
             auth_packets,
             config.telemetry.then_some(telemetry),
             degraded,
@@ -831,15 +832,30 @@ impl HostIndex {
     }
 }
 
+/// Released resolvers kept for the next materialization. A fault-free
+/// shard has a handful of hosts live at once, so a short stack already
+/// serves nearly every materialization; the bound is what keeps a burst
+/// of simultaneous releases from staying resident for the rest of the
+/// scan.
+const RESOLVER_POOL: usize = 16;
+
 /// Materializes `ProfiledResolver` endpoints on demand from a shard's
 /// compact population: a [`HostIndex`] plus the shared profile table.
 /// Covers probed hosts (resolvers and off-port responders); upstreams
 /// are always registered eagerly.
+///
+/// Endpoints the simulator releases come back through
+/// [`LazyRegistry::recycle`] and are re-armed with
+/// [`ProfiledResolver::reset`] for the next address, which keeps their
+/// maps, scratch messages and telemetry handles and is otherwise the
+/// resolver `new_shared` builds.
 struct PopulationRegistry {
     hosts: HostIndex,
     table: std::sync::Arc<orscope_resolver::ProfileTable>,
     config: ResolverConfig,
     telemetry: ResolverTelemetry,
+    /// At most [`RESOLVER_POOL`] released resolvers.
+    pool: RefCell<Vec<Box<dyn orscope_netsim::Endpoint>>>,
 }
 
 impl PopulationRegistry {
@@ -855,6 +871,7 @@ impl PopulationRegistry {
             table: std::sync::Arc::clone(population.table()),
             config,
             telemetry,
+            pool: RefCell::new(Vec::with_capacity(RESOLVER_POOL)),
         }
     }
 }
@@ -862,10 +879,25 @@ impl PopulationRegistry {
 impl LazyRegistry for PopulationRegistry {
     fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn orscope_netsim::Endpoint>> {
         let policy = std::sync::Arc::clone(self.table.get(self.hosts.find(addr)?));
-        Some(Box::new(
-            ProfiledResolver::new_shared(policy, self.config.clone())
-                .with_telemetry(self.telemetry.clone()),
-        ))
+        let Some(mut endpoint) = self.pool.borrow_mut().pop() else {
+            return Some(Box::new(
+                ProfiledResolver::new_shared(policy, self.config.clone())
+                    .with_telemetry(self.telemetry.clone()),
+            ));
+        };
+        endpoint
+            .as_any_mut()
+            .and_then(|any| any.downcast_mut::<ProfiledResolver>())
+            .expect("only resolvers this registry built are offered back")
+            .reset(policy);
+        Some(endpoint)
+    }
+
+    fn recycle(&self, endpoint: Box<dyn orscope_netsim::Endpoint>) {
+        let mut pool = self.pool.borrow_mut();
+        if pool.len() < RESOLVER_POOL {
+            pool.push(endpoint);
+        }
     }
 }
 
@@ -918,7 +950,10 @@ impl ShardWorld {
         ShardOutcome {
             probe_stats,
             duration_secs,
-            materialized_peak: self.net.materialized_peak(),
+            materialized: Materialized {
+                peak: self.net.materialized_peak(),
+                total: self.net.materialized_total(),
+            },
             net_stats: *self.net.stats(),
             telemetry: self.collector.snapshot(),
             recorder: self.recorder.take(),
@@ -926,12 +961,20 @@ impl ShardWorld {
     }
 }
 
+/// A simulator's lazy-host books (summed over shards once merged).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Materialized {
+    /// Peak live lazily-materialized hosts.
+    pub(crate) peak: usize,
+    /// Materializations, re-materializations of released hosts included.
+    pub(crate) total: u64,
+}
+
 /// What one shard's simulation produced, pre-merge.
 pub(crate) struct ShardOutcome {
     pub(crate) probe_stats: ProbeStats,
     pub(crate) duration_secs: f64,
-    /// Peak live lazily-materialized hosts.
-    pub(crate) materialized_peak: usize,
+    pub(crate) materialized: Materialized,
     pub(crate) net_stats: NetStats,
     pub(crate) telemetry: TelemetrySnapshot,
     /// Everything the shard recorded.

@@ -370,7 +370,7 @@ impl Campaign {
             geo,
             population,
             outcome.net_stats,
-            outcome.materialized_peak,
+            outcome.materialized,
             auth_packets,
             config.telemetry.then_some(outcome.telemetry),
             None,

@@ -1,13 +1,14 @@
 //! The eager reference for lazy host materialization.
 //!
-//! Production builds every probed resolver on its first packet and drops
-//! it again once it is quiescent. The reference is the same world with
-//! every probed host `register`ed before the scan starts, as the
-//! pipeline originally did: a registered slot is pinned, so the lazy
-//! registry is never consulted and nothing is ever released. Reports
-//! must not tell the two apart — at any shard count, in either analysis
-//! mode, with or without faults (which pin materialized hosts and so
-//! exercise the other half of the lazy path).
+//! Production materializes every probed resolver on its first packet,
+//! releases it once it is quiescent, and re-arms released resolvers for
+//! the next address (`PopulationRegistry`'s pool). The reference is the
+//! same world with every probed host `register`ed before the scan
+//! starts, as the pipeline originally did: a registered slot is pinned,
+//! so the lazy registry is never consulted and nothing is ever released
+//! or recycled. Reports must not tell the two apart — at any shard
+//! count, in either analysis mode, with or without faults (which pin
+//! materialized hosts and so exercise the other half of the lazy path).
 
 use orscope_analysis::AnalysisMode;
 use orscope_resolver::paper::Year;
@@ -67,6 +68,14 @@ fn lazy_and_eager_render_byte_identical_reports() {
                     !eager,
                     "only the lazy world materializes on demand: {context}"
                 );
+                if !eager {
+                    // Far more materializations than hosts ever live at
+                    // once: nearly all of them came out of the pool.
+                    assert!(
+                        result.materializations() > 10 * result.materialized_hosts() as u64,
+                        "the lazy world released and recycled: {context}"
+                    );
+                }
                 assert_eq!(result.dataset().r2(), baseline.dataset().r2(), "{context}");
                 assert_eq!(result.tables_json(), baseline_tables, "{context}");
                 assert_eq!(result.render(), baseline_render, "{context}");
@@ -81,15 +90,28 @@ fn lazy_matches_the_reference_under_fault_injection() {
     // deliveries) and also disable quiescence release — fault rules hash
     // per-flow ordinals, so slots must pin. The lazy world still has to
     // classify exactly as the eager one.
-    let config = || {
+    let config = |shards: usize, analysis: AnalysisMode| {
         CampaignConfig::new(Year::Y2018, 40_000.0)
             .with_loss(0.1)
             .with_duplication(0.05)
+            .with_shards(shards)
+            .with_analysis(analysis)
     };
-    let lazy = run(config(), false);
-    let eager = run(config(), true);
-    assert!(lazy.materialized_hosts() > 0);
-    assert_eq!(eager.materialized_hosts(), 0);
-    assert_eq!(lazy.tables_json(), eager.tables_json());
-    assert_eq!(lazy.render(), eager.render());
+    for analysis in [AnalysisMode::Streaming, AnalysisMode::Batch] {
+        for shards in [1, 2, 4] {
+            let lazy = run(config(shards, analysis), false);
+            let eager = run(config(shards, analysis), true);
+            let context = format!("{analysis} x {shards} shards");
+            assert!(lazy.materialized_hosts() > 0, "{context}");
+            // Pinned: each host is materialized once and stays.
+            assert_eq!(
+                lazy.materializations(),
+                lazy.materialized_hosts() as u64,
+                "{context}"
+            );
+            assert_eq!(eager.materialized_hosts(), 0, "{context}");
+            assert_eq!(lazy.tables_json(), eager.tables_json(), "{context}");
+            assert_eq!(lazy.render(), eager.render(), "{context}");
+        }
+    }
 }

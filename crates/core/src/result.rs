@@ -14,7 +14,7 @@ use orscope_resolver::population::Population;
 use orscope_telemetry::TelemetrySnapshot;
 use orscope_threatintel::ThreatDb;
 
-use crate::campaign::CampaignConfig;
+use crate::campaign::{CampaignConfig, Materialized};
 use crate::error::DegradedReport;
 
 /// Everything a finished campaign produced.
@@ -28,7 +28,7 @@ pub struct CampaignResult {
     /// Shared with each shard's target plan while the scan runs.
     population: std::sync::Arc<Population>,
     net_stats: NetStats,
-    materialized_hosts: usize,
+    materialized: Materialized,
     auth_packets: Vec<CapturedPacket>,
     telemetry: Option<TelemetrySnapshot>,
     degraded: Option<DegradedReport>,
@@ -52,7 +52,7 @@ impl CampaignResult {
         geo: GeoDb,
         population: std::sync::Arc<Population>,
         net_stats: NetStats,
-        materialized_hosts: usize,
+        materialized: Materialized,
         auth_packets: Vec<CapturedPacket>,
         telemetry: Option<TelemetrySnapshot>,
         degraded: Option<DegradedReport>,
@@ -72,7 +72,7 @@ impl CampaignResult {
             geo,
             population,
             net_stats,
-            materialized_hosts,
+            materialized,
             auth_packets,
             telemetry,
             degraded,
@@ -135,7 +135,16 @@ impl CampaignResult {
     /// scale this stays orders of magnitude below the population size —
     /// the number that makes `scale == 1.0` fit in memory.
     pub fn materialized_hosts(&self) -> usize {
-        self.materialized_hosts
+        self.materialized.peak
+    }
+
+    /// Lazy materializations, summed over shards. A fault-free run
+    /// releases every host that goes quiescent, so a responder is
+    /// materialized again for each later event that finds it released
+    /// (its stale upstream-timeout timers, mostly) and this exceeds
+    /// [`CampaignResult::materialized_hosts`] many times over.
+    pub fn materializations(&self) -> u64 {
+        self.materialized.total
     }
 
     /// The authoritative server's raw Q2/R1 capture.

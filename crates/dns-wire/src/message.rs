@@ -170,35 +170,97 @@ impl Message {
     /// the final announced record are rejected ([`WireError::TrailingBytes`]),
     /// which is how malformed-capture counting works.
     pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
-        let mut r = Reader::new(buf);
-        let header = Header::decode(&mut r)?;
-        let mut questions = Vec::with_capacity(header.question_count() as usize);
-        for _ in 0..header.question_count() {
-            questions.push(Question::decode(&mut r)?);
+        let mut out = Self::default();
+        out.decode_into(buf)?;
+        Ok(out)
+    }
+
+    /// [`Message::decode`] over an existing message, for callers that
+    /// keep one inbound message per endpoint: the questions and records
+    /// already in each section are overwritten in place (see
+    /// [`Record::decode_into`]), slots are added only as records
+    /// actually decode, and each section ends at its header count — so
+    /// a steady stream of similar packets decodes without touching the
+    /// heap, and nothing of a longer previous message survives into a
+    /// shorter next one.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Message::decode`]; any error leaves the message empty
+    /// (see [`Message::clear`]).
+    pub fn decode_into(&mut self, buf: &[u8]) -> Result<(), WireError> {
+        let result = self.decode_body(buf);
+        if result.is_err() {
+            self.clear();
         }
-        let mut read_section = |count: u16| -> Result<Vec<Record>, WireError> {
-            let mut out = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                out.push(Record::decode(&mut r)?);
+        result
+    }
+
+    fn decode_body(&mut self, buf: &[u8]) -> Result<(), WireError> {
+        fn section<T>(
+            slots: &mut Vec<T>,
+            count: u16,
+            r: &mut Reader<'_>,
+            blank: fn() -> T,
+            decode_into: fn(&mut T, &mut Reader<'_>) -> Result<(), WireError>,
+        ) -> Result<(), WireError> {
+            let count = count as usize;
+            slots.truncate(count);
+            for i in 0..count {
+                if i == slots.len() {
+                    push_slot(slots, blank());
+                }
+                decode_into(&mut slots[i], r)?;
             }
-            Ok(out)
-        };
-        let answers = read_section(header.answer_count())?;
-        let authorities = read_section(header.authority_count())?;
-        let additionals = read_section(header.additional_count())?;
+            Ok(())
+        }
+        let mut r = Reader::new(buf);
+        self.header = Header::decode(&mut r)?;
+        let h = self.header;
+        section(
+            &mut self.questions,
+            h.question_count(),
+            &mut r,
+            Question::blank,
+            Question::decode_into,
+        )?;
+        for (slots, count) in [
+            (&mut self.answers, h.answer_count()),
+            (&mut self.authorities, h.authority_count()),
+            (&mut self.additionals, h.additional_count()),
+        ] {
+            section(slots, count, &mut r, Record::blank, Record::decode_into)?;
+        }
         if r.remaining() > 0 {
             return Err(WireError::TrailingBytes {
                 count: r.remaining(),
             });
         }
-        Ok(Self {
-            header,
-            questions,
-            answers,
-            authorities,
-            additionals,
-        })
+        Ok(())
     }
+
+    /// Empties the message — default header, no questions, no records —
+    /// keeping the section vectors' allocations for the next
+    /// [`Message::decode_into`] or [`MessageBuilder::reusing`].
+    pub fn clear(&mut self) {
+        self.header = Header::default();
+        self.questions.clear();
+        self.answers.clear();
+        self.authorities.clear();
+        self.additionals.clear();
+    }
+}
+
+/// `Vec::push`, except that an empty section grows to one slot where
+/// `Vec` would reserve four. A section of one record is the common
+/// case, a slot is up to 528 bytes, and every long-lived endpoint keeps
+/// two messages: `Vec`'s minimum would pin ~15 KB of mostly unused
+/// slots under each of them. Doubling from there on, like `Vec`.
+fn push_slot<T>(slots: &mut Vec<T>, value: T) {
+    if slots.len() == slots.capacity() {
+        slots.reserve_exact(slots.len().max(1));
+    }
+    slots.push(value);
 }
 
 impl fmt::Display for Message {
@@ -242,6 +304,15 @@ pub struct MessageBuilder {
 }
 
 impl MessageBuilder {
+    /// Starts building in `message`'s storage: it is cleared first and
+    /// its section vectors keep their allocations, so an endpoint that
+    /// hands its previous outbound message back builds the next one
+    /// without allocating. Otherwise identical to [`Message::builder`].
+    pub fn reusing(mut message: Message) -> Self {
+        message.clear();
+        Self { message }
+    }
+
     /// Sets the message ID.
     pub fn id(mut self, id: u16) -> Self {
         self.message.header.set_id(id);
@@ -252,13 +323,17 @@ impl MessageBuilder {
     /// and RD flag, sets QR, and echoes the question section.
     pub fn response_to(mut self, query: &Message) -> Self {
         self.message.header = Header::response_to(query.header());
-        self.message.questions = query.questions.clone();
+        // Into the slots already there; a first use sizes them exactly.
+        let questions = &mut self.message.questions;
+        questions.clear();
+        questions.reserve_exact(query.questions.len());
+        questions.extend_from_slice(&query.questions);
         self
     }
 
     /// Adds a question.
     pub fn question(mut self, q: Question) -> Self {
-        self.message.questions.push(q);
+        push_slot(&mut self.message.questions, q);
         self
     }
 
@@ -288,19 +363,19 @@ impl MessageBuilder {
 
     /// Adds an answer record.
     pub fn answer(mut self, rec: Record) -> Self {
-        self.message.answers.push(rec);
+        push_slot(&mut self.message.answers, rec);
         self
     }
 
     /// Adds an authority record.
     pub fn authority(mut self, rec: Record) -> Self {
-        self.message.authorities.push(rec);
+        push_slot(&mut self.message.authorities, rec);
         self
     }
 
     /// Adds an additional record.
     pub fn additional(mut self, rec: Record) -> Self {
-        self.message.additionals.push(rec);
+        push_slot(&mut self.message.additionals, rec);
         self
     }
 
@@ -469,15 +544,18 @@ impl Message {
         // Remove any previous OPT first.
         self.additionals
             .retain(|r| r.rtype() != crate::record::RecordType::Opt);
-        self.additionals.push(Record::new(
-            crate::name::Name::root(),
-            crate::record::RecordClass::Other(udp_size),
-            0,
-            crate::rdata::RData::Unknown {
-                rtype: crate::record::RecordType::Opt.to_u16(),
-                data: Vec::new(),
-            },
-        ));
+        push_slot(
+            &mut self.additionals,
+            Record::new(
+                crate::name::Name::root(),
+                crate::record::RecordClass::Other(udp_size),
+                0,
+                crate::rdata::RData::Unknown {
+                    rtype: crate::record::RecordType::Opt.to_u16(),
+                    data: Vec::new(),
+                },
+            ),
+        );
         let h = self.header;
         self.header.set_counts(
             h.question_count(),

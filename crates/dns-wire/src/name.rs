@@ -266,6 +266,22 @@ impl Name {
     /// (forward pointers or loops) and length violations distinctly.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let mut out = Self::root();
+        out.decode_into(r)?;
+        Ok(out)
+    }
+
+    /// [`Name::decode`] over an existing name: the labels are written
+    /// straight into `self`'s buffer, so a caller that keeps the slot
+    /// pays neither the 254-byte zero fill nor the move of a fresh
+    /// value. Bytes of the previous name past the new length are never
+    /// read again. On error `self` is the root name.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Name::decode`].
+    pub fn decode_into(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        self.len = 0;
+        self.count = 0;
         let mut len = 0usize;
         let mut count = 0usize;
         let mut wire_len = 1usize;
@@ -303,8 +319,8 @@ impl Name {
                     if wire_len > MAX_NAME_LEN {
                         return Err(WireError::NameTooLong);
                     }
-                    out.buf[len] = l;
-                    out.buf[len + 1..len + 1 + label.len()].copy_from_slice(label);
+                    self.buf[len] = l;
+                    self.buf[len + 1..len + 1 + label.len()].copy_from_slice(label);
                     len += 1 + label.len();
                     count += 1;
                 }
@@ -313,9 +329,9 @@ impl Name {
         if let Some(pos) = resume {
             r.seek(pos);
         }
-        out.len = len as u8;
-        out.count = count as u8;
-        Ok(out)
+        self.len = len as u8;
+        self.count = count as u8;
+        Ok(())
     }
 }
 

@@ -68,11 +68,28 @@ impl Question {
     ///
     /// Fails on truncation or malformed qname encoding.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            qname: Name::decode(r)?,
-            qtype: RecordType::from_u16(r.read_u16("question type")?),
-            qclass: RecordClass::from_u16(r.read_u16("question class")?),
-        })
+        let mut out = Self::blank();
+        out.decode_into(r)?;
+        Ok(out)
+    }
+
+    /// The slot [`Question::decode_into`] starts from when there is none
+    /// to reuse.
+    pub(crate) fn blank() -> Self {
+        Self::a(Name::root())
+    }
+
+    /// [`Question::decode`] over an existing question (see
+    /// [`Name::decode_into`]). On error the contents are unspecified.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Question::decode`].
+    pub fn decode_into(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        self.qname.decode_into(r)?;
+        self.qtype = RecordType::from_u16(r.read_u16("question type")?);
+        self.qclass = RecordClass::from_u16(r.read_u16("question class")?);
+        Ok(())
     }
 }
 

@@ -9,7 +9,7 @@ use crate::record::RecordType;
 use crate::wire::{Reader, Writer};
 
 /// The start-of-authority payload (RFC 1035 §3.3.13).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Soa {
     /// Primary name server for the zone.
     pub mname: Name,
@@ -30,12 +30,11 @@ pub struct Soa {
 /// Typed rdata. Unknown types are carried opaquely so that captures of
 /// nonstandard responses survive a decode/encode roundtrip.
 ///
-/// `Soa` dwarfs the other variants because [`Name`] stores its labels
-/// inline (two of them: ~530 bytes). That is deliberate: boxing the
-/// variant would put a heap allocation back into every SOA-bearing
-/// response the resolver and authoritative server build on the hot
-/// path, defeating the inline-name design.
-#[allow(clippy::large_enum_variant)]
+/// `Soa` is boxed: its two inline [`Name`]s (~530 bytes) would otherwise
+/// set the size of every variant, and every record of every section
+/// vector is moved, cloned and overwritten at that size. SOA-bearing
+/// responses are the negative answers, rare on the scan's answered
+/// path, and a reused slot ([`RData::decode_into`]) keeps its box.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RData {
     /// An IPv4 address.
@@ -47,7 +46,7 @@ pub enum RData {
     /// "URL"-form incorrect answers (Table VII) surface this way.
     Cname(Name),
     /// Start of authority.
-    Soa(Soa),
+    Soa(Box<Soa>),
     /// A reverse-mapping pointer.
     Ptr(Name),
     /// A mail exchange: preference and exchange host.
@@ -152,69 +151,124 @@ impl RData {
     /// Known types with malformed payloads produce
     /// [`WireError::BadRdataLength`]; unknown types never fail (opaque).
     pub fn decode(r: &mut Reader<'_>, rtype: RecordType, rdlen: usize) -> Result<Self, WireError> {
-        let start = r.position();
-        let out = match rtype {
-            RecordType::A => {
-                if rdlen != 4 {
-                    return Err(WireError::BadRdataLength {
-                        rtype: rtype.to_u16(),
-                        declared: rdlen,
-                        actual: 4,
-                    });
-                }
-                let b = r.read_slice(4, "A rdata")?;
-                RData::A(Ipv4Addr::new(b[0], b[1], b[2], b[3]))
-            }
-            RecordType::Ns => RData::Ns(Name::decode(r)?),
-            RecordType::Cname => RData::Cname(Name::decode(r)?),
-            RecordType::Ptr => RData::Ptr(Name::decode(r)?),
-            RecordType::Soa => RData::Soa(Soa {
-                mname: Name::decode(r)?,
-                rname: Name::decode(r)?,
-                serial: r.read_u32("SOA serial")?,
-                refresh: r.read_u32("SOA refresh")?,
-                retry: r.read_u32("SOA retry")?,
-                expire: r.read_u32("SOA expire")?,
-                minimum: r.read_u32("SOA minimum")?,
-            }),
+        let mut out = Self::empty(rtype);
+        out.decode_into(r, rtype, rdlen)?;
+        Ok(out)
+    }
+
+    /// The value of `rtype`'s variant that holds nothing yet.
+    fn empty(rtype: RecordType) -> Self {
+        match rtype {
+            RecordType::A => RData::A(Ipv4Addr::UNSPECIFIED),
+            RecordType::Ns => RData::Ns(Name::root()),
+            RecordType::Cname => RData::Cname(Name::root()),
+            RecordType::Soa => RData::Soa(Box::default()),
+            RecordType::Ptr => RData::Ptr(Name::root()),
             RecordType::Mx => RData::Mx {
-                preference: r.read_u16("MX preference")?,
-                exchange: Name::decode(r)?,
+                preference: 0,
+                exchange: Name::root(),
             },
-            RecordType::Txt => {
-                let mut segments = Vec::new();
-                while r.position() < start + rdlen {
-                    let len = r.read_u8("TXT segment length")? as usize;
-                    if r.position() + len > start + rdlen {
-                        return Err(WireError::BadRdataLength {
-                            rtype: rtype.to_u16(),
-                            declared: rdlen,
-                            actual: r.position() + len - start,
-                        });
-                    }
-                    segments.push(r.read_slice(len, "TXT segment")?.to_vec());
-                }
-                RData::Txt(segments)
-            }
-            RecordType::Aaaa => {
-                if rdlen != 16 {
-                    return Err(WireError::BadRdataLength {
-                        rtype: rtype.to_u16(),
-                        declared: rdlen,
-                        actual: 16,
-                    });
-                }
-                let b = r.read_slice(16, "AAAA rdata")?;
-                let mut octets = [0u8; 16];
-                octets.copy_from_slice(b);
-                RData::Aaaa(Ipv6Addr::from(octets))
-            }
+            RecordType::Txt => RData::Txt(Vec::new()),
+            RecordType::Aaaa => RData::Aaaa(Ipv6Addr::UNSPECIFIED),
             other => RData::Unknown {
                 rtype: other.to_u16(),
-                data: r.read_slice(rdlen, "opaque rdata")?.to_vec(),
+                data: Vec::new(),
             },
+        }
+    }
+
+    /// [`RData::decode`] over an existing value: when `self` already
+    /// holds `rtype`'s variant its names, SOA box, TXT segments and
+    /// opaque bytes are overwritten in place and keep their
+    /// allocations; otherwise it first becomes that variant's empty
+    /// value. On error the contents are unspecified.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`RData::decode`].
+    pub fn decode_into(
+        &mut self,
+        r: &mut Reader<'_>,
+        rtype: RecordType,
+        rdlen: usize,
+    ) -> Result<(), WireError> {
+        let bad_length = |actual: usize| WireError::BadRdataLength {
+            rtype: rtype.to_u16(),
+            declared: rdlen,
+            actual,
         };
-        Ok(out)
+        match (rtype, &mut *self) {
+            (RecordType::A, slot) => {
+                if rdlen != 4 {
+                    return Err(bad_length(4));
+                }
+                let b = r.read_slice(4, "A rdata")?;
+                *slot = RData::A(Ipv4Addr::new(b[0], b[1], b[2], b[3]));
+            }
+            (RecordType::Aaaa, slot) => {
+                if rdlen != 16 {
+                    return Err(bad_length(16));
+                }
+                let mut octets = [0u8; 16];
+                octets.copy_from_slice(r.read_slice(16, "AAAA rdata")?);
+                *slot = RData::Aaaa(Ipv6Addr::from(octets));
+            }
+            (RecordType::Ns, RData::Ns(name))
+            | (RecordType::Cname, RData::Cname(name))
+            | (RecordType::Ptr, RData::Ptr(name)) => name.decode_into(r)?,
+            (RecordType::Soa, RData::Soa(soa)) => {
+                soa.mname.decode_into(r)?;
+                soa.rname.decode_into(r)?;
+                soa.serial = r.read_u32("SOA serial")?;
+                soa.refresh = r.read_u32("SOA refresh")?;
+                soa.retry = r.read_u32("SOA retry")?;
+                soa.expire = r.read_u32("SOA expire")?;
+                soa.minimum = r.read_u32("SOA minimum")?;
+            }
+            (
+                RecordType::Mx,
+                RData::Mx {
+                    preference,
+                    exchange,
+                },
+            ) => {
+                *preference = r.read_u16("MX preference")?;
+                exchange.decode_into(r)?;
+            }
+            (RecordType::Txt, RData::Txt(segments)) => {
+                let end = r.position() + rdlen;
+                let mut used = 0;
+                while r.position() < end {
+                    let len = r.read_u8("TXT segment length")? as usize;
+                    if r.position() + len > end {
+                        return Err(bad_length(r.position() + len + rdlen - end));
+                    }
+                    let bytes = r.read_slice(len, "TXT segment")?;
+                    if used == segments.len() {
+                        segments.push(Vec::new());
+                    }
+                    segments[used].clear();
+                    segments[used].extend_from_slice(bytes);
+                    used += 1;
+                }
+                segments.truncate(used);
+            }
+            (
+                RecordType::Opt | RecordType::Any | RecordType::Other(_),
+                RData::Unknown { rtype: code, data },
+            ) => {
+                *code = rtype.to_u16();
+                data.clear();
+                data.extend_from_slice(r.read_slice(rdlen, "opaque rdata")?);
+            }
+            // The slot holds another type: start from this one's empty
+            // value (the arms above then match).
+            (_, slot) => {
+                *slot = Self::empty(rtype);
+                return slot.decode_into(r, rtype, rdlen);
+            }
+        }
+        Ok(())
     }
 }
 
@@ -293,7 +347,7 @@ mod tests {
             RData::Ns(name("ns1.ucfsealresearch.net")),
             RData::Cname(name("u.dcoin.co")),
             RData::Ptr(name("1.0.0.10.in-addr.arpa")),
-            RData::Soa(Soa {
+            RData::Soa(Box::new(Soa {
                 mname: name("ns1.example.net"),
                 rname: name("hostmaster.example.net"),
                 serial: 20180426,
@@ -301,7 +355,7 @@ mod tests {
                 retry: 900,
                 expire: 1_209_600,
                 minimum: 86_400,
-            }),
+            })),
             RData::Mx {
                 preference: 10,
                 exchange: name("mx.example.net"),

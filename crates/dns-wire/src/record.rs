@@ -232,10 +232,29 @@ impl Record {
     /// Reports truncation and rdata-length mismatches; unknown record
     /// types are preserved as [`RData::Unknown`] rather than rejected.
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let name = Name::decode(r)?;
+        let mut out = Self::blank();
+        out.decode_into(r)?;
+        Ok(out)
+    }
+
+    /// The slot [`Record::decode_into`] starts from when there is none
+    /// to reuse.
+    pub(crate) fn blank() -> Self {
+        Self::in_class(Name::root(), 0, RData::A(std::net::Ipv4Addr::UNSPECIFIED))
+    }
+
+    /// [`Record::decode`] over an existing record: the owner name and,
+    /// when the type repeats, the rdata are overwritten in place (see
+    /// [`RData::decode_into`]). On error the contents are unspecified.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Record::decode`].
+    pub fn decode_into(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        self.name.decode_into(r)?;
         let rtype = RecordType::from_u16(r.read_u16("record type")?);
-        let class = RecordClass::from_u16(r.read_u16("record class")?);
-        let ttl = r.read_u32("record ttl")?;
+        self.class = RecordClass::from_u16(r.read_u16("record class")?);
+        self.ttl = r.read_u32("record ttl")?;
         let rdlen = r.read_u16("rdata length")? as usize;
         if r.remaining() < rdlen {
             return Err(WireError::Truncated {
@@ -244,7 +263,7 @@ impl Record {
             });
         }
         let rdata_end = r.position() + rdlen;
-        let rdata = RData::decode(r, rtype, rdlen)?;
+        self.rdata.decode_into(r, rtype, rdlen)?;
         if r.position() != rdata_end {
             return Err(WireError::BadRdataLength {
                 rtype: rtype.to_u16(),
@@ -252,14 +271,13 @@ impl Record {
                 actual: r.position() + rdlen - rdata_end,
             });
         }
-        Ok(Self {
-            name,
-            class,
-            ttl,
-            rdata,
-        })
+        Ok(())
     }
 }
+
+// Every record of every section vector is moved, cloned and overwritten
+// at this size; two inline names (owner + the widest rdata) are the floor.
+const _: () = assert!(std::mem::size_of::<Record>() <= 544);
 
 impl fmt::Display for Record {
     /// Zone-file-ish presentation: `name ttl class type rdata`.

@@ -49,7 +49,7 @@ fn rdata() -> impl Strategy<Value = RData> {
             any::<u32>()
         )
             .prop_map(|(mname, rname, serial, refresh, retry, expire, minimum)| {
-                RData::Soa(Soa {
+                RData::Soa(Box::new(Soa {
                     mname,
                     rname,
                     serial,
@@ -57,7 +57,7 @@ fn rdata() -> impl Strategy<Value = RData> {
                     retry,
                     expire,
                     minimum,
-                })
+                }))
             }),
         (any::<u16>(), name()).prop_map(|(preference, exchange)| RData::Mx {
             preference,

@@ -33,9 +33,11 @@ pub trait Endpoint {
     /// now and rebuilding it from its configuration later would be
     /// indistinguishable to the rest of the network. Lazily
     /// materialized hosts that report `true` after an event are
-    /// released back to the registry, which is how a full-scale
-    /// population runs in a bounded-size host table. Default: `false`
-    /// (never released).
+    /// released — offered back to the registry through
+    /// [`LazyRegistry::recycle`](crate::LazyRegistry::recycle), which
+    /// may re-arm them for another address under the same contract —
+    /// which is how a full-scale population runs in a bounded-size host
+    /// table. Default: `false` (never released).
     fn is_quiescent(&self) -> bool {
         false
     }

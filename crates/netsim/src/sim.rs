@@ -36,14 +36,30 @@ struct HostSlot {
 /// of millions of planned responders, and a full `Box<dyn Endpoint>`
 /// exists only for hosts that are actually mid-conversation. A
 /// materialized host that reports [`Endpoint::is_quiescent`] after an
-/// event is dropped again (fault-free plans only; see
+/// event is released again (fault-free plans only; see
 /// [`SimNet::step`]), keeping the live host table proportional to the
 /// number of concurrently active flows rather than the population.
+///
+/// Released means offered back: every endpoint the simulator releases
+/// goes to [`LazyRegistry::recycle`] exactly once, so a registry can
+/// re-arm it for the next address instead of building one from
+/// nothing. An endpoint is never offered back while a fault rule pins
+/// it, after an explicit [`SimNet::register`] took its slot over, or
+/// when the simulator itself is dropped.
 pub trait LazyRegistry {
     /// Builds the endpoint planned at `addr`, or `None` if the address
     /// is not part of the planned population (the datagram then counts
     /// as unrouted, exactly as for an unregistered address).
     fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>>;
+
+    /// Takes back a quiescent endpoint this registry materialized. What
+    /// the registry later hands out in its place must be
+    /// indistinguishable from a freshly built endpoint — the same
+    /// contract [`Endpoint::is_quiescent`] states for dropping one.
+    /// Default: drop it.
+    fn recycle(&self, endpoint: Box<dyn Endpoint>) {
+        drop(endpoint);
+    }
 }
 
 /// Builder for [`SimNet`]; see [`SimNet::builder`].
@@ -496,7 +512,11 @@ impl SimNet {
         if !slot.lazy || !slot.ep.as_ref().is_some_and(|ep| ep.is_quiescent()) {
             return;
         }
-        slot.ep = None;
+        let ep = slot.ep.take().expect("checked quiescent above");
+        self.lazy
+            .as_ref()
+            .expect("lazy slots come from a registry")
+            .recycle(ep);
         self.index.remove(&slot.addr);
         self.free_slots.push(host);
         self.occupied -= 1;
@@ -1011,6 +1031,98 @@ mod lazy_tests {
         assert_eq!(net.stats().timers_fired, 1);
         assert_eq!(net.host_count(), 0);
         assert_eq!(net.materialized_total(), 1);
+    }
+
+    /// Echoes like [`QuiescentEcho`] and remembers which
+    /// materialization it is.
+    struct Tagged(u64);
+    impl Endpoint for Tagged {
+        fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
+            ctx.send(dgram.reply(dgram.payload.clone()));
+        }
+        fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+            Some(self)
+        }
+        fn is_quiescent(&self) -> bool {
+            true
+        }
+    }
+
+    /// Tags each endpoint it builds and logs every tag offered back.
+    #[derive(Default, Clone)]
+    struct CountingRegistry {
+        built: std::rc::Rc<std::cell::Cell<u64>>,
+        returned: std::rc::Rc<std::cell::RefCell<Vec<u64>>>,
+    }
+    impl LazyRegistry for CountingRegistry {
+        fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
+            // The probed block only: the echoes' replies stay unrouted.
+            if !(BASE..BASE + 50).contains(&u32::from(addr)) {
+                return None;
+            }
+            let tag = self.built.get();
+            self.built.set(tag + 1);
+            Some(Box::new(Tagged(tag)))
+        }
+        fn recycle(&self, mut endpoint: Box<dyn Endpoint>) {
+            let tagged = endpoint
+                .as_any_mut()
+                .and_then(|any| any.downcast_ref::<Tagged>())
+                .expect("only what this registry built comes back");
+            self.returned.borrow_mut().push(tagged.0);
+        }
+    }
+
+    fn probe_fifty(net: &mut SimNet) {
+        for i in 0..50u32 {
+            net.inject(Datagram::new(
+                (Ipv4Addr::new(1, 0, 0, 1), i as u16),
+                (Ipv4Addr::from(BASE + i), 53),
+                vec![1],
+            ));
+        }
+        // A stale timer re-materializes its host, which is released
+        // (and offered back) a second time.
+        net.set_timer_for(Ipv4Addr::from(BASE), SimTime::from_secs(1), 42);
+        net.run_until_idle();
+    }
+
+    #[test]
+    fn every_released_endpoint_is_offered_back_exactly_once() {
+        let registry = CountingRegistry::default();
+        let mut net = SimNet::builder()
+            .seed(7)
+            .latency(FixedLatency(Duration::from_millis(1)))
+            .lazy_hosts(registry.clone())
+            .build();
+        probe_fifty(&mut net);
+        assert_eq!(registry.built.get(), 51);
+        assert_eq!(*registry.returned.borrow(), (0..51).collect::<Vec<u64>>());
+        // The books read as they did when a release was a drop.
+        assert_eq!(net.materialized_total(), 51);
+        assert_eq!(net.materialized_peak(), 1);
+        assert_eq!(net.host_count(), 0);
+    }
+
+    #[test]
+    fn pinned_hosts_are_never_offered_back() {
+        let registry = CountingRegistry::default();
+        let plan = FaultPlan::seeded(7).with_rule(FaultRule::always(
+            FaultScope::All,
+            FaultKind::Loss { probability: 0.0 },
+        ));
+        let mut net = SimNet::builder()
+            .seed(7)
+            .latency(FixedLatency(Duration::from_millis(1)))
+            .faults(plan)
+            .lazy_hosts(registry.clone())
+            .build();
+        probe_fifty(&mut net);
+        assert_eq!(registry.built.get(), 50, "the timer finds its host live");
+        assert!(registry.returned.borrow().is_empty());
+        assert_eq!(net.materialized_total(), 50);
+        assert_eq!(net.materialized_peak(), 50);
+        assert_eq!(net.host_count(), 50);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use orscope_authns::scheme::ProbeLabel;
 use orscope_dns_wire::wire::Reader;
-use orscope_dns_wire::{Header, Message, Name, Question};
+use orscope_dns_wire::{Header, Message, MessageBuilder, Name, Question};
 use orscope_netsim::{Context, Datagram, Endpoint, FxHashMap, SimTime};
 
 use crate::capture::{ProberHandle, R2Capture};
@@ -162,6 +162,8 @@ pub struct Prober {
     handle: ProberHandle,
     done: bool,
     telemetry: ProberTelemetry,
+    /// The previous probe's message, rebuilt in place for the next one.
+    outbound: Message,
     /// Reusable wire-encoding buffer; probes encode without allocating.
     scratch: Vec<u8>,
 }
@@ -221,6 +223,7 @@ impl Prober {
             handle,
             done: false,
             telemetry: ProberTelemetry::default(),
+            outbound: Message::default(),
             scratch: Vec::with_capacity(512),
         })
     }
@@ -245,8 +248,14 @@ impl Prober {
         // The DNS ID cannot disambiguate 100k pps (§III-B); derive it
         // from the label anyway so packets look realistic.
         let id = (label.seq as u16) ^ ((label.cluster as u16) << 10);
-        let query = Message::query(id, Question::a(qname));
-        if query.encode_into(&mut self.scratch).is_err() {
+        let query = MessageBuilder::reusing(std::mem::take(&mut self.outbound))
+            .id(id)
+            .recursion_desired(true)
+            .question(Question::a(qname))
+            .build();
+        let encoded = query.encode_into(&mut self.scratch);
+        self.outbound = query;
+        if encoded.is_err() {
             return false;
         }
         ctx.send(Datagram::new(
@@ -426,13 +435,11 @@ impl Endpoint for Prober {
             self.telemetry.off_port_dropped.inc();
             return;
         }
-        // Tolerant decode: a full parse when possible, otherwise salvage
-        // the header and question (libpcap-style partial decode) so the
-        // malformed 2013 responses still join the dataset.
-        let question = match Message::decode(&dgram.payload) {
-            Ok(msg) => msg.first_question().cloned(),
-            Err(_) => salvage_question(&dgram.payload),
-        };
+        // The join needs the question and nothing after it, so that is
+        // all that is parsed here (libpcap-style partial decode): the
+        // malformed 2013 responses join the dataset like any other, and
+        // the analysis decodes the rest of each capture once.
+        let question = read_question(&dgram.payload);
         let matched = match &question {
             Some(q) => ProbeLabel::parse(q.qname(), &self.config.zone)
                 .filter(|label| {
@@ -491,8 +498,11 @@ impl Endpoint for Prober {
     }
 }
 
-/// Best-effort extraction of the question from an undecodable packet.
-fn salvage_question(payload: &[u8]) -> Option<Question> {
+/// The first question of a DNS packet, read from its header and
+/// question section alone: whatever follows — answers, garbage, nothing
+/// — is not looked at. `None` for an empty question section or a packet
+/// too short or malformed to get that far.
+fn read_question(payload: &[u8]) -> Option<Question> {
     let mut reader = Reader::new(payload);
     let header = Header::decode(&mut reader).ok()?;
     if header.question_count() == 0 {
@@ -842,14 +852,56 @@ mod tests {
     }
 
     #[test]
-    fn salvage_question_on_garbage() {
-        assert!(salvage_question(&[0x00]).is_none());
+    fn read_question_on_garbage() {
+        assert!(read_question(&[0x00]).is_none());
         // Valid header + question + garbage answer count.
         let query = Message::query(7, Question::a("a.b".parse().unwrap()));
         let mut wire = query.encode().unwrap();
         wire[7] = 9; // claim 9 answers
         assert!(Message::decode(&wire).is_err());
-        let q = salvage_question(&wire).unwrap();
+        let q = read_question(&wire).unwrap();
         assert_eq!(q.qname().to_string(), "a.b");
+    }
+
+    #[test]
+    fn trailing_garbage_joins_like_a_well_formed_r2() {
+        /// Answers with a fixed A, then appends `tail` to the packet.
+        struct Tailed(&'static [u8]);
+        impl Endpoint for Tailed {
+            fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
+                let query = Message::decode(&dgram.payload).unwrap();
+                let qname = query.first_question().unwrap().qname().clone();
+                let resp = Message::builder()
+                    .response_to(&query)
+                    .answer(Record::in_class(
+                        qname,
+                        60,
+                        RData::A(Ipv4Addr::new(1, 2, 3, 4)),
+                    ))
+                    .build();
+                let mut wire = resp.encode().unwrap();
+                wire.extend_from_slice(self.0);
+                ctx.send(dgram.reply(wire));
+            }
+        }
+        let host = Ipv4Addr::new(9, 9, 9, 9);
+        // Same scan, same target, hence the same label for both.
+        let join = |tail: &'static [u8]| {
+            let handle = scan(vec![host], |net| net.register(host, Tailed(tail)));
+            assert_eq!(handle.stats().r2_captured, 1);
+            assert_eq!(handle.stats().unmatched, 0);
+            let capture = handle.captures().remove(0);
+            assert_eq!(Message::decode(&capture.payload).is_ok(), tail.is_empty());
+            (
+                capture.target,
+                capture.label,
+                capture.qname.to_string(),
+                capture.at,
+                capture.sent_at,
+            )
+        };
+        let well_formed = join(b"");
+        assert!(well_formed.1.is_some(), "joined by qname");
+        assert_eq!(join(b"\xde\xad\xbe\xef"), well_formed);
     }
 }

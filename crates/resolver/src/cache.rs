@@ -92,6 +92,12 @@ impl DnsCache {
     /// Returns unexpired records for `name`/`rtype`, with TTLs counted
     /// down to the remaining lifetime.
     pub fn get(&mut self, name: &Name, rtype: RecordType, now: SimTime) -> Option<Vec<Record>> {
+        // The scan's unique qnames meet an empty cache on every Q1:
+        // miss without building a 256-byte key to hash.
+        if self.entries.is_empty() {
+            self.misses += 1;
+            return None;
+        }
         let key = (name.clone(), rtype.to_u16());
         match self.entries.get(&key) {
             Some(entry) if entry.expires > now => {
@@ -119,6 +125,16 @@ impl DnsCache {
                 None
             }
         }
+    }
+
+    /// Forgets every record set and zeroes the hit/miss counters,
+    /// keeping the tables' allocations: the cache [`DnsCache::new`]
+    /// would build, for a resolver being re-armed.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.order.clear();
+        self.hits = 0;
+        self.misses = 0;
     }
 
     /// Number of live (possibly expired-but-unswept) entries.

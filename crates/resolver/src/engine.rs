@@ -5,7 +5,7 @@ use std::net::Ipv4Addr;
 use std::time::Duration;
 
 use bytes::Bytes;
-use orscope_dns_wire::{Message, Name, Question, RData, Rcode, Record};
+use orscope_dns_wire::{Message, MessageBuilder, Name, Question, RData, Rcode, Record};
 use orscope_netsim::{Context, Datagram, Endpoint, SimTime};
 
 use crate::cache::DnsCache;
@@ -70,27 +70,47 @@ pub struct ResolverStats {
     pub forwarded: u64,
 }
 
-/// One in-flight recursive resolution.
-#[derive(Debug, Clone)]
-struct Pending {
-    client: (Ipv4Addr, u16),
-    client_id: u16,
+/// Where and how to answer a client.
+#[derive(Debug, Clone, Copy)]
+struct ClientRef {
+    addr: (Ipv4Addr, u16),
+    /// The id of the client's query.
+    id: u16,
     /// The client's advertised response-size budget (EDNS or 512).
-    client_limit: usize,
+    limit: usize,
+}
+
+/// One in-flight recursive resolution.
+#[derive(Debug)]
+struct Pending {
+    client: ClientRef,
     /// The question asked by the client (echoed in the final response).
-    original_question: Question,
-    /// The question currently being iterated (diverges from the
-    /// original while chasing CNAMEs).
+    /// The name being iterated is its qname until a CNAME is chased,
+    /// and the last alias target of `cname_chain` from then on.
     question: Question,
     /// CNAME records collected so far, prepended to the final answer.
     cname_chain: Vec<Record>,
-    /// The exact (possibly case-scrambled) question sent upstream, for
-    /// DNS 0x20 echo validation.
-    sent_question: Option<Question>,
+    /// Case entropy of the upstream query in flight: under DNS 0x20 the
+    /// spelling sent, and required back, is
+    /// `qname().randomize_case(sent_case)`.
+    sent_case: u64,
     server: Ipv4Addr,
     depth: u8,
     retries_left: u8,
 }
+
+impl Pending {
+    /// The name currently being iterated.
+    fn qname(&self) -> &Name {
+        match self.cname_chain.last().map(Record::rdata) {
+            Some(RData::Cname(target)) => target,
+            _ => self.question.qname(),
+        }
+    }
+}
+
+/// Seed of the xorshift transaction-id generator.
+const TXN_SEED: u32 = 0x9E37_79B9;
 
 /// A probed host: applies its [`ResponsePolicy`] to incoming queries,
 /// recursing for real through the simulated DNS hierarchy when the policy
@@ -112,6 +132,12 @@ pub struct ProfiledResolver {
     txn_rng: u32,
     stats: ResolverStats,
     telemetry: ResolverTelemetry,
+    /// Scratch the datagram in hand is decoded into
+    /// ([`Message::decode_into`]) and the next response or upstream
+    /// query is built in ([`MessageBuilder::reusing`]): steady-state
+    /// packets reuse the previous packet's section vectors.
+    inbound: Message,
+    outbound: Message,
     /// Reusable wire-encoding buffer; steady-state responses and
     /// upstream queries encode without allocating.
     scratch: Vec<u8>,
@@ -140,16 +166,49 @@ impl ProfiledResolver {
             pending: HashMap::new(),
             forward_pending: HashMap::new(),
             next_txn: 1,
-            txn_rng: 0x9E37_79B9,
+            txn_rng: TXN_SEED,
             stats: ResolverStats::default(),
             telemetry: ResolverTelemetry::default(),
+            inbound: Message::default(),
+            outbound: Message::default(),
             scratch: Vec::with_capacity(512),
         }
     }
 
-    /// Encodes `msg` through the scratch buffer into a sendable payload.
-    fn encode_scratch(&mut self, msg: &Message) -> Option<Bytes> {
-        msg.encode_into(&mut self.scratch).ok()?;
+    /// Re-arms a released resolver as the host behind `policy`: every
+    /// piece of state goes back to exactly what
+    /// [`ProfiledResolver::new_shared`] builds with the same
+    /// configuration — caches, in-flight maps, transaction-id
+    /// generators, counters, scratch contents — and only allocations
+    /// and the attached telemetry handles are kept. A registry that
+    /// pools released resolvers hands this out in place of a fresh one;
+    /// no later packet can tell the two apart.
+    pub fn reset(&mut self, policy: std::sync::Arc<ResponsePolicy>) {
+        self.policy = policy;
+        self.cache.clear();
+        self.zone_servers.clear();
+        self.negative.clear();
+        self.pending.clear();
+        self.forward_pending.clear();
+        self.next_txn = 1;
+        self.txn_rng = TXN_SEED;
+        self.stats = ResolverStats::default();
+        self.inbound.clear();
+        self.outbound.clear();
+        self.scratch.clear();
+    }
+
+    /// Starts the next outbound message in the previous one's storage.
+    fn builder(&mut self) -> MessageBuilder {
+        MessageBuilder::reusing(std::mem::take(&mut self.outbound))
+    }
+
+    /// Encodes `msg` through the scratch buffer into a sendable payload
+    /// and keeps its storage for the next [`Self::builder`].
+    fn finish(&mut self, msg: Message) -> Option<Bytes> {
+        let encoded = msg.encode_into(&mut self.scratch);
+        self.outbound = msg;
+        encoded.ok()?;
         Some(Bytes::copy_from_slice(&self.scratch))
     }
 
@@ -211,14 +270,11 @@ impl ProfiledResolver {
         // (Takano et al.). Answered from configuration, refused without.
         if let Some(question) = query.first_question() {
             if question.qclass() == orscope_dns_wire::RecordClass::Ch
-                && question
-                    .qname()
-                    .to_string()
-                    .eq_ignore_ascii_case("version.bind")
+                && is_version_bind(question.qname())
             {
+                let builder = self.builder().response_to(query);
                 let response = match &self.policy.version_banner {
-                    Some(banner) => Message::builder()
-                        .response_to(query)
+                    Some(banner) => builder
                         .answer(Record::new(
                             question.qname().clone(),
                             orscope_dns_wire::RecordClass::Ch,
@@ -226,23 +282,21 @@ impl ProfiledResolver {
                             RData::Txt(vec![banner.as_bytes().to_vec()]),
                         ))
                         .build(),
-                    None => Message::builder()
-                        .response_to(query)
-                        .rcode(Rcode::Refused)
-                        .build(),
+                    None => builder.rcode(Rcode::Refused).build(),
                 };
-                if let Some(payload) = self.encode_scratch(&response) {
+                if let Some(payload) = self.finish(response) {
                     self.stats.responses_sent += 1;
                     ctx.send(dgram.reply(payload));
                 }
                 return;
             }
         }
-        let action = self.policy.action.clone();
-        match action {
+        match &self.policy.action {
             ResponseAction::Silent => {}
             ResponseAction::Immediate(imm) => {
-                if let Some(wire) = build_immediate(query, &imm, &mut self.scratch) {
+                if let Some(wire) =
+                    build_immediate(query, imm, &mut self.outbound, &mut self.scratch)
+                {
                     let reply = match imm.src_port {
                         Some(port) => dgram.reply_from_port(port, wire),
                         None => dgram.reply(wire),
@@ -251,115 +305,102 @@ impl ProfiledResolver {
                     ctx.send(reply);
                 }
             }
-            ResponseAction::Forward(fp) => {
-                self.forward_query(query, dgram, &fp, ctx);
+            &ResponseAction::Forward(fp) => self.forward_query(query, dgram, fp, ctx),
+            &ResponseAction::Recurse(rp) => self.recurse(query, dgram, rp, ctx),
+        }
+    }
+
+    /// Answers a client query from the caches or starts iterating for it.
+    fn recurse(
+        &mut self,
+        query: &Message,
+        dgram: &Datagram,
+        rp: RecursePolicy,
+        ctx: &mut Context<'_>,
+    ) {
+        let client = ClientRef {
+            addr: (dgram.src, dgram.src_port),
+            id: query.header().id(),
+            limit: query.response_size_limit(),
+        };
+        let Some(question) = query.first_question() else {
+            // No question to resolve: answer FormErr like BIND.
+            let resp = self
+                .builder()
+                .response_to(query)
+                .rcode(Rcode::FormErr)
+                .build();
+            if let Some(payload) = self.finish(resp) {
+                self.stats.responses_sent += 1;
+                ctx.send(dgram.reply(payload));
             }
-            ResponseAction::Recurse(rp) => {
-                let Some(question) = query.first_question().cloned() else {
-                    // No question to resolve: answer FormErr like BIND.
-                    let resp = Message::builder()
-                        .response_to(query)
-                        .rcode(Rcode::FormErr)
-                        .build();
-                    if let Some(payload) = self.encode_scratch(&resp) {
-                        self.stats.responses_sent += 1;
-                        ctx.send(dgram.reply(payload));
-                    }
-                    return;
-                };
-                // RD=0: the client asked for a non-recursive lookup. A
-                // correct recursive server answers from cache only —
-                // which is exactly what cache-snooping probes exploit.
-                if !query.header().recursion_desired() {
-                    let cached = self
-                        .cache
-                        .get(question.qname(), question.qtype(), ctx.now());
-                    let outcome = match cached {
-                        Some(records) => {
-                            self.stats.cache_hits += 1;
-                            Ok(records)
-                        }
-                        None => Err(Rcode::NoError), // empty: not cached
-                    };
-                    self.answer_client(
-                        (dgram.src, dgram.src_port),
-                        query.header().id(),
-                        query.response_size_limit(),
-                        &question,
-                        outcome,
-                        &rp,
-                        ctx,
-                    );
-                    return;
-                }
-                // Negative cache (RFC 2308): a fresh NXDomain/NoData is
-                // answered without re-asking the hierarchy.
-                let neg_key = (question.qname().clone(), question.qtype().to_u16());
-                match self.negative.get(&neg_key) {
-                    Some(&(rcode, expiry)) if expiry > ctx.now() => {
-                        self.stats.negative_hits += 1;
-                        self.answer_client(
-                            (dgram.src, dgram.src_port),
-                            query.header().id(),
-                            query.response_size_limit(),
-                            &question,
-                            Err(rcode),
-                            &rp,
-                            ctx,
-                        );
-                        return;
-                    }
-                    Some(_) => {
-                        self.negative.remove(&neg_key);
-                    }
-                    None => {}
-                }
-                // Cache check: unique probe names never hit, but repeat
-                // clients of an open resolver would.
-                if let Some(records) = self
-                    .cache
-                    .get(question.qname(), question.qtype(), ctx.now())
-                {
+            return;
+        };
+        // RD=0: the client asked for a non-recursive lookup. A
+        // correct recursive server answers from cache only —
+        // which is exactly what cache-snooping probes exploit.
+        if !query.header().recursion_desired() {
+            let cached = self
+                .cache
+                .get(question.qname(), question.qtype(), ctx.now());
+            let outcome = match &cached {
+                Some(records) => {
                     self.stats.cache_hits += 1;
-                    self.answer_client(
-                        (dgram.src, dgram.src_port),
-                        query.header().id(),
-                        query.response_size_limit(),
-                        &question,
-                        Ok(records),
-                        &rp,
-                        ctx,
-                    );
+                    Ok(records.as_slice())
+                }
+                None => Err(Rcode::NoError), // empty: not cached
+            };
+            self.answer_client(client, question, &[], outcome, rp, ctx);
+            return;
+        }
+        // Negative cache (RFC 2308): a fresh NXDomain/NoData is
+        // answered without re-asking the hierarchy.
+        if !self.negative.is_empty() {
+            let neg_key = (question.qname().clone(), question.qtype().to_u16());
+            match self.negative.get(&neg_key) {
+                Some(&(rcode, expiry)) if expiry > ctx.now() => {
+                    self.stats.negative_hits += 1;
+                    self.answer_client(client, question, &[], Err(rcode), rp, ctx);
                     return;
                 }
-                let server = self.closest_zone_server(question.qname(), ctx.now());
-                let txn = self.alloc_txn();
-                self.pending.insert(
-                    txn,
-                    Pending {
-                        client: (dgram.src, dgram.src_port),
-                        client_id: query.header().id(),
-                        client_limit: query.response_size_limit(),
-                        original_question: question.clone(),
-                        question: question.clone(),
-                        cname_chain: Vec::new(),
-                        sent_question: None,
-                        server,
-                        depth: 0,
-                        retries_left: self.config.retries,
-                    },
-                );
-                let sent = self.send_upstream(txn, &question, server, ctx);
-                if let Some(p) = self.pending.get_mut(&txn) {
-                    p.sent_question = Some(sent);
+                Some(_) => {
+                    self.negative.remove(&neg_key);
                 }
-                ctx.set_timer(self.config.timeout, txn as u64);
+                None => {}
             }
         }
+        // Cache check: unique probe names never hit, but repeat
+        // clients of an open resolver would.
+        if let Some(records) = self
+            .cache
+            .get(question.qname(), question.qtype(), ctx.now())
+        {
+            self.stats.cache_hits += 1;
+            self.answer_client(client, question, &[], Ok(&records), rp, ctx);
+            return;
+        }
+        let txn = self.alloc_txn();
+        let mut pending = Pending {
+            client,
+            question: question.clone(),
+            cname_chain: Vec::new(),
+            sent_case: 0,
+            server: self.closest_zone_server(question.qname(), ctx.now()),
+            depth: 0,
+            retries_left: self.config.retries,
+        };
+        pending.sent_case = self.send_upstream(txn, &pending, ctx);
+        self.pending.insert(txn, pending);
+        ctx.set_timer(self.config.timeout, txn as u64);
     }
 
     /// The deepest cached zone server for `qname`, else the root.
     fn closest_zone_server(&mut self, qname: &Name, now: SimTime) -> Ipv4Addr {
+        // A resolver's first resolution (the only one a scan asks of
+        // it) has no referral cached: skip walking copies of the name.
+        if self.zone_servers.is_empty() {
+            return self.config.root;
+        }
         let mut candidate = Some(qname.clone());
         while let Some(name) = candidate {
             if let Some(&(addr, expiry)) = self.zone_servers.get(&name) {
@@ -373,39 +414,41 @@ impl ProfiledResolver {
         self.config.root
     }
 
-    fn send_upstream(
-        &mut self,
-        txn: u16,
-        question: &Question,
-        server: Ipv4Addr,
-        ctx: &mut Context<'_>,
-    ) -> Question {
+    /// Asks `pending.server` the question `pending` is iterating, as
+    /// transaction `txn`. Returns the case entropy used for the qname
+    /// (see [`Pending::sent_case`]).
+    fn send_upstream(&mut self, txn: u16, pending: &Pending, ctx: &mut Context<'_>) -> u64 {
         // DNS 0x20: scramble the qname case per transaction; the echoed
         // question must match byte-for-byte.
-        let question = if self.config.dns0x20 {
-            let entropy = (txn as u64) << 32 | self.txn_rng as u64;
-            Question::new(
-                question.qname().randomize_case(entropy),
-                question.qtype(),
-                question.qclass(),
-            )
+        let entropy = (txn as u64) << 32 | self.txn_rng as u64;
+        let qname = if self.config.dns0x20 {
+            pending.qname().randomize_case(entropy)
         } else {
-            question.clone()
+            pending.qname().clone()
         };
-        let mut query = Message::query(txn, question.clone());
+        let mut query = self
+            .builder()
+            .id(txn)
+            .recursion_desired(true)
+            .question(Question::new(
+                qname,
+                pending.question.qtype(),
+                pending.question.qclass(),
+            ))
+            .build();
         // Recursive resolvers speak EDNS upstream (RFC 6891) so large
         // authoritative answers are not truncated at 512 bytes.
         query.set_edns_udp_size(4096);
-        if let Some(payload) = self.encode_scratch(&query) {
+        if let Some(payload) = self.finish(query) {
             self.stats.upstream_queries += 1;
             // Ephemeral source port derived from the transaction id.
             ctx.send(Datagram::new(
                 (ctx.local_addr(), Self::ephemeral_port(txn)),
-                (server, 53),
+                (pending.server, 53),
                 payload,
             ));
         }
-        question
+        entropy
     }
 
     /// Relays a client query to the forwarder's upstream resolver.
@@ -413,18 +456,22 @@ impl ProfiledResolver {
         &mut self,
         query: &Message,
         dgram: &Datagram,
-        fp: &ForwardPolicy,
+        fp: ForwardPolicy,
         ctx: &mut Context<'_>,
     ) {
-        let Some(question) = query.first_question().cloned() else {
+        let Some(question) = query.first_question() else {
             return; // nothing to relay
         };
         let txn = self.alloc_txn();
         self.forward_pending
             .insert(txn, ((dgram.src, dgram.src_port), query.header().id()));
-        let mut relay = Message::query(txn, question);
-        relay.header_mut().set_recursion_desired(true);
-        if let Some(payload) = self.encode_scratch(&relay) {
+        let relay = self
+            .builder()
+            .id(txn)
+            .recursion_desired(true)
+            .question(question.clone())
+            .build();
+        if let Some(payload) = self.finish(relay) {
             self.stats.forwarded += 1;
             self.stats.upstream_queries += 1;
             ctx.send(Datagram::new(
@@ -436,10 +483,11 @@ impl ProfiledResolver {
         }
     }
 
-    /// Relays an upstream answer back to the forwarder's client.
+    /// Relays an upstream answer back to the forwarder's client,
+    /// rewriting the header of the decoded message in place.
     fn relay_response(
         &mut self,
-        response: &Message,
+        response: &mut Message,
         client: (Ipv4Addr, u16),
         client_id: u16,
         ctx: &mut Context<'_>,
@@ -447,14 +495,17 @@ impl ProfiledResolver {
         let ResponseAction::Forward(fp) = &self.policy.action else {
             return;
         };
-        let mut out = response.clone();
-        out.header_mut().set_id(client_id);
+        response.header_mut().set_id(client_id);
         if let Some(ra) = fp.ra_override {
-            out.header_mut().set_recursion_available(ra);
+            response.header_mut().set_recursion_available(ra);
         }
-        if let Some(payload) = self.encode_scratch(&out) {
+        if response.encode_into(&mut self.scratch).is_ok() {
             self.stats.responses_sent += 1;
-            ctx.send(Datagram::new((ctx.local_addr(), 53), client, payload));
+            ctx.send(Datagram::new(
+                (ctx.local_addr(), 53),
+                client,
+                Bytes::copy_from_slice(&self.scratch),
+            ));
         }
     }
 
@@ -474,7 +525,7 @@ impl ProfiledResolver {
     /// Handles a response from an upstream server.
     fn on_upstream_response(
         &mut self,
-        response: &Message,
+        response: &mut Message,
         dgram: &Datagram,
         ctx: &mut Context<'_>,
     ) {
@@ -483,7 +534,8 @@ impl ProfiledResolver {
             self.relay_response(response, client, client_id, ctx);
             return;
         }
-        let Some(pending) = self.pending.get(&txn).cloned() else {
+        let response = &*response;
+        let Some(pending) = self.pending.get(&txn) else {
             return; // duplicate or late response
         };
         // Off-path hygiene: the response must come from the server we
@@ -496,93 +548,69 @@ impl ProfiledResolver {
         // DNS 0x20 echo validation: the response must repeat our exact
         // mixed-case spelling.
         if self.config.dns0x20 {
-            let echoed = response.first_question();
-            let sent = pending.sent_question.as_ref();
-            match (echoed, sent) {
-                (Some(e), Some(s)) if e.qname().eq_bytes(s.qname()) => {}
+            let sent = pending.qname().randomize_case(pending.sent_case);
+            match response.first_question() {
+                Some(echoed) if echoed.qname().eq_bytes(&sent) => {}
                 _ => return, // case mismatch: forged or broken
             }
         }
-        let ResponseAction::Recurse(rp) = self.policy.action.clone() else {
+        let &ResponseAction::Recurse(rp) = &self.policy.action else {
             return;
         };
+        // Accepted: the transaction is over, whatever comes next. Every
+        // path below either answers the client or re-files the
+        // resolution under a new transaction id.
+        let mut pending = self.pending.remove(&txn).expect("looked up above");
         if !response.answers().is_empty() {
             // Records matching the question we are iterating.
             let records: Vec<Record> = response
                 .answers()
                 .iter()
-                .filter(|r| r.name() == pending.question.qname())
+                .filter(|r| r.name() == pending.qname())
                 .cloned()
                 .collect();
             // CNAME chasing: an alias answer to a non-CNAME question
             // restarts iteration at the canonical target (RFC 1034
             // section 3.6.2), carrying the chain into the final answer.
+            let qtype = pending.question.qtype();
             let wants_alias_follow = !matches!(
-                pending.question.qtype(),
+                qtype,
                 orscope_dns_wire::RecordType::Cname | orscope_dns_wire::RecordType::Any
             );
-            let has_terminal = records
-                .iter()
-                .any(|r| r.rtype() == pending.question.qtype());
+            let has_terminal = records.iter().any(|r| r.rtype() == qtype);
             if wants_alias_follow && !has_terminal {
                 if let Some(cname_rec) = records
                     .iter()
                     .find(|r| matches!(r.rdata(), RData::Cname(_)))
                 {
-                    let RData::Cname(target) = cname_rec.rdata() else {
-                        unreachable!("matched CNAME above");
-                    };
-                    let mut p = self.pending.remove(&txn).expect("pending exists");
-                    if p.cname_chain.len() >= 8 {
-                        self.telemetry.recursion_depth.record(p.depth as u64);
-                        self.stats.failures += 1;
-                        self.answer_client(
-                            p.client,
-                            p.client_id,
-                            p.client_limit,
-                            &p.original_question,
-                            Err(Rcode::ServFail),
-                            &rp,
-                            ctx,
-                        );
+                    if pending.cname_chain.len() >= 8 {
+                        self.fail(pending, rp, ctx);
                         return;
                     }
-                    p.cname_chain.push(cname_rec.clone());
-                    p.question = Question::new(
-                        target.clone(),
-                        p.original_question.qtype(),
-                        p.original_question.qclass(),
-                    );
-                    p.depth = 0;
-                    p.retries_left = self.config.retries;
-                    p.server = self.closest_zone_server(p.question.qname(), ctx.now());
-                    let new_txn = self.alloc_txn();
-                    p.sent_question = Some(self.send_upstream(new_txn, &p.question, p.server, ctx));
-                    ctx.set_timer(self.config.timeout, new_txn as u64);
-                    self.pending.insert(new_txn, p);
+                    pending.cname_chain.push(cname_rec.clone());
+                    pending.depth = 0;
+                    pending.retries_left = self.config.retries;
+                    pending.server = self.closest_zone_server(pending.qname(), ctx.now());
+                    self.reissue(pending, ctx);
                     return;
                 }
             }
-            self.pending.remove(&txn);
             self.telemetry.recursion_depth.record(pending.depth as u64);
-            self.cache.insert(ctx.now(), records.clone());
             // Re-ask the answering server (resolver-farm duplication);
             // responses to these find no pending entry and are dropped.
             for _ in 1..rp.auth_duplicates {
                 let dup_txn = self.alloc_txn();
-                let _ = self.send_upstream(dup_txn, &pending.question, pending.server, ctx);
+                let _ = self.send_upstream(dup_txn, &pending, ctx);
             }
-            let mut full = pending.cname_chain.clone();
-            full.extend(records);
             self.answer_client(
                 pending.client,
-                pending.client_id,
-                pending.client_limit,
-                &pending.original_question,
-                Ok(full),
-                &rp,
+                &pending.question,
+                &pending.cname_chain,
+                Ok(&records),
+                rp,
                 ctx,
             );
+            self.cache.insert(ctx.now(), records);
             return;
         }
         match response.header().rcode() {
@@ -597,111 +625,98 @@ impl ProfiledResolver {
                             .then(|| add.rdata().as_a())
                             .flatten()
                     })?;
-                    Some((auth.name().clone(), auth.ttl(), glue))
+                    Some((auth.name(), auth.ttl(), glue))
                 });
                 match referral {
                     Some((zone, ttl, glue)) if pending.depth < self.config.max_referrals => {
-                        self.zone_servers
-                            .insert(zone, (glue, ctx.now() + Duration::from_secs(ttl as u64)));
-                        let mut p = self.pending.remove(&txn).expect("pending exists");
-                        p.server = glue;
-                        p.depth += 1;
-                        p.retries_left = self.config.retries;
-                        let new_txn = self.alloc_txn();
-                        p.sent_question = Some(self.send_upstream(new_txn, &p.question, glue, ctx));
-                        ctx.set_timer(self.config.timeout, new_txn as u64);
-                        self.pending.insert(new_txn, p);
-                    }
-                    _ => {
-                        // NoData or referral overflow.
-                        self.pending.remove(&txn);
-                        self.telemetry.recursion_depth.record(pending.depth as u64);
-                        let rcode = if referral.is_some() {
-                            self.stats.failures += 1;
-                            Rcode::ServFail
-                        } else {
-                            // NoData: negatively cacheable (RFC 2308).
-                            self.negative.insert(
-                                (
-                                    pending.question.qname().clone(),
-                                    pending.question.qtype().to_u16(),
-                                ),
-                                (Rcode::NoError, ctx.now() + Self::negative_ttl(response)),
-                            );
-                            Rcode::NoError // NoData: empty NoError answer
-                        };
-                        self.answer_client(
-                            pending.client,
-                            pending.client_id,
-                            pending.client_limit,
-                            &pending.original_question,
-                            Err(rcode),
-                            &rp,
-                            ctx,
+                        self.zone_servers.insert(
+                            zone.clone(),
+                            (glue, ctx.now() + Duration::from_secs(ttl as u64)),
                         );
+                        pending.server = glue;
+                        pending.depth += 1;
+                        pending.retries_left = self.config.retries;
+                        self.reissue(pending, ctx);
+                    }
+                    // Referral overflow.
+                    Some(_) => self.fail(pending, rp, ctx),
+                    None => {
+                        // NoData: negatively cacheable (RFC 2308), and
+                        // answered as an empty NoError.
+                        self.finish_negative(pending, Rcode::NoError, response, rp, ctx);
                     }
                 }
             }
-            Rcode::NXDomain => {
-                self.pending.remove(&txn);
-                self.telemetry.recursion_depth.record(pending.depth as u64);
-                self.negative.insert(
-                    (
-                        pending.question.qname().clone(),
-                        pending.question.qtype().to_u16(),
-                    ),
-                    (Rcode::NXDomain, ctx.now() + Self::negative_ttl(response)),
-                );
-                self.answer_client(
-                    pending.client,
-                    pending.client_id,
-                    pending.client_limit,
-                    &pending.original_question,
-                    Err(Rcode::NXDomain),
-                    &rp,
-                    ctx,
-                );
-            }
-            _ => {
-                self.pending.remove(&txn);
-                self.telemetry.recursion_depth.record(pending.depth as u64);
-                self.stats.failures += 1;
-                self.answer_client(
-                    pending.client,
-                    pending.client_id,
-                    pending.client_limit,
-                    &pending.original_question,
-                    Err(Rcode::ServFail),
-                    &rp,
-                    ctx,
-                );
-            }
+            Rcode::NXDomain => self.finish_negative(pending, Rcode::NXDomain, response, rp, ctx),
+            _ => self.fail(pending, rp, ctx),
         }
     }
 
-    /// Sends the final response to the client, applying the recursion
-    /// policy's header overrides.
-    #[allow(clippy::too_many_arguments)]
-    fn answer_client(
+    /// Sends `pending`'s question to its (new) server under a fresh
+    /// transaction id and files it there.
+    fn reissue(&mut self, mut pending: Pending, ctx: &mut Context<'_>) {
+        let txn = self.alloc_txn();
+        pending.sent_case = self.send_upstream(txn, &pending, ctx);
+        ctx.set_timer(self.config.timeout, txn as u64);
+        self.pending.insert(txn, pending);
+    }
+
+    /// Ends `pending` in ServFail (timeout, referral or alias overflow,
+    /// upstream error).
+    fn fail(&mut self, pending: Pending, rp: RecursePolicy, ctx: &mut Context<'_>) {
+        self.telemetry.recursion_depth.record(pending.depth as u64);
+        self.stats.failures += 1;
+        self.answer_client(
+            pending.client,
+            &pending.question,
+            &[],
+            Err(Rcode::ServFail),
+            rp,
+            ctx,
+        );
+    }
+
+    /// Ends `pending` in the negative answer `rcode` (NXDomain, or
+    /// NoError for NoData), caching it for the TTL `response` carries.
+    fn finish_negative(
         &mut self,
-        client: (Ipv4Addr, u16),
-        client_id: u16,
-        client_limit: usize,
-        question: &Question,
-        outcome: Result<Vec<Record>, Rcode>,
-        rp: &RecursePolicy,
+        pending: Pending,
+        rcode: Rcode,
+        response: &Message,
+        rp: RecursePolicy,
         ctx: &mut Context<'_>,
     ) {
-        let mut builder = Message::builder()
-            .id(client_id)
+        self.telemetry.recursion_depth.record(pending.depth as u64);
+        self.negative.insert(
+            (pending.qname().clone(), pending.question.qtype().to_u16()),
+            (rcode, ctx.now() + Self::negative_ttl(response)),
+        );
+        self.answer_client(pending.client, &pending.question, &[], Err(rcode), rp, ctx);
+    }
+
+    /// Sends the final response to the client — `chain` then the
+    /// outcome's records, or its rcode — applying the recursion
+    /// policy's header overrides.
+    fn answer_client(
+        &mut self,
+        client: ClientRef,
+        question: &Question,
+        chain: &[Record],
+        outcome: Result<&[Record], Rcode>,
+        rp: RecursePolicy,
+        ctx: &mut Context<'_>,
+    ) {
+        let mut builder = self
+            .builder()
+            .id(client.id)
             .question(question.clone())
             .recursion_desired(true)
             .recursion_available(rp.ra)
             .authoritative(rp.aa);
         match outcome {
             Ok(records) => {
-                for rec in records {
-                    builder = builder.answer(rec);
+                for rec in chain.iter().chain(records) {
+                    builder = builder.answer(rec.clone());
                 }
             }
             Err(rcode) => {
@@ -713,18 +728,28 @@ impl ProfiledResolver {
         }
         let mut response = builder.build();
         response.header_mut().set_response(true);
-        if response
-            .encode_truncated_into(client_limit, &mut self.scratch)
-            .is_ok()
-        {
+        let encoded = response.encode_truncated_into(client.limit, &mut self.scratch);
+        self.outbound = response;
+        if encoded.is_ok() {
             self.stats.responses_sent += 1;
             ctx.send(Datagram::new(
                 (ctx.local_addr(), 53),
-                client,
+                client.addr,
                 Bytes::copy_from_slice(&self.scratch),
             ));
         }
     }
+}
+
+/// Whether `name` is `version.bind`, compared label by label (ASCII
+/// case-insensitively) without rendering it.
+fn is_version_bind(name: &Name) -> bool {
+    let mut labels = name.labels();
+    matches!(
+        (labels.next(), labels.next(), labels.next()),
+        (Some(version), Some(bind), None)
+            if version.eq_ignore_ascii_case(b"version") && bind.eq_ignore_ascii_case(b"bind")
+    )
 }
 
 impl Endpoint for ProfiledResolver {
@@ -733,21 +758,32 @@ impl Endpoint for ProfiledResolver {
         // the difference. This instruments every increment site in the
         // engine without threading handles through each of them.
         let before = self.stats;
-        let Ok(message) = Message::decode(&dgram.payload) else {
-            return;
-        };
-        if message.header().is_response() {
-            self.on_upstream_response(&message, dgram, ctx);
-        } else if dgram.dst_port == 53 {
-            self.on_client_query(&message, dgram, ctx);
+        let mut message = std::mem::take(&mut self.inbound);
+        if message.decode_into(&dgram.payload).is_ok() {
+            if message.header().is_response() {
+                self.on_upstream_response(&mut message, dgram, ctx);
+            } else if dgram.dst_port == 53 {
+                self.on_client_query(&message, dgram, ctx);
+            }
+            self.telemetry.observe(&before, &self.stats);
         }
-        self.telemetry.observe(&before, &self.stats);
+        self.inbound = message;
     }
 
     fn handle_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+        let txn = token as u16;
+        // Every completed resolution leaves its upstream-timeout timers
+        // behind; one that finds nothing in flight changes nothing.
+        if !self.pending.contains_key(&txn) && !self.forward_pending.contains_key(&txn) {
+            return;
+        }
         let before = self.stats;
-        self.on_timer(token, ctx);
+        self.on_timer(txn, ctx);
         self.telemetry.observe(&before, &self.stats);
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
     }
 
     fn is_quiescent(&self) -> bool {
@@ -755,76 +791,59 @@ impl Endpoint for ProfiledResolver {
         // its (shared) policy and config later is indistinguishable on
         // the wire, because campaign probes carry unique qnames that
         // never hit the dropped caches. The simulator uses this to
-        // release lazily materialized hosts after each event.
+        // release lazily materialized hosts after each event, and the
+        // registry that takes them back re-arms them with
+        // [`ProfiledResolver::reset`] under the same argument.
         self.pending.is_empty() && self.forward_pending.is_empty()
     }
 }
 
 impl ProfiledResolver {
-    fn on_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
-        let txn = token as u16;
+    /// Handles the upstream timeout of in-flight transaction `txn`.
+    fn on_timer(&mut self, txn: u16, ctx: &mut Context<'_>) {
         if let Some((client, client_id)) = self.forward_pending.remove(&txn) {
             // Upstream never answered the relay: ServFail, like dnsmasq.
-            let mut out = Message::builder()
-                .id(client_id)
-                .rcode(Rcode::ServFail)
-                .build();
+            let mut out = self.builder().id(client_id).rcode(Rcode::ServFail).build();
             out.header_mut().set_response(true);
-            if let Some(payload) = self.encode_scratch(&out) {
+            if let Some(payload) = self.finish(out) {
                 self.stats.failures += 1;
                 self.stats.responses_sent += 1;
                 ctx.send(Datagram::new((ctx.local_addr(), 53), client, payload));
             }
             return;
         }
-        let Some(pending) = self.pending.get(&txn).cloned() else {
+        let Some(mut pending) = self.pending.remove(&txn) else {
             return; // resolution already completed
         };
         if pending.retries_left > 0 {
-            self.pending.get_mut(&txn).expect("exists").retries_left -= 1;
-            let question = pending.question.clone();
-            let server = pending.server;
-            let sent = self.send_upstream(txn, &question, server, ctx);
-            if let Some(p) = self.pending.get_mut(&txn) {
-                p.sent_question = Some(sent);
-            }
+            pending.retries_left -= 1;
+            pending.sent_case = self.send_upstream(txn, &pending, ctx);
+            self.pending.insert(txn, pending);
             ctx.set_timer(self.config.timeout, txn as u64);
-        } else {
-            let ResponseAction::Recurse(rp) = self.policy.action.clone() else {
-                self.pending.remove(&txn);
-                return;
-            };
-            self.pending.remove(&txn);
-            self.telemetry.recursion_depth.record(pending.depth as u64);
-            self.stats.failures += 1;
-            self.answer_client(
-                pending.client,
-                pending.client_id,
-                pending.client_limit,
-                &pending.original_question,
-                Err(Rcode::ServFail),
-                &rp,
-                ctx,
-            );
+        } else if let &ResponseAction::Recurse(rp) = &self.policy.action {
+            self.fail(pending, rp, ctx);
         }
     }
 }
 
-/// Builds the wire bytes of an immediate (non-recursed) response through
-/// the caller's reusable `scratch` buffer.
+/// Builds the wire bytes of an immediate (non-recursed) response in the
+/// caller's reusable `outbound` message and `scratch` buffer.
 ///
 /// Returns `None` only if encoding fails (should not happen for the
 /// policy-constructible shapes).
 fn build_immediate(
     query: &Message,
     imm: &ImmediateResponse,
+    outbound: &mut Message,
     scratch: &mut Vec<u8>,
 ) -> Option<Bytes> {
-    let qname = query
-        .first_question()
-        .map(|q| q.qname().clone())
-        .unwrap_or_else(Name::root);
-    let mut builder = Message::builder()
+    let qname = || {
+        query
+            .first_question()
+            .map(|q| q.qname().clone())
+            .unwrap_or_else(Name::root)
+    };
+    let mut builder = MessageBuilder::reusing(std::mem::take(outbound))
         .response_to(query)
         .recursion_available(imm.ra)
         .authoritative(imm.aa)
@@ -832,19 +851,15 @@ fn build_immediate(
     let answer_is_a = matches!(imm.answer, Some(AnswerData::FixedIp(_)));
     match &imm.answer {
         Some(AnswerData::FixedIp(addr)) => {
-            builder = builder.answer(Record::in_class(qname.clone(), 299, RData::A(*addr)));
+            builder = builder.answer(Record::in_class(qname(), 299, RData::A(*addr)));
         }
         Some(AnswerData::Url(target)) => {
             let target_name: Name = target.parse().ok()?;
-            builder = builder.answer(Record::in_class(
-                qname.clone(),
-                299,
-                RData::Cname(target_name),
-            ));
+            builder = builder.answer(Record::in_class(qname(), 299, RData::Cname(target_name)));
         }
         Some(AnswerData::Text(text)) => {
             builder = builder.answer(Record::in_class(
-                qname.clone(),
+                qname(),
                 299,
                 RData::Txt(vec![text.as_bytes().to_vec()]),
             ));
@@ -855,7 +870,9 @@ fn build_immediate(
     if imm.empty_question {
         response.clear_questions();
     }
-    response.encode_into(scratch).ok()?;
+    let encoded = response.encode_into(scratch);
+    *outbound = response;
+    encoded.ok()?;
     if imm.malformed_rdata && answer_is_a {
         // The A answer is the final record; its RDLENGTH occupies the two
         // bytes before the four rdata bytes. Inflating it makes the
@@ -1846,5 +1863,166 @@ mod dns0x20_tests {
         assert_eq!(responses.len(), 1);
         assert_eq!(responses[0].header().rcode(), Rcode::ServFail);
         assert!(responses[0].answers().is_empty());
+    }
+}
+
+#[cfg(test)]
+mod reset_tests {
+    use super::*;
+    use orscope_authns::{
+        AuthoritativeServer, CaptureHandle, ClusterZone, ProbeLabel, RootServer, TldServer, Zone,
+    };
+    use orscope_netsim::{FixedLatency, SimNet};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use std::sync::Arc;
+
+    const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
+    const TLD: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
+    const AUTH: Ipv4Addr = Ipv4Addr::new(45, 77, 1, 1);
+    const UPSTREAM: Ipv4Addr = Ipv4Addr::new(8, 8, 8, 8);
+    const RESOLVER: Ipv4Addr = Ipv4Addr::new(74, 0, 0, 1);
+    const CLIENT: Ipv4Addr = Ipv4Addr::new(131, 94, 0, 9);
+
+    fn zone_name() -> Name {
+        "ucfsealresearch.net".parse().unwrap()
+    }
+
+    /// Every datagram any host other than the resolver under test
+    /// received, in delivery order: the resolver's side of the wire.
+    type Wire = Rc<RefCell<Vec<Datagram>>>;
+
+    /// Logs what the wrapped host receives, then lets it handle it.
+    struct Tap<E>(E, Wire);
+    impl<E: Endpoint> Endpoint for Tap<E> {
+        fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
+            self.1.borrow_mut().push(dgram.clone());
+            self.0.handle_datagram(dgram, ctx);
+        }
+        fn handle_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+            self.0.handle_timer(token, ctx);
+        }
+    }
+
+    struct Sink;
+    impl Endpoint for Sink {
+        fn handle_datagram(&mut self, _dgram: &Datagram, _ctx: &mut Context<'_>) {}
+    }
+
+    /// Root, TLD, a zone with one alias, a shared upstream and a client,
+    /// all tapped, around `resolver`.
+    fn world(resolver: ProfiledResolver) -> (SimNet, Wire) {
+        let wire = Wire::default();
+        let mut net = SimNet::builder()
+            .seed(41)
+            .latency(FixedLatency(Duration::from_millis(5)))
+            .build();
+        let mut root = RootServer::new();
+        root.delegate(
+            "net".parse().unwrap(),
+            "a.gtld-servers.net".parse().unwrap(),
+            TLD,
+        );
+        net.register(ROOT, Tap(root, wire.clone()));
+        let mut tld = TldServer::new();
+        tld.delegate(
+            zone_name(),
+            "ns1.ucfsealresearch.net".parse().unwrap(),
+            AUTH,
+        );
+        net.register(TLD, Tap(tld, wire.clone()));
+        let mut zone = Zone::new(zone_name(), "ns1.ucfsealresearch.net".parse().unwrap());
+        zone.add_record(Record::in_class(
+            "alias.ucfsealresearch.net".parse().unwrap(),
+            300,
+            RData::Cname(ProbeLabel::new(0, 5).qname(&zone_name())),
+        ));
+        let mut cz = ClusterZone::new(zone);
+        cz.load_cluster(0, 1000);
+        let auth = AuthoritativeServer::new(cz, CaptureHandle::new());
+        net.register(AUTH, Tap(auth, wire.clone()));
+        let upstream = ProfiledResolver::new(ResponsePolicy::honest(), ResolverConfig::new(ROOT));
+        net.register(UPSTREAM, Tap(upstream, wire.clone()));
+        net.register(CLIENT, Tap(Sink, wire.clone()));
+        net.register(RESOLVER, resolver);
+        (net, wire)
+    }
+
+    fn ask(net: &mut SimNet, id: u16, qname: Name) {
+        let query = Message::query(id, Question::a(qname));
+        net.inject(Datagram::new(
+            (CLIENT, 47_000),
+            (RESOLVER, 53),
+            query.encode().unwrap(),
+        ));
+        net.run_until_idle();
+    }
+
+    fn with_resolver<R>(net: &mut SimNet, f: impl FnOnce(&mut ProfiledResolver) -> R) -> R {
+        net.with_host(RESOLVER, |ep| {
+            f(ep.as_any_mut()
+                .and_then(|any| any.downcast_mut::<ProfiledResolver>())
+                .expect("the resolver under test"))
+        })
+        .expect("registered")
+    }
+
+    #[test]
+    fn a_reset_resolver_is_a_fresh_one() {
+        let honest = Arc::new(ResponsePolicy::honest());
+        let config = ResolverConfig::new(ROOT);
+        let fresh = || ProfiledResolver::new_shared(honest.clone(), config.clone());
+
+        // A life before the reset: a full recursion, a CNAME chase, a
+        // negative answer and its cached repeat, a cache hit; then, as a
+        // forwarder, a relayed query.
+        let (mut used, used_wire) = world(fresh());
+        let label = |seq| ProbeLabel::new(0, seq).qname(&zone_name());
+        ask(&mut used, 1, label(1));
+        ask(&mut used, 2, "alias.ucfsealresearch.net".parse().unwrap());
+        ask(&mut used, 3, ProbeLabel::new(9, 1).qname(&zone_name()));
+        ask(&mut used, 4, ProbeLabel::new(9, 1).qname(&zone_name()));
+        ask(&mut used, 5, label(1));
+        let stats = with_resolver(&mut used, |r| r.stats());
+        assert_eq!(stats.responses_sent, 5);
+        assert_eq!((stats.negative_hits, stats.cache_hits), (1, 1));
+        assert_eq!(stats.upstream_queries, 3 + 2 + 1, "{stats:?}");
+        let forwarder = Arc::new(ResponsePolicy::forwarder(UPSTREAM));
+        with_resolver(&mut used, |r| r.reset(forwarder));
+        ask(&mut used, 6, label(2));
+        let stats = with_resolver(&mut used, |r| r.stats());
+        assert_eq!((stats.forwarded, stats.responses_sent), (1, 1));
+        assert_eq!(
+            used_wire
+                .borrow()
+                .iter()
+                .filter(|d| d.dst == CLIENT)
+                .count(),
+            6
+        );
+
+        // Reset: state for state what `new_shared` builds. `Debug`
+        // lists every map entry, counter and scratch byte (and no
+        // allocator capacity).
+        with_resolver(&mut used, |r| r.reset(honest.clone()));
+        let rendered = with_resolver(&mut used, |r| format!("{r:?}"));
+        assert_eq!(rendered, format!("{:?}", fresh()));
+
+        // And the next conversation is, byte for byte, the one a fresh
+        // resolver has: same transaction ids, ports, spellings, answers.
+        let (mut reference, reference_wire) = world(fresh());
+        used_wire.borrow_mut().clear();
+        for net in [&mut used, &mut reference] {
+            ask(net, 7, label(3));
+            ask(net, 8, "alias.ucfsealresearch.net".parse().unwrap());
+        }
+        // Root, TLD, auth, client; then (referral cached) the alias and
+        // its target at the auth, client.
+        assert_eq!(reference_wire.borrow().len(), 4 + 3);
+        assert_eq!(*used_wire.borrow(), *reference_wire.borrow());
+        assert_eq!(
+            with_resolver(&mut used, |r| r.stats()),
+            with_resolver(&mut reference, |r| r.stats()),
+        );
     }
 }

@@ -96,7 +96,7 @@ impl ImmediateResponse {
 }
 
 /// A policy that really recurses, then (possibly) lies in the header.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RecursePolicy {
     /// RA bit in the final response (standard behaviour: `true`).
     pub ra: bool,
@@ -127,7 +127,7 @@ impl Default for RecursePolicy {
 /// distinguish from true recursive resolvers. It performs no iteration
 /// itself; it relays the query to a configured upstream resolver and
 /// relays the answer back.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ForwardPolicy {
     /// The upstream recursive resolver queries are relayed to.
     pub upstream: std::net::Ipv4Addr,
