@@ -10,7 +10,7 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use orscope_dns_wire::Name;
+use orscope_dns_wire::{Name, ParseNameError};
 
 /// Subdomains per cluster: the paper's authoritative server could hold
 /// about five million zone entries at a time.
@@ -50,10 +50,26 @@ impl ProbeLabel {
     }
 
     /// The full qname under `zone`, e.g. `or007.0001234.<zone>`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `zone` is within 14 bytes of the 255-byte name limit;
+    /// [`ProbeLabel::try_qname`] reports that instead.
     pub fn qname(&self, zone: &Name) -> Name {
+        self.try_qname(zone)
+            .expect("the zone leaves room for the two probe labels")
+    }
+
+    /// [`ProbeLabel::qname`] for a zone not yet known to leave room for
+    /// the two probe labels.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseNameError::NameTooLong`] if the qname would exceed
+    /// 255 bytes on the wire.
+    pub fn try_qname(&self, zone: &Name) -> Result<Name, ParseNameError> {
         let (first, second) = self.labels();
         Name::from_labels([&first[..], &second[..]].into_iter().chain(zone.labels()))
-            .expect("probe labels are always valid")
     }
 
     /// Parses a probe qname back into its label, if `qname` is a

@@ -7,6 +7,13 @@
 //! allocations and 3,364 bytes an event. The counts repeat exactly from
 //! run to run. One test per binary, because the allocator counts
 //! process-wide.
+//!
+//! The denominator is `NetStats::events`, which counts timers and the
+//! datagrams that travelled. Two Q1s in three here go to nobody, and
+//! since such a send is settled as unrouted on the spot instead of
+//! becoming an event, the same allocations are spread over 39,045
+//! events instead of 45,551: the figures read 1.23 and 349 where they
+//! read 1.06 and 306, and the run allocates no more than it did.
 
 use orscope_bench::alloc::{allocs, requested_bytes, CountingAlloc};
 use orscope_core::{Campaign, CampaignConfig};
@@ -15,9 +22,9 @@ use orscope_resolver::paper::Year;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Allocations an event the run may spend (it measures 1.06).
+/// Allocations an event the run may spend (it measures 1.23).
 const ALLOCS_PER_EVENT: f64 = 1.5;
-/// Requested bytes an event the run may spend (it measures 306).
+/// Requested bytes an event the run may spend (it measures 349).
 const BYTES_PER_EVENT: f64 = 800.0;
 
 #[test]

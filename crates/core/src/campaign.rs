@@ -877,6 +877,10 @@ impl PopulationRegistry {
 }
 
 impl LazyRegistry for PopulationRegistry {
+    fn covers(&self, addr: Ipv4Addr) -> bool {
+        self.hosts.find(addr).is_some()
+    }
+
     fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn orscope_netsim::Endpoint>> {
         let policy = std::sync::Arc::clone(self.table.get(self.hosts.find(addr)?));
         let Some(mut endpoint) = self.pool.borrow_mut().pop() else {

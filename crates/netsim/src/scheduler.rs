@@ -38,10 +38,10 @@ use crate::time::SimTime;
 /// into the slab instead of rehashing the destination address.
 pub(crate) type HostId = u32;
 
-/// Sentinel: the destination was not registered at enqueue time. The
-/// simulator re-resolves at delivery so that hosts registered after the
-/// packet was sent still receive it (matching the old per-delivery
-/// lookup semantics).
+/// Sentinel: the address had no slot at enqueue time. A datagram is
+/// only scheduled that way for an address the lazy registry covers (any
+/// other is settled as unrouted when it is sent), a timer for any
+/// address; the simulator re-resolves when the event fires.
 pub(crate) const HOST_UNRESOLVED: HostId = u32::MAX;
 
 /// What happens when an event fires.

@@ -28,8 +28,8 @@ struct HostSlot {
     lazy: bool,
 }
 
-/// A source of on-demand endpoints, consulted when an event targets an
-/// address with no registered host.
+/// A source of on-demand endpoints, consulted when a datagram or timer
+/// targets an address with no registered host.
 ///
 /// This is the laziness half of the paper-scale population design: the
 /// campaign hands the simulator a compact, profile-interned description
@@ -47,9 +47,17 @@ struct HostSlot {
 /// it, after an explicit [`SimNet::register`] took its slot over, or
 /// when the simulator itself is dropped.
 pub trait LazyRegistry {
+    /// Whether `addr` is part of the planned population. The simulator
+    /// asks when a datagram for an address it holds no host slot for is
+    /// handed to the wire, and settles one that is not covered on the
+    /// spot (see [`SimNet::inject`]), so the answer must not depend on
+    /// when it is asked: `covers(addr)` holds exactly when
+    /// [`LazyRegistry::materialize`] would return an endpoint.
+    fn covers(&self, addr: Ipv4Addr) -> bool;
+
     /// Builds the endpoint planned at `addr`, or `None` if the address
-    /// is not part of the planned population (the datagram then counts
-    /// as unrouted, exactly as for an unregistered address).
+    /// is not part of the planned population (a timer armed for it then
+    /// fires into nothing).
     fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>>;
 
     /// Takes back a quiescent endpoint this registry materialized. What
@@ -384,6 +392,16 @@ impl SimNet {
 
     /// Injects a datagram into the network "from the outside" (e.g. a
     /// spoofed-source attack packet). Loss and latency apply normally.
+    ///
+    /// Like every datagram an endpoint sends, it is routed here, when
+    /// it is handed to the wire: a destination that has never been
+    /// registered and that no [`LazyRegistry`] covers is counted
+    /// [`NetStats::unrouted`] at once (or as a crash drop, if a crash
+    /// window would have swallowed it on arrival) and never travels. A
+    /// host first registered at that address while the datagram would
+    /// have been in flight therefore does not receive it. A host that
+    /// was registered and then deregistered keeps its slot: datagrams to
+    /// it travel, and reach whoever holds the address on arrival.
     pub fn inject(&mut self, dgram: Datagram) {
         self.enqueue_datagram(dgram);
     }
@@ -428,10 +446,22 @@ impl SimNet {
         let host = self.resolve(dgram.dst);
         let delay = self.latency.latency(dgram.src, dgram.dst) + verdict.extra_delay;
         let at = self.now + delay;
+        // The duplicate trails the original by a small reorder gap.
+        let dup_at = at + std::time::Duration::from_millis(3);
         if verdict.duplicate {
-            // The duplicate trails the original by a small reorder gap.
             self.stats.duplicated += 1;
-            let dup_at = at + std::time::Duration::from_millis(3);
+        }
+        // A destination with neither a slot nor a planned host has
+        // nobody to arrive at, now or later: each copy is settled here
+        // as its delivery would have settled it, and no event is built.
+        if host == HOST_UNRESOLVED && !self.lazy.as_ref().is_some_and(|l| l.covers(dgram.dst)) {
+            self.settle_unrouted(dgram.dst, at);
+            if verdict.duplicate {
+                self.settle_unrouted(dgram.dst, dup_at);
+            }
+            return;
+        }
+        if verdict.duplicate {
             self.push_event(
                 dup_at,
                 EventKind::Deliver {
@@ -441,6 +471,18 @@ impl SimNet {
             );
         }
         self.push_event(at, EventKind::Deliver { dgram, host });
+    }
+
+    /// Counts one copy of a datagram nobody can receive, due at `dst`
+    /// at `arrival`: a crash window open then swallows it, as it would
+    /// have swallowed the delivery; otherwise it is unrouted.
+    fn settle_unrouted(&mut self, dst: Ipv4Addr, arrival: SimTime) {
+        if self.faults.crashed(dst, arrival) {
+            self.stats.crash_drops += 1;
+            self.stats.faults_injected += 1;
+        } else {
+            self.stats.unrouted += 1;
+        }
     }
 
     /// Detaches the endpoint in slot `host`, re-resolving through the
@@ -819,9 +861,12 @@ mod tests {
     }
 
     #[test]
-    fn late_registration_still_receives() {
-        // Destination first registered only after the packet is already
-        // in flight: the enqueue-time sentinel re-resolves at delivery.
+    fn a_never_registered_destination_is_settled_at_send_time() {
+        // Routing is decided when the datagram is handed to the wire: an
+        // address nobody has ever registered is unrouted on the spot, and
+        // a host first registered while the packet would have been in
+        // flight does not receive it. Once the address has a slot,
+        // datagrams to it travel.
         let got = Arc::new(AtomicU64::new(0));
         struct Count(Arc<AtomicU64>);
         impl Endpoint for Count {
@@ -834,10 +879,15 @@ mod tests {
             .latency(FixedLatency(Duration::from_millis(5)))
             .build();
         net.inject(Datagram::new((CLIENT, 1), (SERVER, 53), b"x".to_vec()));
+        assert_eq!(net.stats().unrouted, 1, "counted before any event runs");
+        assert!(net.is_idle(), "and never scheduled");
         net.register(SERVER, Count(got.clone()));
+        net.inject(Datagram::new((CLIENT, 1), (SERVER, 53), b"y".to_vec()));
         net.run_until_idle();
-        assert_eq!(got.load(Ordering::Relaxed), 1);
-        assert_eq!(net.stats().unrouted, 0);
+        assert_eq!(got.load(Ordering::Relaxed), 1, "only the second arrives");
+        assert_eq!(net.stats().unrouted, 1);
+        assert_eq!(net.stats().delivered, 1);
+        assert_eq!(net.stats().events, 1);
     }
 
     #[test]
@@ -902,9 +952,11 @@ mod lazy_tests {
         built: Arc<AtomicU64>,
     }
     impl LazyRegistry for EchoRegistry {
+        fn covers(&self, addr: Ipv4Addr) -> bool {
+            (self.lo..=self.hi).contains(&u32::from(addr))
+        }
         fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
-            let key = u32::from(addr);
-            if key < self.lo || key > self.hi {
+            if !self.covers(addr) {
                 return None;
             }
             self.built.fetch_add(1, Ordering::Relaxed);
@@ -1055,9 +1107,12 @@ mod lazy_tests {
         returned: std::rc::Rc<std::cell::RefCell<Vec<u64>>>,
     }
     impl LazyRegistry for CountingRegistry {
-        fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
+        fn covers(&self, addr: Ipv4Addr) -> bool {
             // The probed block only: the echoes' replies stay unrouted.
-            if !(BASE..BASE + 50).contains(&u32::from(addr)) {
+            (BASE..BASE + 50).contains(&u32::from(addr))
+        }
+        fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
+            if !self.covers(addr) {
                 return None;
             }
             let tag = self.built.get();
@@ -1357,5 +1412,205 @@ mod fault_tests {
             a_lost > 40 && a_lost < 120,
             "loss rate wildly off: {a_lost}"
         );
+    }
+}
+
+/// Routing at send time moves *when* a datagram to nobody is counted,
+/// never *what* it is counted as: every counter but `events` reads as it
+/// did when such a datagram travelled first.
+#[cfg(test)]
+mod routing_tests {
+    use super::*;
+    use crate::latency::FixedLatency;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    const SRC: Ipv4Addr = Ipv4Addr::new(1, 0, 0, 1);
+    const DST: Ipv4Addr = Ipv4Addr::new(2, 0, 0, 2);
+    /// Never registered, never planned.
+    const GHOST: Ipv4Addr = Ipv4Addr::new(3, 0, 0, 3);
+
+    struct Count(Arc<AtomicU64>);
+    impl Endpoint for Count {
+        fn handle_datagram(&mut self, _d: &Datagram, _c: &mut Context<'_>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+        fn handle_timer(&mut self, _token: u64, _ctx: &mut Context<'_>) {
+            self.0.fetch_add(100, Ordering::Relaxed);
+        }
+        fn is_quiescent(&self) -> bool {
+            true
+        }
+    }
+
+    /// Plans a [`Count`] at `DST` and nowhere else.
+    struct OneHost(Arc<AtomicU64>);
+    impl LazyRegistry for OneHost {
+        fn covers(&self, addr: Ipv4Addr) -> bool {
+            addr == DST
+        }
+        fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
+            self.covers(addr)
+                .then(|| Box::new(Count(self.0.clone())) as Box<dyn Endpoint>)
+        }
+    }
+
+    /// 10 ms one-way, the given plan, nothing registered.
+    fn net_with(plan: FaultPlan) -> SimNet {
+        SimNet::builder()
+            .seed(5)
+            .latency(FixedLatency(Duration::from_millis(10)))
+            .faults(plan)
+            .build()
+    }
+
+    fn send_at(net: &mut SimNet, millis: u64, dst: Ipv4Addr) {
+        net.run_until(SimTime::from_nanos(millis * 1_000_000));
+        net.inject(Datagram::new((SRC, 9), (dst, 53), vec![1]));
+    }
+
+    fn crash(host: Ipv4Addr) -> FaultRule {
+        FaultRule::window(
+            Duration::from_secs(10),
+            Duration::from_secs(20),
+            FaultScope::Host(host),
+            FaultKind::Crash,
+        )
+    }
+
+    #[test]
+    fn a_crash_window_open_on_arrival_swallows_an_unplanned_address() {
+        let mut net = net_with(FaultPlan::seeded(5).with_rule(crash(GHOST)));
+        send_at(&mut net, 9_985, GHOST); // arrives 9.995 s: before the window
+        send_at(&mut net, 9_995, GHOST); // sent before, arrives 10.005 s: inside
+        send_at(&mut net, 15_000, GHOST); // inside
+        send_at(&mut net, 19_995, GHOST); // sent inside, arrives 20.005 s: after
+        assert!(net.is_idle(), "none of the four was scheduled");
+        let stats = *net.stats();
+        assert_eq!(stats.sent, 4);
+        assert_eq!(stats.crash_drops, 2);
+        assert_eq!(stats.faults_injected, 2);
+        assert_eq!(stats.unrouted, 2);
+        assert_eq!(stats.events, 0);
+    }
+
+    #[test]
+    fn each_copy_of_a_duplicated_datagram_to_nobody_is_unrouted() {
+        let plan = FaultPlan::seeded(5).with_rule(FaultRule::always(
+            FaultScope::All,
+            FaultKind::Duplicate { probability: 1.0 },
+        ));
+        let mut net = net_with(plan);
+        send_at(&mut net, 0, GHOST);
+        assert!(net.is_idle());
+        let stats = *net.stats();
+        assert_eq!(stats.duplicated, 1);
+        assert_eq!(stats.faults_injected, 1);
+        assert_eq!(stats.unrouted, 2);
+        assert_eq!(stats.events, 0);
+    }
+
+    #[test]
+    fn the_duplicate_of_a_datagram_to_nobody_meets_the_crash_window_alone() {
+        // The original arrives 1 ms before the window opens, its
+        // duplicate (3 ms behind) 2 ms after.
+        let plan = FaultPlan::seeded(5)
+            .with_rule(FaultRule::always(
+                FaultScope::All,
+                FaultKind::Duplicate { probability: 1.0 },
+            ))
+            .with_rule(crash(GHOST));
+        let mut net = net_with(plan);
+        send_at(&mut net, 9_989, GHOST);
+        let stats = *net.stats();
+        assert_eq!(stats.duplicated, 1);
+        assert_eq!(stats.unrouted, 1);
+        assert_eq!(stats.crash_drops, 1);
+        assert_eq!(stats.faults_injected, 2);
+    }
+
+    #[test]
+    fn a_lost_datagram_never_reaches_routing() {
+        let plan = FaultPlan::seeded(5).with_rule(FaultRule::always(
+            FaultScope::All,
+            FaultKind::Loss { probability: 1.0 },
+        ));
+        let mut net = net_with(plan);
+        send_at(&mut net, 0, GHOST);
+        let stats = *net.stats();
+        assert_eq!(stats.lost, 1);
+        assert_eq!(stats.faults_injected, 1);
+        assert_eq!(stats.unrouted, 0);
+        assert_eq!(stats.events, 0);
+    }
+
+    #[test]
+    fn a_covered_address_travels_and_materializes_on_arrival() {
+        let got = Arc::new(AtomicU64::new(0));
+        let mut net = SimNet::builder()
+            .seed(5)
+            .latency(FixedLatency(Duration::from_millis(10)))
+            .lazy_hosts(OneHost(got.clone()))
+            .build();
+        send_at(&mut net, 0, DST);
+        send_at(&mut net, 0, GHOST);
+        assert_eq!(net.stats().unrouted, 1, "the uncovered one, at once");
+        assert!(!net.is_idle(), "the covered one is on the wire");
+        assert_eq!(net.materialized_total(), 0, "and builds nothing yet");
+        net.run_until_idle();
+        assert_eq!(got.load(Ordering::Relaxed), 1);
+        assert_eq!(net.materialized_total(), 1);
+        // Released since: no slot again, still covered, still travels.
+        assert_eq!(net.host_count(), 0);
+        send_at(&mut net, 100, DST);
+        net.run_until_idle();
+        assert_eq!(got.load(Ordering::Relaxed), 2);
+        let stats = *net.stats();
+        assert_eq!((stats.sent, stats.delivered, stats.unrouted), (3, 2, 1));
+        assert_eq!(stats.events, 2);
+    }
+
+    #[test]
+    fn a_deregistered_slot_still_travels_and_is_unrouted_on_arrival() {
+        let got = Arc::new(AtomicU64::new(0));
+        let mut net = net_with(FaultPlan::seeded(5));
+        net.register(DST, Count(got.clone()));
+        net.deregister(DST);
+        send_at(&mut net, 0, DST);
+        assert_eq!(net.stats().unrouted, 0, "not decided yet");
+        assert!(!net.is_idle());
+        net.run_until_idle();
+        assert_eq!(got.load(Ordering::Relaxed), 0);
+        assert_eq!(net.stats().unrouted, 1);
+        assert_eq!(net.stats().events, 1);
+    }
+
+    #[test]
+    fn events_count_timers_and_datagrams_that_travelled() {
+        let got = Arc::new(AtomicU64::new(0));
+        let plan = FaultPlan::seeded(5)
+            .with_rule(crash(DST))
+            .with_rule(crash(GHOST));
+        let mut net = net_with(plan);
+        net.register(DST, Count(got.clone()));
+        net.set_timer_for(DST, SimTime::from_secs(15), 7); // swallowed
+        net.set_timer_for(DST, SimTime::from_secs(30), 8); // fires
+        send_at(&mut net, 15_000, DST); // travels, swallowed on arrival
+        send_at(&mut net, 15_000, GHOST); // swallowed at send time
+        send_at(&mut net, 25_000, DST); // delivered
+        send_at(&mut net, 25_000, GHOST); // unrouted at send time
+        net.run_until_idle();
+        assert_eq!(got.load(Ordering::Relaxed), 101);
+        let stats = *net.stats();
+        assert_eq!(stats.sent, 4);
+        assert_eq!(stats.delivered, 1);
+        assert_eq!(stats.timers_fired, 1);
+        assert_eq!(stats.unrouted, 1);
+        assert_eq!(stats.crash_drops, 3);
+        assert_eq!(stats.faults_injected, 3);
+        // One timer fired, one delivery, and the two crash swallows
+        // that happened on arrival; GHOST's two never became events.
+        assert_eq!(stats.events, stats.timers_fired + stats.delivered + 2);
     }
 }

@@ -35,7 +35,9 @@ pub struct NetTelemetry {
     pub blackhole_drops: Counter,
     /// `net.crash_drops` — deliveries/timers dropped in crash windows.
     pub crash_drops: Counter,
-    /// `net.events_processed` — event-loop iterations (shard-scoped).
+    /// `net.events_processed` — event-loop iterations: timers and
+    /// datagrams that travelled, not sends settled as unrouted on the
+    /// spot (shard-scoped).
     pub events_processed: Counter,
     /// `net.timers_fired` — timer events dispatched (shard-scoped).
     pub timers_fired: Counter,

@@ -96,6 +96,20 @@ impl Pacer {
         (position * ticks).div_ceil(rate_pps as u128) as u64 - 1
     }
 
+    /// How many send slots are due once tick `tick` (0-indexed) has
+    /// fired, for a scan paced at `rate_pps`: the `floor(m * rate /
+    /// ticks)` tokens a fresh pacer has issued after `m = tick + 1`
+    /// ticks. `slot < slots_due(tick, rate)` holds exactly when
+    /// [`Pacer::slot_tick`]`(slot, rate) <= tick`, so a send loop takes
+    /// one division a tick instead of one a target. Saturates at
+    /// `u64::MAX`.
+    pub fn slots_due(tick: u64, rate_pps: u64) -> u64 {
+        debug_assert!(rate_pps > 0, "slots_due requires a positive rate");
+        let ticks = Self::ticks_per_sec(rate_pps) as u128;
+        let due = (tick as u128 + 1) * rate_pps as u128 / ticks;
+        u64::try_from(due).unwrap_or(u64::MAX)
+    }
+
     /// The configured rate.
     pub fn rate_pps(&self) -> u64 {
         self.rate_pps
@@ -224,6 +238,49 @@ mod tests {
         let slot = Pacer::slot_tick(index, rate);
         let expected = ((index as u128 + 1) * 100).div_ceil(rate as u128) as u64 - 1;
         assert_eq!(slot, expected);
+    }
+
+    /// `slots_due(tick)` is the boundary `slot_tick` draws: the last due
+    /// slot leaves on or before `tick`, the first one not due after it
+    /// (`slot_tick` is monotonic, so the two ends decide every slot).
+    fn assert_due_matches_slot_tick(rate: u64, tick: u64) {
+        let due = Pacer::slots_due(tick, rate);
+        if due > 0 {
+            assert!(
+                Pacer::slot_tick(due - 1, rate) <= tick,
+                "rate {rate}, tick {tick}: slot {} is due too early",
+                due - 1
+            );
+        }
+        assert!(
+            Pacer::slot_tick(due, rate) > tick,
+            "rate {rate}, tick {tick}: slot {due} is held back"
+        );
+    }
+
+    #[test]
+    fn slots_due_draws_the_slot_tick_boundary() {
+        for rate in [1u64, 2, 3, 7, 50, 99, 100, 101, 997, 5_903, 100_000] {
+            for tick in 0..300 {
+                assert_due_matches_slot_tick(rate, tick);
+            }
+        }
+        // SplitMix64 sample of 1 pps .. 10M pps, each at an early tick,
+        // an arbitrary one and the last whose product fits 64 bits.
+        let mut state = 0x510F_5D0Eu64;
+        let mut next = move || crate::splitmix64(&mut state);
+        for _ in 0..500 {
+            let rate = 1 + next() % 10_000_000;
+            let edge = u64::MAX / rate;
+            for tick in [next() % 1_000, next() % edge, edge - 1, edge] {
+                assert_due_matches_slot_tick(rate, tick);
+            }
+        }
+        assert_eq!(
+            Pacer::slots_due(u64::MAX, 10_000_000),
+            u64::MAX,
+            "saturates"
+        );
     }
 
     proptest! {

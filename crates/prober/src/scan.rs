@@ -9,7 +9,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use orscope_authns::scheme::ProbeLabel;
 use orscope_dns_wire::wire::Reader;
-use orscope_dns_wire::{Header, Message, MessageBuilder, Name, Question};
+use orscope_dns_wire::{Header, Message, Name, Question};
 use orscope_netsim::{Context, Datagram, Endpoint, FxHashMap, SimTime};
 
 use crate::capture::{ProberHandle, R2Capture};
@@ -127,9 +127,10 @@ impl ProberConfig {
 /// Timer tokens.
 const TICK: u64 = 0;
 
+/// The probe a target has in flight.
 #[derive(Debug, Clone, Copy)]
 struct Outstanding {
-    target: Ipv4Addr,
+    label: ProbeLabel,
     sent_at: SimTime,
     /// Retransmissions already performed for this probe.
     attempts: u32,
@@ -138,34 +139,110 @@ struct Outstanding {
     xmit: u64,
 }
 
+/// The DNS ID of the Q1 for `label`. It cannot disambiguate 100k pps
+/// (§III-B); it is derived from the label so packets look realistic.
+fn probe_id(label: ProbeLabel) -> u16 {
+    (label.seq as u16) ^ ((label.cluster as u16) << 10)
+}
+
+/// The Q1 for `label` under `zone` as the general encoder writes it, or
+/// `None` if the zone leaves no room for the two probe labels.
+fn encode_query(zone: &Name, label: ProbeLabel, id: u16) -> Option<Vec<u8>> {
+    Message::builder()
+        .id(id)
+        .recursion_desired(true)
+        .question(Question::a(label.try_qname(zone).ok()?))
+        .build()
+        .encode()
+        .ok()
+}
+
+/// One encoded Q1 whose per-probe bytes are patched for each send.
+///
+/// Two probes differ in a 16-bit ID and ten ASCII digits, so the
+/// encoder runs when the prober is built and never again. Where those
+/// bytes sit is read off its output — the positions at which two
+/// encodings with no per-probe byte in common differ — so the template
+/// cannot drift from the encoder: no wire layout is restated here.
+#[derive(Debug)]
+struct QueryTemplate {
+    wire: Vec<u8>,
+    id_at: usize,
+    cluster_at: usize,
+    seq_at: usize,
+}
+
+impl QueryTemplate {
+    fn new(zone: &Name) -> Option<Self> {
+        let wire = encode_query(zone, ProbeLabel::new(0, 0), 0x0000)?;
+        let other = encode_query(zone, ProbeLabel::new(111, 1_111_111), 0xFFFF)?;
+        assert_eq!(wire.len(), other.len(), "a Q1's length varies by label");
+        let differing: Vec<usize> = (0..wire.len()).filter(|&i| wire[i] != other[i]).collect();
+        assert_eq!(
+            differing.len(),
+            12,
+            "two Q1s differ in an ID and ten digits"
+        );
+        let (id_at, cluster_at, seq_at) = (differing[0], differing[2], differing[5]);
+        let runs = (id_at..id_at + 2)
+            .chain(cluster_at..cluster_at + 3)
+            .chain(seq_at..seq_at + 7);
+        assert!(
+            runs.eq(differing.iter().copied()),
+            "a Q1's ID, cluster and sequence digits are not three runs: {differing:?}"
+        );
+        Some(Self {
+            wire,
+            id_at,
+            cluster_at,
+            seq_at,
+        })
+    }
+
+    /// The Q1 for `label`; valid until the next call.
+    fn fill(&mut self, label: ProbeLabel) -> &[u8] {
+        let (first, second) = label.labels();
+        self.wire[self.id_at..][..2].copy_from_slice(&probe_id(label).to_be_bytes());
+        self.wire[self.cluster_at..][..3].copy_from_slice(&first[2..]);
+        self.wire[self.seq_at..][..7].copy_from_slice(&second);
+        &self.wire
+    }
+}
+
 /// The scanning endpoint. Register it, arm a timer at the desired start
 /// time with token 0, and run the simulation; results appear in the
 /// [`ProberHandle`].
+///
+/// A target has at most one probe in flight. Probing it again before
+/// the first probe is answered or expires supersedes that probe: its
+/// subdomain is recycled, it counts as abandoned, and a response is
+/// joined to the newer one.
 #[derive(Debug)]
 pub struct Prober {
     config: ProberConfig,
     pacer: Pacer,
     generator: SubdomainGenerator,
-    // Fx, not SipHash with a per-process key: the checkpoint reads these
-    // maps, and the simulator controls every key.
-    outstanding: FxHashMap<ProbeLabel, Outstanding>,
-    by_target: FxHashMap<Ipv4Addr, ProbeLabel>,
-    /// Min-heap of `(deadline, xmit)`; with `retry_limit == 0` every
-    /// deadline is `sent_at + response_window`, so pop order equals the
-    /// old FIFO sweep exactly (ties broken by send order via `xmit`).
-    expiry: BinaryHeap<Reverse<(SimTime, u64)>>,
-    /// Label carried by each live expiry-heap entry.
-    xmit_labels: FxHashMap<u64, ProbeLabel>,
+    /// The probe in flight to each target. Fx, not SipHash with a
+    /// per-process key: the checkpoint reads this map, and the
+    /// simulator controls every key.
+    outstanding: FxHashMap<Ipv4Addr, Outstanding>,
+    /// Min-heap of `(deadline, xmit, target)`; with `retry_limit == 0`
+    /// every deadline is `sent_at + response_window`, so pop order
+    /// equals the old FIFO sweep exactly (ties broken by send order via
+    /// `xmit`, which is unique).
+    expiry: BinaryHeap<Reverse<(SimTime, u64, Ipv4Addr)>>,
     next_xmit: u64,
     /// Timer firings so far (index into the tick grid).
     tick: u64,
     handle: ProberHandle,
     done: bool,
+    /// Labels the generator had handed out when the handle last saw its
+    /// counters.
+    labels_published: u64,
     telemetry: ProberTelemetry,
-    /// The previous probe's message, rebuilt in place for the next one.
-    outbound: Message,
-    /// Reusable wire-encoding buffer; probes encode without allocating.
-    scratch: Vec<u8>,
+    /// `None` if the zone leaves no room for the probe labels: no Q1
+    /// can be built and every probe is skipped.
+    template: Option<QueryTemplate>,
 }
 
 impl Prober {
@@ -210,21 +287,20 @@ impl Prober {
             None => config.rate_pps,
         })?;
         let generator = SubdomainGenerator::with_base(config.cluster_capacity, config.base_cluster);
+        let template = QueryTemplate::new(&config.zone);
         Ok(Self {
             config,
             pacer,
             generator,
             outstanding: FxHashMap::default(),
-            by_target: FxHashMap::default(),
             expiry: BinaryHeap::new(),
-            xmit_labels: FxHashMap::default(),
             next_xmit: 0,
             tick: 0,
             handle,
             done: false,
+            labels_published: 0,
             telemetry: ProberTelemetry::default(),
-            outbound: Message::default(),
-            scratch: Vec::with_capacity(512),
+            template,
         })
     }
 
@@ -234,47 +310,46 @@ impl Prober {
         self
     }
 
-    /// Encodes and sends the Q1 for `label` to `target`, registering an
-    /// expiry-heap entry with the given `deadline`. Returns `false` if
-    /// encoding failed (the probe is skipped).
+    /// Sends the Q1 for `label` to `target` and files it as the target's
+    /// outstanding probe, due at `deadline`. Returns `false` if no Q1 can
+    /// be built (the probe is skipped).
     fn emit_query(
         &mut self,
         label: ProbeLabel,
         target: Ipv4Addr,
+        attempts: u32,
         deadline: SimTime,
         ctx: &mut Context<'_>,
     ) -> bool {
-        let qname = label.qname(&self.config.zone);
-        // The DNS ID cannot disambiguate 100k pps (§III-B); derive it
-        // from the label anyway so packets look realistic.
-        let id = (label.seq as u16) ^ ((label.cluster as u16) << 10);
-        let query = MessageBuilder::reusing(std::mem::take(&mut self.outbound))
-            .id(id)
-            .recursion_desired(true)
-            .question(Question::a(qname))
-            .build();
-        let encoded = query.encode_into(&mut self.scratch);
-        self.outbound = query;
-        if encoded.is_err() {
+        let Some(template) = &mut self.template else {
             return false;
-        }
+        };
         ctx.send(Datagram::new(
             (ctx.local_addr(), 61_000),
             (target, 53),
-            Bytes::copy_from_slice(&self.scratch),
+            Bytes::copy_from_slice(template.fill(label)),
         ));
         let xmit = self.next_xmit;
         self.next_xmit += 1;
-        self.xmit_labels.insert(xmit, label);
-        self.expiry.push(Reverse((deadline, xmit)));
-        let entry = self.outstanding.entry(label).or_insert(Outstanding {
-            target,
+        self.expiry.push(Reverse((deadline, xmit, target)));
+        let probe = Outstanding {
+            label,
             sent_at: ctx.now(),
-            attempts: 0,
+            attempts,
             xmit,
-        });
-        entry.sent_at = ctx.now();
-        entry.xmit = xmit;
+        };
+        // A retransmission replaces its own entry; anything else found
+        // here is an earlier probe this one supersedes. Its heap entry
+        // goes stale with its `xmit`.
+        let superseded = self
+            .outstanding
+            .insert(target, probe)
+            .filter(|earlier| earlier.label != label);
+        if let Some(earlier) = superseded {
+            self.generator.recycle(earlier.label);
+            self.handle.inner.borrow_mut().stats.probes_abandoned += 1;
+            self.telemetry.probes_abandoned.inc();
+        }
         true
     }
 
@@ -282,11 +357,7 @@ impl Prober {
     fn send_probe(&mut self, target: Ipv4Addr, ctx: &mut Context<'_>) -> bool {
         let label = self.generator.next_label();
         let deadline = ctx.now() + self.config.response_window;
-        if !self.emit_query(label, target, deadline, ctx) {
-            return false;
-        }
-        self.by_target.insert(target, label);
-        true
+        self.emit_query(label, target, 0, deadline, ctx)
     }
 
     /// Sends one batch of Q1 probes.
@@ -296,8 +367,9 @@ impl Prober {
         if let Some(slots) = self.config.slots {
             // Global-slot mode: emit every owned target whose
             // campaign-wide slot has arrived at this tick.
+            let due = Pacer::slots_due(self.tick, slots.total_rate_pps);
             while let Some((slot, target)) = self.config.targets.peek() {
-                if Pacer::slot_tick(slot, slots.total_rate_pps) > self.tick {
+                if slot >= due {
                     break;
                 }
                 self.config.targets.next();
@@ -326,49 +398,34 @@ impl Prober {
         self.telemetry.pacer_tokens_unused.add(issued - sent);
     }
 
-    /// Retransmits the probe for `label` with an exponentially backed-off
-    /// deadline (`response_window * 2^attempt`).
-    fn retransmit(&mut self, label: ProbeLabel, ctx: &mut Context<'_>) -> bool {
-        let Some(out) = self.outstanding.get_mut(&label) else {
-            return false;
-        };
-        out.attempts += 1;
-        let (target, attempts) = (out.target, out.attempts);
-        let backoff = self.config.response_window * 2u32.pow(attempts.min(16));
-        let deadline = ctx.now() + backoff;
-        self.emit_query(label, target, deadline, ctx)
-    }
-
     /// Handles elapsed response windows: retransmits probes that still
-    /// have retries left and recycles the subdomains of the rest.
+    /// have retries left, with an exponentially backed-off deadline
+    /// (`response_window * 2^attempt`), and recycles the subdomains of
+    /// the rest.
     fn sweep_expired(&mut self, ctx: &mut Context<'_>) {
         let now = ctx.now();
         let mut retransmitted = 0u64;
         let mut abandoned = 0u64;
-        while let Some(&Reverse((deadline, xmit))) = self.expiry.peek() {
+        while let Some(&Reverse((deadline, xmit, target))) = self.expiry.peek() {
             if deadline > now {
                 break;
             }
             self.expiry.pop();
-            let Some(label) = self.xmit_labels.remove(&xmit) else {
-                continue;
-            };
             // Answered probes and superseded transmissions leave stale
             // heap entries behind; skip them.
-            let Some(out) = self.outstanding.get(&label) else {
+            let Some(&out) = self.outstanding.get(&target).filter(|o| o.xmit == xmit) else {
                 continue;
             };
-            if out.xmit != xmit {
-                continue;
+            if out.attempts < self.config.retry_limit {
+                let attempts = out.attempts + 1;
+                let backoff = self.config.response_window * 2u32.pow(attempts.min(16));
+                if self.emit_query(out.label, target, attempts, now + backoff, ctx) {
+                    retransmitted += 1;
+                    continue;
+                }
             }
-            let retries_left = out.attempts < self.config.retry_limit;
-            if retries_left && self.retransmit(label, ctx) {
-                retransmitted += 1;
-                continue;
-            }
-            let out = self.outstanding.remove(&label).expect("checked above");
-            self.by_target.remove(&out.target);
-            self.generator.recycle(label);
+            self.outstanding.remove(&target);
+            self.generator.recycle(out.label);
             abandoned += 1;
         }
         if retransmitted > 0 || abandoned > 0 {
@@ -397,7 +454,7 @@ impl Prober {
 
     /// Labels currently in flight, sorted (checkpointing).
     pub fn outstanding_labels(&self) -> Vec<ProbeLabel> {
-        let mut labels: Vec<ProbeLabel> = self.outstanding.keys().copied().collect();
+        let mut labels: Vec<ProbeLabel> = self.outstanding.values().map(|o| o.label).collect();
         labels.sort_unstable();
         labels
     }
@@ -405,13 +462,19 @@ impl Prober {
     /// The targets in flight, sorted; chain these after the target
     /// stream when resuming so they are re-probed.
     pub fn outstanding_targets(&self) -> Vec<Ipv4Addr> {
-        let mut targets: Vec<Ipv4Addr> = self.outstanding.values().map(|o| o.target).collect();
+        let mut targets: Vec<Ipv4Addr> = self.outstanding.keys().copied().collect();
         targets.sort_unstable();
         targets
     }
 
-    /// Publishes generator counters and completion state.
+    /// Publishes generator counters and completion state, if either
+    /// moved since the handle last saw them.
     fn publish_stats(&mut self, now: SimTime) {
+        let labels = self.generator.fresh() + self.generator.reused();
+        if labels == self.labels_published && !self.done {
+            return;
+        }
+        self.labels_published = labels;
         let mut shared = self.handle.inner.borrow_mut();
         shared.stats.subdomains_fresh = self.generator.fresh();
         shared.stats.subdomains_reused = self.generator.reused();
@@ -440,19 +503,13 @@ impl Endpoint for Prober {
         // malformed 2013 responses join the dataset like any other, and
         // the analysis decodes the rest of each capture once.
         let question = read_question(&dgram.payload);
+        let outstanding = self.outstanding.get(&dgram.src);
         let matched = match &question {
             Some(q) => ProbeLabel::parse(q.qname(), &self.config.zone)
-                .filter(|label| {
-                    self.outstanding
-                        .get(label)
-                        .is_some_and(|o| o.target == dgram.src)
-                })
+                .filter(|&label| outstanding.is_some_and(|o| o.label == label))
                 .map(|label| (label, q.qname().clone())),
             // Empty question: join by source address (§IV-B4).
-            None => self
-                .by_target
-                .get(&dgram.src)
-                .map(|&label| (label, label.qname(&self.config.zone))),
+            None => outstanding.map(|o| (o.label, o.label.qname(&self.config.zone))),
         };
         let Some((label, qname)) = matched else {
             self.handle.inner.borrow_mut().stats.unmatched += 1;
@@ -461,16 +518,15 @@ impl Endpoint for Prober {
         };
         let out = self
             .outstanding
-            .remove(&label)
+            .remove(&dgram.src)
             .expect("matched implies present");
-        self.by_target.remove(&out.target);
         self.telemetry.r2_captured.inc();
         self.telemetry
             .q1_r2_latency_ns
             .record(ctx.now().since(out.sent_at).as_nanos() as u64);
         self.handle.inner.borrow_mut().stats.r2_captured += 1;
         self.handle.sink.borrow_mut().on_r2(&R2Capture {
-            target: out.target,
+            target: dgram.src,
             label: question.is_some().then_some(label),
             qname,
             at: ctx.now(),
@@ -652,20 +708,6 @@ mod tests {
 
     #[test]
     fn empty_question_response_joins_by_source() {
-        struct EmptyQuestion;
-        impl Endpoint for EmptyQuestion {
-            fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
-                let Ok(query) = Message::decode(&dgram.payload) else {
-                    return;
-                };
-                let mut resp = Message::builder()
-                    .response_to(&query)
-                    .rcode(Rcode::ServFail)
-                    .build();
-                resp.clear_questions();
-                ctx.send(dgram.reply(resp.encode().unwrap()));
-            }
-        }
         let eq = Ipv4Addr::new(6, 6, 6, 6);
         let handle = scan(vec![eq], |net| {
             net.register(eq, EmptyQuestion);
@@ -840,6 +882,141 @@ mod tests {
         let captures = handle.captures();
         assert_eq!(captures.len(), 1);
         assert_eq!(captures[0].sent_at, SimTime::from_nanos(100_000_000));
+    }
+
+    /// Answers like [`FixedAnswer`] with the question section removed.
+    struct EmptyQuestion;
+    impl Endpoint for EmptyQuestion {
+        fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
+            let Ok(query) = Message::decode(&dgram.payload) else {
+                return;
+            };
+            let mut resp = Message::builder()
+                .response_to(&query)
+                .rcode(Rcode::ServFail)
+                .build();
+            resp.clear_questions();
+            ctx.send(dgram.reply(resp.encode().unwrap()));
+        }
+    }
+
+    #[test]
+    fn a_target_probed_again_supersedes_its_outstanding_probe() {
+        // Three targets, each probed twice in one tick, so the second
+        // probe goes out while the first is outstanding. The responders
+        // answer both Q1s 20 ms later: the first R2 of each carries (or,
+        // with no question, is joined to) the superseded probe's label.
+        let answered = Ipv4Addr::new(9, 9, 9, 9);
+        let silent = Ipv4Addr::new(8, 8, 8, 8);
+        let empty = Ipv4Addr::new(6, 6, 6, 6);
+        let handle = scan(
+            vec![answered, silent, empty, answered, silent, empty],
+            |net| {
+                net.register(answered, FixedAnswer(Ipv4Addr::new(1, 2, 3, 4)));
+                net.register(empty, EmptyQuestion);
+            },
+        );
+        let stats = handle.stats();
+        assert_eq!(stats.q1_sent, 6);
+        // `answered`: the R2 naming the superseded label matches no
+        // outstanding probe; the one naming the newer label is captured.
+        // `empty`: the first R2 is joined to the newer probe by source
+        // and the second finds nothing outstanding.
+        assert_eq!(stats.r2_captured, 2);
+        assert_eq!(stats.unmatched, 2);
+        // Three superseded probes, once each, plus `silent`'s second,
+        // which expires.
+        assert_eq!(stats.probes_abandoned, 4);
+        assert_eq!(stats.subdomains_fresh + stats.subdomains_reused, 6);
+        assert!(stats.done);
+        let captures = handle.captures();
+        let newer = |target| {
+            let capture = captures.iter().find(|c| c.target == target).unwrap();
+            ProbeLabel::parse(&capture.qname, &zone()).unwrap()
+        };
+        // `empty`'s second probe reuses the label `silent`'s first gave up.
+        assert_eq!(newer(answered), ProbeLabel::new(0, 3));
+        assert_eq!(newer(empty), ProbeLabel::new(0, 1));
+    }
+
+    #[test]
+    fn a_superseded_probe_is_abandoned_once_under_retries() {
+        // The first probe's expiry entry goes stale: only the second is
+        // retransmitted and, in the end, abandoned.
+        let silent = Ipv4Addr::new(3, 3, 3, 3);
+        let handle = scan_with(
+            vec![silent, silent],
+            |_| {},
+            |config| config.retry_limit = 1,
+        );
+        let stats = handle.stats();
+        assert_eq!(stats.q1_sent, 2);
+        assert_eq!(stats.retransmits_sent, 1);
+        assert_eq!(stats.probes_abandoned, 2);
+        assert!(stats.done);
+    }
+
+    /// A zone of `labels` labels: a 63-byte one first, mixed case
+    /// throughout.
+    fn long_zone(labels: usize) -> Name {
+        let first = "Xy".repeat(31) + "Z";
+        let rest = ["SealResearch", "eXample", "NET"];
+        let text = std::iter::once(first.as_str())
+            .chain(rest.iter().copied())
+            .take(labels)
+            .collect::<Vec<_>>()
+            .join(".");
+        text.parse().unwrap()
+    }
+
+    #[test]
+    fn patched_template_equals_the_encoder() {
+        let mut labels = Vec::new();
+        for cluster in [0, 7, 999] {
+            for seq in [0, 1, 1_234_567, 4_999_999] {
+                labels.push(ProbeLabel::new(cluster, seq));
+            }
+        }
+        let mut state = 0x7E4D_1A7Eu64;
+        let mut next = move || crate::splitmix64(&mut state);
+        for _ in 0..200 {
+            let cluster = (next() % 1_000) as u32;
+            labels.push(ProbeLabel::new(cluster, next() % 5_000_000));
+        }
+        let zones = (1..=4)
+            .map(long_zone)
+            .chain([zone(), "net".parse().unwrap()]);
+        for zone in zones {
+            let mut template = QueryTemplate::new(&zone).expect("the zone leaves room");
+            for &label in &labels {
+                let wire = template.fill(label).to_vec();
+                let encoded = encode_query(&zone, label, probe_id(label)).unwrap();
+                assert_eq!(wire, encoded, "{label} under {zone}");
+                let question = read_question(&wire).unwrap();
+                assert_eq!(ProbeLabel::parse(question.qname(), &zone), Some(label));
+            }
+        }
+    }
+
+    #[test]
+    fn a_zone_too_long_for_probe_labels_sends_nothing() {
+        // 241 bytes on the wire: the two probe labels' 14 make 255, the
+        // limit; one byte more in the zone and no Q1 exists.
+        let fits = format!("{0}.{0}.{0}.{1}", "a".repeat(63), "b".repeat(47));
+        let too_long = format!("{0}.{0}.{0}.{1}", "a".repeat(63), "b".repeat(48));
+        assert!(QueryTemplate::new(&fits.parse().unwrap()).is_some());
+        let zone: Name = too_long.parse().unwrap();
+        assert!(QueryTemplate::new(&zone).is_none());
+        let target = Ipv4Addr::new(9, 9, 9, 9);
+        let handle = scan_with(
+            vec![target],
+            |net| net.register(target, FixedAnswer(Ipv4Addr::new(1, 2, 3, 4))),
+            |config| config.zone = zone,
+        );
+        let stats = handle.stats();
+        assert_eq!(stats.q1_sent, 0);
+        assert_eq!(stats.r2_captured, 0);
+        assert!(stats.done);
     }
 
     #[test]
