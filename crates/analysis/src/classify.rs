@@ -79,10 +79,17 @@ impl ClassifiedR2 {
 /// a packet carries no analyzable flags (none occur in the calibrated
 /// populations, but arbitrary captures may contain them).
 pub fn classify(capture: &R2Capture) -> Option<ClassifiedR2> {
-    match Message::decode(&capture.payload) {
-        Ok(msg) => {
+    classify_in(capture, &mut Message::default())
+}
+
+/// [`classify`], decoding into the caller's scratch message
+/// ([`Message::decode_into`]): a caller that classifies a stream keeps
+/// one and stops allocating section vectors per response.
+pub(crate) fn classify_in(capture: &R2Capture, msg: &mut Message) -> Option<ClassifiedR2> {
+    match msg.decode_into(&capture.payload) {
+        Ok(()) => {
             let header = *msg.header();
-            let answer = extract_answer(&msg);
+            let answer = extract_answer(msg);
             let correct = match (&answer, capture.label) {
                 (AnswerKind::Ip(ip), Some(label)) => *ip == ground_truth(label),
                 _ => false,

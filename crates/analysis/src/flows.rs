@@ -232,9 +232,15 @@ impl FlowTable {
     }
 
     /// Folds one authoritative-server packet into the table, counting
-    /// packets whose qname is not a probe name as foreign.
+    /// packets whose qname is not a probe name as foreign. The label
+    /// the capture point stamped on the packet is taken at its word;
+    /// only a packet without one (a replayed log, a hand-built fixture,
+    /// foreign or undecodable traffic) has its payload read here.
     pub(crate) fn fold_auth(&mut self, foreign: &mut u64, packet: &CapturedPacket, zone: &Name) {
-        match question_of(&packet.payload).and_then(|q| ProbeLabel::parse(q.qname(), zone)) {
+        let label = packet.label.or_else(|| {
+            question_of(&packet.payload).and_then(|q| ProbeLabel::parse(q.qname(), zone))
+        });
+        match label {
             Some(label) => self.fold_stamp(label, packet.direction, packet.at, packet.peer),
             None => *foreign += 1,
         }
@@ -545,15 +551,28 @@ mod tests {
         FlowSet::match_records(&records, auth, &zone())
     }
 
-    fn auth(label: ProbeLabel, at_ms: u64, direction: Direction) -> CapturedPacket {
-        let query = Message::query(7, Question::a(label.qname(&zone())));
+    /// A server-side packet asking for `qname`, as a replayed log holds
+    /// it: no label stamped on it.
+    fn auth_for(qname: Name, at: SimTime, direction: Direction, peer: Ipv4Addr) -> CapturedPacket {
+        let query = Message::query(7, Question::a(qname));
         CapturedPacket {
-            at: SimTime::from_nanos(at_ms * 1_000_000),
+            at,
             direction,
-            peer: Ipv4Addr::new(9, 9, 9, 9),
+            peer,
             peer_port: 33_000,
+            label: None,
             payload: Bytes::from(query.encode().unwrap()),
         }
+    }
+
+    fn auth(label: ProbeLabel, at_ms: u64, direction: Direction) -> CapturedPacket {
+        let at = SimTime::from_nanos(at_ms * 1_000_000);
+        auth_for(
+            label.qname(&zone()),
+            at,
+            direction,
+            Ipv4Addr::new(9, 9, 9, 9),
+        )
     }
 
     #[test]
@@ -608,14 +627,12 @@ mod tests {
 
     #[test]
     fn foreign_auth_traffic_counted() {
-        let query = Message::query(9, Question::a("www.example.com".parse().unwrap()));
-        let foreign = CapturedPacket {
-            at: SimTime::ZERO,
-            direction: Direction::Inbound,
-            peer: Ipv4Addr::new(1, 1, 1, 1),
-            peer_port: 1,
-            payload: Bytes::from(query.encode().unwrap()),
-        };
+        let foreign = auth_for(
+            "www.example.com".parse().unwrap(),
+            SimTime::ZERO,
+            Direction::Inbound,
+            Ipv4Addr::new(1, 1, 1, 1),
+        );
         let flows = join(&[], &[foreign]);
         assert!(flows.is_empty());
         assert_eq!(flows.foreign_auth_packets, 1);
@@ -694,36 +711,53 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Any interleaving of R2/Q2/R1 folds (R1 before Q2, R2 first,
-        /// last or never, fan-out from 0 into the seventies), split over
-        /// 1-4 tables absorbed in every order, joins to the timelines a
-        /// map of plain vectors keeps.
+        /// last or never, fan-out from 0 into the seventies) and foreign
+        /// packets, split over 1-4 tables absorbed in every order, joins
+        /// to the timelines a map of plain vectors keeps — whether a
+        /// server packet arrives with its label stamped on it, as the
+        /// capture point hands it over, or bare, as a replayed log does.
         #[test]
         fn join_matches_a_naive_map_of_vectors(
             tables in 1usize..5,
-            ops in prop::collection::vec((0u8..16, 0u64..12, any::<u64>(), 0usize..4), 0..900),
+            ops in prop::collection::vec((0u8..17, 0u64..12, any::<u64>(), 0usize..8), 0..900),
         ) {
             let mut naive: BTreeMap<ProbeLabel, NaiveFlow> = BTreeMap::new();
-            let mut parts = vec![FlowTable::default(); tables];
+            let mut naive_foreign = 0u64;
+            let mut parts = vec![(FlowTable::default(), 0u64); tables];
             for &(kind, seq, at, part) in &ops {
                 // Squaring skews the labels: a few busy flows, some
                 // nearly idle ones.
                 let label = ProbeLabel::new((seq % 2) as u32, seq * seq / 12);
                 let at = SimTime::from_nanos(at);
-                let part = &mut parts[part % tables];
-                let entry = naive.entry(label).or_default();
+                let stamped = part >= 4;
+                let (part, foreign) = &mut parts[part % tables];
+                let direction = if kind <= 8 { Direction::Inbound } else { Direction::Outbound };
                 match kind {
                     0 => {
                         let r2_at = SimTime::from_nanos(sent_at_of(label).as_nanos() + 7);
                         part.fold_r2(label, resolver_of(label), sent_at_of(label), r2_at);
-                        entry.r2 = true;
+                        naive.entry(label).or_default().r2 = true;
                     }
-                    1..=8 => {
-                        part.fold_stamp(label, Direction::Inbound, at, resolver_of(label));
-                        entry.q2_at.push(at);
+                    1..=15 => {
+                        let mut packet =
+                            auth_for(label.qname(&zone()), at, direction, resolver_of(label));
+                        packet.label = stamped.then_some(label);
+                        part.fold_auth(foreign, &packet, &zone());
+                        let entry = naive.entry(label).or_default();
+                        if direction == Direction::Inbound {
+                            entry.q2_at.push(at);
+                        } else {
+                            entry.r1_at.push(at);
+                        }
                     }
                     _ => {
-                        part.fold_stamp(label, Direction::Outbound, at, resolver_of(label));
-                        entry.r1_at.push(at);
+                        // Not a probe name, under the zone or outside
+                        // it: never stamped, counted, no flow.
+                        let qname = if stamped { "www.ucfsealresearch.net" } else { "example.com" };
+                        let packet =
+                            auth_for(qname.parse().unwrap(), at, direction, resolver_of(label));
+                        part.fold_auth(foreign, &packet, &zone());
+                        naive_foreign += 1;
                     }
                 }
             }
@@ -732,11 +766,13 @@ mod tests {
                 flow.r1_at.sort();
             }
             for order in orders(tables) {
-                let mut merged = parts[order[0]].clone();
+                let (mut merged, mut foreign) = parts[order[0]].clone();
                 for &next in &order[1..] {
-                    merged.absorb(parts[next].clone());
+                    merged.absorb(parts[next].0.clone());
+                    foreign += parts[next].1;
                 }
-                let flows = merged.finish(0);
+                let flows = merged.finish(foreign);
+                prop_assert_eq!(flows.foreign_auth_packets, naive_foreign);
                 prop_assert_eq!(flows.len(), naive.len());
                 for (flow, (label, want)) in flows.iter().zip(&naive) {
                     prop_assert_eq!(flow.label(), *label);

@@ -24,13 +24,13 @@ use std::str::FromStr;
 
 use orscope_authns::scheme::ProbeLabel;
 use orscope_authns::{CapturedPacket, RecordSink};
-use orscope_dns_wire::{Name, Rcode};
+use orscope_dns_wire::{Message, Name, Rcode};
 use orscope_geo::GeoDb;
 use orscope_netsim::fxhash::FxHashMap;
 use orscope_prober::R2Capture;
 use orscope_threatintel::ThreatDb;
 
-use crate::classify::{classify, AnswerKind};
+use crate::classify::{classify_in, AnswerKind};
 use crate::flows::{FlowSet, FlowTable};
 use crate::tables::{
     amplification_factor, AmplificationTable, AnswerBreakdown, AsnTable, CountryTable,
@@ -150,6 +150,9 @@ pub struct StreamingAnalyzer {
     flows: FlowTable,
     /// Auth-server packets whose qname was not a probe name.
     foreign_auth_packets: u64,
+    /// Scratch every R2 is decoded into for classification; carries
+    /// nothing from one packet to the next but its allocations.
+    scratch: Message,
 }
 
 impl StreamingAnalyzer {
@@ -333,7 +336,7 @@ impl RecordSink for StreamingAnalyzer {
         }
         // Header-unparseable garbage carries no analyzable state; the
         // batch pipeline drops it in `Dataset::from_captures` too.
-        let Some(rec) = classify(capture) else {
+        let Some(rec) = classify_in(capture, &mut self.scratch) else {
             return;
         };
         self.r2_classified += 1;

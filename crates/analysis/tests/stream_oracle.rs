@@ -229,6 +229,7 @@ fn auth_packet(qname: &Name, direction: Direction, peer: Ipv4Addr, at_ms: u64) -
         direction,
         peer,
         peer_port: 53,
+        label: None,
         payload: Bytes::from(payload),
     }
 }

@@ -53,6 +53,15 @@ pub struct CapturedPacket {
     pub peer: Ipv4Addr,
     /// Remote port.
     pub peer_port: u16,
+    /// The probe label of the payload's first question, when whoever
+    /// captured the packet had already read it (the twin of
+    /// [`R2Capture::label`]): the server parses each query once and
+    /// stamps the result on both the Q2 and its R1. `Some` is a fact
+    /// about `payload`; `None` says nothing — the payload may still
+    /// carry a probe name (a query whose tail does not decode, a packet
+    /// built by hand or replayed from a log) and a consumer that needs
+    /// the label reads the payload itself. Never serialized.
+    pub label: Option<ProbeLabel>,
     /// Raw UDP payload.
     pub payload: Bytes,
 }
@@ -95,6 +104,8 @@ impl RecordSink for PacketLog {
 
 /// The authoritative server's capture point: a cloneable handle that
 /// turns datagrams into [`CapturedPacket`]s and hands each to one sink.
+/// The `label` either recorder takes is [`CapturedPacket::label`]: what
+/// the caller already knows about the datagram's question, if anything.
 ///
 /// [`CaptureHandle::new`] logs into the handle itself, to be read back
 /// after the simulation drains; [`CaptureHandle::with_sink`] feeds a
@@ -130,23 +141,25 @@ impl CaptureHandle {
     }
 
     /// Records an inbound datagram at time `at`.
-    pub fn record_inbound(&self, at: SimTime, dgram: &Datagram) {
+    pub fn record_inbound(&self, at: SimTime, dgram: &Datagram, label: Option<ProbeLabel>) {
         self.sink.borrow_mut().on_auth(&CapturedPacket {
             at,
             direction: Direction::Inbound,
             peer: dgram.src,
             peer_port: dgram.src_port,
+            label,
             payload: dgram.payload.clone(),
         });
     }
 
     /// Records an outbound datagram at time `at`.
-    pub fn record_outbound(&self, at: SimTime, dgram: &Datagram) {
+    pub fn record_outbound(&self, at: SimTime, dgram: &Datagram, label: Option<ProbeLabel>) {
         self.sink.borrow_mut().on_auth(&CapturedPacket {
             at,
             direction: Direction::Outbound,
             peer: dgram.dst,
             peer_port: dgram.dst_port,
+            label,
             payload: dgram.payload.clone(),
         });
     }
@@ -198,8 +211,8 @@ mod tests {
     #[test]
     fn records_both_directions() {
         let cap = CaptureHandle::new();
-        cap.record_inbound(SimTime::from_secs(1), &dgram());
-        cap.record_outbound(SimTime::from_secs(2), &dgram());
+        cap.record_inbound(SimTime::from_secs(1), &dgram(), None);
+        cap.record_outbound(SimTime::from_secs(2), &dgram(), None);
         assert_eq!(cap.len(), 2);
         assert_eq!(cap.count(Direction::Inbound), 1);
         assert_eq!(cap.count(Direction::Outbound), 1);
@@ -211,7 +224,7 @@ mod tests {
     #[test]
     fn drain_empties_buffer() {
         let cap = CaptureHandle::new();
-        cap.record_inbound(SimTime::ZERO, &dgram());
+        cap.record_inbound(SimTime::ZERO, &dgram(), None);
         assert_eq!(cap.drain().len(), 1);
         assert!(cap.is_empty());
         assert_eq!(
@@ -225,7 +238,7 @@ mod tests {
     fn clones_share_state() {
         let cap = CaptureHandle::new();
         let clone = cap.clone();
-        clone.record_inbound(SimTime::ZERO, &dgram());
+        clone.record_inbound(SimTime::ZERO, &dgram(), None);
         assert_eq!(cap.len(), 1);
     }
 
@@ -241,8 +254,8 @@ mod tests {
         }
         let seen = Rc::new(RefCell::new(Seen::default()));
         let cap = CaptureHandle::with_sink(seen.clone());
-        cap.record_inbound(SimTime::ZERO, &dgram());
-        cap.record_outbound(SimTime::from_secs(1), &dgram());
+        cap.record_inbound(SimTime::ZERO, &dgram(), None);
+        cap.record_outbound(SimTime::from_secs(1), &dgram(), None);
         assert!(cap.is_empty());
         assert_eq!(
             seen.borrow().0,

@@ -94,27 +94,50 @@ impl ClusterZone {
     /// with their ground-truth address; everything else defers to the
     /// static zone (which yields NXDomain for unloaded probe names,
     /// exactly as a real zone file would).
-    pub fn lookup(&self, qname: &Name, qtype: RecordType) -> ZoneAnswer {
-        if let Some(label) = ProbeLabel::parse(qname, self.zone.origin()) {
-            let in_active = Some(label.cluster) == self.active_cluster && label.seq < self.loaded;
-            let in_previous = self
-                .previous
-                .is_some_and(|(c, n)| c == label.cluster && label.seq < n);
-            if in_active || in_previous {
-                if matches!(qtype, RecordType::A | RecordType::Any) {
-                    return ZoneAnswer::Answer(vec![Record::in_class(
-                        qname.clone(),
-                        self.probe_ttl,
-                        RData::A(ground_truth(label)),
-                    )]);
-                }
-                return ZoneAnswer::NoData(self.zone.soa().clone());
-            }
+    ///
+    /// `label` is the caller's reading of `qname` —
+    /// `ProbeLabel::parse(qname, self.zone().origin())` — which the
+    /// server has already made for its capture records.
+    pub fn lookup(
+        &self,
+        qname: &Name,
+        label: Option<ProbeLabel>,
+        qtype: RecordType,
+    ) -> ClusterAnswer {
+        debug_assert_eq!(label, ProbeLabel::parse(qname, self.zone.origin()));
+        let Some(label) = label else {
+            return ClusterAnswer::Zone(self.zone.lookup(qname, qtype));
+        };
+        let in_active = Some(label.cluster) == self.active_cluster && label.seq < self.loaded;
+        let in_previous = self
+            .previous
+            .is_some_and(|(c, n)| c == label.cluster && label.seq < n);
+        if !(in_active || in_previous) {
             // A probe name outside the loaded cluster does not exist.
-            return ZoneAnswer::NxDomain(self.zone.soa().clone());
+            return ClusterAnswer::Zone(ZoneAnswer::NxDomain(self.zone.soa().clone()));
         }
-        self.zone.lookup(qname, qtype)
+        if !matches!(qtype, RecordType::A | RecordType::Any) {
+            return ClusterAnswer::Zone(ZoneAnswer::NoData(self.zone.soa().clone()));
+        }
+        ClusterAnswer::Probe(Record::in_class(
+            qname.clone(),
+            self.probe_ttl,
+            RData::A(ground_truth(label)),
+        ))
     }
+}
+
+/// The result of a [`ClusterZone`] lookup.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ClusterAnswer {
+    /// A probe subdomain of a loaded cluster, asked for its address:
+    /// its one ground-truth A record, by value — the answer a scan asks
+    /// for once per Q2 goes from here into the response without a
+    /// vector in between.
+    Probe(Record),
+    /// Everything else, in the static zone's terms (NXDomain or NoData
+    /// for probe names no loaded cluster answers).
+    Zone(ZoneAnswer),
 }
 
 #[cfg(test)]
@@ -133,12 +156,17 @@ mod tests {
         ProbeLabel::new(cluster, seq).qname(&"ucfsealresearch.net".parse().unwrap())
     }
 
+    /// The lookup as the server makes it: label read once, then passed.
+    fn lookup(cz: &ClusterZone, qname: &Name, qtype: RecordType) -> ClusterAnswer {
+        cz.lookup(qname, ProbeLabel::parse(qname, cz.zone().origin()), qtype)
+    }
+
     #[test]
     fn unloaded_cluster_yields_nxdomain() {
         let cz = cluster_zone();
         assert!(matches!(
-            cz.lookup(&qname(0, 1), RecordType::A),
-            ZoneAnswer::NxDomain(_)
+            lookup(&cz, &qname(0, 1), RecordType::A),
+            ClusterAnswer::Zone(ZoneAnswer::NxDomain(_))
         ));
     }
 
@@ -146,12 +174,13 @@ mod tests {
     fn loaded_cluster_answers_ground_truth() {
         let mut cz = cluster_zone();
         cz.load_cluster(3, 1000);
-        match cz.lookup(&qname(3, 999), RecordType::A) {
-            ZoneAnswer::Answer(recs) => {
+        match lookup(&cz, &qname(3, 999), RecordType::A) {
+            ClusterAnswer::Probe(rec) => {
                 assert_eq!(
-                    recs[0].rdata().as_a(),
+                    rec.rdata().as_a(),
                     Some(ground_truth(ProbeLabel::new(3, 999)))
                 );
+                assert_eq!(rec.name(), &qname(3, 999));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -162,8 +191,8 @@ mod tests {
         let mut cz = cluster_zone();
         cz.load_cluster(3, 1000);
         assert!(matches!(
-            cz.lookup(&qname(3, 1000), RecordType::A),
-            ZoneAnswer::NxDomain(_)
+            lookup(&cz, &qname(3, 1000), RecordType::A),
+            ClusterAnswer::Zone(ZoneAnswer::NxDomain(_))
         ));
     }
 
@@ -172,8 +201,8 @@ mod tests {
         let mut cz = cluster_zone();
         cz.load_cluster(3, 1000);
         assert!(matches!(
-            cz.lookup(&qname(2, 5), RecordType::A),
-            ZoneAnswer::NxDomain(_)
+            lookup(&cz, &qname(2, 5), RecordType::A),
+            ClusterAnswer::Zone(ZoneAnswer::NxDomain(_))
         ));
     }
 
@@ -186,22 +215,22 @@ mod tests {
         assert_eq!(cz.clusters_loaded(), 2);
         // Cluster 0 still drains while cluster 1 is active...
         assert!(matches!(
-            cz.lookup(&qname(0, 5), RecordType::A),
-            ZoneAnswer::Answer(_)
+            lookup(&cz, &qname(0, 5), RecordType::A),
+            ClusterAnswer::Probe(_)
         ));
         assert!(matches!(
-            cz.lookup(&qname(1, 5), RecordType::A),
-            ZoneAnswer::Answer(_)
+            lookup(&cz, &qname(1, 5), RecordType::A),
+            ClusterAnswer::Probe(_)
         ));
         // ...but is dropped once cluster 2 loads.
         cz.load_cluster(2, 100);
         assert!(matches!(
-            cz.lookup(&qname(0, 5), RecordType::A),
-            ZoneAnswer::NxDomain(_)
+            lookup(&cz, &qname(0, 5), RecordType::A),
+            ClusterAnswer::Zone(ZoneAnswer::NxDomain(_))
         ));
         assert!(matches!(
-            cz.lookup(&qname(1, 5), RecordType::A),
-            ZoneAnswer::Answer(_)
+            lookup(&cz, &qname(1, 5), RecordType::A),
+            ClusterAnswer::Probe(_)
         ));
     }
 
@@ -219,8 +248,8 @@ mod tests {
         let mut cz = cluster_zone();
         cz.load_cluster(0, 10);
         assert!(matches!(
-            cz.lookup(&qname(0, 5), RecordType::Mx),
-            ZoneAnswer::NoData(_)
+            lookup(&cz, &qname(0, 5), RecordType::Mx),
+            ClusterAnswer::Zone(ZoneAnswer::NoData(_))
         ));
     }
 
@@ -233,8 +262,12 @@ mod tests {
         );
         cz.load_cluster(0, 10);
         assert!(matches!(
-            cz.lookup(&"ns1.ucfsealresearch.net".parse().unwrap(), RecordType::A),
-            ZoneAnswer::Answer(_)
+            lookup(
+                &cz,
+                &"ns1.ucfsealresearch.net".parse().unwrap(),
+                RecordType::A
+            ),
+            ClusterAnswer::Zone(ZoneAnswer::Answer(_))
         ));
     }
 }

@@ -7,7 +7,6 @@
 //! section, NS in authority, glue A in additional) toward the next zone
 //! cut, which is exactly what an iterative resolver needs.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use orscope_dns_wire::{Message, MessageBuilder, Name, RData, Rcode, Record};
@@ -28,25 +27,28 @@ pub struct Delegation {
 /// Shared referral logic for root and TLD servers.
 #[derive(Debug, Clone, Default)]
 struct DelegationTable {
-    /// Keyed by the delegated zone name.
-    entries: HashMap<Name, Delegation>,
+    /// One entry per delegated zone name. A server delegates a handful
+    /// of zones (the campaign's root and TLD one each), so finding the
+    /// deepest one that encloses a qname is a label-wise suffix
+    /// comparison against each — no name is built or hashed per query.
+    entries: Vec<Delegation>,
 }
 
 impl DelegationTable {
+    /// Adds `delegation`, replacing an earlier one of the same zone.
     fn insert(&mut self, delegation: Delegation) {
-        self.entries.insert(delegation.zone.clone(), delegation);
+        match self.entries.iter_mut().find(|d| d.zone == delegation.zone) {
+            Some(entry) => *entry = delegation,
+            None => self.entries.push(delegation),
+        }
     }
 
     /// Finds the closest enclosing delegation for `qname`.
     fn find(&self, qname: &Name) -> Option<&Delegation> {
-        let mut candidate = Some(qname.clone());
-        while let Some(name) = candidate {
-            if let Some(d) = self.entries.get(&name) {
-                return Some(d);
-            }
-            candidate = name.parent();
-        }
-        None
+        self.entries
+            .iter()
+            .filter(|d| qname.is_subdomain_of(&d.zone))
+            .max_by_key(|d| d.zone.label_count())
     }
 
     /// Builds a referral (or NXDomain) response for a query with
@@ -219,6 +221,53 @@ mod tests {
         let q = Message::query(4, Question::a(name("deep.www.example.net")));
         let resp = tld.respond(&q);
         assert_eq!(resp.authorities()[0].name(), &name("example.net"));
+        // Whatever the order the zones were delegated in.
+        let mut tld = TldServer::new();
+        tld.delegate(
+            name("example.net"),
+            name("ns.example.net"),
+            Ipv4Addr::new(2, 2, 2, 2),
+        );
+        tld.delegate(name("net"), name("ns.net"), Ipv4Addr::new(1, 1, 1, 1));
+        let resp = tld.respond(&q);
+        assert_eq!(resp.authorities()[0].name(), &name("example.net"));
+        // A sibling falls back to the shallower cut; a name under no
+        // delegated zone does not exist.
+        let q = Message::query(4, Question::a(name("www.example2.net")));
+        assert_eq!(tld.respond(&q).authorities()[0].name(), &name("net"));
+        let q = Message::query(4, Question::a(name("net.example.org")));
+        assert_eq!(tld.respond(&q).header().rcode(), Rcode::NXDomain);
+    }
+
+    #[test]
+    fn delegating_a_zone_again_replaces_its_delegation() {
+        let mut root = root();
+        root.delegate(
+            name("NET"),
+            name("b.gtld-servers.net"),
+            Ipv4Addr::new(192, 33, 14, 30),
+        );
+        let q = Message::query(6, Question::a(name("www.example.net")));
+        let resp = root.respond(&q);
+        assert_eq!(resp.authorities().len(), 1, "one delegation, the second");
+        assert_eq!(resp.additionals().len(), 1);
+        assert_eq!(
+            resp.additionals()[0].rdata().as_a(),
+            Some(Ipv4Addr::new(192, 33, 14, 30))
+        );
+    }
+
+    #[test]
+    fn a_case_mismatched_qname_finds_its_delegation() {
+        let r = root();
+        let q = Message::query(7, Question::a(name("oR000.0000001.UCFSealResearch.NeT")));
+        let resp = r.respond(&q);
+        assert_eq!(resp.header().rcode(), Rcode::NoError);
+        assert_eq!(resp.authorities()[0].name(), &name("net"));
+        assert_eq!(
+            resp.additionals()[0].rdata().as_a(),
+            Some(Ipv4Addr::new(192, 5, 6, 30))
+        );
     }
 
     #[test]

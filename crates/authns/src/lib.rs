@@ -33,7 +33,7 @@ pub mod zone;
 pub mod zonefile;
 
 pub use capture::{CaptureHandle, CapturedPacket, Direction, R2Capture, RecordSink, SharedSink};
-pub use cluster::ClusterZone;
+pub use cluster::{ClusterAnswer, ClusterZone};
 pub use hierarchy::{RootServer, TldServer};
 pub use scheme::{ground_truth, ProbeLabel};
 pub use server::AuthoritativeServer;

@@ -8,7 +8,8 @@ use orscope_dns_wire::{Message, MessageBuilder, Rcode};
 use orscope_netsim::{Context, Datagram, Endpoint, SimTime};
 
 use crate::capture::CaptureHandle;
-use crate::cluster::ClusterZone;
+use crate::cluster::{ClusterAnswer, ClusterZone};
+use crate::scheme::ProbeLabel;
 use crate::telemetry::AuthTelemetry;
 use crate::zone::ZoneAnswer;
 
@@ -159,8 +160,22 @@ impl AuthoritativeServer {
         MessageBuilder::reusing(std::mem::take(&mut self.outbound))
     }
 
+    /// The probe label `query` asks about, if its first question is a
+    /// probe subdomain of the served zone.
+    fn label_of(&self, query: &Message) -> Option<ProbeLabel> {
+        let question = query.first_question()?;
+        ProbeLabel::parse(question.qname(), self.zone.zone().origin())
+    }
+
     /// Builds the authoritative response for a decoded query.
     pub fn respond(&mut self, query: &Message) -> Message {
+        let label = self.label_of(query);
+        self.respond_labelled(query, label)
+    }
+
+    /// [`AuthoritativeServer::respond`] for a query whose probe label
+    /// (see [`AuthoritativeServer::label_of`]) is already in hand.
+    fn respond_labelled(&mut self, query: &Message, label: Option<ProbeLabel>) -> Message {
         self.queries_served += 1;
         let Some(question) = query.first_question() else {
             self.telemetry.record(None, Rcode::FormErr);
@@ -171,40 +186,37 @@ impl AuthoritativeServer {
                 .build();
         };
         let qtype = question.qtype();
-        if self.auto_advance {
-            if let Some(label) =
-                crate::scheme::ProbeLabel::parse(question.qname(), self.zone.zone().origin())
-            {
-                // With no cluster loaded yet, the first query picks the
-                // starting cluster (sharded probers start at a nonzero
-                // base); afterwards only the immediately-next cluster
-                // triggers a rollover.
-                let advance = match self.zone.active_cluster() {
-                    None => true,
-                    Some(active) => label.cluster == active + 1,
-                };
-                if advance {
-                    let load = self
-                        .zone
-                        .load_cluster(label.cluster, self.auto_cluster_size);
-                    self.load_time_secs += load.as_secs_f64();
-                }
+        if let Some(label) = label.filter(|_| self.auto_advance) {
+            // With no cluster loaded yet, the first query picks the
+            // starting cluster (sharded probers start at a nonzero
+            // base); afterwards only the immediately-next cluster
+            // triggers a rollover.
+            let advance = match self.zone.active_cluster() {
+                None => true,
+                Some(active) => label.cluster == active + 1,
+            };
+            if advance {
+                let load = self
+                    .zone
+                    .load_cluster(label.cluster, self.auto_cluster_size);
+                self.load_time_secs += load.as_secs_f64();
             }
         }
         let mut builder = self.builder().response_to(query).authoritative(true);
-        match self.zone.lookup(question.qname(), question.qtype()) {
-            ZoneAnswer::Answer(records) => {
+        match self.zone.lookup(question.qname(), label, qtype) {
+            ClusterAnswer::Probe(rec) => builder = builder.answer(rec),
+            ClusterAnswer::Zone(ZoneAnswer::Answer(records)) => {
                 for rec in records {
                     builder = builder.answer(rec);
                 }
             }
-            ZoneAnswer::NoData(soa) => {
+            ClusterAnswer::Zone(ZoneAnswer::NoData(soa)) => {
                 builder = builder.authority(soa);
             }
-            ZoneAnswer::NxDomain(soa) => {
+            ClusterAnswer::Zone(ZoneAnswer::NxDomain(soa)) => {
                 builder = builder.rcode(Rcode::NXDomain).authority(soa);
             }
-            ZoneAnswer::OutOfZone => {
+            ClusterAnswer::Zone(ZoneAnswer::OutOfZone) => {
                 // A real authoritative-only server refuses queries for
                 // zones it does not serve (and clears AA).
                 builder = builder.authoritative(false).rcode(Rcode::Refused);
@@ -222,27 +234,38 @@ impl Endpoint for AuthoritativeServer {
         if dgram.dst_port != 53 {
             return; // the server only listens on the DNS port
         }
-        self.capture.record_inbound(ctx.now(), dgram);
-        if !self.rrl_permits(dgram.src, ctx.now()) {
-            return; // RRL: drop, don't answer (slip=0)
-        }
+        // The packet is read once. The decoded query and the probe label
+        // of its question then serve both capture records, the cluster
+        // rollover and the zone lookup; a packet that does not decode
+        // leaves the scratch message empty, and so has no label here.
         let mut query = std::mem::take(&mut self.inbound);
-        let answer = match query.decode_into(&dgram.payload) {
-            Ok(()) if !query.header().is_response() => {
-                Some((self.respond(&query), query.response_size_limit()))
-            }
-            Ok(()) => None, // stray response; a server ignores these
-            Err(_) => {
-                // BIND answers undecodable queries with FormErr when it
-                // can at least read the ID; we echo a minimal FormErr.
-                let id = match dgram.payload[..] {
-                    [hi, lo, ..] => u16::from_be_bytes([hi, lo]),
-                    _ => 0,
-                };
-                let mut m = self.builder().id(id).rcode(Rcode::FormErr).build();
-                m.header_mut().set_response(true);
-                self.telemetry.record(None, Rcode::FormErr);
-                Some((m, Message::CLASSIC_UDP_LIMIT))
+        let decoded = query.decode_into(&dgram.payload);
+        let label = self.label_of(&query);
+        // Captured before the RRL verdict: the tcpdump sees the query
+        // whether or not it is answered.
+        self.capture.record_inbound(ctx.now(), dgram, label);
+        let answer = if !self.rrl_permits(dgram.src, ctx.now()) {
+            None // RRL: drop, don't answer (slip=0)
+        } else {
+            match decoded {
+                Ok(()) if !query.header().is_response() => Some((
+                    self.respond_labelled(&query, label),
+                    query.response_size_limit(),
+                )),
+                Ok(()) => None, // stray response; a server ignores these
+                Err(_) => {
+                    // BIND answers undecodable queries with FormErr when
+                    // it can at least read the ID; we echo a minimal
+                    // FormErr.
+                    let id = match dgram.payload[..] {
+                        [hi, lo, ..] => u16::from_be_bytes([hi, lo]),
+                        _ => 0,
+                    };
+                    let mut m = self.builder().id(id).rcode(Rcode::FormErr).build();
+                    m.header_mut().set_response(true);
+                    self.telemetry.record(None, Rcode::FormErr);
+                    Some((m, Message::CLASSIC_UDP_LIMIT))
+                }
             }
         };
         self.inbound = query;
@@ -258,7 +281,10 @@ impl Endpoint for AuthoritativeServer {
             return;
         }
         let reply = dgram.reply(bytes::Bytes::copy_from_slice(&self.scratch));
-        self.capture.record_outbound(ctx.now(), &reply);
+        // Every response echoes the question section it was asked, so
+        // the R1 carries the label of its Q2 (and none when that had
+        // none: the FormErrs echo no question).
+        self.capture.record_outbound(ctx.now(), &reply, label);
         ctx.send(reply);
     }
 }
@@ -413,6 +439,191 @@ mod tests {
         assert_eq!(packets.len(), 2);
         assert!(packets[0].at <= packets[1].at);
         assert!(packets[0].at > SimTime::ZERO, "latency applied");
+    }
+}
+
+/// The label on a capture record is the label in the packet, and the
+/// records come in the order and at the instants they always did.
+#[cfg(test)]
+mod label_tests {
+    use super::*;
+    use crate::capture::{CapturedPacket, Direction};
+    use crate::zone::Zone;
+    use orscope_dns_wire::wire::Reader;
+    use orscope_dns_wire::{Header, Name, Question};
+    use orscope_netsim::{FixedLatency, SimNet};
+
+    const SERVER: Ipv4Addr = Ipv4Addr::new(45, 77, 1, 1);
+    const CLIENT: Ipv4Addr = Ipv4Addr::new(9, 9, 9, 9);
+    /// One-way latency: a query injected at zero arrives at 1 ms.
+    const ARRIVAL: SimTime = SimTime::from_nanos(1_000_000);
+
+    fn zone_name() -> Name {
+        "ucfsealresearch.net".parse().unwrap()
+    }
+
+    /// What a consumer holding only the payload reads: the first
+    /// question, even when the rest of the packet does not decode.
+    fn read_label(payload: &[u8]) -> Option<ProbeLabel> {
+        let mut reader = Reader::new(payload);
+        let header = Header::decode(&mut reader).ok()?;
+        if header.question_count() == 0 {
+            return None;
+        }
+        let question = Question::decode(&mut reader).ok()?;
+        ProbeLabel::parse(question.qname(), &zone_name())
+    }
+
+    /// Sends each payload to a server with cluster 0 loaded (and `rrl`,
+    /// if any) at time zero and returns what its capture point saw.
+    fn capture_of(payloads: &[Vec<u8>], rrl: Option<RrlConfig>) -> Vec<CapturedPacket> {
+        let capture = CaptureHandle::new();
+        let mut cz = ClusterZone::new(Zone::new(
+            zone_name(),
+            "ns1.ucfsealresearch.net".parse().unwrap(),
+        ));
+        cz.load_cluster(0, 1000);
+        let mut server = AuthoritativeServer::new(cz, capture.clone());
+        if let Some(config) = rrl {
+            server.enable_rrl(config);
+        }
+        let mut net = SimNet::builder()
+            .seed(1)
+            .latency(FixedLatency(Duration::from_millis(1)))
+            .build();
+        net.register(SERVER, server);
+        for payload in payloads {
+            net.inject(Datagram::new(
+                (CLIENT, 40_000),
+                (SERVER, 53),
+                payload.clone(),
+            ));
+        }
+        net.run_until_idle();
+        let packets = capture.snapshot();
+        for packet in &packets {
+            assert_eq!(packet.at, ARRIVAL, "stamped on arrival, answer included");
+            // A stamped label is a fact about the payload.
+            if packet.label.is_some() {
+                assert_eq!(packet.label, read_label(&packet.payload));
+            }
+        }
+        packets
+    }
+
+    fn query_for(qname: &str) -> Vec<u8> {
+        Message::query(7, Question::a(qname.parse().unwrap()))
+            .encode()
+            .unwrap()
+    }
+
+    /// Directions and labels, in capture order.
+    fn shape(packets: &[CapturedPacket]) -> Vec<(Direction, Option<ProbeLabel>)> {
+        packets.iter().map(|p| (p.direction, p.label)).collect()
+    }
+
+    #[test]
+    fn a_probe_query_and_its_answer_carry_the_label() {
+        use Direction::{Inbound, Outbound};
+        let loaded = Some(ProbeLabel::new(0, 42));
+        let unloaded = Some(ProbeLabel::new(5, 42));
+        for (qname, label) in [
+            ("or000.0000042.ucfsealresearch.net", loaded),
+            // DNS 0x20: case is not part of the name.
+            ("oR000.0000042.UcfSealResearch.NET", loaded),
+            // NXDomain is still a probe's R1.
+            ("or005.0000042.ucfsealresearch.net", unloaded),
+        ] {
+            let packets = capture_of(&[query_for(qname)], None);
+            assert_eq!(
+                shape(&packets),
+                [(Inbound, label), (Outbound, label)],
+                "{qname}"
+            );
+            assert_eq!(read_label(&packets[0].payload), label, "{qname}");
+            assert_eq!(read_label(&packets[1].payload), label, "{qname}");
+        }
+    }
+
+    #[test]
+    fn packets_without_a_probe_name_carry_none() {
+        use Direction::{Inbound, Outbound};
+        let mut no_question = Message::query(3, Question::a(zone_name()));
+        no_question.clear_questions();
+        for payload in [
+            // Under the zone, out of it, and not quite a probe name.
+            query_for("www.ucfsealresearch.net"),
+            query_for("www.example.com"),
+            query_for("or000.000042.ucfsealresearch.net"),
+            query_for("x.or000.0000042.ucfsealresearch.net"),
+            no_question.encode().unwrap(),
+            // Undecodable: answered FormErr, which echoes no question.
+            vec![0xAB, 0xCD, 0xFF],
+        ] {
+            let packets = capture_of(std::slice::from_ref(&payload), None);
+            assert_eq!(
+                shape(&packets),
+                [(Inbound, None), (Outbound, None)],
+                "{payload:02x?}"
+            );
+            assert_eq!(read_label(&packets[0].payload), None);
+            assert_eq!(read_label(&packets[1].payload), None);
+        }
+    }
+
+    #[test]
+    fn a_query_whose_tail_does_not_decode_is_left_to_the_reader() {
+        // Header and question are fine, the additional record the
+        // header promises is missing: the message does not decode, the
+        // server stamps nothing and answers FormErr, and a consumer
+        // that reads the payload's first question still finds the name.
+        let mut payload = query_for("or000.0000042.ucfsealresearch.net");
+        payload[11] = 1; // ARCOUNT
+        assert!(Message::decode(&payload).is_err());
+        let packets = capture_of(&[payload], None);
+        assert_eq!(
+            shape(&packets),
+            [(Direction::Inbound, None), (Direction::Outbound, None)]
+        );
+        assert_eq!(
+            read_label(&packets[0].payload),
+            Some(ProbeLabel::new(0, 42))
+        );
+        assert_eq!(read_label(&packets[1].payload), None, "a bare FormErr");
+    }
+
+    #[test]
+    fn a_stray_response_is_captured_with_its_label_and_not_answered() {
+        let label = ProbeLabel::new(0, 9);
+        let mut stray = Message::query(7, Question::a(label.qname(&zone_name())));
+        stray.header_mut().set_response(true);
+        let packets = capture_of(&[stray.encode().unwrap()], None);
+        assert_eq!(shape(&packets), [(Direction::Inbound, Some(label))]);
+    }
+
+    #[test]
+    fn an_rrl_dropped_query_is_captured_with_its_label_before_the_verdict() {
+        use Direction::{Inbound, Outbound};
+        let rrl = RrlConfig {
+            window: Duration::from_secs(1),
+            max_responses: 1,
+        };
+        let labels: Vec<_> = (0..3).map(|seq| Some(ProbeLabel::new(0, seq))).collect();
+        let payloads: Vec<_> = (0..3)
+            .map(|seq| query_for(&format!("or000.000000{seq}.ucfsealresearch.net")))
+            .collect();
+        let packets = capture_of(&payloads, Some(rrl));
+        // The first is answered on the spot; the other two are seen and
+        // dropped, in arrival order.
+        assert_eq!(
+            shape(&packets),
+            [
+                (Inbound, labels[0]),
+                (Outbound, labels[0]),
+                (Inbound, labels[1]),
+                (Inbound, labels[2]),
+            ]
+        );
     }
 }
 

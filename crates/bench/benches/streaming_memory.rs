@@ -154,6 +154,7 @@ fn replay(seed: u64, responses: u64, mut consume: impl FnMut(Event)) {
                     direction: Direction::Inbound,
                     peer: upstream,
                     peer_port: 53,
+                    label: None,
                     payload: Bytes::from(q2.clone()),
                 }));
             }
@@ -162,6 +163,7 @@ fn replay(seed: u64, responses: u64, mut consume: impl FnMut(Event)) {
                 direction: Direction::Outbound,
                 peer: upstream,
                 peer_port: 53,
+                label: None,
                 payload: Bytes::from(q2),
             }));
         }

@@ -31,6 +31,7 @@ fn folding_auth_packets_allocates_with_the_log_not_with_the_flows() {
                     direction,
                     peer: Ipv4Addr::new(10, 0, 0, 1),
                     peer_port: 53,
+                    label: None,
                     payload: Bytes::from(payload.clone()),
                 });
             }

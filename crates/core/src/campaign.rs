@@ -425,38 +425,38 @@ impl Campaign {
         // retried once. A second panic marks the shard permanently
         // failed: its slice is missing from the merge and the result
         // carries a `DegradedReport`.
+        let run = |index: usize| {
+            supervise(|attempt| {
+                Ok(self.run_shard(ShardPlan {
+                    shard: index,
+                    attempt,
+                    // Decorrelate per-shard simulator seeds; shard 0
+                    // keeps the master seed so shards=1 reproduces the
+                    // classic run exactly.
+                    sim_seed: config.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                    total_rate_pps: knobs.total_rate,
+                    base_cluster: index as u32 * cluster_stride,
+                    cluster_capacity: knobs.cluster_capacity,
+                    // A retry walks the permutation afresh.
+                    targets: TargetSource::new(targets.shard(index, shards)),
+                    population: shard_populations[index],
+                }))
+            })
+        };
         let runs: Vec<Supervised<ShardOutcome>> = std::thread::scope(|scope| {
-            let targets = &targets;
-            let handles: Vec<_> = shard_populations
-                .iter()
-                .copied()
-                .enumerate()
-                .map(|(index, shard_pop)| {
-                    scope.spawn(move || {
-                        supervise(|attempt| {
-                            Ok(self.run_shard(ShardPlan {
-                                shard: index,
-                                attempt,
-                                // Decorrelate per-shard simulator seeds;
-                                // shard 0 keeps the master seed so
-                                // shards=1 reproduces the classic run
-                                // exactly.
-                                sim_seed: config.seed
-                                    ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                                total_rate_pps: knobs.total_rate,
-                                base_cluster: index as u32 * cluster_stride,
-                                cluster_capacity: knobs.cluster_capacity,
-                                // A retry walks the permutation afresh.
-                                targets: TargetSource::new(targets.shard(index, shards)),
-                                population: shard_pop,
-                            }))
-                        })
-                    })
-                })
+            // Shard 0 runs on the calling thread, which would otherwise
+            // only sleep in `join`: a one-shard campaign (every
+            // observatory round) spawns nothing.
+            let handles: Vec<_> = (1..shards)
+                .map(|index| scope.spawn(move || run(index)))
                 .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("supervisor thread panicked"))
+            let first = run(0);
+            std::iter::once(first)
+                .chain(
+                    handles
+                        .into_iter()
+                        .map(|handle| handle.join().expect("supervisor thread panicked")),
+                )
                 .collect()
         });
 
@@ -848,7 +848,10 @@ const RESOLVER_POOL: usize = 16;
 /// [`LazyRegistry::recycle`] and are re-armed with
 /// [`ProfiledResolver::reset`] for the next address, which keeps their
 /// maps, scratch messages and telemetry handles and is otherwise the
-/// resolver `new_shared` builds.
+/// resolver `new_shared` builds. A released resolver is rebuilt for a
+/// query, never for the echo of its own resolution: the R1s its
+/// re-asked Q2s bring back are [`LazyRegistry::fresh_ignores`]d and its
+/// spent upstream timeouts are the simulator's to settle.
 struct PopulationRegistry {
     hosts: HostIndex,
     table: std::sync::Arc<orscope_resolver::ProfileTable>,
@@ -902,6 +905,12 @@ impl LazyRegistry for PopulationRegistry {
         if pool.len() < RESOLVER_POOL {
             pool.push(endpoint);
         }
+    }
+
+    /// Every host here is a [`ProfiledResolver`], and what a fresh one
+    /// ignores is the resolver's to say.
+    fn fresh_ignores(&self, _addr: Ipv4Addr, dgram: &orscope_netsim::Datagram) -> bool {
+        ProfiledResolver::fresh_ignores(&dgram.payload)
     }
 }
 
@@ -970,7 +979,8 @@ impl ShardWorld {
 pub(crate) struct Materialized {
     /// Peak live lazily-materialized hosts.
     pub(crate) peak: usize,
-    /// Materializations, re-materializations of released hosts included.
+    /// Materializations: one for each time an event that mattered found
+    /// its host not live.
     pub(crate) total: u64,
 }
 

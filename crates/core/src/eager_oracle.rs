@@ -5,10 +5,13 @@
 //! the next address (`PopulationRegistry`'s pool). The reference is the
 //! same world with every probed host `register`ed before the scan
 //! starts, as the pipeline originally did: a registered slot is pinned,
-//! so the lazy registry is never consulted and nothing is ever released
-//! or recycled. Reports must not tell the two apart — at any shard
-//! count, in either analysis mode, with or without faults (which pin
-//! materialized hosts and so exercise the other half of the lazy path).
+//! so the lazy registry is never consulted, nothing is ever released or
+//! recycled, and every host is handed every late R1 and spent upstream
+//! timeout that the lazy world settles without building anyone — which
+//! makes this the referee that the skipped work was a no-op. Reports
+//! must not tell the two apart — at any shard count, in either analysis
+//! mode, with or without faults (which pin materialized hosts and so
+//! exercise the other half of the lazy path).
 
 use orscope_analysis::AnalysisMode;
 use orscope_resolver::paper::Year;
@@ -69,8 +72,12 @@ fn lazy_and_eager_render_byte_identical_reports() {
                     "only the lazy world materializes on demand: {context}"
                 );
                 if !eager {
-                    // Far more materializations than hosts ever live at
-                    // once: nearly all of them came out of the pool.
+                    // One materialization per responder (the late R1s
+                    // and spent timers that trail a resolution are
+                    // settled without a host, while the eager world
+                    // hands its hosts every one of them) and only a few
+                    // hosts live at once: nearly all of them came out
+                    // of the pool.
                     assert!(
                         result.materializations() > 10 * result.materialized_hosts() as u64,
                         "the lazy world released and recycled: {context}"

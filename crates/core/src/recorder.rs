@@ -140,6 +140,7 @@ mod tests {
             direction,
             peer: Ipv4Addr::new(9, 9, 9, 9),
             peer_port: 33_000,
+            label: None,
             payload: wire(seq).into(),
         }
     }

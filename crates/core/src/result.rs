@@ -139,10 +139,12 @@ impl CampaignResult {
     }
 
     /// Lazy materializations, summed over shards. A fault-free run
-    /// releases every host that goes quiescent, so a responder is
-    /// materialized again for each later event that finds it released
-    /// (its stale upstream-timeout timers, mostly) and this exceeds
-    /// [`CampaignResult::materialized_hosts`] many times over.
+    /// releases every host that goes quiescent and rebuilds one only
+    /// for an event it would act on — a query; the late R1s and spent
+    /// upstream timeouts that trail a finished resolution are settled
+    /// without a host — so a scan, which asks each responder once,
+    /// materializes each responder once. That is still many times
+    /// [`CampaignResult::materialized_hosts`], the few live at a time.
     pub fn materializations(&self) -> u64 {
         self.materialized.total
     }

@@ -37,7 +37,15 @@ pub trait Endpoint {
     /// [`LazyRegistry::recycle`](crate::LazyRegistry::recycle), which
     /// may re-arm them for another address under the same contract —
     /// which is how a full-scale population runs in a bounded-size host
-    /// table. Default: `false` (never released).
+    /// table.
+    ///
+    /// "Nothing in flight" covers the timers the endpoint armed: one
+    /// that fires after the release finds no host, and the simulator
+    /// counts it fired without rebuilding anyone to hand it to. An
+    /// endpoint that reports `true` therefore promises that a freshly
+    /// built instance ignores every timer token — which holds for any
+    /// endpoint whose timers only ever refer to state it would have
+    /// reported as in flight. Default: `false` (never released).
     fn is_quiescent(&self) -> bool {
         false
     }

@@ -46,6 +46,14 @@ struct HostSlot {
 /// nothing. An endpoint is never offered back while a fault rule pins
 /// it, after an explicit [`SimNet::register`] took its slot over, or
 /// when the simulator itself is dropped.
+///
+/// Released also means nobody is built just to ignore an event. Where
+/// releases happen, a timer due at a covered address with no live host
+/// is counted fired and a datagram the registry declares ignorable
+/// ([`LazyRegistry::fresh_ignores`]) is counted delivered, both
+/// without a call to [`LazyRegistry::materialize`]: every counter reads
+/// as if the host had been rebuilt, handed the event and released
+/// again.
 pub trait LazyRegistry {
     /// Whether `addr` is part of the planned population. The simulator
     /// asks when a datagram for an address it holds no host slot for is
@@ -68,6 +76,34 @@ pub trait LazyRegistry {
     fn recycle(&self, endpoint: Box<dyn Endpoint>) {
         drop(endpoint);
     }
+
+    /// Whether the endpoint [`LazyRegistry::materialize`] would build
+    /// at `addr` ignores `dgram`: handed it as its first event, it
+    /// sends nothing, arms nothing, draws nothing from the simulation's
+    /// RNG, changes nothing a later packet, a capture point or a
+    /// telemetry series could show, and is quiescent afterwards. The
+    /// simulator asks only on the fault-free path, about a datagram
+    /// arriving at a covered address with no live host, and on `true`
+    /// counts it delivered without building anyone to hear it. Only the
+    /// code that defines the endpoint's behaviour can promise this, so
+    /// an implementation forwards the question there. Default: `false`
+    /// (materialize and dispatch).
+    fn fresh_ignores(&self, addr: Ipv4Addr, dgram: &Datagram) -> bool {
+        let _ = (addr, dgram);
+        false
+    }
+}
+
+/// What an event finds at the address it is due at.
+enum Arrival {
+    /// A live host (just materialized, if need be), detached from its
+    /// slot for dispatch.
+    Host(Box<dyn Endpoint>),
+    /// A planned host that is not live and would ignore the event: it
+    /// is counted as handled and nobody is built.
+    Ignored,
+    /// No host, live or planned.
+    Nobody,
 }
 
 /// Builder for [`SimNet`]; see [`SimNet::builder`].
@@ -485,30 +521,56 @@ impl SimNet {
         }
     }
 
-    /// Detaches the endpoint in slot `host`, re-resolving through the
-    /// index when the address was unregistered at enqueue time or the
-    /// captured slot has since been recycled for a different address,
-    /// and falling back to lazy materialization for addresses the
-    /// registry covers.
-    fn take_endpoint(&mut self, host: &mut HostId, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
+    /// Detaches the live endpoint at `addr`, if there is one. `host` is
+    /// the slot captured at enqueue time; it is re-resolved through the
+    /// index when the address had no slot then, or the slot has since
+    /// been released or recycled for a different address. On return it
+    /// names the slot reserved for `addr`, or [`HOST_UNRESOLVED`] when
+    /// none is: an address never registered, or a lazy host since
+    /// released.
+    fn take_live(&mut self, host: &mut HostId, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
+        let current = self
+            .hosts
+            .get(*host as usize)
+            .is_some_and(|slot| slot.addr == addr && (slot.ep.is_some() || !slot.lazy));
+        if !current {
+            // Stale or never-resolved id: one index lookup.
+            *host = self.resolve(addr);
+        }
+        self.hosts.get_mut(*host as usize)?.ep.take()
+    }
+
+    /// Resolves the destination of an event due now at `addr`: a
+    /// datagram (`dgram`) or, without one, a timer.
+    ///
+    /// A reserved slot answers for its address, empty or not (an eager
+    /// host explicitly deregistered stays gone). An address without one
+    /// is the registry's. Where quiescent hosts are released, a host
+    /// that is not live has nothing in flight — it said so when it was
+    /// released, or was never built — so a timer due there is stale by
+    /// construction, and a datagram the registry declares ignorable
+    /// changes nothing either: both are [`Arrival::Ignored`]. Everything
+    /// else addressed to a planned host materializes it.
+    fn arrive(&mut self, host: &mut HostId, addr: Ipv4Addr, dgram: Option<&Datagram>) -> Arrival {
+        if let Some(ep) = self.take_live(host, addr) {
+            return Arrival::Host(ep);
+        }
         if *host != HOST_UNRESOLVED {
-            let slot = &mut self.hosts[*host as usize];
-            if slot.addr == addr {
-                if let Some(ep) = slot.ep.take() {
-                    return Some(ep);
-                }
-                if !slot.lazy {
-                    // Eager slot, explicitly deregistered: stay empty.
-                    return None;
-                }
+            return Arrival::Nobody;
+        }
+        if self.release_quiescent {
+            let ignored = self.lazy.as_ref().is_some_and(|lazy| match dgram {
+                Some(dgram) => lazy.fresh_ignores(addr, dgram),
+                None => lazy.covers(addr),
+            });
+            if ignored {
+                return Arrival::Ignored;
             }
         }
-        // Stale or never-resolved id: one index lookup.
-        *host = self.resolve(addr);
-        if *host != HOST_UNRESOLVED {
-            return self.hosts[*host as usize].ep.take();
+        match self.materialize(addr, host) {
+            Some(ep) => Arrival::Host(ep),
+            None => Arrival::Nobody,
         }
-        self.materialize(addr, host)
     }
 
     /// Builds the endpoint planned at `addr` through the lazy registry,
@@ -588,12 +650,16 @@ impl SimNet {
                 }
                 // Detach the endpoint so the handler can borrow the
                 // context mutably without aliasing the host table.
-                let Some(mut ep) = self.take_endpoint(&mut host, dgram.dst) else {
+                let arrival = self.arrive(&mut host, dgram.dst, Some(&dgram));
+                if matches!(arrival, Arrival::Nobody) {
                     self.stats.unrouted += 1;
                     return true;
-                };
+                }
                 self.stats.delivered += 1;
                 self.stats.bytes_delivered += dgram.payload.len() as u64;
+                let Arrival::Host(mut ep) = arrival else {
+                    return true;
+                };
                 let mut outgoing = std::mem::take(&mut self.scratch_out);
                 let mut timers = std::mem::take(&mut self.scratch_timers);
                 let mut ctx = Context::new(
@@ -622,10 +688,14 @@ impl SimNet {
                     self.stats.faults_injected += 1;
                     return true;
                 }
-                let Some(mut ep) = self.take_endpoint(&mut host, addr) else {
+                let arrival = self.arrive(&mut host, addr, None);
+                if matches!(arrival, Arrival::Nobody) {
+                    return true;
+                }
+                self.stats.timers_fired += 1;
+                let Arrival::Host(mut ep) = arrival else {
                     return true;
                 };
-                self.stats.timers_fired += 1;
                 let mut outgoing = std::mem::take(&mut self.scratch_out);
                 let mut timers = std::mem::take(&mut self.scratch_timers);
                 let mut ctx =
@@ -1072,17 +1142,23 @@ mod lazy_tests {
     }
 
     #[test]
-    fn stale_timer_rematerializes_and_rereleases() {
-        // A timer armed for a registry-covered address materializes the
-        // host when it fires (matching the eager no-op exactly, stats
-        // included), then releases it again.
+    fn a_stale_timer_is_counted_and_builds_nobody() {
+        // A timer due at a registry-covered address with no live host
+        // is stale by construction: it is counted fired, exactly as the
+        // eager no-op would be, and no host is built to ignore it.
         let (mut net, built) = lazy_net(1);
         net.set_timer_for(Ipv4Addr::from(BASE), SimTime::from_secs(1), 42);
         net.run_until_idle();
-        assert_eq!(built.load(Ordering::Relaxed), 1);
+        assert_eq!(built.load(Ordering::Relaxed), 0);
         assert_eq!(net.stats().timers_fired, 1);
+        assert_eq!(net.stats().events, 1);
         assert_eq!(net.host_count(), 0);
-        assert_eq!(net.materialized_total(), 1);
+        assert_eq!(net.materialized_total(), 0);
+        // An address the registry does not plan has nobody to fire at.
+        net.set_timer_for(Ipv4Addr::from(BASE + 1000), SimTime::from_secs(2), 42);
+        net.run_until_idle();
+        assert_eq!(net.stats().timers_fired, 1);
+        assert_eq!(net.stats().events, 2);
     }
 
     /// Echoes like [`QuiescentEcho`] and remembers which
@@ -1136,10 +1212,10 @@ mod lazy_tests {
                 vec![1],
             ));
         }
-        // A stale timer re-materializes its host, which is released
-        // (and offered back) a second time.
+        // A timer that outlives its host's release.
         net.set_timer_for(Ipv4Addr::from(BASE), SimTime::from_secs(1), 42);
         net.run_until_idle();
+        assert_eq!(net.stats().timers_fired, 1);
     }
 
     #[test]
@@ -1151,10 +1227,11 @@ mod lazy_tests {
             .lazy_hosts(registry.clone())
             .build();
         probe_fifty(&mut net);
-        assert_eq!(registry.built.get(), 51);
-        assert_eq!(*registry.returned.borrow(), (0..51).collect::<Vec<u64>>());
+        // One per probe; the stale timer is settled without a host.
+        assert_eq!(registry.built.get(), 50);
+        assert_eq!(*registry.returned.borrow(), (0..50).collect::<Vec<u64>>());
         // The books read as they did when a release was a drop.
-        assert_eq!(net.materialized_total(), 51);
+        assert_eq!(net.materialized_total(), 50);
         assert_eq!(net.materialized_peak(), 1);
         assert_eq!(net.host_count(), 0);
     }
@@ -1197,6 +1274,238 @@ mod lazy_tests {
         // Releases recycle slab slots, so the table never grows past
         // the concurrent working set (plus the infra that isn't lazy).
         assert!(net.materialized_peak() <= 2, "{}", net.materialized_peak());
+    }
+}
+
+/// What is settled without a host, and what still builds one: only an
+/// event at a covered address with no slot, on a fault-free plan, that
+/// the registry vouches a fresh host would ignore.
+#[cfg(test)]
+mod settle_tests {
+    use super::*;
+    use crate::latency::FixedLatency;
+    use std::cell::Cell;
+    use std::rc::Rc;
+    use std::time::Duration;
+
+    const SRC: Ipv4Addr = Ipv4Addr::new(1, 0, 0, 1);
+    /// The one planned address.
+    const HOST: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+
+    /// What the registry and its hosts did, shared with the test.
+    #[derive(Default)]
+    struct Books {
+        built: Cell<u64>,
+        recycled: Cell<u64>,
+        /// Datagrams handled + 100 x timers handled, by any host.
+        handled: Cell<u64>,
+    }
+
+    fn bump(cell: &Cell<u64>, by: u64) {
+        cell.set(cell.get() + by);
+    }
+
+    /// Sends nothing and arms nothing; `quiescent` is fixed at build.
+    struct Listener {
+        books: Rc<Books>,
+        quiescent: bool,
+    }
+    impl Endpoint for Listener {
+        fn handle_datagram(&mut self, _dgram: &Datagram, _ctx: &mut Context<'_>) {
+            bump(&self.books.handled, 1);
+        }
+        fn handle_timer(&mut self, _token: u64, _ctx: &mut Context<'_>) {
+            bump(&self.books.handled, 100);
+        }
+        fn is_quiescent(&self) -> bool {
+            self.quiescent
+        }
+    }
+
+    /// Plans a [`Listener`] at [`HOST`]. With `vouch`, a fresh one is
+    /// declared to ignore payloads carrying the DNS QR bit.
+    struct OneListener {
+        books: Rc<Books>,
+        quiescent: bool,
+        vouch: bool,
+    }
+    impl LazyRegistry for OneListener {
+        fn covers(&self, addr: Ipv4Addr) -> bool {
+            addr == HOST
+        }
+        fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
+            self.covers(addr).then(|| {
+                bump(&self.books.built, 1);
+                Box::new(Listener {
+                    books: self.books.clone(),
+                    quiescent: self.quiescent,
+                }) as Box<dyn Endpoint>
+            })
+        }
+        fn recycle(&self, _endpoint: Box<dyn Endpoint>) {
+            bump(&self.books.recycled, 1);
+        }
+        fn fresh_ignores(&self, _addr: Ipv4Addr, dgram: &Datagram) -> bool {
+            self.vouch && dgram.payload[2] & 0x80 != 0
+        }
+    }
+
+    fn net_with(quiescent: bool, vouch: bool, plan: FaultPlan) -> (SimNet, Rc<Books>) {
+        let books = Rc::new(Books::default());
+        let net = SimNet::builder()
+            .seed(7)
+            .latency(FixedLatency(Duration::from_millis(1)))
+            .faults(plan)
+            .lazy_hosts(OneListener {
+                books: books.clone(),
+                quiescent,
+                vouch,
+            })
+            .build();
+        (net, books)
+    }
+
+    fn query() -> Datagram {
+        Datagram::new((SRC, 9), (HOST, 53), vec![0, 0, 0x01])
+    }
+
+    fn response() -> Datagram {
+        Datagram::new((SRC, 53), (HOST, 40_000), vec![0, 0, 0x81, 0])
+    }
+
+    /// Runs the queue dry and checks that every event was counted as
+    /// exactly one thing. Nothing here is sent to an unplanned address
+    /// and no crash window opens, so every `unrouted` was counted on
+    /// arrival.
+    fn drain(net: &mut SimNet) -> NetStats {
+        net.run_until_idle();
+        let stats = *net.stats();
+        assert_eq!(
+            stats.events,
+            stats.timers_fired + stats.delivered + stats.unrouted
+        );
+        stats
+    }
+
+    #[test]
+    fn a_vouched_for_datagram_to_a_released_host_is_delivered_to_nobody() {
+        let (mut net, books) = net_with(true, true, FaultPlan::seeded(7));
+        net.inject(query());
+        drain(&mut net);
+        assert_eq!((books.built.get(), books.recycled.get()), (1, 1));
+        net.inject(response());
+        let stats = drain(&mut net);
+        assert_eq!((stats.delivered, stats.bytes_delivered), (2, 3 + 4));
+        assert_eq!(stats.events, 2);
+        assert_eq!(books.handled.get(), 1, "nobody heard the response");
+        assert_eq!((books.built.get(), books.recycled.get()), (1, 1));
+        assert_eq!(net.materialized_total(), 1);
+        assert_eq!(net.host_count(), 0);
+        // The same holds for a host that was never built at all.
+        let (mut net, books) = net_with(true, true, FaultPlan::seeded(7));
+        net.inject(response());
+        let stats = drain(&mut net);
+        assert_eq!((stats.delivered, stats.bytes_delivered), (1, 4));
+        assert_eq!((books.built.get(), books.handled.get()), (0, 0));
+    }
+
+    #[test]
+    fn without_the_registrys_word_the_host_is_rebuilt_to_hear_it() {
+        let (mut net, books) = net_with(true, false, FaultPlan::seeded(7));
+        net.inject(query());
+        net.inject(response());
+        let stats = drain(&mut net);
+        assert_eq!((stats.delivered, stats.bytes_delivered), (2, 3 + 4));
+        assert_eq!(books.handled.get(), 2);
+        assert_eq!((books.built.get(), books.recycled.get()), (2, 2));
+        assert_eq!(net.materialized_total(), 2);
+        assert_eq!(net.host_count(), 0);
+    }
+
+    #[test]
+    fn a_query_to_a_released_host_rebuilds_it_whatever_the_registry_vouches() {
+        let (mut net, books) = net_with(true, true, FaultPlan::seeded(7));
+        net.inject(query());
+        drain(&mut net);
+        net.inject(query());
+        let stats = drain(&mut net);
+        assert_eq!(stats.delivered, 2);
+        assert_eq!(books.handled.get(), 2);
+        assert_eq!((books.built.get(), books.recycled.get()), (2, 2));
+    }
+
+    #[test]
+    fn a_live_host_hears_its_timers_and_every_datagram() {
+        // Never quiescent, so never released: nothing is stale.
+        let (mut net, books) = net_with(false, true, FaultPlan::seeded(7));
+        net.inject(query());
+        drain(&mut net);
+        assert_eq!(net.host_count(), 1);
+        net.inject(response());
+        net.set_timer_for(HOST, SimTime::from_secs(1), 42);
+        let stats = drain(&mut net);
+        assert_eq!((stats.delivered, stats.timers_fired), (2, 1));
+        assert_eq!(books.handled.get(), 102);
+        assert_eq!((books.built.get(), books.recycled.get()), (1, 0));
+    }
+
+    #[test]
+    fn an_eager_host_at_a_planned_address_hears_everything() {
+        let (mut net, books) = net_with(true, true, FaultPlan::seeded(7));
+        net.register(
+            HOST,
+            Listener {
+                books: books.clone(),
+                quiescent: true,
+            },
+        );
+        net.inject(response());
+        net.set_timer_for(HOST, SimTime::from_secs(1), 42);
+        let stats = drain(&mut net);
+        assert_eq!((stats.delivered, stats.timers_fired), (1, 1));
+        assert_eq!(books.handled.get(), 101);
+        assert_eq!(books.built.get(), 0, "eager shadows the registry");
+        assert_eq!(net.host_count(), 1);
+    }
+
+    #[test]
+    fn a_deregistered_eager_slot_stays_unrouted_on_arrival() {
+        let (mut net, books) = net_with(true, true, FaultPlan::seeded(7));
+        net.register(
+            HOST,
+            Listener {
+                books: books.clone(),
+                quiescent: true,
+            },
+        );
+        net.deregister(HOST);
+        net.inject(response());
+        assert_eq!(net.stats().unrouted, 0, "it travels");
+        let stats = drain(&mut net);
+        assert_eq!((stats.delivered, stats.unrouted), (0, 1));
+        assert_eq!((books.built.get(), books.handled.get()), (0, 0));
+    }
+
+    #[test]
+    fn under_any_fault_rule_nothing_is_settled_without_its_host() {
+        // Hosts are pinned, so "not live" means "never built" — and a
+        // first event builds its host, as it always did.
+        let plan = FaultPlan::seeded(7).with_rule(FaultRule::always(
+            FaultScope::All,
+            FaultKind::Loss { probability: 0.0 },
+        ));
+        let (mut net, books) = net_with(true, true, plan.clone());
+        net.inject(response());
+        let stats = drain(&mut net);
+        assert_eq!(stats.delivered, 1);
+        assert_eq!((books.built.get(), books.handled.get()), (1, 1));
+        assert_eq!((books.recycled.get(), net.host_count()), (0, 1));
+        let (mut net, books) = net_with(true, true, plan);
+        net.set_timer_for(HOST, SimTime::from_secs(1), 42);
+        let stats = drain(&mut net);
+        assert_eq!(stats.timers_fired, 1);
+        assert_eq!((books.built.get(), books.handled.get()), (1, 100));
+        assert_eq!((books.recycled.get(), net.host_count()), (0, 1));
     }
 }
 

@@ -794,11 +794,34 @@ impl Endpoint for ProfiledResolver {
         // release lazily materialized hosts after each event, and the
         // registry that takes them back re-arms them with
         // [`ProfiledResolver::reset`] under the same argument.
+        //
+        // Quiescent also means no timer matters any more: `handle_timer`
+        // returns at once for a token that names nothing in flight, so
+        // a fresh resolver ignores every one (the promise
+        // `Endpoint::is_quiescent` asks for).
         self.pending.is_empty() && self.forward_pending.is_empty()
     }
 }
 
 impl ProfiledResolver {
+    /// Whether a resolver with nothing in flight — fresh from
+    /// [`ProfiledResolver::new_shared`] or [`ProfiledResolver::reset`],
+    /// whatever its policy — ignores `payload`: sends nothing, arms
+    /// nothing, counts nothing, and is still quiescent afterwards.
+    ///
+    /// True for anything carrying the DNS QR (response) bit. If such a
+    /// payload decodes, `handle_datagram` routes it to
+    /// `on_upstream_response`, which looks its id up in the empty
+    /// `forward_pending` and `pending` maps and returns before touching
+    /// a counter, so the stats delta published afterwards is zero; if
+    /// it does not decode it is dropped earlier still. Queries are
+    /// never ignorable: even a silent policy counts one. The lazy
+    /// registry asks this before rebuilding a released resolver for the
+    /// duplicate R1s its re-asked Q2s bring back.
+    pub fn fresh_ignores(payload: &[u8]) -> bool {
+        payload.get(2).is_some_and(|flags| flags & 0x80 != 0)
+    }
+
     /// Handles the upstream timeout of in-flight transaction `txn`.
     fn on_timer(&mut self, txn: u16, ctx: &mut Context<'_>) {
         if let Some((client, client_id)) = self.forward_pending.remove(&txn) {
@@ -2024,5 +2047,187 @@ mod reset_tests {
             with_resolver(&mut used, |r| r.stats()),
             with_resolver(&mut reference, |r| r.stats()),
         );
+    }
+}
+
+/// [`ProfiledResolver::fresh_ignores`] is exactly "a fresh resolver is
+/// inert": the referee of the host the simulator no longer builds.
+#[cfg(test)]
+mod fresh_ignores_tests {
+    use super::*;
+    use orscope_authns::ProbeLabel;
+    use orscope_netsim::{FixedLatency, SimNet};
+    use orscope_telemetry::Collector;
+    use std::sync::Arc;
+
+    const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
+    const UPSTREAM: Ipv4Addr = Ipv4Addr::new(8, 8, 8, 8);
+    const RESOLVER: Ipv4Addr = Ipv4Addr::new(74, 0, 0, 1);
+    const PEER: Ipv4Addr = Ipv4Addr::new(131, 94, 0, 9);
+
+    /// SplitMix64, the house generator for seeded sweeps.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// One resolver per action kind: recursive, forwarding, immediate
+    /// (a refusal and a redirect) and silent.
+    fn policies() -> Vec<ResponsePolicy> {
+        vec![
+            ResponsePolicy::honest(),
+            ResponsePolicy::forwarder(UPSTREAM),
+            ResponsePolicy::refusing(),
+            ResponsePolicy::malicious(
+                Ipv4Addr::new(208, 91, 197, 91),
+                true,
+                false,
+                orscope_threatintel::Category::Malware,
+            ),
+            ResponsePolicy {
+                action: ResponseAction::Silent,
+                malicious_category: None,
+                version_banner: None,
+            },
+        ]
+    }
+
+    /// Arbitrary bytes, a valid query, a valid response, or either of
+    /// the latter with a few bytes overwritten.
+    fn payload(rng: &mut Rng) -> Vec<u8> {
+        let zone: Name = "ucfsealresearch.net".parse().unwrap();
+        let qname = ProbeLabel::new(rng.below(1000) as u32, rng.below(5_000_000)).qname(&zone);
+        let query = Message::query(rng.next() as u16, Question::a(qname.clone()));
+        let response = Message::builder()
+            .response_to(&query)
+            .answer(Record::in_class(
+                qname,
+                60,
+                RData::A(Ipv4Addr::from(rng.next() as u32)),
+            ))
+            .build();
+        let mut wire = match rng.below(5) {
+            0 => {
+                let len = rng.below(40) as usize;
+                return (0..len).map(|_| rng.next() as u8).collect();
+            }
+            1 | 2 => query.encode().unwrap(),
+            _ => response.encode().unwrap(),
+        };
+        if rng.below(2) == 0 {
+            for _ in 0..1 + rng.below(3) {
+                let at = rng.below(wire.len() as u64) as usize;
+                wire[at] = rng.next() as u8;
+            }
+        }
+        wire
+    }
+
+    fn with_resolver<R>(net: &mut SimNet, f: impl FnOnce(&mut ProfiledResolver) -> R) -> R {
+        net.with_host(RESOLVER, |ep| {
+            f(ep.as_any_mut()
+                .and_then(|any| any.downcast_mut::<ProfiledResolver>())
+                .expect("the resolver under test"))
+        })
+        .expect("registered")
+    }
+
+    /// The resolver has shown no sign of life: it sent nothing (every
+    /// datagram on the books is one the test injected), armed nothing
+    /// (every event is one the test queued), counted nothing, published
+    /// nothing, and holds nothing in flight.
+    fn assert_inert(net: &mut SimNet, collector: &Collector, queued: u64, context: &str) {
+        net.run_until_idle();
+        let stats = *net.stats();
+        assert_eq!(stats.events, queued, "armed a timer: {context}");
+        assert_eq!(stats.sent, stats.delivered, "sent a datagram: {context}");
+        let (resolver_stats, quiescent) = with_resolver(net, |r| (r.stats(), r.is_quiescent()));
+        assert_eq!(resolver_stats, ResolverStats::default(), "{context}");
+        assert!(quiescent, "{context}");
+        let snapshot = collector.snapshot();
+        assert!(
+            snapshot.counters.values().all(|c| c.value == 0)
+                && snapshot.histograms.values().all(|h| h.count == 0),
+            "published telemetry: {context}"
+        );
+    }
+
+    #[test]
+    fn what_fresh_ignores_accepts_a_fresh_resolver_ignores() {
+        let mut rng = Rng(0xEC40);
+        for policy in policies() {
+            let policy = Arc::new(policy);
+            let collector = Collector::new();
+            let telemetry = ResolverTelemetry::from_collector(&collector);
+            let fresh = || {
+                ProfiledResolver::new_shared(policy.clone(), ResolverConfig::new(ROOT))
+                    .with_telemetry(telemetry.clone())
+            };
+            let mut net = SimNet::builder()
+                .seed(3)
+                .latency(FixedLatency(Duration::from_millis(1)))
+                .build();
+            net.register(RESOLVER, fresh());
+            let mut queued = 0u64;
+            let (mut ignorable, mut decoded_responses) = (0, 0);
+            for case in 0..1500u32 {
+                let wire = payload(&mut rng);
+                if !ProfiledResolver::fresh_ignores(&wire) {
+                    continue;
+                }
+                ignorable += 1;
+                decoded_responses += u32::from(Message::decode(&wire).is_ok());
+                // Alternately a resolver built from nothing and a
+                // recycled one re-armed in place.
+                if case % 2 == 0 {
+                    net.register(RESOLVER, fresh());
+                } else {
+                    with_resolver(&mut net, |r| r.reset(policy.clone()));
+                }
+                for port in [53, 32_768 + (rng.next() as u16 & 0x3FFF)] {
+                    net.inject(Datagram::new((PEER, 53), (RESOLVER, port), wire.clone()));
+                    queued += 1;
+                    let context = format!("{:?} port {port} {wire:02x?}", policy.action);
+                    assert_inert(&mut net, &collector, queued, &context);
+                }
+            }
+            assert!(ignorable > 300 && decoded_responses > 100);
+            assert!(ignorable - decoded_responses > 50, "undecodable ones too");
+            // And no timer token wakes a resolver with nothing in flight.
+            for _ in 0..200 {
+                let token = match rng.below(3) {
+                    0 => rng.below(70_000),
+                    _ => rng.next(),
+                };
+                let at = net.now();
+                net.set_timer_for(RESOLVER, at, token);
+                queued += 1;
+                assert_inert(&mut net, &collector, queued, &format!("timer {token}"));
+            }
+            assert_eq!(net.stats().timers_fired, 200);
+        }
+    }
+
+    #[test]
+    fn fresh_ignores_is_the_qr_bit() {
+        let query = Message::query(7, Question::a("x.example".parse().unwrap()));
+        let mut response = query.clone();
+        response.header_mut().set_response(true);
+        assert!(!ProfiledResolver::fresh_ignores(&query.encode().unwrap()));
+        assert!(ProfiledResolver::fresh_ignores(&response.encode().unwrap()));
+        // Too short to carry the bit: not vouched for (and dropped as
+        // undecodable by whoever is built to hear it).
+        assert!(!ProfiledResolver::fresh_ignores(&[]));
+        assert!(!ProfiledResolver::fresh_ignores(&[0xFF, 0xFF]));
+        assert!(ProfiledResolver::fresh_ignores(&[0, 0, 0x80]));
     }
 }
