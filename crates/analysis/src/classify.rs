@@ -165,8 +165,8 @@ fn extract_answer(msg: &Message) -> AnswerKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use orscope_dns_wire::{Name, Question, Record};
+    use orscope_netsim::Payload;
 
     fn zone() -> Name {
         "ucfsealresearch.net".parse().unwrap()
@@ -179,7 +179,7 @@ mod tests {
             qname: label.qname(&zone()),
             at: SimTime::from_secs(1),
             sent_at: SimTime::ZERO,
-            payload: Bytes::from(payload),
+            payload: Payload::from(payload),
         }
     }
 
@@ -292,7 +292,7 @@ mod tests {
             qname: "x".parse().unwrap(),
             at: SimTime::ZERO,
             sent_at: SimTime::ZERO,
-            payload: Bytes::from_static(&[0xDE, 0xAD]),
+            payload: Payload::from(vec![0xDE, 0xAD]),
         };
         assert!(classify(&cap).is_none());
     }

@@ -170,10 +170,9 @@ fn sort_captures(captures: &mut [R2Capture]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use orscope_authns::scheme::ProbeLabel;
     use orscope_dns_wire::{Message, Name, Question};
-    use orscope_netsim::SimTime;
+    use orscope_netsim::{Payload, SimTime};
     use std::net::Ipv4Addr;
 
     fn capture(label: ProbeLabel, empty_question: bool) -> R2Capture {
@@ -189,7 +188,7 @@ mod tests {
             qname: label.qname(&zone),
             at: SimTime::from_secs(1),
             sent_at: SimTime::ZERO,
-            payload: Bytes::from(resp.encode().unwrap()),
+            payload: Payload::from(resp.encode().unwrap()),
         }
     }
 

@@ -521,10 +521,9 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use bytes::Bytes;
     use orscope_dns_wire::Message;
+    use orscope_netsim::Payload;
     use orscope_prober::R2Capture;
-    use proptest::prelude::*;
 
     use crate::classify::classify;
 
@@ -540,7 +539,7 @@ mod tests {
             qname: label.qname(&zone()),
             at: SimTime::from_nanos(recv_ms * 1_000_000),
             sent_at: SimTime::from_nanos(sent_ms * 1_000_000),
-            payload: Bytes::from(query.encode().unwrap()),
+            payload: Payload::from(query.encode().unwrap()),
         }
     }
 
@@ -561,7 +560,7 @@ mod tests {
             peer,
             peer_port: 33_000,
             label: None,
-            payload: Bytes::from(query.encode().unwrap()),
+            payload: Payload::from(query.encode().unwrap()),
         }
     }
 
@@ -707,31 +706,32 @@ mod tests {
         out
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Any interleaving of R2/Q2/R1 folds (R1 before Q2, R2 first,
-        /// last or never, fan-out from 0 into the seventies) and foreign
-        /// packets, split over 1-4 tables absorbed in every order, joins
-        /// to the timelines a map of plain vectors keeps — whether a
-        /// server packet arrives with its label stamped on it, as the
-        /// capture point hands it over, or bare, as a replayed log does.
-        #[test]
-        fn join_matches_a_naive_map_of_vectors(
-            tables in 1usize..5,
-            ops in prop::collection::vec((0u8..17, 0u64..12, any::<u64>(), 0usize..8), 0..900),
-        ) {
+    /// Any interleaving of R2/Q2/R1 folds (R1 before Q2, R2 first,
+    /// last or never, fan-out from 0 into the seventies) and foreign
+    /// packets, split over 1-4 tables absorbed in every order, joins
+    /// to the timelines a map of plain vectors keeps — whether a
+    /// server packet arrives with its label stamped on it, as the
+    /// capture point hands it over, or bare, as a replayed log does.
+    #[test]
+    fn join_matches_a_naive_map_of_vectors() {
+        orscope_check::cases(64, |rng| {
+            let tables = rng.range(1..5);
             let mut naive: BTreeMap<ProbeLabel, NaiveFlow> = BTreeMap::new();
             let mut naive_foreign = 0u64;
             let mut parts = vec![(FlowTable::default(), 0u64); tables];
-            for &(kind, seq, at, part) in &ops {
+            for _ in 0..rng.range(0..900) {
+                let (kind, seq) = (rng.range(0u8..17), rng.range(0u64..12));
                 // Squaring skews the labels: a few busy flows, some
                 // nearly idle ones.
                 let label = ProbeLabel::new((seq % 2) as u32, seq * seq / 12);
-                let at = SimTime::from_nanos(at);
-                let stamped = part >= 4;
-                let (part, foreign) = &mut parts[part % tables];
-                let direction = if kind <= 8 { Direction::Inbound } else { Direction::Outbound };
+                let at = SimTime::from_nanos(rng.next_u64());
+                let stamped = rng.bool();
+                let (part, foreign) = &mut parts[rng.range(0..tables)];
+                let direction = if kind <= 8 {
+                    Direction::Inbound
+                } else {
+                    Direction::Outbound
+                };
                 match kind {
                     0 => {
                         let r2_at = SimTime::from_nanos(sent_at_of(label).as_nanos() + 7);
@@ -753,7 +753,11 @@ mod tests {
                     _ => {
                         // Not a probe name, under the zone or outside
                         // it: never stamped, counted, no flow.
-                        let qname = if stamped { "www.ucfsealresearch.net" } else { "example.com" };
+                        let qname = if stamped {
+                            "www.ucfsealresearch.net"
+                        } else {
+                            "example.com"
+                        };
                         let packet =
                             auth_for(qname.parse().unwrap(), at, direction, resolver_of(label));
                         part.fold_auth(foreign, &packet, &zone());
@@ -772,28 +776,28 @@ mod tests {
                     foreign += parts[next].1;
                 }
                 let flows = merged.finish(foreign);
-                prop_assert_eq!(flows.foreign_auth_packets, naive_foreign);
-                prop_assert_eq!(flows.len(), naive.len());
+                assert_eq!(flows.foreign_auth_packets, naive_foreign);
+                assert_eq!(flows.len(), naive.len());
                 for (flow, (label, want)) in flows.iter().zip(&naive) {
-                    prop_assert_eq!(flow.label(), *label);
+                    assert_eq!(flow.label(), *label);
                     let got = NaiveFlow {
                         r2: flow.r2_at().is_some(),
                         q2_at: flow.q2_at(),
                         r1_at: flow.r1_at(),
                     };
-                    prop_assert_eq!(&got, want, "order {:?}", order);
-                    prop_assert_eq!(flow.q1_at(), want.r2.then(|| sent_at_of(*label)));
-                    prop_assert_eq!(flow.recursed(), !want.q2_at.is_empty());
+                    assert_eq!(&got, want, "order {order:?}");
+                    assert_eq!(flow.q1_at(), want.r2.then(|| sent_at_of(*label)));
+                    assert_eq!(flow.recursed(), !want.q2_at.is_empty());
                     let known = want.r2 || flow.recursed();
-                    prop_assert_eq!(flow.resolver(), known.then(|| resolver_of(*label)));
+                    assert_eq!(flow.resolver(), known.then(|| resolver_of(*label)));
                 }
                 let recursed = naive.values().filter(|f| !f.q2_at.is_empty()).count();
-                prop_assert_eq!(flows.recursed_count(), recursed as u64);
+                assert_eq!(flows.recursed_count(), recursed as u64);
                 let q2: usize = naive.values().map(|f| f.q2_at.len()).sum();
                 if recursed > 0 {
-                    prop_assert_eq!(flows.mean_q2_fanout(), q2 as f64 / recursed as f64);
+                    assert_eq!(flows.mean_q2_fanout(), q2 as f64 / recursed as f64);
                 }
             }
-        }
+        });
     }
 }

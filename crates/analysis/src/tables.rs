@@ -1234,9 +1234,8 @@ impl fmt::Display for AmplificationTable {
 #[cfg(test)]
 mod amplification_tests {
     use super::*;
-    use bytes::Bytes;
     use orscope_authns::scheme::ProbeLabel;
-    use orscope_netsim::SimTime;
+    use orscope_netsim::{Payload, SimTime};
     use orscope_prober::R2Capture;
     use orscope_resolver::paper::Year;
 
@@ -1249,7 +1248,7 @@ mod amplification_tests {
             qname: ProbeLabel::new(0, seq).qname(&zone),
             at: SimTime::ZERO,
             sent_at: SimTime::ZERO,
-            payload: Bytes::from(vec![0u8; payload_len]),
+            payload: Payload::from(vec![0u8; payload_len]),
         };
         // Query size for these names: 12 + 35 (qname wire) + 4 = 51.
         let ds = Dataset::from_captures(

@@ -5,12 +5,11 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::Bytes;
 use orscope_analysis::tables::{Table2, Table3, Table4, Table5, Table6, Table7};
 use orscope_analysis::Dataset;
 use orscope_authns::scheme::{ground_truth, ProbeLabel};
 use orscope_dns_wire::{Message, Name, Question, RData, Rcode, Record};
-use orscope_netsim::SimTime;
+use orscope_netsim::{Payload, SimTime};
 use orscope_prober::{ProbeStats, R2Capture};
 use orscope_resolver::paper::Year;
 
@@ -68,7 +67,7 @@ fn capture(label: ProbeLabel, target: Ipv4Addr, at_ms: u64, shape: Shape) -> R2C
         qname,
         at: SimTime::from_nanos(at_ms * 1_000_000),
         sent_at: SimTime::ZERO,
-        payload: Bytes::from(response.encode().unwrap()),
+        payload: Payload::from(response.encode().unwrap()),
     }
 }
 

@@ -7,13 +7,12 @@
 //! render every table byte-identically to classifying the buffered
 //! captures through [`Dataset`].
 //!
-//! The property logic lives in plain seeded helpers so it runs as a
-//! deterministic sweep everywhere; the `proptest` harness at the bottom
-//! widens the seed space where the full crate is available.
+//! The property logic lives in plain seeded helpers: a fixed sweep of
+//! small seeds, and a wider draw of seeds and shard counts at the
+//! bottom.
 
 use std::net::Ipv4Addr;
 
-use bytes::Bytes;
 use orscope_analysis::tables::{
     AmplificationTable, AsnTable, CountryTable, EmptyQuestionReport, Table10, Table3, Table4,
     Table5, Table6, Table7, Table8, Table9,
@@ -21,34 +20,13 @@ use orscope_analysis::tables::{
 use orscope_analysis::{Dataset, FlowSet, RecordSink, StreamingAnalyzer};
 use orscope_authns::scheme::{ground_truth, ProbeLabel};
 use orscope_authns::{CapturedPacket, Direction};
+use orscope_check::Rng;
 use orscope_dns_wire::{Message, Name, Question, RData, Rcode, Record};
 use orscope_geo::{GeoDb, GeoRecord};
-use orscope_netsim::SimTime;
+use orscope_netsim::{Payload, SimTime};
 use orscope_prober::{ProbeStats, R2Capture};
 use orscope_resolver::paper::Year;
 use orscope_threatintel::{Category, ThreatDb};
-
-/// SplitMix64: a tiny deterministic generator so the sweep needs no
-/// RNG dependency and reproduces exactly from a seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn chance(&mut self, percent: u64) -> bool {
-        self.below(100) < percent
-    }
-}
 
 fn zone() -> Name {
     "ucfsealresearch.net".parse().unwrap()
@@ -111,13 +89,13 @@ enum Shape {
 }
 
 fn random_shape(rng: &mut Rng) -> Shape {
-    match rng.below(9) {
+    match rng.range(0..9) {
         0 | 1 => Shape::Correct,
-        2 | 3 => Shape::WrongIp(rng.below(WRONG_IPS.len() as u64) as usize),
-        4 => Shape::Url(rng.below(3) as usize),
-        5 => Shape::Str(rng.below(3) as usize),
+        2 | 3 => Shape::WrongIp(rng.range(0..WRONG_IPS.len())),
+        4 => Shape::Url(rng.range(0..3)),
+        5 => Shape::Str(rng.range(0..3)),
         6 => Shape::Refused,
-        7 => match rng.below(3) {
+        7 => match rng.range(0..3) {
             0 => Shape::NxDomain,
             1 => Shape::EmptyQuestion,
             _ => Shape::Malformed,
@@ -201,11 +179,13 @@ fn capture(
         qname,
         at: SimTime::from_nanos(at_ms * 1_000_000),
         sent_at: SimTime::from_nanos(at_ms * 1_000_000 / 2),
-        payload: Bytes::from(payload),
+        payload: Payload::from(payload),
     }
 }
 
 /// One event in a shard's capture-time stream.
+// A few dozen per generated stream; the size gap is not worth a `Box`.
+#[allow(clippy::large_enum_variant)]
 enum Event {
     R2(R2Capture),
     Auth(CapturedPacket),
@@ -230,7 +210,7 @@ fn auth_packet(qname: &Name, direction: Direction, peer: Ipv4Addr, at_ms: u64) -
         peer,
         peer_port: 53,
         label: None,
-        payload: Bytes::from(payload),
+        payload: Payload::from(payload),
     }
 }
 
@@ -238,15 +218,15 @@ fn auth_packet(qname: &Name, direction: Direction, peer: Ipv4Addr, at_ms: u64) -
 /// splits mirror the campaign's disjoint cluster ranges) keyed for
 /// sharding, plus the flat capture/auth lists the batch oracle reads.
 fn generate(seed: u64) -> Vec<(u32, Event)> {
-    let mut rng = Rng(seed);
-    let n = 6 + rng.below(48);
+    let mut rng = Rng::new(seed);
+    let n = rng.range(6u64..54);
     let mut events = Vec::new();
     for i in 0..n {
         let cluster = (i / 6) as u32;
         let label = ProbeLabel::new(cluster, i % 6);
-        let band = (rng.below(4)) as u8;
+        let band = rng.range(0u8..4);
         let resolver = Ipv4Addr::new(10, 0, band, (i % 250) as u8 + 1);
-        let at_ms = 100 + rng.below(5_000);
+        let at_ms = rng.range(100u64..5_100);
         let shape = random_shape(&mut rng);
         let (ra, aa) = (rng.chance(60), rng.chance(30));
         events.push((
@@ -258,7 +238,7 @@ fn generate(seed: u64) -> Vec<(u32, Event)> {
         if rng.chance(50) {
             let qname = label.qname(&zone());
             let upstream = Ipv4Addr::new(10, 0, band, 200 + (i % 50) as u8);
-            for hop in 0..1 + rng.below(3) {
+            for hop in 0..rng.range(1u64..=3) {
                 events.push((
                     cluster,
                     Event::Auth(auth_packet(
@@ -282,7 +262,7 @@ fn generate(seed: u64) -> Vec<(u32, Event)> {
     }
     // Foreign auth traffic: qnames outside the measurement zone.
     let foreign: Name = "stray.example.com".parse().unwrap();
-    for f in 0..rng.below(4) {
+    for f in 0..rng.range(0u64..4) {
         let cluster = (f % (n / 6 + 1)) as u32;
         events.push((
             cluster,
@@ -375,7 +355,7 @@ fn streaming_fingerprint(
     let mut analyzers: Vec<StreamingAnalyzer> = (0..shards)
         .map(|_| StreamingAnalyzer::new(zone(), false))
         .collect();
-    for shard in 0..shards {
+    for (shard, analyzer) in analyzers.iter_mut().enumerate() {
         let mut stream: Vec<&Event> = events
             .iter()
             .filter(|(cluster, _)| *cluster as usize % shards == shard)
@@ -384,16 +364,16 @@ fn streaming_fingerprint(
         stream.sort_by_key(|e| e.at());
         for event in stream {
             match event {
-                Event::R2(c) => analyzers[shard].on_r2(c),
-                Event::Auth(p) => analyzers[shard].on_auth(p),
+                Event::R2(c) => analyzer.on_r2(c),
+                Event::Auth(p) => analyzer.on_auth(p),
             }
         }
     }
     // Merge in an arbitrary order: shard completion order must not show.
-    let mut rng = Rng(perm_seed);
+    let mut rng = Rng::new(perm_seed);
     let mut merged = StreamingAnalyzer::new(zone(), false);
     while !analyzers.is_empty() {
-        let pick = rng.below(analyzers.len() as u64) as usize;
+        let pick = rng.range(0..analyzers.len());
         merged.absorb(analyzers.swap_remove(pick));
     }
     format!(
@@ -497,12 +477,9 @@ fn retain_raw_keeps_the_stream_for_pcap_export() {
     assert!(analyzer.take_raw().is_empty(), "take_raw drains");
 }
 
-proptest::proptest! {
-    #[test]
-    fn streaming_equals_batch_on_arbitrary_streams(
-        seed in 0u64..1_000_000,
-        shards in 1usize..4,
-    ) {
-        check_equivalence(seed, shards);
-    }
+#[test]
+fn streaming_equals_batch_on_arbitrary_streams() {
+    orscope_check::cases(256, |rng| {
+        check_equivalence(rng.range(0..1_000_000), rng.range(1..4));
+    });
 }

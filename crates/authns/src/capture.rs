@@ -7,9 +7,8 @@ use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use bytes::Bytes;
 use orscope_dns_wire::Name;
-use orscope_netsim::{Datagram, SimTime};
+use orscope_netsim::{Datagram, Payload, SimTime};
 
 use crate::scheme::ProbeLabel;
 
@@ -30,7 +29,7 @@ pub struct R2Capture {
     pub sent_at: SimTime,
     /// Raw response payload (kept raw: the analysis side re-decodes,
     /// including the malformed packets).
-    pub payload: Bytes,
+    pub payload: Payload,
 }
 
 /// Direction of a captured packet relative to the capturing host.
@@ -63,7 +62,7 @@ pub struct CapturedPacket {
     /// the label reads the payload itself. Never serialized.
     pub label: Option<ProbeLabel>,
     /// Raw UDP payload.
-    pub payload: Bytes,
+    pub payload: Payload,
 }
 
 /// A consumer of capture-time packets: the prober feeds R2 responses,

@@ -128,7 +128,7 @@ macro_rules! delegation_endpoint {
                         .encode_truncated_into(query.response_size_limit(), &mut self.scratch)
                         .is_ok()
                     {
-                        ctx.send(dgram.reply(bytes::Bytes::copy_from_slice(&self.scratch)));
+                        ctx.send(dgram.reply(self.scratch.as_slice()));
                     }
                     self.outbound = response;
                 }

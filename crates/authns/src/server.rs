@@ -280,7 +280,7 @@ impl Endpoint for AuthoritativeServer {
         if encoded.is_err() {
             return;
         }
-        let reply = dgram.reply(bytes::Bytes::copy_from_slice(&self.scratch));
+        let reply = dgram.reply(self.scratch.as_slice());
         // Every response echoes the question section it was asked, so
         // the R1 carries the label of its Q2 (and none when that had
         // none: the FormErrs echo no question).

@@ -18,7 +18,6 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::Bytes;
 use orscope_analysis::tables::{
     AmplificationTable, AsnTable, CountryTable, EmptyQuestionReport, Table10, Table3, Table4,
     Table5, Table6, Table7, Table8, Table9,
@@ -29,30 +28,13 @@ use orscope_authns::{CapturedPacket, Direction};
 use orscope_bench::alloc::{peak_above, reset_peak, CountingAlloc};
 use orscope_dns_wire::{Message, Name, Question, RData, Rcode, Record};
 use orscope_geo::{GeoDb, GeoRecord};
-use orscope_netsim::SimTime;
+use orscope_netsim::{Payload, SimTime};
 use orscope_prober::{ProbeStats, R2Capture};
 use orscope_resolver::paper::Year;
 use orscope_threatintel::{Category, ThreatDb};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// SplitMix64, so both arms replay the identical stream from a seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 fn zone() -> Name {
     "ucfsealresearch.net".parse().unwrap()
@@ -86,6 +68,9 @@ fn geo_db() -> GeoDb {
 }
 
 /// One event of the capture stream, in capture-time order.
+// Built, handed to the consumer and dropped one at a time: boxing the
+// R2 arm would add an allocation to the very count this bench takes.
+#[allow(clippy::large_enum_variant)]
 enum Event {
     R2(R2Capture),
     Auth(CapturedPacket),
@@ -97,21 +82,21 @@ enum Event {
 /// is identical across arms; only what the consumer retains differs.
 fn replay(seed: u64, responses: u64, mut consume: impl FnMut(Event)) {
     let zone = zone();
-    let mut rng = Rng(seed);
+    let mut rng = orscope_check::Rng::new(seed);
     for i in 0..responses {
         let label = ProbeLabel::new((i % 1000) as u32, i / 1000);
         let qname = label.qname(&zone);
         let resolver = Ipv4Addr::new(10, (i >> 16) as u8, (i >> 8) as u8, i as u8);
-        let at_ms = 100 + rng.below(600_000);
+        let at_ms = rng.range(100u64..600_100);
         let query = Message::query(1, Question::a(qname.clone()));
         let mut builder = Message::builder()
             .response_to(&query)
-            .recursion_available(rng.below(100) < 80);
+            .recursion_available(rng.chance(80));
         // A realistic answer section: the honest majority echo the
         // ground truth plus the zone's full NS delegation set with glue
         // (the shape that makes open resolvers amplifiers); a slice
         // redirect to the wrong-IP pool; a few refuse.
-        let shape = rng.below(100);
+        let shape = rng.range(0..100);
         if shape < 78 {
             builder = builder.answer(Record::in_class(
                 qname.clone(),
@@ -155,7 +140,7 @@ fn replay(seed: u64, responses: u64, mut consume: impl FnMut(Event)) {
                     peer: upstream,
                     peer_port: 53,
                     label: None,
-                    payload: Bytes::from(q2.clone()),
+                    payload: Payload::from(q2.clone()),
                 }));
             }
             consume(Event::Auth(CapturedPacket {
@@ -164,7 +149,7 @@ fn replay(seed: u64, responses: u64, mut consume: impl FnMut(Event)) {
                 peer: upstream,
                 peer_port: 53,
                 label: None,
-                payload: Bytes::from(q2),
+                payload: Payload::from(q2),
             }));
         }
         consume(Event::R2(R2Capture {
@@ -173,7 +158,7 @@ fn replay(seed: u64, responses: u64, mut consume: impl FnMut(Event)) {
             qname,
             at: SimTime::from_nanos(at_ms * 1_000_000),
             sent_at: SimTime::from_nanos(at_ms * 500_000),
-            payload: Bytes::from(payload),
+            payload: Payload::from(payload),
         }));
     }
 }

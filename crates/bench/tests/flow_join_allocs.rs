@@ -4,13 +4,12 @@
 
 use std::net::Ipv4Addr;
 
-use bytes::Bytes;
 use orscope_analysis::{RecordSink, StreamingAnalyzer};
 use orscope_authns::scheme::ProbeLabel;
 use orscope_authns::{CapturedPacket, Direction};
 use orscope_bench::alloc::{allocs, CountingAlloc};
 use orscope_dns_wire::{Message, Name, Question};
-use orscope_netsim::SimTime;
+use orscope_netsim::{Payload, SimTime};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -32,7 +31,7 @@ fn folding_auth_packets_allocates_with_the_log_not_with_the_flows() {
                     peer: Ipv4Addr::new(10, 0, 0, 1),
                     peer_port: 53,
                     label: None,
-                    payload: Bytes::from(payload.clone()),
+                    payload: Payload::from(payload.clone()),
                 });
             }
         }

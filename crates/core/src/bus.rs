@@ -20,7 +20,7 @@
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 // Re-exported so bus consumers (e.g. the observe surface) can construct
@@ -29,7 +29,8 @@ pub use orscope_authns::capture::{CapturedPacket, Direction};
 pub use orscope_prober::R2Capture;
 use orscope_resolver::profile::ProfileClass;
 use orscope_resolver::Population;
-use parking_lot::Mutex;
+
+use crate::sync::lock;
 
 /// Default bounded-queue capacity for a tap subscriber. Large enough to
 /// ride out consumer-side scheduling hiccups, small enough that a
@@ -188,7 +189,7 @@ impl RecordBus {
         let dropped = Arc::new(AtomicU64::new(0));
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.attached_total.fetch_add(1, Ordering::Relaxed);
-        let mut lanes = self.lanes.lock();
+        let mut lanes = lock(&self.lanes);
         lanes.push(TapLane {
             id,
             sender,
@@ -225,7 +226,7 @@ impl RecordBus {
     /// Fans `record` out to every lane. Never blocks: a full lane
     /// counts a drop, a disconnected lane is removed.
     fn publish(&self, record: Record) {
-        let mut lanes = self.lanes.lock();
+        let mut lanes = lock(&self.lanes);
         if lanes.is_empty() {
             // Raced with the last unsubscribe; nothing to do.
             self.tap_count.store(0, Ordering::Relaxed);
@@ -249,12 +250,12 @@ impl RecordBus {
 
     /// Installs the address → class index for the current round.
     pub fn install_class_index(&self, index: ClassIndex) {
-        *self.classes.lock() = Arc::new(index);
+        *lock(&self.classes) = Arc::new(index);
     }
 
     /// The profile class of `addr` per the currently installed index.
     pub fn class_of(&self, addr: Ipv4Addr) -> Option<ProfileClass> {
-        self.classes.lock().lookup(addr)
+        lock(&self.classes).lookup(addr)
     }
 
     /// Aggregate counters.
@@ -269,8 +270,7 @@ impl RecordBus {
 
     /// Per-lane stats for currently attached subscribers.
     pub fn lane_stats(&self) -> Vec<TapLaneStats> {
-        self.lanes
-            .lock()
+        lock(&self.lanes)
             .iter()
             .map(|lane| TapLaneStats {
                 id: lane.id,
@@ -345,8 +345,6 @@ mod tests {
             qname: "x.example".parse().unwrap(),
             at: SimTime::ZERO,
             sent_at: SimTime::ZERO,
-            // `bytes::Bytes` via its `From<Vec<u8>>` impl: core does not
-            // depend on the bytes crate directly.
             payload: b"x".to_vec().into(),
         }
     }

@@ -1017,9 +1017,8 @@ mod tests {
 
     #[test]
     fn host_index_agrees_with_a_plain_binary_search() {
-        use rand::{RngCore, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x0D1C);
-        let mut next = move || rng.next_u32();
+        let mut rng = orscope_check::Rng::new(0x0D1C);
+        let mut next = move || rng.next_u64() as u32;
         // Sizes on both sides of every directory width from one bucket
         // up, drawn uniformly and clustered under a few /16s.
         for size in [0usize, 1, 3, 4, 7, 8, 9, 100, 4_095, 4_096, 70_000] {

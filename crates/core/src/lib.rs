@@ -34,6 +34,7 @@ mod plan;
 mod recorder;
 pub mod result;
 pub mod supervise;
+pub mod sync;
 pub mod tap;
 pub mod trend;
 

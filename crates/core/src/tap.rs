@@ -422,8 +422,8 @@ impl TapEvent {
 /// A bus subscriber that decodes, filters and renders records.
 ///
 /// All decoding happens on the caller's (consumer) thread — the
-/// publisher only ever clones `Bytes`-backed records into the bounded
-/// queue.
+/// publisher only ever clones records, whose payloads are shared rather
+/// than copied, into the bounded queue.
 pub struct TapSubscriber {
     receiver: TapReceiver,
     predicate: TapPredicate,

@@ -5,110 +5,83 @@
 //! same spelling, same re-encoding — or, on error, the same `WireError`
 //! and an empty message. Nothing of a longer previous packet (a record,
 //! a TXT segment, name bytes past the new length) survives into a
-//! shorter next one, and nothing panics. Seeded, so a failure names the
-//! seed to replay.
+//! shorter next one, and nothing panics.
 
 use std::net::{Ipv4Addr, Ipv6Addr};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
+use orscope_check::Rng;
 use orscope_dns_wire::rdata::Soa;
 use orscope_dns_wire::{
     Message, Name, Question, RData, Rcode, Record, RecordClass, RecordType, WireError,
 };
 
-/// Sebastiano Vigna's SplitMix64 — one `u64` of state, no dependency.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A draw in `0..bound` (`bound` > 0).
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound as u64) as usize
-    }
-}
-
 /// A name of 0–6 labels of 1–40 mixed-case bytes over a small alphabet,
 /// so that names of one message share suffixes (compression pointers)
 /// and differ in case only (what `==` on names cannot see).
-fn name(rng: &mut SplitMix64) -> Name {
+fn name(rng: &mut Rng) -> Name {
     const LABEL_BYTES: &[u8] = b"abAB01-";
-    let labels: Vec<Vec<u8>> = (0..rng.below(7))
-        .map(|_| {
-            let longest = if rng.below(8) == 0 { 40 } else { 4 };
-            (0..1 + rng.below(longest))
-                .map(|_| LABEL_BYTES[rng.below(LABEL_BYTES.len())])
-                .collect()
-        })
-        .collect();
+    let labels: Vec<Vec<u8>> = rng.vec(0..7, |rng| {
+        let longest = if rng.range(0..8) == 0 { 40 } else { 4 };
+        rng.vec(1..=longest, |rng| *rng.choice(LABEL_BYTES))
+    });
     Name::from_labels(labels).expect("at most 6 x 41 wire bytes")
 }
 
-fn rdata(rng: &mut SplitMix64) -> RData {
-    match rng.below(9) {
-        0 => RData::A(Ipv4Addr::from(rng.next() as u32)),
+fn rdata(rng: &mut Rng) -> RData {
+    match rng.range(0..9) {
+        0 => RData::A(Ipv4Addr::from(rng.next_u64() as u32)),
         1 => RData::Ns(name(rng)),
         2 => RData::Cname(name(rng)),
         3 => RData::Ptr(name(rng)),
         4 => RData::Soa(Box::new(Soa {
             mname: name(rng),
             rname: name(rng),
-            serial: rng.next() as u32,
-            refresh: rng.next() as u32,
-            retry: rng.next() as u32,
-            expire: rng.next() as u32,
-            minimum: rng.next() as u32,
+            serial: rng.next_u64() as u32,
+            refresh: rng.next_u64() as u32,
+            retry: rng.next_u64() as u32,
+            expire: rng.next_u64() as u32,
+            minimum: rng.next_u64() as u32,
         })),
         5 => RData::Mx {
-            preference: rng.next() as u16,
+            preference: rng.next_u64() as u16,
             exchange: name(rng),
         },
-        6 => RData::Txt(
-            (0..rng.below(5))
-                .map(|_| (0..rng.below(60)).map(|_| rng.next() as u8).collect())
-                .collect(),
-        ),
+        6 => RData::Txt(rng.vec(0..5, |rng| rng.bytes(0..60))),
         7 => RData::Aaaa(Ipv6Addr::from(
-            (rng.next() as u128) << 64 | rng.next() as u128,
+            (rng.next_u64() as u128) << 64 | rng.next_u64() as u128,
         )),
         _ => RData::Unknown {
             // OPT, ANY and two codes this crate does not model.
-            rtype: [41, 255, 99, 65_280][rng.below(4)],
-            data: (0..rng.below(40)).map(|_| rng.next() as u8).collect(),
+            rtype: *rng.choice(&[41, 255, 99, 65_280]),
+            data: rng.bytes(0..40),
         },
     }
 }
 
 /// The wire form of a message with 0–2 questions and 0–5 records a
 /// section: from a bare header to several hundred bytes.
-fn valid_payload(rng: &mut SplitMix64) -> Vec<u8> {
+fn valid_payload(rng: &mut Rng) -> Vec<u8> {
     let mut builder = Message::builder()
-        .id(rng.next() as u16)
-        .recursion_desired(rng.below(2) == 0)
-        .rcode([Rcode::NoError, Rcode::NXDomain, Rcode::ServFail][rng.below(3)]);
-    for _ in 0..rng.below(3) {
+        .id(rng.next_u64() as u16)
+        .recursion_desired(rng.bool())
+        .rcode(*rng.choice(&[Rcode::NoError, Rcode::NXDomain, Rcode::ServFail]));
+    for _ in 0..rng.range(0..3) {
         builder = builder.question(Question::new(
             name(rng),
-            RecordType::from_u16(rng.below(300) as u16),
-            RecordClass::from_u16(1 + rng.below(4) as u16),
+            RecordType::from_u16(rng.range(0..300)),
+            RecordClass::from_u16(rng.range(1..=4)),
         ));
     }
-    let record = |rng: &mut SplitMix64| {
+    let record = |rng: &mut Rng| {
         Record::new(
             name(rng),
-            RecordClass::from_u16(1 + rng.below(4) as u16),
-            rng.next() as u32,
+            RecordClass::from_u16(rng.range(1..=4)),
+            rng.next_u64() as u32,
             rdata(rng),
         )
     };
-    let busy = rng.below(3) == 0;
-    let count = |rng: &mut SplitMix64| rng.below(if busy { 6 } else { 2 });
+    let busy = rng.range(0..3) == 0;
+    let count = |rng: &mut Rng| rng.range(0..if busy { 6 } else { 2 });
     for _ in 0..count(rng) {
         builder = builder.answer(record(rng));
     }
@@ -124,27 +97,13 @@ fn valid_payload(rng: &mut SplitMix64) -> Vec<u8> {
 /// A third arbitrary bytes, a third valid messages, a third valid
 /// messages with a few bytes flipped, inserted, deleted, doubled or cut
 /// off.
-fn payload(rng: &mut SplitMix64) -> Vec<u8> {
-    match rng.below(3) {
-        0 => (0..rng.below(200)).map(|_| rng.next() as u8).collect(),
+fn payload(rng: &mut Rng) -> Vec<u8> {
+    match rng.range(0..3) {
+        0 => rng.bytes(0..200),
         1 => valid_payload(rng),
         _ => {
             let mut bytes = valid_payload(rng);
-            for _ in 0..1 + rng.below(4) {
-                let at = rng.below(bytes.len().max(1)).min(bytes.len());
-                match rng.below(5) {
-                    0 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
-                    1 => bytes.insert(at, rng.next() as u8),
-                    2 if at < bytes.len() => {
-                        bytes.remove(at);
-                    }
-                    3 => {
-                        let tail = bytes[at..].to_vec();
-                        bytes.extend_from_slice(&tail);
-                    }
-                    _ => bytes.truncate(at),
-                }
-            }
+            rng.mutate(&mut bytes, &[]);
             bytes
         }
     }
@@ -177,18 +136,10 @@ fn one_reused_message_decodes_every_payload_like_a_fresh_one() {
     const ROUNDS: u64 = 60_000;
     let mut reused = Message::default();
     let (mut accepted, mut rejected) = (0u64, 0u64);
-    for seed in 0..ROUNDS {
-        let mut rng = SplitMix64(seed);
-        let bytes = payload(&mut rng);
-        match catch_unwind(AssertUnwindSafe(|| check(&mut reused, &bytes))) {
-            Ok(Ok(())) => accepted += 1,
-            Ok(Err(_)) => rejected += 1,
-            Err(panic) => {
-                eprintln!("failing seed {seed}: payload {bytes:02x?}");
-                resume_unwind(panic);
-            }
-        }
-    }
+    orscope_check::cases(ROUNDS, |rng| match check(&mut reused, &payload(rng)) {
+        Ok(()) => accepted += 1,
+        Err(_) => rejected += 1,
+    });
     // Both arms really ran, interleaved.
     assert!(accepted > ROUNDS / 3, "{accepted} accepted");
     assert!(rejected > ROUNDS / 3, "{rejected} rejected");

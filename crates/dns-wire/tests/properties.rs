@@ -1,217 +1,212 @@
 //! Property-based tests: arbitrary messages survive encode/decode, and the
 //! decoder never panics on arbitrary bytes.
 
-use proptest::prelude::*;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
+use orscope_check::{cases, Rng};
 use orscope_dns_wire::rdata::Soa;
 use orscope_dns_wire::{
     Header, Message, Name, Question, RData, Rcode, Record, RecordClass, RecordType,
 };
 
-/// A strategy producing valid DNS labels (1..=20 alnum/hyphen bytes).
-fn label() -> impl Strategy<Value = String> {
-    proptest::string::string_regex("[a-zA-Z0-9]([a-zA-Z0-9-]{0,18}[a-zA-Z0-9])?").unwrap()
+const ALNUM: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789";
+const ALNUM_HYPHEN: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-";
+
+/// A valid DNS label of `len` bytes: alphanumeric at both ends, hyphens
+/// allowed inside.
+fn label(rng: &mut Rng, len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|at| match at == 0 || at == len - 1 {
+            true => *rng.choice(ALNUM),
+            false => *rng.choice(ALNUM_HYPHEN),
+        })
+        .collect()
 }
 
-/// A strategy producing valid names of 0..=5 labels.
-fn name() -> impl Strategy<Value = Name> {
-    prop::collection::vec(label(), 0..=5)
-        .prop_map(|labels| Name::from_labels(labels.iter().map(String::as_bytes)).unwrap())
+/// A valid name of 0..=5 labels of 1..=20 bytes.
+fn name(rng: &mut Rng) -> Name {
+    let labels = rng.vec(0..=5, |rng| {
+        let len = rng.range(1..=20);
+        label(rng, len)
+    });
+    Name::from_labels(labels).unwrap()
 }
 
-/// A strategy producing labels at the RFC 1035 maximum of 63 octets.
-fn max_label() -> impl Strategy<Value = String> {
-    proptest::string::string_regex("[a-zA-Z0-9][a-zA-Z0-9-]{61}[a-zA-Z0-9]").unwrap()
+/// A name built from labels at the RFC 1035 maximum of 63 octets (1..=3
+/// of them stays under the 255-octet name limit: 3 * 64 + 1 = 193).
+fn long_name(rng: &mut Rng) -> Name {
+    Name::from_labels(rng.vec(1..=3, |rng| label(rng, 63))).unwrap()
 }
 
-/// A strategy producing names built from maximum-length labels (1..=3 of
-/// them stays under the 255-octet name limit: 3 * 64 + 1 = 193).
-fn long_name() -> impl Strategy<Value = Name> {
-    prop::collection::vec(max_label(), 1..=3)
-        .prop_map(|labels| Name::from_labels(labels.iter().map(String::as_bytes)).unwrap())
-}
-
-/// A strategy over the typed rdata variants.
-fn rdata() -> impl Strategy<Value = RData> {
-    prop_oneof![
-        any::<u32>().prop_map(|v| RData::A(Ipv4Addr::from(v))),
-        name().prop_map(RData::Ns),
-        name().prop_map(RData::Cname),
-        name().prop_map(RData::Ptr),
-        (
-            name(),
-            name(),
-            any::<u32>(),
-            any::<u32>(),
-            any::<u32>(),
-            any::<u32>(),
-            any::<u32>()
-        )
-            .prop_map(|(mname, rname, serial, refresh, retry, expire, minimum)| {
-                RData::Soa(Box::new(Soa {
-                    mname,
-                    rname,
-                    serial,
-                    refresh,
-                    retry,
-                    expire,
-                    minimum,
-                }))
-            }),
-        (any::<u16>(), name()).prop_map(|(preference, exchange)| RData::Mx {
-            preference,
-            exchange
-        }),
-        prop::collection::vec(prop::collection::vec(any::<u8>(), 0..100), 0..4)
-            .prop_map(RData::Txt),
-        any::<u128>().prop_map(|v| RData::Aaaa(Ipv6Addr::from(v))),
-        (0u16..=65535, prop::collection::vec(any::<u8>(), 0..64)).prop_map(|(rtype, data)| {
+/// One of the typed rdata variants.
+fn rdata(rng: &mut Rng) -> RData {
+    match rng.range(0..9) {
+        0 => RData::A(Ipv4Addr::from(rng.range::<u32>(..))),
+        1 => RData::Ns(name(rng)),
+        2 => RData::Cname(name(rng)),
+        3 => RData::Ptr(name(rng)),
+        4 => RData::Soa(Box::new(Soa {
+            mname: name(rng),
+            rname: name(rng),
+            serial: rng.range(..),
+            refresh: rng.range(..),
+            retry: rng.range(..),
+            expire: rng.range(..),
+            minimum: rng.range(..),
+        })),
+        5 => RData::Mx {
+            preference: rng.range(..),
+            exchange: name(rng),
+        },
+        6 => RData::Txt(rng.vec(0..4, |rng| rng.bytes(0..100))),
+        7 => RData::Aaaa(Ipv6Addr::from(
+            (rng.next_u64() as u128) << 64 | rng.next_u64() as u128,
+        )),
+        _ => RData::Unknown {
             // Avoid colliding with the typed codes, which would decode as
             // typed rdata rather than Unknown.
-            let rtype = match rtype {
+            rtype: match rng.range(..) {
                 1 | 2 | 5 | 6 | 12 | 15 | 16 | 28 | 41 | 255 => 77,
-                t => t,
-            };
-            RData::Unknown { rtype, data }
-        }),
-    ]
+                rtype => rtype,
+            },
+            data: rng.bytes(0..64),
+        },
+    }
 }
 
-fn record() -> impl Strategy<Value = Record> {
-    (name(), any::<u32>(), rdata())
-        .prop_map(|(owner, ttl, rdata)| Record::in_class(owner, ttl, rdata))
+fn record(rng: &mut Rng) -> Record {
+    Record::in_class(name(rng), rng.range(..), rdata(rng))
 }
 
-fn question() -> impl Strategy<Value = Question> {
-    (name(), any::<u16>(), prop_oneof![Just(1u16), Just(255u16)])
-        .prop_map(|(n, t, c)| Question::new(n, RecordType::from_u16(t), RecordClass::from_u16(c)))
-}
-
-fn message() -> impl Strategy<Value = Message> {
-    (
-        any::<u16>(),
-        prop::collection::vec(question(), 0..2),
-        prop::collection::vec(record(), 0..4),
-        prop::collection::vec(record(), 0..2),
-        prop::collection::vec(record(), 0..2),
-        any::<bool>(),
-        any::<bool>(),
-        any::<bool>(),
-        0u8..16,
+fn question(rng: &mut Rng) -> Question {
+    Question::new(
+        name(rng),
+        RecordType::from_u16(rng.range(..)),
+        RecordClass::from_u16(*rng.choice(&[1, 255])),
     )
-        .prop_map(|(id, qs, ans, auth, add, ra, aa, tc, rcode)| {
-            let mut b = Message::builder()
-                .id(id)
-                .recursion_available(ra)
-                .authoritative(aa)
-                .rcode(Rcode::from_u8(rcode));
-            for q in qs {
-                b = b.question(q);
-            }
-            for r in ans {
-                b = b.answer(r);
-            }
-            for r in auth {
-                b = b.authority(r);
-            }
-            for r in add {
-                b = b.additional(r);
-            }
-            let mut m = b.build();
-            m.header_mut().set_truncated(tc).set_response(true);
-            m
-        })
 }
 
-proptest! {
-    /// Any structurally valid message survives an encode/decode roundtrip.
-    #[test]
-    fn message_roundtrip(msg in message()) {
+fn message(rng: &mut Rng) -> Message {
+    let mut b = Message::builder()
+        .id(rng.range(..))
+        .recursion_available(rng.bool())
+        .authoritative(rng.bool())
+        .rcode(Rcode::from_u8(rng.range(0..16)));
+    for _ in 0..rng.range(0..2) {
+        b = b.question(question(rng));
+    }
+    for _ in 0..rng.range(0..4) {
+        b = b.answer(record(rng));
+    }
+    for _ in 0..rng.range(0..2) {
+        b = b.authority(record(rng));
+    }
+    for _ in 0..rng.range(0..2) {
+        b = b.additional(record(rng));
+    }
+    let mut m = b.build();
+    m.header_mut().set_truncated(rng.bool()).set_response(true);
+    m
+}
+
+/// Any structurally valid message survives an encode/decode roundtrip.
+#[test]
+fn message_roundtrip() {
+    cases(256, |rng| {
+        let msg = message(rng);
         let wire = msg.encode().unwrap();
+        assert_eq!(Message::decode(&wire).unwrap(), msg);
+    });
+}
+
+/// Decoding arbitrary bytes never panics (it may error).
+#[test]
+fn decode_never_panics() {
+    cases(256, |rng| {
+        let _ = Message::decode(&rng.bytes(0..256));
+    });
+}
+
+/// Decoding a *valid* prefix with appended garbage is rejected, not
+/// silently accepted.
+#[test]
+fn trailing_garbage_rejected() {
+    cases(256, |rng| {
+        let mut wire = message(rng).encode().unwrap();
+        wire.extend(rng.bytes(1..16));
+        assert!(Message::decode(&wire).is_err());
+    });
+}
+
+/// Re-encoding a decoded message is stable (canonical after one trip).
+#[test]
+fn reencode_is_stable() {
+    cases(256, |rng| {
+        let wire = message(rng).encode().unwrap();
         let back = Message::decode(&wire).unwrap();
-        prop_assert_eq!(back, msg);
-    }
+        assert_eq!(wire, back.encode().unwrap());
+    });
+}
 
-    /// Decoding arbitrary bytes never panics (it may error).
-    #[test]
-    fn decode_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Message::decode(&bytes);
-    }
-
-    /// Decoding a *valid* prefix with appended garbage is rejected, not
-    /// silently accepted.
-    #[test]
-    fn trailing_garbage_rejected(msg in message(), garbage in prop::collection::vec(any::<u8>(), 1..16)) {
-        let mut wire = msg.encode().unwrap();
-        wire.extend(&garbage);
-        prop_assert!(Message::decode(&wire).is_err());
-    }
-
-    /// Re-encoding a decoded message is stable (canonical after one trip).
-    #[test]
-    fn reencode_is_stable(msg in message()) {
-        let wire = msg.encode().unwrap();
-        let back = Message::decode(&wire).unwrap();
-        let wire2 = back.encode().unwrap();
-        prop_assert_eq!(wire, wire2);
-    }
-
-    /// Names roundtrip through display+parse when labels are plain ASCII.
-    #[test]
-    fn name_display_parse_roundtrip(n in name()) {
+/// Names roundtrip through display+parse when labels are plain ASCII.
+#[test]
+fn name_display_parse_roundtrip() {
+    cases(256, |rng| {
+        let n = name(rng);
         let parsed: Name = n.to_string().parse().unwrap();
-        prop_assert_eq!(parsed, n);
-    }
+        assert_eq!(parsed, n);
+    });
+}
 
-    /// Qnames built from maximum-length (63-octet) labels roundtrip
-    /// through a full message encode/decode.
-    #[test]
-    fn max_length_label_qname_roundtrip(n in long_name(), id in any::<u16>()) {
-        let msg = Message::query(id, Question::a(n));
+/// Qnames built from maximum-length (63-octet) labels roundtrip
+/// through a full message encode/decode.
+#[test]
+fn max_length_label_qname_roundtrip() {
+    cases(256, |rng| {
+        let msg = Message::query(rng.range(..), Question::a(long_name(rng)));
         let wire = msg.encode().unwrap();
-        let back = Message::decode(&wire).unwrap();
-        prop_assert_eq!(back, msg);
-    }
+        assert_eq!(Message::decode(&wire).unwrap(), msg);
+    });
+}
 
-    /// Max-length labels survive display+parse as well as the wire.
-    #[test]
-    fn max_length_label_display_parse_roundtrip(n in long_name()) {
+/// Max-length labels survive display+parse as well as the wire.
+#[test]
+fn max_length_label_display_parse_roundtrip() {
+    cases(256, |rng| {
+        let n = long_name(rng);
         let parsed: Name = n.to_string().parse().unwrap();
-        prop_assert_eq!(parsed, n);
-    }
+        assert_eq!(parsed, n);
+    });
+}
 
-    /// Every rcode value roundtrips through its wire nibble, and through
-    /// a full message header.
-    #[test]
-    fn rcode_roundtrip(raw in 0u8..16) {
+/// Every rcode value roundtrips through its wire nibble, and through
+/// a full message header.
+#[test]
+fn rcode_roundtrip() {
+    cases(256, |rng| {
+        let raw = rng.range(0u8..16);
         let rcode = Rcode::from_u8(raw);
-        prop_assert_eq!(rcode.to_u8(), raw);
-        let msg = {
-            let mut m = Message::builder().id(1).rcode(rcode).build();
-            m.header_mut().set_response(true);
-            m
-        };
+        assert_eq!(rcode.to_u8(), raw);
+        let mut msg = Message::builder().id(1).rcode(rcode).build();
+        msg.header_mut().set_response(true);
         let wire = msg.encode().unwrap();
         let back = Message::decode(&wire).unwrap();
-        prop_assert_eq!(back.header().rcode(), rcode);
-    }
+        assert_eq!(back.header().rcode(), rcode);
+    });
+}
 
-    /// Header bytes roundtrip for every flag/rcode combination.
-    #[test]
-    fn header_roundtrip(id in any::<u16>(), flags in any::<u16>(), counts in any::<[u16; 4]>()) {
-        let mut raw = Vec::new();
-        raw.extend(id.to_be_bytes());
-        raw.extend(flags.to_be_bytes());
-        for c in counts {
-            raw.extend(c.to_be_bytes());
-        }
+/// Header bytes roundtrip for every flag/rcode combination.
+#[test]
+fn header_roundtrip() {
+    cases(256, |rng| {
+        // ID, flags and the four section counts.
+        let raw = rng.bytes(12..=12);
         let mut r = orscope_dns_wire::wire::Reader::new(&raw);
         let h = Header::decode(&mut r).unwrap();
         let mut w = orscope_dns_wire::wire::Writer::new();
         h.encode(&mut w);
-        prop_assert_eq!(w.finish().unwrap(), raw);
-    }
+        assert_eq!(w.finish().unwrap(), raw);
+    });
 }
 
 /// A name at exactly the 255-octet wire maximum (63+63+63+61 labels:

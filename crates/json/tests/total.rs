@@ -2,12 +2,12 @@
 //! documents produce `Ok` or `Err` — never a panic — while requesting
 //! at most `ALLOC_FACTOR` bytes of heap per input byte, and every value
 //! the writer can produce decodes back to itself from both the compact
-//! and the pretty form. Seeded, so a failure names the seed to replay.
+//! and the pretty form.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
+use orscope_check::{cases, Rng};
 use orscope_json::{Wire, MAX_DEPTH};
 
 thread_local! {
@@ -46,70 +46,27 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Sebastiano Vigna's SplitMix64 — one `u64` of state, no dependency.
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// A draw in `0..bound` (`bound` > 0).
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next() % bound as u64) as usize
-    }
-}
-
 /// Structural bytes, digits, literal fragments and a stray non-UTF-8
 /// byte: soup drawn from this gets much deeper into a JSON reader than
 /// uniform bytes do.
 const ALPHABET: &[u8] = b"{}[]\",:\\ \n\t-+.eEu0123456789truefalsn\xff";
 
-/// Runs `check` on `rounds` generated inputs, one per seed `0..rounds`.
-/// A third are arbitrary bytes, a third alphabet soup, a third copies
-/// of a `valid` document with a few bytes flipped, inserted, deleted,
-/// doubled or cut off. When `check` panics, the seed and the input are
-/// printed before the panic continues.
+/// Runs `check` on `rounds` generated inputs. A third are arbitrary
+/// bytes, a third alphabet soup, a third copies of a `valid` document
+/// with a few bytes flipped, inserted, deleted, doubled or cut off.
 fn for_each_hostile_input(valid: &[String], rounds: u64, mut check: impl FnMut(&[u8])) {
-    for seed in 0..rounds {
-        let mut rng = SplitMix64(seed);
-        let input: Vec<u8> = match seed % 3 {
-            0 => (0..rng.below(64)).map(|_| rng.next() as u8).collect(),
-            1 => (0..rng.below(96))
-                .map(|_| ALPHABET[rng.below(ALPHABET.len())])
-                .collect(),
+    cases(rounds, |rng| {
+        let input = match rng.range(0..3) {
+            0 => rng.bytes(0..64),
+            1 => rng.vec(0..96, |rng| *rng.choice(ALPHABET)),
             _ => {
-                let mut bytes = valid[rng.below(valid.len())].clone().into_bytes();
-                for _ in 0..1 + rng.below(4) {
-                    let at = rng.below(bytes.len().max(1)).min(bytes.len());
-                    match rng.below(5) {
-                        0 if at < bytes.len() => bytes[at] ^= 1 << rng.below(8),
-                        1 => bytes.insert(at, ALPHABET[rng.below(ALPHABET.len())]),
-                        2 if at < bytes.len() => {
-                            bytes.remove(at);
-                        }
-                        3 => {
-                            let tail = bytes[at..].to_vec();
-                            bytes.extend_from_slice(&tail);
-                        }
-                        _ => bytes.truncate(at),
-                    }
-                }
+                let mut bytes = rng.choice(valid).clone().into_bytes();
+                rng.mutate(&mut bytes, ALPHABET);
                 bytes
             }
         };
-        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| check(&input))) {
-            eprintln!(
-                "failing seed {seed}: input {:?}",
-                String::from_utf8_lossy(&input)
-            );
-            resume_unwind(panic);
-        }
-    }
+        check(&input);
+    });
 }
 
 /// Heap bytes the reader may request per input byte, every regrowth of
@@ -138,61 +95,52 @@ fn decode_within_budget(input: &[u8]) -> Result<Wire, String> {
 /// A value the writer can produce and the reader must return unchanged:
 /// finite floats, negative `I64`s only, strings over controls, quotes,
 /// backslashes and 1- to 4-byte scalars.
-fn arbitrary_value(rng: &mut SplitMix64, depth: usize) -> Wire {
-    let string = |rng: &mut SplitMix64| -> String {
-        (0..rng.below(12))
-            .map(|_| match rng.below(6) {
-                0 => char::from(rng.below(0x20) as u8),
-                1 => ['"', '\\', '/', '\u{7f}'][rng.below(4)],
-                2 => char::from_u32(0x80 + rng.below(0x700) as u32).unwrap(),
-                3 => ['\u{20ac}', '\u{fffd}', '\u{1f50d}', '\u{10ffff}'][rng.below(4)],
-                _ => char::from(b' ' + rng.below(95) as u8),
-            })
-            .collect()
+fn arbitrary_value(rng: &mut Rng, depth: usize) -> Wire {
+    let string = |rng: &mut Rng| -> String {
+        let chars = rng.vec(0..12, |rng| match rng.range(0..6) {
+            0 => char::from(rng.range(0u8..0x20)),
+            1 => *rng.choice(&['"', '\\', '/', '\u{7f}']),
+            2 => char::from_u32(rng.range(0x80..0x780)).unwrap(),
+            3 => *rng.choice(&['\u{20ac}', '\u{fffd}', '\u{1f50d}', '\u{10ffff}']),
+            _ => char::from(rng.range(b' '..=b'~')),
+        });
+        chars.into_iter().collect()
     };
     let containers = if depth < 4 { 2 } else { 0 };
-    match rng.below(6 + containers) {
+    match rng.range(0..6 + containers) {
         0 => Wire::Null,
-        1 => Wire::Bool(rng.next() & 1 == 1),
-        2 => Wire::U64(rng.next() >> rng.below(64)),
-        3 => Wire::I64(-1 - (rng.next() >> (1 + rng.below(63))) as i64),
+        1 => Wire::Bool(rng.bool()),
+        2 => Wire::U64(rng.next_u64() >> rng.range(0..64)),
+        3 => Wire::I64(-1 - (rng.next_u64() >> rng.range(1..64)) as i64),
         4 => loop {
-            let x = f64::from_bits(rng.next());
+            let x = f64::from_bits(rng.next_u64());
             if x.is_finite() {
                 break Wire::F64(x);
             }
         },
         5 => Wire::Str(string(rng)),
-        6 => Wire::Arr(
-            (0..rng.below(5))
-                .map(|_| arbitrary_value(rng, depth + 1))
-                .collect(),
-        ),
-        _ => Wire::Obj(
-            (0..rng.below(5))
-                .map(|_| (string(rng), arbitrary_value(rng, depth + 1)))
-                .collect(),
-        ),
+        6 => Wire::Arr(rng.vec(0..5, |rng| arbitrary_value(rng, depth + 1))),
+        _ => Wire::Obj(rng.vec(0..5, |rng| (string(rng), arbitrary_value(rng, depth + 1)))),
     }
 }
 
 #[test]
 fn every_encoded_value_decodes_to_itself_compact_and_pretty() {
-    for seed in 0..4_000u64 {
-        let value = arbitrary_value(&mut SplitMix64(seed), 0);
+    cases(4_000, |rng| {
+        let value = arbitrary_value(rng, 0);
         for encoded in [value.encode(), value.encode_pretty()] {
             match decode_within_budget(encoded.as_bytes()) {
                 Ok(decoded) if decoded == value => {}
-                other => panic!("failing seed {seed}: {encoded} decoded to {other:?}"),
+                other => panic!("{encoded} decoded to {other:?}"),
             }
         }
-    }
+    });
 }
 
 #[test]
 fn arbitrary_and_mutated_bytes_never_panic_and_stay_within_the_allocation_budget() {
     let valid: Vec<String> = (0..64u64)
-        .map(|seed| arbitrary_value(&mut SplitMix64(seed), 0))
+        .map(|seed| arbitrary_value(&mut Rng::new(seed), 0))
         .flat_map(|value| [value.encode(), value.encode_pretty()])
         .collect();
     let mut accepted = 0u32;

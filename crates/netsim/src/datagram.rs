@@ -2,12 +2,36 @@
 
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::ops::Deref;
+use std::sync::Arc;
 
-use bytes::Bytes;
+/// A datagram's bytes: immutable, one allocation when built, none when
+/// cloned, so a capture point keeps a packet by cloning it and a shard's
+/// captures cross to the merging thread as they are.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Payload(Arc<[u8]>);
+
+impl From<Vec<u8>> for Payload {
+    fn from(bytes: Vec<u8>) -> Self {
+        Self(bytes.into())
+    }
+}
+
+impl From<&[u8]> for Payload {
+    fn from(bytes: &[u8]) -> Self {
+        Self(bytes.into())
+    }
+}
+
+impl Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
 
 /// A UDP datagram: source and destination (address, port) plus payload.
-///
-/// Payloads are [`Bytes`], so captures can retain packets without copying.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Datagram {
     /// Source address.
@@ -19,12 +43,12 @@ pub struct Datagram {
     /// Destination port.
     pub dst_port: u16,
     /// UDP payload.
-    pub payload: Bytes,
+    pub payload: Payload,
 }
 
 impl Datagram {
     /// Creates a datagram from `(addr, port)` pairs and a payload.
-    pub fn new(src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16), payload: impl Into<Bytes>) -> Self {
+    pub fn new(src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16), payload: impl Into<Payload>) -> Self {
         Self {
             src: src.0,
             src_port: src.1,
@@ -35,7 +59,7 @@ impl Datagram {
     }
 
     /// A reply datagram: source and destination swapped, new payload.
-    pub fn reply(&self, payload: impl Into<Bytes>) -> Datagram {
+    pub fn reply(&self, payload: impl Into<Payload>) -> Datagram {
         Datagram {
             src: self.dst,
             src_port: self.dst_port,
@@ -47,7 +71,7 @@ impl Datagram {
 
     /// A reply that lies about its source port (used to model resolvers
     /// that answer from an unexpected port, the ZMap blind spot of §V).
-    pub fn reply_from_port(&self, src_port: u16, payload: impl Into<Bytes>) -> Datagram {
+    pub fn reply_from_port(&self, src_port: u16, payload: impl Into<Payload>) -> Datagram {
         Datagram {
             src: self.dst,
             src_port,

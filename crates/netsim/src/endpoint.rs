@@ -3,8 +3,6 @@
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
-use rand_chacha::ChaCha12Rng;
-
 use crate::datagram::Datagram;
 use crate::time::SimTime;
 
@@ -64,7 +62,6 @@ pub struct Context<'a> {
     local_addr: Ipv4Addr,
     pub(crate) outgoing: &'a mut Vec<Datagram>,
     pub(crate) timers: &'a mut Vec<(SimTime, u64)>,
-    pub(crate) rng: &'a mut ChaCha12Rng,
 }
 
 impl<'a> Context<'a> {
@@ -73,7 +70,6 @@ impl<'a> Context<'a> {
         local_addr: Ipv4Addr,
         outgoing: &'a mut Vec<Datagram>,
         timers: &'a mut Vec<(SimTime, u64)>,
-        rng: &'a mut ChaCha12Rng,
     ) -> Self {
         debug_assert!(outgoing.is_empty() && timers.is_empty());
         Self {
@@ -81,7 +77,6 @@ impl<'a> Context<'a> {
             local_addr,
             outgoing,
             timers,
-            rng,
         }
     }
 
@@ -109,12 +104,5 @@ impl<'a> Context<'a> {
     /// Arms a timer at an absolute virtual time.
     pub fn set_timer_at(&mut self, at: SimTime, token: u64) {
         self.timers.push((at, token));
-    }
-
-    /// The simulation's deterministic RNG (shared stream). Endpoints that
-    /// need randomness — jittered behaviors, spoofed fields — draw from
-    /// here so runs stay reproducible.
-    pub fn rng(&mut self) -> &mut ChaCha12Rng {
-        self.rng
     }
 }

@@ -15,8 +15,9 @@
 //! - **Virtual time** ([`SimTime`]) advances only when events fire; a
 //!   10-hour scan executes in however long the event processing takes.
 //! - **Determinism**: ties in the event queue break on a monotonically
-//!   increasing sequence number, and all randomness (latency jitter, loss)
-//!   comes from a seeded ChaCha stream.
+//!   increasing sequence number, and every random choice (latency jitter,
+//!   fault verdicts) is a hash of the flow and a seed — there is no
+//!   stream whose draw order could depend on event order.
 //! - **Ownership**: endpoints are owned by the simulator; during event
 //!   dispatch an endpoint is temporarily detached so it can freely send
 //!   datagrams and set timers through a [`Context`] without aliasing.
@@ -67,7 +68,7 @@ pub mod stats;
 pub mod telemetry;
 pub mod time;
 
-pub use datagram::Datagram;
+pub use datagram::{Datagram, Payload};
 pub use endpoint::{Context, Endpoint};
 pub use fault::{FaultKind, FaultPlan, FaultRule, FaultScope};
 pub use fxhash::{fx_map_with_capacity, fx_set_with_capacity, FxHashMap, FxHashSet};

@@ -282,7 +282,6 @@ impl TimingWheel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use std::time::Duration;
 
     fn timer(at: SimTime, seq: u64) -> Event {
@@ -434,26 +433,22 @@ mod tests {
     /// (overflow list).
     const OFFSET_BITS: [u32; 7] = [0, 20, 28, 34, 40, 46, 50];
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(128))]
-
-        /// Reference: the wheel and `BinaryHeap<Reverse<Event>>` agree on
-        /// every pop, every peek and every length under arbitrary
-        /// interleavings of `push(at >= last popped)`, `pop` and
-        /// `next_at` — the peek advances the cursor, so a later push can
-        /// land behind it and must still sort ahead of the peeked event.
-        #[test]
-        fn wheel_matches_reference_heap(
-            ops in prop::collection::vec((0u8..8, 0usize..7, any::<u64>()), 1..400),
-        ) {
+    /// Reference: the wheel and `BinaryHeap<Reverse<Event>>` agree on
+    /// every pop, every peek and every length under arbitrary
+    /// interleavings of `push(at >= last popped)`, `pop` and
+    /// `next_at` — the peek advances the cursor, so a later push can
+    /// land behind it and must still sort ahead of the peeked event.
+    #[test]
+    fn wheel_matches_reference_heap() {
+        orscope_check::cases(128, |rng| {
             let mut wheel = TimingWheel::new();
             let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
             let mut last_popped = SimTime::ZERO;
             let mut seq = 0u64;
-            for (op, level, raw) in ops {
-                match op {
+            for _ in 0..rng.range(1..400) {
+                match rng.range(0u8..8) {
                     0..=3 => {
-                        let offset = raw % (1u64 << OFFSET_BITS[level]);
+                        let offset = rng.next_u64() % (1u64 << rng.choice(&OFFSET_BITS));
                         let at = last_popped + Duration::from_nanos(offset);
                         wheel.push(timer(at, seq));
                         heap.push(Reverse(timer(at, seq)));
@@ -462,24 +457,24 @@ mod tests {
                     4..=5 => {
                         let got = wheel.pop().map(|event| (event.at, event.seq));
                         let want = heap.pop().map(|Reverse(event)| (event.at, event.seq));
-                        prop_assert_eq!(got, want);
+                        assert_eq!(got, want);
                         if let Some((at, _)) = got {
                             last_popped = at;
                         }
                     }
                     _ => {
                         let want = heap.peek().map(|Reverse(event)| event.at);
-                        prop_assert_eq!(wheel.next_at(), want);
+                        assert_eq!(wheel.next_at(), want);
                     }
                 }
-                prop_assert_eq!(wheel.len(), heap.len());
+                assert_eq!(wheel.len(), heap.len());
             }
             let mut rest = Vec::new();
             while let Some(Reverse(event)) = heap.pop() {
                 rest.push((event.at, event.seq));
             }
-            prop_assert_eq!(pop_all(&mut wheel), rest);
-        }
+            assert_eq!(pop_all(&mut wheel), rest);
+        });
     }
 
     #[test]

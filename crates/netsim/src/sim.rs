@@ -2,9 +2,6 @@
 
 use std::net::Ipv4Addr;
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha12Rng;
-
 use crate::datagram::Datagram;
 use crate::endpoint::{Context, Endpoint};
 use crate::fault::{DropKind, FaultInjector, FaultKind, FaultPlan, FaultRule, FaultScope};
@@ -141,7 +138,9 @@ impl std::fmt::Debug for SimNetBuilder {
 }
 
 impl SimNetBuilder {
-    /// Seeds every random stream in the simulation.
+    /// Seeds the default fault plan's per-flow draws (the only random
+    /// choices the simulator makes; an explicit [`Self::faults`] plan
+    /// carries its own seed).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -250,7 +249,6 @@ impl SimNetBuilder {
             seq: 0,
             latency: self.latency,
             faults: FaultInjector::new(plan),
-            rng: ChaCha12Rng::seed_from_u64(self.seed ^ 0x6F72_7363_6F70_6521),
             stats: NetStats::default(),
             max_events: self.max_events,
             lazy: self.lazy,
@@ -284,7 +282,6 @@ pub struct SimNet {
     seq: u64,
     latency: Box<dyn LatencyModel>,
     faults: FaultInjector,
-    rng: ChaCha12Rng,
     stats: NetStats,
     max_events: u64,
     /// On-demand endpoint source for the planned population, if any.
@@ -662,13 +659,7 @@ impl SimNet {
                 };
                 let mut outgoing = std::mem::take(&mut self.scratch_out);
                 let mut timers = std::mem::take(&mut self.scratch_timers);
-                let mut ctx = Context::new(
-                    self.now,
-                    dgram.dst,
-                    &mut outgoing,
-                    &mut timers,
-                    &mut self.rng,
-                );
+                let mut ctx = Context::new(self.now, dgram.dst, &mut outgoing, &mut timers);
                 ep.handle_datagram(&dgram, &mut ctx);
                 self.hosts[host as usize].ep = Some(ep);
                 self.apply(&mut outgoing, &mut timers, dgram.dst, host);
@@ -698,8 +689,7 @@ impl SimNet {
                 };
                 let mut outgoing = std::mem::take(&mut self.scratch_out);
                 let mut timers = std::mem::take(&mut self.scratch_timers);
-                let mut ctx =
-                    Context::new(self.now, addr, &mut outgoing, &mut timers, &mut self.rng);
+                let mut ctx = Context::new(self.now, addr, &mut outgoing, &mut timers);
                 ep.handle_timer(token, &mut ctx);
                 self.hosts[host as usize].ep = Some(ep);
                 self.apply(&mut outgoing, &mut timers, addr, host);
@@ -758,6 +748,8 @@ impl SimNet {
 mod tests {
     use super::*;
     use crate::latency::FixedLatency;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -775,12 +767,12 @@ mod tests {
         target: Ipv4Addr,
         count: u32,
         replies: Arc<AtomicU64>,
-        reply_times: Arc<parking_lot::Mutex<Vec<SimTime>>>,
+        reply_times: Rc<RefCell<Vec<SimTime>>>,
     }
     impl Endpoint for Pinger {
         fn handle_datagram(&mut self, _dgram: &Datagram, ctx: &mut Context<'_>) {
             self.replies.fetch_add(1, Ordering::Relaxed);
-            self.reply_times.lock().push(ctx.now());
+            self.reply_times.borrow_mut().push(ctx.now());
         }
         fn handle_timer(&mut self, _token: u64, ctx: &mut Context<'_>) {
             for i in 0..self.count {
@@ -796,16 +788,9 @@ mod tests {
     const CLIENT: Ipv4Addr = Ipv4Addr::new(1, 0, 0, 1);
     const SERVER: Ipv4Addr = Ipv4Addr::new(2, 0, 0, 2);
 
-    fn ping_setup(
-        loss: f64,
-        count: u32,
-    ) -> (
-        SimNet,
-        Arc<AtomicU64>,
-        Arc<parking_lot::Mutex<Vec<SimTime>>>,
-    ) {
+    fn ping_setup(loss: f64, count: u32) -> (SimNet, Arc<AtomicU64>, Rc<RefCell<Vec<SimTime>>>) {
         let replies = Arc::new(AtomicU64::new(0));
-        let times = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let times = Rc::new(RefCell::new(Vec::new()));
         let mut net = SimNet::builder()
             .seed(99)
             .latency(FixedLatency(Duration::from_millis(10)))
@@ -831,7 +816,7 @@ mod tests {
         net.run_until_idle();
         assert_eq!(replies.load(Ordering::Relaxed), 1);
         // 10ms there + 10ms back.
-        assert_eq!(times.lock()[0], SimTime::from_nanos(20_000_000));
+        assert_eq!(times.borrow()[0], SimTime::from_nanos(20_000_000));
         assert_eq!(net.stats().sent, 2);
         assert_eq!(net.stats().delivered, 2);
         assert_eq!(net.stats().timers_fired, 1);
@@ -963,15 +948,15 @@ mod tests {
     #[test]
     fn simultaneous_events_fire_in_submission_order() {
         struct Recorder {
-            order: Arc<parking_lot::Mutex<Vec<u64>>>,
+            order: Rc<RefCell<Vec<u64>>>,
         }
         impl Endpoint for Recorder {
             fn handle_datagram(&mut self, _d: &Datagram, _c: &mut Context<'_>) {}
             fn handle_timer(&mut self, token: u64, _ctx: &mut Context<'_>) {
-                self.order.lock().push(token);
+                self.order.borrow_mut().push(token);
             }
         }
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let order = Rc::new(RefCell::new(Vec::new()));
         let mut net = SimNet::builder().seed(5).build();
         net.register(
             CLIENT,
@@ -983,7 +968,7 @@ mod tests {
             net.set_timer_for(CLIENT, SimTime::from_secs(1), token);
         }
         net.run_until_idle();
-        assert_eq!(*order.lock(), vec![3, 1, 4, 1, 5]);
+        assert_eq!(*order.borrow(), vec![3, 1, 4, 1, 5]);
     }
 
     #[test]
@@ -1584,6 +1569,8 @@ mod fault_tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan, FaultRule, FaultScope};
     use crate::latency::FixedLatency;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -1667,11 +1654,11 @@ mod fault_tests {
                 jitter: Duration::ZERO,
             },
         ));
-        let times = Arc::new(parking_lot::Mutex::new(Vec::new()));
-        struct Stamp(Arc<parking_lot::Mutex<Vec<SimTime>>>);
+        let times = Rc::new(RefCell::new(Vec::new()));
+        struct Stamp(Rc<RefCell<Vec<SimTime>>>);
         impl Endpoint for Stamp {
             fn handle_datagram(&mut self, _d: &Datagram, ctx: &mut Context<'_>) {
-                self.0.lock().push(ctx.now());
+                self.0.borrow_mut().push(ctx.now());
             }
         }
         let mut net = SimNet::builder()
@@ -1682,7 +1669,7 @@ mod fault_tests {
         net.register(DST, Stamp(times.clone()));
         net.inject(Datagram::new((SRC, 1), (DST, 53), vec![1]));
         net.run_until_idle();
-        assert_eq!(times.lock()[0], SimTime::from_nanos(510_000_000));
+        assert_eq!(times.borrow()[0], SimTime::from_nanos(510_000_000));
         assert_eq!(net.stats().faults_injected, 1);
         assert_eq!(net.stats().lost, 0);
     }

@@ -6,7 +6,6 @@
 //! `tests/total.rs`).
 
 use std::net::Ipv4Addr;
-use std::panic::{catch_unwind, resume_unwind};
 use std::time::Duration;
 
 use orscope_json::Wire;
@@ -227,15 +226,6 @@ fn malformed_plans_are_rejected_with_the_member_named() {
         .contains("crash"));
 }
 
-/// Sebastiano Vigna's SplitMix64.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// What a mutation inserts: JSON's structural bytes, number and escape
 /// fragments, and one byte that is never UTF-8.
 const ALPHABET: &[u8] = b"{}[]\",:\\-+.eu0123456789\xff";
@@ -248,37 +238,18 @@ fn hostile_plan_files_are_errors_never_panics() {
         readme_example().to_owned(),
     ];
     let mut accepted = 0u32;
-    for seed in 0..30_000u64 {
-        // A valid document with one to four bytes flipped, inserted,
-        // removed, or everything behind them cut off.
-        let mut rng = seed;
-        let mut below = |bound: usize| (splitmix64(&mut rng) % bound as u64) as usize;
-        let mut bytes = valid[below(valid.len())].clone().into_bytes();
-        for _ in 0..1 + below(4) {
-            let at = below(bytes.len() + 1);
-            match below(4) {
-                0 if at < bytes.len() => bytes[at] ^= 1 << below(8),
-                1 => bytes.insert(at, ALPHABET[below(ALPHABET.len())]),
-                2 if at < bytes.len() => drop(bytes.remove(at)),
-                _ => bytes.truncate(at),
-            }
-        }
+    orscope_check::cases(30_000, |rng| {
+        let mut bytes = rng.choice(&valid).clone().into_bytes();
+        rng.mutate(&mut bytes, ALPHABET);
         // `--faults` reads the file as text; what is not UTF-8 never
         // reaches the loader.
         let Ok(text) = std::str::from_utf8(&bytes) else {
-            continue;
+            return;
         };
-        match catch_unwind(|| FaultPlan::from_json_str(text)) {
-            Ok(Ok(plan)) => {
-                assert_eq!(plan.validate(), Ok(()), "seed {seed}: {text}");
-                accepted += 1;
-            }
-            Ok(Err(_)) => {}
-            Err(panic) => {
-                eprintln!("failing seed {seed}: input {text:?}");
-                resume_unwind(panic);
-            }
+        if let Ok(plan) = FaultPlan::from_json_str(text) {
+            assert_eq!(plan.validate(), Ok(()), "{text}");
+            accepted += 1;
         }
-    }
+    });
     assert!(accepted > 100, "only {accepted} mutated plans still loaded");
 }

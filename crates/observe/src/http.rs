@@ -356,39 +356,27 @@ fn tap_query(head: &str, config: &HttpConfig) -> Option<String> {
     (path == "/tap").then(|| query.to_string())
 }
 
-/// Decodes `%XX` escapes and `+`-for-space in a query-string value.
-/// Invalid escapes pass through literally — the predicate parser will
-/// reject anything that does not make sense.
+/// Decodes `%XX` escapes — two ASCII hex digits and nothing else — and
+/// `+`-for-space in a query-string value. Invalid escapes pass through
+/// literally — the predicate parser will reject anything that does not
+/// make sense.
 fn percent_decode(input: &str) -> String {
-    let bytes = input.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'%' if i + 2 < bytes.len() => {
-                let hex = std::str::from_utf8(&bytes[i + 1..i + 3])
-                    .ok()
-                    .and_then(|pair| u8::from_str_radix(pair, 16).ok());
-                match hex {
-                    Some(byte) => {
-                        out.push(byte);
-                        i += 3;
-                    }
-                    None => {
-                        out.push(b'%');
-                        i += 1;
-                    }
+    let hex = |byte: u8| char::from(byte).to_digit(16);
+    let mut out = Vec::with_capacity(input.len());
+    let mut rest = input.as_bytes();
+    while let [first, tail @ ..] = rest {
+        rest = tail;
+        out.push(match (first, tail) {
+            (b'%', [high, low, after @ ..]) => match (hex(*high), hex(*low)) {
+                (Some(high), Some(low)) => {
+                    rest = after;
+                    (high << 4 | low) as u8
                 }
-            }
-            b'+' => {
-                out.push(b' ');
-                i += 1;
-            }
-            byte => {
-                out.push(byte);
-                i += 1;
-            }
-        }
+                _ => b'%',
+            },
+            (b'+', _) => b' ',
+            _ => *first,
+        });
     }
     String::from_utf8_lossy(&out).into_owned()
 }
@@ -872,5 +860,112 @@ mod tests {
         );
         shared.request_shutdown();
         handle.join();
+    }
+
+    #[test]
+    fn percent_decode_takes_two_hex_digits_and_nothing_else() {
+        for (input, want) in [
+            ("%41", "A"),
+            ("%4a%4A", "JJ"),
+            ("a+b%20c", "a b c"),
+            // Not escapes: one digit, no digits, a sign where a digit
+            // belongs (`from_str_radix` would take it), nothing at all.
+            ("%4", "%4"),
+            ("%zz", "%zz"),
+            ("%+F", "% F"),
+            ("%-1", "%-1"),
+            ("+", " "),
+            ("%", "%"),
+            ("100%", "100%"),
+            ("%%41", "%A"),
+            // An escape may spell a byte that is not UTF-8.
+            ("%ff", "\u{fffd}"),
+        ] {
+            assert_eq!(percent_decode(input), want, "{input:?}");
+        }
+    }
+
+    /// Request heads the mutations start from.
+    const HEADS: [&str; 4] = [
+        "GET /tap?match=rcode%3DNXDomain+class%3Dnxwall&limit=5 HTTP/1.1\r\nHost: a\r\n\r\n",
+        "GET /tap HTTP/1.1\r\nHost: a\r\nContent-Length: 0\r\n\r\n",
+        "GET /tables HTTP/1.1\r\nConnection: close\r\n\r\n",
+        "POST /tap?limit=1 HTTP/1.1\r\ncontent-length : 12\r\n\r\n",
+    ];
+
+    #[test]
+    fn hostile_heads_and_queries_never_panic() {
+        const ALPHABET: &[u8] = b"GET /tap?match=&limit=%+:\r\n 0123456789abcdefXx\xff";
+        let config = HttpConfig::default();
+        let mut tapped = 0;
+        orscope_check::cases(20_000, |rng| {
+            let bytes = match rng.range(0..3) {
+                0 => rng.bytes(0..200),
+                1 => rng.vec(0..200, |rng| *rng.choice(ALPHABET)),
+                _ => {
+                    let mut bytes = rng.choice(&HEADS).as_bytes().to_vec();
+                    rng.mutate(&mut bytes, ALPHABET);
+                    bytes
+                }
+            };
+            // `read_head` hands on only what is UTF-8.
+            let head = String::from_utf8_lossy(&bytes);
+            let _ = declared_body_len(&head);
+            let decoded = percent_decode(&head);
+            // Lossy UTF-8 replacement is the only expansion.
+            assert!(decoded.len() <= 3 * head.len(), "{head:?}");
+            let _ = parse_tap_params(&head);
+            if let Some(query) = tap_query(&head, &config) {
+                let _ = parse_tap_params(&query);
+                tapped += 1;
+            }
+        });
+        // The loop reached the query parser, not only the first `None`.
+        assert!(tapped > 500, "only {tapped} heads were tap requests");
+    }
+
+    #[test]
+    fn a_well_formed_tap_request_round_trips_to_its_predicate() {
+        let config = HttpConfig::default();
+        orscope_check::cases(2_000, |rng| {
+            let text = rng
+                .vec(0..4, |rng| match rng.range(0..5) {
+                    0 => format!("qname=*.{}", rng.choice(&["example.net", "a-b.c", "x_y"])),
+                    1 => format!("rcode={}", rng.choice(&["NXDomain", "NoError", "Refused"])),
+                    2 => format!("class={}", rng.choice(&["honest", "nxwall", "silent"])),
+                    3 => format!("src={}.{}", rng.range(0..=255), rng.range(0..=255)),
+                    _ => format!("dst=10.{}.0.0/{}", rng.range(0..=255), rng.range(0..=32)),
+                })
+                .join(" ");
+            let predicate: TapPredicate = text.parse().expect("canonical predicate");
+            // Escape every reserved byte, and now and then one that
+            // need not be, in either hex case; a space either way.
+            let encoded: String = text
+                .bytes()
+                .map(|byte| match byte {
+                    b' ' if rng.bool() => "+".to_string(),
+                    b'0'..=b'9' | b'a'..=b'z' | b'A'..=b'Z' | b'.' | b'-' | b'_'
+                        if rng.chance(90) =>
+                    {
+                        char::from(byte).to_string()
+                    }
+                    _ if rng.bool() => format!("%{byte:02x}"),
+                    _ => format!("%{byte:02X}"),
+                })
+                .collect();
+            let limit = rng.next_u64() >> rng.range(0..64);
+            let head = match rng.bool() {
+                true => {
+                    format!("GET /tap?match={encoded}&limit={limit} HTTP/1.1\r\nHost: a\r\n\r\n")
+                }
+                false => format!("GET /tap?limit={limit}&match={encoded} HTTP/1.1\r\n\r\n"),
+            };
+            let query = tap_query(&head, &config).expect("a tap request");
+            assert_eq!(
+                parse_tap_params(&query),
+                Ok((predicate, Some(limit))),
+                "{head}"
+            );
+        });
     }
 }

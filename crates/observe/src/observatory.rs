@@ -31,10 +31,11 @@ use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
 use orscope_core::bus::RecordBus;
+use orscope_core::sync::{lock, read, write};
 use orscope_core::{supervise, Campaign, CampaignConfig, CampaignError, CampaignResult, Infra};
 use orscope_dns_wire::Rcode;
 use orscope_netsim::EpochClock;
@@ -42,7 +43,6 @@ use orscope_resolver::paper::Year;
 use orscope_resolver::population::PopulationConfig;
 use orscope_resolver::{HostList, PlannedResolver, ProfileClass};
 use orscope_telemetry::{Collector, Counter, Gauge, Scope, TelemetrySnapshot};
-use parking_lot::{Mutex, RwLock};
 
 use crate::churn::{ChurnConfig, ChurnModel};
 use crate::resolve::{Resolution, Resolve, Update};
@@ -403,17 +403,17 @@ impl ObservatoryShared {
     /// A point-in-time clone of the rolling tables (for exporters and
     /// invariant checks; the HTTP surface uses the `*_bytes` forms).
     pub fn tables_snapshot(&self) -> RollingTables {
-        self.tables.read().clone()
+        read(&self.tables).clone()
     }
 
     /// The `/tables` document, as served.
     pub fn tables_bytes(&self) -> Vec<u8> {
-        self.tables.read().tables_bytes()
+        read(&self.tables).tables_bytes()
     }
 
     /// The `/trends` document, as served.
     pub fn trends_bytes(&self) -> Vec<u8> {
-        self.tables.read().trends_bytes()
+        read(&self.tables).trends_bytes()
     }
 
     /// The `/healthz` document, as served. Liveness only: 200 as long
@@ -458,10 +458,7 @@ impl ObservatoryShared {
             .snapshot()
             .to_prometheus_labeled(&[("surface", "service")]);
         out.push_str(
-            &self
-                .campaign_telemetry
-                .lock()
-                .to_prometheus_labeled(&[("surface", "campaign")]),
+            &lock(&self.campaign_telemetry).to_prometheus_labeled(&[("surface", "campaign")]),
         );
         // Tap/bus metrics are rendered straight from the bus rather
         // than through a Collector: their values depend on how fast
@@ -573,7 +570,7 @@ impl<R: Resolve> Observatory<R> {
         match recovery.checkpoint {
             Some(checkpoint) => {
                 resumed_from = Some(checkpoint.epochs_done);
-                *shared.tables.write() = checkpoint.tables;
+                *write(&shared.tables) = checkpoint.tables;
             }
             None if !recovery.incompatible.is_empty() => {
                 return Err(ServeError::IncompatibleCheckpoint(format!(
@@ -718,7 +715,7 @@ impl<R: Resolve> Observatory<R> {
                     }
                 }
             };
-            shared.tables.write().absorb_epoch(row);
+            write(&shared.tables).absorb_epoch(row);
 
             epochs_completed += 1;
             shared
@@ -741,7 +738,7 @@ impl<R: Resolve> Observatory<R> {
                         .set(round.materialized_hosts() as u64);
                     shared.rounds_counter.inc();
                     if let Some(snapshot) = round.telemetry() {
-                        shared.campaign_telemetry.lock().absorb(snapshot);
+                        lock(&shared.campaign_telemetry).absorb(snapshot);
                     }
                     shared.set_state(ServiceState::Ready);
                 }
@@ -839,7 +836,7 @@ impl<R: Resolve> Observatory<R> {
         let checkpoint = ObservatoryCheckpoint {
             fingerprint: self.config.fingerprint(),
             epochs_done,
-            tables: self.shared.tables.read().clone(),
+            tables: read(&self.shared.tables).clone(),
         };
         Ok(checkpoint.save_generation(&self.config.state_dir, self.config.keep_generations)?)
     }
@@ -975,7 +972,7 @@ mod tests {
         let mut observatory = Observatory::new(config("conserve")).unwrap();
         let shared = observatory.shared();
         observatory.run().unwrap();
-        let tables = shared.tables.read();
+        let tables = read(&shared.tables);
         assert_eq!(tables.epochs().len(), 3);
         for row in tables.epochs() {
             assert_eq!(

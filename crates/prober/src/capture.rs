@@ -133,8 +133,8 @@ impl ProberHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use orscope_authns::scheme::ProbeLabel;
+    use orscope_netsim::Payload;
     use std::net::Ipv4Addr;
 
     fn capture() -> R2Capture {
@@ -144,7 +144,7 @@ mod tests {
             qname: "x.example".parse().unwrap(),
             at: SimTime::ZERO,
             sent_at: SimTime::ZERO,
-            payload: Bytes::from_static(b"x"),
+            payload: Payload::from(b"x".to_vec()),
         }
     }
 

@@ -140,7 +140,6 @@ impl Pacer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn exact_rate_over_one_second() {
@@ -267,12 +266,11 @@ mod tests {
         }
         // SplitMix64 sample of 1 pps .. 10M pps, each at an early tick,
         // an arbitrary one and the last whose product fits 64 bits.
-        let mut state = 0x510F_5D0Eu64;
-        let mut next = move || crate::splitmix64(&mut state);
+        let mut rng = orscope_check::Rng::new(0x510F_5D0E);
         for _ in 0..500 {
-            let rate = 1 + next() % 10_000_000;
+            let rate = rng.range(1..=10_000_000);
             let edge = u64::MAX / rate;
-            for tick in [next() % 1_000, next() % edge, edge - 1, edge] {
+            for tick in [rng.range(0..1_000), rng.range(0..edge), edge - 1, edge] {
                 assert_due_matches_slot_tick(rate, tick);
             }
         }
@@ -283,28 +281,28 @@ mod tests {
         );
     }
 
-    proptest! {
-        /// The closed-form slot assignment agrees with the carry
-        /// arithmetic for arbitrary rates (1 pps .. 10M pps).
-        #[test]
-        fn prop_slot_formula_matches_batches(rate in 1u64..10_000_000) {
-            let packets = rate.min(2_000);
-            assert_slots_match_batches(rate, packets);
-        }
+    /// The closed-form slot assignment agrees with the carry
+    /// arithmetic for arbitrary rates (1 pps .. 10M pps).
+    #[test]
+    fn prop_slot_formula_matches_batches() {
+        orscope_check::cases(256, |rng| {
+            let rate = rng.range(1u64..10_000_000);
+            assert_slots_match_batches(rate, rate.min(2_000));
+        });
+    }
 
-        /// Over `seconds` whole seconds, exactly `rate * seconds`
-        /// packets are scheduled (rate exactness).
-        #[test]
-        fn prop_rate_is_exact_over_whole_seconds(
-            rate in 1u64..10_000_000,
-            seconds in 1u64..4,
-        ) {
+    /// Over `seconds` whole seconds, exactly `rate * seconds`
+    /// packets are scheduled (rate exactness).
+    #[test]
+    fn prop_rate_is_exact_over_whole_seconds() {
+        orscope_check::cases(256, |rng| {
+            let (rate, seconds) = (rng.range(1u64..10_000_000), rng.range(1u64..4));
             let ticks = rate.clamp(1, 100);
             let total = rate * seconds;
             // The last packet of the span lands on the last tick of the
             // span, and the next packet rolls into the next second.
-            prop_assert_eq!(Pacer::slot_tick(total - 1, rate), ticks * seconds - 1);
-            prop_assert_eq!(Pacer::slot_tick(total, rate), ticks * seconds);
-        }
+            assert_eq!(Pacer::slot_tick(total - 1, rate), ticks * seconds - 1);
+            assert_eq!(Pacer::slot_tick(total, rate), ticks * seconds);
+        });
     }
 }

@@ -185,8 +185,8 @@ pub mod read {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
     use orscope_authns::scheme::ProbeLabel;
+    use orscope_netsim::Payload;
 
     fn sample_packet(seq: u64) -> PcapPacket {
         PcapPacket {
@@ -238,7 +238,7 @@ mod tests {
             qname: "or000.0000001.ucfsealresearch.net".parse().unwrap(),
             at: SimTime::from_secs(3),
             sent_at: SimTime::ZERO,
-            payload: Bytes::from_static(&[1, 2, 3]),
+            payload: Payload::from(vec![1, 2, 3]),
         };
         let packet = from_r2(&capture, Ipv4Addr::new(132, 170, 5, 53), 61_000);
         assert_eq!(packet.src, Ipv4Addr::new(7, 7, 7, 7));

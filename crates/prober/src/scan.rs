@@ -6,7 +6,6 @@ use std::iter::Peekable;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
-use bytes::Bytes;
 use orscope_authns::scheme::ProbeLabel;
 use orscope_dns_wire::wire::Reader;
 use orscope_dns_wire::{Header, Message, Name, Question};
@@ -327,7 +326,7 @@ impl Prober {
         ctx.send(Datagram::new(
             (ctx.local_addr(), 61_000),
             (target, 53),
-            Bytes::copy_from_slice(template.fill(label)),
+            template.fill(label),
         ));
         let xmit = self.next_xmit;
         self.next_xmit += 1;
@@ -977,11 +976,10 @@ mod tests {
                 labels.push(ProbeLabel::new(cluster, seq));
             }
         }
-        let mut state = 0x7E4D_1A7Eu64;
-        let mut next = move || crate::splitmix64(&mut state);
+        let mut rng = orscope_check::Rng::new(0x7E4D_1A7E);
         for _ in 0..200 {
-            let cluster = (next() % 1_000) as u32;
-            labels.push(ProbeLabel::new(cluster, next() % 5_000_000));
+            let cluster = rng.range(0..1_000);
+            labels.push(ProbeLabel::new(cluster, rng.range(0..5_000_000)));
         }
         let zones = (1..=4)
             .map(long_zone)

@@ -4,9 +4,8 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
-use bytes::Bytes;
 use orscope_dns_wire::{Message, MessageBuilder, Name, Question, RData, Rcode, Record};
-use orscope_netsim::{Context, Datagram, Endpoint, SimTime};
+use orscope_netsim::{Context, Datagram, Endpoint, Payload, SimTime};
 
 use crate::cache::DnsCache;
 use crate::profile::{
@@ -205,11 +204,11 @@ impl ProfiledResolver {
 
     /// Encodes `msg` through the scratch buffer into a sendable payload
     /// and keeps its storage for the next [`Self::builder`].
-    fn finish(&mut self, msg: Message) -> Option<Bytes> {
+    fn finish(&mut self, msg: Message) -> Option<Payload> {
         let encoded = msg.encode_into(&mut self.scratch);
         self.outbound = msg;
         encoded.ok()?;
-        Some(Bytes::copy_from_slice(&self.scratch))
+        Some(Payload::from(self.scratch.as_slice()))
     }
 
     /// Attaches pre-resolved telemetry handles (default: disabled).
@@ -504,7 +503,7 @@ impl ProfiledResolver {
             ctx.send(Datagram::new(
                 (ctx.local_addr(), 53),
                 client,
-                Bytes::copy_from_slice(&self.scratch),
+                Payload::from(self.scratch.as_slice()),
             ));
         }
     }
@@ -735,7 +734,7 @@ impl ProfiledResolver {
             ctx.send(Datagram::new(
                 (ctx.local_addr(), 53),
                 client.addr,
-                Bytes::copy_from_slice(&self.scratch),
+                Payload::from(self.scratch.as_slice()),
             ));
         }
     }
@@ -859,7 +858,7 @@ fn build_immediate(
     imm: &ImmediateResponse,
     outbound: &mut Message,
     scratch: &mut Vec<u8>,
-) -> Option<Bytes> {
+) -> Option<Payload> {
     let qname = || {
         query
             .first_question()
@@ -905,7 +904,7 @@ fn build_immediate(
         scratch[len - 6] = 0xFF;
         scratch[len - 5] = 0xFF;
     }
-    Some(Bytes::copy_from_slice(scratch))
+    Some(Payload::from(scratch.as_slice()))
 }
 
 #[cfg(test)]
@@ -917,8 +916,8 @@ mod tests {
     use orscope_dns_wire::WireError;
     use orscope_netsim::{FixedLatency, SimNet};
     use orscope_threatintel::Category;
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
     const TLD: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
@@ -965,15 +964,15 @@ mod tests {
     }
 
     /// A client endpoint collecting raw response datagrams.
-    struct Collector(Arc<Mutex<Vec<Datagram>>>);
+    struct Collector(Rc<RefCell<Vec<Datagram>>>);
     impl Endpoint for Collector {
         fn handle_datagram(&mut self, dgram: &Datagram, _ctx: &mut Context<'_>) {
-            self.0.lock().push(dgram.clone());
+            self.0.borrow_mut().push(dgram.clone());
         }
     }
 
     fn probe(net: &mut SimNet, qname: Name) -> Vec<Datagram> {
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         net.register(CLIENT, Collector(got.clone()));
         let query = Message::query(0x4242, Question::a(qname));
         net.inject(Datagram::new(
@@ -982,7 +981,7 @@ mod tests {
             query.encode().unwrap(),
         ));
         net.run_until_idle();
-        let out = got.lock().clone();
+        let out = got.borrow().clone();
         out
     }
 
@@ -1236,8 +1235,8 @@ mod forwarder_tests {
         AuthoritativeServer, CaptureHandle, ClusterZone, ProbeLabel, RootServer, TldServer, Zone,
     };
     use orscope_netsim::{FixedLatency, SimNet};
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
     const TLD: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
@@ -1250,16 +1249,18 @@ mod forwarder_tests {
         "ucfsealresearch.net".parse().unwrap()
     }
 
-    struct Collector(Arc<Mutex<Vec<Message>>>);
+    struct Collector(Rc<RefCell<Vec<Message>>>);
     impl Endpoint for Collector {
         fn handle_datagram(&mut self, dgram: &Datagram, _ctx: &mut Context<'_>) {
-            self.0.lock().push(Message::decode(&dgram.payload).unwrap());
+            self.0
+                .borrow_mut()
+                .push(Message::decode(&dgram.payload).unwrap());
         }
     }
 
     /// Full chain: client -> forwarder (CPE) -> upstream recursive ->
     /// root/TLD/auth -> back.
-    fn forward_setup(policy: ResponsePolicy) -> (SimNet, Arc<Mutex<Vec<Message>>>) {
+    fn forward_setup(policy: ResponsePolicy) -> (SimNet, Rc<RefCell<Vec<Message>>>) {
         let mut net = SimNet::builder()
             .seed(21)
             .latency(FixedLatency(Duration::from_millis(5)))
@@ -1292,7 +1293,7 @@ mod forwarder_tests {
             CPE,
             ProfiledResolver::new(policy, ResolverConfig::new(ROOT)),
         );
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         net.register(CLIENT, Collector(got.clone()));
         (net, got)
     }
@@ -1312,7 +1313,7 @@ mod forwarder_tests {
         let (mut net, got) = forward_setup(ResponsePolicy::forwarder(UPSTREAM));
         let label = ProbeLabel::new(0, 7);
         probe(&mut net, label);
-        let responses = got.lock();
+        let responses = got.borrow();
         assert_eq!(responses.len(), 1);
         let msg = &responses[0];
         assert_eq!(msg.header().id(), 0x7777, "client id restored");
@@ -1338,7 +1339,7 @@ mod forwarder_tests {
         };
         let (mut net, got) = forward_setup(policy);
         probe(&mut net, ProbeLabel::new(0, 8));
-        let responses = got.lock();
+        let responses = got.borrow();
         let msg = &responses[0];
         assert!(!msg.header().recursion_available(), "RA rewritten to 0");
         assert!(
@@ -1364,10 +1365,10 @@ mod forwarder_tests {
                 },
             ),
         );
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         net.register(CLIENT, Collector(got.clone()));
         probe(&mut net, ProbeLabel::new(0, 9));
-        let responses = got.lock();
+        let responses = got.borrow();
         assert_eq!(responses.len(), 1);
         assert_eq!(responses[0].header().rcode(), Rcode::ServFail);
     }
@@ -1393,7 +1394,7 @@ mod forwarder_tests {
         let second_cost = net.stats().delivered - auth_traffic_after_first;
         // Second query: client->resolver + resolver->client only.
         assert_eq!(second_cost, 2, "negative cache served the repeat");
-        let responses = got.lock();
+        let responses = got.borrow();
         assert_eq!(responses.len(), 2);
         assert!(responses
             .iter()
@@ -1420,7 +1421,7 @@ mod forwarder_tests {
         send(&mut net);
         let cost = net.stats().delivered - before;
         assert!(cost > 2, "expired entry forces a fresh walk, cost {cost}");
-        assert_eq!(got.lock().len(), 2);
+        assert_eq!(got.borrow().len(), 2);
     }
 }
 
@@ -1432,8 +1433,8 @@ mod cname_tests {
     };
     use orscope_dns_wire::RecordType;
     use orscope_netsim::{FixedLatency, SimNet};
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
     const TLD: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
@@ -1445,14 +1446,16 @@ mod cname_tests {
         "ucfsealresearch.net".parse().unwrap()
     }
 
-    struct Collector(Arc<Mutex<Vec<Message>>>);
+    struct Collector(Rc<RefCell<Vec<Message>>>);
     impl Endpoint for Collector {
         fn handle_datagram(&mut self, dgram: &Datagram, _ctx: &mut Context<'_>) {
-            self.0.lock().push(Message::decode(&dgram.payload).unwrap());
+            self.0
+                .borrow_mut()
+                .push(Message::decode(&dgram.payload).unwrap());
         }
     }
 
-    fn chase_setup(extra_zone: impl FnOnce(&mut Zone)) -> (SimNet, Arc<Mutex<Vec<Message>>>) {
+    fn chase_setup(extra_zone: impl FnOnce(&mut Zone)) -> (SimNet, Rc<RefCell<Vec<Message>>>) {
         let mut net = SimNet::builder()
             .seed(31)
             .latency(FixedLatency(Duration::from_millis(5)))
@@ -1480,7 +1483,7 @@ mod cname_tests {
             RESOLVER,
             ProfiledResolver::new(ResponsePolicy::honest(), ResolverConfig::new(ROOT)),
         );
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         net.register(CLIENT, Collector(got.clone()));
         (net, got)
     }
@@ -1506,7 +1509,7 @@ mod cname_tests {
             ));
         });
         ask(&mut net, "alias.ucfsealresearch.net".parse().unwrap());
-        let responses = got.lock();
+        let responses = got.borrow();
         assert_eq!(responses.len(), 1);
         let msg = &responses[0];
         // The answer carries the chain: CNAME first, then the A record.
@@ -1539,7 +1542,7 @@ mod cname_tests {
             ));
         });
         ask(&mut net, "a.ucfsealresearch.net".parse().unwrap());
-        let responses = got.lock();
+        let responses = got.borrow();
         assert_eq!(responses.len(), 1);
         assert_eq!(responses[0].header().rcode(), Rcode::ServFail);
     }
@@ -1555,7 +1558,7 @@ mod cname_tests {
         });
         // Cluster 9 is not loaded, so the target does not exist.
         ask(&mut net, "dangling.ucfsealresearch.net".parse().unwrap());
-        let responses = got.lock();
+        let responses = got.borrow();
         assert_eq!(responses[0].header().rcode(), Rcode::NXDomain);
     }
 
@@ -1583,7 +1586,7 @@ mod cname_tests {
             query.encode().unwrap(),
         ));
         net.run_until_idle();
-        let responses = got.lock();
+        let responses = got.borrow();
         assert_eq!(
             responses[0].answers().len(),
             1,
@@ -1601,8 +1604,8 @@ mod version_and_snoop_tests {
     };
     use orscope_dns_wire::{RecordClass, RecordType};
     use orscope_netsim::{FixedLatency, SimNet};
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
     const TLD: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
@@ -1614,14 +1617,16 @@ mod version_and_snoop_tests {
         "ucfsealresearch.net".parse().unwrap()
     }
 
-    struct Collector(Arc<Mutex<Vec<Message>>>);
+    struct Collector(Rc<RefCell<Vec<Message>>>);
     impl Endpoint for Collector {
         fn handle_datagram(&mut self, dgram: &Datagram, _ctx: &mut Context<'_>) {
-            self.0.lock().push(Message::decode(&dgram.payload).unwrap());
+            self.0
+                .borrow_mut()
+                .push(Message::decode(&dgram.payload).unwrap());
         }
     }
 
-    fn setup(policy: ResponsePolicy) -> (SimNet, Arc<Mutex<Vec<Message>>>) {
+    fn setup(policy: ResponsePolicy) -> (SimNet, Rc<RefCell<Vec<Message>>>) {
         let mut net = SimNet::builder()
             .seed(77)
             .latency(FixedLatency(Duration::from_millis(5)))
@@ -1650,7 +1655,7 @@ mod version_and_snoop_tests {
             RESOLVER,
             ProfiledResolver::new(policy, ResolverConfig::new(ROOT)),
         );
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         net.register(CLIENT, Collector(got.clone()));
         (net, got)
     }
@@ -1675,7 +1680,7 @@ mod version_and_snoop_tests {
             RecordClass::Ch,
         );
         send(&mut net, Message::query(1, question));
-        let responses = got.lock();
+        let responses = got.borrow();
         assert_eq!(responses.len(), 1);
         match responses[0].answers()[0].rdata() {
             RData::Txt(segments) => assert_eq!(segments[0], b"BIND 9.9.4"),
@@ -1693,7 +1698,7 @@ mod version_and_snoop_tests {
             RecordClass::Ch,
         );
         send(&mut net, Message::query(2, question));
-        assert_eq!(got.lock()[0].header().rcode(), Rcode::Refused);
+        assert_eq!(got.borrow()[0].header().rcode(), Rcode::Refused);
     }
 
     #[test]
@@ -1709,7 +1714,7 @@ mod version_and_snoop_tests {
             q.header_mut().set_recursion_desired(false);
             send(&mut net, q);
         }
-        let responses = got.lock();
+        let responses = got.borrow();
         assert_eq!(responses.len(), 3);
         // The cached name is disclosed...
         assert_eq!(responses[1].answers().len(), 1);
@@ -1733,7 +1738,7 @@ mod version_and_snoop_tests {
         let mut q = Message::query(6, Question::a(name));
         q.header_mut().set_recursion_desired(false);
         send(&mut net, q);
-        let responses = got.lock();
+        let responses = got.borrow();
         let ttl = responses[1].answers()[0].ttl();
         assert!(ttl <= 20, "ttl {ttl} should have decayed from 60");
     }
@@ -1746,8 +1751,8 @@ mod dns0x20_tests {
         AuthoritativeServer, CaptureHandle, ClusterZone, ProbeLabel, RootServer, TldServer, Zone,
     };
     use orscope_netsim::{FixedLatency, SimNet};
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
     const TLD: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
@@ -1759,10 +1764,12 @@ mod dns0x20_tests {
         "ucfsealresearch.net".parse().unwrap()
     }
 
-    struct Collector(Arc<Mutex<Vec<Message>>>);
+    struct Collector(Rc<RefCell<Vec<Message>>>);
     impl Endpoint for Collector {
         fn handle_datagram(&mut self, dgram: &Datagram, _ctx: &mut Context<'_>) {
-            self.0.lock().push(Message::decode(&dgram.payload).unwrap());
+            self.0
+                .borrow_mut()
+                .push(Message::decode(&dgram.payload).unwrap());
         }
     }
 
@@ -1800,7 +1807,7 @@ mod dns0x20_tests {
             RESOLVER,
             ProfiledResolver::new(ResponsePolicy::honest(), config),
         );
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         net.register(CLIENT, Collector(got.clone()));
         let label = ProbeLabel::new(0, 9);
         let query = Message::query(5, Question::a(label.qname(&zone_name())));
@@ -1810,7 +1817,7 @@ mod dns0x20_tests {
             query.encode().unwrap(),
         ));
         net.run_until_idle();
-        let responses = got.lock();
+        let responses = got.borrow();
         assert_eq!(
             responses.len(),
             1,
@@ -1848,7 +1855,7 @@ mod dns0x20_tests {
             RESOLVER,
             ProfiledResolver::new(ResponsePolicy::honest(), config),
         );
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         net.register(CLIENT, Collector(got.clone()));
         let label = ProbeLabel::new(0, 3);
         let qname = label.qname(&zone_name());
@@ -1880,7 +1887,7 @@ mod dns0x20_tests {
             ));
         }
         net.run_until_idle();
-        let responses = got.lock();
+        let responses = got.borrow();
         // The resolution fails (no real hierarchy), but critically the
         // forged answer never reached the client.
         assert_eq!(responses.len(), 1);
@@ -2056,6 +2063,7 @@ mod reset_tests {
 mod fresh_ignores_tests {
     use super::*;
     use orscope_authns::ProbeLabel;
+    use orscope_check::Rng;
     use orscope_netsim::{FixedLatency, SimNet};
     use orscope_telemetry::Collector;
     use std::sync::Arc;
@@ -2064,21 +2072,6 @@ mod fresh_ignores_tests {
     const UPSTREAM: Ipv4Addr = Ipv4Addr::new(8, 8, 8, 8);
     const RESOLVER: Ipv4Addr = Ipv4Addr::new(74, 0, 0, 1);
     const PEER: Ipv4Addr = Ipv4Addr::new(131, 94, 0, 9);
-
-    /// SplitMix64, the house generator for seeded sweeps.
-    struct Rng(u64);
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-    }
 
     /// One resolver per action kind: recursive, forwarding, immediate
     /// (a refusal and a redirect) and silent.
@@ -2105,28 +2098,25 @@ mod fresh_ignores_tests {
     /// the latter with a few bytes overwritten.
     fn payload(rng: &mut Rng) -> Vec<u8> {
         let zone: Name = "ucfsealresearch.net".parse().unwrap();
-        let qname = ProbeLabel::new(rng.below(1000) as u32, rng.below(5_000_000)).qname(&zone);
-        let query = Message::query(rng.next() as u16, Question::a(qname.clone()));
+        let qname = ProbeLabel::new(rng.range(0..1000), rng.range(0..5_000_000)).qname(&zone);
+        let query = Message::query(rng.next_u64() as u16, Question::a(qname.clone()));
         let response = Message::builder()
             .response_to(&query)
             .answer(Record::in_class(
                 qname,
                 60,
-                RData::A(Ipv4Addr::from(rng.next() as u32)),
+                RData::A(Ipv4Addr::from(rng.next_u64() as u32)),
             ))
             .build();
-        let mut wire = match rng.below(5) {
-            0 => {
-                let len = rng.below(40) as usize;
-                return (0..len).map(|_| rng.next() as u8).collect();
-            }
+        let mut wire = match rng.range(0..5) {
+            0 => return rng.bytes(0..40),
             1 | 2 => query.encode().unwrap(),
             _ => response.encode().unwrap(),
         };
-        if rng.below(2) == 0 {
-            for _ in 0..1 + rng.below(3) {
-                let at = rng.below(wire.len() as u64) as usize;
-                wire[at] = rng.next() as u8;
+        if rng.bool() {
+            for _ in 0..rng.range(1..=3) {
+                let at = rng.range(0..wire.len());
+                wire[at] = rng.next_u64() as u8;
             }
         }
         wire
@@ -2163,7 +2153,7 @@ mod fresh_ignores_tests {
 
     #[test]
     fn what_fresh_ignores_accepts_a_fresh_resolver_ignores() {
-        let mut rng = Rng(0xEC40);
+        let mut rng = Rng::new(0xEC40);
         for policy in policies() {
             let policy = Arc::new(policy);
             let collector = Collector::new();
@@ -2193,7 +2183,7 @@ mod fresh_ignores_tests {
                 } else {
                     with_resolver(&mut net, |r| r.reset(policy.clone()));
                 }
-                for port in [53, 32_768 + (rng.next() as u16 & 0x3FFF)] {
+                for port in [53, 32_768 + (rng.next_u64() as u16 & 0x3FFF)] {
                     net.inject(Datagram::new((PEER, 53), (RESOLVER, port), wire.clone()));
                     queued += 1;
                     let context = format!("{:?} port {port} {wire:02x?}", policy.action);
@@ -2204,9 +2194,9 @@ mod fresh_ignores_tests {
             assert!(ignorable - decoded_responses > 50, "undecodable ones too");
             // And no timer token wakes a resolver with nothing in flight.
             for _ in 0..200 {
-                let token = match rng.below(3) {
-                    0 => rng.below(70_000),
-                    _ => rng.next(),
+                let token = match rng.range(0..3) {
+                    0 => rng.range(0..70_000),
+                    _ => rng.next_u64(),
                 };
                 let at = net.now();
                 net.set_timer_for(RESOLVER, at, token);

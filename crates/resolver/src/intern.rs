@@ -110,90 +110,3 @@ impl ProfileTable {
         }
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::paper::Year;
-    use crate::population::{Population, PopulationConfig};
-    use crate::profile::ResponsePolicy;
-    use orscope_threatintel::Category;
-    use std::net::Ipv4Addr;
-
-    // Deterministic twins of the proptests in
-    // `crates/resolver/tests/properties.rs`, kept as plain unit tests
-    // so the properties are exercised even when the workspace builds
-    // without the proptest harness.
-
-    fn assorted_policies() -> Vec<ResponsePolicy> {
-        vec![
-            ResponsePolicy::honest(),
-            ResponsePolicy::refusing(),
-            ResponsePolicy::honest().with_version_banner("9.8.2rc1"),
-            ResponsePolicy::honest().with_version_banner("dnsmasq-2.51"),
-            ResponsePolicy::forwarder(Ipv4Addr::new(9, 9, 9, 9)),
-            ResponsePolicy::malicious(
-                Ipv4Addr::new(208, 91, 197, 91),
-                true,
-                false,
-                Category::Malware,
-            ),
-        ]
-    }
-
-    #[test]
-    fn interning_round_trips_and_deduplicates() {
-        let mut table = ProfileTable::new();
-        let policies = assorted_policies();
-        let ids: Vec<_> = policies.iter().cloned().map(|p| table.intern(p)).collect();
-        // Round-trip: the id resolves back to an equal policy.
-        for (policy, &id) in policies.iter().zip(&ids) {
-            assert_eq!(table.get(id).as_ref(), policy);
-            assert_eq!(table.lookup(policy), Some(id));
-        }
-        // Distinct policies get distinct ids.
-        let unique: std::collections::HashSet<_> = ids.iter().collect();
-        assert_eq!(unique.len(), policies.len());
-        // Re-interning is a no-op.
-        for (policy, &id) in policies.iter().zip(&ids) {
-            assert_eq!(table.intern(policy.clone()), id);
-        }
-        assert_eq!(table.len(), policies.len());
-    }
-
-    #[test]
-    fn country_ids_round_trip() {
-        let mut table = ProfileTable::new();
-        assert_eq!(table.intern_country(None), COUNTRY_NONE);
-        let us = table.intern_country(Some("US"));
-        let cn = table.intern_country(Some("CN"));
-        assert_ne!(us, cn);
-        assert_eq!(table.intern_country(Some("US")), us);
-        assert_eq!(table.country(us), Some("US"));
-        assert_eq!(table.country(COUNTRY_NONE), None);
-    }
-
-    #[test]
-    fn generated_population_table_is_exactly_its_unique_policies() {
-        for year in Year::ALL {
-            let mut config = PopulationConfig::new(year, 40_000.0);
-            config.forwarder_fraction = 0.2;
-            config.off_port_responders = 5;
-            let pop = Population::generate(&config);
-            let mut seen: std::collections::HashSet<ResponsePolicy> =
-                std::collections::HashSet::new();
-            for host in pop.resolvers().chain(pop.off_port()).chain(pop.upstreams()) {
-                // Round-trip: every host's policy is interned and its
-                // id resolves back to an equal policy.
-                let id = pop
-                    .table()
-                    .lookup(host.policy)
-                    .expect("host policy interned");
-                assert_eq!(pop.table().get(id), host.policy);
-                seen.insert((**host.policy).clone());
-            }
-            // Table size == number of unique policies in use.
-            assert_eq!(pop.table().len(), seen.len(), "{year}");
-        }
-    }
-}

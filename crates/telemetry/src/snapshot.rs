@@ -47,7 +47,7 @@ impl HistogramSnapshot {
         }
     }
 
-    /// Builds a snapshot from raw samples (test and proptest helper).
+    /// Builds a snapshot from raw samples (a helper for tests and properties).
     pub fn from_samples(scope: Scope, samples: &[u64]) -> Self {
         let mut snapshot = Self::empty(scope);
         for &value in samples {

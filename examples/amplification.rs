@@ -11,8 +11,9 @@
 //! cargo run --release --example amplification
 //! ```
 
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
 use orscope_authns::{
@@ -21,7 +22,6 @@ use orscope_authns::{
 use orscope_dns_wire::{Message, Name, Question, RecordType};
 use orscope_netsim::{Context, Datagram, Endpoint, FixedLatency, SimNet, SimTime};
 use orscope_resolver::{ProfiledResolver, ResolverConfig, ResponsePolicy};
-use parking_lot::Mutex;
 
 const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
 const TLD: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
@@ -31,16 +31,16 @@ const VICTIM: Ipv4Addr = Ipv4Addr::new(203, 113, 0, 2);
 
 /// The victim only counts what lands on it.
 struct Victim {
-    bytes: Arc<Mutex<u64>>,
+    bytes: Rc<RefCell<u64>>,
 }
 
 impl Endpoint for Victim {
     fn handle_datagram(&mut self, dgram: &Datagram, _ctx: &mut Context<'_>) {
-        *self.bytes.lock() += dgram.wire_len() as u64;
+        *self.bytes.borrow_mut() += dgram.wire_len() as u64;
     }
 }
 
-fn build_net() -> (SimNet, Arc<Mutex<u64>>) {
+fn build_net() -> (SimNet, Rc<RefCell<u64>>) {
     let zone_name: Name = "ucfsealresearch.net".parse().expect("static");
     let ns_name: Name = "ns1.ucfsealresearch.net".parse().expect("static");
     let mut net = SimNet::builder()
@@ -74,7 +74,7 @@ fn build_net() -> (SimNet, Arc<Mutex<u64>>) {
         RESOLVER,
         ProfiledResolver::new(ResponsePolicy::honest(), ResolverConfig::new(ROOT)),
     );
-    let bytes = Arc::new(Mutex::new(0u64));
+    let bytes = Rc::new(RefCell::new(0u64));
     net.register(
         VICTIM,
         Victim {
@@ -107,7 +107,7 @@ fn attack(qtype: RecordType, queries: u32, edns: bool) -> (u64, u64) {
     }
     net.run_until_idle();
     assert!(net.now() > SimTime::ZERO);
-    let received = *victim_bytes.lock();
+    let received = *victim_bytes.borrow();
     (attacker_bytes, received)
 }
 

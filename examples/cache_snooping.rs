@@ -17,8 +17,9 @@
 //! cargo run --release --example cache_snooping
 //! ```
 
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
 use orscope_authns::scheme::ProbeLabel;
@@ -28,7 +29,6 @@ use orscope_authns::{
 use orscope_dns_wire::{Message, Name, Question};
 use orscope_netsim::{Context, Datagram, Endpoint, FixedLatency, SimNet, SimTime};
 use orscope_resolver::{ProfiledResolver, ResolverConfig, ResponsePolicy};
-use parking_lot::Mutex;
 
 const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
 const TLD: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
@@ -48,7 +48,7 @@ fn domain(i: u64) -> Name {
 }
 
 struct Snooper {
-    hits: Arc<Mutex<Vec<u64>>>,
+    hits: Rc<RefCell<Vec<u64>>>,
 }
 
 impl Endpoint for Snooper {
@@ -61,7 +61,7 @@ impl Endpoint for Snooper {
         }
         // The snoop query id encodes the domain index.
         let idx = msg.header().id() as usize % DOMAINS as usize;
-        self.hits.lock()[idx] += 1;
+        self.hits.borrow_mut()[idx] += 1;
     }
 }
 
@@ -132,7 +132,7 @@ fn main() {
     net.run_until_idle();
 
     // Phase 2: snoop every resolver for every domain with RD=0.
-    let hits = Arc::new(Mutex::new(vec![0u64; DOMAINS as usize]));
+    let hits = Rc::new(RefCell::new(vec![0u64; DOMAINS as usize]));
     net.register(SNOOPER, Snooper { hits: hits.clone() });
     for d in 0..DOMAINS {
         for &addr in &resolvers {
@@ -148,7 +148,7 @@ fn main() {
     net.run_until_idle();
     assert!(net.now() > SimTime::ZERO);
 
-    let hits = hits.lock();
+    let hits = hits.borrow();
     println!(
         "Cache snooping across {RESOLVERS} open resolvers ({USER_QUERIES} user queries, {DOMAINS} domains)\n"
     );

@@ -21,8 +21,10 @@
 //! cargo run --release --example ditl_impact
 //! ```
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use orscope_authns::scheme::ProbeLabel;
@@ -34,7 +36,6 @@ use orscope_dns_wire::{Message, Name, Question};
 use orscope_netsim::{Context, Datagram, Endpoint, HashLatency, SimNet, SimTime};
 use orscope_resolver::paper::Year;
 use orscope_resolver::{ProfiledResolver, ResolverConfig};
-use parking_lot::Mutex;
 
 const USERS: u64 = 400;
 const QUERIES_PER_USER: u64 = 5;
@@ -46,15 +47,15 @@ fn zone_name() -> Name {
 /// Wraps the root server and counts inbound queries (the DITL capture).
 struct DitlTap<E> {
     inner: E,
-    queries: Arc<Mutex<u64>>,
-    sources: Arc<Mutex<HashMap<Ipv4Addr, u64>>>,
+    queries: Rc<RefCell<u64>>,
+    sources: Rc<RefCell<HashMap<Ipv4Addr, u64>>>,
 }
 
 impl<E: Endpoint> Endpoint for DitlTap<E> {
     fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
         if dgram.dst_port == 53 {
-            *self.queries.lock() += 1;
-            *self.sources.lock().entry(dgram.src).or_default() += 1;
+            *self.queries.borrow_mut() += 1;
+            *self.sources.borrow_mut().entry(dgram.src).or_default() += 1;
         }
         self.inner.handle_datagram(dgram, ctx);
     }
@@ -66,8 +67,8 @@ impl<E: Endpoint> Endpoint for DitlTap<E> {
 /// A user: queries its configured resolver and checks the answers.
 struct User {
     resolver: Ipv4Addr,
-    wrong_answers: Arc<Mutex<u64>>,
-    answers: Arc<Mutex<u64>>,
+    wrong_answers: Rc<RefCell<u64>>,
+    answers: Rc<RefCell<u64>>,
 }
 
 impl Endpoint for User {
@@ -82,9 +83,9 @@ impl Endpoint for User {
             return;
         };
         if let Some(addr) = msg.answers().first().and_then(|r| r.rdata().as_a()) {
-            *self.answers.lock() += 1;
+            *self.answers.borrow_mut() += 1;
             if addr != orscope_authns::ground_truth(label) {
-                *self.wrong_answers.lock() += 1;
+                *self.wrong_answers.borrow_mut() += 1;
             }
         }
     }
@@ -113,8 +114,8 @@ fn main() {
         .seed(0xD17)
         .latency(HashLatency::internet(0xD17))
         .build();
-    let root_queries = Arc::new(Mutex::new(0u64));
-    let root_sources = Arc::new(Mutex::new(HashMap::new()));
+    let root_queries = Rc::new(RefCell::new(0u64));
+    let root_sources = Rc::new(RefCell::new(HashMap::new()));
     let mut root = RootServer::new();
     root.delegate(
         "net".parse().expect("static"),
@@ -159,8 +160,8 @@ fn main() {
         .filter(|r| r.policy.recurses())
         .map(|r| r.addr)
         .collect();
-    let wrong_answers = Arc::new(Mutex::new(0u64));
-    let answers = Arc::new(Mutex::new(0u64));
+    let wrong_answers = Rc::new(RefCell::new(0u64));
+    let answers = Rc::new(RefCell::new(0u64));
     let mut users_on_malicious = 0u64;
     for u in 0..USERS {
         let user_addr = Ipv4Addr::from(0x0C00_0000 + u as u32); // 12.0.0.x
@@ -191,12 +192,12 @@ fn main() {
     net.run_until_idle();
 
     let total_queries = USERS * QUERIES_PER_USER;
-    let wrong = *wrong_answers.lock();
-    let answered = *answers.lock();
-    let root_seen = *root_queries.lock();
+    let wrong = *wrong_answers.borrow();
+    let answered = *answers.borrow();
+    let root_seen = *root_queries.borrow();
     let malicious_set: std::collections::HashSet<_> = malicious.iter().collect();
     let malicious_at_root = root_sources
-        .lock()
+        .borrow()
         .keys()
         .filter(|src| malicious_set.contains(src))
         .count();

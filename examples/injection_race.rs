@@ -21,8 +21,9 @@
 //! cargo run --release --example injection_race
 //! ```
 
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
 use orscope_authns::scheme::ProbeLabel;
@@ -32,7 +33,6 @@ use orscope_authns::{
 use orscope_dns_wire::{Message, Name, Question, RData, Record};
 use orscope_netsim::{Context, Datagram, Endpoint, FixedLatency, SimNet, SimTime};
 use orscope_resolver::{ProfiledResolver, ResolverConfig, ResponsePolicy};
-use parking_lot::Mutex;
 
 const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
 const TLD: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
@@ -96,14 +96,14 @@ impl Endpoint for Attacker {
 }
 
 struct Client {
-    answers: Arc<Mutex<Vec<Ipv4Addr>>>,
+    answers: Rc<RefCell<Vec<Ipv4Addr>>>,
 }
 
 impl Endpoint for Client {
     fn handle_datagram(&mut self, dgram: &Datagram, _ctx: &mut Context<'_>) {
         if let Ok(msg) = Message::decode(&dgram.payload) {
             if let Some(addr) = msg.answers().first().and_then(|r| r.rdata().as_a()) {
-                self.answers.lock().push(addr);
+                self.answers.borrow_mut().push(addr);
             }
         }
     }
@@ -146,7 +146,7 @@ fn attempt(randomize_txn: bool, dns0x20: bool, trial: u64) -> Ipv4Addr {
         RESOLVER,
         ProfiledResolver::new(ResponsePolicy::honest(), config),
     );
-    let answers = Arc::new(Mutex::new(Vec::new()));
+    let answers = Rc::new(RefCell::new(Vec::new()));
     net.register(
         CLIENT,
         Client {
@@ -189,7 +189,7 @@ fn attempt(randomize_txn: bool, dns0x20: bool, trial: u64) -> Ipv4Addr {
     ));
     net.run_until_idle();
     assert!(net.now() > SimTime::ZERO);
-    let got = answers.lock().first().copied();
+    let got = answers.borrow().first().copied();
     got.unwrap_or(Ipv4Addr::UNSPECIFIED)
 }
 

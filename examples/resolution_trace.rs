@@ -10,8 +10,9 @@
 //! cargo run --release --example resolution_trace
 //! ```
 
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::Duration;
 
 use orscope_authns::scheme::ProbeLabel;
@@ -21,7 +22,6 @@ use orscope_authns::{
 use orscope_dns_wire::{Message, Name, Question};
 use orscope_netsim::{Context, Datagram, Endpoint, FixedLatency, SimNet, SimTime};
 use orscope_resolver::{ProfiledResolver, ResolverConfig, ResponsePolicy};
-use parking_lot::Mutex;
 
 const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
 const TLD: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
@@ -33,7 +33,7 @@ const PROBER: Ipv4Addr = Ipv4Addr::new(132, 170, 5, 53);
 struct Tap<E> {
     name: &'static str,
     inner: E,
-    log: Arc<Mutex<Vec<String>>>,
+    log: Rc<RefCell<Vec<String>>>,
 }
 
 impl<E: Endpoint> Endpoint for Tap<E> {
@@ -57,7 +57,7 @@ impl<E: Endpoint> Endpoint for Tap<E> {
             }
             Err(e) => format!("undecodable ({e})"),
         };
-        self.log.lock().push(format!(
+        self.log.borrow_mut().push(format!(
             "t={} {:>9}  {} -> {}:{}  {}",
             ctx.now(),
             self.name,
@@ -76,13 +76,13 @@ impl<E: Endpoint> Endpoint for Tap<E> {
 
 /// The prober side of the trace: sends Q1, prints R2.
 struct MiniProber {
-    log: Arc<Mutex<Vec<String>>>,
+    log: Rc<RefCell<Vec<String>>>,
 }
 
 impl Endpoint for MiniProber {
     fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
         let msg = Message::decode(&dgram.payload).expect("R2 decodes");
-        self.log.lock().push(format!(
+        self.log.borrow_mut().push(format!(
             "t={} {:>9}  R2 received: ra={} aa={} rcode={} answer={}",
             ctx.now(),
             "prober",
@@ -100,7 +100,7 @@ impl Endpoint for MiniProber {
 fn main() {
     let zone_name: Name = "ucfsealresearch.net".parse().expect("static");
     let ns_name: Name = "ns1.ucfsealresearch.net".parse().expect("static");
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let log = Rc::new(RefCell::new(Vec::new()));
     let mut net = SimNet::builder()
         .seed(1)
         .latency(FixedLatency(Duration::from_millis(15)))
@@ -169,7 +169,7 @@ fn main() {
     net.run_until_idle();
 
     println!("Packet trace (cf. Fig. 1 steps 1-8 and Fig. 2's Q1/Q2/R1/R2):");
-    for line in log.lock().iter() {
+    for line in log.borrow().iter() {
         println!("  {line}");
     }
     println!("\nAuthoritative-server capture (the tcpdump of Fig. 2):");

@@ -10,8 +10,10 @@
 //! cargo run --release --example version_survey
 //! ```
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -20,13 +22,12 @@ use orscope_dns_wire::{Message, Question, RData, RecordClass, RecordType};
 use orscope_netsim::{Context, Datagram, Endpoint, FixedLatency, SimNet, SimTime};
 use orscope_resolver::paper::Year;
 use orscope_resolver::{ProfiledResolver, ResolverConfig};
-use parking_lot::Mutex;
 
 const SURVEYOR: Ipv4Addr = Ipv4Addr::new(132, 170, 5, 54);
 
 struct Surveyor {
-    banners: Arc<Mutex<HashMap<String, u64>>>,
-    refused: Arc<Mutex<u64>>,
+    banners: Rc<RefCell<HashMap<String, u64>>>,
+    refused: Rc<RefCell<u64>>,
 }
 
 impl Endpoint for Surveyor {
@@ -37,9 +38,9 @@ impl Endpoint for Surveyor {
         match msg.answers().first().map(|r| r.rdata()) {
             Some(RData::Txt(segments)) => {
                 let banner = String::from_utf8_lossy(&segments[0]).into_owned();
-                *self.banners.lock().entry(banner).or_default() += 1;
+                *self.banners.borrow_mut().entry(banner).or_default() += 1;
             }
-            _ => *self.refused.lock() += 1,
+            _ => *self.refused.borrow_mut() += 1,
         }
     }
 }
@@ -68,8 +69,8 @@ fn main() {
             ProfiledResolver::new_shared(Arc::clone(planned.policy), resolver_config.clone()),
         );
     }
-    let banners = Arc::new(Mutex::new(HashMap::new()));
-    let refused = Arc::new(Mutex::new(0u64));
+    let banners = Rc::new(RefCell::new(HashMap::new()));
+    let refused = Rc::new(RefCell::new(0u64));
     net.register(
         SURVEYOR,
         Surveyor {
@@ -93,7 +94,7 @@ fn main() {
     net.run_until_idle();
     assert!(net.now() > SimTime::ZERO);
 
-    let banners = banners.lock();
+    let banners = banners.borrow();
     let mut rows: Vec<(&String, &u64)> = banners.iter().collect();
     rows.sort_by(|a, b| b.1.cmp(a.1));
     let disclosed: u64 = rows.iter().map(|(_, &n)| n).sum();
@@ -107,7 +108,7 @@ fn main() {
     println!(
         "\n{} resolvers disclosed a version; {} refused the CH query.",
         disclosed,
-        refused.lock()
+        refused.borrow()
     );
     println!(
         "Version banners are exactly what amplification-botnet builders harvest:\n\
