@@ -65,6 +65,23 @@ fn counters_agree_with_the_simulator_stats() {
         snapshot.histograms["prober.q1_r2_latency_ns"].count,
         result.dataset().r2()
     );
+    // Each answered query is tallied under one question type and one
+    // rcode.
+    let sum = |prefix: &str| -> u64 {
+        let series = snapshot.counters.iter();
+        series
+            .filter(|(name, _)| name.starts_with(prefix))
+            .map(|(_, metric)| metric.value)
+            .sum()
+    };
+    let queries = snapshot.counters["auth.queries"].value;
+    assert_eq!(sum("auth.qtype_"), queries);
+    assert_eq!(sum("auth.rcode_"), queries);
+    assert!(snapshot.histograms["resolver.recursion_depth"].count > 0);
+    assert!(
+        snapshot.counters["resolver.responses_sent"].value
+            >= snapshot.counters["prober.r2_captured"].value
+    );
     // All four campaign phases were spanned.
     for phase in [
         "phase.population_build",
