@@ -28,7 +28,6 @@ pub mod cluster;
 pub mod hierarchy;
 pub mod scheme;
 pub mod server;
-pub mod telemetry;
 pub mod zone;
 pub mod zonefile;
 
@@ -36,6 +35,5 @@ pub use capture::{CaptureHandle, CapturedPacket, Direction, R2Capture, RecordSin
 pub use cluster::{ClusterAnswer, ClusterZone};
 pub use hierarchy::{RootServer, TldServer};
 pub use scheme::{ground_truth, ProbeLabel};
-pub use server::AuthoritativeServer;
-pub use telemetry::AuthTelemetry;
+pub use server::{AuthStats, AuthoritativeServer};
 pub use zone::{Zone, ZoneAnswer};

@@ -4,13 +4,12 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
-use orscope_dns_wire::{Message, MessageBuilder, Rcode};
+use orscope_dns_wire::{Message, MessageBuilder, Rcode, RecordType};
 use orscope_netsim::{Context, Datagram, Endpoint, SimTime};
 
 use crate::capture::CaptureHandle;
 use crate::cluster::{ClusterAnswer, ClusterZone};
 use crate::scheme::ProbeLabel;
-use crate::telemetry::AuthTelemetry;
 use crate::zone::ZoneAnswer;
 
 /// Response-rate-limiting configuration (BIND-style RRL): at most
@@ -34,6 +33,54 @@ impl Default for RrlConfig {
     }
 }
 
+/// What the server answered, tallied by question type and by response
+/// code: each answered query counts once in `queries`, once under a
+/// `qtype_*` and once under an `rcode_*`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AuthStats {
+    /// Queries answered (Q2 in the paper's notation).
+    pub queries: u64,
+    /// A-type questions.
+    pub qtype_a: u64,
+    /// ANY questions (the amplification vector).
+    pub qtype_any: u64,
+    /// TXT questions.
+    pub qtype_txt: u64,
+    /// Every other (or absent) question type.
+    pub qtype_other: u64,
+    /// Responses with rcode 0.
+    pub rcode_noerror: u64,
+    /// NXDomain responses.
+    pub rcode_nxdomain: u64,
+    /// Refused responses (out-of-zone queries).
+    pub rcode_refused: u64,
+    /// FormErr responses (broken queries).
+    pub rcode_formerr: u64,
+    /// Any other rcode.
+    pub rcode_other: u64,
+}
+
+impl AuthStats {
+    /// Tallies one answered query: the question type (`None` when the
+    /// query carried no readable question) and the response rcode.
+    fn record(&mut self, qtype: Option<RecordType>, rcode: Rcode) {
+        self.queries += 1;
+        *match qtype {
+            Some(RecordType::A) => &mut self.qtype_a,
+            Some(RecordType::Any) => &mut self.qtype_any,
+            Some(RecordType::Txt) => &mut self.qtype_txt,
+            _ => &mut self.qtype_other,
+        } += 1;
+        *match rcode {
+            Rcode::NoError => &mut self.rcode_noerror,
+            Rcode::NXDomain => &mut self.rcode_nxdomain,
+            Rcode::Refused => &mut self.rcode_refused,
+            Rcode::FormErr => &mut self.rcode_formerr,
+            _ => &mut self.rcode_other,
+        } += 1;
+    }
+}
+
 /// The authoritative server for the measurement zone.
 ///
 /// Mirrors the paper's BIND 9.9.4 instance on Vultr: it answers queries
@@ -44,7 +91,7 @@ impl Default for RrlConfig {
 pub struct AuthoritativeServer {
     zone: ClusterZone,
     capture: CaptureHandle,
-    queries_served: u64,
+    stats: AuthStats,
     /// When set, a query for the cluster after the active one triggers a
     /// rollover (models the operator loading the next zone file as the
     /// prober advances). Load time is accumulated in `load_time_secs`.
@@ -61,7 +108,6 @@ pub struct AuthoritativeServer {
     rrl_state: HashMap<Ipv4Addr, (SimTime, u32)>,
     /// Responses suppressed by RRL.
     rrl_dropped: u64,
-    telemetry: AuthTelemetry,
     /// Scratch the query in hand is decoded into and the response is
     /// built in: each reuses the previous packet's section vectors.
     inbound: Message,
@@ -77,14 +123,13 @@ impl AuthoritativeServer {
         Self {
             zone,
             capture,
-            queries_served: 0,
+            stats: AuthStats::default(),
             auto_advance: false,
             auto_cluster_size: crate::scheme::CLUSTER_CAPACITY,
             load_time_secs: 0.0,
             rrl: None,
             rrl_state: HashMap::new(),
             rrl_dropped: 0,
-            telemetry: AuthTelemetry::default(),
             inbound: Message::default(),
             outbound: Message::default(),
             scratch: Vec::with_capacity(512),
@@ -94,12 +139,6 @@ impl AuthoritativeServer {
     /// Enables BIND-style response rate limiting.
     pub fn enable_rrl(&mut self, config: RrlConfig) -> &mut Self {
         self.rrl = Some(config);
-        self
-    }
-
-    /// Attaches pre-resolved telemetry handles (default: disabled).
-    pub fn set_telemetry(&mut self, telemetry: AuthTelemetry) -> &mut Self {
-        self.telemetry = telemetry;
         self
     }
 
@@ -150,9 +189,9 @@ impl AuthoritativeServer {
         &mut self.zone
     }
 
-    /// Queries answered so far.
-    pub fn queries_served(&self) -> u64 {
-        self.queries_served
+    /// What was answered so far.
+    pub fn stats(&self) -> AuthStats {
+        self.stats
     }
 
     /// Starts the next response in the previous one's storage.
@@ -176,9 +215,8 @@ impl AuthoritativeServer {
     /// [`AuthoritativeServer::respond`] for a query whose probe label
     /// (see [`AuthoritativeServer::label_of`]) is already in hand.
     fn respond_labelled(&mut self, query: &Message, label: Option<ProbeLabel>) -> Message {
-        self.queries_served += 1;
         let Some(question) = query.first_question() else {
-            self.telemetry.record(None, Rcode::FormErr);
+            self.stats.record(None, Rcode::FormErr);
             return self
                 .builder()
                 .response_to(query)
@@ -223,13 +261,16 @@ impl AuthoritativeServer {
             }
         }
         let response = builder.build();
-        self.telemetry
-            .record(Some(qtype), response.header().rcode());
+        self.stats.record(Some(qtype), response.header().rcode());
         response
     }
 }
 
 impl Endpoint for AuthoritativeServer {
+    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
+        Some(self)
+    }
+
     fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
         if dgram.dst_port != 53 {
             return; // the server only listens on the DNS port
@@ -263,7 +304,7 @@ impl Endpoint for AuthoritativeServer {
                     };
                     let mut m = self.builder().id(id).rcode(Rcode::FormErr).build();
                     m.header_mut().set_response(true);
-                    self.telemetry.record(None, Rcode::FormErr);
+                    self.stats.record(None, Rcode::FormErr);
                     Some((m, Message::CLASSIC_UDP_LIMIT))
                 }
             }
@@ -389,6 +430,40 @@ mod tests {
         let resp = slot.borrow_mut().take().unwrap();
         assert_eq!(resp.header().rcode(), Rcode::FormErr);
         assert_eq!(resp.header().id(), 0xABCD, "echoes the query id bytes");
+    }
+
+    #[test]
+    fn stats_tally_each_answer_by_qtype_and_rcode() {
+        let mut srv = server(CaptureHandle::new());
+        let probe = ProbeLabel::new(0, 42).qname(&zone_name());
+        let unloaded = ProbeLabel::new(5, 42).qname(&zone_name());
+        srv.respond(&Message::query(1, Question::a(probe)));
+        srv.respond(&Message::query(2, Question::any(unloaded)));
+        let mut empty = Message::query(3, Question::a(zone_name()));
+        empty.clear_questions();
+        srv.respond(&empty);
+        // One that does not decode at all, through the packet path.
+        let mut net = SimNet::builder().seed(2).build();
+        net.register(SERVER, srv);
+        net.inject(Datagram::new((CLIENT, 40_000), (SERVER, 53), vec![0xAB]));
+        net.run_until_idle();
+        let stats = net
+            .with_host(SERVER, |ep| {
+                let any = ep.as_any_mut().expect("downcastable");
+                any.downcast_mut::<AuthoritativeServer>().unwrap().stats()
+            })
+            .unwrap();
+        let want = AuthStats {
+            queries: 4,
+            qtype_a: 1,
+            qtype_any: 1,
+            qtype_other: 2,
+            rcode_noerror: 1,
+            rcode_nxdomain: 1,
+            rcode_formerr: 2,
+            ..AuthStats::default()
+        };
+        assert_eq!(stats, want);
     }
 
     #[test]

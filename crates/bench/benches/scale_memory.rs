@@ -40,7 +40,7 @@ const SCALE_200_BYTES_PER_RESPONDER: u64 = 195;
 /// Runs one campaign and returns its JSON entry, its peak live bytes and
 /// its responder count.
 fn run_point(scale: f64) -> (String, usize, u64) {
-    let config = CampaignConfig::new(Year::Y2018, scale).with_telemetry(false);
+    let config = CampaignConfig::new(Year::Y2018, scale);
     let campaign = Campaign::new(config);
     let baseline = reset_peak();
     let start = Instant::now();

@@ -96,7 +96,9 @@ fn main() {
     if let Some(path) = telemetry_path {
         let mut out = String::new();
         for result in &results {
-            let snapshot = result.telemetry().expect("telemetry on by default");
+            let snapshot = result
+                .telemetry()
+                .expect("every campaign carries telemetry");
             let year = u64::from(result.spec().year.as_u16());
             out.push_str(&snapshot.to_jsonl_tagged(&[("year", year)]));
         }
@@ -106,7 +108,9 @@ fn main() {
     if let Some(path) = prometheus_path {
         let mut out = String::new();
         for result in &results {
-            let snapshot = result.telemetry().expect("telemetry on by default");
+            let snapshot = result
+                .telemetry()
+                .expect("every campaign carries telemetry");
             let year = result.spec().year.as_u16().to_string();
             out.push_str(&snapshot.to_prometheus_labeled(&[("year", &year)]));
         }

@@ -7,20 +7,20 @@ use std::time::{Duration, Instant};
 
 use orscope_analysis::{AnalysisMode, Dataset, StreamingAnalyzer};
 use orscope_authns::{
-    AuthTelemetry, AuthoritativeServer, CaptureHandle, CapturedPacket, ClusterZone, RootServer,
+    AuthStats, AuthoritativeServer, CaptureHandle, CapturedPacket, ClusterZone, RootServer,
     SharedSink, TldServer, Zone,
 };
 use orscope_netsim::{
-    FaultPlan, HashLatency, LazyRegistry, NetStats, NetTelemetry, SimNet, SimTime,
+    Endpoint, FaultKind, FaultPlan, FaultRule, FaultScope, HashLatency, LazyRegistry, NetStats,
+    SimNet, SimTime,
 };
 use orscope_prober::{
-    ProbeStats, Prober, ProberConfig, ProberHandle, ProberTelemetry, ScanCheckpoint, SlotSchedule,
-    TargetSource,
+    ProbeStats, Prober, ProberConfig, ProberHandle, ScanCheckpoint, SlotSchedule, TargetSource,
 };
 use orscope_resolver::paper::{Year, YearSpec};
 use orscope_resolver::population::{Population, PopulationConfig};
-use orscope_resolver::{ProfiledResolver, ResolverConfig, ResolverTelemetry};
-use orscope_telemetry::{Collector, PhaseSpan, Scope, TelemetrySnapshot};
+use orscope_resolver::{ProfiledResolver, ResolverConfig, ResolverStats};
+use orscope_telemetry::{Collector, MetricValue, Scope, SpanSnapshot, TelemetrySnapshot};
 
 use crate::error::{CampaignError, DegradedReport, ShardFailure, ShardSabotage};
 use crate::infra::{seed_geo_db, seed_threat_db, Infra};
@@ -46,9 +46,8 @@ pub struct CampaignConfig {
     /// Scheduled, scoped network impairments (the chaos layer). The
     /// plan's seed is mixed with the campaign seed, and the same mixed
     /// plan is handed to every shard, so fault decisions are
-    /// shard-invariant. The legacy `loss_probability` /
-    /// `duplicate_probability` knobs become degenerate always-on rules
-    /// appended to this plan.
+    /// shard-invariant. `loss_probability` and `duplicate_probability`
+    /// are always-on, all-scope rules appended to this plan.
     pub faults: FaultPlan,
     /// Per-probe retransmission budget: an unanswered Q1 is re-sent with
     /// exponential backoff up to this many times before the target is
@@ -73,10 +72,6 @@ pub struct CampaignConfig {
     /// slice of the address space and runs on its own OS thread; results
     /// are merged afterwards. Must be in `1..=64`.
     pub shards: usize,
-    /// Whether to collect telemetry (metrics, phase spans) during the
-    /// run. On by default; the counters cost one relaxed atomic add per
-    /// recording. When off, [`CampaignResult::telemetry`] is `None`.
-    pub telemetry: bool,
     /// Deterministic shard-failure injection for exercising the
     /// supervisor (tests and chaos drills only).
     pub sabotage: Option<ShardSabotage>,
@@ -117,7 +112,6 @@ impl CampaignConfig {
             probe_rate_pps: None,
             full_q1: false,
             shards: 1,
-            telemetry: true,
             sabotage: None,
             virtual_deadline: None,
             analysis: AnalysisMode::default(),
@@ -153,12 +147,6 @@ impl CampaignConfig {
     /// Sets the shard count.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
-        self
-    }
-
-    /// Enables or disables telemetry collection.
-    pub fn with_telemetry(mut self, telemetry: bool) -> Self {
-        self.telemetry = telemetry;
         self
     }
 
@@ -263,11 +251,26 @@ impl CampaignConfig {
 
     /// The fault plan actually installed in every shard simulator: the
     /// configured plan with its seed mixed with the campaign seed (so
-    /// reseeding the campaign reseeds the chaos draws) — identical
-    /// across shards by construction.
+    /// reseeding the campaign reseeds the chaos draws), then the
+    /// campaign-wide loss and duplication rules, in that order —
+    /// identical across shards by construction.
     pub(crate) fn effective_faults(&self) -> FaultPlan {
         let mut plan = self.faults.clone();
         plan.seed ^= self.seed;
+        let probability = self.loss_probability;
+        if probability > 0.0 {
+            plan.push(FaultRule::always(
+                FaultScope::All,
+                FaultKind::Loss { probability },
+            ));
+        }
+        let probability = self.duplicate_probability;
+        if probability > 0.0 {
+            plan.push(FaultRule::always(
+                FaultScope::All,
+                FaultKind::Duplicate { probability },
+            ));
+        }
         plan
     }
 }
@@ -372,13 +375,9 @@ impl Campaign {
     ) -> Result<CampaignResult, CampaignError> {
         let config = &self.config;
         let spec = YearSpec::get(config.year);
-        // Root collector: phase spans recorded here; per-shard metric
-        // snapshots are absorbed into it at merge time.
-        let collector = if config.telemetry {
-            Collector::new()
-        } else {
-            Collector::disabled()
-        };
+        // Campaign-level phase spans and supervision counters; the
+        // shards' snapshots are absorbed into its own at merge time.
+        let collector = Collector::new();
         if let Some(wall) = build_wall {
             // Population building happens before the simulation starts,
             // so it consumes no virtual time.
@@ -546,7 +545,7 @@ impl Campaign {
             net_stats,
             materialized,
             auth_packets,
-            config.telemetry.then_some(telemetry),
+            telemetry,
             degraded,
             stream,
         ))
@@ -590,7 +589,7 @@ impl Campaign {
             world.preregister_hosts(population, &self.config);
         }
         // ---- run to completion (or the virtual deadline) ----
-        let probe_span = world.collector.phase("phase.probe");
+        let started = Instant::now();
         match self.config.virtual_deadline {
             None => world.net.run_until_idle(),
             Some(deadline) => {
@@ -607,7 +606,7 @@ impl Campaign {
                 }
             }
         }
-        world.collect(probe_span)
+        world.collect(started.elapsed())
     }
 
     /// Assembles one shard's simulator: network, name-server hierarchy,
@@ -623,24 +622,14 @@ impl Campaign {
         let config = &self.config;
         let infra = &config.infra;
 
-        // Per-shard collector: lock-free on the hot path, merged
-        // order-insensitively into the root snapshot afterwards.
-        let collector = if config.telemetry {
-            Collector::new()
-        } else {
-            Collector::disabled()
-        };
-
         // ---- network & name-server hierarchy ----
         let resolver_config = ResolverConfig::new(infra.root);
-        let resolver_telemetry = ResolverTelemetry::from_collector(&collector);
+        let released = Rc::<RefCell<ResolverStats>>::default();
         let mut net = SimNet::builder()
             .seed(plan.sim_seed)
             // Latency hashes from the master seed in every shard so a
             // host's RTTs do not depend on the shard layout.
             .latency(HashLatency::internet(config.seed))
-            .loss_probability(config.loss_probability)
-            .duplicate_probability(config.duplicate_probability)
             // Same mixed plan in every shard: hashed per-flow draws keep
             // chaos decisions identical regardless of layout.
             .faults(config.effective_faults())
@@ -651,7 +640,7 @@ impl Campaign {
             .lazy_hosts(PopulationRegistry::new(
                 plan.population,
                 resolver_config.clone(),
-                resolver_telemetry.clone(),
+                Rc::clone(&released),
             ))
             .build();
         let mut root = RootServer::new();
@@ -681,7 +670,6 @@ impl Campaign {
             CaptureHandle::with_sink(sink.clone()),
         );
         auth.enable_auto_advance(plan.cluster_capacity);
-        auth.set_telemetry(AuthTelemetry::from_collector(&collector));
         net.register(infra.auth, auth);
 
         // ---- shared upstreams (this shard's slice) ----
@@ -691,8 +679,7 @@ impl Campaign {
                 ProfiledResolver::new_shared(
                     std::sync::Arc::clone(host.policy),
                     resolver_config.clone(),
-                )
-                .with_telemetry(resolver_telemetry.clone()),
+                ),
             );
         }
 
@@ -715,17 +702,15 @@ impl Campaign {
             Some(checkpoint) => Prober::resume(prober_config, prober_handle.clone(), checkpoint),
         }
         .expect("probe rate validated");
-        net.register(
-            infra.prober,
-            prober.with_telemetry(ProberTelemetry::from_collector(&collector)),
-        );
+        net.register(infra.prober, prober);
         net.set_timer_for(infra.prober, SimTime::ZERO, 0);
 
         ShardWorld {
             net,
             prober_handle,
             recorder,
-            collector,
+            released,
+            carried: resume.map_or((0, 0), |scan| (scan.q1_sent, scan.r2_captured)),
             cluster_capacity: plan.cluster_capacity,
         }
     }
@@ -845,24 +830,41 @@ const RESOLVER_POOL: usize = 16;
 /// are always registered eagerly.
 ///
 /// Endpoints the simulator releases come back through
-/// [`LazyRegistry::recycle`] and are re-armed with
-/// [`ProfiledResolver::reset`] for the next address, which keeps their
-/// maps, scratch messages and telemetry handles and is otherwise the
-/// resolver `new_shared` builds. A released resolver is rebuilt for a
-/// query, never for the echo of its own resolution: the R1s its
-/// re-asked Q2s bring back are [`LazyRegistry::fresh_ignores`]d and its
-/// spent upstream timeouts are the simulator's to settle.
+/// [`LazyRegistry::recycle`], where their books are added to the
+/// shard's, and are re-armed with [`ProfiledResolver::reset`] for the
+/// next address, which keeps their maps and scratch messages and is
+/// otherwise the resolver `new_shared` builds. A released resolver is
+/// rebuilt for a query, never for the echo of its own resolution: the
+/// R1s its re-asked Q2s bring back are
+/// [`LazyRegistry::fresh_ignores`]d and its spent upstream timeouts are
+/// the simulator's to settle.
 struct PopulationRegistry {
     hosts: HostIndex,
     table: std::sync::Arc<orscope_resolver::ProfileTable>,
     config: ResolverConfig,
-    telemetry: ResolverTelemetry,
+    /// The summed books of every resolver handed back so far; the
+    /// shard's world holds the other reference and reads it when the
+    /// run is over.
+    released: Rc<RefCell<ResolverStats>>,
     /// At most [`RESOLVER_POOL`] released resolvers.
-    pool: RefCell<Vec<Box<dyn orscope_netsim::Endpoint>>>,
+    pool: RefCell<Vec<Box<dyn Endpoint>>>,
+}
+
+/// Every host a [`PopulationRegistry`] builds, and so every one it is
+/// offered back, is a [`ProfiledResolver`].
+fn resolver_of(endpoint: &mut dyn Endpoint) -> &mut ProfiledResolver {
+    endpoint
+        .as_any_mut()
+        .and_then(|any| any.downcast_mut())
+        .expect("only resolvers this registry built are offered back")
 }
 
 impl PopulationRegistry {
-    fn new(population: &Population, config: ResolverConfig, telemetry: ResolverTelemetry) -> Self {
+    fn new(
+        population: &Population,
+        config: ResolverConfig,
+        released: Rc<RefCell<ResolverStats>>,
+    ) -> Self {
         let mut hosts = Vec::with_capacity(population.resolvers.len() + population.off_port.len());
         for list in [&population.resolvers, &population.off_port] {
             for i in 0..list.len() {
@@ -873,7 +875,7 @@ impl PopulationRegistry {
             hosts: HostIndex::new(hosts),
             table: std::sync::Arc::clone(population.table()),
             config,
-            telemetry,
+            released,
             pool: RefCell::new(Vec::with_capacity(RESOLVER_POOL)),
         }
     }
@@ -884,23 +886,23 @@ impl LazyRegistry for PopulationRegistry {
         self.hosts.find(addr).is_some()
     }
 
-    fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn orscope_netsim::Endpoint>> {
+    fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
         let policy = std::sync::Arc::clone(self.table.get(self.hosts.find(addr)?));
         let Some(mut endpoint) = self.pool.borrow_mut().pop() else {
-            return Some(Box::new(
-                ProfiledResolver::new_shared(policy, self.config.clone())
-                    .with_telemetry(self.telemetry.clone()),
-            ));
+            return Some(Box::new(ProfiledResolver::new_shared(
+                policy,
+                self.config.clone(),
+            )));
         };
-        endpoint
-            .as_any_mut()
-            .and_then(|any| any.downcast_mut::<ProfiledResolver>())
-            .expect("only resolvers this registry built are offered back")
-            .reset(policy);
+        resolver_of(endpoint.as_mut()).reset(policy);
         Some(endpoint)
     }
 
-    fn recycle(&self, endpoint: Box<dyn orscope_netsim::Endpoint>) {
+    /// The one place a released resolver's books are read: before
+    /// `reset` zeroes them or a full pool drops them.
+    fn recycle(&self, mut endpoint: Box<dyn Endpoint>) {
+        let stats = resolver_of(endpoint.as_mut()).stats();
+        self.released.borrow_mut().absorb(&stats);
         let mut pool = self.pool.borrow_mut();
         if pool.len() < RESOLVER_POOL {
             pool.push(endpoint);
@@ -923,15 +925,21 @@ pub(crate) struct ShardWorld {
     /// The shard's record pipeline; the prober and the authoritative
     /// server hold the other two references.
     pub(crate) recorder: Rc<RefCell<ShardRecorder>>,
-    /// The shard's telemetry collector.
-    pub(crate) collector: Collector,
+    /// The books of the resolvers released so far (the registry holds
+    /// the other reference).
+    released: Rc<RefCell<ResolverStats>>,
+    /// `(Q1 sent, R2 captured)` carried in from the checkpoint a resumed
+    /// world started at: on the prober's books, which cover the whole
+    /// scan, but not this world's to publish.
+    carried: (u64, u64),
     /// Names per subdomain cluster (for the load-time model).
     pub(crate) cluster_capacity: u64,
 }
 
 impl ShardWorld {
-    /// Harvests a completed shard run into a mergeable outcome.
-    pub(crate) fn collect(self, probe_span: PhaseSpan) -> ShardOutcome {
+    /// Harvests a completed shard run, which took `probe_wall`, into a
+    /// mergeable outcome.
+    pub(crate) fn collect(mut self, probe_wall: Duration) -> ShardOutcome {
         let probe_stats = self.prober_handle.stats();
         debug_assert!(probe_stats.done, "scan did not drain");
         // Scan wall clock: probe completion plus the zone-cluster load
@@ -949,17 +957,41 @@ impl ShardWorld {
             .since(SimTime::ZERO)
             .as_nanos()
             .min(u128::from(u64::MAX)) as u64;
-        probe_span.finish_with_virtual(probe_virt);
         let drain_virt = self
             .net
             .now()
             .since(probe_stats.finished_at)
             .as_nanos()
             .min(u128::from(u64::MAX)) as u64;
-        self.collector
-            .record_span("phase.capture_drain", Duration::ZERO, drain_virt);
-        NetTelemetry::from_collector(&self.collector)
-            .publish(self.net.stats(), self.net.queue_depth_hwm());
+        // Every resolver's books, each read exactly once: the released
+        // ones were summed as they were handed back, the rest — eager
+        // upstreams, and every materialized host when a fault rule
+        // pinned them — are still registered.
+        let mut resolvers = self.released.take();
+        let mut auth = AuthStats::default();
+        self.net.for_each_host(|_, endpoint| {
+            let Some(any) = endpoint.as_any_mut() else {
+                return;
+            };
+            if let Some(resolver) = any.downcast_mut::<ProfiledResolver>() {
+                resolvers.absorb(&resolver.stats());
+            } else if let Some(server) = any.downcast_mut::<AuthoritativeServer>() {
+                auth = server.stats();
+            }
+        });
+        let mut telemetry = self.publish(&probe_stats, &resolvers, &auth);
+        let wall_nanos = u64::try_from(probe_wall.as_nanos()).unwrap_or(u64::MAX);
+        for (name, wall_nanos, virt_nanos) in [
+            ("phase.probe", wall_nanos, probe_virt),
+            ("phase.capture_drain", 0, drain_virt),
+        ] {
+            let span = SpanSnapshot {
+                count: 1,
+                wall_nanos,
+                virt_nanos,
+            };
+            telemetry.spans.insert(name.to_owned(), span);
+        }
         ShardOutcome {
             probe_stats,
             duration_secs,
@@ -968,9 +1000,91 @@ impl ShardWorld {
                 total: self.net.materialized_total(),
             },
             net_stats: *self.net.stats(),
-            telemetry: self.collector.snapshot(),
+            telemetry,
             recorder: self.recorder.take(),
         }
+    }
+
+    /// The shard's four books as named, scoped metrics — the only place
+    /// a layer's count becomes a telemetry series.
+    ///
+    /// Global: what is decided per flow (datagram fates, probe and
+    /// capture counts, what resolvers and the authoritative server
+    /// answered, hashed fault draws), so the sum over shards does not
+    /// depend on the layout. Shard: what depends on how hosts were
+    /// partitioned — event-loop and timer counts, the queue high-water
+    /// mark, the pacer's tick and token accounting.
+    fn publish(
+        &self,
+        probe: &ProbeStats,
+        resolvers: &ResolverStats,
+        auth: &AuthStats,
+    ) -> TelemetrySnapshot {
+        let net = self.net.stats();
+        let (carried_q1, carried_r2) = self.carried;
+        let global = [
+            ("net.datagrams_sent", net.sent),
+            ("net.datagrams_lost", net.lost),
+            ("net.datagrams_duplicated", net.duplicated),
+            ("net.datagrams_delivered", net.delivered),
+            ("net.datagrams_unrouted", net.unrouted),
+            ("net.bytes_delivered", net.bytes_delivered),
+            ("net.faults_injected", net.faults_injected),
+            ("net.blackhole_drops", net.blackhole_drops),
+            ("net.crash_drops", net.crash_drops),
+            ("prober.probes_sent", probe.q1_sent - carried_q1),
+            ("prober.r2_captured", probe.r2_captured - carried_r2),
+            ("prober.off_port_dropped", probe.off_port_dropped),
+            ("prober.unmatched", probe.unmatched),
+            ("prober.retransmits_sent", probe.retransmits_sent),
+            ("prober.probes_abandoned", probe.probes_abandoned),
+            ("resolver.client_queries", resolvers.client_queries),
+            ("resolver.responses_sent", resolvers.responses_sent),
+            ("resolver.upstream_queries", resolvers.upstream_queries),
+            ("resolver.failures", resolvers.failures),
+            ("resolver.cache_hits", resolvers.cache_hits),
+            ("resolver.negative_hits", resolvers.negative_hits),
+            ("resolver.forwarded", resolvers.forwarded),
+            ("auth.queries", auth.queries),
+            ("auth.qtype_a", auth.qtype_a),
+            ("auth.qtype_any", auth.qtype_any),
+            ("auth.qtype_txt", auth.qtype_txt),
+            ("auth.qtype_other", auth.qtype_other),
+            ("auth.rcode_noerror", auth.rcode_noerror),
+            ("auth.rcode_nxdomain", auth.rcode_nxdomain),
+            ("auth.rcode_refused", auth.rcode_refused),
+            ("auth.rcode_formerr", auth.rcode_formerr),
+            ("auth.rcode_other", auth.rcode_other),
+        ];
+        let shard = [
+            ("net.events_processed", net.events),
+            ("net.timers_fired", net.timers_fired),
+            ("prober.pacer_tokens_issued", probe.pacer_tokens_issued),
+            ("prober.pacer_tokens_unused", probe.pacer_tokens_unused),
+            ("prober.pacer_ticks", probe.pacer_ticks),
+        ];
+        let mut out = TelemetrySnapshot::default();
+        for (scope, counters) in [(Scope::Global, &global[..]), (Scope::Shard, &shard[..])] {
+            for &(name, value) in counters {
+                out.counters
+                    .insert(name.to_owned(), MetricValue { scope, value });
+            }
+        }
+        let scope = Scope::Shard;
+        let value = self.net.queue_depth_hwm() as u64;
+        out.gauges.insert(
+            "net.event_queue_depth_hwm".to_owned(),
+            MetricValue { scope, value },
+        );
+        let scope = Scope::Global;
+        for (name, value) in [
+            ("prober.q1_r2_latency_ns", probe.q1_r2_latency_ns),
+            ("resolver.recursion_depth", resolvers.recursion_depth),
+        ] {
+            out.histograms
+                .insert(name.to_owned(), MetricValue { scope, value });
+        }
+        out
     }
 }
 

@@ -353,9 +353,9 @@ impl Campaign {
             recorder.on_r2(capture);
         }
         let mut world = self.build_shard(plan, Some(&checkpoint.scan), recorder);
-        let probe_span = world.collector.phase("phase.probe");
+        let started = std::time::Instant::now();
         world.net.run_until_idle();
-        let mut outcome = world.collect(probe_span);
+        let mut outcome = world.collect(started.elapsed());
 
         let mut dataset = outcome.dataset(config);
         let mut stream = outcome.recorder.analyzer.take();
@@ -372,7 +372,7 @@ impl Campaign {
             outcome.net_stats,
             outcome.materialized,
             auth_packets,
-            config.telemetry.then_some(outcome.telemetry),
+            outcome.telemetry,
             None,
             stream,
         ))

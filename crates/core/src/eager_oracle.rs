@@ -16,7 +16,7 @@
 use orscope_analysis::AnalysisMode;
 use orscope_resolver::paper::Year;
 use orscope_resolver::population::Population;
-use orscope_resolver::{ProfiledResolver, ResolverConfig, ResolverTelemetry};
+use orscope_resolver::{ProfiledResolver, ResolverConfig};
 
 use crate::campaign::{Campaign, CampaignConfig, ShardWorld};
 use crate::result::CampaignResult;
@@ -26,15 +26,13 @@ impl ShardWorld {
     /// up front, wired exactly as the lazy registry would build them.
     pub(crate) fn preregister_hosts(&mut self, population: &Population, config: &CampaignConfig) {
         let resolver_config = ResolverConfig::new(config.infra.root);
-        let telemetry = ResolverTelemetry::from_collector(&self.collector);
         for host in population.resolvers().chain(population.off_port()) {
             self.net.register(
                 host.addr,
                 ProfiledResolver::new_shared(
                     std::sync::Arc::clone(host.policy),
                     resolver_config.clone(),
-                )
-                .with_telemetry(telemetry.clone()),
+                ),
             );
         }
     }

@@ -30,7 +30,7 @@ pub struct CampaignResult {
     net_stats: NetStats,
     materialized: Materialized,
     auth_packets: Vec<CapturedPacket>,
-    telemetry: Option<TelemetrySnapshot>,
+    telemetry: TelemetrySnapshot,
     degraded: Option<DegradedReport>,
     /// Streaming accumulators when the campaign ran in
     /// [`orscope_analysis::AnalysisMode::Streaming`]; `None` means every
@@ -54,7 +54,7 @@ impl CampaignResult {
         net_stats: NetStats,
         materialized: Materialized,
         auth_packets: Vec<CapturedPacket>,
-        telemetry: Option<TelemetrySnapshot>,
+        telemetry: TelemetrySnapshot,
         degraded: Option<DegradedReport>,
         mut stream: Option<StreamingAnalyzer>,
     ) -> Self {
@@ -154,12 +154,12 @@ impl CampaignResult {
         &self.auth_packets
     }
 
-    /// The merged telemetry snapshot, when the campaign ran with
-    /// telemetry enabled (the [`CampaignConfig::telemetry`] default).
+    /// The merged telemetry snapshot. Always `Some`: the `Option` is in
+    /// the signature `orbench/` compiles against (ROADMAP item 1).
     /// Global-scope metrics in it are shard-invariant; shard-scope
     /// metrics and spans describe this particular execution.
     pub fn telemetry(&self) -> Option<&TelemetrySnapshot> {
-        self.telemetry.as_ref()
+        Some(&self.telemetry)
     }
 
     /// Joins the prober and authoritative captures into per-probe flows

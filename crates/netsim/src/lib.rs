@@ -65,7 +65,6 @@ pub mod latency;
 mod scheduler;
 pub mod sim;
 pub mod stats;
-pub mod telemetry;
 pub mod time;
 
 pub use datagram::{Datagram, Payload};
@@ -75,5 +74,4 @@ pub use fxhash::{fx_map_with_capacity, fx_set_with_capacity, FxHashMap, FxHashSe
 pub use latency::{FixedLatency, HashLatency, LatencyModel};
 pub use sim::{LazyRegistry, SimNet, SimNetBuilder};
 pub use stats::NetStats;
-pub use telemetry::NetTelemetry;
 pub use time::{EpochClock, SimTime};

@@ -4,7 +4,7 @@ use std::net::Ipv4Addr;
 
 use crate::datagram::Datagram;
 use crate::endpoint::{Context, Endpoint};
-use crate::fault::{DropKind, FaultInjector, FaultKind, FaultPlan, FaultRule, FaultScope};
+use crate::fault::{DropKind, FaultInjector, FaultPlan};
 use crate::fxhash::FxHashMap;
 use crate::latency::{HashLatency, LatencyModel};
 use crate::scheduler::{Event, EventKind, HostId, TimingWheel, HOST_UNRESOLVED};
@@ -107,8 +107,6 @@ enum Arrival {
 pub struct SimNetBuilder {
     seed: u64,
     latency: Box<dyn LatencyModel>,
-    loss_probability: f64,
-    duplicate_probability: f64,
     faults: Option<FaultPlan>,
     max_events: u64,
     lazy: Option<Box<dyn LazyRegistry>>,
@@ -119,8 +117,6 @@ impl Default for SimNetBuilder {
         Self {
             seed: 0,
             latency: Box::new(HashLatency::internet(0)),
-            loss_probability: 0.0,
-            duplicate_probability: 0.0,
             faults: None,
             max_events: u64::MAX,
             lazy: None,
@@ -132,7 +128,7 @@ impl std::fmt::Debug for SimNetBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimNetBuilder")
             .field("seed", &self.seed)
-            .field("loss_probability", &self.loss_probability)
+            .field("faults", &self.faults)
             .finish_non_exhaustive()
     }
 }
@@ -149,40 +145,6 @@ impl SimNetBuilder {
     /// Replaces the latency model (default: [`HashLatency::internet`]).
     pub fn latency(mut self, model: impl LatencyModel + 'static) -> Self {
         self.latency = Box::new(model);
-        self
-    }
-
-    /// Sets independent per-datagram loss probability (default 0).
-    ///
-    /// Sugar for a degenerate single-rule [`FaultPlan`]: an always-on,
-    /// all-scope [`FaultKind::Loss`] rule appended to whatever plan was
-    /// configured through [`SimNetBuilder::faults`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `[0, 1]`.
-    pub fn loss_probability(mut self, p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "loss probability {p} not in [0,1]"
-        );
-        self.loss_probability = p;
-        self
-    }
-
-    /// Sets independent per-datagram duplication probability: UDP may
-    /// deliver a packet twice, and DNS software must cope (default 0).
-    /// Like loss, this is sugar for a degenerate single-rule plan.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `[0, 1]`.
-    pub fn duplicate_probability(mut self, p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "duplicate probability {p} not in [0,1]"
-        );
-        self.duplicate_probability = p;
         self
     }
 
@@ -212,26 +174,7 @@ impl SimNetBuilder {
 
     /// Builds the simulator.
     pub fn build(self) -> SimNet {
-        // The legacy global knobs become degenerate single-entry rules
-        // appended to the configured plan (or to a fresh plan hashed
-        // from the simulator seed).
-        let mut plan = self.faults.unwrap_or_else(|| FaultPlan::seeded(self.seed));
-        if self.loss_probability > 0.0 {
-            plan.push(FaultRule::always(
-                FaultScope::All,
-                FaultKind::Loss {
-                    probability: self.loss_probability,
-                },
-            ));
-        }
-        if self.duplicate_probability > 0.0 {
-            plan.push(FaultRule::always(
-                FaultScope::All,
-                FaultKind::Duplicate {
-                    probability: self.duplicate_probability,
-                },
-            ));
-        }
+        let plan = self.faults.unwrap_or_else(|| FaultPlan::seeded(self.seed));
         // Releasing a quiescent host is only indistinguishable from
         // keeping it when no fault rule can retransmit, duplicate, or
         // crash its way back into released state: a resolver rebuilt
@@ -403,7 +346,7 @@ impl SimNet {
         self.queue_depth_hwm
     }
 
-    /// The fault plan in effect (degenerate rules included).
+    /// The fault plan in effect.
     pub fn fault_plan(&self) -> &FaultPlan {
         self.faults.plan()
     }
@@ -421,6 +364,18 @@ impl SimNet {
     ) -> Option<R> {
         let id = *self.index.get(&addr)?;
         self.hosts[id as usize].ep.as_mut().map(|ep| f(ep.as_mut()))
+    }
+
+    /// Visits every live host, in slot order: the eagerly registered
+    /// ones and whichever lazy hosts are materialized right now. How a
+    /// run's owner reads the books its endpoints kept, downcasting as
+    /// for [`SimNet::with_host`].
+    pub fn for_each_host(&mut self, mut f: impl FnMut(Ipv4Addr, &mut dyn Endpoint)) {
+        for slot in &mut self.hosts {
+            if let Some(ep) = slot.ep.as_mut() {
+                f(slot.addr, ep.as_mut());
+            }
+        }
     }
 
     /// Injects a datagram into the network "from the outside" (e.g. a
@@ -794,7 +749,7 @@ mod tests {
         let mut net = SimNet::builder()
             .seed(99)
             .latency(FixedLatency(Duration::from_millis(10)))
-            .loss_probability(loss)
+            .faults(FaultPlan::uniform_loss(99, loss))
             .build();
         net.register(SERVER, Echo);
         net.register(
@@ -983,6 +938,7 @@ mod tests {
 #[cfg(test)]
 mod lazy_tests {
     use super::*;
+    use crate::fault::{FaultKind, FaultRule, FaultScope};
     use crate::latency::FixedLatency;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -1053,6 +1009,7 @@ mod lazy_tests {
         assert_eq!(net.materialized_peak(), 1);
         assert_eq!(net.materialized_total(), 50);
         assert_eq!(net.host_count(), 0);
+        net.for_each_host(|addr, _| panic!("{addr} was released"));
         // The echoed replies target an unregistered client.
         assert_eq!(net.stats().unrouted, 50);
     }
@@ -1124,6 +1081,11 @@ mod lazy_tests {
         net.run_until_idle();
         assert_eq!(net.materialized_peak(), 50);
         assert_eq!(net.host_count(), 50);
+        // Pinned hosts are still there to be visited, each once.
+        let mut visited = Vec::new();
+        net.for_each_host(|addr, _| visited.push(u32::from(addr)));
+        visited.sort_unstable();
+        assert_eq!(visited, (BASE..BASE + 50).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1268,6 +1230,7 @@ mod lazy_tests {
 #[cfg(test)]
 mod settle_tests {
     use super::*;
+    use crate::fault::{FaultKind, FaultRule, FaultScope};
     use crate::latency::FixedLatency;
     use std::cell::Cell;
     use std::rc::Rc;
@@ -1497,6 +1460,7 @@ mod settle_tests {
 #[cfg(test)]
 mod duplication_tests {
     use super::*;
+    use crate::fault::{FaultKind, FaultRule, FaultScope};
     use crate::latency::FixedLatency;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -1509,12 +1473,19 @@ mod duplication_tests {
         }
     }
 
+    fn duplicating(seed: u64, probability: f64) -> FaultPlan {
+        FaultPlan::seeded(seed).with_rule(FaultRule::always(
+            FaultScope::All,
+            FaultKind::Duplicate { probability },
+        ))
+    }
+
     #[test]
     fn duplication_delivers_twice() {
         let mut net = SimNet::builder()
             .seed(8)
             .latency(FixedLatency(Duration::from_millis(1)))
-            .duplicate_probability(1.0)
+            .faults(duplicating(8, 1.0))
             .build();
         let got = Arc::new(AtomicU64::new(0));
         let dst = Ipv4Addr::new(2, 0, 0, 2);
@@ -1537,7 +1508,7 @@ mod duplication_tests {
             let mut net = SimNet::builder()
                 .seed(9)
                 .latency(FixedLatency(Duration::from_millis(1)))
-                .duplicate_probability(0.4)
+                .faults(duplicating(9, 0.4))
                 .build();
             let got = Arc::new(AtomicU64::new(0));
             let dst = Ipv4Addr::new(2, 0, 0, 2);
@@ -1556,18 +1527,12 @@ mod duplication_tests {
         assert_eq!(a, run());
         assert!((120..170).contains(&a), "{a}");
     }
-
-    #[test]
-    #[should_panic(expected = "not in [0,1]")]
-    fn invalid_duplicate_probability_panics() {
-        let _ = SimNet::builder().duplicate_probability(1.5);
-    }
 }
 
 #[cfg(test)]
 mod fault_tests {
     use super::*;
-    use crate::fault::{FaultKind, FaultPlan, FaultRule, FaultScope};
+    use crate::fault::{FaultKind, FaultRule, FaultScope};
     use crate::latency::FixedLatency;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -1675,18 +1640,6 @@ mod fault_tests {
     }
 
     #[test]
-    fn legacy_loss_knob_builds_a_degenerate_plan() {
-        let net = SimNet::builder().seed(3).loss_probability(0.25).build();
-        let plan = net.fault_plan();
-        assert_eq!(plan.rules.len(), 1);
-        assert!(matches!(
-            plan.rules[0].kind,
-            FaultKind::Loss { probability } if (probability - 0.25).abs() < 1e-12
-        ));
-        assert!(matches!(plan.rules[0].scope, FaultScope::All));
-    }
-
-    #[test]
     fn explicit_plan_reproduces_exactly_across_runs() {
         let run = || {
             let plan = FaultPlan::seeded(11).with_rule(FaultRule::always(
@@ -1717,6 +1670,7 @@ mod fault_tests {
 #[cfg(test)]
 mod routing_tests {
     use super::*;
+    use crate::fault::{FaultKind, FaultRule, FaultScope};
     use crate::latency::FixedLatency;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;

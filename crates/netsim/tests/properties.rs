@@ -36,7 +36,7 @@ fn run_sim(seed: u64, loss: f64, packets: &[(u32, u16, u8)]) -> (u64, u64, u64) 
     let mut net = SimNet::builder()
         .seed(seed)
         .latency(FixedLatency(Duration::from_millis(7)))
-        .loss_probability(loss)
+        .faults(FaultPlan::uniform_loss(seed, loss))
         .build();
     let received = Arc::new(AtomicU64::new(0));
     let last_at = Rc::new(Cell::new(SimTime::ZERO));

@@ -99,8 +99,6 @@ pub struct ServeConfig {
     /// Wall-clock pause between epochs, so a demo serve doesn't spin
     /// a core replaying days as fast as it can.
     pub interval: Duration,
-    /// Collect campaign telemetry for the `/metrics` surface.
-    pub telemetry: bool,
     /// Virtual-time budget per campaign round, in virtual seconds. A
     /// round still busy at the deadline fails its attempt (and, after
     /// the retry, degrades the epoch) instead of stalling the scheduler
@@ -111,8 +109,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: one virtual day per epoch, default churn, telemetry
-    /// on, run-until-shutdown, state under the OS temp dir, three
+    /// Defaults: one virtual day per epoch, default churn,
+    /// run-until-shutdown, state under the OS temp dir, three
     /// checkpoint generations, no deadline.
     pub fn new(year: Year, scale: f64) -> Self {
         Self {
@@ -127,7 +125,6 @@ impl ServeConfig {
             checkpoint_every: 0,
             keep_generations: 3,
             interval: Duration::ZERO,
-            telemetry: true,
             epoch_deadline_virtual_secs: None,
             sabotage: None,
         }
@@ -808,8 +805,7 @@ impl<R: Resolve> Observatory<R> {
                     .seed
                     .wrapping_add(epoch.wrapping_mul(EPOCH_SEED_STRIDE)),
             )
-            .with_shards(config.shards)
-            .with_telemetry(config.telemetry);
+            .with_shards(config.shards);
         if let Some(deadline) = config.epoch_deadline_virtual_secs {
             campaign_config = campaign_config.with_virtual_deadline(Duration::from_secs(deadline));
         }

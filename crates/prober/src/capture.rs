@@ -6,6 +6,7 @@ use std::rc::Rc;
 pub use orscope_authns::capture::R2Capture;
 use orscope_authns::capture::{CapturedPacket, RecordSink, SharedSink};
 use orscope_netsim::SimTime;
+use orscope_telemetry::Histogram;
 
 /// Aggregate scan statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -29,6 +30,15 @@ pub struct ProbeStats {
     pub subdomains_reused: u64,
     /// Clusters touched.
     pub clusters_used: u32,
+    /// Scan timer ticks.
+    pub pacer_ticks: u64,
+    /// Send tokens granted by the pacer.
+    pub pacer_tokens_issued: u64,
+    /// Granted tokens not spent because the target list ran dry.
+    pub pacer_tokens_unused: u64,
+    /// Virtual-time Q1→R2 round trip of every captured response, in
+    /// nanoseconds.
+    pub q1_r2_latency_ns: Histogram,
     /// Virtual time the scan finished draining.
     pub finished_at: SimTime,
     /// Whether the scan has completed (all targets probed, all
@@ -50,6 +60,10 @@ impl ProbeStats {
         self.subdomains_fresh += other.subdomains_fresh;
         self.subdomains_reused += other.subdomains_reused;
         self.clusters_used += other.clusters_used;
+        self.pacer_ticks += other.pacer_ticks;
+        self.pacer_tokens_issued += other.pacer_tokens_issued;
+        self.pacer_tokens_unused += other.pacer_tokens_unused;
+        self.q1_r2_latency_ns.absorb(&other.q1_r2_latency_ns);
         self.finished_at = self.finished_at.max(other.finished_at);
         self.done &= other.done;
     }
@@ -172,6 +186,12 @@ mod tests {
         assert_eq!(sunk.stats().q1_sent, 0);
     }
 
+    fn latencies(samples: &[u64]) -> Histogram {
+        let mut out = Histogram::default();
+        samples.iter().for_each(|&sample| out.record(sample));
+        out
+    }
+
     #[test]
     fn absorb_sums_counters_and_tracks_latest_finish() {
         let mut a = ProbeStats {
@@ -184,6 +204,10 @@ mod tests {
             subdomains_fresh: 8,
             subdomains_reused: 2,
             clusters_used: 1,
+            pacer_ticks: 11,
+            pacer_tokens_issued: 10,
+            pacer_tokens_unused: 0,
+            q1_r2_latency_ns: latencies(&[5, 9, 40]),
             finished_at: SimTime::from_secs(5),
             done: true,
         };
@@ -197,6 +221,10 @@ mod tests {
             subdomains_fresh: 6,
             subdomains_reused: 1,
             clusters_used: 2,
+            pacer_ticks: 9,
+            pacer_tokens_issued: 8,
+            pacer_tokens_unused: 1,
+            q1_r2_latency_ns: latencies(&[1, 2, 3, 4]),
             finished_at: SimTime::from_secs(9),
             done: true,
         };
@@ -210,6 +238,11 @@ mod tests {
         assert_eq!(a.subdomains_fresh, 14);
         assert_eq!(a.subdomains_reused, 3);
         assert_eq!(a.clusters_used, 3);
+        assert_eq!(
+            (a.pacer_ticks, a.pacer_tokens_issued, a.pacer_tokens_unused),
+            (20, 18, 1)
+        );
+        assert_eq!(a.q1_r2_latency_ns, latencies(&[5, 9, 40, 1, 2, 3, 4]));
         assert_eq!(a.finished_at, SimTime::from_secs(9));
         assert!(a.done);
 

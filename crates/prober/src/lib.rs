@@ -28,11 +28,9 @@ pub mod pacer;
 pub mod pcap;
 pub mod scan;
 pub mod subdomain;
-pub mod telemetry;
 
 pub use capture::{ProbeStats, ProberHandle, R2Capture};
 pub use checkpoint::ScanCheckpoint;
 pub use pacer::{Pacer, ZeroRateError};
 pub use scan::{Prober, ProberConfig, SlotSchedule, TargetSource};
 pub use subdomain::SubdomainGenerator;
-pub use telemetry::ProberTelemetry;

@@ -14,7 +14,6 @@ use orscope_netsim::{Context, Datagram, Endpoint, FxHashMap, SimTime};
 use crate::capture::{ProberHandle, R2Capture};
 use crate::pacer::{Pacer, ZeroRateError};
 use crate::subdomain::SubdomainGenerator;
-use crate::telemetry::ProberTelemetry;
 
 /// The scan's targets: a stream of `(slot, address)` pairs in scan
 /// order, pulled one at a time.
@@ -238,7 +237,6 @@ pub struct Prober {
     /// Labels the generator had handed out when the handle last saw its
     /// counters.
     labels_published: u64,
-    telemetry: ProberTelemetry,
     /// `None` if the zone leaves no room for the probe labels: no Q1
     /// can be built and every probe is skipped.
     template: Option<QueryTemplate>,
@@ -298,15 +296,8 @@ impl Prober {
             handle,
             done: false,
             labels_published: 0,
-            telemetry: ProberTelemetry::default(),
             template,
         })
-    }
-
-    /// Attaches pre-resolved telemetry handles (default: disabled).
-    pub fn with_telemetry(mut self, telemetry: ProberTelemetry) -> Self {
-        self.telemetry = telemetry;
-        self
     }
 
     /// Sends the Q1 for `label` to `target` and files it as the target's
@@ -347,7 +338,6 @@ impl Prober {
         if let Some(earlier) = superseded {
             self.generator.recycle(earlier.label);
             self.handle.inner.borrow_mut().stats.probes_abandoned += 1;
-            self.telemetry.probes_abandoned.inc();
         }
         true
     }
@@ -389,12 +379,10 @@ impl Prober {
                 }
             }
         }
-        self.telemetry.pacer_tokens_issued.add(issued);
-        if sent > 0 {
-            self.handle.inner.borrow_mut().stats.q1_sent += sent;
-        }
-        self.telemetry.probes_sent.add(sent);
-        self.telemetry.pacer_tokens_unused.add(issued - sent);
+        let stats = &mut self.handle.inner.borrow_mut().stats;
+        stats.q1_sent += sent;
+        stats.pacer_tokens_issued += issued;
+        stats.pacer_tokens_unused += issued - sent;
     }
 
     /// Handles elapsed response windows: retransmits probes that still
@@ -432,8 +420,6 @@ impl Prober {
             shared.stats.retransmits_sent += retransmitted;
             shared.stats.probes_abandoned += abandoned;
         }
-        self.telemetry.retransmits_sent.add(retransmitted);
-        self.telemetry.probes_abandoned.add(abandoned);
     }
 
     /// The results handle (checkpointing).
@@ -494,7 +480,6 @@ impl Endpoint for Prober {
         // ZMap only records responses from the scanned port (§V).
         if dgram.src_port != 53 {
             self.handle.inner.borrow_mut().stats.off_port_dropped += 1;
-            self.telemetry.off_port_dropped.inc();
             return;
         }
         // The join needs the question and nothing after it, so that is
@@ -512,18 +497,21 @@ impl Endpoint for Prober {
         };
         let Some((label, qname)) = matched else {
             self.handle.inner.borrow_mut().stats.unmatched += 1;
-            self.telemetry.unmatched.inc();
             return;
         };
         let out = self
             .outstanding
             .remove(&dgram.src)
             .expect("matched implies present");
-        self.telemetry.r2_captured.inc();
-        self.telemetry
-            .q1_r2_latency_ns
-            .record(ctx.now().since(out.sent_at).as_nanos() as u64);
-        self.handle.inner.borrow_mut().stats.r2_captured += 1;
+        {
+            // Released before the sink is borrowed: a standalone handle
+            // is its own sink.
+            let stats = &mut self.handle.inner.borrow_mut().stats;
+            stats.r2_captured += 1;
+            stats
+                .q1_r2_latency_ns
+                .record(ctx.now().since(out.sent_at).as_nanos() as u64);
+        }
         self.handle.sink.borrow_mut().on_r2(&R2Capture {
             target: dgram.src,
             label: question.is_some().then_some(label),
@@ -539,7 +527,7 @@ impl Endpoint for Prober {
         if self.done {
             return;
         }
-        self.telemetry.pacer_ticks.inc();
+        self.handle.inner.borrow_mut().stats.pacer_ticks += 1;
         self.sweep_expired(ctx);
         self.send_batch(ctx);
         let targets_exhausted = self.config.targets.peek().is_none();
@@ -650,6 +638,16 @@ mod tests {
         assert_eq!(captures.len(), 1);
         assert_eq!(captures[0].target, responder);
         assert!(captures[0].at > captures[0].sent_at);
+        // The one round trip is the one latency sample.
+        let rtt = captures[0].at.since(captures[0].sent_at).as_nanos() as u64;
+        let latency = stats.q1_r2_latency_ns;
+        assert_eq!((latency.count, latency.min, latency.max), (1, rtt, rtt));
+        // Every tick's tokens are on the books, spent or not.
+        assert!(stats.pacer_ticks > 0);
+        assert_eq!(
+            stats.pacer_tokens_issued - stats.pacer_tokens_unused,
+            stats.q1_sent
+        );
         let msg = Message::decode(&captures[0].payload).unwrap();
         assert_eq!(
             msg.answers()[0].rdata().as_a(),

@@ -6,12 +6,12 @@ use std::time::Duration;
 
 use orscope_dns_wire::{Message, MessageBuilder, Name, Question, RData, Rcode, Record};
 use orscope_netsim::{Context, Datagram, Endpoint, Payload, SimTime};
+use orscope_telemetry::Histogram;
 
 use crate::cache::DnsCache;
 use crate::profile::{
     AnswerData, ForwardPolicy, ImmediateResponse, RecursePolicy, ResponseAction, ResponsePolicy,
 };
-use crate::telemetry::ResolverTelemetry;
 
 /// Configuration shared by all recursing resolvers in a population.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,7 +50,8 @@ impl ResolverConfig {
     }
 }
 
-/// Counters exposed for tests and the campaign report.
+/// One resolver's books; a shard's are the sum over its hosts
+/// ([`ResolverStats::absorb`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResolverStats {
     /// Client queries received.
@@ -67,6 +68,22 @@ pub struct ResolverStats {
     pub negative_hits: u64,
     /// Queries relayed upstream by forwarder profiles.
     pub forwarded: u64,
+    /// Referral-chain depth of every recursion at completion.
+    pub recursion_depth: Histogram,
+}
+
+impl ResolverStats {
+    /// Folds another resolver's books into this one.
+    pub fn absorb(&mut self, other: &ResolverStats) {
+        self.client_queries += other.client_queries;
+        self.responses_sent += other.responses_sent;
+        self.upstream_queries += other.upstream_queries;
+        self.failures += other.failures;
+        self.cache_hits += other.cache_hits;
+        self.negative_hits += other.negative_hits;
+        self.forwarded += other.forwarded;
+        self.recursion_depth.absorb(&other.recursion_depth);
+    }
 }
 
 /// Where and how to answer a client.
@@ -130,7 +147,6 @@ pub struct ProfiledResolver {
     /// xorshift state for randomized transaction IDs.
     txn_rng: u32,
     stats: ResolverStats,
-    telemetry: ResolverTelemetry,
     /// Scratch the datagram in hand is decoded into
     /// ([`Message::decode_into`]) and the next response or upstream
     /// query is built in ([`MessageBuilder::reusing`]): steady-state
@@ -167,7 +183,6 @@ impl ProfiledResolver {
             next_txn: 1,
             txn_rng: TXN_SEED,
             stats: ResolverStats::default(),
-            telemetry: ResolverTelemetry::default(),
             inbound: Message::default(),
             outbound: Message::default(),
             scratch: Vec::with_capacity(512),
@@ -179,8 +194,8 @@ impl ProfiledResolver {
     /// [`ProfiledResolver::new_shared`] builds with the same
     /// configuration — caches, in-flight maps, transaction-id
     /// generators, counters, scratch contents — and only allocations
-    /// and the attached telemetry handles are kept. A registry that
-    /// pools released resolvers hands this out in place of a fresh one;
+    /// are kept. A registry that pools released resolvers hands this
+    /// out in place of a fresh one, having read [`Self::stats`] first;
     /// no later packet can tell the two apart.
     pub fn reset(&mut self, policy: std::sync::Arc<ResponsePolicy>) {
         self.policy = policy;
@@ -209,12 +224,6 @@ impl ProfiledResolver {
         self.outbound = msg;
         encoded.ok()?;
         Some(Payload::from(self.scratch.as_slice()))
-    }
-
-    /// Attaches pre-resolved telemetry handles (default: disabled).
-    pub fn with_telemetry(mut self, telemetry: ResolverTelemetry) -> Self {
-        self.telemetry = telemetry;
-        self
     }
 
     /// The behaviour profile.
@@ -594,7 +603,7 @@ impl ProfiledResolver {
                     return;
                 }
             }
-            self.telemetry.recursion_depth.record(pending.depth as u64);
+            self.stats.recursion_depth.record(pending.depth as u64);
             // Re-ask the answering server (resolver-farm duplication);
             // responses to these find no pending entry and are dropped.
             for _ in 1..rp.auth_duplicates {
@@ -663,7 +672,7 @@ impl ProfiledResolver {
     /// Ends `pending` in ServFail (timeout, referral or alias overflow,
     /// upstream error).
     fn fail(&mut self, pending: Pending, rp: RecursePolicy, ctx: &mut Context<'_>) {
-        self.telemetry.recursion_depth.record(pending.depth as u64);
+        self.stats.recursion_depth.record(pending.depth as u64);
         self.stats.failures += 1;
         self.answer_client(
             pending.client,
@@ -685,7 +694,7 @@ impl ProfiledResolver {
         rp: RecursePolicy,
         ctx: &mut Context<'_>,
     ) {
-        self.telemetry.recursion_depth.record(pending.depth as u64);
+        self.stats.recursion_depth.record(pending.depth as u64);
         self.negative.insert(
             (pending.qname().clone(), pending.question.qtype().to_u16()),
             (rcode, ctx.now() + Self::negative_ttl(response)),
@@ -753,10 +762,6 @@ fn is_version_bind(name: &Name) -> bool {
 
 impl Endpoint for ProfiledResolver {
     fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
-        // Stats-delta observer: snapshot the counters, dispatch, publish
-        // the difference. This instruments every increment site in the
-        // engine without threading handles through each of them.
-        let before = self.stats;
         let mut message = std::mem::take(&mut self.inbound);
         if message.decode_into(&dgram.payload).is_ok() {
             if message.header().is_response() {
@@ -764,21 +769,37 @@ impl Endpoint for ProfiledResolver {
             } else if dgram.dst_port == 53 {
                 self.on_client_query(&message, dgram, ctx);
             }
-            self.telemetry.observe(&before, &self.stats);
         }
         self.inbound = message;
     }
 
+    /// The upstream timeout of transaction `token`. Every completed
+    /// resolution leaves its timers behind; one that finds nothing in
+    /// flight changes nothing.
     fn handle_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
         let txn = token as u16;
-        // Every completed resolution leaves its upstream-timeout timers
-        // behind; one that finds nothing in flight changes nothing.
-        if !self.pending.contains_key(&txn) && !self.forward_pending.contains_key(&txn) {
+        if let Some((client, client_id)) = self.forward_pending.remove(&txn) {
+            // Upstream never answered the relay: ServFail, like dnsmasq.
+            let mut out = self.builder().id(client_id).rcode(Rcode::ServFail).build();
+            out.header_mut().set_response(true);
+            if let Some(payload) = self.finish(out) {
+                self.stats.failures += 1;
+                self.stats.responses_sent += 1;
+                ctx.send(Datagram::new((ctx.local_addr(), 53), client, payload));
+            }
             return;
         }
-        let before = self.stats;
-        self.on_timer(txn, ctx);
-        self.telemetry.observe(&before, &self.stats);
+        let Some(mut pending) = self.pending.remove(&txn) else {
+            return; // resolution already completed
+        };
+        if pending.retries_left > 0 {
+            pending.retries_left -= 1;
+            pending.sent_case = self.send_upstream(txn, &pending, ctx);
+            self.pending.insert(txn, pending);
+            ctx.set_timer(self.config.timeout, txn as u64);
+        } else if let &ResponseAction::Recurse(rp) = &self.policy.action {
+            self.fail(pending, rp, ctx);
+        }
     }
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
@@ -812,39 +833,12 @@ impl ProfiledResolver {
     /// payload decodes, `handle_datagram` routes it to
     /// `on_upstream_response`, which looks its id up in the empty
     /// `forward_pending` and `pending` maps and returns before touching
-    /// a counter, so the stats delta published afterwards is zero; if
-    /// it does not decode it is dropped earlier still. Queries are
-    /// never ignorable: even a silent policy counts one. The lazy
-    /// registry asks this before rebuilding a released resolver for the
-    /// duplicate R1s its re-asked Q2s bring back.
+    /// a counter; if it does not decode it is dropped earlier still.
+    /// Queries are never ignorable: even a silent policy counts one.
+    /// The lazy registry asks this before rebuilding a released
+    /// resolver for the duplicate R1s its re-asked Q2s bring back.
     pub fn fresh_ignores(payload: &[u8]) -> bool {
         payload.get(2).is_some_and(|flags| flags & 0x80 != 0)
-    }
-
-    /// Handles the upstream timeout of in-flight transaction `txn`.
-    fn on_timer(&mut self, txn: u16, ctx: &mut Context<'_>) {
-        if let Some((client, client_id)) = self.forward_pending.remove(&txn) {
-            // Upstream never answered the relay: ServFail, like dnsmasq.
-            let mut out = self.builder().id(client_id).rcode(Rcode::ServFail).build();
-            out.header_mut().set_response(true);
-            if let Some(payload) = self.finish(out) {
-                self.stats.failures += 1;
-                self.stats.responses_sent += 1;
-                ctx.send(Datagram::new((ctx.local_addr(), 53), client, payload));
-            }
-            return;
-        }
-        let Some(mut pending) = self.pending.remove(&txn) else {
-            return; // resolution already completed
-        };
-        if pending.retries_left > 0 {
-            pending.retries_left -= 1;
-            pending.sent_case = self.send_upstream(txn, &pending, ctx);
-            self.pending.insert(txn, pending);
-            ctx.set_timer(self.config.timeout, txn as u64);
-        } else if let &ResponseAction::Recurse(rp) = &self.policy.action {
-            self.fail(pending, rp, ctx);
-        }
     }
 }
 
@@ -2017,6 +2011,13 @@ mod reset_tests {
         assert_eq!(stats.responses_sent, 5);
         assert_eq!((stats.negative_hits, stats.cache_hits), (1, 1));
         assert_eq!(stats.upstream_queries, 3 + 2 + 1, "{stats:?}");
+        // The three resolutions that went upstream, the deepest through
+        // root and TLD.
+        let depth = stats.recursion_depth;
+        assert_eq!((depth.count, depth.max), (3, 2), "{depth:?}");
+        let mut twice = stats;
+        twice.absorb(&stats);
+        assert_eq!((twice.responses_sent, twice.recursion_depth.count), (10, 6));
         let forwarder = Arc::new(ResponsePolicy::forwarder(UPSTREAM));
         with_resolver(&mut used, |r| r.reset(forwarder));
         ask(&mut used, 6, label(2));
@@ -2065,7 +2066,6 @@ mod fresh_ignores_tests {
     use orscope_authns::ProbeLabel;
     use orscope_check::Rng;
     use orscope_netsim::{FixedLatency, SimNet};
-    use orscope_telemetry::Collector;
     use std::sync::Arc;
 
     const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
@@ -2133,9 +2133,9 @@ mod fresh_ignores_tests {
 
     /// The resolver has shown no sign of life: it sent nothing (every
     /// datagram on the books is one the test injected), armed nothing
-    /// (every event is one the test queued), counted nothing, published
-    /// nothing, and holds nothing in flight.
-    fn assert_inert(net: &mut SimNet, collector: &Collector, queued: u64, context: &str) {
+    /// (every event is one the test queued), counted nothing — the
+    /// recursion-depth histogram included — and holds nothing in flight.
+    fn assert_inert(net: &mut SimNet, queued: u64, context: &str) {
         net.run_until_idle();
         let stats = *net.stats();
         assert_eq!(stats.events, queued, "armed a timer: {context}");
@@ -2143,12 +2143,6 @@ mod fresh_ignores_tests {
         let (resolver_stats, quiescent) = with_resolver(net, |r| (r.stats(), r.is_quiescent()));
         assert_eq!(resolver_stats, ResolverStats::default(), "{context}");
         assert!(quiescent, "{context}");
-        let snapshot = collector.snapshot();
-        assert!(
-            snapshot.counters.values().all(|c| c.value == 0)
-                && snapshot.histograms.values().all(|h| h.count == 0),
-            "published telemetry: {context}"
-        );
     }
 
     #[test]
@@ -2156,12 +2150,7 @@ mod fresh_ignores_tests {
         let mut rng = Rng::new(0xEC40);
         for policy in policies() {
             let policy = Arc::new(policy);
-            let collector = Collector::new();
-            let telemetry = ResolverTelemetry::from_collector(&collector);
-            let fresh = || {
-                ProfiledResolver::new_shared(policy.clone(), ResolverConfig::new(ROOT))
-                    .with_telemetry(telemetry.clone())
-            };
+            let fresh = || ProfiledResolver::new_shared(policy.clone(), ResolverConfig::new(ROOT));
             let mut net = SimNet::builder()
                 .seed(3)
                 .latency(FixedLatency(Duration::from_millis(1)))
@@ -2187,7 +2176,7 @@ mod fresh_ignores_tests {
                     net.inject(Datagram::new((PEER, 53), (RESOLVER, port), wire.clone()));
                     queued += 1;
                     let context = format!("{:?} port {port} {wire:02x?}", policy.action);
-                    assert_inert(&mut net, &collector, queued, &context);
+                    assert_inert(&mut net, queued, &context);
                 }
             }
             assert!(ignorable > 300 && decoded_responses > 100);
@@ -2201,7 +2190,7 @@ mod fresh_ignores_tests {
                 let at = net.now();
                 net.set_timer_for(RESOLVER, at, token);
                 queued += 1;
-                assert_inert(&mut net, &collector, queued, &format!("timer {token}"));
+                assert_inert(&mut net, queued, &format!("timer {token}"));
             }
             assert_eq!(net.stats().timers_fired, 200);
         }

@@ -28,14 +28,12 @@ pub mod paper;
 pub mod population;
 pub mod profile;
 pub mod scaling;
-pub mod telemetry;
 
 pub use cache::DnsCache;
-pub use engine::{ProfiledResolver, ResolverConfig};
+pub use engine::{ProfiledResolver, ResolverConfig, ResolverStats};
 pub use intern::{ProfileId, ProfileTable, COUNTRY_NONE};
 pub use population::{HostList, HostRef, PlannedResolver, Population, PopulationConfig};
 pub use profile::{
     AnswerData, ForwardPolicy, ImmediateResponse, ProfileClass, RecursePolicy, ResponseAction,
     ResponsePolicy,
 };
-pub use telemetry::ResolverTelemetry;

@@ -1,12 +1,12 @@
-//! The per-shard metric registry.
+//! The registry of shared metric cells and phase spans.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use crate::metric::{Counter, Gauge, Histogram, HistogramCore, BUCKET_COUNT};
-use crate::snapshot::{HistogramSnapshot, MetricValue, SpanSnapshot, TelemetrySnapshot};
+use crate::metric::{Counter, Gauge};
+use crate::snapshot::{MetricValue, SpanSnapshot, TelemetrySnapshot};
 use crate::span::PhaseSpan;
 
 /// Whether a metric is deterministic across shard layouts.
@@ -44,99 +44,54 @@ struct SpanCell {
 struct Registry {
     counters: BTreeMap<String, (Scope, Arc<AtomicU64>)>,
     gauges: BTreeMap<String, (Scope, Arc<AtomicU64>)>,
-    histograms: BTreeMap<String, (Scope, Arc<HistogramCore>)>,
     spans: BTreeMap<String, Arc<SpanCell>>,
 }
 
-/// A metric registry. Cloning shares the registry (it is a handle);
-/// instrumented crates request pre-resolved [`Counter`]/[`Gauge`]/
-/// [`Histogram`] handles once at wiring time and touch only atomics
-/// afterwards.
+/// A metric registry for what is written from more than one thread: a
+/// service's counters and gauges, and phase spans. Cloning shares the
+/// registry (it is a handle); a writer requests its [`Counter`] or
+/// [`Gauge`] once and touches only that atomic afterwards.
 ///
-/// A collector built with [`Collector::disabled`] hands out no-op
-/// handles and snapshots to nothing, which is how the zero-overhead
-/// configuration (and the `telemetry_overhead` bench baseline) works.
-#[derive(Clone)]
+/// The single-threaded simulation layers do not use one: each keeps a
+/// plain-integer book that is turned into a [`TelemetrySnapshot`] when
+/// the run is over.
+#[derive(Clone, Default)]
 pub struct Collector {
-    inner: Option<Arc<Mutex<Registry>>>,
+    inner: Arc<Mutex<Registry>>,
 }
 
 impl std::fmt::Debug for Collector {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Collector")
-            .field("enabled", &self.is_enabled())
-            .finish()
-    }
-}
-
-impl Default for Collector {
-    /// Same as [`Collector::new`]: enabled, with an empty registry.
-    fn default() -> Self {
-        Self::new()
+        f.debug_struct("Collector").finish_non_exhaustive()
     }
 }
 
 impl Collector {
-    /// An enabled collector with an empty registry.
+    /// A collector with an empty registry.
     pub fn new() -> Self {
-        Self {
-            inner: Some(Arc::new(Mutex::new(Registry::default()))),
-        }
-    }
-
-    /// A disabled collector: every handle it hands out is a no-op.
-    pub fn disabled() -> Self {
-        Self { inner: None }
-    }
-
-    /// Whether this collector records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        Self::default()
     }
 
     /// Registers (or re-opens) the counter `name` under `scope`.
     pub fn counter(&self, scope: Scope, name: &str) -> Counter {
-        let Some(inner) = &self.inner else {
-            return Counter::default();
-        };
-        let mut registry = inner.lock().expect("registry poisoned");
+        let mut registry = self.inner.lock().expect("registry poisoned");
         let (existing, cell) = registry
             .counters
             .entry(name.to_owned())
             .or_insert_with(|| (scope, Arc::new(AtomicU64::new(0))));
         debug_assert_eq!(*existing, scope, "scope mismatch re-opening counter {name}");
-        Counter(Some(cell.clone()))
+        Counter(cell.clone())
     }
 
-    /// Registers (or re-opens) the high-water gauge `name` under `scope`.
+    /// Registers (or re-opens) the gauge `name` under `scope`.
     pub fn gauge(&self, scope: Scope, name: &str) -> Gauge {
-        let Some(inner) = &self.inner else {
-            return Gauge::default();
-        };
-        let mut registry = inner.lock().expect("registry poisoned");
+        let mut registry = self.inner.lock().expect("registry poisoned");
         let (existing, cell) = registry
             .gauges
             .entry(name.to_owned())
             .or_insert_with(|| (scope, Arc::new(AtomicU64::new(0))));
         debug_assert_eq!(*existing, scope, "scope mismatch re-opening gauge {name}");
-        Gauge(Some(cell.clone()))
-    }
-
-    /// Registers (or re-opens) the histogram `name` under `scope`.
-    pub fn histogram(&self, scope: Scope, name: &str) -> Histogram {
-        let Some(inner) = &self.inner else {
-            return Histogram::default();
-        };
-        let mut registry = inner.lock().expect("registry poisoned");
-        let (existing, core) = registry
-            .histograms
-            .entry(name.to_owned())
-            .or_insert_with(|| (scope, Arc::new(HistogramCore::new())));
-        debug_assert_eq!(
-            *existing, scope,
-            "scope mismatch re-opening histogram {name}"
-        );
-        Histogram(Some(core.clone()))
+        Gauge(cell.clone())
     }
 
     /// Starts a phase span; finish it with
@@ -148,9 +103,8 @@ impl Collector {
     /// Records one completed span: `wall` from a monotonic clock, plus
     /// the virtual-time duration in SimNet nanoseconds.
     pub fn record_span(&self, name: &str, wall: Duration, virt_nanos: u64) {
-        let Some(inner) = &self.inner else { return };
         let wall_nanos = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-        let mut registry = inner.lock().expect("registry poisoned");
+        let mut registry = self.inner.lock().expect("registry poisoned");
         let cell = registry.spans.entry(name.to_owned()).or_insert_with(|| {
             Arc::new(SpanCell {
                 count: AtomicU64::new(0),
@@ -163,14 +117,10 @@ impl Collector {
         cell.virt_nanos.fetch_max(virt_nanos, Ordering::Relaxed);
     }
 
-    /// Freezes the registry into an exportable snapshot. A disabled
-    /// collector snapshots to the empty snapshot.
+    /// Freezes the registry into an exportable snapshot.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let mut snapshot = TelemetrySnapshot::default();
-        let Some(inner) = &self.inner else {
-            return snapshot;
-        };
-        let registry = inner.lock().expect("registry poisoned");
+        let registry = self.inner.lock().expect("registry poisoned");
         for (name, (scope, cell)) in &registry.counters {
             snapshot.counters.insert(
                 name.clone(),
@@ -186,28 +136,6 @@ impl Collector {
                 MetricValue {
                     scope: *scope,
                     value: cell.load(Ordering::Relaxed),
-                },
-            );
-        }
-        for (name, (scope, core)) in &registry.histograms {
-            let count = core.count.load(Ordering::Relaxed);
-            let mut buckets = vec![0u64; BUCKET_COUNT];
-            for (slot, bucket) in buckets.iter_mut().zip(&core.buckets) {
-                *slot = bucket.load(Ordering::Relaxed);
-            }
-            snapshot.histograms.insert(
-                name.clone(),
-                HistogramSnapshot {
-                    scope: *scope,
-                    count,
-                    sum: core.sum.load(Ordering::Relaxed),
-                    min: if count == 0 {
-                        0
-                    } else {
-                        core.min.load(Ordering::Relaxed)
-                    },
-                    max: core.max.load(Ordering::Relaxed),
-                    buckets,
                 },
             );
         }
@@ -241,18 +169,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_collector_snapshots_to_empty() {
-        let collector = Collector::disabled();
-        collector.counter(Scope::Global, "x").inc();
-        collector.histogram(Scope::Global, "h").record(9);
-        collector.record_span("s", Duration::from_millis(1), 5);
-        let snapshot = collector.snapshot();
-        assert!(snapshot.counters.is_empty());
-        assert!(snapshot.histograms.is_empty());
-        assert!(snapshot.spans.is_empty());
-    }
-
-    #[test]
     fn span_merges_by_max() {
         let collector = Collector::new();
         collector.record_span("phase.x", Duration::from_nanos(10), 100);
@@ -261,13 +177,5 @@ mod tests {
         assert_eq!(span.count, 2);
         assert_eq!(span.wall_nanos, 30);
         assert_eq!(span.virt_nanos, 100);
-    }
-
-    #[test]
-    fn empty_histogram_reports_zero_min() {
-        let collector = Collector::new();
-        let _ = collector.histogram(Scope::Global, "h");
-        let h = &collector.snapshot().histograms["h"];
-        assert_eq!((h.count, h.min, h.max), (0, 0, 0));
     }
 }

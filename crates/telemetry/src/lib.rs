@@ -5,19 +5,23 @@
 //! and per-phase wall/virtual time are invisible from the final tables.
 //! This crate provides the measurement substrate:
 //!
-//! - **[`Collector`]** — a per-shard metric registry handing out
-//!   [`Counter`], [`Gauge`], and [`Histogram`] handles. Registration
-//!   takes a lock once, at wiring time; the hot path afterwards is a
-//!   single relaxed atomic add. A disabled collector hands out no-op
-//!   handles so instrumented code pays one branch when telemetry is off.
+//! - **[`TelemetrySnapshot`]** — named, scoped counters, gauges,
+//!   histograms and spans, frozen for export. Each shard's simulation
+//!   layers keep plain-integer books (a [`Histogram`] where a
+//!   distribution matters); when the shard is done they are entered
+//!   into its snapshot once, and per-shard snapshots merge via
+//!   [`TelemetrySnapshot::absorb`], mirroring `NetStats::absorb`, so a
+//!   sharded campaign exports the same [`Scope::Global`] metrics
+//!   regardless of the shard layout.
+//! - **[`Collector`]** — a registry of shared [`Counter`] and [`Gauge`]
+//!   cells for what really is concurrent (a service's gauges, read by
+//!   HTTP workers while the epoch loop writes them). Registration takes
+//!   a lock once; afterwards a recording is one relaxed atomic
+//!   operation.
 //! - **[`PhaseSpan`]** — lightweight phase timers keyed to **SimNet
 //!   virtual time**: each span records wall-clock nanoseconds from a
 //!   monotonic clock *and* virtual nanoseconds supplied by the caller
 //!   (e.g. `finished_at` from the probe phase).
-//! - **[`TelemetrySnapshot`]** — a frozen, order-insensitive view.
-//!   Per-shard snapshots merge via [`TelemetrySnapshot::absorb`],
-//!   mirroring `NetStats::absorb`, so a sharded campaign exports the
-//!   same [`Scope::Global`] metrics regardless of the shard layout.
 //!
 //! # Scopes and shard invariance
 //!
@@ -44,5 +48,5 @@ mod span;
 
 pub use collector::{Collector, Scope};
 pub use metric::{bucket_bounds, bucket_index, Counter, Gauge, Histogram, BUCKET_COUNT};
-pub use snapshot::{HistogramSnapshot, MetricValue, SpanSnapshot, TelemetrySnapshot};
+pub use snapshot::{MetricValue, SpanSnapshot, TelemetrySnapshot};
 pub use span::PhaseSpan;

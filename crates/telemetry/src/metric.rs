@@ -1,6 +1,6 @@
-//! Metric handles: pre-resolved atomics behind `Option`, so the hot path
-//! is one branch plus one relaxed atomic operation (or nothing when the
-//! owning collector is disabled).
+//! Log2 bucketing, the plain [`Histogram`] a single-threaded layer keeps,
+//! and the shared [`Counter`]/[`Gauge`] cells a [`crate::Collector`]
+//! hands to concurrent writers (one relaxed atomic operation each).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -48,10 +48,9 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
     }
 }
 
-/// A monotonically increasing counter. Cloning shares the cell; the
-/// default handle is a no-op.
-#[derive(Clone, Debug, Default)]
-pub struct Counter(pub(crate) Option<Arc<AtomicU64>>);
+/// A monotonically increasing counter. Cloning shares the cell.
+#[derive(Clone, Debug)]
+pub struct Counter(pub(crate) Arc<AtomicU64>);
 
 impl Counter {
     /// Adds one.
@@ -60,111 +59,101 @@ impl Counter {
         self.add(1);
     }
 
-    /// Adds `n` (no-op when `n == 0` or the handle is disabled).
+    /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if let Some(cell) = &self.0 {
-            cell.fetch_add(n, Ordering::Relaxed);
-        }
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current value (0 for a disabled handle).
+    /// Current value.
     pub fn get(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |cell| cell.load(Ordering::Relaxed))
+        self.0.load(Ordering::Relaxed)
     }
 }
 
-/// A high-water-mark gauge: `record_max` keeps the largest value seen,
-/// which merges order-insensitively across shards.
-///
-/// Long-running services (the observatory's population-size and
-/// epochs-completed gauges) instead use [`Gauge::set`], which stores the
-/// current value: a population that shrinks must be able to pull its
-/// gauge back down. Pick one discipline per gauge — a metric that mixes
-/// `set` and `record_max` has no coherent merge semantics.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(pub(crate) Option<Arc<AtomicU64>>);
+/// A level gauge for long-running services (the observatory's
+/// population size, epochs completed): [`Gauge::set`] stores the
+/// current value, so a population that shrinks pulls its gauge back
+/// down. Cloning shares the cell.
+#[derive(Clone, Debug)]
+pub struct Gauge(pub(crate) Arc<AtomicU64>);
 
 impl Gauge {
-    /// Raises the gauge to `value` if it is a new maximum.
-    #[inline]
-    pub fn record_max(&self, value: u64) {
-        if let Some(cell) = &self.0 {
-            // `fetch_max` is a locked compare-exchange loop; most
-            // recordings are not a new maximum and need only the load.
-            if value > cell.load(Ordering::Relaxed) {
-                cell.fetch_max(value, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Stores `value`, replacing whatever the gauge held (level
-    /// semantics, for service gauges that go down as well as up).
+    /// Stores `value`, replacing whatever the gauge held.
     #[inline]
     pub fn set(&self, value: u64) {
-        if let Some(cell) = &self.0 {
-            cell.store(value, Ordering::Relaxed);
-        }
+        self.0.store(value, Ordering::Relaxed);
     }
 
-    /// Current value (0 for a disabled handle).
+    /// Current value.
     pub fn get(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |cell| cell.load(Ordering::Relaxed))
+        self.0.load(Ordering::Relaxed)
     }
 }
 
-/// Shared storage behind a [`Histogram`] handle.
-#[derive(Debug)]
-pub(crate) struct HistogramCore {
-    pub(crate) buckets: [AtomicU64; BUCKET_COUNT],
-    pub(crate) count: AtomicU64,
-    pub(crate) sum: AtomicU64,
-    /// `u64::MAX` until the first record.
-    pub(crate) min: AtomicU64,
-    pub(crate) max: AtomicU64,
+/// A log2-bucketed histogram of `u64` samples (latencies in
+/// nanoseconds, depths): plain integers in a fixed array, kept by the
+/// single-threaded layer that records into it and summed with
+/// [`Histogram::absorb`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Histogram {
+    /// Total samples.
+    pub count: u64,
+    /// Sum of samples (wrapping on overflow).
+    pub sum: u64,
+    /// Smallest sample (0 when empty).
+    pub min: u64,
+    /// Largest sample (0 when empty).
+    pub max: u64,
+    /// Per-bucket sample counts; see [`bucket_bounds`] for the ranges.
+    pub buckets: [u64; BUCKET_COUNT],
 }
 
-impl HistogramCore {
-    pub(crate) fn new() -> Self {
+impl Default for Histogram {
+    fn default() -> Self {
         Self {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
+            count: 0,
+            sum: 0,
+            min: 0,
+            max: 0,
+            buckets: [0; BUCKET_COUNT],
         }
     }
 }
-
-/// A log2-bucketed histogram of `u64` samples (latencies in nanoseconds,
-/// depths, sizes). Recording is five relaxed atomic operations.
-#[derive(Clone, Debug, Default)]
-pub struct Histogram(pub(crate) Option<Arc<HistogramCore>>);
 
 impl Histogram {
     /// Records one sample.
     #[inline]
-    pub fn record(&self, value: u64) {
-        let Some(core) = &self.0 else { return };
-        core.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        core.count.fetch_add(1, Ordering::Relaxed);
-        core.sum.fetch_add(value, Ordering::Relaxed);
-        core.min.fetch_min(value, Ordering::Relaxed);
-        core.max.fetch_max(value, Ordering::Relaxed);
+    pub fn record(&mut self, value: u64) {
+        self.buckets[bucket_index(value)] += 1;
+        self.min = if self.count == 0 {
+            value
+        } else {
+            self.min.min(value)
+        };
+        self.max = self.max.max(value);
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(value);
     }
 
-    /// Number of samples recorded (0 for a disabled handle).
-    pub fn count(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map_or(0, |core| core.count.load(Ordering::Relaxed))
+    /// Merges `other` in. Commutative and associative: bucket counts and
+    /// totals add, extremes take min/max, so any merge order produces
+    /// the same histogram.
+    pub fn absorb(&mut self, other: &Self) {
+        if other.count == 0 {
+            return;
+        }
+        self.min = if self.count == 0 {
+            other.min
+        } else {
+            self.min.min(other.min)
+        };
+        self.max = self.max.max(other.max);
+        self.count += other.count;
+        self.sum = self.sum.wrapping_add(other.sum);
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += theirs;
+        }
     }
 }
 
@@ -210,15 +199,16 @@ mod tests {
     }
 
     #[test]
-    fn disabled_handles_are_no_ops() {
-        let counter = Counter::default();
-        counter.inc();
-        assert_eq!(counter.get(), 0);
-        let gauge = Gauge::default();
-        gauge.record_max(7);
-        assert_eq!(gauge.get(), 0);
-        let histogram = Histogram::default();
-        histogram.record(7);
-        assert_eq!(histogram.count(), 0);
+    fn empty_histograms_absorb_without_touching_the_extremes() {
+        let mut a = Histogram::default();
+        a.absorb(&Histogram::default());
+        assert_eq!(a, Histogram::default());
+        let mut b = Histogram::default();
+        b.record(7);
+        b.record(3);
+        a.absorb(&b);
+        b.absorb(&Histogram::default());
+        assert_eq!(a, b);
+        assert_eq!((a.count, a.sum, a.min, a.max), (2, 10, 3, 7));
     }
 }

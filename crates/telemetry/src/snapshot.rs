@@ -6,84 +6,16 @@ use std::fmt::Write as _;
 use orscope_json::escape_into;
 
 use crate::collector::Scope;
-use crate::metric::{bucket_bounds, BUCKET_COUNT};
+use crate::metric::{bucket_bounds, Histogram, BUCKET_COUNT};
 
-/// A counter or gauge value with its scope.
+/// A recorded value with its scope: a `u64` for counters and gauges, a
+/// [`Histogram`] for histograms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MetricValue {
+pub struct MetricValue<T = u64> {
     /// Shard-invariance class.
     pub scope: Scope,
     /// The recorded value.
-    pub value: u64,
-}
-
-/// A frozen histogram.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Shard-invariance class.
-    pub scope: Scope,
-    /// Total samples.
-    pub count: u64,
-    /// Sum of samples (wrapping on overflow).
-    pub sum: u64,
-    /// Smallest sample (0 when empty).
-    pub min: u64,
-    /// Largest sample (0 when empty).
-    pub max: u64,
-    /// Per-bucket sample counts; see [`bucket_bounds`] for the ranges.
-    pub buckets: Vec<u64>,
-}
-
-impl HistogramSnapshot {
-    /// An empty histogram under `scope`.
-    pub fn empty(scope: Scope) -> Self {
-        Self {
-            scope,
-            count: 0,
-            sum: 0,
-            min: 0,
-            max: 0,
-            buckets: vec![0; BUCKET_COUNT],
-        }
-    }
-
-    /// Builds a snapshot from raw samples (a helper for tests and properties).
-    pub fn from_samples(scope: Scope, samples: &[u64]) -> Self {
-        let mut snapshot = Self::empty(scope);
-        for &value in samples {
-            snapshot.buckets[crate::bucket_index(value)] += 1;
-            snapshot.count += 1;
-            snapshot.sum = snapshot.sum.wrapping_add(value);
-            snapshot.min = if snapshot.count == 1 {
-                value
-            } else {
-                snapshot.min.min(value)
-            };
-            snapshot.max = snapshot.max.max(value);
-        }
-        snapshot
-    }
-
-    /// Merges `other` in. Commutative and associative: bucket counts and
-    /// totals add, extremes take min/max, so any merge order produces
-    /// the same snapshot.
-    pub fn absorb(&mut self, other: &Self) {
-        debug_assert_eq!(self.scope, other.scope, "scope mismatch in absorb");
-        if other.count > 0 {
-            if self.count == 0 {
-                self.min = other.min;
-                self.max = other.max;
-            } else {
-                self.min = self.min.min(other.min);
-                self.max = self.max.max(other.max);
-            }
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
-            *mine += theirs;
-        }
-    }
+    pub value: T,
 }
 
 /// A frozen phase span.
@@ -107,8 +39,9 @@ impl SpanSnapshot {
     }
 }
 
-/// Everything a [`crate::Collector`] recorded, frozen for merging and
-/// export. `BTreeMap` keys give both exporters a deterministic order.
+/// What a run recorded, frozen for merging and export: a
+/// [`crate::Collector`]'s cells and spans, or a shard's books entered
+/// by name. `BTreeMap` keys give both exporters a deterministic order.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct TelemetrySnapshot {
     /// Counters by name.
@@ -116,7 +49,7 @@ pub struct TelemetrySnapshot {
     /// High-water gauges by name.
     pub gauges: BTreeMap<String, MetricValue>,
     /// Histograms by name.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
+    pub histograms: BTreeMap<String, MetricValue<Histogram>>,
     /// Phase spans by name.
     pub spans: BTreeMap<String, SpanSnapshot>,
 }
@@ -124,7 +57,8 @@ pub struct TelemetrySnapshot {
 impl TelemetrySnapshot {
     /// Merges `other` in, order-insensitively (mirroring
     /// `NetStats::absorb`): counters add, gauges keep the high-water
-    /// mark, histograms and spans merge via their own `absorb`.
+    /// mark, histograms and spans merge via their own `absorb`. A
+    /// metric must carry the same scope on both sides.
     ///
     /// ```
     /// use orscope_telemetry::{Collector, Scope};
@@ -159,10 +93,12 @@ impl TelemetrySnapshot {
             mine.value = mine.value.max(theirs.value);
         }
         for (name, theirs) in &other.histograms {
-            self.histograms
-                .entry(name.clone())
-                .or_insert_with(|| HistogramSnapshot::empty(theirs.scope))
-                .absorb(theirs);
+            let mine = self.histograms.entry(name.clone()).or_insert(MetricValue {
+                scope: theirs.scope,
+                value: Histogram::default(),
+            });
+            debug_assert_eq!(mine.scope, theirs.scope, "scope mismatch for {name}");
+            mine.value.absorb(&theirs.value);
         }
         for (name, theirs) in &other.spans {
             self.spans.entry(name.clone()).or_default().absorb(theirs);
@@ -210,10 +146,11 @@ impl TelemetrySnapshot {
             open_line(&mut out, "gauge", name);
             let _ = writeln!(out, ",\"value\":{}}}", metric.value);
         }
-        for (name, histogram) in &self.histograms {
-            if histogram.scope != Scope::Global {
+        for (name, metric) in &self.histograms {
+            if metric.scope != Scope::Global {
                 continue;
             }
+            let histogram = &metric.value;
             let buckets: String = histogram
                 .buckets
                 .iter()
@@ -269,9 +206,10 @@ impl TelemetrySnapshot {
                 metric.value
             );
         }
-        for (name, histogram) in &self.histograms {
+        for (name, metric) in &self.histograms {
             let prom = prom_name(name);
-            let scope = histogram.scope.as_str();
+            let scope = metric.scope.as_str();
+            let histogram = &metric.value;
             let _ = writeln!(out, "# TYPE {prom} histogram");
             let mut cumulative = 0u64;
             for (index, count) in histogram.buckets.iter().enumerate() {
@@ -345,6 +283,15 @@ fn prom_name(name: &str) -> String {
 mod tests {
     use super::*;
 
+    fn histogram(samples: &[u64]) -> MetricValue<Histogram> {
+        let mut value = Histogram::default();
+        samples.iter().for_each(|&sample| value.record(sample));
+        MetricValue {
+            scope: Scope::Global,
+            value,
+        }
+    }
+
     fn sample() -> TelemetrySnapshot {
         let mut snapshot = TelemetrySnapshot::default();
         snapshot.counters.insert(
@@ -370,7 +317,7 @@ mod tests {
         );
         snapshot.histograms.insert(
             "prober.q1_r2_latency_ns".into(),
-            HistogramSnapshot::from_samples(Scope::Global, &[3, 900, 900_000]),
+            histogram(&[3, 900, 900_000]),
         );
         snapshot.spans.insert(
             "phase.probe".into(),
@@ -427,17 +374,15 @@ mod tests {
                 value: 8,
             },
         );
-        b.histograms.insert(
-            "prober.q1_r2_latency_ns".into(),
-            HistogramSnapshot::from_samples(Scope::Global, &[1, u64::MAX]),
-        );
+        b.histograms
+            .insert("prober.q1_r2_latency_ns".into(), histogram(&[1, u64::MAX]));
         let mut ab = a.clone();
         ab.absorb(&b);
         let mut ba = b.clone();
         ba.absorb(&a);
         assert_eq!(ab, ba);
         assert_eq!(ab.counters["net.datagrams_sent"].value, 20);
-        let histogram = &ab.histograms["prober.q1_r2_latency_ns"];
+        let histogram = &ab.histograms["prober.q1_r2_latency_ns"].value;
         assert_eq!(histogram.count, 5);
         assert_eq!(histogram.min, 1);
         assert_eq!(histogram.max, u64::MAX);

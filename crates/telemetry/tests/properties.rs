@@ -3,16 +3,18 @@
 //! `u64` range.
 
 use orscope_check::{cases, Rng};
-use orscope_telemetry::{bucket_bounds, bucket_index, HistogramSnapshot, Scope, BUCKET_COUNT};
+use orscope_telemetry::{bucket_bounds, bucket_index, Histogram, BUCKET_COUNT};
 
-/// Builds a histogram snapshot directly from samples.
-fn histogram(samples: &[u64]) -> HistogramSnapshot {
-    HistogramSnapshot::from_samples(Scope::Global, samples)
+/// The histogram of `samples`, recorded one by one.
+fn histogram(samples: &[u64]) -> Histogram {
+    let mut out = Histogram::default();
+    samples.iter().for_each(|&sample| out.record(sample));
+    out
 }
 
 /// `a.absorb(b)` as a value.
-fn merged(a: &HistogramSnapshot, b: &HistogramSnapshot) -> HistogramSnapshot {
-    let mut out = a.clone();
+fn merged(a: &Histogram, b: &Histogram) -> Histogram {
+    let mut out = *a;
     out.absorb(b);
     out
 }

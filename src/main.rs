@@ -354,7 +354,9 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         eprintln!("wrote {path}");
     }
     if let Some(path) = flag_value(args, "--telemetry")? {
-        let snapshot = result.telemetry().expect("telemetry on by default");
+        let snapshot = result
+            .telemetry()
+            .expect("every campaign carries telemetry");
         let jsonl = snapshot.to_jsonl_tagged(&[("year", u64::from(year.as_u16()))]);
         std::fs::write(&path, jsonl).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
