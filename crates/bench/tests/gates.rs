@@ -1,0 +1,218 @@
+//! The count and allocation gates, as one table: on `workload`,
+//! `counter` may not exceed `budget`; `pinned` is what it measured when
+//! the row was last re-pinned. A row whose budget equals its pinned
+//! figure is exact — the counter may move in neither direction — which
+//! is how the simulator's books are held field for field. A change that
+//! moves a figure on purpose edits its row and says why.
+//!
+//! Every figure repeats exactly from run to run. One `#[test]` walks
+//! the workloads serially, because the allocator counts process-wide:
+//! `cargo test --offline -p orscope-bench --test gates -- --nocapture`
+//! prints each workload's ledger.
+
+use std::net::Ipv4Addr;
+
+use orscope_analysis::{RecordSink, StreamingAnalyzer};
+use orscope_authns::scheme::ProbeLabel;
+use orscope_authns::{CapturedPacket, Direction};
+use orscope_bench::alloc::{allocs, requested_bytes, CountingAlloc};
+use orscope_core::{Campaign, CampaignConfig};
+use orscope_dns_wire::{Message, Name, Question};
+use orscope_netsim::{Payload, SimTime};
+use orscope_resolver::paper::Year;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// `(workload, counter, budget, pinned)`.
+const GATES: &[(&str, &str, f64, f64)] = &[
+    // `dense`: a one-shard fast campaign at scale 2,000 — population,
+    // plan, scan, analysis. The answered path reuses what it built for
+    // the previous packet, so an event (a timer or a datagram that
+    // travelled) costs about one allocation, its payload. A change to
+    // any endpoint's packet path, `dns-wire` decode/build or the
+    // resolver pool shows up in the first two rows.
+    ("dense", "allocations per event", 1.1, 0.946),
+    ("dense", "requested bytes per event", 250.0, 213.1),
+    // A scan asks each responder once, so it builds each planned host
+    // once: the R1s that come back to a resolver already released and
+    // the upstream timeouts that outlive their resolution are settled
+    // without rebuilding it (12,529 when each of them did), and nearly
+    // every build came out of the pool (a tenth of them live at once
+    // would say otherwise).
+    ("dense", "materializations", 3_253.0, 3_253.0),
+    ("dense", "planned hosts", 3_253.0, 3_253.0),
+    ("dense", "live hosts at the peak", 325.0, 10.0),
+    // Settling is bookkeeping, not behaviour: every simulator counter
+    // reads what it read when those hosts were rebuilt to ignore their
+    // events. A change to `SimNet::step`'s arrival path or to either
+    // `fresh_ignores` shows up here.
+    ("dense", "net.sent", 31_564.0, 31_564.0),
+    ("dense", "net.delivered", 25_058.0, 25_058.0),
+    ("dense", "net.lost", 0.0, 0.0),
+    ("dense", "net.duplicated", 0.0, 0.0),
+    ("dense", "net.unrouted", 6_506.0, 6_506.0),
+    ("dense", "net.timers_fired", 13_987.0, 13_987.0),
+    ("dense", "net.events", 39_045.0, 39_045.0),
+    ("dense", "net.bytes_delivered", 1_672_426.0, 1_672_426.0),
+    ("dense", "net.faults_injected", 0.0, 0.0),
+    ("dense", "net.blackhole_drops", 0.0, 0.0),
+    ("dense", "net.crash_drops", 0.0, 0.0),
+    // The echo is still there to be counted: resolver farms re-ask, and
+    // every re-asked Q2 is answered.
+    ("dense", "R2 per Q2", 1.0 / 1.9, 0.499),
+    ("dense", "Q2 without an R1", 0.0, 0.0),
+    // `sparse`: a one-shard full-Q1 campaign at scale 60,000, almost
+    // all silence. A send to nobody is settled as unrouted on the spot:
+    // it is no event and is lost from no book. About one of the two
+    // allocations a datagram is the wheel's, not the probe path's — at
+    // 1.7 pps every tick is a timer filed more than 256 ms ahead, and a
+    // slot drops its buffer when it cascades (the same run at scale
+    // 3,000 reads 1.13). A change to the prober's send path,
+    // `SimNet::enqueue_datagram` or `LazyRegistry::covers` shows up here.
+    ("sparse", "allocations per datagram sent", 2.45, 2.020),
+    ("sparse", "delivered per unrouted", 0.02, 0.013),
+    ("sparse", "events beside timers and deliveries", 0.0, 0.0),
+    ("sparse", "datagrams sent and not accounted for", 0.0, 0.0),
+    // `flow-join`: 32,768 authoritative packets folded into 4,096
+    // reserved flows. The join owns no per-flow heap, so it allocates
+    // only when the one shared stamp log doubles — log2(N) times at
+    // most, where two vectors a flow would be 8,192 before regrowth.
+    ("flow-join", "allocations", 30.0, 14.0),
+];
+
+type Ledger = Vec<(&'static str, f64)>;
+
+/// Runs `config` and returns the result with the allocations and
+/// requested bytes the run spent.
+fn campaign(config: CampaignConfig) -> (orscope_core::CampaignResult, f64, f64) {
+    let campaign = Campaign::new(config);
+    let (calls, bytes) = (allocs(), requested_bytes());
+    let result = campaign.run().expect("campaign runs");
+    let (calls, bytes) = (allocs() - calls, requested_bytes() - bytes);
+    (result, calls as f64, bytes as f64)
+}
+
+fn dense() -> Ledger {
+    let (result, calls, bytes) = campaign(CampaignConfig::new(Year::Y2018, 2000.0));
+    let net = *result.net_stats();
+    let population = result.population();
+    let dataset = result.dataset();
+    vec![
+        ("allocations per event", calls / net.events as f64),
+        ("requested bytes per event", bytes / net.events as f64),
+        ("materializations", result.materializations() as f64),
+        (
+            "planned hosts",
+            (population.resolvers.len() + population.off_port.len()) as f64,
+        ),
+        ("live hosts at the peak", result.materialized_hosts() as f64),
+        ("net.sent", net.sent as f64),
+        ("net.delivered", net.delivered as f64),
+        ("net.lost", net.lost as f64),
+        ("net.duplicated", net.duplicated as f64),
+        ("net.unrouted", net.unrouted as f64),
+        ("net.timers_fired", net.timers_fired as f64),
+        ("net.events", net.events as f64),
+        ("net.bytes_delivered", net.bytes_delivered as f64),
+        ("net.faults_injected", net.faults_injected as f64),
+        ("net.blackhole_drops", net.blackhole_drops as f64),
+        ("net.crash_drops", net.crash_drops as f64),
+        ("R2 per Q2", dataset.r2() as f64 / dataset.q2 as f64),
+        ("Q2 without an R1", dataset.q2 as f64 - dataset.r1 as f64),
+    ]
+}
+
+fn sparse() -> Ledger {
+    let config = CampaignConfig::new(Year::Y2018, 60_000.0).with_full_q1();
+    let (result, calls, _) = campaign(config);
+    let net = *result.net_stats();
+    let settled = net.unrouted + net.delivered + net.lost;
+    vec![
+        ("allocations per datagram sent", calls / net.sent as f64),
+        (
+            "delivered per unrouted",
+            net.delivered as f64 / net.unrouted as f64,
+        ),
+        (
+            "events beside timers and deliveries",
+            net.events as f64 - (net.timers_fired + net.delivered) as f64,
+        ),
+        (
+            "datagrams sent and not accounted for",
+            net.sent as f64 - settled as f64,
+        ),
+    ]
+}
+
+fn flow_join() -> Ledger {
+    const FLOWS: u64 = 4_096;
+    const FANOUT: u64 = 4;
+    let zone: Name = "ucfsealresearch.net".parse().unwrap();
+    let mut packets = Vec::new();
+    for round in 0..FANOUT {
+        for seq in 0..FLOWS {
+            let qname = ProbeLabel::new(0, seq).qname(&zone);
+            let payload = Message::query(7, Question::a(qname)).encode().unwrap();
+            for direction in [Direction::Inbound, Direction::Outbound] {
+                packets.push(CapturedPacket {
+                    at: SimTime::from_nanos(round * FLOWS + seq),
+                    direction,
+                    peer: Ipv4Addr::new(10, 0, 0, 1),
+                    peer_port: 53,
+                    label: None,
+                    payload: Payload::from(payload.clone()),
+                });
+            }
+        }
+    }
+    let mut analyzer = StreamingAnalyzer::new(zone, false);
+    analyzer.reserve_flows(FLOWS as usize);
+
+    let before = allocs();
+    for packet in &packets {
+        analyzer.on_auth(packet);
+    }
+    let spent = allocs() - before;
+
+    // The fold did its work.
+    let flows = analyzer.take_flows();
+    assert_eq!(flows.recursed_count(), FLOWS);
+    assert_eq!(flows.mean_q2_fanout(), FANOUT as f64);
+    assert!(flows
+        .iter()
+        .all(|flow| flow.r1_at().len() == FANOUT as usize));
+    vec![("allocations", spent as f64)]
+}
+
+#[test]
+fn every_gate_holds() {
+    let workloads = [
+        ("dense", dense as fn() -> Ledger),
+        ("sparse", sparse),
+        ("flow-join", flow_join),
+    ];
+    let mut checked = 0;
+    for (workload, run) in workloads {
+        let ledger = run();
+        for (counter, value) in &ledger {
+            eprintln!("{workload}: {counter} = {value:.3}");
+        }
+        for &(_, counter, budget, pinned) in GATES.iter().filter(|gate| gate.0 == workload) {
+            let &(_, value) = ledger
+                .iter()
+                .find(|(name, _)| *name == counter)
+                .unwrap_or_else(|| panic!("{workload} keeps no counter {counter:?}"));
+            assert!(
+                value <= budget,
+                "{workload}: {counter} is {value:.3}, budget {budget} (pinned at {pinned})"
+            );
+            assert!(
+                budget != pinned || value == pinned,
+                "{workload}: {counter} moved from {pinned} to {value}"
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, GATES.len(), "a gate names no workload");
+}

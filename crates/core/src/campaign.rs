@@ -1081,6 +1081,7 @@ impl ShardWorld {
             ("prober.q1_r2_latency_ns", probe.q1_r2_latency_ns),
             ("resolver.recursion_depth", resolvers.recursion_depth),
         ] {
+            let value = Box::new(value);
             out.histograms
                 .insert(name.to_owned(), MetricValue { scope, value });
         }

@@ -48,8 +48,9 @@ pub struct TelemetrySnapshot {
     pub counters: BTreeMap<String, MetricValue>,
     /// High-water gauges by name.
     pub gauges: BTreeMap<String, MetricValue>,
-    /// Histograms by name.
-    pub histograms: BTreeMap<String, MetricValue<Histogram>>,
+    /// Histograms by name. Boxed: a B-tree node reserves room for
+    /// eleven values, and a [`Histogram`] is half a kilobyte.
+    pub histograms: BTreeMap<String, MetricValue<Box<Histogram>>>,
     /// Phase spans by name.
     pub spans: BTreeMap<String, SpanSnapshot>,
 }
@@ -95,7 +96,7 @@ impl TelemetrySnapshot {
         for (name, theirs) in &other.histograms {
             let mine = self.histograms.entry(name.clone()).or_insert(MetricValue {
                 scope: theirs.scope,
-                value: Histogram::default(),
+                value: Box::default(),
             });
             debug_assert_eq!(mine.scope, theirs.scope, "scope mismatch for {name}");
             mine.value.absorb(&theirs.value);
@@ -283,8 +284,8 @@ fn prom_name(name: &str) -> String {
 mod tests {
     use super::*;
 
-    fn histogram(samples: &[u64]) -> MetricValue<Histogram> {
-        let mut value = Histogram::default();
+    fn histogram(samples: &[u64]) -> MetricValue<Box<Histogram>> {
+        let mut value = Box::<Histogram>::default();
         samples.iter().for_each(|&sample| value.record(sample));
         MetricValue {
             scope: Scope::Global,
