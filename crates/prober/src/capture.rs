@@ -186,12 +186,6 @@ mod tests {
         assert_eq!(sunk.stats().q1_sent, 0);
     }
 
-    fn latencies(samples: &[u64]) -> Histogram {
-        let mut out = Histogram::default();
-        samples.iter().for_each(|&sample| out.record(sample));
-        out
-    }
-
     #[test]
     fn absorb_sums_counters_and_tracks_latest_finish() {
         let mut a = ProbeStats {
@@ -207,7 +201,7 @@ mod tests {
             pacer_ticks: 11,
             pacer_tokens_issued: 10,
             pacer_tokens_unused: 0,
-            q1_r2_latency_ns: latencies(&[5, 9, 40]),
+            q1_r2_latency_ns: [5, 9, 40].into_iter().collect(),
             finished_at: SimTime::from_secs(5),
             done: true,
         };
@@ -224,7 +218,7 @@ mod tests {
             pacer_ticks: 9,
             pacer_tokens_issued: 8,
             pacer_tokens_unused: 1,
-            q1_r2_latency_ns: latencies(&[1, 2, 3, 4]),
+            q1_r2_latency_ns: [1, 2, 3, 4].into_iter().collect(),
             finished_at: SimTime::from_secs(9),
             done: true,
         };
@@ -242,7 +236,10 @@ mod tests {
             (a.pacer_ticks, a.pacer_tokens_issued, a.pacer_tokens_unused),
             (20, 18, 1)
         );
-        assert_eq!(a.q1_r2_latency_ns, latencies(&[5, 9, 40, 1, 2, 3, 4]));
+        assert_eq!(
+            a.q1_r2_latency_ns,
+            [5, 9, 40, 1, 2, 3, 4].into_iter().collect()
+        );
         assert_eq!(a.finished_at, SimTime::from_secs(9));
         assert!(a.done);
 

@@ -157,6 +157,15 @@ impl Histogram {
     }
 }
 
+impl FromIterator<u64> for Histogram {
+    /// The histogram of `samples`, recorded one by one.
+    fn from_iter<I: IntoIterator<Item = u64>>(samples: I) -> Self {
+        let mut out = Self::default();
+        samples.into_iter().for_each(|sample| out.record(sample));
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,9 +212,7 @@ mod tests {
         let mut a = Histogram::default();
         a.absorb(&Histogram::default());
         assert_eq!(a, Histogram::default());
-        let mut b = Histogram::default();
-        b.record(7);
-        b.record(3);
+        let mut b: Histogram = [7, 3].into_iter().collect();
         a.absorb(&b);
         b.absorb(&Histogram::default());
         assert_eq!(a, b);

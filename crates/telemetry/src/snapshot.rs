@@ -9,7 +9,7 @@ use crate::collector::Scope;
 use crate::metric::{bucket_bounds, Histogram, BUCKET_COUNT};
 
 /// A recorded value with its scope: a `u64` for counters and gauges, a
-/// [`Histogram`] for histograms.
+/// boxed [`Histogram`] for histograms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MetricValue<T = u64> {
     /// Shard-invariance class.
@@ -285,11 +285,9 @@ mod tests {
     use super::*;
 
     fn histogram(samples: &[u64]) -> MetricValue<Box<Histogram>> {
-        let mut value = Box::<Histogram>::default();
-        samples.iter().for_each(|&sample| value.record(sample));
         MetricValue {
             scope: Scope::Global,
-            value,
+            value: Box::new(samples.iter().copied().collect()),
         }
     }
 
