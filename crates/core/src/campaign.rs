@@ -10,6 +10,7 @@ use orscope_authns::{
     AuthStats, AuthoritativeServer, CaptureHandle, CapturedPacket, ClusterZone, RootServer,
     SharedSink, TldServer, Zone,
 };
+use orscope_ipspace::AllowedSpace;
 use orscope_netsim::{
     Endpoint, FaultKind, FaultPlan, FaultRule, FaultScope, HashLatency, LazyRegistry, NetStats,
     SimNet, SimTime,
@@ -365,6 +366,20 @@ impl Campaign {
         Population::generate(&pop_config)
     }
 
+    /// Plans the scan of `population` over the probeable Internet.
+    pub(crate) fn plan_targets(
+        &self,
+        spec: &YearSpec,
+        population: &std::sync::Arc<Population>,
+    ) -> TargetPlan {
+        TargetPlan::new(
+            &self.config,
+            spec,
+            std::sync::Arc::clone(population),
+            AllowedSpace::probeable(),
+        )
+    }
+
     /// Shared body of [`Campaign::run`] and
     /// [`Campaign::run_with_population`]. `build_wall` is the wall-clock
     /// time spent generating the population, when this call did so.
@@ -397,11 +412,12 @@ impl Campaign {
 
         // The scan plan is derived once from the master seed, so every
         // shard count scans the same addresses in the same global order
-        // — but only the silent fill is built here. Each shard walks the
-        // scan permutation itself and keeps the targets it owns, with
-        // their campaign-wide send slots.
+        // — but no target is built here, only the sorted index of the
+        // responders. Each shard walks the plan's two permutations
+        // itself and keeps the targets it owns, with their campaign-wide
+        // send slots.
         let population = std::sync::Arc::new(population);
-        let targets = TargetPlan::new(config, &spec, std::sync::Arc::clone(&population));
+        let targets = self.plan_targets(&spec, &population);
 
         // ---- shard planning ----
         // Resolvers (and their forwarders) and off-port responders live
@@ -436,9 +452,10 @@ impl Campaign {
                     total_rate_pps: knobs.total_rate,
                     base_cluster: index as u32 * cluster_stride,
                     cluster_capacity: knobs.cluster_capacity,
-                    // A retry walks the permutation afresh.
+                    // A retry walks the permutations afresh.
                     targets: TargetSource::new(targets.shard(index, shards)),
                     population: shard_populations[index],
+                    hosts: targets.hosts(),
                 }))
             })
         };
@@ -638,7 +655,8 @@ impl Campaign {
             // because forwarders from many clients share their caches
             // across the whole scan.
             .lazy_hosts(PopulationRegistry::new(
-                plan.population,
+                plan.hosts,
+                std::sync::Arc::clone(plan.population.table()),
                 resolver_config.clone(),
                 Rc::clone(&released),
             ))
@@ -762,6 +780,9 @@ pub(crate) struct ShardPlan<'a> {
     pub(crate) targets: TargetSource,
     /// The resolvers, off-port responders, and upstreams this shard owns.
     pub(crate) population: &'a Population,
+    /// The campaign's probed hosts by address (see [`TargetPlan::hosts`]):
+    /// a shard is only ever sent to the ones it owns.
+    pub(crate) hosts: std::sync::Arc<HostIndex>,
 }
 
 /// A sorted `(packed address, profile id)` list under a first-level
@@ -773,7 +794,12 @@ pub(crate) struct ShardPlan<'a> {
 /// (at most one byte a host) narrows a lookup to the handful of hosts
 /// sharing the address's top bits: one line of the directory, one or
 /// two of the list.
-struct HostIndex {
+///
+/// A campaign builds one, over every probed host of its population, and
+/// shares it: the plan's silent walk steps over the addresses in it and
+/// every shard's registry materializes from it.
+#[derive(Debug)]
+pub(crate) struct HostIndex {
     hosts: Vec<(u32, orscope_resolver::ProfileId)>,
     /// `directory[b]..directory[b + 1]` bounds the hosts whose address
     /// starts with the bits `b`.
@@ -783,6 +809,18 @@ struct HostIndex {
 }
 
 impl HostIndex {
+    /// Indexes the probed hosts of `population`: resolvers and off-port
+    /// responders (upstreams are never probed and always registered).
+    pub(crate) fn of(population: &Population) -> Self {
+        let mut hosts = Vec::with_capacity(population.resolvers.len() + population.off_port.len());
+        for list in [&population.resolvers, &population.off_port] {
+            for i in 0..list.len() {
+                hosts.push((u32::from(list.addr(i)), list.profile_id(i)));
+            }
+        }
+        Self::new(hosts)
+    }
+
     fn new(mut hosts: Vec<(u32, orscope_resolver::ProfileId)>) -> Self {
         hosts.sort_unstable_by_key(|&(addr, _)| addr);
         // Four hosts a bucket on average: 4 B of directory for them.
@@ -815,6 +853,16 @@ impl HostIndex {
         let slot = hosts.binary_search_by_key(&addr, |&(a, _)| a).ok()?;
         Some(hosts[slot].1)
     }
+
+    pub(crate) fn contains(&self, addr: Ipv4Addr) -> bool {
+        self.find(addr).is_some()
+    }
+
+    /// The indexed addresses, ascending (one entry a host: an address
+    /// planned twice comes up twice).
+    pub(crate) fn addrs(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
+        self.hosts.iter().map(|&(addr, _)| Ipv4Addr::from(addr))
+    }
 }
 
 /// Released resolvers kept for the next materialization. A fault-free
@@ -824,8 +872,8 @@ impl HostIndex {
 /// scan.
 const RESOLVER_POOL: usize = 16;
 
-/// Materializes `ProfiledResolver` endpoints on demand from a shard's
-/// compact population: a [`HostIndex`] plus the shared profile table.
+/// Materializes `ProfiledResolver` endpoints on demand from the
+/// campaign's [`HostIndex`] plus the shared profile table.
 /// Covers probed hosts (resolvers and off-port responders); upstreams
 /// are always registered eagerly.
 ///
@@ -839,7 +887,7 @@ const RESOLVER_POOL: usize = 16;
 /// [`LazyRegistry::fresh_ignores`]d and its spent upstream timeouts are
 /// the simulator's to settle.
 struct PopulationRegistry {
-    hosts: HostIndex,
+    hosts: std::sync::Arc<HostIndex>,
     table: std::sync::Arc<orscope_resolver::ProfileTable>,
     config: ResolverConfig,
     /// The summed books of every resolver handed back so far; the
@@ -861,19 +909,14 @@ fn resolver_of(endpoint: &mut dyn Endpoint) -> &mut ProfiledResolver {
 
 impl PopulationRegistry {
     fn new(
-        population: &Population,
+        hosts: std::sync::Arc<HostIndex>,
+        table: std::sync::Arc<orscope_resolver::ProfileTable>,
         config: ResolverConfig,
         released: Rc<RefCell<ResolverStats>>,
     ) -> Self {
-        let mut hosts = Vec::with_capacity(population.resolvers.len() + population.off_port.len());
-        for list in [&population.resolvers, &population.off_port] {
-            for i in 0..list.len() {
-                hosts.push((u32::from(list.addr(i)), list.profile_id(i)));
-            }
-        }
         Self {
-            hosts: HostIndex::new(hosts),
-            table: std::sync::Arc::clone(population.table()),
+            hosts,
+            table,
             config,
             released,
             pool: RefCell::new(Vec::with_capacity(RESOLVER_POOL)),
@@ -883,7 +926,7 @@ impl PopulationRegistry {
 
 impl LazyRegistry for PopulationRegistry {
     fn covers(&self, addr: Ipv4Addr) -> bool {
-        self.hosts.find(addr).is_some()
+        self.hosts.contains(addr)
     }
 
     fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {

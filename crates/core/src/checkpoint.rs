@@ -224,7 +224,6 @@ use orscope_resolver::paper::YearSpec;
 use crate::campaign::{finish_stream, Campaign, ShardPlan};
 use crate::error::CampaignError;
 use crate::infra::{seed_geo_db, seed_threat_db};
-use crate::plan::TargetPlan;
 use crate::recorder::ShardRecorder;
 use crate::result::CampaignResult;
 
@@ -265,7 +264,7 @@ impl Campaign {
         let spec = YearSpec::get(config.year);
         let population = std::sync::Arc::new(self.build_population());
         let knobs = self.shard_knobs(&spec);
-        let targets = TargetPlan::new(config, &spec, std::sync::Arc::clone(&population));
+        let targets = self.plan_targets(&spec, &population);
         let plan = ShardPlan {
             shard: 0,
             attempt: 0,
@@ -275,6 +274,7 @@ impl Campaign {
             cluster_capacity: knobs.cluster_capacity,
             targets: TargetSource::new(targets.shard(0, 1)),
             population: &population,
+            hosts: targets.hosts(),
         };
         // Phase one buffers whatever the analysis mode: the checkpoint
         // carries the records themselves.
@@ -327,11 +327,12 @@ impl Campaign {
         let threat = seed_threat_db(&population);
         let geo = seed_geo_db(&population);
         let knobs = self.shard_knobs(&spec);
-        // The original target walk (the prober skips to the cursor), with
+        // The original target walk, started again (the prober skips to
+        // the cursor, which re-derives the silent fill up to there), with
         // the interrupted probes re-appended at the tail. Resume paces
         // locally: the global slot grid described the uninterrupted
         // scan, not the remaining-targets tail.
-        let targets = TargetPlan::new(config, &spec, std::sync::Arc::clone(&population));
+        let targets = self.plan_targets(&spec, &population);
         let tail = (targets.len()..).zip(checkpoint.outstanding.clone());
         let plan = ShardPlan {
             shard: 0,
@@ -342,6 +343,7 @@ impl Campaign {
             cluster_capacity: knobs.cluster_capacity,
             targets: TargetSource::new(targets.shard(0, 1).chain(tail)),
             population: &population,
+            hosts: targets.hosts(),
         };
         // Phase one's records are fed to the recorder phase two writes
         // into, so the analysis (and any tap) sees the whole campaign.

@@ -1,23 +1,24 @@
 //! The scan plan: which address is probed in which campaign-wide slot.
 //!
 //! ZMap's defining trick is that the target list is never stored — it is
-//! the walk of a cyclic group. A [`TargetPlan`] keeps that property
-//! through sharding: it holds the silent fill (addresses that are probed
-//! but never answer) and shares the population's responder addresses,
-//! and every shard walks the same [`ScanPermutation`] itself, keeping the
-//! `(slot, address)` pairs it owns. Nothing is ordered, partitioned or
-//! copied per shard before the fan-out, and a supervised retry just
-//! starts the walk again.
+//! the walk of a cyclic group. A [`TargetPlan`] is two such walks and
+//! nothing per target: the scan order, a [`ScanPermutation`] of the
+//! target count, says which slots go to which responder and which to
+//! silence (addresses that are probed but never answer), and each
+//! silent slot takes the next free address of a second walk, over the
+//! ranks of the probeable space. Every shard runs both walks itself and
+//! keeps the `(slot, address)` pairs it owns. Nothing is ordered,
+//! partitioned or copied per shard before the fan-out, and a supervised
+//! retry or a resumed checkpoint just starts the walks again.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use orscope_ipspace::{AllowedSpace, ScanPermutation};
-use orscope_netsim::FxHashSet;
 use orscope_resolver::paper::YearSpec;
 use orscope_resolver::population::{shard_index, Population};
 
-use crate::campaign::CampaignConfig;
+use crate::campaign::{CampaignConfig, HostIndex};
 
 /// Silent targets probed per responder when the campaign is not in
 /// `full_q1` mode: enough that responders are interleaved with dead
@@ -26,27 +27,43 @@ const FAST_MODE_SILENT_PER_RESPONDER: u64 = 2;
 
 /// A campaign's targets in scan order, derived on the fly.
 ///
-/// Target `i` of the unpermuted list is responder `i` of the population
-/// (resolvers, then off-port responders) or, past those, silent address
-/// `i - responders`; the scan visits `order[0], order[1], ...` and the
-/// position in that walk is the target's send slot.
+/// The scan visits `order[0], order[1], ...` and the position in that
+/// walk is the target's send slot. An index below the responder count
+/// is that responder of the population (resolvers, then off-port
+/// responders); a slot with any other index is silent and probes the
+/// next address of the rank walk that is neither a responder nor
+/// infrastructure. The silent addresses are thus the first
+/// `len - responders` free addresses of that walk, whatever the seed of
+/// the scan order does to which slot each lands in.
 #[derive(Debug)]
 pub(crate) struct TargetPlan {
+    /// The responders the scan order's low indices stand for.
     population: Arc<Population>,
-    /// Probeable addresses that are neither responders nor
-    /// infrastructure, in allowed-space rank order: 4 bytes per silent
-    /// target, the only per-target state a campaign keeps.
-    silent: Arc<Vec<Ipv4Addr>>,
+    /// The population's probed hosts by address: what the silent walk
+    /// steps over, and what every shard materializes its hosts from.
+    hosts: Arc<HostIndex>,
+    /// The other addresses the silent walk steps over.
+    infra: Vec<Ipv4Addr>,
+    /// The addresses silence is drawn from.
+    space: Arc<AllowedSpace>,
+    /// The walk of `space`'s ranks that the silent fill is read off.
+    ranks: ScanPermutation,
+    /// Scan order: permuted so responders are interleaved with silents
+    /// the way a real pseudorandom scan interleaves live hosts.
     order: ScanPermutation,
 }
 
 impl TargetPlan {
     /// Plans the scan of `population`: all responders embedded in either
-    /// the full scaled space or a fast-mode sample of silents.
+    /// the full scaled space or a fast-mode sample of silents, drawn
+    /// from `space`. A scan that asks for more silence than `space` has
+    /// free addresses probes all of them and no more, so [`Self::len`]
+    /// is what the shards will send.
     pub(crate) fn new(
         config: &CampaignConfig,
         spec: &YearSpec,
         population: Arc<Population>,
+        space: AllowedSpace,
     ) -> Self {
         let responders = (population.resolvers.len() + population.off_port.len()) as u64;
         let total = if config.full_q1 {
@@ -54,36 +71,49 @@ impl TargetPlan {
         } else {
             responders + responders * FAST_MODE_SILENT_PER_RESPONDER
         };
-        // Silent fill: fresh probeable addresses not already used.
-        let used: FxHashSet<Ipv4Addr> = population
-            .resolvers
+        let hosts = Arc::new(HostIndex::of(&population));
+        let mut infra = config.infra.addresses();
+        infra.sort_unstable();
+        infra.dedup();
+        // Decided here, once, so that no shard's walk can run dry.
+        let mut previous = None;
+        let taken = hosts
             .addrs()
-            .chain(population.off_port.addrs())
-            .chain(config.infra.addresses())
-            .collect();
-        let space = AllowedSpace::probeable();
-        let mut ranks = ScanPermutation::new(space.len(), config.seed ^ 0x51E7).iter();
-        let mut silent = Vec::with_capacity((total - responders) as usize);
-        while (silent.len() as u64) < total - responders {
-            let rank = ranks.next().expect("space exhausted") as u64;
-            let addr = space.nth(rank).expect("rank in range");
-            if !used.contains(&addr) {
-                silent.push(addr);
-            }
-        }
+            .filter(|&addr| previous.replace(addr) != Some(addr))
+            .chain(infra.iter().copied().filter(|&addr| !hosts.contains(addr)))
+            .filter(|&addr| space.contains(addr))
+            .count() as u64;
+        let silent = (total - responders).min(space.len() - taken);
         Self {
             population,
-            silent: Arc::new(silent),
-            // Scan order: permute so responders are interleaved with
-            // silents the way a real pseudorandom scan interleaves live
-            // hosts.
-            order: ScanPermutation::new(total, config.seed ^ 0x0DE2),
+            hosts,
+            infra,
+            ranks: ScanPermutation::new(space.len(), config.seed ^ 0x51E7),
+            space: Arc::new(space),
+            order: ScanPermutation::new(responders + silent, config.seed ^ 0x0DE2),
         }
     }
 
     /// Number of targets the whole campaign probes.
     pub(crate) fn len(&self) -> u64 {
         self.order.space_len()
+    }
+
+    /// The index of the population's probed hosts, built once for the
+    /// campaign.
+    pub(crate) fn hosts(&self) -> Arc<HostIndex> {
+        Arc::clone(&self.hosts)
+    }
+
+    /// The free addresses of the rank walk, in walk order.
+    fn silent(&self) -> impl Iterator<Item = Ipv4Addr> + 'static {
+        let hosts = Arc::clone(&self.hosts);
+        let infra = self.infra.clone();
+        let space = Arc::clone(&self.space);
+        self.ranks
+            .iter()
+            .map(move |rank| space.nth(u64::from(rank)).expect("rank in range"))
+            .filter(move |addr| !infra.contains(addr) && !hosts.contains(*addr))
     }
 
     /// The `(slot, address)` pairs shard `shard` of `shards` probes, in
@@ -101,7 +131,7 @@ impl TargetPlan {
         shards: usize,
     ) -> impl Iterator<Item = (u64, Ipv4Addr)> + 'static {
         let population = Arc::clone(&self.population);
-        let silent = Arc::clone(&self.silent);
+        let mut silent = self.silent();
         let resolvers = population.resolvers.len();
         let responders = resolvers + population.off_port.len();
         (0u64..)
@@ -113,7 +143,9 @@ impl TargetPlan {
                 } else if index < responders {
                     population.off_port.addr(index - resolvers)
                 } else {
-                    silent[index - responders]
+                    silent
+                        .next()
+                        .expect("the plan has a free address for every silent slot")
                 };
                 let affinity = || {
                     if index < resolvers {
@@ -131,44 +163,86 @@ impl TargetPlan {
 mod tests {
     use super::*;
     use crate::campaign::Campaign;
-    use orscope_netsim::{fx_map_with_capacity, FxHashMap};
+    use orscope_ipspace::{Blocklist, Cidr};
+    use orscope_netsim::{fx_map_with_capacity, FxHashMap, FxHashSet};
     use orscope_resolver::paper::Year;
 
-    /// The plan as it used to be materialised on the master thread: the
-    /// whole ordered target list, then a partition through an owner map
-    /// filled from `Population::shard`'s parts.
+    /// The responders in index order, how many targets the scan asks
+    /// for, and every address silence may not fall on.
+    fn inputs(
+        config: &CampaignConfig,
+        spec: &YearSpec,
+        population: &Population,
+    ) -> (Vec<Ipv4Addr>, u64, FxHashSet<Ipv4Addr>) {
+        let responders: Vec<Ipv4Addr> = population
+            .resolvers
+            .addrs()
+            .chain(population.off_port.addrs())
+            .collect();
+        let total = if config.full_q1 {
+            ((spec.q1 as f64 / config.scale).round() as u64).max(responders.len() as u64)
+        } else {
+            responders.len() as u64 * (1 + FAST_MODE_SILENT_PER_RESPONDER)
+        };
+        let used = responders
+            .iter()
+            .copied()
+            .chain(config.infra.addresses())
+            .collect();
+        (responders, total, used)
+    }
+
+    /// The free addresses of the rank walk, as a stored set would filter
+    /// them.
+    fn free_walk<'a>(
+        config: &CampaignConfig,
+        space: &'a AllowedSpace,
+        used: &'a FxHashSet<Ipv4Addr>,
+    ) -> impl Iterator<Item = Ipv4Addr> + 'a {
+        ScanPermutation::new(space.len(), config.seed ^ 0x51E7)
+            .iter()
+            .map(|rank| space.nth(u64::from(rank)).expect("rank in range"))
+            .filter(|addr| !used.contains(addr))
+    }
+
+    /// The scan in slot order as it was stored until the fill became a
+    /// walk: responders, then the silent fill in walk order, as one list
+    /// that the scan order indexes — silent index `i` probed the `i`-th
+    /// free address. Kept to show what the derived fill did not change.
+    fn stored_fill_scan(
+        config: &CampaignConfig,
+        spec: &YearSpec,
+        population: &Population,
+    ) -> Vec<Ipv4Addr> {
+        let (mut targets, total, used) = inputs(config, spec, population);
+        let space = AllowedSpace::probeable();
+        let silent = total as usize - targets.len();
+        targets.extend(free_walk(config, &space, &used).take(silent));
+        ScanPermutation::new(total, config.seed ^ 0x0DE2)
+            .iter()
+            .map(|index| targets[index as usize])
+            .collect()
+    }
+
+    /// The plan materialised on the master thread: the whole ordered
+    /// target list — a silent slot takes the next free address of the
+    /// rank walk — then a partition through an owner map filled from
+    /// `Population::shard`'s parts.
     fn eager_plan(
         config: &CampaignConfig,
         spec: &YearSpec,
         population: &Population,
     ) -> (Vec<Vec<u64>>, Vec<Vec<Ipv4Addr>>) {
-        let mut targets: Vec<Ipv4Addr> = population
-            .resolvers
-            .addrs()
-            .chain(population.off_port.addrs())
-            .collect();
-        let responders = targets.len() as u64;
-        let total = if config.full_q1 {
-            ((spec.q1 as f64 / config.scale).round() as u64).max(responders)
-        } else {
-            responders + responders * FAST_MODE_SILENT_PER_RESPONDER
-        };
-        let used: FxHashSet<Ipv4Addr> = targets
-            .iter()
-            .copied()
-            .chain(config.infra.addresses())
-            .collect();
+        let (responders, total, used) = inputs(config, spec, population);
         let space = AllowedSpace::probeable();
-        let mut ranks = ScanPermutation::new(space.len(), config.seed ^ 0x51E7).iter();
-        while (targets.len() as u64) < total {
-            let rank = ranks.next().expect("space exhausted") as u64;
-            let addr = space.nth(rank).expect("rank in range");
-            if !used.contains(&addr) {
-                targets.push(addr);
-            }
-        }
-        let order = ScanPermutation::new(targets.len() as u64, config.seed ^ 0x0DE2);
-        let ordered: Vec<Ipv4Addr> = order.iter().map(|idx| targets[idx as usize]).collect();
+        let mut free = free_walk(config, &space, &used);
+        let ordered: Vec<Ipv4Addr> = ScanPermutation::new(total, config.seed ^ 0x0DE2)
+            .iter()
+            .map(|index| match responders.get(index as usize) {
+                Some(&responder) => responder,
+                None => free.next().expect("space exhausted"),
+            })
+            .collect();
 
         let shards = config.shards;
         let mut shard_targets: Vec<Vec<Ipv4Addr>> = vec![Vec::new(); shards];
@@ -201,6 +275,10 @@ mod tests {
         (shard_slots, shard_targets)
     }
 
+    fn plan_of(config: &CampaignConfig, population: &Arc<Population>) -> TargetPlan {
+        Campaign::new(config.clone()).plan_targets(&YearSpec::get(config.year), population)
+    }
+
     /// Fast and full-Q1 configurations over a population with forwarders
     /// (affinity placement) and off-port responders.
     fn configs(seed: u64, shards: usize) -> [CampaignConfig; 2] {
@@ -221,7 +299,7 @@ mod tests {
                     let population = Arc::new(Campaign::new(config.clone()).build_population());
                     assert!(!population.upstreams.is_empty(), "forwarders present");
                     let (slots, targets) = eager_plan(&config, &spec, &population);
-                    let plan = TargetPlan::new(&config, &spec, Arc::clone(&population));
+                    let plan = plan_of(&config, &population);
                     for shard in 0..shards {
                         let (lazy_slots, lazy_targets): (Vec<u64>, Vec<Ipv4Addr>) =
                             plan.shard(shard, shards).unzip();
@@ -245,9 +323,8 @@ mod tests {
         for seed in 0..12u64 {
             let shards = 1 + (seed as usize * 5) % 8;
             let [config, _] = configs(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15), shards);
-            let spec = YearSpec::get(config.year);
             let population = Arc::new(Campaign::new(config.clone()).build_population());
-            let plan = TargetPlan::new(&config, &spec, population);
+            let plan = plan_of(&config, &population);
             let mut seen = vec![false; plan.len() as usize];
             for shard in 0..shards {
                 let mut previous = None;
@@ -265,5 +342,146 @@ mod tests {
                 "every slot owned ({shards} shards)"
             );
         }
+    }
+
+    #[test]
+    fn the_derived_fill_probes_the_stored_fills_addresses() {
+        // What moved is which silent address sits in which silent slot.
+        // The addresses probed — the responders and the first
+        // `total - responders` free addresses of the rank walk — and
+        // every responder's slot, hence its send time, did not.
+        for seed in [0xD5A1_2019, 1, 2, 77] {
+            for shards in [1, 2, 3, 4, 8] {
+                for config in configs(seed, shards) {
+                    let spec = YearSpec::get(config.year);
+                    let population = Arc::new(Campaign::new(config.clone()).build_population());
+                    let stored = stored_fill_scan(&config, &spec, &population);
+                    let plan = plan_of(&config, &population);
+                    assert_eq!(plan.len(), stored.len() as u64);
+                    let mut derived = vec![None; stored.len()];
+                    for shard in 0..shards {
+                        for (slot, addr) in plan.shard(shard, shards) {
+                            derived[slot as usize] = Some(addr);
+                        }
+                    }
+                    let derived: Vec<Ipv4Addr> = derived.into_iter().flatten().collect();
+                    let context = format!("seed {seed:#x}, full_q1 {}", config.full_q1);
+                    assert_eq!(derived.len(), stored.len(), "{context}");
+                    for (slot, (new, old)) in derived.iter().zip(&stored).enumerate() {
+                        if plan.hosts.contains(*old) {
+                            assert_eq!(new, old, "responder moved from slot {slot}: {context}");
+                        }
+                    }
+                    let sorted = |mut addrs: Vec<Ipv4Addr>| {
+                        addrs.sort_unstable();
+                        addrs
+                    };
+                    assert_eq!(sorted(derived), sorted(stored), "{context}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_fresh_walk_skipped_to_a_cursor_is_the_walks_tail() {
+        // What `Prober::resume` and a supervised retry rely on: the
+        // stream holds no state a second call does not rebuild.
+        for (config, shards) in configs(77, 1).into_iter().zip([1, 3]) {
+            let population = Arc::new(Campaign::new(config.clone()).build_population());
+            let plan = plan_of(&config, &population);
+            let whole: Vec<(u64, Ipv4Addr)> = plan.shard(0, shards).collect();
+            for k in [0, 1, whole.len() / 2, whole.len()] {
+                let tail: Vec<(u64, Ipv4Addr)> = plan.shard(0, shards).skip(k).collect();
+                assert_eq!(tail, whole[k..], "cursor {k} of {}", whole.len());
+            }
+        }
+    }
+
+    #[test]
+    fn silence_never_falls_on_a_host_or_on_infrastructure() {
+        orscope_check::cases(12, |rng| {
+            let [_, config] = configs(rng.next_u64(), 1);
+            let population = Arc::new(Campaign::new(config.clone()).build_population());
+            let responders: FxHashSet<Ipv4Addr> = population
+                .resolvers
+                .addrs()
+                .chain(population.off_port.addrs())
+                .collect();
+            assert!(!population.off_port.is_empty());
+            let space = AllowedSpace::probeable();
+            let mut silent = FxHashSet::default();
+            let mut found = 0;
+            for (_, addr) in plan_of(&config, &population).shard(0, 1) {
+                if responders.contains(&addr) {
+                    found += 1;
+                    continue;
+                }
+                assert!(!config.infra.addresses().contains(&addr), "{addr}");
+                assert!(space.contains(addr), "{addr} is reserved");
+                assert!(silent.insert(addr), "{addr} probed twice");
+            }
+            assert_eq!(found, responders.len(), "every responder is probed");
+        });
+    }
+
+    /// Everything but the /24s of `keep`.
+    fn all_but(keep: &[Ipv4Addr]) -> AllowedSpace {
+        let mut blocked = Blocklist::new();
+        for first in 0..=255u8 {
+            for second in 0..=255u8 {
+                let kept = |a: &Ipv4Addr| a.octets()[..2] == [first, second];
+                if !keep.iter().any(kept) {
+                    blocked.insert(Cidr::new(Ipv4Addr::new(first, second, 0, 0), 16));
+                    continue;
+                }
+                for third in 0..=255u8 {
+                    let kept = |a: &Ipv4Addr| a.octets()[..3] == [first, second, third];
+                    if !keep.iter().any(kept) {
+                        blocked.insert(Cidr::new(Ipv4Addr::new(first, second, third, 0), 24));
+                    }
+                }
+            }
+        }
+        AllowedSpace::new(&blocked)
+    }
+
+    #[test]
+    fn a_scan_asking_for_more_silence_than_exists_is_capped_up_front() {
+        // Two /24s, one holding a responder and one an infrastructure
+        // address: 510 free addresses for a scan that asks for 185,000.
+        let [_, config] = configs(5, 2);
+        let spec = YearSpec::get(config.year);
+        let population = Arc::new(Campaign::new(config.clone()).build_population());
+        let responder = population.resolvers.addr(0);
+        let space = all_but(&[responder, config.infra.auth]);
+        let taken = population
+            .resolvers
+            .addrs()
+            .chain(population.off_port.addrs())
+            .chain(config.infra.addresses())
+            .filter(|&addr| space.contains(addr))
+            .collect::<FxHashSet<_>>();
+        assert!(taken.len() >= 2 && space.len() == 512, "{taken:?}");
+        let free = space.len() - taken.len() as u64;
+        let responders = (population.resolvers.len() + population.off_port.len()) as u64;
+        assert!((spec.q1 as f64 / config.scale) as u64 - responders > free);
+
+        let plan = TargetPlan::new(&config, &spec, Arc::clone(&population), space.clone());
+        assert_eq!(plan.len(), responders + free, "the fill is capped");
+        // Every shard's walk ends, and together they send `len` probes:
+        // each responder, and each free address of the space once.
+        let mut silent = FxHashSet::default();
+        let mut sent = 0;
+        for shard in 0..config.shards {
+            for (_, addr) in plan.shard(shard, config.shards) {
+                sent += 1;
+                if !plan.hosts.contains(addr) {
+                    assert!(space.contains(addr) && !taken.contains(&addr), "{addr}");
+                    assert!(silent.insert(addr), "{addr} probed twice");
+                }
+            }
+        }
+        assert_eq!(sent, plan.len());
+        assert_eq!(silent.len() as u64, free);
     }
 }

@@ -1,7 +1,6 @@
 //! The prober endpoint: paced scanning, qname matching, reuse.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::iter::Peekable;
 use std::net::Ipv4Addr;
 use std::time::Duration;
@@ -132,9 +131,43 @@ struct Outstanding {
     sent_at: SimTime,
     /// Retransmissions already performed for this probe.
     attempts: u32,
-    /// Transmission sequence number of the latest send; expiry-heap
+    /// Transmission sequence number of the latest send; expiry-queue
     /// entries carrying an older number are stale and skipped.
     xmit: u64,
+}
+
+/// The `(deadline, xmit, target)` of every transmission, least first,
+/// as a min-heap would hand them out (`xmit` is unique, so the order is
+/// total).
+///
+/// One queue per attempt level, in use up to `retry_limit + 1` of them
+/// and one in the paper's fire-and-forget mode. A level's deadlines are
+/// `now + response_window * 2^attempt` with `now` never decreasing, and
+/// `xmit` counts up, so each queue is sorted as it is pushed and the
+/// least of the heads is the least entry overall.
+#[derive(Debug, Default)]
+struct ExpiryQueue {
+    levels: Vec<VecDeque<(SimTime, u64, Ipv4Addr)>>,
+}
+
+impl ExpiryQueue {
+    fn push(&mut self, attempts: u32, entry: (SimTime, u64, Ipv4Addr)) {
+        let level = attempts as usize;
+        if self.levels.len() <= level {
+            self.levels.resize_with(level + 1, VecDeque::new);
+        }
+        debug_assert!(self.levels[level].back().is_none_or(|last| *last < entry));
+        self.levels[level].push_back(entry);
+    }
+
+    /// Takes the least entry if its deadline is at or before `now`.
+    fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, u64, Ipv4Addr)> {
+        self.levels
+            .iter_mut()
+            .filter(|level| level.front().is_some_and(|&(deadline, ..)| deadline <= now))
+            .min_by_key(|level| level.front().copied())?
+            .pop_front()
+    }
 }
 
 /// The DNS ID of the Q1 for `label`. It cannot disambiguate 100k pps
@@ -224,11 +257,7 @@ pub struct Prober {
     /// per-process key: the checkpoint reads this map, and the
     /// simulator controls every key.
     outstanding: FxHashMap<Ipv4Addr, Outstanding>,
-    /// Min-heap of `(deadline, xmit, target)`; with `retry_limit == 0`
-    /// every deadline is `sent_at + response_window`, so pop order
-    /// equals the old FIFO sweep exactly (ties broken by send order via
-    /// `xmit`, which is unique).
-    expiry: BinaryHeap<Reverse<(SimTime, u64, Ipv4Addr)>>,
+    expiry: ExpiryQueue,
     next_xmit: u64,
     /// Timer firings so far (index into the tick grid).
     tick: u64,
@@ -290,7 +319,7 @@ impl Prober {
             pacer,
             generator,
             outstanding: FxHashMap::default(),
-            expiry: BinaryHeap::new(),
+            expiry: ExpiryQueue::default(),
             next_xmit: 0,
             tick: 0,
             handle,
@@ -321,7 +350,7 @@ impl Prober {
         ));
         let xmit = self.next_xmit;
         self.next_xmit += 1;
-        self.expiry.push(Reverse((deadline, xmit, target)));
+        self.expiry.push(attempts, (deadline, xmit, target));
         let probe = Outstanding {
             label,
             sent_at: ctx.now(),
@@ -329,7 +358,7 @@ impl Prober {
             xmit,
         };
         // A retransmission replaces its own entry; anything else found
-        // here is an earlier probe this one supersedes. Its heap entry
+        // here is an earlier probe this one supersedes. Its queue entry
         // goes stale with its `xmit`.
         let superseded = self
             .outstanding
@@ -393,13 +422,9 @@ impl Prober {
         let now = ctx.now();
         let mut retransmitted = 0u64;
         let mut abandoned = 0u64;
-        while let Some(&Reverse((deadline, xmit, target))) = self.expiry.peek() {
-            if deadline > now {
-                break;
-            }
-            self.expiry.pop();
+        while let Some((_, xmit, target)) = self.expiry.pop_due(now) {
             // Answered probes and superseded transmissions leave stale
-            // heap entries behind; skip them.
+            // entries behind; skip them.
             let Some(&out) = self.outstanding.get(&target).filter(|o| o.xmit == xmit) else {
                 continue;
             };
@@ -934,6 +959,41 @@ mod tests {
         // `empty`'s second probe reuses the label `silent`'s first gave up.
         assert_eq!(newer(answered), ProbeLabel::new(0, 3));
         assert_eq!(newer(empty), ProbeLabel::new(0, 1));
+    }
+
+    #[test]
+    fn the_expiry_queue_pops_in_heap_order() {
+        // The prober's pattern: the clock never runs backwards, a
+        // transmission at attempt `a` is due `window * 2^a` later, and
+        // each sweep pops what is due before anything else is sent.
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        orscope_check::cases(64, |rng| {
+            let levels = rng.range(1..5u32);
+            let window = rng.range(1..50u64);
+            let mut queue = ExpiryQueue::default();
+            let mut heap: BinaryHeap<Reverse<(SimTime, u64, Ipv4Addr)>> = BinaryHeap::new();
+            let (mut now, mut xmit) = (0u64, 0u64);
+            for _ in 0..400 {
+                now += rng.range(0..40u64);
+                let at = SimTime::from_nanos(now);
+                while heap
+                    .peek()
+                    .is_some_and(|&Reverse((deadline, ..))| deadline <= at)
+                {
+                    assert_eq!(queue.pop_due(at), heap.pop().map(|Reverse(least)| least));
+                }
+                assert_eq!(queue.pop_due(at), None);
+                for _ in 0..rng.range(0..4u32) {
+                    let attempts = rng.range(0..levels);
+                    let deadline = SimTime::from_nanos(now + (window << attempts));
+                    let entry = (deadline, xmit, Ipv4Addr::from(rng.next_u64() as u32));
+                    xmit += 1;
+                    queue.push(attempts, entry);
+                    heap.push(Reverse(entry));
+                }
+            }
+        });
     }
 
     #[test]
