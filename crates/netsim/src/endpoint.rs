@@ -4,6 +4,9 @@ use std::net::Ipv4Addr;
 use std::time::Duration;
 
 use crate::datagram::Datagram;
+use crate::fxhash::FxHashMap;
+use crate::scheduler::{HostId, HOST_UNRESOLVED};
+use crate::sim::LazyRegistry;
 use crate::time::SimTime;
 
 /// A host on the simulated internet.
@@ -32,10 +35,9 @@ pub trait Endpoint {
     /// indistinguishable to the rest of the network. Lazily
     /// materialized hosts that report `true` after an event are
     /// released — offered back to the registry through
-    /// [`LazyRegistry::recycle`](crate::LazyRegistry::recycle), which
-    /// may re-arm them for another address under the same contract —
-    /// which is how a full-scale population runs in a bounded-size host
-    /// table.
+    /// [`LazyRegistry::recycle`], which may re-arm them for another
+    /// address under the same contract — which is how a full-scale
+    /// population runs in a bounded-size host table.
     ///
     /// "Nothing in flight" covers the timers the endpoint armed: one
     /// that fires after the release finds no host, and the simulator
@@ -49,18 +51,65 @@ pub trait Endpoint {
     }
 }
 
+/// Who a datagram can reach: the simulator's address index and the
+/// planned population. Neither changes while a handler runs, so what
+/// they say when a send is made is what holds when it is applied.
+#[derive(Clone, Copy)]
+pub(crate) struct Routes<'a> {
+    pub(crate) index: &'a FxHashMap<Ipv4Addr, HostId>,
+    pub(crate) lazy: Option<&'a dyn LazyRegistry>,
+}
+
+impl Routes<'_> {
+    /// The routing rule, asked once per datagram, when it is sent: the
+    /// slot reserved for `dst` ([`HOST_UNRESOLVED`] for a planned host
+    /// that holds none), or `None` when nobody has ever been registered
+    /// there and the registry plans nobody — a datagram with nowhere to
+    /// arrive, now or later.
+    pub(crate) fn route(&self, dst: Ipv4Addr) -> Option<HostId> {
+        match self.index.get(&dst) {
+            Some(&host) => Some(host),
+            None => self
+                .lazy
+                .is_some_and(|lazy| lazy.covers(dst))
+                .then_some(HOST_UNRESOLVED),
+        }
+    }
+}
+
+impl std::fmt::Debug for Routes<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Routes")
+            .field("slots", &self.index.len())
+            .field("lazy", &self.lazy.is_some())
+            .finish()
+    }
+}
+
+/// One queued send, routed when it was made.
+#[derive(Debug)]
+pub(crate) enum Outbound {
+    /// A datagram that will travel to the slot `host`.
+    Travels { dgram: Datagram, host: HostId },
+    /// A datagram to nobody: it is settled, never scheduled, and
+    /// settling reads nothing but the pair it was sent between.
+    Nobody { src: Ipv4Addr, dst: Ipv4Addr },
+}
+
 /// Operations an endpoint may perform while handling an event.
 ///
 /// Sends and timers are buffered and applied by the simulator after the
 /// handler returns, preserving deterministic event ordering.
 /// The send/timer buffers are borrowed from simulator-owned scratch
 /// vectors, so steady-state dispatch performs no allocations once the
-/// buffers have grown to the working-set size.
+/// buffers have grown to the working-set size; a send to nobody is held
+/// in the send buffer as its address pair and allocates nothing at all.
 #[derive(Debug)]
 pub struct Context<'a> {
     now: SimTime,
     local_addr: Ipv4Addr,
-    pub(crate) outgoing: &'a mut Vec<Datagram>,
+    routes: Routes<'a>,
+    pub(crate) outgoing: &'a mut Vec<Outbound>,
     pub(crate) timers: &'a mut Vec<(SimTime, u64)>,
 }
 
@@ -68,13 +117,15 @@ impl<'a> Context<'a> {
     pub(crate) fn new(
         now: SimTime,
         local_addr: Ipv4Addr,
-        outgoing: &'a mut Vec<Datagram>,
+        routes: Routes<'a>,
+        outgoing: &'a mut Vec<Outbound>,
         timers: &'a mut Vec<(SimTime, u64)>,
     ) -> Self {
         debug_assert!(outgoing.is_empty() && timers.is_empty());
         Self {
             now,
             local_addr,
+            routes,
             outgoing,
             timers,
         }
@@ -92,7 +143,28 @@ impl<'a> Context<'a> {
 
     /// Queues a datagram for transmission.
     pub fn send(&mut self, dgram: Datagram) {
-        self.outgoing.push(dgram);
+        let (src, dst) = (dgram.src, dgram.dst);
+        self.queue(src, dst, || dgram);
+    }
+
+    /// Queues a datagram of `payload` from `src` to `dst`, each an
+    /// `(addr, port)` pair: [`Context::send`] for a sender that holds
+    /// its bytes in a buffer of its own. The payload is copied only if
+    /// the datagram will travel, so a sender whose datagrams mostly go
+    /// to nobody — a scanner — allocates for the few that do not.
+    pub fn send_bytes(&mut self, src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16), payload: &[u8]) {
+        self.queue(src.0, dst.0, || Datagram::new(src, dst, payload));
+    }
+
+    /// Routes a send and queues it as what it turned out to be.
+    fn queue(&mut self, src: Ipv4Addr, dst: Ipv4Addr, dgram: impl FnOnce() -> Datagram) {
+        self.outgoing.push(match self.routes.route(dst) {
+            Some(host) => Outbound::Travels {
+                dgram: dgram(),
+                host,
+            },
+            None => Outbound::Nobody { src, dst },
+        });
     }
 
     /// Arms a timer to fire after `delay`; `token` is handed back to

@@ -507,6 +507,12 @@ impl FaultInjector {
         verdict
     }
 
+    /// Whether the plan has a crash rule at all: without one,
+    /// [`Self::crashed`] is `false` for every address and instant.
+    pub(crate) fn has_crash(&self) -> bool {
+        self.has_crash
+    }
+
     /// Whether `addr` is inside an active crash window at `now`.
     pub(crate) fn crashed(&self, addr: Ipv4Addr, now: SimTime) -> bool {
         self.has_crash

@@ -20,6 +20,11 @@
 //! 3. New events are never scheduled in the past (`SimNet` clamps to
 //!    `now`), so an event pushed mid-drain with `tick <= cursor` lands in
 //!    the `ready` heap and still sorts correctly against its peers.
+//! 4. An event pushed into an empty queue is the whole queue, so it
+//!    waits in a one-event register beside the wheel and is filed only
+//!    if a second event joins it before it is popped. Popping it from
+//!    there moves the cursor up to its tick: nothing is filed relative
+//!    to the cursor then, and nothing earlier can be pushed afterwards.
 //!
 //! The test module checks the wheel against the reference it replaced,
 //! `BinaryHeap<Reverse<Event>>`, over arbitrary interleavings of push,
@@ -97,7 +102,8 @@ const UPPER_LEVELS: usize = 3;
 
 /// A four-level hashed hierarchical timing wheel with an overflow list.
 ///
-/// `cursor` is the last tick whose slot was drained. An event placed at
+/// `cursor` is the last tick whose slot was drained, or the tick of an
+/// event popped while it was the only one queued. An event placed at
 /// tick `t` lives in the finest level whose current block contains both
 /// `t` and the cursor; cascading at block boundaries re-files events
 /// downward until they reach the inner wheel and, finally, the `ready`
@@ -108,6 +114,10 @@ pub(crate) struct TimingWheel {
     upper: [Vec<Vec<Event>>; UPPER_LEVELS],
     overflow: Vec<Event>,
     ready: BinaryHeap<Reverse<Event>>,
+    /// The event pushed into an empty queue, for as long as it is the
+    /// only one: a paced sender's self-re-arming timer lives here and
+    /// costs no slot scan, no cascade and no slot buffer.
+    lone: Option<Event>,
     /// Events held in `level0` + `upper` + `overflow` (not `ready`).
     stored: usize,
     /// Per-level occupancy (`[level0, upper0, upper1, upper2]`), so empty
@@ -121,6 +131,7 @@ impl std::fmt::Debug for TimingWheel {
             .field("cursor", &self.cursor)
             .field("stored", &self.stored)
             .field("ready", &self.ready.len())
+            .field("lone", &self.lone.is_some())
             .field("overflow", &self.overflow.len())
             .finish()
     }
@@ -134,6 +145,7 @@ impl TimingWheel {
             upper: std::array::from_fn(|_| (0..UPPER_SLOTS).map(|_| Vec::new()).collect()),
             overflow: Vec::new(),
             ready: BinaryHeap::new(),
+            lone: None,
             stored: 0,
             counts: [0; 1 + UPPER_LEVELS],
         }
@@ -145,21 +157,37 @@ impl TimingWheel {
     }
 
     pub(crate) fn push(&mut self, event: Event) {
+        if self.len() == 0 {
+            self.lone = Some(event);
+            return;
+        }
+        if let Some(first) = self.lone.take() {
+            self.place(first);
+        }
         self.place(event);
     }
 
     pub(crate) fn pop(&mut self) -> Option<Event> {
+        if let Some(event) = self.lone.take() {
+            // The queue is empty and the clock is at `event.at`: the
+            // cursor catches up without crawling the levels between.
+            self.cursor = self.cursor.max(Self::tick_of(event.at));
+            return Some(event);
+        }
         self.fill_ready();
         self.ready.pop().map(|Reverse(event)| event)
     }
 
     pub(crate) fn next_at(&mut self) -> Option<SimTime> {
+        if let Some(event) = &self.lone {
+            return Some(event.at);
+        }
         self.fill_ready();
         self.ready.peek().map(|Reverse(event)| event.at)
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.stored + self.ready.len()
+        self.stored + self.ready.len() + usize::from(self.lone.is_some())
     }
 
     /// Files an event into the finest structure that can hold it. Ticks
@@ -434,10 +462,12 @@ mod tests {
     const OFFSET_BITS: [u32; 7] = [0, 20, 28, 34, 40, 46, 50];
 
     /// Reference: the wheel and `BinaryHeap<Reverse<Event>>` agree on
-    /// every pop, every peek and every length under arbitrary
-    /// interleavings of `push(at >= last popped)`, `pop` and
-    /// `next_at` — the peek advances the cursor, so a later push can
-    /// land behind it and must still sort ahead of the peeked event.
+    /// every pop and, after every step, on the length and the head's
+    /// time under arbitrary interleavings of `push(at >= last popped)`,
+    /// `pop` and `next_at` — the peek advances the cursor, so a later
+    /// push can land behind it and must still sort ahead of the peeked
+    /// event, and every queue passes through empty, so the one-event
+    /// register is filled, joined and drained along the way.
     #[test]
     fn wheel_matches_reference_heap() {
         orscope_check::cases(128, |rng| {
@@ -445,8 +475,12 @@ mod tests {
             let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
             let mut last_popped = SimTime::ZERO;
             let mut seq = 0u64;
+            // Peeking is itself a step (it moves the cursor): half the
+            // cases peek after every step, the others when drawn, so the
+            // states only an unpeeked queue reaches are compared too.
+            let always_peek = rng.bool();
             for _ in 0..rng.range(1..400) {
-                match rng.range(0u8..8) {
+                match rng.range(0u8..6) {
                     0..=3 => {
                         let offset = rng.next_u64() % (1u64 << rng.choice(&OFFSET_BITS));
                         let at = last_popped + Duration::from_nanos(offset);
@@ -454,7 +488,7 @@ mod tests {
                         heap.push(Reverse(timer(at, seq)));
                         seq += 1;
                     }
-                    4..=5 => {
+                    _ => {
                         let got = wheel.pop().map(|event| (event.at, event.seq));
                         let want = heap.pop().map(|Reverse(event)| (event.at, event.seq));
                         assert_eq!(got, want);
@@ -462,12 +496,13 @@ mod tests {
                             last_popped = at;
                         }
                     }
-                    _ => {
-                        let want = heap.peek().map(|Reverse(event)| event.at);
-                        assert_eq!(wheel.next_at(), want);
-                    }
                 }
                 assert_eq!(wheel.len(), heap.len());
+                if always_peek || rng.bool() {
+                    let want = heap.peek().map(|Reverse(event)| event.at);
+                    assert_eq!(wheel.next_at(), want);
+                    assert_eq!(wheel.len(), heap.len());
+                }
             }
             let mut rest = Vec::new();
             while let Some(Reverse(event)) = heap.pop() {
@@ -475,6 +510,138 @@ mod tests {
             }
             assert_eq!(pop_all(&mut wheel), rest);
         });
+    }
+
+    /// Tick offsets that file an event at each level of a wheel whose
+    /// cursor stands at zero: the inner wheel, the three upper levels
+    /// and the overflow list.
+    const LEVEL_TICKS: [u64; 5] = [1, 257, (1 << 14) + 1, (1 << 20) + 1, (1 << 26) + 1];
+
+    fn at_tick(tick: u64) -> SimTime {
+        SimTime::from_nanos(tick * TICK_NANOS)
+    }
+
+    #[test]
+    fn a_lone_event_waits_beside_the_wheel_however_far_ahead() {
+        for ticks in LEVEL_TICKS {
+            let mut wheel = TimingWheel::new();
+            wheel.push(timer(at_tick(ticks), 0));
+            assert!(wheel.lone.is_some(), "{ticks}");
+            assert_eq!((wheel.stored, wheel.ready.len()), (0, 0));
+            assert_eq!(wheel.len(), 1);
+            assert_eq!(wheel.next_at(), Some(at_tick(ticks)));
+            assert_eq!(wheel.cursor, 0, "a peek moves nothing");
+            assert_eq!(pop_all(&mut wheel), vec![(at_tick(ticks), 0)]);
+            assert_eq!(wheel.len(), 0);
+            assert_eq!(wheel.cursor, ticks, "the pop brought the cursor along");
+            // What is pushed next is filed from there: in the inner
+            // wheel, not levels above a cursor left behind.
+            wheel.push(timer(at_tick(ticks + 3), 1));
+            wheel.push(timer(at_tick(ticks + 2), 2));
+            assert_eq!(wheel.counts, [2, 0, 0, 0]);
+            assert_eq!(
+                pop_all(&mut wheel),
+                vec![(at_tick(ticks + 2), 2), (at_tick(ticks + 3), 1)]
+            );
+        }
+    }
+
+    #[test]
+    fn an_earlier_event_pushed_after_a_lone_one_pops_first() {
+        for ticks in LEVEL_TICKS {
+            let mut wheel = TimingWheel::new();
+            // The clock is still at zero, so anything from there on may
+            // follow the lone event in, on either side of it.
+            wheel.push(timer(at_tick(ticks), 0));
+            let earlier = SimTime::from_nanos(ticks * TICK_NANOS / 2);
+            wheel.push(timer(earlier, 1));
+            assert!(wheel.lone.is_none(), "both are filed");
+            wheel.push(timer(at_tick(2 * ticks), 2));
+            wheel.push(timer(SimTime::ZERO, 3));
+            assert_eq!(wheel.len(), 4);
+            assert_eq!(wheel.next_at(), Some(SimTime::ZERO));
+            assert_eq!(
+                pop_all(&mut wheel),
+                vec![
+                    (SimTime::ZERO, 3),
+                    (earlier, 1),
+                    (at_tick(ticks), 0),
+                    (at_tick(2 * ticks), 2),
+                ],
+                "{ticks}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_far_first_event_does_not_send_the_rest_to_the_heap() {
+        // A bulk load whose first timer happens to be the latest: the
+        // others are filed in slots, as they would be behind any other.
+        let mut wheel = TimingWheel::new();
+        wheel.push(timer(SimTime::from_secs(3_600), 0));
+        for seq in 1..=1_000 {
+            wheel.push(timer(SimTime::from_secs(seq), seq));
+        }
+        assert_eq!((wheel.stored, wheel.ready.len()), (1_001, 0));
+        let order = pop_all(&mut wheel);
+        assert_eq!(order.len(), 1_001);
+        assert!(order.windows(2).all(|pair| pair[0] < pair[1]));
+        assert_eq!(order[1_000], (SimTime::from_secs(3_600), 0));
+    }
+
+    #[test]
+    fn a_same_tick_pair_pops_by_seq_whichever_is_pushed_first() {
+        for ticks in LEVEL_TICKS {
+            let at = at_tick(ticks) + Duration::from_micros(500);
+            for order in [[0, 1], [1, 0]] {
+                let mut wheel = TimingWheel::new();
+                for seq in order {
+                    wheel.push(timer(at, seq));
+                }
+                assert_eq!(pop_all(&mut wheel), vec![(at, 0), (at, 1)]);
+            }
+            // Same tick, different instants: time decides before seq.
+            let mut wheel = TimingWheel::new();
+            wheel.push(timer(at, 0));
+            wheel.push(timer(at_tick(ticks), 1));
+            assert_eq!(pop_all(&mut wheel), vec![(at_tick(ticks), 1), (at, 0)]);
+            // And a lone event's same-tick successor, pushed once the
+            // cursor stands on that tick, still follows it.
+            let mut wheel = TimingWheel::new();
+            wheel.push(timer(at, 0));
+            assert_eq!(wheel.pop().map(|event| event.seq), Some(0));
+            wheel.push(timer(at, 2));
+            wheel.push(timer(at, 1));
+            assert_eq!(pop_all(&mut wheel), vec![(at, 1), (at, 2)]);
+        }
+    }
+
+    #[test]
+    fn a_lone_timer_re_armed_ten_thousand_times_never_enters_a_slot() {
+        // The paced prober's tick at ~34 pps and at the 1.7 pps of the
+        // sparse gate run: popped, then re-armed one interval on.
+        for interval in [Duration::from_millis(29), Duration::from_millis(600)] {
+            let mut wheel = TimingWheel::new();
+            let mut at = SimTime::ZERO;
+            wheel.push(timer(at, 0));
+            for seq in 1..=10_000u64 {
+                let event = wheel.pop().expect("the timer is pending");
+                assert_eq!((event.at, event.seq), (at, seq - 1));
+                assert_eq!(wheel.len(), 0);
+                at += interval;
+                wheel.push(timer(at, seq));
+                assert_eq!((wheel.stored, wheel.ready.len(), wheel.len()), (0, 0, 1));
+                assert_eq!(wheel.next_at(), Some(at));
+            }
+            assert_eq!(pop_all(&mut wheel), vec![(at, 10_000)]);
+            assert_eq!(wheel.len(), 0);
+            assert_eq!(wheel.cursor, TimingWheel::tick_of(at));
+            let filed = wheel.level0.iter().chain(wheel.upper.iter().flatten());
+            assert!(filed
+                .chain([&wheel.overflow])
+                .all(|slot| slot.capacity() == 0));
+            assert_eq!(wheel.ready.capacity(), 0);
+        }
     }
 
     #[test]

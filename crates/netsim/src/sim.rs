@@ -3,8 +3,8 @@
 use std::net::Ipv4Addr;
 
 use crate::datagram::Datagram;
-use crate::endpoint::{Context, Endpoint};
-use crate::fault::{DropKind, FaultInjector, FaultPlan};
+use crate::endpoint::{Context, Endpoint, Outbound, Routes};
+use crate::fault::{DropKind, FaultInjector, FaultPlan, SendVerdict};
 use crate::fxhash::FxHashMap;
 use crate::latency::{HashLatency, LatencyModel};
 use crate::scheduler::{Event, EventKind, HostId, TimingWheel, HOST_UNRESOLVED};
@@ -90,6 +90,10 @@ pub trait LazyRegistry {
         false
     }
 }
+
+/// How far a duplicated datagram's second copy trails the first: a
+/// small reorder gap.
+const DUPLICATE_GAP: std::time::Duration = std::time::Duration::from_millis(3);
 
 /// What an event finds at the address it is due at.
 enum Arrival {
@@ -240,7 +244,7 @@ pub struct SimNet {
     /// Total materializations (re-materializations included).
     materialized_total: u64,
     /// Pooled dispatch buffers lent to [`Context`]; cleared by `apply`.
-    scratch_out: Vec<Datagram>,
+    scratch_out: Vec<Outbound>,
     scratch_timers: Vec<(SimTime, u64)>,
 }
 
@@ -351,7 +355,7 @@ impl SimNet {
         self.faults.plan()
     }
 
-    /// Immutable access to a registered endpoint, downcast by the caller.
+    /// Mutable access to a registered endpoint, downcast by the caller.
     ///
     /// The simulator stores endpoints as trait objects; harness code that
     /// needs to read results back (e.g. the prober's capture log) keeps
@@ -391,7 +395,10 @@ impl SimNet {
     /// was registered and then deregistered keeps its slot: datagrams to
     /// it travel, and reach whoever holds the address on arrival.
     pub fn inject(&mut self, dgram: Datagram) {
-        self.enqueue_datagram(dgram);
+        match self.routes().route(dgram.dst) {
+            Some(host) => self.transmit(dgram, host),
+            None => self.settle_nobody(dgram.src, dgram.dst),
+        }
     }
 
     /// Arms a timer for the host at `addr` at absolute time `at`.
@@ -407,6 +414,15 @@ impl SimNet {
         self.index.get(&addr).copied().unwrap_or(HOST_UNRESOLVED)
     }
 
+    /// What decides whether a datagram travels; a [`Context`] borrows it
+    /// for the length of a handler call.
+    fn routes(&self) -> Routes<'_> {
+        Routes {
+            index: &self.index,
+            lazy: self.lazy.as_deref(),
+        }
+    }
+
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
@@ -414,62 +430,70 @@ impl SimNet {
         self.queue_depth_hwm = self.queue_depth_hwm.max(self.queue.len());
     }
 
-    fn enqueue_datagram(&mut self, dgram: Datagram) {
+    /// Hands one datagram from `src` to `dst` to the wire: counts it
+    /// sent and draws the plan's verdict on it, routed or not. `None`
+    /// when a rule dropped it there and then.
+    fn on_wire(&mut self, src: Ipv4Addr, dst: Ipv4Addr) -> Option<SendVerdict> {
         self.stats.sent += 1;
-        let verdict = self.faults.on_send(dgram.src, dgram.dst, self.now);
-        if verdict.faults > 0 {
-            self.stats.faults_injected += verdict.faults;
-        }
+        let verdict = self.faults.on_send(src, dst, self.now);
+        self.stats.faults_injected += verdict.faults;
         match verdict.drop {
             Some(DropKind::Loss) => {
                 self.stats.lost += 1;
-                return;
+                None
             }
             Some(DropKind::Blackhole) => {
                 self.stats.blackhole_drops += 1;
-                return;
+                None
             }
-            None => {}
-        }
-        let host = self.resolve(dgram.dst);
-        let delay = self.latency.latency(dgram.src, dgram.dst) + verdict.extra_delay;
-        let at = self.now + delay;
-        // The duplicate trails the original by a small reorder gap.
-        let dup_at = at + std::time::Duration::from_millis(3);
-        if verdict.duplicate {
-            self.stats.duplicated += 1;
-        }
-        // A destination with neither a slot nor a planned host has
-        // nobody to arrive at, now or later: each copy is settled here
-        // as its delivery would have settled it, and no event is built.
-        if host == HOST_UNRESOLVED && !self.lazy.as_ref().is_some_and(|l| l.covers(dgram.dst)) {
-            self.settle_unrouted(dgram.dst, at);
-            if verdict.duplicate {
-                self.settle_unrouted(dgram.dst, dup_at);
+            None => {
+                self.stats.duplicated += u64::from(verdict.duplicate);
+                Some(verdict)
             }
+        }
+    }
+
+    /// When a datagram handed to the wire now arrives.
+    fn arrival(&self, src: Ipv4Addr, dst: Ipv4Addr, verdict: &SendVerdict) -> SimTime {
+        self.now + self.latency.latency(src, dst) + verdict.extra_delay
+    }
+
+    /// Sends a datagram routed to the slot `host`.
+    fn transmit(&mut self, dgram: Datagram, host: HostId) {
+        let Some(verdict) = self.on_wire(dgram.src, dgram.dst) else {
             return;
-        }
+        };
+        let at = self.arrival(dgram.src, dgram.dst, &verdict);
         if verdict.duplicate {
-            self.push_event(
-                dup_at,
-                EventKind::Deliver {
-                    dgram: dgram.clone(),
-                    host,
-                },
-            );
+            let dgram = dgram.clone();
+            self.push_event(at + DUPLICATE_GAP, EventKind::Deliver { dgram, host });
         }
         self.push_event(at, EventKind::Deliver { dgram, host });
     }
 
-    /// Counts one copy of a datagram nobody can receive, due at `dst`
-    /// at `arrival`: a crash window open then swallows it, as it would
-    /// have swallowed the delivery; otherwise it is unrouted.
-    fn settle_unrouted(&mut self, dst: Ipv4Addr, arrival: SimTime) {
-        if self.faults.crashed(dst, arrival) {
-            self.stats.crash_drops += 1;
-            self.stats.faults_injected += 1;
-        } else {
-            self.stats.unrouted += 1;
+    /// Sends a datagram to a destination with neither a slot nor a
+    /// planned host. It has nobody to arrive at, now or later, so each
+    /// copy is settled here as its delivery would have settled it and no
+    /// event is built: a crash window open at the copy's arrival
+    /// swallows it, otherwise it is unrouted. Only a crash rule can tell
+    /// one arrival instant from another, so only then is one computed.
+    fn settle_nobody(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
+        let Some(verdict) = self.on_wire(src, dst) else {
+            return;
+        };
+        let copies = 1 + u32::from(verdict.duplicate);
+        if !self.faults.has_crash() {
+            self.stats.unrouted += u64::from(copies);
+            return;
+        }
+        let at = self.arrival(src, dst, &verdict);
+        for copy in 0..copies {
+            if self.faults.crashed(dst, at + DUPLICATE_GAP * copy) {
+                self.stats.crash_drops += 1;
+                self.stats.faults_injected += 1;
+            } else {
+                self.stats.unrouted += 1;
+            }
         }
     }
 
@@ -614,7 +638,8 @@ impl SimNet {
                 };
                 let mut outgoing = std::mem::take(&mut self.scratch_out);
                 let mut timers = std::mem::take(&mut self.scratch_timers);
-                let mut ctx = Context::new(self.now, dgram.dst, &mut outgoing, &mut timers);
+                let routes = self.routes();
+                let mut ctx = Context::new(self.now, dgram.dst, routes, &mut outgoing, &mut timers);
                 ep.handle_datagram(&dgram, &mut ctx);
                 self.hosts[host as usize].ep = Some(ep);
                 self.apply(&mut outgoing, &mut timers, dgram.dst, host);
@@ -644,7 +669,8 @@ impl SimNet {
                 };
                 let mut outgoing = std::mem::take(&mut self.scratch_out);
                 let mut timers = std::mem::take(&mut self.scratch_timers);
-                let mut ctx = Context::new(self.now, addr, &mut outgoing, &mut timers);
+                let routes = self.routes();
+                let mut ctx = Context::new(self.now, addr, routes, &mut outgoing, &mut timers);
                 ep.handle_timer(token, &mut ctx);
                 self.hosts[host as usize].ep = Some(ep);
                 self.apply(&mut outgoing, &mut timers, addr, host);
@@ -658,13 +684,16 @@ impl SimNet {
 
     fn apply(
         &mut self,
-        outgoing: &mut Vec<Datagram>,
+        outgoing: &mut Vec<Outbound>,
         timers: &mut Vec<(SimTime, u64)>,
         addr: Ipv4Addr,
         host: HostId,
     ) {
-        for dgram in outgoing.drain(..) {
-            self.enqueue_datagram(dgram);
+        for outbound in outgoing.drain(..) {
+            match outbound {
+                Outbound::Travels { dgram, host } => self.transmit(dgram, host),
+                Outbound::Nobody { src, dst } => self.settle_nobody(src, dst),
+            }
         }
         for (at, token) in timers.drain(..) {
             let at = at.max(self.now);
@@ -1793,6 +1822,90 @@ mod routing_tests {
         assert_eq!(stats.faults_injected, 1);
         assert_eq!(stats.unrouted, 0);
         assert_eq!(stats.events, 0);
+    }
+
+    #[test]
+    fn both_send_entries_are_one_rule() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+
+        const TICKS: u64 = 120;
+
+        /// Every 250 ms sends to nobody, to a live host and to nobody
+        /// again — the same pair twice in one handler — either built
+        /// and passed to `send` or as bytes to `send_bytes`.
+        struct Sender {
+            built: bool,
+        }
+        impl Endpoint for Sender {
+            fn handle_datagram(&mut self, _d: &Datagram, _c: &mut Context<'_>) {}
+            fn handle_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+                let from = (ctx.local_addr(), 9);
+                for (i, dst) in [GHOST, DST, GHOST].into_iter().enumerate() {
+                    let payload = [token as u8, i as u8];
+                    if self.built {
+                        ctx.send(Datagram::new(from, (dst, 53), &payload[..]));
+                    } else {
+                        ctx.send_bytes(from, (dst, 53), &payload);
+                    }
+                }
+                if token + 1 < TICKS {
+                    ctx.set_timer(Duration::from_millis(250), token + 1);
+                }
+            }
+        }
+
+        /// When each datagram arrived and what it carried.
+        type Arrivals = Rc<RefCell<Vec<(SimTime, Vec<u8>)>>>;
+        struct Stamp(Arrivals);
+        impl Endpoint for Stamp {
+            fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
+                self.0
+                    .borrow_mut()
+                    .push((ctx.now(), dgram.payload.to_vec()));
+            }
+        }
+
+        // Thirty seconds of ticks: before, inside and after the window
+        // in which the address nobody holds is also crashed.
+        let run = |built: bool| {
+            let plan = FaultPlan::seeded(5)
+                .with_rule(FaultRule::always(
+                    FaultScope::All,
+                    FaultKind::Loss { probability: 0.5 },
+                ))
+                .with_rule(FaultRule::always(
+                    FaultScope::All,
+                    FaultKind::Duplicate { probability: 0.5 },
+                ))
+                .with_rule(crash(GHOST));
+            let arrivals = Arrivals::default();
+            let mut net = net_with(plan);
+            net.register(SRC, Sender { built });
+            net.register(DST, Stamp(arrivals.clone()));
+            net.set_timer_for(SRC, SimTime::ZERO, 0);
+            net.run_until_idle();
+            let arrivals = arrivals.borrow().clone();
+            (*net.stats(), arrivals)
+        };
+        let (stats, arrivals) = run(false);
+        assert_eq!((stats, arrivals.clone()), run(true));
+        // Every fate was met, so every branch was compared.
+        assert_eq!(stats.sent, 3 * TICKS);
+        assert_eq!(stats.delivered, arrivals.len() as u64);
+        assert_eq!(stats.events, TICKS + stats.delivered);
+        for met in [
+            stats.lost,
+            stats.duplicated,
+            stats.unrouted,
+            stats.crash_drops,
+        ] {
+            assert!(met > 10, "{stats:?}");
+        }
+        assert_eq!(
+            stats.sent + stats.duplicated,
+            stats.lost + stats.delivered + stats.unrouted + stats.crash_drops
+        );
     }
 
     #[test]

@@ -343,11 +343,11 @@ impl Prober {
         let Some(template) = &mut self.template else {
             return false;
         };
-        ctx.send(Datagram::new(
+        ctx.send_bytes(
             (ctx.local_addr(), 61_000),
             (target, 53),
             template.fill(label),
-        ));
+        );
         let xmit = self.next_xmit;
         self.next_xmit += 1;
         self.expiry.push(attempts, (deadline, xmit, target));
