@@ -66,6 +66,11 @@ pub mod alloc {
         PEAK.load(Ordering::Relaxed).saturating_sub(baseline)
     }
 
+    /// Bytes live now.
+    pub fn live_bytes() -> usize {
+        LIVE.load(Ordering::Relaxed)
+    }
+
     /// Allocations and reallocations since the process started.
     pub fn allocs() -> usize {
         CALLS.load(Ordering::Relaxed)

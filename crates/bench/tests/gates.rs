@@ -15,10 +15,14 @@ use std::net::Ipv4Addr;
 use orscope_analysis::{RecordSink, StreamingAnalyzer};
 use orscope_authns::scheme::ProbeLabel;
 use orscope_authns::{CapturedPacket, Direction};
-use orscope_bench::alloc::{allocs, peak_above, requested_bytes, reset_peak, CountingAlloc};
+use orscope_bench::alloc::{
+    allocs, live_bytes, peak_above, requested_bytes, reset_peak, CountingAlloc,
+};
 use orscope_core::{Campaign, CampaignConfig};
 use orscope_dns_wire::{Message, Name, Question};
+use orscope_json::Wire;
 use orscope_netsim::{Payload, SimTime};
+use orscope_observe::{Observatory, ObservatoryCheckpoint, RollingTables, ServeConfig};
 use orscope_resolver::paper::Year;
 
 #[global_allocator]
@@ -91,7 +95,23 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // only when the one shared stamp log doubles — log2(N) times at
     // most, where two vectors a flow would be 8,192 before regrowth.
     ("flow-join", "allocations", 30.0, 14.0),
+    // `history`: 600 epochs of real observatory rows. A row is integers
+    // and fixed-size arrays (984 B) in one vector that grows by an
+    // eighth, where a `BTreeMap` of class names and a `Vec<Vec<u64>>`
+    // matrix a row in a doubling vector read 1,756 B.
+    ("history", RESIDENT, 1_100.0, 995.5),
+    // Saving a generation, recovering it and rendering `/trends` each
+    // write or read the history field by field, so the most held at
+    // once is `recover`'s: the file it read and the rows it rebuilt.
+    // Built as `Wire` trees they held 11,952 B an epoch; a tree of
+    // `/trends` alone holds 2,126, and the test checks that it trips
+    // the budget.
+    ("history", PEAK_ABOVE_ROWS, 1_900.0, 1_562.5),
 ];
+
+/// The `history` counters.
+const RESIDENT: &str = "resident bytes per epoch";
+const PEAK_ABOVE_ROWS: &str = "peak live bytes per epoch above the rows";
 
 type Ledger = Vec<(&'static str, f64)>;
 
@@ -200,12 +220,75 @@ fn flow_join() -> Ledger {
     vec![("allocations", spent as f64)]
 }
 
+fn history() -> Ledger {
+    const EPOCHS: u64 = 600;
+    let state_dir =
+        std::env::temp_dir().join(format!("orscope-gates-history-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&state_dir);
+    // Real rows from a short run, cycled to the history length as
+    // `orbench`'s `history_of` does.
+    let mut config = ServeConfig::new(Year::Y2018, 60_000.0);
+    config.epochs = Some(4);
+    config.state_dir = state_dir.clone();
+    let fingerprint = config.fingerprint();
+    let mut observatory = Observatory::new(config).expect("serve configuration is valid");
+    observatory.run().expect("seed run completes");
+    let rows = observatory.shared().tables_snapshot().epochs().to_vec();
+    drop(observatory);
+    std::fs::remove_dir_all(&state_dir).expect("state dir is removable");
+
+    let before = live_bytes();
+    let mut tables = RollingTables::default();
+    for epoch in 0..EPOCHS {
+        let mut row = rows[epoch as usize % rows.len()].clone();
+        row.epoch = epoch;
+        row.virtual_day = epoch as f64;
+        tables.absorb_epoch(row);
+    }
+    let resident = (live_bytes() - before) as f64 / EPOCHS as f64;
+
+    let checkpoint = ObservatoryCheckpoint {
+        fingerprint: fingerprint.clone(),
+        epochs_done: EPOCHS,
+        tables,
+    };
+    let baseline = reset_peak();
+    checkpoint
+        .save_generation(&state_dir, 1)
+        .expect("generation is written");
+    let recovered = ObservatoryCheckpoint::recover(&state_dir, &fingerprint)
+        .expect("state dir is readable")
+        .checkpoint
+        .expect("the generation verifies");
+    assert_eq!(recovered, checkpoint);
+    drop(recovered);
+    let trends = checkpoint.tables.trends_bytes();
+    let peak = peak_above(baseline) as f64 / EPOCHS as f64;
+    std::fs::remove_dir_all(&state_dir).expect("state dir is removable");
+
+    // The budget holds back a whole-history tree: `/trends` alone as one.
+    let baseline = reset_peak();
+    let tree = Wire::decode(&trends).expect("served JSON decodes");
+    let tree_peak = peak_above(baseline) as f64 / EPOCHS as f64;
+    drop(tree);
+    let budget = GATES
+        .iter()
+        .find(|gate| gate.1 == PEAK_ABOVE_ROWS)
+        .map_or(0.0, |gate| gate.2);
+    assert!(
+        tree_peak > budget,
+        "a /trends tree ({tree_peak:.0} B an epoch) slips under the {budget} B budget"
+    );
+    vec![(RESIDENT, resident), (PEAK_ABOVE_ROWS, peak)]
+}
+
 #[test]
 fn every_gate_holds() {
     let workloads = [
         ("dense", dense as fn() -> Ledger),
         ("sparse", sparse),
         ("flow-join", flow_join),
+        ("history", history),
     ];
     let mut checked = 0;
     for (workload, run) in workloads {

@@ -88,13 +88,19 @@ pub mod integrity {
         hash
     }
 
-    /// Wraps `payload` in the envelope: `MAGIC len digest\n` + payload.
-    pub fn seal(payload: &[u8]) -> Vec<u8> {
-        let header = format!("{MAGIC} {} {:016x}\n", payload.len(), digest(payload));
-        let mut sealed = Vec::with_capacity(header.len() + payload.len());
-        sealed.extend_from_slice(header.as_bytes());
-        sealed.extend_from_slice(payload);
-        sealed
+    /// Spare capacity a payload buffer needs for [`seal`] to put the
+    /// header in front of it without reallocating: the magic, a length
+    /// of up to twenty digits, the digest, two spaces and the newline.
+    pub const HEADER_ROOM: usize = MAGIC.len() + 40;
+
+    /// Wraps `payload` in the envelope, `MAGIC len digest\n` + payload,
+    /// in the payload's own buffer: a checkpoint is the largest thing
+    /// the service writes, and sealing it makes no second copy.
+    pub fn seal(mut payload: Vec<u8>) -> Vec<u8> {
+        let header = format!("{MAGIC} {} {:016x}\n", payload.len(), digest(&payload));
+        payload.extend_from_slice(header.as_bytes());
+        payload.rotate_right(header.len());
+        payload
     }
 
     /// Verifies the envelope and returns the payload slice.
@@ -168,13 +174,17 @@ pub mod integrity {
         #[test]
         fn seal_unseal_roundtrips() {
             let payload = b"{\"epochs\": 3}\n";
-            let sealed = seal(payload);
+            let mut buffer = Vec::with_capacity(payload.len() + HEADER_ROOM);
+            buffer.extend_from_slice(payload);
+            let at = buffer.as_ptr();
+            let sealed = seal(buffer);
             assert_eq!(unseal(&sealed).unwrap(), payload);
+            assert_eq!(sealed.as_ptr(), at, "sealed in place");
         }
 
         #[test]
         fn truncation_is_length_mismatch() {
-            let sealed = seal(b"0123456789");
+            let sealed = seal(b"0123456789".to_vec());
             for cut in [sealed.len() - 1, sealed.len() - 5] {
                 match unseal(&sealed[..cut]) {
                     Err(IntegrityError::LengthMismatch { declared: 10, .. }) => {}
@@ -185,7 +195,7 @@ pub mod integrity {
 
         #[test]
         fn bit_flip_is_digest_mismatch() {
-            let mut sealed = seal(b"0123456789");
+            let mut sealed = seal(b"0123456789".to_vec());
             let last = sealed.len() - 1;
             sealed[last] ^= 0x40; // flip inside the payload, length kept
             assert_eq!(unseal(&sealed), Err(IntegrityError::DigestMismatch));
@@ -206,7 +216,7 @@ pub mod integrity {
             let dir =
                 std::env::temp_dir().join(format!("orscope-integrity-test-{}", std::process::id()));
             let _ = fs::remove_dir_all(&dir);
-            let path = persist_atomic(&dir, "gen.ckpt", &seal(b"payload")).unwrap();
+            let path = persist_atomic(&dir, "gen.ckpt", &seal(b"payload".to_vec())).unwrap();
             assert!(path.exists());
             assert!(!dir.join("gen.ckpt.tmp").exists());
             assert_eq!(unseal(&fs::read(&path).unwrap()).unwrap(), b"payload");

@@ -1,19 +1,24 @@
 #![warn(missing_docs)]
 //! The workspace's one JSON implementation: a small, hand-written value
-//! type with one string escaper, one writer and one reader.
+//! type, one string escaper, one streaming [`Writer`] and one pull
+//! [`Reader`].
 //!
 //! Everything that leaves the process as JSON — campaign reports, the
 //! observatory's `/tables` and `/trends`, scan cursors, serve
-//! checkpoint generations — is a [`Wire`] written by [`Wire::encode`]
-//! or [`Wire::encode_pretty`]; everything read back — checkpoints, scan
-//! cursors, operator-written `--faults` files — goes through
-//! [`Wire::decode`]. The line formatters that write fixed fields
-//! directly (telemetry JSONL, tap NDJSON, `/healthz`) share
-//! [`escape_into`]. Keeping the codec in one std-only crate keeps every
-//! durable schema spelled out field by field at its call site, decoupled
-//! from `#[derive]` evolution, and keeps the corruption-recovery path
-//! free of any dependency's parsing behavior: every accepted byte is
-//! accepted by code in this file.
+//! checkpoint generations — is written by [`Writer`], token by token
+//! into one buffer; [`Wire::encode`] and [`Wire::encode_pretty`] are
+//! the writer walking a [`Wire`] tree. Everything read back —
+//! checkpoints, scan cursors, operator-written `--faults` files — is
+//! read by [`Reader`], which hands out one member or item at a time;
+//! [`Wire::decode`] is the reader building a tree. A document with a
+//! long history (the observatory's checkpoint) is written and read
+//! field by field from its rows and never exists as a tree. The line
+//! formatters that write fixed fields directly (telemetry JSONL, tap
+//! NDJSON, `/healthz`) share [`escape_into`]. Keeping the codec in one
+//! std-only crate keeps every durable schema spelled out field by field
+//! at its call site, decoupled from `#[derive]` evolution, and keeps the
+//! corruption-recovery path free of any dependency's parsing behavior:
+//! every accepted byte is accepted by code in this file.
 //!
 //! The format decisions are pinned by committed checksums:
 //!
@@ -41,10 +46,11 @@
 //! more — numbers as RFC 8259 spells them (no `+5`, `.5`, `1.` or
 //! `01`), `\u` escapes of exactly four hex digits with UTF-16 surrogate
 //! pairs combined and lone halves rejected, no raw control bytes inside
-//! strings. A repeated object member decodes (the value keeps both);
-//! [`Wire::field`], which every typed reader goes through, rejects it.
+//! strings. A repeated object member decodes into a tree (the value
+//! keeps both); [`Wire::field`] and [`Reader::object`], which every
+//! typed reader goes through, reject it.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// How many containers the reader lets be open at once. Deeper input
@@ -90,7 +96,7 @@ impl Wire {
     /// Renders this value as compact JSON.
     pub fn encode(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None);
+        Writer::compact(&mut out).value(self);
         out
     }
 
@@ -98,71 +104,8 @@ impl Wire {
     /// newline).
     pub fn encode_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(0));
+        Writer::pretty(&mut out).value(self);
         out
-    }
-
-    /// The writer. `indent` is `None` for the compact form, or the
-    /// current nesting level for the pretty one.
-    fn write(&self, out: &mut String, indent: Option<usize>) {
-        let inner = indent.map(|level| level + 1);
-        let newline = |out: &mut String, level: Option<usize>| {
-            if let Some(level) = level {
-                out.push('\n');
-                for _ in 0..level {
-                    out.push_str("  ");
-                }
-            }
-        };
-        match self {
-            Wire::Null => out.push_str("null"),
-            Wire::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Wire::U64(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Wire::I64(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Wire::F64(x) => {
-                // Non-finite floats have no JSON form; encode as null
-                // so the value fails decoding loudly instead of writing
-                // a file no parser accepts.
-                if x.is_finite() {
-                    let _ = write!(out, "{x:?}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Wire::Str(s) => write_string(out, s),
-            Wire::Arr(items) if items.is_empty() => out.push_str("[]"),
-            Wire::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, inner);
-                    item.write(out, inner);
-                }
-                newline(out, indent);
-                out.push(']');
-            }
-            Wire::Obj(fields) if fields.is_empty() => out.push_str("{}"),
-            Wire::Obj(fields) => {
-                out.push('{');
-                for (i, (key, value)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline(out, inner);
-                    write_string(out, key);
-                    out.push_str(if indent.is_some() { ": " } else { ":" });
-                    value.write(out, inner);
-                }
-                newline(out, indent);
-                out.push('}');
-            }
-        }
     }
 
     /// Parses one JSON document (the whole input must be consumed, bar
@@ -175,13 +118,9 @@ impl Wire {
     /// A description of the first syntax error, including nesting
     /// deeper than [`MAX_DEPTH`].
     pub fn decode(input: impl AsRef<[u8]>) -> Result<Wire, String> {
-        let bytes = input.as_ref();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing bytes at offset {pos}"));
-        }
+        let mut reader = Reader::new(input.as_ref());
+        let value = reader.value()?;
+        reader.finish()?;
         Ok(value)
     }
 
@@ -330,23 +269,6 @@ impl Wire {
             other => other.as_u64().map(Some),
         }
     }
-
-    /// This value as a string-to-count map.
-    ///
-    /// # Errors
-    ///
-    /// If it is not an object of unsigned integers, or repeats a key.
-    pub fn as_count_map(&self) -> Result<BTreeMap<String, u64>, String> {
-        let fields = self.as_obj()?;
-        let map = fields
-            .iter()
-            .map(|(key, value)| Ok((key.clone(), value.as_u64()?)))
-            .collect::<Result<BTreeMap<_, _>, String>>()?;
-        if map.len() != fields.len() {
-            return Err("duplicate key in count map".to_owned());
-        }
-        Ok(map)
-    }
 }
 
 /// `value["member"]`: missing members (and non-objects) read as `null`.
@@ -423,21 +345,10 @@ impl<T: Into<Wire>> From<Option<T>> for Wire {
     }
 }
 
-/// A string-to-count map with deterministic (sorted) key order.
-impl From<&BTreeMap<String, u64>> for Wire {
-    fn from(map: &BTreeMap<String, u64>) -> Wire {
-        Wire::Obj(
-            map.iter()
-                .map(|(key, value)| (key.clone(), Wire::U64(*value)))
-                .collect(),
-        )
-    }
-}
-
 /// Appends `s` with JSON string escaping applied — the part between the
 /// quotes, which the caller writes. The workspace's only escaper: the
-/// [`Wire`] writer and every line formatter that writes its fixed
-/// fields directly go through it.
+/// [`Writer`] and every line formatter that writes its fixed fields
+/// directly go through it.
 pub fn escape_into(out: &mut String, s: &str) {
     // Every byte that needs escaping is ASCII, so the stretches between
     // them are whole scalars and copy over in one piece.
@@ -464,239 +375,669 @@ pub fn escape_into(out: &mut String, s: &str) {
     out.push_str(&s[copied..]);
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    escape_into(out, s);
-    out.push('"');
+/// The writer: appends one document to a `String`, token by token, in
+/// the compact or the pretty form. The caller opens and closes the
+/// containers and names each member before its value; the writer places
+/// the commas, line breaks and indentation, so a document written here
+/// is byte for byte the one [`Wire::encode`] (or
+/// [`Wire::encode_pretty`]) makes of the same tree — without the tree.
+///
+/// ```
+/// use orscope_json::{Wire, Writer};
+///
+/// let mut out = String::new();
+/// let mut doc = Writer::pretty(&mut out);
+/// doc.begin_object().key("epochs").begin_array();
+/// for epoch in 0..2u64 {
+///     doc.u64(epoch);
+/// }
+/// doc.end_array().key("degraded").bool(false).end_object();
+/// let tree = Wire::obj(vec![
+///     ("epochs", Wire::Arr(vec![Wire::U64(0), Wire::U64(1)])),
+///     ("degraded", Wire::Bool(false)),
+/// ]);
+/// assert_eq!(out, tree.encode_pretty());
+/// ```
+#[derive(Debug)]
+pub struct Writer<'a> {
+    out: &'a mut String,
+    pretty: bool,
+    /// Containers open.
+    depth: usize,
+    /// Nothing written yet in the innermost open container.
+    fresh: bool,
+    /// A member name was just written: its value follows on the line.
+    after_key: bool,
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while let Some(b) = bytes.get(*pos) {
-        if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
+impl<'a> Writer<'a> {
+    /// A writer of the compact form, appending to `out`.
+    pub fn compact(out: &'a mut String) -> Self {
+        Self::new(out, false)
+    }
+
+    /// A writer of the two-space-indented form (no trailing newline),
+    /// appending to `out`.
+    pub fn pretty(out: &'a mut String) -> Self {
+        Self::new(out, true)
+    }
+
+    fn new(out: &'a mut String, pretty: bool) -> Self {
+        Self {
+            out,
+            pretty,
+            depth: 0,
+            fresh: true,
+            after_key: false,
+        }
+    }
+
+    /// What goes before a value or a member name: nothing after a name,
+    /// else a comma unless it is the container's first, then its line.
+    fn separate(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        if self.depth > 0 {
+            if !self.fresh {
+                self.out.push(',');
+            }
+            self.newline();
+        }
+        self.fresh = false;
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            for _ in 0..self.depth {
+                self.out.push_str("  ");
+            }
+        }
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.separate();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.fresh = true;
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        self.depth -= 1;
+        if !self.fresh {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self.fresh = false;
+        self
+    }
+
+    /// Opens an object: members follow as [`Self::key`] + value pairs.
+    pub fn begin_object(&mut self) -> &mut Self {
+        self.open('{')
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> &mut Self {
+        self.close('}')
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> &mut Self {
+        self.open('[')
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> &mut Self {
+        self.close(']')
+    }
+
+    /// Names the next member of the innermost object; its value is what
+    /// is written next.
+    pub fn key(&mut self, name: &str) -> &mut Self {
+        self.separate();
+        self.out.push('"');
+        escape_into(self.out, name);
+        self.out.push_str(if self.pretty { "\": " } else { "\":" });
+        self.after_key = true;
+        self
+    }
+
+    /// `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.separate();
+        self.out.push_str("null");
+        self
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.separate();
+        self.out.push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// An unsigned integer.
+    pub fn u64(&mut self, n: u64) -> &mut Self {
+        self.separate();
+        let _ = write!(self.out, "{n}");
+        self
+    }
+
+    /// A signed integer.
+    pub fn i64(&mut self, n: i64) -> &mut Self {
+        self.separate();
+        let _ = write!(self.out, "{n}");
+        self
+    }
+
+    /// A float in its shortest round-trip form. Non-finite floats have
+    /// no JSON form and are written as `null`, so the value fails
+    /// decoding loudly instead of making a file no parser accepts.
+    pub fn f64(&mut self, x: f64) -> &mut Self {
+        if x.is_finite() {
+            self.separate();
+            let _ = write!(self.out, "{x:?}");
+            self
         } else {
-            break;
+            self.null()
+        }
+    }
+
+    fn str(&mut self, s: &str) -> &mut Self {
+        self.separate();
+        self.out.push('"');
+        escape_into(self.out, s);
+        self.out.push('"');
+        self
+    }
+
+    /// A whole [`Wire`] tree.
+    pub fn value(&mut self, value: &Wire) -> &mut Self {
+        match value {
+            Wire::Null => self.null(),
+            Wire::Bool(b) => self.bool(*b),
+            Wire::U64(n) => self.u64(*n),
+            Wire::I64(n) => self.i64(*n),
+            Wire::F64(x) => self.f64(*x),
+            Wire::Str(s) => self.str(s),
+            Wire::Arr(items) => {
+                self.begin_array();
+                for item in items {
+                    self.value(item);
+                }
+                self.end_array()
+            }
+            Wire::Obj(fields) => {
+                self.begin_object();
+                for (key, value) in fields {
+                    self.key(key).value(value);
+                }
+                self.end_object()
+            }
         }
     }
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, expected: u8) -> Result<(), String> {
-    if bytes.get(*pos) == Some(&expected) {
-        *pos += 1;
+/// The reader: pulls one document out of a byte slice a value at a
+/// time, so a typed reader fills its own structs as the members go by
+/// and nothing of the document is kept but what they keep. Object
+/// members are met through [`Self::members`] or [`Self::object`], array
+/// items through [`Self::array`]; member names that need no unescaping
+/// are borrowed from the input.
+///
+/// Every method is total: malformed input of any kind is an `Err`,
+/// never a panic, and what the reader accepts is exactly what
+/// [`Wire::decode`] — this reader building a tree — accepts.
+///
+/// ```
+/// use orscope_json::Reader;
+///
+/// let mut input = Reader::new(br#"{"epoch": 3, "days": [0.5, 1.5], "note": "ignored"}"#);
+/// let (mut epoch, mut days) = (0, Vec::new());
+/// input
+///     .object(&["epoch", "days"], |input, name| {
+///         match name {
+///             "epoch" => epoch = input.u64()?,
+///             _ => {
+///                 input.array(|input, _| Ok(days.push(input.f64()?)))?;
+///             }
+///         }
+///         Ok(())
+///     })
+///     .unwrap();
+/// input.finish().unwrap();
+/// assert_eq!((epoch, days), (3, vec![0.5, 1.5]));
+/// ```
+#[derive(Debug)]
+pub struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Containers open.
+    depth: usize,
+    /// Nothing read yet in the innermost open container.
+    fresh: bool,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `input`.
+    pub fn new(input: &'a [u8]) -> Self {
+        Self {
+            bytes: input,
+            pos: 0,
+            depth: 0,
+            fresh: false,
+        }
+    }
+
+    /// Checks that nothing but whitespace follows the document.
+    ///
+    /// # Errors
+    ///
+    /// If anything else does.
+    pub fn finish(mut self) -> Result<(), String> {
+        match self.peek() {
+            None => Ok(()),
+            Some(_) => Err(format!("trailing bytes at offset {}", self.pos)),
+        }
+    }
+
+    /// Reads an object, handing each member's name to `member`, which
+    /// must read (or [`skip`](Self::skip)) the member's value.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error, or the first error `member` returns.
+    pub fn members(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.open(b'{')?;
+        while let Some(name) = self.next_key()? {
+            member(self, name)?;
+        }
         Ok(())
-    } else {
+    }
+
+    /// Reads an object whose members are `names`, each exactly once and
+    /// in any order, handing each to `member` by name; members not in
+    /// `names` (at most 64 of them) are skipped.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error, a listed member missing or there twice, or the
+    /// first error `member` returns — prefixed with the member's name,
+    /// so nested readers spell out the path to the offending value.
+    pub fn object(
+        &mut self,
+        names: &[&'static str],
+        mut member: impl FnMut(&mut Self, &'static str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        debug_assert!(names.len() <= 64, "one bit of `seen` a member");
+        let mut seen = 0u64;
+        self.members(|input, key| {
+            let Some(index) = names.iter().position(|name| key == *name) else {
+                return input.skip();
+            };
+            let name = names[index];
+            if seen & 1 << index != 0 {
+                return Err(format!("duplicate field {name:?}"));
+            }
+            seen |= 1 << index;
+            member(input, name).map_err(|err| format!("{name}: {err}"))
+        })?;
+        match (0..names.len()).find(|index| seen & 1 << index == 0) {
+            Some(missing) => Err(format!("missing field {:?}", names[missing])),
+            None => Ok(()),
+        }
+    }
+
+    /// Reads an array, calling `item` with each item's position; `item`
+    /// must read (or [`skip`](Self::skip)) the item. Returns the item
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error, or the first error `item` returns.
+    pub fn array(
+        &mut self,
+        mut item: impl FnMut(&mut Self, usize) -> Result<(), String>,
+    ) -> Result<usize, String> {
+        self.open(b'[')?;
+        let mut count = 0;
+        while self.next_item()? {
+            item(self, count)?;
+            count += 1;
+        }
+        Ok(count)
+    }
+
+    /// An unsigned integer.
+    ///
+    /// # Errors
+    ///
+    /// If the next value is anything else.
+    pub fn u64(&mut self) -> Result<u64, String> {
+        self.scalar()?.as_u64()
+    }
+
+    /// A number as an `f64` (integers widen).
+    ///
+    /// # Errors
+    ///
+    /// If the next value is not a number.
+    pub fn f64(&mut self) -> Result<f64, String> {
+        self.scalar()?.as_f64()
+    }
+
+    /// `true` or `false`.
+    ///
+    /// # Errors
+    ///
+    /// If the next value is anything else.
+    pub fn bool(&mut self) -> Result<bool, String> {
+        self.scalar()?.as_bool()
+    }
+
+    /// A string, borrowed from the input unless it has escapes.
+    fn str(&mut self) -> Result<Cow<'a, str>, String> {
+        self.skip_ws();
+        self.expect(b'"')?;
+        let mut text = Cow::Borrowed("");
+        loop {
+            match self.bytes.get(self.pos) {
+                None => return Err("unterminated string".to_owned()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(text);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    self.escape(text.to_mut())?;
+                }
+                Some(_) => {
+                    // Everything up to the next quote, backslash or
+                    // (never legal unescaped) control byte is literal
+                    // text. All of those are ASCII, which never occurs
+                    // inside a multi-byte scalar, so the run ends on a
+                    // scalar boundary; validating just the run, once,
+                    // is what keeps reading linear in the document.
+                    let bytes: &'a [u8] = self.bytes;
+                    let rest = &bytes[self.pos..];
+                    let end = rest
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\' | 0x00..=0x1f))
+                        .unwrap_or(rest.len());
+                    if rest.get(end).is_some_and(|b| *b < 0x20) {
+                        return Err(format!(
+                            "unescaped control byte in string at offset {}",
+                            self.pos + end
+                        ));
+                    }
+                    let run = std::str::from_utf8(&rest[..end]).map_err(|_| "bad utf-8")?;
+                    // A string without escapes borrows its one run.
+                    if text.is_empty() {
+                        text = Cow::Borrowed(run);
+                    } else {
+                        text.to_mut().push_str(run);
+                    }
+                    self.pos += end;
+                }
+            }
+        }
+    }
+
+    /// Appends the escape after a backslash (the cursor is on its
+    /// letter) and moves past it.
+    fn escape(&mut self, text: &mut String) -> Result<(), String> {
+        match self.bytes.get(self.pos) {
+            Some(b'"') => text.push('"'),
+            Some(b'\\') => text.push('\\'),
+            Some(b'/') => text.push('/'),
+            Some(b'n') => text.push('\n'),
+            Some(b'r') => text.push('\r'),
+            Some(b't') => text.push('\t'),
+            Some(b'b') => text.push('\u{0008}'),
+            Some(b'f') => text.push('\u{000c}'),
+            Some(b'u') => {
+                let mut code = self.hex4(self.pos + 1)?;
+                self.pos += 4;
+                if (0xD800..0xDC00).contains(&code) {
+                    // A scalar beyond the basic plane is a UTF-16 pair:
+                    // the low half must follow.
+                    let low = match self.bytes.get(self.pos + 1..self.pos + 3) {
+                        Some(b"\\u") => self.hex4(self.pos + 3)?,
+                        _ => 0,
+                    };
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err("unpaired surrogate in \\u escape".to_owned());
+                    }
+                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                    self.pos += 6;
+                }
+                text.push(char::from_u32(code).ok_or("unpaired surrogate in \\u escape")?);
+            }
+            _ => return Err("bad escape".to_owned()),
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// The four hex digits of a `\u` escape starting at `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let digits = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+        digits.iter().try_fold(0u32, |code, &digit| {
+            let value = char::from(digit).to_digit(16).ok_or("bad \\u escape")?;
+            Ok(code << 4 | value)
+        })
+    }
+
+    /// The next value as a tree.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error, including nesting deeper than [`MAX_DEPTH`].
+    pub fn value(&mut self) -> Result<Wire, String> {
+        match self.peek() {
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.members(|input, key| {
+                    fields.push((key.into_owned(), input.value()?));
+                    Ok(())
+                })?;
+                Ok(Wire::Obj(fields))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|input, _| {
+                    items.push(input.value()?);
+                    Ok(())
+                })?;
+                Ok(Wire::Arr(items))
+            }
+            Some(b'"') => Ok(Wire::Str(self.str()?.into_owned())),
+            _ => self.scalar(),
+        }
+    }
+
+    /// Reads past the next value, checking it as thoroughly as
+    /// [`Self::value`] would and keeping nothing of it.
+    ///
+    /// # Errors
+    ///
+    /// A syntax error, including nesting deeper than [`MAX_DEPTH`].
+    pub fn skip(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'{') => self.members(|input, _| input.skip()),
+            Some(b'[') => self.array(|input, _| input.skip()).map(drop),
+            Some(b'"') => self.str().map(drop),
+            _ => self.scalar().map(drop),
+        }
+    }
+
+    /// A number, `true`, `false` or `null`.
+    fn scalar(&mut self) -> Result<Wire, String> {
+        match self.peek() {
+            None => Err("unexpected end of input".to_owned()),
+            Some(b't') => self.literal("true").map(|()| Wire::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Wire::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| Wire::Null),
+            Some(b'"' | b'{' | b'[') => Err(format!(
+                "expected a number, boolean or null at offset {}",
+                self.pos
+            )),
+            Some(_) => self.number(),
+        }
+    }
+
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+            self.pos += 1;
+        }
+    }
+
+    /// The next byte that is not whitespace, left unread.
+    fn peek(&mut self) -> Option<u8> {
+        self.skip_ws();
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn expect(&mut self, expected: u8) -> Result<(), String> {
+        if self.bytes.get(self.pos) == Some(&expected) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!(
+                "expected {:?} at offset {}",
+                char::from(expected),
+                self.pos
+            ))
+        }
+    }
+
+    /// Enters the container `bracket` opens, if nesting allows.
+    fn open(&mut self, bracket: u8) -> Result<(), String> {
+        self.skip_ws();
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} containers at offset {}",
+                self.pos
+            ));
+        }
+        self.expect(bracket)?;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(())
+    }
+
+    /// Whether the innermost container goes on past the separator at
+    /// the cursor (which is consumed); `false` once it has closed.
+    fn more(&mut self, bracket: u8) -> Result<bool, String> {
+        self.skip_ws();
+        let next = self.bytes.get(self.pos).copied();
+        if next == Some(bracket) {
+            self.pos += 1;
+            self.depth -= 1;
+            self.fresh = false;
+            return Ok(false);
+        }
+        if std::mem::take(&mut self.fresh) {
+            return Ok(true);
+        }
+        if next == Some(b',') {
+            self.pos += 1;
+            return Ok(true);
+        }
         Err(format!(
-            "expected {:?} at offset {pos}",
-            char::from(expected)
+            "expected ',' or '{}' at offset {}",
+            char::from(bracket),
+            self.pos
         ))
     }
-}
 
-/// Parses the value at `pos`; `depth` containers are open around it.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Wire, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_owned()),
-        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
-            "nesting deeper than {MAX_DEPTH} containers at offset {pos}"
-        )),
-        Some(b'{') => parse_object(bytes, pos, depth + 1),
-        Some(b'[') => parse_array(bytes, pos, depth + 1),
-        Some(b'"') => parse_string(bytes, pos).map(Wire::Str),
-        Some(b't') => parse_literal(bytes, pos, "true").map(|()| Wire::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false").map(|()| Wire::Bool(false)),
-        Some(b'n') => parse_literal(bytes, pos, "null").map(|()| Wire::Null),
-        Some(_) => parse_number(bytes, pos),
-    }
-}
-
-fn parse_literal(bytes: &[u8], pos: &mut usize, literal: &str) -> Result<(), String> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at offset {pos}"))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Wire, String> {
-    let start = *pos;
-    let digits = |pos: &mut usize| {
-        let from = *pos;
-        while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-            *pos += 1;
+    /// The next member name of the innermost object, with its colon
+    /// read; `None` once the object has closed.
+    fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        if !self.more(b'}')? {
+            return Ok(None);
         }
-        *pos - from
-    };
-    // The JSON grammar, checked before `str::parse` (which would also
-    // take "+5", ".5", "1." and "01"): an optional minus, an integer
-    // part without a leading zero, an optional fraction, an optional
-    // exponent.
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
+        let key = self.str()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
     }
-    let leading_zero = bytes.get(*pos) == Some(&b'0');
-    let mut well_formed = match digits(pos) {
-        0 => false,
-        1 => true,
-        _ => !leading_zero,
-    };
-    if bytes.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        well_formed &= digits(pos) > 0;
-    }
-    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        well_formed &= digits(pos) > 0;
-    }
-    if *pos == start {
-        return Err(format!("expected value at offset {start}"));
-    }
-    let text = String::from_utf8_lossy(&bytes[start..*pos]);
-    if !well_formed {
-        return Err(format!("bad number {text:?} at offset {start}"));
-    }
-    // Integers first (exact for the full u64 and i64 ranges: seeds use
-    // all 64 bits), floats as the fallback.
-    if let Ok(n) = text.parse::<u64>() {
-        return Ok(Wire::U64(n));
-    }
-    if let Ok(n) = text.parse::<i64>() {
-        return Ok(Wire::from(n));
-    }
-    match text.parse::<f64>() {
-        Ok(x) if x.is_finite() => Ok(Wire::F64(x)),
-        _ => Err(format!("bad number {text:?} at offset {start}")),
-    }
-}
 
-/// The four hex digits of a `\u` escape starting at `at`.
-fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
-    let digits = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
-    digits.iter().try_fold(0u32, |code, &digit| {
-        let value = char::from(digit).to_digit(16).ok_or("bad \\u escape")?;
-        Ok(code << 4 | value)
-    })
-}
+    /// Whether the innermost array has another item.
+    fn next_item(&mut self) -> Result<bool, String> {
+        self.more(b']')
+    }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_owned()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'u') => {
-                        let mut code = parse_hex4(bytes, *pos + 1)?;
-                        *pos += 4;
-                        if (0xD800..0xDC00).contains(&code) {
-                            // A scalar beyond the basic plane is a
-                            // UTF-16 pair: the low half must follow.
-                            let low = match bytes.get(*pos + 1..*pos + 3) {
-                                Some(b"\\u") => parse_hex4(bytes, *pos + 3)?,
-                                _ => 0,
-                            };
-                            if !(0xDC00..0xE000).contains(&low) {
-                                return Err("unpaired surrogate in \\u escape".to_owned());
-                            }
-                            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
-                            *pos += 6;
-                        }
-                        out.push(char::from_u32(code).ok_or("unpaired surrogate in \\u escape")?);
-                    }
-                    _ => return Err("bad escape".to_owned()),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Everything up to the next quote, backslash or (never
-                // legal unescaped) control byte is literal text. All of
-                // those are ASCII, which never occurs inside a
-                // multi-byte scalar, so the run ends on a scalar
-                // boundary; validating just the run, once, is what
-                // keeps decoding linear in the document.
-                let rest = &bytes[*pos..];
-                let run = rest
-                    .iter()
-                    .position(|b| matches!(b, b'"' | b'\\' | 0x00..=0x1f))
-                    .unwrap_or(rest.len());
-                if rest.get(run).is_some_and(|b| *b < 0x20) {
-                    return Err(format!(
-                        "unescaped control byte in string at offset {}",
-                        *pos + run
-                    ));
-                }
-                out.push_str(std::str::from_utf8(&rest[..run]).map_err(|_| "bad utf-8")?);
-                *pos += run;
-            }
+    fn literal(&mut self, literal: &str) -> Result<(), String> {
+        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
+            self.pos += literal.len();
+            Ok(())
+        } else {
+            Err(format!("bad literal at offset {}", self.pos))
         }
     }
-}
 
-/// Parses an array; `depth` counts it.
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Wire, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Wire::Arr(items));
-    }
-    loop {
-        items.push(parse_value(bytes, pos, depth)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
+    fn number(&mut self) -> Result<Wire, String> {
+        let bytes = self.bytes;
+        let start = self.pos;
+        let digits = |pos: &mut usize| {
+            let from = *pos;
+            while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
                 *pos += 1;
-                return Ok(Wire::Arr(items));
             }
-            _ => return Err(format!("expected ',' or ']' at offset {pos}")),
+            *pos - from
+        };
+        // The JSON grammar, checked before `str::parse` (which would also
+        // take "+5", ".5", "1." and "01"): an optional minus, an integer
+        // part without a leading zero, an optional fraction, an optional
+        // exponent.
+        let mut pos = start;
+        if bytes.get(pos) == Some(&b'-') {
+            pos += 1;
         }
-    }
-}
-
-/// Parses an object; `depth` counts it.
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Wire, String> {
-    expect(bytes, pos, b'{')?;
-    let mut fields = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Wire::Obj(fields));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos, depth)?;
-        fields.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Wire::Obj(fields));
+        let leading_zero = bytes.get(pos) == Some(&b'0');
+        let mut well_formed = match digits(&mut pos) {
+            0 => false,
+            1 => true,
+            _ => !leading_zero,
+        };
+        if bytes.get(pos) == Some(&b'.') {
+            pos += 1;
+            well_formed &= digits(&mut pos) > 0;
+        }
+        if matches!(bytes.get(pos), Some(b'e' | b'E')) {
+            pos += 1;
+            if matches!(bytes.get(pos), Some(b'+' | b'-')) {
+                pos += 1;
             }
-            _ => return Err(format!("expected ',' or '}}' at offset {pos}")),
+            well_formed &= digits(&mut pos) > 0;
+        }
+        self.pos = pos;
+        if pos == start {
+            return Err(format!("expected value at offset {start}"));
+        }
+        // Only ASCII was consumed, so the text borrows.
+        let text = String::from_utf8_lossy(&bytes[start..pos]);
+        if !well_formed {
+            return Err(format!("bad number {text:?} at offset {start}"));
+        }
+        // Integers first (exact for the full u64 and i64 ranges: seeds use
+        // all 64 bits), floats as the fallback.
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Wire::U64(n));
+        }
+        if let Ok(n) = text.parse::<i64>() {
+            return Ok(Wire::from(n));
+        }
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Wire::F64(x)),
+            _ => Err(format!("bad number {text:?} at offset {start}")),
         }
     }
 }
@@ -747,6 +1088,7 @@ mod tests {
         let decoded = Wire::decode("60000").unwrap();
         assert_eq!(decoded, Wire::U64(60_000));
         assert_eq!(decoded.as_f64().unwrap(), 60_000.0);
+        assert_eq!(Reader::new(b"60000").f64(), Ok(60_000.0));
     }
 
     #[test]
@@ -803,6 +1145,39 @@ mod tests {
     }
 
     #[test]
+    fn the_writer_streams_what_the_tree_encodes() {
+        // The same document written token by token, in both forms, with
+        // negative and non-finite numbers and empty containers.
+        let tree = Wire::obj(vec![
+            ("delta", Wire::from(-3i64)),
+            ("rate", Wire::F64(f64::INFINITY)),
+            (
+                "rows",
+                Wire::Arr(vec![Wire::obj(vec![]), Wire::Arr(vec![])]),
+            ),
+            ("name \"q\"", Wire::from("t\u{1}")),
+        ]);
+        for pretty in [false, true] {
+            let mut out = String::new();
+            let mut doc = if pretty {
+                Writer::pretty(&mut out)
+            } else {
+                Writer::compact(&mut out)
+            };
+            doc.begin_object().key("delta").i64(-3).key("rate");
+            doc.f64(f64::INFINITY).key("rows").begin_array();
+            doc.begin_object().end_object().begin_array().end_array();
+            doc.end_array().key("name \"q\"").str("t\u{1}").end_object();
+            let expected = if pretty {
+                tree.encode_pretty()
+            } else {
+                tree.encode()
+            };
+            assert_eq!(out, expected);
+        }
+    }
+
+    #[test]
     fn whitespace_is_tolerated_garbage_is_not() {
         assert_eq!(
             Wire::decode(" {\n\t\"a\" : [ 1 , 2 ] }\n").unwrap(),
@@ -813,6 +1188,9 @@ mod tests {
             "{",
             "[1,]",
             "{\"a\":}",
+            "{\"a\":1,}",
+            "{,}",
+            "[,1]",
             "nul",
             "1 2",
             "\"unterminated",
@@ -845,6 +1223,9 @@ mod tests {
             "\"tab\there\"",
         ] {
             assert!(Wire::decode(bad).is_err(), "{bad:?} must not parse");
+            let mut skipped = Reader::new(bad.as_bytes());
+            let skips = skipped.skip().and_then(|()| skipped.finish());
+            assert!(skips.is_err(), "{bad:?} must not be skipped over");
         }
         for (good, expected) in [
             ("0", Wire::U64(0)),
@@ -861,12 +1242,66 @@ mod tests {
 
     #[test]
     fn typed_readers_reject_a_member_that_is_there_twice() {
-        let twice = Wire::decode(r#"{"a":1,"b":2,"a":3}"#).unwrap();
+        let text = r#"{"a":1,"b":2,"a":3}"#;
+        let twice = Wire::decode(text).unwrap();
         assert_eq!(twice.get("a"), Some(&Wire::U64(1)));
         assert_eq!(twice.field("b"), Ok(&Wire::U64(2)));
         let err = twice.field_as("a", Wire::as_u64).unwrap_err();
         assert!(err.contains("duplicate") && err.contains("\"a\""), "{err}");
-        assert!(twice.as_count_map().unwrap_err().contains("duplicate"));
+        let err = Reader::new(text.as_bytes())
+            .object(&["a", "b"], |input, _| input.u64().map(drop))
+            .unwrap_err();
+        assert!(err.contains("duplicate") && err.contains("\"a\""), "{err}");
+    }
+
+    #[test]
+    fn the_object_reader_takes_members_in_any_order_and_skips_the_unknown() {
+        let read = |text: &str| {
+            let mut input = Reader::new(text.as_bytes());
+            let (mut a, mut b) = (0, false);
+            input.object(&["a", "b"], |input, name| {
+                match name {
+                    "a" => a = input.u64()?,
+                    _ => b = input.bool()?,
+                }
+                Ok(())
+            })?;
+            input.finish().map(|()| (a, b))
+        };
+        assert_eq!(read(r#"{"a":1,"b":true}"#), Ok((1, true)));
+        assert_eq!(
+            read(r#" { "x" : [{"y":"é"}], "b":true, "a":7 } "#),
+            Ok((7, true))
+        );
+        let missing = read(r#"{"a":1}"#).unwrap_err();
+        assert!(missing.contains("missing") && missing.contains("\"b\""));
+        let mistyped = read(r#"{"a":1,"b":2}"#).unwrap_err();
+        assert!(mistyped.starts_with("b: "), "{mistyped}");
+        assert!(
+            read(r#"{"a":1,"b":true,"x":[}"#).is_err(),
+            "skipped, checked"
+        );
+        assert!(read(r#"{"a":1,"b":true} x"#).is_err());
+    }
+
+    #[test]
+    fn arrays_count_their_items_and_names_borrow_the_input() {
+        let mut input = Reader::new(br#"[[], [1, 2], {"plain": 0, "esc\"aped": 1}]"#);
+        let mut names = Vec::new();
+        let count = input
+            .array(|input, position| match position {
+                0 => input.array(|_, _| Err("empty".to_owned())).map(drop),
+                1 => input.array(|input, _| input.u64().map(drop)).map(drop),
+                _ => input.members(|input, name| {
+                    names.push(name);
+                    input.skip()
+                }),
+            })
+            .unwrap();
+        assert_eq!(count, 3);
+        assert!(matches!(names[0], Cow::Borrowed("plain")));
+        assert!(matches!(&names[1], Cow::Owned(name) if name == "esc\"aped"));
+        input.finish().unwrap();
     }
 
     #[test]
@@ -875,6 +1310,10 @@ mod tests {
         // overflow"): no `catch_unwind` and no quarantine path sees that.
         for open in ["[", "{\"a\":", "[{\"a\":"] {
             let err = Wire::decode(open.repeat(100_000)).unwrap_err();
+            assert!(err.contains("nesting"), "{err}");
+            let err = Reader::new(open.repeat(100_000).as_bytes())
+                .skip()
+                .unwrap_err();
             assert!(err.contains("nesting"), "{err}");
         }
         let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
@@ -924,7 +1363,7 @@ mod tests {
 
     #[test]
     fn string_bytes_that_are_not_utf8_are_rejected_without_panicking() {
-        let parse = |bytes: &[u8]| parse_string(bytes, &mut 0);
+        let parse = |bytes: &[u8]| Reader::new(bytes).str().map(Cow::into_owned);
         assert_eq!(
             parse("\"caf\u{e9} \u{1f50d}\"".as_bytes()).unwrap(),
             "caf\u{e9} \u{1f50d}"
@@ -947,12 +1386,5 @@ mod tests {
             assert!(parse(&whole[..cut]).is_err(), "prefix of {cut} bytes");
         }
         assert!(parse(whole).is_ok());
-    }
-
-    #[test]
-    fn count_maps_roundtrip() {
-        let map = BTreeMap::from([("honest".to_owned(), 7u64), ("silent".to_owned(), 0)]);
-        let decoded = Wire::decode(Wire::from(&map).encode()).unwrap();
-        assert_eq!(decoded.as_count_map().unwrap(), map);
     }
 }

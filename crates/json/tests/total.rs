@@ -1,14 +1,15 @@
 //! The one JSON reader is total: arbitrary bytes and byte-mutated valid
 //! documents produce `Ok` or `Err` — never a panic — while requesting
-//! at most `ALLOC_FACTOR` bytes of heap per input byte, and every value
-//! the writer can produce decodes back to itself from both the compact
-//! and the pretty form.
+//! at most `ALLOC_FACTOR` bytes of heap per input byte, every value the
+//! writer can produce decodes back to itself from both the compact and
+//! the pretty form, and reading past a value accepts what decoding it
+//! does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use orscope_check::{cases, Rng};
-use orscope_json::{Wire, MAX_DEPTH};
+use orscope_json::{Reader, Wire, MAX_DEPTH};
 
 thread_local! {
     /// Bytes this thread has requested from the allocator (the test
@@ -155,6 +156,30 @@ fn arbitrary_and_mutated_bytes_never_panic_and_stay_within_the_allocation_budget
     // The mutations are small, so a fair share of inputs still parse:
     // the loop exercises the accepting paths, not only the first error.
     assert!(accepted > 2_000, "only {accepted} inputs were accepted");
+}
+
+#[test]
+fn reading_past_a_value_accepts_exactly_what_decoding_does() {
+    // Typed readers skip the members they do not know; a skipped member
+    // must be held to the grammar a decoded one is, or a document could
+    // verify through one path and fail through the other.
+    let valid: Vec<String> = (0..64u64)
+        .map(|seed| arbitrary_value(&mut Rng::new(seed), 0))
+        .flat_map(|value| [value.encode(), value.encode_pretty()])
+        .collect();
+    for_each_hostile_input(&valid, 20_000, |input| {
+        let before = REQUESTED.with(Cell::get);
+        let mut reader = Reader::new(input);
+        let skipped = reader.skip().and_then(|()| reader.finish());
+        let requested = REQUESTED.with(Cell::get) - before;
+        assert!(requested <= ALLOC_FACTOR * input.len() + ALLOC_SLACK);
+        assert_eq!(
+            skipped.is_ok(),
+            Wire::decode(input).is_ok(),
+            "{:?}",
+            String::from_utf8_lossy(input)
+        );
+    });
 }
 
 #[test]

@@ -46,7 +46,7 @@ use orscope_telemetry::{Collector, Counter, Gauge, Scope, TelemetrySnapshot};
 
 use crate::churn::{ChurnConfig, ChurnModel};
 use crate::resolve::{Resolution, Resolve, Update};
-use crate::series::{EpochRow, RollingTables, TransitionMatrix};
+use crate::series::{EpochRow, RollingTables, TransitionMatrix, N_CLASSES, SKIP};
 use crate::state::{Fingerprint, ObservatoryCheckpoint};
 
 /// Multiplier for deriving per-epoch campaign seeds (SplitMix64's
@@ -283,7 +283,7 @@ impl ServiceState {
 
 /// State shared between the epoch scheduler and the HTTP surface.
 /// Readers (HTTP handlers) never block the scheduler for longer than
-/// one table clone.
+/// one document render.
 pub struct ObservatoryShared {
     tables: RwLock<RollingTables>,
     campaign_telemetry: Mutex<TelemetrySnapshot>,
@@ -589,18 +589,15 @@ impl<R: Resolve> Observatory<R> {
         }
         let start_epoch = resumed_from.unwrap_or(0);
 
-        let mut members: BTreeMap<Ipv4Addr, PlannedResolver> = BTreeMap::new();
-        let mut classes: BTreeMap<Ipv4Addr, ProfileClass> = BTreeMap::new();
+        let mut membership = Membership::default();
         for epoch in 0..start_epoch {
             while let Some(update) = resolution.poll_update(epoch) {
-                apply_update(update, &mut members, &mut classes);
+                membership.apply(update);
             }
         }
 
         shared.epochs_completed.store(start_epoch, Ordering::SeqCst);
-        shared
-            .population
-            .store(members.len() as u64, Ordering::SeqCst);
+        shared.population.store(membership.len(), Ordering::SeqCst);
         shared.set_state(ServiceState::Ready);
 
         let mut sabotage_left = config.sabotage.map_or(0, |plan| plan.failures);
@@ -614,17 +611,7 @@ impl<R: Resolve> Observatory<R> {
                 break Ok(());
             }
             let epoch = epochs_completed;
-
-            let prev_classes = classes.clone();
-            let (mut joins, mut leaves, mut drifts) = (0u64, 0u64, 0u64);
-            while let Some(update) = resolution.poll_update(epoch) {
-                match apply_update(update, &mut members, &mut classes) {
-                    Applied::Join => joins += 1,
-                    Applied::Leave => leaves += 1,
-                    Applied::Drift => drifts += 1,
-                    Applied::Ignored => {}
-                }
-            }
+            let churn = membership.advance(std::iter::from_fn(|| resolution.poll_update(epoch)));
 
             // ---- supervised campaign round: attempt, retry once with
             // the identical seed, then degrade ----
@@ -634,7 +621,7 @@ impl<R: Resolve> Observatory<R> {
                 if sabotaged {
                     sabotage_left -= 1;
                 }
-                self.run_round(epoch, &statics, &members, sabotaged)
+                self.run_round(epoch, &statics, &membership.members, sabotaged)
             });
             if let Some(message) = &supervised.first_failure {
                 shared.retries_counter.inc();
@@ -647,37 +634,31 @@ impl<R: Resolve> Observatory<R> {
                 })
                 .ok();
 
-            let row = match &round {
+            let mut row = EpochRow {
+                epoch,
+                virtual_day: clock.days_at(epoch),
+                population: membership.len(),
+                joins: churn.joins,
+                leaves: churn.leaves,
+                drifts: churn.drifts,
+                class_counts: membership.class_counts,
+                ..EpochRow::default()
+            };
+            match &round {
                 Some(round) => {
-                    let mut transitions = TransitionMatrix::default();
-                    let mut class_counts: BTreeMap<String, u64> = BTreeMap::new();
-                    for (addr, class) in &classes {
-                        transitions.record(prev_classes.get(addr).copied(), *class);
-                        *class_counts.entry(class.as_str().to_string()).or_insert(0) += 1;
-                    }
                     let breakdown = round.table3_measured().0;
                     let rcodes = round.table6_measured();
                     let (nx_w, nx_wo) = rcodes.get(Rcode::NXDomain);
                     let (ref_w, ref_wo) = rcodes.get(Rcode::Refused);
-                    EpochRow {
-                        epoch,
-                        virtual_day: clock.days_at(epoch),
-                        population: members.len() as u64,
-                        joins,
-                        leaves,
-                        drifts,
-                        r2: breakdown.total(),
-                        without_answer: breakdown.wo,
-                        correct: breakdown.w_corr,
-                        incorrect: breakdown.w_incorr,
-                        err_pct: breakdown.err_pct(),
-                        nxdomain: nx_w + nx_wo,
-                        refused: ref_w + ref_wo,
-                        malicious: round.table9_measured().total_r2(),
-                        class_counts,
-                        transitions,
-                        degraded: false,
-                    }
+                    row.r2 = breakdown.total();
+                    row.without_answer = breakdown.wo;
+                    row.correct = breakdown.w_corr;
+                    row.incorrect = breakdown.w_incorr;
+                    row.err_pct = breakdown.err_pct();
+                    row.nxdomain = nx_w + nx_wo;
+                    row.refused = ref_w + ref_wo;
+                    row.malicious = round.table9_measured().total_r2();
+                    row.transitions = membership.transitions(&churn);
                 }
                 None => {
                     // Degraded epoch: the scan never produced a usable
@@ -685,49 +666,24 @@ impl<R: Resolve> Observatory<R> {
                     // so the population is conserved in the `skip`
                     // pseudo-row at each member's current class; scan
                     // counts stay zero.
-                    let mut transitions = TransitionMatrix::default();
-                    let mut class_counts: BTreeMap<String, u64> = BTreeMap::new();
-                    for class in classes.values() {
-                        transitions.record_skip(*class);
-                        *class_counts.entry(class.as_str().to_string()).or_insert(0) += 1;
-                    }
-                    EpochRow {
-                        epoch,
-                        virtual_day: clock.days_at(epoch),
-                        population: members.len() as u64,
-                        joins,
-                        leaves,
-                        drifts,
-                        r2: 0,
-                        without_answer: 0,
-                        correct: 0,
-                        incorrect: 0,
-                        err_pct: 0.0,
-                        nxdomain: 0,
-                        refused: 0,
-                        malicious: 0,
-                        class_counts,
-                        transitions,
-                        degraded: true,
-                    }
+                    row.transitions = membership.skipped();
+                    row.degraded = true;
                 }
-            };
+            }
             write(&shared.tables).absorb_epoch(row);
 
             epochs_completed += 1;
             shared
                 .epochs_completed
                 .store(epochs_completed, Ordering::SeqCst);
-            shared
-                .population
-                .store(members.len() as u64, Ordering::SeqCst);
+            shared.population.store(membership.len(), Ordering::SeqCst);
             shared.epochs_gauge.set(epochs_completed);
-            shared.population_gauge.set(members.len() as u64);
+            shared.population_gauge.set(membership.len());
             if epoch > 0 {
-                shared.joins_counter.add(joins);
+                shared.joins_counter.add(churn.joins);
             }
-            shared.leaves_counter.add(leaves);
-            shared.drifts_counter.add(drifts);
+            shared.leaves_counter.add(churn.leaves);
+            shared.drifts_counter.add(churn.drifts);
             match round {
                 Some(round) => {
                     shared
@@ -828,13 +784,21 @@ impl<R: Resolve> Observatory<R> {
         }
     }
 
+    /// Writes generation `epochs_done`: encoded under the read lock,
+    /// straight from the shared tables, then persisted outside it.
     fn flush_generation(&self, epochs_done: u64) -> Result<PathBuf, ServeError> {
-        let checkpoint = ObservatoryCheckpoint {
-            fingerprint: self.config.fingerprint(),
+        let config = &self.config;
+        let sealed = ObservatoryCheckpoint::sealed(
+            &config.fingerprint(),
             epochs_done,
-            tables: read(&self.shared.tables).clone(),
-        };
-        Ok(checkpoint.save_generation(&self.config.state_dir, self.config.keep_generations)?)
+            &read(&self.shared.tables),
+        );
+        Ok(ObservatoryCheckpoint::persist(
+            &config.state_dir,
+            config.keep_generations,
+            epochs_done,
+            &sealed,
+        )?)
     }
 }
 
@@ -856,6 +820,26 @@ fn ensure_state_dir(dir: &Path) -> Result<(), ServeError> {
         .map_err(|err| ServeError::StateDir(format!("{} is not writable: {err}", dir.display())))
 }
 
+/// The current membership, with a running count of it per behavior
+/// class. A member's class is its policy's, so none is stored apart.
+#[derive(Default)]
+struct Membership {
+    members: BTreeMap<Ipv4Addr, PlannedResolver>,
+    /// Members per class, indexed by [`ProfileClass::index`].
+    class_counts: [u64; N_CLASSES],
+}
+
+/// What one epoch's updates did: the churn counts, the class counts the
+/// epoch opened with, and the class each address an update touched had
+/// then (`None`: not a member).
+struct EpochChurn {
+    joins: u64,
+    leaves: u64,
+    drifts: u64,
+    opened_with: [u64; N_CLASSES],
+    touched: BTreeMap<Ipv4Addr, Option<ProfileClass>>,
+}
+
 /// What applying one update did to the membership table.
 enum Applied {
     Join,
@@ -864,33 +848,97 @@ enum Applied {
     Ignored,
 }
 
-fn apply_update(
-    update: Update,
-    members: &mut BTreeMap<Ipv4Addr, PlannedResolver>,
-    classes: &mut BTreeMap<Ipv4Addr, ProfileClass>,
-) -> Applied {
-    match update {
-        Update::Add(planned) => {
-            classes.insert(planned.addr, planned.policy.class());
-            members.insert(planned.addr, *planned);
-            Applied::Join
+impl Membership {
+    fn len(&self) -> u64 {
+        self.members.len() as u64
+    }
+
+    fn class_of(&self, addr: Ipv4Addr) -> Option<ProfileClass> {
+        self.members.get(&addr).map(|member| member.policy.class())
+    }
+
+    fn apply(&mut self, update: Update) -> Applied {
+        let addr = update.addr();
+        let before = self.class_of(addr);
+        let applied = match update {
+            Update::Add(planned) => {
+                self.members.insert(addr, *planned);
+                Applied::Join
+            }
+            Update::Remove(_) => match self.members.remove(&addr) {
+                Some(_) => Applied::Leave,
+                None => Applied::Ignored,
+            },
+            Update::Drift { to, .. } => match self.members.get_mut(&addr) {
+                Some(member) => {
+                    member.policy = *to;
+                    Applied::Drift
+                }
+                None => Applied::Ignored,
+            },
+        };
+        if let Some(class) = before {
+            self.class_counts[class.index()] -= 1;
         }
-        Update::Remove(addr) => {
-            if members.remove(&addr).is_some() {
-                classes.remove(&addr);
-                Applied::Leave
-            } else {
-                Applied::Ignored
+        if let Some(class) = self.class_of(addr) {
+            self.class_counts[class.index()] += 1;
+        }
+        applied
+    }
+
+    /// Applies one epoch's updates, noting what its transitions need.
+    fn advance(&mut self, updates: impl Iterator<Item = Update>) -> EpochChurn {
+        let mut churn = EpochChurn {
+            joins: 0,
+            leaves: 0,
+            drifts: 0,
+            opened_with: self.class_counts,
+            touched: BTreeMap::new(),
+        };
+        for update in updates {
+            let addr = update.addr();
+            churn
+                .touched
+                .entry(addr)
+                .or_insert_with(|| self.class_of(addr));
+            match self.apply(update) {
+                Applied::Join => churn.joins += 1,
+                Applied::Leave => churn.leaves += 1,
+                Applied::Drift => churn.drifts += 1,
+                Applied::Ignored => {}
             }
         }
-        Update::Drift { addr, to } => match members.get_mut(&addr) {
-            Some(member) => {
-                member.policy = *to;
-                classes.insert(addr, member.policy.class());
-                Applied::Drift
+        churn
+    }
+
+    /// Where each current member came from over the epoch `churn`
+    /// describes: a touched address from its class at the epoch's open
+    /// (or `join`), every other member from the class it is still in.
+    fn transitions(&self, churn: &EpochChurn) -> TransitionMatrix {
+        let mut matrix = TransitionMatrix::default();
+        let mut untouched = churn.opened_with;
+        for (&addr, &opened) in &churn.touched {
+            if let Some(class) = opened {
+                untouched[class.index()] -= 1;
             }
-            None => Applied::Ignored,
-        },
+            if let Some(class) = self.class_of(addr) {
+                matrix.record(opened, class);
+            }
+        }
+        for class in ProfileClass::ALL {
+            matrix.add(class.index(), class, untouched[class.index()]);
+        }
+        matrix
+    }
+
+    /// A degraded epoch's matrix: every member in the `skip` pseudo-row
+    /// at its current class.
+    fn skipped(&self) -> TransitionMatrix {
+        let mut matrix = TransitionMatrix::default();
+        for class in ProfileClass::ALL {
+            matrix.add(SKIP, class, self.class_counts[class.index()]);
+        }
+        matrix
     }
 }
 
@@ -906,6 +954,9 @@ fn wait_interval(shared: &ObservatoryShared, interval: Duration) {
 
 #[cfg(test)]
 mod tests {
+    use orscope_check::Rng;
+    use orscope_resolver::ResponsePolicy;
+
     use super::*;
 
     fn scratch(label: &str) -> PathBuf {
@@ -1047,5 +1098,119 @@ mod tests {
         assert!(!tables.epochs()[0].degraded);
         assert!(!tables.epochs()[2].degraded);
         std::fs::remove_dir_all(&observatory.config().state_dir).unwrap();
+    }
+
+    /// The clone-based computation the delta replaced: copy the class
+    /// map before the epoch's updates and diff the current one against
+    /// it.
+    fn transitions_by_clone(
+        opened: &BTreeMap<Ipv4Addr, ProfileClass>,
+        now: &BTreeMap<Ipv4Addr, ProfileClass>,
+        degraded: bool,
+    ) -> (TransitionMatrix, [u64; N_CLASSES]) {
+        let mut transitions = TransitionMatrix::default();
+        let mut class_counts = [0; N_CLASSES];
+        for (addr, class) in now {
+            if degraded {
+                transitions.record_skip(*class);
+            } else {
+                transitions.record(opened.get(addr).copied(), *class);
+            }
+            class_counts[class.index()] += 1;
+        }
+        (transitions, class_counts)
+    }
+
+    fn class_map(membership: &Membership) -> BTreeMap<Ipv4Addr, ProfileClass> {
+        membership
+            .members
+            .iter()
+            .map(|(addr, member)| (*addr, member.policy.class()))
+            .collect()
+    }
+
+    #[test]
+    fn transitions_from_the_updates_match_the_clone_diff() {
+        let churn = ChurnConfig {
+            join_rate: 0.2,
+            leave_rate: 0.2,
+            drift_rate: 0.3,
+            pool_headroom: 1.0,
+            seed: 11,
+        };
+        let mut resolution =
+            ChurnModel::new(churn).resolve(&PopulationConfig::new(Year::Y2018, 60_000.0));
+        let mut rng = Rng::new(3);
+        let mut membership = Membership::default();
+        let mut departed: Vec<PlannedResolver> = Vec::new();
+        let stranger = |n: u8| Ipv4Addr::new(198, 51, 100, n);
+        let policies = [ResponsePolicy::honest(), ResponsePolicy::refusing()];
+        for epoch in 0..8 {
+            let mut updates: Vec<Update> =
+                std::iter::from_fn(|| resolution.poll_update(epoch)).collect();
+            if epoch > 0 {
+                // What the model never sends, spliced in anywhere: a
+                // member re-added under another profile, a departed one
+                // back, a join that leaves again, a leave that re-joins,
+                // a second drift, and a remove and a drift of nobody.
+                let members: Vec<&PlannedResolver> = membership.members.values().collect();
+                let mut readded = (*rng.choice(&members)).clone();
+                readded.policy = rng.choice(&policies).clone();
+                let rejoined = (*rng.choice(&members)).clone();
+                let drifted = rng.choice(&members).addr;
+                let mut passing = readded.clone();
+                passing.addr = stranger(epoch as u8);
+                let mut extras = vec![
+                    Update::Add(Box::new(readded)),
+                    Update::Add(Box::new(passing)),
+                    Update::Remove(stranger(epoch as u8)),
+                    Update::Remove(rejoined.addr),
+                    Update::Add(Box::new(rejoined)),
+                    Update::Drift {
+                        addr: drifted,
+                        to: Box::new(rng.choice(&policies).clone()),
+                    },
+                    Update::Drift {
+                        addr: drifted,
+                        to: Box::new(rng.choice(&policies).clone()),
+                    },
+                    Update::Remove(stranger(200)),
+                    Update::Drift {
+                        addr: stranger(201),
+                        to: Box::new(ResponsePolicy::honest()),
+                    },
+                ];
+                if let Some(back) = departed.pop() {
+                    extras.push(Update::Add(Box::new(back)));
+                }
+                for extra in extras {
+                    updates.insert(rng.range(0..=updates.len()), extra);
+                }
+            }
+            for update in &updates {
+                if let Some(leaving) = membership.members.get(&update.addr()) {
+                    if matches!(update, Update::Remove(_)) {
+                        departed.push(leaving.clone());
+                    }
+                }
+            }
+            let opened = class_map(&membership);
+            let churn = membership.advance(updates.into_iter());
+            let degraded = epoch == 5;
+            let (expected, class_counts) =
+                transitions_by_clone(&opened, &class_map(&membership), degraded);
+            let matrix = if degraded {
+                membership.skipped()
+            } else {
+                membership.transitions(&churn)
+            };
+            assert_eq!(matrix, expected, "epoch {epoch}");
+            assert_eq!(membership.class_counts, class_counts, "epoch {epoch}");
+            assert_eq!(matrix.total(), membership.len(), "epoch {epoch}");
+            if epoch > 0 {
+                assert!(churn.joins > 0 && churn.leaves > 0 && churn.drifts > 0);
+                assert!(matrix.moved() > 0 || degraded, "epoch {epoch} moved nobody");
+            }
+        }
     }
 }

@@ -39,6 +39,14 @@ pub enum Update {
 }
 
 impl Update {
+    /// The endpoint this update is about.
+    pub fn addr(&self) -> Ipv4Addr {
+        match self {
+            Update::Add(planned) => planned.addr,
+            Update::Remove(addr) | Update::Drift { addr, .. } => *addr,
+        }
+    }
+
     /// The class this update puts its endpoint in (`None` for removal).
     pub fn class(&self) -> Option<ProfileClass> {
         match self {
@@ -140,6 +148,7 @@ mod tests {
             to: Box::new(ResponsePolicy::refusing()),
         };
         assert_eq!(drift.class(), Some(ProfileClass::Refusing));
+        assert_eq!(drift.addr(), Ipv4Addr::new(10, 0, 0, 1));
         assert_eq!(Update::Remove(Ipv4Addr::new(10, 0, 0, 1)).class(), None);
     }
 }

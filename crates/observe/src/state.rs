@@ -12,8 +12,9 @@
 //! verifies. The newest `keep` generations are retained.
 //!
 //! Resume runs [`ObservatoryCheckpoint::recover`]: generations are
-//! verified newest-first (envelope digest, JSON parse, structural
-//! invariants, run fingerprint). A file that fails verification is
+//! verified newest-first (envelope digest, a parse that reads the
+//! history one row at a time, the totals and matrices the rows imply,
+//! run fingerprint). A file that fails verification is
 //! *quarantined* — renamed to `*.corrupt`, preserved for post-mortems —
 //! and recovery rolls back to the next older generation. Because
 //! membership is a pure function of the churn seed and campaign rounds
@@ -26,10 +27,14 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use orscope_core::integrity;
-use orscope_json::Wire;
+use orscope_json::{Reader, Wire, Writer};
 
 use crate::churn::ChurnConfig;
-use crate::series::RollingTables;
+use crate::series::{RollingTables, STATE_BYTES_PER_EPOCH};
+
+/// Checkpoint bytes besides the rows: the fingerprint, the cumulative
+/// matrix and the totals take about a kilobyte.
+const STATE_HEAD_BYTES: usize = 2_048;
 
 /// The identity of a serve run: everything that determines its output.
 /// Two runs with equal fingerprints produce byte-identical tables, so a
@@ -156,29 +161,69 @@ impl ObservatoryCheckpoint {
         format!("{}{epochs_done:08}{}", Self::PREFIX, Self::SUFFIX)
     }
 
-    /// The checkpoint's durable wire form. Checkpoints use the crate's
+    /// The checkpoint's durable form, sealed: `{"version": 1,
+    /// "fingerprint": .., "epochs_done": .., "tables": ..}` plus a
+    /// newline, in the integrity envelope. Checkpoints use the crate's
     /// hand-written, versioned codec rather than derived serialization:
     /// the on-disk schema is spelled out field by field, so it cannot
     /// drift silently when a struct gains a field, and the recovery
-    /// path owns every byte it accepts.
-    fn to_wire(&self) -> Wire {
-        Wire::obj(vec![
-            ("version", Wire::U64(1)),
-            ("fingerprint", self.fingerprint.to_wire()),
-            ("epochs_done", Wire::U64(self.epochs_done)),
-            ("tables", self.tables.to_wire()),
-        ])
+    /// path owns every byte it accepts. The rows are written straight
+    /// from `tables` into one buffer sized for them, which the envelope
+    /// then wraps in place — so the service encodes under its read lock
+    /// instead of cloning the history first.
+    pub(crate) fn sealed(
+        fingerprint: &Fingerprint,
+        epochs_done: u64,
+        tables: &RollingTables,
+    ) -> Vec<u8> {
+        let mut out = String::with_capacity(
+            integrity::HEADER_ROOM
+                + STATE_HEAD_BYTES
+                + STATE_BYTES_PER_EPOCH * tables.epochs().len(),
+        );
+        let mut doc = Writer::compact(&mut out);
+        doc.begin_object()
+            .key("version")
+            .u64(1)
+            .key("fingerprint")
+            .value(&fingerprint.to_wire())
+            .key("epochs_done")
+            .u64(epochs_done)
+            .key("tables");
+        tables.write_state(&mut doc);
+        doc.end_object();
+        out.push('\n');
+        integrity::seal(out.into_bytes())
     }
 
-    fn from_wire(wire: &Wire) -> Result<Self, String> {
-        let version = wire.field_as("version", Wire::as_u64)?;
-        if version != 1 {
-            return Err(format!("unsupported checkpoint version {version}"));
-        }
+    /// Reads the payload [`Self::sealed`] wraps, the rolling state one
+    /// row at a time: members in any order, each exactly once, unknown
+    /// members skipped.
+    fn read(payload: &[u8]) -> Result<Self, String> {
+        let mut input = Reader::new(payload);
+        let (mut fingerprint, mut epochs_done) = (None, 0);
+        let mut tables = RollingTables::default();
+        let members = ["version", "fingerprint", "epochs_done", "tables"];
+        input.object(&members, |input, name| {
+            match name {
+                "version" => {
+                    let version = input.u64()?;
+                    if version != 1 {
+                        return Err(format!("unsupported checkpoint version {version}"));
+                    }
+                }
+                "fingerprint" => fingerprint = Some(Fingerprint::from_wire(&input.value()?)?),
+                "epochs_done" => epochs_done = input.u64()?,
+                "tables" => tables = RollingTables::read_state(input)?,
+                other => unreachable!("{other} is not a checkpoint member"),
+            }
+            Ok(())
+        })?;
+        input.finish()?;
         Ok(Self {
-            fingerprint: wire.field_as("fingerprint", Fingerprint::from_wire)?,
-            epochs_done: wire.field_as("epochs_done", Wire::as_u64)?,
-            tables: wire.field_as("tables", RollingTables::from_wire)?,
+            fingerprint: fingerprint.ok_or("missing field \"fingerprint\"")?,
+            epochs_done,
+            tables,
         })
     }
 
@@ -198,11 +243,20 @@ impl ObservatoryCheckpoint {
     ///
     /// Propagates filesystem errors.
     pub fn save_generation(&self, dir: &Path, keep: usize) -> io::Result<PathBuf> {
-        let mut payload = self.to_wire().encode().into_bytes();
-        payload.push(b'\n');
-        let sealed = integrity::seal(&payload);
-        let path =
-            integrity::persist_atomic(dir, &Self::generation_name(self.epochs_done), &sealed)?;
+        let sealed = Self::sealed(&self.fingerprint, self.epochs_done, &self.tables);
+        Self::persist(dir, keep, self.epochs_done, &sealed)
+    }
+
+    /// Writes the [`sealed`](Self::sealed) generation for `epochs_done`
+    /// into `dir` (created if missing) — fsynced, renamed into place —
+    /// then prunes all but the newest `keep` generations.
+    pub(crate) fn persist(
+        dir: &Path,
+        keep: usize,
+        epochs_done: u64,
+        sealed: &[u8],
+    ) -> io::Result<PathBuf> {
+        let path = integrity::persist_atomic(dir, &Self::generation_name(epochs_done), sealed)?;
         // Prune: everything older than the newest `keep` generations.
         let mut generations = Self::list_generations(dir)?;
         if generations.len() > keep.max(1) {
@@ -279,19 +333,24 @@ impl ObservatoryCheckpoint {
     /// A description of the first failed check.
     pub fn verify(bytes: &[u8], generation: u64) -> Result<Self, String> {
         let payload = integrity::unseal(bytes).map_err(|err| err.to_string())?;
-        let wire = Wire::decode(payload).map_err(|err| format!("parse: {err}"))?;
-        let checkpoint = Self::from_wire(&wire).map_err(|err| format!("parse: {err}"))?;
-        if checkpoint.epochs_done != generation {
+        Self::read(payload)
+            .map_err(|err| format!("parse: {err}"))?
+            .checked(generation)
+    }
+
+    /// The checks after parsing: the generation number matches the file
+    /// name and the tables hold what their rows imply.
+    fn checked(self, generation: u64) -> Result<Self, String> {
+        if self.epochs_done != generation {
             return Err(format!(
                 "generation {generation} file claims epochs_done {}",
-                checkpoint.epochs_done
+                self.epochs_done
             ));
         }
-        checkpoint
-            .tables
+        self.tables
             .validate()
             .map_err(|reason| format!("tables: {reason}"))?;
-        Ok(checkpoint)
+        Ok(self)
     }
 }
 
@@ -314,7 +373,85 @@ fn quarantine_path(path: &Path) -> PathBuf {
 
 #[cfg(test)]
 mod tests {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    use orscope_check::{cases, Rng};
+
     use super::*;
+    use crate::series::tests::arbitrary_tables;
+
+    thread_local! {
+        /// Bytes this thread has requested from the allocator (the test
+        /// harness runs other tests on other threads).
+        static REQUESTED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Counts bytes requested per thread, as `orscope-json`'s
+    /// `tests/total.rs` does for the reader alone.
+    struct CountingAlloc;
+
+    // SAFETY: every method forwards to `System` with the caller's own
+    // arguments; the counter is a const-initialised thread-local `Cell`,
+    // which neither allocates nor unwinds.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            REQUESTED.with(|bytes| bytes.set(bytes.get() + layout.size()));
+            // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            REQUESTED.with(|bytes| bytes.set(bytes.get() + new_size));
+            // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: CountingAlloc = CountingAlloc;
+
+    /// `tests/total.rs`'s budget for the JSON reader: heap bytes
+    /// requested per input byte, plus room for one error message.
+    const ALLOC_FACTOR: usize = 128;
+    const ALLOC_SLACK: usize = 1024;
+
+    /// The tree path the streaming codec replaced, kept as the oracle.
+    impl ObservatoryCheckpoint {
+        fn to_wire(&self) -> Wire {
+            Wire::obj(vec![
+                ("version", Wire::U64(1)),
+                ("fingerprint", self.fingerprint.to_wire()),
+                ("epochs_done", Wire::U64(self.epochs_done)),
+                ("tables", self.tables.to_wire()),
+            ])
+        }
+
+        fn from_wire(wire: &Wire) -> Result<Self, String> {
+            let version = wire.field_as("version", Wire::as_u64)?;
+            if version != 1 {
+                return Err(format!("unsupported checkpoint version {version}"));
+            }
+            Ok(Self {
+                fingerprint: wire.field_as("fingerprint", Fingerprint::from_wire)?,
+                epochs_done: wire.field_as("epochs_done", Wire::as_u64)?,
+                tables: wire.field_as("tables", RollingTables::from_wire)?,
+            })
+        }
+
+        fn verify_tree(bytes: &[u8], generation: u64) -> Result<Self, String> {
+            let payload = integrity::unseal(bytes).map_err(|err| err.to_string())?;
+            let wire = Wire::decode(payload).map_err(|err| format!("parse: {err}"))?;
+            Self::from_wire(&wire)
+                .map_err(|err| format!("parse: {err}"))?
+                .checked(generation)
+        }
+    }
 
     fn fingerprint(seed: u64) -> Fingerprint {
         Fingerprint {
@@ -468,5 +605,143 @@ mod tests {
         let mut redeadlined = base.clone();
         redeadlined.epoch_deadline_virtual_secs = Some(3_600);
         assert!(!base.compatible_with(&redeadlined));
+    }
+
+    /// The payload of a sealed generation with the envelope stripped.
+    fn payload(checkpoint: &ObservatoryCheckpoint) -> Vec<u8> {
+        let sealed = ObservatoryCheckpoint::sealed(
+            &checkpoint.fingerprint,
+            checkpoint.epochs_done,
+            &checkpoint.tables,
+        );
+        integrity::unseal(&sealed).unwrap().to_vec()
+    }
+
+    fn arbitrary_checkpoint(rng: &mut Rng) -> ObservatoryCheckpoint {
+        let epochs = rng.range(0..4);
+        let tables = arbitrary_tables(rng, epochs);
+        let mut fingerprint = fingerprint(rng.next_u64());
+        fingerprint.epoch_deadline_virtual_secs = rng.bool().then(|| rng.range(1..100_000));
+        ObservatoryCheckpoint {
+            fingerprint,
+            epochs_done: tables.epochs().len() as u64,
+            tables,
+        }
+    }
+
+    /// Shuffles the members of every object and, with `extras`, now and
+    /// then adds one nobody reads; arrays keep their order.
+    fn reorder(value: &mut Wire, rng: &mut Rng, extras: bool) {
+        match value {
+            Wire::Obj(members) => {
+                for at in (1..members.len()).rev() {
+                    members.swap(at, rng.range(0..=at));
+                }
+                if extras && rng.chance(10) {
+                    let unknown = Wire::Arr(vec![Wire::obj(vec![("x", Wire::Null)])]);
+                    members.insert(rng.range(0..=members.len()), ("extra".to_owned(), unknown));
+                }
+                members
+                    .iter_mut()
+                    .for_each(|(_, member)| reorder(member, rng, extras));
+            }
+            Wire::Arr(items) => items.iter_mut().for_each(|item| reorder(item, rng, extras)),
+            _ => {}
+        }
+    }
+
+    const ALPHABET: &[u8] = b"{}[]\",:\\ \n\t-+.eEu0123456789truefalsn\xff";
+
+    #[test]
+    fn the_written_payload_is_the_tree_paths_bytes() {
+        cases(64, |rng| {
+            let checkpoint = arbitrary_checkpoint(rng);
+            let mut tree = checkpoint.to_wire().encode().into_bytes();
+            tree.push(b'\n');
+            assert_eq!(payload(&checkpoint), tree);
+        });
+    }
+
+    #[test]
+    fn verify_is_total_and_agrees_with_the_tree_path() {
+        let mut accepted = 0u32;
+        cases(4_000, |rng| {
+            let checkpoint = arbitrary_checkpoint(rng);
+            let generation = checkpoint.epochs_done;
+            let input = match rng.range(0..6) {
+                // Arbitrary bytes, bare and in an envelope that verifies.
+                0 => rng.bytes(0..96),
+                1 => integrity::seal(rng.vec(0..96, |rng| *rng.choice(ALPHABET))),
+                // A whole generation damaged on disk: the envelope
+                // catches it.
+                2 => {
+                    let mut sealed = integrity::seal(payload(&checkpoint));
+                    rng.mutate(&mut sealed, ALPHABET);
+                    sealed
+                }
+                // A damaged payload in an envelope that verifies: flipped,
+                // inserted, deleted, doubled or truncated bytes.
+                3 | 4 => {
+                    let mut bytes = payload(&checkpoint);
+                    rng.mutate(&mut bytes, ALPHABET);
+                    integrity::seal(bytes)
+                }
+                // Members reordered (and unknown ones added) at every
+                // level, then sometimes damaged as well.
+                _ => {
+                    let mut tree = checkpoint.to_wire();
+                    reorder(&mut tree, rng, true);
+                    let mut bytes = if rng.bool() {
+                        tree.encode()
+                    } else {
+                        tree.encode_pretty()
+                    }
+                    .into_bytes();
+                    if rng.bool() {
+                        rng.mutate(&mut bytes, ALPHABET);
+                    }
+                    integrity::seal(bytes)
+                }
+            };
+            let before = REQUESTED.with(Cell::get);
+            let streamed = ObservatoryCheckpoint::verify(&input, generation);
+            let requested = REQUESTED.with(Cell::get) - before;
+            let budget = ALLOC_FACTOR * input.len() + ALLOC_SLACK;
+            assert!(
+                requested <= budget,
+                "verifying {} bytes requested {requested} (budget {budget})",
+                input.len()
+            );
+            match (
+                streamed,
+                ObservatoryCheckpoint::verify_tree(&input, generation),
+            ) {
+                (Ok(streamed), Ok(tree)) => {
+                    assert_eq!(streamed, tree);
+                    accepted += 1;
+                }
+                (Err(_), Err(_)) => {}
+                (streamed, tree) => panic!(
+                    "the reader said {streamed:?}, the tree path {tree:?}, on {:?}",
+                    String::from_utf8_lossy(&input)
+                ),
+            }
+        });
+        // Reordered generations are valid unless an added member landed
+        // among the class counts, so a fair share verifies: the property
+        // exercises the accepting path, not only errors.
+        assert!(accepted > 200, "only {accepted} inputs verified");
+    }
+
+    #[test]
+    fn a_reordered_generation_reads_back_the_same_checkpoint() {
+        cases(32, |rng| {
+            let checkpoint = arbitrary_checkpoint(rng);
+            let mut tree = checkpoint.to_wire();
+            reorder(&mut tree, rng, false);
+            let sealed = integrity::seal(tree.encode_pretty().into_bytes());
+            let read = ObservatoryCheckpoint::verify(&sealed, checkpoint.epochs_done);
+            assert_eq!(read, Ok(checkpoint));
+        });
     }
 }

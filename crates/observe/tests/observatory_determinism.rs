@@ -123,7 +123,7 @@ fn transition_matrix_conserves_population_and_shows_churn() {
             "epoch {}: every current member lands in exactly one matrix cell",
             row.epoch
         );
-        let class_total: u64 = row.class_counts.values().sum();
+        let class_total: u64 = row.class_counts.iter().sum();
         assert_eq!(class_total, row.population, "epoch {}", row.epoch);
     }
     // Epoch 0 is pure arrival; later epochs actually churn.

@@ -7,6 +7,8 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use orscope_core::integrity;
+use orscope_json::Wire;
 use orscope_observe::{Observatory, ObservatoryCheckpoint, RollingTables, ServeConfig, ServeError};
 use orscope_resolver::paper::Year;
 
@@ -231,4 +233,64 @@ fn state_path_under_a_file_fails_fast_with_a_clear_error() {
         other => panic!("expected StateDir, got {other:?}"),
     }
     fs::remove_file(&blocker).unwrap();
+}
+
+/// The member at `path` (names, and positions in arrays) of a decoded
+/// generation.
+fn member<'a>(value: &'a mut Wire, path: &[&str]) -> &'a mut Wire {
+    path.iter().fold(value, |value, step| match value {
+        Wire::Obj(members) => {
+            &mut members
+                .iter_mut()
+                .find(|(name, _)| name == step)
+                .unwrap_or_else(|| panic!("no member {step}"))
+                .1
+        }
+        Wire::Arr(items) => &mut items[step.parse::<usize>().unwrap()],
+        other => panic!("{other:?} has no member {step}"),
+    })
+}
+
+#[test]
+fn a_sealed_generation_whose_totals_contradict_its_rows_rolls_back() {
+    // Each case edits one number a generation holds and re-seals it with
+    // the digest recomputed, so the envelope vouches for it and only the
+    // content checks can tell: every total must be the sum over the
+    // rows, joins over the rows after epoch 0, the cumulative matrix
+    // the sum of the rows' matrices, and every row numbered by its
+    // position. Served anyway, `/tables` would contradict `/trends`.
+    let straight = straight_run("forged-straight");
+    for (label, path) in [
+        ("r2", &["tables", "totals", "r2"][..]),
+        ("incorrect", &["tables", "totals", "incorrect"]),
+        ("malicious", &["tables", "totals", "malicious"]),
+        ("leaves", &["tables", "totals", "leaves"]),
+        ("drifts", &["tables", "totals", "drifts"]),
+        ("epochs_degraded", &["tables", "totals", "epochs_degraded"]),
+        ("joins", &["tables", "totals", "joins"]),
+        ("cumulative", &["tables", "cumulative", "counts", "0", "0"]),
+        ("epoch", &["tables", "epochs", "1", "epoch"]),
+    ] {
+        let label = format!("forged-{label}");
+        let dir = partial_run(&label, HALF);
+        let newest = generation_path(&dir, HALF);
+        let sealed = fs::read(&newest).unwrap();
+        let mut generation = Wire::decode(integrity::unseal(&sealed).unwrap()).unwrap();
+        let Wire::U64(count) = member(&mut generation, path) else {
+            panic!("{label}: not a count");
+        };
+        *count += 1;
+        let mut payload = generation.encode().into_bytes();
+        payload.push(b'\n');
+        let forged = integrity::seal(payload);
+        let reason = ObservatoryCheckpoint::verify(&forged, HALF).unwrap_err();
+        assert!(reason.starts_with("tables: "), "{label}: {reason}");
+        fs::write(&newest, forged).unwrap();
+
+        let (tables, quarantined, resumed_from) = resume(&label, &dir);
+        assert_eq!(quarantined.len(), 1, "{label}: quarantined");
+        assert_eq!(resumed_from, Some(HALF - 1), "{label}: rolled back");
+        assert_eq!(tables, straight, "{label}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
 }
