@@ -17,7 +17,6 @@
 //! The fast path is free when nobody is tapping: publishing checks a
 //! relaxed atomic subscriber count and returns before cloning anything.
 
-use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -28,7 +27,6 @@ use std::time::Duration;
 pub use orscope_authns::capture::{CapturedPacket, Direction};
 pub use orscope_prober::R2Capture;
 use orscope_resolver::profile::ProfileClass;
-use orscope_resolver::Population;
 
 use crate::sync::lock;
 
@@ -38,21 +36,35 @@ use crate::sync::lock;
 /// lane.
 pub const DEFAULT_TAP_CAPACITY: usize = 1024;
 
-/// One record as published on the bus: everything the capture layer
-/// sees, before any analysis-side filtering.
+/// What a capture point recorded, before any analysis-side filtering.
 // The R2 variant is much larger than the auth one (the capture carries
 // its qname inline). Boxing it would trade a move for a heap
 // allocation per published record per lane on a lossy side channel —
 // the move is the cheaper side of that trade.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
-pub enum Record {
+pub enum Captured {
     /// An R2 response captured by the prober (already joined to its
     /// probe by qname).
     R2(R2Capture),
     /// A packet logged at the authoritative server (inbound Q2 or
     /// outbound R1).
     Auth(CapturedPacket),
+}
+
+/// One record as published on the bus.
+#[derive(Debug, Clone)]
+pub struct Record {
+    /// What was captured.
+    pub captured: Captured,
+    /// The generated class of the flow's resolver side (the R2's target,
+    /// the authoritative packet's peer), as the round that captured it
+    /// generated that host. The publishing shard resolves it against its
+    /// own round, so a `class=` predicate judges every record by the
+    /// round it came from however many rounds share the bus. `None` for
+    /// an address the round does not probe, or a publisher with no round
+    /// to ask.
+    pub class: Option<ProfileClass>,
 }
 
 /// A point-in-time view of one subscriber lane, for `/metrics`.
@@ -86,52 +98,6 @@ struct TapLane {
     dropped: Arc<AtomicU64>,
 }
 
-/// Maps probed addresses to their generated [`ProfileClass`], so tap
-/// consumers can evaluate `class=` predicates without holding the whole
-/// population. Built once per campaign round, only when a bus is
-/// attached.
-#[derive(Debug, Default)]
-pub struct ClassIndex {
-    /// Sorted by packed address for binary search.
-    entries: Vec<(u32, ProfileClass)>,
-}
-
-impl ClassIndex {
-    /// Builds the index over every probed host (resolvers and off-port
-    /// responders) of `population`.
-    pub fn from_population(population: &Population) -> Self {
-        let mut entries =
-            Vec::with_capacity(population.resolvers.len() + population.off_port.len());
-        for list in [&population.resolvers, &population.off_port] {
-            for i in 0..list.len() {
-                let class = population.table.get(list.profile_id(i)).class();
-                entries.push((u32::from(list.addr(i)), class));
-            }
-        }
-        entries.sort_unstable_by_key(|&(addr, _)| addr);
-        Self { entries }
-    }
-
-    /// The class of `addr`, if it is a known probed host.
-    pub fn lookup(&self, addr: Ipv4Addr) -> Option<ProfileClass> {
-        let packed = u32::from(addr);
-        self.entries
-            .binary_search_by_key(&packed, |&(a, _)| a)
-            .ok()
-            .map(|i| self.entries[i].1)
-    }
-
-    /// Number of indexed hosts.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the index is empty (no campaign has installed one yet).
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// The multi-subscriber fan-out bus. Cheap to share (`Arc`), safe to
 /// publish to from any number of shard threads concurrently.
 pub struct RecordBus {
@@ -143,9 +109,6 @@ pub struct RecordBus {
     attached_total: AtomicU64,
     published: AtomicU64,
     dropped: AtomicU64,
-    /// Address → class map for `class=` predicates; swapped in at the
-    /// start of each campaign round that carries this bus.
-    classes: Mutex<Arc<ClassIndex>>,
 }
 
 impl std::fmt::Debug for RecordBus {
@@ -175,7 +138,6 @@ impl RecordBus {
             attached_total: AtomicU64::new(0),
             published: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            classes: Mutex::new(Arc::new(ClassIndex::default())),
         }
     }
 
@@ -206,21 +168,24 @@ impl RecordBus {
         }
     }
 
-    /// Publishes one captured R2. Free when nobody is subscribed.
-    pub fn publish_r2(&self, capture: &R2Capture) {
+    /// Offers one record to every lane. `record` runs only when someone
+    /// is subscribed, so an untapped bus costs one relaxed load and
+    /// builds nothing: neither the copy nor its class lookup.
+    pub fn offer(&self, record: impl FnOnce() -> Record) {
         if self.tap_count.load(Ordering::Relaxed) == 0 {
             return;
         }
-        self.publish(Record::R2(capture.clone()));
+        self.publish(record());
     }
 
-    /// Publishes one authoritative-server packet. Free when nobody is
+    /// Publishes one captured R2 with no class attached, for a publisher
+    /// that has no round to look it up in. Free when nobody is
     /// subscribed.
-    pub fn publish_auth(&self, packet: &CapturedPacket) {
-        if self.tap_count.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        self.publish(Record::Auth(packet.clone()));
+    pub fn publish_r2(&self, capture: &R2Capture) {
+        self.offer(|| Record {
+            captured: Captured::R2(capture.clone()),
+            class: None,
+        });
     }
 
     /// Fans `record` out to every lane. Never blocks: a full lane
@@ -246,16 +211,6 @@ impl RecordBus {
             Err(TrySendError::Disconnected(_)) => false,
         });
         self.tap_count.store(lanes.len(), Ordering::Relaxed);
-    }
-
-    /// Installs the address → class index for the current round.
-    pub fn install_class_index(&self, index: ClassIndex) {
-        *lock(&self.classes) = Arc::new(index);
-    }
-
-    /// The profile class of `addr` per the currently installed index.
-    pub fn class_of(&self, addr: Ipv4Addr) -> Option<ProfileClass> {
-        lock(&self.classes).lookup(addr)
     }
 
     /// Aggregate counters.
@@ -335,6 +290,8 @@ impl TapReceiver {
 
 #[cfg(test)]
 mod tests {
+    use std::net::Ipv4Addr;
+
     use super::*;
     use orscope_netsim::SimTime;
 

@@ -26,7 +26,7 @@ use orscope_telemetry::{Collector, MetricValue, Scope, SpanSnapshot, TelemetrySn
 use crate::error::{CampaignError, DegradedReport, ShardFailure, ShardSabotage};
 use crate::infra::{seed_geo_db, seed_threat_db, Infra};
 use crate::plan::TargetPlan;
-use crate::recorder::ShardRecorder;
+use crate::recorder::{Publisher, ShardRecorder};
 use crate::result::CampaignResult;
 use crate::supervise::{supervise, Supervised};
 
@@ -336,23 +336,25 @@ impl Campaign {
         let config = &self.config;
         config.validate()?;
         let build_started = Instant::now();
-        let population = self.build_population();
+        let population = std::sync::Arc::new(self.build_population());
         self.run_inner(population, Some(build_started.elapsed()))
     }
 
     /// Runs the campaign over a caller-supplied population (used by the
     /// continuous-monitoring trend, which interpolates populations
-    /// between the two scans).
+    /// between the two scans, and by the observatory's rounds). A shared
+    /// population is only read, so a caller that may run it again — a
+    /// supervised retry — keeps its copy without cloning it.
     ///
     /// # Errors
     ///
     /// As for [`Campaign::run`].
     pub fn run_with_population(
         &self,
-        population: Population,
+        population: impl Into<std::sync::Arc<Population>>,
     ) -> Result<CampaignResult, CampaignError> {
         self.config.validate()?;
-        self.run_inner(population, None)
+        self.run_inner(population.into(), None)
     }
 
     /// Generates the population this configuration describes.
@@ -385,7 +387,7 @@ impl Campaign {
     /// time spent generating the population, when this call did so.
     fn run_inner(
         &self,
-        population: Population,
+        population: std::sync::Arc<Population>,
         build_wall: Option<Duration>,
     ) -> Result<CampaignResult, CampaignError> {
         let config = &self.config;
@@ -402,21 +404,12 @@ impl Campaign {
         let geo = seed_geo_db(&population);
         let knobs = self.shard_knobs(&spec);
 
-        // Tap subscribers resolve `class=` predicates against this
-        // round's population; the index is only built when a bus is
-        // attached (an address->class scan is pure startup overhead
-        // otherwise).
-        if let Some(bus) = &self.bus {
-            bus.install_class_index(crate::bus::ClassIndex::from_population(&population));
-        }
-
         // The scan plan is derived once from the master seed, so every
         // shard count scans the same addresses in the same global order
         // — but no target is built here, only the sorted index of the
         // responders. Each shard walks the plan's two permutations
         // itself and keeps the targets it owns, with their campaign-wide
         // send slots.
-        let population = std::sync::Arc::new(population);
         let targets = self.plan_targets(&spec, &population);
 
         // ---- shard planning ----
@@ -568,6 +561,17 @@ impl Campaign {
         ))
     }
 
+    /// A shard's end of the attached bus, if any: its records tagged with
+    /// the classes `hosts` and `table` give them.
+    pub(crate) fn publisher(
+        &self,
+        hosts: &std::sync::Arc<HostIndex>,
+        table: &std::sync::Arc<orscope_resolver::ProfileTable>,
+    ) -> Option<Publisher> {
+        let bus = self.bus.clone()?;
+        Some(Publisher::new(bus, hosts.clone(), table.clone()))
+    }
+
     /// Derives the knobs every shard shares: the aggregate probe rate
     /// and the per-cluster name capacity.
     pub(crate) fn shard_knobs(&self, spec: &YearSpec) -> ShardKnobs {
@@ -599,7 +603,8 @@ impl Campaign {
             }
         }
         let population = plan.population;
-        let recorder = ShardRecorder::new(&self.config, population, self.bus.clone());
+        let publisher = self.publisher(&plan.hosts, population.table());
+        let recorder = ShardRecorder::new(&self.config, population, publisher);
         let mut world = self.build_shard(plan, None, recorder);
         #[cfg(test)]
         if self.preregister_hosts {
@@ -845,7 +850,7 @@ impl HostIndex {
         (u64::from(addr) >> shift) as usize
     }
 
-    fn find(&self, addr: Ipv4Addr) -> Option<orscope_resolver::ProfileId> {
+    pub(crate) fn find(&self, addr: Ipv4Addr) -> Option<orscope_resolver::ProfileId> {
         let addr = u32::from(addr);
         let bucket = Self::bucket(addr, self.shift);
         let range = self.directory[bucket] as usize..self.directory[bucket + 1] as usize;

@@ -288,7 +288,7 @@ impl Campaign {
         };
         // Phase one buffers whatever the analysis mode: the checkpoint
         // carries the records themselves.
-        let recorder = ShardRecorder::buffering(self.bus().cloned());
+        let recorder = ShardRecorder::buffering(self.publisher(&plan.hosts, population.table()));
         let mut world = self.build_shard(plan, None, recorder);
         world.net.run_until(SimTime::ZERO + stop_at);
         let (scan, outstanding) = world
@@ -357,7 +357,8 @@ impl Campaign {
         };
         // Phase one's records are fed to the recorder phase two writes
         // into, so the analysis (and any tap) sees the whole campaign.
-        let mut recorder = ShardRecorder::new(config, &population, self.bus().cloned());
+        let publisher = self.publisher(&plan.hosts, population.table());
+        let mut recorder = ShardRecorder::new(config, &population, publisher);
         for packet in &checkpoint.auth_packets {
             recorder.on_auth(packet);
         }

@@ -38,7 +38,7 @@ pub mod sync;
 pub mod tap;
 pub mod trend;
 
-pub use bus::{BusStats, ClassIndex, Record, RecordBus, TapLaneStats, DEFAULT_TAP_CAPACITY};
+pub use bus::{BusStats, Captured, Record, RecordBus, TapLaneStats, DEFAULT_TAP_CAPACITY};
 pub use campaign::{Campaign, CampaignConfig};
 pub use checkpoint::{integrity, CampaignCheckpoint};
 pub use error::{CampaignError, DegradedReport, ShardFailure, ShardSabotage};

@@ -7,15 +7,51 @@
 //! analysis first, inline and lossless, and then offered to the
 //! campaign's [`RecordBus`] — the only fan-out point.
 
+use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use orscope_analysis::{AnalysisMode, RecordSink, StreamingAnalyzer};
 use orscope_authns::{CapturedPacket, Direction};
 use orscope_prober::R2Capture;
 use orscope_resolver::population::Population;
+use orscope_resolver::ProfileTable;
 
-use crate::bus::RecordBus;
-use crate::campaign::CampaignConfig;
+use crate::bus::{Captured, Record, RecordBus};
+use crate::campaign::{CampaignConfig, HostIndex};
+
+/// A shard's end of the campaign's record bus. Each record it offers
+/// carries the generated class of its flow's resolver side, looked up in
+/// the campaign's own hosts — on the shard thread, and only while
+/// somebody is subscribed — so a tap judges `class=` against the round
+/// that produced the record, however many rounds share the bus.
+#[derive(Debug)]
+pub(crate) struct Publisher {
+    bus: Arc<RecordBus>,
+    hosts: Arc<HostIndex>,
+    table: Arc<ProfileTable>,
+}
+
+impl Publisher {
+    /// Publishes to `bus`, tagging against the probed `hosts` and the
+    /// profile `table` they resolve in.
+    pub(crate) fn new(
+        bus: Arc<RecordBus>,
+        hosts: Arc<HostIndex>,
+        table: Arc<ProfileTable>,
+    ) -> Self {
+        Self { bus, hosts, table }
+    }
+
+    fn offer(&self, captured: impl FnOnce() -> Captured, resolver: Ipv4Addr) {
+        self.bus.offer(|| Record {
+            captured: captured(),
+            class: self
+                .hosts
+                .find(resolver)
+                .map(|id| self.table.get(id).class()),
+        });
+    }
+}
 
 /// Everything one shard records, held by value.
 #[derive(Debug, Default)]
@@ -32,14 +68,14 @@ pub(crate) struct ShardRecorder {
     pub(crate) q2: u64,
     /// R1 packets the authoritative server sent.
     pub(crate) r1: u64,
-    bus: Option<Arc<RecordBus>>,
+    publisher: Option<Publisher>,
 }
 
 impl ShardRecorder {
     /// A recorder that buffers every record.
-    pub(crate) fn buffering(bus: Option<Arc<RecordBus>>) -> Self {
+    pub(crate) fn buffering(publisher: Option<Publisher>) -> Self {
         Self {
-            bus,
+            publisher,
             ..Self::default()
         }
     }
@@ -52,9 +88,9 @@ impl ShardRecorder {
     pub(crate) fn new(
         config: &CampaignConfig,
         population: &Population,
-        bus: Option<Arc<RecordBus>>,
+        publisher: Option<Publisher>,
     ) -> Self {
-        let mut recorder = Self::buffering(bus);
+        let mut recorder = Self::buffering(publisher);
         if config.analysis == AnalysisMode::Streaming {
             let mut analyzer = StreamingAnalyzer::new(config.infra.zone.clone(), config.retain_raw);
             analyzer.reserve_flows(population.resolvers.len() + population.off_port.len());
@@ -70,8 +106,8 @@ impl RecordSink for ShardRecorder {
             Some(analyzer) => analyzer.on_r2(capture),
             None => self.captures.push(capture.clone()),
         }
-        if let Some(bus) = &self.bus {
-            bus.publish_r2(capture);
+        if let Some(publisher) = &self.publisher {
+            publisher.offer(|| Captured::R2(capture.clone()), capture.target);
         }
     }
 
@@ -84,8 +120,8 @@ impl RecordSink for ShardRecorder {
             Some(analyzer) => analyzer.on_auth(packet),
             None => self.auth_packets.push(packet.clone()),
         }
-        if let Some(bus) = &self.bus {
-            bus.publish_auth(packet);
+        if let Some(publisher) = &self.publisher {
+            publisher.offer(|| Captured::Auth(packet.clone()), packet.peer);
         }
     }
 }
@@ -101,11 +137,18 @@ mod tests {
     use orscope_netsim::SimTime;
     use orscope_resolver::paper::Year;
 
-    use crate::bus::Record;
     use crate::campaign::Campaign;
 
     fn config(analysis: AnalysisMode) -> CampaignConfig {
         CampaignConfig::new(Year::Y2018, 20_000.0).with_analysis(analysis)
+    }
+
+    fn publisher(bus: &Arc<RecordBus>, population: &Population) -> Publisher {
+        Publisher::new(
+            bus.clone(),
+            Arc::new(HostIndex::of(population)),
+            Arc::clone(population.table()),
+        )
     }
 
     /// One recorder per analysis mode, both publishing to `bus`.
@@ -113,7 +156,8 @@ mod tests {
         [AnalysisMode::Streaming, AnalysisMode::Batch].map(|analysis| {
             let campaign = Campaign::new(config(analysis));
             let population = campaign.build_population();
-            ShardRecorder::new(campaign.config(), &population, Some(bus.clone()))
+            let publisher = publisher(bus, &population);
+            ShardRecorder::new(campaign.config(), &population, Some(publisher))
         })
     }
 
@@ -174,18 +218,52 @@ mod tests {
                 assert!(lane.try_recv().is_none());
                 recorder.on_auth(&auth(seq, Direction::Inbound));
                 assert_eq!(held(&recorder), (seq, 2 * seq + 1));
-                assert!(matches!(lane.try_recv(), Some(Record::Auth(p)) if p.at.as_nanos() == seq));
+                assert!(matches!(
+                    lane.try_recv().map(|record| record.captured),
+                    Some(Captured::Auth(p)) if p.at.as_nanos() == seq
+                ));
                 recorder.on_auth(&auth(seq, Direction::Outbound));
                 assert_eq!(held(&recorder), (seq, 2 * seq + 2));
-                assert!(matches!(lane.try_recv(), Some(Record::Auth(_))));
+                assert!(matches!(
+                    lane.try_recv().map(|record| record.captured),
+                    Some(Captured::Auth(_))
+                ));
                 recorder.on_r2(&r2(seq));
                 assert_eq!(held(&recorder), (seq + 1, 2 * seq + 2));
-                assert!(
-                    matches!(lane.try_recv(), Some(Record::R2(c)) if c.at.as_nanos() == seq + 1)
-                );
+                assert!(matches!(
+                    lane.try_recv().map(|record| record.captured),
+                    Some(Captured::R2(c)) if c.at.as_nanos() == seq + 1
+                ));
             }
             assert_eq!((recorder.q2, recorder.r1), (3, 3));
         }
+    }
+
+    #[test]
+    fn a_record_carries_the_class_its_round_generated() {
+        let bus = Arc::new(RecordBus::new());
+        let lane = bus.subscribe(8);
+        let campaign = Campaign::new(config(AnalysisMode::Streaming));
+        let population = campaign.build_population();
+        let host = population.resolver(0);
+        let mut recorder = ShardRecorder::new(
+            campaign.config(),
+            &population,
+            Some(publisher(&bus, &population)),
+        );
+        let mut probed = r2(0);
+        probed.target = host.addr;
+        recorder.on_r2(&probed);
+        let mut peer = auth(1, Direction::Inbound);
+        peer.peer = host.addr;
+        recorder.on_auth(&peer);
+        for _ in 0..2 {
+            let record = lane.try_recv().expect("published");
+            assert_eq!(record.class, Some(host.policy.class()));
+        }
+        // An address the round never probed has no class to carry.
+        recorder.on_r2(&r2(2));
+        assert_eq!(lane.try_recv().expect("published").class, None);
     }
 
     #[test]

@@ -31,7 +31,7 @@ use orscope_netsim::SimTime;
 use orscope_prober::R2Capture;
 use orscope_resolver::profile::ProfileClass;
 
-use crate::bus::{Record, RecordBus, TapReceiver};
+use crate::bus::{Captured, Record, RecordBus, TapReceiver};
 use crate::infra::Infra;
 
 /// A parse failure, with a human-readable reason (served as the body of
@@ -371,8 +371,9 @@ pub struct TapEvent {
     pub qname: Option<String>,
     /// Decoded rcode; `None` when the header is unparseable.
     pub rcode: Option<Rcode>,
-    /// Generated profile class of the resolver side of the flow, when
-    /// the address is in the campaign's class index.
+    /// Generated profile class of the resolver side of the flow, as the
+    /// round that captured the record generated it; `None` when that
+    /// round does not probe the address.
     pub class: Option<ProfileClass>,
     /// Raw payload length in bytes.
     pub payload_len: usize,
@@ -423,11 +424,11 @@ impl TapEvent {
 ///
 /// All decoding happens on the caller's (consumer) thread — the
 /// publisher only ever clones records, whose payloads are shared rather
-/// than copied, into the bounded queue.
+/// than copied, into the bounded queue, beside the class it looked up
+/// for them.
 pub struct TapSubscriber {
     receiver: TapReceiver,
     predicate: TapPredicate,
-    bus: Arc<RecordBus>,
     prober: Ipv4Addr,
     auth: Ipv4Addr,
 }
@@ -454,7 +455,6 @@ impl TapSubscriber {
         Self {
             receiver: bus.subscribe(capacity),
             predicate,
-            bus: bus.clone(),
             prober: infra.prober,
             auth: infra.auth,
         }
@@ -499,15 +499,16 @@ impl TapSubscriber {
         }
     }
 
-    /// Decodes one raw record into a taggable event.
+    /// Decodes one raw record into a taggable event, with the class its
+    /// publisher attached.
     fn decode(&self, record: &Record) -> TapEvent {
-        match record {
-            Record::R2(capture) => self.decode_r2(capture),
-            Record::Auth(packet) => self.decode_auth(packet),
+        match &record.captured {
+            Captured::R2(capture) => self.decode_r2(capture, record.class),
+            Captured::Auth(packet) => self.decode_auth(packet, record.class),
         }
     }
 
-    fn decode_r2(&self, capture: &R2Capture) -> TapEvent {
+    fn decode_r2(&self, capture: &R2Capture, class: Option<ProfileClass>) -> TapEvent {
         let rcode = classify(capture).map(|c| c.rcode);
         TapEvent {
             kind: TapKind::R2,
@@ -516,12 +517,12 @@ impl TapSubscriber {
             dst: self.prober,
             qname: Some(capture.qname.to_string().to_ascii_lowercase()),
             rcode,
-            class: self.bus.class_of(capture.target),
+            class,
             payload_len: capture.payload.len(),
         }
     }
 
-    fn decode_auth(&self, packet: &CapturedPacket) -> TapEvent {
+    fn decode_auth(&self, packet: &CapturedPacket, class: Option<ProfileClass>) -> TapEvent {
         let (kind, src, dst) = match packet.direction {
             Direction::Inbound => (TapKind::Q2, packet.peer, self.auth),
             Direction::Outbound => (TapKind::R1, self.auth, packet.peer),
@@ -539,7 +540,7 @@ impl TapSubscriber {
             dst,
             qname,
             rcode,
-            class: self.bus.class_of(packet.peer),
+            class,
             payload_len: packet.payload.len(),
         }
     }

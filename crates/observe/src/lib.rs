@@ -20,7 +20,8 @@
 //! - [`observatory`] — the supervised epoch scheduler: apply churn, run
 //!   a campaign round on the shared sharded/streaming infrastructure
 //!   (retrying once and degrading — never dying — on a failed round),
-//!   absorb the result into rolling tables.
+//!   absorb the result into rolling tables. Two epochs' rounds run side
+//!   by side and are absorbed strictly in epoch order.
 //! - [`series`] — the rolling time-series state: per-epoch
 //!   classification counts, the profile-transition matrix (including
 //!   the `skip` pseudo-row that conserves population through degraded

@@ -9,6 +9,14 @@
 //! reduces the round to an [`EpochRow`], and absorbs it into the
 //! [`RollingTables`] behind the HTTP surface.
 //!
+//! Rounds are share-nothing jobs — an epoch's membership and seed are
+//! fixed before its round starts — so two run at once: the scheduler
+//! opens epochs `e` and `e + 1` (membership, row, matrices, population,
+//! all on its own thread), runs `e`'s round itself and `e + 1`'s on a
+//! scoped helper thread, and absorbs both strictly in epoch order. Every
+//! document, counter and checkpoint generation is what a one-at-a-time
+//! scheduler would have produced.
+//!
 //! Unattended operation is the design center. Every epoch runs under a
 //! supervisor: a round that panics, fails permanently, or blows its
 //! virtual-time deadline is retried once with the identical seed, and a
@@ -36,11 +44,13 @@ use std::time::Duration;
 
 use orscope_core::bus::RecordBus;
 use orscope_core::sync::{lock, read, write};
-use orscope_core::{supervise, Campaign, CampaignConfig, CampaignError, CampaignResult, Infra};
+use orscope_core::{
+    supervise, Campaign, CampaignConfig, CampaignError, CampaignResult, Infra, Supervised,
+};
 use orscope_dns_wire::Rcode;
 use orscope_netsim::EpochClock;
 use orscope_resolver::paper::Year;
-use orscope_resolver::population::PopulationConfig;
+use orscope_resolver::population::{Population, PopulationConfig};
 use orscope_resolver::{HostList, PlannedResolver, ProfileClass};
 use orscope_telemetry::{Collector, Counter, Gauge, Scope, TelemetrySnapshot};
 
@@ -54,6 +64,10 @@ use crate::state::{Fingerprint, ObservatoryCheckpoint};
 /// works; what matters is that it is fixed, so epoch seeds survive
 /// restarts).
 const EPOCH_SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Campaign rounds in flight at once: the scheduler opens this many
+/// epochs, runs their rounds side by side, and absorbs them in order.
+const ROUNDS_IN_FLIGHT: u64 = 2;
 
 /// Deterministic epoch-failure injection, for exercising the epoch
 /// supervisor. The targeted epoch's first `failures` *attempts* (the
@@ -309,6 +323,12 @@ pub struct ObservatoryShared {
     state: AtomicU8,
     healthy: AtomicBool,
     shutdown: AtomicBool,
+    /// Rounds started and not yet absorbed, and the most there ever
+    /// were: what proves rounds overlap, whatever the timing.
+    #[cfg(test)]
+    rounds_in_flight: AtomicU64,
+    #[cfg(test)]
+    rounds_in_flight_high_water: AtomicU64,
 }
 
 impl ObservatoryShared {
@@ -337,7 +357,18 @@ impl ObservatoryShared {
             state: AtomicU8::new(ServiceState::Starting as u8),
             healthy: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
+            #[cfg(test)]
+            rounds_in_flight: AtomicU64::new(0),
+            #[cfg(test)]
+            rounds_in_flight_high_water: AtomicU64::new(0),
         })
+    }
+
+    #[cfg(test)]
+    fn round_started(&self) {
+        let now = self.rounds_in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+        self.rounds_in_flight_high_water
+            .fetch_max(now, Ordering::SeqCst);
     }
 
     /// Asks the scheduler (and the HTTP accept loop) to wind down.
@@ -530,7 +561,10 @@ impl<R: Resolve> Observatory<R> {
     /// Runs epochs until the limit is reached or shutdown is requested,
     /// then flushes the final checkpoint generation. Blocking; pair
     /// with [`crate::http::serve`] on another thread for the live
-    /// surface.
+    /// surface. Two epochs' rounds are in flight at a time; a shutdown
+    /// requested while they run lets both finish and be absorbed before
+    /// the final flush. With an interval, each absorb is still followed
+    /// by its pause.
     ///
     /// # Errors
     ///
@@ -600,188 +634,60 @@ impl<R: Resolve> Observatory<R> {
         shared.population.store(membership.len(), Ordering::SeqCst);
         shared.set_state(ServiceState::Ready);
 
-        let mut sabotage_left = config.sabotage.map_or(0, |plan| plan.failures);
+        let limit = config.epochs.unwrap_or(u64::MAX);
         let mut epochs_degraded = 0u64;
         let mut epochs_completed = start_epoch;
-        let result = loop {
-            if config.epochs.is_some_and(|limit| epochs_completed >= limit) {
-                break Ok(());
-            }
-            if shared.shutdown_requested() {
-                break Ok(());
-            }
-            let epoch = epochs_completed;
-            let churn = membership.advance(std::iter::from_fn(|| resolution.poll_update(epoch)));
-
-            // ---- supervised campaign round: attempt, retry once with
-            // the identical seed, then degrade ----
-            let supervised = supervise(|_attempt| {
-                let sabotaged =
-                    config.sabotage.is_some_and(|plan| plan.epoch == epoch) && sabotage_left > 0;
-                if sabotaged {
-                    sabotage_left -= 1;
-                }
-                self.run_round(epoch, &statics, &membership.members, sabotaged)
-            });
-            if let Some(message) = &supervised.first_failure {
-                shared.retries_counter.inc();
-                eprintln!("epoch {epoch} attempt failed ({message}); retrying");
-            }
-            let round = supervised
-                .outcome
-                .inspect_err(|message| {
-                    eprintln!("epoch {epoch} retry failed ({message}); degrading")
-                })
-                .ok();
-
-            let mut row = EpochRow {
-                epoch,
-                virtual_day: clock.days_at(epoch),
-                population: membership.len(),
-                joins: churn.joins,
-                leaves: churn.leaves,
-                drifts: churn.drifts,
-                class_counts: membership.class_counts,
-                ..EpochRow::default()
-            };
-            match &round {
-                Some(round) => {
-                    let breakdown = round.table3_measured().0;
-                    let rcodes = round.table6_measured();
-                    let (nx_w, nx_wo) = rcodes.get(Rcode::NXDomain);
-                    let (ref_w, ref_wo) = rcodes.get(Rcode::Refused);
-                    row.r2 = breakdown.total();
-                    row.without_answer = breakdown.wo;
-                    row.correct = breakdown.w_corr;
-                    row.incorrect = breakdown.w_incorr;
-                    row.err_pct = breakdown.err_pct();
-                    row.nxdomain = nx_w + nx_wo;
-                    row.refused = ref_w + ref_wo;
-                    row.malicious = round.table9_measured().total_r2();
-                    row.transitions = membership.transitions(&churn);
-                }
-                None => {
-                    // Degraded epoch: the scan never produced a usable
-                    // round. Membership still advanced (churn is pure),
-                    // so the population is conserved in the `skip`
-                    // pseudo-row at each member's current class; scan
-                    // counts stay zero.
-                    row.transitions = membership.skipped();
-                    row.degraded = true;
-                }
-            }
-            write(&shared.tables).absorb_epoch(row);
-
-            epochs_completed += 1;
-            shared
-                .epochs_completed
-                .store(epochs_completed, Ordering::SeqCst);
-            shared.population.store(membership.len(), Ordering::SeqCst);
-            shared.epochs_gauge.set(epochs_completed);
-            shared.population_gauge.set(membership.len());
-            if epoch > 0 {
-                shared.joins_counter.add(churn.joins);
-            }
-            shared.leaves_counter.add(churn.leaves);
-            shared.drifts_counter.add(churn.drifts);
-            match round {
-                Some(round) => {
-                    shared
-                        .materialized_gauge
-                        .set(round.materialized_hosts() as u64);
-                    shared.rounds_counter.inc();
-                    if let Some(snapshot) = round.telemetry() {
-                        lock(&shared.campaign_telemetry).absorb(snapshot);
-                    }
-                    shared.set_state(ServiceState::Ready);
-                }
-                None => {
-                    epochs_degraded += 1;
-                    shared.degraded_counter.inc();
-                    shared.set_state(ServiceState::Degraded);
-                }
+        while epochs_completed < limit && !shared.shutdown_requested() {
+            // Open the next epochs in order: membership advances and each
+            // epoch's row, both matrices it may end with and the
+            // population its round scans are fixed before any round runs.
+            let batch = epochs_completed..limit.min(epochs_completed + ROUNDS_IN_FLIGHT);
+            let mut opened = Vec::with_capacity(ROUNDS_IN_FLIGHT as usize);
+            let mut populations = Vec::with_capacity(ROUNDS_IN_FLIGHT as usize);
+            for epoch in batch {
+                let churn =
+                    membership.advance(std::iter::from_fn(|| resolution.poll_update(epoch)));
+                opened.push(Opened {
+                    row: EpochRow {
+                        epoch,
+                        virtual_day: clock.days_at(epoch),
+                        population: membership.len(),
+                        joins: churn.joins,
+                        leaves: churn.leaves,
+                        drifts: churn.drifts,
+                        class_counts: membership.class_counts,
+                        ..EpochRow::default()
+                    },
+                    transitions: membership.transitions(&churn),
+                    skipped: membership.skipped(),
+                });
+                populations.push(membership.population(&statics));
             }
 
-            if config.checkpoint_every > 0 && epochs_completed % config.checkpoint_every == 0 {
-                self.flush_generation(epochs_completed)?;
+            // Then absorb them strictly in epoch order, exactly as if
+            // they had run one after another. A shutdown requested
+            // meanwhile lets every opened epoch land first.
+            let rounds = run_rounds(config, shared, epochs_completed, populations);
+            for (opened, round) in opened.into_iter().zip(rounds) {
+                epochs_degraded += u64::from(absorb(shared, opened, round));
+                epochs_completed += 1;
+                if config.checkpoint_every > 0 && epochs_completed % config.checkpoint_every == 0 {
+                    self.flush_generation(epochs_completed)?;
+                }
+                wait_interval(shared, config.interval);
             }
-            wait_interval(shared, config.interval);
-        };
+        }
 
-        // Final flush happens even on an error path: the completed
-        // epochs are valid and resumable.
         let checkpoint_path = self.flush_generation(epochs_completed)?;
         shared.set_state(ServiceState::Stopping);
         shared.healthy.store(false, Ordering::SeqCst);
-        result.map(|()| RunReport {
+        Ok(RunReport {
             epochs_completed,
             resumed_from,
             checkpoint_path,
             quarantined,
             epochs_degraded,
         })
-    }
-
-    /// One campaign attempt for `epoch`: builds the round's population
-    /// (members interned against the shared pool table), runs the
-    /// campaign, and maps a campaign error or a shard-incomplete result
-    /// to an `Err` — a panic reaches [`supervise`] as it is — so the
-    /// epoch supervisor can retry or degrade uniformly.
-    fn run_round(
-        &self,
-        epoch: u64,
-        statics: &orscope_resolver::population::Population,
-        members: &BTreeMap<Ipv4Addr, PlannedResolver>,
-        sabotaged: bool,
-    ) -> Result<CampaignResult, String> {
-        let config = &self.config;
-        let bus = Arc::clone(self.shared.bus());
-        if sabotaged {
-            panic!("sabotaged epoch attempt");
-        }
-        // The epoch membership re-enters the compact representation
-        // here: each member's (owned) policy is interned against
-        // the shared pool table, so a round's storage stays ~10
-        // bytes per host no matter how large the membership grows.
-        // For the built-in churn model every policy is already a
-        // pool profile and interning allocates nothing new.
-        let mut population = statics.clone();
-        let table = Arc::make_mut(&mut population.table);
-        let mut resolvers = HostList::with_capacity(members.len());
-        for member in members.values() {
-            let profile = table.intern(member.policy.clone());
-            let country = table.intern_country(member.country);
-            resolvers.push(member.addr, profile, country);
-        }
-        population.resolvers = resolvers;
-
-        let mut campaign_config = CampaignConfig::new(config.year, config.scale)
-            .with_seed(
-                config
-                    .seed
-                    .wrapping_add(epoch.wrapping_mul(EPOCH_SEED_STRIDE)),
-            )
-            .with_shards(config.shards);
-        if let Some(deadline) = config.epoch_deadline_virtual_secs {
-            campaign_config = campaign_config.with_virtual_deadline(Duration::from_secs(deadline));
-        }
-        let outcome = Campaign::new(campaign_config)
-            .with_bus(bus)
-            .run_with_population(population);
-        match outcome {
-            Ok(round) if round.is_partial() => {
-                // A shard is missing, so the counts depend on the shard
-                // layout; absorbing them would break byte-invariance.
-                // Treat like any other failure.
-                let report = round
-                    .degraded()
-                    .map(ToString::to_string)
-                    .unwrap_or_default();
-                Err(format!("shard-incomplete result: {}", report.trim_end()))
-            }
-            Ok(round) => Ok(round),
-            Err(err) => Err(err.to_string()),
-        }
     }
 
     /// Writes generation `epochs_done`: encoded under the read lock,
@@ -799,6 +705,208 @@ impl<R: Resolve> Observatory<R> {
             epochs_done,
             &sealed,
         )?)
+    }
+}
+
+/// An epoch between its membership update and its absorb: the row as
+/// churn left it, plus the matrix it takes if its round completes and
+/// the one it takes if the round degrades.
+struct Opened {
+    row: EpochRow,
+    transitions: TransitionMatrix,
+    skipped: TransitionMatrix,
+}
+
+/// What a completed round leaves for its row: the Table III, VI and IX
+/// counts, the campaign telemetry, and the peak of hosts it
+/// materialized. The round's result itself is dropped where it ran.
+struct Round {
+    r2: u64,
+    without_answer: u64,
+    correct: u64,
+    incorrect: u64,
+    err_pct: f64,
+    nxdomain: u64,
+    refused: u64,
+    malicious: u64,
+    telemetry: Option<TelemetrySnapshot>,
+    materialized_hosts: u64,
+}
+
+impl Round {
+    fn of(result: &CampaignResult) -> Self {
+        let breakdown = result.table3_measured().0;
+        let rcodes = result.table6_measured();
+        let (nx_w, nx_wo) = rcodes.get(Rcode::NXDomain);
+        let (ref_w, ref_wo) = rcodes.get(Rcode::Refused);
+        Self {
+            r2: breakdown.total(),
+            without_answer: breakdown.wo,
+            correct: breakdown.w_corr,
+            incorrect: breakdown.w_incorr,
+            err_pct: breakdown.err_pct(),
+            nxdomain: nx_w + nx_wo,
+            refused: ref_w + ref_wo,
+            malicious: result.table9_measured().total_r2(),
+            telemetry: result.telemetry().cloned(),
+            materialized_hosts: result.materialized_hosts() as u64,
+        }
+    }
+
+    /// Writes the scan counts into `row`.
+    fn fill(&self, row: &mut EpochRow) {
+        row.r2 = self.r2;
+        row.without_answer = self.without_answer;
+        row.correct = self.correct;
+        row.incorrect = self.incorrect;
+        row.err_pct = self.err_pct;
+        row.nxdomain = self.nxdomain;
+        row.refused = self.refused;
+        row.malicious = self.malicious;
+    }
+}
+
+/// Runs the rounds of the epochs from `first` on, one per population:
+/// the first on this thread, each other on a scoped helper of its own.
+/// Rounds share nothing but the bus, so they run side by side; the
+/// outcomes come back in epoch order.
+fn run_rounds(
+    config: &ServeConfig,
+    shared: &ObservatoryShared,
+    first: u64,
+    populations: Vec<Population>,
+) -> Vec<Supervised<Round>> {
+    let start = |epoch: u64, population: Population| {
+        #[cfg(test)]
+        shared.round_started();
+        run_round(config, Arc::clone(&shared.bus), epoch, population)
+    };
+    std::thread::scope(|scope| {
+        let mut rounds = (first..).zip(populations);
+        let here = rounds.next();
+        let helpers: Vec<_> = rounds
+            .map(|(epoch, population)| scope.spawn(move || start(epoch, population)))
+            .collect();
+        here.map(|(epoch, population)| start(epoch, population))
+            .into_iter()
+            .chain(
+                helpers
+                    .into_iter()
+                    .map(|helper| helper.join().expect("a round's supervisor does not panic")),
+            )
+            .collect()
+    })
+}
+
+/// The supervised campaign round of `epoch` over `population`: an
+/// attempt, then one retry with the identical seed. An attempt fails by
+/// panicking (the sabotage hook, keyed on `(epoch, attempt)`, panics
+/// before the campaign starts), by a campaign error, or by a
+/// shard-incomplete result.
+fn run_round(
+    config: &ServeConfig,
+    bus: Arc<RecordBus>,
+    epoch: u64,
+    population: Population,
+) -> Supervised<Round> {
+    let mut campaign_config = CampaignConfig::new(config.year, config.scale)
+        .with_seed(
+            config
+                .seed
+                .wrapping_add(epoch.wrapping_mul(EPOCH_SEED_STRIDE)),
+        )
+        .with_shards(config.shards);
+    if let Some(deadline) = config.epoch_deadline_virtual_secs {
+        campaign_config = campaign_config.with_virtual_deadline(Duration::from_secs(deadline));
+    }
+    let campaign = Campaign::new(campaign_config).with_bus(bus);
+    // Shared, so the retry scans the very population the attempt did.
+    let population = Arc::new(population);
+    supervise(|attempt| {
+        if config
+            .sabotage
+            .is_some_and(|plan| plan.epoch == epoch && attempt < plan.failures)
+        {
+            panic!("sabotaged epoch attempt");
+        }
+        match campaign.run_with_population(Arc::clone(&population)) {
+            Ok(round) if round.is_partial() => {
+                // A shard is missing, so the counts depend on the shard
+                // layout; absorbing them would break byte-invariance.
+                // Treat like any other failure.
+                let report = round
+                    .degraded()
+                    .map(ToString::to_string)
+                    .unwrap_or_default();
+                Err(format!("shard-incomplete result: {}", report.trim_end()))
+            }
+            Ok(round) => Ok(Round::of(&round)),
+            Err(err) => Err(err.to_string()),
+        }
+    })
+}
+
+/// Absorbs one epoch whose round came back: its row into the tables,
+/// then the service's gauges, counters and state. Returns whether the
+/// epoch degraded.
+fn absorb(shared: &ObservatoryShared, opened: Opened, supervised: Supervised<Round>) -> bool {
+    let Opened {
+        mut row,
+        transitions,
+        skipped,
+    } = opened;
+    let epoch = row.epoch;
+    if let Some(message) = &supervised.first_failure {
+        shared.retries_counter.inc();
+        eprintln!("epoch {epoch} attempt failed ({message}); retrying");
+    }
+    let round = supervised
+        .outcome
+        .inspect_err(|message| eprintln!("epoch {epoch} retry failed ({message}); degrading"))
+        .ok();
+    match &round {
+        Some(round) => {
+            round.fill(&mut row);
+            row.transitions = transitions;
+        }
+        None => {
+            // Degraded epoch: the scan never produced a usable round.
+            // Membership still advanced (churn is pure), so the
+            // population is conserved in the `skip` pseudo-row at each
+            // member's current class; scan counts stay zero.
+            row.transitions = skipped;
+            row.degraded = true;
+        }
+    }
+    let (population, joins, leaves, drifts) = (row.population, row.joins, row.leaves, row.drifts);
+    write(&shared.tables).absorb_epoch(row);
+    #[cfg(test)]
+    shared.rounds_in_flight.fetch_sub(1, Ordering::SeqCst);
+
+    shared.epochs_completed.store(epoch + 1, Ordering::SeqCst);
+    shared.population.store(population, Ordering::SeqCst);
+    shared.epochs_gauge.set(epoch + 1);
+    shared.population_gauge.set(population);
+    if epoch > 0 {
+        shared.joins_counter.add(joins);
+    }
+    shared.leaves_counter.add(leaves);
+    shared.drifts_counter.add(drifts);
+    match round {
+        Some(round) => {
+            shared.materialized_gauge.set(round.materialized_hosts);
+            shared.rounds_counter.inc();
+            if let Some(snapshot) = &round.telemetry {
+                lock(&shared.campaign_telemetry).absorb(snapshot);
+            }
+            shared.set_state(ServiceState::Ready);
+            false
+        }
+        None => {
+            shared.degraded_counter.inc();
+            shared.set_state(ServiceState::Degraded);
+            true
+        }
     }
 }
 
@@ -931,6 +1039,24 @@ impl Membership {
         matrix
     }
 
+    /// The population a round over the current members scans: `statics`
+    /// with each member's (owned) policy interned against its pool
+    /// table, so a round's storage stays ~10 bytes per host however large
+    /// the membership grows. For the built-in churn model every policy
+    /// is already a pool profile and interning allocates nothing new.
+    fn population(&self, statics: &Population) -> Population {
+        let mut population = statics.clone();
+        let table = Arc::make_mut(&mut population.table);
+        let mut resolvers = HostList::with_capacity(self.members.len());
+        for member in self.members.values() {
+            let profile = table.intern(member.policy.clone());
+            let country = table.intern_country(member.country);
+            resolvers.push(member.addr, profile, country);
+        }
+        population.resolvers = resolvers;
+        population
+    }
+
     /// A degraded epoch's matrix: every member in the `skip` pseudo-row
     /// at its current class.
     fn skipped(&self) -> TransitionMatrix {
@@ -1011,6 +1137,21 @@ mod tests {
         let tables = shared.tables_bytes();
         assert!(!tables.is_empty());
         assert!(report.checkpoint_path.exists());
+        std::fs::remove_dir_all(&observatory.config().state_dir).unwrap();
+    }
+
+    #[test]
+    fn two_rounds_are_in_flight_before_either_is_absorbed() {
+        // Counted from a round's start to its row's absorb, so the count
+        // needs no timing: a scheduler that absorbed each round before
+        // starting the next would never read more than one.
+        let mut four = config("in-flight");
+        four.epochs = Some(4);
+        let mut observatory = Observatory::new(four).unwrap();
+        let shared = observatory.shared();
+        observatory.run().unwrap();
+        assert_eq!(shared.rounds_in_flight_high_water.load(Ordering::SeqCst), 2);
+        assert_eq!(shared.rounds_in_flight.load(Ordering::SeqCst), 0);
         std::fs::remove_dir_all(&observatory.config().state_dir).unwrap();
     }
 

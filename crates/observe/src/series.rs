@@ -60,6 +60,14 @@ fn class_named(name: &str) -> Result<ProfileClass, String> {
         .ok_or_else(|| format!("unknown class {name:?}"))
 }
 
+/// A matrix cell. A row's own matrix counts distinct IPv4 members of one
+/// epoch, so its cells fit `u32`; the cumulative matrix sums every row
+/// and keeps `u64`. Either way a cell reads as `u64`.
+pub trait Cell: Copy + Default + PartialEq + std::fmt::Debug + Into<u64> + TryFrom<u64> {}
+
+impl Cell for u32 {}
+impl Cell for u64 {}
+
 /// How members moved between behavior classes across one epoch (or
 /// cumulatively). Rows are the previous-epoch class plus two
 /// pseudo-rows: `join` for members that were not present last epoch,
@@ -70,11 +78,17 @@ fn class_named(name: &str) -> Result<ProfileClass, String> {
 /// epoch's population size — the conservation law the determinism
 /// suite checks, degraded epochs included.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct TransitionMatrix {
-    counts: [[u64; N_CLASSES]; N_ROWS],
+pub struct Transitions<C: Cell> {
+    counts: [[C; N_CLASSES]; N_ROWS],
 }
 
-impl TransitionMatrix {
+/// One epoch's matrix, as a row holds it.
+pub type TransitionMatrix = Transitions<u32>;
+
+/// The sum of every absorbed row's matrix.
+pub type CumulativeTransitions = Transitions<u64>;
+
+impl<C: Cell> Transitions<C> {
     /// Records one member that is now in `to`, coming from `from`
     /// (`None` = joined this epoch).
     pub fn record(&mut self, from: Option<ProfileClass>, to: ProfileClass) {
@@ -90,23 +104,30 @@ impl TransitionMatrix {
 
     /// Adds `count` members to the cell of matrix row `row` (a class
     /// index, [`JOIN`] or [`SKIP`]) and column `to`.
+    ///
+    /// # Panics
+    ///
+    /// When the cell would leave its type's range — for a row's matrix,
+    /// more members than IPv4 has addresses.
     pub(crate) fn add(&mut self, row: usize, to: ProfileClass, count: u64) {
-        self.counts[row][to.index()] += count;
+        let cell = &mut self.counts[row][to.index()];
+        let sum = (*cell).into() + count;
+        *cell = C::try_from(sum).unwrap_or_else(|_| panic!("matrix cell {sum} out of range"));
     }
 
     /// The count skipped into `to` during degraded epochs.
     pub fn get_skip(&self, to: ProfileClass) -> u64 {
-        self.counts[SKIP][to.index()]
+        self.counts[SKIP][to.index()].into()
     }
 
     /// The count in one cell (`from: None` = the join pseudo-row).
     pub fn get(&self, from: Option<ProfileClass>, to: ProfileClass) -> u64 {
-        self.counts[from.map_or(JOIN, ProfileClass::index)][to.index()]
+        self.counts[from.map_or(JOIN, ProfileClass::index)][to.index()].into()
     }
 
     /// Sum over all cells — for a per-epoch matrix, the population size.
     pub fn total(&self) -> u64 {
-        self.counts.iter().flatten().sum()
+        self.counts.iter().flatten().map(|&cell| cell.into()).sum()
     }
 
     /// Members that changed class this epoch (off-diagonal, excluding
@@ -116,48 +137,29 @@ impl TransitionMatrix {
         for (row, cols) in self.counts.iter().take(N_CLASSES).enumerate() {
             for (col, &count) in cols.iter().enumerate() {
                 if row != col {
-                    moved += count;
+                    moved += count.into();
                 }
             }
         }
         moved
     }
 
-    /// Adds `other`'s cells into this matrix.
-    pub fn absorb(&mut self, other: &TransitionMatrix) {
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            for (cell, &add) in mine.iter_mut().zip(theirs) {
-                *cell += add;
-            }
-        }
-    }
-
-    /// [`Self::absorb`] that reports overflow instead of wrapping, for
-    /// counts read from disk.
-    fn checked_absorb(&mut self, other: &TransitionMatrix) -> Option<()> {
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            for (cell, &add) in mine.iter_mut().zip(theirs) {
-                *cell = cell.checked_add(add)?;
-            }
-        }
-        Some(())
-    }
-
-    /// Writes the checkpoint form: `{"counts": [[u64; N_CLASSES]; N_ROWS]}`.
+    /// Writes the checkpoint form: `{"counts": [[count; N_CLASSES]; N_ROWS]}`.
     fn write(&self, out: &mut Writer) {
         out.begin_object().key("counts").begin_array();
         for row in &self.counts {
             out.begin_array();
             for &cell in row {
-                out.u64(cell);
+                out.u64(cell.into());
             }
             out.end_array();
         }
         out.end_array().end_object();
     }
 
-    /// Reads the checkpoint form; a matrix of any other shape is an
-    /// error here, before anything could index it.
+    /// Reads the checkpoint form; a matrix of any other shape, or a cell
+    /// out of its type's range, is an error here, before anything could
+    /// index or add it.
     fn read(input: &mut Reader) -> Result<Self, String> {
         let mut matrix = Self::default();
         input.object(&["counts"], |input, _| {
@@ -169,7 +171,7 @@ impl TransitionMatrix {
                 let cols = input.array(|input, col| {
                     *cells
                         .get_mut(col)
-                        .ok_or(format!("more than {N_CLASSES} columns"))? = input.u64()?;
+                        .ok_or(format!("more than {N_CLASSES} columns"))? = cell(input.u64()?)?;
                     Ok(())
                 })?;
                 if cols == N_CLASSES {
@@ -191,10 +193,10 @@ impl TransitionMatrix {
     /// ..., "join": {...}, "skip": {...}}`, rows and columns sorted by
     /// label.
     fn write_labeled(&self, out: &mut Writer, labels: &[ProfileClass; N_CLASSES]) {
-        let row = |out: &mut Writer, cells: &[u64; N_CLASSES]| {
+        let row = |out: &mut Writer, cells: &[C; N_CLASSES]| {
             out.begin_object();
             for class in labels {
-                out.key(class.as_str()).u64(cells[class.index()]);
+                out.key(class.as_str()).u64(cells[class.index()].into());
             }
             out.end_object();
         };
@@ -208,6 +210,33 @@ impl TransitionMatrix {
         out.key("skip");
         row(out, &self.counts[SKIP]);
         out.end_object();
+    }
+}
+
+/// A count read from disk as a cell, if it fits one.
+fn cell<C: Cell>(count: u64) -> Result<C, String> {
+    C::try_from(count).map_err(|_| format!("matrix cell {count} out of range"))
+}
+
+impl CumulativeTransitions {
+    /// Adds a row's cells into the running sum.
+    pub(crate) fn absorb(&mut self, row: &TransitionMatrix) {
+        for (mine, theirs) in self.counts.iter_mut().zip(&row.counts) {
+            for (cell, &add) in mine.iter_mut().zip(theirs) {
+                *cell += u64::from(add);
+            }
+        }
+    }
+
+    /// [`Self::absorb`] that reports overflow instead of wrapping, for
+    /// counts read from disk.
+    fn checked_absorb(&mut self, row: &TransitionMatrix) -> Option<()> {
+        for (mine, theirs) in self.counts.iter_mut().zip(&row.counts) {
+            for (cell, &add) in mine.iter_mut().zip(theirs) {
+                *cell = cell.checked_add(u64::from(add))?;
+            }
+        }
+        Some(())
     }
 }
 
@@ -487,7 +516,7 @@ impl Totals {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RollingTables {
     epochs: Vec<EpochRow>,
-    cumulative: TransitionMatrix,
+    cumulative: CumulativeTransitions,
     totals: Totals,
 }
 
@@ -546,18 +575,13 @@ impl RollingTables {
     pub fn validate(&self) -> Result<(), String> {
         let overflow = || "counts overflow u64".to_owned();
         let mut totals = [0u64; 8];
-        let mut cumulative = TransitionMatrix::default();
+        let mut cumulative = CumulativeTransitions::default();
         for (index, row) in self.epochs.iter().enumerate() {
             if row.epoch != index as u64 {
                 return Err(format!("row {index} claims epoch {}", row.epoch));
             }
-            let population = row
-                .transitions
-                .counts
-                .iter()
-                .flatten()
-                .try_fold(0u64, |sum, &cell| sum.checked_add(cell))
-                .ok_or_else(overflow)?;
+            // `u32` cells: no row's total can overflow.
+            let population = row.transitions.total();
             if population != row.population {
                 return Err(format!(
                     "epoch {index}: matrix total {population} != population {}",
@@ -743,7 +767,7 @@ impl RollingTables {
                         Ok(())
                     })?;
                 }
-                "cumulative" => tables.cumulative = TransitionMatrix::read(input)?,
+                "cumulative" => tables.cumulative = CumulativeTransitions::read(input)?,
                 "totals" => tables.totals = Totals::read(input)?,
                 other => unreachable!("{other} is not a member of the rolling state"),
             }
@@ -789,14 +813,16 @@ pub(crate) mod oracle {
         Ok(counts)
     }
 
-    impl TransitionMatrix {
+    impl<C: Cell> Transitions<C> {
         pub(crate) fn to_wire(&self) -> Wire {
             Wire::obj(vec![(
                 "counts",
                 Wire::Arr(
                     self.counts
                         .iter()
-                        .map(|row| Wire::Arr(row.iter().map(|&cell| Wire::U64(cell)).collect()))
+                        .map(|row| {
+                            Wire::Arr(row.iter().map(|&cell| Wire::U64(cell.into())).collect())
+                        })
                         .collect(),
                 ),
             )])
@@ -813,8 +839,8 @@ pub(crate) mod oracle {
                 if row.len() != N_CLASSES {
                     return Err(format!("{} columns, not {N_CLASSES}", row.len()));
                 }
-                for (cell, value) in cells.iter_mut().zip(row) {
-                    *cell = value.as_u64()?;
+                for (slot, value) in cells.iter_mut().zip(row) {
+                    *slot = cell(value.as_u64()?)?;
                 }
             }
             Ok(matrix)
@@ -825,12 +851,12 @@ pub(crate) mod oracle {
                 members.sort_by(|a, b| a.0.cmp(&b.0));
                 Wire::Obj(members)
             };
-            let row_json = |cols: &[u64]| {
+            let row_json = |cols: &[C]| {
                 sorted(
                     ProfileClass::ALL
                         .iter()
                         .zip(cols)
-                        .map(|(class, &count)| (class.as_str().to_owned(), Wire::U64(count)))
+                        .map(|(class, &count)| (class.as_str().to_owned(), Wire::U64(count.into())))
                         .collect(),
                 )
             };
@@ -1036,7 +1062,7 @@ pub(crate) mod oracle {
                     .iter()
                     .map(EpochRow::from_wire)
                     .collect::<Result<Vec<EpochRow>, String>>()?,
-                cumulative: wire.field_as("cumulative", TransitionMatrix::from_wire)?,
+                cumulative: wire.field_as("cumulative", CumulativeTransitions::from_wire)?,
                 totals: wire.field_as("totals", Totals::from_wire)?,
             })
         }
@@ -1185,6 +1211,36 @@ pub(crate) mod tests {
         assert_eq!(matrix.moved(), 0, "a skip is not a class change");
         assert_eq!(matrix.get_skip(ProfileClass::Honest), 2);
         assert_eq!(matrix.to_json()["skip"]["refusing"], Wire::U64(1));
+    }
+
+    #[test]
+    fn a_row_cell_holds_a_u32_and_a_cumulative_one_a_u64() {
+        let one_cell = |cell: u64| {
+            let zeros = ["0"; N_CLASSES - 1].join(",");
+            let mut rows = vec![format!("[0,{zeros}]"); N_ROWS];
+            rows[0] = format!("[{cell},{zeros}]");
+            format!(r#"{{"counts":[{}]}}"#, rows.join(","))
+        };
+        let row = |text: &str| TransitionMatrix::read(&mut Reader::new(text.as_bytes()));
+        let full = row(&one_cell(u64::from(u32::MAX))).unwrap();
+        assert_eq!(full.total(), u64::from(u32::MAX));
+        let past = one_cell(1 << 32);
+        assert!(row(&past).unwrap_err().contains("out of range"));
+        assert!(TransitionMatrix::from_wire(&Wire::decode(&past).unwrap()).is_err());
+        let cumulative = CumulativeTransitions::read(&mut Reader::new(past.as_bytes())).unwrap();
+        assert_eq!(cumulative.total(), 1 << 32);
+        assert_eq!(
+            CumulativeTransitions::from_wire(&Wire::decode(&past).unwrap()),
+            Ok(cumulative)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn a_row_cell_never_wraps() {
+        let mut matrix = TransitionMatrix::default();
+        matrix.add(0, ProfileClass::Honest, u64::from(u32::MAX));
+        matrix.record(Some(ProfileClass::ALL[0]), ProfileClass::Honest);
     }
 
     #[test]

@@ -733,6 +733,53 @@ mod tests {
         assert!(accepted > 200, "only {accepted} inputs verified");
     }
 
+    /// The member at `path` of a decoded generation.
+    fn member<'a>(value: &'a mut Wire, path: &[&str]) -> &'a mut Wire {
+        path.iter().fold(value, |value, step| match value {
+            Wire::Obj(members) => {
+                &mut members
+                    .iter_mut()
+                    .find(|(name, _)| name == step)
+                    .unwrap_or_else(|| panic!("no member {step}"))
+                    .1
+            }
+            Wire::Arr(items) => &mut items[step.parse::<usize>().unwrap()],
+            other => panic!("{other:?} has no member {step}"),
+        })
+    }
+
+    #[test]
+    fn a_row_cell_past_u32_does_not_verify() {
+        // A row's matrix counts one epoch's distinct IPv4 members, so a
+        // cell of 2^32 cannot be true: a generation holding one is
+        // refused at the parse even when its population, cumulative
+        // matrix and digest all agree with it. The cumulative matrix
+        // itself may pass 2^32.
+        let mut rng = Rng::new(26);
+        let checkpoint = loop {
+            let checkpoint = arbitrary_checkpoint(&mut rng);
+            if checkpoint.epochs_done > 0 {
+                break checkpoint;
+            }
+        };
+        let generation = checkpoint.epochs_done;
+        let mut tree = checkpoint.to_wire();
+        for path in [
+            &["tables", "epochs", "0", "population"][..],
+            &["tables", "epochs", "0", "transitions", "counts", "0", "0"],
+            &["tables", "cumulative", "counts", "0", "0"],
+        ] {
+            let Wire::U64(count) = member(&mut tree, path) else {
+                panic!("{path:?} is not a count");
+            };
+            *count += 1 << 32;
+        }
+        let sealed = integrity::seal(tree.encode().into_bytes());
+        let reason = ObservatoryCheckpoint::verify(&sealed, generation).unwrap_err();
+        assert!(reason.contains("out of range"), "{reason}");
+        assert!(ObservatoryCheckpoint::verify_tree(&sealed, generation).is_err());
+    }
+
     #[test]
     fn a_reordered_generation_reads_back_the_same_checkpoint() {
         cases(32, |rng| {

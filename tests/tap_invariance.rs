@@ -16,6 +16,8 @@ use orscope_core::{
     DEFAULT_TAP_CAPACITY,
 };
 use orscope_resolver::paper::Year;
+use orscope_resolver::population::{Population, PopulationConfig};
+use orscope_resolver::{ProfileClass, ResponsePolicy};
 
 /// Serialized table reports: the byte-level comparison surface (wall
 /// clock is excluded; it is never invariant).
@@ -143,4 +145,61 @@ fn concurrent_tap_drain(analysis: AnalysisMode) {
     assert!(seen > 0, "a drained match-all tap must observe records");
     assert_eq!(result.tables_json(), baseline.tables_json());
     assert_eq!(result.render(), baseline.render());
+}
+
+#[test]
+fn concurrent_campaigns_tag_each_record_with_its_own_round() {
+    // Two campaigns share one bus and run side by side, as two
+    // observatory rounds do. One address is honest in the first and
+    // refusing in the second; the second measures under its own zone so
+    // a record's qname tells which campaign captured it. Nothing is
+    // decoded until both have finished, so a class looked up at decode
+    // time would tag both campaigns' records alike.
+    let first_config = CampaignConfig::new(Year::Y2018, 20_000.0);
+    let mut second_config = first_config.clone();
+    second_config.infra.zone = "probeteam.net".parse().unwrap();
+    second_config.infra.auth_ns_name = "ns1.probeteam.net".parse().unwrap();
+    let mut generate = PopulationConfig::new(first_config.year, first_config.scale);
+    generate.seed = first_config.seed;
+    generate.reserved_hosts = first_config.infra.addresses();
+    let first = Population::generate(&generate);
+    let index = (0..first.resolvers.len())
+        .find(|&i| first.resolver(i).policy.class() == ProfileClass::Honest)
+        .expect("the population has an honest resolver");
+    let addr = first.resolver(index).addr;
+    let mut second = first.clone();
+    let refusing = ResponsePolicy::refusing();
+    assert_eq!(refusing.class(), ProfileClass::Refusing);
+    let refusing = Arc::make_mut(&mut second.table).intern(refusing);
+    second.resolvers.set_profile(index, refusing);
+
+    let bus = Arc::new(RecordBus::new());
+    let tap = TapSubscriber::attach(&bus, TapPredicate::match_all(), 1 << 15, &Infra::default());
+    std::thread::scope(|scope| {
+        for (config, population) in [(first_config, first), (second_config, second)] {
+            let bus = bus.clone();
+            scope.spawn(move || {
+                Campaign::new(config)
+                    .with_bus(bus)
+                    .run_with_population(population)
+                    .unwrap()
+            });
+        }
+    });
+    let mut seen = [0u32; 2];
+    while let Some(event) = tap.poll_now() {
+        if event.src != addr && event.dst != addr {
+            continue;
+        }
+        let qname = event.qname.as_deref().expect("every record here decodes");
+        let (campaign, class) = if qname.ends_with(".probeteam.net") {
+            (1, ProfileClass::Refusing)
+        } else {
+            (0, ProfileClass::Honest)
+        };
+        assert_eq!(event.class, Some(class), "{event:?}");
+        seen[campaign] += 1;
+    }
+    assert_eq!(tap.dropped(), 0, "the lane held every record");
+    assert!(seen.iter().all(|&events| events > 0), "{seen:?}");
 }
