@@ -7,6 +7,7 @@
 //! section, NS in authority, glue A in additional) toward the next zone
 //! cut, which is exactly what an iterative resolver needs.
 
+use std::cell::Cell;
 use std::net::Ipv4Addr;
 
 use orscope_dns_wire::{Message, MessageBuilder, Name, RData, Rcode, Record};
@@ -24,41 +25,65 @@ pub struct Delegation {
     pub glue: Ipv4Addr,
 }
 
-/// Shared referral logic for root and TLD servers.
+/// A delegation-only name server: a root (delegating TLDs) or a TLD
+/// (delegating second-level domains) — the two differ only in the
+/// delegations they are given.
 #[derive(Debug, Clone, Default)]
-struct DelegationTable {
+pub struct DelegationServer {
     /// One entry per delegated zone name. A server delegates a handful
     /// of zones (the campaign's root and TLD one each), so finding the
     /// deepest one that encloses a qname is a label-wise suffix
     /// comparison against each — no name is built or hashed per query.
     entries: Vec<Delegation>,
+    queries_served: Cell<u64>,
+    /// Scratch the query in hand is decoded into, the referral is built
+    /// in, and it is encoded through: each reuses the previous packet's
+    /// storage.
+    inbound: Message,
+    outbound: Message,
+    scratch: Vec<u8>,
 }
 
-impl DelegationTable {
-    /// Adds `delegation`, replacing an earlier one of the same zone.
-    fn insert(&mut self, delegation: Delegation) {
+impl DelegationServer {
+    /// Creates an empty server; add delegations before use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds a delegation for `zone` served by `ns` at `glue`, replacing
+    /// an earlier one of the same zone.
+    pub fn delegate(&mut self, zone: Name, ns: Name, glue: Ipv4Addr) -> &mut Self {
+        let delegation = Delegation { zone, ns, glue };
         match self.entries.iter_mut().find(|d| d.zone == delegation.zone) {
             Some(entry) => *entry = delegation,
             None => self.entries.push(delegation),
         }
+        self
     }
 
-    /// Finds the closest enclosing delegation for `qname`.
-    fn find(&self, qname: &Name) -> Option<&Delegation> {
-        self.entries
-            .iter()
-            .filter(|d| qname.is_subdomain_of(&d.zone))
-            .max_by_key(|d| d.zone.label_count())
+    /// Number of queries served (for Table II style accounting).
+    pub fn queries_served(&self) -> u64 {
+        self.queries_served.get()
     }
 
-    /// Builds a referral (or NXDomain) response for a query with
-    /// `builder`.
-    fn respond(&self, query: &Message, builder: MessageBuilder) -> Message {
+    /// Builds the referral response for a decoded query.
+    pub fn respond(&self, query: &Message) -> Message {
+        self.respond_with(query, Message::builder())
+    }
+
+    /// Builds a referral to the closest enclosing delegation (or an
+    /// NXDomain) for a query with `builder`.
+    fn respond_with(&self, query: &Message, builder: MessageBuilder) -> Message {
+        self.queries_served.set(self.queries_served.get() + 1);
         let builder = builder.response_to(query);
         let Some(question) = query.first_question() else {
             return builder.rcode(Rcode::FormErr).build();
         };
-        match self.find(question.qname()) {
+        let enclosing = self
+            .entries
+            .iter()
+            .filter(|d| question.qname().is_subdomain_of(&d.zone));
+        match enclosing.max_by_key(|d| d.zone.label_count()) {
             Some(d) => builder
                 .authority(Record::in_class(
                     d.zone.clone(),
@@ -72,80 +97,25 @@ impl DelegationTable {
     }
 }
 
-macro_rules! delegation_endpoint {
-    ($(#[$doc:meta])* $name:ident) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Default)]
-        pub struct $name {
-            table: DelegationTable,
-            queries_served: std::cell::Cell<u64>,
-            /// Scratch the query in hand is decoded into, the referral
-            /// is built in, and it is encoded through: each reuses the
-            /// previous packet's storage.
-            inbound: Message,
-            outbound: Message,
-            scratch: Vec<u8>,
+impl Endpoint for DelegationServer {
+    fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
+        if dgram.dst_port != 53 {
+            return;
         }
-
-        impl $name {
-            /// Creates an empty server; add delegations before use.
-            pub fn new() -> Self {
-                Self::default()
+        let mut query = std::mem::take(&mut self.inbound);
+        if query.decode_into(&dgram.payload).is_ok() && !query.header().is_response() {
+            let builder = MessageBuilder::reusing(std::mem::take(&mut self.outbound));
+            let response = self.respond_with(&query, builder);
+            if response
+                .encode_truncated_into(query.response_size_limit(), &mut self.scratch)
+                .is_ok()
+            {
+                ctx.send(dgram.reply(self.scratch.as_slice()));
             }
-
-            /// Adds a delegation for `zone` served by `ns` at `glue`.
-            pub fn delegate(&mut self, zone: Name, ns: Name, glue: Ipv4Addr) -> &mut Self {
-                self.table.insert(Delegation { zone, ns, glue });
-                self
-            }
-
-            /// Number of queries served (for Table II style accounting).
-            pub fn queries_served(&self) -> u64 {
-                self.queries_served.get()
-            }
-
-            /// Builds the referral response for a decoded query.
-            pub fn respond(&self, query: &Message) -> Message {
-                self.respond_with(query, Message::builder())
-            }
-
-            fn respond_with(&self, query: &Message, builder: MessageBuilder) -> Message {
-                self.queries_served.set(self.queries_served.get() + 1);
-                self.table.respond(query, builder)
-            }
+            self.outbound = response;
         }
-
-        impl Endpoint for $name {
-            fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
-                if dgram.dst_port != 53 {
-                    return;
-                }
-                let mut query = std::mem::take(&mut self.inbound);
-                if query.decode_into(&dgram.payload).is_ok() && !query.header().is_response() {
-                    let builder = MessageBuilder::reusing(std::mem::take(&mut self.outbound));
-                    let response = self.respond_with(&query, builder);
-                    if response
-                        .encode_truncated_into(query.response_size_limit(), &mut self.scratch)
-                        .is_ok()
-                    {
-                        ctx.send(dgram.reply(self.scratch.as_slice()));
-                    }
-                    self.outbound = response;
-                }
-                self.inbound = query;
-            }
-        }
-    };
-}
-
-delegation_endpoint! {
-    /// A root name server: delegates TLDs.
-    RootServer
-}
-
-delegation_endpoint! {
-    /// A TLD name server: delegates second-level domains.
-    TldServer
+        self.inbound = query;
+    }
 }
 
 #[cfg(test)]
@@ -157,8 +127,8 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn root() -> RootServer {
-        let mut r = RootServer::new();
+    fn root() -> DelegationServer {
+        let mut r = DelegationServer::new();
         r.delegate(
             name("net"),
             name("a.gtld-servers.net"),
@@ -193,7 +163,7 @@ mod tests {
 
     #[test]
     fn tld_delegates_sld() {
-        let mut tld = TldServer::new();
+        let mut tld = DelegationServer::new();
         tld.delegate(
             name("ucfsealresearch.net"),
             name("ns1.ucfsealresearch.net"),
@@ -211,7 +181,7 @@ mod tests {
 
     #[test]
     fn closest_enclosing_delegation_wins() {
-        let mut tld = TldServer::new();
+        let mut tld = DelegationServer::new();
         tld.delegate(name("net"), name("ns.net"), Ipv4Addr::new(1, 1, 1, 1));
         tld.delegate(
             name("example.net"),
@@ -222,7 +192,7 @@ mod tests {
         let resp = tld.respond(&q);
         assert_eq!(resp.authorities()[0].name(), &name("example.net"));
         // Whatever the order the zones were delegated in.
-        let mut tld = TldServer::new();
+        let mut tld = DelegationServer::new();
         tld.delegate(
             name("example.net"),
             name("ns.example.net"),

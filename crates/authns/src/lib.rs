@@ -17,7 +17,8 @@
 //! - [`zone`]: zone data and lookup semantics (answer, NXDomain, NoData),
 //! - [`cluster`]: the 5-million-entry zone cluster with rollover,
 //! - [`server`]: the [`AuthoritativeServer`] endpoint with Q2/R1 capture,
-//! - [`hierarchy`]: [`RootServer`] and [`TldServer`] delegation endpoints,
+//! - [`hierarchy`]: [`DelegationServer`], the endpoint of the root and
+//!   TLD servers alike,
 //! - [`capture`]: the captured records (R2, Q2/R1), the [`RecordSink`]
 //!   that consumes them, and the server-side packet log,
 //! - [`zonefile`]: BIND-style master-file parsing and serialization
@@ -33,7 +34,7 @@ pub mod zonefile;
 
 pub use capture::{CaptureHandle, CapturedPacket, Direction, R2Capture, RecordSink, SharedSink};
 pub use cluster::{ClusterAnswer, ClusterZone};
-pub use hierarchy::{RootServer, TldServer};
+pub use hierarchy::DelegationServer;
 pub use scheme::{ground_truth, ProbeLabel};
 pub use server::{AuthStats, AuthoritativeServer};
 pub use zone::{Zone, ZoneAnswer};

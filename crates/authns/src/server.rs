@@ -267,10 +267,6 @@ impl AuthoritativeServer {
 }
 
 impl Endpoint for AuthoritativeServer {
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-
     fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
         if dgram.dst_port != 53 {
             return; // the server only listens on the DNS port
@@ -444,15 +440,10 @@ mod tests {
         srv.respond(&empty);
         // One that does not decode at all, through the packet path.
         let mut net = SimNet::builder().seed(2).build();
-        net.register(SERVER, srv);
+        net.insert(SERVER, srv);
         net.inject(Datagram::new((CLIENT, 40_000), (SERVER, 53), vec![0xAB]));
         net.run_until_idle();
-        let stats = net
-            .with_host(SERVER, |ep| {
-                let any = ep.as_any_mut().expect("downcastable");
-                any.downcast_mut::<AuthoritativeServer>().unwrap().stats()
-            })
-            .unwrap();
+        let stats = net.with_host(SERVER, |srv| srv.stats()).unwrap();
         let want = AuthStats {
             queries: 4,
             qtype_a: 1,

@@ -17,7 +17,7 @@
 //!
 //! Supported: `$ORIGIN`, `$TTL`, `@`, relative and absolute names,
 //! comments (`;`), and A / NS / CNAME / SOA / PTR / MX / TXT / AAAA
-//! records.
+//! records, with names in printable ASCII (no `\DDD` or `\X` escapes).
 
 use std::fmt;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -55,7 +55,7 @@ fn err(line: usize, reason: impl Into<String>) -> ZoneFileError {
 /// Parses a zone file into a [`Zone`].
 ///
 /// The file must contain a `$ORIGIN`, exactly one SOA, and at least one
-/// NS record, as BIND requires.
+/// NS record, as BIND requires, and no owner outside the last `$ORIGIN`.
 ///
 /// # Errors
 ///
@@ -83,8 +83,8 @@ pub fn parse(text: &str) -> Result<Zone, ZoneFileError> {
     let mut origin: Option<Name> = None;
     let mut default_ttl: u32 = 3600;
     let mut soa: Option<(Name, u32, Box<Soa>)> = None;
-    let mut ns: Vec<(Name, u32, Name)> = Vec::new();
-    let mut records: Vec<Record> = Vec::new();
+    let mut ns: Vec<(usize, Name, u32, Name)> = Vec::new();
+    let mut records: Vec<(usize, Record)> = Vec::new();
 
     for (idx, raw_line) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -101,10 +101,7 @@ pub fn parse(text: &str) -> Result<Zone, ZoneFileError> {
             let name = tokens
                 .get(1)
                 .ok_or_else(|| err(lineno, "$ORIGIN needs a name"))?;
-            origin = Some(
-                name.parse()
-                    .map_err(|e| err(lineno, format!("bad origin: {e}")))?,
-            );
+            origin = Some(parse_name(name).map_err(|e| err(lineno, format!("bad origin: {e}")))?);
             continue;
         }
         if tokens[0] == "$TTL" {
@@ -146,8 +143,8 @@ pub fn parse(text: &str) -> Result<Zone, ZoneFileError> {
                 }
                 soa = Some((owner, ttl, s));
             }
-            RData::Ns(target) => ns.push((owner, ttl, target)),
-            other => records.push(Record::new(owner, RecordClass::In, ttl, other)),
+            RData::Ns(target) => ns.push((lineno, owner, ttl, target)),
+            other => records.push((lineno, Record::new(owner, RecordClass::In, ttl, other))),
         }
     }
 
@@ -159,12 +156,19 @@ pub fn parse(text: &str) -> Result<Zone, ZoneFileError> {
     if ns.is_empty() {
         return Err(err(0, "no NS record"));
     }
+    let owners = ns.iter().map(|(line, owner, ..)| (line, owner));
+    let owners = owners.chain(records.iter().map(|(line, record)| (line, record.name())));
+    for (&line, owner) in owners {
+        if !owner.is_subdomain_of(&origin) {
+            return Err(err(line, format!("owner {owner} is outside zone {origin}")));
+        }
+    }
     let mut zone = Zone::new_with_soa(origin, *soa);
-    for (owner, ttl, target) in ns {
+    for (_, owner, ttl, target) in ns {
         zone.add_ns(owner, ttl, target);
     }
     zone.set_default_ttl(default_ttl);
-    for record in records {
+    for (_, record) in records {
         zone.add_record(record);
     }
     Ok(zone)
@@ -264,16 +268,24 @@ fn tokenize(line: &str) -> Vec<String> {
     tokens
 }
 
+/// Parses a name [`serialize`] writes back as it was read: no escapes.
+fn parse_name(text: &str) -> Result<Name, String> {
+    if let Some(byte) = text.bytes().find(|&b| b == b'\\' || !b.is_ascii_graphic()) {
+        return Err(format!("byte {byte:#04x} in name {text:?}"));
+    }
+    text.parse().map_err(|e| format!("{e}"))
+}
+
 /// Resolves `@`, relative, and absolute (dot-terminated) names.
 fn resolve_name(token: &str, origin: &Name) -> Result<Name, String> {
     if token == "@" {
         return Ok(origin.clone());
     }
     if let Some(absolute) = token.strip_suffix('.') {
-        return absolute.parse().map_err(|e| format!("{e}"));
+        return parse_name(absolute);
     }
     // Relative: append the origin.
-    let relative: Name = token.parse().map_err(|e| format!("{e}"))?;
+    let relative = parse_name(token)?;
     let mut labels: Vec<Vec<u8>> = relative.labels().map(|l| l.to_vec()).collect();
     labels.extend(origin.labels().map(|l| l.to_vec()));
     Name::from_labels(labels).map_err(|e| format!("{e}"))

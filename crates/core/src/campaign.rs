@@ -7,12 +7,12 @@ use std::time::{Duration, Instant};
 
 use orscope_analysis::{AnalysisMode, Dataset, StreamingAnalyzer};
 use orscope_authns::{
-    AuthStats, AuthoritativeServer, CaptureHandle, CapturedPacket, ClusterZone, RootServer,
-    SharedSink, TldServer, Zone,
+    AuthStats, AuthoritativeServer, CaptureHandle, CapturedPacket, ClusterZone, DelegationServer,
+    SharedSink, Zone,
 };
 use orscope_ipspace::AllowedSpace;
 use orscope_netsim::{
-    Endpoint, FaultKind, FaultPlan, FaultRule, FaultScope, HashLatency, LazyRegistry, NetStats,
+    Coverage, FaultKind, FaultPlan, FaultRule, FaultScope, HashLatency, LazyRegistry, NetStats,
     SimNet, SimTime,
 };
 use orscope_prober::{
@@ -24,6 +24,7 @@ use orscope_resolver::{ProfiledResolver, ResolverConfig, ResolverStats};
 use orscope_telemetry::{Collector, MetricValue, Scope, SpanSnapshot, TelemetrySnapshot};
 
 use crate::error::{CampaignError, DegradedReport, ShardFailure, ShardSabotage};
+use crate::host::Host;
 use crate::infra::{seed_geo_db, seed_threat_db, Infra};
 use crate::plan::TargetPlan;
 use crate::recorder::{Publisher, ShardRecorder};
@@ -666,16 +667,16 @@ impl Campaign {
                 Rc::clone(&released),
             ))
             .build();
-        let mut root = RootServer::new();
+        let mut root = DelegationServer::new();
         root.delegate(
             "net".parse().expect("static name"),
             "a.gtld-servers.net".parse().expect("static name"),
             infra.tld,
         );
-        net.register(infra.root, root);
-        let mut tld = TldServer::new();
+        net.insert(infra.root, Host::Delegation(Box::new(root)));
+        let mut tld = DelegationServer::new();
         tld.delegate(infra.zone.clone(), infra.auth_ns_name.clone(), infra.auth);
-        net.register(infra.tld, tld);
+        net.insert(infra.tld, Host::Delegation(Box::new(tld)));
 
         let recorder = Rc::new(RefCell::new(recorder));
         let sink: SharedSink = recorder.clone();
@@ -693,17 +694,15 @@ impl Campaign {
             CaptureHandle::with_sink(sink.clone()),
         );
         auth.enable_auto_advance(plan.cluster_capacity);
-        net.register(infra.auth, auth);
+        net.insert(infra.auth, Host::Auth(Box::new(auth)));
 
         // ---- shared upstreams (this shard's slice) ----
         for host in plan.population.upstreams() {
-            net.register(
-                host.addr,
-                ProfiledResolver::new_shared(
-                    std::sync::Arc::clone(host.policy),
-                    resolver_config.clone(),
-                ),
+            let resolver = ProfiledResolver::new_shared(
+                std::sync::Arc::clone(host.policy),
+                resolver_config.clone(),
             );
+            net.insert(host.addr, Host::Resolver(Box::new(resolver)));
         }
 
         // ---- prober ----
@@ -725,7 +724,7 @@ impl Campaign {
             Some(checkpoint) => Prober::resume(prober_config, prober_handle.clone(), checkpoint),
         }
         .expect("probe rate validated");
-        net.register(infra.prober, prober);
+        net.insert(infra.prober, Host::Prober(Box::new(prober)));
         net.set_timer_for(infra.prober, SimTime::ZERO, 0);
 
         ShardWorld {
@@ -899,17 +898,11 @@ struct PopulationRegistry {
     /// shard's world holds the other reference and reads it when the
     /// run is over.
     released: Rc<RefCell<ResolverStats>>,
-    /// At most [`RESOLVER_POOL`] released resolvers.
-    pool: RefCell<Vec<Box<dyn Endpoint>>>,
-}
-
-/// Every host a [`PopulationRegistry`] builds, and so every one it is
-/// offered back, is a [`ProfiledResolver`].
-fn resolver_of(endpoint: &mut dyn Endpoint) -> &mut ProfiledResolver {
-    endpoint
-        .as_any_mut()
-        .and_then(|any| any.downcast_mut())
-        .expect("only resolvers this registry built are offered back")
+    /// At most [`RESOLVER_POOL`] released resolvers, in the boxes
+    /// `Host::Resolver` holds them in: reuse moves a pointer and keeps
+    /// the allocation.
+    #[allow(clippy::vec_box)]
+    pool: RefCell<Vec<Box<ProfiledResolver>>>,
 }
 
 impl PopulationRegistry {
@@ -929,31 +922,36 @@ impl PopulationRegistry {
     }
 }
 
-impl LazyRegistry for PopulationRegistry {
+impl Coverage for PopulationRegistry {
     fn covers(&self, addr: Ipv4Addr) -> bool {
         self.hosts.contains(addr)
     }
+}
 
-    fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
+impl LazyRegistry<Host> for PopulationRegistry {
+    fn materialize(&self, addr: Ipv4Addr) -> Option<Host> {
         let policy = std::sync::Arc::clone(self.table.get(self.hosts.find(addr)?));
-        let Some(mut endpoint) = self.pool.borrow_mut().pop() else {
-            return Some(Box::new(ProfiledResolver::new_shared(
-                policy,
-                self.config.clone(),
-            )));
+        let resolver = match self.pool.borrow_mut().pop() {
+            Some(mut resolver) => {
+                resolver.reset(policy);
+                resolver
+            }
+            None => Box::new(ProfiledResolver::new_shared(policy, self.config.clone())),
         };
-        resolver_of(endpoint.as_mut()).reset(policy);
-        Some(endpoint)
+        Some(Host::Resolver(resolver))
     }
 
     /// The one place a released resolver's books are read: before
-    /// `reset` zeroes them or a full pool drops them.
-    fn recycle(&self, mut endpoint: Box<dyn Endpoint>) {
-        let stats = resolver_of(endpoint.as_mut()).stats();
-        self.released.borrow_mut().absorb(&stats);
+    /// `reset` zeroes them or a full pool drops them. Only resolvers
+    /// are ever materialized here, so only resolvers come back.
+    fn recycle(&self, host: Host) {
+        let Host::Resolver(resolver) = host else {
+            unreachable!("the simulator offers back only what this registry built");
+        };
+        self.released.borrow_mut().absorb(&resolver.stats());
         let mut pool = self.pool.borrow_mut();
         if pool.len() < RESOLVER_POOL {
-            pool.push(endpoint);
+            pool.push(resolver);
         }
     }
 
@@ -967,7 +965,7 @@ impl LazyRegistry for PopulationRegistry {
 /// A fully-assembled shard simulation, ready to run.
 pub(crate) struct ShardWorld {
     /// The shard's simulator with every endpoint registered.
-    pub(crate) net: SimNet,
+    pub(crate) net: SimNet<Host>,
     /// Live view of the prober's counters.
     pub(crate) prober_handle: ProberHandle,
     /// The shard's record pipeline; the prober and the authoritative
@@ -1017,15 +1015,10 @@ impl ShardWorld {
         // pinned them — are still registered.
         let mut resolvers = self.released.take();
         let mut auth = AuthStats::default();
-        self.net.for_each_host(|_, endpoint| {
-            let Some(any) = endpoint.as_any_mut() else {
-                return;
-            };
-            if let Some(resolver) = any.downcast_mut::<ProfiledResolver>() {
-                resolvers.absorb(&resolver.stats());
-            } else if let Some(server) = any.downcast_mut::<AuthoritativeServer>() {
-                auth = server.stats();
-            }
+        self.net.for_each_host(|_, host| match host {
+            Host::Resolver(resolver) => resolvers.absorb(&resolver.stats()),
+            Host::Auth(server) => auth = server.stats(),
+            _ => {}
         });
         let mut telemetry = self.publish(&probe_stats, &resolvers, &auth);
         let wall_nanos = u64::try_from(probe_wall.as_nanos()).unwrap_or(u64::MAX);

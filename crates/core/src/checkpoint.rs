@@ -37,7 +37,7 @@ pub mod integrity {
 
     use std::fs;
     use std::io::{self, Write};
-    use std::path::{Path, PathBuf};
+    use std::path::Path;
 
     /// Header magic; bump the version when the envelope layout changes.
     pub const MAGIC: &str = "ORSCOPE-CKPT/1";
@@ -141,30 +141,33 @@ pub mod integrity {
         Ok(payload)
     }
 
-    /// Writes `bytes` to `dir/name` crash-safely: staged temp file,
-    /// `fsync`, rename over the target, then `fsync` the directory so
-    /// the rename itself survives a power cut.
+    /// Writes `bytes` to `path` crash-safely: staged temp file (`path`
+    /// with `.tmp` appended), `fsync`, rename over the target, then
+    /// `fsync` the directory (created if missing) so the rename itself
+    /// survives a power cut.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn persist_atomic(dir: &Path, name: &str, bytes: &[u8]) -> io::Result<PathBuf> {
+    pub fn persist_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+        let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+        let dir = dir.unwrap_or(Path::new("."));
         fs::create_dir_all(dir)?;
-        let path = dir.join(name);
-        let staging = dir.join(format!("{name}.tmp"));
+        let mut staging = path.as_os_str().to_owned();
+        staging.push(".tmp");
         {
             let mut file = fs::File::create(&staging)?;
             file.write_all(bytes)?;
             file.sync_all()?;
         }
-        fs::rename(&staging, &path)?;
+        fs::rename(&staging, path)?;
         // Directory fsync is best-effort off Unix (opening a directory
         // for sync is not portable), and even on Unix some filesystems
         // refuse it; the rename above is still atomic either way.
         if let Ok(dir_handle) = fs::File::open(dir) {
             let _ = dir_handle.sync_all();
         }
-        Ok(path)
+        Ok(())
     }
 
     #[cfg(test)]
@@ -216,7 +219,8 @@ pub mod integrity {
             let dir =
                 std::env::temp_dir().join(format!("orscope-integrity-test-{}", std::process::id()));
             let _ = fs::remove_dir_all(&dir);
-            let path = persist_atomic(&dir, "gen.ckpt", &seal(b"payload".to_vec())).unwrap();
+            let path = dir.join("gen.ckpt");
+            persist_atomic(&path, &seal(b"payload".to_vec())).unwrap();
             assert!(path.exists());
             assert!(!dir.join("gen.ckpt.tmp").exists());
             assert_eq!(unseal(&fs::read(&path).unwrap()).unwrap(), b"payload");
@@ -228,11 +232,12 @@ pub mod integrity {
 use orscope_analysis::RecordSink;
 use orscope_authns::CapturedPacket;
 use orscope_netsim::SimTime;
-use orscope_prober::{Prober, R2Capture, ScanCheckpoint, TargetSource};
+use orscope_prober::{R2Capture, ScanCheckpoint, TargetSource};
 use orscope_resolver::paper::YearSpec;
 
 use crate::campaign::{finish_stream, Campaign, ShardPlan};
 use crate::error::CampaignError;
+use crate::host::Host;
 use crate::infra::{seed_geo_db, seed_threat_db};
 use crate::recorder::ShardRecorder;
 use crate::result::CampaignResult;
@@ -293,12 +298,9 @@ impl Campaign {
         world.net.run_until(SimTime::ZERO + stop_at);
         let (scan, outstanding) = world
             .net
-            .with_host(config.infra.prober, |ep| {
-                let prober = ep
-                    .as_any_mut()
-                    .and_then(|any| any.downcast_mut::<Prober>())
-                    .expect("the campaign registered a Prober here");
-                (prober.checkpoint(), prober.outstanding_targets())
+            .with_host(config.infra.prober, |host| match host {
+                Host::Prober(prober) => (prober.checkpoint(), prober.outstanding_targets()),
+                _ => unreachable!("the campaign put its prober here"),
             })
             .expect("prober registered");
         let recorder = world.recorder.take();

@@ -19,6 +19,7 @@ use orscope_resolver::population::Population;
 use orscope_resolver::{ProfiledResolver, ResolverConfig};
 
 use crate::campaign::{Campaign, CampaignConfig, ShardWorld};
+use crate::host::Host;
 use crate::result::CampaignResult;
 
 impl ShardWorld {
@@ -27,13 +28,12 @@ impl ShardWorld {
     pub(crate) fn preregister_hosts(&mut self, population: &Population, config: &CampaignConfig) {
         let resolver_config = ResolverConfig::new(config.infra.root);
         for host in population.resolvers().chain(population.off_port()) {
-            self.net.register(
-                host.addr,
-                ProfiledResolver::new_shared(
-                    std::sync::Arc::clone(host.policy),
-                    resolver_config.clone(),
-                ),
+            let resolver = ProfiledResolver::new_shared(
+                std::sync::Arc::clone(host.policy),
+                resolver_config.clone(),
             );
+            self.net
+                .insert(host.addr, Host::Resolver(Box::new(resolver)));
         }
     }
 }

@@ -29,6 +29,7 @@ pub mod checkpoint;
 #[cfg(test)]
 mod eager_oracle;
 pub mod error;
+mod host;
 pub mod infra;
 mod plan;
 mod recorder;

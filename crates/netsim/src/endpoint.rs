@@ -1,12 +1,14 @@
 //! The endpoint trait and the dispatch context.
 
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 use std::time::Duration;
 
 use crate::datagram::Datagram;
 use crate::fxhash::FxHashMap;
 use crate::scheduler::{HostId, HOST_UNRESOLVED};
-use crate::sim::LazyRegistry;
+use crate::sim::Coverage;
 use crate::time::SimTime;
 
 /// A host on the simulated internet.
@@ -23,19 +25,12 @@ pub trait Endpoint {
         let _ = (token, ctx);
     }
 
-    /// Opt-in downcasting: endpoints that want their concrete type
-    /// recoverable through [`crate::SimNet::with_host`] return
-    /// `Some(self)`. Default: not downcastable.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
-
     /// Whether the endpoint holds no in-flight state, i.e. dropping it
     /// now and rebuilding it from its configuration later would be
     /// indistinguishable to the rest of the network. Lazily
     /// materialized hosts that report `true` after an event are
     /// released — offered back to the registry through
-    /// [`LazyRegistry::recycle`], which may re-arm them for another
+    /// [`crate::LazyRegistry::recycle`], which may re-arm them for another
     /// address under the same contract — which is how a full-scale
     /// population runs in a bounded-size host table.
     ///
@@ -51,13 +46,43 @@ pub trait Endpoint {
     }
 }
 
+/// Any host, one vtable call away: what a [`crate::SimNet`] holds by default.
+impl Endpoint for Box<dyn Endpoint> {
+    fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
+        (**self).handle_datagram(dgram, ctx);
+    }
+
+    fn handle_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+        (**self).handle_timer(token, ctx);
+    }
+
+    fn is_quiescent(&self) -> bool {
+        (**self).is_quiescent()
+    }
+}
+
+/// A host whoever registered it keeps a handle on, to read between events.
+impl<E: Endpoint> Endpoint for Rc<RefCell<E>> {
+    fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
+        self.borrow_mut().handle_datagram(dgram, ctx);
+    }
+
+    fn handle_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+        self.borrow_mut().handle_timer(token, ctx);
+    }
+
+    fn is_quiescent(&self) -> bool {
+        self.borrow().is_quiescent()
+    }
+}
+
 /// Who a datagram can reach: the simulator's address index and the
 /// planned population. Neither changes while a handler runs, so what
 /// they say when a send is made is what holds when it is applied.
 #[derive(Clone, Copy)]
 pub(crate) struct Routes<'a> {
     pub(crate) index: &'a FxHashMap<Ipv4Addr, HostId>,
-    pub(crate) lazy: Option<&'a dyn LazyRegistry>,
+    pub(crate) lazy: Option<&'a dyn Coverage>,
 }
 
 impl Routes<'_> {

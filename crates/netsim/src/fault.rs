@@ -422,10 +422,6 @@ impl FaultInjector {
         }
     }
 
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Uniform draw in `[0, 1)` for ordinal `n` on `(src, dst)` under
     /// rule `rule` and sub-channel `salt` (0 = occurrence, 1 = magnitude).
     fn draw(&self, rule: usize, salt: u64, src: u32, dst: u32, n: u64) -> f64 {

@@ -18,9 +18,12 @@
 //!   increasing sequence number, and every random choice (latency jitter,
 //!   fault verdicts) is a hash of the flow and a seed — there is no
 //!   stream whose draw order could depend on event order.
-//! - **Ownership**: endpoints are owned by the simulator; during event
-//!   dispatch an endpoint is temporarily detached so it can freely send
-//!   datagrams and set timers through a [`Context`] without aliasing.
+//! - **Ownership**: hosts are owned by the simulator, a [`SimNet<H>`]
+//!   holding one host type: a caller's own enum of the kinds it
+//!   simulates, read back by `match`, or by default any [`Endpoint`],
+//!   boxed. During event dispatch a host is temporarily detached so it
+//!   can freely send datagrams and set timers through a [`Context`]
+//!   without aliasing.
 //!
 //! # Example
 //!
@@ -72,6 +75,6 @@ pub use endpoint::{Context, Endpoint};
 pub use fault::{FaultKind, FaultPlan, FaultRule, FaultScope};
 pub use fxhash::{fx_map_with_capacity, fx_set_with_capacity, FxHashMap, FxHashSet};
 pub use latency::{FixedLatency, HashLatency, LatencyModel};
-pub use sim::{LazyRegistry, SimNet, SimNetBuilder};
+pub use sim::{Coverage, LazyRegistry, SimNet, SimNetBuilder};
 pub use stats::NetStats;
 pub use time::{EpochClock, SimTime};

@@ -19,19 +19,31 @@ use crate::time::SimTime;
 /// a free list when the host quiesces and may be reassigned; dispatch
 /// therefore validates the slot's address and falls back to the index
 /// when a captured id has gone stale.
-struct HostSlot {
+struct HostSlot<H> {
     addr: Ipv4Addr,
-    ep: Option<Box<dyn Endpoint>>,
+    ep: Option<H>,
     lazy: bool,
 }
 
-/// A source of on-demand endpoints, consulted when a datagram or timer
-/// targets an address with no registered host.
+/// The addresses a [`LazyRegistry`] plans a host at: what routing asks,
+/// so a [`Context`] names no host type.
+pub trait Coverage {
+    /// Whether `addr` is part of the planned population. The simulator
+    /// asks when a datagram for an address it holds no host slot for is
+    /// handed to the wire, and settles one that is not covered on the
+    /// spot (see [`SimNet::inject`]), so the answer must not depend on
+    /// when it is asked: `covers(addr)` holds exactly when
+    /// [`LazyRegistry::materialize`] would return an endpoint.
+    fn covers(&self, addr: Ipv4Addr) -> bool;
+}
+
+/// A source of on-demand hosts of type `H`, consulted when a datagram
+/// or timer targets an address with no registered host.
 ///
 /// This is the laziness half of the paper-scale population design: the
 /// campaign hands the simulator a compact, profile-interned description
-/// of millions of planned responders, and a full `Box<dyn Endpoint>`
-/// exists only for hosts that are actually mid-conversation. A
+/// of millions of planned responders, and a full host exists only for
+/// the ones that are actually mid-conversation. A
 /// materialized host that reports [`Endpoint::is_quiescent`] after an
 /// event is released again (fault-free plans only; see
 /// [`SimNet::step`]), keeping the live host table proportional to the
@@ -41,7 +53,7 @@ struct HostSlot {
 /// goes to [`LazyRegistry::recycle`] exactly once, so a registry can
 /// re-arm it for the next address instead of building one from
 /// nothing. An endpoint is never offered back while a fault rule pins
-/// it, after an explicit [`SimNet::register`] took its slot over, or
+/// it, after an explicit [`SimNet::insert`] took its slot over, or
 /// when the simulator itself is dropped.
 ///
 /// Released also means nobody is built just to ignore an event. Where
@@ -51,26 +63,18 @@ struct HostSlot {
 /// without a call to [`LazyRegistry::materialize`]: every counter reads
 /// as if the host had been rebuilt, handed the event and released
 /// again.
-pub trait LazyRegistry {
-    /// Whether `addr` is part of the planned population. The simulator
-    /// asks when a datagram for an address it holds no host slot for is
-    /// handed to the wire, and settles one that is not covered on the
-    /// spot (see [`SimNet::inject`]), so the answer must not depend on
-    /// when it is asked: `covers(addr)` holds exactly when
-    /// [`LazyRegistry::materialize`] would return an endpoint.
-    fn covers(&self, addr: Ipv4Addr) -> bool;
-
+pub trait LazyRegistry<H = Box<dyn Endpoint>>: Coverage {
     /// Builds the endpoint planned at `addr`, or `None` if the address
     /// is not part of the planned population (a timer armed for it then
     /// fires into nothing).
-    fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>>;
+    fn materialize(&self, addr: Ipv4Addr) -> Option<H>;
 
     /// Takes back a quiescent endpoint this registry materialized. What
     /// the registry later hands out in its place must be
     /// indistinguishable from a freshly built endpoint — the same
     /// contract [`Endpoint::is_quiescent`] states for dropping one.
     /// Default: drop it.
-    fn recycle(&self, endpoint: Box<dyn Endpoint>) {
+    fn recycle(&self, endpoint: H) {
         drop(endpoint);
     }
 
@@ -96,10 +100,10 @@ pub trait LazyRegistry {
 const DUPLICATE_GAP: std::time::Duration = std::time::Duration::from_millis(3);
 
 /// What an event finds at the address it is due at.
-enum Arrival {
+enum Arrival<H> {
     /// A live host (just materialized, if need be), detached from its
     /// slot for dispatch.
-    Host(Box<dyn Endpoint>),
+    Host(H),
     /// A planned host that is not live and would ignore the event: it
     /// is counted as handled and nobody is built.
     Ignored,
@@ -108,15 +112,15 @@ enum Arrival {
 }
 
 /// Builder for [`SimNet`]; see [`SimNet::builder`].
-pub struct SimNetBuilder {
+pub struct SimNetBuilder<H = Box<dyn Endpoint>> {
     seed: u64,
     latency: Box<dyn LatencyModel>,
     faults: Option<FaultPlan>,
     max_events: u64,
-    lazy: Option<Box<dyn LazyRegistry>>,
+    lazy: Option<Box<dyn LazyRegistry<H>>>,
 }
 
-impl Default for SimNetBuilder {
+impl<H> Default for SimNetBuilder<H> {
     fn default() -> Self {
         Self {
             seed: 0,
@@ -128,7 +132,7 @@ impl Default for SimNetBuilder {
     }
 }
 
-impl std::fmt::Debug for SimNetBuilder {
+impl<H> std::fmt::Debug for SimNetBuilder<H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimNetBuilder")
             .field("seed", &self.seed)
@@ -137,7 +141,7 @@ impl std::fmt::Debug for SimNetBuilder {
     }
 }
 
-impl SimNetBuilder {
+impl<H: Endpoint> SimNetBuilder<H> {
     /// Seeds the default fault plan's per-flow draws (the only random
     /// choices the simulator makes; an explicit [`Self::faults`] plan
     /// carries its own seed).
@@ -171,13 +175,13 @@ impl SimNetBuilder {
     /// are built on first delivery instead of being registered up
     /// front, and released again once quiescent (when the fault plan
     /// permits). Eagerly registered hosts are unaffected.
-    pub fn lazy_hosts(mut self, registry: impl LazyRegistry + 'static) -> Self {
+    pub fn lazy_hosts(mut self, registry: impl LazyRegistry<H> + 'static) -> Self {
         self.lazy = Some(Box::new(registry));
         self
     }
 
     /// Builds the simulator.
-    pub fn build(self) -> SimNet {
+    pub fn build(self) -> SimNet<H> {
         let plan = self.faults.unwrap_or_else(|| FaultPlan::seeded(self.seed));
         // Releasing a quiescent host is only indistinguishable from
         // keeping it when no fault rule can retransmit, duplicate, or
@@ -189,7 +193,6 @@ impl SimNetBuilder {
         SimNet {
             hosts: Vec::new(),
             index: FxHashMap::default(),
-            occupied: 0,
             queue: TimingWheel::new(),
             queue_depth_hwm: 0,
             now: SimTime::ZERO,
@@ -210,18 +213,22 @@ impl SimNetBuilder {
     }
 }
 
-/// The simulated internet: hosts, an event queue, and a virtual clock.
+/// The simulated internet: hosts of type `H`, an event queue, and a
+/// virtual clock.
 ///
 /// Hosts live in a slab: a dense `Vec` of slots plus an FxHash
 /// address→index map consulted once per enqueued event. Delivery indexes
 /// straight into the slot and detaches the endpoint with `Option::take`,
 /// so the per-event cost is two array accesses instead of two hash-map
 /// operations (the old remove/re-insert dance).
-pub struct SimNet {
-    hosts: Vec<HostSlot>,
+///
+/// `H` is whatever the slab holds: a world that knows its hosts names
+/// them in one enum and dispatches by `match`; the default, a boxed
+/// [`Endpoint`], takes any host through [`SimNet::register`].
+pub struct SimNet<H = Box<dyn Endpoint>> {
+    hosts: Vec<HostSlot<H>>,
+    /// The slot of every live host.
     index: FxHashMap<Ipv4Addr, HostId>,
-    /// Slots whose `ep` is currently `Some`.
-    occupied: usize,
     queue: TimingWheel,
     /// High-water mark of `queue.len()`.
     queue_depth_hwm: usize,
@@ -232,7 +239,7 @@ pub struct SimNet {
     stats: NetStats,
     max_events: u64,
     /// On-demand endpoint source for the planned population, if any.
-    lazy: Option<Box<dyn LazyRegistry>>,
+    lazy: Option<Box<dyn LazyRegistry<H>>>,
     /// Whether quiescent lazy hosts may be released (fault-free plans).
     release_quiescent: bool,
     /// Recycled slab slots from released lazy hosts.
@@ -248,10 +255,10 @@ pub struct SimNet {
     scratch_timers: Vec<(SimTime, u64)>,
 }
 
-impl std::fmt::Debug for SimNet {
+impl<H> std::fmt::Debug for SimNet<H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimNet")
-            .field("hosts", &self.occupied)
+            .field("hosts", &self.index.len())
             .field("queued_events", &self.queue.len())
             .field("now", &self.now)
             .field("stats", &self.stats)
@@ -260,27 +267,30 @@ impl std::fmt::Debug for SimNet {
 }
 
 impl SimNet {
+    /// Registers `endpoint` at `addr`, replacing any previous host there:
+    /// [`SimNet::insert`] for a simulator of boxed endpoints.
+    pub fn register(&mut self, addr: Ipv4Addr, endpoint: impl Endpoint + 'static) {
+        self.insert(addr, Box::new(endpoint));
+    }
+}
+
+impl<H: Endpoint> SimNet<H> {
     /// Starts building a simulator.
-    pub fn builder() -> SimNetBuilder {
+    pub fn builder() -> SimNetBuilder<H> {
         SimNetBuilder::default()
     }
 
-    /// Registers `endpoint` at `addr`, replacing any previous host there.
-    pub fn register(&mut self, addr: Ipv4Addr, endpoint: impl Endpoint + 'static) {
-        self.register_boxed(addr, Box::new(endpoint));
-    }
-
-    /// Registers a boxed endpoint (for populations built dynamically).
-    pub fn register_boxed(&mut self, addr: Ipv4Addr, endpoint: Box<dyn Endpoint>) {
+    /// Adds `host` at `addr`, replacing any previous host there.
+    pub fn insert(&mut self, addr: Ipv4Addr, host: H) {
         match self.index.get(&addr) {
             Some(&id) => {
+                // An indexed slot is live: it is only detached while its
+                // host handles an event.
                 let slot = &mut self.hosts[id as usize];
-                if slot.ep.is_none() {
-                    self.occupied += 1;
-                } else if slot.lazy {
+                if slot.lazy {
                     self.lazy_live -= 1;
                 }
-                slot.ep = Some(endpoint);
+                slot.ep = Some(host);
                 // Explicit registration pins the slot: it is now owned
                 // by the caller, not the registry, and never released.
                 slot.lazy = false;
@@ -291,36 +301,17 @@ impl SimNet {
                 self.index.insert(addr, id);
                 self.hosts.push(HostSlot {
                     addr,
-                    ep: Some(endpoint),
+                    ep: Some(host),
                     lazy: false,
                 });
-                self.occupied += 1;
             }
         }
     }
 
-    /// Removes and returns the host at `addr`, if any. The slot (and
-    /// any `HostId` referring to it) stays reserved for `addr`, so a
-    /// later re-registration resumes receiving in-flight packets.
-    pub fn deregister(&mut self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
-        let id = *self.index.get(&addr)?;
-        let ep = self.hosts[id as usize].ep.take();
-        if ep.is_some() {
-            self.occupied -= 1;
-        }
-        ep
-    }
-
-    /// Whether a host is registered at `addr`.
-    pub fn is_registered(&self, addr: Ipv4Addr) -> bool {
-        self.index
-            .get(&addr)
-            .is_some_and(|&id| self.hosts[id as usize].ep.is_some())
-    }
-
-    /// Number of registered hosts.
+    /// Number of live hosts: the registered ones and whichever lazy
+    /// hosts are materialized right now.
     pub fn host_count(&self) -> usize {
-        self.occupied
+        self.index.len()
     }
 
     /// Current virtual time.
@@ -350,34 +341,20 @@ impl SimNet {
         self.queue_depth_hwm
     }
 
-    /// The fault plan in effect.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        self.faults.plan()
-    }
-
-    /// Mutable access to a registered endpoint, downcast by the caller.
-    ///
-    /// The simulator stores endpoints as trait objects; harness code that
-    /// needs to read results back (e.g. the prober's capture log) keeps
-    /// the address and downcasts via `as_any`-style helpers on its own
-    /// types, or simply deregisters the endpoint when the run completes.
-    pub fn with_host<R>(
-        &mut self,
-        addr: Ipv4Addr,
-        f: impl FnOnce(&mut dyn Endpoint) -> R,
-    ) -> Option<R> {
+    /// Mutable access to the live host at `addr`, e.g. to read back what
+    /// the prober captured. A world of one host enum matches on it.
+    pub fn with_host<R>(&mut self, addr: Ipv4Addr, f: impl FnOnce(&mut H) -> R) -> Option<R> {
         let id = *self.index.get(&addr)?;
-        self.hosts[id as usize].ep.as_mut().map(|ep| f(ep.as_mut()))
+        self.hosts[id as usize].ep.as_mut().map(f)
     }
 
     /// Visits every live host, in slot order: the eagerly registered
     /// ones and whichever lazy hosts are materialized right now. How a
-    /// run's owner reads the books its endpoints kept, downcasting as
-    /// for [`SimNet::with_host`].
-    pub fn for_each_host(&mut self, mut f: impl FnMut(Ipv4Addr, &mut dyn Endpoint)) {
+    /// run's owner reads the books its endpoints kept.
+    pub fn for_each_host(&mut self, mut f: impl FnMut(Ipv4Addr, &mut H)) {
         for slot in &mut self.hosts {
             if let Some(ep) = slot.ep.as_mut() {
-                f(slot.addr, ep.as_mut());
+                f(slot.addr, ep);
             }
         }
     }
@@ -391,9 +368,7 @@ impl SimNet {
     /// [`NetStats::unrouted`] at once (or as a crash drop, if a crash
     /// window would have swallowed it on arrival) and never travels. A
     /// host first registered at that address while the datagram would
-    /// have been in flight therefore does not receive it. A host that
-    /// was registered and then deregistered keeps its slot: datagrams to
-    /// it travel, and reach whoever holds the address on arrival.
+    /// have been in flight therefore does not receive it.
     pub fn inject(&mut self, dgram: Datagram) {
         match self.routes().route(dgram.dst) {
             Some(host) => self.transmit(dgram, host),
@@ -419,7 +394,7 @@ impl SimNet {
     fn routes(&self) -> Routes<'_> {
         Routes {
             index: &self.index,
-            lazy: self.lazy.as_deref(),
+            lazy: self.lazy.as_deref().map(|lazy| lazy as &dyn Coverage),
         }
     }
 
@@ -501,14 +476,14 @@ impl SimNet {
     /// the slot captured at enqueue time; it is re-resolved through the
     /// index when the address had no slot then, or the slot has since
     /// been released or recycled for a different address. On return it
-    /// names the slot reserved for `addr`, or [`HOST_UNRESOLVED`] when
-    /// none is: an address never registered, or a lazy host since
+    /// names the slot `addr` is live in, or [`HOST_UNRESOLVED`] when
+    /// there is none: an address never registered, or a lazy host since
     /// released.
-    fn take_live(&mut self, host: &mut HostId, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
+    fn take_live(&mut self, host: &mut HostId, addr: Ipv4Addr) -> Option<H> {
         let current = self
             .hosts
             .get(*host as usize)
-            .is_some_and(|slot| slot.addr == addr && (slot.ep.is_some() || !slot.lazy));
+            .is_some_and(|slot| slot.addr == addr && slot.ep.is_some());
         if !current {
             // Stale or never-resolved id: one index lookup.
             *host = self.resolve(addr);
@@ -519,20 +494,21 @@ impl SimNet {
     /// Resolves the destination of an event due now at `addr`: a
     /// datagram (`dgram`) or, without one, a timer.
     ///
-    /// A reserved slot answers for its address, empty or not (an eager
-    /// host explicitly deregistered stays gone). An address without one
-    /// is the registry's. Where quiescent hosts are released, a host
-    /// that is not live has nothing in flight — it said so when it was
+    /// A live host answers for its address. An address without one is
+    /// the registry's. Where quiescent hosts are released, a host that
+    /// is not live has nothing in flight — it said so when it was
     /// released, or was never built — so a timer due there is stale by
     /// construction, and a datagram the registry declares ignorable
     /// changes nothing either: both are [`Arrival::Ignored`]. Everything
     /// else addressed to a planned host materializes it.
-    fn arrive(&mut self, host: &mut HostId, addr: Ipv4Addr, dgram: Option<&Datagram>) -> Arrival {
+    fn arrive(
+        &mut self,
+        host: &mut HostId,
+        addr: Ipv4Addr,
+        dgram: Option<&Datagram>,
+    ) -> Arrival<H> {
         if let Some(ep) = self.take_live(host, addr) {
             return Arrival::Host(ep);
-        }
-        if *host != HOST_UNRESOLVED {
-            return Arrival::Nobody;
         }
         if self.release_quiescent {
             let ignored = self.lazy.as_ref().is_some_and(|lazy| match dgram {
@@ -553,7 +529,7 @@ impl SimNet {
     /// allocating (or recycling) a slab slot for it. `host` is updated
     /// to the new slot; the caller re-attaches the endpoint there after
     /// dispatch, exactly as for an eager host.
-    fn materialize(&mut self, addr: Ipv4Addr, host: &mut HostId) -> Option<Box<dyn Endpoint>> {
+    fn materialize(&mut self, addr: Ipv4Addr, host: &mut HostId) -> Option<H> {
         let ep = self.lazy.as_ref()?.materialize(addr)?;
         let id = match self.free_slots.pop() {
             Some(id) => {
@@ -574,7 +550,6 @@ impl SimNet {
             }
         };
         self.index.insert(addr, id);
-        self.occupied += 1;
         self.lazy_live += 1;
         self.lazy_peak = self.lazy_peak.max(self.lazy_live);
         self.materialized_total += 1;
@@ -599,7 +574,6 @@ impl SimNet {
             .recycle(ep);
         self.index.remove(&slot.addr);
         self.free_slots.push(host);
-        self.occupied -= 1;
         self.lazy_live -= 1;
     }
 
@@ -808,7 +782,7 @@ mod tests {
 
     #[test]
     fn unrouted_datagrams_are_counted() {
-        let mut net = SimNet::builder().seed(1).build();
+        let mut net: SimNet = SimNet::builder().seed(1).build();
         net.inject(Datagram::new((CLIENT, 1), (SERVER, 53), b"x".to_vec()));
         net.run_until_idle();
         assert_eq!(net.stats().unrouted, 1);
@@ -860,43 +834,6 @@ mod tests {
         net.inject(Datagram::new((CLIENT, 1), (SERVER, 53), b"loop".to_vec()));
         net.run_until_idle();
         assert_eq!(net.stats().events, 50);
-    }
-
-    #[test]
-    fn deregister_stops_delivery() {
-        let (mut net, replies, _) = ping_setup(0.0, 1);
-        let removed = net.deregister(SERVER);
-        assert!(removed.is_some());
-        net.run_until_idle();
-        assert_eq!(replies.load(Ordering::Relaxed), 0);
-        assert_eq!(net.stats().unrouted, 1);
-    }
-
-    #[test]
-    fn reregister_after_deregister_resumes_delivery() {
-        // A packet enqueued while the slot is empty is delivered once
-        // the address re-registers before the delivery event fires.
-        let got = Arc::new(AtomicU64::new(0));
-        struct Count(Arc<AtomicU64>);
-        impl Endpoint for Count {
-            fn handle_datagram(&mut self, _d: &Datagram, _c: &mut Context<'_>) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let mut net = SimNet::builder()
-            .seed(2)
-            .latency(FixedLatency(Duration::from_millis(5)))
-            .build();
-        net.register(SERVER, Count(got.clone()));
-        net.deregister(SERVER);
-        assert!(!net.is_registered(SERVER));
-        net.inject(Datagram::new((CLIENT, 1), (SERVER, 53), b"x".to_vec()));
-        net.register(SERVER, Count(got.clone()));
-        assert!(net.is_registered(SERVER));
-        assert_eq!(net.host_count(), 1);
-        net.run_until_idle();
-        assert_eq!(got.load(Ordering::Relaxed), 1);
-        assert_eq!(net.stats().unrouted, 0);
     }
 
     #[test]
@@ -991,10 +928,12 @@ mod lazy_tests {
         hi: u32,
         built: Arc<AtomicU64>,
     }
-    impl LazyRegistry for EchoRegistry {
+    impl Coverage for EchoRegistry {
         fn covers(&self, addr: Ipv4Addr) -> bool {
             (self.lo..=self.hi).contains(&u32::from(addr))
         }
+    }
+    impl LazyRegistry for EchoRegistry {
         fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
             if !self.covers(addr) {
                 return None;
@@ -1144,9 +1083,6 @@ mod lazy_tests {
         fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
             ctx.send(dgram.reply(dgram.payload.clone()));
         }
-        fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-            Some(self)
-        }
         fn is_quiescent(&self) -> bool {
             true
         }
@@ -1158,29 +1094,27 @@ mod lazy_tests {
         built: std::rc::Rc<std::cell::Cell<u64>>,
         returned: std::rc::Rc<std::cell::RefCell<Vec<u64>>>,
     }
-    impl LazyRegistry for CountingRegistry {
+    impl Coverage for CountingRegistry {
         fn covers(&self, addr: Ipv4Addr) -> bool {
             // The probed block only: the echoes' replies stay unrouted.
             (BASE..BASE + 50).contains(&u32::from(addr))
         }
-        fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
+    }
+    impl LazyRegistry<Tagged> for CountingRegistry {
+        fn materialize(&self, addr: Ipv4Addr) -> Option<Tagged> {
             if !self.covers(addr) {
                 return None;
             }
             let tag = self.built.get();
             self.built.set(tag + 1);
-            Some(Box::new(Tagged(tag)))
+            Some(Tagged(tag))
         }
-        fn recycle(&self, mut endpoint: Box<dyn Endpoint>) {
-            let tagged = endpoint
-                .as_any_mut()
-                .and_then(|any| any.downcast_ref::<Tagged>())
-                .expect("only what this registry built comes back");
-            self.returned.borrow_mut().push(tagged.0);
+        fn recycle(&self, endpoint: Tagged) {
+            self.returned.borrow_mut().push(endpoint.0);
         }
     }
 
-    fn probe_fifty(net: &mut SimNet) {
+    fn probe_fifty(net: &mut SimNet<Tagged>) {
         for i in 0..50u32 {
             net.inject(Datagram::new(
                 (Ipv4Addr::new(1, 0, 0, 1), i as u16),
@@ -1306,10 +1240,12 @@ mod settle_tests {
         quiescent: bool,
         vouch: bool,
     }
-    impl LazyRegistry for OneListener {
+    impl Coverage for OneListener {
         fn covers(&self, addr: Ipv4Addr) -> bool {
             addr == HOST
         }
+    }
+    impl LazyRegistry for OneListener {
         fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
             self.covers(addr).then(|| {
                 bump(&self.books.built, 1);
@@ -1443,24 +1379,6 @@ mod settle_tests {
         assert_eq!(books.handled.get(), 101);
         assert_eq!(books.built.get(), 0, "eager shadows the registry");
         assert_eq!(net.host_count(), 1);
-    }
-
-    #[test]
-    fn a_deregistered_eager_slot_stays_unrouted_on_arrival() {
-        let (mut net, books) = net_with(true, true, FaultPlan::seeded(7));
-        net.register(
-            HOST,
-            Listener {
-                books: books.clone(),
-                quiescent: true,
-            },
-        );
-        net.deregister(HOST);
-        net.inject(response());
-        assert_eq!(net.stats().unrouted, 0, "it travels");
-        let stats = drain(&mut net);
-        assert_eq!((stats.delivered, stats.unrouted), (0, 1));
-        assert_eq!((books.built.get(), books.handled.get()), (0, 0));
     }
 
     #[test]
@@ -1723,15 +1641,18 @@ mod routing_tests {
         }
     }
 
-    /// Plans a [`Count`] at `DST` and nowhere else.
-    struct OneHost(Arc<AtomicU64>);
-    impl LazyRegistry for OneHost {
+    /// Plans a [`Count`] at `DST` and nowhere else; without a counter,
+    /// reneges on the plan and builds nobody there.
+    struct OneHost(Option<Arc<AtomicU64>>);
+    impl Coverage for OneHost {
         fn covers(&self, addr: Ipv4Addr) -> bool {
             addr == DST
         }
+    }
+    impl LazyRegistry for OneHost {
         fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
-            self.covers(addr)
-                .then(|| Box::new(Count(self.0.clone())) as Box<dyn Endpoint>)
+            let got = self.0.clone().filter(|_| self.covers(addr))?;
+            Some(Box::new(Count(got)))
         }
     }
 
@@ -1914,7 +1835,7 @@ mod routing_tests {
         let mut net = SimNet::builder()
             .seed(5)
             .latency(FixedLatency(Duration::from_millis(10)))
-            .lazy_hosts(OneHost(got.clone()))
+            .lazy_hosts(OneHost(Some(got.clone())))
             .build();
         send_at(&mut net, 0, DST);
         send_at(&mut net, 0, GHOST);
@@ -1935,18 +1856,19 @@ mod routing_tests {
     }
 
     #[test]
-    fn a_deregistered_slot_still_travels_and_is_unrouted_on_arrival() {
-        let got = Arc::new(AtomicU64::new(0));
-        let mut net = net_with(FaultPlan::seeded(5));
-        net.register(DST, Count(got.clone()));
-        net.deregister(DST);
+    fn a_datagram_nobody_is_built_for_on_arrival_is_unrouted_then() {
+        let mut net = SimNet::builder()
+            .seed(5)
+            .latency(FixedLatency(Duration::from_millis(10)))
+            .lazy_hosts(OneHost(None))
+            .build();
         send_at(&mut net, 0, DST);
-        assert_eq!(net.stats().unrouted, 0, "not decided yet");
+        assert_eq!(net.stats().unrouted, 0, "covered, so not decided yet");
         assert!(!net.is_idle());
         net.run_until_idle();
-        assert_eq!(got.load(Ordering::Relaxed), 0);
-        assert_eq!(net.stats().unrouted, 1);
-        assert_eq!(net.stats().events, 1);
+        let stats = *net.stats();
+        assert_eq!((stats.sent, stats.delivered, stats.unrouted), (1, 0, 1));
+        assert_eq!(stats.events, 1);
     }
 
     #[test]

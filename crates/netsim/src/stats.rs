@@ -13,14 +13,14 @@ pub struct NetStats {
     pub duplicated: u64,
     /// Datagrams addressed to an unregistered host ("no route"): counted
     /// when handed to the wire if the address has never been registered
-    /// and no lazy registry covers it, on arrival if its host was
-    /// deregistered in the meantime. One per copy when duplicated.
+    /// and no lazy registry covers it, on arrival if the registry that
+    /// covers it built nobody there. One per copy when duplicated.
     pub unrouted: u64,
     /// Timer events fired.
     pub timers_fired: u64,
     /// Events the loop processed: timers and the datagrams that
     /// travelled — delivered, swallowed by a crash window on arrival, or
-    /// found their host deregistered. A datagram settled as unrouted
+    /// found nobody built to take them. A datagram settled as unrouted
     /// when it was sent never becomes an event.
     pub events: u64,
     /// Sum of payload bytes delivered (for amplification measurements).

@@ -15,8 +15,11 @@
 //! verified newest-first (envelope digest, a parse that reads the
 //! history one row at a time, the totals and matrices the rows imply,
 //! run fingerprint). A file that fails verification is
-//! *quarantined* — renamed to `*.corrupt`, preserved for post-mortems —
-//! and recovery rolls back to the next older generation. Because
+//! *quarantined* — renamed to `*.corrupt`, the newest few preserved for
+//! post-mortems — and recovery rolls back to the next older generation.
+//! What a crash can leave behind is bounded: staging files of torn
+//! writes go at the next write, earlier quarantined files past
+//! [`ObservatoryCheckpoint::QUARANTINE_KEPT`] at the next recovery. Because
 //! membership is a pure function of the churn seed and campaign rounds
 //! are deterministic, resuming from any verified generation and
 //! fast-forwarding produces trend tables byte-identical to a run that
@@ -155,6 +158,10 @@ impl ObservatoryCheckpoint {
     pub const PREFIX: &'static str = "checkpoint-";
     /// Generation file extension (the envelope makes it non-JSON).
     pub const SUFFIX: &'static str = ".ckpt";
+    /// Quarantined generations a state dir keeps, newest first: the
+    /// evidence of the latest corruption, without a crash loop growing
+    /// the dir.
+    pub const QUARANTINE_KEPT: usize = 4;
 
     /// The file name of the generation for `epochs_done`.
     pub fn generation_name(epochs_done: u64) -> String {
@@ -235,6 +242,18 @@ impl ObservatoryCheckpoint {
             .ok()
     }
 
+    /// Parses a quarantined generation's name, `<generation>.corrupt`
+    /// or `<generation>.corrupt.N`, to `(generation, N)` (N = 0 for the
+    /// first).
+    fn parse_quarantined(name: &str) -> Option<(u64, u32)> {
+        let (generation, n) = name.split_once(".corrupt")?;
+        let n = match n {
+            "" => 0,
+            n => n.strip_prefix('.')?.parse().ok()?,
+        };
+        Some((Self::parse_generation(generation)?, n))
+    }
+
     /// Writes this checkpoint as a new generation in `dir` (created if
     /// missing) — sealed, fsynced, renamed into place — then prunes all
     /// but the newest `keep` generations.
@@ -256,45 +275,56 @@ impl ObservatoryCheckpoint {
         epochs_done: u64,
         sealed: &[u8],
     ) -> io::Result<PathBuf> {
-        let path = integrity::persist_atomic(dir, &Self::generation_name(epochs_done), sealed)?;
-        // Prune: everything older than the newest `keep` generations.
-        let mut generations = Self::list_generations(dir)?;
-        if generations.len() > keep.max(1) {
-            generations.truncate(generations.len() - keep.max(1));
-            for (_, stale) in generations {
-                fs::remove_file(stale)?;
-            }
+        let path = dir.join(Self::generation_name(epochs_done));
+        integrity::persist_atomic(&path, sealed)?;
+        // Prune: everything older than the newest `keep` generations,
+        // and the staging files of writes a crash cut short (this
+        // write's own was renamed into place).
+        let mut generations = Self::list(dir, Self::parse_generation)?;
+        let stale = generations.len().saturating_sub(keep.max(1));
+        let torn = Self::list(dir, |name| {
+            Self::parse_generation(name.strip_suffix(".tmp")?)
+        })?;
+        for (_, file) in generations.drain(..stale).chain(torn) {
+            fs::remove_file(file)?;
         }
         Ok(path)
     }
 
-    /// Every generation in `dir`, sorted oldest first. Quarantined
-    /// (`*.corrupt`) and staging (`*.tmp`) files are not generations.
-    fn list_generations(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
+    /// The files in `dir` whose names `parse` reads, sorted by what it
+    /// read. A generation is `checkpoint-NNNNNNNN.ckpt`: quarantined
+    /// (`*.corrupt`) and staging (`*.tmp`) files are not.
+    fn list<K: Ord>(
+        dir: &Path,
+        parse: impl Fn(&str) -> Option<K>,
+    ) -> io::Result<Vec<(K, PathBuf)>> {
         let entries = match fs::read_dir(dir) {
             Ok(entries) => entries,
             Err(err) if err.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(err) => return Err(err),
         };
-        let mut generations = Vec::new();
+        let mut files = Vec::new();
         for entry in entries {
             let entry = entry?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            if let Some(generation) = Self::parse_generation(name) {
-                generations.push((generation, entry.path()));
+            if let Some(key) = parse(name) {
+                files.push((key, entry.path()));
             }
         }
-        generations.sort();
-        Ok(generations)
+        files.sort();
+        Ok(files)
     }
 
     /// Finds the newest generation that verifies end to end: envelope
     /// digest, JSON parse, structural invariants of the tables, the
     /// generation number matching the file name, and the run
     /// fingerprint matching `expected`. Generations failing anything
-    /// but the fingerprint check are quarantined (renamed `*.corrupt`)
-    /// and recovery rolls back to the next older one.
+    /// but the fingerprint check are quarantined (renamed `*.corrupt`,
+    /// or `*.corrupt.N` past the first of that generation) and recovery
+    /// rolls back to the next older one. Then earlier quarantined files
+    /// are deleted, oldest first, until at most [`Self::QUARANTINE_KEPT`]
+    /// remain; none this call quarantined is.
     ///
     /// # Errors
     ///
@@ -303,25 +333,39 @@ impl ObservatoryCheckpoint {
     /// resume into).
     pub fn recover(dir: &Path, expected: &Fingerprint) -> io::Result<Recovery> {
         let mut recovery = Recovery::default();
-        let mut generations = Self::list_generations(dir)?;
-        generations.reverse(); // newest first
-        for (generation, path) in generations {
-            let bytes = fs::read(&path)?;
-            let verified = Self::verify(&bytes, generation);
-            match verified {
+        let mut earlier = Self::list(dir, Self::parse_quarantined)?;
+        let generations = Self::list(dir, Self::parse_generation)?;
+        for (generation, path) in generations.into_iter().rev() {
+            match Self::verify(&fs::read(&path)?, generation) {
                 Err(_reason) => {
-                    let quarantine = quarantine_path(&path);
+                    let n = earlier
+                        .iter()
+                        .filter(|((of, _), _)| *of == generation)
+                        .map(|((_, n), _)| n + 1)
+                        .max()
+                        .unwrap_or(0);
+                    let suffix = if n == 0 {
+                        String::new()
+                    } else {
+                        format!(".{n}")
+                    };
+                    let quarantine = PathBuf::from(format!("{}.corrupt{suffix}", path.display()));
                     fs::rename(&path, &quarantine)?;
                     recovery.quarantined.push(quarantine);
                 }
-                Ok(checkpoint) => {
-                    if checkpoint.fingerprint.compatible_with(expected) {
-                        recovery.checkpoint = Some(checkpoint);
-                        return Ok(recovery);
-                    }
-                    recovery.incompatible.push(path);
+                Ok(checkpoint) if checkpoint.fingerprint.compatible_with(expected) => {
+                    recovery.checkpoint = Some(checkpoint);
+                    break;
                 }
+                Ok(_) => recovery.incompatible.push(path),
             }
+        }
+        // What this call quarantined is the evidence it reports, so only
+        // earlier quarantines make room for it.
+        let kept = Self::QUARANTINE_KEPT.saturating_sub(recovery.quarantined.len());
+        let stale = earlier.len().saturating_sub(kept);
+        for (_, file) in earlier.drain(..stale) {
+            fs::remove_file(file)?;
         }
         Ok(recovery)
     }
@@ -352,23 +396,6 @@ impl ObservatoryCheckpoint {
             .map_err(|reason| format!("tables: {reason}"))?;
         Ok(self)
     }
-}
-
-/// Where a corrupt generation is moved: alongside itself, `.corrupt`
-/// appended (with a numeric suffix if a previous quarantine of the same
-/// name is already there).
-fn quarantine_path(path: &Path) -> PathBuf {
-    let base = PathBuf::from(format!("{}.corrupt", path.display()));
-    if !base.exists() {
-        return base;
-    }
-    for n in 1u32.. {
-        let candidate = PathBuf::from(format!("{}.corrupt.{n}", path.display()));
-        if !candidate.exists() {
-            return candidate;
-        }
-    }
-    unreachable!("u32 quarantine suffixes exhausted")
 }
 
 #[cfg(test)]
@@ -559,6 +586,31 @@ mod tests {
         let recovery = ObservatoryCheckpoint::recover(&dir, &fingerprint(7)).unwrap();
         assert_eq!(recovery.rollbacks(), 2);
         assert_eq!(recovery.checkpoint.unwrap().epochs_done, 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_recovery_keeps_every_file_it_quarantines() {
+        // More corrupt generations than the dir keeps quarantined: this
+        // recovery's evidence survives it, and the next one's displaces it.
+        let dir = scratch("many-corrupt");
+        let keep = ObservatoryCheckpoint::QUARANTINE_KEPT + 3;
+        let corrupt_all = |dir: &Path| {
+            for epochs in 1..=keep as u64 {
+                let path = checkpoint(7, epochs).save_generation(dir, keep).unwrap();
+                fs::write(path, b"").unwrap();
+            }
+            ObservatoryCheckpoint::recover(dir, &fingerprint(7)).unwrap()
+        };
+        let first = corrupt_all(&dir);
+        assert!(first.checkpoint.is_none());
+        assert_eq!(first.quarantined.len(), keep);
+        assert!(first.quarantined.iter().all(|path| path.exists()));
+        let second = corrupt_all(&dir);
+        assert_eq!(second.quarantined.len(), keep);
+        assert!(second.quarantined.iter().all(|path| path.exists()));
+        let files = fs::read_dir(&dir).unwrap().count();
+        assert_eq!(files, keep, "the first recovery's are gone");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -216,6 +216,55 @@ fn stray_staging_files_are_not_generations() {
     assert_eq!(resumed_from, Some(HALF));
     assert_eq!(tables, straight);
     assert!(dir.join("notes.txt").exists());
+    // The torn write is gone with the next generation written.
+    assert!(!dir.join("checkpoint-00000009.ckpt.tmp").exists());
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_crash_loop_leaves_a_bounded_state_dir() {
+    // Each cycle is a crash that corrupted the newest generation and
+    // tore the write of the next, then a restart that recovers and
+    // writes that generation again or one further along. However long
+    // that goes on, the dir holds the kept generations, the newest few
+    // quarantined ones and no staging file.
+    const KEEP: usize = 3;
+    let dir = partial_run("crash-loop", HALF);
+    let newest = generation_path(&dir, HALF);
+    let mut checkpoint = ObservatoryCheckpoint::verify(&fs::read(newest).unwrap(), HALF).unwrap();
+    for cycle in 0..100 {
+        let newest = checkpoint.epochs_done;
+        let path = generation_path(&dir, newest);
+        let mut bytes = fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x20;
+        fs::write(&path, bytes).unwrap();
+        let torn = format!("{}.tmp", ObservatoryCheckpoint::generation_name(newest + 1));
+        fs::write(dir.join(torn), b"torn write").unwrap();
+
+        let recovery = ObservatoryCheckpoint::recover(&dir, &checkpoint.fingerprint).unwrap();
+        assert_eq!(recovery.rollbacks(), 1, "cycle {cycle}");
+        assert!(
+            recovery.quarantined[0].exists(),
+            "cycle {cycle}: the newest kept"
+        );
+        checkpoint = recovery.checkpoint.expect("an older generation verifies");
+        checkpoint.epochs_done = newest + 2 * u64::from(cycle % 10 == 9);
+        checkpoint.save_generation(&dir, KEEP).unwrap();
+
+        let names: Vec<String> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert!(
+            names.len() <= KEEP + ObservatoryCheckpoint::QUARANTINE_KEPT,
+            "cycle {cycle}: {names:?}"
+        );
+        assert!(
+            !names.iter().any(|name| name.ends_with(".tmp")),
+            "{names:?}"
+        );
+    }
     fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -497,10 +497,6 @@ impl Prober {
 }
 
 impl Endpoint for Prober {
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-
     fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
         // ZMap only records responses from the scanned port (§V).
         if dgram.src_port != 53 {

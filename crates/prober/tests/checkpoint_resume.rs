@@ -1,7 +1,9 @@
 //! A scan interrupted mid-flight and resumed from its checkpoint must
 //! cover every responder a straight run covers.
 
+use std::cell::RefCell;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 use std::time::Duration;
 
 use orscope_dns_wire::{Message, RData, Record};
@@ -70,24 +72,15 @@ const PROBER: Ipv4Addr = Ipv4Addr::new(132, 170, 5, 53);
 fn interrupted_scan() -> (ProberHandle, ScanCheckpoint, Vec<Ipv4Addr>) {
     let handle = ProberHandle::new();
     let mut net = build_net(true);
-    net.register(
-        PROBER,
-        Prober::new(config(), handle.clone()).expect("valid rate"),
-    );
+    let prober = Prober::new(config(), handle.clone()).expect("valid rate");
+    let prober = Rc::new(RefCell::new(prober));
+    net.register(PROBER, Rc::clone(&prober));
     net.set_timer_for(PROBER, SimTime::ZERO, 0);
     // 400 targets at 100 pps = 4 s; stop at 2 s.
     net.run_until(SimTime::from_secs(2));
-    // Checkpoint the live endpoint through the downcast hook.
-    let (checkpoint, outstanding) = net
-        .with_host(PROBER, |ep| {
-            let prober = ep
-                .as_any_mut()
-                .and_then(|any| any.downcast_mut::<Prober>())
-                .expect("a Prober lives at PROBER");
-            (prober.checkpoint(), prober.outstanding_targets())
-        })
-        .expect("prober registered");
-    (handle, checkpoint, outstanding)
+    // Checkpoint the live endpoint through the handle kept on it.
+    let prober = prober.borrow();
+    (handle, prober.checkpoint(), prober.outstanding_targets())
 }
 
 #[test]

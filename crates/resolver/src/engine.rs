@@ -802,10 +802,6 @@ impl Endpoint for ProfiledResolver {
         }
     }
 
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-
     fn is_quiescent(&self) -> bool {
         // No in-flight recursion or relay: rebuilding this resolver from
         // its (shared) policy and config later is indistinguishable on
@@ -905,7 +901,7 @@ fn build_immediate(
 mod tests {
     use super::*;
     use orscope_authns::{
-        AuthoritativeServer, CaptureHandle, ClusterZone, ProbeLabel, RootServer, TldServer, Zone,
+        AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, ProbeLabel, Zone,
     };
     use orscope_dns_wire::WireError;
     use orscope_netsim::{FixedLatency, SimNet};
@@ -929,14 +925,14 @@ mod tests {
             .seed(11)
             .latency(FixedLatency(Duration::from_millis(5)))
             .build();
-        let mut root = RootServer::new();
+        let mut root = DelegationServer::new();
         root.delegate(
             "net".parse().unwrap(),
             "a.gtld-servers.net".parse().unwrap(),
             TLD,
         );
         net.register(ROOT, root);
-        let mut tld = TldServer::new();
+        let mut tld = DelegationServer::new();
         tld.delegate(
             zone_name(),
             "ns1.ucfsealresearch.net".parse().unwrap(),
@@ -1226,7 +1222,7 @@ mod tests {
 mod forwarder_tests {
     use super::*;
     use orscope_authns::{
-        AuthoritativeServer, CaptureHandle, ClusterZone, ProbeLabel, RootServer, TldServer, Zone,
+        AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, ProbeLabel, Zone,
     };
     use orscope_netsim::{FixedLatency, SimNet};
     use std::cell::RefCell;
@@ -1259,14 +1255,14 @@ mod forwarder_tests {
             .seed(21)
             .latency(FixedLatency(Duration::from_millis(5)))
             .build();
-        let mut root = RootServer::new();
+        let mut root = DelegationServer::new();
         root.delegate(
             "net".parse().unwrap(),
             "a.gtld-servers.net".parse().unwrap(),
             TLD,
         );
         net.register(ROOT, root);
-        let mut tld = TldServer::new();
+        let mut tld = DelegationServer::new();
         tld.delegate(
             zone_name(),
             "ns1.ucfsealresearch.net".parse().unwrap(),
@@ -1423,7 +1419,7 @@ mod forwarder_tests {
 mod cname_tests {
     use super::*;
     use orscope_authns::{
-        AuthoritativeServer, CaptureHandle, ClusterZone, ProbeLabel, RootServer, TldServer, Zone,
+        AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, ProbeLabel, Zone,
     };
     use orscope_dns_wire::RecordType;
     use orscope_netsim::{FixedLatency, SimNet};
@@ -1454,14 +1450,14 @@ mod cname_tests {
             .seed(31)
             .latency(FixedLatency(Duration::from_millis(5)))
             .build();
-        let mut root = RootServer::new();
+        let mut root = DelegationServer::new();
         root.delegate(
             "net".parse().unwrap(),
             "a.gtld-servers.net".parse().unwrap(),
             TLD,
         );
         net.register(ROOT, root);
-        let mut tld = TldServer::new();
+        let mut tld = DelegationServer::new();
         tld.delegate(
             zone_name(),
             "ns1.ucfsealresearch.net".parse().unwrap(),
@@ -1594,7 +1590,7 @@ mod cname_tests {
 mod version_and_snoop_tests {
     use super::*;
     use orscope_authns::{
-        AuthoritativeServer, CaptureHandle, ClusterZone, ProbeLabel, RootServer, TldServer, Zone,
+        AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, ProbeLabel, Zone,
     };
     use orscope_dns_wire::{RecordClass, RecordType};
     use orscope_netsim::{FixedLatency, SimNet};
@@ -1625,14 +1621,14 @@ mod version_and_snoop_tests {
             .seed(77)
             .latency(FixedLatency(Duration::from_millis(5)))
             .build();
-        let mut root = RootServer::new();
+        let mut root = DelegationServer::new();
         root.delegate(
             "net".parse().unwrap(),
             "a.gtld-servers.net".parse().unwrap(),
             TLD,
         );
         net.register(ROOT, root);
-        let mut tld = TldServer::new();
+        let mut tld = DelegationServer::new();
         tld.delegate(
             zone_name(),
             "ns1.ucfsealresearch.net".parse().unwrap(),
@@ -1742,7 +1738,7 @@ mod version_and_snoop_tests {
 mod dns0x20_tests {
     use super::*;
     use orscope_authns::{
-        AuthoritativeServer, CaptureHandle, ClusterZone, ProbeLabel, RootServer, TldServer, Zone,
+        AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, ProbeLabel, Zone,
     };
     use orscope_netsim::{FixedLatency, SimNet};
     use std::cell::RefCell;
@@ -1773,14 +1769,14 @@ mod dns0x20_tests {
             .seed(61)
             .latency(FixedLatency(Duration::from_millis(5)))
             .build();
-        let mut root = RootServer::new();
+        let mut root = DelegationServer::new();
         root.delegate(
             "net".parse().unwrap(),
             "a.gtld-servers.net".parse().unwrap(),
             TLD,
         );
         net.register(ROOT, root);
-        let mut tld = TldServer::new();
+        let mut tld = DelegationServer::new();
         tld.delegate(
             zone_name(),
             "ns1.ucfsealresearch.net".parse().unwrap(),
@@ -1894,7 +1890,7 @@ mod dns0x20_tests {
 mod reset_tests {
     use super::*;
     use orscope_authns::{
-        AuthoritativeServer, CaptureHandle, ClusterZone, ProbeLabel, RootServer, TldServer, Zone,
+        AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, ProbeLabel, Zone,
     };
     use orscope_netsim::{FixedLatency, SimNet};
     use std::cell::RefCell;
@@ -1933,22 +1929,25 @@ mod reset_tests {
         fn handle_datagram(&mut self, _dgram: &Datagram, _ctx: &mut Context<'_>) {}
     }
 
+    /// The resolver under test, which the test keeps a handle on.
+    type Resolver = Rc<RefCell<ProfiledResolver>>;
+
     /// Root, TLD, a zone with one alias, a shared upstream and a client,
     /// all tapped, around `resolver`.
-    fn world(resolver: ProfiledResolver) -> (SimNet, Wire) {
+    fn world(resolver: ProfiledResolver) -> (SimNet, Wire, Resolver) {
         let wire = Wire::default();
         let mut net = SimNet::builder()
             .seed(41)
             .latency(FixedLatency(Duration::from_millis(5)))
             .build();
-        let mut root = RootServer::new();
+        let mut root = DelegationServer::new();
         root.delegate(
             "net".parse().unwrap(),
             "a.gtld-servers.net".parse().unwrap(),
             TLD,
         );
         net.register(ROOT, Tap(root, wire.clone()));
-        let mut tld = TldServer::new();
+        let mut tld = DelegationServer::new();
         tld.delegate(
             zone_name(),
             "ns1.ucfsealresearch.net".parse().unwrap(),
@@ -1968,8 +1967,9 @@ mod reset_tests {
         let upstream = ProfiledResolver::new(ResponsePolicy::honest(), ResolverConfig::new(ROOT));
         net.register(UPSTREAM, Tap(upstream, wire.clone()));
         net.register(CLIENT, Tap(Sink, wire.clone()));
-        net.register(RESOLVER, resolver);
-        (net, wire)
+        let resolver = Rc::new(RefCell::new(resolver));
+        net.register(RESOLVER, Rc::clone(&resolver));
+        (net, wire, resolver)
     }
 
     fn ask(net: &mut SimNet, id: u16, qname: Name) {
@@ -1982,15 +1982,6 @@ mod reset_tests {
         net.run_until_idle();
     }
 
-    fn with_resolver<R>(net: &mut SimNet, f: impl FnOnce(&mut ProfiledResolver) -> R) -> R {
-        net.with_host(RESOLVER, |ep| {
-            f(ep.as_any_mut()
-                .and_then(|any| any.downcast_mut::<ProfiledResolver>())
-                .expect("the resolver under test"))
-        })
-        .expect("registered")
-    }
-
     #[test]
     fn a_reset_resolver_is_a_fresh_one() {
         let honest = Arc::new(ResponsePolicy::honest());
@@ -2000,14 +1991,14 @@ mod reset_tests {
         // A life before the reset: a full recursion, a CNAME chase, a
         // negative answer and its cached repeat, a cache hit; then, as a
         // forwarder, a relayed query.
-        let (mut used, used_wire) = world(fresh());
+        let (mut used, used_wire, resolver) = world(fresh());
         let label = |seq| ProbeLabel::new(0, seq).qname(&zone_name());
         ask(&mut used, 1, label(1));
         ask(&mut used, 2, "alias.ucfsealresearch.net".parse().unwrap());
         ask(&mut used, 3, ProbeLabel::new(9, 1).qname(&zone_name()));
         ask(&mut used, 4, ProbeLabel::new(9, 1).qname(&zone_name()));
         ask(&mut used, 5, label(1));
-        let stats = with_resolver(&mut used, |r| r.stats());
+        let stats = resolver.borrow().stats();
         assert_eq!(stats.responses_sent, 5);
         assert_eq!((stats.negative_hits, stats.cache_hits), (1, 1));
         assert_eq!(stats.upstream_queries, 3 + 2 + 1, "{stats:?}");
@@ -2019,9 +2010,9 @@ mod reset_tests {
         twice.absorb(&stats);
         assert_eq!((twice.responses_sent, twice.recursion_depth.count), (10, 6));
         let forwarder = Arc::new(ResponsePolicy::forwarder(UPSTREAM));
-        with_resolver(&mut used, |r| r.reset(forwarder));
+        resolver.borrow_mut().reset(forwarder);
         ask(&mut used, 6, label(2));
-        let stats = with_resolver(&mut used, |r| r.stats());
+        let stats = resolver.borrow().stats();
         assert_eq!((stats.forwarded, stats.responses_sent), (1, 1));
         assert_eq!(
             used_wire
@@ -2035,13 +2026,12 @@ mod reset_tests {
         // Reset: state for state what `new_shared` builds. `Debug`
         // lists every map entry, counter and scratch byte (and no
         // allocator capacity).
-        with_resolver(&mut used, |r| r.reset(honest.clone()));
-        let rendered = with_resolver(&mut used, |r| format!("{r:?}"));
-        assert_eq!(rendered, format!("{:?}", fresh()));
+        resolver.borrow_mut().reset(honest.clone());
+        assert_eq!(format!("{:?}", resolver.borrow()), format!("{:?}", fresh()));
 
         // And the next conversation is, byte for byte, the one a fresh
         // resolver has: same transaction ids, ports, spellings, answers.
-        let (mut reference, reference_wire) = world(fresh());
+        let (mut reference, reference_wire, reference_resolver) = world(fresh());
         used_wire.borrow_mut().clear();
         for net in [&mut used, &mut reference] {
             ask(net, 7, label(3));
@@ -2052,8 +2042,8 @@ mod reset_tests {
         assert_eq!(reference_wire.borrow().len(), 4 + 3);
         assert_eq!(*used_wire.borrow(), *reference_wire.borrow());
         assert_eq!(
-            with_resolver(&mut used, |r| r.stats()),
-            with_resolver(&mut reference, |r| r.stats()),
+            resolver.borrow().stats(),
+            reference_resolver.borrow().stats()
         );
     }
 }
@@ -2122,20 +2112,18 @@ mod fresh_ignores_tests {
         wire
     }
 
-    fn with_resolver<R>(net: &mut SimNet, f: impl FnOnce(&mut ProfiledResolver) -> R) -> R {
-        net.with_host(RESOLVER, |ep| {
-            f(ep.as_any_mut()
-                .and_then(|any| any.downcast_mut::<ProfiledResolver>())
-                .expect("the resolver under test"))
-        })
-        .expect("registered")
+    /// The one host: the resolver under test.
+    type Net = SimNet<ProfiledResolver>;
+
+    fn with_resolver<R>(net: &mut Net, f: impl FnOnce(&mut ProfiledResolver) -> R) -> R {
+        net.with_host(RESOLVER, f).expect("registered")
     }
 
     /// The resolver has shown no sign of life: it sent nothing (every
     /// datagram on the books is one the test injected), armed nothing
     /// (every event is one the test queued), counted nothing — the
     /// recursion-depth histogram included — and holds nothing in flight.
-    fn assert_inert(net: &mut SimNet, queued: u64, context: &str) {
+    fn assert_inert(net: &mut Net, queued: u64, context: &str) {
         net.run_until_idle();
         let stats = *net.stats();
         assert_eq!(stats.events, queued, "armed a timer: {context}");
@@ -2151,11 +2139,11 @@ mod fresh_ignores_tests {
         for policy in policies() {
             let policy = Arc::new(policy);
             let fresh = || ProfiledResolver::new_shared(policy.clone(), ResolverConfig::new(ROOT));
-            let mut net = SimNet::builder()
+            let mut net = Net::builder()
                 .seed(3)
                 .latency(FixedLatency(Duration::from_millis(1)))
                 .build();
-            net.register(RESOLVER, fresh());
+            net.insert(RESOLVER, fresh());
             let mut queued = 0u64;
             let (mut ignorable, mut decoded_responses) = (0, 0);
             for case in 0..1500u32 {
@@ -2168,7 +2156,7 @@ mod fresh_ignores_tests {
                 // Alternately a resolver built from nothing and a
                 // recycled one re-armed in place.
                 if case % 2 == 0 {
-                    net.register(RESOLVER, fresh());
+                    net.insert(RESOLVER, fresh());
                 } else {
                     with_resolver(&mut net, |r| r.reset(policy.clone()));
                 }

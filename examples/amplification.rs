@@ -16,9 +16,7 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 use std::time::Duration;
 
-use orscope_authns::{
-    AuthoritativeServer, CaptureHandle, ClusterZone, RootServer, TldServer, Zone,
-};
+use orscope_authns::{AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, Zone};
 use orscope_dns_wire::{Message, Name, Question, RecordType};
 use orscope_netsim::{Context, Datagram, Endpoint, FixedLatency, SimNet, SimTime};
 use orscope_resolver::{ProfiledResolver, ResolverConfig, ResponsePolicy};
@@ -47,14 +45,14 @@ fn build_net() -> (SimNet, Rc<RefCell<u64>>) {
         .seed(99)
         .latency(FixedLatency(Duration::from_millis(10)))
         .build();
-    let mut root = RootServer::new();
+    let mut root = DelegationServer::new();
     root.delegate(
         "net".parse().expect("static"),
         "a.gtld-servers.net".parse().expect("static"),
         TLD,
     );
     net.register(ROOT, root);
-    let mut tld = TldServer::new();
+    let mut tld = DelegationServer::new();
     tld.delegate(zone_name.clone(), ns_name.clone(), AUTH);
     net.register(TLD, tld);
     // A record-rich apex: SOA + NS + a pile of TXT, as real amplification

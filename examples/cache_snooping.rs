@@ -23,9 +23,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use orscope_authns::scheme::ProbeLabel;
-use orscope_authns::{
-    AuthoritativeServer, CaptureHandle, ClusterZone, RootServer, TldServer, Zone,
-};
+use orscope_authns::{AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, Zone};
 use orscope_dns_wire::{Message, Name, Question};
 use orscope_netsim::{Context, Datagram, Endpoint, FixedLatency, SimNet, SimTime};
 use orscope_resolver::{ProfiledResolver, ResolverConfig, ResponsePolicy};
@@ -70,14 +68,14 @@ fn main() {
         .seed(2024)
         .latency(FixedLatency(Duration::from_millis(6)))
         .build();
-    let mut root = RootServer::new();
+    let mut root = DelegationServer::new();
     root.delegate(
         "net".parse().expect("static"),
         "a.gtld-servers.net".parse().expect("static"),
         TLD,
     );
     net.register(ROOT, root);
-    let mut tld = TldServer::new();
+    let mut tld = DelegationServer::new();
     tld.delegate(
         zone_name(),
         "ns1.ucfsealresearch.net".parse().expect("static"),

@@ -28,9 +28,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use orscope_authns::scheme::ProbeLabel;
-use orscope_authns::{
-    AuthoritativeServer, CaptureHandle, ClusterZone, RootServer, TldServer, Zone,
-};
+use orscope_authns::{AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, Zone};
 use orscope_core::{Campaign, CampaignConfig};
 use orscope_dns_wire::{Message, Name, Question};
 use orscope_netsim::{Context, Datagram, Endpoint, HashLatency, SimNet, SimTime};
@@ -116,7 +114,7 @@ fn main() {
         .build();
     let root_queries = Rc::new(RefCell::new(0u64));
     let root_sources = Rc::new(RefCell::new(HashMap::new()));
-    let mut root = RootServer::new();
+    let mut root = DelegationServer::new();
     root.delegate(
         "net".parse().expect("static"),
         "a.gtld-servers.net".parse().expect("static"),
@@ -130,7 +128,7 @@ fn main() {
             sources: root_sources.clone(),
         },
     );
-    let mut tld = TldServer::new();
+    let mut tld = DelegationServer::new();
     tld.delegate(zone_name(), infra.auth_ns_name.clone(), infra.auth);
     net.register(infra.tld, tld);
     let mut cz = ClusterZone::new(Zone::new(zone_name(), infra.auth_ns_name.clone()));

@@ -27,9 +27,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use orscope_authns::scheme::ProbeLabel;
-use orscope_authns::{
-    AuthoritativeServer, CaptureHandle, ClusterZone, RootServer, TldServer, Zone,
-};
+use orscope_authns::{AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, Zone};
 use orscope_dns_wire::{Message, Name, Question, RData, Record};
 use orscope_netsim::{Context, Datagram, Endpoint, FixedLatency, SimNet, SimTime};
 use orscope_resolver::{ProfiledResolver, ResolverConfig, ResponsePolicy};
@@ -116,14 +114,14 @@ fn attempt(randomize_txn: bool, dns0x20: bool, trial: u64) -> Ipv4Addr {
         .seed(1000 + trial)
         .latency(FixedLatency(Duration::from_millis(10)))
         .build();
-    let mut root = RootServer::new();
+    let mut root = DelegationServer::new();
     root.delegate(
         "net".parse().expect("static"),
         "a.gtld-servers.net".parse().expect("static"),
         TLD,
     );
     net.register(ROOT, root);
-    let mut tld = TldServer::new();
+    let mut tld = DelegationServer::new();
     tld.delegate(
         zone_name(),
         "ns1.ucfsealresearch.net".parse().expect("static"),

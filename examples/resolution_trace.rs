@@ -16,9 +16,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use orscope_authns::scheme::ProbeLabel;
-use orscope_authns::{
-    AuthoritativeServer, CaptureHandle, ClusterZone, RootServer, TldServer, Zone,
-};
+use orscope_authns::{AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, Zone};
 use orscope_dns_wire::{Message, Name, Question};
 use orscope_netsim::{Context, Datagram, Endpoint, FixedLatency, SimNet, SimTime};
 use orscope_resolver::{ProfiledResolver, ResolverConfig, ResponsePolicy};
@@ -106,7 +104,7 @@ fn main() {
         .latency(FixedLatency(Duration::from_millis(15)))
         .build();
 
-    let mut root = RootServer::new();
+    let mut root = DelegationServer::new();
     root.delegate(
         "net".parse().expect("static"),
         "a.gtld-servers.net".parse().expect("static"),
@@ -121,7 +119,7 @@ fn main() {
         },
     );
 
-    let mut tld = TldServer::new();
+    let mut tld = DelegationServer::new();
     tld.delegate(zone_name.clone(), ns_name.clone(), AUTH);
     net.register(
         TLD,

@@ -21,15 +21,15 @@
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use orscope_core::{
-    run_trend, AnalysisMode, Campaign, CampaignConfig, PredicateError, RecordBus, TapPredicate,
-    TapSubscriber, TrendConfig, DEFAULT_TAP_CAPACITY,
+    integrity, run_trend, AnalysisMode, Campaign, CampaignConfig, PredicateError, RecordBus,
+    TapPredicate, TapSubscriber, TrendConfig, DEFAULT_TAP_CAPACITY,
 };
 use orscope_json::Wire;
 use orscope_netsim::{FaultKind, FaultPlan, FaultRule, FaultScope};
@@ -202,23 +202,28 @@ const PCAP_FLAGS: &[&str] = &["--year", "--scale"];
 /// Flags that take no value.
 const BOOLEAN_FLAGS: &[&str] = &["--full-q1", "--fresh", "--oneshot"];
 
-/// Fails on any `--flag` that `command` does not define: a typo such as
-/// `--shard 4` must not silently run the default.
+/// Fails on whatever `command` would otherwise silently ignore: a
+/// `--flag` it does not define (a typo such as `--shard 4` must not run
+/// the default), a flag given twice (only the first would count), or a
+/// positional argument (`pcap` takes one, its output path).
 fn reject_unknown_flags(command: &str, args: &[String], known: &[&str]) -> Result<(), String> {
-    let mut skip_next = false;
-    for arg in args {
-        if skip_next {
-            skip_next = false;
-        } else if arg.starts_with("--") {
-            if !known.contains(&arg.as_str()) {
-                return Err(format!(
-                    "unknown flag {arg} for `orscope {command}`; try `orscope help`"
-                ));
-            }
-            skip_next = !BOOLEAN_FLAGS.contains(&arg.as_str());
+    let (flags, positionals) = split_args(args);
+    for (i, flag) in flags.iter().enumerate() {
+        if !known.contains(&flag.as_str()) {
+            return Err(format!(
+                "unknown flag {flag} for `orscope {command}`; try `orscope help`"
+            ));
+        }
+        if flags[..i].contains(flag) {
+            return Err(format!("{flag} given twice for `orscope {command}`"));
         }
     }
-    Ok(())
+    match positionals.get(usize::from(command == "pcap")) {
+        Some(extra) => Err(format!(
+            "unexpected argument {extra:?} for `orscope {command}`; try `orscope help`"
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Pulls `--name value` from an argument list.
@@ -327,7 +332,8 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             .run_partial(Duration::from_secs_f64(stop))
             .map_err(|e| e.to_string())?;
         let blob = checkpoint.scan.to_json_string();
-        std::fs::write(&path, blob).map_err(|e| format!("writing {path}: {e}"))?;
+        integrity::persist_atomic(Path::new(&path), blob.as_bytes())
+            .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!(
             "froze at {stop}s: {} probes sent, {} in flight; cursor written to {path}",
             checkpoint.scan.q1_sent,
@@ -760,22 +766,28 @@ fn tap_oneshot(args: &[String], predicate: TapPredicate, limit: Option<u64>) -> 
     Ok(())
 }
 
-/// The positional (non-flag, non-flag-value) arguments.
-fn positionals(args: &[String]) -> Vec<&String> {
-    let mut out = Vec::new();
+/// Splits an argument list into its `--flag`s and its positional
+/// arguments; the value after a flag that takes one is neither.
+fn split_args(args: &[String]) -> (Vec<&String>, Vec<&String>) {
+    let (mut flags, mut positionals) = (Vec::new(), Vec::new());
     let mut skip_next = false;
     for arg in args {
-        if skip_next {
-            skip_next = false;
+        if std::mem::take(&mut skip_next) {
             continue;
         }
         if arg.starts_with("--") {
             skip_next = !BOOLEAN_FLAGS.contains(&arg.as_str());
-            continue;
+            flags.push(arg);
+        } else {
+            positionals.push(arg);
         }
-        out.push(arg);
     }
-    out
+    (flags, positionals)
+}
+
+/// The positional (non-flag, non-flag-value) arguments.
+fn positionals(args: &[String]) -> Vec<&String> {
+    split_args(args).1
 }
 
 fn cmd_pcap(args: &[String]) -> Result<(), String> {
@@ -829,8 +841,8 @@ mod tests {
         let ok = args(&["--scale", "500", "--full-q1", "--shards", "4"]);
         assert!(reject_unknown_flags("campaign", &ok, CAMPAIGN_FLAGS).is_ok());
         // The typo that used to run one shard silently.
-        let err =
-            reject_unknown_flags("campaign", &args(&["--shard", "4"]), CAMPAIGN_FLAGS).unwrap_err();
+        let shard = args(&["--shard", "4"]);
+        let err = reject_unknown_flags("campaign", &shard, CAMPAIGN_FLAGS).unwrap_err();
         assert!(err.contains("--shard") && err.contains("campaign"), "{err}");
         // A flag another subcommand defines is still unknown here.
         assert!(reject_unknown_flags("tables", &ok, TABLES_FLAGS).is_err());
@@ -838,9 +850,22 @@ mod tests {
         let err = reject_unknown_flags("campaign", &every, CAMPAIGN_FLAGS).unwrap_err();
         assert!(err.contains("--checkpoint-every"), "{err}");
         assert!(reject_unknown_flags("serve", &every, SERVE_FLAGS).is_ok());
-        // Flag values and positionals are not flags.
+        // Flag values and pcap's one output path are not flags.
         let pcap = args(&["--scale", "--5", "out.pcap"]);
         assert!(reject_unknown_flags("pcap", &pcap, PCAP_FLAGS).is_ok());
+        // A repeated flag used to run its first value and drop the rest.
+        let twice = args(&["--steps", "2", "--scale", "60000", "--steps", "3"]);
+        let err = reject_unknown_flags("trend", &twice, TREND_FLAGS).unwrap_err();
+        assert!(err.contains("--steps") && err.contains("twice"), "{err}");
+        let twice = args(&["--full-q1", "--full-q1"]);
+        assert!(reject_unknown_flags("campaign", &twice, CAMPAIGN_FLAGS).is_err());
+        // A stray positional used to be ignored.
+        let stray = args(&["--steps", "2", "--seed", "1", "bogus"]);
+        let err = reject_unknown_flags("trend", &stray, TREND_FLAGS).unwrap_err();
+        assert!(err.contains("bogus") && err.contains("trend"), "{err}");
+        let stray = args(&["out.pcap", "--scale", "5000", "again.pcap"]);
+        let err = reject_unknown_flags("pcap", &stray, PCAP_FLAGS).unwrap_err();
+        assert!(err.contains("again.pcap"), "{err}");
     }
 
     #[test]
