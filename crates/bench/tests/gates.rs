@@ -73,13 +73,14 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // it is no event, is lost from no book and is never built — the
     // prober hands its template's bytes to `Context::send_bytes`, which
     // copies them only for a destination somebody holds or is planned
-    // at. The tick that paces the scan re-arms into a queue that holds
-    // nothing else, so it waits beside the wheel, not in a slot. What
-    // is left is the 1.3 % of probes that are answered. A payload built
-    // for nobody, or a lone timer filed into a slot, costs one
-    // allocation a datagram and trips the budget twenty times over; a
-    // change to the prober's send path, `Context::send_bytes`,
-    // `TimingWheel::push` or `Coverage::covers` shows up here.
+    // at. The ticks that pace the scan run inside one dispatch while
+    // nothing else is queued, and one that must be armed waits beside
+    // the wheel, not in a slot. What is left is the 1.3 % of probes
+    // that are answered. A payload built for nobody, or a lone timer
+    // filed into a slot, costs one allocation a datagram and trips the
+    // budget twenty times over; a change to the prober's send path,
+    // `Context::send_bytes`, `TimingWheel::push` or `Coverage::covers`
+    // shows up here.
     ("sparse", "allocations per datagram sent", 0.05, 0.033),
     // Nothing is held per target: the budget is the measured peak plus
     // two bytes for each of the 61,704 targets, so a stored address a

@@ -93,17 +93,25 @@ pub mod integrity {
     /// of up to twenty digits, the digest, two spaces and the newline.
     pub const HEADER_ROOM: usize = MAGIC.len() + 40;
 
+    /// The envelope's header line, without its newline.
+    fn header(len: usize, digest: u64) -> String {
+        format!("{MAGIC} {len} {digest:016x}")
+    }
+
     /// Wraps `payload` in the envelope, `MAGIC len digest\n` + payload,
     /// in the payload's own buffer: a checkpoint is the largest thing
     /// the service writes, and sealing it makes no second copy.
     pub fn seal(mut payload: Vec<u8>) -> Vec<u8> {
-        let header = format!("{MAGIC} {} {:016x}\n", payload.len(), digest(&payload));
+        let header = header(payload.len(), digest(&payload)) + "\n";
         payload.extend_from_slice(header.as_bytes());
         payload.rotate_right(header.len());
         payload
     }
 
-    /// Verifies the envelope and returns the payload slice.
+    /// Verifies the envelope and returns the payload slice. The header
+    /// must read exactly as [`seal`] writes it: a length with no sign
+    /// and no leading zero, sixteen lowercase hex digits, one space
+    /// between fields.
     ///
     /// # Errors
     ///
@@ -125,7 +133,9 @@ pub mod integrity {
             .ok_or(IntegrityError::BadHeader)?;
         let expected = u64::from_str_radix(parts.next().ok_or(IntegrityError::BadHeader)?, 16)
             .map_err(|_| IntegrityError::BadHeader)?;
-        if parts.next().is_some() {
+        // The parsers take a sign, leading zeros and uppercase hex, which
+        // `seal` never writes: only its own spelling of the two is a header.
+        if header != self::header(declared, expected) {
             return Err(IntegrityError::BadHeader);
         }
         let payload = &sealed[newline + 1..];

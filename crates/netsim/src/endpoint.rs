@@ -7,8 +7,8 @@ use std::time::Duration;
 
 use crate::datagram::Datagram;
 use crate::fxhash::FxHashMap;
-use crate::scheduler::{HostId, HOST_UNRESOLVED};
-use crate::sim::Coverage;
+use crate::scheduler::{HostId, TimingWheel, HOST_UNRESOLVED};
+use crate::sim::{Coverage, Wire};
 use crate::time::SimTime;
 
 /// A host on the simulated internet.
@@ -111,31 +111,39 @@ impl std::fmt::Debug for Routes<'_> {
     }
 }
 
-/// One queued send, routed when it was made.
+/// What [`Context::advance_to`] reads: the rest of the simulation, as
+/// far as the dispatch in progress may run ahead of it. A dispatch gets
+/// one only where no fault rule is configured and its host is not one
+/// the registry may release between two events.
 #[derive(Debug)]
-pub(crate) enum Outbound {
-    /// A datagram that will travel to the slot `host`.
-    Travels { dgram: Datagram, host: HostId },
-    /// A datagram to nobody: it is settled, never scheduled, and
-    /// settling reads nothing but the pair it was sent between.
-    Nobody { src: Ipv4Addr, dst: Ipv4Addr },
+pub(crate) struct Horizon<'a> {
+    /// Every other pending event; only its head is looked at.
+    pub(crate) queue: &'a mut TimingWheel,
+    /// The deadline of the run in progress.
+    pub(crate) deadline: SimTime,
+    /// The simulator's event cap.
+    pub(crate) max_events: u64,
 }
 
 /// Operations an endpoint may perform while handling an event.
 ///
-/// Sends and timers are buffered and applied by the simulator after the
-/// handler returns, preserving deterministic event ordering.
-/// The send/timer buffers are borrowed from simulator-owned scratch
-/// vectors, so steady-state dispatch performs no allocations once the
-/// buffers have grown to the working-set size; a send to nobody is held
-/// in the send buffer as its address pair and allocates nothing at all.
+/// A datagram to nobody is settled where it is sent, on the wire the
+/// context borrows. Datagrams that travel and timers are buffered and
+/// applied by the simulator after the handler returns, preserving
+/// deterministic event ordering. The send/timer buffers are borrowed
+/// from simulator-owned scratch vectors, so steady-state dispatch
+/// performs no allocations once the buffers have grown to the
+/// working-set size; a send to nobody is never buffered and allocates
+/// nothing at all.
 #[derive(Debug)]
 pub struct Context<'a> {
     now: SimTime,
     local_addr: Ipv4Addr,
     routes: Routes<'a>,
-    pub(crate) outgoing: &'a mut Vec<Outbound>,
-    pub(crate) timers: &'a mut Vec<(SimTime, u64)>,
+    wire: Wire<'a>,
+    outgoing: &'a mut Vec<(Datagram, HostId)>,
+    timers: &'a mut Vec<(SimTime, u64)>,
+    horizon: Option<Horizon<'a>>,
 }
 
 impl<'a> Context<'a> {
@@ -143,16 +151,20 @@ impl<'a> Context<'a> {
         now: SimTime,
         local_addr: Ipv4Addr,
         routes: Routes<'a>,
-        outgoing: &'a mut Vec<Outbound>,
+        wire: Wire<'a>,
+        outgoing: &'a mut Vec<(Datagram, HostId)>,
         timers: &'a mut Vec<(SimTime, u64)>,
+        horizon: Option<Horizon<'a>>,
     ) -> Self {
         debug_assert!(outgoing.is_empty() && timers.is_empty());
         Self {
             now,
             local_addr,
             routes,
+            wire,
             outgoing,
             timers,
+            horizon,
         }
     }
 
@@ -181,15 +193,13 @@ impl<'a> Context<'a> {
         self.queue(src.0, dst.0, || Datagram::new(src, dst, payload));
     }
 
-    /// Routes a send and queues it as what it turned out to be.
+    /// Routes a send: queues a datagram that will travel, and settles
+    /// one to nobody on the spot.
     fn queue(&mut self, src: Ipv4Addr, dst: Ipv4Addr, dgram: impl FnOnce() -> Datagram) {
-        self.outgoing.push(match self.routes.route(dst) {
-            Some(host) => Outbound::Travels {
-                dgram: dgram(),
-                host,
-            },
-            None => Outbound::Nobody { src, dst },
-        });
+        match self.routes.route(dst) {
+            Some(host) => self.outgoing.push((dgram(), host)),
+            None => self.wire.settle_nobody(src, dst, self.now),
+        }
     }
 
     /// Arms a timer to fire after `delay`; `token` is handed back to
@@ -201,5 +211,46 @@ impl<'a> Context<'a> {
     /// Arms a timer at an absolute virtual time.
     pub fn set_timer_at(&mut self, at: SimTime, token: u64) {
         self.timers.push((at, token));
+    }
+
+    /// Runs, inside this dispatch, the timer this endpoint would
+    /// otherwise arm for `at`: on `true` the clock reads `at` (never
+    /// earlier than now) and the simulator has booked the event and the
+    /// timer fired, as it would have had the timer been armed and
+    /// popped. The caller then does what its timer handler would do.
+    ///
+    /// `true` only where a real firing could not have turned out
+    /// differently: no fault rule is configured and the host is not one
+    /// a registry may release; every event still queued is due strictly
+    /// after `at` (one due at `at` was queued first and would fire
+    /// first); this dispatch has queued no datagram that travels and
+    /// armed no timer; `at` is within the deadline of the run in
+    /// progress; and the event cap has room. On `false`, arm the timer.
+    ///
+    /// Nothing else could have run between the two firings, and the
+    /// timer never pushed only shifts the sequence numbers of later
+    /// events alike, so no two other events change order.
+    pub fn advance_to(&mut self, at: SimTime) -> bool {
+        let Some(horizon) = &mut self.horizon else {
+            return false;
+        };
+        let at = at.max(self.now);
+        if !self.outgoing.is_empty()
+            || !self.timers.is_empty()
+            || at > horizon.deadline
+            || self.wire.stats.events >= horizon.max_events
+            || horizon.queue.next_at().is_some_and(|head| head <= at)
+        {
+            return false;
+        }
+        self.now = at;
+        self.wire.stats.events += 1;
+        self.wire.stats.timers_fired += 1;
+        // Armed, the timer would have made the queue as long as it was
+        // before this dispatch's event was popped, which the high-water
+        // mark has seen; popped from an empty queue, it would have moved
+        // the wheel's cursor.
+        horizon.queue.catch_up(at);
+        true
     }
 }

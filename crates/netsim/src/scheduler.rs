@@ -190,6 +190,15 @@ impl TimingWheel {
         self.stored + self.ready.len() + usize::from(self.lone.is_some())
     }
 
+    /// Moves an empty queue's cursor up to the tick of `at`, as pushing
+    /// an event due then and popping it would have: what is pushed next
+    /// is filed from there, not from a cursor left behind.
+    pub(crate) fn catch_up(&mut self, at: SimTime) {
+        if self.len() == 0 {
+            self.cursor = self.cursor.max(Self::tick_of(at));
+        }
+    }
+
     /// Files an event into the finest structure that can hold it. Ticks
     /// at or behind the cursor go straight to the `ready` heap, which is
     /// where ordering against already-drained peers is decided.
@@ -467,7 +476,8 @@ mod tests {
     /// `pop` and `next_at` — the peek advances the cursor, so a later
     /// push can land behind it and must still sort ahead of the peeked
     /// event, and every queue passes through empty, so the one-event
-    /// register is filled, joined and drained along the way.
+    /// register is filled, joined and drained along the way — and of
+    /// `catch_up`, a clock running ahead of an empty queue.
     #[test]
     fn wheel_matches_reference_heap() {
         orscope_check::cases(128, |rng| {
@@ -480,13 +490,19 @@ mod tests {
             // states only an unpeeked queue reaches are compared too.
             let always_peek = rng.bool();
             for _ in 0..rng.range(1..400) {
-                match rng.range(0u8..6) {
+                let offset = rng.next_u64() % (1u64 << rng.choice(&OFFSET_BITS));
+                let at = last_popped + Duration::from_nanos(offset);
+                match rng.range(0u8..7) {
                     0..=3 => {
-                        let offset = rng.next_u64() % (1u64 << rng.choice(&OFFSET_BITS));
-                        let at = last_popped + Duration::from_nanos(offset);
                         wheel.push(timer(at, seq));
                         heap.push(Reverse(timer(at, seq)));
                         seq += 1;
+                    }
+                    6 => {
+                        wheel.catch_up(at);
+                        if heap.is_empty() {
+                            last_popped = at;
+                        }
                     }
                     _ => {
                         let got = wheel.pop().map(|event| (event.at, event.seq));

@@ -3,7 +3,7 @@
 use std::net::Ipv4Addr;
 
 use crate::datagram::Datagram;
-use crate::endpoint::{Context, Endpoint, Outbound, Routes};
+use crate::endpoint::{Context, Endpoint, Horizon, Routes};
 use crate::fault::{DropKind, FaultInjector, FaultPlan, SendVerdict};
 use crate::fxhash::FxHashMap;
 use crate::latency::{HashLatency, LatencyModel};
@@ -98,6 +98,99 @@ pub trait LazyRegistry<H = Box<dyn Endpoint>>: Coverage {
 /// How far a duplicated datagram's second copy trails the first: a
 /// small reorder gap.
 const DUPLICATE_GAP: std::time::Duration = std::time::Duration::from_millis(3);
+
+/// What a datagram handed to the wire meets: the run's counters, the
+/// fault plan and the latency model. A [`Context`] borrows it for the
+/// length of a handler call, so a datagram to nobody is settled where
+/// it is sent.
+pub(crate) struct Wire<'a> {
+    pub(crate) stats: &'a mut NetStats,
+    faults: &'a mut FaultInjector,
+    latency: &'a dyn LatencyModel,
+}
+
+impl std::fmt::Debug for Wire<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Wire")
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Wire<'_> {
+    /// Hands one datagram from `src` to `dst` to the wire at `now`:
+    /// counts it sent and draws the plan's verdict on it, routed or not.
+    /// `None` when a rule dropped it there and then.
+    fn on_wire(&mut self, src: Ipv4Addr, dst: Ipv4Addr, now: SimTime) -> Option<SendVerdict> {
+        self.stats.sent += 1;
+        let verdict = self.faults.on_send(src, dst, now);
+        self.stats.faults_injected += verdict.faults;
+        match verdict.drop {
+            Some(DropKind::Loss) => {
+                self.stats.lost += 1;
+                None
+            }
+            Some(DropKind::Blackhole) => {
+                self.stats.blackhole_drops += 1;
+                None
+            }
+            None => {
+                self.stats.duplicated += u64::from(verdict.duplicate);
+                Some(verdict)
+            }
+        }
+    }
+
+    /// When a datagram handed to the wire at `now` arrives.
+    fn arrival(
+        &self,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+        now: SimTime,
+        verdict: &SendVerdict,
+    ) -> SimTime {
+        now + self.latency.latency(src, dst) + verdict.extra_delay
+    }
+
+    /// Sends a datagram to a destination with neither a slot nor a
+    /// planned host. It has nobody to arrive at, now or later, so each
+    /// copy is settled here as its delivery would have settled it and no
+    /// event is built: a crash window open at the copy's arrival
+    /// swallows it, otherwise it is unrouted. Only a crash rule can tell
+    /// one arrival instant from another, so only then is one computed.
+    pub(crate) fn settle_nobody(&mut self, src: Ipv4Addr, dst: Ipv4Addr, now: SimTime) {
+        let Some(verdict) = self.on_wire(src, dst, now) else {
+            return;
+        };
+        let copies = 1 + u32::from(verdict.duplicate);
+        if !self.faults.has_crash() {
+            self.stats.unrouted += u64::from(copies);
+            return;
+        }
+        let at = self.arrival(src, dst, now, &verdict);
+        for copy in 0..copies {
+            if self.faults.crashed(dst, at + DUPLICATE_GAP * copy) {
+                self.stats.crash_drops += 1;
+                self.stats.faults_injected += 1;
+            } else {
+                self.stats.unrouted += 1;
+            }
+        }
+    }
+}
+
+/// What decides whether a datagram travels: a simulator's address index
+/// and registry. A [`Context`] borrows it for the length of a handler
+/// call.
+fn routes<'a, H>(
+    index: &'a FxHashMap<Ipv4Addr, HostId>,
+    lazy: &'a Option<Box<dyn LazyRegistry<H>>>,
+) -> Routes<'a> {
+    Routes {
+        index,
+        lazy: lazy.as_deref().map(|lazy| lazy as &dyn Coverage),
+    }
+}
 
 /// What an event finds at the address it is due at.
 enum Arrival<H> {
@@ -251,7 +344,7 @@ pub struct SimNet<H = Box<dyn Endpoint>> {
     /// Total materializations (re-materializations included).
     materialized_total: u64,
     /// Pooled dispatch buffers lent to [`Context`]; cleared by `apply`.
-    scratch_out: Vec<Outbound>,
+    scratch_out: Vec<(Datagram, HostId)>,
     scratch_timers: Vec<(SimTime, u64)>,
 }
 
@@ -370,9 +463,12 @@ impl<H: Endpoint> SimNet<H> {
     /// host first registered at that address while the datagram would
     /// have been in flight therefore does not receive it.
     pub fn inject(&mut self, dgram: Datagram) {
-        match self.routes().route(dgram.dst) {
+        match routes(&self.index, &self.lazy).route(dgram.dst) {
             Some(host) => self.transmit(dgram, host),
-            None => self.settle_nobody(dgram.src, dgram.dst),
+            None => {
+                let now = self.now;
+                self.wire().settle_nobody(dgram.src, dgram.dst, now);
+            }
         }
     }
 
@@ -389,15 +485,6 @@ impl<H: Endpoint> SimNet<H> {
         self.index.get(&addr).copied().unwrap_or(HOST_UNRESOLVED)
     }
 
-    /// What decides whether a datagram travels; a [`Context`] borrows it
-    /// for the length of a handler call.
-    fn routes(&self) -> Routes<'_> {
-        Routes {
-            index: &self.index,
-            lazy: self.lazy.as_deref().map(|lazy| lazy as &dyn Coverage),
-        }
-    }
-
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
@@ -405,71 +492,28 @@ impl<H: Endpoint> SimNet<H> {
         self.queue_depth_hwm = self.queue_depth_hwm.max(self.queue.len());
     }
 
-    /// Hands one datagram from `src` to `dst` to the wire: counts it
-    /// sent and draws the plan's verdict on it, routed or not. `None`
-    /// when a rule dropped it there and then.
-    fn on_wire(&mut self, src: Ipv4Addr, dst: Ipv4Addr) -> Option<SendVerdict> {
-        self.stats.sent += 1;
-        let verdict = self.faults.on_send(src, dst, self.now);
-        self.stats.faults_injected += verdict.faults;
-        match verdict.drop {
-            Some(DropKind::Loss) => {
-                self.stats.lost += 1;
-                None
-            }
-            Some(DropKind::Blackhole) => {
-                self.stats.blackhole_drops += 1;
-                None
-            }
-            None => {
-                self.stats.duplicated += u64::from(verdict.duplicate);
-                Some(verdict)
-            }
+    /// The wire a datagram sent from outside any handler goes onto.
+    fn wire(&mut self) -> Wire<'_> {
+        Wire {
+            stats: &mut self.stats,
+            faults: &mut self.faults,
+            latency: &*self.latency,
         }
-    }
-
-    /// When a datagram handed to the wire now arrives.
-    fn arrival(&self, src: Ipv4Addr, dst: Ipv4Addr, verdict: &SendVerdict) -> SimTime {
-        self.now + self.latency.latency(src, dst) + verdict.extra_delay
     }
 
     /// Sends a datagram routed to the slot `host`.
     fn transmit(&mut self, dgram: Datagram, host: HostId) {
-        let Some(verdict) = self.on_wire(dgram.src, dgram.dst) else {
+        let now = self.now;
+        let mut wire = self.wire();
+        let Some(verdict) = wire.on_wire(dgram.src, dgram.dst, now) else {
             return;
         };
-        let at = self.arrival(dgram.src, dgram.dst, &verdict);
+        let at = wire.arrival(dgram.src, dgram.dst, now, &verdict);
         if verdict.duplicate {
             let dgram = dgram.clone();
             self.push_event(at + DUPLICATE_GAP, EventKind::Deliver { dgram, host });
         }
         self.push_event(at, EventKind::Deliver { dgram, host });
-    }
-
-    /// Sends a datagram to a destination with neither a slot nor a
-    /// planned host. It has nobody to arrive at, now or later, so each
-    /// copy is settled here as its delivery would have settled it and no
-    /// event is built: a crash window open at the copy's arrival
-    /// swallows it, otherwise it is unrouted. Only a crash rule can tell
-    /// one arrival instant from another, so only then is one computed.
-    fn settle_nobody(&mut self, src: Ipv4Addr, dst: Ipv4Addr) {
-        let Some(verdict) = self.on_wire(src, dst) else {
-            return;
-        };
-        let copies = 1 + u32::from(verdict.duplicate);
-        if !self.faults.has_crash() {
-            self.stats.unrouted += u64::from(copies);
-            return;
-        }
-        let at = self.arrival(src, dst, &verdict);
-        for copy in 0..copies {
-            if self.faults.crashed(dst, at + DUPLICATE_GAP * copy) {
-                self.stats.crash_drops += 1;
-                self.stats.faults_injected += 1;
-            } else {
-                self.stats.unrouted += 1;
-            }
-        }
     }
 
     /// Detaches the live endpoint at `addr`, if there is one. `host` is
@@ -577,9 +621,16 @@ impl<H: Endpoint> SimNet<H> {
         self.lazy_live -= 1;
     }
 
-    /// Processes one event; returns `false` when the queue is empty or
-    /// the event cap is reached.
+    /// Processes the next event, and whatever timers its handler runs
+    /// inside it ([`Context::advance_to`]); returns `false` when the
+    /// queue is empty or the event cap is reached.
     pub fn step(&mut self) -> bool {
+        self.step_until(SimTime::from_nanos(u64::MAX))
+    }
+
+    /// [`SimNet::step`] within a run that ends at `deadline`: no handler
+    /// advances past it.
+    fn step_until(&mut self, deadline: SimTime) -> bool {
         if self.stats.events >= self.max_events {
             return false;
         }
@@ -607,19 +658,11 @@ impl<H: Endpoint> SimNet<H> {
                 }
                 self.stats.delivered += 1;
                 self.stats.bytes_delivered += dgram.payload.len() as u64;
-                let Arrival::Host(mut ep) = arrival else {
-                    return true;
-                };
-                let mut outgoing = std::mem::take(&mut self.scratch_out);
-                let mut timers = std::mem::take(&mut self.scratch_timers);
-                let routes = self.routes();
-                let mut ctx = Context::new(self.now, dgram.dst, routes, &mut outgoing, &mut timers);
-                ep.handle_datagram(&dgram, &mut ctx);
-                self.hosts[host as usize].ep = Some(ep);
-                self.apply(&mut outgoing, &mut timers, dgram.dst, host);
-                self.scratch_out = outgoing;
-                self.scratch_timers = timers;
-                self.maybe_release(host);
+                if let Arrival::Host(ep) = arrival {
+                    self.dispatch(ep, dgram.dst, host, deadline, |ep, ctx| {
+                        ep.handle_datagram(&dgram, ctx);
+                    });
+                }
             }
             EventKind::Timer {
                 addr,
@@ -638,36 +681,82 @@ impl<H: Endpoint> SimNet<H> {
                     return true;
                 }
                 self.stats.timers_fired += 1;
-                let Arrival::Host(mut ep) = arrival else {
-                    return true;
-                };
-                let mut outgoing = std::mem::take(&mut self.scratch_out);
-                let mut timers = std::mem::take(&mut self.scratch_timers);
-                let routes = self.routes();
-                let mut ctx = Context::new(self.now, addr, routes, &mut outgoing, &mut timers);
-                ep.handle_timer(token, &mut ctx);
-                self.hosts[host as usize].ep = Some(ep);
-                self.apply(&mut outgoing, &mut timers, addr, host);
-                self.scratch_out = outgoing;
-                self.scratch_timers = timers;
-                self.maybe_release(host);
+                if let Arrival::Host(ep) = arrival {
+                    self.dispatch(ep, addr, host, deadline, |ep, ctx| {
+                        ep.handle_timer(token, ctx);
+                    });
+                }
             }
         }
         true
     }
 
+    /// Hands one event to `ep`, the host of slot `host` at `addr`,
+    /// through a [`Context`] on this simulator's wire; then re-attaches
+    /// it, applies what it queued at the time its handler left the clock
+    /// at, and releases it if it may be released.
+    fn dispatch(
+        &mut self,
+        mut ep: H,
+        addr: Ipv4Addr,
+        host: HostId,
+        deadline: SimTime,
+        handle: impl FnOnce(&mut H, &mut Context<'_>),
+    ) {
+        let mut outgoing = std::mem::take(&mut self.scratch_out);
+        let mut timers = std::mem::take(&mut self.scratch_timers);
+        // Running ahead is indistinguishable only where nothing but the
+        // queue could happen in between: no fault rule, and no release.
+        let may_advance = self.release_quiescent && !self.hosts[host as usize].lazy;
+        let SimNet {
+            index,
+            lazy,
+            queue,
+            now,
+            latency,
+            faults,
+            stats,
+            max_events,
+            ..
+        } = self;
+        let routes = routes(index, lazy);
+        let wire = Wire {
+            stats,
+            faults,
+            latency: &**latency,
+        };
+        let horizon = may_advance.then_some(Horizon {
+            queue,
+            deadline,
+            max_events: *max_events,
+        });
+        let mut ctx = Context::new(
+            *now,
+            addr,
+            routes,
+            wire,
+            &mut outgoing,
+            &mut timers,
+            horizon,
+        );
+        handle(&mut ep, &mut ctx);
+        *now = ctx.now();
+        self.hosts[host as usize].ep = Some(ep);
+        self.apply(&mut outgoing, &mut timers, addr, host);
+        self.scratch_out = outgoing;
+        self.scratch_timers = timers;
+        self.maybe_release(host);
+    }
+
     fn apply(
         &mut self,
-        outgoing: &mut Vec<Outbound>,
+        outgoing: &mut Vec<(Datagram, HostId)>,
         timers: &mut Vec<(SimTime, u64)>,
         addr: Ipv4Addr,
         host: HostId,
     ) {
-        for outbound in outgoing.drain(..) {
-            match outbound {
-                Outbound::Travels { dgram, host } => self.transmit(dgram, host),
-                Outbound::Nobody { src, dst } => self.settle_nobody(src, dst),
-            }
+        for (dgram, host) in outgoing.drain(..) {
+            self.transmit(dgram, host);
         }
         for (at, token) in timers.drain(..) {
             let at = at.max(self.now);
@@ -692,7 +781,7 @@ impl<H: Endpoint> SimNet<H> {
             if head_at > deadline {
                 break;
             }
-            if !self.step() {
+            if !self.step_until(deadline) {
                 break;
             }
         }
@@ -906,6 +995,8 @@ mod lazy_tests {
     use super::*;
     use crate::fault::{FaultKind, FaultRule, FaultScope};
     use crate::latency::FixedLatency;
+    use std::cell::Cell;
+    use std::rc::Rc;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -1165,6 +1256,51 @@ mod lazy_tests {
         assert_eq!(net.materialized_total(), 50);
         assert_eq!(net.materialized_peak(), 50);
         assert_eq!(net.host_count(), 50);
+    }
+
+    #[test]
+    fn a_host_the_registry_may_release_never_runs_ahead() {
+        // Released between two events, it would find its next timer
+        // settled without it; so it is never told to run that timer
+        // itself, while the same endpoint registered eagerly is.
+        struct Ahead(Rc<Cell<Option<bool>>>);
+        impl Endpoint for Ahead {
+            fn handle_datagram(&mut self, _d: &Datagram, ctx: &mut Context<'_>) {
+                self.0
+                    .set(Some(ctx.advance_to(ctx.now() + Duration::from_secs(1))));
+            }
+            fn is_quiescent(&self) -> bool {
+                true
+            }
+        }
+        struct Plans(Rc<Cell<Option<bool>>>);
+        impl Coverage for Plans {
+            fn covers(&self, addr: Ipv4Addr) -> bool {
+                addr == Ipv4Addr::from(BASE)
+            }
+        }
+        impl LazyRegistry for Plans {
+            fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
+                self.covers(addr)
+                    .then(|| Box::new(Ahead(self.0.clone())) as Box<dyn Endpoint>)
+            }
+        }
+        let probe = Datagram::new(
+            (Ipv4Addr::new(1, 0, 0, 1), 9),
+            (Ipv4Addr::from(BASE), 53),
+            vec![1],
+        );
+        for eager in [false, true] {
+            let told = Rc::new(Cell::new(None));
+            let mut net: SimNet = SimNet::builder().lazy_hosts(Plans(told.clone())).build();
+            if eager {
+                net.register(Ipv4Addr::from(BASE), Ahead(told.clone()));
+            }
+            net.inject(probe.clone());
+            net.run_until_idle();
+            assert_eq!(told.get(), Some(eager));
+            assert_eq!(net.stats().timers_fired, u64::from(eager));
+        }
     }
 
     #[test]

@@ -275,6 +275,41 @@ fn handle_connection(
     result
 }
 
+/// Where a request head stands after the bytes read so far.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Framing {
+    /// No terminator yet, and the head may still fit.
+    Partial,
+    /// The head and its blank-line terminator are in, within the limit.
+    Complete,
+    /// The head, terminator included, cannot fit in the limit.
+    TooLarge,
+}
+
+/// Appends one read's `bytes` to `head` and frames it: [`Complete`]
+/// once the `\r\n\r\n` that ends the head has arrived, with `head` cut
+/// right after it (anything read past it is a body no endpoint takes),
+/// and [`TooLarge`] as soon as the head up to and including its
+/// terminator cannot be `max` bytes or fewer — however the bytes were
+/// split into reads. Only the new bytes, and the three before them a
+/// terminator may straddle, are searched.
+///
+/// [`Complete`]: Framing::Complete
+/// [`TooLarge`]: Framing::TooLarge
+fn frame_head(head: &mut Vec<u8>, bytes: &[u8], max: usize) -> Framing {
+    let from = head.len().saturating_sub(3);
+    head.extend_from_slice(bytes);
+    match head[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+        Some(at) if from + at + 4 <= max => {
+            head.truncate(from + at + 4);
+            Framing::Complete
+        }
+        Some(_) => Framing::TooLarge,
+        None if head.len() > max => Framing::TooLarge,
+        None => Framing::Partial,
+    }
+}
+
 /// Reads until the end of the request head (we ignore bodies: every
 /// endpoint is a GET), under both a per-read timeout and a total
 /// deadline.
@@ -312,12 +347,10 @@ fn read_head(stream: &mut TcpStream, config: &HttpConfig) -> Result<String, Head
         if n == 0 {
             break;
         }
-        head.extend_from_slice(&chunk[..n]);
-        if head.windows(4).any(|w| w == b"\r\n\r\n") {
-            break;
-        }
-        if head.len() > config.max_head_bytes {
-            return Err(HeadError::TooLarge);
+        match frame_head(&mut head, &chunk[..n], config.max_head_bytes) {
+            Framing::Partial => {}
+            Framing::Complete => break,
+            Framing::TooLarge => return Err(HeadError::TooLarge),
         }
     }
     if head.is_empty() {
@@ -702,6 +735,89 @@ mod tests {
         assert!(response.starts_with("HTTP/1.1 431"), "{response}");
         shared.request_shutdown();
         handle.join();
+    }
+
+    /// A `GET /healthz` head of exactly `len` bytes, terminator included.
+    fn head_of(len: usize) -> String {
+        let open = "GET /healthz HTTP/1.1\r\nX-Junk: ";
+        format!("{open}{}\r\n\r\n", "a".repeat(len - open.len() - 4))
+    }
+
+    #[test]
+    fn the_head_limit_holds_within_one_read() {
+        let shared = ObservatoryShared::new();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let config = HttpConfig {
+            max_head_bytes: 256,
+            ..HttpConfig::default()
+        };
+        let handle = serve_with(listener, shared.clone(), config).unwrap();
+        // Terminator and all in the one read that crosses the limit.
+        let response = request(handle.addr(), &head_of(730));
+        assert!(response.starts_with("HTTP/1.1 431"), "{response}");
+        let response = request(handle.addr(), &head_of(257));
+        assert!(response.starts_with("HTTP/1.1 431"), "{response}");
+        let response = request(handle.addr(), &head_of(256));
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        shared.request_shutdown();
+        handle.join();
+    }
+
+    /// Frames `bytes` as `read_head` does when they arrive in reads that
+    /// end at each of `cuts` and then at the end: the first verdict that
+    /// is not [`Framing::Partial`], or `Partial` at end of stream, with
+    /// the head it leaves.
+    fn frame_reads(bytes: &[u8], cuts: &[usize], max: usize) -> (Framing, Vec<u8>) {
+        let mut head = Vec::new();
+        let mut start = 0;
+        for &end in cuts.iter().chain([&bytes.len()]) {
+            let verdict = frame_head(&mut head, &bytes[start..end], max);
+            start = end;
+            if verdict != Framing::Partial {
+                return (verdict, head);
+            }
+        }
+        (Framing::Partial, head)
+    }
+
+    #[test]
+    fn head_framing_is_total_bounded_and_blind_to_how_reads_split() {
+        const ALPHABET: &[u8] = b"\r\n\r\nGET /a:\xff";
+        let mut seen = [0u32; 3];
+        orscope_check::cases(20_000, |rng| {
+            let bytes = match rng.range(0..3) {
+                0 => rng.bytes(1..300),
+                1 => rng.vec(1..300, |rng| *rng.choice(ALPHABET)),
+                _ => {
+                    let mut bytes = rng.choice(&HEADS).as_bytes().to_vec();
+                    rng.mutate(&mut bytes, ALPHABET);
+                    bytes.push(b'x');
+                    bytes
+                }
+            };
+            let max = rng.range(0..bytes.len() + 8);
+            let mut cuts = rng.vec(0..8, |rng| rng.range(1..bytes.len().max(2)));
+            cuts.retain(|&cut| cut < bytes.len());
+            cuts.sort_unstable();
+            cuts.dedup();
+            let whole = frame_reads(&bytes, &[], max);
+            let (verdict, head) = frame_reads(&bytes, &cuts, max);
+            assert_eq!(verdict, whole.0, "{bytes:?} cut at {cuts:?}, limit {max}");
+            if verdict != Framing::TooLarge {
+                assert_eq!(head, whole.1, "{bytes:?} cut at {cuts:?}");
+                assert!(
+                    head.len() <= max,
+                    "{} bytes accepted, limit {max}",
+                    head.len()
+                );
+            }
+            if verdict == Framing::Complete {
+                assert!(head.ends_with(b"\r\n\r\n"));
+            }
+            seen[verdict as usize] += 1;
+        });
+        // Every verdict was reached, so every branch was compared.
+        assert!(seen.iter().all(|&n| n > 1_000), "{seen:?}");
     }
 
     #[test]

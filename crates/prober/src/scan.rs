@@ -124,6 +124,18 @@ impl ProberConfig {
 /// Timer tokens.
 const TICK: u64 = 0;
 
+/// What the ticks of one timer dispatch add to the handle's counters,
+/// published together when the dispatch ends.
+#[derive(Debug, Default)]
+struct TickBooks {
+    ticks: u64,
+    q1_sent: u64,
+    tokens_issued: u64,
+    tokens_unused: u64,
+    retransmits_sent: u64,
+    probes_abandoned: u64,
+}
+
 /// The probe a target has in flight.
 #[derive(Debug, Clone, Copy)]
 struct Outstanding {
@@ -263,9 +275,6 @@ pub struct Prober {
     tick: u64,
     handle: ProberHandle,
     done: bool,
-    /// Labels the generator had handed out when the handle last saw its
-    /// counters.
-    labels_published: u64,
     /// `None` if the zone leaves no room for the probe labels: no Q1
     /// can be built and every probe is skipped.
     template: Option<QueryTemplate>,
@@ -324,7 +333,6 @@ impl Prober {
             tick: 0,
             handle,
             done: false,
-            labels_published: 0,
             template,
         })
     }
@@ -339,6 +347,7 @@ impl Prober {
         attempts: u32,
         deadline: SimTime,
         ctx: &mut Context<'_>,
+        books: &mut TickBooks,
     ) -> bool {
         let Some(template) = &mut self.template else {
             return false;
@@ -366,20 +375,25 @@ impl Prober {
             .filter(|earlier| earlier.label != label);
         if let Some(earlier) = superseded {
             self.generator.recycle(earlier.label);
-            self.handle.inner.borrow_mut().stats.probes_abandoned += 1;
+            books.probes_abandoned += 1;
         }
         true
     }
 
     /// Sends a fresh probe to `target`, allocating a new subdomain.
-    fn send_probe(&mut self, target: Ipv4Addr, ctx: &mut Context<'_>) -> bool {
+    fn send_probe(
+        &mut self,
+        target: Ipv4Addr,
+        ctx: &mut Context<'_>,
+        books: &mut TickBooks,
+    ) -> bool {
         let label = self.generator.next_label();
         let deadline = ctx.now() + self.config.response_window;
-        self.emit_query(label, target, 0, deadline, ctx)
+        self.emit_query(label, target, 0, deadline, ctx, books)
     }
 
     /// Sends one batch of Q1 probes.
-    fn send_batch(&mut self, ctx: &mut Context<'_>) {
+    fn send_batch(&mut self, ctx: &mut Context<'_>, books: &mut TickBooks) {
         let mut sent = 0u64;
         let issued;
         if let Some(slots) = self.config.slots {
@@ -391,7 +405,7 @@ impl Prober {
                     break;
                 }
                 self.config.targets.next();
-                if self.send_probe(target, ctx) {
+                if self.send_probe(target, ctx, books) {
                     sent += 1;
                 }
             }
@@ -403,25 +417,22 @@ impl Prober {
                 let Some((_, target)) = self.config.targets.next() else {
                     break;
                 };
-                if self.send_probe(target, ctx) {
+                if self.send_probe(target, ctx, books) {
                     sent += 1;
                 }
             }
         }
-        let stats = &mut self.handle.inner.borrow_mut().stats;
-        stats.q1_sent += sent;
-        stats.pacer_tokens_issued += issued;
-        stats.pacer_tokens_unused += issued - sent;
+        books.q1_sent += sent;
+        books.tokens_issued += issued;
+        books.tokens_unused += issued - sent;
     }
 
     /// Handles elapsed response windows: retransmits probes that still
     /// have retries left, with an exponentially backed-off deadline
     /// (`response_window * 2^attempt`), and recycles the subdomains of
     /// the rest.
-    fn sweep_expired(&mut self, ctx: &mut Context<'_>) {
+    fn sweep_expired(&mut self, ctx: &mut Context<'_>, books: &mut TickBooks) {
         let now = ctx.now();
-        let mut retransmitted = 0u64;
-        let mut abandoned = 0u64;
         while let Some((_, xmit, target)) = self.expiry.pop_due(now) {
             // Answered probes and superseded transmissions leave stale
             // entries behind; skip them.
@@ -431,19 +442,14 @@ impl Prober {
             if out.attempts < self.config.retry_limit {
                 let attempts = out.attempts + 1;
                 let backoff = self.config.response_window * 2u32.pow(attempts.min(16));
-                if self.emit_query(out.label, target, attempts, now + backoff, ctx) {
-                    retransmitted += 1;
+                if self.emit_query(out.label, target, attempts, now + backoff, ctx, books) {
+                    books.retransmits_sent += 1;
                     continue;
                 }
             }
             self.outstanding.remove(&target);
             self.generator.recycle(out.label);
-            abandoned += 1;
-        }
-        if retransmitted > 0 || abandoned > 0 {
-            let mut shared = self.handle.inner.borrow_mut();
-            shared.stats.retransmits_sent += retransmitted;
-            shared.stats.probes_abandoned += abandoned;
+            books.probes_abandoned += 1;
         }
     }
 
@@ -477,21 +483,22 @@ impl Prober {
         targets
     }
 
-    /// Publishes generator counters and completion state, if either
-    /// moved since the handle last saw them.
-    fn publish_stats(&mut self, now: SimTime) {
-        let labels = self.generator.fresh() + self.generator.reused();
-        if labels == self.labels_published && !self.done {
-            return;
-        }
-        self.labels_published = labels;
-        let mut shared = self.handle.inner.borrow_mut();
-        shared.stats.subdomains_fresh = self.generator.fresh();
-        shared.stats.subdomains_reused = self.generator.reused();
-        shared.stats.clusters_used = self.generator.clusters_used();
-        if self.done && !shared.stats.done {
-            shared.stats.done = true;
-            shared.stats.finished_at = now;
+    /// Publishes what a timer dispatch's ticks counted, the generator's
+    /// counters and completion state, in one borrow of the handle.
+    fn publish(&self, books: &TickBooks, now: SimTime) {
+        let stats = &mut self.handle.inner.borrow_mut().stats;
+        stats.pacer_ticks += books.ticks;
+        stats.q1_sent += books.q1_sent;
+        stats.pacer_tokens_issued += books.tokens_issued;
+        stats.pacer_tokens_unused += books.tokens_unused;
+        stats.retransmits_sent += books.retransmits_sent;
+        stats.probes_abandoned += books.probes_abandoned;
+        stats.subdomains_fresh = self.generator.fresh();
+        stats.subdomains_reused = self.generator.reused();
+        stats.clusters_used = self.generator.clusters_used();
+        if self.done && !stats.done {
+            stats.done = true;
+            stats.finished_at = now;
         }
     }
 }
@@ -543,22 +550,32 @@ impl Endpoint for Prober {
         });
     }
 
+    /// Runs pacing ticks: each sweeps the expired probes and sends a
+    /// batch, then the next one runs inside this dispatch for as long as
+    /// the simulator says nothing else could happen first
+    /// ([`Context::advance_to`]), and is armed as a timer once it could.
     fn handle_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
         debug_assert_eq!(token, TICK);
         if self.done {
             return;
         }
-        self.handle.inner.borrow_mut().stats.pacer_ticks += 1;
-        self.sweep_expired(ctx);
-        self.send_batch(ctx);
-        let targets_exhausted = self.config.targets.peek().is_none();
-        if targets_exhausted && self.outstanding.is_empty() {
-            self.done = true;
-        } else {
+        let mut books = TickBooks::default();
+        loop {
+            books.ticks += 1;
+            self.sweep_expired(ctx, &mut books);
+            self.send_batch(ctx, &mut books);
+            if self.config.targets.peek().is_none() && self.outstanding.is_empty() {
+                self.done = true;
+                break;
+            }
             self.tick += 1;
-            ctx.set_timer(self.pacer.interval(), TICK);
+            let next = ctx.now() + self.pacer.interval();
+            if !ctx.advance_to(next) {
+                ctx.set_timer_at(next, TICK);
+                break;
+            }
         }
-        self.publish_stats(ctx.now());
+        self.publish(&books, ctx.now());
     }
 }
 
@@ -711,6 +728,45 @@ mod tests {
             stats.subdomains_reused
         );
         assert!(stats.subdomains_fresh < 1_000);
+    }
+
+    #[test]
+    fn a_silent_scan_ticks_inside_a_handful_of_dispatches() {
+        /// Counts the timer dispatches it forwards.
+        struct Counted(Prober, std::rc::Rc<std::cell::Cell<u64>>);
+        impl Endpoint for Counted {
+            fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
+                self.0.handle_datagram(dgram, ctx);
+            }
+            fn handle_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+                self.1.set(self.1.get() + 1);
+                self.0.handle_timer(token, ctx);
+            }
+        }
+        let silent: Vec<Ipv4Addr> = (0..2_000u32)
+            .map(|i| Ipv4Addr::from(0x0900_0000 + i))
+            .collect();
+        let handle = ProberHandle::new();
+        let mut config = ProberConfig::new(zone(), silent);
+        config.rate_pps = 50;
+        config.response_window = Duration::from_millis(200);
+        let dispatches = std::rc::Rc::default();
+        let mut net = SimNet::builder().seed(5).build();
+        let prober = Prober::new(config, handle.clone()).unwrap();
+        net.register(PROBER, Counted(prober, std::rc::Rc::clone(&dispatches)));
+        net.set_timer_for(PROBER, SimTime::ZERO, TICK);
+        net.run_until_idle();
+        let stats = handle.stats();
+        assert_eq!((stats.q1_sent, stats.probes_abandoned), (2_000, 2_000));
+        assert!(stats.done);
+        // Every tick is still a timer on the simulator's books.
+        assert_eq!(net.stats().timers_fired, stats.pacer_ticks);
+        assert!(
+            dispatches.get() * 100 < stats.pacer_ticks,
+            "{} dispatches for {} ticks",
+            dispatches.get(),
+            stats.pacer_ticks
+        );
     }
 
     #[test]
