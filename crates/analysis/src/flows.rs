@@ -14,7 +14,6 @@ use orscope_authns::scheme::ProbeLabel;
 use orscope_authns::{CapturedPacket, Direction};
 use orscope_dns_wire::wire::Reader;
 use orscope_dns_wire::{Header, Name, Question};
-use orscope_netsim::fxhash::{fx_map_with_capacity, FxHashMap};
 use orscope_netsim::SimTime;
 
 use crate::classify::ClassifiedR2;
@@ -49,7 +48,7 @@ const HAS_R2: u8 = 1 << 1;
 const HAS_Q2: u8 = 1 << 2;
 
 // The whole point of the layout: DESIGN section 13 budgets 32 B a flow
-// and 12 B an authoritative packet.
+// (plus its 4 B index slot) and 12 B a Q2, an R1, or a Q2 and its R1.
 const _: () = assert!(std::mem::size_of::<FlowRow>() <= 32);
 const _: () = assert!(std::mem::size_of::<Stamp>() == 12);
 
@@ -83,10 +82,17 @@ impl FlowRow {
     fn has(&self, flag: u8) -> bool {
         self.flags & flag != 0
     }
+
+    /// Q1 -> R2 in nanoseconds (0 if R2 came first), if both ends exist.
+    fn latency(&self) -> Option<u64> {
+        self.has(HAS_R2)
+            .then(|| self.r2_at.as_nanos().saturating_sub(self.q1_at.as_nanos()))
+    }
 }
 
-/// One authoritative-side packet in the shared log: its instant, its
-/// direction, and the previous stamp of the same flow.
+/// One instant of authoritative-side traffic in the shared log: when,
+/// which directions (a Q2, an R1, or a Q2 and the R1 that answered it
+/// at the same instant), and the previous stamp of the same flow.
 ///
 /// `packed(4)` drops the tail padding a `u64` would force (16 B -> 12 B);
 /// the fields are only ever copied out, never borrowed.
@@ -94,14 +100,21 @@ impl FlowRow {
 #[repr(C, packed(4))]
 struct Stamp {
     at: u64,
-    /// `previous << 1 | outbound`, where `previous` is the log position
-    /// + 1 of the flow's next-older stamp (0 ends the chain).
+    /// `previous << 2 | kind`, where `previous` is the log position + 1
+    /// of the flow's next-older stamp (0 ends the chain) and `kind` is
+    /// [`INBOUND`], [`OUTBOUND`] or both.
     link: u32,
 }
 
+/// The [`Stamp`] kind bit of a Q2.
+const INBOUND: u32 = 0b01;
+/// The [`Stamp`] kind bit of an R1.
+const OUTBOUND: u32 = 0b10;
+const KIND: u32 = INBOUND | OUTBOUND;
+
 /// The largest `position + 1` a [`Stamp::link`] can carry beside its
-/// direction bit.
-const MAX_LINK: u32 = u32::MAX >> 1;
+/// kind bits.
+const MAX_LINK: u32 = u32::MAX >> 2;
 
 /// A log position (or length) as the `position + 1` form that
 /// [`FlowRow::head`] and [`Stamp::link`] store.
@@ -109,25 +122,37 @@ const MAX_LINK: u32 = u32::MAX >> 1;
 /// # Panics
 ///
 /// Panics, rather than wrapping into some other flow's chain, when the
-/// log outgrows what a link can address (2^31 - 1 stamps, ~80x the
-/// paper's full-scale Q2 + R1 count).
+/// log outgrows what a link can address (2^30 - 1 stamps, ~40x the
+/// paper's full-scale Q2 count).
 fn link_to(position_plus_one: usize) -> u32 {
     u32::try_from(position_plus_one)
         .ok()
         .filter(|link| *link <= MAX_LINK)
-        .expect("flow log holds at most 2^31 - 1 stamps")
+        .expect("flow log holds at most 2^30 - 1 stamps")
+}
+
+/// The [`Stamp`] kind bit of a packet travelling in `direction`.
+fn kind_of(direction: Direction) -> u32 {
+    match direction {
+        Direction::Inbound => INBOUND,
+        Direction::Outbound => OUTBOUND,
+    }
 }
 
 impl Stamp {
-    fn new(at: SimTime, previous: u32, direction: Direction) -> Stamp {
+    fn new(at: u64, previous: u32, kind: u32) -> Stamp {
         Stamp {
-            at: at.as_nanos(),
-            link: previous << 1 | u32::from(direction == Direction::Outbound),
+            at,
+            link: previous << 2 | kind,
         }
     }
 
     fn previous(self) -> u32 {
-        self.link >> 1
+        self.link >> 2
+    }
+
+    fn kind(self) -> u32 {
+        self.link & KIND
     }
 
     /// This stamp as it reads once `base` stamps of another log sit in
@@ -135,33 +160,30 @@ impl Stamp {
     fn behind(self, base: u32) -> Stamp {
         match self.previous() {
             0 => self,
-            previous => Stamp {
-                at: self.at,
-                link: link_to((previous + base) as usize) << 1 | self.link & 1,
-            },
-        }
-    }
-
-    fn direction(self) -> Direction {
-        if self.link & 1 == 0 {
-            Direction::Inbound
-        } else {
-            Direction::Outbound
+            previous => Stamp::new(self.at, link_to((previous + base) as usize), self.kind()),
         }
     }
 }
 
+/// The stamps of the chain that starts at `head`, newest fold first, each
+/// with its log position.
+fn chain(log: &[Stamp], head: u32) -> impl Iterator<Item = (usize, Stamp)> + '_ {
+    let mut next = head;
+    std::iter::from_fn(move || {
+        let position = next.checked_sub(1)? as usize;
+        let stamp = log[position];
+        next = stamp.previous();
+        Some((position, stamp))
+    })
+}
+
 /// The instants of one flow's stamps in `direction`, ascending.
 fn timeline(log: &[Stamp], head: u32, direction: Direction) -> Vec<SimTime> {
-    let mut next = head;
-    let mut out: Vec<SimTime> = std::iter::from_fn(|| {
-        let stamp = log[next.checked_sub(1)? as usize];
-        next = stamp.previous();
-        Some(stamp)
-    })
-    .filter(|stamp| stamp.direction() == direction)
-    .map(|stamp| SimTime::from_nanos(stamp.at))
-    .collect();
+    let kind = kind_of(direction);
+    let mut out: Vec<SimTime> = chain(log, head)
+        .filter(|(_, stamp)| stamp.kind() & kind != 0)
+        .map(|(_, stamp)| SimTime::from_nanos(stamp.at))
+        .collect();
     // The chain runs newest-fold-first and, after an absorb, one
     // table's stamps after the other's; ascending time is the one order
     // every fold and merge order agrees on.
@@ -169,19 +191,41 @@ fn timeline(log: &[Stamp], head: u32, direction: Direction) -> Vec<SimTime> {
     out
 }
 
-/// Label-keyed flow join state: a compact index over a dense arena of
+/// Label-keyed flow join state: a label index over a dense arena of
 /// fixed-size rows, plus one append-only stamp log for all of them.
 ///
-/// Splitting the join into an 8-byte-key -> slot index, a `Vec` of
-/// rows and a `Vec` of stamps means no flow owns heap memory: the table
-/// is three allocations however many flows recurse, finishing is a move
-/// of the arena and the log, and the batch and streaming paths reduce
-/// their captures through one structure.
+/// Splitting the join into an index of 4-byte slots, a `Vec` of rows and
+/// a `Vec` of stamps means no flow owns heap memory: the table is three
+/// allocations however many flows recurse, finishing is a move of the
+/// arena and the log, and the batch and streaming paths reduce their
+/// captures through one structure.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct FlowTable {
-    index: FxHashMap<u64, u32>,
+    /// Open-addressed over a power-of-two length (empty before the first
+    /// flow), at most three quarters full. A slot is 0 when empty and
+    /// otherwise the arena position + 1 of a row: it holds no key, so a
+    /// probe compares the label through [`FlowTable::rows`], and a fresh
+    /// index is zeroed pages that become resident only when written.
+    index: Vec<u32>,
     rows: Vec<FlowRow>,
     log: Vec<Stamp>,
+}
+
+/// Whether an index of `slots` slots holds `flows` flows.
+fn fits(slots: usize, flows: usize) -> bool {
+    flows <= slots / 4 * 3
+}
+
+/// The fewest slots (a power of two) that hold `flows` flows.
+fn slots_for(flows: usize) -> usize {
+    (flows.div_ceil(3) * 4).next_power_of_two()
+}
+
+/// Where the probe for `key` starts among `slots` slots: the top bits of
+/// a multiplicative (Fibonacci) hash, which spreads consecutive `seq`s
+/// evenly.
+fn home(key: u64, slots: usize) -> usize {
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - slots.trailing_zeros())) as usize
 }
 
 impl FlowTable {
@@ -189,7 +233,7 @@ impl FlowTable {
     /// the index and the arena.
     pub(crate) fn with_capacity(capacity: usize) -> FlowTable {
         FlowTable {
-            index: fx_map_with_capacity(capacity),
+            index: vec![0; slots_for(capacity)],
             rows: Vec::with_capacity(capacity),
             log: Vec::new(),
         }
@@ -200,19 +244,49 @@ impl FlowTable {
     /// the final footprint, so callers that know the responder count
     /// ahead of time should reserve it.
     pub(crate) fn reserve(&mut self, additional: usize) {
-        self.index.reserve(additional);
+        let flows = self.rows.len() + additional;
+        if !fits(self.index.len(), flows) {
+            self.rebuild(slots_for(flows));
+        }
         self.rows.reserve(additional);
     }
 
-    /// The arena slot of the flow for `label`, created as a stub on
+    /// Replaces the index with `slots` slots holding every row.
+    fn rebuild(&mut self, slots: usize) {
+        let mut index = vec![0u32; slots];
+        for (position, row) in self.rows.iter().enumerate() {
+            // Labels are unique, so the first empty slot is the row's.
+            let mut at = home(row.key(), slots);
+            while index[at] != 0 {
+                at = (at + 1) & (slots - 1);
+            }
+            index[at] = position as u32 + 1;
+        }
+        self.index = index;
+    }
+
+    /// The arena position of the flow for `label`, created as a stub on
     /// first touch.
     fn slot(&mut self, label: ProbeLabel) -> usize {
-        let FlowTable { index, rows, .. } = self;
+        if !fits(self.index.len(), self.rows.len() + 1) {
+            self.rebuild(slots_for(self.rows.len() + 1));
+        }
         let stub = FlowRow::stub(label);
-        *index.entry(stub.key()).or_insert_with(|| {
-            rows.push(stub);
-            u32::try_from(rows.len() - 1).expect("flow arena holds at most 2^32 flows")
-        }) as usize
+        let key = stub.key();
+        let slots = self.index.len();
+        let mut at = home(key, slots);
+        loop {
+            match self.index[at] {
+                0 => {
+                    self.rows.push(stub);
+                    self.index[at] =
+                        u32::try_from(self.rows.len()).expect("flow arena holds under 2^32 flows");
+                    return self.rows.len() - 1;
+                }
+                taken if self.rows[taken as usize - 1].key() == key => return taken as usize - 1,
+                _ => at = (at + 1) & (slots - 1),
+            }
+        }
     }
 
     /// Folds one R2 observation into the table.
@@ -246,11 +320,14 @@ impl FlowTable {
         }
     }
 
-    /// Appends one Q2 (`Inbound`) or R1 (`Outbound`) stamp to `label`'s
-    /// chain.
+    /// Adds one Q2 (`Inbound`) or R1 (`Outbound`) to `label`'s chain: an
+    /// R1 at the instant of the flow's newest unpaired Q2 marks that
+    /// stamp, anything else appends one.
     fn fold_stamp(&mut self, label: ProbeLabel, direction: Direction, at: SimTime, peer: Ipv4Addr) {
         let slot = self.slot(label);
-        let row = &mut self.rows[slot];
+        let FlowTable { rows, log, .. } = self;
+        let row = &mut rows[slot];
+        let at = at.as_nanos();
         if direction == Direction::Inbound {
             row.flags |= HAS_Q2;
             if !row.has(HAS_RESOLVER) {
@@ -259,9 +336,17 @@ impl FlowTable {
                 row.resolver = peer;
                 row.flags |= HAS_RESOLVER;
             }
+        } else {
+            // The authoritative server answers inside the dispatch that
+            // delivered the Q2, so nearly every R1 pairs.
+            let unpaired = chain(log, row.head).find(|(_, stamp)| stamp.kind() == INBOUND);
+            if let Some((position, _)) = unpaired.filter(|(_, q2)| q2.at == at) {
+                log[position].link |= OUTBOUND;
+                return;
+            }
         }
-        self.log.push(Stamp::new(at, row.head, direction));
-        row.head = link_to(self.log.len());
+        log.push(Stamp::new(at, row.head, kind_of(direction)));
+        row.head = link_to(log.len());
     }
 
     /// Merges another table in. Shards probe disjoint cluster ranges, so
@@ -295,11 +380,10 @@ impl FlowTable {
             if into.head != 0 {
                 // Hang this table's chain off the oldest stamp of the
                 // one just appended.
-                let mut oldest = head;
-                while self.log[oldest as usize - 1].previous() != 0 {
-                    oldest = self.log[oldest as usize - 1].previous();
-                }
-                self.log[oldest as usize - 1].link |= into.head << 1;
+                let (oldest, _) = chain(&self.log, head)
+                    .last()
+                    .expect("a head starts a chain");
+                self.log[oldest].link |= into.head << 2;
             }
             into.head = head;
         }
@@ -360,7 +444,7 @@ impl Flow<'_> {
 
     /// End-to-end resolution latency (Q1 -> R2), if both ends exist.
     pub fn resolution_latency(&self) -> Option<std::time::Duration> {
-        Some(self.r2_at()?.since(self.q1_at()?))
+        self.row.latency().map(std::time::Duration::from_nanos)
     }
 
     /// Whether the flow reached the authoritative server (i.e. the
@@ -392,9 +476,9 @@ pub struct FlowSet {
     log: Vec<Stamp>,
     /// Auth-server packets whose qname was not a probe name.
     pub foreign_auth_packets: u64,
-    /// Sorted resolution latencies, computed on first use so quantile
-    /// queries index instead of re-sorting.
-    sorted_latencies: OnceLock<Vec<std::time::Duration>>,
+    /// Sorted resolution latencies in nanoseconds, computed on first use
+    /// so quantile queries index instead of re-sorting.
+    sorted_latencies: OnceLock<Vec<u64>>,
 }
 
 impl FlowSet {
@@ -469,38 +553,39 @@ impl FlowSet {
         let q2 = self
             .log
             .iter()
-            .filter(|stamp| stamp.direction() == Direction::Inbound)
+            .filter(|stamp| stamp.kind() & INBOUND != 0)
             .count();
         q2 as f64 / recursed as f64
     }
 
     /// Resolution latencies (Q1 -> R2) across complete flows, sorted.
     pub fn resolution_latencies(&self) -> Vec<std::time::Duration> {
-        self.sorted().clone()
+        self.sorted()
+            .iter()
+            .map(|&nanos| std::time::Duration::from_nanos(nanos))
+            .collect()
     }
 
-    /// The sorted latencies, computed once and cached: quantile queries
-    /// index into the cache instead of re-sorting the full vector.
-    fn sorted(&self) -> &Vec<std::time::Duration> {
+    /// The sorted latencies in nanoseconds, computed once and cached:
+    /// quantile queries index into the cache instead of re-sorting.
+    fn sorted(&self) -> &[u64] {
         self.sorted_latencies.get_or_init(|| {
-            let mut out: Vec<_> = self
-                .iter()
-                .filter_map(|flow| flow.resolution_latency())
-                .collect();
-            out.sort();
+            let mut out: Vec<u64> = self.rows.iter().filter_map(FlowRow::latency).collect();
+            out.sort_unstable();
             out
         })
     }
 
-    /// The `q`-quantile (0..=1) of resolution latency, if any flows
-    /// completed.
+    /// The `q`-quantile (0..=1; a `q` outside clamps to the nearer end)
+    /// of resolution latency. `None` if no flow completed, or if `q` is
+    /// NaN or infinite.
     pub fn latency_quantile(&self, q: f64) -> Option<std::time::Duration> {
         let lats = self.sorted();
-        if lats.is_empty() {
+        if lats.is_empty() || !q.is_finite() {
             return None;
         }
         let idx = ((lats.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        Some(lats[idx])
+        Some(std::time::Duration::from_nanos(lats[idx]))
     }
 }
 
@@ -661,15 +746,111 @@ mod tests {
         );
     }
 
+    /// NaN used to clamp through to index 0 and read as the fastest
+    /// latency.
+    #[test]
+    fn non_finite_quantile_is_none() {
+        let flows = join(
+            &[
+                r2(ProbeLabel::new(0, 1), 0, 10),
+                r2(ProbeLabel::new(0, 2), 0, 20),
+            ],
+            &[],
+        );
+        for q in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(flows.latency_quantile(q), None, "q = {q}");
+        }
+        assert_eq!(
+            flows.latency_quantile(7.0),
+            Some(std::time::Duration::from_millis(20))
+        );
+    }
+
     #[test]
     fn links_are_checked_not_wrapped() {
         assert_eq!(link_to(MAX_LINK as usize), MAX_LINK);
         let past = std::panic::catch_unwind(|| link_to(MAX_LINK as usize + 1));
-        assert!(past.is_err(), "a link past 2^31 - 1 must panic");
+        assert!(past.is_err(), "a link past 2^30 - 1 must panic");
         // The extremes a link can hold survive the round trip.
-        let stamp = Stamp::new(SimTime::from_nanos(u64::MAX), MAX_LINK, Direction::Outbound);
+        let stamp = Stamp::new(u64::MAX, MAX_LINK, INBOUND | OUTBOUND);
         assert_eq!(stamp.previous(), MAX_LINK);
-        assert_eq!(stamp.direction(), Direction::Outbound);
+        assert_eq!(stamp.kind(), INBOUND | OUTBOUND);
+        assert_eq!(stamp.behind(0).previous(), MAX_LINK);
+    }
+
+    /// The index finds every row a `BTreeMap` would, through colliding
+    /// probe runs, the extreme labels, growth from empty and from a
+    /// reserved size, and absorbs of overlapping tables.
+    #[test]
+    fn label_index_matches_a_btree_map() {
+        orscope_check::cases(64, |rng| {
+            let mut reference: BTreeMap<ProbeLabel, usize> = BTreeMap::new();
+            let mut table = match rng.range(0..3) {
+                0 => FlowTable::default(),
+                1 => FlowTable::with_capacity(rng.range(0..300)),
+                _ => FlowTable::with_capacity(0),
+            };
+            // A narrow label space, so labels repeat and keys whose
+            // homes collide meet; the extremes of the qname's digits come
+            // up too.
+            let draw = |rng: &mut orscope_check::Rng| match rng.range(0..20) {
+                0 => ProbeLabel {
+                    cluster: 999,
+                    seq: 9_999_999,
+                },
+                1 => ProbeLabel::new(999, 0),
+                2 => ProbeLabel {
+                    cluster: 0,
+                    seq: 9_999_999,
+                },
+                _ => ProbeLabel::new(rng.range(0..3), rng.range(0..200)),
+            };
+            for _ in 0..rng.range(0..600) {
+                let label = draw(rng);
+                if rng.chance(5) {
+                    let mut other = FlowTable::default();
+                    for _ in 0..rng.range(0..40) {
+                        let label = draw(rng);
+                        other.slot(label);
+                        let next = reference.len();
+                        reference.entry(label).or_insert(next);
+                    }
+                    table.absorb(other);
+                    continue;
+                }
+                let next = reference.len();
+                let want = *reference.entry(label).or_insert(next);
+                assert_eq!(table.slot(label), want);
+                assert!(fits(table.index.len(), table.rows.len()));
+            }
+            assert_eq!(table.rows.len(), reference.len());
+            let slots = table.index.iter().filter(|&&slot| slot != 0).count();
+            assert_eq!(slots, reference.len(), "one slot a row");
+            for (label, &position) in &reference {
+                assert_eq!(table.slot(*label), position);
+                assert_eq!(table.rows[position].label(), *label);
+            }
+        });
+    }
+
+    /// Labels whose probes start at one slot all land, and all resolve.
+    #[test]
+    fn colliding_homes_probe_past_each_other() {
+        let mut table = FlowTable::with_capacity(12);
+        let slots = table.index.len();
+        let crowd: Vec<ProbeLabel> = (0..9_999_999)
+            .map(|seq| ProbeLabel { cluster: 999, seq })
+            .filter(|label| home(FlowRow::stub(*label).key(), slots) == slots - 1)
+            .take(12)
+            .collect();
+        assert_eq!(crowd.len(), 12);
+        for (position, label) in crowd.iter().enumerate() {
+            assert_eq!(table.slot(*label), position);
+        }
+        assert_eq!(table.index.len(), slots, "reserved slots held them");
+        for (position, label) in crowd.iter().enumerate() {
+            assert_eq!(table.slot(*label), position);
+        }
     }
 
     /// What the naive join keeps for one label.
@@ -706,12 +887,38 @@ mod tests {
         out
     }
 
+    /// Folds one server packet for `label` into `part` and into the
+    /// naive join.
+    fn fold_naive(
+        (part, foreign): &mut (FlowTable, u64),
+        naive: &mut BTreeMap<ProbeLabel, NaiveFlow>,
+        label: ProbeLabel,
+        direction: Direction,
+        at: SimTime,
+        stamped: bool,
+    ) {
+        let mut packet = auth_for(label.qname(&zone()), at, direction, resolver_of(label));
+        packet.label = stamped.then_some(label);
+        part.fold_auth(foreign, &packet, &zone());
+        let entry = naive.entry(label).or_default();
+        if direction == Direction::Inbound {
+            entry.q2_at.push(at);
+        } else {
+            entry.r1_at.push(at);
+        }
+    }
+
     /// Any interleaving of R2/Q2/R1 folds (R1 before Q2, R2 first,
     /// last or never, fan-out from 0 into the seventies) and foreign
     /// packets, split over 1-4 tables absorbed in every order, joins
     /// to the timelines a map of plain vectors keeps — whether a
     /// server packet arrives with its label stamped on it, as the
     /// capture point hands it over, or bare, as a replayed log does.
+    /// Half the packets share one of a few instants, and some come as
+    /// the server captures an answered query: the Q2, then none, one or
+    /// two R1s at its instant, now and then folded into another table.
+    /// So Q2s pair with same-instant R1s, and R1s arrive unpaired, before
+    /// their Q2, after a paired one, and on the far side of an absorb.
     #[test]
     fn join_matches_a_naive_map_of_vectors() {
         orscope_check::cases(64, |rng| {
@@ -720,13 +927,16 @@ mod tests {
             let mut naive_foreign = 0u64;
             let mut parts = vec![(FlowTable::default(), 0u64); tables];
             for _ in 0..rng.range(0..900) {
-                let (kind, seq) = (rng.range(0u8..17), rng.range(0u64..12));
+                let (kind, seq) = (rng.range(0u8..20), rng.range(0u64..12));
                 // Squaring skews the labels: a few busy flows, some
                 // nearly idle ones.
                 let label = ProbeLabel::new((seq % 2) as u32, seq * seq / 12);
-                let at = SimTime::from_nanos(rng.next_u64());
+                let at = SimTime::from_nanos(match rng.bool() {
+                    true => rng.range(0..4),
+                    false => rng.next_u64(),
+                });
                 let stamped = rng.bool();
-                let (part, foreign) = &mut parts[rng.range(0..tables)];
+                let part = rng.range(0..tables);
                 let direction = if kind <= 8 {
                     Direction::Inbound
                 } else {
@@ -735,22 +945,14 @@ mod tests {
                 match kind {
                     0 => {
                         let r2_at = SimTime::from_nanos(sent_at_of(label).as_nanos() + 7);
-                        part.fold_r2(label, resolver_of(label), sent_at_of(label), r2_at);
+                        let table = &mut parts[part].0;
+                        table.fold_r2(label, resolver_of(label), sent_at_of(label), r2_at);
                         naive.entry(label).or_default().r2 = true;
                     }
                     1..=15 => {
-                        let mut packet =
-                            auth_for(label.qname(&zone()), at, direction, resolver_of(label));
-                        packet.label = stamped.then_some(label);
-                        part.fold_auth(foreign, &packet, &zone());
-                        let entry = naive.entry(label).or_default();
-                        if direction == Direction::Inbound {
-                            entry.q2_at.push(at);
-                        } else {
-                            entry.r1_at.push(at);
-                        }
+                        fold_naive(&mut parts[part], &mut naive, label, direction, at, stamped)
                     }
-                    _ => {
+                    16 => {
                         // Not a probe name, under the zone or outside
                         // it: never stamped, counted, no flow.
                         let qname = if stamped {
@@ -760,8 +962,22 @@ mod tests {
                         };
                         let packet =
                             auth_for(qname.parse().unwrap(), at, direction, resolver_of(label));
-                        part.fold_auth(foreign, &packet, &zone());
+                        let (table, foreign) = &mut parts[part];
+                        table.fold_auth(foreign, &packet, &zone());
                         naive_foreign += 1;
+                    }
+                    _ => {
+                        let inbound = Direction::Inbound;
+                        fold_naive(&mut parts[part], &mut naive, label, inbound, at, stamped);
+                        for _ in 0..rng.range(0..3) {
+                            let part = if rng.chance(80) {
+                                part
+                            } else {
+                                rng.range(0..tables)
+                            };
+                            let outbound = Direction::Outbound;
+                            fold_naive(&mut parts[part], &mut naive, label, outbound, at, stamped);
+                        }
                     }
                 }
             }

@@ -30,12 +30,11 @@ use orscope_resolver::paper::Year;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Peak live bytes per responder the scale-200 point may cost: 7 %
-/// above the 183 it measures (5,943,256 B for 32,531 responders; 6 of
-/// the 183 are the scratch messages of the ~46 resolvers live at once
-/// and of the pooled ones). A flow join with a heap vector or two per
-/// flow, or a timing wheel that keeps drained slots' buffers, lands
-/// near 310.
-const SCALE_200_BYTES_PER_RESPONDER: u64 = 195;
+/// above the 121.4 it measures (3,950,595 B for 32,531 responders). A
+/// flow join keyed through a hash map with a stamp for every R1 would
+/// read 171.8 (5,589,019 B); one with a heap vector or two per flow, or
+/// a timing wheel that keeps drained slots' buffers, lands near 310.
+const SCALE_200_BYTES_PER_RESPONDER: u64 = 130;
 
 /// Runs one campaign and returns its JSON entry, its peak live bytes and
 /// its responder count.

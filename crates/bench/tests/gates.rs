@@ -48,6 +48,16 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // would say otherwise).
     ("dense", "materializations", 3_253.0, 3_253.0),
     ("dense", "planned hosts", 3_253.0, 3_253.0),
+    // The most the whole campaign holds at once, most of it the flow
+    // join: 606,618 B. A join keyed through an 8-byte-key hash index,
+    // with an R1 stamp beside every Q2 stamp and 16-byte latencies,
+    // would read 228.0 B a host.
+    (
+        "dense",
+        "peak live bytes per planned host",
+        606_618.0 / 3_253.0,
+        606_618.0 / 3_253.0,
+    ),
     ("dense", "live hosts at the peak", 325.0, 10.0),
     // Settling is bookkeeping, not behaviour: every simulator counter
     // reads what it read when those hosts were rebuilt to ignore their
@@ -95,7 +105,15 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // reserved flows. The join owns no per-flow heap, so it allocates
     // only when the one shared stamp log doubles — log2(N) times at
     // most, where two vectors a flow would be 8,192 before regrowth.
-    ("flow-join", "allocations", 30.0, 14.0),
+    // Each R1 answers its Q2 at the same instant and marks the Q2's
+    // stamp, so the log holds 16,384 stamps, not 32,768 (14
+    // allocations).
+    ("flow-join", "allocations", 30.0, 13.0),
+    // A flow holds its 32 B row, 8 B of index (4 B slots, half full at
+    // the reserved size), 8 B of reserved amplification factor and its
+    // four 12 B stamps: 96 B exactly. An 8-byte-key hash index and a
+    // stamp for every R1 would read 170.0.
+    ("flow-join", "live bytes per flow", 96.0, 96.0),
     // `history`: 600 epochs of real observatory rows. A row is integers
     // and fixed-size arrays in one vector that grows by an eighth; its
     // matrix counts one epoch's distinct IPv4 members, so its cells are
@@ -129,18 +147,17 @@ fn campaign(config: CampaignConfig) -> (orscope_core::CampaignResult, f64, f64, 
 }
 
 fn dense() -> Ledger {
-    let (result, calls, bytes, _) = campaign(CampaignConfig::new(Year::Y2018, 2000.0));
+    let (result, calls, bytes, peak) = campaign(CampaignConfig::new(Year::Y2018, 2000.0));
     let net = *result.net_stats();
     let population = result.population();
+    let planned = population.resolvers.len() + population.off_port.len();
     let dataset = result.dataset();
     vec![
         ("allocations per event", calls / net.events as f64),
         ("requested bytes per event", bytes / net.events as f64),
         ("materializations", result.materializations() as f64),
-        (
-            "planned hosts",
-            (population.resolvers.len() + population.off_port.len()) as f64,
-        ),
+        ("planned hosts", planned as f64),
+        ("peak live bytes per planned host", peak / planned as f64),
         ("live hosts at the peak", result.materialized_hosts() as f64),
         ("net.sent", net.sent as f64),
         ("net.delivered", net.delivered as f64),
@@ -204,6 +221,7 @@ fn flow_join() -> Ledger {
             }
         }
     }
+    let held = live_bytes();
     let mut analyzer = StreamingAnalyzer::new(zone, false);
     analyzer.reserve_flows(FLOWS as usize);
 
@@ -212,6 +230,7 @@ fn flow_join() -> Ledger {
         analyzer.on_auth(packet);
     }
     let spent = allocs() - before;
+    let live = (live_bytes() - held) as f64;
 
     // The fold did its work.
     let flows = analyzer.take_flows();
@@ -220,7 +239,10 @@ fn flow_join() -> Ledger {
     assert!(flows
         .iter()
         .all(|flow| flow.r1_at().len() == FANOUT as usize));
-    vec![("allocations", spent as f64)]
+    vec![
+        ("allocations", spent as f64),
+        ("live bytes per flow", live / FLOWS as f64),
+    ]
 }
 
 fn history() -> Ledger {

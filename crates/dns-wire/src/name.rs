@@ -166,17 +166,23 @@ impl Name {
 
     /// Whether `self` is equal to or a subdomain of `ancestor`.
     pub fn is_subdomain_of(&self, ancestor: &Name) -> bool {
-        if ancestor.count > self.count {
+        if ancestor.count > self.count || ancestor.len > self.len {
             return false;
         }
-        let (self_offsets, self_n) = self.label_offsets();
-        let (anc_offsets, anc_n) = ancestor.label_offsets();
-        (0..anc_n).all(|k| {
-            eq_label(
-                self.label_at(self_offsets[self_n - 1 - k]),
-                ancestor.label_at(anc_offsets[anc_n - 1 - k]),
-            )
-        })
+        // Skip the labels `self` has beyond the ancestor's; what is left
+        // starts at a label boundary and must be the ancestor, compared
+        // as `PartialEq` compares whole names.
+        let data = self.data();
+        let mut start = 0usize;
+        for _ in ancestor.count..self.count {
+            start += 1 + data[start] as usize;
+        }
+        let suffix = &data[start..];
+        suffix.len() == ancestor.data().len()
+            && suffix
+                .iter()
+                .zip(ancestor.data())
+                .all(|(a, b)| a.eq_ignore_ascii_case(b))
     }
 
     /// The name with its leftmost label removed (`www.example.com` ->

@@ -237,3 +237,68 @@ fn name_at_the_255_octet_limit_roundtrips() {
         "256 octets must be rejected"
     );
 }
+
+/// `is_subdomain_of` by its definition: the ancestor's labels are the
+/// name's last labels, each equal ignoring ASCII case.
+fn subdomain_by_labels(name: &Name, ancestor: &Name) -> bool {
+    let name: Vec<&[u8]> = name.labels().collect();
+    let ancestor: Vec<&[u8]> = ancestor.labels().collect();
+    ancestor.len() <= name.len()
+        && name[name.len() - ancestor.len()..]
+            .iter()
+            .zip(&ancestor)
+            .all(|(a, b)| a.eq_ignore_ascii_case(b))
+}
+
+/// Labels that nearly match each other: a prefix (`xnet` / `net`), a
+/// case change, and one whose bytes spell a length byte and a label
+/// (`a\x03net` ends in the wire bytes of `net`).
+const NEAR_LABELS: &[&[u8]] = &[
+    b"net",
+    b"NeT",
+    b"xnet",
+    b"et",
+    b"n",
+    b"a",
+    b"A",
+    b"a\x03net",
+    b"\x03net",
+    b"or000",
+    b"OR000",
+];
+
+/// A name of 0..=4 labels drawn from [`NEAR_LABELS`].
+fn near_name(rng: &mut Rng) -> Name {
+    Name::from_labels(rng.vec(0..=4, |rng| *rng.choice(NEAR_LABELS))).unwrap()
+}
+
+/// `is_subdomain_of` agrees with the label-by-label definition, for
+/// ancestors drawn on their own and for suffixes of the name with their
+/// case scrambled.
+#[test]
+fn subdomain_matches_label_by_label() {
+    cases(512, |rng| {
+        let name = near_name(rng);
+        let ancestor = match rng.bool() {
+            true => near_name(rng),
+            false => {
+                let labels: Vec<&[u8]> = name.labels().collect();
+                let keep = rng.range(0..=labels.len());
+                Name::from_labels(&labels[labels.len() - keep..])
+                    .unwrap()
+                    .randomize_case(rng.next_u64())
+            }
+        };
+        assert_eq!(
+            name.is_subdomain_of(&ancestor),
+            subdomain_by_labels(&name, &ancestor),
+            "{name:?} under {ancestor:?}"
+        );
+    });
+    let name = |s: &str| s.parse::<Name>().unwrap();
+    assert!(!name("xnet").is_subdomain_of(&name("net")));
+    assert!(!name("a.xnet").is_subdomain_of(&name("net")));
+    assert!(name("A.B.NeT").is_subdomain_of(&name("b.net")));
+    let spelled = Name::from_labels([&b"a\x03net"[..]]).unwrap();
+    assert!(!spelled.is_subdomain_of(&name("net")));
+}
