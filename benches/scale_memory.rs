@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use orscope_bench::alloc::{peak_above, reset_peak, CountingAlloc};
+use orscope_check::alloc::{peak_above, reset_peak, CountingAlloc};
 use orscope_core::{Campaign, CampaignConfig};
 use orscope_resolver::paper::Year;
 
@@ -102,7 +102,7 @@ fn main() {
         eprintln!("{json}");
         return;
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_scale.json");
     std::fs::write(path, json).expect("write BENCH_scale.json");
     eprintln!("wrote {path}");
 }

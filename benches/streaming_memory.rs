@@ -25,7 +25,7 @@ use orscope_analysis::tables::{
 use orscope_analysis::{Dataset, FlowSet, RecordSink, StreamingAnalyzer};
 use orscope_authns::scheme::{ground_truth, ProbeLabel};
 use orscope_authns::{CapturedPacket, Direction};
-use orscope_bench::alloc::{peak_above, reset_peak, CountingAlloc};
+use orscope_check::alloc::{peak_above, reset_peak, CountingAlloc};
 use orscope_dns_wire::{Message, Name, Question, RData, Rcode, Record};
 use orscope_geo::{GeoDb, GeoRecord};
 use orscope_netsim::{Payload, SimTime};
@@ -312,7 +312,7 @@ fn main() {
         eprintln!("{json}");
         return;
     }
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_streaming.json");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_streaming.json");
     std::fs::write(path, json).expect("write BENCH_streaming.json");
     eprintln!("wrote {path}");
 }

@@ -20,7 +20,6 @@
 
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
-use std::str::FromStr;
 
 use orscope_authns::scheme::ProbeLabel;
 use orscope_authns::{CapturedPacket, RecordSink};
@@ -48,20 +47,6 @@ pub enum AnalysisMode {
     /// Buffer every capture and classify after the scan — the original
     /// pipeline, kept alive as an oracle for the streaming path.
     Batch,
-}
-
-impl FromStr for AnalysisMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "streaming" => Ok(AnalysisMode::Streaming),
-            "batch" => Ok(AnalysisMode::Batch),
-            other => Err(format!(
-                "unknown analysis mode {other:?} (expected streaming|batch)"
-            )),
-        }
-    }
 }
 
 impl std::fmt::Display for AnalysisMode {
@@ -397,13 +382,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn analysis_mode_parses_and_displays() {
-        assert_eq!(
-            "streaming".parse::<AnalysisMode>(),
-            Ok(AnalysisMode::Streaming)
-        );
-        assert_eq!("batch".parse::<AnalysisMode>(), Ok(AnalysisMode::Batch));
-        assert!("bulk".parse::<AnalysisMode>().is_err());
+    fn analysis_mode_defaults_and_displays() {
         assert_eq!(AnalysisMode::default(), AnalysisMode::Streaming);
         assert_eq!(AnalysisMode::Streaming.to_string(), "streaming");
         assert_eq!(AnalysisMode::Batch.to_string(), "batch");

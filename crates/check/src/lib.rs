@@ -7,6 +7,9 @@
 //! `Rng::new(i)`, so every run is its own replay and a failure is
 //! reproduced by calling the property on that one generator.
 //!
+//! [`alloc`] is the one counting allocator the workspace's allocation
+//! tests and memory benches install.
+//!
 //! ```
 //! orscope_check::cases(64, |rng| {
 //!     let bytes = rng.bytes(0..32);
@@ -17,6 +20,8 @@
 
 use std::ops::{Bound, RangeBounds};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+pub mod alloc;
 
 /// Runs `property` on cases `0..n`, case `i` drawing from `Rng::new(i)`.
 /// When a case panics, its index is printed before the panic continues.

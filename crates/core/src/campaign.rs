@@ -10,6 +10,7 @@ use orscope_authns::{
     AuthStats, AuthoritativeServer, CaptureHandle, CapturedPacket, ClusterZone, DelegationServer,
     SharedSink, Zone,
 };
+use orscope_geo::GeoDb;
 use orscope_ipspace::AllowedSpace;
 use orscope_netsim::{
     Coverage, FaultKind, FaultPlan, FaultRule, FaultScope, HashLatency, LazyRegistry, NetStats,
@@ -22,6 +23,7 @@ use orscope_resolver::paper::{Year, YearSpec};
 use orscope_resolver::population::{Population, PopulationConfig};
 use orscope_resolver::{ProfiledResolver, ResolverConfig, ResolverStats};
 use orscope_telemetry::{Collector, MetricValue, Scope, SpanSnapshot, TelemetrySnapshot};
+use orscope_threatintel::ThreatDb;
 
 use crate::error::{CampaignError, DegradedReport, ShardFailure, ShardSabotage};
 use crate::host::Host;
@@ -425,9 +427,6 @@ impl Campaign {
             shard_pops = population.shard(shards);
             shard_pops.iter().collect()
         };
-        // Disjoint cluster namespaces per shard keep merged qnames
-        // globally unique (1,000 clusters shared across <= 64 shards).
-        let cluster_stride = 1_000 / shards as u32;
 
         // ---- fan out: one supervised SimNet per shard ----
         // A panicking shard is rebuilt from the same plan (same seed) and
@@ -436,21 +435,16 @@ impl Campaign {
         // carries a `DegradedReport`.
         let run = |index: usize| {
             supervise(|attempt| {
-                Ok(self.run_shard(ShardPlan {
-                    shard: index,
+                Ok(self.run_shard(ShardPlan::new(
+                    config,
+                    &knobs,
+                    index,
                     attempt,
-                    // Decorrelate per-shard simulator seeds; shard 0
-                    // keeps the master seed so shards=1 reproduces the
-                    // classic run exactly.
-                    sim_seed: config.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                    total_rate_pps: knobs.total_rate,
-                    base_cluster: index as u32 * cluster_stride,
-                    cluster_capacity: knobs.cluster_capacity,
                     // A retry walks the permutations afresh.
-                    targets: TargetSource::new(targets.shard(index, shards)),
-                    population: shard_populations[index],
-                    hosts: targets.hosts(),
-                }))
+                    TargetSource::new(targets.shard(index, shards)),
+                    shard_populations[index],
+                    targets.hosts(),
+                )))
             })
         };
         let runs: Vec<Supervised<ShardOutcome>> = std::thread::scope(|scope| {
@@ -495,7 +489,28 @@ impl Campaign {
         let degraded = (!failed.is_empty() || !retried.is_empty())
             .then_some(DegradedReport { failed, retried });
 
-        // ---- merge ----
+        let result = self.assemble(population, threat, geo, collector, outcomes, degraded);
+        debug_assert!(
+            result.is_partial() || result.dataset().q1 == targets.len(),
+            "whole campaign probed {} of {} planned targets",
+            result.dataset().q1,
+            targets.len()
+        );
+        Ok(result)
+    }
+
+    /// Merges the outcomes of the shards that finished into one result:
+    /// the merge of [`Campaign::run`] and of [`Campaign::resume_from`].
+    pub(crate) fn assemble(
+        &self,
+        population: std::sync::Arc<Population>,
+        threat: ThreatDb,
+        geo: GeoDb,
+        collector: Collector,
+        outcomes: Vec<ShardOutcome>,
+        degraded: Option<DegradedReport>,
+    ) -> CampaignResult {
+        let config = &self.config;
         let analyze = collector.phase("phase.analyze");
         // In batch mode the per-shard datasets carry the classified
         // records; in streaming mode they carry only counters (the
@@ -511,13 +526,6 @@ impl Campaign {
                     .collect(),
             )
         };
-        debug_assert!(
-            degraded.as_ref().is_some_and(DegradedReport::is_partial)
-                || dataset.q1 == targets.len(),
-            "whole campaign probed {} of {} planned targets",
-            dataset.q1,
-            targets.len()
-        );
         let mut stream: Option<StreamingAnalyzer> = None;
         let mut net_stats = NetStats::default();
         let mut auth_packets: Vec<CapturedPacket> = Vec::new();
@@ -536,7 +544,15 @@ impl Campaign {
                 }
             }
         }
-        finish_stream(&mut dataset, stream.as_mut(), config.retain_raw);
+        // A streaming run's analyzer, not the (empty) capture buffer,
+        // knows how many R2s were classified, and holds the raw captures
+        // when they were retained.
+        if let Some(stream) = stream.as_mut() {
+            dataset.set_r2_total(stream.r2_classified());
+            if config.retain_raw {
+                dataset.attach_raw(stream.take_raw());
+            }
+        }
         // Canonical merged capture order: chronological, with the stable
         // sort breaking cross-shard ties by shard index.
         auth_packets.sort_by_key(|packet| packet.at);
@@ -546,9 +562,9 @@ impl Campaign {
             telemetry.absorb(shard);
         }
 
-        Ok(CampaignResult::new(
+        CampaignResult::new(
             config.clone(),
-            spec,
+            YearSpec::get(config.year),
             dataset,
             threat,
             geo,
@@ -559,7 +575,7 @@ impl Campaign {
             telemetry,
             degraded,
             stream,
-        ))
+        )
     }
 
     /// A shard's end of the attached bus, if any: its records tagged with
@@ -738,22 +754,6 @@ impl Campaign {
     }
 }
 
-/// Seals a streaming run's dataset: the analyzer, not the (empty)
-/// capture buffer, knows how many R2s were classified, and holds the raw
-/// captures when they were retained.
-pub(crate) fn finish_stream(
-    dataset: &mut Dataset,
-    stream: Option<&mut StreamingAnalyzer>,
-    retain_raw: bool,
-) {
-    if let Some(stream) = stream {
-        dataset.set_r2_total(stream.r2_classified());
-        if retain_raw {
-            dataset.attach_raw(stream.take_raw());
-        }
-    }
-}
-
 /// Knobs shared by every shard of one campaign.
 pub(crate) struct ShardKnobs {
     /// Aggregate (campaign-wide) probe rate.
@@ -787,6 +787,37 @@ pub(crate) struct ShardPlan<'a> {
     /// The campaign's probed hosts by address (see [`TargetPlan::hosts`]):
     /// a shard is only ever sent to the ones it owns.
     pub(crate) hosts: std::sync::Arc<HostIndex>,
+}
+
+impl<'a> ShardPlan<'a> {
+    /// Shard `index` of `config.shards` on its supervision `attempt`,
+    /// walking `targets` over `population`.
+    pub(crate) fn new(
+        config: &CampaignConfig,
+        knobs: &ShardKnobs,
+        index: usize,
+        attempt: u32,
+        targets: TargetSource,
+        population: &'a Population,
+        hosts: std::sync::Arc<HostIndex>,
+    ) -> Self {
+        // Disjoint cluster namespaces per shard keep merged qnames
+        // globally unique (1,000 clusters shared across <= 64 shards).
+        let cluster_stride = 1_000 / config.shards as u32;
+        Self {
+            shard: index,
+            attempt,
+            // Decorrelate per-shard simulator seeds; shard 0 keeps the
+            // master seed so shards=1 reproduces the classic run exactly.
+            sim_seed: config.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            total_rate_pps: knobs.total_rate,
+            base_cluster: index as u32 * cluster_stride,
+            cluster_capacity: knobs.cluster_capacity,
+            targets,
+            population,
+            hosts,
+        }
+    }
 }
 
 /// A sorted `(packed address, profile id)` list under a first-level

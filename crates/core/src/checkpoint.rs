@@ -244,8 +244,9 @@ use orscope_authns::CapturedPacket;
 use orscope_netsim::SimTime;
 use orscope_prober::{R2Capture, ScanCheckpoint, TargetSource};
 use orscope_resolver::paper::YearSpec;
+use orscope_telemetry::Collector;
 
-use crate::campaign::{finish_stream, Campaign, ShardPlan};
+use crate::campaign::{Campaign, ShardPlan};
 use crate::error::CampaignError;
 use crate::host::Host;
 use crate::infra::{seed_geo_db, seed_threat_db};
@@ -290,17 +291,15 @@ impl Campaign {
         let population = std::sync::Arc::new(self.build_population());
         let knobs = self.shard_knobs(&spec);
         let targets = self.plan_targets(&spec, &population);
-        let plan = ShardPlan {
-            shard: 0,
-            attempt: 0,
-            sim_seed: config.seed,
-            total_rate_pps: knobs.total_rate,
-            base_cluster: 0,
-            cluster_capacity: knobs.cluster_capacity,
-            targets: TargetSource::new(targets.shard(0, 1)),
-            population: &population,
-            hosts: targets.hosts(),
-        };
+        let plan = ShardPlan::new(
+            config,
+            &knobs,
+            0,
+            0,
+            TargetSource::new(targets.shard(0, 1)),
+            &population,
+            targets.hosts(),
+        );
         // Phase one buffers whatever the analysis mode: the checkpoint
         // carries the records themselves.
         let recorder = ShardRecorder::buffering(self.publisher(&plan.hosts, population.table()));
@@ -356,17 +355,15 @@ impl Campaign {
         // scan, not the remaining-targets tail.
         let targets = self.plan_targets(&spec, &population);
         let tail = (targets.len()..).zip(checkpoint.outstanding.clone());
-        let plan = ShardPlan {
-            shard: 0,
-            attempt: 0,
-            sim_seed: config.seed,
-            total_rate_pps: knobs.total_rate,
-            base_cluster: 0,
-            cluster_capacity: knobs.cluster_capacity,
-            targets: TargetSource::new(targets.shard(0, 1).chain(tail)),
-            population: &population,
-            hosts: targets.hosts(),
-        };
+        let plan = ShardPlan::new(
+            config,
+            &knobs,
+            0,
+            0,
+            TargetSource::new(targets.shard(0, 1).chain(tail)),
+            &population,
+            targets.hosts(),
+        );
         // Phase one's records are fed to the recorder phase two writes
         // into, so the analysis (and any tap) sees the whole campaign.
         let publisher = self.publisher(&plan.hosts, population.table());
@@ -380,26 +377,14 @@ impl Campaign {
         let mut world = self.build_shard(plan, Some(&checkpoint.scan), recorder);
         let started = std::time::Instant::now();
         world.net.run_until_idle();
-        let mut outcome = world.collect(started.elapsed());
-
-        let mut dataset = outcome.dataset(config);
-        let mut stream = outcome.recorder.analyzer.take();
-        finish_stream(&mut dataset, stream.as_mut(), config.retain_raw);
-        let mut auth_packets = outcome.recorder.auth_packets;
-        auth_packets.sort_by_key(|packet| packet.at);
-        Ok(CampaignResult::new(
-            config.clone(),
-            spec,
-            dataset,
+        let outcome = world.collect(started.elapsed());
+        Ok(self.assemble(
+            population,
             threat,
             geo,
-            population,
-            outcome.net_stats,
-            outcome.materialized,
-            auth_packets,
-            outcome.telemetry,
+            Collector::new(),
+            vec![outcome],
             None,
-            stream,
         ))
     }
 }

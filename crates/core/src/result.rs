@@ -171,18 +171,6 @@ impl CampaignResult {
         &self.flows
     }
 
-    /// Moves the streaming accumulators out of the result (present when
-    /// the campaign ran in [`orscope_analysis::AnalysisMode::Streaming`]).
-    ///
-    /// Long-running consumers — the observatory's rolling tables —
-    /// `absorb` each round's analyzer into a cross-epoch accumulator
-    /// instead of keeping whole results alive. After the take, table
-    /// accessors fall back to the batch path over the (streaming-mode:
-    /// counter-only) dataset, so take the tables you need first.
-    pub fn take_stream(&mut self) -> Option<StreamingAnalyzer> {
-        self.stream.take()
-    }
-
     /// Measured Table II.
     pub fn table2_measured(&self) -> Table2 {
         Table2::measured(&self.dataset)

@@ -5,44 +5,9 @@
 //! the pretty form, and reading past a value accepts what decoding it
 //! does.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use orscope_check::alloc::{thread_requested_bytes, CountingAlloc};
 use orscope_check::{cases, Rng};
 use orscope_json::{Reader, Wire, MAX_DEPTH};
-
-thread_local! {
-    /// Bytes this thread has requested from the allocator (the test
-    /// harness runs other tests on other threads).
-    static REQUESTED: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Counts bytes *requested* per thread — not `orscope_bench::alloc`'s
-/// process-wide live peak, and this leaf crate cannot depend on that
-/// one anyway.
-struct CountingAlloc;
-
-// SAFETY: every method forwards to `System` with the caller's own
-// arguments; the counter is a const-initialised thread-local `Cell`,
-// which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.with(|bytes| bytes.set(bytes.get() + layout.size()));
-        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.with(|bytes| bytes.set(bytes.get() + new_size));
-        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -81,9 +46,9 @@ const ALLOC_FACTOR: usize = 128;
 const ALLOC_SLACK: usize = 1024;
 
 fn decode_within_budget(input: &[u8]) -> Result<Wire, String> {
-    let before = REQUESTED.with(Cell::get);
+    let before = thread_requested_bytes();
     let outcome = Wire::decode(input);
-    let requested = REQUESTED.with(Cell::get) - before;
+    let requested = thread_requested_bytes() - before;
     let budget = ALLOC_FACTOR * input.len() + ALLOC_SLACK;
     assert!(
         requested <= budget,
@@ -168,10 +133,10 @@ fn reading_past_a_value_accepts_exactly_what_decoding_does() {
         .flat_map(|value| [value.encode(), value.encode_pretty()])
         .collect();
     for_each_hostile_input(&valid, 20_000, |input| {
-        let before = REQUESTED.with(Cell::get);
+        let before = thread_requested_bytes();
         let mut reader = Reader::new(input);
         let skipped = reader.skip().and_then(|()| reader.finish());
-        let requested = REQUESTED.with(Cell::get) - before;
+        let requested = thread_requested_bytes() - before;
         assert!(requested <= ALLOC_FACTOR * input.len() + ALLOC_SLACK);
         assert_eq!(
             skipped.is_ok(),

@@ -400,45 +400,11 @@ impl ObservatoryCheckpoint {
 
 #[cfg(test)]
 mod tests {
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-
+    use orscope_check::alloc::{thread_requested_bytes, CountingAlloc};
     use orscope_check::{cases, Rng};
 
     use super::*;
     use crate::series::tests::arbitrary_tables;
-
-    thread_local! {
-        /// Bytes this thread has requested from the allocator (the test
-        /// harness runs other tests on other threads).
-        static REQUESTED: Cell<usize> = const { Cell::new(0) };
-    }
-
-    /// Counts bytes requested per thread, as `orscope-json`'s
-    /// `tests/total.rs` does for the reader alone.
-    struct CountingAlloc;
-
-    // SAFETY: every method forwards to `System` with the caller's own
-    // arguments; the counter is a const-initialised thread-local `Cell`,
-    // which neither allocates nor unwinds.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            REQUESTED.with(|bytes| bytes.set(bytes.get() + layout.size()));
-            // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-            unsafe { System.dealloc(ptr, layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            REQUESTED.with(|bytes| bytes.set(bytes.get() + new_size));
-            // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-    }
 
     #[global_allocator]
     static ALLOC: CountingAlloc = CountingAlloc;
@@ -755,9 +721,9 @@ mod tests {
                     integrity::seal(bytes)
                 }
             };
-            let before = REQUESTED.with(Cell::get);
+            let before = thread_requested_bytes();
             let streamed = ObservatoryCheckpoint::verify(&input, generation);
-            let requested = REQUESTED.with(Cell::get) - before;
+            let requested = thread_requested_bytes() - before;
             let budget = ALLOC_FACTOR * input.len() + ALLOC_SLACK;
             assert!(
                 requested <= budget,

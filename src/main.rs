@@ -5,8 +5,8 @@
 //!                  [--loss P] [--duplicate P] [--retries N] [--rate PPS]
 //!                  [--authns-outage FROM:UNTIL] [--faults FILE.json]
 //!                  [--stop-after SECS --checkpoint-file FILE]
-//!                  [--analysis streaming|batch] [--json FILE] [--telemetry FILE]
-//! orscope tables   [--scale 500] [--analysis streaming|batch] [--json FILE]
+//!                  [--json FILE] [--telemetry FILE]
+//! orscope tables   [--scale 500] [--json FILE] [--markdown FILE]
 //! orscope trend    [--steps 6] [--scale 2000]       # 2013 -> 2018 series
 //! orscope serve    [--scale 20000] [--epochs N] [--port 7353] [--state-dir DIR]
 //!                  [--epoch-secs 86400] [--join R] [--leave R] [--drift R]
@@ -28,8 +28,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use orscope_core::{
-    integrity, run_trend, AnalysisMode, Campaign, CampaignConfig, PredicateError, RecordBus,
-    TapPredicate, TapSubscriber, TrendConfig, DEFAULT_TAP_CAPACITY,
+    integrity, run_trend, Campaign, CampaignConfig, PredicateError, RecordBus, TapPredicate,
+    TapSubscriber, TrendConfig, DEFAULT_TAP_CAPACITY,
 };
 use orscope_json::Wire;
 use orscope_netsim::{FaultKind, FaultPlan, FaultRule, FaultScope};
@@ -73,9 +73,8 @@ const HELP: &str = "orscope — behavioral analysis of open DNS resolvers (DSN'1
      \x20                  [--rate PPS] [--authns-outage FROM:UNTIL]\n\
      \x20                  [--faults FILE.json]\n\
      \x20                  [--stop-after SECS --checkpoint-file FILE]\n\
-     \x20                  [--analysis streaming|batch] [--json FILE]\n\
-     \x20                  [--telemetry FILE]\n\
-     \x20 orscope tables   [--scale S] [--analysis streaming|batch] [--json FILE]\n\
+     \x20                  [--json FILE] [--telemetry FILE]\n\
+     \x20 orscope tables   [--scale S] [--json FILE] [--markdown FILE]\n\
      \x20 orscope trend    [--steps N] [--scale S] [--seed N]\n\
      \x20 orscope serve    [--year 2013|2018] [--scale S] [--seed N] [--shards N]\n\
      \x20                  [--epochs N] [--epoch-secs SECS] [--port P]\n\
@@ -93,7 +92,8 @@ const HELP: &str = "orscope — behavioral analysis of open DNS resolvers (DSN'1
      \n\
      COMMANDS:\n\
      \x20 campaign  replay one scan and print every table, paper vs measured\n\
-     \x20 tables    replay both scans (the full evaluation of the paper)\n\
+     \x20 tables    replay both scans (the full evaluation of the paper), one\n\
+     \x20           thread each; --markdown writes the tables as markdown\n\
      \x20 trend     the 2013->2018 continuous-monitoring series (section V)\n\
      \x20 serve     run the resolver observatory: one supervised campaign\n\
      \x20           round per virtual day over a churning population, live\n\
@@ -121,11 +121,6 @@ const HELP: &str = "orscope — behavioral analysis of open DNS resolvers (DSN'1
      \x20 --faults FILE.json    install a full fault plan from JSON\n\
      \x20 --stop-after SECS     freeze at SECS of virtual time and write the\n\
      \x20                       scan cursor to --checkpoint-file FILE\n\
-     \n\
-     ANALYSIS (campaign, tables):\n\
-     \x20 --analysis MODE       streaming (default): classify at capture time,\n\
-     \x20                       bounded memory; batch: buffer every payload and\n\
-     \x20                       classify after the scan. Reports are identical.\n\
      \n\
      UNATTENDED OPERATION (serve):\n\
      \x20 --keep-generations K  retain the newest K verified checkpoint\n\
@@ -158,11 +153,10 @@ const CAMPAIGN_FLAGS: &[&str] = &[
     "--faults",
     "--stop-after",
     "--checkpoint-file",
-    "--analysis",
     "--json",
     "--telemetry",
 ];
-const TABLES_FLAGS: &[&str] = &["--scale", "--analysis", "--json"];
+const TABLES_FLAGS: &[&str] = &["--scale", "--json", "--markdown"];
 const TREND_FLAGS: &[&str] = &["--steps", "--scale", "--seed"];
 const SERVE_FLAGS: &[&str] = &[
     "--year",
@@ -202,10 +196,28 @@ const PCAP_FLAGS: &[&str] = &["--year", "--scale"];
 /// Flags that take no value.
 const BOOLEAN_FLAGS: &[&str] = &["--full-q1", "--fresh", "--oneshot"];
 
+/// The subcommands with two modes, switched by one flag: `(command,
+/// mode flag, flags only that mode reads, flags only the other reads)`.
+const MODES: &[(&str, &str, &[&str], &[&str])] = &[
+    (
+        "campaign",
+        "--stop-after",
+        &["--checkpoint-file"],
+        &["--json", "--telemetry"],
+    ),
+    (
+        "tap",
+        "--oneshot",
+        &["--year", "--scale", "--seed", "--shards"],
+        &["--url"],
+    ),
+];
+
 /// Fails on whatever `command` would otherwise silently ignore: a
 /// `--flag` it does not define (a typo such as `--shard 4` must not run
-/// the default), a flag given twice (only the first would count), or a
-/// positional argument (`pcap` takes one, its output path).
+/// the default), a flag given twice (only the first would count), a
+/// flag its mode does not read ([`MODES`]), or a positional argument
+/// (`pcap` takes one, its output path).
 fn reject_unknown_flags(command: &str, args: &[String], known: &[&str]) -> Result<(), String> {
     let (flags, positionals) = split_args(args);
     for (i, flag) in flags.iter().enumerate() {
@@ -216,6 +228,17 @@ fn reject_unknown_flags(command: &str, args: &[String], known: &[&str]) -> Resul
         }
         if flags[..i].contains(flag) {
             return Err(format!("{flag} given twice for `orscope {command}`"));
+        }
+    }
+    let has = |name: &str| flags.iter().any(|flag| *flag == name);
+    for &(_, mode, only_in, never_in) in MODES.iter().filter(|modes| modes.0 == command) {
+        let (unread, why) = if has(mode) {
+            (never_in, "is not read with")
+        } else {
+            (only_in, "needs")
+        };
+        if let Some(flag) = unread.iter().find(|flag| has(flag)) {
+            return Err(format!("{flag} {why} {mode} in `orscope {command}`"));
         }
     }
     match positionals.get(usize::from(command == "pcap")) {
@@ -237,13 +260,6 @@ fn flag_value(args: &[String], name: &str) -> Result<Option<String>, String> {
         }
     }
     Ok(None)
-}
-
-fn parse_analysis(args: &[String]) -> Result<AnalysisMode, String> {
-    match flag_value(args, "--analysis")? {
-        None => Ok(AnalysisMode::default()),
-        Some(mode) => mode.parse(),
-    }
 }
 
 fn parse_year(args: &[String]) -> Result<Year, String> {
@@ -306,8 +322,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
         .with_shards(shards)
         .with_loss(parse_number(args, "--loss", 0.0)?)
         .with_duplication(parse_number(args, "--duplicate", 0.0)?)
-        .with_retries(parse_number(args, "--retries", 0u32)?)
-        .with_analysis(parse_analysis(args)?);
+        .with_retries(parse_number(args, "--retries", 0u32)?);
     if args.iter().any(|a| a == "--full-q1") {
         config = config.with_full_q1();
     }
@@ -372,14 +387,25 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
 
 fn cmd_tables(args: &[String]) -> Result<(), String> {
     let scale: f64 = parse_number(args, "--scale", 500.0)?;
-    let analysis = parse_analysis(args)?;
+    // The two scans are independent simulations: one thread each, their
+    // reports printed in `Year::ALL` order.
+    let results = std::thread::scope(|scope| {
+        Year::ALL
+            .map(|year| scope.spawn(move || Campaign::new(CampaignConfig::new(year, scale)).run()))
+            .into_iter()
+            .map(|handle| handle.join().expect("campaign thread panicked"))
+            .collect::<Result<Vec<_>, _>>()
+    })
+    .map_err(|e| e.to_string())?;
     let mut blobs = Vec::new();
-    for year in Year::ALL {
-        let result = Campaign::new(CampaignConfig::new(year, scale).with_analysis(analysis))
-            .run()
-            .map_err(|e| e.to_string())?;
+    let mut markdown = String::new();
+    for result in &results {
         println!("{}", result.render());
         blobs.push(result.to_json());
+        markdown.push_str(&format!("\n### {} scan\n", result.spec().year));
+        for report in result.table_reports() {
+            markdown.push_str(&report.to_markdown());
+        }
     }
     if let Some(path) = flag_value(args, "--json")? {
         let blob = Wire::obj(vec![
@@ -387,6 +413,10 @@ fn cmd_tables(args: &[String]) -> Result<(), String> {
             ("years", Wire::Arr(blobs)),
         ]);
         std::fs::write(&path, blob.encode_pretty()).map_err(|e| format!("writing {path}: {e}"))?;
+        eprintln!("wrote {path}");
+    }
+    if let Some(path) = flag_value(args, "--markdown")? {
+        std::fs::write(&path, markdown).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
     Ok(())
@@ -866,6 +896,29 @@ mod tests {
         let stray = args(&["out.pcap", "--scale", "5000", "again.pcap"]);
         let err = reject_unknown_flags("pcap", &stray, PCAP_FLAGS).unwrap_err();
         assert!(err.contains("again.pcap"), "{err}");
+        // A flag its mode does not read used to be dropped silently, and
+        // the oracle selector is gone from both scan subcommands.
+        let check = |command, known, line: &str| {
+            reject_unknown_flags(command, &args(&line.split(' ').collect::<Vec<_>>()), known)
+        };
+        let (campaign, tables, tap) = (CAMPAIGN_FLAGS, TABLES_FLAGS, TAP_FLAGS);
+        for (command, known, line) in [
+            ("campaign", campaign, "--checkpoint-file c"),
+            ("campaign", campaign, "--stop-after 6 --json j"),
+            ("campaign", campaign, "--stop-after 6 --telemetry t"),
+            ("campaign", campaign, "--analysis batch"),
+            ("tables", tables, "--analysis batch"),
+            ("tap", tap, "--scale 5000"),
+            ("tap", tap, "--match rcode=0 --shards 2"),
+            ("tap", tap, "--oneshot --url http://h:1"),
+        ] {
+            let refused = line.split(' ').rfind(|arg| arg.starts_with("--")).unwrap();
+            let err = check(command, known, line).unwrap_err();
+            assert!(err.contains(refused), "{command} {line}: {err}");
+        }
+        assert!(check("campaign", campaign, "--stop-after 6 --checkpoint-file c").is_ok());
+        assert!(check("tap", tap, "--oneshot --scale 5000 --shards 2").is_ok());
+        assert!(check("tap", tap, "--url http://h:1 --limit 5").is_ok());
     }
 
     #[test]

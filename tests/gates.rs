@@ -7,7 +7,7 @@
 //!
 //! Every figure repeats exactly from run to run. One `#[test]` walks
 //! the workloads serially, because the allocator counts process-wide:
-//! `cargo test --offline -p orscope-bench --test gates -- --nocapture`
+//! `cargo test --offline --test gates -- --nocapture`
 //! prints each workload's ledger.
 
 use std::net::Ipv4Addr;
@@ -15,7 +15,7 @@ use std::net::Ipv4Addr;
 use orscope_analysis::{RecordSink, StreamingAnalyzer};
 use orscope_authns::scheme::ProbeLabel;
 use orscope_authns::{CapturedPacket, Direction};
-use orscope_bench::alloc::{
+use orscope_check::alloc::{
     allocs, live_bytes, peak_above, requested_bytes, reset_peak, CountingAlloc,
 };
 use orscope_core::{Campaign, CampaignConfig};
