@@ -30,11 +30,12 @@ use orscope_resolver::paper::Year;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Peak live bytes per responder the scale-200 point may cost: 7 %
-/// above the 121.4 it measures (3,950,595 B for 32,531 responders). A
-/// flow join keyed through a hash map with a stamp for every R1 would
-/// read 171.8 (5,589,019 B); one with a heap vector or two per flow, or
-/// a timing wheel that keeps drained slots' buffers, lands near 310.
-const SCALE_200_BYTES_PER_RESPONDER: u64 = 130;
+/// above the 65.4 it measures (2,126,699 B for 32,531 responders). The
+/// per-label flow join of 32 B rows and 12 B Q2/R1 stamps read 121.4
+/// (3,950,595 B); one keyed through a hash map with a stamp for every
+/// R1 read 171.8 (5,589,019 B); one with a heap vector or two per flow,
+/// or a timing wheel that keeps drained slots' buffers, lands near 310.
+const SCALE_200_BYTES_PER_RESPONDER: u64 = 70;
 
 /// Runs one campaign and returns its JSON entry, its peak live bytes and
 /// its responder count.

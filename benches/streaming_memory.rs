@@ -5,7 +5,7 @@
 //! responses with realistic multi-record answers, plus auth-server
 //! Q2/R1 packets and foreign traffic) and finish with every table plus
 //! the flow join. The batch arm buffers the stream and analyzes through
-//! `Dataset::from_captures` + `FlowSet::match_records` — the original
+//! `Dataset::from_captures` + `FlowSummary::from_records` — the original
 //! pipeline. The streaming arm folds each packet into a
 //! `StreamingAnalyzer` the moment it is produced, so payloads die
 //! immediately and the peak is the accumulator state alone.
@@ -22,7 +22,7 @@ use orscope_analysis::tables::{
     AmplificationTable, AsnTable, CountryTable, EmptyQuestionReport, Table10, Table3, Table4,
     Table5, Table6, Table7, Table8, Table9,
 };
-use orscope_analysis::{Dataset, FlowSet, RecordSink, StreamingAnalyzer};
+use orscope_analysis::{Dataset, FlowSummary, RecordSink, StreamingAnalyzer};
 use orscope_authns::scheme::{ground_truth, ProbeLabel};
 use orscope_authns::{CapturedPacket, Direction};
 use orscope_check::alloc::{peak_above, reset_peak, CountingAlloc};
@@ -179,13 +179,15 @@ fn render_tables(
     asn: AsnTable,
     amp: AmplificationTable,
     eq: EmptyQuestionReport,
-    flows: &FlowSet,
+    flows: &FlowSummary,
 ) -> String {
     format!(
         "r2={r2} {t3} {t4} {t5} {t6} {t7} {t8} {t9} {t10} {cc} {asn} {amp} {eq} \
-         flows={} fanout={:.4}",
+         flows={} fanout={:.4} median={:?} foreign={}",
         flows.recursed_count(),
         flows.mean_q2_fanout(),
+        flows.latency_quantile(0.5),
+        flows.foreign_auth_packets,
     )
 }
 
@@ -211,7 +213,7 @@ fn batch_arm(seed: u64, responses: u64, geo: &GeoDb, threat: &ThreatDb) -> (usiz
         ProbeStats::default(),
     );
     drop(captures);
-    let flows = FlowSet::match_records(&ds.records, &auth, &zone());
+    let flows = FlowSummary::from_records(&ds.records, &auth, &zone());
     let rendered = render_tables(
         ds.r2(),
         Table3::measured(&ds),
@@ -240,8 +242,8 @@ fn streaming_arm(seed: u64, responses: u64, geo: &GeoDb, threat: &ThreatDb) -> (
         Event::R2(c) => analyzer.on_r2(&c),
         Event::Auth(p) => analyzer.on_auth(&p),
     });
-    // Tables first, then drain the join state — the order the campaign
-    // uses, so the flow map never lives beside its finished FlowSet.
+    // Tables first, then drain the flow summary — the order the
+    // campaign uses.
     let r2 = analyzer.r2_classified();
     let t3 = analyzer.table3();
     let t4 = analyzer.table4();

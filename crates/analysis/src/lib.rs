@@ -35,7 +35,7 @@ pub mod tables;
 
 pub use classify::{classify, AnswerKind, ClassifiedR2};
 pub use dataset::Dataset;
-pub use flows::{Flow, FlowSet};
+pub use flows::FlowSummary;
 pub use orscope_authns::RecordSink;
 pub use report::{Comparison, TableReport};
 pub use stream::{AnalysisMode, StreamingAnalyzer};

@@ -8,7 +8,7 @@
 //! captured, and its payload is dropped immediately (retained only when
 //! pcap export asks for the raw stream). The state is exactly what the
 //! tables need — answer breakdowns, flag tables, rcode tallies,
-//! wrong-IP tallies, fan-out flow stubs, and an exact amplification
+//! wrong-IP tallies, the flow summary, and an exact amplification
 //! reservoir — and it merges across shards order-insensitively via
 //! [`StreamingAnalyzer::absorb`], like `TelemetrySnapshot::absorb`.
 //!
@@ -21,7 +21,6 @@
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 
-use orscope_authns::scheme::ProbeLabel;
 use orscope_authns::{CapturedPacket, RecordSink};
 use orscope_dns_wire::{Message, Name, Rcode};
 use orscope_geo::GeoDb;
@@ -30,7 +29,7 @@ use orscope_prober::R2Capture;
 use orscope_threatintel::ThreatDb;
 
 use crate::classify::{classify_in, AnswerKind};
-use crate::flows::{FlowSet, FlowTable};
+use crate::flows::FlowSummary;
 use crate::tables::{
     amplification_factor, AmplificationTable, AnswerBreakdown, AsnTable, CountryTable,
     EmptyQuestionReport, FlagTable, Table10, Table3, Table4, Table5, Table6, Table7, Table8,
@@ -130,11 +129,8 @@ pub struct StreamingAnalyzer {
     /// Exact amplification-factor reservoir (8 bytes per response vs
     /// the full payload; sorted at finish for order-independent output).
     amp_factors: Vec<f64>,
-    /// Four-flow join state: a compact label index over a dense arena
-    /// of fixed-size rows and one shared Q2/R1 stamp log.
-    flows: FlowTable,
-    /// Auth-server packets whose qname was not a probe name.
-    foreign_auth_packets: u64,
+    /// The four-flow join, folded to the figures the report reads.
+    flows: FlowSummary,
     /// Scratch every R2 is decoded into for classification; carries
     /// nothing from one packet to the next but its allocations.
     scratch: Message,
@@ -151,11 +147,12 @@ impl StreamingAnalyzer {
         }
     }
 
-    /// Pre-sizes the per-flow state for `expected` flows. Every flow
-    /// keys on a probed responder, so the responder count bounds the
-    /// join exactly; reserving it keeps the full-scale arena at its
-    /// final footprint instead of growth-doubling past it. Capacity
-    /// only — folds behave identically with or without the hint.
+    /// Pre-sizes the per-response state for `expected` responders: an
+    /// R2 comes from a probed responder, at most one a label, so the
+    /// responder count bounds the latencies and amplification factors
+    /// exactly; reserving it keeps them at their final footprint
+    /// instead of growth-doubling past it. Capacity only — folds behave
+    /// identically with or without the hint.
     pub fn reserve_flows(&mut self, expected: usize) {
         self.flows.reserve(expected);
         self.amp_factors.reserve(expected);
@@ -197,7 +194,6 @@ impl StreamingAnalyzer {
         self.amp_factors.extend(other.amp_factors);
         self.raw.extend(other.raw);
         self.flows.absorb(other.flows);
-        self.foreign_auth_packets += other.foreign_auth_packets;
     }
 
     /// Table III from the matched-packet breakdown.
@@ -287,18 +283,10 @@ impl StreamingAnalyzer {
         self.empty_question
     }
 
-    /// The four-flow join, copied out of the streamed flow state.
-    pub fn flows(&self) -> FlowSet {
-        self.flows.snapshot(self.foreign_auth_packets)
-    }
-
-    /// Like [`StreamingAnalyzer::flows`] but drains the join state: the
-    /// arena and the stamp log move into the `FlowSet` without a single
-    /// flow copied, and only the label index is dropped — the
-    /// finish-time path, where the joined flows are the largest live
-    /// structure the streaming mode holds.
-    pub fn take_flows(&mut self) -> FlowSet {
-        std::mem::take(&mut self.flows).finish(self.foreign_auth_packets)
+    /// Drains the four-flow join, finished: the latencies move out
+    /// sorted, without a copy.
+    pub fn take_flows(&mut self) -> FlowSummary {
+        std::mem::take(&mut self.flows).finish()
     }
 
     /// `(resolver, count)` tallies over threat-reported addresses —
@@ -326,12 +314,7 @@ impl RecordSink for StreamingAnalyzer {
         };
         self.r2_classified += 1;
         self.amp_factors.push(amplification_factor(&rec));
-        if let Some(label) = rec
-            .label
-            .or_else(|| ProbeLabel::parse(&rec.qname, &self.zone))
-        {
-            self.flows.fold_r2(label, rec.resolver, rec.sent_at, rec.at);
-        }
+        self.flows.fold_r2(&rec, &self.zone);
         if !rec.has_question {
             self.empty_question.add(&rec);
             return;
@@ -372,8 +355,7 @@ impl RecordSink for StreamingAnalyzer {
     }
 
     fn on_auth(&mut self, packet: &CapturedPacket) {
-        self.flows
-            .fold_auth(&mut self.foreign_auth_packets, packet, &self.zone);
+        self.flows.fold_auth(packet, &self.zone);
     }
 }
 

@@ -5,23 +5,28 @@
 //! stream across shards, folding each shard through a
 //! [`StreamingAnalyzer`], and merging the analyzers in any order must
 //! render every table byte-identically to classifying the buffered
-//! captures through [`Dataset`].
+//! captures through [`Dataset`]. The flow figures are refereed by a
+//! naive qname join written here, over the raw events, so the two
+//! sides share no flow code.
 //!
 //! The property logic lives in plain seeded helpers: a fixed sweep of
 //! small seeds, and a wider draw of seeds and shard counts at the
 //! bottom.
 
+use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
+use std::time::Duration;
 
 use orscope_analysis::tables::{
     AmplificationTable, AsnTable, CountryTable, EmptyQuestionReport, Table10, Table3, Table4,
     Table5, Table6, Table7, Table8, Table9,
 };
-use orscope_analysis::{Dataset, FlowSet, RecordSink, StreamingAnalyzer};
+use orscope_analysis::{Dataset, FlowSummary, RecordSink, StreamingAnalyzer};
 use orscope_authns::scheme::{ground_truth, ProbeLabel};
 use orscope_authns::{CapturedPacket, Direction};
 use orscope_check::Rng;
-use orscope_dns_wire::{Message, Name, Question, RData, Rcode, Record};
+use orscope_dns_wire::wire::Reader;
+use orscope_dns_wire::{Header, Message, Name, Question, RData, Rcode, Record};
 use orscope_geo::{GeoDb, GeoRecord};
 use orscope_netsim::{Payload, SimTime};
 use orscope_prober::{ProbeStats, R2Capture};
@@ -281,17 +286,66 @@ fn generate(seed: u64) -> Vec<(u32, Event)> {
     events
 }
 
-/// Fingerprints a flow join: every statistic the report surfaces, and
-/// every flow's whole Q1/Q2/R1/R2 timeline.
-fn flow_fingerprint(flows: &FlowSet) -> String {
-    let timelines: Vec<String> = flows.iter().map(|flow| format!("{flow:?}")).collect();
-    format!(
-        "recursed={} fanout={:.6} latencies={:?} foreign={} timelines={timelines:?}",
+/// The latency quantiles both sides report.
+const QUANTILES: [f64; 5] = [0.0, 0.1, 0.5, 0.9, 1.0];
+
+/// Fingerprints the flow figures the report reads.
+fn flow_fingerprint(
+    recursed: u64,
+    fanout: f64,
+    latencies: [Option<Duration>; 5],
+    foreign: u64,
+) -> String {
+    format!("recursed={recursed} fanout={fanout:.6} latencies={latencies:?} foreign={foreign}")
+}
+
+fn summary_fingerprint(flows: &FlowSummary) -> String {
+    flow_fingerprint(
         flows.recursed_count(),
         flows.mean_q2_fanout(),
-        flows.resolution_latencies(),
+        QUANTILES.map(|q| flows.latency_quantile(q)),
         flows.foreign_auth_packets,
     )
+}
+
+/// The four-flow join as a map of vectors over the raw events: every
+/// Q2 of a label, and the Q1 -> R2 latency of every R2 whose header
+/// parses (the rest carry nothing to analyze) and that names a probe.
+fn naive_flow_fingerprint(captures: &[R2Capture], auth: &[CapturedPacket]) -> String {
+    let mut q2: BTreeMap<ProbeLabel, u64> = BTreeMap::new();
+    let mut foreign = 0;
+    for packet in auth {
+        let label = packet.label.or_else(|| {
+            let query = Message::decode(&packet.payload).ok()?;
+            ProbeLabel::parse(query.first_question()?.qname(), &zone())
+        });
+        match label {
+            Some(label) if packet.direction == Direction::Inbound => {
+                *q2.entry(label).or_default() += 1
+            }
+            Some(_) => {}
+            None => foreign += 1,
+        }
+    }
+    let mut latencies: Vec<u64> = captures
+        .iter()
+        .filter(|c| Header::decode(&mut Reader::new(&c.payload)).is_ok())
+        .filter(|c| c.label.is_some() || ProbeLabel::parse(&c.qname, &zone()).is_some())
+        .map(|c| c.at.as_nanos().saturating_sub(c.sent_at.as_nanos()))
+        .collect();
+    latencies.sort_unstable();
+    let recursed = q2.len() as u64;
+    let fanout = match recursed {
+        0 => 0.0,
+        n => q2.values().sum::<u64>() as f64 / n as f64,
+    };
+    let quantiles = QUANTILES.map(|q| {
+        let last = latencies.len().checked_sub(1)?;
+        Some(Duration::from_nanos(
+            latencies[(last as f64 * q).round() as usize],
+        ))
+    });
+    flow_fingerprint(recursed, fanout, quantiles, foreign)
 }
 
 /// The batch oracle: buffer everything, classify through `Dataset`,
@@ -322,7 +376,6 @@ fn batch_fingerprint(events: &[(u32, Event)], geo: &GeoDb, threat: &ThreatDb) ->
         &captures,
         ProbeStats::default(),
     );
-    let flows = FlowSet::match_records(&ds.records, &auth, &zone());
     format!(
         "r2={} t3={} t4={} t5={} t6={} t7={} t8={} t9={} t10={} cc={} as={} amp={} eq={} flows={}",
         ds.r2(),
@@ -338,7 +391,7 @@ fn batch_fingerprint(events: &[(u32, Event)], geo: &GeoDb, threat: &ThreatDb) ->
         AsnTable::measured(&ds, geo, threat),
         AmplificationTable::measured(&ds),
         EmptyQuestionReport::measured(&ds),
-        flow_fingerprint(&flows),
+        naive_flow_fingerprint(&captures, &auth),
     )
 }
 
@@ -391,7 +444,7 @@ fn streaming_fingerprint(
         merged.asns(geo, threat),
         merged.amplification(),
         merged.empty_question(),
-        flow_fingerprint(&merged.flows()),
+        summary_fingerprint(&merged.take_flows()),
     )
 }
 

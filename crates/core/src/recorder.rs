@@ -81,10 +81,10 @@ impl ShardRecorder {
     }
 
     /// The recorder `config.analysis` asks for. `population` is the
-    /// shard's: every flow keys on a probed responder, so its responder
-    /// count bounds the join state exactly, and sizing the analyzer up
-    /// front keeps the full-scale arena and index at their final
-    /// footprint instead of doubling past it.
+    /// shard's: every R2 comes from a probed responder, so its responder
+    /// count bounds the per-response state exactly, and sizing the
+    /// analyzer up front keeps it at its final footprint instead of
+    /// doubling past it.
     pub(crate) fn new(
         config: &CampaignConfig,
         population: &Population,
@@ -189,17 +189,12 @@ mod tests {
         }
     }
 
-    /// `(R2s, server packets)` held by the recorder's own state.
+    /// `(R2s, server packets)` held by the recorder's own state: the
+    /// analyzer folds R2s, and the server packets it reduces to figures
+    /// are on the recorder's Q2/R1 books.
     fn held(recorder: &ShardRecorder) -> (u64, u64) {
         match &recorder.analyzer {
-            Some(analyzer) => {
-                let flows = analyzer.flows();
-                let stamps: usize = flows
-                    .iter()
-                    .map(|flow| flow.q2_at().len() + flow.r1_at().len())
-                    .sum();
-                (analyzer.r2_classified(), stamps as u64)
-            }
+            Some(analyzer) => (analyzer.r2_classified(), recorder.q2 + recorder.r1),
             None => (
                 recorder.captures.len() as u64,
                 recorder.auth_packets.len() as u64,

@@ -4,7 +4,9 @@ use orscope_analysis::tables::{
     AmplificationTable, AsnTable, CountryTable, EmptyQuestionReport, Table10, Table2, Table3,
     Table4, Table5, Table6, Table7, Table8, Table9,
 };
-use orscope_analysis::{Comparison, Dataset, FlowSet, ScanSummary, StreamingAnalyzer, TableReport};
+use orscope_analysis::{
+    Comparison, Dataset, FlowSummary, ScanSummary, StreamingAnalyzer, TableReport,
+};
 use orscope_authns::CapturedPacket;
 use orscope_geo::GeoDb;
 use orscope_json::Wire;
@@ -36,10 +38,10 @@ pub struct CampaignResult {
     /// [`orscope_analysis::AnalysisMode::Streaming`]; `None` means every
     /// table computes from the buffered `dataset` (batch mode).
     stream: Option<StreamingAnalyzer>,
-    /// The four-flow join, assembled once at construction: drained out
-    /// of the streaming accumulators, or recomputed from the classified
+    /// The four-flow join, finished once at construction: drained out
+    /// of the streaming accumulators, or folded from the classified
     /// records in batch mode.
-    flows: FlowSet,
+    flows: FlowSummary,
 }
 
 impl CampaignResult {
@@ -59,10 +61,8 @@ impl CampaignResult {
         mut stream: Option<StreamingAnalyzer>,
     ) -> Self {
         let flows = match stream.as_mut() {
-            // Drain rather than clone: the join state is the largest
-            // structure the streaming accumulators hold.
             Some(stream) => stream.take_flows(),
-            None => FlowSet::match_records(&dataset.records, &auth_packets, &config.infra.zone),
+            None => FlowSummary::from_records(&dataset.records, &auth_packets, &config.infra.zone),
         };
         Self {
             config,
@@ -162,12 +162,12 @@ impl CampaignResult {
         Some(&self.telemetry)
     }
 
-    /// Joins the prober and authoritative captures into per-probe flows
-    /// (the qname-keyed Q1/Q2/R1/R2 grouping of section III-B). In
-    /// streaming mode the join state was folded at capture time; in
-    /// batch mode it was computed from the classified records when the
-    /// result was assembled.
-    pub fn flows(&self) -> &FlowSet {
+    /// The qname-keyed Q1/Q2/R1/R2 join of section III-B, as the
+    /// figures the report reads: recursing flows, Q2 fan-out and
+    /// resolution latency. In streaming mode it was folded at capture
+    /// time; in batch mode from the classified records when the result
+    /// was assembled.
+    pub fn flows(&self) -> &FlowSummary {
         &self.flows
     }
 

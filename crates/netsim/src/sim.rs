@@ -1703,8 +1703,8 @@ mod fault_tests {
             },
         ));
         let times = Rc::new(RefCell::new(Vec::new()));
-        struct Stamp(Rc<RefCell<Vec<SimTime>>>);
-        impl Endpoint for Stamp {
+        struct ArrivalLog(Rc<RefCell<Vec<SimTime>>>);
+        impl Endpoint for ArrivalLog {
             fn handle_datagram(&mut self, _d: &Datagram, ctx: &mut Context<'_>) {
                 self.0.borrow_mut().push(ctx.now());
             }
@@ -1714,7 +1714,7 @@ mod fault_tests {
             .latency(FixedLatency(Duration::from_millis(10)))
             .faults(plan)
             .build();
-        net.register(DST, Stamp(times.clone()));
+        net.register(DST, ArrivalLog(times.clone()));
         net.inject(Datagram::new((SRC, 1), (DST, 53), vec![1]));
         net.run_until_idle();
         assert_eq!(times.borrow()[0], SimTime::from_nanos(510_000_000));
@@ -1914,8 +1914,8 @@ mod routing_tests {
 
         /// When each datagram arrived and what it carried.
         type Arrivals = Rc<RefCell<Vec<(SimTime, Vec<u8>)>>>;
-        struct Stamp(Arrivals);
-        impl Endpoint for Stamp {
+        struct ArrivalLog(Arrivals);
+        impl Endpoint for ArrivalLog {
             fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
                 self.0
                     .borrow_mut()
@@ -1939,7 +1939,7 @@ mod routing_tests {
             let arrivals = Arrivals::default();
             let mut net = net_with(plan);
             net.register(SRC, Sender { built });
-            net.register(DST, Stamp(arrivals.clone()));
+            net.register(DST, ArrivalLog(arrivals.clone()));
             net.set_timer_for(SRC, SimTime::ZERO, 0);
             net.run_until_idle();
             let arrivals = arrivals.borrow().clone();

@@ -1065,6 +1065,78 @@ mod tests {
         assert!(stats.done);
     }
 
+    /// A label is captured in at most one R2, whatever the loss,
+    /// duplication and late answers on the wire, the retries, the
+    /// targets probed twice (superseding their first probe) and the
+    /// labels recycled and rolled over into new clusters: each capture
+    /// consumes the one outstanding probe it matches, and only a label
+    /// no capture consumed is recycled. The analysis keeps one latency
+    /// an R2 on the strength of it.
+    #[test]
+    fn no_label_is_captured_in_two_r2s() {
+        use orscope_netsim::{FaultKind, FaultPlan, FaultRule, FaultScope};
+        orscope_check::cases(48, |rng| {
+            let hosts: Vec<Ipv4Addr> = (0..rng.range(1..40u32))
+                .map(|i| Ipv4Addr::from(0x0a00_0000 + i))
+                .collect();
+            let targets: Vec<Ipv4Addr> = (0..rng.range(1..150))
+                .map(|_| hosts[rng.range(0..hosts.len())])
+                .collect();
+            let percent =
+                |rng: &mut orscope_check::Rng, most: u64| rng.range(0..=most) as f64 / 100.0;
+            let plan = FaultPlan::seeded(rng.next_u64())
+                .with_rule(FaultRule::always(
+                    FaultScope::All,
+                    FaultKind::Loss {
+                        probability: percent(rng, 40),
+                    },
+                ))
+                .with_rule(FaultRule::always(
+                    FaultScope::All,
+                    FaultKind::Duplicate {
+                        probability: percent(rng, 60),
+                    },
+                ))
+                .with_rule(FaultRule::always(
+                    FaultScope::All,
+                    FaultKind::Delay {
+                        extra: Duration::ZERO,
+                        jitter: Duration::from_millis(rng.range(1..800)),
+                    },
+                ));
+            let mut net = SimNet::builder()
+                .seed(rng.next_u64())
+                .latency(FixedLatency(Duration::from_millis(10)))
+                .faults(plan)
+                .build();
+            for &host in &hosts {
+                match rng.range(0..3) {
+                    0 => net.register(host, FixedAnswer(Ipv4Addr::new(1, 2, 3, 4))),
+                    1 => net.register(host, EmptyQuestion),
+                    _ => {}
+                }
+            }
+            let handle = ProberHandle::new();
+            let mut config = ProberConfig::new(zone(), targets);
+            config.rate_pps = rng.range(100..2_000);
+            config.response_window = Duration::from_millis(200);
+            config.retry_limit = rng.range(0..4);
+            config.cluster_capacity = rng.range(1..20);
+            net.register(PROBER, Prober::new(config, handle.clone()).unwrap());
+            net.set_timer_for(PROBER, SimTime::ZERO, TICK);
+            net.run_until_idle();
+            let mut seen = std::collections::HashSet::new();
+            for capture in handle.captures() {
+                let label = capture
+                    .label
+                    .or_else(|| ProbeLabel::parse(&capture.qname, &zone()))
+                    .expect("a capture names its probe");
+                assert!(seen.insert(label), "{label} captured twice");
+            }
+            assert_eq!(seen.len() as u64, handle.stats().r2_captured);
+        });
+    }
+
     /// A zone of `labels` labels: a 63-byte one first, mixed case
     /// throughout.
     fn long_zone(labels: usize) -> Name {

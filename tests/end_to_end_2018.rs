@@ -2,20 +2,35 @@
 //! reproduce the *shape* of every table in the paper — who dominates,
 //! by roughly what factor, and where the flag inversions sit.
 
-use orscope_core::{Campaign, CampaignConfig, CampaignResult};
-use orscope_dns_wire::Rcode;
+use orscope_authns::scheme::ProbeLabel;
+use orscope_authns::Direction;
+use orscope_core::{Campaign, CampaignConfig, CampaignResult, Captured, Record, RecordBus};
+use orscope_dns_wire::{Message, Rcode};
+use orscope_netsim::SimTime;
 use orscope_resolver::paper::Year;
-use std::sync::OnceLock;
+use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 const SCALE: f64 = 1000.0;
 
-fn result() -> &'static CampaignResult {
-    static RESULT: OnceLock<CampaignResult> = OnceLock::new();
-    RESULT.get_or_init(|| {
-        Campaign::new(CampaignConfig::new(Year::Y2018, SCALE))
+/// The campaign, and every record a tap lane on its bus carried.
+fn tapped() -> &'static (CampaignResult, Vec<Record>) {
+    static RUN: OnceLock<(CampaignResult, Vec<Record>)> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let bus = Arc::new(RecordBus::new());
+        let lane = bus.subscribe(1 << 16);
+        let result = Campaign::new(CampaignConfig::new(Year::Y2018, SCALE))
+            .with_bus(bus)
             .run()
-            .unwrap()
+            .unwrap();
+        let records: Vec<Record> = std::iter::from_fn(|| lane.try_recv()).collect();
+        assert_eq!(lane.dropped(), 0, "the lane held every record");
+        (result, records)
     })
+}
+
+fn result() -> &'static CampaignResult {
+    &tapped().0
 }
 
 /// De-scaled measured count.
@@ -246,6 +261,48 @@ fn distribution_fit_is_tight() {
     assert!(tvdc < 0.05, "country TVD {tvdc}");
 }
 
+/// One flow's timeline as the tap lane saw it.
+#[derive(Default)]
+struct Timeline {
+    q1_r2: Option<(SimTime, SimTime)>,
+    q2_at: Vec<SimTime>,
+    r1_at: Vec<SimTime>,
+}
+
+/// The qname join of section III-B over the tap lane's records.
+fn timelines() -> BTreeMap<ProbeLabel, Timeline> {
+    let zone = &result().config().infra.zone;
+    let mut flows: BTreeMap<ProbeLabel, Timeline> = BTreeMap::new();
+    for record in &tapped().1 {
+        match &record.captured {
+            Captured::R2(capture) => {
+                let label = capture
+                    .label
+                    .or_else(|| ProbeLabel::parse(&capture.qname, zone))
+                    .expect("an R2 names its probe");
+                let flow = flows.entry(label).or_default();
+                assert!(flow.q1_r2.is_none(), "{label} captured twice");
+                flow.q1_r2 = Some((capture.sent_at, capture.at));
+            }
+            Captured::Auth(packet) => {
+                let query = Message::decode(&packet.payload).expect("the server logs DNS");
+                let qname = query.first_question().expect("a question").qname();
+                let label = ProbeLabel::parse(qname, zone).expect("no foreign traffic");
+                let flow = flows.entry(label).or_default();
+                match packet.direction {
+                    Direction::Inbound => flow.q2_at.push(packet.at),
+                    Direction::Outbound => flow.r1_at.push(packet.at),
+                }
+            }
+        }
+    }
+    for flow in flows.values_mut() {
+        flow.q2_at.sort_unstable();
+        flow.r1_at.sort_unstable();
+    }
+    flows
+}
+
 #[test]
 fn flow_matching_reconstructs_the_q2_fanout() {
     // The qname join of section III-B, end to end: every recursing
@@ -263,20 +320,33 @@ fn flow_matching_reconstructs_the_q2_fanout() {
     // succeed without loss).
     let expected = (2_752_562.0_f64 / SCALE).round() as u64;
     assert_eq!(flows.recursed_count(), expected);
-    // Timelines are ordered: Q1 <= every Q2 <= matching R1 <= R2.
-    for flow in flows.iter().filter(|f| f.recursed()) {
-        let (q1, r2) = (flow.q1_at().unwrap(), flow.r2_at().unwrap());
-        let (q2_at, r1_at) = (flow.q2_at(), flow.r1_at());
-        for (&q2, &r1) in q2_at.iter().zip(&r1_at) {
-            assert!(q1 <= q2 && q2 <= r1, "{flow:?}");
+    // The same campaign's records, joined here, agree with the summary
+    // and show ordered timelines: Q1 <= every Q2 <= matching R1 <= R2.
+    let timelines = timelines();
+    let recursed: Vec<&Timeline> = timelines.values().filter(|f| !f.q2_at.is_empty()).collect();
+    assert_eq!(recursed.len() as u64, expected);
+    let q2: usize = recursed.iter().map(|f| f.q2_at.len()).sum();
+    assert_eq!(q2 as f64 / recursed.len() as f64, fanout);
+    for flow in recursed {
+        let (q1, r2) = flow.q1_r2.expect("a recursing flow was answered");
+        for (&q2, &r1) in flow.q2_at.iter().zip(&flow.r1_at) {
+            assert!(q1 <= q2 && q2 <= r1, "{:?} {:?}", flow.q2_at, flow.r1_at);
         }
         // The first authoritative answer precedes the prober's R2.
-        assert!(r1_at[0] <= r2);
+        assert!(flow.r1_at[0] <= r2);
         assert!(q1 < r2);
     }
-    // Latency sanity: medians in the tens-of-ms band the latency model
-    // produces for a 3-leg recursion.
+    // The median is the joined flows' median Q1 -> R2, and sits in the
+    // tens-of-ms band the latency model produces for a 3-leg recursion.
+    let mut latencies: Vec<u64> = timelines
+        .values()
+        .filter_map(|f| f.q1_r2)
+        .map(|(q1, r2)| r2.as_nanos() - q1.as_nanos())
+        .collect();
+    latencies.sort_unstable();
     let median = flows.latency_quantile(0.5).unwrap();
+    let middle = latencies[((latencies.len() - 1) as f64 * 0.5).round() as usize];
+    assert_eq!(median, std::time::Duration::from_nanos(middle));
     assert!(
         (std::time::Duration::from_millis(50)..std::time::Duration::from_millis(2_000))
             .contains(&median),

@@ -2,7 +2,11 @@
 //! port blind spot, undecodable packets, and empty-question responders
 //! must degrade the measurement gracefully, never corrupt it.
 
-use orscope_core::{Campaign, CampaignConfig};
+use std::collections::HashSet;
+use std::sync::Arc;
+
+use orscope_authns::scheme::ProbeLabel;
+use orscope_core::{Campaign, CampaignConfig, Captured, RecordBus};
 use orscope_resolver::paper::Year;
 
 fn config(scale: f64) -> CampaignConfig {
@@ -166,4 +170,41 @@ fn duplicated_packets_do_not_inflate_r2() {
     let stats = duplicated.dataset().probe_stats;
     assert!(stats.unmatched > 0, "duplicate R2s were seen and discarded");
     assert!(duplicated.net_stats().duplicated > 0);
+}
+
+#[test]
+fn no_label_is_captured_in_two_r2s() {
+    // The flow summary keeps one Q1 -> R2 latency an R2, which is one a
+    // flow only because a label is captured at most once a campaign.
+    // Read every R2 off a tap lane that drops nothing, under loss,
+    // duplication, retries, shard counts, both years and full Q1.
+    orscope_check::cases(6, |rng| {
+        let year = if rng.bool() { Year::Y2013 } else { Year::Y2018 };
+        let percent = |n: u64| n as f64 / 100.0;
+        let mut cfg = CampaignConfig::new(year, 40_000.0)
+            .with_seed(rng.next_u64())
+            .with_shards(rng.range(1..5))
+            .with_loss(percent(rng.range(0..=30)))
+            .with_duplication(percent(rng.range(0..=50)))
+            .with_retries(rng.range(0..4));
+        if rng.chance(30) {
+            cfg = cfg.with_full_q1();
+        }
+        let zone = cfg.infra.zone.clone();
+        let bus = Arc::new(RecordBus::new());
+        let lane = bus.subscribe(1 << 15);
+        let result = Campaign::new(cfg).with_bus(bus).run().unwrap();
+        let mut labels = HashSet::new();
+        while let Some(record) = lane.try_recv() {
+            if let Captured::R2(capture) = record.captured {
+                let label = capture
+                    .label
+                    .or_else(|| ProbeLabel::parse(&capture.qname, &zone))
+                    .expect("a capture names its probe");
+                assert!(labels.insert(label), "{label} captured twice");
+            }
+        }
+        assert_eq!(lane.dropped(), 0, "the lane held every record");
+        assert_eq!(labels.len() as u64, result.dataset().r2());
+    });
 }

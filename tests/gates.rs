@@ -5,10 +5,11 @@
 //! is how the simulator's books are held field for field. A change that
 //! moves a figure on purpose edits its row and says why.
 //!
-//! Every figure repeats exactly from run to run. One `#[test]` walks
-//! the workloads serially, because the allocator counts process-wide:
-//! `cargo test --offline --test gates -- --nocapture`
-//! prints each workload's ledger.
+//! Every figure repeats exactly from run to run. The target is a plain
+//! `main` (`harness = false`) that walks the workloads serially, because
+//! the allocator counts process-wide and a test harness's own thread
+//! would allocate inside the counted window:
+//! `cargo test --offline --test gates` prints each workload's ledger.
 
 use std::net::Ipv4Addr;
 
@@ -39,7 +40,7 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // A change to any endpoint's packet path, `dns-wire` decode/build or
     // the resolver pool shows up in the first two rows.
     ("dense", "allocations per event", 0.9, 0.777),
-    ("dense", "requested bytes per event", 235.0, 199.9),
+    ("dense", "requested bytes per event", 235.0, 185.2),
     // A scan asks each responder once, so it builds each planned host
     // once: the R1s that come back to a resolver already released and
     // the upstream timeouts that outlive their resolution are settled
@@ -48,15 +49,15 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // would say otherwise).
     ("dense", "materializations", 3_253.0, 3_253.0),
     ("dense", "planned hosts", 3_253.0, 3_253.0),
-    // The most the whole campaign holds at once, most of it the flow
-    // join: 606,618 B. A join keyed through an 8-byte-key hash index,
-    // with an R1 stamp beside every Q2 stamp and 16-byte latencies,
-    // would read 228.0 B a host.
+    // The most the whole campaign holds at once: 398,354 B. The flow
+    // join is three figures folded at capture time — 8 B a labelled R2
+    // and a bit a label — where a per-label join of 32 B rows, 4 B
+    // index slots and 12 B Q2/R1 stamps read 606,618 B (186.5 B a host).
     (
         "dense",
         "peak live bytes per planned host",
-        606_618.0 / 3_253.0,
-        606_618.0 / 3_253.0,
+        398_354.0 / 3_253.0,
+        398_354.0 / 3_253.0,
     ),
     ("dense", "live hosts at the peak", 325.0, 10.0),
     // Settling is bookkeeping, not behaviour: every simulator counter
@@ -96,24 +97,23 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // two bytes for each of the 61,704 targets, so a stored address a
     // target (246,816 B) trips it and an allocator-neutral edit does
     // not.
-    ("sparse", "peak live bytes", 261_066.0, 137_658.0),
-    ("sparse", "peak live bytes per target", 4.231, 2.231),
+    ("sparse", "peak live bytes", 250_490.0, 127_082.0),
+    ("sparse", "peak live bytes per target", 4.060, 2.060),
     ("sparse", "delivered per unrouted", 0.02, 0.013),
     ("sparse", "events beside timers and deliveries", 0.0, 0.0),
     ("sparse", "datagrams sent and not accounted for", 0.0, 0.0),
-    // `flow-join`: 32,768 authoritative packets folded into 4,096
-    // reserved flows. The join owns no per-flow heap, so it allocates
-    // only when the one shared stamp log doubles — log2(N) times at
-    // most, where two vectors a flow would be 8,192 before regrowth.
-    // Each R1 answers its Q2 at the same instant and marks the Q2's
-    // stamp, so the log holds 16,384 stamps, not 32,768 (14
-    // allocations).
-    ("flow-join", "allocations", 30.0, 13.0),
-    // A flow holds its 32 B row, 8 B of index (4 B slots, half full at
-    // the reserved size), 8 B of reserved amplification factor and its
-    // four 12 B stamps: 96 B exactly. An 8-byte-key hash index and a
-    // stamp for every R1 would read 170.0.
-    ("flow-join", "live bytes per flow", 96.0, 96.0),
+    // `flow-join`: 32,768 authoritative packets, a Q2 and its R1 four
+    // times over for each of 4,096 reserved flows. The join keeps no
+    // per-flow state beyond a Q2-seen bit, so it allocates only the
+    // cluster's map node and its bitset's doublings (6); a vector or
+    // row a flow would be 4,096 allocations, and the per-label join of
+    // rows and a shared stamp log spent 13.
+    ("flow-join", "allocations", 12.0, 6.0),
+    // A flow holds its reserved 8 B latency and 8 B amplification
+    // factor and one bit; the cluster's bitset (512 B) and map node
+    // (320 B) spread over the 4,096 make 16.2 B exactly. The per-label
+    // join (a 32 B row, 8 B of index and four 12 B stamps) read 96.0.
+    ("flow-join", "live bytes per flow", 16.203125, 16.203125),
     // `history`: 600 epochs of real observatory rows. A row is integers
     // and fixed-size arrays in one vector that grows by an eighth; its
     // matrix counts one epoch's distinct IPv4 members, so its cells are
@@ -236,9 +236,6 @@ fn flow_join() -> Ledger {
     let flows = analyzer.take_flows();
     assert_eq!(flows.recursed_count(), FLOWS);
     assert_eq!(flows.mean_q2_fanout(), FANOUT as f64);
-    assert!(flows
-        .iter()
-        .all(|flow| flow.r1_at().len() == FANOUT as usize));
     vec![
         ("allocations", spent as f64),
         ("live bytes per flow", live / FLOWS as f64),
@@ -307,7 +304,10 @@ fn history() -> Ledger {
     vec![(RESIDENT, resident), (PEAK_ABOVE_ROWS, peak)]
 }
 
-#[test]
+fn main() {
+    every_gate_holds();
+}
+
 fn every_gate_holds() {
     let workloads = [
         ("dense", dense as fn() -> Ledger),
