@@ -100,12 +100,27 @@ impl ProbeLabel {
     }
 }
 
-/// Fills `out` with the decimal digits of `value`, zero-padded on the
-/// left (the value's range is bounded by [`ProbeLabel::new`]).
+/// `DIGIT_PAIRS[2 * n..2 * n + 2]` is `n` in two decimal digits.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Fills `out` with the low decimal digits of `value`, zero-padded on
+/// the left (the value's range is bounded by [`ProbeLabel::new`]), two
+/// digits a division.
 fn write_digits(out: &mut [u8], mut value: u64) {
-    for slot in out.iter_mut().rev() {
-        *slot = b'0' + (value % 10) as u8;
-        value /= 10;
+    let mut end = out.len();
+    while end >= 2 {
+        let pair = (value % 100) as usize * 2;
+        out[end - 2..end].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        value /= 100;
+        end -= 2;
+    }
+    if end == 1 {
+        out[0] = b'0' + (value % 10) as u8;
     }
 }
 
@@ -173,6 +188,28 @@ mod tests {
             label.qname(&zone()).to_string(),
             "or999.4999999.ucfsealresearch.net"
         );
+    }
+
+    /// The digit-pair table writes what `format!` writes, for every
+    /// cluster and for random sequence numbers (the extremes included),
+    /// and `parse` reads it back.
+    #[test]
+    fn labels_match_format_and_parse_back() {
+        let zone = zone();
+        orscope_check::cases(1_000, |rng| {
+            let cluster = rng.range(0..1_000u32);
+            for seq in [rng.range(0..CLUSTER_CAPACITY), 0, CLUSTER_CAPACITY - 1] {
+                let label = ProbeLabel::new(cluster, seq);
+                let (first, second) = label.labels();
+                assert_eq!(first, format!("or{cluster:03}").as_bytes());
+                assert_eq!(second, format!("{seq:07}").as_bytes());
+                assert_eq!(ProbeLabel::parse(&label.qname(&zone), &zone), Some(label));
+            }
+        });
+        for cluster in 0..1_000 {
+            let (first, _) = ProbeLabel::new(cluster, 0).labels();
+            assert_eq!(first, format!("or{cluster:03}").as_bytes());
+        }
     }
 
     #[test]

@@ -821,14 +821,19 @@ impl<'a> ShardPlan<'a> {
 }
 
 /// A sorted `(packed address, profile id)` list under a first-level
-/// directory over the high address bits.
+/// directory over the high address bits, behind a one-bit-a-slot filter.
 ///
 /// Every datagram to an unmaterialised address looks its destination up
-/// here, silent targets included, and a plain binary search over the
-/// whole list is ~16 dependent loads spread across it. The directory
-/// (at most one byte a host) narrows a lookup to the handful of hosts
-/// sharing the address's top bits: one line of the directory, one or
-/// two of the list.
+/// here, silent targets included, and so does every silent slot of the
+/// plan's walk; nearly all of them find nothing. The filter (one to two
+/// bytes a host: a power of two of at least eight bits a host) has the
+/// bit a Fibonacci hash of each host's address picks set, so a clear bit
+/// answers "no host here" from one load, and only real hosts and the
+/// one miss in eight to sixteen whose bit a host set go on. For those,
+/// the directory (at most one byte a host) narrows the search to the
+/// handful of hosts sharing the address's top bits: one line of the
+/// directory, one or two of the list. A plain binary search over the
+/// whole list is ~16 dependent loads spread across it.
 ///
 /// A campaign builds one, over every probed host of its population, and
 /// shares it: the plan's silent walk steps over the addresses in it and
@@ -836,6 +841,10 @@ impl<'a> ShardPlan<'a> {
 #[derive(Debug)]
 pub(crate) struct HostIndex {
     hosts: Vec<(u32, orscope_resolver::ProfileId)>,
+    /// Bit `h` is set when a host's address hashes to `h`.
+    filter: Vec<u64>,
+    /// `64 - log2(filter bits)`: what the hash drops.
+    filter_shift: u32,
     /// `directory[b]..directory[b + 1]` bounds the hosts whose address
     /// starts with the bits `b`.
     directory: Vec<u32>,
@@ -868,11 +877,31 @@ impl HostIndex {
         for bucket in 1..directory.len() {
             directory[bucket] += directory[bucket - 1];
         }
+        let filter_bits = (8 * hosts.len()).next_power_of_two().max(64);
+        let filter_shift = 64 - filter_bits.ilog2();
+        let mut filter = vec![0u64; filter_bits / 64];
+        for &(addr, _) in &hosts {
+            let bit = Self::filter_bit(addr, filter_shift);
+            filter[bit / 64] |= 1 << (bit % 64);
+        }
         Self {
             hosts,
+            filter,
+            filter_shift,
             directory,
             shift,
         }
+    }
+
+    /// Fibonacci hashing: the top bits of the address times 2^64 / φ.
+    fn filter_bit(addr: u32, filter_shift: u32) -> usize {
+        (u64::from(addr).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> filter_shift) as usize
+    }
+
+    /// False only where no host is.
+    fn may_hold(&self, addr: u32) -> bool {
+        let bit = Self::filter_bit(addr, self.filter_shift);
+        self.filter[bit / 64] >> (bit % 64) & 1 == 1
     }
 
     /// Widened first: with a one-bucket directory the shift is all 32 bits.
@@ -882,6 +911,9 @@ impl HostIndex {
 
     pub(crate) fn find(&self, addr: Ipv4Addr) -> Option<orscope_resolver::ProfileId> {
         let addr = u32::from(addr);
+        if !self.may_hold(addr) {
+            return None;
+        }
         let bucket = Self::bucket(addr, self.shift);
         let range = self.directory[bucket] as usize..self.directory[bucket + 1] as usize;
         let hosts = &self.hosts[range];
@@ -1201,41 +1233,64 @@ impl ShardOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
+    /// `find` is a map lookup, for every host and for misses next to
+    /// hosts, at the edges and anywhere: host sets of every directory
+    /// width from one bucket up, spread over the space, under a few
+    /// /16s or packed into one /24, with duplicates and both extreme
+    /// addresses. An address held twice may answer with either profile.
     #[test]
-    fn host_index_agrees_with_a_plain_binary_search() {
-        let mut rng = orscope_check::Rng::new(0x0D1C);
-        let mut next = move || rng.next_u64() as u32;
-        // Sizes on both sides of every directory width from one bucket
-        // up, drawn uniformly and clustered under a few /16s.
-        for size in [0usize, 1, 3, 4, 7, 8, 9, 100, 4_095, 4_096, 70_000] {
-            for spread in [u32::MAX, 0x0003_FFFF] {
-                let mut sorted: Vec<(u32, u32)> = (0..size)
-                    .map(|i| (next() & spread | (next() % 3) << 30, i as u32))
-                    .collect();
-                sorted.sort_unstable();
-                sorted.dedup_by_key(|&mut (addr, _)| addr);
-                let index = HostIndex::new(sorted.clone());
-                // At most a byte a host (and two entries when nearly empty).
-                assert!(4 * index.directory.len() <= sorted.len() + 8);
-                let edges = [0, 1, u32::MAX - 1, u32::MAX];
-                let present = sorted
-                    .iter()
-                    .flat_map(|&(a, _)| [a.wrapping_sub(1), a, a.wrapping_add(1), a ^ 0x8000_0000]);
-                let random: Vec<u32> = (0..1_000).map(|_| next()).collect();
-                for addr in present.chain(edges).chain(random) {
-                    let want = sorted
-                        .binary_search_by_key(&addr, |&(a, _)| a)
-                        .ok()
-                        .map(|slot| sorted[slot].1);
-                    assert_eq!(
-                        index.find(Ipv4Addr::from(addr)),
-                        want,
-                        "{addr:#x} of {size}"
-                    );
+    fn host_index_find_matches_a_btree_map() {
+        orscope_check::cases(96, |rng| {
+            let size = *rng.choice(&[0usize, 1, 3, 4, 7, 8, 9, 100, 4_095, 4_096, 70_000]);
+            let (quarter, slash24) = (rng.range(0..4u32) << 30, rng.next_u64() as u32 & !0xFF);
+            let (spread, base) =
+                *rng.choice(&[(u32::MAX, 0), (0x0003_FFFF, quarter), (0xFF, slash24)]);
+            let mut hosts: Vec<(u32, u32)> = (0..size as u32)
+                .map(|i| (base | rng.next_u64() as u32 & spread, i))
+                .collect();
+            for _ in 0..size.min(rng.range(0..3)) {
+                hosts.push((*rng.choice(&[0, u32::MAX]), rng.range(0..9)));
+            }
+            for _ in 0..size / 50 {
+                let (addr, _) = *rng.choice(&hosts);
+                hosts.push((addr, rng.range(0..9)));
+            }
+            let mut map: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+            for &(addr, profile) in &hosts {
+                map.entry(addr).or_default().push(profile);
+            }
+            let index = HostIndex::new(hosts.clone());
+            // At most a byte a host of directory (two entries when nearly
+            // empty) and two of filter (one word when nearly empty).
+            assert!(4 * index.directory.len() <= hosts.len() + 8);
+            assert!(8 * index.filter.len() <= (2 * hosts.len()).max(8));
+            assert!(hosts.iter().all(|&(addr, _)| index.may_hold(addr)));
+            let near: Vec<u32> = hosts
+                .iter()
+                .flat_map(|&(a, _)| [a.wrapping_sub(1), a, a.wrapping_add(1), a ^ 0x8000_0000])
+                .collect();
+            let random: Vec<u32> = (0..1_000).map(|_| rng.next_u64() as u32).collect();
+            let edges = [0, 1, u32::MAX - 1, u32::MAX];
+            for &addr in near.iter().chain(&edges).chain(&random) {
+                let found = index.find(Ipv4Addr::from(addr));
+                match map.get(&addr) {
+                    Some(profiles) => assert!(
+                        found.is_some_and(|p| profiles.contains(&p)),
+                        "{addr:#x} of {size}: {found:?} not in {profiles:?}"
+                    ),
+                    None => assert_eq!(found, None, "{addr:#x} of {size}"),
                 }
             }
-        }
+            // Misses mostly stop at the filter: one in eight to sixteen
+            // hits a set bit.
+            let passed = random
+                .iter()
+                .filter(|&&addr| !map.contains_key(&addr) && index.may_hold(addr))
+                .count();
+            assert!(passed <= 200, "{passed} of 1,000 misses passed the filter");
+        });
     }
 
     #[test]

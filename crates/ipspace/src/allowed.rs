@@ -139,6 +139,20 @@ mod tests {
     }
 
     #[test]
+    fn nth_and_rank_are_inverse_at_random_ranks() {
+        let space = AllowedSpace::probeable();
+        orscope_check::cases(512, |rng| {
+            for rank in [rng.range(0..space.len()), rng.range(0..1 << 24)] {
+                let addr = space.nth(rank).unwrap();
+                assert_eq!(space.rank(addr), Some(rank), "rank {rank} -> {addr}");
+                if rank > 0 {
+                    assert!(space.nth(rank - 1).unwrap() < addr);
+                }
+            }
+        });
+    }
+
+    #[test]
     fn first_allowed_address_skips_zero_slash_eight() {
         let space = AllowedSpace::probeable();
         assert_eq!(space.nth(0), Some(Ipv4Addr::new(1, 0, 0, 0)));

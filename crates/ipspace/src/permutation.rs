@@ -9,11 +9,15 @@
 //! `1..p` exactly once per cycle; values that fall outside the target
 //! space are skipped.
 //!
-//! [`ScanPermutation`] reproduces that construction for any space size
-//! `n <= 2^32`, which lets the measurement pipeline scan scaled-down probe
-//! spaces with the same access pattern as a full Internet-wide scan.
+//! [`ScanPermutation`] reproduces that construction for any space whose
+//! prime modulus fits in 32 bits (every `n` below 4,294,967,291, the
+//! probeable Internet's 3,702,258,432 included), which lets the
+//! measurement pipeline scan scaled-down probe spaces with the same
+//! access pattern as a full Internet-wide scan. Because both factors of
+//! a step are below 2^32, their product fits in 64 bits and a step is
+//! reduced without any division.
 
-use crate::prime::{mul_mod, next_prime, primitive_root};
+use crate::prime::{next_prime, primitive_root};
 
 /// A bijective pseudorandom traversal of `0..n`.
 ///
@@ -41,6 +45,9 @@ pub struct ScanPermutation {
     modulus: u64,
     /// Primitive root of `Z_p^*`.
     generator: u64,
+    /// `floor(generator * 2^32 / modulus)`: the precomputed quotient
+    /// estimate that reduces a step without dividing.
+    quotient: u64,
     /// First group element visited (in `1..p`).
     start: u64,
 }
@@ -50,38 +57,54 @@ impl ScanPermutation {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `n > 2^32`.
+    /// Panics if `n == 0`, or if the smallest prime above `n` does not
+    /// fit in 32 bits (`n >= 4,294,967,291`).
     pub fn new(n: u64, seed: u64) -> Self {
         assert!(n > 0, "cannot permute an empty space");
-        assert!(n <= 1 << 32, "space exceeds the IPv4 universe");
         let modulus = next_prime(n.max(2));
+        assert!(
+            modulus <= u64::from(u32::MAX),
+            "space of {n} needs a modulus wider than 32 bits"
+        );
         // Derive independent generator preference and start position from
         // the seed with an splitmix-style mix so nearby seeds diverge.
         let mixed = splitmix(seed);
         let generator = primitive_root(modulus, mixed);
         let start = 1 + splitmix(mixed) % (modulus - 1);
+        Self::with_group(n, modulus, generator, start)
+    }
+
+    /// The walk of `0..n` from `start` by `generator` modulo `modulus`,
+    /// a prime below 2^32 with `generator` in `1..modulus`.
+    fn with_group(n: u64, modulus: u64, generator: u64, start: u64) -> Self {
         Self {
             n,
             modulus,
             generator,
+            quotient: (generator << 32) / modulus,
             start,
         }
     }
 
-    /// Creates the canonical full-IPv4 permutation (`n = 2^32`,
-    /// modulus 2^32 + 15 as in ZMap).
-    pub fn full_ipv4(seed: u64) -> Self {
-        Self::new(1 << 32, seed)
+    /// `x * generator mod modulus` for `x < modulus`, by Shoup's
+    /// precomputed-quotient form of Barrett reduction: `q = x *
+    /// quotient >> 32` undershoots `floor(x * generator / modulus)` by
+    /// at most one, so the remainder is below `2 * modulus` and one
+    /// conditional subtraction finishes it. Every product is of two
+    /// factors below 2^32, so nothing here overflows 64 bits.
+    fn step(&self, x: u64) -> u64 {
+        let q = (x * self.quotient) >> 32;
+        let r = x * self.generator - q * self.modulus;
+        if r >= self.modulus {
+            r - self.modulus
+        } else {
+            r
+        }
     }
 
     /// Size of the permuted space.
     pub fn space_len(&self) -> u64 {
         self.n
-    }
-
-    /// The prime modulus backing the group.
-    pub fn modulus(&self) -> u64 {
-        self.modulus
     }
 
     /// Iterates all `n` values of the permutation.
@@ -108,7 +131,7 @@ impl Iterator for ScanPermutationIter {
     fn next(&mut self) -> Option<u32> {
         while self.emitted < self.perm.n {
             let value = self.current - 1; // group element x maps to address x-1
-            self.current = mul_mod(self.current, self.perm.generator, self.perm.modulus);
+            self.current = self.perm.step(self.current);
             if value < self.perm.n {
                 self.emitted += 1;
                 return Some(value as u32);
@@ -138,6 +161,7 @@ fn splitmix(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prime;
     use std::collections::HashSet;
 
     #[test]
@@ -177,15 +201,42 @@ mod tests {
         );
     }
 
+    /// The division-free step is `mul_mod` exactly, for random primes
+    /// below 2^32 and the largest one at its largest operands.
     #[test]
-    fn full_ipv4_uses_zmap_modulus() {
-        let perm = ScanPermutation::full_ipv4(0);
-        assert_eq!(perm.modulus(), (1 << 32) + 15);
-        assert_eq!(perm.space_len(), 1 << 32);
-        // Spot-check the first few outputs are in range and distinct.
-        let head: Vec<u32> = perm.iter().take(1_000).collect();
-        let unique: HashSet<u32> = head.iter().copied().collect();
-        assert_eq!(unique.len(), 1_000);
+    fn step_matches_mul_mod() {
+        let largest = 4_294_967_291;
+        assert_eq!(prime::next_prime(largest), (1 << 32) + 15);
+        let check = |x: u64, generator: u64, modulus: u64| {
+            let group = ScanPermutation::with_group(modulus - 1, modulus, generator, 1);
+            assert_eq!(
+                group.step(x),
+                prime::mul_mod(x, generator, modulus),
+                "{x} * {generator} mod {modulus}"
+            );
+        };
+        check(largest - 1, largest - 1, largest);
+        check(largest - 2, largest - 1, largest);
+        check(1, largest - 1, largest);
+        check(1, 1, 2);
+        orscope_check::cases(2_000, |rng| {
+            let modulus = loop {
+                let p = prime::next_prime(rng.range(1u64..u64::from(u32::MAX)));
+                if p <= u64::from(u32::MAX) {
+                    break p;
+                }
+            };
+            let generator = rng.range(1..modulus);
+            for x in [1, modulus - 1, rng.range(0..modulus), rng.range(0..modulus)] {
+                check(x, generator, modulus);
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than 32 bits")]
+    fn a_modulus_past_32_bits_panics() {
+        let _ = ScanPermutation::new(4_294_967_291, 0);
     }
 
     #[test]
@@ -207,103 +258,5 @@ mod tests {
     fn single_element_space() {
         let visited: Vec<u32> = ScanPermutation::new(1, 5).iter().collect();
         assert_eq!(visited, vec![0]);
-    }
-}
-
-/// A shard of a [`ScanPermutation`], as in ZMap's `--shards`/`--shard`
-/// options for splitting one logical scan across machines.
-///
-/// Shard `i` of `n` visits the permutation's positions `i, i+n, i+2n,
-/// ...`; the shards are disjoint and their union is the full space, so
-/// `n` probers can share one scan without coordination beyond the seed.
-#[derive(Debug, Clone)]
-pub struct ShardedPermutation {
-    perm: ScanPermutation,
-    shards: u32,
-    shard: u32,
-}
-
-impl ScanPermutation {
-    /// Returns shard `shard` of `shards` for this permutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards == 0` or `shard >= shards`.
-    pub fn shard(&self, shard: u32, shards: u32) -> ShardedPermutation {
-        assert!(shards > 0, "need at least one shard");
-        assert!(shard < shards, "shard {shard} out of {shards}");
-        ShardedPermutation {
-            perm: self.clone(),
-            shards,
-            shard,
-        }
-    }
-}
-
-impl ShardedPermutation {
-    /// Iterates this shard's addresses.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        self.perm
-            .iter()
-            .skip(self.shard as usize)
-            .step_by(self.shards as usize)
-    }
-
-    /// Number of addresses this shard covers.
-    pub fn len(&self) -> u64 {
-        let n = self.perm.space_len();
-        let (shards, shard) = (self.shards as u64, self.shard as u64);
-        n / shards + u64::from(n % shards > shard)
-    }
-
-    /// Whether the shard is empty (only when the space is tiny).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-#[cfg(test)]
-mod shard_tests {
-    use super::*;
-    use std::collections::HashSet;
-
-    #[test]
-    fn shards_partition_the_space() {
-        let perm = ScanPermutation::new(1_000, 5);
-        let mut seen = HashSet::new();
-        let mut total = 0u64;
-        for i in 0..7 {
-            let shard = perm.shard(i, 7);
-            let addrs: Vec<u32> = shard.iter().collect();
-            assert_eq!(addrs.len() as u64, shard.len());
-            for a in addrs {
-                assert!(seen.insert(a), "{a} appeared in two shards");
-                total += 1;
-            }
-        }
-        assert_eq!(total, 1_000);
-        assert_eq!(seen.len(), 1_000);
-    }
-
-    #[test]
-    fn single_shard_is_the_whole_permutation() {
-        let perm = ScanPermutation::new(256, 9);
-        let full: Vec<u32> = perm.iter().collect();
-        let sharded: Vec<u32> = perm.shard(0, 1).iter().collect();
-        assert_eq!(full, sharded);
-    }
-
-    #[test]
-    fn shard_lengths_are_balanced() {
-        let perm = ScanPermutation::new(1_003, 1);
-        let lens: Vec<u64> = (0..4).map(|i| perm.shard(i, 4).len()).collect();
-        assert_eq!(lens.iter().sum::<u64>(), 1_003);
-        assert!(lens.iter().all(|&l| l == 250 || l == 251));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of")]
-    fn invalid_shard_panics() {
-        let _ = ScanPermutation::new(10, 0).shard(3, 3);
     }
 }

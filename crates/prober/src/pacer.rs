@@ -100,14 +100,28 @@ impl Pacer {
     /// fired, for a scan paced at `rate_pps`: the `floor(m * rate /
     /// ticks)` tokens a fresh pacer has issued after `m = tick + 1`
     /// ticks. `slot < slots_due(tick, rate)` holds exactly when
-    /// [`Pacer::slot_tick`]`(slot, rate) <= tick`, so a send loop takes
-    /// one division a tick instead of one a target. Saturates at
-    /// `u64::MAX`.
+    /// [`Pacer::slot_tick`]`(slot, rate) <= tick`, so a send loop does
+    /// this arithmetic once a tick instead of once a target. Saturates
+    /// at `u64::MAX`.
     pub fn slots_due(tick: u64, rate_pps: u64) -> u64 {
         debug_assert!(rate_pps > 0, "slots_due requires a positive rate");
-        let ticks = Self::ticks_per_sec(rate_pps) as u128;
-        let due = (tick as u128 + 1) * rate_pps as u128 / ticks;
-        u64::try_from(due).unwrap_or(u64::MAX)
+        const TICKS: u64 = Pacer::MAX_TICKS_PER_SEC;
+        let Some(m) = tick.checked_add(1) else {
+            return u64::MAX;
+        };
+        // A rate of at most TICKS ticks once a packet: m * rate / rate.
+        if rate_pps <= TICKS {
+            return m;
+        }
+        // m * rate / TICKS in 64 bits, dividing only by the constant:
+        // with rate = whole * TICKS + part and m = lap * TICKS + rest it
+        // is m * whole + lap * part + rest * part / TICKS, and the last
+        // product is below TICKS².
+        let (whole, part) = (rate_pps / TICKS, rate_pps % TICKS);
+        let (lap, rest) = (m / TICKS, m % TICKS);
+        m.checked_mul(whole)
+            .and_then(|due| due.checked_add(lap * part))
+            .map_or(u64::MAX, |due| due.saturating_add(rest * part / TICKS))
     }
 
     /// The configured rate.
@@ -244,6 +258,13 @@ mod tests {
     /// (`slot_tick` is monotonic, so the two ends decide every slot).
     fn assert_due_matches_slot_tick(rate: u64, tick: u64) {
         let due = Pacer::slots_due(tick, rate);
+        let ticks = u128::from(Pacer::ticks_per_sec(rate));
+        let wide = (u128::from(tick) + 1) * u128::from(rate) / ticks;
+        assert_eq!(
+            due,
+            u64::try_from(wide).unwrap_or(u64::MAX),
+            "rate {rate}, tick {tick}"
+        );
         if due > 0 {
             assert!(
                 Pacer::slot_tick(due - 1, rate) <= tick,
@@ -274,11 +295,10 @@ mod tests {
                 assert_due_matches_slot_tick(rate, tick);
             }
         }
-        assert_eq!(
-            Pacer::slots_due(u64::MAX, 10_000_000),
-            u64::MAX,
-            "saturates"
-        );
+        for rate in [1, 100, 101, 10_000_000] {
+            assert_eq!(Pacer::slots_due(u64::MAX, rate), u64::MAX, "saturates");
+        }
+        assert_due_matches_slot_tick(101, u64::MAX / 101 * 100 - 1);
     }
 
     /// The closed-form slot assignment agrees with the carry

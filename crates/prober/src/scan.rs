@@ -1,5 +1,6 @@
 //! The prober endpoint: paced scanning, qname matching, reuse.
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::iter::Peekable;
 use std::net::Ipv4Addr;
@@ -174,11 +175,18 @@ impl ExpiryQueue {
 
     /// Takes the least entry if its deadline is at or before `now`.
     fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, u64, Ipv4Addr)> {
-        self.levels
-            .iter_mut()
-            .filter(|level| level.front().is_some_and(|&(deadline, ..)| deadline <= now))
-            .min_by_key(|level| level.front().copied())?
-            .pop_front()
+        // Heads compare by `(deadline, xmit)` alone, as `xmit` is unique:
+        // every probe's tick runs this, so the fold carries the small key.
+        let (_, level) = self
+            .levels
+            .iter()
+            .enumerate()
+            .filter_map(|(i, level)| {
+                let &(deadline, xmit, _) = level.front().filter(|head| head.0 <= now)?;
+                Some(((deadline, xmit), i))
+            })
+            .min()?;
+        self.levels[level].pop_front()
     }
 }
 
@@ -436,18 +444,25 @@ impl Prober {
         while let Some((_, xmit, target)) = self.expiry.pop_due(now) {
             // Answered probes and superseded transmissions leave stale
             // entries behind; skip them.
-            let Some(&out) = self.outstanding.get(&target).filter(|o| o.xmit == xmit) else {
+            let Entry::Occupied(entry) = self.outstanding.entry(target) else {
                 continue;
             };
+            let out = *entry.get();
+            if out.xmit != xmit {
+                continue;
+            }
             if out.attempts < self.config.retry_limit {
+                // The retransmission replaces the entry in place.
                 let attempts = out.attempts + 1;
                 let backoff = self.config.response_window * 2u32.pow(attempts.min(16));
                 if self.emit_query(out.label, target, attempts, now + backoff, ctx, books) {
                     books.retransmits_sent += 1;
                     continue;
                 }
+                self.outstanding.remove(&target);
+            } else {
+                entry.remove();
             }
-            self.outstanding.remove(&target);
             self.generator.recycle(out.label);
             books.probes_abandoned += 1;
         }
