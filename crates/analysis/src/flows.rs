@@ -34,9 +34,12 @@ pub struct FlowSummary {
     q2_seen: BTreeMap<u32, Vec<u64>>,
     /// Labelled Q2 packets, every one of them.
     q2_packets: u64,
-    /// Q1 -> R2 in nanoseconds, one per labelled R2; ascending once
-    /// [`FlowSummary::finish`]ed.
-    latencies: Vec<u64>,
+    /// Q1 -> R2 in nanoseconds, one per labelled R2 under 2^32 ns
+    /// (4.3 s); ascending once [`FlowSummary::finish`]ed.
+    latencies: Vec<u32>,
+    /// The latencies of 2^32 ns or more, which only a retransmitted
+    /// probe reaches; they sort above every one in `latencies`.
+    long_latencies: Vec<u64>,
     /// Auth-server packets whose qname was not a probe name.
     pub foreign_auth_packets: u64,
 }
@@ -71,7 +74,10 @@ impl FlowSummary {
     pub(crate) fn fold_r2(&mut self, rec: &ClassifiedR2, zone: &Name) {
         if rec.label.is_some() || ProbeLabel::parse(&rec.qname, zone).is_some() {
             let latency = rec.at.as_nanos().saturating_sub(rec.sent_at.as_nanos());
-            self.latencies.push(latency);
+            match u32::try_from(latency) {
+                Ok(short) => self.latencies.push(short),
+                Err(_) => self.long_latencies.push(latency),
+            }
         }
     }
 
@@ -120,12 +126,14 @@ impl FlowSummary {
         }
         self.q2_packets += other.q2_packets;
         self.latencies.extend(other.latencies);
+        self.long_latencies.extend(other.long_latencies);
         self.foreign_auth_packets += other.foreign_auth_packets;
     }
 
     /// Sorts the latencies, once, so quantile queries index.
     pub(crate) fn finish(mut self) -> FlowSummary {
         self.latencies.sort_unstable();
+        self.long_latencies.sort_unstable();
         self
     }
 
@@ -148,11 +156,16 @@ impl FlowSummary {
     /// of resolution latency (Q1 -> R2). `None` if no flow completed, or
     /// if `q` is NaN or infinite.
     pub fn latency_quantile(&self, q: f64) -> Option<Duration> {
-        if self.latencies.is_empty() || !q.is_finite() {
+        let n = self.latencies.len() + self.long_latencies.len();
+        if n == 0 || !q.is_finite() {
             return None;
         }
-        let idx = ((self.latencies.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        Some(Duration::from_nanos(self.latencies[idx]))
+        let idx = ((n - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
+        let nanos = match self.latencies.get(idx) {
+            Some(&short) => u64::from(short),
+            None => self.long_latencies[idx - self.latencies.len()],
+        };
+        Some(Duration::from_nanos(nanos))
     }
 }
 
@@ -169,7 +182,7 @@ fn question_of(payload: &[u8]) -> Option<Question> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use std::collections::BTreeMap;
     use std::net::Ipv4Addr;
 
@@ -361,6 +374,53 @@ mod tests {
         assert_eq!(flows.latency_quantile(0.5), Some(Duration::from_millis(50)));
     }
 
+    /// Every stored latency, in storage order: the short list, then the
+    /// long one.
+    fn all_latencies(flows: &FlowSummary) -> Vec<u64> {
+        let short = flows.latencies.iter().map(|&nanos| u64::from(nanos));
+        short.chain(flows.long_latencies.iter().copied()).collect()
+    }
+
+    /// Latencies on both sides of 2^32 ns, split over 1-4 summaries
+    /// absorbed in every order, have the quantiles of one sorted vector
+    /// of `u64`s.
+    #[test]
+    fn latency_store_matches_a_sorted_vector() {
+        const SPLIT: u64 = 1 << 32;
+        orscope_check::cases(64, |rng| {
+            let parts = rng.range(1..5);
+            let mut summaries = vec![FlowSummary::default(); parts];
+            let mut oracle = Vec::new();
+            for seq in 0..rng.range(0..120u64) {
+                let latency = match rng.range(0..4) {
+                    0 => rng.range(SPLIT - 2..=SPLIT + 2),
+                    1 => rng.range(SPLIT..1 << 40),
+                    _ => rng.range(0..SPLIT),
+                };
+                let sent = SimTime::from_nanos(rng.range(0..1_000_000));
+                let at = SimTime::from_nanos(sent.as_nanos() + latency);
+                let rec = r2(ProbeLabel::new(0, seq), sent, at, true);
+                summaries[rng.range(0..parts)].fold_r2(&rec, &zone());
+                oracle.push(latency);
+            }
+            oracle.sort_unstable();
+            for order in orders(parts) {
+                let mut merged = summaries[order[0]].clone();
+                for &next in &order[1..] {
+                    merged.absorb(summaries[next].clone());
+                }
+                let flows = merged.finish();
+                for q in [0.0, 0.25, 0.5, 0.95, 1.0] {
+                    let want = (!oracle.is_empty()).then(|| {
+                        let idx = ((oracle.len() - 1) as f64 * q).round() as usize;
+                        Duration::from_nanos(oracle[idx])
+                    });
+                    assert_eq!(flows.latency_quantile(q), want, "q {q}, order {order:?}");
+                }
+            }
+        });
+    }
+
     /// What the naive join keeps for one label.
     #[derive(Debug, Default)]
     struct NaiveFlow {
@@ -369,7 +429,8 @@ mod tests {
         r1_at: Vec<SimTime>,
     }
 
-    fn orders(parts: usize) -> Vec<Vec<usize>> {
+    /// Every order of `0..parts`.
+    pub(crate) fn orders(parts: usize) -> Vec<Vec<usize>> {
         if parts == 1 {
             return vec![vec![0]];
         }
@@ -402,7 +463,13 @@ mod tests {
                 // Squaring skews the labels: a few busy flows, some
                 // nearly idle ones, and words past the first.
                 let label = ProbeLabel::new((seq % 2) as u32, seq * seq * 2);
-                let at = SimTime::from_nanos(rng.range(0..1_000_000));
+                // One capture in ten lands past 2^32 ns, where a latency
+                // no longer fits the short list.
+                let at = if rng.chance(10) {
+                    SimTime::from_nanos(rng.range(0..1 << 34))
+                } else {
+                    SimTime::from_nanos(rng.range(0..1_000_000))
+                };
                 let stamped = rng.bool();
                 let part = &mut summaries[rng.range(0..parts)];
                 let direction = if kind <= 8 {
@@ -460,7 +527,7 @@ mod tests {
                     q2 as f64 / recursed as f64
                 };
                 assert_eq!(flows.mean_q2_fanout(), fanout);
-                assert_eq!(flows.latencies, latencies, "order {order:?}");
+                assert_eq!(all_latencies(&flows), latencies, "order {order:?}");
                 for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
                     let want = (!latencies.is_empty()).then(|| {
                         let idx = ((latencies.len() - 1) as f64 * q).round() as usize;

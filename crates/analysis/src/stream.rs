@@ -9,13 +9,13 @@
 //! pcap export asks for the raw stream). The state is exactly what the
 //! tables need — answer breakdowns, flag tables, rcode tallies,
 //! wrong-IP tallies, the flow summary, and an exact amplification
-//! reservoir — and it merges across shards order-insensitively via
+//! tally — and it merges across shards order-insensitively via
 //! [`StreamingAnalyzer::absorb`], like `TelemetrySnapshot::absorb`.
 //!
 //! Equivalence with the batch oracle is structural: every finish-time
 //! method routes through the same constructors the batch tables use
 //! (`Table6::from_counts`, `Table8::from_counts`,
-//! `Table9::from_ip_counts`, `AmplificationTable::from_factors`, …), so
+//! `Table9::from_ip_counts`, `AmplificationTable::from_tally`, …), so
 //! both modes reduce the same record multiset through the same code.
 
 use std::collections::{HashMap, HashSet};
@@ -31,7 +31,7 @@ use orscope_threatintel::ThreatDb;
 use crate::classify::{classify_in, AnswerKind};
 use crate::flows::FlowSummary;
 use crate::tables::{
-    amplification_factor, AmplificationTable, AnswerBreakdown, AsnTable, CountryTable,
+    AmplificationTable, AmplificationTally, AnswerBreakdown, AsnTable, CountryTable,
     EmptyQuestionReport, FlagTable, Table10, Table3, Table4, Table5, Table6, Table7, Table8,
     Table9,
 };
@@ -126,9 +126,9 @@ pub struct StreamingAnalyzer {
     wrong_ips: FxHashMap<Ipv4Addr, WrongIpTally>,
     /// §IV-B4 empty-question accumulator.
     empty_question: EmptyQuestionReport,
-    /// Exact amplification-factor reservoir (8 bytes per response vs
-    /// the full payload; sorted at finish for order-independent output).
-    amp_factors: Vec<f64>,
+    /// Amplification factors, counted per distinct value: exact, and a
+    /// handful of entries however many responses there were.
+    amp_factors: AmplificationTally,
     /// The four-flow join, folded to the figures the report reads.
     flows: FlowSummary,
     /// Scratch every R2 is decoded into for classification; carries
@@ -149,13 +149,12 @@ impl StreamingAnalyzer {
 
     /// Pre-sizes the per-response state for `expected` responders: an
     /// R2 comes from a probed responder, at most one a label, so the
-    /// responder count bounds the latencies and amplification factors
-    /// exactly; reserving it keeps them at their final footprint
-    /// instead of growth-doubling past it. Capacity only — folds behave
-    /// identically with or without the hint.
+    /// responder count bounds the latencies exactly; reserving it keeps
+    /// them at their final footprint instead of growth-doubling past
+    /// it. Capacity only — folds behave identically with or without the
+    /// hint.
     pub fn reserve_flows(&mut self, expected: usize) {
         self.flows.reserve(expected);
-        self.amp_factors.reserve(expected);
     }
 
     /// Classified R2 packets folded so far.
@@ -191,7 +190,7 @@ impl StreamingAnalyzer {
             self.wrong_ips.entry(ip).or_default().absorb(tally);
         }
         self.empty_question.absorb(&other.empty_question);
-        self.amp_factors.extend(other.amp_factors);
+        self.amp_factors.absorb(other.amp_factors);
         self.raw.extend(other.raw);
         self.flows.absorb(other.flows);
     }
@@ -273,9 +272,9 @@ impl StreamingAnalyzer {
         AsnTable::from_resolver_tallies(self.reported_resolver_tallies(threat), geo)
     }
 
-    /// The amplification summary from the factor reservoir.
+    /// The amplification summary from the factor tally.
     pub fn amplification(&self) -> AmplificationTable {
-        AmplificationTable::from_factors(self.amp_factors.clone())
+        AmplificationTable::from_tally(&self.amp_factors)
     }
 
     /// The §IV-B4 empty-question report.
@@ -313,7 +312,7 @@ impl RecordSink for StreamingAnalyzer {
             return;
         };
         self.r2_classified += 1;
-        self.amp_factors.push(amplification_factor(&rec));
+        self.amp_factors.add(&rec);
         self.flows.fold_r2(&rec, &self.zone);
         if !rec.has_question {
             self.empty_question.add(&rec);

@@ -1,6 +1,6 @@
 //! Generators for every table in the paper's evaluation.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -1188,14 +1188,57 @@ pub struct AmplificationTable {
 impl AmplificationTable {
     /// Computes amplification factors from the classified records.
     pub fn measured(ds: &Dataset) -> Self {
-        let factors: Vec<f64> = ds.records.iter().map(amplification_factor).collect();
-        Self::from_factors(factors)
+        let mut tally = AmplificationTally::default();
+        for rec in &ds.records {
+            tally.add(rec);
+        }
+        Self::from_tally(&tally)
     }
 
-    /// Reduces a multiset of factors (shared with the streaming
-    /// accumulators). Sorting before the mean keeps the float summation
-    /// order — and so the rendered output — identical regardless of the
-    /// order the factors accumulated in.
+    /// Reduces a tally (shared with the streaming accumulators) to what
+    /// sorting its factors and summing them would give, to the bit: the
+    /// sum runs in ascending order of factor, each one added as many
+    /// times as it occurred, so the rendered output does not depend on
+    /// the order the factors accumulated in.
+    pub(crate) fn from_tally(tally: &AmplificationTally) -> Self {
+        let Some((max, _)) = tally.factors().next_back() else {
+            return Self::default();
+        };
+        let n: u64 = tally.counts.values().sum();
+        let quantile = |q: f64| {
+            let idx = ((n - 1) as f64 * q).round() as u64;
+            let mut upto = 0;
+            tally
+                .factors()
+                .find(|&(_, count)| {
+                    upto += count;
+                    idx < upto
+                })
+                .map_or(max, |(factor, _)| factor)
+        };
+        let mut sum = 0.0;
+        for (factor, count) in tally.factors() {
+            for _ in 0..count {
+                sum += factor;
+            }
+        }
+        Self {
+            responders: n,
+            amplifiers: tally
+                .factors()
+                .filter(|&(factor, _)| factor > 1.0)
+                .map(|(_, count)| count)
+                .sum(),
+            mean: sum / n as f64,
+            p50: quantile(0.5),
+            p95: quantile(0.95),
+            max,
+        }
+    }
+
+    /// The sort-then-sum reduction [`AmplificationTable::from_tally`]
+    /// must reproduce field for field.
+    #[cfg(test)]
     pub(crate) fn from_factors(mut factors: Vec<f64>) -> Self {
         if factors.is_empty() {
             return Self::default();
@@ -1211,6 +1254,41 @@ impl AmplificationTable {
             p95: quantile(0.95),
             max: factors[n - 1],
         }
+    }
+}
+
+/// The multiset of amplification factors, as a count per distinct
+/// factor. A factor is a ratio of two integers below 2^16 (payload and
+/// query bytes), so a scan's responses share a handful of values, and
+/// a non-negative finite `f64` orders as its bits: the map iterates
+/// factors in ascending order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AmplificationTally {
+    /// Factor bits to occurrences.
+    counts: BTreeMap<u64, u64>,
+}
+
+impl AmplificationTally {
+    /// Counts one record's factor.
+    pub(crate) fn add(&mut self, rec: &ClassifiedR2) {
+        *self
+            .counts
+            .entry(amplification_factor(rec).to_bits())
+            .or_default() += 1;
+    }
+
+    /// Adds another tally's counts.
+    pub(crate) fn absorb(&mut self, other: AmplificationTally) {
+        for (bits, count) in other.counts {
+            *self.counts.entry(bits).or_default() += count;
+        }
+    }
+
+    /// `(factor, occurrences)`, ascending.
+    fn factors(&self) -> impl DoubleEndedIterator<Item = (f64, u64)> + '_ {
+        self.counts
+            .iter()
+            .map(|(&bits, &count)| (f64::from_bits(bits), count))
     }
 }
 
@@ -1234,7 +1312,7 @@ impl fmt::Display for AmplificationTable {
 #[cfg(test)]
 mod amplification_tests {
     use super::*;
-    use orscope_authns::scheme::ProbeLabel;
+    use orscope_authns::scheme::{ProbeLabel, CLUSTER_CAPACITY};
     use orscope_netsim::{Payload, SimTime};
     use orscope_prober::R2Capture;
     use orscope_resolver::paper::Year;
@@ -1267,6 +1345,73 @@ mod amplification_tests {
         assert!((t.max - 2.0).abs() < 1e-9, "{}", t.max);
         assert!((t.p50 - 1.0).abs() < 1e-9);
         assert!(t.to_string().contains("amplify"));
+    }
+
+    /// Random multisets of `(payload length, qname)` — drawn from a
+    /// small pool, so factors repeat, and from anywhere — split over 1-4
+    /// analyzers absorbed in every order, and the batch path over all of
+    /// them, reduce to what sorting the factors and summing them gives,
+    /// field for field and the mean to the bit.
+    #[test]
+    fn tally_matches_sorting_the_factors() {
+        let zone: orscope_dns_wire::Name = "ucfsealresearch.net".parse().unwrap();
+        orscope_check::cases(64, |rng| {
+            let pool: Vec<(usize, u64)> =
+                rng.vec(1..6, |rng| (rng.range(12..2_000), rng.range(0..1 << 20)));
+            let parts = rng.range(1..5);
+            let mut analyzers = vec![crate::StreamingAnalyzer::new(zone.clone(), false); parts];
+            let (mut captures, mut factors) = (Vec::new(), Vec::new());
+            for _ in 0..rng.range(0..300) {
+                let (payload_len, seq) = if rng.chance(70) {
+                    *rng.choice(&pool)
+                } else {
+                    (rng.range(12..65_535), rng.range(0..u64::MAX))
+                };
+                // Qnames of every wire length the prober could send.
+                let qname = match rng.range(0..3) {
+                    0 => ProbeLabel::new(0, seq % CLUSTER_CAPACITY).qname(&zone),
+                    1 => zone.clone(),
+                    _ => orscope_dns_wire::Name::from_labels(
+                        (0..seq % 4).map(|_| vec![b'x'; 1 + (seq % 63) as usize]),
+                    )
+                    .unwrap(),
+                };
+                factors.push(payload_len as f64 / (16 + qname.wire_len()) as f64);
+                let capture = R2Capture {
+                    target: std::net::Ipv4Addr::new(9, 9, 9, 9),
+                    label: None,
+                    qname,
+                    at: SimTime::ZERO,
+                    sent_at: SimTime::ZERO,
+                    payload: Payload::from(vec![0u8; payload_len]),
+                };
+                crate::RecordSink::on_r2(&mut analyzers[rng.range(0..parts)], &capture);
+                captures.push(capture);
+            }
+            let want = AmplificationTable::from_factors(factors);
+            let same = |got: AmplificationTable, how: &str| {
+                assert_eq!(got, want, "{how}");
+                assert_eq!(got.mean.to_bits(), want.mean.to_bits(), "{how}");
+            };
+            for order in crate::flows::tests::orders(parts) {
+                let mut merged = analyzers[order[0]].clone();
+                for &next in &order[1..] {
+                    merged.absorb(analyzers[next].clone());
+                }
+                same(merged.amplification(), &format!("order {order:?}"));
+            }
+            let ds = Dataset::from_captures(
+                Year::Y2018,
+                1.0,
+                0,
+                0,
+                0,
+                1.0,
+                &captures,
+                orscope_prober::ProbeStats::default(),
+            );
+            same(AmplificationTable::measured(&ds), "batch");
+        });
     }
 
     #[test]

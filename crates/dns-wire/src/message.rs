@@ -253,8 +253,8 @@ impl Message {
 
 /// `Vec::push`, except that an empty section grows to one slot where
 /// `Vec` would reserve four. A section of one record is the common
-/// case, a slot is up to 528 bytes, and every long-lived endpoint keeps
-/// two messages: `Vec`'s minimum would pin ~15 KB of mostly unused
+/// case, a slot is up to 144 bytes, and every long-lived endpoint keeps
+/// two messages: `Vec`'s minimum would pin ~4 KB of mostly unused
 /// slots under each of them. Doubling from there on, like `Vec`.
 fn push_slot<T>(slots: &mut Vec<T>, value: T) {
     if slots.len() == slots.capacity() {

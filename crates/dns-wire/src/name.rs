@@ -16,16 +16,21 @@ const MAX_POINTER_HOPS: usize = 64;
 
 /// Label data (length-prefixed labels, no trailing root byte) fits in
 /// `MAX_NAME_LEN - 1` bytes.
-const INLINE_CAP: usize = MAX_NAME_LEN - 1;
+const MAX_DATA: usize = MAX_NAME_LEN - 1;
+/// Label data held inside the value: what keeps a `Name` at 64 bytes
+/// beside its counts and the heap pointer. Every name the scan builds
+/// (a probe qname carries 34 label bytes) fits.
+const INLINE_CAP: usize = 54;
 /// A name has at most 127 labels (each costs ≥ 2 wire bytes).
 const MAX_LABELS: usize = 127;
 
 /// A fully-qualified domain name, stored as a sequence of labels.
 ///
-/// Labels live in a fixed inline buffer covering the 255-octet wire
-/// maximum (length-prefixed, like the wire format but without the root
-/// byte), so constructing, cloning, and decoding a `Name` never touches
-/// the heap.
+/// Labels are kept length-prefixed, like the wire format but without
+/// the root byte. Up to 54 bytes of them live inline, so constructing,
+/// cloning and decoding such a name never touches the heap and the
+/// value is 64 bytes; a longer name (legal up to the 255-octet wire
+/// maximum) moves its labels to one heap buffer.
 ///
 /// Comparison and hashing are ASCII case-insensitive, as required by
 /// RFC 1035 §2.3.3; the original spelling is preserved for display.
@@ -45,9 +50,13 @@ const MAX_LABELS: usize = 127;
 #[derive(Clone)]
 pub struct Name {
     /// Length-prefixed labels in wire order (`3www7example3com` for
-    /// `www.example.com`), without the trailing root byte.
-    buf: [u8; INLINE_CAP],
-    /// Bytes of `buf` in use.
+    /// `www.example.com`), without the trailing root byte, while they
+    /// fit; bytes past `len` are never read.
+    inline: [u8; INLINE_CAP],
+    /// The labels of a name longer than `INLINE_CAP`, and `None`
+    /// exactly when they fit inline.
+    spilled: Option<Box<[u8; MAX_DATA]>>,
+    /// Bytes of label data.
     len: u8,
     /// Number of labels.
     count: u8,
@@ -69,7 +78,8 @@ impl Name {
     /// The root name (zero labels).
     pub fn root() -> Self {
         Self {
-            buf: [0; INLINE_CAP],
+            inline: [0; INLINE_CAP],
+            spilled: None,
             len: 0,
             count: 0,
         }
@@ -102,8 +112,7 @@ impl Name {
             // Keep accumulating the would-be length past the cap so the
             // error reports the full figure, but stop writing.
             if wire_len <= MAX_NAME_LEN {
-                out.buf[len] = label.len() as u8;
-                out.buf[len + 1..len + 1 + label.len()].copy_from_slice(label);
+                out.write_label(len, label);
                 len += 1 + label.len();
                 count += 1;
             }
@@ -119,7 +128,39 @@ impl Name {
     /// The label data in wire layout (length-prefixed, no root byte).
     #[inline]
     fn data(&self) -> &[u8] {
-        &self.buf[..self.len as usize]
+        let len = self.len as usize;
+        match &self.spilled {
+            None => &self.inline[..len],
+            Some(heap) => &heap[..len],
+        }
+    }
+
+    /// [`Name::data`], to rewrite label bytes in place.
+    fn data_mut(&mut self) -> &mut [u8] {
+        let len = self.len as usize;
+        match &mut self.spilled {
+            None => &mut self.inline[..len],
+            Some(heap) => &mut heap[..len],
+        }
+    }
+
+    /// Writes `label`, length byte first, at byte `at` of the label
+    /// data: the one place label bytes are stored. The first write that
+    /// would end past the inline buffer moves the labels so far to the
+    /// heap; the caller sets `len` once the name is complete.
+    fn write_label(&mut self, at: usize, label: &[u8]) {
+        let end = at + 1 + label.len();
+        if end > INLINE_CAP && self.spilled.is_none() {
+            let mut heap = Box::new([0; MAX_DATA]);
+            heap[..at].copy_from_slice(&self.inline[..at]);
+            self.spilled = Some(heap);
+        }
+        let buf = match &mut self.spilled {
+            None => &mut self.inline[..],
+            Some(heap) => &mut heap[..],
+        };
+        buf[at] = label.len() as u8;
+        buf[at + 1..end].copy_from_slice(label);
     }
 
     /// Byte offsets (into [`Name::data`]) where each label starts.
@@ -139,9 +180,10 @@ impl Name {
     /// The label starting at byte `offset` of [`Name::data`].
     #[inline]
     fn label_at(&self, offset: u8) -> &[u8] {
+        let data = self.data();
         let pos = offset as usize;
-        let len = self.buf[pos] as usize;
-        &self.buf[pos + 1..pos + 1 + len]
+        let len = data[pos] as usize;
+        &data[pos + 1..pos + 1 + len]
     }
 
     /// Whether this is the root name.
@@ -191,11 +233,13 @@ impl Name {
         if self.count == 0 {
             return None;
         }
-        let skip = 1 + self.buf[0] as usize;
         let mut out = Self::root();
-        let rest = &self.data()[skip..];
-        out.buf[..rest.len()].copy_from_slice(rest);
-        out.len = rest.len() as u8;
+        let mut len = 0usize;
+        for label in self.labels().skip(1) {
+            out.write_label(len, label);
+            len += 1 + label.len();
+        }
+        out.len = len as u8;
         out.count = self.count - 1;
         Some(out)
     }
@@ -221,21 +265,20 @@ impl Name {
     /// adding up to one bit of anti-spoofing entropy per letter.
     pub fn randomize_case(&self, mut entropy: u64) -> Name {
         let mut out = self.clone();
-        let mut pos = 0usize;
-        while pos < out.len as usize {
-            let label_len = out.buf[pos] as usize;
-            for b in &mut out.buf[pos + 1..pos + 1 + label_len] {
-                if b.is_ascii_alphabetic() {
-                    let flip = entropy & 1 == 1;
-                    entropy = entropy.rotate_right(1) ^ 0x9E37_79B9_7F4A_7C15;
-                    *b = if flip {
-                        b.to_ascii_uppercase()
-                    } else {
-                        b.to_ascii_lowercase()
-                    };
-                }
-            }
-            pos += 1 + label_len;
+        // Length bytes are at most 63, below every ASCII letter, so only
+        // label bytes are scrambled.
+        for b in out
+            .data_mut()
+            .iter_mut()
+            .filter(|b| b.is_ascii_alphabetic())
+        {
+            let flip = entropy & 1 == 1;
+            entropy = entropy.rotate_right(1) ^ 0x9E37_79B9_7F4A_7C15;
+            *b = if flip {
+                b.to_ascii_uppercase()
+            } else {
+                b.to_ascii_lowercase()
+            };
         }
         out
     }
@@ -277,17 +320,36 @@ impl Name {
     }
 
     /// [`Name::decode`] over an existing name: the labels are written
-    /// straight into `self`'s buffer, so a caller that keeps the slot
-    /// pays neither the 254-byte zero fill nor the move of a fresh
-    /// value. Bytes of the previous name past the new length are never
-    /// read again. On error `self` is the root name.
+    /// straight into `self`'s inline buffer, so a caller that keeps the
+    /// slot pays neither a zero fill nor the move of a fresh value, and
+    /// an inline name allocates nothing. Bytes of the previous name past
+    /// the new length are never read again, and a heap buffer the
+    /// previous name spilled to is freed. On error `self` is the root
+    /// name.
     ///
     /// # Errors
     ///
     /// Same as [`Name::decode`].
     pub fn decode_into(&mut self, r: &mut Reader<'_>) -> Result<(), WireError> {
+        self.spilled = None;
         self.len = 0;
         self.count = 0;
+        match self.read_labels(r) {
+            Ok((len, count)) => {
+                self.len = len as u8;
+                self.count = count as u8;
+                Ok(())
+            }
+            Err(err) => {
+                self.spilled = None;
+                Err(err)
+            }
+        }
+    }
+
+    /// The label loop of [`Name::decode_into`]: stores the labels and
+    /// returns their byte length and count.
+    fn read_labels(&mut self, r: &mut Reader<'_>) -> Result<(usize, usize), WireError> {
         let mut len = 0usize;
         let mut count = 0usize;
         let mut wire_len = 1usize;
@@ -325,8 +387,7 @@ impl Name {
                     if wire_len > MAX_NAME_LEN {
                         return Err(WireError::NameTooLong);
                     }
-                    self.buf[len] = l;
-                    self.buf[len + 1..len + 1 + label.len()].copy_from_slice(label);
+                    self.write_label(len, label);
                     len += 1 + label.len();
                     count += 1;
                 }
@@ -335,9 +396,7 @@ impl Name {
         if let Some(pos) = resume {
             r.seek(pos);
         }
-        self.len = len as u8;
-        self.count = count as u8;
-        Ok(())
+        Ok((len, count))
     }
 }
 
@@ -573,13 +632,6 @@ mod tests {
             huge.parse::<Name>(),
             Err(ParseNameError::NameTooLong(_))
         ));
-    }
-
-    #[test]
-    fn inline_storage_has_no_heap_parts() {
-        // The whole point of the representation: a Name is one flat
-        // value, so cloning or decoding it cannot allocate.
-        assert_eq!(std::mem::size_of::<Name>(), INLINE_CAP + 2);
     }
 
     #[test]

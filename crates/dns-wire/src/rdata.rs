@@ -30,9 +30,10 @@ pub struct Soa {
 /// Typed rdata. Unknown types are carried opaquely so that captures of
 /// nonstandard responses survive a decode/encode roundtrip.
 ///
-/// `Soa` is boxed: its two inline [`Name`]s (~530 bytes) would otherwise
-/// set the size of every variant, and every record of every section
-/// vector is moved, cloned and overwritten at that size. SOA-bearing
+/// `Soa` is boxed: its two [`Name`]s and five counters (~150 bytes)
+/// would otherwise set the size of every variant, twice the 72 it is,
+/// and every record of every section vector is moved, cloned and
+/// overwritten at that size. SOA-bearing
 /// responses are the negative answers, rare on the scan's answered
 /// path, and a reused slot ([`RData::decode_into`]) keeps its box.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -276,8 +276,9 @@ impl Record {
 }
 
 // Every record of every section vector is moved, cloned and overwritten
-// at this size; two inline names (owner + the widest rdata) are the floor.
-const _: () = assert!(std::mem::size_of::<Record>() <= 544);
+// at this size; two 64-byte names (owner + the widest rdata) and the
+// tags, TTL and class beside them are the floor.
+const _: () = assert!(std::mem::size_of::<Record>() <= 144);
 
 impl fmt::Display for Record {
     /// Zone-file-ish presentation: `name ttl class type rdata`.

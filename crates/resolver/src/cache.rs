@@ -93,7 +93,7 @@ impl DnsCache {
     /// down to the remaining lifetime.
     pub fn get(&mut self, name: &Name, rtype: RecordType, now: SimTime) -> Option<Vec<Record>> {
         // The scan's unique qnames meet an empty cache on every Q1:
-        // miss without building a 256-byte key to hash.
+        // miss without building a 72-byte key to hash.
         if self.entries.is_empty() {
             self.misses += 1;
             return None;

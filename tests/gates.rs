@@ -40,7 +40,8 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // A change to any endpoint's packet path, `dns-wire` decode/build or
     // the resolver pool shows up in the first two rows.
     ("dense", "allocations per event", 0.9, 0.777),
-    ("dense", "requested bytes per event", 235.0, 185.2),
+    // 185.2 with 256 B names (528 B records).
+    ("dense", "requested bytes per event", 165.0, 128.5),
     // A scan asks each responder once, so it builds each planned host
     // once: the R1s that come back to a resolver already released and
     // the upstream timeouts that outlive their resolution are settled
@@ -49,20 +50,25 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // would say otherwise).
     ("dense", "materializations", 3_253.0, 3_253.0),
     ("dense", "planned hosts", 3_253.0, 3_253.0),
-    // The most the whole campaign holds at once: 402,490 B. The flow
-    // join is three figures folded at capture time — 8 B a labelled R2
-    // and a bit a label — where a per-label join of 32 B rows, 4 B
-    // index slots and 12 B Q2/R1 stamps read 606,618 B (186.5 B a host).
-    // 4,136 B of it are the host index's membership filter (4,096 B of
-    // bits in front of its directory that answer most misses from one
-    // load) and the 40 B that the filter's fields and the two walks'
-    // precomputed quotients add to heap structs; without them it read
-    // 398,354 B.
+    // The most the whole campaign holds at once: 291,122 B. A `Name`
+    // keeps its labels inline up to 54 bytes and is 64 B, so a record is
+    // 144 B and every pooled resolver's scratch messages, pending and
+    // referral maps are sized to the probe names they hold; with a
+    // 256 B name (528 B records) it read 402,490 B (123.7 B a host). The
+    // flow join is three figures folded at capture time — 4 B a
+    // labelled R2 and a bit a label, the amplification factors a count
+    // per distinct value — where 8 B latencies and an 8 B factor a
+    // response added 16 B an R2, and a per-label join of 32 B rows,
+    // 4 B index slots and 12 B Q2/R1 stamps read 606,618 B with 256 B
+    // names. 4,136 B of it are the host index's membership filter
+    // (4,096 B of bits in front of its directory that answer most
+    // misses from one load) and the 40 B that the filter's fields and
+    // the two walks' precomputed quotients add to heap structs.
     (
         "dense",
         "peak live bytes per planned host",
-        402_490.0 / 3_253.0,
-        402_490.0 / 3_253.0,
+        291_122.0 / 3_253.0,
+        291_122.0 / 3_253.0,
     ),
     ("dense", "live hosts at the peak", 325.0, 10.0),
     // Settling is bookkeeping, not behaviour: every simulator counter
@@ -101,9 +107,10 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // Nothing is held per target: the budget is the measured peak plus
     // two bytes for each of the 61,704 targets, so a stored address a
     // target (246,816 B) trips it and an allocator-neutral edit does
-    // not.
-    ("sparse", "peak live bytes", 250_490.0, 127_082.0),
-    ("sparse", "peak live bytes per target", 4.060, 2.060),
+    // not. The few answered probes' names and records are 64 B and
+    // 144 B; at 256 B and 528 B the peak read 127,250 B.
+    ("sparse", "peak live bytes", 227_942.0, 104_534.0),
+    ("sparse", "peak live bytes per target", 3.694, 1.694),
     ("sparse", "delivered per unrouted", 0.02, 0.013),
     ("sparse", "events beside timers and deliveries", 0.0, 0.0),
     ("sparse", "datagrams sent and not accounted for", 0.0, 0.0),
@@ -114,11 +121,14 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // row a flow would be 4,096 allocations, and the per-label join of
     // rows and a shared stamp log spent 13.
     ("flow-join", "allocations", 12.0, 6.0),
-    // A flow holds its reserved 8 B latency and 8 B amplification
-    // factor and one bit; the cluster's bitset (512 B) and map node
-    // (320 B) spread over the 4,096 make 16.2 B exactly. The per-label
-    // join (a 32 B row, 8 B of index and four 12 B stamps) read 96.0.
-    ("flow-join", "live bytes per flow", 16.203125, 16.203125),
+    // A flow holds its reserved 4 B latency (nanoseconds below 2^32;
+    // a longer one goes to an overflow list no flow here reaches) and
+    // one bit; the amplification factors are a count per distinct value,
+    // nothing a flow. The cluster's bitset (512 B) and map node (320 B)
+    // spread over the 4,096 make 4.2 B exactly. An 8 B latency and an
+    // 8 B factor a flow read 16.2; the per-label join (a 32 B row, 8 B
+    // of index and four 12 B stamps) read 96.0.
+    ("flow-join", "live bytes per flow", 4.203125, 4.203125),
     // `history`: 600 epochs of real observatory rows. A row is integers
     // and fixed-size arrays in one vector that grows by an eighth; its
     // matrix counts one epoch's distinct IPv4 members, so its cells are
