@@ -20,7 +20,7 @@ use orscope_prober::{
     ProbeStats, Prober, ProberConfig, ProberHandle, ScanCheckpoint, SlotSchedule, TargetSource,
 };
 use orscope_resolver::paper::{Year, YearSpec};
-use orscope_resolver::population::{Population, PopulationConfig};
+use orscope_resolver::population::{Member, Population, PopulationConfig};
 use orscope_resolver::{ProfiledResolver, ResolverConfig, ResolverStats};
 use orscope_telemetry::{Collector, MetricValue, Scope, SpanSnapshot, TelemetrySnapshot};
 use orscope_threatintel::ThreatDb;
@@ -415,18 +415,10 @@ impl Campaign {
         // send slots.
         let targets = self.plan_targets(&spec, &population);
 
-        // ---- shard planning ----
-        // Resolvers (and their forwarders) and off-port responders live
-        // where `Population::shard` puts them, which is where the plan's
-        // placement sends their probes.
+        // Every shard reads this one population and keeps the hosts
+        // `Population::home` places on it, which is where the plan's
+        // walk sends their probes.
         let shards = config.shards;
-        let shard_pops: Vec<Population>;
-        let shard_populations: Vec<&Population> = if shards == 1 {
-            vec![&population]
-        } else {
-            shard_pops = population.shard(shards);
-            shard_pops.iter().collect()
-        };
 
         // ---- fan out: one supervised SimNet per shard ----
         // A panicking shard is rebuilt from the same plan (same seed) and
@@ -442,7 +434,7 @@ impl Campaign {
                     attempt,
                     // A retry walks the permutations afresh.
                     TargetSource::new(targets.shard(index, shards)),
-                    shard_populations[index],
+                    &population,
                     targets.hosts(),
                 )))
             })
@@ -620,12 +612,14 @@ impl Campaign {
             }
         }
         let population = plan.population;
+        #[cfg(test)]
+        let (shard, shards) = (plan.shard, plan.shards);
         let publisher = self.publisher(&plan.hosts, population.table());
-        let recorder = ShardRecorder::new(&self.config, population, publisher);
+        let recorder = ShardRecorder::new(&self.config, plan.responders(), publisher);
         let mut world = self.build_shard(plan, None, recorder);
         #[cfg(test)]
         if self.preregister_hosts {
-            world.preregister_hosts(population, &self.config);
+            world.preregister_hosts(population, shard, shards, &self.config);
         }
         // ---- run to completion (or the virtual deadline) ----
         let started = Instant::now();
@@ -712,8 +706,11 @@ impl Campaign {
         auth.enable_auto_advance(plan.cluster_capacity);
         net.insert(infra.auth, Host::Auth(Box::new(auth)));
 
-        // ---- shared upstreams (this shard's slice) ----
-        for host in plan.population.upstreams() {
+        // ---- shared upstreams (the ones this shard holds) ----
+        for (i, host) in plan.population.upstreams().enumerate() {
+            if plan.population.home(Member::Upstream(i), plan.shards) != plan.shard {
+                continue;
+            }
             let resolver = ProfiledResolver::new_shared(
                 std::sync::Arc::clone(host.policy),
                 resolver_config.clone(),
@@ -762,13 +759,15 @@ pub(crate) struct ShardKnobs {
     pub(crate) cluster_capacity: u64,
 }
 
-/// Everything one shard needs to run independently: its slice of the
+/// Everything one shard needs to run independently: the campaign's
 /// population, its walk of the target plan, and derived knobs. Borrows
-/// the shard population, so shard threads are spawned inside
-/// `std::thread::scope`.
+/// the population every shard reads, so shard threads are spawned
+/// inside `std::thread::scope`.
 pub(crate) struct ShardPlan<'a> {
     /// Shard index (0-based).
     pub(crate) shard: usize,
+    /// The campaign's shard count.
+    pub(crate) shards: usize,
     /// Supervision attempt (0 = first run, 1 = retry).
     pub(crate) attempt: u32,
     /// Seed for this shard's `SimNet`.
@@ -782,7 +781,8 @@ pub(crate) struct ShardPlan<'a> {
     /// This shard's targets with their campaign-wide send slots, in
     /// scan order (see [`TargetPlan::shard`]).
     pub(crate) targets: TargetSource,
-    /// The resolvers, off-port responders, and upstreams this shard owns.
+    /// The campaign's population; this shard holds the hosts
+    /// [`Population::home`] places on it.
     pub(crate) population: &'a Population,
     /// The campaign's probed hosts by address (see [`TargetPlan::hosts`]):
     /// a shard is only ever sent to the ones it owns.
@@ -806,6 +806,7 @@ impl<'a> ShardPlan<'a> {
         let cluster_stride = 1_000 / config.shards as u32;
         Self {
             shard: index,
+            shards: config.shards,
             attempt,
             // Decorrelate per-shard simulator seeds; shard 0 keeps the
             // master seed so shards=1 reproduces the classic run exactly.
@@ -817,6 +818,14 @@ impl<'a> ShardPlan<'a> {
             population,
             hosts,
         }
+    }
+
+    /// How many of the population's responders this shard holds: every
+    /// R2 it captures comes from one of them.
+    pub(crate) fn responders(&self) -> usize {
+        let population = self.population;
+        let held = |&member: &Member| population.home(member, self.shards) == self.shard;
+        population.responders().filter(held).count()
     }
 }
 

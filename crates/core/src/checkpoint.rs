@@ -367,7 +367,7 @@ impl Campaign {
         // Phase one's records are fed to the recorder phase two writes
         // into, so the analysis (and any tap) sees the whole campaign.
         let publisher = self.publisher(&plan.hosts, population.table());
-        let mut recorder = ShardRecorder::new(config, &population, publisher);
+        let mut recorder = ShardRecorder::new(config, plan.responders(), publisher);
         for packet in &checkpoint.auth_packets {
             recorder.on_auth(packet);
         }

@@ -15,7 +15,7 @@
 
 use orscope_analysis::AnalysisMode;
 use orscope_resolver::paper::Year;
-use orscope_resolver::population::Population;
+use orscope_resolver::population::{Member, Population};
 use orscope_resolver::{ProfiledResolver, ResolverConfig};
 
 use crate::campaign::{Campaign, CampaignConfig, ShardWorld};
@@ -24,10 +24,22 @@ use crate::result::CampaignResult;
 
 impl ShardWorld {
     /// Registers every resolver and off-port responder of `population`
-    /// up front, wired exactly as the lazy registry would build them.
-    pub(crate) fn preregister_hosts(&mut self, population: &Population, config: &CampaignConfig) {
+    /// that shard `shard` of `shards` holds up front, wired exactly as the
+    /// lazy registry would build them.
+    pub(crate) fn preregister_hosts(
+        &mut self,
+        population: &Population,
+        shard: usize,
+        shards: usize,
+        config: &CampaignConfig,
+    ) {
         let resolver_config = ResolverConfig::new(config.infra.root);
-        for host in population.resolvers().chain(population.off_port()) {
+        let holds = |member| population.home(member, shards) == shard;
+        let resolvers = population.resolvers().enumerate();
+        let off_port = population.off_port().enumerate();
+        let held = (resolvers.filter(|&(i, _)| holds(Member::Resolver(i))))
+            .chain(off_port.filter(|&(i, _)| holds(Member::OffPort(i))));
+        for (_, host) in held {
             let resolver = ProfiledResolver::new_shared(
                 std::sync::Arc::clone(host.policy),
                 resolver_config.clone(),

@@ -7,16 +7,18 @@
 //! silence (addresses that are probed but never answer), and each
 //! silent slot takes the next free address of a second walk, over the
 //! ranks of the probeable space. Every shard runs both walks itself and
-//! keeps the `(slot, address)` pairs it owns. Nothing is ordered,
-//! partitioned or copied per shard before the fan-out, and a supervised
-//! retry or a resumed checkpoint just starts the walks again.
+//! keeps the `(slot, address)` pairs whose host [`Population::home`]
+//! places on it. Every shard reads the campaign's one population, so
+//! nothing is ordered, partitioned or copied per shard before the
+//! fan-out, and a supervised retry or a resumed checkpoint just starts
+//! the walks again.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
 use orscope_ipspace::{AllowedSpace, ScanPermutation};
 use orscope_resolver::paper::YearSpec;
-use orscope_resolver::population::{shard_index, Population};
+use orscope_resolver::population::{shard_index, Member, Population};
 
 use crate::campaign::{CampaignConfig, HostIndex};
 
@@ -121,10 +123,9 @@ impl TargetPlan {
     /// slots: the slot is the position in the campaign-wide walk, so send
     /// times (and time-windowed fault exposure) are shard-layout-invariant.
     ///
-    /// Placement is [`shard_index`] of the target's affinity address —
-    /// where [`Population::shard`] registered a responder, and the
-    /// address itself for silent fill — so a shard probes exactly the
-    /// hosts it holds.
+    /// A responder goes where [`Population::home`] places it, so a shard
+    /// probes exactly the hosts it holds; a silent slot goes to the
+    /// [`shard_index`] of its address.
     pub(crate) fn shard(
         &self,
         shard: usize,
@@ -138,23 +139,25 @@ impl TargetPlan {
             .zip(self.order.iter())
             .filter_map(move |(slot, index)| {
                 let index = index as usize;
-                let addr = if index < resolvers {
-                    population.resolvers.addr(index)
+                let (addr, member) = if index < resolvers {
+                    (
+                        population.resolvers.addr(index),
+                        Some(Member::Resolver(index)),
+                    )
                 } else if index < responders {
-                    population.off_port.addr(index - resolvers)
+                    let i = index - resolvers;
+                    (population.off_port.addr(i), Some(Member::OffPort(i)))
                 } else {
-                    silent
+                    let addr = silent
                         .next()
-                        .expect("the plan has a free address for every silent slot")
+                        .expect("the plan has a free address for every silent slot");
+                    (addr, None)
                 };
-                let affinity = || {
-                    if index < resolvers {
-                        population.affinity(index)
-                    } else {
-                        addr
-                    }
+                let home = || match member {
+                    Some(member) => population.home(member, shards),
+                    None => shard_index(addr, shards),
                 };
-                (shards == 1 || shard_index(affinity(), shards) == shard).then_some((slot, addr))
+                (shards == 1 || home() == shard).then_some((slot, addr))
             })
     }
 }
@@ -162,9 +165,10 @@ impl TargetPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::Campaign;
+    use crate::campaign::{Campaign, ShardPlan};
     use orscope_ipspace::{Blocklist, Cidr};
     use orscope_netsim::{fx_map_with_capacity, FxHashMap, FxHashSet};
+    use orscope_prober::TargetSource;
     use orscope_resolver::paper::Year;
 
     /// The responders in index order, how many targets the scan asks
@@ -226,8 +230,9 @@ mod tests {
 
     /// The plan materialised on the master thread: the whole ordered
     /// target list — a silent slot takes the next free address of the
-    /// rank walk — then a partition through an owner map filled from
-    /// `Population::shard`'s parts.
+    /// rank walk — then a partition through an owner map that places a
+    /// resolver by the [`shard_index`] of its affinity and every other
+    /// address by its own.
     fn eager_plan(
         config: &CampaignConfig,
         spec: &YearSpec,
@@ -252,17 +257,9 @@ mod tests {
             shard_targets[0] = ordered;
             return (shard_slots, shard_targets);
         }
-        let parts = population.shard(shards);
         let mut owner: FxHashMap<Ipv4Addr, usize> = fx_map_with_capacity(population.len());
-        for (index, part) in parts.iter().enumerate() {
-            for addr in part
-                .resolvers
-                .addrs()
-                .chain(part.off_port.addrs())
-                .chain(part.upstreams.addrs())
-            {
-                owner.insert(addr, index);
-            }
+        for (i, addr) in population.resolvers.addrs().enumerate() {
+            owner.insert(addr, shard_index(population.affinity(i), shards));
         }
         for (global_index, addr) in ordered.into_iter().enumerate() {
             let index = owner
@@ -311,6 +308,43 @@ mod tests {
                         assert_eq!(lazy_targets, targets[shard], "{context}");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn each_shard_reserves_for_the_responders_its_walk_hands_it() {
+        for seed in [0xD5A1_2019, 1, 2, 77] {
+            for shards in [1, 2, 3, 4, 8] {
+                let [config, _] = configs(seed, shards);
+                let campaign = Campaign::new(config.clone());
+                let knobs = campaign.shard_knobs(&YearSpec::get(config.year));
+                let population = Arc::new(campaign.build_population());
+                let plan = plan_of(&config, &population);
+                let mut total = 0;
+                for shard in 0..shards {
+                    let handed = plan
+                        .shard(shard, shards)
+                        .filter(|&(_, addr)| plan.hosts.contains(addr))
+                        .count();
+                    let targets = TargetSource::new(plan.shard(shard, shards));
+                    let shard_plan = ShardPlan::new(
+                        &config,
+                        &knobs,
+                        shard,
+                        0,
+                        targets,
+                        &population,
+                        plan.hosts(),
+                    );
+                    assert_eq!(
+                        shard_plan.responders(),
+                        handed,
+                        "seed {seed:#x}, shard {shard}/{shards}"
+                    );
+                    total += handed;
+                }
+                assert_eq!(total, population.responders().count(), "seed {seed:#x}");
             }
         }
     }

@@ -13,7 +13,6 @@ use std::sync::Arc;
 use orscope_analysis::{AnalysisMode, RecordSink, StreamingAnalyzer};
 use orscope_authns::{CapturedPacket, Direction};
 use orscope_prober::R2Capture;
-use orscope_resolver::population::Population;
 use orscope_resolver::ProfileTable;
 
 use crate::bus::{Captured, Record, RecordBus};
@@ -80,20 +79,20 @@ impl ShardRecorder {
         }
     }
 
-    /// The recorder `config.analysis` asks for. `population` is the
-    /// shard's: every R2 comes from a probed responder, so its responder
-    /// count bounds the per-response state exactly, and sizing the
+    /// The recorder `config.analysis` asks for. `responders` is how
+    /// many the shard holds: every R2 comes from a probed responder, so
+    /// that count bounds the per-response state exactly, and sizing the
     /// analyzer up front keeps it at its final footprint instead of
     /// doubling past it.
     pub(crate) fn new(
         config: &CampaignConfig,
-        population: &Population,
+        responders: usize,
         publisher: Option<Publisher>,
     ) -> Self {
         let mut recorder = Self::buffering(publisher);
         if config.analysis == AnalysisMode::Streaming {
             let mut analyzer = StreamingAnalyzer::new(config.infra.zone.clone(), config.retain_raw);
-            analyzer.reserve_flows(population.resolvers.len() + population.off_port.len());
+            analyzer.reserve_flows(responders);
             recorder.analyzer = Some(analyzer);
         }
         recorder
@@ -136,6 +135,7 @@ mod tests {
     use orscope_dns_wire::{Message, Question};
     use orscope_netsim::SimTime;
     use orscope_resolver::paper::Year;
+    use orscope_resolver::population::Population;
 
     use crate::campaign::Campaign;
 
@@ -157,7 +157,11 @@ mod tests {
             let campaign = Campaign::new(config(analysis));
             let population = campaign.build_population();
             let publisher = publisher(bus, &population);
-            ShardRecorder::new(campaign.config(), &population, Some(publisher))
+            ShardRecorder::new(
+                campaign.config(),
+                population.responders().count(),
+                Some(publisher),
+            )
         })
     }
 
@@ -243,7 +247,7 @@ mod tests {
         let host = population.resolver(0);
         let mut recorder = ShardRecorder::new(
             campaign.config(),
-            &population,
+            population.responders().count(),
             Some(publisher(&bus, &population)),
         );
         let mut probed = r2(0);

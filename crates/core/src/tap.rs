@@ -460,11 +460,6 @@ impl TapSubscriber {
         }
     }
 
-    /// Stable lane id (matches `/metrics` `lane=` labels).
-    pub fn lane_id(&self) -> u64 {
-        self.receiver.id()
-    }
-
     /// Records the publisher dropped on this lane so far.
     pub fn dropped(&self) -> u64 {
         self.receiver.dropped()

@@ -129,11 +129,6 @@ impl Rcode {
             other => Rcode::Other(other),
         }
     }
-
-    /// Whether this rcode signals successful resolution.
-    pub fn is_success(self) -> bool {
-        self == Rcode::NoError
-    }
 }
 
 impl fmt::Display for Rcode {
@@ -231,12 +226,6 @@ impl Header {
         self.opcode
     }
 
-    /// Sets the operation code.
-    pub fn set_opcode(&mut self, opcode: Opcode) -> &mut Self {
-        self.opcode = opcode;
-        self
-    }
-
     /// AA bit: authoritative answer.
     pub fn authoritative(&self) -> bool {
         self.authoritative
@@ -279,11 +268,6 @@ impl Header {
     pub fn set_recursion_available(&mut self, ra: bool) -> &mut Self {
         self.recursion_available = ra;
         self
-    }
-
-    /// The reserved Z bit.
-    pub fn z_bit(&self) -> bool {
-        self.z
     }
 
     /// Sets the reserved Z bit (only broken implementations do).

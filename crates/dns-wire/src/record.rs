@@ -198,11 +198,6 @@ impl Record {
         &self.rdata
     }
 
-    /// Consumes the record, returning its rdata.
-    pub fn into_rdata(self) -> RData {
-        self.rdata
-    }
-
     /// Encodes the record with a backpatched RDLENGTH.
     pub fn encode(&self, w: &mut Writer) -> Result<(), WireError> {
         self.name.encode(w)?;

@@ -231,11 +231,6 @@ impl ProfiledResolver {
         &self.policy
     }
 
-    /// The behaviour profile, shared.
-    pub fn policy_shared(&self) -> &std::sync::Arc<ResponsePolicy> {
-        &self.policy
-    }
-
     /// Runtime counters.
     pub fn stats(&self) -> ResolverStats {
         self.stats

@@ -215,8 +215,19 @@ pub struct Population {
     /// population; registered on the network but never probed.
     pub upstreams: HostList,
     /// The interned profile/country table all three lists resolve
-    /// against; shared (not cloned) by shard sub-populations.
+    /// against; every shard's host registry shares it (not a copy).
     pub table: Arc<ProfileTable>,
+}
+
+/// One host of a [`Population`]: a list and an index into it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Member {
+    /// The `i`-th planned resolver.
+    Resolver(usize),
+    /// The `i`-th off-port responder.
+    OffPort(usize),
+    /// The `i`-th forwarder upstream.
+    Upstream(usize),
 }
 
 impl Population {
@@ -639,59 +650,30 @@ impl Population {
             .unwrap_or_else(|| self.resolvers.addr(i))
     }
 
-    /// Partitions the population into `shards` disjoint sub-populations
-    /// for parallel campaign execution.
-    ///
-    /// Placement is by [`shard_index`] of each resolver's
-    /// [`Population::affinity`] and of every other host's own address.
-    /// Within each shard the original generation order is
-    /// preserved, so `shard(1)` reproduces the population unchanged.
-    ///
-    /// The threat/geo seed lists (`malicious_answers`, `answer_orgs`)
-    /// describe answer *values*, not hosts; every shard receives a full
-    /// copy so each sub-population remains self-contained.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn shard(&self, shards: usize) -> Vec<Population> {
-        assert!(shards > 0, "shard count must be positive");
-        let mut parts: Vec<Population> = (0..shards)
-            .map(|_| Population {
-                year: self.year,
-                scale: self.scale,
-                resolvers: HostList::default(),
-                malicious_answers: self.malicious_answers.clone(),
-                answer_orgs: self.answer_orgs.clone(),
-                off_port: HostList::default(),
-                upstreams: HostList::default(),
-                table: Arc::clone(&self.table),
-            })
-            .collect();
-        for i in 0..self.resolvers.len() {
-            parts[shard_index(self.affinity(i), shards)].resolvers.push(
-                self.resolvers.addr(i),
-                self.resolvers.profile_id(i),
-                self.resolvers.country_id(i),
-            );
+    /// The shard of `shards` that holds `member`: the [`shard_index`] of
+    /// a resolver's [`Population::affinity`], and of an off-port
+    /// responder's or an upstream's own address. Every shard of a
+    /// campaign reads the one population, and this is how each picks
+    /// out its own hosts: the probes it sends, the upstreams it
+    /// registers and the responders its analysis is sized for.
+    pub fn home(&self, member: Member, shards: usize) -> usize {
+        if shards == 1 {
+            return 0;
         }
-        for i in 0..self.off_port.len() {
-            let addr = self.off_port.addr(i);
-            parts[shard_index(addr, shards)].off_port.push(
-                addr,
-                self.off_port.profile_id(i),
-                self.off_port.country_id(i),
-            );
-        }
-        for i in 0..self.upstreams.len() {
-            let addr = self.upstreams.addr(i);
-            parts[shard_index(addr, shards)].upstreams.push(
-                addr,
-                self.upstreams.profile_id(i),
-                self.upstreams.country_id(i),
-            );
-        }
-        parts
+        let addr = match member {
+            Member::Resolver(i) => self.affinity(i),
+            Member::OffPort(i) => self.off_port.addr(i),
+            Member::Upstream(i) => self.upstreams.addr(i),
+        };
+        shard_index(addr, shards)
+    }
+
+    /// The probed hosts, in the order the scan plan numbers them:
+    /// resolvers, then off-port responders.
+    pub fn responders(&self) -> impl Iterator<Item = Member> {
+        (0..self.resolvers.len())
+            .map(Member::Resolver)
+            .chain((0..self.off_port.len()).map(Member::OffPort))
     }
 
     /// Appends `part`'s hosts to this population, re-interning their
@@ -1251,68 +1233,91 @@ mod extreme_scale_tests {
 mod shard_tests {
     use super::*;
     use crate::paper::Year;
-    use std::collections::HashSet;
 
-    fn forwarder_pop() -> Population {
-        let mut config = PopulationConfig::new(Year::Y2018, 5_000.0);
-        config.forwarder_fraction = 0.3;
-        config.off_port_responders = 10;
-        Population::generate(&config)
+    const SHARDS: [usize; 5] = [1, 2, 3, 4, 8];
+
+    fn forwarder_pops() -> impl Iterator<Item = Population> {
+        [0xD5A1_2019, 1, 2, 77].into_iter().map(|seed| {
+            let mut config = PopulationConfig::new(Year::Y2018, 5_000.0);
+            config.seed = seed;
+            config.forwarder_fraction = 0.25;
+            config.off_port_responders = 10;
+            Population::generate(&config)
+        })
     }
 
-    #[test]
-    fn shard_of_one_is_identity() {
-        let pop = forwarder_pop();
-        let parts = pop.shard(1);
-        assert_eq!(parts.len(), 1);
-        assert_eq!(parts[0].resolvers, pop.resolvers);
-        assert_eq!(parts[0].off_port, pop.off_port);
-        assert_eq!(parts[0].upstreams, pop.upstreams);
+    fn members(pop: &Population) -> impl Iterator<Item = (Member, Ipv4Addr)> + '_ {
+        pop.responders()
+            .chain((0..pop.upstreams.len()).map(Member::Upstream))
+            .map(|member| {
+                let addr = match member {
+                    Member::Resolver(i) => pop.resolvers.addr(i),
+                    Member::OffPort(i) => pop.off_port.addr(i),
+                    Member::Upstream(i) => pop.upstreams.addr(i),
+                };
+                (member, addr)
+            })
     }
 
     #[test]
     fn shards_partition_without_loss_or_overlap() {
-        let pop = forwarder_pop();
-        for n in [2usize, 4, 8] {
-            let parts = pop.shard(n);
-            assert_eq!(parts.len(), n);
-            let total: usize = parts.iter().map(|p| p.resolvers.len()).sum();
-            assert_eq!(total, pop.resolvers.len(), "{n} shards");
-            let off: usize = parts.iter().map(|p| p.off_port.len()).sum();
-            assert_eq!(off, pop.off_port.len());
-            let ups: usize = parts.iter().map(|p| p.upstreams.len()).sum();
-            assert_eq!(ups, pop.upstreams.len());
-            let mut seen = HashSet::new();
-            for part in &parts {
-                for addr in part
-                    .resolvers
-                    .addrs()
-                    .chain(part.off_port.addrs())
-                    .chain(part.upstreams.addrs())
-                {
-                    assert!(seen.insert(addr), "{addr} assigned twice");
+        for pop in forwarder_pops() {
+            assert!(!pop.upstreams.is_empty(), "fixture needs forwarders");
+            assert!(
+                !pop.off_port.is_empty(),
+                "fixture needs off-port responders"
+            );
+            let hosts = pop.resolvers.len() + pop.off_port.len() + pop.upstreams.len();
+            for n in SHARDS {
+                let mut home: FxHashMap<Ipv4Addr, usize> = FxHashMap::default();
+                let mut held = vec![0usize; n];
+                for (member, addr) in members(&pop) {
+                    let shard = pop.home(member, n);
+                    assert!(shard < n, "{member:?} placed on shard {shard} of {n}");
+                    assert_eq!(shard, pop.home(member, n), "{member:?} moved");
+                    assert!(home.insert(addr, shard).is_none(), "{addr} placed twice");
+                    held[shard] += 1;
                 }
+                assert_eq!(held.iter().sum::<usize>(), hosts, "{n} shards");
+                assert!(held.iter().all(|&h| h > 0), "{n} shards: {held:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn shard_of_one_is_identity() {
+        for pop in forwarder_pops() {
+            for (member, addr) in members(&pop) {
+                assert_eq!(pop.home(member, 1), 0, "{member:?} ({addr}) off shard 0");
             }
         }
     }
 
     #[test]
     fn forwarders_are_colocated_with_their_upstream() {
-        let pop = forwarder_pop();
-        assert!(!pop.upstreams.is_empty(), "fixture needs forwarders");
-        for n in [2usize, 4, 8] {
-            for part in pop.shard(n) {
-                let local: HashSet<Ipv4Addr> = part.upstreams.addrs().collect();
-                for r in part.resolvers() {
-                    if let Some(up) = r.policy.upstream_addr() {
-                        assert!(
-                            local.contains(&up),
-                            "forwarder {} split from upstream {up} at {n} shards",
-                            r.addr
-                        );
-                    }
+        for pop in forwarder_pops() {
+            let upstream: FxHashMap<Ipv4Addr, usize> = pop
+                .upstreams
+                .addrs()
+                .enumerate()
+                .map(|(j, a)| (a, j))
+                .collect();
+            let mut forwarders = 0;
+            for n in SHARDS {
+                for (i, host) in pop.resolvers().enumerate() {
+                    let Some(up) = host.policy.upstream_addr() else {
+                        continue;
+                    };
+                    forwarders += 1;
+                    assert_eq!(
+                        pop.home(Member::Resolver(i), n),
+                        pop.home(Member::Upstream(upstream[&up]), n),
+                        "forwarder {} split from upstream {up} at {n} shards",
+                        host.addr
+                    );
                 }
             }
+            assert!(forwarders > 0, "fixture needs forwarders");
         }
     }
 
