@@ -16,9 +16,7 @@ use orscope_netsim::{
     Coverage, FaultKind, FaultPlan, FaultRule, FaultScope, HashLatency, LazyRegistry, NetStats,
     SimNet, SimTime,
 };
-use orscope_prober::{
-    ProbeStats, Prober, ProberConfig, ProberHandle, ScanCheckpoint, SlotSchedule, TargetSource,
-};
+use orscope_prober::{ProbeStats, Prober, ProberConfig, ProberHandle, SlotSchedule, TargetSource};
 use orscope_resolver::paper::{Year, YearSpec};
 use orscope_resolver::population::{Member, Population, PopulationConfig};
 use orscope_resolver::{ProfiledResolver, ResolverConfig, ResolverStats};
@@ -491,9 +489,8 @@ impl Campaign {
         Ok(result)
     }
 
-    /// Merges the outcomes of the shards that finished into one result:
-    /// the merge of [`Campaign::run`] and of [`Campaign::resume_from`].
-    pub(crate) fn assemble(
+    /// Merges the outcomes of the shards that finished into one result.
+    fn assemble(
         &self,
         population: std::sync::Arc<Population>,
         threat: ThreatDb,
@@ -572,7 +569,7 @@ impl Campaign {
 
     /// A shard's end of the attached bus, if any: its records tagged with
     /// the classes `hosts` and `table` give them.
-    pub(crate) fn publisher(
+    fn publisher(
         &self,
         hosts: &std::sync::Arc<HostIndex>,
         table: &std::sync::Arc<orscope_resolver::ProfileTable>,
@@ -616,7 +613,7 @@ impl Campaign {
         let (shard, shards) = (plan.shard, plan.shards);
         let publisher = self.publisher(&plan.hosts, population.table());
         let recorder = ShardRecorder::new(&self.config, plan.responders(), publisher);
-        let mut world = self.build_shard(plan, None, recorder);
+        let mut world = self.build_shard(plan, recorder);
         #[cfg(test)]
         if self.preregister_hosts {
             world.preregister_hosts(population, shard, shards, &self.config);
@@ -643,15 +640,9 @@ impl Campaign {
     }
 
     /// Assembles one shard's simulator: network, name-server hierarchy,
-    /// resolver population, and prober (resumed from `resume` when
-    /// given), with both capture points writing into `recorder`. The
-    /// caller decides how far to run it.
-    pub(crate) fn build_shard(
-        &self,
-        plan: ShardPlan<'_>,
-        resume: Option<&ScanCheckpoint>,
-        recorder: ShardRecorder,
-    ) -> ShardWorld {
+    /// resolver population, and prober, with both capture points writing
+    /// into `recorder`. The caller decides how far to run it.
+    fn build_shard(&self, plan: ShardPlan<'_>, recorder: ShardRecorder) -> ShardWorld {
         let config = &self.config;
         let infra = &config.infra;
 
@@ -725,18 +716,11 @@ impl Campaign {
         prober_config.cluster_capacity = plan.cluster_capacity;
         prober_config.base_cluster = plan.base_cluster;
         prober_config.retry_limit = config.retry_limit;
-        if resume.is_none() {
-            // Campaign-global send slots; a resumed scan paces locally
-            // over its remaining targets instead.
-            prober_config.slots = Some(SlotSchedule {
-                total_rate_pps: plan.total_rate_pps,
-            });
-        }
-        let prober = match resume {
-            None => Prober::new(prober_config, prober_handle.clone()),
-            Some(checkpoint) => Prober::resume(prober_config, prober_handle.clone(), checkpoint),
-        }
-        .expect("probe rate validated");
+        prober_config.slots = Some(SlotSchedule {
+            total_rate_pps: plan.total_rate_pps,
+        });
+        let prober =
+            Prober::new(prober_config, prober_handle.clone()).expect("probe rate validated");
         net.insert(infra.prober, Host::Prober(Box::new(prober)));
         net.set_timer_for(infra.prober, SimTime::ZERO, 0);
 
@@ -745,7 +729,6 @@ impl Campaign {
             prober_handle,
             recorder,
             released,
-            carried: resume.map_or((0, 0), |scan| (scan.q1_sent, scan.r2_captured)),
             cluster_capacity: plan.cluster_capacity,
         }
     }
@@ -1039,25 +1022,21 @@ pub(crate) struct ShardWorld {
     /// The shard's simulator with every endpoint registered.
     pub(crate) net: SimNet<Host>,
     /// Live view of the prober's counters.
-    pub(crate) prober_handle: ProberHandle,
+    prober_handle: ProberHandle,
     /// The shard's record pipeline; the prober and the authoritative
     /// server hold the other two references.
-    pub(crate) recorder: Rc<RefCell<ShardRecorder>>,
+    recorder: Rc<RefCell<ShardRecorder>>,
     /// The books of the resolvers released so far (the registry holds
     /// the other reference).
     released: Rc<RefCell<ResolverStats>>,
-    /// `(Q1 sent, R2 captured)` carried in from the checkpoint a resumed
-    /// world started at: on the prober's books, which cover the whole
-    /// scan, but not this world's to publish.
-    carried: (u64, u64),
     /// Names per subdomain cluster (for the load-time model).
-    pub(crate) cluster_capacity: u64,
+    cluster_capacity: u64,
 }
 
 impl ShardWorld {
     /// Harvests a completed shard run, which took `probe_wall`, into a
     /// mergeable outcome.
-    pub(crate) fn collect(mut self, probe_wall: Duration) -> ShardOutcome {
+    fn collect(mut self, probe_wall: Duration) -> ShardOutcome {
         let probe_stats = self.prober_handle.stats();
         debug_assert!(probe_stats.done, "scan did not drain");
         // Scan wall clock: probe completion plus the zone-cluster load
@@ -1134,7 +1113,6 @@ impl ShardWorld {
         auth: &AuthStats,
     ) -> TelemetrySnapshot {
         let net = self.net.stats();
-        let (carried_q1, carried_r2) = self.carried;
         let global = [
             ("net.datagrams_sent", net.sent),
             ("net.datagrams_lost", net.lost),
@@ -1145,8 +1123,8 @@ impl ShardWorld {
             ("net.faults_injected", net.faults_injected),
             ("net.blackhole_drops", net.blackhole_drops),
             ("net.crash_drops", net.crash_drops),
-            ("prober.probes_sent", probe.q1_sent - carried_q1),
-            ("prober.r2_captured", probe.r2_captured - carried_r2),
+            ("prober.probes_sent", probe.q1_sent),
+            ("prober.r2_captured", probe.r2_captured),
             ("prober.off_port_dropped", probe.off_port_dropped),
             ("prober.unmatched", probe.unmatched),
             ("prober.retransmits_sent", probe.retransmits_sent),

@@ -25,12 +25,12 @@
 
 pub mod bus;
 pub mod campaign;
-pub mod checkpoint;
 #[cfg(test)]
 mod eager_oracle;
 pub mod error;
 mod host;
 pub mod infra;
+pub mod integrity;
 mod plan;
 mod recorder;
 pub mod result;
@@ -41,7 +41,6 @@ pub mod trend;
 
 pub use bus::{BusStats, Captured, Record, RecordBus, TapLaneStats, DEFAULT_TAP_CAPACITY};
 pub use campaign::{Campaign, CampaignConfig};
-pub use checkpoint::{integrity, CampaignCheckpoint};
 pub use error::{CampaignError, DegradedReport, ShardFailure, ShardSabotage};
 pub use infra::Infra;
 pub use orscope_analysis::AnalysisMode;

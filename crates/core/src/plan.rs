@@ -10,8 +10,7 @@
 //! keeps the `(slot, address)` pairs whose host [`Population::home`]
 //! places on it. Every shard reads the campaign's one population, so
 //! nothing is ordered, partitioned or copied per shard before the
-//! fan-out, and a supervised retry or a resumed checkpoint just starts
-//! the walks again.
+//! fan-out, and a supervised retry just starts the walks again.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -418,8 +417,9 @@ mod tests {
 
     #[test]
     fn a_fresh_walk_skipped_to_a_cursor_is_the_walks_tail() {
-        // What `Prober::resume` and a supervised retry rely on: the
-        // stream holds no state a second call does not rebuild.
+        // What a supervised retry relies on: the stream holds no state a
+        // second call does not rebuild, so a rebuilt walk skipped past
+        // any prefix is the first walk's tail.
         for (config, shards) in configs(77, 1).into_iter().zip([1, 3]) {
             let population = Arc::new(Campaign::new(config.clone()).build_population());
             let plan = plan_of(&config, &population);

@@ -56,8 +56,7 @@ impl Publisher {
 #[derive(Debug, Default)]
 pub(crate) struct ShardRecorder {
     /// The streaming accumulators every record folds into at capture
-    /// time. `None` buffers the records instead: batch analysis, and
-    /// phase one of a checkpointed run.
+    /// time. `None` buffers the records instead, for batch analysis.
     pub(crate) analyzer: Option<StreamingAnalyzer>,
     /// Buffered R2 captures, in capture order.
     pub(crate) captures: Vec<R2Capture>,
@@ -71,14 +70,6 @@ pub(crate) struct ShardRecorder {
 }
 
 impl ShardRecorder {
-    /// A recorder that buffers every record.
-    pub(crate) fn buffering(publisher: Option<Publisher>) -> Self {
-        Self {
-            publisher,
-            ..Self::default()
-        }
-    }
-
     /// The recorder `config.analysis` asks for. `responders` is how
     /// many the shard holds: every R2 comes from a probed responder, so
     /// that count bounds the per-response state exactly, and sizing the
@@ -89,13 +80,16 @@ impl ShardRecorder {
         responders: usize,
         publisher: Option<Publisher>,
     ) -> Self {
-        let mut recorder = Self::buffering(publisher);
-        if config.analysis == AnalysisMode::Streaming {
+        let analyzer = (config.analysis == AnalysisMode::Streaming).then(|| {
             let mut analyzer = StreamingAnalyzer::new(config.infra.zone.clone(), config.retain_raw);
             analyzer.reserve_flows(responders);
-            recorder.analyzer = Some(analyzer);
+            analyzer
+        });
+        Self {
+            analyzer,
+            publisher,
+            ..Self::default()
         }
-        recorder
     }
 }
 
@@ -129,7 +123,6 @@ impl RecordSink for ShardRecorder {
 mod tests {
     use super::*;
     use std::net::Ipv4Addr;
-    use std::time::Duration;
 
     use orscope_authns::ProbeLabel;
     use orscope_dns_wire::{Message, Question};
@@ -282,25 +275,5 @@ mod tests {
             assert_eq!(stalled.dropped(), 100 * round - 1);
             assert_eq!(bus.stats().dropped, stalled.dropped());
         }
-    }
-
-    #[test]
-    fn buffering_and_streaming_recorders_render_identical_tables() {
-        // Phase one of a checkpointed run always buffers; cut after the
-        // scan has drained and the checkpoint holds every record of the
-        // campaign. Resuming replays them into the recorder the analysis
-        // mode asks for, with nothing left to probe.
-        let checkpoint = Campaign::new(config(AnalysisMode::Streaming))
-            .run_partial(Duration::from_secs(7 * 86_400))
-            .unwrap();
-        assert!(checkpoint.outstanding.is_empty() && !checkpoint.captures.is_empty());
-        let tables = |analysis| {
-            let result = Campaign::new(config(analysis))
-                .resume_from(&checkpoint)
-                .unwrap();
-            assert_eq!(result.dataset().r2(), checkpoint.captures.len() as u64);
-            result.tables_json()
-        };
-        assert_eq!(tables(AnalysisMode::Streaming), tables(AnalysisMode::Batch));
     }
 }

@@ -529,8 +529,7 @@ impl CampaignResult {
     }
 
     /// The table blocks alone as compact JSON: the bytes the invariance
-    /// suites compare across shard counts, analysis modes, taps and
-    /// resumes.
+    /// suites compare across shard counts, analysis modes and taps.
     pub fn tables_json(&self) -> String {
         TableReport::all_to_wire(&self.table_reports()).encode()
     }

@@ -23,14 +23,12 @@
 //!   files, as the paper's 2013 pipeline stored its traffic.
 
 pub mod capture;
-pub mod checkpoint;
 pub mod pacer;
 pub mod pcap;
 pub mod scan;
 pub mod subdomain;
 
 pub use capture::{ProbeStats, ProberHandle, R2Capture};
-pub use checkpoint::ScanCheckpoint;
 pub use pacer::{Pacer, ZeroRateError};
 pub use scan::{Prober, ProberConfig, SlotSchedule, TargetSource};
 pub use subdomain::SubdomainGenerator;

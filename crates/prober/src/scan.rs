@@ -25,8 +25,6 @@ use crate::subdomain::SubdomainGenerator;
 /// pacing ignores. A plain list converts with its positions as slots.
 pub struct TargetSource {
     pairs: Peekable<Box<dyn Iterator<Item = (u64, Ipv4Addr)>>>,
-    /// Pairs handed out so far (the checkpoint cursor).
-    taken: usize,
 }
 
 impl TargetSource {
@@ -35,7 +33,6 @@ impl TargetSource {
         let pairs: Box<dyn Iterator<Item = (u64, Ipv4Addr)>> = Box::new(pairs);
         Self {
             pairs: pairs.peekable(),
-            taken: 0,
         }
     }
 
@@ -44,9 +41,7 @@ impl TargetSource {
     }
 
     fn next(&mut self) -> Option<(u64, Ipv4Addr)> {
-        let pair = self.pairs.next()?;
-        self.taken += 1;
-        Some(pair)
+        self.pairs.next()
     }
 }
 
@@ -58,9 +53,7 @@ impl From<Vec<Ipv4Addr>> for TargetSource {
 
 impl std::fmt::Debug for TargetSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TargetSource")
-            .field("taken", &self.taken)
-            .finish_non_exhaustive()
+        f.debug_struct("TargetSource").finish_non_exhaustive()
     }
 }
 
@@ -273,8 +266,7 @@ pub struct Prober {
     config: ProberConfig,
     pacer: Pacer,
     generator: SubdomainGenerator,
-    /// The probe in flight to each target. Fx, not SipHash with a
-    /// per-process key: the checkpoint reads this map, and the
+    /// The probe in flight to each target. Fx, not SipHash: the
     /// simulator controls every key.
     outstanding: FxHashMap<Ipv4Addr, Outstanding>,
     expiry: ExpiryQueue,
@@ -289,34 +281,6 @@ pub struct Prober {
 }
 
 impl Prober {
-    /// Creates a prober resuming from `checkpoint`; pair with the
-    /// original target stream followed by the
-    /// [`Prober::outstanding_targets`] reported at the checkpoint. The
-    /// targets before the checkpoint's cursor are skipped.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZeroRateError`] for a zero packet rate.
-    pub fn resume(
-        config: ProberConfig,
-        handle: ProberHandle,
-        checkpoint: &crate::checkpoint::ScanCheckpoint,
-    ) -> Result<Self, ZeroRateError> {
-        let mut prober = Self::new(config, handle)?;
-        prober.generator = checkpoint.restore_generator(&[]);
-        for _ in 0..checkpoint.next_target {
-            if prober.config.targets.next().is_none() {
-                break;
-            }
-        }
-        {
-            let mut shared = prober.handle.inner.borrow_mut();
-            shared.stats.q1_sent = checkpoint.q1_sent;
-            shared.stats.r2_captured = checkpoint.r2_captured;
-        }
-        Ok(prober)
-    }
-
     /// Creates a prober writing results through `handle`.
     ///
     /// # Errors
@@ -466,36 +430,6 @@ impl Prober {
             self.generator.recycle(out.label);
             books.probes_abandoned += 1;
         }
-    }
-
-    /// The results handle (checkpointing).
-    pub fn handle(&self) -> &ProberHandle {
-        &self.handle
-    }
-
-    /// The subdomain generator (checkpointing).
-    pub fn generator(&self) -> &SubdomainGenerator {
-        &self.generator
-    }
-
-    /// Targets pulled from the source so far (checkpointing).
-    pub fn next_target(&self) -> usize {
-        self.config.targets.taken
-    }
-
-    /// Labels currently in flight, sorted (checkpointing).
-    pub fn outstanding_labels(&self) -> Vec<ProbeLabel> {
-        let mut labels: Vec<ProbeLabel> = self.outstanding.values().map(|o| o.label).collect();
-        labels.sort_unstable();
-        labels
-    }
-
-    /// The targets in flight, sorted; chain these after the target
-    /// stream when resuming so they are re-probed.
-    pub fn outstanding_targets(&self) -> Vec<Ipv4Addr> {
-        let mut targets: Vec<Ipv4Addr> = self.outstanding.keys().copied().collect();
-        targets.sort_unstable();
-        targets
     }
 
     /// Publishes what a timer dispatch's ticks counted, the generator's

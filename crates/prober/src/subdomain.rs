@@ -132,47 +132,9 @@ impl SubdomainGenerator {
         self.reuse_pool.len()
     }
 
-    /// Iterates the reuse pool in FIFO order (checkpointing).
-    pub fn reuse_pool_labels(&self) -> impl Iterator<Item = ProbeLabel> + '_ {
-        self.reuse_pool.iter().copied()
-    }
-
     /// Current cluster number.
     pub fn cluster(&self) -> u32 {
         self.cluster
-    }
-
-    /// Next fresh sequence number.
-    pub fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Configured cluster capacity.
-    pub fn cluster_capacity(&self) -> u64 {
-        self.cluster_capacity
-    }
-
-    /// Rebuilds a generator at an exact cursor (checkpoint resume).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range cursor values, as [`SubdomainGenerator::new`]
-    /// would.
-    pub fn restore(
-        cluster: u32,
-        next_seq: u64,
-        cluster_capacity: u64,
-        fresh: u64,
-        reused: u64,
-    ) -> Self {
-        assert!(cluster <= 999, "cluster out of range");
-        assert!(next_seq <= cluster_capacity, "sequence beyond capacity");
-        let mut generator = Self::new(cluster_capacity);
-        generator.cluster = cluster;
-        generator.next_seq = next_seq;
-        generator.fresh = fresh;
-        generator.reused = reused;
-        generator
     }
 }
 

@@ -4,7 +4,6 @@
 //! orscope campaign [--year 2018] [--scale 1000] [--seed N] [--shards N] [--full-q1]
 //!                  [--loss P] [--duplicate P] [--retries N] [--rate PPS]
 //!                  [--authns-outage FROM:UNTIL] [--faults FILE.json]
-//!                  [--stop-after SECS --checkpoint-file FILE]
 //!                  [--json FILE] [--telemetry FILE]
 //! orscope tables   [--scale 500] [--json FILE] [--markdown FILE]
 //! orscope trend    [--steps 6] [--scale 2000]       # 2013 -> 2018 series
@@ -21,15 +20,15 @@
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use orscope_core::{
-    integrity, run_trend, Campaign, CampaignConfig, PredicateError, RecordBus, TapPredicate,
-    TapSubscriber, TrendConfig, DEFAULT_TAP_CAPACITY,
+    run_trend, Campaign, CampaignConfig, PredicateError, RecordBus, TapPredicate, TapSubscriber,
+    TrendConfig, DEFAULT_TAP_CAPACITY,
 };
 use orscope_json::Wire;
 use orscope_netsim::{FaultKind, FaultPlan, FaultRule, FaultScope};
@@ -72,7 +71,6 @@ const HELP: &str = "orscope — behavioral analysis of open DNS resolvers (DSN'1
      \x20                  [--full-q1] [--loss P] [--duplicate P] [--retries N]\n\
      \x20                  [--rate PPS] [--authns-outage FROM:UNTIL]\n\
      \x20                  [--faults FILE.json]\n\
-     \x20                  [--stop-after SECS --checkpoint-file FILE]\n\
      \x20                  [--json FILE] [--telemetry FILE]\n\
      \x20 orscope tables   [--scale S] [--json FILE] [--markdown FILE]\n\
      \x20 orscope trend    [--steps N] [--scale S] [--seed N]\n\
@@ -119,8 +117,6 @@ const HELP: &str = "orscope — behavioral analysis of open DNS resolvers (DSN'1
      \x20 --authns-outage A:B   blackhole the authoritative server between\n\
      \x20                       virtual seconds A and B\n\
      \x20 --faults FILE.json    install a full fault plan from JSON\n\
-     \x20 --stop-after SECS     freeze at SECS of virtual time and write the\n\
-     \x20                       scan cursor to --checkpoint-file FILE\n\
      \n\
      UNATTENDED OPERATION (serve):\n\
      \x20 --keep-generations K  retain the newest K verified checkpoint\n\
@@ -151,8 +147,6 @@ const CAMPAIGN_FLAGS: &[&str] = &[
     "--rate",
     "--authns-outage",
     "--faults",
-    "--stop-after",
-    "--checkpoint-file",
     "--json",
     "--telemetry",
 ];
@@ -198,20 +192,12 @@ const BOOLEAN_FLAGS: &[&str] = &["--full-q1", "--fresh", "--oneshot"];
 
 /// The subcommands with two modes, switched by one flag: `(command,
 /// mode flag, flags only that mode reads, flags only the other reads)`.
-const MODES: &[(&str, &str, &[&str], &[&str])] = &[
-    (
-        "campaign",
-        "--stop-after",
-        &["--checkpoint-file"],
-        &["--json", "--telemetry"],
-    ),
-    (
-        "tap",
-        "--oneshot",
-        &["--year", "--scale", "--seed", "--shards"],
-        &["--url"],
-    ),
-];
+const MODES: &[(&str, &str, &[&str], &[&str])] = &[(
+    "tap",
+    "--oneshot",
+    &["--year", "--scale", "--seed", "--shards"],
+    &["--url"],
+)];
 
 /// Fails on whatever `command` would otherwise silently ignore: a
 /// `--flag` it does not define (a typo such as `--shard 4` must not run
@@ -299,8 +285,9 @@ fn parse_faults(args: &[String], config: &CampaignConfig) -> Result<FaultPlan, S
             .ok_or_else(|| format!("--authns-outage {window:?}: expected FROM:UNTIL seconds"))?;
         let parse = |raw: &str| -> Result<Duration, String> {
             raw.parse::<f64>()
-                .map(Duration::from_secs_f64)
-                .map_err(|_| format!("--authns-outage: bad number {raw:?}"))
+                .ok()
+                .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+                .ok_or_else(|| format!("--authns-outage: bad number {raw:?}"))
         };
         plan.push(FaultRule::window(
             parse(from)?,
@@ -334,28 +321,6 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     }
     let faults = parse_faults(args, &config)?;
     config = config.with_faults(faults);
-
-    // Partial mode: freeze the world at a virtual-time cut and persist
-    // the scan cursor instead of finishing.
-    if let Some(stop) = flag_value(args, "--stop-after")? {
-        let stop: f64 = stop
-            .parse()
-            .map_err(|_| format!("--stop-after: bad number {stop:?}"))?;
-        let path = flag_value(args, "--checkpoint-file")?
-            .ok_or("--stop-after needs --checkpoint-file FILE")?;
-        let checkpoint = Campaign::new(config)
-            .run_partial(Duration::from_secs_f64(stop))
-            .map_err(|e| e.to_string())?;
-        let blob = checkpoint.scan.to_json_string();
-        integrity::persist_atomic(Path::new(&path), blob.as_bytes())
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!(
-            "froze at {stop}s: {} probes sent, {} in flight; cursor written to {path}",
-            checkpoint.scan.q1_sent,
-            checkpoint.outstanding.len()
-        );
-        return Ok(());
-    }
 
     let started = std::time::Instant::now();
     let result = Campaign::new(config).run().map_err(|e| e.to_string())?;
@@ -903,9 +868,6 @@ mod tests {
         };
         let (campaign, tables, tap) = (CAMPAIGN_FLAGS, TABLES_FLAGS, TAP_FLAGS);
         for (command, known, line) in [
-            ("campaign", campaign, "--checkpoint-file c"),
-            ("campaign", campaign, "--stop-after 6 --json j"),
-            ("campaign", campaign, "--stop-after 6 --telemetry t"),
             ("campaign", campaign, "--analysis batch"),
             ("tables", tables, "--analysis batch"),
             ("tap", tap, "--scale 5000"),
@@ -916,7 +878,16 @@ mod tests {
             let err = check(command, known, line).unwrap_err();
             assert!(err.contains(refused), "{command} {line}: {err}");
         }
-        assert!(check("campaign", campaign, "--stop-after 6 --checkpoint-file c").is_ok());
+        // The campaign cut is gone: its two flags are unknown, alone or
+        // together.
+        for line in [
+            "--stop-after 6",
+            "--checkpoint-file c",
+            "--stop-after 6 --checkpoint-file c",
+        ] {
+            let err = check("campaign", campaign, line).unwrap_err();
+            assert!(err.starts_with("unknown flag --"), "{line}: {err}");
+        }
         assert!(check("tap", tap, "--oneshot --scale 5000 --shards 2").is_ok());
         assert!(check("tap", tap, "--url http://h:1 --limit 5").is_ok());
     }
@@ -967,6 +938,23 @@ mod tests {
             7.5
         );
         assert!(parse_number::<u64>(&args(&["--seed", "xyz"]), "--seed", 0).is_err());
+    }
+
+    #[test]
+    fn outage_bounds_that_are_no_duration_are_refused() {
+        let config = CampaignConfig::new(Year::Y2018, 20_000.0);
+        let outage = |window: &str| parse_faults(&args(&["--authns-outage", window]), &config);
+        for window in ["-5:90", "nan:90", "inf:90", "1e30:2e30"] {
+            let err = outage(window).unwrap_err();
+            assert!(
+                err.starts_with("--authns-outage: bad number"),
+                "{window}: {err}"
+            );
+        }
+        let rules = outage("30:90").unwrap().rules;
+        let window = rules.iter().map(|rule| (rule.from, rule.until));
+        let secs = Duration::from_secs;
+        assert_eq!(window.collect::<Vec<_>>(), [(secs(30), secs(90))]);
     }
 
     #[test]
