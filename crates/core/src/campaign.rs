@@ -212,12 +212,24 @@ impl CampaignConfig {
     /// # Errors
     ///
     /// Returns [`CampaignError::InvalidConfig`] for out-of-range knobs:
-    /// a degenerate scale, probabilities outside `[0, 1]`, a zero probe
-    /// rate, a shard count outside `1..=64`, or a malformed fault plan.
+    /// a scale below 1 (the paper's full scan) or so large that the
+    /// year's population has no responder, probabilities outside
+    /// `[0, 1]`, a zero probe rate, a shard count outside `1..=64`, or a
+    /// malformed fault plan.
     pub fn validate(&self) -> Result<(), CampaignError> {
         let invalid = |reason: String| Err(CampaignError::InvalidConfig(reason));
-        if !(self.scale.is_finite() && self.scale > 0.0) {
-            return invalid(format!("scale {} must be a positive number", self.scale));
+        if !(self.scale.is_finite() && self.scale >= 1.0) {
+            return invalid(format!(
+                "scale {:?} must be a number of at least 1, the paper's full scan",
+                self.scale
+            ));
+        }
+        if Population::planned_resolvers(self.year, self.scale) == 0 {
+            let largest = 2 * Population::planned_resolvers(self.year, 1.0);
+            return invalid(format!(
+                "scale {} leaves the {} population no responder (the largest that keeps one is {largest})",
+                self.scale, self.year
+            ));
         }
         if !(1..=64).contains(&self.shards) {
             return invalid(format!("shard count {} out of range 1..=64", self.shards));
@@ -407,10 +419,10 @@ impl Campaign {
 
         // The scan plan is derived once from the master seed, so every
         // shard count scans the same addresses in the same global order
-        // — but no target is built here, only the sorted index of the
-        // responders. Each shard walks the plan's two permutations
-        // itself and keeps the targets it owns, with their campaign-wide
-        // send slots.
+        // — but no target is built here: the plan steps over the
+        // population's own address-ordered hosts. Each shard walks the
+        // plan's two permutations itself and keeps the targets it owns,
+        // with their campaign-wide send slots.
         let targets = self.plan_targets(&spec, &population);
 
         // Every shard reads this one population and keeps the hosts
@@ -433,7 +445,6 @@ impl Campaign {
                     // A retry walks the permutations afresh.
                     TargetSource::new(targets.shard(index, shards)),
                     &population,
-                    targets.hosts(),
                 )))
             })
         };
@@ -568,14 +579,10 @@ impl Campaign {
     }
 
     /// A shard's end of the attached bus, if any: its records tagged with
-    /// the classes `hosts` and `table` give them.
-    fn publisher(
-        &self,
-        hosts: &std::sync::Arc<HostIndex>,
-        table: &std::sync::Arc<orscope_resolver::ProfileTable>,
-    ) -> Option<Publisher> {
+    /// the classes `population` gives them.
+    fn publisher(&self, population: &std::sync::Arc<Population>) -> Option<Publisher> {
         let bus = self.bus.clone()?;
-        Some(Publisher::new(bus, hosts.clone(), table.clone()))
+        Some(Publisher::new(bus, std::sync::Arc::clone(population)))
     }
 
     /// Derives the knobs every shard shares: the aggregate probe rate
@@ -599,7 +606,7 @@ impl Campaign {
 
     /// Builds one shard's simulation, runs it to completion, and returns
     /// its raw outcome for merging.
-    fn run_shard(&self, plan: ShardPlan<'_>) -> ShardOutcome {
+    fn run_shard(&self, plan: ShardPlan) -> ShardOutcome {
         if let Some(sabotage) = self.config.sabotage {
             if sabotage.shard == plan.shard && plan.attempt < sabotage.failures {
                 panic!(
@@ -608,15 +615,18 @@ impl Campaign {
                 );
             }
         }
-        let population = plan.population;
         #[cfg(test)]
-        let (shard, shards) = (plan.shard, plan.shards);
-        let publisher = self.publisher(&plan.hosts, population.table());
+        let (population, shard, shards) = (
+            std::sync::Arc::clone(&plan.population),
+            plan.shard,
+            plan.shards,
+        );
+        let publisher = self.publisher(&plan.population);
         let recorder = ShardRecorder::new(&self.config, plan.responders(), publisher);
         let mut world = self.build_shard(plan, recorder);
         #[cfg(test)]
         if self.preregister_hosts {
-            world.preregister_hosts(population, shard, shards, &self.config);
+            world.preregister_hosts(&population, shard, shards, &self.config);
         }
         // ---- run to completion (or the virtual deadline) ----
         let started = Instant::now();
@@ -642,7 +652,7 @@ impl Campaign {
     /// Assembles one shard's simulator: network, name-server hierarchy,
     /// resolver population, and prober, with both capture points writing
     /// into `recorder`. The caller decides how far to run it.
-    fn build_shard(&self, plan: ShardPlan<'_>, recorder: ShardRecorder) -> ShardWorld {
+    fn build_shard(&self, plan: ShardPlan, recorder: ShardRecorder) -> ShardWorld {
         let config = &self.config;
         let infra = &config.infra;
 
@@ -662,8 +672,7 @@ impl Campaign {
             // because forwarders from many clients share their caches
             // across the whole scan.
             .lazy_hosts(PopulationRegistry::new(
-                plan.hosts,
-                std::sync::Arc::clone(plan.population.table()),
+                std::sync::Arc::clone(&plan.population),
                 resolver_config.clone(),
                 Rc::clone(&released),
             ))
@@ -743,10 +752,8 @@ pub(crate) struct ShardKnobs {
 }
 
 /// Everything one shard needs to run independently: the campaign's
-/// population, its walk of the target plan, and derived knobs. Borrows
-/// the population every shard reads, so shard threads are spawned
-/// inside `std::thread::scope`.
-pub(crate) struct ShardPlan<'a> {
+/// population, its walk of the target plan, and derived knobs.
+pub(crate) struct ShardPlan {
     /// Shard index (0-based).
     pub(crate) shard: usize,
     /// The campaign's shard count.
@@ -764,15 +771,13 @@ pub(crate) struct ShardPlan<'a> {
     /// This shard's targets with their campaign-wide send slots, in
     /// scan order (see [`TargetPlan::shard`]).
     pub(crate) targets: TargetSource,
-    /// The campaign's population; this shard holds the hosts
-    /// [`Population::home`] places on it.
-    pub(crate) population: &'a Population,
-    /// The campaign's probed hosts by address (see [`TargetPlan::hosts`]):
-    /// a shard is only ever sent to the ones it owns.
-    pub(crate) hosts: std::sync::Arc<HostIndex>,
+    /// The campaign's population, shared by every shard: this one holds
+    /// the hosts [`Population::home`] places on it, is only ever sent to
+    /// those, and materializes each by [`Population::find`].
+    pub(crate) population: std::sync::Arc<Population>,
 }
 
-impl<'a> ShardPlan<'a> {
+impl ShardPlan {
     /// Shard `index` of `config.shards` on its supervision `attempt`,
     /// walking `targets` over `population`.
     pub(crate) fn new(
@@ -781,8 +786,7 @@ impl<'a> ShardPlan<'a> {
         index: usize,
         attempt: u32,
         targets: TargetSource,
-        population: &'a Population,
-        hosts: std::sync::Arc<HostIndex>,
+        population: &std::sync::Arc<Population>,
     ) -> Self {
         // Disjoint cluster namespaces per shard keep merged qnames
         // globally unique (1,000 clusters shared across <= 64 shards).
@@ -798,129 +802,16 @@ impl<'a> ShardPlan<'a> {
             base_cluster: index as u32 * cluster_stride,
             cluster_capacity: knobs.cluster_capacity,
             targets,
-            population,
-            hosts,
+            population: std::sync::Arc::clone(population),
         }
     }
 
     /// How many of the population's responders this shard holds: every
     /// R2 it captures comes from one of them.
     pub(crate) fn responders(&self) -> usize {
-        let population = self.population;
+        let population = &self.population;
         let held = |&member: &Member| population.home(member, self.shards) == self.shard;
         population.responders().filter(held).count()
-    }
-}
-
-/// A sorted `(packed address, profile id)` list under a first-level
-/// directory over the high address bits, behind a one-bit-a-slot filter.
-///
-/// Every datagram to an unmaterialised address looks its destination up
-/// here, silent targets included, and so does every silent slot of the
-/// plan's walk; nearly all of them find nothing. The filter (one to two
-/// bytes a host: a power of two of at least eight bits a host) has the
-/// bit a Fibonacci hash of each host's address picks set, so a clear bit
-/// answers "no host here" from one load, and only real hosts and the
-/// one miss in eight to sixteen whose bit a host set go on. For those,
-/// the directory (at most one byte a host) narrows the search to the
-/// handful of hosts sharing the address's top bits: one line of the
-/// directory, one or two of the list. A plain binary search over the
-/// whole list is ~16 dependent loads spread across it.
-///
-/// A campaign builds one, over every probed host of its population, and
-/// shares it: the plan's silent walk steps over the addresses in it and
-/// every shard's registry materializes from it.
-#[derive(Debug)]
-pub(crate) struct HostIndex {
-    hosts: Vec<(u32, orscope_resolver::ProfileId)>,
-    /// Bit `h` is set when a host's address hashes to `h`.
-    filter: Vec<u64>,
-    /// `64 - log2(filter bits)`: what the hash drops.
-    filter_shift: u32,
-    /// `directory[b]..directory[b + 1]` bounds the hosts whose address
-    /// starts with the bits `b`.
-    directory: Vec<u32>,
-    /// Address bits below the directory's.
-    shift: u32,
-}
-
-impl HostIndex {
-    /// Indexes the probed hosts of `population`: resolvers and off-port
-    /// responders (upstreams are never probed and always registered).
-    pub(crate) fn of(population: &Population) -> Self {
-        let mut hosts = Vec::with_capacity(population.resolvers.len() + population.off_port.len());
-        for list in [&population.resolvers, &population.off_port] {
-            for i in 0..list.len() {
-                hosts.push((u32::from(list.addr(i)), list.profile_id(i)));
-            }
-        }
-        Self::new(hosts)
-    }
-
-    fn new(mut hosts: Vec<(u32, orscope_resolver::ProfileId)>) -> Self {
-        hosts.sort_unstable_by_key(|&(addr, _)| addr);
-        // Four hosts a bucket on average: 4 B of directory for them.
-        let bits = (hosts.len() / 4).max(1).ilog2().min(24);
-        let shift = 32 - bits;
-        let mut directory = vec![0u32; (1usize << bits) + 1];
-        for &(addr, _) in &hosts {
-            directory[Self::bucket(addr, shift) + 1] += 1;
-        }
-        for bucket in 1..directory.len() {
-            directory[bucket] += directory[bucket - 1];
-        }
-        let filter_bits = (8 * hosts.len()).next_power_of_two().max(64);
-        let filter_shift = 64 - filter_bits.ilog2();
-        let mut filter = vec![0u64; filter_bits / 64];
-        for &(addr, _) in &hosts {
-            let bit = Self::filter_bit(addr, filter_shift);
-            filter[bit / 64] |= 1 << (bit % 64);
-        }
-        Self {
-            hosts,
-            filter,
-            filter_shift,
-            directory,
-            shift,
-        }
-    }
-
-    /// Fibonacci hashing: the top bits of the address times 2^64 / φ.
-    fn filter_bit(addr: u32, filter_shift: u32) -> usize {
-        (u64::from(addr).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> filter_shift) as usize
-    }
-
-    /// False only where no host is.
-    fn may_hold(&self, addr: u32) -> bool {
-        let bit = Self::filter_bit(addr, self.filter_shift);
-        self.filter[bit / 64] >> (bit % 64) & 1 == 1
-    }
-
-    /// Widened first: with a one-bucket directory the shift is all 32 bits.
-    fn bucket(addr: u32, shift: u32) -> usize {
-        (u64::from(addr) >> shift) as usize
-    }
-
-    pub(crate) fn find(&self, addr: Ipv4Addr) -> Option<orscope_resolver::ProfileId> {
-        let addr = u32::from(addr);
-        if !self.may_hold(addr) {
-            return None;
-        }
-        let bucket = Self::bucket(addr, self.shift);
-        let range = self.directory[bucket] as usize..self.directory[bucket + 1] as usize;
-        let hosts = &self.hosts[range];
-        let slot = hosts.binary_search_by_key(&addr, |&(a, _)| a).ok()?;
-        Some(hosts[slot].1)
-    }
-
-    pub(crate) fn contains(&self, addr: Ipv4Addr) -> bool {
-        self.find(addr).is_some()
-    }
-
-    /// The indexed addresses, ascending (one entry a host: an address
-    /// planned twice comes up twice).
-    pub(crate) fn addrs(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
-        self.hosts.iter().map(|&(addr, _)| Ipv4Addr::from(addr))
     }
 }
 
@@ -932,7 +823,7 @@ impl HostIndex {
 const RESOLVER_POOL: usize = 16;
 
 /// Materializes `ProfiledResolver` endpoints on demand from the
-/// campaign's [`HostIndex`] plus the shared profile table.
+/// campaign's population and its shared profile table.
 /// Covers probed hosts (resolvers and off-port responders); upstreams
 /// are always registered eagerly.
 ///
@@ -946,8 +837,7 @@ const RESOLVER_POOL: usize = 16;
 /// [`LazyRegistry::fresh_ignores`]d and its spent upstream timeouts are
 /// the simulator's to settle.
 struct PopulationRegistry {
-    hosts: std::sync::Arc<HostIndex>,
-    table: std::sync::Arc<orscope_resolver::ProfileTable>,
+    population: std::sync::Arc<Population>,
     config: ResolverConfig,
     /// The summed books of every resolver handed back so far; the
     /// shard's world holds the other reference and reads it when the
@@ -962,14 +852,12 @@ struct PopulationRegistry {
 
 impl PopulationRegistry {
     fn new(
-        hosts: std::sync::Arc<HostIndex>,
-        table: std::sync::Arc<orscope_resolver::ProfileTable>,
+        population: std::sync::Arc<Population>,
         config: ResolverConfig,
         released: Rc<RefCell<ResolverStats>>,
     ) -> Self {
         Self {
-            hosts,
-            table,
+            population,
             config,
             released,
             pool: RefCell::new(Vec::with_capacity(RESOLVER_POOL)),
@@ -979,13 +867,14 @@ impl PopulationRegistry {
 
 impl Coverage for PopulationRegistry {
     fn covers(&self, addr: Ipv4Addr) -> bool {
-        self.hosts.contains(addr)
+        self.population.probes(addr)
     }
 }
 
 impl LazyRegistry<Host> for PopulationRegistry {
     fn materialize(&self, addr: Ipv4Addr) -> Option<Host> {
-        let policy = std::sync::Arc::clone(self.table.get(self.hosts.find(addr)?));
+        let population = &self.population;
+        let policy = std::sync::Arc::clone(population.table().get(population.find(addr)?));
         let resolver = match self.pool.borrow_mut().pop() {
             Some(mut resolver) => {
                 resolver.reset(policy);
@@ -1220,65 +1109,6 @@ impl ShardOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
-
-    /// `find` is a map lookup, for every host and for misses next to
-    /// hosts, at the edges and anywhere: host sets of every directory
-    /// width from one bucket up, spread over the space, under a few
-    /// /16s or packed into one /24, with duplicates and both extreme
-    /// addresses. An address held twice may answer with either profile.
-    #[test]
-    fn host_index_find_matches_a_btree_map() {
-        orscope_check::cases(96, |rng| {
-            let size = *rng.choice(&[0usize, 1, 3, 4, 7, 8, 9, 100, 4_095, 4_096, 70_000]);
-            let (quarter, slash24) = (rng.range(0..4u32) << 30, rng.next_u64() as u32 & !0xFF);
-            let (spread, base) =
-                *rng.choice(&[(u32::MAX, 0), (0x0003_FFFF, quarter), (0xFF, slash24)]);
-            let mut hosts: Vec<(u32, u32)> = (0..size as u32)
-                .map(|i| (base | rng.next_u64() as u32 & spread, i))
-                .collect();
-            for _ in 0..size.min(rng.range(0..3)) {
-                hosts.push((*rng.choice(&[0, u32::MAX]), rng.range(0..9)));
-            }
-            for _ in 0..size / 50 {
-                let (addr, _) = *rng.choice(&hosts);
-                hosts.push((addr, rng.range(0..9)));
-            }
-            let mut map: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-            for &(addr, profile) in &hosts {
-                map.entry(addr).or_default().push(profile);
-            }
-            let index = HostIndex::new(hosts.clone());
-            // At most a byte a host of directory (two entries when nearly
-            // empty) and two of filter (one word when nearly empty).
-            assert!(4 * index.directory.len() <= hosts.len() + 8);
-            assert!(8 * index.filter.len() <= (2 * hosts.len()).max(8));
-            assert!(hosts.iter().all(|&(addr, _)| index.may_hold(addr)));
-            let near: Vec<u32> = hosts
-                .iter()
-                .flat_map(|&(a, _)| [a.wrapping_sub(1), a, a.wrapping_add(1), a ^ 0x8000_0000])
-                .collect();
-            let random: Vec<u32> = (0..1_000).map(|_| rng.next_u64() as u32).collect();
-            let edges = [0, 1, u32::MAX - 1, u32::MAX];
-            for &addr in near.iter().chain(&edges).chain(&random) {
-                let found = index.find(Ipv4Addr::from(addr));
-                match map.get(&addr) {
-                    Some(profiles) => assert!(
-                        found.is_some_and(|p| profiles.contains(&p)),
-                        "{addr:#x} of {size}: {found:?} not in {profiles:?}"
-                    ),
-                    None => assert_eq!(found, None, "{addr:#x} of {size}"),
-                }
-            }
-            // Misses mostly stop at the filter: one in eight to sixteen
-            // hits a set bit.
-            let passed = random
-                .iter()
-                .filter(|&&addr| !map.contains_key(&addr) && index.may_hold(addr))
-                .count();
-            assert!(passed <= 200, "{passed} of 1,000 misses passed the filter");
-        });
-    }
 
     #[test]
     fn fast_campaign_runs_and_matches_scale() {
@@ -1396,6 +1226,48 @@ mod tests {
         let err = Campaign::new(config).run().unwrap_err();
         assert!(matches!(err, CampaignError::InvalidConfig(_)), "{err}");
         assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn a_scale_that_cannot_scan_is_refused() {
+        for scale in [0.5, 1e-6, 1e-300, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = CampaignConfig::new(Year::Y2018, scale)
+                .validate()
+                .unwrap_err();
+            assert!(err.to_string().contains("at least 1"), "{scale}: {err}");
+        }
+        // The largest scale that leaves a year one responder rounds half
+        // a responder up; just past it nothing is left to probe.
+        for year in Year::ALL {
+            let largest = 2.0 * YearSpec::get(year).r2 as f64;
+            for (scale, responders) in [
+                (1.0, YearSpec::get(year).r2),
+                (largest, 1),
+                (largest * 1.001, 0),
+            ] {
+                assert_eq!(
+                    Population::planned_resolvers(year, scale),
+                    responders,
+                    "{year} at {scale}"
+                );
+                let config = CampaignConfig::new(year, scale);
+                assert_eq!(
+                    config.validate().is_ok(),
+                    responders > 0,
+                    "{year} at {scale}"
+                );
+            }
+            let err = CampaignConfig::new(year, 1e9).validate().unwrap_err();
+            assert!(err.to_string().contains("no responder"), "{err}");
+        }
+        // The boundary the command line meets: 2018 keeps one responder
+        // at 1e7 and none at 2e7.
+        assert!(CampaignConfig::new(Year::Y2018, 1e7).validate().is_ok());
+        assert!(CampaignConfig::new(Year::Y2018, 2e7).validate().is_err());
+        let single = Campaign::new(CampaignConfig::new(Year::Y2018, 1e7))
+            .run()
+            .unwrap();
+        assert_eq!(single.dataset().r2(), 1);
     }
 
     #[test]

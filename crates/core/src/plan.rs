@@ -19,7 +19,7 @@ use orscope_ipspace::{AllowedSpace, ScanPermutation};
 use orscope_resolver::paper::YearSpec;
 use orscope_resolver::population::{shard_index, Member, Population};
 
-use crate::campaign::{CampaignConfig, HostIndex};
+use crate::campaign::CampaignConfig;
 
 /// Silent targets probed per responder when the campaign is not in
 /// `full_q1` mode: enough that responders are interleaved with dead
@@ -38,11 +38,9 @@ const FAST_MODE_SILENT_PER_RESPONDER: u64 = 2;
 /// the scan order does to which slot each lands in.
 #[derive(Debug)]
 pub(crate) struct TargetPlan {
-    /// The responders the scan order's low indices stand for.
+    /// The responders the scan order's low indices stand for, and, by
+    /// address, the hosts the silent walk steps over.
     population: Arc<Population>,
-    /// The population's probed hosts by address: what the silent walk
-    /// steps over, and what every shard materializes its hosts from.
-    hosts: Arc<HostIndex>,
     /// The other addresses the silent walk steps over.
     infra: Vec<Ipv4Addr>,
     /// The addresses silence is drawn from.
@@ -72,22 +70,23 @@ impl TargetPlan {
         } else {
             responders + responders * FAST_MODE_SILENT_PER_RESPONDER
         };
-        let hosts = Arc::new(HostIndex::of(&population));
         let mut infra = config.infra.addresses();
         infra.sort_unstable();
         infra.dedup();
         // Decided here, once, so that no shard's walk can run dry.
-        let mut previous = None;
-        let taken = hosts
-            .addrs()
-            .filter(|&addr| previous.replace(addr) != Some(addr))
-            .chain(infra.iter().copied().filter(|&addr| !hosts.contains(addr)))
+        let taken = population
+            .probed_addrs()
+            .chain(
+                infra
+                    .iter()
+                    .copied()
+                    .filter(|&addr| !population.probes(addr)),
+            )
             .filter(|&addr| space.contains(addr))
             .count() as u64;
         let silent = (total - responders).min(space.len() - taken);
         Self {
             population,
-            hosts,
             infra,
             ranks: ScanPermutation::new(space.len(), config.seed ^ 0x51E7),
             space: Arc::new(space),
@@ -100,21 +99,15 @@ impl TargetPlan {
         self.order.space_len()
     }
 
-    /// The index of the population's probed hosts, built once for the
-    /// campaign.
-    pub(crate) fn hosts(&self) -> Arc<HostIndex> {
-        Arc::clone(&self.hosts)
-    }
-
     /// The free addresses of the rank walk, in walk order.
     fn silent(&self) -> impl Iterator<Item = Ipv4Addr> + 'static {
-        let hosts = Arc::clone(&self.hosts);
+        let population = Arc::clone(&self.population);
         let infra = self.infra.clone();
         let space = Arc::clone(&self.space);
         self.ranks
             .iter()
             .map(move |rank| space.nth(u64::from(rank)).expect("rank in range"))
-            .filter(move |addr| !infra.contains(addr) && !hosts.contains(*addr))
+            .filter(move |&addr| !infra.contains(&addr) && !population.probes(addr))
     }
 
     /// The `(slot, address)` pairs shard `shard` of `shards` probes, in
@@ -169,6 +162,7 @@ mod tests {
     use orscope_netsim::{fx_map_with_capacity, FxHashMap, FxHashSet};
     use orscope_prober::TargetSource;
     use orscope_resolver::paper::Year;
+    use orscope_resolver::COUNTRY_NONE;
 
     /// The responders in index order, how many targets the scan asks
     /// for, and every address silence may not fall on.
@@ -311,6 +305,84 @@ mod tests {
         }
     }
 
+    /// The population's hosts as a generation-order list stores them:
+    /// `(address, profile, country)` of the resolvers, off-port
+    /// responders and upstreams, each list in the order generation
+    /// placed them. The addresses are read off generation's own rank
+    /// walk, independently of the sorted columns: a host is the next
+    /// walk address that no earlier host took, and an address the walk
+    /// steps over is one no host holds.
+    fn generation_order(
+        config: &CampaignConfig,
+        population: &Population,
+    ) -> [Vec<(Ipv4Addr, u32, u16)>; 3] {
+        let space = AllowedSpace::probeable();
+        let mut walk = ScanPermutation::new(space.len(), config.seed ^ 0xADD2)
+            .iter()
+            .map(|rank| space.nth(u64::from(rank)).expect("rank in range"));
+        let lists = [
+            &population.resolvers,
+            &population.off_port,
+            &population.upstreams,
+        ];
+        let held: FxHashSet<Ipv4Addr> = lists.iter().flat_map(|list| list.addrs()).collect();
+        lists.map(|list| {
+            list.iter_ids()
+                .map(|(addr, profile, country)| {
+                    let placed = walk
+                        .by_ref()
+                        .find(|addr| held.contains(addr))
+                        .expect("the walk places every host");
+                    assert_eq!(addr, placed, "a host left its place in the walk");
+                    (placed, profile, country)
+                })
+                .collect()
+        })
+    }
+
+    #[test]
+    fn every_generation_index_reads_the_generation_order_list() {
+        for seed in [0xD5A1_2019, 1, 2, 77] {
+            for shards in [1, 2, 3, 8] {
+                for config in configs(seed, shards) {
+                    let context = format!("seed {seed:#x}, full_q1 {}, {shards}", config.full_q1);
+                    let population = Arc::new(Campaign::new(config.clone()).build_population());
+                    let reference = generation_order(&config, &population);
+                    let lists = [
+                        &population.resolvers,
+                        &population.off_port,
+                        &population.upstreams,
+                    ];
+                    for (list, expected) in lists.into_iter().zip(&reference) {
+                        for (i, &(addr, profile, country)) in expected.iter().enumerate() {
+                            let read = (list.addr(i), list.profile_id(i), list.country_id(i));
+                            assert_eq!(read, (addr, profile, country), "{i}: {context}");
+                        }
+                    }
+                    assert!(reference[0].iter().any(|host| host.2 != COUNTRY_NONE));
+                    // Every shard probes each responder slot at the
+                    // address its index holds and materializes the
+                    // profile that index holds there.
+                    let responders: Vec<_> = reference[0].iter().chain(&reference[1]).collect();
+                    let plan = plan_of(&config, &population);
+                    let order: Vec<u32> = plan.order.iter().collect();
+                    for shard in 0..shards {
+                        for (slot, addr) in plan.shard(shard, shards) {
+                            let Some(&&(placed, profile, _)) =
+                                responders.get(order[slot as usize] as usize)
+                            else {
+                                assert!(!population.probes(addr), "{addr}: {context}");
+                                continue;
+                            };
+                            assert_eq!(addr, placed, "slot {slot}: {context}");
+                            assert_eq!(population.find(addr), Some(profile), "{context}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn each_shard_reserves_for_the_responders_its_walk_hands_it() {
         for seed in [0xD5A1_2019, 1, 2, 77] {
@@ -324,18 +396,11 @@ mod tests {
                 for shard in 0..shards {
                     let handed = plan
                         .shard(shard, shards)
-                        .filter(|&(_, addr)| plan.hosts.contains(addr))
+                        .filter(|&(_, addr)| population.probes(addr))
                         .count();
                     let targets = TargetSource::new(plan.shard(shard, shards));
-                    let shard_plan = ShardPlan::new(
-                        &config,
-                        &knobs,
-                        shard,
-                        0,
-                        targets,
-                        &population,
-                        plan.hosts(),
-                    );
+                    let shard_plan =
+                        ShardPlan::new(&config, &knobs, shard, 0, targets, &population);
                     assert_eq!(
                         shard_plan.responders(),
                         handed,
@@ -401,7 +466,7 @@ mod tests {
                     let context = format!("seed {seed:#x}, full_q1 {}", config.full_q1);
                     assert_eq!(derived.len(), stored.len(), "{context}");
                     for (slot, (new, old)) in derived.iter().zip(&stored).enumerate() {
-                        if plan.hosts.contains(*old) {
+                        if population.probes(*old) {
                             assert_eq!(new, old, "responder moved from slot {slot}: {context}");
                         }
                     }
@@ -509,7 +574,7 @@ mod tests {
         for shard in 0..config.shards {
             for (_, addr) in plan.shard(shard, config.shards) {
                 sent += 1;
-                if !plan.hosts.contains(addr) {
+                if !population.probes(addr) {
                     assert!(space.contains(addr) && !taken.contains(&addr), "{addr}");
                     assert!(silent.insert(addr), "{addr} probed twice");
                 }

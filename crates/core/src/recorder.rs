@@ -13,41 +13,36 @@ use std::sync::Arc;
 use orscope_analysis::{AnalysisMode, RecordSink, StreamingAnalyzer};
 use orscope_authns::{CapturedPacket, Direction};
 use orscope_prober::R2Capture;
-use orscope_resolver::ProfileTable;
+use orscope_resolver::population::Population;
 
 use crate::bus::{Captured, Record, RecordBus};
-use crate::campaign::{CampaignConfig, HostIndex};
+use crate::campaign::CampaignConfig;
 
 /// A shard's end of the campaign's record bus. Each record it offers
 /// carries the generated class of its flow's resolver side, looked up in
-/// the campaign's own hosts — on the shard thread, and only while
+/// the campaign's own population — on the shard thread, and only while
 /// somebody is subscribed — so a tap judges `class=` against the round
 /// that produced the record, however many rounds share the bus.
 #[derive(Debug)]
 pub(crate) struct Publisher {
     bus: Arc<RecordBus>,
-    hosts: Arc<HostIndex>,
-    table: Arc<ProfileTable>,
+    population: Arc<Population>,
 }
 
 impl Publisher {
-    /// Publishes to `bus`, tagging against the probed `hosts` and the
-    /// profile `table` they resolve in.
-    pub(crate) fn new(
-        bus: Arc<RecordBus>,
-        hosts: Arc<HostIndex>,
-        table: Arc<ProfileTable>,
-    ) -> Self {
-        Self { bus, hosts, table }
+    /// Publishes to `bus`, tagging against the probed hosts of
+    /// `population`.
+    pub(crate) fn new(bus: Arc<RecordBus>, population: Arc<Population>) -> Self {
+        Self { bus, population }
     }
 
     fn offer(&self, captured: impl FnOnce() -> Captured, resolver: Ipv4Addr) {
+        let population = &self.population;
         self.bus.offer(|| Record {
             captured: captured(),
-            class: self
-                .hosts
+            class: population
                 .find(resolver)
-                .map(|id| self.table.get(id).class()),
+                .map(|id| population.table().get(id).class()),
         });
     }
 }
@@ -128,7 +123,6 @@ mod tests {
     use orscope_dns_wire::{Message, Question};
     use orscope_netsim::SimTime;
     use orscope_resolver::paper::Year;
-    use orscope_resolver::population::Population;
 
     use crate::campaign::Campaign;
 
@@ -137,11 +131,7 @@ mod tests {
     }
 
     fn publisher(bus: &Arc<RecordBus>, population: &Population) -> Publisher {
-        Publisher::new(
-            bus.clone(),
-            Arc::new(HostIndex::of(population)),
-            Arc::clone(population.table()),
-        )
+        Publisher::new(bus.clone(), Arc::new(population.clone()))
     }
 
     /// One recorder per analysis mode, both publishing to `bus`.

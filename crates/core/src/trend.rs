@@ -17,6 +17,7 @@ use orscope_resolver::paper::Year;
 use orscope_resolver::population::{Population, PopulationConfig};
 
 use crate::campaign::{Campaign, CampaignConfig};
+use crate::error::CampaignError;
 
 /// One point of the monitoring series.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,6 +51,64 @@ pub struct TrendConfig {
     pub seed: u64,
 }
 
+impl TrendConfig {
+    /// The mix of step `step` of the series.
+    fn alpha(&self, step: usize) -> f64 {
+        step as f64 / (self.steps - 1) as f64
+    }
+
+    /// The campaign that scans the population of mix `alpha`: the scan
+    /// machinery (rates, zone) follows the nearer endpoint.
+    fn campaign_config(&self, alpha: f64) -> CampaignConfig {
+        let year = if alpha < 0.5 {
+            Year::Y2013
+        } else {
+            Year::Y2018
+        };
+        CampaignConfig::new(year, self.scale).with_seed(self.seed)
+    }
+
+    /// Checks that every step of the series can scan.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CampaignError::InvalidConfig`] for fewer than two steps,
+    /// for a step whose campaign [`CampaignConfig::validate`] refuses,
+    /// and for a step whose interpolated population has no responder.
+    pub fn validate(&self) -> Result<(), CampaignError> {
+        if self.steps < 2 {
+            return Err(CampaignError::InvalidConfig(format!(
+                "a trend needs both endpoints (got {} step(s))",
+                self.steps
+            )));
+        }
+        for step in 0..self.steps {
+            let alpha = self.alpha(step);
+            self.campaign_config(alpha).validate()?;
+            let planned: u64 = samples(alpha, self.scale)
+                .map(|(year, scale, _)| Population::planned_resolvers(year, scale))
+                .sum();
+            if planned == 0 {
+                return Err(CampaignError::InvalidConfig(format!(
+                    "scale {} leaves step {step} of the trend no responder",
+                    self.scale
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The endpoint samples the population of mix `alpha` merges: each
+/// year with a weight, at the scale that weight gives, and its seed salt.
+fn samples(alpha: f64, scale: f64) -> impl Iterator<Item = (Year, f64, u64)> {
+    let alpha = alpha.clamp(0.0, 1.0);
+    [(Year::Y2013, 1.0 - alpha, 0u64), (Year::Y2018, alpha, 1)]
+        .into_iter()
+        .filter(|&(_, weight, _)| weight >= 1e-9)
+        .map(move |(year, weight, salt)| (year, scale / weight, salt))
+}
+
 impl Default for TrendConfig {
     fn default() -> Self {
         Self {
@@ -72,13 +131,9 @@ pub fn interpolated_population(
     seed: u64,
     reserved: Vec<std::net::Ipv4Addr>,
 ) -> Population {
-    let alpha = alpha.clamp(0.0, 1.0);
     let mut merged: Option<Population> = None;
-    for (year, weight, salt) in [(Year::Y2013, 1.0 - alpha, 0u64), (Year::Y2018, alpha, 1)] {
-        if weight < 1e-9 {
-            continue;
-        }
-        let mut config = PopulationConfig::new(year, scale / weight);
+    for (year, scale, salt) in samples(alpha, scale) {
+        let mut config = PopulationConfig::new(year, scale);
         config.seed = seed ^ (salt << 32) ^ salt;
         config.reserved_hosts = reserved.clone();
         let mut part = Population::generate(&config);
@@ -105,19 +160,15 @@ pub fn interpolated_population(
 ///
 /// # Panics
 ///
-/// Panics if `config.steps < 2`.
+/// Panics if [`TrendConfig::validate`] refuses `config`.
 pub fn run_trend(config: &TrendConfig) -> Vec<TrendPoint> {
-    assert!(config.steps >= 2, "a trend needs both endpoints");
+    if let Err(err) = config.validate() {
+        panic!("{err}");
+    }
     let mut points = Vec::with_capacity(config.steps);
     for step in 0..config.steps {
-        let alpha = step as f64 / (config.steps - 1) as f64;
-        // Scan machinery (rates, zone) follows the nearer endpoint.
-        let year = if alpha < 0.5 {
-            Year::Y2013
-        } else {
-            Year::Y2018
-        };
-        let campaign_config = CampaignConfig::new(year, config.scale).with_seed(config.seed);
+        let alpha = config.alpha(step);
+        let campaign_config = config.campaign_config(alpha);
         let population = interpolated_population(
             alpha,
             config.scale,
@@ -145,6 +196,32 @@ pub fn run_trend(config: &TrendConfig) -> Vec<TrendPoint> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_trend_that_cannot_scan_is_refused() {
+        let trend = |steps, scale| TrendConfig {
+            steps,
+            scale,
+            seed: 7,
+        };
+        for (config, reason) in [
+            (trend(1, 2_000.0), "both endpoints"),
+            (trend(6, f64::NAN), "at least 1"),
+            (trend(6, 0.5), "at least 1"),
+            (trend(6, 1e9), "no responder"),
+            // Both endpoints keep a responder at 1.3e7, but the 0.8 mix
+            // samples 2013 at 6.5e7 and 2018 at 1.625e7: none of either.
+            (trend(6, 1.3e7), "step 4 of the trend"),
+        ] {
+            let err = config.validate().unwrap_err().to_string();
+            assert!(err.contains(reason), "{config:?}: {err}");
+        }
+        for alpha in [0.0, 1.0] {
+            let config = trend(6, 1.3e7).campaign_config(alpha);
+            assert!(config.validate().is_ok(), "{alpha}");
+        }
+        assert!(trend(6, 2_000.0).validate().is_ok());
+    }
 
     #[test]
     fn endpoints_match_pure_years() {

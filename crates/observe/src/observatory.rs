@@ -51,7 +51,7 @@ use orscope_dns_wire::Rcode;
 use orscope_netsim::EpochClock;
 use orscope_resolver::paper::Year;
 use orscope_resolver::population::{Population, PopulationConfig};
-use orscope_resolver::{HostList, PlannedResolver, ProfileClass};
+use orscope_resolver::{PlannedResolver, ProfileClass};
 use orscope_telemetry::{Collector, Counter, Gauge, Scope, TelemetrySnapshot};
 
 use crate::churn::{ChurnConfig, ChurnModel};
@@ -150,12 +150,13 @@ impl ServeConfig {
     ///
     /// Returns a description of the first out-of-range knob.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.scale.is_finite() && self.scale > 0.0) {
-            return Err(format!("scale {} must be positive", self.scale));
-        }
-        if self.shards == 0 {
-            return Err("shards must be at least 1".to_string());
-        }
+        // Scale, shards and deadline are the rounds' to judge.
+        self.campaign_config(0)
+            .validate()
+            .map_err(|err| match err {
+                CampaignError::InvalidConfig(reason) => reason,
+                other => other.to_string(),
+            })?;
         if self.epoch_virtual_secs == 0 {
             return Err("epoch length must be positive".to_string());
         }
@@ -165,10 +166,21 @@ impl ServeConfig {
         if self.keep_generations == 0 {
             return Err("keep-generations 0 would delete every checkpoint".to_string());
         }
-        if self.epoch_deadline_virtual_secs == Some(0) {
-            return Err("epoch deadline 0 would fail every round".to_string());
-        }
         self.churn.validate()
+    }
+
+    /// The configuration of epoch `epoch`'s campaign round.
+    pub(crate) fn campaign_config(&self, epoch: u64) -> CampaignConfig {
+        let seed = self
+            .seed
+            .wrapping_add(epoch.wrapping_mul(EPOCH_SEED_STRIDE));
+        let config = CampaignConfig::new(self.year, self.scale)
+            .with_seed(seed)
+            .with_shards(self.shards);
+        match self.epoch_deadline_virtual_secs {
+            Some(deadline) => config.with_virtual_deadline(Duration::from_secs(deadline)),
+            None => config,
+        }
     }
 
     /// The identity of this run's deterministic output stream.
@@ -809,17 +821,7 @@ fn run_round(
     epoch: u64,
     population: Population,
 ) -> Supervised<Round> {
-    let mut campaign_config = CampaignConfig::new(config.year, config.scale)
-        .with_seed(
-            config
-                .seed
-                .wrapping_add(epoch.wrapping_mul(EPOCH_SEED_STRIDE)),
-        )
-        .with_shards(config.shards);
-    if let Some(deadline) = config.epoch_deadline_virtual_secs {
-        campaign_config = campaign_config.with_virtual_deadline(Duration::from_secs(deadline));
-    }
-    let campaign = Campaign::new(campaign_config).with_bus(bus);
+    let campaign = Campaign::new(config.campaign_config(epoch)).with_bus(bus);
     // Shared, so the retry scans the very population the attempt did.
     let population = Arc::new(population);
     supervise(|attempt| {
@@ -1041,19 +1043,22 @@ impl Membership {
 
     /// The population a round over the current members scans: `statics`
     /// with each member's (owned) policy interned against its pool
-    /// table, so a round's storage stays ~10 bytes per host however large
-    /// the membership grows. For the built-in churn model every policy
-    /// is already a pool profile and interning allocates nothing new.
+    /// table, so a round's storage stays ~13.5 bytes per host however
+    /// large the membership grows. For the built-in churn model every
+    /// policy is already a pool profile and interning allocates nothing
+    /// new. Members come in address order, so the round's generation
+    /// order is its storage order.
     fn population(&self, statics: &Population) -> Population {
         let mut population = statics.clone();
         let table = Arc::make_mut(&mut population.table);
-        let mut resolvers = HostList::with_capacity(self.members.len());
-        for member in self.members.values() {
-            let profile = table.intern(member.policy.clone());
-            let country = table.intern_country(member.country);
-            resolvers.push(member.addr, profile, country);
-        }
-        population.resolvers = resolvers;
+        population.resolvers = self
+            .members
+            .values()
+            .map(|member| {
+                let profile = table.intern(member.policy.clone());
+                (member.addr, profile, table.intern_country(member.country))
+            })
+            .collect();
         population
     }
 
@@ -1118,6 +1123,32 @@ mod tests {
         let mut zero_deadline = config("validate4");
         zero_deadline.epoch_deadline_virtual_secs = Some(0);
         assert!(Observatory::new(zero_deadline).is_err());
+    }
+
+    #[test]
+    fn a_configuration_whose_rounds_cannot_scan_is_refused_up_front() {
+        // No round of these can scan, so the rounds' own validation
+        // refuses them before the first epoch rather than letting every
+        // epoch degrade.
+        let mut empty = config("validate5");
+        empty.scale = 1e9;
+        let mut too_many_shards = config("validate6");
+        too_many_shards.shards = 65;
+        let mut below_one = config("validate7");
+        below_one.scale = 0.5;
+        for (bad, reason) in [
+            (empty, "no responder"),
+            (too_many_shards, "out of range"),
+            (below_one, "at least 1"),
+        ] {
+            let campaign = bad.campaign_config(0).validate().unwrap_err();
+            let refused = bad.validate().unwrap_err();
+            assert!(refused.contains(reason), "{refused}");
+            assert!(
+                campaign.to_string().ends_with(&refused),
+                "{campaign} / {refused}"
+            );
+        }
     }
 
     #[test]
@@ -1268,6 +1299,31 @@ mod tests {
             .iter()
             .map(|(addr, member)| (*addr, member.policy.class()))
             .collect()
+    }
+
+    /// A round's population reads, at every index, the member the
+    /// membership holds in that place of its address order, and its
+    /// storage order is that order (the permutation is the identity).
+    #[test]
+    fn a_rounds_population_reads_the_members_in_address_order() {
+        let mut resolution = ChurnModel::new(ChurnConfig::default())
+            .resolve(&PopulationConfig::new(Year::Y2018, 20_000.0));
+        let statics = resolution.seed_population();
+        let mut membership = Membership::default();
+        for epoch in 0..4 {
+            membership.advance(std::iter::from_fn(|| resolution.poll_update(epoch)));
+            let population = membership.population(&statics);
+            let resolvers = &population.resolvers;
+            assert_eq!(resolvers.len(), membership.members.len());
+            assert!(resolvers.addrs().eq(resolvers.distinct_addrs()));
+            let members = membership.members.values();
+            for (host, member) in population.resolvers().zip(members) {
+                assert_eq!(host.to_planned(), *member, "epoch {epoch}");
+                let found = population.find(member.addr).expect("a member is probed");
+                assert_eq!(**population.table().get(found), member.policy);
+            }
+            assert!(population.resolvers().any(|host| host.country.is_some()));
+        }
     }
 
     #[test]

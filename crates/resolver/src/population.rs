@@ -7,10 +7,12 @@
 //! the paper's tables exactly; at larger scales every cell is reduced by
 //! the largest-remainder method so marginals stay consistent.
 //!
-//! Hosts are stored struct-of-arrays in a [`HostList`] — packed address,
-//! interned profile id, country id — so the full-scale population of
-//! ~6.5M responders costs ~10 bytes per host instead of an owned
-//! [`ResponsePolicy`] each. Consumers iterate [`HostRef`]s, which borrow
+//! Hosts are stored struct-of-arrays in a [`HostList`] — packed address
+//! and interned profile id in address order, a generation-order
+//! permutation over them, the rare country in a side table — so the
+//! full-scale population of ~6.5M responders costs ~13.5 bytes a host,
+//! its address index included, instead of an owned [`ResponsePolicy`]
+//! each. Consumers iterate [`HostRef`]s, which borrow
 //! the shared [`ProfileTable`]; [`PlannedResolver`] remains the owned
 //! exchange type for code (churn, the observatory) that tracks
 //! individual hosts.
@@ -83,30 +85,100 @@ pub struct PlannedResolver {
     pub country: Option<&'static str>,
 }
 
-/// Struct-of-arrays storage for planned hosts: packed IPv4 address,
-/// interned profile id, country id — ~10 bytes per host.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Storage for planned hosts, each held once: its packed IPv4 address
+/// and interned profile id as two columns in address order, and a
+/// generation-order permutation over them — 12 bytes a host. The few
+/// hosts that carry a country (malicious responders, under half a
+/// percent of a population) keep it in a side table.
+///
+/// A host is named by its generation index `i`, the order it was
+/// planned in: [`HostList::addr`], [`HostList::profile_id`] and every
+/// other index-based accessor read through the permutation, so the
+/// numbering the scan plan, shard placement and churn use is the
+/// generation order whatever the storage order is. The address column
+/// is what [`HostList::find`] searches: a directory over its high bits
+/// behind a one-bit-a-slot filter, one to two bytes a host more. An
+/// address planned twice is held twice, in generation order, and `find`
+/// answers with the first.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostList {
+    /// Packed addresses, ascending.
     addrs: Vec<u32>,
+    /// `profiles[k]` is the profile of the host at `addrs[k]`.
     profiles: Vec<ProfileId>,
-    countries: Vec<u16>,
+    /// `order[i]` is where generation index `i` sits in the columns.
+    order: Vec<u32>,
+    /// `(generation index, country id)` of every host with a country,
+    /// by index.
+    countries: Vec<(u32, u16)>,
+    /// Membership over `addrs`.
+    index: AddrIndex,
+}
+
+impl Default for HostList {
+    fn default() -> Self {
+        Self::from_parts(Vec::new(), Vec::new(), Vec::new())
+    }
+}
+
+impl FromIterator<(Ipv4Addr, ProfileId, u16)> for HostList {
+    /// Stores `(address, profile, country id)` hosts given in generation
+    /// order; a country of [`COUNTRY_NONE`] takes no room.
+    fn from_iter<I: IntoIterator<Item = (Ipv4Addr, ProfileId, u16)>>(hosts: I) -> Self {
+        let hosts = hosts.into_iter();
+        let mut keys = Vec::with_capacity(hosts.size_hint().0);
+        let mut profiles = Vec::with_capacity(hosts.size_hint().0);
+        let mut countries = Vec::new();
+        for (i, (addr, profile, country)) in hosts.enumerate() {
+            let i = u32::try_from(i).expect("a host list holds fewer than 2^32 hosts");
+            keys.push(sort_key(addr, i));
+            profiles.push(profile);
+            if country != COUNTRY_NONE {
+                countries.push((i, country));
+            }
+        }
+        Self::from_parts(keys, profiles, countries)
+    }
+}
+
+/// A host's place in address order: its address, then its generation
+/// index `i`, which is what the low half keeps.
+fn sort_key(addr: Ipv4Addr, i: u32) -> u64 {
+    u64::from(u32::from(addr)) << 32 | u64::from(i)
 }
 
 impl HostList {
-    /// An empty list with room for `n` hosts.
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            addrs: Vec::with_capacity(n),
-            profiles: Vec::with_capacity(n),
-            countries: Vec::with_capacity(n),
+    /// Sorts hosts into storage. Host `i` is at `keys[i]` (see
+    /// [`sort_key`]) with profile `profiles[i]`; `countries` is by
+    /// index. The columns are built one at a time and each input is
+    /// dropped once read, so the most held at once is 20 bytes a host.
+    fn from_parts(
+        mut keys: Vec<u64>,
+        profiles: Vec<ProfileId>,
+        countries: Vec<(u32, u16)>,
+    ) -> Self {
+        debug_assert_eq!(keys.len(), profiles.len());
+        keys.sort_unstable();
+        let mut order = vec![0u32; keys.len()];
+        let addrs: Vec<u32> = (0u32..)
+            .zip(&keys)
+            .map(|(k, &key)| {
+                order[key as u32 as usize] = k;
+                (key >> 32) as u32
+            })
+            .collect();
+        drop(keys);
+        let mut sorted = vec![0; profiles.len()];
+        for (&k, profile) in order.iter().zip(profiles) {
+            sorted[k as usize] = profile;
         }
-    }
-
-    /// Appends a host.
-    pub fn push(&mut self, addr: Ipv4Addr, profile: ProfileId, country: u16) {
-        self.addrs.push(u32::from(addr));
-        self.profiles.push(profile);
-        self.countries.push(country);
+        Self {
+            index: AddrIndex::new(&addrs),
+            addrs,
+            profiles: sorted,
+            order,
+            countries,
+        }
     }
 
     /// Number of hosts.
@@ -119,44 +191,180 @@ impl HostList {
         self.addrs.is_empty()
     }
 
+    /// Where host `i` sits in the columns.
+    fn slot(&self, i: usize) -> usize {
+        self.order[i] as usize
+    }
+
     /// The address of host `i`.
     pub fn addr(&self, i: usize) -> Ipv4Addr {
-        Ipv4Addr::from(self.addrs[i])
+        Ipv4Addr::from(self.addrs[self.slot(i)])
     }
 
     /// The profile id of host `i`.
     pub fn profile_id(&self, i: usize) -> ProfileId {
-        self.profiles[i]
+        self.profiles[self.slot(i)]
     }
 
-    /// The country id of host `i`.
+    /// The country id of host `i` ([`COUNTRY_NONE`] for most hosts).
     pub fn country_id(&self, i: usize) -> u16 {
-        self.countries[i]
+        let i = i as u32;
+        self.countries
+            .binary_search_by_key(&i, |&(index, _)| index)
+            .map_or(COUNTRY_NONE, |at| self.countries[at].1)
     }
 
     /// Replaces the profile id of host `i`.
     pub fn set_profile(&mut self, i: usize, profile: ProfileId) {
-        self.profiles[i] = profile;
+        let slot = self.slot(i);
+        self.profiles[slot] = profile;
     }
 
-    /// Iterates addresses without touching the profile table (the shard
-    /// planner and target builder need nothing else).
+    /// Iterates addresses in generation order without touching the
+    /// profile table (the shard planner and target builder need
+    /// nothing else).
     pub fn addrs(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
-        self.addrs.iter().map(|&a| Ipv4Addr::from(a))
+        (0..self.len()).map(|i| self.addr(i))
+    }
+
+    /// Every address held, ascending and each once.
+    pub fn distinct_addrs(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
+        self.addrs
+            .chunk_by(|a, b| a == b)
+            .map(|run| Ipv4Addr::from(run[0]))
+    }
+
+    /// The profile of the host at `addr` (of the first planned, if two
+    /// share it), or `None` where no host is.
+    pub fn find(&self, addr: Ipv4Addr) -> Option<ProfileId> {
+        let addr = u32::from(addr);
+        let range = self.index.bucket(addr)?;
+        let start = range.start;
+        let bucket = &self.addrs[range];
+        let at = bucket.partition_point(|&a| a < addr);
+        (bucket.get(at) == Some(&addr)).then(|| self.profiles[start + at])
+    }
+
+    /// Whether a host is at `addr`.
+    pub(crate) fn contains(&self, addr: Ipv4Addr) -> bool {
+        self.find(addr).is_some()
     }
 
     /// The host at `i`, resolved against `table`.
     pub fn get<'a>(&self, i: usize, table: &'a ProfileTable) -> HostRef<'a> {
         HostRef {
             addr: self.addr(i),
-            policy: table.get(self.profiles[i]),
-            country: table.country(self.countries[i]),
+            policy: table.get(self.profile_id(i)),
+            country: table.country(self.country_id(i)),
         }
     }
 
-    /// Iterates hosts resolved against `table`.
+    /// Iterates `(address, profile id, country id)` in generation
+    /// order: what collecting builds a list from.
+    pub fn iter_ids(&self) -> impl Iterator<Item = (Ipv4Addr, ProfileId, u16)> + '_ {
+        let mut countries = self.countries.iter().peekable();
+        self.order.iter().enumerate().map(move |(i, &slot)| {
+            let country = countries
+                .next_if(|&&(index, _)| index as usize == i)
+                .map_or(COUNTRY_NONE, |&(_, country)| country);
+            let slot = slot as usize;
+            (
+                Ipv4Addr::from(self.addrs[slot]),
+                self.profiles[slot],
+                country,
+            )
+        })
+    }
+
+    /// Iterates hosts in generation order, resolved against `table`.
     pub fn iter<'a>(&'a self, table: &'a ProfileTable) -> impl Iterator<Item = HostRef<'a>> + 'a {
-        (0..self.len()).map(move |i| self.get(i, table))
+        self.iter_ids().map(|(addr, profile, country)| HostRef {
+            addr,
+            policy: table.get(profile),
+            country: table.country(country),
+        })
+    }
+}
+
+/// A first-level directory over the high bits of a sorted address
+/// column, behind a one-bit-a-slot filter.
+///
+/// Every datagram to an unmaterialised address looks its destination up
+/// here, silent targets included, and so does every silent slot of the
+/// plan's walk; nearly all of them find nothing. The filter (one to two
+/// bytes a host: a power of two of at least eight bits a host) has the
+/// bit a Fibonacci hash of each host's address picks set, so a clear bit
+/// answers "no host here" from one load, and only real hosts and the
+/// one miss in eight to sixteen whose bit a host set go on. For those,
+/// the directory (at most one byte a host) narrows the search to the
+/// handful of hosts sharing the address's top bits: one line of the
+/// directory, one or two of the column. A plain binary search over the
+/// whole column is ~16 dependent loads spread across it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct AddrIndex {
+    /// Bit `h` is set when a host's address hashes to `h`.
+    filter: Vec<u64>,
+    /// `64 - log2(filter bits)`: what the hash drops.
+    filter_shift: u32,
+    /// `directory[b]..directory[b + 1]` bounds the hosts whose address
+    /// starts with the bits `b`.
+    directory: Vec<u32>,
+    /// Address bits below the directory's.
+    shift: u32,
+}
+
+impl AddrIndex {
+    /// Indexes `addrs`, which are ascending.
+    fn new(addrs: &[u32]) -> Self {
+        // Four hosts a bucket on average: 4 B of directory for them.
+        let bits = (addrs.len() / 4).max(1).ilog2().min(24);
+        let shift = 32 - bits;
+        let mut directory = vec![0u32; (1usize << bits) + 1];
+        for &addr in addrs {
+            directory[Self::bucket_of(addr, shift) + 1] += 1;
+        }
+        for bucket in 1..directory.len() {
+            directory[bucket] += directory[bucket - 1];
+        }
+        let filter_bits = (8 * addrs.len()).next_power_of_two().max(64);
+        let filter_shift = 64 - filter_bits.ilog2();
+        let mut filter = vec![0u64; filter_bits / 64];
+        for &addr in addrs {
+            let bit = Self::filter_bit(addr, filter_shift);
+            filter[bit / 64] |= 1 << (bit % 64);
+        }
+        Self {
+            filter,
+            filter_shift,
+            directory,
+            shift,
+        }
+    }
+
+    /// Fibonacci hashing: the top bits of the address times 2^64 / φ.
+    fn filter_bit(addr: u32, filter_shift: u32) -> usize {
+        (u64::from(addr).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> filter_shift) as usize
+    }
+
+    /// False only where no host is.
+    fn may_hold(&self, addr: u32) -> bool {
+        let bit = Self::filter_bit(addr, self.filter_shift);
+        self.filter[bit / 64] >> (bit % 64) & 1 == 1
+    }
+
+    /// Widened first: with a one-bucket directory the shift is all 32 bits.
+    fn bucket_of(addr: u32, shift: u32) -> usize {
+        (u64::from(addr) >> shift) as usize
+    }
+
+    /// The slots of the column that hold `addr` if any host does, or
+    /// `None` where the filter rules it out.
+    fn bucket(&self, addr: u32) -> Option<std::ops::Range<usize>> {
+        if !self.may_hold(addr) {
+            return None;
+        }
+        let bucket = Self::bucket_of(addr, self.shift);
+        Some(self.directory[bucket] as usize..self.directory[bucket + 1] as usize)
     }
 }
 
@@ -239,25 +447,15 @@ impl Population {
     pub fn generate(config: &PopulationConfig) -> Population {
         assert!(config.scale > 0.0, "scale must be positive");
         let spec = YearSpec::get(config.year);
-        // Pre-sized FxHash set: this is O(population) inserts on the
-        // campaign-startup path, and at full scale a SipHash map that
-        // rehashes its way up to ~7M entries is measurable.
-        let expected_hosts = (spec.r2 as f64 / config.scale).round() as usize;
-        let mut used: FxHashSet<Ipv4Addr> = fx_set_with_capacity(
-            expected_hosts
-                + expected_hosts / 4
-                + config.off_port_responders as usize
-                + config.reserved_hosts.len()
-                + 64,
-        );
+        // The addresses the rank walk of step 4 must step over: the
+        // reserved hosts and the synthesized answer values. The walk
+        // never repeats a rank, so the hosts it places need no entry.
+        let mut used: FxHashSet<Ipv4Addr> = fx_set_with_capacity(config.reserved_hosts.len() + 64);
         used.extend(config.reserved_hosts.iter().copied());
 
         // ---- 1. Scale every atom with one largest-remainder pass ----
-        let mut atoms: Vec<u64> = Vec::new();
-        atoms.extend(spec.flag_cells.iter().map(|c| c.count));
-        atoms.extend(spec.incorrect.slices.iter().map(|s| s.count));
-        atoms.extend(spec.empty_question.iter().map(|c| c.count));
-        let scaled = scale_counts(&atoms, config.scale);
+        let scaled = scale_counts(&atoms(&spec), config.scale);
+        let expected_hosts = scaled.iter().sum::<u64>() as usize;
         let (cell_counts, rest) = scaled.split_at(spec.flag_cells.len());
         let (slice_counts, eq_counts) = rest.split_at(spec.incorrect.slices.len());
 
@@ -301,11 +499,12 @@ impl Population {
         let mut str_values = synth.str_pool(str_total, config.scale);
 
         // ---- 3. Expand cells into interned policies ----
-        // Each planned host is (profile id, country id); owned policy
-        // values live once in the working table. Ids are compacted to
-        // first-use order in step 5.
+        // Each planned host is a profile id, the few malicious ones also
+        // a country id by index; owned policy values live once in the
+        // working table. Ids are compacted to first-use order in step 5.
         let mut table = ProfileTable::new();
-        let mut planned: Vec<(ProfileId, u16)> = Vec::with_capacity(expected_hosts);
+        let mut planned: Vec<ProfileId> = Vec::with_capacity(expected_hosts);
+        let mut countries: Vec<(u32, u16)> = Vec::new();
         // Correct/None cells.
         let n_correct_scaled: u64 = spec
             .flag_cells
@@ -352,11 +551,11 @@ impl Population {
                         version_banner: None,
                     },
                 };
-                planned.push((table.intern(policy), COUNTRY_NONE));
+                planned.push(table.intern(policy));
             }
         }
         // Incorrect slices, drawing answer values from the pools.
-        let mut countries = CountryAssigner::new(&spec, mal_total);
+        let mut assigner = CountryAssigner::new(&spec, mal_total);
         for (slice, &n) in spec.incorrect.slices.iter().zip(slice_counts) {
             for _ in 0..n {
                 let (answer, category, malformed) = match slice.pool {
@@ -396,9 +595,11 @@ impl Population {
                     malicious_category: category,
                     version_banner: None,
                 };
-                let country = category.is_some().then(|| countries.next()).flatten();
-                let cid = table.intern_country(country);
-                planned.push((table.intern(policy), cid));
+                let country = category.is_some().then(|| assigner.next()).flatten();
+                if country.is_some() {
+                    countries.push((planned.len() as u32, table.intern_country(country)));
+                }
+                planned.push(table.intern(policy));
             }
         }
         // Empty-question responders.
@@ -417,7 +618,7 @@ impl Population {
                     malicious_category: None,
                     version_banner: None,
                 };
-                planned.push((table.intern(policy), COUNTRY_NONE));
+                planned.push(table.intern(policy));
             }
         }
 
@@ -438,7 +639,7 @@ impl Population {
         // full-scale run interns each variant once instead of cloning
         // millions of policies.
         let mut banner_memo: FxHashMap<(ProfileId, usize), ProfileId> = FxHashMap::default();
-        for (i, (profile, _)) in planned.iter_mut().enumerate() {
+        for (i, profile) in planned.iter_mut().enumerate() {
             // Mix the index so hiding and banner choice decorrelate and
             // all banners appear with uneven, realistic shares.
             let h = (i as u64)
@@ -482,8 +683,8 @@ impl Population {
             let plain_honest: Vec<usize> = planned
                 .iter()
                 .enumerate()
-                .filter(|(_, (profile, _))| {
-                    matches!(&table.get(*profile).action, ResponseAction::Recurse(rp)
+                .filter(|&(_, &profile)| {
+                    matches!(&table.get(profile).action, ResponseAction::Recurse(rp)
                         if rp.ra && !rp.aa && rp.rcode_override.is_none())
                 })
                 .map(|(i, _)| i)
@@ -500,7 +701,7 @@ impl Population {
                 upstream_profile = Some(table.intern(policy));
             }
             for (k, &idx) in plain_honest.iter().take(n_forwarders).enumerate() {
-                planned[idx].0 = FORWARDER_PENDING;
+                planned[idx] = FORWARDER_PENDING;
                 forwarder_upstream_index.push((idx, k % n_upstreams));
             }
         }
@@ -508,23 +709,19 @@ impl Population {
         // ---- 4. Scatter addresses over the probeable space ----
         let space = AllowedSpace::probeable();
         let mut ranks = ScanPermutation::new(space.len(), config.seed ^ 0xADD2).iter();
-        let mut next_addr = |used: &mut FxHashSet<Ipv4Addr>| -> Ipv4Addr {
+        let mut next_addr = || -> Ipv4Addr {
             loop {
+                // The probeable space (3.7e9 addresses) fits u32 ranks.
                 let rank = ranks.next().expect("address space exhausted") as u64;
-                // Ranks are u32 only when the space fits; probeable space
-                // exceeds u32::MAX? No: 3.7e9 < 2^32, ranks fit.
                 let addr = space.nth(rank).expect("rank in range");
-                if used.insert(addr) {
+                if !used.contains(&addr) {
                     return addr;
                 }
             }
         };
-        let mut resolvers = HostList::with_capacity(planned.len());
-        for &(profile, country) in &planned {
-            let addr = next_addr(&mut used);
-            resolvers.push(addr, profile, country);
-        }
-        drop(planned);
+        let hosts = u32::try_from(planned.len()).expect("a population holds fewer than 2^32 hosts");
+        let keys = (0..hosts).map(|i| sort_key(next_addr(), i)).collect();
+        let mut resolvers = HostList::from_parts(keys, planned, countries);
         let off_port_profile = (config.off_port_responders > 0).then(|| {
             table.intern(ResponsePolicy {
                 action: ResponseAction::Immediate(ImmediateResponse {
@@ -535,26 +732,20 @@ impl Population {
                 version_banner: None,
             })
         });
-        let mut off_port = HostList::with_capacity(config.off_port_responders as usize);
-        for _ in 0..config.off_port_responders {
-            let addr = next_addr(&mut used);
-            off_port.push(
-                addr,
-                off_port_profile.expect("interned above"),
-                COUNTRY_NONE,
-            );
-        }
+        let mut off_port: HostList = (0..config.off_port_responders)
+            .map(|_| {
+                let profile = off_port_profile.expect("interned above");
+                (next_addr(), profile, COUNTRY_NONE)
+            })
+            .collect();
 
         // Upstream hosts get addresses outside the probe population.
-        let mut upstreams = HostList::with_capacity(n_upstreams);
-        for _ in 0..n_upstreams {
-            let addr = next_addr(&mut used);
-            upstreams.push(
-                addr,
-                upstream_profile.expect("interned above"),
-                COUNTRY_NONE,
-            );
-        }
+        let mut upstreams: HostList = (0..n_upstreams)
+            .map(|_| {
+                let profile = upstream_profile.expect("interned above");
+                (next_addr(), profile, COUNTRY_NONE)
+            })
+            .collect();
         // Patch the demoted hosts now that upstream addresses exist:
         // one interned Forward policy per upstream.
         let mut forward_profiles: FxHashMap<usize, ProfileId> = FxHashMap::default();
@@ -676,6 +867,38 @@ impl Population {
             .chain((0..self.off_port.len()).map(Member::OffPort))
     }
 
+    /// The profile of the probed host at `addr`: a resolver's, else an
+    /// off-port responder's. This is how a shard's registry
+    /// materializes a host, how the scan plan's silent walk steps over
+    /// the hosts, and how a published record learns its class.
+    pub fn find(&self, addr: Ipv4Addr) -> Option<ProfileId> {
+        self.resolvers
+            .find(addr)
+            .or_else(|| self.off_port.find(addr))
+    }
+
+    /// Whether a probed host is at `addr`.
+    pub fn probes(&self, addr: Ipv4Addr) -> bool {
+        self.find(addr).is_some()
+    }
+
+    /// Every address a probed host is at, once: the resolvers'
+    /// ascending, then the off-port responders' that no resolver holds.
+    pub fn probed_addrs(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
+        let off_port = self.off_port.distinct_addrs();
+        self.resolvers
+            .distinct_addrs()
+            .chain(off_port.filter(|&addr| !self.resolvers.contains(addr)))
+    }
+
+    /// How many resolvers [`Population::generate`] plans for `year` at
+    /// `scale`: the year's responders over the scale, rounded, so none
+    /// once the scale leaves less than half of one.
+    pub fn planned_resolvers(year: Year, scale: f64) -> u64 {
+        let responders: u64 = atoms(&YearSpec::get(year)).iter().sum();
+        (responders as f64 / scale).round() as u64
+    }
+
     /// Appends `part`'s hosts to this population, re-interning their
     /// profiles and countries into this population's table (ids from
     /// different `generate` calls are not comparable). Resolvers for
@@ -685,29 +908,38 @@ impl Population {
     pub fn merge(&mut self, part: &Population, keep: impl Fn(Ipv4Addr) -> bool) {
         let table = Arc::make_mut(&mut self.table);
         let mut memo: Vec<Option<ProfileId>> = vec![None; part.table.len()];
-        let mut copy = |dst: &mut HostList, src: &HostList, filtered: bool| {
-            for i in 0..src.len() {
-                let addr = src.addr(i);
-                if filtered && !keep(addr) {
-                    continue;
-                }
-                let old = src.profile_id(i) as usize;
-                let profile = match memo[old] {
-                    Some(id) => id,
-                    None => {
-                        let id = table.intern(ResponsePolicy::clone(part.table.get(old as u32)));
-                        memo[old] = Some(id);
-                        id
-                    }
-                };
-                let country = table.intern_country(part.table.country(src.country_id(i)));
-                dst.push(addr, profile, country);
-            }
+        let mut append = |dst: &mut HostList, src: &HostList, filtered: bool| {
+            let own = dst.iter_ids();
+            let added = src
+                .iter_ids()
+                .filter(|&(addr, _, _)| !filtered || keep(addr));
+            let added: Vec<_> = added
+                .map(|(addr, old, country)| {
+                    let profile = *memo[old as usize].get_or_insert_with(|| {
+                        table.intern(ResponsePolicy::clone(part.table.get(old)))
+                    });
+                    (
+                        addr,
+                        profile,
+                        table.intern_country(part.table.country(country)),
+                    )
+                })
+                .collect();
+            *dst = own.chain(added).collect();
         };
-        copy(&mut self.resolvers, &part.resolvers, true);
-        copy(&mut self.off_port, &part.off_port, false);
-        copy(&mut self.upstreams, &part.upstreams, false);
+        append(&mut self.resolvers, &part.resolvers, true);
+        append(&mut self.off_port, &part.off_port, false);
+        append(&mut self.upstreams, &part.upstreams, false);
     }
+}
+
+/// The year's cells as the one list of counts that scaling divides:
+/// flag cells, incorrect-answer slices, empty-question cells.
+fn atoms(spec: &YearSpec) -> Vec<u64> {
+    let flags = spec.flag_cells.iter().map(|c| c.count);
+    let slices = spec.incorrect.slices.iter().map(|s| s.count);
+    let empty = spec.empty_question.iter().map(|c| c.count);
+    flags.chain(slices).chain(empty).collect()
 }
 
 /// The shard that owns `addr` in an `shards`-way partition.
@@ -730,7 +962,10 @@ fn remap_hosts(
     compact: &mut ProfileTable,
     profile_map: &mut [Option<ProfileId>],
 ) {
-    for profile in &mut hosts.profiles {
+    // In generation order, so that first use numbers the compact table
+    // as it did when the columns were in that order.
+    for &slot in &hosts.order {
+        let profile = &mut hosts.profiles[slot as usize];
         let old = *profile as usize;
         *profile = match profile_map[old] {
             Some(new) => new,
@@ -741,7 +976,7 @@ fn remap_hosts(
             }
         };
     }
-    for country in &mut hosts.countries {
+    for (_, country) in &mut hosts.countries {
         *country = compact.intern_country(table.country(*country));
     }
 }
@@ -1329,6 +1564,206 @@ mod shard_tests {
         for n in [1usize, 2, 4, 8, 16] {
             assert!(shard_index(addr, n) < n);
             assert_eq!(shard_index(addr, n), shard_index(addr, n));
+        }
+    }
+}
+
+#[cfg(test)]
+mod host_list_tests {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    /// A host list as it was stored before it was sorted: three columns
+    /// in generation order, the country one for every host.
+    #[derive(Debug, Default)]
+    struct Reference {
+        addrs: Vec<u32>,
+        profiles: Vec<ProfileId>,
+        countries: Vec<u16>,
+    }
+
+    impl Reference {
+        fn push(&mut self, addr: Ipv4Addr, profile: ProfileId, country: u16) {
+            self.addrs.push(u32::from(addr));
+            self.profiles.push(profile);
+            self.countries.push(country);
+        }
+
+        /// Every index of `list` reads what the reference holds there.
+        fn assert_read_by(&self, list: &HostList, context: &str) {
+            assert_eq!(list.len(), self.addrs.len(), "{context}");
+            for i in 0..list.len() {
+                let expected = (
+                    Ipv4Addr::from(self.addrs[i]),
+                    self.profiles[i],
+                    self.countries[i],
+                );
+                let read = (list.addr(i), list.profile_id(i), list.country_id(i));
+                assert_eq!(read, expected, "index {i}: {context}");
+            }
+            let streamed: Vec<_> = list.iter_ids().collect();
+            let held: Vec<_> = (0..self.addrs.len())
+                .map(|i| {
+                    let addr = Ipv4Addr::from(self.addrs[i]);
+                    (addr, self.profiles[i], self.countries[i])
+                })
+                .collect();
+            assert_eq!(streamed, held, "{context}");
+            assert!(list.addrs().eq(held.iter().map(|h| h.0)), "{context}");
+            let mut distinct = self.addrs.clone();
+            distinct.sort_unstable();
+            distinct.dedup();
+            assert!(
+                list.distinct_addrs()
+                    .eq(distinct.into_iter().map(Ipv4Addr::from)),
+                "{context}"
+            );
+        }
+    }
+
+    /// Hosts spread over the space, under a few /16s or packed into one
+    /// /24, with both extreme addresses and some addresses planned twice.
+    fn hosts(rng: &mut orscope_check::Rng) -> Vec<(u32, ProfileId)> {
+        let size = *rng.choice(&[0usize, 1, 3, 4, 7, 8, 9, 100, 4_095, 4_096, 70_000]);
+        let (quarter, slash24) = (rng.range(0..4u32) << 30, rng.next_u64() as u32 & !0xFF);
+        let (spread, base) = *rng.choice(&[(u32::MAX, 0), (0x0003_FFFF, quarter), (0xFF, slash24)]);
+        let mut hosts: Vec<(u32, ProfileId)> = (0..size as u32)
+            .map(|i| (base | rng.next_u64() as u32 & spread, i))
+            .collect();
+        for _ in 0..size.min(rng.range(0..3)) {
+            hosts.push((*rng.choice(&[0, u32::MAX]), rng.range(0..9)));
+        }
+        for _ in 0..size / 50 {
+            let (addr, _) = *rng.choice(&hosts);
+            hosts.push((addr, rng.range(0..9)));
+        }
+        hosts
+    }
+
+    /// `find` is a map lookup, for every host and for misses next to
+    /// hosts, at the edges and anywhere: host sets of every directory
+    /// width from one bucket up. An address held twice answers with the
+    /// profile of the host planned first.
+    #[test]
+    fn host_list_find_matches_a_btree_map() {
+        orscope_check::cases(96, |rng| {
+            let hosts = hosts(rng);
+            let mut map: BTreeMap<u32, Vec<ProfileId>> = BTreeMap::new();
+            for &(addr, profile) in &hosts {
+                map.entry(addr).or_default().push(profile);
+            }
+            let list: HostList = hosts
+                .iter()
+                .map(|&(addr, profile)| (Ipv4Addr::from(addr), profile, COUNTRY_NONE))
+                .collect();
+            let index = &list.index;
+            // At most a byte a host of directory (two entries when nearly
+            // empty) and two of filter (one word when nearly empty).
+            assert!(4 * index.directory.len() <= hosts.len() + 8);
+            assert!(8 * index.filter.len() <= (2 * hosts.len()).max(8));
+            assert!(hosts.iter().all(|&(addr, _)| index.may_hold(addr)));
+            let near: Vec<u32> = hosts
+                .iter()
+                .flat_map(|&(a, _)| [a.wrapping_sub(1), a, a.wrapping_add(1), a ^ 0x8000_0000])
+                .collect();
+            let random: Vec<u32> = (0..1_000).map(|_| rng.next_u64() as u32).collect();
+            let edges = [0, 1, u32::MAX - 1, u32::MAX];
+            for &addr in near.iter().chain(&edges).chain(&random) {
+                let found = list.find(Ipv4Addr::from(addr));
+                let first = map.get(&addr).map(|profiles| profiles[0]);
+                assert_eq!(found, first, "{addr:#x} of {}", hosts.len());
+                assert_eq!(list.contains(Ipv4Addr::from(addr)), first.is_some());
+            }
+            // Misses mostly stop at the filter: one in eight to sixteen
+            // hits a set bit.
+            let passed = random
+                .iter()
+                .filter(|&&addr| !map.contains_key(&addr) && index.may_hold(addr))
+                .count();
+            assert!(passed <= 200, "{passed} of 1,000 misses passed the filter");
+        });
+    }
+
+    /// Whatever order the hosts come in, duplicates and sparse countries
+    /// included, each generation index reads what a generation-order
+    /// list reads, before and after its profile is replaced.
+    #[test]
+    fn a_host_list_reads_what_a_generation_order_list_reads() {
+        orscope_check::cases(64, |rng| {
+            let mut reference = Reference::default();
+            for (addr, profile) in hosts(rng) {
+                let country = if rng.chance(2) {
+                    rng.range(0..40u16)
+                } else {
+                    COUNTRY_NONE
+                };
+                reference.push(Ipv4Addr::from(addr), profile, country);
+            }
+            let mut list: HostList = (0..reference.addrs.len())
+                .map(|i| {
+                    let addr = Ipv4Addr::from(reference.addrs[i]);
+                    (addr, reference.profiles[i], reference.countries[i])
+                })
+                .collect();
+            reference.assert_read_by(&list, "as built");
+            for _ in 0..reference.addrs.len().min(20) {
+                let i = rng.range(0..reference.addrs.len());
+                let profile = rng.range(100..200);
+                reference.profiles[i] = profile;
+                list.set_profile(i, profile);
+            }
+            reference.assert_read_by(&list, "after set_profile");
+        });
+    }
+
+    /// Generation, its table compaction and `merge` keep every index
+    /// where a generation-order list built from the same stream keeps
+    /// it: each list read back through a second, unsorted path.
+    #[test]
+    fn generated_and_merged_lists_read_what_their_streams_held() {
+        let config = |year, seed, scale| {
+            let mut config = PopulationConfig::new(year, scale);
+            config.seed = seed;
+            config.forwarder_fraction = 0.25;
+            config.off_port_responders = 7;
+            config
+        };
+        for seed in [0xD5A1_2019, 1, 77] {
+            let mut base = Population::generate(&config(Year::Y2013, seed, 20_000.0));
+            let part = Population::generate(&config(Year::Y2018, seed ^ 1, 9_000.0));
+            let mut expected: Vec<Reference> = Vec::new();
+            // What `merge` appends: interned into the base table in the
+            // order it meets them.
+            let mut table = ProfileTable::clone(&base.table);
+            for (mine, theirs, filtered) in [
+                (&base.resolvers, &part.resolvers, true),
+                (&base.off_port, &part.off_port, false),
+                (&base.upstreams, &part.upstreams, false),
+            ] {
+                let mut reference = Reference::default();
+                for (addr, profile, country) in mine.iter_ids() {
+                    reference.push(addr, profile, country);
+                }
+                reference.assert_read_by(mine, "generated");
+                for host in theirs.iter(&part.table) {
+                    if filtered && host.addr.octets()[0] % 2 == 0 {
+                        continue;
+                    }
+                    let profile = table.intern(ResponsePolicy::clone(host.policy));
+                    reference.push(host.addr, profile, table.intern_country(host.country));
+                }
+                expected.push(reference);
+            }
+            base.merge(&part, |addr| addr.octets()[0] % 2 == 1);
+            for (list, reference) in [&base.resolvers, &base.off_port, &base.upstreams]
+                .into_iter()
+                .zip(&expected)
+            {
+                reference.assert_read_by(list, "merged");
+            }
+            for (i, host) in base.resolvers().enumerate() {
+                assert_eq!(base.find(host.addr), Some(base.resolvers.profile_id(i)));
+            }
         }
     }
 }

@@ -393,9 +393,7 @@ fn cmd_trend(args: &[String]) -> Result<(), String> {
         scale: parse_number(args, "--scale", 2_000.0)?,
         seed: parse_number(args, "--seed", 0x7E3Du64)?,
     };
-    if config.steps < 2 {
-        return Err("--steps must be at least 2".into());
-    }
+    config.validate().map_err(|err| err.to_string())?;
     println!(
         "{:>6} {:>12} {:>10} {:>8} {:>10}",
         "year", "responders", "wrong", "Err%", "malicious"

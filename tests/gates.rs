@@ -26,6 +26,7 @@ use orscope_json::Wire;
 use orscope_netsim::{Payload, SimTime};
 use orscope_observe::{Observatory, ObservatoryCheckpoint, RollingTables, ServeConfig};
 use orscope_resolver::paper::Year;
+use orscope_resolver::population::{Population, PopulationConfig};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -42,7 +43,7 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // the resolver pool shows up in the first two rows.
     ("dense", "allocations per event", 0.9, 0.777),
     // 185.2 with 256 B names (528 B records).
-    ("dense", "requested bytes per event", 165.0, 128.5),
+    ("dense", "requested bytes per event", 165.0, 127.4),
     // A scan asks each responder once, so it builds each planned host
     // once: the R1s that come back to a resolver already released and
     // the upstream timeouts that outlive their resolution are settled
@@ -51,12 +52,15 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // would say otherwise).
     ("dense", "materializations", 3_253.0, 3_253.0),
     ("dense", "planned hosts", 3_253.0, 3_253.0),
-    // The most the whole campaign holds at once: 291,106 B, 8 B less
-    // than when the boxed prober's target source counted the targets it
-    // had handed out (a cursor only the deleted campaign checkpoint
-    // read), 16 B less than when the campaign gathered its one shard's
-    // population into a one-element vector of references before the
-    // fan-out. A `Name`
+    // The most the whole campaign holds at once: 271,876 B. It read
+    // 291,106 B (5.9 B a host more) when every probed host was stored
+    // twice — in generation order with a country a host, and again as
+    // the address-sorted `(address, profile)` pairs of a separate host
+    // index — 291,114 B when the boxed prober's target source counted
+    // the targets it had handed out (a cursor only the deleted campaign
+    // checkpoint read), and 16 B more when the campaign gathered its one
+    // shard's population into a one-element vector of references before
+    // the fan-out. A `Name`
     // keeps its labels inline up to 54 bytes and is 64 B, so a record is
     // 144 B and every pooled resolver's scratch messages, pending and
     // referral maps are sized to the probe names they hold; with a
@@ -66,17 +70,28 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // per distinct value — where 8 B latencies and an 8 B factor a
     // response added 16 B an R2, and a per-label join of 32 B rows,
     // 4 B index slots and 12 B Q2/R1 stamps read 606,618 B with 256 B
-    // names. 4,136 B of it are the host index's membership filter
-    // (4,096 B of bits in front of its directory that answer most
-    // misses from one load) and the 40 B that the filter's fields and
-    // the two walks' precomputed quotients add to heap structs.
+    // names. 4,096 B of it are the resolvers' membership filter: the
+    // bits in front of their directory that answer most misses from one
+    // load.
     (
         "dense",
         "peak live bytes per planned host",
-        291_106.0 / 3_253.0,
-        291_106.0 / 3_253.0,
+        271_876.0 / 3_253.0,
+        271_876.0 / 3_253.0,
     ),
     ("dense", "live hosts at the peak", 325.0, 10.0),
+    // `generate`: `Population::generate` for the `dense` campaign, on
+    // its own: 91,665 B at its peak for 3,253 hosts. The host list is
+    // sorted into its columns one at a time, so it holds 20 B a host at
+    // most. 125,927 B when every host placed went into the set of
+    // addresses the rank walk steps over and the list kept a country a
+    // host; a set entry a host trips the row.
+    (
+        "generate",
+        GENERATE_PEAK,
+        91_665.0 / 3_253.0,
+        91_665.0 / 3_253.0,
+    ),
     // Settling is bookkeeping, not behaviour: every simulator counter
     // reads what it read when those hosts were rebuilt to ignore their
     // events. A change to `SimNet::step`'s arrival path or to either
@@ -103,13 +118,14 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // the budget; a shard reserving for every responder of the campaign
     // adds 4 B a host (124.8–126.0), which the plan's unit tests catch.
     // The shard thread and the calling thread interleave their
-    // allocations, so the peak moves by about a byte a host from run to
-    // run (120.7–122.1) and the row is not exact.
+    // allocations, so the peak moves by a few bytes a host from run to
+    // run (112.9–116.1; 120.7–122.1 when each host was stored twice) and
+    // the row is not exact.
     (
         "dense-2sh",
         "peak live bytes per planned host",
-        126.0,
-        121.5,
+        120.0,
+        115.5,
     ),
     // `sparse`: a one-shard full-Q1 campaign at scale 60,000, almost
     // all silence. A send to nobody is settled as unrouted on the spot:
@@ -166,6 +182,9 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     ("history", PEAK_ABOVE_ROWS, 1_300.0, 1_157.8),
 ];
 
+/// The `generate` counter.
+const GENERATE_PEAK: &str = "peak live bytes per host";
+
 /// The `history` counters.
 const RESIDENT: &str = "resident bytes per epoch";
 const PEAK_ABOVE_ROWS: &str = "peak live bytes per epoch above the rows";
@@ -209,6 +228,24 @@ fn dense() -> Ledger {
         ("R2 per Q2", dataset.r2() as f64 / dataset.q2 as f64),
         ("Q2 without an R1", dataset.q2 as f64 - dataset.r1 as f64),
     ]
+}
+
+fn generate() -> Ledger {
+    // The population the `dense` campaign generates.
+    let campaign = CampaignConfig::new(Year::Y2018, 2000.0);
+    let mut config = PopulationConfig::new(campaign.year, campaign.scale);
+    config.seed = campaign.seed;
+    config.reserved_hosts = campaign.infra.addresses();
+    let live = reset_peak();
+    let population = Population::generate(&config);
+    let peak = peak_above(live) as f64;
+    let lists = [
+        &population.resolvers,
+        &population.off_port,
+        &population.upstreams,
+    ];
+    let hosts = lists.iter().map(|list| list.len()).sum::<usize>() as f64;
+    vec![(GENERATE_PEAK, peak / hosts)]
 }
 
 fn dense_2sh() -> Ledger {
@@ -355,6 +392,7 @@ fn main() {
 fn every_gate_holds() {
     let workloads = [
         ("dense", dense as fn() -> Ledger),
+        ("generate", generate),
         ("dense-2sh", dense_2sh),
         ("sparse", sparse),
         ("flow-join", flow_join),
