@@ -29,17 +29,19 @@ use orscope_resolver::paper::Year;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-/// Peak live bytes per responder the scale-200 point may cost: 9 %
-/// above the 40.4 it measures (1,314,985 B for 32,531 responders). With
-/// each host stored twice — in generation order, and again as the
+/// Peak live bytes per responder the scale-200 point may cost: 10 %
+/// above the 33.7 it measures (1,095,569 B for 32,531 responders). With
+/// a buffer in each of the timing wheel's 448 slots, where its events
+/// now share one slab, it read 40.4 (1,314,985 B); with, besides, each
+/// host stored twice — in generation order, and again as the
 /// sorted pairs of a host index — it read 46.4 (1,507,979 B); with
 /// 256 B names, 8 B latencies and an 8 B amplification factor a
 /// response it read 65.4 (2,126,699 B). The per-label flow join of 32 B
 /// rows and 12 B Q2/R1 stamps read 121.4 (3,950,595 B); one keyed
 /// through a hash map with a stamp for every R1 read 171.8 (5,589,019
-/// B); one with a heap vector or two per flow, or a timing wheel that
-/// keeps drained slots' buffers, lands near 310.
-const SCALE_200_BYTES_PER_RESPONDER: u64 = 44;
+/// B); one with a heap vector or two per flow, or a timing wheel whose
+/// upper slots kept the buffers they were drained of, lands near 310.
+const SCALE_200_BYTES_PER_RESPONDER: u64 = 37;
 
 /// Runs one campaign and returns its JSON entry, its peak live bytes and
 /// its responder count.

@@ -29,6 +29,14 @@
 //! The test module checks the wheel against the reference it replaced,
 //! `BinaryHeap<Reverse<Event>>`, over arbitrary interleavings of push,
 //! pop and peek.
+//!
+//! # Memory
+//!
+//! The wheel's memory follows the events pending at once, not its 448
+//! slots. Filed events live in one slab of nodes, each slot is the index
+//! of its list's first node, and a drained node goes on a free list that
+//! the next filing takes from, so the slab grows only while every node
+//! it has is in use. An empty wheel owns no heap memory.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -100,6 +108,18 @@ const L0_SLOTS: usize = 256;
 const UPPER_SLOTS: usize = 64;
 const UPPER_LEVELS: usize = 3;
 
+/// The end of a list: an empty slot, the last node of a slot, or an
+/// exhausted free list.
+const NIL: u32 = u32::MAX;
+
+/// A slab node: a filed event and the next node of its slot's list, or,
+/// on the free list, no event and the next free node.
+#[derive(Debug)]
+struct Node {
+    event: Option<Event>,
+    next: u32,
+}
+
 /// A four-level hashed hierarchical timing wheel with an overflow list.
 ///
 /// `cursor` is the last tick whose slot was drained, or the tick of an
@@ -108,17 +128,31 @@ const UPPER_LEVELS: usize = 3;
 /// `t` and the cursor; cascading at block boundaries re-files events
 /// downward until they reach the inner wheel and, finally, the `ready`
 /// heap that hands them out in `(at, seq)` order.
+///
+/// Filed events live in one slab of nodes. A slot — each of the 256
+/// inner and 3 × 64 upper ones, and the overflow list — is the 4-byte
+/// index of its first node, and a node links to the next, so the slots
+/// cost nothing while empty and the slab holds as many nodes as were
+/// ever filed at once. A cascade relinks nodes into their new slots
+/// without moving their events; an inner-slot drain moves the events
+/// into `ready` and hands the nodes to the free list, which the next
+/// filing takes from before the slab grows. Order within a slot is
+/// arbitrary: `ready` sorts.
 pub(crate) struct TimingWheel {
     cursor: u64,
-    level0: Vec<Vec<Event>>,
-    upper: [Vec<Vec<Event>>; UPPER_LEVELS],
-    overflow: Vec<Event>,
+    level0: [u32; L0_SLOTS],
+    upper: [[u32; UPPER_SLOTS]; UPPER_LEVELS],
+    overflow: u32,
+    nodes: Vec<Node>,
+    /// The first node of the free list.
+    free: u32,
     ready: BinaryHeap<Reverse<Event>>,
     /// The event pushed into an empty queue, for as long as it is the
     /// only one: a paced sender's self-re-arming timer lives here and
-    /// costs no slot scan, no cascade and no slot buffer.
+    /// costs no slot scan, no cascade and no slab node.
     lone: Option<Event>,
-    /// Events held in `level0` + `upper` + `overflow` (not `ready`).
+    /// Events held in `level0` + `upper` + `overflow` (not `ready`): the
+    /// slab's nodes that are not free.
     stored: usize,
     /// Per-level occupancy (`[level0, upper0, upper1, upper2]`), so empty
     /// stretches of virtual time are skipped without scanning slots.
@@ -132,7 +166,7 @@ impl std::fmt::Debug for TimingWheel {
             .field("stored", &self.stored)
             .field("ready", &self.ready.len())
             .field("lone", &self.lone.is_some())
-            .field("overflow", &self.overflow.len())
+            .field("nodes", &self.nodes.len())
             .finish()
     }
 }
@@ -141,9 +175,11 @@ impl TimingWheel {
     pub(crate) fn new() -> Self {
         Self {
             cursor: 0,
-            level0: (0..L0_SLOTS).map(|_| Vec::new()).collect(),
-            upper: std::array::from_fn(|_| (0..UPPER_SLOTS).map(|_| Vec::new()).collect()),
-            overflow: Vec::new(),
+            level0: [NIL; L0_SLOTS],
+            upper: [[NIL; UPPER_SLOTS]; UPPER_LEVELS],
+            overflow: NIL,
+            nodes: Vec::new(),
+            free: NIL,
             ready: BinaryHeap::new(),
             lone: None,
             stored: 0,
@@ -208,44 +244,105 @@ impl TimingWheel {
             self.ready.push(Reverse(event));
             return;
         }
+        let node = Node {
+            event: Some(event),
+            next: NIL,
+        };
+        let index = if self.free == NIL {
+            let index = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&index| index != NIL)
+                .expect("fewer than u32::MAX events are filed at once");
+            self.nodes.push(node);
+            index
+        } else {
+            let index = self.free;
+            let slot = &mut self.nodes[index as usize];
+            self.free = slot.next;
+            *slot = node;
+            index
+        };
+        self.link(index, tick);
+    }
+
+    /// Links node `index`, due at `tick` (after the cursor), at the head
+    /// of the slot that holds that tick.
+    fn link(&mut self, index: u32, tick: u64) {
         self.stored += 1;
-        if tick >> 8 == self.cursor >> 8 {
+        let head = if tick >> 8 == self.cursor >> 8 {
             self.counts[0] += 1;
-            self.level0[(tick & 0xFF) as usize].push(event);
+            &mut self.level0[(tick & 0xFF) as usize]
         } else if tick >> 14 == self.cursor >> 14 {
             self.counts[1] += 1;
-            self.upper[0][((tick >> 8) & 0x3F) as usize].push(event);
+            &mut self.upper[0][((tick >> 8) & 0x3F) as usize]
         } else if tick >> 20 == self.cursor >> 20 {
             self.counts[2] += 1;
-            self.upper[1][((tick >> 14) & 0x3F) as usize].push(event);
+            &mut self.upper[1][((tick >> 14) & 0x3F) as usize]
         } else if tick >> 26 == self.cursor >> 26 {
             self.counts[3] += 1;
-            self.upper[2][((tick >> 20) & 0x3F) as usize].push(event);
+            &mut self.upper[2][((tick >> 20) & 0x3F) as usize]
         } else {
-            self.overflow.push(event);
+            &mut self.overflow
+        };
+        self.nodes[index as usize].next = *head;
+        *head = index;
+    }
+
+    /// Takes node `index`'s event and puts the node on the free list.
+    fn release(&mut self, index: u32) -> Event {
+        let node = &mut self.nodes[index as usize];
+        node.next = self.free;
+        self.free = index;
+        node.event.take().expect("a linked node holds an event")
+    }
+
+    /// The events of the list whose first node is `index`.
+    fn list(&self, mut index: u32) -> impl Iterator<Item = &Event> {
+        std::iter::from_fn(move || {
+            if index == NIL {
+                return None;
+            }
+            let node = &self.nodes[index as usize];
+            index = node.next;
+            node.event.as_ref()
+        })
+    }
+
+    /// Re-files every node of the list at `head`, taken out of its slot,
+    /// relative to the current cursor: relinked into a slot, or, due by
+    /// now, moved to `ready` and freed. `level` is the one whose count
+    /// the list is held in (`None` for overflow).
+    fn refile(&mut self, head: u32, level: Option<usize>) {
+        let mut index = head;
+        while index != NIL {
+            let node = &self.nodes[index as usize];
+            let next = node.next;
+            let tick = Self::tick_of(node.event.as_ref().expect("a linked node").at);
+            self.stored -= 1;
+            if let Some(level) = level {
+                self.counts[level] -= 1;
+            }
+            if tick <= self.cursor {
+                let event = self.release(index);
+                self.ready.push(Reverse(event));
+            } else {
+                debug_assert_ne!(level, Some(0), "an inner slot is drained on its tick");
+                self.link(index, tick);
+            }
+            index = next;
         }
     }
 
-    /// Re-files one upper-level slot downward. The slot's buffer is
-    /// dropped, not kept or handed to another slot: capacity that
-    /// circulates leaves every upper slot holding the high-water mark of
-    /// the busiest one long after it emptied.
+    /// Re-files one upper-level slot downward.
     fn cascade_upper(&mut self, level: usize, slot: usize) {
-        let events = std::mem::take(&mut self.upper[level][slot]);
-        self.stored -= events.len();
-        self.counts[1 + level] -= events.len();
-        for event in events {
-            self.place(event);
-        }
+        let head = std::mem::replace(&mut self.upper[level][slot], NIL);
+        self.refile(head, Some(1 + level));
     }
 
     /// Re-files every overflow event relative to the current cursor.
     fn refilter_overflow(&mut self) {
-        let events = std::mem::take(&mut self.overflow);
-        self.stored -= events.len();
-        for event in events {
-            self.place(event);
-        }
+        let head = std::mem::replace(&mut self.overflow, NIL);
+        self.refile(head, None);
     }
 
     /// Advances the cursor until `ready` holds the next event(s), or the
@@ -258,8 +355,7 @@ impl TimingWheel {
                 // Overflow ticks are always in a later top-level block
                 // than the cursor, so this only ever moves forward.
                 let min_tick = self
-                    .overflow
-                    .iter()
+                    .list(self.overflow)
                     .map(|event| Self::tick_of(event.at))
                     .min()
                     .expect("stored > 0 with empty levels implies overflow");
@@ -270,22 +366,14 @@ impl TimingWheel {
             if self.counts[0] > 0 {
                 // Scan the rest of the current 256-tick block.
                 let block_end = (self.cursor | 0xFF) + 1;
-                let mut found = false;
-                for tick in self.cursor..block_end {
-                    let slot = (tick & 0xFF) as usize;
-                    if !self.level0[slot].is_empty() {
-                        self.cursor = tick;
-                        let n = self.level0[slot].len();
-                        self.stored -= n;
-                        self.counts[0] -= n;
-                        for event in self.level0[slot].drain(..) {
-                            self.ready.push(Reverse(event));
-                        }
-                        found = true;
-                        break;
-                    }
-                }
-                if found {
+                let filled = (self.cursor..block_end)
+                    .find(|&tick| self.level0[(tick & 0xFF) as usize] != NIL);
+                if let Some(tick) = filled {
+                    // An inner slot holds one tick: with the cursor on
+                    // it, every event there moves to `ready`.
+                    self.cursor = tick;
+                    let head = std::mem::replace(&mut self.level0[(tick & 0xFF) as usize], NIL);
+                    self.refile(head, Some(0));
                     continue;
                 }
                 self.cursor = block_end;
@@ -423,6 +511,69 @@ mod tests {
         );
     }
 
+    /// Walks every slot and the free list and checks that each slab
+    /// node is on exactly one list: a filed node in the slot of the
+    /// finest level that holds its tick relative to the cursor, on its
+    /// level's count, and a free node empty.
+    fn assert_well_linked(wheel: &TimingWheel) {
+        let mut seen = vec![false; wheel.nodes.len()];
+        let mut walk = |head: u32| {
+            let mut nodes = Vec::new();
+            let mut index = head;
+            while index != NIL {
+                assert!(
+                    !std::mem::replace(&mut seen[index as usize], true),
+                    "node {index} is on two lists"
+                );
+                nodes.push(&wheel.nodes[index as usize]);
+                index = wheel.nodes[index as usize].next;
+            }
+            nodes
+        };
+        let cursor = wheel.cursor;
+        // Where a tick after the cursor is filed: (level, slot), level 4
+        // being the overflow list.
+        let home = |tick: u64| {
+            assert!(tick > cursor, "tick {tick} filed at cursor {cursor}");
+            match (8..32)
+                .step_by(6)
+                .position(|bits| tick >> bits == cursor >> bits)
+            {
+                Some(0) => (0, (tick & 0xFF) as usize),
+                Some(level) => (level, ((tick >> (2 + 6 * level)) & 0x3F) as usize),
+                None => (4, 0),
+            }
+        };
+        let mut filed = [0; 5];
+        let slots = (wheel
+            .level0
+            .iter()
+            .enumerate()
+            .map(|(slot, &head)| (0, slot, head)))
+        .chain(wheel.upper.iter().enumerate().flat_map(|(level, slots)| {
+            slots
+                .iter()
+                .enumerate()
+                .map(move |(slot, &head)| (1 + level, slot, head))
+        }))
+        .chain([(4, 0, wheel.overflow)]);
+        for (level, slot, head) in slots {
+            for node in walk(head) {
+                let event = node.event.as_ref().expect("a filed node holds its event");
+                assert_eq!(home(TimingWheel::tick_of(event.at)), (level, slot));
+                filed[level] += 1;
+            }
+        }
+        assert_eq!(filed[..4], wheel.counts);
+        assert_eq!(filed.iter().sum::<usize>(), wheel.stored);
+        let free = walk(wheel.free);
+        assert!(
+            free.iter().all(|node| node.event.is_none()),
+            "a free node holds an event"
+        );
+        assert_eq!(free.len() + wheel.stored, wheel.nodes.len());
+    }
+
     #[test]
     fn drained_upper_slots_give_their_capacity_back() {
         let mut wheel = TimingWheel::new();
@@ -442,26 +593,108 @@ mod tests {
             wheel.push(timer(SimTime::from_secs(300_000 + i * 4_000), seq));
             seq += 1;
         }
+        assert_eq!(wheel.nodes.len(), 16_005);
         for _ in 0..16_000 {
             wheel.pop().expect("the burst is pending");
         }
         assert_eq!(wheel.len(), 5);
-        // A vector filled by `push` holds at most twice its length (and
-        // no fewer than four); an emptied slot holds nothing.
-        let slots = wheel.upper.iter().flatten().chain([&wheel.overflow]);
-        for slot in slots {
-            let bound = if slot.is_empty() {
-                0
-            } else {
-                (2 * slot.len()).max(4)
-            };
+        assert_well_linked(&wheel);
+        // Every drained node is back on the free list, and the next
+        // burst is filed in them without growing the slab.
+        for i in 0..16_000u64 {
+            wheel.push(timer(
+                SimTime::from_secs(290_000) + Duration::from_micros(i * 997),
+                seq,
+            ));
+            seq += 1;
+        }
+        assert_eq!(wheel.nodes.len(), 16_005);
+        assert_well_linked(&wheel);
+        assert_eq!(pop_all(&mut wheel).len(), 16_005);
+        assert_well_linked(&wheel);
+    }
+
+    #[test]
+    fn the_slab_holds_no_more_nodes_than_were_ever_filed_at_once() {
+        // Waves of timers through every inner slot, every upper level
+        // and the overflow list, each wave popped halfway before the
+        // next: the slab's capacity follows the most events filed at
+        // once, not the events that passed through it.
+        let mut wheel = TimingWheel::new();
+        let mut high_water = 0;
+        let mut seq = 0u64;
+        let mut now = SimTime::ZERO;
+        let spans = [1u64 << 8, 1 << 14, 1 << 20, 1 << 26, 1 << 28];
+        let mut touched = [0usize; 1 + UPPER_LEVELS];
+        let mut overflowed = false;
+        let mut inner_slots = [false; L0_SLOTS];
+        let mut rng = orscope_check::Rng::new(41);
+        for wave in 0..40 {
+            let span = spans[wave % spans.len()];
+            for _ in 0..300 {
+                let at = now + Duration::from_nanos(rng.next_u64() % (span * TICK_NANOS));
+                wheel.push(timer(at, seq));
+                seq += 1;
+                high_water = high_water.max(wheel.stored);
+            }
+            for (level, count) in wheel.counts.iter().enumerate() {
+                touched[level] += count;
+            }
+            overflowed |= wheel.overflow != NIL;
+            assert_well_linked(&wheel);
+            for _ in 0..wheel.len() / 2 {
+                // Filed by a push or by a cascade, and seen before the
+                // drain that empties it.
+                for (hit, &head) in inner_slots.iter_mut().zip(&wheel.level0) {
+                    *hit |= head != NIL;
+                }
+                now = wheel.pop().expect("half the wave is pending").at;
+            }
+            assert_well_linked(&wheel);
             assert!(
-                slot.capacity() <= bound,
-                "a slot of {} events retains capacity for {}",
-                slot.len(),
-                slot.capacity()
+                wheel.nodes.capacity() <= high_water.next_power_of_two(),
+                "{} nodes for {high_water} filed at once",
+                wheel.nodes.capacity()
             );
         }
+        assert!(touched.iter().all(|&count| count > 0) && overflowed);
+        // Slot 0 holds a block's first tick, which is never after a
+        // cursor inside that block: a cascade sends it to `ready`.
+        assert_eq!(inner_slots, std::array::from_fn(|slot| slot > 0));
+        pop_all(&mut wheel);
+        assert_well_linked(&wheel);
+        assert_eq!(wheel.stored, 0);
+        assert!(wheel.nodes.capacity() <= high_water.next_power_of_two());
+    }
+
+    #[test]
+    fn every_node_stays_linked_once_where_its_tick_belongs() {
+        // The reference test's operations, with the slab's lists checked
+        // after every one of them.
+        orscope_check::cases(48, |rng| {
+            let mut wheel = TimingWheel::new();
+            let mut last_popped = SimTime::ZERO;
+            let mut seq = 0u64;
+            for _ in 0..rng.range(1..300) {
+                let offset = rng.next_u64() % (1u64 << rng.choice(&OFFSET_BITS));
+                let at = last_popped + Duration::from_nanos(offset);
+                match rng.range(0u8..6) {
+                    0..=3 => {
+                        wheel.push(timer(at, seq));
+                        seq += 1;
+                    }
+                    4 => {
+                        let _ = wheel.next_at();
+                    }
+                    _ => {
+                        if let Some(event) = wheel.pop() {
+                            last_popped = event.at;
+                        }
+                    }
+                }
+                assert_well_linked(&wheel);
+            }
+        });
     }
 
     /// Offsets ahead of the last popped time, in nanoseconds: the same
@@ -653,9 +886,8 @@ mod tests {
             assert_eq!(wheel.len(), 0);
             assert_eq!(wheel.cursor, TimingWheel::tick_of(at));
             let filed = wheel.level0.iter().chain(wheel.upper.iter().flatten());
-            assert!(filed
-                .chain([&wheel.overflow])
-                .all(|slot| slot.capacity() == 0));
+            assert!(filed.chain([&wheel.overflow]).all(|&head| head == NIL));
+            assert_eq!(wheel.nodes.capacity(), 0);
             assert_eq!(wheel.ready.capacity(), 0);
         }
     }

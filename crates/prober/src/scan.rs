@@ -407,7 +407,13 @@ impl Prober {
         let now = ctx.now();
         while let Some((_, xmit, target)) = self.expiry.pop_due(now) {
             // Answered probes and superseded transmissions leave stale
-            // entries behind; skip them.
+            // entries behind; skip them. A miss through `entry` reserves
+            // room for an insert that never comes, which doubles a map
+            // at its load limit: there, a lookup goes first.
+            let full = self.outstanding.len() == self.outstanding.capacity();
+            if full && !self.outstanding.contains_key(&target) {
+                continue;
+            }
             let Entry::Occupied(entry) = self.outstanding.entry(target) else {
                 continue;
             };
@@ -715,6 +721,59 @@ mod tests {
             "{} dispatches for {} ticks",
             dispatches.get(),
             stats.pacer_ticks
+        );
+    }
+
+    #[test]
+    fn a_sweep_of_stale_entries_leaves_the_in_flight_map_its_size() {
+        /// Fills the prober's in-flight map to its load limit, files a
+        /// stale expiry entry for each of its probes (a superseded
+        /// transmission) and for as many answered probes (whose keys are
+        /// gone), sweeps, and reports the map's length and capacity
+        /// before and after.
+        struct StaleSweep(Prober, std::rc::Rc<std::cell::Cell<[(usize, usize); 2]>>);
+        impl Endpoint for StaleSweep {
+            fn handle_datagram(&mut self, _: &Datagram, _: &mut Context<'_>) {}
+            fn handle_timer(&mut self, _: u64, ctx: &mut Context<'_>) {
+                let prober = &mut self.0;
+                prober.outstanding.reserve(16);
+                let n = prober.outstanding.capacity() as u32;
+                for i in 0..n {
+                    let probe = Outstanding {
+                        label: ProbeLabel {
+                            cluster: 0,
+                            seq: u64::from(i),
+                        },
+                        sent_at: SimTime::ZERO,
+                        attempts: 0,
+                        xmit: u64::from(i),
+                    };
+                    prober.outstanding.insert(Ipv4Addr::from(i), probe);
+                }
+                for i in 0..2 * n {
+                    let entry = (SimTime::ZERO, u64::from(n + i), Ipv4Addr::from(i));
+                    prober.expiry.push(0, entry);
+                }
+                let full = (prober.outstanding.len(), prober.outstanding.capacity());
+                prober.sweep_expired(ctx, &mut TickBooks::default());
+                let after = (prober.outstanding.len(), prober.outstanding.capacity());
+                self.1.set([full, after]);
+            }
+        }
+        let prober = Prober::new(ProberConfig::new(zone(), Vec::new()), ProberHandle::new());
+        let seen = std::rc::Rc::default();
+        let mut net = SimNet::builder().seed(5).build();
+        net.register(
+            PROBER,
+            StaleSweep(prober.unwrap(), std::rc::Rc::clone(&seen)),
+        );
+        net.set_timer_for(PROBER, SimTime::from_secs(1), TICK);
+        net.run_until_idle();
+        let [full, after] = seen.get();
+        assert_eq!(full.0, full.1, "the map is at its load limit");
+        assert_eq!(
+            after, full,
+            "a stale entry settles nothing and makes no room"
         );
     }
 

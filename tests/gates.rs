@@ -40,10 +40,12 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // datagram that travels, and nothing for the fifth of the sends
     // that go to nobody or the timer that re-arms into an empty queue.
     // A change to any endpoint's packet path, `dns-wire` decode/build or
-    // the resolver pool shows up in the first two rows.
-    ("dense", "allocations per event", 0.9, 0.777),
-    // 185.2 with 256 B names (528 B records).
-    ("dense", "requested bytes per event", 165.0, 127.4),
+    // the resolver pool shows up in the first two rows. The scheduler's
+    // slab grows by doubling, a few times a run: 0.777 and 127.4 B when
+    // each of the timing wheel's 448 slots grew a buffer of its own.
+    ("dense", "allocations per event", 0.9, 0.703),
+    // 185.2 with 256 B names (528 B records) and slot buffers.
+    ("dense", "requested bytes per event", 165.0, 83.9),
     // A scan asks each responder once, so it builds each planned host
     // once: the R1s that come back to a resolver already released and
     // the upstream timeouts that outlive their resolution are settled
@@ -52,10 +54,14 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // would say otherwise).
     ("dense", "materializations", 3_253.0, 3_253.0),
     ("dense", "planned hosts", 3_253.0, 3_253.0),
-    // The most the whole campaign holds at once: 271,876 B. It read
-    // 291,106 B (5.9 B a host more) when every probed host was stored
-    // twice — in generation order with a country a host, and again as
-    // the address-sorted `(address, profile)` pairs of a separate host
+    // The most the whole campaign holds at once: 173,982 B. It read
+    // 271,876 B when the timing wheel kept a buffer in each of its 448
+    // slots, where an emptied inner slot held on to its capacity; its one
+    // slab of event nodes holds as many as were ever filed at once, and
+    // a slot is a 4 B list head. With those buffers it read 291,106 B
+    // (5.9 B a host more) when every probed host was stored twice — in
+    // generation order with a country a host, and again as the
+    // address-sorted `(address, profile)` pairs of a separate host
     // index — 291,114 B when the boxed prober's target source counted
     // the targets it had handed out (a cursor only the deleted campaign
     // checkpoint read), and 16 B more when the campaign gathered its one
@@ -76,8 +82,8 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     (
         "dense",
         "peak live bytes per planned host",
-        271_876.0 / 3_253.0,
-        271_876.0 / 3_253.0,
+        173_982.0 / 3_253.0,
+        173_982.0 / 3_253.0,
     ),
     ("dense", "live hosts at the peak", 325.0, 10.0),
     // `generate`: `Population::generate` for the `dense` campaign, on
@@ -118,15 +124,11 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // the budget; a shard reserving for every responder of the campaign
     // adds 4 B a host (124.8–126.0), which the plan's unit tests catch.
     // The shard thread and the calling thread interleave their
-    // allocations, so the peak moves by a few bytes a host from run to
-    // run (112.9–116.1; 120.7–122.1 when each host was stored twice) and
-    // the row is not exact.
-    (
-        "dense-2sh",
-        "peak live bytes per planned host",
-        120.0,
-        115.5,
-    ),
+    // allocations, so the peak moves by about a byte a host from run to
+    // run (66.8–67.7) and the row is not exact. It read 112.9–116.1 when
+    // each shard's timing wheel kept a buffer in each of its 448 slots,
+    // and 120.7–122.1 when, besides, each host was stored twice.
+    ("dense-2sh", "peak live bytes per planned host", 71.0, 67.2),
     // `sparse`: a one-shard full-Q1 campaign at scale 60,000, almost
     // all silence. A send to nobody is settled as unrouted on the spot:
     // it is no event, is lost from no book and is never built — the
@@ -137,17 +139,20 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // the wheel, not in a slot. What is left is the 1.3 % of probes
     // that are answered. A payload built for nobody, or a lone timer
     // filed into a slot, costs one allocation a datagram and trips the
-    // budget twenty times over; a change to the prober's send path,
+    // budget twenty times over (0.033 when the wheel's slots grew
+    // buffers of their own); a change to the prober's send path,
     // `Context::send_bytes`, `TimingWheel::push` or `Coverage::covers`
     // shows up here.
-    ("sparse", "allocations per datagram sent", 0.05, 0.033),
+    ("sparse", "allocations per datagram sent", 0.05, 0.022),
     // Nothing is held per target: the budget is the measured peak plus
     // two bytes for each of the 61,704 targets, so a stored address a
     // target (246,816 B) trips it and an allocator-neutral edit does
     // not. The few answered probes' names and records are 64 B and
-    // 144 B; at 256 B and 528 B the peak read 127,250 B.
-    ("sparse", "peak live bytes", 227_942.0, 104_534.0),
-    ("sparse", "peak live bytes per target", 3.694, 1.694),
+    // 144 B; at 256 B and 528 B (and a buffer in each of the timing
+    // wheel's 448 slots) the peak read 127,250 B, and 104,534 B with
+    // the slot buffers alone.
+    ("sparse", "peak live bytes", 162_606.0, 39_198.0),
+    ("sparse", "peak live bytes per target", 2.635, 0.635),
     ("sparse", "delivered per unrouted", 0.02, 0.013),
     ("sparse", "events beside timers and deliveries", 0.0, 0.0),
     ("sparse", "datagrams sent and not accounted for", 0.0, 0.0),
