@@ -30,7 +30,8 @@ use orscope_resolver::paper::Year;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Peak live bytes per responder the scale-200 point may cost: 10 %
-/// above the 33.7 it measures (1,095,569 B for 32,531 responders). With
+/// above the 32.4 it measures (1,053,389 B for 32,531 responders). With
+/// version.bind banners on the profiles it read 33.7 (1,095,569 B); with
 /// a buffer in each of the timing wheel's 448 slots, where its events
 /// now share one slab, it read 40.4 (1,314,985 B); with, besides, each
 /// host stored twice — in generation order, and again as the
@@ -41,7 +42,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// through a hash map with a stamp for every R1 read 171.8 (5,589,019
 /// B); one with a heap vector or two per flow, or a timing wheel whose
 /// upper slots kept the buffers they were drained of, lands near 310.
-const SCALE_200_BYTES_PER_RESPONDER: u64 = 37;
+const SCALE_200_BYTES_PER_RESPONDER: u64 = 36;
 
 /// Runs one campaign and returns its JSON entry, its peak live bytes and
 /// its responder count.

@@ -1,37 +1,12 @@
 //! The authoritative name server endpoint.
 
-use std::collections::HashMap;
-use std::net::Ipv4Addr;
-use std::time::Duration;
-
 use orscope_dns_wire::{Message, MessageBuilder, Rcode, RecordType};
-use orscope_netsim::{Context, Datagram, Endpoint, SimTime};
+use orscope_netsim::{Context, Datagram, Endpoint};
 
 use crate::capture::CaptureHandle;
 use crate::cluster::{ClusterAnswer, ClusterZone};
 use crate::scheme::ProbeLabel;
 use crate::zone::ZoneAnswer;
-
-/// Response-rate-limiting configuration (BIND-style RRL): at most
-/// `max_responses` per client address per `window`, with excess answers
-/// dropped. The standard mitigation for the amplification abuse of
-/// section II-C.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RrlConfig {
-    /// Sliding-window length.
-    pub window: Duration,
-    /// Responses allowed per client within a window.
-    pub max_responses: u32,
-}
-
-impl Default for RrlConfig {
-    fn default() -> Self {
-        Self {
-            window: Duration::from_secs(1),
-            max_responses: 10,
-        }
-    }
-}
 
 /// What the server answered, tallied by question type and by response
 /// code: each answered query counts once in `queries`, once under a
@@ -101,13 +76,6 @@ pub struct AuthoritativeServer {
     /// Accumulated simulated zone-load time (charged against the scan
     /// wall clock when reporting Table II).
     load_time_secs: f64,
-    /// Response rate limiting, off by default (the paper's server — like
-    /// most of the abused population — did not deploy it).
-    rrl: Option<RrlConfig>,
-    /// Per-client RRL state: (window start, responses in window).
-    rrl_state: HashMap<Ipv4Addr, (SimTime, u32)>,
-    /// Responses suppressed by RRL.
-    rrl_dropped: u64,
     /// Scratch the query in hand is decoded into and the response is
     /// built in: each reuses the previous packet's section vectors.
     inbound: Message,
@@ -127,41 +95,9 @@ impl AuthoritativeServer {
             auto_advance: false,
             auto_cluster_size: crate::scheme::CLUSTER_CAPACITY,
             load_time_secs: 0.0,
-            rrl: None,
-            rrl_state: HashMap::new(),
-            rrl_dropped: 0,
             inbound: Message::default(),
             outbound: Message::default(),
             scratch: Vec::with_capacity(512),
-        }
-    }
-
-    /// Enables BIND-style response rate limiting.
-    pub fn enable_rrl(&mut self, config: RrlConfig) -> &mut Self {
-        self.rrl = Some(config);
-        self
-    }
-
-    /// Responses suppressed by rate limiting so far.
-    pub fn rrl_dropped(&self) -> u64 {
-        self.rrl_dropped
-    }
-
-    /// Whether RRL permits answering `client` at `now`.
-    fn rrl_permits(&mut self, client: Ipv4Addr, now: SimTime) -> bool {
-        let Some(config) = self.rrl else {
-            return true;
-        };
-        let entry = self.rrl_state.entry(client).or_insert((now, 0));
-        if now.since(entry.0) >= config.window {
-            *entry = (now, 0);
-        }
-        if entry.1 >= config.max_responses {
-            self.rrl_dropped += 1;
-            false
-        } else {
-            entry.1 += 1;
-            true
         }
     }
 
@@ -278,31 +214,26 @@ impl Endpoint for AuthoritativeServer {
         let mut query = std::mem::take(&mut self.inbound);
         let decoded = query.decode_into(&dgram.payload);
         let label = self.label_of(&query);
-        // Captured before the RRL verdict: the tcpdump sees the query
-        // whether or not it is answered.
+        // Captured before it is answered: the tcpdump sees the packet
+        // whether or not a response follows.
         self.capture.record_inbound(ctx.now(), dgram, label);
-        let answer = if !self.rrl_permits(dgram.src, ctx.now()) {
-            None // RRL: drop, don't answer (slip=0)
-        } else {
-            match decoded {
-                Ok(()) if !query.header().is_response() => Some((
-                    self.respond_labelled(&query, label),
-                    query.response_size_limit(),
-                )),
-                Ok(()) => None, // stray response; a server ignores these
-                Err(_) => {
-                    // BIND answers undecodable queries with FormErr when
-                    // it can at least read the ID; we echo a minimal
-                    // FormErr.
-                    let id = match dgram.payload[..] {
-                        [hi, lo, ..] => u16::from_be_bytes([hi, lo]),
-                        _ => 0,
-                    };
-                    let mut m = self.builder().id(id).rcode(Rcode::FormErr).build();
-                    m.header_mut().set_response(true);
-                    self.stats.record(None, Rcode::FormErr);
-                    Some((m, Message::CLASSIC_UDP_LIMIT))
-                }
+        let answer = match decoded {
+            Ok(()) if !query.header().is_response() => Some((
+                self.respond_labelled(&query, label),
+                query.response_size_limit(),
+            )),
+            Ok(()) => None, // stray response; a server ignores these
+            Err(_) => {
+                // BIND answers undecodable queries with FormErr when it
+                // can at least read the ID; we echo a minimal FormErr.
+                let id = match dgram.payload[..] {
+                    [hi, lo, ..] => u16::from_be_bytes([hi, lo]),
+                    _ => 0,
+                };
+                let mut m = self.builder().id(id).rcode(Rcode::FormErr).build();
+                m.header_mut().set_response(true);
+                self.stats.record(None, Rcode::FormErr);
+                Some((m, Message::CLASSIC_UDP_LIMIT))
             }
         };
         self.inbound = query;
@@ -517,7 +448,9 @@ mod label_tests {
     use crate::zone::Zone;
     use orscope_dns_wire::wire::Reader;
     use orscope_dns_wire::{Header, Name, Question};
-    use orscope_netsim::{FixedLatency, SimNet};
+    use orscope_netsim::{FixedLatency, SimNet, SimTime};
+    use std::net::Ipv4Addr;
+    use std::time::Duration;
 
     const SERVER: Ipv4Addr = Ipv4Addr::new(45, 77, 1, 1);
     const CLIENT: Ipv4Addr = Ipv4Addr::new(9, 9, 9, 9);
@@ -540,19 +473,16 @@ mod label_tests {
         ProbeLabel::parse(question.qname(), &zone_name())
     }
 
-    /// Sends each payload to a server with cluster 0 loaded (and `rrl`,
-    /// if any) at time zero and returns what its capture point saw.
-    fn capture_of(payloads: &[Vec<u8>], rrl: Option<RrlConfig>) -> Vec<CapturedPacket> {
+    /// Sends each payload to a server with cluster 0 loaded at time zero
+    /// and returns what its capture point saw.
+    fn capture_of(payloads: &[Vec<u8>]) -> Vec<CapturedPacket> {
         let capture = CaptureHandle::new();
         let mut cz = ClusterZone::new(Zone::new(
             zone_name(),
             "ns1.ucfsealresearch.net".parse().unwrap(),
         ));
         cz.load_cluster(0, 1000);
-        let mut server = AuthoritativeServer::new(cz, capture.clone());
-        if let Some(config) = rrl {
-            server.enable_rrl(config);
-        }
+        let server = AuthoritativeServer::new(cz, capture.clone());
         let mut net = SimNet::builder()
             .seed(1)
             .latency(FixedLatency(Duration::from_millis(1)))
@@ -600,7 +530,7 @@ mod label_tests {
             // NXDomain is still a probe's R1.
             ("or005.0000042.ucfsealresearch.net", unloaded),
         ] {
-            let packets = capture_of(&[query_for(qname)], None);
+            let packets = capture_of(&[query_for(qname)]);
             assert_eq!(
                 shape(&packets),
                 [(Inbound, label), (Outbound, label)],
@@ -626,7 +556,7 @@ mod label_tests {
             // Undecodable: answered FormErr, which echoes no question.
             vec![0xAB, 0xCD, 0xFF],
         ] {
-            let packets = capture_of(std::slice::from_ref(&payload), None);
+            let packets = capture_of(std::slice::from_ref(&payload));
             assert_eq!(
                 shape(&packets),
                 [(Inbound, None), (Outbound, None)],
@@ -646,7 +576,7 @@ mod label_tests {
         let mut payload = query_for("or000.0000042.ucfsealresearch.net");
         payload[11] = 1; // ARCOUNT
         assert!(Message::decode(&payload).is_err());
-        let packets = capture_of(&[payload], None);
+        let packets = capture_of(&[payload]);
         assert_eq!(
             shape(&packets),
             [(Direction::Inbound, None), (Direction::Outbound, None)]
@@ -663,33 +593,8 @@ mod label_tests {
         let label = ProbeLabel::new(0, 9);
         let mut stray = Message::query(7, Question::a(label.qname(&zone_name())));
         stray.header_mut().set_response(true);
-        let packets = capture_of(&[stray.encode().unwrap()], None);
+        let packets = capture_of(&[stray.encode().unwrap()]);
         assert_eq!(shape(&packets), [(Direction::Inbound, Some(label))]);
-    }
-
-    #[test]
-    fn an_rrl_dropped_query_is_captured_with_its_label_before_the_verdict() {
-        use Direction::{Inbound, Outbound};
-        let rrl = RrlConfig {
-            window: Duration::from_secs(1),
-            max_responses: 1,
-        };
-        let labels: Vec<_> = (0..3).map(|seq| Some(ProbeLabel::new(0, seq))).collect();
-        let payloads: Vec<_> = (0..3)
-            .map(|seq| query_for(&format!("or000.000000{seq}.ucfsealresearch.net")))
-            .collect();
-        let packets = capture_of(&payloads, Some(rrl));
-        // The first is answered on the spot; the other two are seen and
-        // dropped, in arrival order.
-        assert_eq!(
-            shape(&packets),
-            [
-                (Inbound, labels[0]),
-                (Outbound, labels[0]),
-                (Inbound, labels[1]),
-                (Inbound, labels[2]),
-            ]
-        );
     }
 }
 
@@ -730,99 +635,5 @@ mod truncation_tests {
         let wire = resp.encode_truncated(query.response_size_limit()).unwrap();
         assert!(wire.len() > 512, "{} bytes", wire.len());
         assert!(!Message::decode(&wire).unwrap().header().truncated());
-    }
-}
-
-#[cfg(test)]
-mod rrl_tests {
-    use super::*;
-    use crate::zone::Zone;
-    use orscope_dns_wire::{Message, Question};
-    use orscope_netsim::SimNet;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    const SERVER: Ipv4Addr = Ipv4Addr::new(45, 77, 1, 1);
-    const CLIENT: Ipv4Addr = Ipv4Addr::new(9, 9, 9, 9);
-
-    struct Counter(Arc<AtomicU64>);
-    impl Endpoint for Counter {
-        fn handle_datagram(&mut self, _d: &Datagram, _c: &mut Context<'_>) {
-            self.0.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    fn run_queries(rrl: Option<RrlConfig>, queries: u32) -> (u64, u64) {
-        let mut net = SimNet::builder().seed(4).build();
-        let mut cz = ClusterZone::new(Zone::new(
-            "ucfsealresearch.net".parse().unwrap(),
-            "ns1.ucfsealresearch.net".parse().unwrap(),
-        ));
-        cz.load_cluster(0, 10_000);
-        let mut server = AuthoritativeServer::new(cz, CaptureHandle::new());
-        if let Some(config) = rrl {
-            server.enable_rrl(config);
-        }
-        net.register(SERVER, server);
-        let got = Arc::new(AtomicU64::new(0));
-        net.register(CLIENT, Counter(got.clone()));
-        for i in 0..queries {
-            let label = crate::scheme::ProbeLabel::new(0, i as u64);
-            let q = Message::query(
-                i as u16,
-                Question::a(label.qname(&"ucfsealresearch.net".parse().unwrap())),
-            );
-            net.inject(Datagram::new(
-                (CLIENT, 40_000),
-                (SERVER, 53),
-                q.encode().unwrap(),
-            ));
-        }
-        net.run_until_idle();
-        (got.load(Ordering::Relaxed), queries as u64)
-    }
-
-    #[test]
-    fn rrl_caps_burst_responses() {
-        // All 50 queries arrive within one latency window (~same time).
-        let (answered, sent) = run_queries(
-            Some(RrlConfig {
-                window: Duration::from_secs(1),
-                max_responses: 10,
-            }),
-            50,
-        );
-        assert_eq!(sent, 50);
-        assert_eq!(answered, 10, "only the window budget is answered");
-    }
-
-    #[test]
-    fn no_rrl_answers_everything() {
-        let (answered, sent) = run_queries(None, 50);
-        assert_eq!(answered, sent);
-    }
-
-    #[test]
-    fn rrl_window_resets() {
-        let mut srv = AuthoritativeServer::new(
-            ClusterZone::new(Zone::new(
-                "x.net".parse().unwrap(),
-                "ns1.x.net".parse().unwrap(),
-            )),
-            CaptureHandle::new(),
-        );
-        srv.enable_rrl(RrlConfig {
-            window: Duration::from_millis(100),
-            max_responses: 2,
-        });
-        let c = Ipv4Addr::new(1, 1, 1, 1);
-        assert!(srv.rrl_permits(c, SimTime::ZERO));
-        assert!(srv.rrl_permits(c, SimTime::ZERO));
-        assert!(!srv.rrl_permits(c, SimTime::ZERO));
-        assert_eq!(srv.rrl_dropped(), 1);
-        // A new window opens 100ms later.
-        assert!(srv.rrl_permits(c, SimTime::from_nanos(100_000_000)));
-        // Other clients have their own budget.
-        assert!(srv.rrl_permits(Ipv4Addr::new(2, 2, 2, 2), SimTime::ZERO));
     }
 }

@@ -16,10 +16,12 @@ use orscope_netsim::{
     Coverage, FaultKind, FaultPlan, FaultRule, FaultScope, HashLatency, LazyRegistry, NetStats,
     SimNet, SimTime,
 };
-use orscope_prober::{ProbeStats, Prober, ProberConfig, ProberHandle, SlotSchedule, TargetSource};
+use orscope_prober::{
+    ProbeStats, Prober, ProberConfig, ProberHandle, SlotSchedule, TargetSource, MAX_RETRIES,
+};
 use orscope_resolver::paper::{Year, YearSpec};
 use orscope_resolver::population::{Member, Population, PopulationConfig};
-use orscope_resolver::{ProfiledResolver, ResolverConfig, ResolverStats};
+use orscope_resolver::{ProfiledResolver, ResolverStats};
 use orscope_telemetry::{Collector, MetricValue, Scope, SpanSnapshot, TelemetrySnapshot};
 use orscope_threatintel::ThreatDb;
 
@@ -40,20 +42,17 @@ pub struct CampaignConfig {
     pub scale: f64,
     /// Master seed.
     pub seed: u64,
-    /// Independent per-datagram loss probability (failure injection).
-    pub loss_probability: f64,
-    /// Independent per-datagram duplication probability (failure
-    /// injection; UDP may deliver twice).
-    pub duplicate_probability: f64,
     /// Scheduled, scoped network impairments (the chaos layer). The
     /// plan's seed is mixed with the campaign seed, and the same mixed
     /// plan is handed to every shard, so fault decisions are
-    /// shard-invariant. `loss_probability` and `duplicate_probability`
-    /// are always-on, all-scope rules appended to this plan.
+    /// shard-invariant. Campaign-wide loss and duplication
+    /// ([`Self::with_loss`], [`Self::with_duplication`]) are always-on,
+    /// all-scope rules of this plan.
     pub faults: FaultPlan,
     /// Per-probe retransmission budget: an unanswered Q1 is re-sent with
-    /// exponential backoff up to this many times before the target is
-    /// abandoned (0 = the paper's fire-and-forget scan).
+    /// exponential backoff up to this many times, at most
+    /// [`MAX_RETRIES`], before the target is abandoned (0 = the paper's
+    /// fire-and-forget scan).
     pub retry_limit: u32,
     /// Extra off-port responders (the §V blind-spot ablation).
     pub off_port_responders: u64,
@@ -105,8 +104,6 @@ impl CampaignConfig {
             year,
             scale,
             seed: 0xD5A1_2019,
-            loss_probability: 0.0,
-            duplicate_probability: 0.0,
             faults: FaultPlan::new(),
             retry_limit: 0,
             off_port_responders: 0,
@@ -152,19 +149,34 @@ impl CampaignConfig {
         self
     }
 
-    /// Sets the independent per-datagram loss probability.
+    /// Adds independent per-datagram loss with `probability`: an
+    /// always-on, all-scope rule appended to [`Self::faults`] (none for
+    /// 0; a probability outside `[0, 1]` fails validation).
     pub fn with_loss(mut self, probability: f64) -> Self {
-        self.loss_probability = probability;
+        if probability != 0.0 {
+            self.faults.push(FaultRule::always(
+                FaultScope::All,
+                FaultKind::Loss { probability },
+            ));
+        }
         self
     }
 
-    /// Sets the independent per-datagram duplication probability.
+    /// Adds independent per-datagram duplication with `probability`
+    /// (UDP may deliver twice), as [`Self::with_loss`] adds loss.
     pub fn with_duplication(mut self, probability: f64) -> Self {
-        self.duplicate_probability = probability;
+        if probability != 0.0 {
+            self.faults.push(FaultRule::always(
+                FaultScope::All,
+                FaultKind::Duplicate { probability },
+            ));
+        }
         self
     }
 
-    /// Installs a fault plan (scheduled, scoped impairments).
+    /// Installs a fault plan (scheduled, scoped impairments). It
+    /// replaces every rule set before it, those of [`Self::with_loss`]
+    /// and [`Self::with_duplication`] included.
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = faults;
         self
@@ -213,9 +225,10 @@ impl CampaignConfig {
     ///
     /// Returns [`CampaignError::InvalidConfig`] for out-of-range knobs:
     /// a scale below 1 (the paper's full scan) or so large that the
-    /// year's population has no responder, probabilities outside
-    /// `[0, 1]`, a zero probe rate, a shard count outside `1..=64`, or a
-    /// malformed fault plan.
+    /// year's population has no responder, a forwarder fraction outside
+    /// `[0, 1]`, a retry budget above [`MAX_RETRIES`], a zero probe rate,
+    /// a shard count outside `1..=64`, or a malformed fault plan (a loss
+    /// or duplication probability outside `[0, 1]` among them).
     pub fn validate(&self) -> Result<(), CampaignError> {
         let invalid = |reason: String| Err(CampaignError::InvalidConfig(reason));
         if !(self.scale.is_finite() && self.scale >= 1.0) {
@@ -234,14 +247,17 @@ impl CampaignConfig {
         if !(1..=64).contains(&self.shards) {
             return invalid(format!("shard count {} out of range 1..=64", self.shards));
         }
-        for (name, p) in [
-            ("loss_probability", self.loss_probability),
-            ("duplicate_probability", self.duplicate_probability),
-            ("forwarder_fraction", self.forwarder_fraction),
-        ] {
-            if !(0.0..=1.0).contains(&p) {
-                return invalid(format!("{name} {p} not in [0, 1]"));
-            }
+        if !(0.0..=1.0).contains(&self.forwarder_fraction) {
+            return invalid(format!(
+                "forwarder_fraction {} not in [0, 1]",
+                self.forwarder_fraction
+            ));
+        }
+        if self.retry_limit > MAX_RETRIES {
+            return invalid(format!(
+                "retry budget {} out of range 0..={MAX_RETRIES}",
+                self.retry_limit
+            ));
         }
         if self.probe_rate_pps == Some(0) {
             return invalid("probe rate must be positive (got 0 pps)".to_owned());
@@ -265,26 +281,11 @@ impl CampaignConfig {
 
     /// The fault plan actually installed in every shard simulator: the
     /// configured plan with its seed mixed with the campaign seed (so
-    /// reseeding the campaign reseeds the chaos draws), then the
-    /// campaign-wide loss and duplication rules, in that order —
-    /// identical across shards by construction.
+    /// reseeding the campaign reseeds the chaos draws) — identical
+    /// across shards by construction.
     pub(crate) fn effective_faults(&self) -> FaultPlan {
         let mut plan = self.faults.clone();
         plan.seed ^= self.seed;
-        let probability = self.loss_probability;
-        if probability > 0.0 {
-            plan.push(FaultRule::always(
-                FaultScope::All,
-                FaultKind::Loss { probability },
-            ));
-        }
-        let probability = self.duplicate_probability;
-        if probability > 0.0 {
-            plan.push(FaultRule::always(
-                FaultScope::All,
-                FaultKind::Duplicate { probability },
-            ));
-        }
         plan
     }
 }
@@ -657,7 +658,6 @@ impl Campaign {
         let infra = &config.infra;
 
         // ---- network & name-server hierarchy ----
-        let resolver_config = ResolverConfig::new(infra.root);
         let released = Rc::<RefCell<ResolverStats>>::default();
         let mut net = SimNet::builder()
             .seed(plan.sim_seed)
@@ -673,7 +673,7 @@ impl Campaign {
             // across the whole scan.
             .lazy_hosts(PopulationRegistry::new(
                 std::sync::Arc::clone(&plan.population),
-                resolver_config.clone(),
+                infra.root,
                 Rc::clone(&released),
             ))
             .build();
@@ -711,10 +711,8 @@ impl Campaign {
             if plan.population.home(Member::Upstream(i), plan.shards) != plan.shard {
                 continue;
             }
-            let resolver = ProfiledResolver::new_shared(
-                std::sync::Arc::clone(host.policy),
-                resolver_config.clone(),
-            );
+            let resolver =
+                ProfiledResolver::new_shared(std::sync::Arc::clone(host.policy), infra.root);
             net.insert(host.addr, Host::Resolver(Box::new(resolver)));
         }
 
@@ -838,7 +836,8 @@ const RESOLVER_POOL: usize = 16;
 /// the simulator's to settle.
 struct PopulationRegistry {
     population: std::sync::Arc<Population>,
-    config: ResolverConfig,
+    /// The root hint every resolver built here recurses from.
+    root: Ipv4Addr,
     /// The summed books of every resolver handed back so far; the
     /// shard's world holds the other reference and reads it when the
     /// run is over.
@@ -853,12 +852,12 @@ struct PopulationRegistry {
 impl PopulationRegistry {
     fn new(
         population: std::sync::Arc<Population>,
-        config: ResolverConfig,
+        root: Ipv4Addr,
         released: Rc<RefCell<ResolverStats>>,
     ) -> Self {
         Self {
             population,
-            config,
+            root,
             released,
             pool: RefCell::new(Vec::with_capacity(RESOLVER_POOL)),
         }
@@ -880,7 +879,7 @@ impl LazyRegistry<Host> for PopulationRegistry {
                 resolver.reset(policy);
                 resolver
             }
-            None => Box::new(ProfiledResolver::new_shared(policy, self.config.clone())),
+            None => Box::new(ProfiledResolver::new_shared(policy, self.root)),
         };
         Some(Host::Resolver(resolver))
     }
@@ -1275,9 +1274,12 @@ mod tests {
         let base = || CampaignConfig::new(Year::Y2018, 50_000.0);
         for config in [
             base().with_loss(1.5),
+            base().with_loss(f64::NAN),
             base().with_duplication(-0.1),
             base().with_probe_rate(0),
             base().with_forwarder_fraction(2.0),
+            base().with_retries(17),
+            base().with_retries(u32::MAX),
         ] {
             let err = Campaign::new(config).run().unwrap_err();
             assert!(matches!(err, CampaignError::InvalidConfig(_)), "{err}");

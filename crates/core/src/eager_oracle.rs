@@ -16,7 +16,7 @@
 use orscope_analysis::AnalysisMode;
 use orscope_resolver::paper::Year;
 use orscope_resolver::population::{Member, Population};
-use orscope_resolver::{ProfiledResolver, ResolverConfig};
+use orscope_resolver::ProfiledResolver;
 
 use crate::campaign::{Campaign, CampaignConfig, ShardWorld};
 use crate::host::Host;
@@ -33,17 +33,14 @@ impl ShardWorld {
         shards: usize,
         config: &CampaignConfig,
     ) {
-        let resolver_config = ResolverConfig::new(config.infra.root);
         let holds = |member| population.home(member, shards) == shard;
         let resolvers = population.resolvers().enumerate();
         let off_port = population.off_port().enumerate();
         let held = (resolvers.filter(|&(i, _)| holds(Member::Resolver(i))))
             .chain(off_port.filter(|&(i, _)| holds(Member::OffPort(i))));
         for (_, host) in held {
-            let resolver = ProfiledResolver::new_shared(
-                std::sync::Arc::clone(host.policy),
-                resolver_config.clone(),
-            );
+            let resolver =
+                ProfiledResolver::new_shared(std::sync::Arc::clone(host.policy), config.infra.root);
             self.net
                 .insert(host.addr, Host::Resolver(Box::new(resolver)));
         }

@@ -135,15 +135,6 @@ impl Name {
         }
     }
 
-    /// [`Name::data`], to rewrite label bytes in place.
-    fn data_mut(&mut self) -> &mut [u8] {
-        let len = self.len as usize;
-        match &mut self.spilled {
-            None => &mut self.inline[..len],
-            Some(heap) => &mut heap[..len],
-        }
-    }
-
     /// Writes `label`, length byte first, at byte `at` of the label
     /// data: the one place label bytes are stored. The first write that
     /// would end past the inline buffer moves the labels so far to the
@@ -251,36 +242,6 @@ impl Name {
     /// Same validation as [`Name::from_labels`].
     pub fn prepend(&self, label: &str) -> Result<Name, ParseNameError> {
         Name::from_labels(std::iter::once(label.as_bytes()).chain(self.labels()))
-    }
-
-    /// Byte-exact (case-sensitive) comparison, used by DNS 0x20
-    /// validation where the mixed case *is* the entropy.
-    pub fn eq_bytes(&self, other: &Name) -> bool {
-        self.data() == other.data()
-    }
-
-    /// Returns the name with its ASCII letters' case scrambled by the
-    /// bits of `entropy` — the DNS 0x20 encoding (draft-vixie-dnsext-
-    /// dns0x20): resolvers randomize query case and verify the echo,
-    /// adding up to one bit of anti-spoofing entropy per letter.
-    pub fn randomize_case(&self, mut entropy: u64) -> Name {
-        let mut out = self.clone();
-        // Length bytes are at most 63, below every ASCII letter, so only
-        // label bytes are scrambled.
-        for b in out
-            .data_mut()
-            .iter_mut()
-            .filter(|b| b.is_ascii_alphabetic())
-        {
-            let flip = entropy & 1 == 1;
-            entropy = entropy.rotate_right(1) ^ 0x9E37_79B9_7F4A_7C15;
-            *b = if flip {
-                b.to_ascii_uppercase()
-            } else {
-                b.to_ascii_lowercase()
-            };
-        }
-        out
     }
 
     /// Encodes the name, using message compression when the writer allows.
@@ -647,7 +608,7 @@ mod tests {
         n.encode(&mut w).unwrap();
         let buf = w.finish().unwrap();
         let back = Name::decode(&mut Reader::new(&buf)).unwrap();
-        assert!(back.eq_bytes(&n));
+        assert!(back.labels().eq(n.labels()), "byte-exact labels");
     }
 
     #[test]
@@ -794,27 +755,6 @@ mod tests {
     fn display_escapes_weird_bytes() {
         let n = Name::from_labels([&b"a.b"[..], &b"\x01"[..]]).unwrap();
         assert_eq!(n.to_string(), "a\\.b.\\001");
-    }
-
-    #[test]
-    fn dns0x20_case_randomization() {
-        let n = name("or000.0000042.ucfsealresearch.net");
-        let scrambled = n.randomize_case(0xDEAD_BEEF_1234_5678);
-        // Equal under DNS semantics, different bytes.
-        assert_eq!(scrambled, n);
-        assert!(!scrambled.eq_bytes(&n) || n.to_string().chars().all(|c| !c.is_alphabetic()));
-        // Deterministic per entropy; different entropy differs.
-        assert!(scrambled.eq_bytes(&n.randomize_case(0xDEAD_BEEF_1234_5678)));
-        assert!(!scrambled.eq_bytes(&n.randomize_case(1)));
-        // Digits and dots untouched.
-        assert!(scrambled.to_string().contains("000042"));
-    }
-
-    #[test]
-    fn eq_bytes_is_case_sensitive() {
-        assert!(name("a.b").eq_bytes(&name("a.b")));
-        assert!(!name("A.b").eq_bytes(&name("a.b")));
-        assert_eq!(name("A.b"), name("a.b"), "semantic equality unchanged");
     }
 
     #[test]

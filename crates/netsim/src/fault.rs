@@ -302,7 +302,7 @@ impl FaultPlan {
         self.rules.is_empty()
     }
 
-    /// The degenerate plan a campaign-wide `loss_probability` maps to.
+    /// The degenerate plan a campaign-wide `--loss` maps to.
     pub fn uniform_loss(seed: u64, probability: f64) -> Self {
         Self::seeded(seed).with_rule(FaultRule::always(
             FaultScope::All,

@@ -30,5 +30,5 @@ pub mod subdomain;
 
 pub use capture::{ProbeStats, ProberHandle, R2Capture};
 pub use pacer::{Pacer, ZeroRateError};
-pub use scan::{Prober, ProberConfig, SlotSchedule, TargetSource};
+pub use scan::{Prober, ProberConfig, SlotSchedule, TargetSource, MAX_RETRIES};
 pub use subdomain::SubdomainGenerator;

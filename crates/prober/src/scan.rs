@@ -90,9 +90,10 @@ pub struct ProberConfig {
     pub base_cluster: u32,
     /// How long to wait for an R2 before recycling the subdomain.
     pub response_window: Duration,
-    /// Retransmissions allowed per probe before giving up. Each retry
-    /// doubles the wait (`response_window * 2^attempt`). Zero (the
-    /// paper's fire-and-forget ZMap behavior) is the default.
+    /// Retransmissions allowed per probe before giving up, at most
+    /// [`MAX_RETRIES`]. Each retry doubles the wait (`response_window *
+    /// 2^attempt`). Zero (the paper's fire-and-forget ZMap behavior) is
+    /// the default.
     pub retry_limit: u32,
     /// Campaign-global send schedule; `None` paces locally at
     /// `rate_pps`.
@@ -141,6 +142,11 @@ struct Outstanding {
     /// entries carrying an older number are stale and skipped.
     xmit: u64,
 }
+
+/// The largest per-probe retransmission budget: the backoff doubles up
+/// to the 16th retry, and the expiry queue keeps (and every tick scans)
+/// one level per attempt.
+pub const MAX_RETRIES: u32 = 16;
 
 /// The `(deadline, xmit, target)` of every transmission, least first,
 /// as a min-heap would hand them out (`xmit` is unique, so the order is
@@ -424,7 +430,7 @@ impl Prober {
             if out.attempts < self.config.retry_limit {
                 // The retransmission replaces the entry in place.
                 let attempts = out.attempts + 1;
-                let backoff = self.config.response_window * 2u32.pow(attempts.min(16));
+                let backoff = self.config.response_window * 2u32.pow(attempts.min(MAX_RETRIES));
                 if self.emit_query(out.label, target, attempts, now + backoff, ctx, books) {
                     books.retransmits_sent += 1;
                     continue;

@@ -13,42 +13,14 @@ use crate::profile::{
     AnswerData, ForwardPolicy, ImmediateResponse, RecursePolicy, ResponseAction, ResponsePolicy,
 };
 
-/// Configuration shared by all recursing resolvers in a population.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResolverConfig {
-    /// Address of a root name server (the resolver's "root hint").
-    pub root: Ipv4Addr,
-    /// Per-upstream-query timeout.
-    pub timeout: Duration,
-    /// Retransmissions per server before giving up.
-    pub retries: u8,
-    /// Maximum referral chain length.
-    pub max_referrals: u8,
-    /// Record-cache capacity.
-    pub cache_capacity: usize,
-    /// Randomize upstream transaction IDs (the post-Kaminsky defence).
-    /// When `false` the resolver allocates sequential IDs — the weak-
-    /// entropy behaviour old resolvers exposed to record injection.
-    pub randomize_txn: bool,
-    /// DNS 0x20: randomize qname letter case on upstream queries and
-    /// require the response to echo it byte-exactly.
-    pub dns0x20: bool,
-}
-
-impl ResolverConfig {
-    /// A sensible default pointing at `root`.
-    pub fn new(root: Ipv4Addr) -> Self {
-        Self {
-            root,
-            timeout: Duration::from_secs(2),
-            retries: 2,
-            max_referrals: 8,
-            cache_capacity: 512,
-            randomize_txn: true,
-            dns0x20: false,
-        }
-    }
-}
+/// Per-upstream-query timeout.
+const TIMEOUT: Duration = Duration::from_secs(2);
+/// Retransmissions per server before giving up.
+const RETRIES: u8 = 2;
+/// Maximum referral chain length.
+const MAX_REFERRALS: u8 = 8;
+/// Record-cache capacity.
+const CACHE_CAPACITY: usize = 512;
 
 /// One resolver's books; a shard's are the sum over its hosts
 /// ([`ResolverStats::absorb`]).
@@ -106,10 +78,6 @@ struct Pending {
     question: Question,
     /// CNAME records collected so far, prepended to the final answer.
     cname_chain: Vec<Record>,
-    /// Case entropy of the upstream query in flight: under DNS 0x20 the
-    /// spelling sent, and required back, is
-    /// `qname().randomize_case(sent_case)`.
-    sent_case: u64,
     server: Ipv4Addr,
     depth: u8,
     retries_left: u8,
@@ -134,7 +102,8 @@ const TXN_SEED: u32 = 0x9E37_79B9;
 #[derive(Debug)]
 pub struct ProfiledResolver {
     policy: std::sync::Arc<ResponsePolicy>,
-    config: ResolverConfig,
+    /// Address of a root name server (the resolver's "root hint").
+    root: Ipv4Addr,
     cache: DnsCache,
     /// Zone apex -> (name-server address, expiry): the referral cache.
     zone_servers: HashMap<Name, (Ipv4Addr, SimTime)>,
@@ -143,7 +112,6 @@ pub struct ProfiledResolver {
     pending: HashMap<u16, Pending>,
     /// In-flight forwarded queries: relay txn -> (client, client id).
     forward_pending: HashMap<u16, ((Ipv4Addr, u16), u16)>,
-    next_txn: u16,
     /// xorshift state for randomized transaction IDs.
     txn_rng: u32,
     stats: ResolverStats,
@@ -159,9 +127,10 @@ pub struct ProfiledResolver {
 }
 
 impl ProfiledResolver {
-    /// Creates a resolver with `policy`, recursing via `config`.
-    pub fn new(policy: ResponsePolicy, config: ResolverConfig) -> Self {
-        Self::new_shared(std::sync::Arc::new(policy), config)
+    /// Creates a resolver with `policy`, recursing from the root server
+    /// at `root`.
+    pub fn new(policy: ResponsePolicy, root: Ipv4Addr) -> Self {
+        Self::new_shared(std::sync::Arc::new(policy), root)
     }
 
     /// Creates a resolver sharing an interned `policy`.
@@ -170,17 +139,15 @@ impl ProfiledResolver {
     /// the policy from the population's
     /// [`ProfileTable`](crate::intern::ProfileTable) makes that
     /// construction allocation-free on the policy side.
-    pub fn new_shared(policy: std::sync::Arc<ResponsePolicy>, config: ResolverConfig) -> Self {
-        let cache = DnsCache::new(config.cache_capacity);
+    pub fn new_shared(policy: std::sync::Arc<ResponsePolicy>, root: Ipv4Addr) -> Self {
         Self {
             policy,
-            config,
-            cache,
+            root,
+            cache: DnsCache::new(CACHE_CAPACITY),
             zone_servers: HashMap::new(),
             negative: HashMap::new(),
             pending: HashMap::new(),
             forward_pending: HashMap::new(),
-            next_txn: 1,
             txn_rng: TXN_SEED,
             stats: ResolverStats::default(),
             inbound: Message::default(),
@@ -191,10 +158,9 @@ impl ProfiledResolver {
 
     /// Re-arms a released resolver as the host behind `policy`: every
     /// piece of state goes back to exactly what
-    /// [`ProfiledResolver::new_shared`] builds with the same
-    /// configuration — caches, in-flight maps, transaction-id
-    /// generators, counters, scratch contents — and only allocations
-    /// are kept. A registry that pools released resolvers hands this
+    /// [`ProfiledResolver::new_shared`] builds with the same root —
+    /// caches, in-flight maps, the transaction-id generator, counters,
+    /// scratch contents — and only allocations are kept. A registry that pools released resolvers hands this
     /// out in place of a fresh one, having read [`Self::stats`] first;
     /// no later packet can tell the two apart.
     pub fn reset(&mut self, policy: std::sync::Arc<ResponsePolicy>) {
@@ -204,7 +170,6 @@ impl ProfiledResolver {
         self.negative.clear();
         self.pending.clear();
         self.forward_pending.clear();
-        self.next_txn = 1;
         self.txn_rng = TXN_SEED;
         self.stats = ResolverStats::default();
         self.inbound.clear();
@@ -243,18 +208,12 @@ impl ProfiledResolver {
 
     fn alloc_txn(&mut self) -> u16 {
         loop {
-            let id = if self.config.randomize_txn {
-                // xorshift32: deterministic per resolver, unpredictable
-                // to an off-path attacker.
-                self.txn_rng ^= self.txn_rng << 13;
-                self.txn_rng ^= self.txn_rng >> 17;
-                self.txn_rng ^= self.txn_rng << 5;
-                (self.txn_rng as u16).max(1)
-            } else {
-                let id = self.next_txn;
-                self.next_txn = self.next_txn.wrapping_add(1).max(1);
-                id
-            };
+            // xorshift32: deterministic per resolver, unpredictable to an
+            // off-path attacker.
+            self.txn_rng ^= self.txn_rng << 13;
+            self.txn_rng ^= self.txn_rng >> 17;
+            self.txn_rng ^= self.txn_rng << 5;
+            let id = (self.txn_rng as u16).max(1);
             if !self.pending.contains_key(&id) && !self.forward_pending.contains_key(&id) {
                 return id;
             }
@@ -269,31 +228,6 @@ impl ProfiledResolver {
     /// Handles a client query according to the policy.
     fn on_client_query(&mut self, query: &Message, dgram: &Datagram, ctx: &mut Context<'_>) {
         self.stats.client_queries += 1;
-        // `version.bind CH TXT`: the software-fingerprint channel
-        // (Takano et al.). Answered from configuration, refused without.
-        if let Some(question) = query.first_question() {
-            if question.qclass() == orscope_dns_wire::RecordClass::Ch
-                && is_version_bind(question.qname())
-            {
-                let builder = self.builder().response_to(query);
-                let response = match &self.policy.version_banner {
-                    Some(banner) => builder
-                        .answer(Record::new(
-                            question.qname().clone(),
-                            orscope_dns_wire::RecordClass::Ch,
-                            0,
-                            RData::Txt(vec![banner.as_bytes().to_vec()]),
-                        ))
-                        .build(),
-                    None => builder.rcode(Rcode::Refused).build(),
-                };
-                if let Some(payload) = self.finish(response) {
-                    self.stats.responses_sent += 1;
-                    ctx.send(dgram.reply(payload));
-                }
-                return;
-            }
-        }
         match &self.policy.action {
             ResponseAction::Silent => {}
             ResponseAction::Immediate(imm) => {
@@ -339,23 +273,6 @@ impl ProfiledResolver {
             }
             return;
         };
-        // RD=0: the client asked for a non-recursive lookup. A
-        // correct recursive server answers from cache only —
-        // which is exactly what cache-snooping probes exploit.
-        if !query.header().recursion_desired() {
-            let cached = self
-                .cache
-                .get(question.qname(), question.qtype(), ctx.now());
-            let outcome = match &cached {
-                Some(records) => {
-                    self.stats.cache_hits += 1;
-                    Ok(records.as_slice())
-                }
-                None => Err(Rcode::NoError), // empty: not cached
-            };
-            self.answer_client(client, question, &[], outcome, rp, ctx);
-            return;
-        }
         // Negative cache (RFC 2308): a fresh NXDomain/NoData is
         // answered without re-asking the hierarchy.
         if !self.negative.is_empty() {
@@ -383,18 +300,17 @@ impl ProfiledResolver {
             return;
         }
         let txn = self.alloc_txn();
-        let mut pending = Pending {
+        let pending = Pending {
             client,
             question: question.clone(),
             cname_chain: Vec::new(),
-            sent_case: 0,
             server: self.closest_zone_server(question.qname(), ctx.now()),
             depth: 0,
-            retries_left: self.config.retries,
+            retries_left: RETRIES,
         };
-        pending.sent_case = self.send_upstream(txn, &pending, ctx);
+        self.send_upstream(txn, &pending, ctx);
         self.pending.insert(txn, pending);
-        ctx.set_timer(self.config.timeout, txn as u64);
+        ctx.set_timer(TIMEOUT, txn as u64);
     }
 
     /// The deepest cached zone server for `qname`, else the root.
@@ -402,7 +318,7 @@ impl ProfiledResolver {
         // A resolver's first resolution (the only one a scan asks of
         // it) has no referral cached: skip walking copies of the name.
         if self.zone_servers.is_empty() {
-            return self.config.root;
+            return self.root;
         }
         let mut candidate = Some(qname.clone());
         while let Some(name) = candidate {
@@ -414,27 +330,18 @@ impl ProfiledResolver {
             }
             candidate = name.parent();
         }
-        self.config.root
+        self.root
     }
 
     /// Asks `pending.server` the question `pending` is iterating, as
-    /// transaction `txn`. Returns the case entropy used for the qname
-    /// (see [`Pending::sent_case`]).
-    fn send_upstream(&mut self, txn: u16, pending: &Pending, ctx: &mut Context<'_>) -> u64 {
-        // DNS 0x20: scramble the qname case per transaction; the echoed
-        // question must match byte-for-byte.
-        let entropy = (txn as u64) << 32 | self.txn_rng as u64;
-        let qname = if self.config.dns0x20 {
-            pending.qname().randomize_case(entropy)
-        } else {
-            pending.qname().clone()
-        };
+    /// transaction `txn`.
+    fn send_upstream(&mut self, txn: u16, pending: &Pending, ctx: &mut Context<'_>) {
         let mut query = self
             .builder()
             .id(txn)
             .recursion_desired(true)
             .question(Question::new(
-                qname,
+                pending.qname().clone(),
                 pending.question.qtype(),
                 pending.question.qclass(),
             ))
@@ -451,7 +358,6 @@ impl ProfiledResolver {
                 payload,
             ));
         }
-        entropy
     }
 
     /// Relays a client query to the forwarder's upstream resolver.
@@ -482,7 +388,7 @@ impl ProfiledResolver {
                 (fp.upstream, 53),
                 payload,
             ));
-            ctx.set_timer(self.config.timeout, txn as u64);
+            ctx.set_timer(TIMEOUT, txn as u64);
         }
     }
 
@@ -548,15 +454,6 @@ impl ProfiledResolver {
         if dgram.src != pending.server || dgram.dst_port != Self::ephemeral_port(txn) {
             return;
         }
-        // DNS 0x20 echo validation: the response must repeat our exact
-        // mixed-case spelling.
-        if self.config.dns0x20 {
-            let sent = pending.qname().randomize_case(pending.sent_case);
-            match response.first_question() {
-                Some(echoed) if echoed.qname().eq_bytes(&sent) => {}
-                _ => return, // case mismatch: forged or broken
-            }
-        }
         let &ResponseAction::Recurse(rp) = &self.policy.action else {
             return;
         };
@@ -592,7 +489,7 @@ impl ProfiledResolver {
                     }
                     pending.cname_chain.push(cname_rec.clone());
                     pending.depth = 0;
-                    pending.retries_left = self.config.retries;
+                    pending.retries_left = RETRIES;
                     pending.server = self.closest_zone_server(pending.qname(), ctx.now());
                     self.reissue(pending, ctx);
                     return;
@@ -603,7 +500,7 @@ impl ProfiledResolver {
             // responses to these find no pending entry and are dropped.
             for _ in 1..rp.auth_duplicates {
                 let dup_txn = self.alloc_txn();
-                let _ = self.send_upstream(dup_txn, &pending, ctx);
+                self.send_upstream(dup_txn, &pending, ctx);
             }
             self.answer_client(
                 pending.client,
@@ -631,14 +528,14 @@ impl ProfiledResolver {
                     Some((auth.name(), auth.ttl(), glue))
                 });
                 match referral {
-                    Some((zone, ttl, glue)) if pending.depth < self.config.max_referrals => {
+                    Some((zone, ttl, glue)) if pending.depth < MAX_REFERRALS => {
                         self.zone_servers.insert(
                             zone.clone(),
                             (glue, ctx.now() + Duration::from_secs(ttl as u64)),
                         );
                         pending.server = glue;
                         pending.depth += 1;
-                        pending.retries_left = self.config.retries;
+                        pending.retries_left = RETRIES;
                         self.reissue(pending, ctx);
                     }
                     // Referral overflow.
@@ -657,10 +554,10 @@ impl ProfiledResolver {
 
     /// Sends `pending`'s question to its (new) server under a fresh
     /// transaction id and files it there.
-    fn reissue(&mut self, mut pending: Pending, ctx: &mut Context<'_>) {
+    fn reissue(&mut self, pending: Pending, ctx: &mut Context<'_>) {
         let txn = self.alloc_txn();
-        pending.sent_case = self.send_upstream(txn, &pending, ctx);
-        ctx.set_timer(self.config.timeout, txn as u64);
+        self.send_upstream(txn, &pending, ctx);
+        ctx.set_timer(TIMEOUT, txn as u64);
         self.pending.insert(txn, pending);
     }
 
@@ -744,17 +641,6 @@ impl ProfiledResolver {
     }
 }
 
-/// Whether `name` is `version.bind`, compared label by label (ASCII
-/// case-insensitively) without rendering it.
-fn is_version_bind(name: &Name) -> bool {
-    let mut labels = name.labels();
-    matches!(
-        (labels.next(), labels.next(), labels.next()),
-        (Some(version), Some(bind), None)
-            if version.eq_ignore_ascii_case(b"version") && bind.eq_ignore_ascii_case(b"bind")
-    )
-}
-
 impl Endpoint for ProfiledResolver {
     fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
         let mut message = std::mem::take(&mut self.inbound);
@@ -789,9 +675,9 @@ impl Endpoint for ProfiledResolver {
         };
         if pending.retries_left > 0 {
             pending.retries_left -= 1;
-            pending.sent_case = self.send_upstream(txn, &pending, ctx);
+            self.send_upstream(txn, &pending, ctx);
             self.pending.insert(txn, pending);
-            ctx.set_timer(self.config.timeout, txn as u64);
+            ctx.set_timer(TIMEOUT, txn as u64);
         } else if let &ResponseAction::Recurse(rp) = &self.policy.action {
             self.fail(pending, rp, ctx);
         }
@@ -799,7 +685,7 @@ impl Endpoint for ProfiledResolver {
 
     fn is_quiescent(&self) -> bool {
         // No in-flight recursion or relay: rebuilding this resolver from
-        // its (shared) policy and config later is indistinguishable on
+        // its (shared) policy and root hint later is indistinguishable on
         // the wire, because campaign probes carry unique qnames that
         // never hit the dropped caches. The simulator uses this to
         // release lazily materialized hosts after each event, and the
@@ -941,10 +827,7 @@ mod tests {
         ));
         cz.load_cluster(0, 100_000);
         net.register(AUTH, AuthoritativeServer::new(cz, capture.clone()));
-        net.register(
-            RESOLVER,
-            ProfiledResolver::new(policy, ResolverConfig::new(ROOT)),
-        );
+        net.register(RESOLVER, ProfiledResolver::new(policy, ROOT));
         (net, capture)
     }
 
@@ -998,7 +881,6 @@ mod tests {
                 ..RecursePolicy::default()
             }),
             malicious_category: None,
-            version_banner: None,
         };
         let (mut net, _) = hierarchy(policy);
         let label = ProbeLabel::new(0, 5);
@@ -1019,7 +901,6 @@ mod tests {
                 ..RecursePolicy::default()
             }),
             malicious_category: None,
-            version_banner: None,
         };
         let (mut net, capture) = hierarchy(policy);
         let responses = probe(&mut net, ProbeLabel::new(0, 9).qname(&zone_name()));
@@ -1045,12 +926,9 @@ mod tests {
             .seed(3)
             .latency(FixedLatency(Duration::from_millis(5)))
             .build();
-        let mut config = ResolverConfig::new(ROOT);
-        config.timeout = Duration::from_millis(100);
-        config.retries = 1;
         net.register(
             RESOLVER,
-            ProfiledResolver::new(ResponsePolicy::honest(), config),
+            ProfiledResolver::new(ResponsePolicy::honest(), ROOT),
         );
         let responses = probe(&mut net, ProbeLabel::new(0, 1).qname(&zone_name()));
         assert_eq!(responses.len(), 1);
@@ -1106,7 +984,6 @@ mod tests {
                     answer, true, false,
                 )),
                 malicious_category: None,
-                version_banner: None,
             };
             let (mut net, _) = hierarchy(policy);
             let responses = probe(&mut net, ProbeLabel::new(0, 4).qname(&zone_name()));
@@ -1123,7 +1000,6 @@ mod tests {
                 ..ImmediateResponse::empty(true, false, Rcode::ServFail)
             }),
             malicious_category: None,
-            version_banner: None,
         };
         let (mut net, _) = hierarchy(policy);
         let responses = probe(&mut net, ProbeLabel::new(0, 6).qname(&zone_name()));
@@ -1144,7 +1020,6 @@ mod tests {
                 )
             }),
             malicious_category: None,
-            version_banner: None,
         };
         let (mut net, _) = hierarchy(policy);
         let responses = probe(&mut net, ProbeLabel::new(0, 7).qname(&zone_name()));
@@ -1165,7 +1040,6 @@ mod tests {
                 ..ImmediateResponse::refused()
             }),
             malicious_category: None,
-            version_banner: None,
         };
         let (mut net, _) = hierarchy(policy);
         let responses = probe(&mut net, ProbeLabel::new(0, 8).qname(&zone_name()));
@@ -1177,7 +1051,6 @@ mod tests {
         let policy = ResponsePolicy {
             action: ResponseAction::Silent,
             malicious_category: None,
-            version_banner: None,
         };
         let (mut net, _) = hierarchy(policy);
         let responses = probe(&mut net, ProbeLabel::new(0, 10).qname(&zone_name()));
@@ -1210,6 +1083,125 @@ mod tests {
         // Second resolution: client->resolver, resolver->auth, auth->resolver,
         // resolver->client = 4 deliveries (no root, no TLD).
         assert_eq!(delivered_second, 4);
+    }
+
+    /// A name server that logs the id of every query the resolver sends
+    /// it. With `forge` set, an off-path injector sits beside it: on the
+    /// first query, it answers at once with two forged R1s that carry
+    /// that id, and the server's genuine answer follows a millisecond
+    /// later.
+    struct Injector<E> {
+        server: E,
+        ids: Rc<RefCell<Vec<u16>>>,
+        forge: bool,
+        held: Option<Datagram>,
+    }
+
+    impl<E> Injector<E> {
+        fn new(server: E, ids: &Rc<RefCell<Vec<u16>>>, forge: bool) -> Self {
+            let ids = Rc::clone(ids);
+            Self {
+                server,
+                ids,
+                forge,
+                held: None,
+            }
+        }
+    }
+
+    /// The address the injector spoofs: not one the resolver asked.
+    const SPOOFED: Ipv4Addr = Ipv4Addr::new(6, 6, 6, 6);
+
+    impl<E: Endpoint> Endpoint for Injector<E> {
+        fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
+            let query = Message::decode(&dgram.payload).unwrap();
+            self.ids.borrow_mut().push(query.header().id());
+            if !std::mem::take(&mut self.forge) {
+                return self.server.handle_datagram(dgram, ctx);
+            }
+            let qname = query.first_question().unwrap().qname().clone();
+            let forged = Message::builder()
+                .response_to(&query)
+                .answer(Record::in_class(qname, 60, RData::A(SPOOFED)))
+                .build()
+                .encode()
+                .unwrap();
+            // The live id and port from an address nobody asked, and the
+            // live id and asked address to a port the query did not use.
+            let (resolver, port) = (dgram.src, dgram.src_port);
+            ctx.send(Datagram::new(
+                (SPOOFED, 53),
+                (resolver, port),
+                forged.clone(),
+            ));
+            ctx.send(Datagram::new(
+                (ctx.local_addr(), 53),
+                (resolver, port ^ 1),
+                forged,
+            ));
+            self.held = Some(dgram.clone());
+            ctx.set_timer(Duration::from_millis(1), 0);
+        }
+
+        fn handle_timer(&mut self, _token: u64, ctx: &mut Context<'_>) {
+            let query = self.held.take().expect("held above");
+            self.server.handle_datagram(&query, ctx);
+        }
+    }
+
+    #[test]
+    fn off_path_responses_with_the_live_id_are_ignored() {
+        let mut net = SimNet::builder()
+            .seed(62)
+            .latency(FixedLatency(Duration::from_millis(5)))
+            .build();
+        let ids = Rc::new(RefCell::new(Vec::new()));
+        let mut root = DelegationServer::new();
+        root.delegate(
+            "net".parse().unwrap(),
+            "a.gtld-servers.net".parse().unwrap(),
+            TLD,
+        );
+        net.register(ROOT, Injector::new(root, &ids, true));
+        let mut tld = DelegationServer::new();
+        tld.delegate(
+            zone_name(),
+            "ns1.ucfsealresearch.net".parse().unwrap(),
+            AUTH,
+        );
+        net.register(TLD, Injector::new(tld, &ids, false));
+        let mut cz = ClusterZone::new(Zone::new(
+            zone_name(),
+            "ns1.ucfsealresearch.net".parse().unwrap(),
+        ));
+        cz.load_cluster(0, 1000);
+        let auth = AuthoritativeServer::new(cz, CaptureHandle::new());
+        net.register(AUTH, Injector::new(auth, &ids, false));
+        net.register(
+            RESOLVER,
+            ProfiledResolver::new(ResponsePolicy::honest(), ROOT),
+        );
+        let label = ProbeLabel::new(0, 14);
+        let responses = probe(&mut net, label.qname(&zone_name()));
+
+        // Both forgeries reached the resolver before the genuine
+        // referral did (the client's query and answer, three upstream
+        // exchanges, two forgeries), and neither ended the transaction:
+        // the client gets the one true answer.
+        assert_eq!(net.stats().delivered, 2 + 2 * 3 + 2, "{:?}", net.stats());
+        assert_eq!(responses.len(), 1);
+        let msg = Message::decode(&responses[0].payload).unwrap();
+        assert_eq!(
+            msg.answers()[0].rdata().as_a(),
+            Some(orscope_authns::ground_truth(label))
+        );
+        // One upstream id per server, none the successor of the last.
+        let ids = ids.borrow();
+        assert_eq!(ids.len(), 3);
+        assert!(
+            ids.windows(2).all(|w| w[1] != w[0].wrapping_add(1)),
+            "{ids:?}"
+        );
     }
 }
 
@@ -1272,12 +1264,9 @@ mod forwarder_tests {
         net.register(AUTH, AuthoritativeServer::new(cz, CaptureHandle::new()));
         net.register(
             UPSTREAM,
-            ProfiledResolver::new(ResponsePolicy::honest(), ResolverConfig::new(ROOT)),
+            ProfiledResolver::new(ResponsePolicy::honest(), ROOT),
         );
-        net.register(
-            CPE,
-            ProfiledResolver::new(policy, ResolverConfig::new(ROOT)),
-        );
+        net.register(CPE, ProfiledResolver::new(policy, ROOT));
         let got = Rc::new(RefCell::new(Vec::new()));
         net.register(CLIENT, Collector(got.clone()));
         (net, got)
@@ -1320,7 +1309,6 @@ mod forwarder_tests {
                 ra_override: Some(false),
             }),
             malicious_category: None,
-            version_banner: None,
         };
         let (mut net, got) = forward_setup(policy);
         probe(&mut net, ProbeLabel::new(0, 8));
@@ -1342,13 +1330,7 @@ mod forwarder_tests {
             .build();
         net.register(
             CPE,
-            ProfiledResolver::new(
-                ResponsePolicy::forwarder(UPSTREAM),
-                ResolverConfig {
-                    timeout: Duration::from_millis(100),
-                    ..ResolverConfig::new(ROOT)
-                },
-            ),
+            ProfiledResolver::new(ResponsePolicy::forwarder(UPSTREAM), ROOT),
         );
         let got = Rc::new(RefCell::new(Vec::new()));
         net.register(CLIENT, Collector(got.clone()));
@@ -1466,7 +1448,7 @@ mod cname_tests {
         net.register(AUTH, AuthoritativeServer::new(cz, CaptureHandle::new()));
         net.register(
             RESOLVER,
-            ProfiledResolver::new(ResponsePolicy::honest(), ResolverConfig::new(ROOT)),
+            ProfiledResolver::new(ResponsePolicy::honest(), ROOT),
         );
         let got = Rc::new(RefCell::new(Vec::new()));
         net.register(CLIENT, Collector(got.clone()));
@@ -1582,306 +1564,6 @@ mod cname_tests {
 }
 
 #[cfg(test)]
-mod version_and_snoop_tests {
-    use super::*;
-    use orscope_authns::{
-        AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, ProbeLabel, Zone,
-    };
-    use orscope_dns_wire::{RecordClass, RecordType};
-    use orscope_netsim::{FixedLatency, SimNet};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
-    const TLD: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
-    const AUTH: Ipv4Addr = Ipv4Addr::new(45, 77, 1, 1);
-    const RESOLVER: Ipv4Addr = Ipv4Addr::new(74, 0, 0, 1);
-    const CLIENT: Ipv4Addr = Ipv4Addr::new(131, 94, 0, 9);
-
-    fn zone_name() -> Name {
-        "ucfsealresearch.net".parse().unwrap()
-    }
-
-    struct Collector(Rc<RefCell<Vec<Message>>>);
-    impl Endpoint for Collector {
-        fn handle_datagram(&mut self, dgram: &Datagram, _ctx: &mut Context<'_>) {
-            self.0
-                .borrow_mut()
-                .push(Message::decode(&dgram.payload).unwrap());
-        }
-    }
-
-    fn setup(policy: ResponsePolicy) -> (SimNet, Rc<RefCell<Vec<Message>>>) {
-        let mut net = SimNet::builder()
-            .seed(77)
-            .latency(FixedLatency(Duration::from_millis(5)))
-            .build();
-        let mut root = DelegationServer::new();
-        root.delegate(
-            "net".parse().unwrap(),
-            "a.gtld-servers.net".parse().unwrap(),
-            TLD,
-        );
-        net.register(ROOT, root);
-        let mut tld = DelegationServer::new();
-        tld.delegate(
-            zone_name(),
-            "ns1.ucfsealresearch.net".parse().unwrap(),
-            AUTH,
-        );
-        net.register(TLD, tld);
-        let mut cz = ClusterZone::new(Zone::new(
-            zone_name(),
-            "ns1.ucfsealresearch.net".parse().unwrap(),
-        ));
-        cz.load_cluster(0, 1000);
-        net.register(AUTH, AuthoritativeServer::new(cz, CaptureHandle::new()));
-        net.register(
-            RESOLVER,
-            ProfiledResolver::new(policy, ResolverConfig::new(ROOT)),
-        );
-        let got = Rc::new(RefCell::new(Vec::new()));
-        net.register(CLIENT, Collector(got.clone()));
-        (net, got)
-    }
-
-    fn send(net: &mut SimNet, mut query: Message) {
-        query.header_mut().set_id(0xABCD);
-        net.inject(Datagram::new(
-            (CLIENT, 49_000),
-            (RESOLVER, 53),
-            query.encode().unwrap(),
-        ));
-        net.run_until_idle();
-    }
-
-    #[test]
-    fn version_bind_discloses_configured_banner() {
-        let policy = ResponsePolicy::honest().with_version_banner("BIND 9.9.4");
-        let (mut net, got) = setup(policy);
-        let question = Question::new(
-            "version.bind".parse().unwrap(),
-            RecordType::Txt,
-            RecordClass::Ch,
-        );
-        send(&mut net, Message::query(1, question));
-        let responses = got.borrow();
-        assert_eq!(responses.len(), 1);
-        match responses[0].answers()[0].rdata() {
-            RData::Txt(segments) => assert_eq!(segments[0], b"BIND 9.9.4"),
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(responses[0].answers()[0].class(), RecordClass::Ch);
-    }
-
-    #[test]
-    fn version_bind_refused_without_banner() {
-        let (mut net, got) = setup(ResponsePolicy::honest());
-        let question = Question::new(
-            "version.bind".parse().unwrap(),
-            RecordType::Txt,
-            RecordClass::Ch,
-        );
-        send(&mut net, Message::query(2, question));
-        assert_eq!(got.borrow()[0].header().rcode(), Rcode::Refused);
-    }
-
-    #[test]
-    fn cache_snooping_reveals_cached_names_only() {
-        let (mut net, got) = setup(ResponsePolicy::honest());
-        let cached = ProbeLabel::new(0, 1).qname(&zone_name());
-        let uncached = ProbeLabel::new(0, 2).qname(&zone_name());
-        // Warm the cache with an ordinary recursive query.
-        send(&mut net, Message::query(3, Question::a(cached.clone())));
-        // Snoop both names with RD=0.
-        for name in [cached.clone(), uncached.clone()] {
-            let mut q = Message::query(4, Question::a(name));
-            q.header_mut().set_recursion_desired(false);
-            send(&mut net, q);
-        }
-        let responses = got.borrow();
-        assert_eq!(responses.len(), 3);
-        // The cached name is disclosed...
-        assert_eq!(responses[1].answers().len(), 1);
-        assert_eq!(
-            responses[1].answers()[0].rdata().as_a(),
-            Some(orscope_authns::ground_truth(ProbeLabel::new(0, 1)))
-        );
-        // ...the uncached one is not, and no recursion was triggered.
-        assert!(responses[2].answers().is_empty());
-        assert_eq!(responses[2].header().rcode(), Rcode::NoError);
-        // Cached TTL has counted down (snoop sees remaining lifetime).
-        assert!(responses[1].answers()[0].ttl() <= 60);
-    }
-
-    #[test]
-    fn snooped_ttl_decays_with_time() {
-        let (mut net, got) = setup(ResponsePolicy::honest());
-        let name = ProbeLabel::new(0, 5).qname(&zone_name());
-        send(&mut net, Message::query(5, Question::a(name.clone())));
-        net.run_until(net.now() + Duration::from_secs(40));
-        let mut q = Message::query(6, Question::a(name));
-        q.header_mut().set_recursion_desired(false);
-        send(&mut net, q);
-        let responses = got.borrow();
-        let ttl = responses[1].answers()[0].ttl();
-        assert!(ttl <= 20, "ttl {ttl} should have decayed from 60");
-    }
-}
-
-#[cfg(test)]
-mod dns0x20_tests {
-    use super::*;
-    use orscope_authns::{
-        AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, ProbeLabel, Zone,
-    };
-    use orscope_netsim::{FixedLatency, SimNet};
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
-    const TLD: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
-    const AUTH: Ipv4Addr = Ipv4Addr::new(45, 77, 1, 1);
-    const RESOLVER: Ipv4Addr = Ipv4Addr::new(74, 0, 0, 1);
-    const CLIENT: Ipv4Addr = Ipv4Addr::new(131, 94, 0, 9);
-
-    fn zone_name() -> Name {
-        "ucfsealresearch.net".parse().unwrap()
-    }
-
-    struct Collector(Rc<RefCell<Vec<Message>>>);
-    impl Endpoint for Collector {
-        fn handle_datagram(&mut self, dgram: &Datagram, _ctx: &mut Context<'_>) {
-            self.0
-                .borrow_mut()
-                .push(Message::decode(&dgram.payload).unwrap());
-        }
-    }
-
-    #[test]
-    fn resolution_succeeds_with_0x20_enabled() {
-        let mut net = SimNet::builder()
-            .seed(61)
-            .latency(FixedLatency(Duration::from_millis(5)))
-            .build();
-        let mut root = DelegationServer::new();
-        root.delegate(
-            "net".parse().unwrap(),
-            "a.gtld-servers.net".parse().unwrap(),
-            TLD,
-        );
-        net.register(ROOT, root);
-        let mut tld = DelegationServer::new();
-        tld.delegate(
-            zone_name(),
-            "ns1.ucfsealresearch.net".parse().unwrap(),
-            AUTH,
-        );
-        net.register(TLD, tld);
-        let mut cz = ClusterZone::new(Zone::new(
-            zone_name(),
-            "ns1.ucfsealresearch.net".parse().unwrap(),
-        ));
-        cz.load_cluster(0, 100);
-        net.register(AUTH, AuthoritativeServer::new(cz, CaptureHandle::new()));
-        let config = ResolverConfig {
-            dns0x20: true,
-            ..ResolverConfig::new(ROOT)
-        };
-        net.register(
-            RESOLVER,
-            ProfiledResolver::new(ResponsePolicy::honest(), config),
-        );
-        let got = Rc::new(RefCell::new(Vec::new()));
-        net.register(CLIENT, Collector(got.clone()));
-        let label = ProbeLabel::new(0, 9);
-        let query = Message::query(5, Question::a(label.qname(&zone_name())));
-        net.inject(Datagram::new(
-            (CLIENT, 44_000),
-            (RESOLVER, 53),
-            query.encode().unwrap(),
-        ));
-        net.run_until_idle();
-        let responses = got.borrow();
-        assert_eq!(
-            responses.len(),
-            1,
-            "the echo validation accepted the genuine answer"
-        );
-        assert_eq!(
-            responses[0].answers()[0].rdata().as_a(),
-            Some(orscope_authns::ground_truth(label))
-        );
-        // The client sees its own original spelling echoed back.
-        let original = label.qname(&zone_name());
-        assert!(responses[0]
-            .first_question()
-            .unwrap()
-            .qname()
-            .eq_bytes(&original));
-    }
-
-    #[test]
-    fn forged_response_with_wrong_case_is_dropped() {
-        // Direct unit-level check: build a resolver, start a resolution,
-        // then hand it a response whose question uses the canonical
-        // lowercase spelling instead of the scrambled one.
-        let mut net = SimNet::builder()
-            .seed(62)
-            .latency(FixedLatency(Duration::from_millis(5)))
-            .build();
-        let config = ResolverConfig {
-            dns0x20: true,
-            timeout: Duration::from_millis(200),
-            retries: 0,
-            ..ResolverConfig::new(ROOT)
-        };
-        net.register(
-            RESOLVER,
-            ProfiledResolver::new(ResponsePolicy::honest(), config),
-        );
-        let got = Rc::new(RefCell::new(Vec::new()));
-        net.register(CLIENT, Collector(got.clone()));
-        let label = ProbeLabel::new(0, 3);
-        let qname = label.qname(&zone_name());
-        let query = Message::query(6, Question::a(qname.clone()));
-        net.inject(Datagram::new(
-            (CLIENT, 44_001),
-            (RESOLVER, 53),
-            query.encode().unwrap(),
-        ));
-        // Forged answer "from the root" with canonical-case question and
-        // a guessed txn id of 1 (the sequential allocator would use it —
-        // but we use randomize_txn default true; to hit the id reliably
-        // turn the spray across the whole low range).
-        for txn in 0..512u16 {
-            let mut forged = Message::builder()
-                .id(txn)
-                .question(Question::a(qname.clone()))
-                .answer(Record::in_class(
-                    qname.clone(),
-                    60,
-                    RData::A(Ipv4Addr::new(6, 6, 6, 6)),
-                ))
-                .build();
-            forged.header_mut().set_response(true);
-            net.inject(Datagram::new(
-                (ROOT, 53),
-                (RESOLVER, 32_768 + (txn & 0x3FFF)),
-                forged.encode().unwrap(),
-            ));
-        }
-        net.run_until_idle();
-        let responses = got.borrow();
-        // The resolution fails (no real hierarchy), but critically the
-        // forged answer never reached the client.
-        assert_eq!(responses.len(), 1);
-        assert_eq!(responses[0].header().rcode(), Rcode::ServFail);
-        assert!(responses[0].answers().is_empty());
-    }
-}
-
-#[cfg(test)]
 mod reset_tests {
     use super::*;
     use orscope_authns::{
@@ -1959,7 +1641,7 @@ mod reset_tests {
         cz.load_cluster(0, 1000);
         let auth = AuthoritativeServer::new(cz, CaptureHandle::new());
         net.register(AUTH, Tap(auth, wire.clone()));
-        let upstream = ProfiledResolver::new(ResponsePolicy::honest(), ResolverConfig::new(ROOT));
+        let upstream = ProfiledResolver::new(ResponsePolicy::honest(), ROOT);
         net.register(UPSTREAM, Tap(upstream, wire.clone()));
         net.register(CLIENT, Tap(Sink, wire.clone()));
         let resolver = Rc::new(RefCell::new(resolver));
@@ -1980,8 +1662,7 @@ mod reset_tests {
     #[test]
     fn a_reset_resolver_is_a_fresh_one() {
         let honest = Arc::new(ResponsePolicy::honest());
-        let config = ResolverConfig::new(ROOT);
-        let fresh = || ProfiledResolver::new_shared(honest.clone(), config.clone());
+        let fresh = || ProfiledResolver::new_shared(honest.clone(), ROOT);
 
         // A life before the reset: a full recursion, a CNAME chase, a
         // negative answer and its cached repeat, a cache hit; then, as a
@@ -2025,7 +1706,7 @@ mod reset_tests {
         assert_eq!(format!("{:?}", resolver.borrow()), format!("{:?}", fresh()));
 
         // And the next conversation is, byte for byte, the one a fresh
-        // resolver has: same transaction ids, ports, spellings, answers.
+        // resolver has: same transaction ids, ports, questions, answers.
         let (mut reference, reference_wire, reference_resolver) = world(fresh());
         used_wire.borrow_mut().clear();
         for net in [&mut used, &mut reference] {
@@ -2074,7 +1755,6 @@ mod fresh_ignores_tests {
             ResponsePolicy {
                 action: ResponseAction::Silent,
                 malicious_category: None,
-                version_banner: None,
             },
         ]
     }
@@ -2133,7 +1813,7 @@ mod fresh_ignores_tests {
         let mut rng = Rng::new(0xEC40);
         for policy in policies() {
             let policy = Arc::new(policy);
-            let fresh = || ProfiledResolver::new_shared(policy.clone(), ResolverConfig::new(ROOT));
+            let fresh = || ProfiledResolver::new_shared(policy.clone(), ROOT);
             let mut net = Net::builder()
                 .seed(3)
                 .latency(FixedLatency(Duration::from_millis(1)))

@@ -3,12 +3,11 @@
 //! `Population::generate` draws every host's behavior from a small
 //! number of calibrated year-spec cells, so a full-scale population of
 //! millions of responders contains only a few hundred *distinct*
-//! [`ResponsePolicy`] values (banner variants included). A
-//! [`ProfileTable`] stores each distinct policy exactly once behind an
-//! `Arc` and hands out dense `u32` ids; a planned responder is then a
+//! [`ResponsePolicy`] values. A [`ProfileTable`] stores each distinct
+//! policy exactly once behind an `Arc` and hands out dense `u32` ids; a planned responder is then a
 //! packed IPv4 address plus a profile id plus a country id — a few
 //! bytes of struct-of-arrays storage instead of an owned policy with
-//! its heap-allocated banners and URLs (see
+//! its heap-allocated URLs and strings (see
 //! [`crate::population::HostList`]).
 //!
 //! The `Arc` is deliberate: lazily materialized resolver endpoints

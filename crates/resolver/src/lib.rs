@@ -30,7 +30,7 @@ pub mod profile;
 pub mod scaling;
 
 pub use cache::DnsCache;
-pub use engine::{ProfiledResolver, ResolverConfig, ResolverStats};
+pub use engine::{ProfiledResolver, ResolverStats};
 pub use intern::{ProfileId, ProfileTable, COUNTRY_NONE};
 pub use population::{HostList, HostRef, Member, PlannedResolver, Population, PopulationConfig};
 pub use profile::{

@@ -540,7 +540,6 @@ impl Population {
                                 auth_duplicates: dup,
                             }),
                             malicious_category: None,
-                            version_banner: None,
                         }
                     }
                     _ => ResponsePolicy {
@@ -548,7 +547,6 @@ impl Population {
                             cell.ra, cell.aa, cell.rcode,
                         )),
                         malicious_category: None,
-                        version_banner: None,
                     },
                 };
                 planned.push(table.intern(policy));
@@ -593,7 +591,6 @@ impl Population {
                         malformed_rdata: malformed,
                     }),
                     malicious_category: category,
-                    version_banner: None,
                 };
                 let country = category.is_some().then(|| assigner.next()).flatten();
                 if country.is_some() {
@@ -616,62 +613,13 @@ impl Population {
                         malformed_rdata: false,
                     }),
                     malicious_category: None,
-                    version_banner: None,
                 };
                 planned.push(table.intern(policy));
             }
         }
 
         let mut forwarder_upstream_index: Vec<(usize, usize)> = Vec::new();
-        // ---- 3a. Software banners: the resolver-software mix a
-        // version.bind survey would see (shares loosely following the
-        // BIND-dominated landscape software surveys report). Every third
-        // host hides its version, as real surveys observe.
-        const BANNERS: [&str; 6] = [
-            "BIND 9.9.4-RedHat-9.9.4-61.el7",
-            "BIND 9.10.3-P4-Ubuntu",
-            "dnsmasq-2.76",
-            "PowerDNS Recursor 4.1.1",
-            "Microsoft DNS 6.1.7601",
-            "unbound 1.6.7",
-        ];
-        // (base profile, banner) -> banner-equipped profile, so a
-        // full-scale run interns each variant once instead of cloning
-        // millions of policies.
-        let mut banner_memo: FxHashMap<(ProfileId, usize), ProfileId> = FxHashMap::default();
-        for (i, profile) in planned.iter_mut().enumerate() {
-            // Mix the index so hiding and banner choice decorrelate and
-            // all banners appear with uneven, realistic shares.
-            let h = (i as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .rotate_left(17)
-                ^ config.seed;
-            if !h.is_multiple_of(3) {
-                // Square the draw to skew toward the head of the list
-                // (BIND dominates real surveys).
-                let draw = ((h >> 8) % 36) as usize;
-                let idx = match draw {
-                    0..=13 => 0,  // ~39%
-                    14..=22 => 1, // ~25%
-                    23..=28 => 2, // ~17%
-                    29..=32 => 3, // ~11%
-                    33..=34 => 4, // ~6%
-                    _ => 5,       // ~3%
-                };
-                *profile = match banner_memo.get(&(*profile, idx)) {
-                    Some(&bannered) => bannered,
-                    None => {
-                        let policy = ResponsePolicy::clone(table.get(*profile))
-                            .with_version_banner(BANNERS[idx]);
-                        let bannered = table.intern(policy);
-                        banner_memo.insert((*profile, idx), bannered);
-                        bannered
-                    }
-                };
-            }
-        }
-
-        // ---- 3b. Demote a fraction of plain honest resolvers to CPE
+        // ---- 3a. Demote a fraction of plain honest resolvers to CPE
         // forwarders behind shared upstream resolvers ----
         // The forwarder policy embeds its upstream's address, which is
         // assigned only in step 4; demoted hosts carry a sentinel id
@@ -729,7 +677,6 @@ impl Population {
                     ..ImmediateResponse::refused()
                 }),
                 malicious_category: None,
-                version_banner: None,
             })
         });
         let mut off_port: HostList = (0..config.off_port_responders)
@@ -757,10 +704,9 @@ impl Population {
         }
 
         // ---- 5. Compact the table to first-use order ----
-        // Banner assignment and forwarder demotion orphan intermediate
-        // entries (a base profile whose every instance gained a banner,
-        // the demoted honest variants), so rebuild the table over the
-        // ids actually referenced: the shipped table is then exactly
+        // Forwarder demotion orphans intermediate entries (the demoted
+        // honest variants), so rebuild the table over the ids actually
+        // referenced: the shipped table is then exactly
         // the population's set of distinct policies.
         let mut compact = ProfileTable::new();
         let mut profile_map: Vec<Option<ProfileId>> = vec![None; table.len()];

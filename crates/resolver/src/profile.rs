@@ -233,10 +233,6 @@ pub struct ResponsePolicy {
     /// For malicious redirectors: the threat category their answer
     /// address is reported under (drives Tables VIII-X).
     pub malicious_category: Option<Category>,
-    /// The software banner served for `version.bind CH TXT` queries
-    /// (`None` refuses them). Software surveys like Takano et al.'s use
-    /// this channel to fingerprint the resolver population.
-    pub version_banner: Option<String>,
 }
 
 impl ResponsePolicy {
@@ -245,7 +241,6 @@ impl ResponsePolicy {
         Self {
             action: ResponseAction::Recurse(RecursePolicy::default()),
             malicious_category: None,
-            version_banner: None,
         }
     }
 
@@ -254,7 +249,6 @@ impl ResponsePolicy {
         Self {
             action: ResponseAction::Immediate(ImmediateResponse::refused()),
             malicious_category: None,
-            version_banner: None,
         }
     }
 
@@ -269,7 +263,6 @@ impl ResponsePolicy {
                 aa,
             )),
             malicious_category: Some(category),
-            version_banner: None,
         }
     }
 
@@ -281,14 +274,7 @@ impl ResponsePolicy {
                 ra_override: None,
             }),
             malicious_category: None,
-            version_banner: None,
         }
-    }
-
-    /// Builder-style version banner.
-    pub fn with_version_banner(mut self, banner: impl Into<String>) -> Self {
-        self.version_banner = Some(banner.into());
-        self
     }
 
     /// Whether this profile recurses (and therefore produces Q2 traffic).
@@ -416,13 +402,11 @@ mod tests {
                 Rcode::NXDomain,
             )),
             malicious_category: None,
-            version_banner: None,
         };
         assert_eq!(nxwall.class(), ProfileClass::NxWall);
         let silent = ResponsePolicy {
             action: ResponseAction::Silent,
             malicious_category: None,
-            version_banner: None,
         };
         assert_eq!(silent.class(), ProfileClass::Silent);
         // Indexing round-trips through ALL.

@@ -19,7 +19,7 @@ use orscope_authns::scheme::ProbeLabel;
 use orscope_authns::{AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, Zone};
 use orscope_dns_wire::{Message, Name, Question};
 use orscope_netsim::{Context, Datagram, Endpoint, FixedLatency, SimNet, SimTime};
-use orscope_resolver::{ProfiledResolver, ResolverConfig, ResponsePolicy};
+use orscope_resolver::{ProfiledResolver, ResponsePolicy};
 
 const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
 const TLD: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
@@ -148,7 +148,7 @@ fn main() {
         RESOLVER,
         Tap {
             name: "resolver",
-            inner: ProfiledResolver::new(ResponsePolicy::honest(), ResolverConfig::new(ROOT)),
+            inner: ProfiledResolver::new(ResponsePolicy::honest(), ROOT),
             log: log.clone(),
         },
     );

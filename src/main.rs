@@ -112,7 +112,7 @@ const HELP: &str = "orscope — behavioral analysis of open DNS resolvers (DSN'1
      CHAOS / ROBUSTNESS (campaign):\n\
      \x20 --loss P              independent per-datagram loss probability\n\
      \x20 --duplicate P         per-datagram duplication probability\n\
-     \x20 --retries N           per-probe retransmission budget (exp. backoff)\n\
+     \x20 --retries N           per-probe retransmission budget, 0–16 (exp. backoff)\n\
      \x20 --rate PPS            probe-rate override\n\
      \x20 --authns-outage A:B   blackhole the authoritative server between\n\
      \x20                       virtual seconds A and B\n\
@@ -304,11 +304,11 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     let scale: f64 = parse_number(args, "--scale", 1_000.0)?;
     let seed: u64 = parse_number(args, "--seed", 0xD5A1_2019)?;
     let shards: usize = parse_number(args, "--shards", 1)?;
+    let loss: f64 = parse_number(args, "--loss", 0.0)?;
+    let duplicate: f64 = parse_number(args, "--duplicate", 0.0)?;
     let mut config = CampaignConfig::new(year, scale)
         .with_seed(seed)
         .with_shards(shards)
-        .with_loss(parse_number(args, "--loss", 0.0)?)
-        .with_duplication(parse_number(args, "--duplicate", 0.0)?)
         .with_retries(parse_number(args, "--retries", 0u32)?);
     if args.iter().any(|a| a == "--full-q1") {
         config = config.with_full_q1();
@@ -319,8 +319,13 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
             .map_err(|_| format!("--rate: bad number {rate:?}"))?;
         config = config.with_probe_rate(rate);
     }
+    // `with_faults` replaces every rule, so the plan goes in before the
+    // campaign-wide loss and duplication rules.
     let faults = parse_faults(args, &config)?;
-    config = config.with_faults(faults);
+    config = config
+        .with_faults(faults)
+        .with_loss(loss)
+        .with_duplication(duplicate);
 
     let started = std::time::Instant::now();
     let result = Campaign::new(config).run().map_err(|e| e.to_string())?;
@@ -953,6 +958,17 @@ mod tests {
         let window = rules.iter().map(|rule| (rule.from, rule.until));
         let secs = Duration::from_secs;
         assert_eq!(window.collect::<Vec<_>>(), [(secs(30), secs(90))]);
+    }
+
+    #[test]
+    fn a_retry_budget_above_the_cap_is_refused_before_any_simulation() {
+        for retries in ["17", "4294967295"] {
+            let err = cmd_campaign(&args(&["--retries", retries])).unwrap_err();
+            assert!(
+                err.contains(&format!("retry budget {retries} out of range 0..=16")),
+                "{retries}: {err}"
+            );
+        }
     }
 
     #[test]

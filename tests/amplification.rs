@@ -18,7 +18,7 @@ use std::time::Duration;
 use orscope_authns::{AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, Zone};
 use orscope_dns_wire::{Message, Name, Question, RecordClass, RecordType};
 use orscope_netsim::{Context, Datagram, Endpoint, FixedLatency, SimNet};
-use orscope_resolver::{ProfiledResolver, ResolverConfig, ResponsePolicy};
+use orscope_resolver::{ProfiledResolver, ResponsePolicy};
 
 const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
 const TLD: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
@@ -73,7 +73,7 @@ fn build_net() -> (SimNet, Rc<RefCell<u64>>) {
     );
     net.register(
         RESOLVER,
-        ProfiledResolver::new(ResponsePolicy::honest(), ResolverConfig::new(ROOT)),
+        ProfiledResolver::new(ResponsePolicy::honest(), ROOT),
     );
     let bytes = Rc::new(RefCell::new(0));
     let victim = Victim {
