@@ -112,6 +112,11 @@ const UPPER_LEVELS: usize = 3;
 /// exhausted free list.
 const NIL: u32 = u32::MAX;
 
+/// The slab size from which a wheel that files its last event away
+/// gives its nodes back: a drained scan returns its high-water mark,
+/// and a small slab is kept rather than churned.
+const SLAB_KEPT: usize = 4_096;
+
 /// A slab node: a filed event and the next node of its slot's list, or,
 /// on the free list, no event and the next free node.
 #[derive(Debug)]
@@ -136,8 +141,9 @@ struct Node {
 /// ever filed at once. A cascade relinks nodes into their new slots
 /// without moving their events; an inner-slot drain moves the events
 /// into `ready` and hands the nodes to the free list, which the next
-/// filing takes from before the slab grows. Order within a slot is
-/// arbitrary: `ready` sorts.
+/// filing takes from before the slab grows. When the last filed event
+/// leaves, a slab of [`SLAB_KEPT`] nodes or more is freed. Order within
+/// a slot is arbitrary: `ready` sorts.
 pub(crate) struct TimingWheel {
     cursor: u64,
     level0: [u32; L0_SLOTS],
@@ -330,6 +336,10 @@ impl TimingWheel {
                 self.link(index, tick);
             }
             index = next;
+        }
+        if self.stored == 0 && self.nodes.len() >= SLAB_KEPT {
+            self.nodes = Vec::new();
+            self.free = NIL;
         }
     }
 
@@ -612,6 +622,20 @@ mod tests {
         assert_well_linked(&wheel);
         assert_eq!(pop_all(&mut wheel).len(), 16_005);
         assert_well_linked(&wheel);
+        // The last filed event is gone: so is the slab, and the next
+        // burst grows one of its own size.
+        assert_eq!(wheel.nodes.capacity(), 0);
+        for i in 0..6_000u64 {
+            wheel.push(timer(
+                SimTime::from_secs(400_000) + Duration::from_micros(i * 997),
+                seq,
+            ));
+            seq += 1;
+        }
+        assert_eq!(wheel.nodes.len(), 6_000);
+        assert_well_linked(&wheel);
+        assert_eq!(pop_all(&mut wheel).len(), 6_000);
+        assert_eq!(wheel.nodes.capacity(), 0);
     }
 
     #[test]

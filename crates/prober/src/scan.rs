@@ -1,6 +1,5 @@
 //! The prober endpoint: paced scanning, qname matching, reuse.
 
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::iter::Peekable;
 use std::net::Ipv4Addr;
@@ -131,61 +130,212 @@ struct TickBooks {
     probes_abandoned: u64,
 }
 
-/// The probe a target has in flight.
-#[derive(Debug, Clone, Copy)]
-struct Outstanding {
-    label: ProbeLabel,
-    sent_at: SimTime,
-    /// Retransmissions already performed for this probe.
-    attempts: u32,
-    /// Transmission sequence number of the latest send; expiry-queue
-    /// entries carrying an older number are stale and skipped.
-    xmit: u64,
-}
-
 /// The largest per-probe retransmission budget: the backoff doubles up
-/// to the 16th retry, and the expiry queue keeps (and every tick scans)
-/// one level per attempt.
+/// to the 16th retry, and the in-flight book keeps (and every tick
+/// scans) one ring per attempt level.
 pub const MAX_RETRIES: u32 = 16;
 
-/// The `(deadline, xmit, target)` of every transmission, least first,
-/// as a min-heap would hand them out (`xmit` is unique, so the order is
-/// total).
-///
-/// One queue per attempt level, in use up to `retry_limit + 1` of them
-/// and one in the paper's fire-and-forget mode. A level's deadlines are
-/// `now + response_window * 2^attempt` with `now` never decreasing, and
-/// `xmit` counts up, so each queue is sorted as it is pushed and the
-/// least of the heads is the least entry overall.
-#[derive(Debug, Default)]
-struct ExpiryQueue {
-    levels: Vec<VecDeque<(SimTime, u64, Ipv4Addr)>>,
+/// The low bits of a ticket, which hold a flight's position in its
+/// ring; the five above them hold its attempt level.
+const POSITION_BITS: u32 = 27;
+const POSITION_MASK: u32 = (1 << POSITION_BITS) - 1;
+
+/// The packed label of a flight that was answered or superseded.
+const DEAD: u64 = u64::MAX;
+
+/// One transmission of a probe, as its level's ring holds it (24 B).
+#[derive(Debug, Clone, Copy)]
+struct Flight {
+    target: Ipv4Addr,
+    /// Send order, wrapping: it ranks transmissions sent at one instant.
+    seq: u32,
+    /// The probe's label as `cluster << 32 | seq`, or [`DEAD`].
+    label: u64,
+    sent_at: SimTime,
 }
 
-impl ExpiryQueue {
-    fn push(&mut self, attempts: u32, entry: (SimTime, u64, Ipv4Addr)) {
-        let level = attempts as usize;
-        if self.levels.len() <= level {
-            self.levels.resize_with(level + 1, VecDeque::new);
+const _: () = assert!(std::mem::size_of::<Flight>() == 24);
+
+impl Flight {
+    fn label(&self) -> ProbeLabel {
+        ProbeLabel {
+            cluster: (self.label >> 32) as u32,
+            seq: self.label & u64::from(u32::MAX),
         }
-        debug_assert!(self.levels[level].back().is_none_or(|last| *last < entry));
-        self.levels[level].push_back(entry);
+    }
+}
+
+/// The flights filed at one attempt level, in send order.
+#[derive(Debug)]
+struct Ring {
+    flights: VecDeque<Flight>,
+    /// How many flights have left the front, wrapping: the position of
+    /// `flights[0]`.
+    front: u32,
+    /// How long a flight here waits for its R2: `response_window ·
+    /// 2^min(level, MAX_RETRIES)`.
+    wait: Duration,
+}
+
+/// Every probe in flight, in send order: the prober's one piece of
+/// per-probe state.
+///
+/// One ring per attempt level, in use up to `retry_limit + 1` of them
+/// and one in the paper's fire-and-forget mode. A level's deadlines are
+/// `sent_at + wait` with `sent_at` never decreasing, so each ring is
+/// sorted as it is filled, and the least due head across the rings is
+/// the transmission a min-heap of `(deadline, send order)` would hand
+/// out next. A target's live flight is found through `index`, which
+/// holds its ticket — level and ring position — beside the address: the
+/// R2 join, the empty-question join, supersession and retransmission all
+/// go through it (recycled labels rule out finding a flight from its
+/// label). An answered or superseded flight is marked dead where it
+/// lies and dropped when it reaches the head of its ring.
+#[derive(Debug)]
+struct InFlight {
+    rings: Vec<Ring>,
+    /// Each target's live flight. Fx, not SipHash: the simulator
+    /// controls every key.
+    index: FxHashMap<Ipv4Addr, u32>,
+    window: Duration,
+    next_seq: u32,
+}
+
+impl InFlight {
+    fn new(window: Duration) -> Self {
+        Self {
+            rings: Vec::new(),
+            index: FxHashMap::default(),
+            window,
+            next_seq: 0,
+        }
     }
 
-    /// Takes the least entry if its deadline is at or before `now`.
-    fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, u64, Ipv4Addr)> {
-        // Heads compare by `(deadline, xmit)` alone, as `xmit` is unique:
-        // every probe's tick runs this, so the fold carries the small key.
-        let (_, level) = self
-            .levels
-            .iter()
-            .enumerate()
-            .filter_map(|(i, level)| {
-                let &(deadline, xmit, _) = level.front().filter(|head| head.0 <= now)?;
-                Some(((deadline, xmit), i))
-            })
-            .min()?;
-        self.levels[level].pop_front()
+    /// Whether no target has a flight live.
+    fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// Files a fresh probe's transmission; returns the label of the
+    /// flight it supersedes, which dies.
+    fn send(&mut self, target: Ipv4Addr, label: ProbeLabel, now: SimTime) -> Option<ProbeLabel> {
+        let ticket = self.push(target, label, 0, now);
+        let earlier = self.index.insert(target, ticket)?;
+        let earlier = self.flight_mut(earlier);
+        let label = earlier.label();
+        earlier.label = DEAD;
+        Some(label)
+    }
+
+    /// Files the retransmission at attempt `level` of a flight that
+    /// [`InFlight::pop_due`] took: it takes over the target's ticket in
+    /// place (an insert reserves room first, which doubles an index at
+    /// its load limit).
+    fn resend(&mut self, target: Ipv4Addr, label: ProbeLabel, level: u32, now: SimTime) {
+        let ticket = self.push(target, label, level, now);
+        *self
+            .index
+            .get_mut(&target)
+            .expect("a taken flight keeps its ticket") = ticket;
+    }
+
+    /// Appends a transmission to its level's ring; returns its ticket.
+    fn push(&mut self, target: Ipv4Addr, label: ProbeLabel, level: u32, now: SimTime) -> u32 {
+        while self.rings.len() <= level as usize {
+            let doublings = (self.rings.len() as u32).min(MAX_RETRIES);
+            self.rings.push(Ring {
+                flights: VecDeque::new(),
+                front: 0,
+                wait: self.window * 2u32.pow(doublings),
+            });
+        }
+        let ring = &mut self.rings[level as usize];
+        assert!(
+            ring.flights.len() < POSITION_MASK as usize,
+            "fewer than 2^27 transmissions are in flight at one level"
+        );
+        let position = ring.front.wrapping_add(ring.flights.len() as u32) & POSITION_MASK;
+        ring.flights.push_back(Flight {
+            target,
+            seq: self.next_seq,
+            label: u64::from(label.cluster) << 32 | label.seq,
+            sent_at: now,
+        });
+        self.next_seq = self.next_seq.wrapping_add(1);
+        level << POSITION_BITS | position
+    }
+
+    /// The ring and the index in it of the flight behind `ticket`.
+    fn locate(&self, ticket: u32) -> (usize, usize) {
+        let level = (ticket >> POSITION_BITS) as usize;
+        let at = ticket.wrapping_sub(self.rings[level].front) & POSITION_MASK;
+        (level, at as usize)
+    }
+
+    fn flight_mut(&mut self, ticket: u32) -> &mut Flight {
+        let (level, at) = self.locate(ticket);
+        &mut self.rings[level].flights[at]
+    }
+
+    /// The label and send time of `target`'s live flight.
+    fn live(&self, target: Ipv4Addr) -> Option<(ProbeLabel, SimTime)> {
+        let (level, at) = self.locate(*self.index.get(&target)?);
+        let flight = &self.rings[level].flights[at];
+        Some((flight.label(), flight.sent_at))
+    }
+
+    /// Settles `target`'s live flight, answered: it leaves the index and
+    /// dies in its ring.
+    fn settle(&mut self, target: Ipv4Addr) {
+        let ticket = self
+            .index
+            .remove(&target)
+            .expect("a live flight is settled");
+        self.flight_mut(ticket).label = DEAD;
+    }
+
+    /// Takes the live flight due first at or before `now`, with its
+    /// level, dropping the dead flights it finds at the rings' heads. Its
+    /// ticket stays in the index until it is resent or forgotten.
+    fn pop_due(&mut self, now: SimTime) -> Option<(Flight, u32)> {
+        // The least `(deadline, sent_at)`, then the earlier send: equal
+        // deadlines on two levels were sent at different instants unless
+        // the window is zero.
+        let mut due: Option<(SimTime, SimTime, u32, usize)> = None;
+        for (level, ring) in self.rings.iter_mut().enumerate() {
+            while ring.flights.front().is_some_and(|head| head.label == DEAD) {
+                ring.flights.pop_front();
+                ring.front = ring.front.wrapping_add(1);
+            }
+            let Some(head) = ring.flights.front() else {
+                continue;
+            };
+            let deadline = head.sent_at + ring.wait;
+            if deadline > now {
+                continue;
+            }
+            let first = due.is_none_or(|(least, sent_at, seq, _)| {
+                (deadline, head.sent_at)
+                    .cmp(&(least, sent_at))
+                    .then_with(|| (head.seq.wrapping_sub(seq) as i32).cmp(&0))
+                    .is_lt()
+            });
+            if first {
+                due = Some((deadline, head.sent_at, head.seq, level));
+            }
+        }
+        let (.., level) = due?;
+        let ring = &mut self.rings[level];
+        ring.front = ring.front.wrapping_add(1);
+        ring.flights
+            .pop_front()
+            .map(|flight| (flight, level as u32))
+    }
+
+    /// Drops `target`, whose flight [`InFlight::pop_due`] took, from the
+    /// index: the probe is abandoned.
+    fn forget(&mut self, target: Ipv4Addr) {
+        self.index.remove(&target);
     }
 }
 
@@ -272,11 +422,7 @@ pub struct Prober {
     config: ProberConfig,
     pacer: Pacer,
     generator: SubdomainGenerator,
-    /// The probe in flight to each target. Fx, not SipHash: the
-    /// simulator controls every key.
-    outstanding: FxHashMap<Ipv4Addr, Outstanding>,
-    expiry: ExpiryQueue,
-    next_xmit: u64,
+    in_flight: InFlight,
     /// Timer firings so far (index into the tick grid).
     tick: u64,
     handle: ProberHandle,
@@ -293,7 +439,17 @@ impl Prober {
     ///
     /// Returns [`ZeroRateError`] for a zero packet rate (a CLI-reachable
     /// misconfiguration, reported rather than panicked on).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `retry_limit` exceeds [`MAX_RETRIES`] (a campaign
+    /// refuses that budget before it builds a prober).
     pub fn new(config: ProberConfig, handle: ProberHandle) -> Result<Self, ZeroRateError> {
+        assert!(
+            config.retry_limit <= MAX_RETRIES,
+            "retry budget {} out of range 0..={MAX_RETRIES}",
+            config.retry_limit
+        );
         // In slot mode the timer must tick on the campaign-global grid.
         let pacer = Pacer::new(match config.slots {
             Some(slots) => slots.total_rate_pps,
@@ -301,13 +457,12 @@ impl Prober {
         })?;
         let generator = SubdomainGenerator::with_base(config.cluster_capacity, config.base_cluster);
         let template = QueryTemplate::new(&config.zone);
+        let in_flight = InFlight::new(config.response_window);
         Ok(Self {
             config,
             pacer,
             generator,
-            outstanding: FxHashMap::default(),
-            expiry: ExpiryQueue::default(),
-            next_xmit: 0,
+            in_flight,
             tick: 0,
             handle,
             done: false,
@@ -315,18 +470,9 @@ impl Prober {
         })
     }
 
-    /// Sends the Q1 for `label` to `target` and files it as the target's
-    /// outstanding probe, due at `deadline`. Returns `false` if no Q1 can
-    /// be built (the probe is skipped).
-    fn emit_query(
-        &mut self,
-        label: ProbeLabel,
-        target: Ipv4Addr,
-        attempts: u32,
-        deadline: SimTime,
-        ctx: &mut Context<'_>,
-        books: &mut TickBooks,
-    ) -> bool {
+    /// Sends the Q1 for `label` to `target`. Returns `false` if no Q1
+    /// can be built (the probe is skipped).
+    fn transmit(&mut self, label: ProbeLabel, target: Ipv4Addr, ctx: &mut Context<'_>) -> bool {
         let Some(template) = &mut self.template else {
             return false;
         };
@@ -335,30 +481,12 @@ impl Prober {
             (target, 53),
             template.fill(label),
         );
-        let xmit = self.next_xmit;
-        self.next_xmit += 1;
-        self.expiry.push(attempts, (deadline, xmit, target));
-        let probe = Outstanding {
-            label,
-            sent_at: ctx.now(),
-            attempts,
-            xmit,
-        };
-        // A retransmission replaces its own entry; anything else found
-        // here is an earlier probe this one supersedes. Its queue entry
-        // goes stale with its `xmit`.
-        let superseded = self
-            .outstanding
-            .insert(target, probe)
-            .filter(|earlier| earlier.label != label);
-        if let Some(earlier) = superseded {
-            self.generator.recycle(earlier.label);
-            books.probes_abandoned += 1;
-        }
         true
     }
 
-    /// Sends a fresh probe to `target`, allocating a new subdomain.
+    /// Sends a fresh probe to `target`, allocating a new subdomain. A
+    /// probe still in flight to it is superseded: abandoned, and its
+    /// subdomain recycled.
     fn send_probe(
         &mut self,
         target: Ipv4Addr,
@@ -366,8 +494,14 @@ impl Prober {
         books: &mut TickBooks,
     ) -> bool {
         let label = self.generator.next_label();
-        let deadline = ctx.now() + self.config.response_window;
-        self.emit_query(label, target, 0, deadline, ctx, books)
+        if !self.transmit(label, target, ctx) {
+            return false;
+        }
+        if let Some(earlier) = self.in_flight.send(target, label, ctx.now()) {
+            self.generator.recycle(earlier);
+            books.probes_abandoned += 1;
+        }
+        true
     }
 
     /// Sends one batch of Q1 probes.
@@ -411,35 +545,15 @@ impl Prober {
     /// the rest.
     fn sweep_expired(&mut self, ctx: &mut Context<'_>, books: &mut TickBooks) {
         let now = ctx.now();
-        while let Some((_, xmit, target)) = self.expiry.pop_due(now) {
-            // Answered probes and superseded transmissions leave stale
-            // entries behind; skip them. A miss through `entry` reserves
-            // room for an insert that never comes, which doubles a map
-            // at its load limit: there, a lookup goes first.
-            let full = self.outstanding.len() == self.outstanding.capacity();
-            if full && !self.outstanding.contains_key(&target) {
+        while let Some((flight, level)) = self.in_flight.pop_due(now) {
+            let (target, label) = (flight.target, flight.label());
+            if level < self.config.retry_limit && self.transmit(label, target, ctx) {
+                self.in_flight.resend(target, label, level + 1, now);
+                books.retransmits_sent += 1;
                 continue;
             }
-            let Entry::Occupied(entry) = self.outstanding.entry(target) else {
-                continue;
-            };
-            let out = *entry.get();
-            if out.xmit != xmit {
-                continue;
-            }
-            if out.attempts < self.config.retry_limit {
-                // The retransmission replaces the entry in place.
-                let attempts = out.attempts + 1;
-                let backoff = self.config.response_window * 2u32.pow(attempts.min(MAX_RETRIES));
-                if self.emit_query(out.label, target, attempts, now + backoff, ctx, books) {
-                    books.retransmits_sent += 1;
-                    continue;
-                }
-                self.outstanding.remove(&target);
-            } else {
-                entry.remove();
-            }
-            self.generator.recycle(out.label);
+            self.in_flight.forget(target);
+            self.generator.recycle(label);
             books.probes_abandoned += 1;
         }
     }
@@ -476,22 +590,19 @@ impl Endpoint for Prober {
         // malformed 2013 responses join the dataset like any other, and
         // the analysis decodes the rest of each capture once.
         let question = read_question(&dgram.payload);
-        let outstanding = self.outstanding.get(&dgram.src);
+        let live = self.in_flight.live(dgram.src);
         let matched = match &question {
             Some(q) => ProbeLabel::parse(q.qname(), &self.config.zone)
-                .filter(|&label| outstanding.is_some_and(|o| o.label == label))
+                .filter(|&label| live.is_some_and(|(live, _)| live == label))
                 .map(|label| (label, q.qname().clone())),
             // Empty question: join by source address (§IV-B4).
-            None => outstanding.map(|o| (o.label, o.label.qname(&self.config.zone))),
+            None => live.map(|(label, _)| (label, label.qname(&self.config.zone))),
         };
-        let Some((label, qname)) = matched else {
+        let (Some((label, qname)), Some((_, sent_at))) = (matched, live) else {
             self.handle.inner.borrow_mut().stats.unmatched += 1;
             return;
         };
-        let out = self
-            .outstanding
-            .remove(&dgram.src)
-            .expect("matched implies present");
+        self.in_flight.settle(dgram.src);
         {
             // Released before the sink is borrowed: a standalone handle
             // is its own sink.
@@ -499,14 +610,14 @@ impl Endpoint for Prober {
             stats.r2_captured += 1;
             stats
                 .q1_r2_latency_ns
-                .record(ctx.now().since(out.sent_at).as_nanos() as u64);
+                .record(ctx.now().since(sent_at).as_nanos() as u64);
         }
         self.handle.sink.borrow_mut().on_r2(&R2Capture {
             target: dgram.src,
             label: question.is_some().then_some(label),
             qname,
             at: ctx.now(),
-            sent_at: out.sent_at,
+            sent_at,
             payload: dgram.payload.clone(),
         });
     }
@@ -525,7 +636,7 @@ impl Endpoint for Prober {
             books.ticks += 1;
             self.sweep_expired(ctx, &mut books);
             self.send_batch(ctx, &mut books);
-            if self.config.targets.peek().is_none() && self.outstanding.is_empty() {
+            if self.config.targets.peek().is_none() && self.in_flight.is_empty() {
                 self.done = true;
                 break;
             }
@@ -558,6 +669,8 @@ mod tests {
     use super::*;
     use orscope_dns_wire::{RData, Rcode, Record};
     use orscope_netsim::{FixedLatency, SimNet};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     const PROBER: Ipv4Addr = Ipv4Addr::new(132, 170, 5, 10);
 
@@ -731,56 +844,52 @@ mod tests {
     }
 
     #[test]
-    fn a_sweep_of_stale_entries_leaves_the_in_flight_map_its_size() {
-        /// Fills the prober's in-flight map to its load limit, files a
-        /// stale expiry entry for each of its probes (a superseded
-        /// transmission) and for as many answered probes (whose keys are
-        /// gone), sweeps, and reports the map's length and capacity
-        /// before and after.
-        struct StaleSweep(Prober, std::rc::Rc<std::cell::Cell<[(usize, usize); 2]>>);
-        impl Endpoint for StaleSweep {
-            fn handle_datagram(&mut self, _: &Datagram, _: &mut Context<'_>) {}
-            fn handle_timer(&mut self, _: u64, ctx: &mut Context<'_>) {
-                let prober = &mut self.0;
-                prober.outstanding.reserve(16);
-                let n = prober.outstanding.capacity() as u32;
-                for i in 0..n {
-                    let probe = Outstanding {
-                        label: ProbeLabel {
-                            cluster: 0,
-                            seq: u64::from(i),
-                        },
-                        sent_at: SimTime::ZERO,
-                        attempts: 0,
-                        xmit: u64::from(i),
-                    };
-                    prober.outstanding.insert(Ipv4Addr::from(i), probe);
-                }
-                for i in 0..2 * n {
-                    let entry = (SimTime::ZERO, u64::from(n + i), Ipv4Addr::from(i));
-                    prober.expiry.push(0, entry);
-                }
-                let full = (prober.outstanding.len(), prober.outstanding.capacity());
-                prober.sweep_expired(ctx, &mut TickBooks::default());
-                let after = (prober.outstanding.len(), prober.outstanding.capacity());
-                self.1.set([full, after]);
-            }
+    fn sweeping_dead_flights_never_grows_the_index() {
+        // The index at its load limit, with dead flights ahead of every
+        // live one in the ring: answered ones and superseded ones. A
+        // sweep before the live flights are due drops the dead and
+        // settles nothing, and one after retransmits every live flight
+        // in place: the index keeps its length and its capacity.
+        let mut book = InFlight::new(Duration::from_millis(200));
+        book.index.reserve(16);
+        let n = book.index.capacity() as u32;
+        let label = |i: u32| ProbeLabel::new(0, u64::from(i));
+        let (first, second) = (SimTime::ZERO, SimTime::from_nanos(1_000_000));
+        for i in 0..n / 2 {
+            assert_eq!(book.send(Ipv4Addr::from(n + i), label(n + i), first), None);
+            book.settle(Ipv4Addr::from(n + i));
         }
-        let prober = Prober::new(ProberConfig::new(zone(), Vec::new()), ProberHandle::new());
-        let seen = std::rc::Rc::default();
-        let mut net = SimNet::builder().seed(5).build();
-        net.register(
-            PROBER,
-            StaleSweep(prober.unwrap(), std::rc::Rc::clone(&seen)),
-        );
-        net.set_timer_for(PROBER, SimTime::from_secs(1), TICK);
-        net.run_until_idle();
-        let [full, after] = seen.get();
-        assert_eq!(full.0, full.1, "the map is at its load limit");
+        for i in 0..n / 2 {
+            assert_eq!(book.send(Ipv4Addr::from(i), label(i), first), None);
+        }
+        for i in 0..n / 2 {
+            let superseded = book.send(Ipv4Addr::from(i), label(2 * n + i), first);
+            assert_eq!(superseded, Some(label(i)));
+        }
+        for i in n / 2..n {
+            assert_eq!(book.send(Ipv4Addr::from(i), label(2 * n + i), second), None);
+        }
+        let full = (book.index.len(), book.index.capacity());
+        assert_eq!(full.0, full.1, "the index is at its load limit");
+        assert_eq!(book.rings[0].flights.len() as u32, n + n / 2 + n / 2);
+        assert!(book.pop_due(SimTime::from_nanos(100_000_000)).is_none());
         assert_eq!(
-            after, full,
-            "a stale entry settles nothing and makes no room"
+            book.rings[0].flights.len() as u32,
+            n,
+            "the dead are dropped"
         );
+        assert_eq!(
+            (book.index.len(), book.index.capacity()),
+            full,
+            "a dead flight settles nothing and makes no room"
+        );
+        let late = SimTime::from_nanos(300_000_000);
+        while let Some((flight, level)) = book.pop_due(late) {
+            assert_eq!(level, 0);
+            book.resend(flight.target, flight.label(), 1, late);
+        }
+        assert_eq!((book.index.len(), book.index.capacity()), full);
+        assert_eq!(book.rings[1].flights.len() as u32, n);
     }
 
     #[test]
@@ -1028,35 +1137,57 @@ mod tests {
     }
 
     #[test]
-    fn the_expiry_queue_pops_in_heap_order() {
+    fn the_rings_pop_live_flights_in_heap_order() {
         // The prober's pattern: the clock never runs backwards, a
-        // transmission at attempt `a` is due `window * 2^a` later, and
-        // each sweep pops what is due before anything else is sent.
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
+        // transmission at attempt `a` is due `window * 2^a` later (a
+        // window of zero included), each sweep pops what is due before
+        // anything else is sent, and some flights are answered and go
+        // dead. The heap holds `(deadline, send order)`; the rings' send
+        // numbers wrap partway.
         orscope_check::cases(64, |rng| {
             let levels = rng.range(1..5u32);
-            let window = rng.range(1..50u64);
-            let mut queue = ExpiryQueue::default();
+            let window = if rng.chance(25) {
+                0
+            } else {
+                rng.range(1..50u64)
+            };
+            let mut book = InFlight::new(Duration::from_nanos(window));
+            // Send numbers that wrap partway.
+            book.next_seq = u32::MAX - rng.range(0..600u32);
             let mut heap: BinaryHeap<Reverse<(SimTime, u64, Ipv4Addr)>> = BinaryHeap::new();
+            let mut answered = std::collections::HashSet::new();
             let (mut now, mut xmit) = (0u64, 0u64);
             for _ in 0..400 {
                 now += rng.range(0..40u64);
                 let at = SimTime::from_nanos(now);
-                while heap
-                    .peek()
-                    .is_some_and(|&Reverse((deadline, ..))| deadline <= at)
-                {
-                    assert_eq!(queue.pop_due(at), heap.pop().map(|Reverse(least)| least));
+                while let Some(&Reverse((deadline, _, target))) = heap.peek() {
+                    if deadline > at {
+                        break;
+                    }
+                    heap.pop();
+                    if answered.contains(&target) {
+                        continue;
+                    }
+                    let (flight, _) = book.pop_due(at).expect("a live flight is due");
+                    assert_eq!(flight.target, target);
+                    book.forget(target);
                 }
-                assert_eq!(queue.pop_due(at), None);
+                assert!(book.pop_due(at).is_none());
                 for _ in 0..rng.range(0..4u32) {
                     let attempts = rng.range(0..levels);
                     let deadline = SimTime::from_nanos(now + (window << attempts));
-                    let entry = (deadline, xmit, Ipv4Addr::from(rng.next_u64() as u32));
+                    let target = Ipv4Addr::from(xmit as u32);
+                    let ticket = book.push(target, ProbeLabel::new(0, 0), attempts, at);
+                    book.index.insert(target, ticket);
+                    heap.push(Reverse((deadline, xmit, target)));
                     xmit += 1;
-                    queue.push(attempts, entry);
-                    heap.push(Reverse(entry));
+                }
+                if xmit > 0 && rng.chance(30) {
+                    let target = Ipv4Addr::from(rng.range(0..xmit) as u32);
+                    if book.live(target).is_some() {
+                        book.settle(target);
+                        answered.insert(target);
+                    }
                 }
             }
         });
@@ -1274,5 +1405,313 @@ mod tests {
         let well_formed = join(b"");
         assert!(well_formed.1.is_some(), "joined by qname");
         assert_eq!(join(b"\xde\xad\xbe\xef"), well_formed);
+    }
+
+    /// The probe a target has in flight, as the map the rings replaced
+    /// held it.
+    #[derive(Debug, Clone, Copy)]
+    struct Outstanding {
+        label: ProbeLabel,
+        sent_at: SimTime,
+        /// Retransmissions already performed for this probe.
+        attempts: u32,
+        /// Transmission sequence number of the latest send; expiry-queue
+        /// entries carrying an older number are stale and skipped.
+        xmit: u64,
+    }
+
+    /// The `(deadline, xmit, target)` of every transmission, least
+    /// first, as a min-heap would hand them out: one sorted queue per
+    /// attempt level.
+    #[derive(Debug, Default)]
+    struct ExpiryQueue {
+        levels: Vec<VecDeque<(SimTime, u64, Ipv4Addr)>>,
+    }
+
+    impl ExpiryQueue {
+        fn push(&mut self, attempts: u32, entry: (SimTime, u64, Ipv4Addr)) {
+            let level = attempts as usize;
+            if self.levels.len() <= level {
+                self.levels.resize_with(level + 1, VecDeque::new);
+            }
+            self.levels[level].push_back(entry);
+        }
+
+        fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, u64, Ipv4Addr)> {
+            let (_, level) = self
+                .levels
+                .iter()
+                .enumerate()
+                .filter_map(|(i, level)| {
+                    let &(deadline, xmit, _) = level.front().filter(|head| head.0 <= now)?;
+                    Some(((deadline, xmit), i))
+                })
+                .min()?;
+            self.levels[level].pop_front()
+        }
+    }
+
+    /// The in-flight state the rings replaced, kept as their oracle: a
+    /// map from each target to its probe, and an expiry entry for every
+    /// transmission.
+    #[derive(Debug)]
+    struct Oracle {
+        outstanding: FxHashMap<Ipv4Addr, Outstanding>,
+        expiry: ExpiryQueue,
+        next_xmit: u64,
+        window: Duration,
+    }
+
+    impl Oracle {
+        fn new(window: Duration) -> Self {
+            Self {
+                outstanding: FxHashMap::default(),
+                expiry: ExpiryQueue::default(),
+                next_xmit: 0,
+                window,
+            }
+        }
+
+        fn file(
+            &mut self,
+            target: Ipv4Addr,
+            label: ProbeLabel,
+            attempts: u32,
+            now: SimTime,
+        ) -> Option<Outstanding> {
+            let deadline = now + self.window * 2u32.pow(attempts.min(MAX_RETRIES));
+            let xmit = self.next_xmit;
+            self.next_xmit += 1;
+            self.expiry.push(attempts, (deadline, xmit, target));
+            let probe = Outstanding {
+                label,
+                sent_at: now,
+                attempts,
+                xmit,
+            };
+            self.outstanding.insert(target, probe)
+        }
+    }
+
+    /// What the prober asks of its in-flight state.
+    trait Book {
+        fn send(&mut self, target: Ipv4Addr, label: ProbeLabel, now: SimTime)
+            -> Option<ProbeLabel>;
+        fn resend(&mut self, target: Ipv4Addr, label: ProbeLabel, level: u32, now: SimTime);
+        fn live(&self, target: Ipv4Addr) -> Option<(ProbeLabel, SimTime)>;
+        fn settle(&mut self, target: Ipv4Addr);
+        fn pop_due(&mut self, now: SimTime) -> Option<(Ipv4Addr, ProbeLabel, u32)>;
+        fn forget(&mut self, target: Ipv4Addr);
+        fn is_empty(&self) -> bool;
+    }
+
+    impl Book for InFlight {
+        fn send(
+            &mut self,
+            target: Ipv4Addr,
+            label: ProbeLabel,
+            now: SimTime,
+        ) -> Option<ProbeLabel> {
+            InFlight::send(self, target, label, now)
+        }
+        fn resend(&mut self, target: Ipv4Addr, label: ProbeLabel, level: u32, now: SimTime) {
+            InFlight::resend(self, target, label, level, now);
+        }
+        fn live(&self, target: Ipv4Addr) -> Option<(ProbeLabel, SimTime)> {
+            InFlight::live(self, target)
+        }
+        fn settle(&mut self, target: Ipv4Addr) {
+            InFlight::settle(self, target);
+        }
+        fn pop_due(&mut self, now: SimTime) -> Option<(Ipv4Addr, ProbeLabel, u32)> {
+            InFlight::pop_due(self, now)
+                .map(|(flight, level)| (flight.target, flight.label(), level))
+        }
+        fn forget(&mut self, target: Ipv4Addr) {
+            InFlight::forget(self, target);
+        }
+        fn is_empty(&self) -> bool {
+            InFlight::is_empty(self)
+        }
+    }
+
+    impl Book for Oracle {
+        fn send(
+            &mut self,
+            target: Ipv4Addr,
+            label: ProbeLabel,
+            now: SimTime,
+        ) -> Option<ProbeLabel> {
+            self.file(target, label, 0, now)
+                .map(|earlier| earlier.label)
+        }
+        fn resend(&mut self, target: Ipv4Addr, label: ProbeLabel, level: u32, now: SimTime) {
+            self.file(target, label, level, now);
+        }
+        fn live(&self, target: Ipv4Addr) -> Option<(ProbeLabel, SimTime)> {
+            self.outstanding
+                .get(&target)
+                .map(|out| (out.label, out.sent_at))
+        }
+        fn settle(&mut self, target: Ipv4Addr) {
+            self.outstanding.remove(&target);
+        }
+        fn pop_due(&mut self, now: SimTime) -> Option<(Ipv4Addr, ProbeLabel, u32)> {
+            // Answered probes and superseded transmissions leave stale
+            // entries behind; skip them.
+            while let Some((_, xmit, target)) = self.expiry.pop_due(now) {
+                match self.outstanding.get(&target) {
+                    Some(out) if out.xmit == xmit => {
+                        return Some((target, out.label, out.attempts))
+                    }
+                    _ => continue,
+                }
+            }
+            None
+        }
+        fn forget(&mut self, target: Ipv4Addr) {
+            self.outstanding.remove(&target);
+        }
+        fn is_empty(&self) -> bool {
+            self.outstanding.is_empty()
+        }
+    }
+
+    /// One pacing tick: the clock moves on, the sweep runs, probes go
+    /// out, and R2s come back before the next tick. An R2 with no label
+    /// of its own names its target's live label or has an empty
+    /// question — both join the live flight, if there is one; one with
+    /// a label joins only if that label is live.
+    #[derive(Debug)]
+    struct Step {
+        advance: Duration,
+        sends: Vec<Ipv4Addr>,
+        answers: Vec<(Ipv4Addr, Option<ProbeLabel>)>,
+    }
+
+    /// What the prober's loop made of a run of steps.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        matched: Vec<(Ipv4Addr, ProbeLabel, SimTime)>,
+        recycled: Vec<ProbeLabel>,
+        abandoned: u64,
+        retransmits: u64,
+        unmatched: u64,
+        done_at: Option<usize>,
+    }
+
+    /// Runs `steps` through `book` as `Prober::sweep_expired`,
+    /// `Prober::send_probe` and `Prober::handle_datagram` do.
+    fn drive(mut book: impl Book, steps: &[Step], retry_limit: u32) -> Outcome {
+        let mut generator = SubdomainGenerator::new(5);
+        let mut outcome = Outcome {
+            matched: Vec::new(),
+            recycled: Vec::new(),
+            abandoned: 0,
+            retransmits: 0,
+            unmatched: 0,
+            done_at: None,
+        };
+        let last_send = steps.iter().rposition(|step| !step.sends.is_empty());
+        let mut now = SimTime::ZERO;
+        for (i, step) in steps.iter().enumerate() {
+            now += step.advance;
+            while let Some((target, label, level)) = book.pop_due(now) {
+                if level < retry_limit {
+                    book.resend(target, label, level + 1, now);
+                    outcome.retransmits += 1;
+                    continue;
+                }
+                book.forget(target);
+                generator.recycle(label);
+                outcome.recycled.push(label);
+                outcome.abandoned += 1;
+            }
+            for &target in &step.sends {
+                let label = generator.next_label();
+                if let Some(earlier) = book.send(target, label, now) {
+                    generator.recycle(earlier);
+                    outcome.recycled.push(earlier);
+                    outcome.abandoned += 1;
+                }
+            }
+            for &(target, named) in &step.answers {
+                let live = book.live(target);
+                match named.map_or(live, |named| live.filter(|&(label, _)| label == named)) {
+                    Some((label, sent_at)) => {
+                        book.settle(target);
+                        outcome.matched.push((target, label, sent_at));
+                    }
+                    None => outcome.unmatched += 1,
+                }
+            }
+            if last_send.is_none_or(|last| i >= last) && book.is_empty() {
+                outcome.done_at = Some(i);
+                break;
+            }
+        }
+        outcome
+    }
+
+    /// The rings and their index against the map and queue they
+    /// replaced, over the prober's own loop: a few targets probed again
+    /// and again (supersession), R2s that name the live label, another
+    /// label or none, retry budgets 0–3 and 16, windows of zero to three
+    /// ticks (deadlines on two levels tie), and ring positions and send
+    /// numbers that wrap.
+    #[test]
+    fn the_rings_and_index_match_the_map_and_queue() {
+        orscope_check::cases(96, |rng| {
+            let tick = Duration::from_millis(1);
+            let window = tick * rng.range(0..4u32);
+            let retry_limit = [0, 1, 2, 3, MAX_RETRIES][rng.range(0..5usize)];
+            let targets: Vec<Ipv4Addr> = (0..rng.range(1..8u32))
+                .map(|i| Ipv4Addr::from(0x0a00_0000 + i))
+                .collect();
+            let pick = |rng: &mut orscope_check::Rng| targets[rng.range(0..targets.len())];
+            let mut steps: Vec<Step> = (0..rng.range(1..200))
+                .map(|_| Step {
+                    advance: tick * rng.range(0..3u32),
+                    sends: (0..rng.range(0..4)).map(|_| pick(rng)).collect(),
+                    answers: (0..rng.range(0..3))
+                        .map(|_| {
+                            let named = rng.range(0..3) == 0;
+                            let label =
+                                named.then(|| ProbeLabel::new(rng.range(0..3), rng.range(0..5)));
+                            (pick(rng), label)
+                        })
+                        .collect(),
+                })
+                .collect();
+            // Enough time for every flight left to run out its retries.
+            let drain = window * 2u32.pow(MAX_RETRIES + 1) + tick;
+            steps.extend((0..=retry_limit + 1).map(|_| Step {
+                advance: drain,
+                sends: Vec::new(),
+                answers: Vec::new(),
+            }));
+            let mut rings = InFlight::new(window);
+            if rng.bool() {
+                // Start every ring and the send count just short of
+                // where their numbers wrap.
+                for level in 0..=retry_limit {
+                    rings.push(
+                        Ipv4Addr::UNSPECIFIED,
+                        ProbeLabel::new(0, 0),
+                        level,
+                        SimTime::ZERO,
+                    );
+                }
+                for ring in &mut rings.rings {
+                    ring.flights.clear();
+                    ring.front =
+                        [POSITION_MASK, u32::MAX][rng.range(0..2usize)] - rng.range(0..4u32);
+                }
+                rings.next_seq = u32::MAX - rng.range(0..8u32);
+            }
+            let expected = drive(Oracle::new(window), &steps, retry_limit);
+            assert_eq!(drive(rings, &steps, retry_limit), expected);
+            assert!(expected.done_at.is_some(), "the scan completes");
+        });
     }
 }

@@ -1,9 +1,9 @@
 //! The resolver's TTL-aware record cache.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use orscope_dns_wire::{Name, Record, RecordType};
-use orscope_netsim::SimTime;
+use orscope_netsim::{FxHashMap, SimTime};
 
 /// Cache key: owner name + record type.
 type Key = (Name, u16);
@@ -41,7 +41,7 @@ struct Entry {
 /// ```
 #[derive(Debug, Clone)]
 pub struct DnsCache {
-    entries: HashMap<Key, Entry>,
+    entries: FxHashMap<Key, Entry>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<Key>,
     capacity: usize,
@@ -58,7 +58,7 @@ impl DnsCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         Self {
-            entries: HashMap::new(),
+            entries: FxHashMap::default(),
             order: VecDeque::new(),
             capacity,
             hits: 0,

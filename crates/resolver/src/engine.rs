@@ -1,11 +1,10 @@
 //! The resolver endpoint: policy dispatch plus a real iterative resolver.
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
 use orscope_dns_wire::{Message, MessageBuilder, Name, Question, RData, Rcode, Record};
-use orscope_netsim::{Context, Datagram, Endpoint, Payload, SimTime};
+use orscope_netsim::{Context, Datagram, Endpoint, FxHashMap, Payload, SimTime};
 use orscope_telemetry::Histogram;
 
 use crate::cache::DnsCache;
@@ -106,12 +105,12 @@ pub struct ProfiledResolver {
     root: Ipv4Addr,
     cache: DnsCache,
     /// Zone apex -> (name-server address, expiry): the referral cache.
-    zone_servers: HashMap<Name, (Ipv4Addr, SimTime)>,
+    zone_servers: FxHashMap<Name, (Ipv4Addr, SimTime)>,
     /// Negative cache (RFC 2308): question -> (rcode, expiry).
-    negative: HashMap<(Name, u16), (Rcode, SimTime)>,
-    pending: HashMap<u16, Pending>,
+    negative: FxHashMap<(Name, u16), (Rcode, SimTime)>,
+    pending: FxHashMap<u16, Pending>,
     /// In-flight forwarded queries: relay txn -> (client, client id).
-    forward_pending: HashMap<u16, ((Ipv4Addr, u16), u16)>,
+    forward_pending: FxHashMap<u16, ((Ipv4Addr, u16), u16)>,
     /// xorshift state for randomized transaction IDs.
     txn_rng: u32,
     stats: ResolverStats,
@@ -144,10 +143,10 @@ impl ProfiledResolver {
             policy,
             root,
             cache: DnsCache::new(CACHE_CAPACITY),
-            zone_servers: HashMap::new(),
-            negative: HashMap::new(),
-            pending: HashMap::new(),
-            forward_pending: HashMap::new(),
+            zone_servers: FxHashMap::default(),
+            negative: FxHashMap::default(),
+            pending: FxHashMap::default(),
+            forward_pending: FxHashMap::default(),
             txn_rng: TXN_SEED,
             stats: ResolverStats::default(),
             inbound: Message::default(),

@@ -44,10 +44,12 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // A change to any endpoint's packet path, `dns-wire` decode/build or
     // the resolver pool shows up in the first two rows. The scheduler's
     // slab grows by doubling, a few times a run: 0.777 and 127.4 B when
-    // each of the timing wheel's 448 slots grew a buffer of its own.
-    ("dense", "allocations per event", 0.9, 0.703),
+    // each of the timing wheel's 448 slots grew a buffer of its own, and
+    // 0.703 and 83.9 B when the prober kept an outstanding map of 48 B
+    // buckets and a separate expiry queue.
+    ("dense", "allocations per event", 0.9, 0.694),
     // 185.2 with 256 B names (528 B records) and slot buffers.
-    ("dense", "requested bytes per event", 165.0, 83.9),
+    ("dense", "requested bytes per event", 165.0, 82.3),
     // A scan asks each responder once, so it builds each planned host
     // once: the R1s that come back to a resolver already released and
     // the upstream timeouts that outlive their resolution are settled
@@ -56,7 +58,12 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // would say otherwise).
     ("dense", "materializations", 3_253.0, 3_253.0),
     ("dense", "planned hosts", 3_253.0, 3_253.0),
-    // The most the whole campaign holds at once: 161,427 B. It read
+    // The most the whole campaign holds at once: 150,499 B. It read
+    // 161,427 B when the prober kept each probe in flight twice — a
+    // 48 B bucket of a map keyed by target and a 24 B entry of an
+    // expiry queue — where one 24 B flight in a ring per attempt level
+    // and an 8 B bucket of an address-to-ticket index now do, and the
+    // resolvers' maps each carried 16 B of SipHash keys. It read
     // 173,982 B when about two hosts in three drew a version.bind
     // banner, which interned up to seven variants of each profile, and
     // 271,876 B when the timing wheel kept a buffer in each of its 448
@@ -86,8 +93,8 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     (
         "dense",
         "peak live bytes per planned host",
-        161_427.0 / 3_253.0,
-        161_427.0 / 3_253.0,
+        150_499.0 / 3_253.0,
+        150_499.0 / 3_253.0,
     ),
     ("dense", "live hosts at the peak", 325.0, 10.0),
     // `generate`: `Population::generate` for the `dense` campaign, on
@@ -129,13 +136,15 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // the budget; a shard reserving for every responder of the campaign
     // adds 4 B a host (124.8–126.0), which the plan's unit tests catch.
     // The shard thread and the calling thread interleave their
-    // allocations, so the peak moves by about a byte a host from run to
-    // run (63.1–63.7) and the row is not exact. It read 66.8–67.7
+    // allocations, so the peak moves by a few bytes a host from run to
+    // run (57.4–60.2) and the row is not exact. It read 63.1–63.7
+    // (budget 67) while each shard's prober kept an outstanding map of
+    // 48 B buckets beside its expiry queue, 66.8–67.7
     // (budget 71) while profiles carried version.bind banners,
     // 112.9–116.1 when each shard's timing wheel kept a buffer in each
     // of its 448 slots, and 120.7–122.1 when, besides, each host was
     // stored twice.
-    ("dense-2sh", "peak live bytes per planned host", 67.0, 63.4),
+    ("dense-2sh", "peak live bytes per planned host", 64.0, 59.3),
     // `sparse`: a one-shard full-Q1 campaign at scale 60,000, almost
     // all silence. A send to nobody is settled as unrouted on the spot:
     // it is no event, is lost from no book and is never built — the
@@ -158,9 +167,11 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // 144 B; at 256 B and 528 B (and a buffer in each of the timing
     // wheel's 448 slots) the peak read 127,250 B, and 104,534 B with
     // the slot buffers alone. 39,198 B (budget 162,606) while profiles
-    // carried version.bind banners.
-    ("sparse", "peak live bytes", 158_675.0, 35_267.0),
-    ("sparse", "peak live bytes per target", 2.572, 0.572),
+    // carried version.bind banners, 35,267 B (budget 158,675) while the
+    // prober kept an outstanding map of 48 B buckets beside its expiry
+    // queue.
+    ("sparse", "peak live bytes", 158_387.0, 34_979.0),
+    ("sparse", "peak live bytes per target", 2.567, 0.567),
     ("sparse", "delivered per unrouted", 0.02, 0.013),
     ("sparse", "events beside timers and deliveries", 0.0, 0.0),
     ("sparse", "datagrams sent and not accounted for", 0.0, 0.0),
@@ -202,9 +213,13 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // item's first line when that ends in `;` or `}` — and less each
     // file whose `mod` is declared under `#[cfg(test)]`. Fields are the
     // top-level fields that `{:#?}` prints; flags are the distinct
-    // `--` words that `orscope help` prints.
+    // `--` words that `orscope help` prints. Builders are the lines of
+    // `crates/core/src/campaign.rs` from the line `impl CampaignConfig {`
+    // to the next line that is `}` alone, whose text after its
+    // indentation starts with `pub fn with_`.
     ("size", "non-test lines", LINES, LINES),
     ("size", "CampaignConfig fields", 15.0, 15.0),
+    ("size", "CampaignConfig with_* builders", 14.0, 14.0),
     ("size", "ServeConfig fields", 13.0, 13.0),
     ("size", "orscope help flags", 36.0, 36.0),
     ("size", "crates", 14.0, 14.0),
@@ -212,7 +227,7 @@ const GATES: &[(&str, &str, f64, f64)] = &[
 ];
 
 /// The `size` workload's line count.
-const LINES: f64 = 22_915.0;
+const LINES: f64 = 23_020.0;
 
 /// The `generate` counter.
 const GENERATE_PEAK: &str = "peak live bytes per host";
@@ -428,6 +443,14 @@ fn size() -> Ledger {
     };
     let campaign = CampaignConfig::new(Year::Y2018, 2000.0);
     let serve = ServeConfig::new(Year::Y2018, 2000.0);
+    let campaign_rs = std::fs::read_to_string(root.join("crates/core/src/campaign.rs"))
+        .expect("campaign source is readable");
+    let builders = campaign_rs
+        .lines()
+        .skip_while(|line| *line != "impl CampaignConfig {")
+        .take_while(|line| *line != "}")
+        .filter(|line| line.trim_start().starts_with("pub fn with_"))
+        .count();
     let help = std::process::Command::new(env!("CARGO_BIN_EXE_orscope"))
         .arg("help")
         .output()
@@ -448,6 +471,7 @@ fn size() -> Ledger {
     vec![
         ("non-test lines", non_test_lines(sources) as f64),
         ("CampaignConfig fields", fields(format!("{campaign:#?}"))),
+        ("CampaignConfig with_* builders", builders as f64),
         ("ServeConfig fields", fields(format!("{serve:#?}"))),
         ("orscope help flags", flags.len() as f64),
         ("crates", crates.len() as f64),
