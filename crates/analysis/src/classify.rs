@@ -25,7 +25,7 @@ pub enum AnswerKind {
 
 impl AnswerKind {
     /// Whether an answer section is present (W vs W/O).
-    pub fn is_present(&self) -> bool {
+    pub(crate) fn is_present(&self) -> bool {
         !matches!(self, AnswerKind::None)
     }
 }
@@ -44,7 +44,7 @@ pub struct ClassifiedR2 {
     /// Wire length of the response payload, for amplification factors.
     pub payload_len: u32,
     /// Whether the response carried a question section.
-    pub has_question: bool,
+    pub(crate) has_question: bool,
     /// The probe label, when the response was matched by qname.
     pub label: Option<ProbeLabel>,
     /// Recursion Available flag.
@@ -62,7 +62,7 @@ pub struct ClassifiedR2 {
 
 impl ClassifiedR2 {
     /// Whether this packet has an answer section (W column).
-    pub fn has_answer(&self) -> bool {
+    pub(crate) fn has_answer(&self) -> bool {
         self.answer.is_present()
     }
 

@@ -30,7 +30,7 @@ pub struct Dataset {
     pub raw: Vec<R2Capture>,
     /// Total classified R2 packets. Tracks `records.len()` in batch
     /// mode; carries the streamed count when `records` is empty.
-    pub r2_total: u64,
+    pub(crate) r2_total: u64,
     /// Responses dropped by the port-53 blind spot.
     pub off_port_dropped: u64,
     /// Prober-side scan statistics.

@@ -33,7 +33,7 @@ pub mod stream;
 pub mod summary;
 pub mod tables;
 
-pub use classify::{classify, AnswerKind, ClassifiedR2};
+pub use classify::classify;
 pub use dataset::Dataset;
 pub use flows::FlowSummary;
 pub use orscope_authns::RecordSink;

@@ -118,16 +118,6 @@ impl TableReport {
     pub fn all_to_wire(reports: &[TableReport]) -> Wire {
         Wire::Arr(reports.iter().map(TableReport::to_wire).collect())
     }
-
-    /// The worst relative deviation across rows with nonzero paper
-    /// values.
-    pub fn worst_deviation(&self) -> f64 {
-        self.comparisons
-            .iter()
-            .filter(|c| c.paper != 0.0)
-            .map(|c| (c.ratio() - 1.0).abs())
-            .fold(0.0, f64::max)
-    }
 }
 
 impl fmt::Display for TableReport {
@@ -143,6 +133,18 @@ impl fmt::Display for TableReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TableReport {
+        /// The worst relative deviation across rows with nonzero paper
+        /// values.
+        fn worst_deviation(&self) -> f64 {
+            self.comparisons
+                .iter()
+                .filter(|c| c.paper != 0.0)
+                .map(|c| (c.ratio() - 1.0).abs())
+                .fold(0.0, f64::max)
+        }
+    }
 
     #[test]
     fn ratio_and_tolerance() {

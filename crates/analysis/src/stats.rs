@@ -45,7 +45,7 @@ pub fn total_variation(paper: &[u64], measured: &[u64]) -> f64 {
 /// # Panics
 ///
 /// Panics if the vectors differ in length.
-pub fn chi_square(paper: &[u64], measured: &[u64]) -> f64 {
+pub(crate) fn chi_square(paper: &[u64], measured: &[u64]) -> f64 {
     assert_eq!(paper.len(), measured.len(), "length mismatch");
     let (sp, sm) = (
         paper.iter().sum::<u64>() as f64,
@@ -70,9 +70,9 @@ pub fn chi_square(paper: &[u64], measured: &[u64]) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitSummary {
     /// Total variation distance of the normalized distributions.
-    pub tvd: f64,
+    pub(crate) tvd: f64,
     /// Chi-square statistic (measured vs paper-shaped expectation).
-    pub chi_square: f64,
+    pub(crate) chi_square: f64,
     /// Number of cells compared.
     pub cells: usize,
 }

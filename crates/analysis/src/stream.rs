@@ -23,10 +23,10 @@ use std::net::Ipv4Addr;
 
 use orscope_authns::{CapturedPacket, RecordSink};
 use orscope_dns_wire::{Message, Name, Rcode};
-use orscope_geo::GeoDb;
+use orscope_lookup::geo::GeoDb;
+use orscope_lookup::threatintel::ThreatDb;
 use orscope_netsim::fxhash::FxHashMap;
 use orscope_prober::R2Capture;
-use orscope_threatintel::ThreatDb;
 
 use crate::classify::{classify_in, AnswerKind};
 use crate::flows::FlowSummary;

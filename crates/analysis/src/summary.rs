@@ -11,7 +11,7 @@
 
 use crate::dataset::Dataset;
 use crate::tables::{AnswerBreakdown, FlagTable, Table3, Table4, Table5, Table9};
-use orscope_threatintel::ThreatDb;
+use orscope_lookup::threatintel::ThreatDb;
 
 /// One scan's headline numbers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,7 +25,7 @@ pub struct ScanSummary {
     pub open_resolvers_strict: u64,
     /// Responses deviating from the standard: RA=0 with an answer plus
     /// AA=1 from a non-authoritative host.
-    pub standard_deviants: u64,
+    pub(crate) standard_deviants: u64,
     /// Incorrect answers.
     pub incorrect: u64,
     /// Threat-reported (malicious) answers.
@@ -92,24 +92,24 @@ impl TemporalSummary {
     }
 
     /// Claim 1: millions of open resolvers still exist in the later scan.
-    pub fn millions_still_exist(&self) -> bool {
+    pub(crate) fn millions_still_exist(&self) -> bool {
         self.later.open_resolvers_strict >= 1_000_000
     }
 
     /// Claim 2: the population declined significantly (by at least half).
-    pub fn population_declined(&self) -> bool {
+    pub(crate) fn population_declined(&self) -> bool {
         self.later.responders * 2 <= self.earlier.responders
     }
 
     /// Claim 3: the number of incorrect answers stayed of the same order
     /// (within a factor of two) despite the decline.
-    pub fn incorrect_held_steady(&self) -> bool {
+    pub(crate) fn incorrect_held_steady(&self) -> bool {
         let (a, b) = (self.earlier.incorrect, self.later.incorrect);
         a.max(b) <= 2 * a.min(b)
     }
 
     /// Claim 4: malicious answers increased.
-    pub fn malicious_increased(&self) -> bool {
+    pub(crate) fn malicious_increased(&self) -> bool {
         self.later.malicious > self.earlier.malicious
     }
 

@@ -5,9 +5,9 @@ use std::fmt;
 use std::net::Ipv4Addr;
 
 use orscope_dns_wire::Rcode;
-use orscope_geo::GeoDb;
+use orscope_lookup::geo::GeoDb;
+use orscope_lookup::threatintel::{Category, ThreatDb};
 use orscope_resolver::paper::{AnswerClass, YearSpec};
-use orscope_threatintel::{Category, ThreatDb};
 
 use crate::classify::{AnswerKind, ClassifiedR2};
 use crate::dataset::Dataset;
@@ -106,7 +106,7 @@ impl Table2 {
     }
 
     /// Q2 as a percentage of Q1 (the parenthesized figure in Table II).
-    pub fn q2_pct(&self) -> f64 {
+    pub(crate) fn q2_pct(&self) -> f64 {
         if self.q1 == 0 {
             0.0
         } else {
@@ -671,7 +671,7 @@ impl Table9 {
     }
 
     /// Total unique malicious addresses.
-    pub fn total_unique(&self) -> u64 {
+    pub(crate) fn total_unique(&self) -> u64 {
         self.rows.iter().map(|r| r.unique_ips).sum()
     }
 
@@ -860,7 +860,7 @@ pub struct EmptyQuestionReport {
     /// Of those, packets with an answer section.
     pub with_answer: u64,
     /// Answers that are private-network addresses.
-    pub private_answers: u64,
+    pub(crate) private_answers: u64,
     /// Packets with RA=1.
     pub ra1: u64,
     /// Packets with AA=1.
@@ -1180,7 +1180,7 @@ pub struct AmplificationTable {
     /// Median factor.
     pub p50: f64,
     /// 95th-percentile factor.
-    pub p95: f64,
+    pub(crate) p95: f64,
     /// Maximum factor observed.
     pub max: f64,
 }

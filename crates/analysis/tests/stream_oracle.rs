@@ -27,11 +27,11 @@ use orscope_authns::{CapturedPacket, Direction};
 use orscope_check::Rng;
 use orscope_dns_wire::wire::Reader;
 use orscope_dns_wire::{Header, Message, Name, Question, RData, Rcode, Record};
-use orscope_geo::{GeoDb, GeoRecord};
+use orscope_lookup::geo::{GeoDb, GeoRecord};
+use orscope_lookup::threatintel::{Category, ThreatDb};
 use orscope_netsim::{Payload, SimTime};
 use orscope_prober::{ProbeStats, R2Capture};
 use orscope_resolver::paper::Year;
-use orscope_threatintel::{Category, ThreatDb};
 
 fn zone() -> Name {
     "ucfsealresearch.net".parse().unwrap()

@@ -140,7 +140,7 @@ impl CaptureHandle {
     }
 
     /// Records an inbound datagram at time `at`.
-    pub fn record_inbound(&self, at: SimTime, dgram: &Datagram, label: Option<ProbeLabel>) {
+    pub(crate) fn record_inbound(&self, at: SimTime, dgram: &Datagram, label: Option<ProbeLabel>) {
         self.sink.borrow_mut().on_auth(&CapturedPacket {
             at,
             direction: Direction::Inbound,
@@ -152,7 +152,7 @@ impl CaptureHandle {
     }
 
     /// Records an outbound datagram at time `at`.
-    pub fn record_outbound(&self, at: SimTime, dgram: &Datagram, label: Option<ProbeLabel>) {
+    pub(crate) fn record_outbound(&self, at: SimTime, dgram: &Datagram, label: Option<ProbeLabel>) {
         self.sink.borrow_mut().on_auth(&CapturedPacket {
             at,
             direction: Direction::Outbound,

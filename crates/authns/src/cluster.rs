@@ -37,8 +37,6 @@ pub struct ClusterZone {
     previous: Option<(u32, u64)>,
     /// TTL served for probe subdomains.
     probe_ttl: u32,
-    /// Total clusters loaded over the zone's lifetime.
-    clusters_loaded: u32,
 }
 
 impl ClusterZone {
@@ -50,7 +48,6 @@ impl ClusterZone {
             loaded: 0,
             previous: None,
             probe_ttl: 60,
-            clusters_loaded: 0,
         }
     }
 
@@ -59,35 +56,17 @@ impl ClusterZone {
         &self.zone
     }
 
-    /// Mutable access to the static zone content.
-    pub fn zone_mut(&mut self) -> &mut Zone {
-        &mut self.zone
-    }
-
     /// The active cluster number, if one is loaded.
-    pub fn active_cluster(&self) -> Option<u32> {
+    pub(crate) fn active_cluster(&self) -> Option<u32> {
         self.active_cluster
-    }
-
-    /// Total clusters loaded so far (the paper's scan needed only 4).
-    pub fn clusters_loaded(&self) -> u32 {
-        self.clusters_loaded
     }
 
     /// Loads cluster `cluster` with `count` subdomains (capped at
     /// [`CLUSTER_CAPACITY`]), replacing the previous cluster.
-    ///
-    /// Returns the simulated load duration to charge against the scan
-    /// clock (one minute per full cluster, pro-rated for partials).
-    pub fn load_cluster(&mut self, cluster: u32, count: u64) -> Duration {
-        let count = count.min(CLUSTER_CAPACITY);
+    pub fn load_cluster(&mut self, cluster: u32, count: u64) {
         self.previous = self.active_cluster.map(|c| (c, self.loaded));
         self.active_cluster = Some(cluster);
-        self.loaded = count;
-        self.clusters_loaded += 1;
-        Duration::from_secs_f64(
-            CLUSTER_LOAD_TIME.as_secs_f64() * count as f64 / CLUSTER_CAPACITY as f64,
-        )
+        self.loaded = count.min(CLUSTER_CAPACITY);
     }
 
     /// Looks up a name: probe subdomains of the active cluster answer
@@ -143,6 +122,13 @@ pub enum ClusterAnswer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ClusterZone {
+        /// Mutable access to the static zone content.
+        fn zone_mut(&mut self) -> &mut Zone {
+            &mut self.zone
+        }
+    }
 
     fn cluster_zone() -> ClusterZone {
         let zone = Zone::new(
@@ -212,7 +198,6 @@ mod tests {
         cz.load_cluster(0, 100);
         cz.load_cluster(1, 100);
         assert_eq!(cz.active_cluster(), Some(1));
-        assert_eq!(cz.clusters_loaded(), 2);
         // Cluster 0 still drains while cluster 1 is active...
         assert!(matches!(
             lookup(&cz, &qname(0, 5), RecordType::A),
@@ -232,15 +217,6 @@ mod tests {
             lookup(&cz, &qname(1, 5), RecordType::A),
             ClusterAnswer::Probe(_)
         ));
-    }
-
-    #[test]
-    fn load_time_scales_with_count() {
-        let mut cz = cluster_zone();
-        let full = cz.load_cluster(0, CLUSTER_CAPACITY);
-        assert_eq!(full, CLUSTER_LOAD_TIME);
-        let half = cz.load_cluster(1, CLUSTER_CAPACITY / 2);
-        assert_eq!(half, CLUSTER_LOAD_TIME / 2);
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl DelegationServer {
         self
     }
 
-    /// Number of queries served (for Table II style accounting).
-    pub fn queries_served(&self) -> u64 {
-        self.queries_served.get()
-    }
-
     /// Builds the referral response for a decoded query.
     pub fn respond(&self, query: &Message) -> Message {
         self.respond_with(query, Message::builder())
@@ -122,6 +117,13 @@ impl Endpoint for DelegationServer {
 mod tests {
     use super::*;
     use orscope_dns_wire::Question;
+
+    impl DelegationServer {
+        /// Number of queries served (for Table II style accounting).
+        fn queries_served(&self) -> u64 {
+            self.queries_served.get()
+        }
+    }
 
     fn name(s: &str) -> Name {
         s.parse().unwrap()

@@ -67,15 +67,8 @@ pub struct AuthoritativeServer {
     zone: ClusterZone,
     capture: CaptureHandle,
     stats: AuthStats,
-    /// When set, a query for the cluster after the active one triggers a
-    /// rollover (models the operator loading the next zone file as the
-    /// prober advances). Load time is accumulated in `load_time_secs`.
-    auto_advance: bool,
-    /// Cluster size used for auto-advanced loads.
-    auto_cluster_size: u64,
-    /// Accumulated simulated zone-load time (charged against the scan
-    /// wall clock when reporting Table II).
-    load_time_secs: f64,
+    /// Subdomains a rolled-over cluster loads.
+    cluster_size: u64,
     /// Scratch the query in hand is decoded into and the response is
     /// built in: each reuses the previous packet's section vectors.
     inbound: Message,
@@ -86,43 +79,26 @@ pub struct AuthoritativeServer {
 }
 
 impl AuthoritativeServer {
-    /// Creates a server over `zone` that logs through `capture`.
-    pub fn new(zone: ClusterZone, capture: CaptureHandle) -> Self {
+    /// Creates a server over `zone` that logs through `capture` and
+    /// rolls clusters over with `cluster_size` subdomains each: a query
+    /// for the cluster after the active one loads it (the operator
+    /// loading the next zone file as the prober advances), and with no
+    /// cluster loaded yet the first probe query picks the starting one.
+    pub fn new(zone: ClusterZone, capture: CaptureHandle, cluster_size: u64) -> Self {
         Self {
             zone,
             capture,
             stats: AuthStats::default(),
-            auto_advance: false,
-            auto_cluster_size: crate::scheme::CLUSTER_CAPACITY,
-            load_time_secs: 0.0,
+            cluster_size: cluster_size.max(1),
             inbound: Message::default(),
             outbound: Message::default(),
             scratch: Vec::with_capacity(512),
         }
     }
 
-    /// Enables automatic cluster rollover with `cluster_size` entries per
-    /// cluster: when a query arrives for the cluster following the active
-    /// one, the server loads it (and charges the load time).
-    pub fn enable_auto_advance(&mut self, cluster_size: u64) -> &mut Self {
-        self.auto_advance = true;
-        self.auto_cluster_size = cluster_size.max(1);
-        self
-    }
-
-    /// Total simulated zone-load time accumulated by auto-advance.
-    pub fn load_time_secs(&self) -> f64 {
-        self.load_time_secs
-    }
-
     /// The zone being served.
     pub fn zone(&self) -> &ClusterZone {
         &self.zone
-    }
-
-    /// Mutable zone access (cluster rollover happens through here).
-    pub fn zone_mut(&mut self) -> &mut ClusterZone {
-        &mut self.zone
     }
 
     /// What was answered so far.
@@ -160,7 +136,7 @@ impl AuthoritativeServer {
                 .build();
         };
         let qtype = question.qtype();
-        if let Some(label) = label.filter(|_| self.auto_advance) {
+        if let Some(label) = label {
             // With no cluster loaded yet, the first query picks the
             // starting cluster (sharded probers start at a nonzero
             // base); afterwards only the immediately-next cluster
@@ -170,10 +146,7 @@ impl AuthoritativeServer {
                 Some(active) => label.cluster == active + 1,
             };
             if advance {
-                let load = self
-                    .zone
-                    .load_cluster(label.cluster, self.auto_cluster_size);
-                self.load_time_secs += load.as_secs_f64();
+                self.zone.load_cluster(label.cluster, self.cluster_size);
             }
         }
         let mut builder = self.builder().response_to(query).authoritative(true);
@@ -261,7 +234,7 @@ impl Endpoint for AuthoritativeServer {
 mod tests {
     use super::*;
     use crate::capture::Direction;
-    use crate::scheme::{ground_truth, ProbeLabel};
+    use crate::scheme::{ground_truth, ProbeLabel, CLUSTER_CAPACITY};
     use crate::zone::Zone;
     use orscope_dns_wire::{Name, Question};
     use orscope_netsim::{SimNet, SimTime};
@@ -278,7 +251,7 @@ mod tests {
         let zone = Zone::new(zone_name(), "ns1.ucfsealresearch.net".parse().unwrap());
         let mut cz = ClusterZone::new(zone);
         cz.load_cluster(0, 1000);
-        AuthoritativeServer::new(cz, capture)
+        AuthoritativeServer::new(cz, capture, CLUSTER_CAPACITY)
     }
 
     fn roundtrip(query: Message) -> (Message, CaptureHandle) {
@@ -411,15 +384,13 @@ mod tests {
         // A sharded prober starts at a nonzero base cluster; the server
         // must load that cluster on first contact instead of cluster 0.
         let zone = Zone::new(zone_name(), "ns1.ucfsealresearch.net".parse().unwrap());
-        let mut srv = AuthoritativeServer::new(ClusterZone::new(zone), CaptureHandle::new());
-        srv.enable_auto_advance(1000);
+        let mut srv = AuthoritativeServer::new(ClusterZone::new(zone), CaptureHandle::new(), 1000);
         let label = ProbeLabel::new(250, 7);
         let query = Message::query(11, Question::a(label.qname(&zone_name())));
         let resp = srv.respond(&query);
         assert_eq!(resp.header().rcode(), Rcode::NoError);
         assert_eq!(resp.answers()[0].rdata().as_a(), Some(ground_truth(label)));
         assert_eq!(srv.zone().active_cluster(), Some(250));
-        assert!(srv.load_time_secs() > 0.0);
         // The following cluster still rolls over normally.
         let next = ProbeLabel::new(251, 0);
         let resp = srv.respond(&Message::query(12, Question::a(next.qname(&zone_name()))));
@@ -445,6 +416,7 @@ mod tests {
 mod label_tests {
     use super::*;
     use crate::capture::{CapturedPacket, Direction};
+    use crate::scheme::CLUSTER_CAPACITY;
     use crate::zone::Zone;
     use orscope_dns_wire::wire::Reader;
     use orscope_dns_wire::{Header, Name, Question};
@@ -482,7 +454,7 @@ mod label_tests {
             "ns1.ucfsealresearch.net".parse().unwrap(),
         ));
         cz.load_cluster(0, 1000);
-        let server = AuthoritativeServer::new(cz, capture.clone());
+        let server = AuthoritativeServer::new(cz, capture.clone(), CLUSTER_CAPACITY);
         let mut net = SimNet::builder()
             .seed(1)
             .latency(FixedLatency(Duration::from_millis(1)))
@@ -601,6 +573,7 @@ mod label_tests {
 #[cfg(test)]
 mod truncation_tests {
     use super::*;
+    use crate::scheme::CLUSTER_CAPACITY;
     use crate::zone::Zone;
     use orscope_dns_wire::{Message, Name, Question};
 
@@ -612,7 +585,7 @@ mod truncation_tests {
         }
         let mut cz = ClusterZone::new(zone);
         cz.load_cluster(0, 10);
-        AuthoritativeServer::new(cz, CaptureHandle::new())
+        AuthoritativeServer::new(cz, CaptureHandle::new(), CLUSTER_CAPACITY)
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl Zone {
     }
 
     /// Creates a zone from an explicit SOA payload (zone-file loading).
-    pub fn new_with_soa(origin: Name, soa: Soa) -> Self {
+    pub(crate) fn new_with_soa(origin: Name, soa: Soa) -> Self {
         Self {
             soa: Record::in_class(origin.clone(), 3600, RData::Soa(Box::new(soa))),
             ns: Vec::new(),
@@ -96,7 +96,7 @@ impl Zone {
     /// # Panics
     ///
     /// Panics if `owner` is outside the zone.
-    pub fn add_ns(&mut self, owner: Name, ttl: u32, target: Name) -> &mut Self {
+    pub(crate) fn add_ns(&mut self, owner: Name, ttl: u32, target: Name) -> &mut Self {
         assert!(
             owner.is_subdomain_of(&self.origin),
             "{owner} is outside zone {}",
@@ -128,7 +128,7 @@ impl Zone {
     }
 
     /// Sets the TTL used by the `add_*` helpers.
-    pub fn set_default_ttl(&mut self, ttl: u32) -> &mut Self {
+    pub(crate) fn set_default_ttl(&mut self, ttl: u32) -> &mut Self {
         self.default_ttl = ttl;
         self
     }

@@ -171,7 +171,7 @@ impl RecordBus {
     /// Offers one record to every lane. `record` runs only when someone
     /// is subscribed, so an untapped bus costs one relaxed load and
     /// builds nothing: neither the copy nor its class lookup.
-    pub fn offer(&self, record: impl FnOnce() -> Record) {
+    pub(crate) fn offer(&self, record: impl FnOnce() -> Record) {
         if self.tap_count.load(Ordering::Relaxed) == 0 {
             return;
         }
@@ -264,7 +264,7 @@ impl TapReceiver {
     }
 
     /// Waits up to `timeout` for the next record. `None` on timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Record> {
+    pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<Record> {
         match self.receiver.recv_timeout(timeout) {
             Ok(record) => {
                 self.depth.fetch_sub(1, Ordering::Relaxed);

@@ -10,20 +10,18 @@ use orscope_authns::{
     AuthStats, AuthoritativeServer, CaptureHandle, CapturedPacket, ClusterZone, DelegationServer,
     SharedSink, Zone,
 };
-use orscope_geo::GeoDb;
 use orscope_ipspace::AllowedSpace;
+use orscope_lookup::geo::GeoDb;
+use orscope_lookup::threatintel::ThreatDb;
 use orscope_netsim::{
     Coverage, FaultKind, FaultPlan, FaultRule, FaultScope, HashLatency, LazyRegistry, NetStats,
     SimNet, SimTime,
 };
-use orscope_prober::{
-    ProbeStats, Prober, ProberConfig, ProberHandle, SlotSchedule, TargetSource, MAX_RETRIES,
-};
+use orscope_prober::{ProbeStats, Prober, ProberConfig, ProberHandle, TargetSource, MAX_RETRIES};
 use orscope_resolver::paper::{Year, YearSpec};
 use orscope_resolver::population::{Member, Population, PopulationConfig};
 use orscope_resolver::{ProfiledResolver, ResolverStats};
 use orscope_telemetry::{Collector, MetricValue, Scope, SpanSnapshot, TelemetrySnapshot};
-use orscope_threatintel::ThreatDb;
 
 use crate::error::{CampaignError, DegradedReport, ShardFailure, ShardSabotage};
 use crate::host::Host;
@@ -83,7 +81,7 @@ pub struct CampaignConfig {
     /// runs every shard to idle. Because per-flow send times and RTTs
     /// are shard-layout-invariant, whether a scan fits the budget does
     /// not depend on the shard count.
-    pub virtual_deadline: Option<Duration>,
+    pub(crate) virtual_deadline: Option<Duration>,
     /// How captures become tables: the default single-pass
     /// [`AnalysisMode::Streaming`] classifies at capture time and keeps
     /// only accumulators; [`AnalysisMode::Batch`] buffers every payload
@@ -699,11 +697,11 @@ impl Campaign {
                 &format!("v=measurement{i}; site=ucfsealresearch; key=k{i:016x}"),
             );
         }
-        let mut auth = AuthoritativeServer::new(
+        let auth = AuthoritativeServer::new(
             ClusterZone::new(zone),
             CaptureHandle::with_sink(sink.clone()),
+            plan.cluster_capacity,
         );
-        auth.enable_auto_advance(plan.cluster_capacity);
         net.insert(infra.auth, Host::Auth(Box::new(auth)));
 
         // ---- shared upstreams (the ones this shard holds) ----
@@ -723,9 +721,6 @@ impl Campaign {
         prober_config.cluster_capacity = plan.cluster_capacity;
         prober_config.base_cluster = plan.base_cluster;
         prober_config.retry_limit = config.retry_limit;
-        prober_config.slots = Some(SlotSchedule {
-            total_rate_pps: plan.total_rate_pps,
-        });
         let prober =
             Prober::new(prober_config, prober_handle.clone()).expect("probe rate validated");
         net.insert(infra.prober, Host::Prober(Box::new(prober)));
@@ -1038,8 +1033,6 @@ impl ShardWorld {
         let shard = [
             ("net.events_processed", net.events),
             ("net.timers_fired", net.timers_fired),
-            ("prober.pacer_tokens_issued", probe.pacer_tokens_issued),
-            ("prober.pacer_tokens_unused", probe.pacer_tokens_unused),
             ("prober.pacer_ticks", probe.pacer_ticks),
         ];
         let mut out = TelemetrySnapshot::default();

@@ -3,9 +3,9 @@
 use std::net::Ipv4Addr;
 
 use orscope_dns_wire::Name;
-use orscope_geo::{GeoDb, GeoRecord};
+use orscope_lookup::geo::{GeoDb, GeoRecord};
+use orscope_lookup::threatintel::{Category, Report, ReportSource, ThreatDb};
 use orscope_resolver::population::Population;
-use orscope_threatintel::{Category, Report, ReportSource, ThreatDb};
 
 /// Well-known addresses of the measurement infrastructure.
 ///
@@ -53,7 +53,7 @@ impl Infra {
 /// every malicious answer address gets reports under its category
 /// (multiple categories for the headline addresses, mirroring Fig. 4's
 /// multi-category Cymon card for 208.91.197.91).
-pub fn seed_threat_db(population: &Population) -> ThreatDb {
+pub(crate) fn seed_threat_db(population: &Population) -> ThreatDb {
     let mut db = ThreatDb::new();
     for answer in &population.malicious_answers {
         // Dominant category: several reports.
@@ -79,7 +79,7 @@ pub fn seed_threat_db(population: &Population) -> ThreatDb {
 /// addresses, country entries for every malicious resolver, and a
 /// default US record for everything else (the long benign tail the
 /// paper does not geolocate).
-pub fn seed_geo_db(population: &Population) -> GeoDb {
+pub(crate) fn seed_geo_db(population: &Population) -> GeoDb {
     let mut db = GeoDb::new();
     for &(ip, org) in &population.answer_orgs {
         if org == "private network" {

@@ -39,12 +39,12 @@ pub mod sync;
 pub mod tap;
 pub mod trend;
 
-pub use bus::{BusStats, Captured, Record, RecordBus, TapLaneStats, DEFAULT_TAP_CAPACITY};
+pub use bus::{Captured, Record, RecordBus, DEFAULT_TAP_CAPACITY};
 pub use campaign::{Campaign, CampaignConfig};
-pub use error::{CampaignError, DegradedReport, ShardFailure, ShardSabotage};
+pub use error::{CampaignError, ShardSabotage};
 pub use infra::Infra;
 pub use orscope_analysis::AnalysisMode;
 pub use result::CampaignResult;
 pub use supervise::{supervise, Supervised};
-pub use tap::{PredicateError, TapEvent, TapKind, TapPredicate, TapSubscriber};
-pub use trend::{run_trend, TrendConfig, TrendPoint};
+pub use tap::{PredicateError, TapPredicate, TapSubscriber};
+pub use trend::{run_trend, TrendConfig};

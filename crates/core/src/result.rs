@@ -8,13 +8,13 @@ use orscope_analysis::{
     Comparison, Dataset, FlowSummary, ScanSummary, StreamingAnalyzer, TableReport,
 };
 use orscope_authns::CapturedPacket;
-use orscope_geo::GeoDb;
 use orscope_json::Wire;
+use orscope_lookup::geo::GeoDb;
+use orscope_lookup::threatintel::ThreatDb;
 use orscope_netsim::NetStats;
 use orscope_resolver::paper::YearSpec;
 use orscope_resolver::population::Population;
 use orscope_telemetry::TelemetrySnapshot;
-use orscope_threatintel::ThreatDb;
 
 use crate::campaign::{CampaignConfig, Materialized};
 use crate::error::DegradedReport;
@@ -172,7 +172,7 @@ impl CampaignResult {
     }
 
     /// Measured Table II.
-    pub fn table2_measured(&self) -> Table2 {
+    pub(crate) fn table2_measured(&self) -> Table2 {
         Table2::measured(&self.dataset)
     }
 
@@ -249,7 +249,7 @@ impl CampaignResult {
     }
 
     /// Measured AS distribution of malicious resolvers.
-    pub fn asns_measured(&self) -> AsnTable {
+    pub(crate) fn asns_measured(&self) -> AsnTable {
         match &self.stream {
             Some(stream) => stream.asns(&self.geo, &self.threat),
             None => AsnTable::measured(&self.dataset, &self.geo, &self.threat),
@@ -257,7 +257,7 @@ impl CampaignResult {
     }
 
     /// Measured amplification exposure of the responding population.
-    pub fn amplification_measured(&self) -> AmplificationTable {
+    pub(crate) fn amplification_measured(&self) -> AmplificationTable {
         match &self.stream {
             Some(stream) => stream.amplification(),
             None => AmplificationTable::measured(&self.dataset),

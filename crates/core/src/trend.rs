@@ -125,7 +125,7 @@ impl Default for TrendConfig {
 /// Address collisions between the two samples are impossible: the 2013
 /// sample reserves every infrastructure address and the 2018 sample
 /// additionally reserves all 2013 addresses.
-pub fn interpolated_population(
+pub(crate) fn interpolated_population(
     alpha: f64,
     scale: f64,
     seed: u64,

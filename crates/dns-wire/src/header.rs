@@ -7,7 +7,7 @@ use crate::wire::{Reader, Writer};
 
 /// DNS operation codes (header `OPCODE` field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Opcode {
+pub(crate) enum Opcode {
     /// Standard query (0).
     #[default]
     Query,
@@ -25,7 +25,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// The 4-bit wire value.
-    pub fn to_u8(self) -> u8 {
+    pub(crate) fn to_u8(self) -> u8 {
         match self {
             Opcode::Query => 0,
             Opcode::IQuery => 1,
@@ -37,7 +37,7 @@ impl Opcode {
     }
 
     /// Decodes a 4-bit wire value.
-    pub fn from_u8(v: u8) -> Self {
+    pub(crate) fn from_u8(v: u8) -> Self {
         match v & 0x0F {
             0 => Opcode::Query,
             1 => Opcode::IQuery,
@@ -222,7 +222,7 @@ impl Header {
     }
 
     /// Operation code.
-    pub fn opcode(&self) -> Opcode {
+    pub(crate) fn opcode(&self) -> Opcode {
         self.opcode
     }
 
@@ -232,7 +232,7 @@ impl Header {
     }
 
     /// Sets the AA bit.
-    pub fn set_authoritative(&mut self, aa: bool) -> &mut Self {
+    pub(crate) fn set_authoritative(&mut self, aa: bool) -> &mut Self {
         self.authoritative = aa;
         self
     }
@@ -254,7 +254,7 @@ impl Header {
     }
 
     /// Sets the RD bit.
-    pub fn set_recursion_desired(&mut self, rd: bool) -> &mut Self {
+    pub(crate) fn set_recursion_desired(&mut self, rd: bool) -> &mut Self {
         self.recursion_desired = rd;
         self
     }
@@ -270,41 +270,13 @@ impl Header {
         self
     }
 
-    /// Sets the reserved Z bit (only broken implementations do).
-    pub fn set_z_bit(&mut self, z: bool) -> &mut Self {
-        self.z = z;
-        self
-    }
-
-    /// AD bit (DNSSEC authentic data).
-    pub fn authentic_data(&self) -> bool {
-        self.authentic_data
-    }
-
-    /// Sets the AD bit.
-    pub fn set_authentic_data(&mut self, ad: bool) -> &mut Self {
-        self.authentic_data = ad;
-        self
-    }
-
-    /// CD bit (DNSSEC checking disabled).
-    pub fn checking_disabled(&self) -> bool {
-        self.checking_disabled
-    }
-
-    /// Sets the CD bit.
-    pub fn set_checking_disabled(&mut self, cd: bool) -> &mut Self {
-        self.checking_disabled = cd;
-        self
-    }
-
     /// Response code.
     pub fn rcode(&self) -> Rcode {
         self.rcode
     }
 
     /// Sets the response code.
-    pub fn set_rcode(&mut self, rcode: Rcode) -> &mut Self {
+    pub(crate) fn set_rcode(&mut self, rcode: Rcode) -> &mut Self {
         self.rcode = rcode;
         self
     }
@@ -320,17 +292,17 @@ impl Header {
     }
 
     /// NSCOUNT: number of authority records.
-    pub fn authority_count(&self) -> u16 {
+    pub(crate) fn authority_count(&self) -> u16 {
         self.authority_count
     }
 
     /// ARCOUNT: number of additional records.
-    pub fn additional_count(&self) -> u16 {
+    pub(crate) fn additional_count(&self) -> u16 {
         self.additional_count
     }
 
     /// Sets the four section counts (normally done by message encoding).
-    pub fn set_counts(&mut self, qd: u16, an: u16, ns: u16, ar: u16) -> &mut Self {
+    pub(crate) fn set_counts(&mut self, qd: u16, an: u16, ns: u16, ar: u16) -> &mut Self {
         self.question_count = qd;
         self.answer_count = an;
         self.authority_count = ns;
@@ -429,6 +401,26 @@ mod tests {
         assert_eq!(r.id(), 7);
         assert!(r.is_response());
         assert!(r.recursion_desired());
+    }
+
+    impl Header {
+        /// Sets the reserved Z bit (only broken implementations do).
+        fn set_z_bit(&mut self, z: bool) -> &mut Self {
+            self.z = z;
+            self
+        }
+
+        /// Sets the AD bit (DNSSEC authentic data).
+        fn set_authentic_data(&mut self, ad: bool) -> &mut Self {
+            self.authentic_data = ad;
+            self
+        }
+
+        /// Sets the CD bit (DNSSEC checking disabled).
+        fn set_checking_disabled(&mut self, cd: bool) -> &mut Self {
+            self.checking_disabled = cd;
+            self
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod record;
 pub mod wire;
 
 pub use error::WireError;
-pub use header::{Header, Opcode, Rcode};
+pub use header::{Header, Rcode};
 pub use message::{Message, MessageBuilder};
 pub use name::{Name, ParseNameError};
 pub use question::Question;

@@ -566,7 +566,7 @@ impl Message {
     }
 
     /// The UDP payload size advertised via EDNS, if an OPT is present.
-    pub fn edns_udp_size(&self) -> Option<u16> {
+    pub(crate) fn edns_udp_size(&self) -> Option<u16> {
         self.additionals
             .iter()
             .find(|r| r.rtype() == crate::record::RecordType::Opt)

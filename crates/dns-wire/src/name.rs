@@ -7,9 +7,9 @@ use crate::error::WireError;
 use crate::wire::{Reader, Writer};
 
 /// Maximum total length of a name on the wire (RFC 1035 §2.3.4).
-pub const MAX_NAME_LEN: usize = 255;
+pub(crate) const MAX_NAME_LEN: usize = 255;
 /// Maximum length of a single label (RFC 1035 §2.3.4).
-pub const MAX_LABEL_LEN: usize = 63;
+pub(crate) const MAX_LABEL_LEN: usize = 63;
 /// Hop limit when following compression pointers; RFC 1035 names can have
 /// at most 127 labels, so any legitimate chain is far shorter.
 const MAX_POINTER_HOPS: usize = 64;
@@ -178,7 +178,7 @@ impl Name {
     }
 
     /// Whether this is the root name.
-    pub fn is_root(&self) -> bool {
+    pub(crate) fn is_root(&self) -> bool {
         self.count == 0
     }
 
@@ -766,36 +766,26 @@ mod tests {
     }
 }
 
-impl Name {
-    /// The `in-addr.arpa` reverse-lookup name for an IPv4 address
-    /// (RFC 1035 §3.5): `1.2.3.4` maps to `4.3.2.1.in-addr.arpa`.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use orscope_dns_wire::Name;
-    /// use std::net::Ipv4Addr;
-    ///
-    /// let ptr = Name::reverse_pointer(Ipv4Addr::new(208, 91, 197, 91));
-    /// assert_eq!(ptr.to_string(), "91.197.91.208.in-addr.arpa");
-    /// ```
-    pub fn reverse_pointer(addr: std::net::Ipv4Addr) -> Name {
-        let [a, b, c, d] = addr.octets();
-        let labels = [
-            d.to_string(),
-            c.to_string(),
-            b.to_string(),
-            a.to_string(),
-            "in-addr".to_string(),
-            "arpa".to_string(),
-        ];
-        Name::from_labels(labels).expect("octet labels are valid")
-    }
-}
-
 #[cfg(test)]
 mod reverse_tests {
     use super::*;
+
+    impl Name {
+        /// The `in-addr.arpa` reverse-lookup name for an IPv4 address
+        /// (RFC 1035 §3.5): `1.2.3.4` maps to `4.3.2.1.in-addr.arpa`.
+        fn reverse_pointer(addr: std::net::Ipv4Addr) -> Name {
+            let [a, b, c, d] = addr.octets();
+            let labels = [
+                d.to_string(),
+                c.to_string(),
+                b.to_string(),
+                a.to_string(),
+                "in-addr".to_string(),
+                "arpa".to_string(),
+            ];
+            Name::from_labels(labels).expect("octet labels are valid")
+        }
+    }
 
     #[test]
     fn reverse_pointer_construction() {

@@ -21,7 +21,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Repositions the cursor (used when following compression pointers).
-    pub fn seek(&mut self, pos: usize) {
+    pub(crate) fn seek(&mut self, pos: usize) {
         self.pos = pos;
     }
 
@@ -36,7 +36,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads one byte.
-    pub fn read_u8(&mut self, expected: &'static str) -> Result<u8, WireError> {
+    pub(crate) fn read_u8(&mut self, expected: &'static str) -> Result<u8, WireError> {
         let b = *self.buf.get(self.pos).ok_or(WireError::Truncated {
             offset: self.pos,
             expected,
@@ -46,14 +46,14 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a big-endian u16.
-    pub fn read_u16(&mut self, expected: &'static str) -> Result<u16, WireError> {
+    pub(crate) fn read_u16(&mut self, expected: &'static str) -> Result<u16, WireError> {
         let hi = self.read_u8(expected)?;
         let lo = self.read_u8(expected)?;
         Ok(u16::from_be_bytes([hi, lo]))
     }
 
     /// Reads a big-endian u32.
-    pub fn read_u32(&mut self, expected: &'static str) -> Result<u32, WireError> {
+    pub(crate) fn read_u32(&mut self, expected: &'static str) -> Result<u32, WireError> {
         let a = self.read_u8(expected)?;
         let b = self.read_u8(expected)?;
         let c = self.read_u8(expected)?;
@@ -62,7 +62,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads exactly `len` bytes.
-    pub fn read_slice(
+    pub(crate) fn read_slice(
         &mut self,
         len: usize,
         expected: &'static str,
@@ -120,7 +120,7 @@ impl Writer {
     /// Creates a writer that reuses `buf`'s allocation, clearing any
     /// previous contents. Pair with [`Writer::into_buf`] to recycle a
     /// scratch buffer across messages without reallocating.
-    pub fn with_buf(mut buf: Vec<u8>) -> Self {
+    pub(crate) fn with_buf(mut buf: Vec<u8>) -> Self {
         buf.clear();
         Self {
             buf,
@@ -131,12 +131,12 @@ impl Writer {
     }
 
     /// Disables compression for subsequently written names.
-    pub fn set_compression(&mut self, enabled: bool) {
+    pub(crate) fn set_compression(&mut self, enabled: bool) {
         self.compression_enabled = enabled;
     }
 
     /// Whether compression is currently enabled.
-    pub fn compression_enabled(&self) -> bool {
+    pub(crate) fn compression_enabled(&self) -> bool {
         self.compression_enabled
     }
 
@@ -166,7 +166,7 @@ impl Writer {
     }
 
     /// Appends raw bytes.
-    pub fn write_slice(&mut self, v: &[u8]) {
+    pub(crate) fn write_slice(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 
@@ -176,7 +176,7 @@ impl Writer {
     /// # Panics
     ///
     /// Panics if `offset + 2` exceeds the current length.
-    pub fn patch_u16(&mut self, offset: usize, v: u16) {
+    pub(crate) fn patch_u16(&mut self, offset: usize, v: u16) {
         self.buf[offset..offset + 2].copy_from_slice(&v.to_be_bytes());
     }
 
@@ -188,7 +188,7 @@ impl Writer {
 
     /// Offsets of name encodings registered for compression, in emission
     /// order. Empty while compression is disabled.
-    pub fn compression_targets(&self) -> &[u16] {
+    pub(crate) fn compression_targets(&self) -> &[u16] {
         if self.compression_enabled {
             &self.targets[..self.targets_len]
         } else {
@@ -199,7 +199,7 @@ impl Writer {
     /// Registers `offset` as the start of a name encoding for future
     /// compression, if it fits in a 14-bit pointer and the table has
     /// room.
-    pub fn register_compression_offset(&mut self, offset: usize) {
+    pub(crate) fn register_compression_offset(&mut self, offset: usize) {
         if self.compression_enabled && offset < 0x3FFF && self.targets_len < MAX_COMPRESSION_TARGETS
         {
             self.targets[self.targets_len] = offset as u16;
@@ -219,7 +219,7 @@ impl Writer {
 
     /// Recovers the underlying buffer regardless of length, for callers
     /// that restore a reusable scratch allocation on the error path.
-    pub fn into_buf(self) -> Vec<u8> {
+    pub(crate) fn into_buf(self) -> Vec<u8> {
         self.buf
     }
 }

@@ -1,7 +1,5 @@
 //! Efficient membership tests over sets of CIDR blocks.
 
-use std::net::Ipv4Addr;
-
 use crate::cidr::Cidr;
 use crate::reserved;
 
@@ -20,8 +18,8 @@ use crate::reserved;
 ///     .iter()
 ///     .map(|s| s.parse::<Cidr>())
 ///     .collect::<Result<_, _>>()?;
-/// assert!(list.contains_addr(Ipv4Addr::new(10, 200, 0, 1)));
-/// assert!(!list.contains_addr(Ipv4Addr::new(11, 0, 0, 1)));
+/// assert!(list.contains(u32::from(Ipv4Addr::new(10, 200, 0, 1))));
+/// assert!(!list.contains(u32::from(Ipv4Addr::new(11, 0, 0, 1))));
 /// # Ok::<(), orscope_ipspace::ParseCidrError>(())
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -71,11 +69,6 @@ impl Blocklist {
         }
     }
 
-    /// Whether the address is covered by any block.
-    pub fn contains_addr(&self, addr: Ipv4Addr) -> bool {
-        self.contains(u32::from(addr))
-    }
-
     /// Total number of addresses covered.
     pub fn covered(&self) -> u64 {
         self.ranges
@@ -116,6 +109,14 @@ impl Extend<Cidr> for Blocklist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::Ipv4Addr;
+
+    impl Blocklist {
+        /// Whether the address is covered by any block.
+        fn contains_addr(&self, addr: Ipv4Addr) -> bool {
+            self.contains(u32::from(addr))
+        }
+    }
 
     fn cidr(s: &str) -> Cidr {
         s.parse().unwrap()

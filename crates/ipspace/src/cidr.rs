@@ -18,8 +18,8 @@ use std::str::FromStr;
 ///
 /// let block: Cidr = "198.18.0.0/15".parse()?;
 /// assert_eq!(block.len(), 131_072);
-/// assert!(block.contains_addr(Ipv4Addr::new(198, 19, 255, 255)));
-/// assert!(!block.contains_addr(Ipv4Addr::new(198, 20, 0, 0)));
+/// assert!(block.contains(u32::from(Ipv4Addr::new(198, 19, 255, 255))));
+/// assert!(!block.contains(u32::from(Ipv4Addr::new(198, 20, 0, 0))));
 /// # Ok::<(), orscope_ipspace::ParseCidrError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -45,14 +45,6 @@ impl Cidr {
         }
     }
 
-    /// The full IPv4 space, `0.0.0.0/0`.
-    pub const fn entire_space() -> Self {
-        Self {
-            network: 0,
-            prefix_len: 0,
-        }
-    }
-
     /// Network mask for a prefix length (e.g. `/8` -> `0xff00_0000`).
     const fn mask(prefix_len: u8) -> u32 {
         if prefix_len == 0 {
@@ -65,11 +57,6 @@ impl Cidr {
     /// The (normalized) network address of the block.
     pub fn network(&self) -> Ipv4Addr {
         Ipv4Addr::from(self.network)
-    }
-
-    /// The prefix length of the block.
-    pub fn prefix_len(&self) -> u8 {
-        self.prefix_len
     }
 
     /// First address of the block as a raw `u32`.
@@ -91,16 +78,6 @@ impl Cidr {
     /// Whether the block contains the raw address `addr`.
     pub fn contains(&self, addr: u32) -> bool {
         addr & Self::mask(self.prefix_len) == self.network
-    }
-
-    /// Whether the block contains the address `addr`.
-    pub fn contains_addr(&self, addr: Ipv4Addr) -> bool {
-        self.contains(u32::from(addr))
-    }
-
-    /// Whether `other` is entirely contained in `self`.
-    pub fn contains_block(&self, other: &Cidr) -> bool {
-        other.prefix_len >= self.prefix_len && self.contains(other.network)
     }
 
     /// Whether the two blocks share any address.
@@ -178,6 +155,31 @@ impl From<Ipv4Addr> for Cidr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Cidr {
+        /// The full IPv4 space, `0.0.0.0/0`.
+        const fn entire_space() -> Self {
+            Self {
+                network: 0,
+                prefix_len: 0,
+            }
+        }
+
+        /// The prefix length of the block.
+        fn prefix_len(&self) -> u8 {
+            self.prefix_len
+        }
+
+        /// Whether the block contains the address `addr`.
+        fn contains_addr(&self, addr: Ipv4Addr) -> bool {
+            self.contains(u32::from(addr))
+        }
+
+        /// Whether `other` is entirely contained in `self`.
+        fn contains_block(&self, other: &Cidr) -> bool {
+            other.prefix_len >= self.prefix_len && self.contains(other.network)
+        }
+    }
 
     #[test]
     fn normalizes_host_bits() {

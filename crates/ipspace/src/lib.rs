@@ -16,11 +16,12 @@
 //! # Example
 //!
 //! ```
-//! use orscope_ipspace::{reserved, Blocklist, ScanPermutation};
+//! use orscope_ipspace::{Blocklist, ScanPermutation};
 //!
 //! let blocklist = Blocklist::reserved();
 //! assert!(blocklist.contains(u32::from(std::net::Ipv4Addr::new(10, 0, 0, 1))));
-//! assert_eq!(reserved::total_probeable(), 3_702_258_432);
+//! // What is left to probe: the paper's 2018 Q1 count (Table II).
+//! assert_eq!((1u64 << 32) - blocklist.covered(), 3_702_258_432);
 //!
 //! // A permutation over a small probe space: every address visited once.
 //! let perm = ScanPermutation::new(1000, 42);
@@ -31,7 +32,7 @@
 
 pub mod allowed;
 pub mod blocklist;
-pub mod cidr;
+pub(crate) mod cidr;
 pub mod permutation;
 pub mod prime;
 pub mod reserved;

@@ -6,7 +6,7 @@
 //! factorization, and primitive-root discovery.
 
 /// Modular multiplication that never overflows (via `u128`).
-pub fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
+pub(crate) fn mul_mod(a: u64, b: u64, m: u64) -> u64 {
     ((a as u128 * b as u128) % m as u128) as u64
 }
 
@@ -88,7 +88,7 @@ pub fn next_prime(n: u64) -> u64 {
 
 /// The distinct prime factors of `n` by trial division with Pollard's-rho
 /// fallback for large factors.
-pub fn distinct_prime_factors(mut n: u64) -> Vec<u64> {
+pub(crate) fn distinct_prime_factors(mut n: u64) -> Vec<u64> {
     let mut factors = Vec::new();
     for p in [2u64, 3, 5] {
         if n.is_multiple_of(p) {
@@ -156,7 +156,7 @@ fn pollard_rho(n: u64) -> u64 {
 }
 
 /// Greatest common divisor by Euclid's algorithm.
-pub fn gcd(mut a: u64, mut b: u64) -> u64 {
+pub(crate) fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         (a, b) = (b, a % b);
     }
@@ -172,7 +172,7 @@ pub fn gcd(mut a: u64, mut b: u64) -> u64 {
 /// # Panics
 ///
 /// Panics if `p` is not prime.
-pub fn primitive_root(p: u64, preference: u64) -> u64 {
+pub(crate) fn primitive_root(p: u64, preference: u64) -> u64 {
     assert!(is_prime(p), "{p} is not prime");
     if p == 2 {
         return 1;

@@ -8,15 +8,15 @@ use crate::cidr::Cidr;
 
 /// One entry of the exclusion table: a block and the RFC that reserves it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReservedBlock {
+pub(crate) struct ReservedBlock {
     /// The reserved CIDR block.
-    pub cidr: Cidr,
+    pub(crate) cidr: Cidr,
     /// The RFC document reserving the block, e.g. `"RFC1918"`.
-    pub rfc: &'static str,
+    pub(crate) rfc: &'static str,
 }
 
 /// The sixteen reserved blocks of Table I, in ascending address order.
-pub fn blocks() -> &'static [ReservedBlock; 16] {
+pub(crate) fn blocks() -> &'static [ReservedBlock; 16] {
     use std::net::Ipv4Addr;
     use std::sync::OnceLock;
     static BLOCKS: OnceLock<[ReservedBlock; 16]> = OnceLock::new();
@@ -46,44 +46,46 @@ pub fn blocks() -> &'static [ReservedBlock; 16] {
     })
 }
 
-/// The total printed at the bottom of Table I in the paper: 575,931,649.
-///
-/// This figure is internally inconsistent with the table's own rows, whose
-/// sizes sum to [`row_sum`] = 592,708,865 (the printed total is exactly one
-/// /8 short). The paper's own 2018 Q1 count (3,702,258,432 probes, Table II)
-/// equals `2^32 -` [`total_excluded`]`()`, confirming that the row data —
-/// not the printed total — is what the scan actually used.
-pub const PAPER_PRINTED_TOTAL: u64 = 575_931_649;
-
-/// Sum of the per-row block sizes of Table I: 592,708,865.
-///
-/// One address (255.255.255.255/32) is double-counted because it also lies
-/// inside 240.0.0.0/4; the true union is [`total_excluded`].
-pub fn row_sum() -> u64 {
-    blocks().iter().map(|b| b.cidr.len()).sum()
-}
-
-/// Number of distinct excluded addresses (the union of Table I blocks):
-/// 592,708,864.
-pub fn total_excluded() -> u64 {
-    crate::Blocklist::reserved().covered()
-}
-
-/// Number of probeable addresses: `2^32 - total_excluded()` =
-/// 3,702,258,432, which matches the paper's 2018 Q1 count exactly.
-pub fn total_probeable() -> u64 {
-    (1u64 << 32) - total_excluded()
-}
-
 /// Whether a raw address falls in any reserved block.
 pub fn is_reserved(addr: u32) -> bool {
     blocks().iter().any(|b| b.cidr.contains(addr))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::net::Ipv4Addr;
+
+    /// The total printed at the bottom of Table I in the paper:
+    /// 575,931,649.
+    ///
+    /// This figure is internally inconsistent with the table's own rows,
+    /// whose sizes sum to `row_sum()` = 592,708,865 (the printed total is
+    /// exactly one /8 short). The paper's own 2018 Q1 count (3,702,258,432
+    /// probes, Table II) equals `2^32 - total_excluded()`, confirming that
+    /// the row data — not the printed total — is what the scan actually
+    /// used.
+    const PAPER_PRINTED_TOTAL: u64 = 575_931_649;
+
+    /// Sum of the per-row block sizes of Table I: 592,708,865.
+    ///
+    /// One address (255.255.255.255/32) is double-counted because it also
+    /// lies inside 240.0.0.0/4; the true union is `total_excluded()`.
+    fn row_sum() -> u64 {
+        blocks().iter().map(|b| b.cidr.len()).sum()
+    }
+
+    /// Number of distinct excluded addresses (the union of Table I
+    /// blocks): 592,708,864.
+    fn total_excluded() -> u64 {
+        crate::Blocklist::reserved().covered()
+    }
+
+    /// Number of probeable addresses: `2^32 - total_excluded()` =
+    /// 3,702,258,432, which matches the paper's 2018 Q1 count exactly.
+    pub(crate) fn total_probeable() -> u64 {
+        (1u64 << 32) - total_excluded()
+    }
 
     #[test]
     fn reserved_totals_are_consistent_with_table_2_q1() {

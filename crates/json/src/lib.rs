@@ -4,13 +4,12 @@
 //! [`Reader`].
 //!
 //! Everything that leaves the process as JSON — campaign reports, the
-//! observatory's `/tables` and `/trends`, scan cursors, serve
-//! checkpoint generations — is written by [`Writer`], token by token
-//! into one buffer; [`Wire::encode`] and [`Wire::encode_pretty`] are
-//! the writer walking a [`Wire`] tree. Everything read back —
-//! checkpoints, scan cursors, operator-written `--faults` files — is
-//! read by [`Reader`], which hands out one member or item at a time;
-//! [`Wire::decode`] is the reader building a tree. A document with a
+//! observatory's `/tables` and `/trends`, serve checkpoint generations —
+//! is written by [`Writer`], token by token into one buffer;
+//! [`Wire::encode`] and [`Wire::encode_pretty`] are the writer walking a
+//! [`Wire`] tree. Everything read back — checkpoints, operator-written
+//! `--faults` files — is read by [`Reader`], which hands out one member
+//! or item at a time; [`Wire::decode`] is the reader building a tree. A document with a
 //! long history (the observatory's checkpoint) is written and read
 //! field by field from its rows and never exists as a tree. The line
 //! formatters that write fixed fields directly (telemetry JSONL, tap

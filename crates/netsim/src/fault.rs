@@ -74,7 +74,7 @@ impl FaultScope {
     }
 
     /// Whether `addr` itself is inside this scope (crash semantics).
-    pub fn covers_host(&self, addr: Ipv4Addr) -> bool {
+    pub(crate) fn covers_host(&self, addr: Ipv4Addr) -> bool {
         match self {
             FaultScope::All => true,
             FaultScope::Host(host) => *host == addr,
@@ -242,7 +242,7 @@ impl FaultRule {
     }
 
     /// Whether the rule's window covers virtual time `now`.
-    pub fn active_at(&self, now: SimTime) -> bool {
+    pub(crate) fn active_at(&self, now: SimTime) -> bool {
         let offset = now.since(SimTime::ZERO);
         self.from <= offset && offset < self.until
     }
@@ -372,7 +372,7 @@ pub(crate) struct SendVerdict {
     /// Drop the datagram entirely, and why.
     pub drop: Option<DropKind>,
     /// Extra one-way delay accumulated from delay/reorder rules.
-    pub extra_delay: Duration,
+    pub(crate) extra_delay: Duration,
     /// Deliver a trailing duplicate copy.
     pub duplicate: bool,
     /// Number of impairments applied (for `faults_injected`).

@@ -66,7 +66,7 @@ pub mod fault;
 pub mod fxhash;
 pub mod latency;
 mod scheduler;
-pub mod sim;
+pub(crate) mod sim;
 pub mod stats;
 pub mod time;
 

@@ -401,12 +401,6 @@ impl<H: Endpoint> SimNet<H> {
         }
     }
 
-    /// Number of live hosts: the registered ones and whichever lazy
-    /// hosts are materialized right now.
-    pub fn host_count(&self) -> usize {
-        self.index.len()
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -1000,6 +994,14 @@ mod lazy_tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
+
+    impl<H: Endpoint> SimNet<H> {
+        /// Number of live hosts: the registered ones and whichever lazy
+        /// hosts are materialized right now.
+        pub(crate) fn host_count(&self) -> usize {
+            self.index.len()
+        }
+    }
 
     /// Stateless echo: quiescent after every event, so a lazy slot is
     /// released as soon as the reply is queued.

@@ -36,15 +36,6 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Fraction of sent datagrams that were lost (0 if nothing was sent).
-    pub fn loss_rate(&self) -> f64 {
-        if self.sent == 0 {
-            0.0
-        } else {
-            self.lost as f64 / self.sent as f64
-        }
-    }
-
     /// Folds another simulation's counters into this one. Sharded
     /// campaigns run one `SimNet` per shard and sum the counters when
     /// merging shard outcomes.
@@ -81,6 +72,17 @@ impl NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl NetStats {
+        /// Fraction of sent datagrams that were lost (0 if nothing was sent).
+        fn loss_rate(&self) -> f64 {
+            if self.sent == 0 {
+                0.0
+            } else {
+                self.lost as f64 / self.sent as f64
+            }
+        }
+    }
 
     #[test]
     fn loss_rate() {

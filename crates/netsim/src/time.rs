@@ -95,25 +95,9 @@ impl EpochClock {
         Self { epoch_nanos }
     }
 
-    /// The virtual length of one epoch.
-    pub fn epoch_len(&self) -> Duration {
-        Duration::from_nanos(self.epoch_nanos)
-    }
-
     /// Absolute virtual time at which `epoch` begins.
-    pub fn start_of(&self, epoch: u64) -> SimTime {
+    pub(crate) fn start_of(&self, epoch: u64) -> SimTime {
         SimTime(epoch.saturating_mul(self.epoch_nanos))
-    }
-
-    /// Absolute virtual time at which `epoch` ends (== the start of the
-    /// next one).
-    pub fn end_of(&self, epoch: u64) -> SimTime {
-        self.start_of(epoch.saturating_add(1))
-    }
-
-    /// The epoch containing the absolute time `at`.
-    pub fn epoch_of(&self, at: SimTime) -> u64 {
-        at.0 / self.epoch_nanos
     }
 
     /// Maps a run-local time (measured from that run's `SimTime::ZERO`)
@@ -145,6 +129,19 @@ impl fmt::Display for SimTime {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EpochClock {
+        /// The epoch containing the absolute time `at`.
+        fn epoch_of(&self, at: SimTime) -> u64 {
+            at.0 / self.epoch_nanos
+        }
+
+        /// Absolute virtual time at which `epoch` ends (== the start of the
+        /// next one).
+        fn end_of(&self, epoch: u64) -> SimTime {
+            self.start_of(epoch.saturating_add(1))
+        }
+    }
 
     #[test]
     fn arithmetic() {

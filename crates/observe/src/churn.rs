@@ -191,16 +191,6 @@ pub struct ChurnResolution {
 }
 
 impl ChurnResolution {
-    /// Total hosts in the generated pool.
-    pub fn pool_size(&self) -> usize {
-        self.pool.resolvers.len()
-    }
-
-    /// Hosts currently active (after the last generated epoch).
-    pub fn active_size(&self) -> usize {
-        self.active.len()
-    }
-
     /// Appends epoch `epoch`'s batch to `pending` and updates the
     /// active/spare split to match.
     fn generate_batch(&mut self, epoch: u64) {
@@ -288,6 +278,18 @@ impl Resolution for ChurnResolution {
 mod tests {
     use super::*;
     use orscope_resolver::paper::Year;
+
+    impl ChurnResolution {
+        /// Hosts currently active (after the last generated epoch).
+        fn active_size(&self) -> usize {
+            self.active.len()
+        }
+
+        /// Total hosts in the generated pool.
+        fn pool_size(&self) -> usize {
+            self.pool.resolvers.len()
+        }
+    }
 
     fn drain(res: &mut ChurnResolution, epoch: u64) -> Vec<Update> {
         let mut out = Vec::new();

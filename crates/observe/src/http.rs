@@ -61,18 +61,18 @@ pub struct HttpConfig {
     /// Total wall-clock budget for the *whole* request head. A client
     /// dripping one byte per read-timeout never exhausts a thread: the
     /// head deadline fires and the connection gets `408`.
-    pub head_deadline: Duration,
+    pub(crate) head_deadline: Duration,
     /// Largest request head we accept (`431` beyond it); GETs are a few
     /// hundred bytes, so anything near this is garbage or abuse.
-    pub max_head_bytes: usize,
+    pub(crate) max_head_bytes: usize,
     /// Largest declared `Content-Length` we accept (`413` beyond it).
     /// Every endpoint is a GET, so the default is zero tolerance.
-    pub max_body_bytes: u64,
+    pub(crate) max_body_bytes: u64,
     /// Concurrent connections served; the accept loop answers `503`
     /// with `Retry-After` beyond this instead of spawning unboundedly.
     pub max_connections: usize,
     /// The `Retry-After` hint (seconds) sent with `503`.
-    pub retry_after_secs: u64,
+    pub(crate) retry_after_secs: u64,
     /// How long the accept loop sleeps when idle before re-polling the
     /// socket and the shutdown flag. Smaller = snappier shutdown,
     /// larger = fewer wakeups.

@@ -67,10 +67,8 @@ pub mod series;
 pub mod state;
 
 pub use churn::{ChurnConfig, ChurnModel, ChurnResolution};
-pub use http::{serve, serve_with, HttpConfig, HttpHandle};
-pub use observatory::{
-    EpochSabotage, Observatory, ObservatoryShared, RunReport, ServeConfig, ServeError, ServiceState,
-};
+pub use http::{serve, serve_with, HttpConfig};
+pub use observatory::{EpochSabotage, Observatory, ObservatoryShared, ServeConfig, ServeError};
 pub use resolve::{Resolution, Resolve, Update};
-pub use series::{EpochRow, RollingTables, TransitionMatrix};
-pub use state::{Fingerprint, ObservatoryCheckpoint, Recovery};
+pub use series::{EpochRow, RollingTables};
+pub use state::ObservatoryCheckpoint;

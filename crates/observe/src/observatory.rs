@@ -400,7 +400,7 @@ impl ObservatoryShared {
 
     /// Whether the scheduler is up (true from run start to final
     /// checkpoint flush; liveness, not readiness).
-    pub fn is_healthy(&self) -> bool {
+    pub(crate) fn is_healthy(&self) -> bool {
         self.healthy.load(Ordering::SeqCst)
     }
 
@@ -415,7 +415,7 @@ impl ObservatoryShared {
 
     /// Whether `/readyz` should answer 200: serving, caught up, and the
     /// last epoch was clean.
-    pub fn is_ready(&self) -> bool {
+    pub(crate) fn is_ready(&self) -> bool {
         self.state() == ServiceState::Ready
     }
 
@@ -426,17 +426,17 @@ impl ObservatoryShared {
     }
 
     /// Counts one HTTP request against the service metrics.
-    pub fn record_http_request(&self) {
+    pub(crate) fn record_http_request(&self) {
         self.http_requests.inc();
     }
 
     /// Counts one connection turned away at the limit.
-    pub fn record_http_rejected(&self) {
+    pub(crate) fn record_http_rejected(&self) {
         self.http_rejected.inc();
     }
 
     /// Counts one connection dropped for blowing an I/O deadline.
-    pub fn record_http_timeout(&self) {
+    pub(crate) fn record_http_timeout(&self) {
         self.http_timeout.inc();
     }
 
@@ -458,7 +458,7 @@ impl ObservatoryShared {
 
     /// The `/healthz` document, as served. Liveness only: 200 as long
     /// as the process runs, through recovery and degraded epochs alike.
-    pub fn healthz_bytes(&self) -> Vec<u8> {
+    pub(crate) fn healthz_bytes(&self) -> Vec<u8> {
         // Fixed fields written directly (numbers and two fixed words,
         // nothing to escape): the probes are what the operator's
         // monitoring trusts, so they build no value tree on the way out.
@@ -473,7 +473,7 @@ impl ObservatoryShared {
 
     /// The `/readyz` document, as served (the HTTP layer pairs it with
     /// 200 when [`Self::is_ready`], 503 otherwise).
-    pub fn readyz_bytes(&self) -> Vec<u8> {
+    pub(crate) fn readyz_bytes(&self) -> Vec<u8> {
         let state = self.state();
         format!(
             "{{\n  \"checkpoint_rollbacks\": {},\n  \"epoch_retries\": {},\n  \

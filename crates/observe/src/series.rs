@@ -20,11 +20,11 @@ use orscope_json::{Reader, Writer};
 use orscope_resolver::ProfileClass;
 
 /// Number of behavior classes a member can be in.
-pub const N_CLASSES: usize = ProfileClass::ALL.len();
+pub(crate) const N_CLASSES: usize = ProfileClass::ALL.len();
 
 /// Number of matrix rows: one per previous-epoch class, plus the `join`
 /// and `skip` pseudo-rows.
-pub const N_ROWS: usize = N_CLASSES + 2;
+pub(crate) const N_ROWS: usize = N_CLASSES + 2;
 
 /// The matrix row of members that joined this epoch.
 const JOIN: usize = N_CLASSES;
@@ -83,23 +83,16 @@ pub struct Transitions<C: Cell> {
 }
 
 /// One epoch's matrix, as a row holds it.
-pub type TransitionMatrix = Transitions<u32>;
+pub(crate) type TransitionMatrix = Transitions<u32>;
 
 /// The sum of every absorbed row's matrix.
-pub type CumulativeTransitions = Transitions<u64>;
+pub(crate) type CumulativeTransitions = Transitions<u64>;
 
 impl<C: Cell> Transitions<C> {
     /// Records one member that is now in `to`, coming from `from`
     /// (`None` = joined this epoch).
     pub fn record(&mut self, from: Option<ProfileClass>, to: ProfileClass) {
         self.add(from.map_or(JOIN, ProfileClass::index), to, 1);
-    }
-
-    /// Records one member of a *degraded* epoch in the conserving
-    /// `skip` pseudo-row: the member is present (so the population
-    /// total stays honest) but no scan vouches for its transition.
-    pub fn record_skip(&mut self, current: ProfileClass) {
-        self.add(SKIP, current, 1);
     }
 
     /// Adds `count` members to the cell of matrix row `row` (a class
@@ -113,11 +106,6 @@ impl<C: Cell> Transitions<C> {
         let cell = &mut self.counts[row][to.index()];
         let sum = (*cell).into() + count;
         *cell = C::try_from(sum).unwrap_or_else(|_| panic!("matrix cell {sum} out of range"));
-    }
-
-    /// The count skipped into `to` during degraded epochs.
-    pub fn get_skip(&self, to: ProfileClass) -> u64 {
-        self.counts[SKIP][to.index()].into()
     }
 
     /// The count in one cell (`from: None` = the join pseudo-row).
@@ -295,7 +283,7 @@ pub struct EpochRow {
     /// R2 responses classified this epoch (Table III total).
     pub r2: u64,
     /// R2 responses without an answer section.
-    pub without_answer: u64,
+    pub(crate) without_answer: u64,
     /// R2 responses with the correct answer.
     pub correct: u64,
     /// R2 responses with an incorrect answer.
@@ -1080,6 +1068,20 @@ pub(crate) mod oracle {
 pub(crate) mod tests {
     use orscope_check::{cases, Rng};
     use orscope_json::Wire;
+
+    impl<C: Cell> Transitions<C> {
+        /// The count skipped into `to` during degraded epochs.
+        fn get_skip(&self, to: ProfileClass) -> u64 {
+            self.counts[SKIP][to.index()].into()
+        }
+
+        /// Records one member of a *degraded* epoch in the conserving
+        /// `skip` pseudo-row: the member is present (so the population
+        /// total stays honest) but no scan vouches for its transition.
+        pub(crate) fn record_skip(&mut self, current: ProfileClass) {
+            self.add(SKIP, current, 1);
+        }
+    }
 
     use super::oracle::served;
     use super::*;

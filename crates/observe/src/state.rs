@@ -67,7 +67,7 @@ impl Fingerprint {
     /// Shard count is excluded: results are shard-invariant, so a
     /// checkpoint written at `--shards 2` resumes cleanly at `--shards
     /// 4`.
-    pub fn compatible_with(&self, other: &Fingerprint) -> bool {
+    pub(crate) fn compatible_with(&self, other: &Fingerprint) -> bool {
         self.year == other.year
             && self.scale == other.scale
             && self.seed == other.seed
@@ -132,7 +132,7 @@ pub struct Recovery {
     pub quarantined: Vec<PathBuf>,
     /// Intact generations written by a *different* run identity. Left
     /// in place; resuming over them would splice incompatible streams.
-    pub incompatible: Vec<PathBuf>,
+    pub(crate) incompatible: Vec<PathBuf>,
 }
 
 impl Recovery {
@@ -157,7 +157,7 @@ impl ObservatoryCheckpoint {
     /// Generation file names: `checkpoint-<epochs_done>.ckpt`.
     pub const PREFIX: &'static str = "checkpoint-";
     /// Generation file extension (the envelope makes it non-JSON).
-    pub const SUFFIX: &'static str = ".ckpt";
+    pub(crate) const SUFFIX: &'static str = ".ckpt";
     /// Quarantined generations a state dir keeps, newest first: the
     /// evidence of the latest corruption, without a crash loop growing
     /// the dir.

@@ -32,10 +32,6 @@ pub struct ProbeStats {
     pub clusters_used: u32,
     /// Scan timer ticks.
     pub pacer_ticks: u64,
-    /// Send tokens granted by the pacer.
-    pub pacer_tokens_issued: u64,
-    /// Granted tokens not spent because the target list ran dry.
-    pub pacer_tokens_unused: u64,
     /// Virtual-time Q1→R2 round trip of every captured response, in
     /// nanoseconds.
     pub q1_r2_latency_ns: Histogram,
@@ -61,8 +57,6 @@ impl ProbeStats {
         self.subdomains_reused += other.subdomains_reused;
         self.clusters_used += other.clusters_used;
         self.pacer_ticks += other.pacer_ticks;
-        self.pacer_tokens_issued += other.pacer_tokens_issued;
-        self.pacer_tokens_unused += other.pacer_tokens_unused;
         self.q1_r2_latency_ns.absorb(&other.q1_r2_latency_ns);
         self.finished_at = self.finished_at.max(other.finished_at);
         self.done &= other.done;
@@ -128,11 +122,6 @@ impl ProberHandle {
         self.inner.borrow().stats
     }
 
-    /// Number of logged R2 packets.
-    pub fn r2_count(&self) -> usize {
-        self.inner.borrow().captures.len()
-    }
-
     /// Clones out the logged responses.
     pub fn captures(&self) -> Vec<R2Capture> {
         self.inner.borrow().captures.clone()
@@ -150,6 +139,13 @@ mod tests {
     use orscope_authns::scheme::ProbeLabel;
     use orscope_netsim::Payload;
     use std::net::Ipv4Addr;
+
+    impl ProberHandle {
+        /// Number of logged R2 packets.
+        fn r2_count(&self) -> usize {
+            self.inner.borrow().captures.len()
+        }
+    }
 
     fn capture() -> R2Capture {
         R2Capture {
@@ -199,8 +195,6 @@ mod tests {
             subdomains_reused: 2,
             clusters_used: 1,
             pacer_ticks: 11,
-            pacer_tokens_issued: 10,
-            pacer_tokens_unused: 0,
             q1_r2_latency_ns: [5, 9, 40].into_iter().collect(),
             finished_at: SimTime::from_secs(5),
             done: true,
@@ -216,8 +210,6 @@ mod tests {
             subdomains_reused: 1,
             clusters_used: 2,
             pacer_ticks: 9,
-            pacer_tokens_issued: 8,
-            pacer_tokens_unused: 1,
             q1_r2_latency_ns: [1, 2, 3, 4].into_iter().collect(),
             finished_at: SimTime::from_secs(9),
             done: true,
@@ -232,10 +224,7 @@ mod tests {
         assert_eq!(a.subdomains_fresh, 14);
         assert_eq!(a.subdomains_reused, 3);
         assert_eq!(a.clusters_used, 3);
-        assert_eq!(
-            (a.pacer_ticks, a.pacer_tokens_issued, a.pacer_tokens_unused),
-            (20, 18, 1)
-        );
+        assert_eq!(a.pacer_ticks, 20);
         assert_eq!(
             a.q1_r2_latency_ns,
             [5, 9, 40, 1, 2, 3, 4].into_iter().collect()

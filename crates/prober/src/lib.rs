@@ -15,7 +15,8 @@
 //!   recycled for later targets, which is what cut the paper's scan from
 //!   a theoretical 800 clusters to 4.
 //! - **Rate limiting** ([`Pacer`]): the 2018 scan ran at 100k packets
-//!   per second; the prober sends fixed-size batches on a timer.
+//!   per second; the prober's timer ticks on a fixed grid and sends
+//!   each target on the tick its scan position falls due.
 //! - **The port-53 blind spot** ([`ProberHandle`]): like ZMap, the
 //!   prober only accepts responses whose source port is 53; answers from
 //!   other ports are counted but not captured (§V).
@@ -30,5 +31,5 @@ pub mod subdomain;
 
 pub use capture::{ProbeStats, ProberHandle, R2Capture};
 pub use pacer::{Pacer, ZeroRateError};
-pub use scan::{Prober, ProberConfig, SlotSchedule, TargetSource, MAX_RETRIES};
+pub use scan::{Prober, ProberConfig, TargetSource, MAX_RETRIES};
 pub use subdomain::SubdomainGenerator;

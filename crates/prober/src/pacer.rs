@@ -19,36 +19,32 @@ impl fmt::Display for ZeroRateError {
 
 impl std::error::Error for ZeroRateError {}
 
-/// Converts a target packet rate into fixed-interval batches.
+/// Converts a target packet rate into a grid of fixed-interval ticks.
 ///
-/// The prober's timer fires every [`Pacer::interval`]; each firing may
-/// send up to [`Pacer::batch_size`] packets. Long division leftovers are
-/// carried so the long-run rate is exact.
+/// The prober's timer fires every [`Pacer::interval`]; the target at
+/// scan position `slot` leaves on tick [`Pacer::slot_tick`], so by the
+/// end of tick `t` the first [`Pacer::slots_due`] positions have gone
+/// out. Over any whole second exactly `rate_pps` slots fall due.
 ///
 /// # Example
 ///
 /// ```
 /// use orscope_prober::Pacer;
 ///
-/// let mut pacer = Pacer::new(100_000).unwrap(); // the 2018 scan rate
+/// let pacer = Pacer::new(100_000).unwrap(); // the 2018 scan rate
 /// assert_eq!(pacer.interval(), std::time::Duration::from_millis(10));
-/// assert_eq!(pacer.next_batch(), 1000);
+/// assert_eq!(Pacer::slots_due(0, 100_000), 1000); // the first tick's sends
+/// assert_eq!(Pacer::slot_tick(1000, 100_000), 1);
 /// assert!(Pacer::new(0).is_err());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Pacer {
-    rate_pps: u64,
     interval: Duration,
-    /// Packets-per-tick as a fixed-point fraction: `whole` + `num/den`.
-    whole: u64,
-    num: u64,
-    den: u64,
-    carry: u64,
 }
 
 impl Pacer {
-    /// Upper bound on ticks per second; 100 keeps batches near 1% of
-    /// the rate. Low rates tick once per packet instead, so a 5 pps
+    /// Upper bound on ticks per second; 100 keeps a tick's sends near 1%
+    /// of the rate. Low rates tick once per packet instead, so a 5 pps
     /// scan does not burn 100 timer events per second.
     const MAX_TICKS_PER_SEC: u64 = 100;
 
@@ -63,12 +59,7 @@ impl Pacer {
         }
         let ticks = Self::ticks_per_sec(rate_pps);
         Ok(Self {
-            rate_pps,
             interval: Duration::from_nanos(1_000_000_000 / ticks),
-            whole: rate_pps / ticks,
-            num: rate_pps % ticks,
-            den: ticks,
-            carry: 0,
         })
     }
 
@@ -81,10 +72,11 @@ impl Pacer {
     /// 0-indexed position `index` leaves the wire, for a scan paced at
     /// `rate_pps`.
     ///
-    /// This is the closed form of the carry arithmetic in
-    /// [`Pacer::next_batch`]: after `m` ticks a fresh pacer has issued
-    /// exactly `floor(m * rate / ticks)` send tokens, so packet `index`
-    /// goes out on tick `ceil((index+1) * ticks / rate) - 1`. Sharded
+    /// After `m` ticks exactly `floor(m * rate / ticks)` packets are due,
+    /// so packet `index` goes out on tick
+    /// `ceil((index+1) * ticks / rate) - 1`: the closed form of a pacer
+    /// that carries the remainder of `rate / ticks` from tick to tick,
+    /// which the tests replay. Sharded
     /// campaigns use this to place every probe on the *campaign-global*
     /// tick grid: each shard sends its targets on the same virtual-time
     /// instants a single-shard scan would, which keeps time-windowed
@@ -97,9 +89,9 @@ impl Pacer {
     }
 
     /// How many send slots are due once tick `tick` (0-indexed) has
-    /// fired, for a scan paced at `rate_pps`: the `floor(m * rate /
-    /// ticks)` tokens a fresh pacer has issued after `m = tick + 1`
-    /// ticks. `slot < slots_due(tick, rate)` holds exactly when
+    /// fired, for a scan paced at `rate_pps`: the
+    /// `floor(m * rate / ticks)` packets due after `m = tick + 1` ticks.
+    /// `slot < slots_due(tick, rate)` holds exactly when
     /// [`Pacer::slot_tick`]`(slot, rate) <= tick`, so a send loop does
     /// this arithmetic once a tick instead of once a target. Saturates
     /// at `u64::MAX`.
@@ -124,30 +116,9 @@ impl Pacer {
             .map_or(u64::MAX, |due| due.saturating_add(rest * part / TICKS))
     }
 
-    /// The configured rate.
-    pub fn rate_pps(&self) -> u64 {
-        self.rate_pps
-    }
-
-    /// Interval between batches.
+    /// Interval between ticks.
     pub fn interval(&self) -> Duration {
         self.interval
-    }
-
-    /// Nominal batch size (without carry).
-    pub fn batch_size(&self) -> u64 {
-        self.whole
-    }
-
-    /// Number of packets to send this tick.
-    pub fn next_batch(&mut self) -> u64 {
-        self.carry += self.num;
-        let mut batch = self.whole;
-        if self.carry >= self.den {
-            self.carry -= self.den;
-            batch += 1;
-        }
-        batch
     }
 }
 
@@ -155,13 +126,49 @@ impl Pacer {
 mod tests {
     use super::*;
 
+    /// The pacer the slot grid is the closed form of: each tick sends
+    /// `rate / ticks` packets and carries the remainder, one packet more
+    /// whenever the carry reaches a whole one.
+    struct CarryPacer {
+        whole: u64,
+        num: u64,
+        den: u64,
+        carry: u64,
+    }
+
+    impl CarryPacer {
+        fn new(rate_pps: u64) -> Self {
+            let ticks = Pacer::ticks_per_sec(rate_pps);
+            Self {
+                whole: rate_pps / ticks,
+                num: rate_pps % ticks,
+                den: ticks,
+                carry: 0,
+            }
+        }
+
+        /// Number of packets to send this tick.
+        fn next_batch(&mut self) -> u64 {
+            self.carry += self.num;
+            let mut batch = self.whole;
+            if self.carry >= self.den {
+                self.carry -= self.den;
+                batch += 1;
+            }
+            batch
+        }
+    }
+
     #[test]
     fn exact_rate_over_one_second() {
         for rate in [1u64, 7, 99, 100, 101, 5_903, 100_000] {
-            let mut pacer = Pacer::new(rate).unwrap();
+            let pacer = Pacer::new(rate).unwrap();
             let ticks = Duration::from_secs(1).as_nanos() / pacer.interval().as_nanos();
-            let total: u64 = (0..ticks).map(|_| pacer.next_batch()).sum();
-            assert_eq!(total, rate, "rate {rate}");
+            assert_eq!(
+                Pacer::slots_due(ticks as u64 - 1, rate),
+                rate,
+                "rate {rate}"
+            );
         }
     }
 
@@ -180,10 +187,10 @@ mod tests {
 
     #[test]
     fn low_rates_send_one_packet_per_tick() {
-        let mut pacer = Pacer::new(3).unwrap();
-        let batches: Vec<u64> = (0..9).map(|_| pacer.next_batch()).collect();
-        assert_eq!(batches.iter().sum::<u64>(), 9, "one packet every tick");
-        assert!(batches.iter().all(|&b| b == 1));
+        for tick in 0..9 {
+            assert_eq!(Pacer::slots_due(tick, 3), tick + 1, "one packet every tick");
+            assert_eq!(Pacer::slot_tick(tick, 3), tick);
+        }
     }
 
     #[test]
@@ -192,10 +199,11 @@ mod tests {
         assert!(!ZeroRateError.to_string().is_empty());
     }
 
-    /// Replays the pacer's carry arithmetic and checks that the packet
-    /// with position `i` is issued on exactly `slot_tick(i, rate)`.
+    /// Replays the carry arithmetic and checks that the packet with
+    /// position `i` is issued on exactly `slot_tick(i, rate)`, and that
+    /// `slots_due` counts what the replay has issued by each tick.
     fn assert_slots_match_batches(rate: u64, packets: u64) {
-        let mut pacer = Pacer::new(rate).unwrap();
+        let mut pacer = CarryPacer::new(rate);
         let mut index = 0u64;
         let mut tick = 0u64;
         while index < packets {
@@ -210,6 +218,13 @@ mod tests {
                     "rate {rate}, packet {index}"
                 );
                 index += 1;
+            }
+            if index < packets {
+                assert_eq!(
+                    Pacer::slots_due(tick, rate),
+                    index,
+                    "rate {rate}, tick {tick}"
+                );
             }
             tick += 1;
         }

@@ -1,5 +1,6 @@
 //! The prober endpoint: paced scanning, qname matching, reuse.
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::iter::Peekable;
 use std::net::Ipv4Addr;
@@ -20,8 +21,8 @@ use crate::subdomain::SubdomainGenerator;
 /// Like ZMap, the prober never holds the target list. A campaign hands
 /// it an iterator that walks the scan permutation and keeps the pairs
 /// this shard owns; `slot` is the target's campaign-wide scan index,
-/// which [`SlotSchedule`] pacing turns into a send time and local
-/// pacing ignores. A plain list converts with its positions as slots.
+/// which the pacer's tick grid ([`Pacer::slot_tick`]) turns into a send
+/// time. A plain list converts with its positions as slots.
 pub struct TargetSource {
     pairs: Peekable<Box<dyn Iterator<Item = (u64, Ipv4Addr)>>>,
 }
@@ -56,23 +57,6 @@ impl std::fmt::Debug for TargetSource {
     }
 }
 
-/// Places each target on the campaign-global tick grid.
-///
-/// A sharded campaign splits the targets across shards, and a local
-/// pacer at `rate/shards` would send each shard's targets at slightly
-/// different virtual times than the single-shard scan — enough to move a
-/// probe across a fault-plan window boundary and break shard invariance.
-/// With a schedule, the prober instead ticks at the interval of the
-/// *campaign-wide* rate and sends each target on
-/// [`Pacer::slot_tick`]`(slot, total_rate_pps)` of the slot its
-/// [`TargetSource`] pairs it with, which is provably the tick a
-/// single-shard pacer would use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SlotSchedule {
-    /// Campaign-wide packet rate shared by every shard.
-    pub total_rate_pps: u64,
-}
-
 /// Prober configuration.
 #[derive(Debug)]
 pub struct ProberConfig {
@@ -80,7 +64,11 @@ pub struct ProberConfig {
     pub zone: Name,
     /// Targets in scan order, each with its send slot.
     pub targets: TargetSource,
-    /// Send rate in packets per second.
+    /// Campaign-wide send rate in packets per second. Every shard ticks
+    /// at this rate's interval and sends each target on
+    /// [`Pacer::slot_tick`]`(slot, rate_pps)`, the tick a single-shard
+    /// scan would use, so a sharded scan keeps the one scan's send
+    /// times (and time-windowed fault plans stay shard-invariant).
     pub rate_pps: u64,
     /// Names per subdomain cluster.
     pub cluster_capacity: u64,
@@ -88,15 +76,12 @@ pub struct ProberConfig {
     /// each shard a disjoint base so merged captures keep unique qnames.
     pub base_cluster: u32,
     /// How long to wait for an R2 before recycling the subdomain.
-    pub response_window: Duration,
+    pub(crate) response_window: Duration,
     /// Retransmissions allowed per probe before giving up, at most
     /// [`MAX_RETRIES`]. Each retry doubles the wait (`response_window *
     /// 2^attempt`). Zero (the paper's fire-and-forget ZMap behavior) is
     /// the default.
     pub retry_limit: u32,
-    /// Campaign-global send schedule; `None` paces locally at
-    /// `rate_pps`.
-    pub slots: Option<SlotSchedule>,
 }
 
 impl ProberConfig {
@@ -110,7 +95,6 @@ impl ProberConfig {
             base_cluster: 0,
             response_window: Duration::from_secs(2),
             retry_limit: 0,
-            slots: None,
         }
     }
 }
@@ -124,8 +108,6 @@ const TICK: u64 = 0;
 struct TickBooks {
     ticks: u64,
     q1_sent: u64,
-    tokens_issued: u64,
-    tokens_unused: u64,
     retransmits_sent: u64,
     probes_abandoned: u64,
 }
@@ -217,10 +199,19 @@ impl InFlight {
     }
 
     /// Files a fresh probe's transmission; returns the label of the
-    /// flight it supersedes, which dies.
+    /// flight it supersedes, which dies. A superseding probe takes over
+    /// the target's ticket in place, as [`InFlight::resend`] does: an
+    /// entry reserves room only for a vacant key, where an insert
+    /// reserves it before it looks the key up.
     fn send(&mut self, target: Ipv4Addr, label: ProbeLabel, now: SimTime) -> Option<ProbeLabel> {
         let ticket = self.push(target, label, 0, now);
-        let earlier = self.index.insert(target, ticket)?;
+        let earlier = match self.index.entry(target) {
+            Entry::Vacant(slot) => {
+                slot.insert(ticket);
+                return None;
+            }
+            Entry::Occupied(mut slot) => slot.insert(ticket),
+        };
         let earlier = self.flight_mut(earlier);
         let label = earlier.label();
         earlier.label = DEAD;
@@ -450,11 +441,7 @@ impl Prober {
             "retry budget {} out of range 0..={MAX_RETRIES}",
             config.retry_limit
         );
-        // In slot mode the timer must tick on the campaign-global grid.
-        let pacer = Pacer::new(match config.slots {
-            Some(slots) => slots.total_rate_pps,
-            None => config.rate_pps,
-        })?;
+        let pacer = Pacer::new(config.rate_pps)?;
         let generator = SubdomainGenerator::with_base(config.cluster_capacity, config.base_cluster);
         let template = QueryTemplate::new(&config.zone);
         let in_flight = InFlight::new(config.response_window);
@@ -504,39 +491,18 @@ impl Prober {
         true
     }
 
-    /// Sends one batch of Q1 probes.
+    /// Sends every target whose slot has fallen due by this tick.
     fn send_batch(&mut self, ctx: &mut Context<'_>, books: &mut TickBooks) {
-        let mut sent = 0u64;
-        let issued;
-        if let Some(slots) = self.config.slots {
-            // Global-slot mode: emit every owned target whose
-            // campaign-wide slot has arrived at this tick.
-            let due = Pacer::slots_due(self.tick, slots.total_rate_pps);
-            while let Some((slot, target)) = self.config.targets.peek() {
-                if slot >= due {
-                    break;
-                }
-                self.config.targets.next();
-                if self.send_probe(target, ctx, books) {
-                    sent += 1;
-                }
+        let due = Pacer::slots_due(self.tick, self.config.rate_pps);
+        while let Some((slot, target)) = self.config.targets.peek() {
+            if slot >= due {
+                break;
             }
-            issued = sent;
-        } else {
-            let batch = self.pacer.next_batch();
-            issued = batch;
-            for _ in 0..batch {
-                let Some((_, target)) = self.config.targets.next() else {
-                    break;
-                };
-                if self.send_probe(target, ctx, books) {
-                    sent += 1;
-                }
+            self.config.targets.next();
+            if self.send_probe(target, ctx, books) {
+                books.q1_sent += 1;
             }
         }
-        books.q1_sent += sent;
-        books.tokens_issued += issued;
-        books.tokens_unused += issued - sent;
     }
 
     /// Handles elapsed response windows: retransmits probes that still
@@ -564,8 +530,6 @@ impl Prober {
         let stats = &mut self.handle.inner.borrow_mut().stats;
         stats.pacer_ticks += books.ticks;
         stats.q1_sent += books.q1_sent;
-        stats.pacer_tokens_issued += books.tokens_issued;
-        stats.pacer_tokens_unused += books.tokens_unused;
         stats.retransmits_sent += books.retransmits_sent;
         stats.probes_abandoned += books.probes_abandoned;
         stats.subdomains_fresh = self.generator.fresh();
@@ -754,12 +718,7 @@ mod tests {
         let rtt = captures[0].at.since(captures[0].sent_at).as_nanos() as u64;
         let latency = stats.q1_r2_latency_ns;
         assert_eq!((latency.count, latency.min, latency.max), (1, rtt, rtt));
-        // Every tick's tokens are on the books, spent or not.
         assert!(stats.pacer_ticks > 0);
-        assert_eq!(
-            stats.pacer_tokens_issued - stats.pacer_tokens_unused,
-            stats.q1_sent
-        );
         let msg = Message::decode(&captures[0].payload).unwrap();
         assert_eq!(
             msg.answers()[0].rdata().as_a(),
@@ -846,10 +805,11 @@ mod tests {
     #[test]
     fn sweeping_dead_flights_never_grows_the_index() {
         // The index at its load limit, with dead flights ahead of every
-        // live one in the ring: answered ones and superseded ones. A
-        // sweep before the live flights are due drops the dead and
-        // settles nothing, and one after retransmits every live flight
-        // in place: the index keeps its length and its capacity.
+        // live one in the ring: answered ones and superseded ones. Every
+        // live flight is superseded at the limit, a sweep before the new
+        // ones are due drops the dead and settles nothing, and one after
+        // retransmits every live flight in place: the index keeps its
+        // length and its capacity throughout.
         let mut book = InFlight::new(Duration::from_millis(200));
         book.index.reserve(16);
         let n = book.index.capacity() as u32;
@@ -871,7 +831,18 @@ mod tests {
         }
         let full = (book.index.len(), book.index.capacity());
         assert_eq!(full.0, full.1, "the index is at its load limit");
-        assert_eq!(book.rings[0].flights.len() as u32, n + n / 2 + n / 2);
+        // Superseding every live flight at the limit takes each ticket
+        // over in place.
+        for i in 0..n {
+            let superseded = book.send(Ipv4Addr::from(i), label(3 * n + i), second);
+            assert_eq!(superseded, Some(label(2 * n + i)));
+        }
+        assert_eq!(
+            (book.index.len(), book.index.capacity()),
+            full,
+            "a superseding probe makes no room"
+        );
+        assert_eq!(book.rings[0].flights.len() as u32, 3 * n);
         assert!(book.pop_due(SimTime::from_nanos(100_000_000)).is_none());
         assert_eq!(
             book.rings[0].flights.len() as u32,
@@ -1022,40 +993,6 @@ mod tests {
     }
 
     #[test]
-    fn slot_schedule_reproduces_local_pacing_send_times() {
-        // A full-coverage slot schedule (every target owned, global
-        // indices 0..n, total rate == local rate) must send each probe
-        // at exactly the same virtual time as the legacy pacer.
-        let targets: Vec<Ipv4Addr> = (0..250u32)
-            .map(|i| Ipv4Addr::from(0x0a00_0000 + i))
-            .collect();
-        let sent_times = |slots: Option<SlotSchedule>| {
-            let handle = scan_with(
-                targets.clone(),
-                |net| {
-                    for &t in &targets {
-                        net.register(t, FixedAnswer(Ipv4Addr::new(1, 1, 1, 1)));
-                    }
-                },
-                move |config| config.slots = slots,
-            );
-            let mut times: Vec<(Ipv4Addr, SimTime)> = handle
-                .captures()
-                .iter()
-                .map(|c| (c.target, c.sent_at))
-                .collect();
-            times.sort();
-            times
-        };
-        let legacy = sent_times(None);
-        let slotted = sent_times(Some(SlotSchedule {
-            total_rate_pps: 1_000,
-        }));
-        assert_eq!(legacy.len(), 250);
-        assert_eq!(legacy, slotted);
-    }
-
-    #[test]
     fn sparse_slot_schedule_sends_at_global_instants() {
         // A shard owning every 4th target of a 1000-pps campaign sends
         // on the same tick grid as the full scan: global index 100 goes
@@ -1071,9 +1008,6 @@ mod tests {
             |config| {
                 config.targets =
                     TargetSource::new(std::iter::once((100, Ipv4Addr::new(9, 9, 9, 9))));
-                config.slots = Some(SlotSchedule {
-                    total_rate_pps: 1_000,
-                });
             },
         );
         let captures = handle.captures();

@@ -54,7 +54,7 @@ impl SubdomainGenerator {
     /// Panics if `cluster_capacity` is out of range (as
     /// [`SubdomainGenerator::new`]) or `base_cluster` exceeds the
     /// scheme's three-digit cluster space.
-    pub fn with_base(cluster_capacity: u64, base_cluster: u32) -> Self {
+    pub(crate) fn with_base(cluster_capacity: u64, base_cluster: u32) -> Self {
         assert!(
             (1..=orscope_authns::scheme::CLUSTER_CAPACITY).contains(&cluster_capacity),
             "cluster capacity {cluster_capacity} out of range"
@@ -127,11 +127,6 @@ impl SubdomainGenerator {
         self.base_cluster
     }
 
-    /// Labels currently waiting for reuse.
-    pub fn reuse_pool_len(&self) -> usize {
-        self.reuse_pool.len()
-    }
-
     /// Current cluster number.
     pub fn cluster(&self) -> u32 {
         self.cluster
@@ -141,6 +136,13 @@ impl SubdomainGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SubdomainGenerator {
+        /// Labels currently waiting for reuse.
+        fn reuse_pool_len(&self) -> usize {
+            self.reuse_pool.len()
+        }
+    }
 
     #[test]
     fn sequential_fresh_allocation() {

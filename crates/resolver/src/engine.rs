@@ -780,12 +780,13 @@ fn build_immediate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orscope_authns::scheme::CLUSTER_CAPACITY;
     use orscope_authns::{
         AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, ProbeLabel, Zone,
     };
     use orscope_dns_wire::WireError;
+    use orscope_lookup::threatintel::Category;
     use orscope_netsim::{FixedLatency, SimNet};
-    use orscope_threatintel::Category;
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -825,7 +826,10 @@ mod tests {
             "ns1.ucfsealresearch.net".parse().unwrap(),
         ));
         cz.load_cluster(0, 100_000);
-        net.register(AUTH, AuthoritativeServer::new(cz, capture.clone()));
+        net.register(
+            AUTH,
+            AuthoritativeServer::new(cz, capture.clone(), CLUSTER_CAPACITY),
+        );
         net.register(RESOLVER, ProfiledResolver::new(policy, ROOT));
         (net, capture)
     }
@@ -1174,7 +1178,7 @@ mod tests {
             "ns1.ucfsealresearch.net".parse().unwrap(),
         ));
         cz.load_cluster(0, 1000);
-        let auth = AuthoritativeServer::new(cz, CaptureHandle::new());
+        let auth = AuthoritativeServer::new(cz, CaptureHandle::new(), CLUSTER_CAPACITY);
         net.register(AUTH, Injector::new(auth, &ids, false));
         net.register(
             RESOLVER,
@@ -1207,6 +1211,7 @@ mod tests {
 #[cfg(test)]
 mod forwarder_tests {
     use super::*;
+    use orscope_authns::scheme::CLUSTER_CAPACITY;
     use orscope_authns::{
         AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, ProbeLabel, Zone,
     };
@@ -1260,7 +1265,10 @@ mod forwarder_tests {
             "ns1.ucfsealresearch.net".parse().unwrap(),
         ));
         cz.load_cluster(0, 1000);
-        net.register(AUTH, AuthoritativeServer::new(cz, CaptureHandle::new()));
+        net.register(
+            AUTH,
+            AuthoritativeServer::new(cz, CaptureHandle::new(), CLUSTER_CAPACITY),
+        );
         net.register(
             UPSTREAM,
             ProfiledResolver::new(ResponsePolicy::honest(), ROOT),
@@ -1394,6 +1402,7 @@ mod forwarder_tests {
 #[cfg(test)]
 mod cname_tests {
     use super::*;
+    use orscope_authns::scheme::CLUSTER_CAPACITY;
     use orscope_authns::{
         AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, ProbeLabel, Zone,
     };
@@ -1444,7 +1453,10 @@ mod cname_tests {
         extra_zone(&mut zone);
         let mut cz = ClusterZone::new(zone);
         cz.load_cluster(0, 1000);
-        net.register(AUTH, AuthoritativeServer::new(cz, CaptureHandle::new()));
+        net.register(
+            AUTH,
+            AuthoritativeServer::new(cz, CaptureHandle::new(), CLUSTER_CAPACITY),
+        );
         net.register(
             RESOLVER,
             ProfiledResolver::new(ResponsePolicy::honest(), ROOT),
@@ -1565,6 +1577,7 @@ mod cname_tests {
 #[cfg(test)]
 mod reset_tests {
     use super::*;
+    use orscope_authns::scheme::CLUSTER_CAPACITY;
     use orscope_authns::{
         AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, ProbeLabel, Zone,
     };
@@ -1638,7 +1651,7 @@ mod reset_tests {
         ));
         let mut cz = ClusterZone::new(zone);
         cz.load_cluster(0, 1000);
-        let auth = AuthoritativeServer::new(cz, CaptureHandle::new());
+        let auth = AuthoritativeServer::new(cz, CaptureHandle::new(), CLUSTER_CAPACITY);
         net.register(AUTH, Tap(auth, wire.clone()));
         let upstream = ProfiledResolver::new(ResponsePolicy::honest(), ROOT);
         net.register(UPSTREAM, Tap(upstream, wire.clone()));
@@ -1749,7 +1762,7 @@ mod fresh_ignores_tests {
                 Ipv4Addr::new(208, 91, 197, 91),
                 true,
                 false,
-                orscope_threatintel::Category::Malware,
+                orscope_lookup::threatintel::Category::Malware,
             ),
             ResponsePolicy {
                 action: ResponseAction::Silent,

@@ -21,7 +21,7 @@ use orscope_netsim::fxhash::FxHashMap;
 use crate::profile::ResponsePolicy;
 
 /// Dense index of a policy in a [`ProfileTable`].
-pub type ProfileId = u32;
+pub(crate) type ProfileId = u32;
 
 /// Country id marking "no country assigned".
 pub const COUNTRY_NONE: u16 = u16::MAX;

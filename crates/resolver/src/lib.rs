@@ -31,7 +31,7 @@ pub mod scaling;
 
 pub use cache::DnsCache;
 pub use engine::{ProfiledResolver, ResolverStats};
-pub use intern::{ProfileId, ProfileTable, COUNTRY_NONE};
+pub use intern::{ProfileTable, COUNTRY_NONE};
 pub use population::{HostList, HostRef, Member, PlannedResolver, Population, PopulationConfig};
 pub use profile::{
     AnswerData, ForwardPolicy, ImmediateResponse, ProfileClass, RecursePolicy, ResponseAction,

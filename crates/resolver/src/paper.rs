@@ -33,7 +33,7 @@
 use std::net::Ipv4Addr;
 
 use orscope_dns_wire::Rcode;
-use orscope_threatintel::Category;
+use orscope_lookup::threatintel::Category;
 
 /// Which scan a specification describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -211,10 +211,10 @@ pub struct YearSpec {
     /// §IV-B4 empty-question responders (2018 only).
     pub empty_question: Vec<EmptyQuestionCell>,
     /// Baseline auth-server queries per resolution for correct resolvers.
-    pub auth_dup_base: u16,
+    pub(crate) auth_dup_base: u16,
     /// Fraction of correct resolvers sending one extra auth query
     /// (calibrates Table II's Q2 against R2).
-    pub auth_dup_extra_fraction: f64,
+    pub(crate) auth_dup_extra_fraction: f64,
     /// Country distribution of malicious R2 sources (§IV-C2).
     pub countries: Vec<(&'static str, u64)>,
 }
@@ -250,25 +250,9 @@ impl YearSpec {
         from_cells + from_incorrect
     }
 
-    /// Total matched R2 (excludes the empty-question packets).
-    pub fn matched_r2(&self) -> u64 {
-        self.flag_cells.iter().map(|c| c.count).sum::<u64>()
-            + self.incorrect.slices.iter().map(|s| s.count).sum::<u64>()
-    }
-
-    /// Total empty-question R2.
-    pub fn empty_question_r2(&self) -> u64 {
-        self.empty_question.iter().map(|c| c.count).sum()
-    }
-
     /// Total malicious R2 packets (Table IX bottom row).
     pub fn malicious_r2(&self) -> u64 {
         self.incorrect.malicious.iter().map(|m| m.r2).sum()
-    }
-
-    /// Total unique malicious addresses (Table IX bottom row).
-    pub fn malicious_unique(&self) -> u64 {
-        self.incorrect.malicious.iter().map(|m| m.unique_ips).sum()
     }
 }
 
@@ -829,6 +813,24 @@ fn spec_2013() -> YearSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl YearSpec {
+        /// Total unique malicious addresses (Table IX bottom row).
+        fn malicious_unique(&self) -> u64 {
+            self.incorrect.malicious.iter().map(|m| m.unique_ips).sum()
+        }
+
+        /// Total empty-question R2.
+        fn empty_question_r2(&self) -> u64 {
+            self.empty_question.iter().map(|c| c.count).sum()
+        }
+
+        /// Total matched R2 (excludes the empty-question packets).
+        fn matched_r2(&self) -> u64 {
+            self.flag_cells.iter().map(|c| c.count).sum::<u64>()
+                + self.incorrect.slices.iter().map(|s| s.count).sum::<u64>()
+        }
+    }
 
     /// Sum of cells matching a predicate plus incorrect slices matching
     /// another predicate.

@@ -23,8 +23,8 @@ use std::sync::Arc;
 use orscope_dns_wire::Rcode;
 use orscope_ipspace::AllowedSpace;
 use orscope_ipspace::ScanPermutation;
+use orscope_lookup::threatintel::Category;
 use orscope_netsim::fxhash::{fx_set_with_capacity, FxHashMap, FxHashSet};
-use orscope_threatintel::Category;
 
 use crate::intern::{ProfileId, ProfileTable, COUNTRY_NONE};
 use crate::paper::{AnswerClass, IncorrectPool, Year, YearSpec};
@@ -744,14 +744,6 @@ impl Population {
         self.resolvers.is_empty()
     }
 
-    /// Counts resolvers matching a predicate.
-    pub fn count_by(&self, pred: impl Fn(HostRef<'_>) -> bool) -> u64 {
-        self.resolvers
-            .iter(&self.table)
-            .filter(|r| pred(*r))
-            .count() as u64
-    }
-
     /// The shared profile table all three host lists index into.
     pub fn table(&self) -> &Arc<ProfileTable> {
         &self.table
@@ -1173,6 +1165,16 @@ mod tests {
     use super::*;
     use crate::paper::Year;
     use std::collections::HashSet;
+
+    impl Population {
+        /// Counts resolvers matching a predicate.
+        pub(crate) fn count_by(&self, pred: impl Fn(HostRef<'_>) -> bool) -> u64 {
+            self.resolvers
+                .iter(&self.table)
+                .filter(|r| pred(*r))
+                .count() as u64
+        }
+    }
 
     fn population(year: Year, scale: f64) -> Population {
         Population::generate(&PopulationConfig::new(year, scale))

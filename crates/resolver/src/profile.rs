@@ -18,7 +18,7 @@
 use std::net::Ipv4Addr;
 
 use orscope_dns_wire::Rcode;
-use orscope_threatintel::Category;
+use orscope_lookup::threatintel::Category;
 
 /// The answer payload of a misbehaving responder.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -50,7 +50,7 @@ pub struct ImmediateResponse {
     pub src_port: Option<u16>,
     /// Corrupt the answer rdata length on the wire so the capture side
     /// cannot decode the answer (the 8,764 N/A packets of 2013).
-    pub malformed_rdata: bool,
+    pub(crate) malformed_rdata: bool,
 }
 
 impl ImmediateResponse {
@@ -82,7 +82,7 @@ impl ImmediateResponse {
     }
 
     /// A fixed wrong-answer response (rcode NoError).
-    pub fn wrong_answer(answer: AnswerData, ra: bool, aa: bool) -> Self {
+    pub(crate) fn wrong_answer(answer: AnswerData, ra: bool, aa: bool) -> Self {
         Self {
             answer: Some(answer),
             ra,
@@ -104,11 +104,11 @@ pub struct RecursePolicy {
     pub aa: bool,
     /// Replace the rcode in the final response (Table VI's nonzero-rcode-
     /// with-answer packets).
-    pub rcode_override: Option<Rcode>,
+    pub(crate) rcode_override: Option<Rcode>,
     /// Total identical queries sent to the authoritative server per
     /// resolution (>= 1). Real resolver farms re-ask; this is what makes
     /// the paper's Q2 roughly 2-4x its R2.
-    pub auth_duplicates: u16,
+    pub(crate) auth_duplicates: u16,
 }
 
 impl Default for RecursePolicy {
@@ -134,7 +134,7 @@ pub struct ForwardPolicy {
     /// RA bit stamped on relayed responses. Many cheap CPE devices
     /// forward the upstream's answer but rewrite flags; `None` passes
     /// the upstream's RA through unchanged.
-    pub ra_override: Option<bool>,
+    pub(crate) ra_override: Option<bool>,
 }
 
 /// What a probed host does with an incoming query.
@@ -321,7 +321,7 @@ impl ResponsePolicy {
     /// campaigns use this as the host's placement affinity: a forwarder
     /// must live in the same partition as its upstream or the relayed
     /// query would cross a shard boundary.
-    pub fn upstream_addr(&self) -> Option<Ipv4Addr> {
+    pub(crate) fn upstream_addr(&self) -> Option<Ipv4Addr> {
         match &self.action {
             ResponseAction::Forward(fp) => Some(fp.upstream),
             _ => None,

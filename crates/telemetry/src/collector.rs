@@ -94,8 +94,8 @@ impl Collector {
         Gauge(cell.clone())
     }
 
-    /// Starts a phase span; finish it with
-    /// [`PhaseSpan::finish_with_virtual`] (or drop it) to record.
+    /// Starts a phase span; [`PhaseSpan::finish`] it (or drop it) to
+    /// record.
     pub fn phase(&self, name: &str) -> PhaseSpan {
         PhaseSpan::start(self.clone(), name)
     }

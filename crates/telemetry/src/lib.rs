@@ -36,8 +36,8 @@
 //!   ([`TelemetrySnapshot::to_jsonl`]).
 //! - [`Scope::Shard`] — layout-dependent diagnostics (queue high-water
 //!   marks, timer counts). They appear only in the Prometheus-style text
-//!   dump ([`TelemetrySnapshot::to_prometheus`]), alongside spans, whose
-//!   wall-clock component is inherently non-deterministic.
+//!   dump ([`TelemetrySnapshot::to_prometheus_labeled`]), alongside
+//!   spans, whose wall-clock component is inherently non-deterministic.
 
 #![warn(missing_docs)]
 

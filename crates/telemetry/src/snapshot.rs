@@ -175,12 +175,7 @@ impl TelemetrySnapshot {
 
     /// The Prometheus-style text dump: every metric of every scope plus
     /// the phase spans, with a `scope` label distinguishing global from
-    /// per-shard diagnostics.
-    pub fn to_prometheus(&self) -> String {
-        self.to_prometheus_labeled(&[])
-    }
-
-    /// [`Self::to_prometheus`] with extra labels on every series.
+    /// per-shard diagnostics and `labels` added to every series.
     pub fn to_prometheus_labeled(&self, labels: &[(&str, &str)]) -> String {
         let extra: String = labels
             .iter()
@@ -283,6 +278,15 @@ fn prom_name(name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TelemetrySnapshot {
+        /// The Prometheus-style text dump: every metric of every scope plus
+        /// the phase spans, with a `scope` label distinguishing global from
+        /// per-shard diagnostics.
+        fn to_prometheus(&self) -> String {
+            self.to_prometheus_labeled(&[])
+        }
+    }
 
     fn histogram(samples: &[u64]) -> MetricValue<Box<Histogram>> {
         MetricValue {

@@ -6,11 +6,11 @@ use crate::collector::Collector;
 
 /// A running phase timer. Wall time runs from [`Collector::phase`] until
 /// the span is finished (or dropped); the SimNet virtual-time component
-/// is supplied explicitly via [`PhaseSpan::finish_with_virtual`], since
-/// only the caller knows how much simulated time the phase covered.
+/// is recorded as zero, as the phases timed (population build, analysis)
+/// consume no simulated time.
 ///
-/// Dropping a span records it with whatever virtual duration has been
-/// set (zero by default), so early returns still produce a measurement.
+/// Dropping a span records it, so early returns still produce a
+/// measurement.
 #[derive(Debug)]
 pub struct PhaseSpan {
     collector: Collector,
@@ -35,13 +35,6 @@ impl PhaseSpan {
     pub fn finish(self) {
         drop(self);
     }
-
-    /// Ends the span, recording `virt_nanos` of SimNet virtual time
-    /// alongside the measured wall-clock duration.
-    pub fn finish_with_virtual(mut self, virt_nanos: u64) {
-        self.virt_nanos = virt_nanos;
-        drop(self);
-    }
 }
 
 impl Drop for PhaseSpan {
@@ -54,6 +47,15 @@ impl Drop for PhaseSpan {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PhaseSpan {
+        /// Ends the span, recording `virt_nanos` of SimNet virtual time
+        /// alongside the measured wall-clock duration.
+        fn finish_with_virtual(mut self, virt_nanos: u64) {
+            self.virt_nanos = virt_nanos;
+            drop(self);
+        }
+    }
 
     #[test]
     fn finish_records_wall_only() {

@@ -15,7 +15,7 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 use std::time::Duration;
 
-use orscope_authns::scheme::ProbeLabel;
+use orscope_authns::scheme::{ProbeLabel, CLUSTER_CAPACITY};
 use orscope_authns::{AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, Zone};
 use orscope_dns_wire::{Message, Name, Question};
 use orscope_netsim::{Context, Datagram, Endpoint, FixedLatency, SimNet, SimTime};
@@ -139,7 +139,7 @@ fn main() {
         AUTH,
         Tap {
             name: "auth NS",
-            inner: AuthoritativeServer::new(cz, capture.clone()),
+            inner: AuthoritativeServer::new(cz, capture.clone(), CLUSTER_CAPACITY),
             log: log.clone(),
         },
     );

@@ -40,12 +40,12 @@ pub use orscope_analysis as analysis;
 pub use orscope_authns as authns;
 pub use orscope_core as core;
 pub use orscope_dns_wire as dns_wire;
-pub use orscope_geo as geo;
 pub use orscope_ipspace as ipspace;
 pub use orscope_json as json;
+pub use orscope_lookup::geo;
+pub use orscope_lookup::threatintel;
 pub use orscope_netsim as netsim;
 pub use orscope_observe as observe;
 pub use orscope_prober as prober;
 pub use orscope_resolver as resolver;
 pub use orscope_telemetry as telemetry;
-pub use orscope_threatintel as threatintel;

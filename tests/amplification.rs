@@ -15,6 +15,7 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 use std::time::Duration;
 
+use orscope_authns::scheme::CLUSTER_CAPACITY;
 use orscope_authns::{AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, Zone};
 use orscope_dns_wire::{Message, Name, Question, RecordClass, RecordType};
 use orscope_netsim::{Context, Datagram, Endpoint, FixedLatency, SimNet};
@@ -69,7 +70,7 @@ fn build_net() -> (SimNet, Rc<RefCell<u64>>) {
     cluster_zone.load_cluster(0, 1000);
     net.register(
         AUTH,
-        AuthoritativeServer::new(cluster_zone, CaptureHandle::new()),
+        AuthoritativeServer::new(cluster_zone, CaptureHandle::new(), CLUSTER_CAPACITY),
     );
     net.register(
         RESOLVER,

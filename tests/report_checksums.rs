@@ -100,8 +100,6 @@ fn shard_scope_telemetry_is_pinned() {
     let snapshot = result.telemetry().unwrap();
     for (name, value) in [
         ("prober.pacer_ticks", 9_858),
-        ("prober.pacer_tokens_issued", 9_759),
-        ("prober.pacer_tokens_unused", 0),
         ("net.events_processed", 39_044),
         ("net.timers_fired", 13_986),
     ] {

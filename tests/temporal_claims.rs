@@ -83,7 +83,7 @@ fn phishing_exploded_seven_fold_in_unique_addresses() {
         r.table9_measured()
             .rows
             .iter()
-            .find(|row| row.category == orscope_threatintel::Category::Phishing)
+            .find(|row| row.category == orscope_lookup::threatintel::Category::Phishing)
             .map(|row| row.r2)
             .unwrap_or(0)
     };
