@@ -52,7 +52,7 @@ use orscope_netsim::EpochClock;
 use orscope_resolver::paper::Year;
 use orscope_resolver::population::{Population, PopulationConfig};
 use orscope_resolver::{PlannedResolver, ProfileClass};
-use orscope_telemetry::{Collector, Counter, Gauge, Scope, TelemetrySnapshot};
+use orscope_telemetry::{MetricValue, Scope, TelemetrySnapshot};
 
 use crate::churn::{ChurnConfig, ChurnModel};
 use crate::resolve::{Resolution, Resolve, Update};
@@ -313,25 +313,10 @@ impl ServiceState {
 pub struct ObservatoryShared {
     tables: RwLock<RollingTables>,
     campaign_telemetry: Mutex<TelemetrySnapshot>,
-    service: Collector,
     /// The record bus every campaign round publishes to; `/tap`
     /// connections subscribe here.
     bus: Arc<RecordBus>,
-    epochs_gauge: Gauge,
-    population_gauge: Gauge,
-    materialized_gauge: Gauge,
-    joins_counter: Counter,
-    leaves_counter: Counter,
-    drifts_counter: Counter,
-    rounds_counter: Counter,
-    http_requests: Counter,
-    degraded_counter: Counter,
-    retries_counter: Counter,
-    rollbacks_counter: Counter,
-    http_rejected: Counter,
-    http_timeout: Counter,
-    epochs_completed: AtomicU64,
-    population: AtomicU64,
+    book: ServiceBook,
     state: AtomicU8,
     healthy: AtomicBool,
     shutdown: AtomicBool,
@@ -345,27 +330,11 @@ pub struct ObservatoryShared {
 
 impl ObservatoryShared {
     pub(crate) fn new() -> Arc<Self> {
-        let service = Collector::new();
         Arc::new(Self {
             tables: RwLock::new(RollingTables::default()),
             campaign_telemetry: Mutex::new(TelemetrySnapshot::default()),
             bus: Arc::new(RecordBus::new()),
-            epochs_gauge: service.gauge(Scope::Shard, "observe.epochs_completed"),
-            population_gauge: service.gauge(Scope::Shard, "observe.population"),
-            materialized_gauge: service.gauge(Scope::Shard, "observe.materialized_hosts"),
-            joins_counter: service.counter(Scope::Shard, "observe.churn_joins"),
-            leaves_counter: service.counter(Scope::Shard, "observe.churn_leaves"),
-            drifts_counter: service.counter(Scope::Shard, "observe.churn_drifts"),
-            rounds_counter: service.counter(Scope::Shard, "observe.rounds"),
-            http_requests: service.counter(Scope::Shard, "observe.http_requests"),
-            degraded_counter: service.counter(Scope::Shard, "observe.epochs_degraded"),
-            retries_counter: service.counter(Scope::Shard, "observe.epoch_retries"),
-            rollbacks_counter: service.counter(Scope::Shard, "observe.checkpoint_rollbacks"),
-            http_rejected: service.counter(Scope::Shard, "observe.http_rejected_conns"),
-            http_timeout: service.counter(Scope::Shard, "observe.http_timeouts"),
-            service,
-            epochs_completed: AtomicU64::new(0),
-            population: AtomicU64::new(0),
+            book: ServiceBook::default(),
             state: AtomicU8::new(ServiceState::Starting as u8),
             healthy: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
@@ -395,7 +364,7 @@ impl ObservatoryShared {
 
     /// Epochs absorbed so far.
     pub fn epochs_completed(&self) -> u64 {
-        self.epochs_completed.load(Ordering::SeqCst)
+        self.book.epochs_completed.load(Ordering::SeqCst)
     }
 
     /// Whether the scheduler is up (true from run start to final
@@ -427,17 +396,18 @@ impl ObservatoryShared {
 
     /// Counts one HTTP request against the service metrics.
     pub(crate) fn record_http_request(&self) {
-        self.http_requests.inc();
+        self.book.http_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one connection turned away at the limit.
     pub(crate) fn record_http_rejected(&self) {
-        self.http_rejected.inc();
+        let rejected = &self.book.http_rejected_conns;
+        rejected.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one connection dropped for blowing an I/O deadline.
     pub(crate) fn record_http_timeout(&self) {
-        self.http_timeout.inc();
+        self.book.http_timeouts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A point-in-time clone of the rolling tables (for exporters and
@@ -466,7 +436,7 @@ impl ObservatoryShared {
         format!(
             "{{\n  \"epochs_completed\": {},\n  \"population\": {},\n  \"status\": \"{status}\"\n}}\n",
             self.epochs_completed(),
-            self.population.load(Ordering::SeqCst),
+            self.book.population.load(Ordering::SeqCst),
         )
         .into_bytes()
     }
@@ -479,29 +449,29 @@ impl ObservatoryShared {
             "{{\n  \"checkpoint_rollbacks\": {},\n  \"epoch_retries\": {},\n  \
              \"epochs_completed\": {},\n  \"epochs_degraded\": {},\n  \
              \"ready\": {},\n  \"state\": \"{}\"\n}}\n",
-            self.rollbacks_counter.get(),
-            self.retries_counter.get(),
+            self.book.checkpoint_rollbacks.load(Ordering::Relaxed),
+            self.book.epoch_retries.load(Ordering::Relaxed),
             self.epochs_completed(),
-            self.degraded_counter.get(),
+            self.book.epochs_degraded.load(Ordering::Relaxed),
             state == ServiceState::Ready,
             state.as_str(),
         )
         .into_bytes()
     }
 
-    /// The `/metrics` document: service gauges/counters plus the
-    /// absorbed campaign telemetry, both in Prometheus text format with
-    /// a `surface` label telling them apart.
+    /// The `/metrics` document: the service's book plus the absorbed
+    /// campaign telemetry, both in Prometheus text format with a
+    /// `surface` label telling them apart.
     pub fn metrics_bytes(&self) -> Vec<u8> {
         let mut out = self
-            .service
+            .book
             .snapshot()
             .to_prometheus_labeled(&[("surface", "service")]);
         out.push_str(
             &lock(&self.campaign_telemetry).to_prometheus_labeled(&[("surface", "campaign")]),
         );
         // Tap/bus metrics are rendered straight from the bus rather
-        // than through a Collector: their values depend on how fast
+        // than through a snapshot: their values depend on how fast
         // external tap consumers drain their lanes (queue depth, drops),
         // so they are load-dependent and deliberately excluded from the
         // shard-invariance assertions that cover the campaign surface.
@@ -523,6 +493,60 @@ impl ObservatoryShared {
             ));
         }
         out.into_bytes()
+    }
+}
+
+/// The service's book: plain atomics that the scheduler and the HTTP
+/// workers write, and that `/healthz`, `/readyz` and `/metrics` all
+/// read.
+#[derive(Default)]
+struct ServiceBook {
+    epochs_completed: AtomicU64,
+    population: AtomicU64,
+    materialized_hosts: AtomicU64,
+    churn_joins: AtomicU64,
+    churn_leaves: AtomicU64,
+    churn_drifts: AtomicU64,
+    rounds: AtomicU64,
+    http_requests: AtomicU64,
+    epochs_degraded: AtomicU64,
+    epoch_retries: AtomicU64,
+    checkpoint_rollbacks: AtomicU64,
+    http_rejected_conns: AtomicU64,
+    http_timeouts: AtomicU64,
+}
+
+impl ServiceBook {
+    /// The book entered into a snapshot by name (`observe.{field}`), as
+    /// `/metrics` renders it: levels are gauges, tallies are counters.
+    fn snapshot(&self) -> TelemetrySnapshot {
+        let book = [
+            ("epochs_completed", true, &self.epochs_completed),
+            ("population", true, &self.population),
+            ("materialized_hosts", true, &self.materialized_hosts),
+            ("churn_joins", false, &self.churn_joins),
+            ("churn_leaves", false, &self.churn_leaves),
+            ("churn_drifts", false, &self.churn_drifts),
+            ("rounds", false, &self.rounds),
+            ("http_requests", false, &self.http_requests),
+            ("epochs_degraded", false, &self.epochs_degraded),
+            ("epoch_retries", false, &self.epoch_retries),
+            ("checkpoint_rollbacks", false, &self.checkpoint_rollbacks),
+            ("http_rejected_conns", false, &self.http_rejected_conns),
+            ("http_timeouts", false, &self.http_timeouts),
+        ];
+        let mut out = TelemetrySnapshot::default();
+        for (name, level, cell) in book {
+            let scope = Scope::Shard;
+            let value = cell.load(Ordering::SeqCst);
+            let series = if level {
+                &mut out.gauges
+            } else {
+                &mut out.counters
+            };
+            series.insert(format!("observe.{name}"), MetricValue { scope, value });
+        }
+        out
     }
 }
 
@@ -606,9 +630,11 @@ impl<R: Resolve> Observatory<R> {
         let ours = config.fingerprint();
         let recovery = ObservatoryCheckpoint::recover(&config.state_dir, &ours)?;
         let quarantined = recovery.quarantined.clone();
-        if recovery.rollbacks() > 0 {
-            shared.rollbacks_counter.add(recovery.rollbacks());
-        }
+        let rollbacks = recovery.rollbacks();
+        shared
+            .book
+            .checkpoint_rollbacks
+            .fetch_add(rollbacks, Ordering::Relaxed);
         let mut resumed_from = None;
         match recovery.checkpoint {
             Some(checkpoint) => {
@@ -642,8 +668,9 @@ impl<R: Resolve> Observatory<R> {
             }
         }
 
-        shared.epochs_completed.store(start_epoch, Ordering::SeqCst);
-        shared.population.store(membership.len(), Ordering::SeqCst);
+        let book = &shared.book;
+        book.epochs_completed.store(start_epoch, Ordering::SeqCst);
+        book.population.store(membership.len(), Ordering::SeqCst);
         shared.set_state(ServiceState::Ready);
 
         let limit = config.epochs.unwrap_or(u64::MAX);
@@ -859,7 +886,7 @@ fn absorb(shared: &ObservatoryShared, opened: Opened, supervised: Supervised<Rou
     } = opened;
     let epoch = row.epoch;
     if let Some(message) = &supervised.first_failure {
-        shared.retries_counter.inc();
+        shared.book.epoch_retries.fetch_add(1, Ordering::Relaxed);
         eprintln!("epoch {epoch} attempt failed ({message}); retrying");
     }
     let round = supervised
@@ -885,19 +912,19 @@ fn absorb(shared: &ObservatoryShared, opened: Opened, supervised: Supervised<Rou
     #[cfg(test)]
     shared.rounds_in_flight.fetch_sub(1, Ordering::SeqCst);
 
-    shared.epochs_completed.store(epoch + 1, Ordering::SeqCst);
-    shared.population.store(population, Ordering::SeqCst);
-    shared.epochs_gauge.set(epoch + 1);
-    shared.population_gauge.set(population);
+    let book = &shared.book;
+    book.epochs_completed.store(epoch + 1, Ordering::SeqCst);
+    book.population.store(population, Ordering::SeqCst);
     if epoch > 0 {
-        shared.joins_counter.add(joins);
+        book.churn_joins.fetch_add(joins, Ordering::Relaxed);
     }
-    shared.leaves_counter.add(leaves);
-    shared.drifts_counter.add(drifts);
+    book.churn_leaves.fetch_add(leaves, Ordering::Relaxed);
+    book.churn_drifts.fetch_add(drifts, Ordering::Relaxed);
     match round {
         Some(round) => {
-            shared.materialized_gauge.set(round.materialized_hosts);
-            shared.rounds_counter.inc();
+            let hosts = round.materialized_hosts;
+            book.materialized_hosts.store(hosts, Ordering::Relaxed);
+            book.rounds.fetch_add(1, Ordering::Relaxed);
             if let Some(snapshot) = &round.telemetry {
                 lock(&shared.campaign_telemetry).absorb(snapshot);
             }
@@ -905,7 +932,7 @@ fn absorb(shared: &ObservatoryShared, opened: Opened, supervised: Supervised<Rou
             false
         }
         None => {
-            shared.degraded_counter.inc();
+            book.epochs_degraded.fetch_add(1, Ordering::Relaxed);
             shared.set_state(ServiceState::Degraded);
             true
         }

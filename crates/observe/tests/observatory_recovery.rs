@@ -5,11 +5,15 @@
 //! must be impossible.
 
 use std::fs;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 
 use orscope_core::integrity;
 use orscope_json::Wire;
-use orscope_observe::{Observatory, ObservatoryCheckpoint, RollingTables, ServeConfig, ServeError};
+use orscope_observe::{
+    http, Observatory, ObservatoryCheckpoint, RollingTables, ServeConfig, ServeError,
+};
 use orscope_resolver::paper::Year;
 
 const EPOCHS: u64 = 4;
@@ -265,6 +269,63 @@ fn a_crash_loop_leaves_a_bounded_state_dir() {
             "{names:?}"
         );
     }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The body of `GET path` from the surface at `addr`.
+fn get(addr: SocketAddr, path: &str) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let request = format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    let (_, body) = response
+        .split_once("\r\n\r\n")
+        .expect("response has a head");
+    body.to_owned()
+}
+
+#[test]
+fn a_resume_serves_its_epochs_and_population_on_every_probe() {
+    // A resume that runs no new epoch: `/metrics` reads the book that
+    // `/healthz` reads, not a zero waiting for the next absorb.
+    let dir = partial_run("resume-metrics", 3);
+    let mut again = config("resume-metrics-again", 3);
+    again.state_dir = dir.clone();
+    let mut observatory = Observatory::new(again).unwrap();
+    let shared = observatory.shared();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let surface = http::serve(listener, shared.clone()).unwrap();
+    let report = observatory.run().unwrap();
+    assert_eq!(report.resumed_from, Some(3));
+    let (healthz, metrics) = (
+        get(surface.addr(), "/healthz"),
+        get(surface.addr(), "/metrics"),
+    );
+    shared.request_shutdown();
+    surface.join();
+
+    let field = |name: &str| {
+        let prefix = format!("\"{name}\": ");
+        let line = healthz
+            .lines()
+            .find_map(|line| line.trim().strip_prefix(&prefix));
+        line.expect("/healthz has the field")
+            .trim_end_matches(',')
+            .to_owned()
+    };
+    let series = |name: &str| {
+        let prefix = format!("orscope_observe_{name}{{surface=\"service\",scope=\"shard\"}} ");
+        let line = metrics.lines().find_map(|line| line.strip_prefix(&prefix));
+        line.expect("/metrics has the series").to_owned()
+    };
+    assert_eq!(series("epochs_completed"), "3");
+    assert_eq!(
+        series("epochs_completed"),
+        shared.epochs_completed().to_string()
+    );
+    assert_ne!(field("population"), "0");
+    assert_eq!(series("population"), field("population"));
     fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -17,9 +17,9 @@
 //! - **Rate limiting** ([`Pacer`]): the 2018 scan ran at 100k packets
 //!   per second; the prober's timer ticks on a fixed grid and sends
 //!   each target on the tick its scan position falls due.
-//! - **The port-53 blind spot** ([`ProberHandle`]): like ZMap, the
-//!   prober only accepts responses whose source port is 53; answers from
-//!   other ports are counted but not captured (§V).
+//! - **The port-53 blind spot** ([`ProbeStats::off_port_dropped`]):
+//!   like ZMap, the prober only accepts responses whose source port is
+//!   53; answers from other ports are counted but not captured (§V).
 //! - **pcap export** ([`pcap`]): captures serialize to real libpcap
 //!   files, as the paper's 2013 pipeline stored its traffic.
 
@@ -29,7 +29,7 @@ pub mod pcap;
 pub mod scan;
 pub mod subdomain;
 
-pub use capture::{ProbeStats, ProberHandle, R2Capture};
+pub use capture::{ProbeStats, R2Capture};
 pub use pacer::{Pacer, ZeroRateError};
 pub use scan::{Prober, ProberConfig, TargetSource, MAX_RETRIES};
 pub use subdomain::SubdomainGenerator;

@@ -1,9 +1,5 @@
-//! Log2 bucketing, the plain [`Histogram`] a single-threaded layer keeps,
-//! and the shared [`Counter`]/[`Gauge`] cells a [`crate::Collector`]
-//! hands to concurrent writers (one relaxed atomic operation each).
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+//! Log2 bucketing and the plain [`Histogram`] a single-threaded layer
+//! keeps.
 
 /// Number of histogram buckets: one for zero plus one per power of two
 /// up to `u64::MAX`.
@@ -45,49 +41,6 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
             (1u64 << index) - 1
         };
         (low, high)
-    }
-}
-
-/// A monotonically increasing counter. Cloning shares the cell.
-#[derive(Clone, Debug)]
-pub struct Counter(pub(crate) Arc<AtomicU64>);
-
-impl Counter {
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A level gauge for long-running services (the observatory's
-/// population size, epochs completed): [`Gauge::set`] stores the
-/// current value, so a population that shrinks pulls its gauge back
-/// down. Cloning shares the cell.
-#[derive(Clone, Debug)]
-pub struct Gauge(pub(crate) Arc<AtomicU64>);
-
-impl Gauge {
-    /// Stores `value`, replacing whatever the gauge held.
-    #[inline]
-    pub fn set(&self, value: u64) {
-        self.0.store(value, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
     }
 }
 

@@ -5,8 +5,29 @@ use std::fmt::Write as _;
 
 use orscope_json::escape_into;
 
-use crate::collector::Scope;
 use crate::metric::{bucket_bounds, Histogram, BUCKET_COUNT};
+
+/// Whether a metric is deterministic across shard layouts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Scope {
+    /// Per-flow deterministic: for a failure-free configuration the
+    /// merged value is byte-identical across shard counts, so the metric
+    /// joins the JSON-lines export.
+    Global,
+    /// Layout-dependent diagnostics (event counts, queue depths, pacer
+    /// ticks): exported only in the Prometheus-style dump.
+    Shard,
+}
+
+impl Scope {
+    /// The label value used by the exporters.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Scope::Global => "global",
+            Scope::Shard => "shard",
+        }
+    }
+}
 
 /// A recorded value with its scope: a `u64` for counters and gauges, a
 /// boxed [`Histogram`] for histograms.
@@ -39,9 +60,9 @@ impl SpanSnapshot {
     }
 }
 
-/// What a run recorded, frozen for merging and export: a
-/// [`crate::Collector`]'s cells and spans, or a shard's books entered
-/// by name. `BTreeMap` keys give both exporters a deterministic order.
+/// What a run recorded, frozen for merging and export: a layer's plain
+/// books entered by name, in one place, once the numbers are final.
+/// `BTreeMap` keys give both exporters a deterministic order.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct TelemetrySnapshot {
     /// Counters by name.
@@ -62,11 +83,12 @@ impl TelemetrySnapshot {
     /// metric must carry the same scope on both sides.
     ///
     /// ```
-    /// use orscope_telemetry::{Collector, Scope};
-    /// let shard = |n: u64| {
-    ///     let c = Collector::new();
-    ///     c.counter(Scope::Global, "x").add(n);
-    ///     c.snapshot()
+    /// use orscope_telemetry::{MetricValue, Scope, TelemetrySnapshot};
+    /// let shard = |value: u64| {
+    ///     let mut snapshot = TelemetrySnapshot::default();
+    ///     let metric = MetricValue { scope: Scope::Global, value };
+    ///     snapshot.counters.insert("x".to_owned(), metric);
+    ///     snapshot
     /// };
     /// let (a, b) = (shard(3), shard(4));
     /// let mut ab = a.clone();
@@ -411,6 +433,18 @@ mod tests {
         );
         a.absorb(&b);
         assert_eq!(a.gauges["g"].value, 9);
+    }
+
+    #[test]
+    fn spans_absorb_by_max() {
+        let span = |count, wall_nanos, virt_nanos| SpanSnapshot {
+            count,
+            wall_nanos,
+            virt_nanos,
+        };
+        let mut merged = span(1, 10, 100);
+        merged.absorb(&span(1, 30, 40));
+        assert_eq!(merged, span(2, 30, 100));
     }
 
     #[test]

@@ -1,22 +1,6 @@
 //! The `orscope` command-line interface.
 //!
-//! ```text
-//! orscope campaign [--year 2018] [--scale 1000] [--seed N] [--shards N] [--full-q1]
-//!                  [--loss P] [--duplicate P] [--retries N] [--rate PPS]
-//!                  [--authns-outage FROM:UNTIL] [--faults FILE.json]
-//!                  [--json FILE] [--telemetry FILE]
-//! orscope tables   [--scale 500] [--json FILE] [--markdown FILE]
-//! orscope trend    [--steps 6] [--scale 2000]       # 2013 -> 2018 series
-//! orscope serve    [--scale 20000] [--epochs N] [--port 7353] [--state-dir DIR]
-//!                  [--epoch-secs 86400] [--join R] [--leave R] [--drift R]
-//!                  [--interval-ms 500] [--checkpoint-every N] [--fresh]
-//!                  [--keep-generations K] [--epoch-deadline SECS]
-//!                  [--http-max-conns N] [--http-timeout-ms MS] [--http-poll-ms MS]
-//! orscope tap      [--url http://127.0.0.1:7353] [--match EXPR] [--limit N]
-//!                  [--oneshot [--year 2018] [--scale 1000] [--seed N] [--shards N]]
-//! orscope pcap     [--year 2018] [--scale 5000] OUT # write captured R2s as .pcap
-//! orscope help
-//! ```
+//! `orscope help` prints every subcommand and flag.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -261,12 +245,17 @@ fn parse_number<T: std::str::FromStr>(
     name: &str,
     default: T,
 ) -> Result<T, String> {
-    match flag_value(args, name)? {
-        None => Ok(default),
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("{name}: bad number {raw:?}")),
-    }
+    Ok(parse_optional(args, name)?.unwrap_or(default))
+}
+
+/// The number `--name` gives, if the flag is there.
+fn parse_optional<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String> {
+    flag_value(args, name)?
+        .map(|raw| {
+            raw.parse()
+                .map_err(|_| format!("{name}: bad number {raw:?}"))
+        })
+        .transpose()
 }
 
 /// Builds the campaign fault plan from the chaos flags.
@@ -313,10 +302,7 @@ fn cmd_campaign(args: &[String]) -> Result<(), String> {
     if args.iter().any(|a| a == "--full-q1") {
         config = config.with_full_q1();
     }
-    if let Some(rate) = flag_value(args, "--rate")? {
-        let rate: u64 = rate
-            .parse()
-            .map_err(|_| format!("--rate: bad number {rate:?}"))?;
+    if let Some(rate) = parse_optional(args, "--rate")? {
         config = config.with_probe_rate(rate);
     }
     // `with_faults` replaces every rule, so the plan goes in before the
@@ -447,12 +433,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     config.seed = parse_number(args, "--seed", 0xD5A1_2019u64)?;
     config.shards = parse_number(args, "--shards", 1usize)?;
     config.epoch_virtual_secs = parse_number(args, "--epoch-secs", 86_400u64)?;
-    if let Some(epochs) = flag_value(args, "--epochs")? {
-        let epochs: u64 = epochs
-            .parse()
-            .map_err(|_| format!("--epochs: bad number {epochs:?}"))?;
-        config.epochs = Some(epochs);
-    }
+    config.epochs = parse_optional(args, "--epochs")?;
     let default_churn = ChurnConfig::default();
     config.churn = ChurnConfig {
         join_rate: parse_number(args, "--join", default_churn.join_rate)?,
@@ -463,33 +444,18 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     };
     config.checkpoint_every = parse_number(args, "--checkpoint-every", 0u64)?;
     config.keep_generations = parse_number(args, "--keep-generations", config.keep_generations)?;
-    if let Some(deadline) = flag_value(args, "--epoch-deadline")? {
-        let deadline: u64 = deadline
-            .parse()
-            .map_err(|_| format!("--epoch-deadline: bad number {deadline:?}"))?;
-        config.epoch_deadline_virtual_secs = Some(deadline);
-    }
+    config.epoch_deadline_virtual_secs = parse_optional(args, "--epoch-deadline")?;
     config.interval = Duration::from_millis(parse_number(args, "--interval-ms", 500u64)?);
     // The CLI default is a visible (gitignored) path so an operator can
     // find their state; the library default stays under the temp dir.
     config.state_dir = PathBuf::from(
         flag_value(args, "--state-dir")?.unwrap_or_else(|| "serve-state".to_string()),
     );
-    if args.iter().any(|a| a == "--fresh") {
-        match std::fs::remove_dir_all(&config.state_dir) {
-            Ok(()) => {}
-            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
-            Err(err) => return Err(format!("--fresh: {}: {err}", config.state_dir.display())),
-        }
-    }
     let port: u16 = parse_number(args, "--port", 7353u16)?;
     let mut http_config = HttpConfig::default();
     http_config.max_connections =
         parse_number(args, "--http-max-conns", http_config.max_connections)?;
-    if let Some(ms) = flag_value(args, "--http-timeout-ms")? {
-        let ms: u64 = ms
-            .parse()
-            .map_err(|_| format!("--http-timeout-ms: bad number {ms:?}"))?;
+    if let Some(ms) = parse_optional(args, "--http-timeout-ms")? {
         http_config.read_timeout = Duration::from_millis(ms);
         http_config.write_timeout = Duration::from_millis(ms);
     }
@@ -500,6 +466,17 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 
     let listener = TcpListener::bind(("127.0.0.1", port))
         .map_err(|e| format!("binding 127.0.0.1:{port}: {e}"))?;
+    // Only a run that is about to start may wipe its history: every
+    // flag has parsed, the observatory took the config and the port is
+    // bound.
+    if args.iter().any(|a| a == "--fresh") {
+        let state_dir = &observatory.config().state_dir;
+        match std::fs::remove_dir_all(state_dir) {
+            Ok(()) => {}
+            Err(err) if err.kind() == std::io::ErrorKind::NotFound => {}
+            Err(err) => return Err(format!("--fresh: {}: {err}", state_dir.display())),
+        }
+    }
     let surface =
         http::serve_with(listener, shared.clone(), http_config).map_err(|e| e.to_string())?;
     eprintln!(
@@ -564,13 +541,7 @@ fn cmd_tap(args: &[String]) -> Result<(), String> {
     let predicate: TapPredicate = predicate_text
         .parse()
         .map_err(|err: PredicateError| err.0)?;
-    let limit: Option<u64> = match flag_value(args, "--limit")? {
-        None => None,
-        Some(raw) => Some(
-            raw.parse()
-                .map_err(|_| format!("--limit: bad number {raw:?}"))?,
-        ),
-    };
+    let limit: Option<u64> = parse_optional(args, "--limit")?;
     install_signal_handlers();
     if args.iter().any(|a| a == "--oneshot") {
         tap_oneshot(args, predicate, limit)

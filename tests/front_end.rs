@@ -1,6 +1,7 @@
 //! `orscope tables` is the one front end that regenerates the paper's
 //! evaluation: what it writes is what the library renders for each year
-//! of `Year::ALL`, in that order, byte for byte.
+//! of `Year::ALL`, in that order, byte for byte. And `orscope serve
+//! --fresh` wipes its state dir only for a run that is about to start.
 
 use std::process::Command;
 
@@ -38,5 +39,25 @@ fn tables_writes_what_the_library_renders() {
         }
     }
     assert_eq!(read(&markdown), expected);
+    std::fs::remove_dir_all(&dir).expect("scratch dir is removable");
+}
+
+#[test]
+fn a_refused_fresh_serve_keeps_its_state_dir() {
+    let dir = std::env::temp_dir().join(format!("orscope-fresh-{}", std::process::id()));
+    let generation = dir.join("checkpoint-00000003.ckpt");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    std::fs::write(&generation, b"history").expect("generation is writable");
+    // A flag that does not parse, and a config the observatory refuses.
+    for bad in [["--port", "x"], ["--keep-generations", "0"]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_orscope"))
+            .args(["serve", "--fresh", "--state-dir"])
+            .arg(&dir)
+            .args(bad)
+            .output()
+            .expect("orscope runs");
+        assert!(!output.status.success(), "{bad:?} was accepted");
+        assert!(generation.exists(), "{bad:?} wiped the state dir");
+    }
     std::fs::remove_dir_all(&dir).expect("scratch dir is removable");
 }
