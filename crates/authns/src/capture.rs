@@ -1,7 +1,7 @@
 //! The capture layer: the records the paper's two vantage points
 //! produce (R2 at the prober, Q2/R1 at the authoritative server — the
 //! tcpdumps of Fig. 2), the one trait that consumes them, and the
-//! server-side packet log.
+//! server's capture point.
 
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -80,63 +80,21 @@ pub trait RecordSink: std::fmt::Debug {
 /// lock.
 pub type SharedSink = Rc<RefCell<dyn RecordSink>>;
 
-/// The packet log a standalone [`CaptureHandle`] writes into.
-#[derive(Debug, Default)]
-struct PacketLog {
-    packets: Vec<CapturedPacket>,
-    inbound: u64,
-    outbound: u64,
-}
-
-impl RecordSink for PacketLog {
-    /// A server-side log has no R2 vantage point.
-    fn on_r2(&mut self, _capture: &R2Capture) {}
-
-    fn on_auth(&mut self, packet: &CapturedPacket) {
-        match packet.direction {
-            Direction::Inbound => self.inbound += 1,
-            Direction::Outbound => self.outbound += 1,
-        }
-        self.packets.push(packet.clone());
-    }
-}
-
 /// The authoritative server's capture point: a cloneable handle that
 /// turns datagrams into [`CapturedPacket`]s and hands each to one sink.
 /// The `label` either recorder takes is [`CapturedPacket::label`]: what
 /// the caller already knows about the datagram's question, if anything.
-///
-/// [`CaptureHandle::new`] logs into the handle itself, to be read back
-/// after the simulation drains; [`CaptureHandle::with_sink`] feeds a
-/// caller's [`RecordSink`] instead and leaves the handle's log empty.
+/// The handle keeps nothing itself: whoever reads the packets owns the
+/// sink.
 #[derive(Debug, Clone)]
 pub struct CaptureHandle {
     sink: SharedSink,
-    log: Rc<RefCell<PacketLog>>,
-}
-
-impl Default for CaptureHandle {
-    fn default() -> Self {
-        let log = Rc::<RefCell<PacketLog>>::default();
-        Self {
-            sink: log.clone(),
-            log,
-        }
-    }
 }
 
 impl CaptureHandle {
-    /// Creates a capture point that logs into itself.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates a capture point that hands every packet to `sink`.
     pub fn with_sink(sink: SharedSink) -> Self {
-        Self {
-            sink,
-            log: Rc::default(),
-        }
+        Self { sink }
     }
 
     /// Records an inbound datagram at time `at`.
@@ -162,42 +120,26 @@ impl CaptureHandle {
             payload: dgram.payload.clone(),
         });
     }
-
-    /// Number of logged packets.
-    pub fn len(&self) -> usize {
-        self.log.borrow().packets.len()
-    }
-
-    /// Whether nothing is logged.
-    pub fn is_empty(&self) -> bool {
-        self.log.borrow().packets.is_empty()
-    }
-
-    /// Packets logged in `direction` since creation. O(1): maintained
-    /// as a counter, unaffected by [`CaptureHandle::drain`].
-    pub fn count(&self, direction: Direction) -> usize {
-        let log = self.log.borrow();
-        let n = match direction {
-            Direction::Inbound => log.inbound,
-            Direction::Outbound => log.outbound,
-        };
-        n as usize
-    }
-
-    /// Takes the logged packets, leaving the log empty.
-    pub fn drain(&self) -> Vec<CapturedPacket> {
-        std::mem::take(&mut self.log.borrow_mut().packets)
-    }
-
-    /// Clones the logged packets without draining.
-    pub fn snapshot(&self) -> Vec<CapturedPacket> {
-        self.log.borrow().packets.clone()
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The server-side test sink: every packet, in capture order.
+    impl RecordSink for Vec<CapturedPacket> {
+        fn on_r2(&mut self, _capture: &R2Capture) {}
+
+        fn on_auth(&mut self, packet: &CapturedPacket) {
+            self.push(packet.clone());
+        }
+    }
+
+    /// A capture point and the packets it has handed to its sink.
+    pub(crate) fn logged() -> (CaptureHandle, Rc<RefCell<Vec<CapturedPacket>>>) {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        (CaptureHandle::with_sink(log.clone()), log)
+    }
 
     fn dgram() -> Datagram {
         Datagram::new(
@@ -209,59 +151,38 @@ mod tests {
 
     #[test]
     fn records_both_directions() {
-        let cap = CaptureHandle::new();
+        let (cap, log) = logged();
         cap.record_inbound(SimTime::from_secs(1), &dgram(), None);
         cap.record_outbound(SimTime::from_secs(2), &dgram(), None);
-        assert_eq!(cap.len(), 2);
-        assert_eq!(cap.count(Direction::Inbound), 1);
-        assert_eq!(cap.count(Direction::Outbound), 1);
-        let packets = cap.snapshot();
-        assert_eq!(packets[0].peer, Ipv4Addr::new(1, 1, 1, 1));
-        assert_eq!(packets[1].peer, Ipv4Addr::new(2, 2, 2, 2));
-    }
-
-    #[test]
-    fn drain_empties_buffer() {
-        let cap = CaptureHandle::new();
-        cap.record_inbound(SimTime::ZERO, &dgram(), None);
-        assert_eq!(cap.drain().len(), 1);
-        assert!(cap.is_empty());
+        let seen: Vec<_> = log.borrow().iter().map(|p| (p.direction, p.peer)).collect();
         assert_eq!(
-            cap.count(Direction::Inbound),
-            1,
-            "direction counters survive drain"
+            seen,
+            [
+                (Direction::Inbound, Ipv4Addr::new(1, 1, 1, 1)),
+                (Direction::Outbound, Ipv4Addr::new(2, 2, 2, 2)),
+            ]
         );
     }
 
     #[test]
     fn clones_share_state() {
-        let cap = CaptureHandle::new();
-        let clone = cap.clone();
-        clone.record_inbound(SimTime::ZERO, &dgram(), None);
-        assert_eq!(cap.len(), 1);
+        let (cap, log) = logged();
+        cap.clone().record_inbound(SimTime::ZERO, &dgram(), None);
+        assert_eq!(log.borrow().len(), 1);
     }
 
     #[test]
     fn a_given_sink_receives_every_packet_and_the_handle_logs_nothing() {
-        #[derive(Debug, Default)]
-        struct Seen(Vec<(Direction, Ipv4Addr)>);
-        impl RecordSink for Seen {
-            fn on_r2(&mut self, _capture: &R2Capture) {}
-            fn on_auth(&mut self, packet: &CapturedPacket) {
-                self.0.push((packet.direction, packet.peer));
-            }
-        }
-        let seen = Rc::new(RefCell::new(Seen::default()));
-        let cap = CaptureHandle::with_sink(seen.clone());
-        cap.record_inbound(SimTime::ZERO, &dgram(), None);
-        cap.record_outbound(SimTime::from_secs(1), &dgram(), None);
-        assert!(cap.is_empty());
+        // The handle holds only the sink: what it records is the
+        // datagram's, stamped with the instant and the caller's label.
+        let (cap, log) = logged();
+        let label = Some(crate::scheme::ProbeLabel::new(0, 7));
+        cap.record_outbound(SimTime::from_secs(3), &dgram(), label);
+        let packet = &log.borrow()[0];
+        assert_eq!((packet.at, packet.label), (SimTime::from_secs(3), label));
         assert_eq!(
-            seen.borrow().0,
-            [
-                (Direction::Inbound, Ipv4Addr::new(1, 1, 1, 1)),
-                (Direction::Outbound, Ipv4Addr::new(2, 2, 2, 2)),
-            ]
+            (packet.peer_port, &packet.payload[..]),
+            (53, &b"payload"[..])
         );
     }
 }

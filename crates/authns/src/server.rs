@@ -233,12 +233,15 @@ impl Endpoint for AuthoritativeServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capture::Direction;
+    use crate::capture::tests::logged;
+    use crate::capture::{CapturedPacket, Direction};
     use crate::scheme::{ground_truth, ProbeLabel, CLUSTER_CAPACITY};
     use crate::zone::Zone;
     use orscope_dns_wire::{Name, Question};
     use orscope_netsim::{SimNet, SimTime};
+    use std::cell::RefCell;
     use std::net::Ipv4Addr;
+    use std::rc::Rc;
 
     const SERVER: Ipv4Addr = Ipv4Addr::new(45, 77, 1, 1);
     const CLIENT: Ipv4Addr = Ipv4Addr::new(9, 9, 9, 9);
@@ -254,8 +257,8 @@ mod tests {
         AuthoritativeServer::new(cz, capture, CLUSTER_CAPACITY)
     }
 
-    fn roundtrip(query: Message) -> (Message, CaptureHandle) {
-        let capture = CaptureHandle::new();
+    fn roundtrip(query: Message) -> (Message, Rc<RefCell<Vec<CapturedPacket>>>) {
+        let (capture, log) = logged();
         let mut net = SimNet::builder().seed(1).build();
         net.register(SERVER, server(capture.clone()));
         // A sink client to receive the response.
@@ -274,20 +277,20 @@ mod tests {
         ));
         net.run_until_idle();
         let response = slot.borrow_mut().take().expect("no response received");
-        (response, capture)
+        (response, log)
     }
 
     #[test]
     fn answers_probe_subdomain_with_ground_truth() {
         let label = ProbeLabel::new(0, 42);
         let query = Message::query(7, Question::a(label.qname(&zone_name())));
-        let (resp, capture) = roundtrip(query);
+        let (resp, log) = roundtrip(query);
         assert!(resp.header().authoritative());
         assert_eq!(resp.header().rcode(), Rcode::NoError);
         assert_eq!(resp.answers()[0].rdata().as_a(), Some(ground_truth(label)));
         // Q2 and R1 were captured.
-        assert_eq!(capture.count(Direction::Inbound), 1);
-        assert_eq!(capture.count(Direction::Outbound), 1);
+        let directions: Vec<_> = log.borrow().iter().map(|p| p.direction).collect();
+        assert_eq!(directions, [Direction::Inbound, Direction::Outbound]);
     }
 
     #[test]
@@ -310,9 +313,8 @@ mod tests {
 
     #[test]
     fn formerr_for_garbage() {
-        let capture = CaptureHandle::new();
         let mut net = SimNet::builder().seed(2).build();
-        net.register(SERVER, server(capture.clone()));
+        net.register(SERVER, server(logged().0));
         struct Sink(std::rc::Rc<std::cell::RefCell<Option<Message>>>);
         impl Endpoint for Sink {
             fn handle_datagram(&mut self, dgram: &Datagram, _ctx: &mut Context<'_>) {
@@ -334,7 +336,7 @@ mod tests {
 
     #[test]
     fn stats_tally_each_answer_by_qtype_and_rcode() {
-        let mut srv = server(CaptureHandle::new());
+        let mut srv = server(logged().0);
         let probe = ProbeLabel::new(0, 42).qname(&zone_name());
         let unloaded = ProbeLabel::new(5, 42).qname(&zone_name());
         srv.respond(&Message::query(1, Question::a(probe)));
@@ -363,12 +365,12 @@ mod tests {
 
     #[test]
     fn ignores_non_dns_port() {
-        let capture = CaptureHandle::new();
+        let (capture, log) = logged();
         let mut net = SimNet::builder().seed(3).build();
-        net.register(SERVER, server(capture.clone()));
+        net.register(SERVER, server(capture));
         net.inject(Datagram::new((CLIENT, 40_000), (SERVER, 8080), vec![0; 12]));
         net.run_until_idle();
-        assert!(capture.is_empty());
+        assert!(log.borrow().is_empty());
     }
 
     #[test]
@@ -384,7 +386,7 @@ mod tests {
         // A sharded prober starts at a nonzero base cluster; the server
         // must load that cluster on first contact instead of cluster 0.
         let zone = Zone::new(zone_name(), "ns1.ucfsealresearch.net".parse().unwrap());
-        let mut srv = AuthoritativeServer::new(ClusterZone::new(zone), CaptureHandle::new(), 1000);
+        let mut srv = AuthoritativeServer::new(ClusterZone::new(zone), logged().0, 1000);
         let label = ProbeLabel::new(250, 7);
         let query = Message::query(11, Question::a(label.qname(&zone_name())));
         let resp = srv.respond(&query);
@@ -402,8 +404,8 @@ mod tests {
     fn capture_timestamps_are_ordered() {
         let label = ProbeLabel::new(0, 1);
         let query = Message::query(7, Question::a(label.qname(&zone_name())));
-        let (_, capture) = roundtrip(query);
-        let packets = capture.snapshot();
+        let (_, log) = roundtrip(query);
+        let packets = log.borrow();
         assert_eq!(packets.len(), 2);
         assert!(packets[0].at <= packets[1].at);
         assert!(packets[0].at > SimTime::ZERO, "latency applied");
@@ -415,6 +417,7 @@ mod tests {
 #[cfg(test)]
 mod label_tests {
     use super::*;
+    use crate::capture::tests::logged;
     use crate::capture::{CapturedPacket, Direction};
     use crate::scheme::CLUSTER_CAPACITY;
     use crate::zone::Zone;
@@ -448,13 +451,13 @@ mod label_tests {
     /// Sends each payload to a server with cluster 0 loaded at time zero
     /// and returns what its capture point saw.
     fn capture_of(payloads: &[Vec<u8>]) -> Vec<CapturedPacket> {
-        let capture = CaptureHandle::new();
+        let (capture, log) = logged();
         let mut cz = ClusterZone::new(Zone::new(
             zone_name(),
             "ns1.ucfsealresearch.net".parse().unwrap(),
         ));
         cz.load_cluster(0, 1000);
-        let server = AuthoritativeServer::new(cz, capture.clone(), CLUSTER_CAPACITY);
+        let server = AuthoritativeServer::new(cz, capture, CLUSTER_CAPACITY);
         let mut net = SimNet::builder()
             .seed(1)
             .latency(FixedLatency(Duration::from_millis(1)))
@@ -468,7 +471,7 @@ mod label_tests {
             ));
         }
         net.run_until_idle();
-        let packets = capture.snapshot();
+        let packets = log.take();
         for packet in &packets {
             assert_eq!(packet.at, ARRIVAL, "stamped on arrival, answer included");
             // A stamped label is a fact about the payload.
@@ -573,6 +576,7 @@ mod label_tests {
 #[cfg(test)]
 mod truncation_tests {
     use super::*;
+    use crate::capture::tests::logged;
     use crate::scheme::CLUSTER_CAPACITY;
     use crate::zone::Zone;
     use orscope_dns_wire::{Message, Name, Question};
@@ -585,7 +589,7 @@ mod truncation_tests {
         }
         let mut cz = ClusterZone::new(zone);
         cz.load_cluster(0, 10);
-        AuthoritativeServer::new(cz, CaptureHandle::new(), CLUSTER_CAPACITY)
+        AuthoritativeServer::new(cz, logged().0, CLUSTER_CAPACITY)
     }
 
     #[test]

@@ -782,7 +782,8 @@ mod tests {
     use super::*;
     use orscope_authns::scheme::CLUSTER_CAPACITY;
     use orscope_authns::{
-        AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, ProbeLabel, Zone,
+        AuthoritativeServer, CaptureHandle, CapturedPacket, ClusterZone, DelegationServer,
+        Direction, ProbeLabel, R2Capture, RecordSink, Zone,
     };
     use orscope_dns_wire::WireError;
     use orscope_lookup::threatintel::Category;
@@ -800,8 +801,32 @@ mod tests {
         "ucfsealresearch.net".parse().unwrap()
     }
 
+    /// The authoritative server's test sink: every packet it captured.
+    #[derive(Debug, Default)]
+    pub(super) struct Packets(Vec<CapturedPacket>);
+
+    impl RecordSink for Packets {
+        fn on_r2(&mut self, _capture: &R2Capture) {}
+
+        fn on_auth(&mut self, packet: &CapturedPacket) {
+            self.0.push(packet.clone());
+        }
+    }
+
+    impl Packets {
+        fn count(&self, direction: Direction) -> usize {
+            self.0.iter().filter(|p| p.direction == direction).count()
+        }
+    }
+
+    /// A capture point and the packets it has handed to its sink.
+    pub(super) fn logged() -> (CaptureHandle, Rc<RefCell<Packets>>) {
+        let log = Rc::new(RefCell::new(Packets::default()));
+        (CaptureHandle::with_sink(log.clone()), log)
+    }
+
     /// Builds a network with root/TLD/auth plus one profiled resolver.
-    fn hierarchy(policy: ResponsePolicy) -> (SimNet, CaptureHandle) {
+    fn hierarchy(policy: ResponsePolicy) -> (SimNet, Rc<RefCell<Packets>>) {
         let mut net = SimNet::builder()
             .seed(11)
             .latency(FixedLatency(Duration::from_millis(5)))
@@ -820,7 +845,7 @@ mod tests {
             AUTH,
         );
         net.register(TLD, tld);
-        let capture = CaptureHandle::new();
+        let (capture, log) = logged();
         let mut cz = ClusterZone::new(Zone::new(
             zone_name(),
             "ns1.ucfsealresearch.net".parse().unwrap(),
@@ -828,10 +853,10 @@ mod tests {
         cz.load_cluster(0, 100_000);
         net.register(
             AUTH,
-            AuthoritativeServer::new(cz, capture.clone(), CLUSTER_CAPACITY),
+            AuthoritativeServer::new(cz, capture, CLUSTER_CAPACITY),
         );
         net.register(RESOLVER, ProfiledResolver::new(policy, ROOT));
-        (net, capture)
+        (net, log)
     }
 
     /// A client endpoint collecting raw response datagrams.
@@ -872,8 +897,8 @@ mod tests {
             Some(orscope_authns::ground_truth(label))
         );
         // The auth server saw exactly one Q2 and sent one R1.
-        assert_eq!(capture.count(orscope_authns::Direction::Inbound), 1);
-        assert_eq!(capture.count(orscope_authns::Direction::Outbound), 1);
+        assert_eq!(capture.borrow().count(Direction::Inbound), 1);
+        assert_eq!(capture.borrow().count(Direction::Outbound), 1);
     }
 
     #[test]
@@ -908,7 +933,7 @@ mod tests {
         let (mut net, capture) = hierarchy(policy);
         let responses = probe(&mut net, ProbeLabel::new(0, 9).qname(&zone_name()));
         assert_eq!(responses.len(), 1, "client still gets exactly one answer");
-        assert_eq!(capture.count(orscope_authns::Direction::Inbound), 4);
+        assert_eq!(capture.borrow().count(Direction::Inbound), 4);
     }
 
     #[test]
@@ -947,7 +972,7 @@ mod tests {
         let msg = Message::decode(&responses[0].payload).unwrap();
         assert_eq!(msg.header().rcode(), Rcode::Refused);
         assert!(msg.answers().is_empty());
-        assert!(capture.is_empty(), "no recursion happened");
+        assert!(capture.borrow().0.is_empty(), "no recursion happened");
     }
 
     #[test]
@@ -965,7 +990,7 @@ mod tests {
         assert!(msg.header().authoritative(), "fake AA=1");
         assert!(!msg.header().recursion_available());
         assert_eq!(msg.header().rcode(), Rcode::NoError);
-        assert!(capture.is_empty());
+        assert!(capture.borrow().0.is_empty());
     }
 
     #[test]
@@ -1069,7 +1094,7 @@ mod tests {
         let second = probe(&mut net, qname);
         assert_eq!(second.len(), 1);
         // Only the first resolution reached the authoritative server.
-        assert_eq!(capture.count(orscope_authns::Direction::Inbound), 1);
+        assert_eq!(capture.borrow().count(Direction::Inbound), 1);
         let a = Message::decode(&first[0].payload).unwrap();
         let b = Message::decode(&second[0].payload).unwrap();
         assert_eq!(a.answers()[0].rdata().as_a(), b.answers()[0].rdata().as_a());
@@ -1178,7 +1203,7 @@ mod tests {
             "ns1.ucfsealresearch.net".parse().unwrap(),
         ));
         cz.load_cluster(0, 1000);
-        let auth = AuthoritativeServer::new(cz, CaptureHandle::new(), CLUSTER_CAPACITY);
+        let auth = AuthoritativeServer::new(cz, logged().0, CLUSTER_CAPACITY);
         net.register(AUTH, Injector::new(auth, &ids, false));
         net.register(
             RESOLVER,
@@ -1210,11 +1235,10 @@ mod tests {
 
 #[cfg(test)]
 mod forwarder_tests {
+    use super::tests::logged;
     use super::*;
     use orscope_authns::scheme::CLUSTER_CAPACITY;
-    use orscope_authns::{
-        AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, ProbeLabel, Zone,
-    };
+    use orscope_authns::{AuthoritativeServer, ClusterZone, DelegationServer, ProbeLabel, Zone};
     use orscope_netsim::{FixedLatency, SimNet};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -1267,7 +1291,7 @@ mod forwarder_tests {
         cz.load_cluster(0, 1000);
         net.register(
             AUTH,
-            AuthoritativeServer::new(cz, CaptureHandle::new(), CLUSTER_CAPACITY),
+            AuthoritativeServer::new(cz, logged().0, CLUSTER_CAPACITY),
         );
         net.register(
             UPSTREAM,
@@ -1401,11 +1425,10 @@ mod forwarder_tests {
 
 #[cfg(test)]
 mod cname_tests {
+    use super::tests::logged;
     use super::*;
     use orscope_authns::scheme::CLUSTER_CAPACITY;
-    use orscope_authns::{
-        AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, ProbeLabel, Zone,
-    };
+    use orscope_authns::{AuthoritativeServer, ClusterZone, DelegationServer, ProbeLabel, Zone};
     use orscope_dns_wire::RecordType;
     use orscope_netsim::{FixedLatency, SimNet};
     use std::cell::RefCell;
@@ -1455,7 +1478,7 @@ mod cname_tests {
         cz.load_cluster(0, 1000);
         net.register(
             AUTH,
-            AuthoritativeServer::new(cz, CaptureHandle::new(), CLUSTER_CAPACITY),
+            AuthoritativeServer::new(cz, logged().0, CLUSTER_CAPACITY),
         );
         net.register(
             RESOLVER,
@@ -1576,11 +1599,10 @@ mod cname_tests {
 
 #[cfg(test)]
 mod reset_tests {
+    use super::tests::logged;
     use super::*;
     use orscope_authns::scheme::CLUSTER_CAPACITY;
-    use orscope_authns::{
-        AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, ProbeLabel, Zone,
-    };
+    use orscope_authns::{AuthoritativeServer, ClusterZone, DelegationServer, ProbeLabel, Zone};
     use orscope_netsim::{FixedLatency, SimNet};
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -1651,7 +1673,7 @@ mod reset_tests {
         ));
         let mut cz = ClusterZone::new(zone);
         cz.load_cluster(0, 1000);
-        let auth = AuthoritativeServer::new(cz, CaptureHandle::new(), CLUSTER_CAPACITY);
+        let auth = AuthoritativeServer::new(cz, logged().0, CLUSTER_CAPACITY);
         net.register(AUTH, Tap(auth, wire.clone()));
         let upstream = ProfiledResolver::new(ResponsePolicy::honest(), ROOT);
         net.register(UPSTREAM, Tap(upstream, wire.clone()));

@@ -16,7 +16,10 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use orscope_authns::scheme::{ProbeLabel, CLUSTER_CAPACITY};
-use orscope_authns::{AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, Zone};
+use orscope_authns::{
+    AuthoritativeServer, CaptureHandle, CapturedPacket, ClusterZone, DelegationServer, R2Capture,
+    RecordSink, Zone,
+};
 use orscope_dns_wire::{Message, Name, Question};
 use orscope_netsim::{Context, Datagram, Endpoint, FixedLatency, SimNet, SimTime};
 use orscope_resolver::{ProfiledResolver, ResponsePolicy};
@@ -26,6 +29,18 @@ const TLD: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
 const AUTH: Ipv4Addr = Ipv4Addr::new(104, 238, 191, 60);
 const RESOLVER: Ipv4Addr = Ipv4Addr::new(74, 0, 0, 1);
 const PROBER: Ipv4Addr = Ipv4Addr::new(132, 170, 5, 53);
+
+/// The authoritative server's capture log: every packet, in order.
+#[derive(Debug, Default)]
+struct Capture(Vec<CapturedPacket>);
+
+impl RecordSink for Capture {
+    fn on_r2(&mut self, _capture: &R2Capture) {}
+
+    fn on_auth(&mut self, packet: &CapturedPacket) {
+        self.0.push(packet.clone());
+    }
+}
 
 /// Wraps any endpoint and logs every datagram it receives.
 struct Tap<E> {
@@ -130,7 +145,7 @@ fn main() {
         },
     );
 
-    let capture = CaptureHandle::new();
+    let capture = Rc::new(RefCell::new(Capture::default()));
     let mut zone = Zone::new(zone_name.clone(), ns_name.clone());
     zone.add_a(ns_name, AUTH);
     let mut cz = ClusterZone::new(zone);
@@ -139,7 +154,11 @@ fn main() {
         AUTH,
         Tap {
             name: "auth NS",
-            inner: AuthoritativeServer::new(cz, capture.clone(), CLUSTER_CAPACITY),
+            inner: AuthoritativeServer::new(
+                cz,
+                CaptureHandle::with_sink(capture.clone()),
+                CLUSTER_CAPACITY,
+            ),
             log: log.clone(),
         },
     );
@@ -171,7 +190,7 @@ fn main() {
         println!("  {line}");
     }
     println!("\nAuthoritative-server capture (the tcpdump of Fig. 2):");
-    for packet in capture.snapshot() {
+    for packet in &capture.borrow().0 {
         println!(
             "  t={} {:?} peer={}:{} {} bytes",
             packet.at,

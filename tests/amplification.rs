@@ -16,7 +16,10 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use orscope_authns::scheme::CLUSTER_CAPACITY;
-use orscope_authns::{AuthoritativeServer, CaptureHandle, ClusterZone, DelegationServer, Zone};
+use orscope_authns::{
+    AuthoritativeServer, CaptureHandle, CapturedPacket, ClusterZone, DelegationServer, R2Capture,
+    RecordSink, Zone,
+};
 use orscope_dns_wire::{Message, Name, Question, RecordClass, RecordType};
 use orscope_netsim::{Context, Datagram, Endpoint, FixedLatency, SimNet};
 use orscope_resolver::{ProfiledResolver, ResponsePolicy};
@@ -26,6 +29,18 @@ const TLD: Ipv4Addr = Ipv4Addr::new(192, 5, 6, 30);
 const AUTH: Ipv4Addr = Ipv4Addr::new(104, 238, 191, 60);
 const RESOLVER: Ipv4Addr = Ipv4Addr::new(74, 0, 0, 1);
 const VICTIM: Ipv4Addr = Ipv4Addr::new(203, 113, 0, 2);
+
+/// The authoritative server's captures, kept as a test sink.
+#[derive(Debug, Default)]
+struct Packets(Vec<CapturedPacket>);
+
+impl RecordSink for Packets {
+    fn on_r2(&mut self, _capture: &R2Capture) {}
+
+    fn on_auth(&mut self, packet: &CapturedPacket) {
+        self.0.push(packet.clone());
+    }
+}
 
 /// Spoofed queries of each kind.
 const QUERIES: u16 = 100;
@@ -68,9 +83,10 @@ fn build_net() -> (SimNet, Rc<RefCell<u64>>) {
     }
     let mut cluster_zone = ClusterZone::new(zone);
     cluster_zone.load_cluster(0, 1000);
+    let capture = CaptureHandle::with_sink(Rc::new(RefCell::new(Packets::default())));
     net.register(
         AUTH,
-        AuthoritativeServer::new(cluster_zone, CaptureHandle::new(), CLUSTER_CAPACITY),
+        AuthoritativeServer::new(cluster_zone, capture, CLUSTER_CAPACITY),
     );
     net.register(
         RESOLVER,

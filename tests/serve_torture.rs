@@ -7,6 +7,8 @@
 //! the supervised scheduler, generation flushing, the integrity
 //! envelope, quarantine, rollback, and churn fast-forward.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -19,19 +21,10 @@ const CHILD_EPOCHS: u64 = 4;
 const FULL_EPOCHS: u64 = 6;
 
 /// Seed shared by the child process and the library runs. Honors the
-/// same `ORSCOPE_CHAOS_SEED` the chaos suite uses, so CI can prove the
-/// recovery path is seed-independent.
+/// same `ORSCOPE_CHAOS_SEED` the invariance matrix's chaos cells use, so
+/// CI can prove the recovery path is seed-independent.
 fn seed() -> u64 {
-    std::env::var("ORSCOPE_CHAOS_SEED")
-        .ok()
-        .and_then(|raw| raw.parse().ok())
-        .unwrap_or(0x7047_0365)
-}
-
-fn scratch(label: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("orscope-torture-{label}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+    common::chaos_seed(0x7047_0365)
 }
 
 /// The library-side mirror of the child's serve flags.
@@ -91,7 +84,7 @@ fn generations(state_dir: &Path) -> Vec<PathBuf> {
 #[test]
 fn kill_nine_then_corrupt_then_resume_converges_byte_identically() {
     // The truth: one uninterrupted library run over the full span.
-    let straight_dir = scratch("straight");
+    let straight_dir = common::scratch("torture-straight");
     let mut straight = Observatory::new(mirror_config(&straight_dir, FULL_EPOCHS)).unwrap();
     let straight_shared = straight.shared();
     straight.run().unwrap();
@@ -101,7 +94,7 @@ fn kill_nine_then_corrupt_then_resume_converges_byte_identically() {
     std::fs::remove_dir_all(&straight_dir).unwrap();
 
     // The victim: the real binary, checkpointing every epoch.
-    let state_dir = scratch("victim");
+    let state_dir = common::scratch("torture-victim");
     let mut child = spawn_serve(&state_dir);
 
     // Wait for at least two durable generations, then `kill -9` — no
@@ -168,7 +161,7 @@ fn kill_nine_then_corrupt_then_resume_converges_byte_identically() {
 fn sigterm_mid_run_flushes_a_verified_final_checkpoint() {
     // SIGTERM (graceful, unlike the kill -9 above) must leave a final
     // generation that verifies end to end.
-    let state_dir = scratch("sigterm");
+    let state_dir = common::scratch("torture-sigterm");
     let mut child = spawn_serve(&state_dir);
     let deadline = Instant::now() + Duration::from_secs(120);
     let mut finished_on_its_own = false;
