@@ -662,7 +662,6 @@ impl Campaign {
         // ---- network & name-server hierarchy ----
         let released = Rc::<RefCell<ResolverStats>>::default();
         let mut net = SimNet::builder()
-            .seed(plan.sim_seed)
             // Latency hashes from the master seed in every shard so a
             // host's RTTs do not depend on the shard layout.
             .latency(HashLatency::internet(config.seed))
@@ -754,8 +753,6 @@ pub(crate) struct ShardPlan {
     pub(crate) shards: usize,
     /// Supervision attempt (0 = first run, 1 = retry).
     pub(crate) attempt: u32,
-    /// Seed for this shard's `SimNet`.
-    pub(crate) sim_seed: u64,
     /// The campaign-wide probe rate (slot pacing is global).
     pub(crate) total_rate_pps: u64,
     /// First subdomain cluster this shard allocates from.
@@ -789,9 +786,6 @@ impl ShardPlan {
             shard: index,
             shards: config.shards,
             attempt,
-            // Decorrelate per-shard simulator seeds; shard 0 keeps the
-            // master seed so shards=1 reproduces the classic run exactly.
-            sim_seed: config.seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             total_rate_pps: knobs.total_rate,
             base_cluster: index as u32 * cluster_stride,
             cluster_capacity: knobs.cluster_capacity,

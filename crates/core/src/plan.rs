@@ -15,7 +15,8 @@
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-use orscope_ipspace::{AllowedSpace, ScanPermutation};
+use orscope_ipspace::{AllowedSpace, ScanPermutation, ScanPermutationIter};
+use orscope_prober::TargetWalk;
 use orscope_resolver::paper::YearSpec;
 use orscope_resolver::population::{shard_index, Member, Population};
 
@@ -99,58 +100,103 @@ impl TargetPlan {
         self.order.space_len()
     }
 
-    /// The free addresses of the rank walk, in walk order.
-    fn silent(&self) -> impl Iterator<Item = Ipv4Addr> + 'static {
-        let population = Arc::clone(&self.population);
-        let infra = self.infra.clone();
-        let space = Arc::clone(&self.space);
-        self.ranks
-            .iter()
-            .map(move |rank| space.nth(u64::from(rank)).expect("rank in range"))
-            .filter(move |&addr| !infra.contains(&addr) && !population.probes(addr))
-    }
-
     /// The `(slot, address)` pairs shard `shard` of `shards` probes, in
-    /// scan order. Every shard count scans the same addresses in the same
-    /// slots: the slot is the position in the campaign-wide walk, so send
-    /// times (and time-windowed fault exposure) are shard-layout-invariant.
+    /// scan order, as a walk that fills a [`TargetSource`]'s runs. Every
+    /// shard count scans the same addresses in the same slots: the slot
+    /// is the position in the campaign-wide walk, so send times (and
+    /// time-windowed fault exposure) are shard-layout-invariant. The walk
+    /// holds no state a second call does not rebuild, so a supervised
+    /// retry starts it again.
     ///
-    /// A responder goes where [`Population::home`] places it, so a shard
-    /// probes exactly the hosts it holds; a silent slot goes to the
-    /// [`shard_index`] of its address.
-    pub(crate) fn shard(
-        &self,
-        shard: usize,
-        shards: usize,
-    ) -> impl Iterator<Item = (u64, Ipv4Addr)> + 'static {
+    /// [`TargetSource`]: orscope_prober::TargetSource
+    pub(crate) fn shard(&self, shard: usize, shards: usize) -> ShardWalk {
+        ShardWalk {
+            population: Arc::clone(&self.population),
+            infra: self.infra.clone(),
+            space: Arc::clone(&self.space),
+            order: self.order.iter(),
+            ranks: self.ranks.iter(),
+            slot: 0,
+            shard,
+            shards,
+        }
+    }
+}
+
+/// One shard's walk of a [`TargetPlan`]: the scan order, and the rank
+/// walk that the silent slots read their addresses off.
+///
+/// A responder goes where [`Population::home`] places it, so a shard
+/// probes exactly the hosts it holds; a silent slot goes to the
+/// [`shard_index`] of its address. Every shard steps through every slot,
+/// and through the rank walk for every silent one, whichever shard keeps
+/// it.
+#[derive(Debug)]
+pub(crate) struct ShardWalk {
+    /// The responders the scan order's low indices stand for, and, by
+    /// address, the hosts the silent walk steps over.
+    population: Arc<Population>,
+    /// The other addresses the silent walk steps over, ascending.
+    infra: Vec<Ipv4Addr>,
+    /// The addresses silence is drawn from.
+    space: Arc<AllowedSpace>,
+    order: ScanPermutationIter,
+    ranks: ScanPermutationIter,
+    /// The slot `order` hands out next.
+    slot: u64,
+    shard: usize,
+    shards: usize,
+}
+
+impl ShardWalk {
+    /// The next free address of the rank walk: neither a probed host nor
+    /// infrastructure.
+    fn next_silent(&mut self) -> Ipv4Addr {
+        loop {
+            let rank = self
+                .ranks
+                .next()
+                .expect("the plan has a free address for every silent slot");
+            let addr = self.space.nth(u64::from(rank)).expect("rank in range");
+            if !self.population.probes(addr) && !self.infra.contains(&addr) {
+                return addr;
+            }
+        }
+    }
+}
+
+impl TargetWalk for ShardWalk {
+    fn fill(&mut self, run: &mut Vec<(u64, Ipv4Addr)>, room: usize) {
         let population = Arc::clone(&self.population);
-        let mut silent = self.silent();
         let resolvers = population.resolvers.len();
         let responders = resolvers + population.off_port.len();
-        (0u64..)
-            .zip(self.order.iter())
-            .filter_map(move |(slot, index)| {
-                let index = index as usize;
-                let (addr, member) = if index < resolvers {
-                    (
-                        population.resolvers.addr(index),
-                        Some(Member::Resolver(index)),
-                    )
-                } else if index < responders {
-                    let i = index - resolvers;
-                    (population.off_port.addr(i), Some(Member::OffPort(i)))
-                } else {
-                    let addr = silent
-                        .next()
-                        .expect("the plan has a free address for every silent slot");
-                    (addr, None)
-                };
-                let home = || match member {
-                    Some(member) => population.home(member, shards),
-                    None => shard_index(addr, shards),
-                };
-                (shards == 1 || home() == shard).then_some((slot, addr))
-            })
+        let end = run.len().saturating_add(room);
+        while run.len() < end {
+            let Some(index) = self.order.next() else {
+                return;
+            };
+            let slot = self.slot;
+            self.slot += 1;
+            let index = index as usize;
+            let (addr, member) = if index < resolvers {
+                (
+                    population.resolvers.addr(index),
+                    Some(Member::Resolver(index)),
+                )
+            } else if index < responders {
+                let i = index - resolvers;
+                (population.off_port.addr(i), Some(Member::OffPort(i)))
+            } else {
+                (self.next_silent(), None)
+            };
+            let home = || match member {
+                Some(member) => population.home(member, self.shards),
+                None => shard_index(addr, self.shards),
+            };
+            if self.shards == 1 || home() == self.shard {
+                run.push((slot, addr));
+            }
+        }
     }
 }
 
@@ -158,11 +204,18 @@ impl TargetPlan {
 mod tests {
     use super::*;
     use crate::campaign::{Campaign, ShardPlan};
+    use orscope_authns::capture::{RecordSink, SharedSink};
     use orscope_ipspace::{Blocklist, Cidr};
-    use orscope_netsim::{fx_map_with_capacity, FxHashMap, FxHashSet};
-    use orscope_prober::TargetSource;
+    use orscope_netsim::{
+        fx_map_with_capacity, Context, Coverage, Datagram, Endpoint, FixedLatency, FxHashMap,
+        FxHashSet, LazyRegistry, SimNet, SimTime,
+    };
+    use orscope_prober::{Prober, ProberConfig, TargetSource};
     use orscope_resolver::paper::Year;
     use orscope_resolver::COUNTRY_NONE;
+    use std::cell::RefCell;
+    use std::iter::Peekable;
+    use std::rc::Rc;
 
     /// The responders in index order, how many targets the scan asks
     /// for, and every address silence may not fall on.
@@ -265,6 +318,193 @@ mod tests {
         (shard_slots, shard_targets)
     }
 
+    /// Every pair shard `shard` of `shards` probes, from one fill.
+    fn pairs(plan: &TargetPlan, shard: usize, shards: usize) -> Vec<(u64, Ipv4Addr)> {
+        let mut run = Vec::new();
+        plan.shard(shard, shards).fill(&mut run, usize::MAX);
+        run
+    }
+
+    /// The stream the prober pulled its targets from, one pair at a time
+    /// through two virtual calls, until the walk filled runs of owned
+    /// pairs: the same two permutations, read through adapters. Kept as
+    /// the oracle the walk is checked against.
+    fn boxed_stream(
+        plan: &TargetPlan,
+        shard: usize,
+        shards: usize,
+    ) -> Peekable<Box<dyn Iterator<Item = (u64, Ipv4Addr)>>> {
+        let population = Arc::clone(&plan.population);
+        let infra = plan.infra.clone();
+        let space = Arc::clone(&plan.space);
+        let silent_population = Arc::clone(&population);
+        let mut silent = plan
+            .ranks
+            .iter()
+            .map(move |rank| space.nth(u64::from(rank)).expect("rank in range"))
+            .filter(move |&addr| !infra.contains(&addr) && !silent_population.probes(addr));
+        let resolvers = population.resolvers.len();
+        let responders = resolvers + population.off_port.len();
+        let stream = (0u64..)
+            .zip(plan.order.iter())
+            .filter_map(move |(slot, index)| {
+                let index = index as usize;
+                let (addr, member) = if index < resolvers {
+                    (
+                        population.resolvers.addr(index),
+                        Some(Member::Resolver(index)),
+                    )
+                } else if index < responders {
+                    let i = index - resolvers;
+                    (population.off_port.addr(i), Some(Member::OffPort(i)))
+                } else {
+                    let addr = silent
+                        .next()
+                        .expect("the plan has a free address for every silent slot");
+                    (addr, None)
+                };
+                let home = || match member {
+                    Some(member) => population.home(member, shards),
+                    None => shard_index(addr, shards),
+                };
+                (shards == 1 || home() == shard).then_some((slot, addr))
+            });
+        let stream: Box<dyn Iterator<Item = (u64, Ipv4Addr)>> = Box::new(stream);
+        stream.peekable()
+    }
+
+    /// The boxed stream as a walk that hands the prober single-pair runs.
+    struct OneAtATime(Peekable<Box<dyn Iterator<Item = (u64, Ipv4Addr)>>>);
+
+    impl std::fmt::Debug for OneAtATime {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.write_str("OneAtATime")
+        }
+    }
+
+    impl TargetWalk for OneAtATime {
+        fn fill(&mut self, run: &mut Vec<(u64, Ipv4Addr)>, room: usize) {
+            if room > 0 {
+                run.extend(self.0.next());
+            }
+        }
+    }
+
+    /// Logs when each datagram arrives and where; a fresh one is built
+    /// for every address and released after its one datagram.
+    struct Arrivals(Rc<RefCell<Vec<(SimTime, Ipv4Addr)>>>);
+
+    impl Endpoint for Arrivals {
+        fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
+            self.0.borrow_mut().push((ctx.now(), dgram.dst));
+        }
+
+        fn is_quiescent(&self) -> bool {
+            true
+        }
+    }
+
+    impl Coverage for Arrivals {
+        fn covers(&self, _addr: Ipv4Addr) -> bool {
+            true
+        }
+    }
+
+    impl LazyRegistry for Arrivals {
+        fn materialize(&self, _addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
+            Some(Box::new(Arrivals(Rc::clone(&self.0))))
+        }
+    }
+
+    /// Drops every R2.
+    #[derive(Debug)]
+    struct NoSink;
+
+    impl RecordSink for NoSink {
+        fn on_r2(&mut self, _capture: &orscope_prober::R2Capture) {}
+        fn on_auth(&mut self, _packet: &orscope_authns::CapturedPacket) {}
+    }
+
+    /// When the prober sends each of `targets`' Q1s and where, at the
+    /// campaign's rate: every address is planned and answers nothing,
+    /// and the wire takes no time, so an arrival is a send.
+    fn send_times(config: &CampaignConfig, targets: TargetSource) -> Vec<(SimTime, Ipv4Addr)> {
+        let log = Rc::default();
+        let mut net = SimNet::builder()
+            .latency(FixedLatency(std::time::Duration::ZERO))
+            .lazy_hosts(Arrivals(Rc::clone(&log)))
+            .build();
+        let mut prober_config = ProberConfig::new(config.infra.zone.clone(), targets);
+        prober_config.rate_pps = Campaign::new(config.clone())
+            .shard_knobs(&YearSpec::get(config.year))
+            .total_rate;
+        let sink: SharedSink = Rc::new(RefCell::new(NoSink));
+        let prober = Prober::new(prober_config, sink).expect("a positive rate");
+        net.register(config.infra.prober, prober);
+        net.set_timer_for(config.infra.prober, SimTime::ZERO, 0);
+        net.run_until_idle();
+        log.take()
+    }
+
+    #[test]
+    fn the_walks_runs_are_the_boxed_streams_pairs_sent_at_its_times() {
+        // Runs of every length the prober can meet: one pair, runs that
+        // end mid-tick, the source's own length, and the whole walk. The
+        // prober's send times are compared where every send travels, so
+        // each is seen; full-Q1 scans are sent at a coarser scale.
+        for seed in [0xD5A1_2019, 1, 2, 77] {
+            for shards in [1, 2, 3, 4, 8] {
+                for config in configs(seed, shards) {
+                    let population = Arc::new(Campaign::new(config.clone()).build_population());
+                    let plan = plan_of(&config, &population);
+                    for shard in 0..shards {
+                        let context = format!(
+                            "seed {seed:#x}, full_q1 {}, shard {shard}/{shards}",
+                            config.full_q1
+                        );
+                        let oracle: Vec<_> = boxed_stream(&plan, shard, shards).collect();
+                        for room in [1, 3, 7, TargetSource::RUN, usize::MAX] {
+                            let mut walk = plan.shard(shard, shards);
+                            let mut walked = Vec::new();
+                            let mut run = Vec::new();
+                            loop {
+                                walk.fill(&mut run, room);
+                                assert!(run.len() <= room, "{context}");
+                                if run.is_empty() {
+                                    break;
+                                }
+                                walked.append(&mut run);
+                            }
+                            assert_eq!(walked, oracle, "room {room}: {context}");
+                        }
+                    }
+                }
+                let [fast, full] = configs(seed, shards);
+                let full = CampaignConfig {
+                    scale: 400_000.0,
+                    ..full
+                };
+                for config in [fast, full] {
+                    let population = Arc::new(Campaign::new(config.clone()).build_population());
+                    let plan = plan_of(&config, &population);
+                    for shard in 0..shards {
+                        let context = format!(
+                            "seed {seed:#x}, full_q1 {}, shard {shard}/{shards}",
+                            config.full_q1
+                        );
+                        let oracle =
+                            TargetSource::new(OneAtATime(boxed_stream(&plan, shard, shards)));
+                        let expected = send_times(&config, oracle);
+                        assert!(!expected.is_empty() || shards > 1, "{context}");
+                        let walked =
+                            send_times(&config, TargetSource::new(plan.shard(shard, shards)));
+                        assert_eq!(walked, expected, "{context}");
+                    }
+                }
+            }
+        }
+    }
+
     fn plan_of(config: &CampaignConfig, population: &Arc<Population>) -> TargetPlan {
         Campaign::new(config.clone()).plan_targets(&YearSpec::get(config.year), population)
     }
@@ -292,7 +532,7 @@ mod tests {
                     let plan = plan_of(&config, &population);
                     for shard in 0..shards {
                         let (lazy_slots, lazy_targets): (Vec<u64>, Vec<Ipv4Addr>) =
-                            plan.shard(shard, shards).unzip();
+                            pairs(&plan, shard, shards).into_iter().unzip();
                         let context = format!(
                             "seed {seed:#x}, full_q1 {}, shard {shard}/{shards}",
                             config.full_q1
@@ -367,7 +607,7 @@ mod tests {
                     let plan = plan_of(&config, &population);
                     let order: Vec<u32> = plan.order.iter().collect();
                     for shard in 0..shards {
-                        for (slot, addr) in plan.shard(shard, shards) {
+                        for (slot, addr) in pairs(&plan, shard, shards) {
                             let Some(&&(placed, profile, _)) =
                                 responders.get(order[slot as usize] as usize)
                             else {
@@ -394,8 +634,8 @@ mod tests {
                 let plan = plan_of(&config, &population);
                 let mut total = 0;
                 for shard in 0..shards {
-                    let handed = plan
-                        .shard(shard, shards)
+                    let handed = pairs(&plan, shard, shards)
+                        .into_iter()
                         .filter(|&(_, addr)| population.probes(addr))
                         .count();
                     let targets = TargetSource::new(plan.shard(shard, shards));
@@ -426,7 +666,7 @@ mod tests {
             let mut seen = vec![false; plan.len() as usize];
             for shard in 0..shards {
                 let mut previous = None;
-                for (slot, _) in plan.shard(shard, shards) {
+                for (slot, _) in pairs(&plan, shard, shards) {
                     assert!(previous < Some(slot), "slots increase within a shard");
                     previous = Some(slot);
                     assert!(
@@ -471,7 +711,7 @@ mod tests {
                     assert_eq!(plan.len(), stored.len() as u64);
                     let mut derived = vec![None; stored.len()];
                     for shard in 0..shards {
-                        for (slot, addr) in plan.shard(shard, shards) {
+                        for (slot, addr) in pairs(&plan, shard, shards) {
                             derived[slot as usize] = Some(addr);
                         }
                     }
@@ -497,9 +737,14 @@ mod tests {
         for (config, shards) in configs(77, 1).into_iter().zip([1, 3]) {
             let population = Arc::new(Campaign::new(config.clone()).build_population());
             let plan = plan_of(&config, &population);
-            let whole: Vec<(u64, Ipv4Addr)> = plan.shard(0, shards).collect();
+            let whole = pairs(&plan, 0, shards);
             for k in [0, 1, whole.len() / 2, whole.len()] {
-                let tail: Vec<(u64, Ipv4Addr)> = plan.shard(0, shards).skip(k).collect();
+                let mut walk = plan.shard(0, shards);
+                let mut head = Vec::new();
+                walk.fill(&mut head, k);
+                let mut tail = Vec::new();
+                walk.fill(&mut tail, usize::MAX);
+                assert_eq!(head, whole[..k], "cursor {k} of {}", whole.len());
                 assert_eq!(tail, whole[k..], "cursor {k} of {}", whole.len());
             }
         }
@@ -519,7 +764,7 @@ mod tests {
             let space = AllowedSpace::probeable();
             let mut silent = FxHashSet::default();
             let mut found = 0;
-            for (_, addr) in plan_of(&config, &population).shard(0, 1) {
+            for (_, addr) in pairs(&plan_of(&config, &population), 0, 1) {
                 if responders.contains(&addr) {
                     found += 1;
                     continue;
@@ -581,7 +826,7 @@ mod tests {
         let mut silent = FxHashSet::default();
         let mut sent = 0;
         for shard in 0..config.shards {
-            for (_, addr) in plan.shard(shard, config.shards) {
+            for (_, addr) in pairs(&plan, shard, config.shards) {
                 sent += 1;
                 if !population.probes(addr) {
                     assert!(space.contains(addr) && !taken.contains(&addr), "{addr}");

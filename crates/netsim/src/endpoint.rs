@@ -5,7 +5,7 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 use std::time::Duration;
 
-use crate::datagram::Datagram;
+use crate::datagram::{Datagram, Payload};
 use crate::fxhash::FxHashMap;
 use crate::scheduler::{HostId, TimingWheel, HOST_UNRESOLVED};
 use crate::sim::{Coverage, Wire};
@@ -184,13 +184,56 @@ impl<'a> Context<'a> {
         self.queue(src, dst, || dgram);
     }
 
-    /// Queues a datagram of `payload` from `src` to `dst`, each an
-    /// `(addr, port)` pair: [`Context::send`] for a sender that holds
-    /// its bytes in a buffer of its own. The payload is copied only if
-    /// the datagram will travel, so a sender whose datagrams mostly go
-    /// to nobody — a scanner — allocates for the few that do not.
-    pub fn send_bytes(&mut self, src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16), payload: &[u8]) {
-        self.queue(src.0, dst.0, || Datagram::new(src, dst, payload));
+    /// Queues a datagram from `src` to `dst`, each an `(addr, port)`
+    /// pair, whose payload `payload` builds: [`Context::send`] for a
+    /// sender that writes its bytes on demand. The payload is built only
+    /// if the datagram will travel, so a sender whose datagrams mostly go
+    /// to nobody — a scanner — builds and allocates for the few that do
+    /// not.
+    pub fn send_with(
+        &mut self,
+        src: (Ipv4Addr, u16),
+        dst: (Ipv4Addr, u16),
+        payload: impl FnOnce() -> Payload,
+    ) {
+        self.queue(src.0, dst.0, || Datagram::new(src, dst, payload()));
+    }
+
+    /// Sends a run: for each `(address, item)` of `sends`, in order, one
+    /// datagram from `src` to that address at `dst_port`, with the payload
+    /// `payload(item)` builds. It is what as many [`Context::send_with`]
+    /// calls would do, and what they leave on every book, but the sends
+    /// to nobody are settled together, by two counts, and `payload` runs
+    /// only for the datagrams that travel.
+    ///
+    /// `false`, having drawn nothing from `sends` and built nothing,
+    /// where any fault rule is configured: a rule draws each datagram a
+    /// verdict of its own, so the caller sends each alone. Like
+    /// [`Context::advance_to`], this is a shortcut the simulator takes
+    /// only where it cannot be told apart from the long way.
+    pub fn send_run<T>(
+        &mut self,
+        src: (Ipv4Addr, u16),
+        dst_port: u16,
+        sends: impl IntoIterator<Item = (Ipv4Addr, T)>,
+        mut payload: impl FnMut(T) -> Payload,
+    ) -> bool {
+        if !self.wire.faults.is_inert() {
+            return false;
+        }
+        let mut nobody = 0;
+        for (dst, item) in sends {
+            match self.routes.route(dst) {
+                Some(host) => {
+                    let dgram = Datagram::new(src, (dst, dst_port), payload(item));
+                    self.outgoing.push((dgram, host));
+                }
+                None => nobody += 1,
+            }
+        }
+        self.wire.stats.sent += nobody;
+        self.wire.stats.unrouted += nobody;
+        true
     }
 
     /// Routes a send: queues a datagram that will travel, and settles

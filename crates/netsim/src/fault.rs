@@ -503,6 +503,12 @@ impl FaultInjector {
         verdict
     }
 
+    /// Whether the plan has no rule at all: every verdict is clean and
+    /// no instant differs from another.
+    pub(crate) fn is_inert(&self) -> bool {
+        self.plan.rules.is_empty()
+    }
+
     /// Whether the plan has a crash rule at all: without one,
     /// [`Self::crashed`] is `false` for every address and instant.
     pub(crate) fn has_crash(&self) -> bool {

@@ -105,7 +105,7 @@ const DUPLICATE_GAP: std::time::Duration = std::time::Duration::from_millis(3);
 /// it is sent.
 pub(crate) struct Wire<'a> {
     pub(crate) stats: &'a mut NetStats,
-    faults: &'a mut FaultInjector,
+    pub(crate) faults: &'a mut FaultInjector,
     latency: &'a dyn LatencyModel,
 }
 
@@ -1892,7 +1892,7 @@ mod routing_tests {
 
         /// Every 250 ms sends to nobody, to a live host and to nobody
         /// again — the same pair twice in one handler — either built
-        /// and passed to `send` or as bytes to `send_bytes`.
+        /// and passed to `send` or built on demand by `send_with`.
         struct Sender {
             built: bool,
         }
@@ -1905,7 +1905,7 @@ mod routing_tests {
                     if self.built {
                         ctx.send(Datagram::new(from, (dst, 53), &payload[..]));
                     } else {
-                        ctx.send_bytes(from, (dst, 53), &payload);
+                        ctx.send_with(from, (dst, 53), || payload[..].into());
                     }
                 }
                 if token + 1 < TICKS {

@@ -74,7 +74,7 @@ impl Endpoint for Sender {
             if !pick.is_multiple_of(4) {
                 let dst = self.peers[pick as usize % self.peers.len()];
                 let payload = [state.ticks as u8, state.heard as u8];
-                ctx.send_bytes((SENDER, SENDER_PORT), (dst, 53), &payload);
+                ctx.send_with((SENDER, SENDER_PORT), (dst, 53), || payload[..].into());
             }
             if state.ticks == self.ticks {
                 return;
@@ -124,11 +124,9 @@ impl Endpoint for Peer {
     }
 
     fn handle_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
-        ctx.send_bytes(
-            (ctx.local_addr(), 53),
-            (SENDER, SENDER_PORT),
-            &[token as u8, 0xEE],
-        );
+        ctx.send_with((ctx.local_addr(), 53), (SENDER, SENDER_PORT), || {
+            [token as u8, 0xEE][..].into()
+        });
     }
 
     fn is_quiescent(&self) -> bool {

@@ -10,8 +10,8 @@ use std::time::Duration;
 
 use orscope_check::{cases, Rng};
 use orscope_netsim::{
-    Context, Datagram, Endpoint, FaultKind, FaultPlan, FaultRule, FaultScope, FixedLatency, SimNet,
-    SimTime,
+    Context, Coverage, Datagram, Endpoint, FaultKind, FaultPlan, FaultRule, FaultScope,
+    FixedLatency, LazyRegistry, NetStats, SimNet, SimTime,
 };
 
 /// Echoes every datagram and records receive times.
@@ -219,4 +219,201 @@ fn blackhole_window_is_total() {
         assert_eq!(clean_server as usize, packets.len());
         assert_eq!(clean_client as usize, packets.len());
     });
+}
+
+/// What a run of sends reached: each datagram's arrival time, host and
+/// payload.
+type Log = Vec<(SimTime, Ipv4Addr, Vec<u8>)>;
+type Heard = Rc<std::cell::RefCell<Log>>;
+
+/// Logs every datagram it hears; released after each one when lazy.
+struct Hears(Heard);
+
+impl Endpoint for Hears {
+    fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
+        self.0
+            .borrow_mut()
+            .push((ctx.now(), dgram.dst, dgram.payload.to_vec()));
+    }
+
+    fn is_quiescent(&self) -> bool {
+        true
+    }
+}
+
+/// Plans a [`Hears`] at every 10.3.0.x.
+struct Plans(Heard);
+
+impl Coverage for Plans {
+    fn covers(&self, addr: Ipv4Addr) -> bool {
+        addr.octets()[..3] == [10, 3, 0]
+    }
+}
+
+impl LazyRegistry for Plans {
+    fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
+        self.covers(addr)
+            .then(|| Box::new(Hears(Rc::clone(&self.0))) as Box<dyn Endpoint>)
+    }
+}
+
+/// Sends one run a tick: `runs[token]`, each datagram carrying its
+/// tick and place, through one [`Context::send_run`] or one
+/// [`Context::send_with`] a send. Counts the payloads it built and
+/// notes what each `send_run` answered.
+struct RunSender {
+    runs: Vec<Vec<Ipv4Addr>>,
+    one_call: bool,
+    built: Rc<Cell<u64>>,
+    answers: Rc<std::cell::RefCell<Vec<bool>>>,
+}
+
+impl Endpoint for RunSender {
+    fn handle_datagram(&mut self, _dgram: &Datagram, _ctx: &mut Context<'_>) {}
+
+    fn handle_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
+        let from = (ctx.local_addr(), 61_000);
+        let run = &self.runs[token as usize];
+        let built = &self.built;
+        let payload = |i: usize| {
+            built.set(built.get() + 1);
+            [token as u8, i as u8][..].into()
+        };
+        if self.one_call {
+            let sends = run.iter().copied().zip(0..);
+            let answer = ctx.send_run(from, 53, sends, payload);
+            self.answers.borrow_mut().push(answer);
+        } else {
+            for (i, &dst) in run.iter().enumerate() {
+                ctx.send_with(from, (dst, 53), || payload(i));
+            }
+        }
+        if token + 1 < self.runs.len() as u64 {
+            ctx.set_timer(Duration::from_millis(5), token + 1);
+        }
+    }
+}
+
+const RUN_SENDER: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 1);
+const EAGER: Ipv4Addr = Ipv4Addr::new(10, 2, 0, 1);
+
+/// Runs `runs` from [`RUN_SENDER`] under `plan`: the books, what was
+/// heard, how many payloads were built, and what `send_run` answered.
+fn send_runs(
+    runs: &[Vec<Ipv4Addr>],
+    one_call: bool,
+    plan: FaultPlan,
+) -> (NetStats, Log, u64, Vec<bool>) {
+    let heard = Heard::default();
+    let mut net = SimNet::builder()
+        .latency(FixedLatency(Duration::from_millis(3)))
+        .faults(plan)
+        .lazy_hosts(Plans(Rc::clone(&heard)))
+        .build();
+    let built = Rc::new(Cell::new(0));
+    let answers = Rc::default();
+    net.register(EAGER, Hears(Rc::clone(&heard)));
+    net.register(
+        RUN_SENDER,
+        RunSender {
+            runs: runs.to_vec(),
+            one_call,
+            built: Rc::clone(&built),
+            answers: Rc::clone(&answers),
+        },
+    );
+    net.set_timer_for(RUN_SENDER, SimTime::ZERO, 0);
+    net.run_until_idle();
+    let heard = heard.take();
+    (*net.stats(), heard, built.get(), answers.take())
+}
+
+/// Runs of up to a dozen sends to the eager host, planned hosts and
+/// nobody, the same address twice in a run included.
+fn runs(rng: &mut Rng) -> Vec<Vec<Ipv4Addr>> {
+    (0..rng.range(1..6))
+        .map(|_| {
+            (0..rng.range(0..12))
+                .map(|_| match rng.range(0..4) {
+                    0 => EAGER,
+                    1 => Ipv4Addr::new(10, 3, 0, rng.range(0..4)),
+                    _ => Ipv4Addr::new(10, 4, 0, rng.range(0..4)),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+#[test]
+fn a_run_settled_in_one_call_is_each_send_settled_alone() {
+    cases(200, |rng| {
+        let runs = runs(rng);
+        let (stats, heard, built, answers) = send_runs(&runs, true, FaultPlan::new());
+        let (alone, heard_alone, built_alone, _) = send_runs(&runs, false, FaultPlan::new());
+        assert!(answers.iter().all(|&answer| answer));
+        assert_eq!(stats, alone, "every book: {runs:?}");
+        assert_eq!(heard, heard_alone, "every payload that travelled: {runs:?}");
+        // A payload is built for the sends that travel, and only for them.
+        let travelled = runs
+            .iter()
+            .flatten()
+            .filter(|dst| dst.octets()[..2] != [10, 4])
+            .count() as u64;
+        assert_eq!((built, built_alone), (travelled, travelled), "{runs:?}");
+        assert_eq!(stats.sent, runs.iter().flatten().count() as u64);
+        assert_eq!(stats.unrouted, stats.sent - travelled);
+    });
+}
+
+#[test]
+fn a_run_is_refused_under_every_kind_of_fault_rule() {
+    // Each kind, scoped to a host no run reaches and active only long
+    // after the runs: it draws no verdict on them, yet its presence is
+    // enough to refuse the shortcut.
+    let elsewhere = FaultScope::Host(Ipv4Addr::new(10, 9, 9, 9));
+    let kinds = [
+        FaultKind::Loss { probability: 1.0 },
+        FaultKind::Duplicate { probability: 1.0 },
+        FaultKind::Delay {
+            extra: Duration::from_millis(1),
+            jitter: Duration::ZERO,
+        },
+        FaultKind::Reorder {
+            probability: 1.0,
+            max_shift: Duration::from_millis(1),
+        },
+        FaultKind::Blackhole,
+        FaultKind::Crash,
+    ];
+    let runs = vec![
+        vec![
+            EAGER,
+            Ipv4Addr::new(10, 3, 0, 1),
+            Ipv4Addr::new(10, 4, 0, 1)
+        ];
+        3
+    ];
+    let (clean, clean_heard, ..) = send_runs(&runs, true, FaultPlan::new());
+    for kind in kinds {
+        let rule = FaultRule::window(
+            Duration::from_secs(3_600),
+            Duration::from_secs(7_200),
+            elsewhere,
+            kind,
+        );
+        let (stats, heard, built, answers) =
+            send_runs(&runs, true, FaultPlan::seeded(7).with_rule(rule));
+        assert_eq!(answers, [false; 3], "{kind:?}");
+        assert_eq!(
+            (stats.sent, built),
+            (0, 0),
+            "{kind:?}: nothing sent or built"
+        );
+        assert!(heard.is_empty(), "{kind:?}");
+        // Sent alone, the runs leave what one call leaves without a rule.
+        let (alone, heard_alone, ..) =
+            send_runs(&runs, false, FaultPlan::seeded(7).with_rule(rule));
+        assert_eq!(alone, clean, "{kind:?}");
+        assert_eq!(heard_alone, clean_heard, "{kind:?}");
+    }
 }

@@ -31,5 +31,5 @@ pub mod subdomain;
 
 pub use capture::{ProbeStats, R2Capture};
 pub use pacer::{Pacer, ZeroRateError};
-pub use scan::{Prober, ProberConfig, TargetSource, MAX_RETRIES};
+pub use scan::{Prober, ProberConfig, TargetSource, TargetWalk, MAX_RETRIES};
 pub use subdomain::SubdomainGenerator;

@@ -1,8 +1,6 @@
 //! The prober endpoint: paced scanning, qname matching, reuse.
 
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
-use std::iter::Peekable;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
@@ -10,51 +8,98 @@ use orscope_authns::capture::SharedSink;
 use orscope_authns::scheme::ProbeLabel;
 use orscope_dns_wire::wire::Reader;
 use orscope_dns_wire::{Header, Message, Name, Question};
-use orscope_netsim::{Context, Datagram, Endpoint, FxHashMap, SimTime};
+use orscope_netsim::{Context, Datagram, Endpoint, Payload, SimTime};
 
 use crate::capture::{ProbeStats, R2Capture};
 use crate::pacer::{Pacer, ZeroRateError};
 use crate::subdomain::SubdomainGenerator;
 
-/// The scan's targets: a stream of `(slot, address)` pairs in scan
-/// order, pulled one at a time.
+/// What fills a [`TargetSource`]: a walk over the scan's
+/// `(slot, address)` pairs in scan order, handed over in runs.
 ///
-/// Like ZMap, the prober never holds the target list. A campaign hands
-/// it an iterator that walks the scan permutation and keeps the pairs
-/// this shard owns; `slot` is the target's campaign-wide scan index,
-/// which the pacer's tick grid ([`Pacer::slot_tick`]) turns into a send
-/// time. A plain list converts with its positions as slots.
+/// A campaign's walk steps through the scan permutation and keeps the
+/// pairs its shard owns; `slot` is the target's campaign-wide scan
+/// index, which the pacer's tick grid ([`Pacer::slot_tick`]) turns into
+/// a send time. Slots must not decrease from one pair to the next.
+pub trait TargetWalk: std::fmt::Debug {
+    /// Appends the walk's next pairs to `run`, at most `room` of them,
+    /// and none only once the walk is over.
+    fn fill(&mut self, run: &mut Vec<(u64, Ipv4Addr)>, room: usize);
+}
+
+/// The scan's targets: `(slot, address)` pairs in scan order, read
+/// from a buffer of owned pairs that its [`TargetWalk`] refills a run at
+/// a time.
+///
+/// Like ZMap, the prober never holds the target list: the buffer holds
+/// one run, so what a target costs the source is a read, and what the
+/// walk costs is one call a run. A plain list converts as one run, with
+/// its positions as slots.
+#[derive(Debug)]
 pub struct TargetSource {
-    pairs: Peekable<Box<dyn Iterator<Item = (u64, Ipv4Addr)>>>,
+    run: Vec<(u64, Ipv4Addr)>,
+    /// How many pairs of `run` have been handed out.
+    taken: usize,
+    /// What refills `run`; `None` once it has run dry.
+    walk: Option<Box<dyn TargetWalk>>,
 }
 
 impl TargetSource {
-    /// Wraps a `(slot, address)` stream. Slots must not decrease.
-    pub fn new(pairs: impl Iterator<Item = (u64, Ipv4Addr)> + 'static) -> Self {
-        let pairs: Box<dyn Iterator<Item = (u64, Ipv4Addr)>> = Box::new(pairs);
+    /// The pairs a walk is asked for at a time.
+    pub const RUN: usize = 16;
+
+    /// A source that `walk` fills.
+    pub fn new(walk: impl TargetWalk + 'static) -> Self {
         Self {
-            pairs: pairs.peekable(),
+            run: Vec::with_capacity(Self::RUN),
+            taken: 0,
+            walk: Some(Box::new(walk)),
         }
     }
 
-    fn peek(&mut self) -> Option<(u64, Ipv4Addr)> {
-        self.pairs.peek().copied()
+    /// Takes the next target if its slot is below `due`.
+    fn next_due(&mut self, due: u64) -> Option<Ipv4Addr> {
+        if self.is_empty() {
+            return None;
+        }
+        let (slot, target) = self.run[self.taken];
+        if slot >= due {
+            return None;
+        }
+        self.taken += 1;
+        Some(target)
     }
 
-    fn next(&mut self) -> Option<(u64, Ipv4Addr)> {
-        self.pairs.next()
+    /// Whether every target has been taken.
+    #[inline]
+    fn is_empty(&mut self) -> bool {
+        self.taken == self.run.len() && !self.refill()
+    }
+
+    /// Refills the run, which has all been read, from the walk; drops
+    /// the walk once that finds no pair. Whether it found one.
+    #[inline(never)]
+    fn refill(&mut self) -> bool {
+        let Some(walk) = &mut self.walk else {
+            return false;
+        };
+        self.run.clear();
+        self.taken = 0;
+        walk.fill(&mut self.run, Self::RUN);
+        if self.run.is_empty() {
+            self.walk = None;
+        }
+        !self.run.is_empty()
     }
 }
 
 impl From<Vec<Ipv4Addr>> for TargetSource {
     fn from(targets: Vec<Ipv4Addr>) -> Self {
-        Self::new((0u64..).zip(targets))
-    }
-}
-
-impl std::fmt::Debug for TargetSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TargetSource").finish_non_exhaustive()
+        Self {
+            run: (0u64..).zip(targets).collect(),
+            taken: 0,
+            walk: None,
+        }
     }
 }
 
@@ -102,6 +147,9 @@ impl ProberConfig {
 
 /// Timer tokens.
 const TICK: u64 = 0;
+
+/// The port every Q1 leaves from.
+const PORT: u16 = 61_000;
 
 /// The largest per-probe retransmission budget: the backoff doubles up
 /// to the 16th retry, and the in-flight book keeps (and every tick
@@ -167,9 +215,8 @@ struct Ring {
 #[derive(Debug)]
 struct InFlight {
     rings: Vec<Ring>,
-    /// Each target's live flight. Fx, not SipHash: the simulator
-    /// controls every key.
-    index: FxHashMap<Ipv4Addr, u32>,
+    /// Each target's live flight.
+    index: TicketIndex,
     window: Duration,
     next_seq: u32,
 }
@@ -178,7 +225,7 @@ impl InFlight {
     fn new(window: Duration) -> Self {
         Self {
             rings: Vec::new(),
-            index: FxHashMap::default(),
+            index: TicketIndex::default(),
             window,
             next_seq: 0,
         }
@@ -191,18 +238,10 @@ impl InFlight {
 
     /// Files a fresh probe's transmission; returns the label of the
     /// flight it supersedes, which dies. A superseding probe takes over
-    /// the target's ticket in place, as [`InFlight::resend`] does: an
-    /// entry reserves room only for a vacant key, where an insert
-    /// reserves it before it looks the key up.
+    /// the target's ticket in place, as [`InFlight::resend`] does.
     fn send(&mut self, target: Ipv4Addr, label: ProbeLabel, now: SimTime) -> Option<ProbeLabel> {
         let ticket = self.push(target, label, 0, now);
-        let earlier = match self.index.entry(target) {
-            Entry::Vacant(slot) => {
-                slot.insert(ticket);
-                return None;
-            }
-            Entry::Occupied(mut slot) => slot.insert(ticket),
-        };
+        let earlier = self.index.insert(target, ticket)?;
         let earlier = self.flight_mut(earlier);
         let label = earlier.label();
         earlier.label = DEAD;
@@ -211,14 +250,11 @@ impl InFlight {
 
     /// Files the retransmission at attempt `level` of a flight that
     /// [`InFlight::pop_due`] took: it takes over the target's ticket in
-    /// place (an insert reserves room first, which doubles an index at
-    /// its load limit).
+    /// place.
     fn resend(&mut self, target: Ipv4Addr, label: ProbeLabel, level: u32, now: SimTime) {
         let ticket = self.push(target, label, level, now);
-        *self
-            .index
-            .get_mut(&target)
-            .expect("a taken flight keeps its ticket") = ticket;
+        let taken = self.index.insert(target, ticket);
+        debug_assert!(taken.is_some(), "a taken flight keeps its ticket");
     }
 
     /// Appends a transmission to its level's ring; returns its ticket.
@@ -261,7 +297,7 @@ impl InFlight {
 
     /// The label and send time of `target`'s live flight.
     fn live(&self, target: Ipv4Addr) -> Option<(ProbeLabel, SimTime)> {
-        let (level, at) = self.locate(*self.index.get(&target)?);
+        let (level, at) = self.locate(self.index.get(target)?);
         let flight = &self.rings[level].flights[at];
         Some((flight.label(), flight.sent_at))
     }
@@ -269,10 +305,7 @@ impl InFlight {
     /// Settles `target`'s live flight, answered: it leaves the index and
     /// dies in its ring.
     fn settle(&mut self, target: Ipv4Addr) {
-        let ticket = self
-            .index
-            .remove(&target)
-            .expect("a live flight is settled");
+        let ticket = self.index.remove(target).expect("a live flight is settled");
         self.flight_mut(ticket).label = DEAD;
     }
 
@@ -317,7 +350,117 @@ impl InFlight {
     /// Drops `target`, whose flight [`InFlight::pop_due`] took, from the
     /// index: the probe is abandoned.
     fn forget(&mut self, target: Ipv4Addr) {
-        self.index.remove(&target);
+        self.index.remove(target);
+    }
+}
+
+/// A ticket no slot of a [`TicketIndex`] holds: the mark of a free
+/// slot. Every ticket's level is at most [`MAX_RETRIES`].
+const VACANT: u32 = u32::MAX;
+
+/// Each target's live ticket: open addressing over `(address, ticket)`
+/// slots, 8 B each, at most half of them full. A key is probed for
+/// linearly from its Fibonacci hash's top bits, and a removal shifts
+/// the run of slots after it back instead of leaving a tombstone, so a
+/// probe stops at the first free slot however long the keys have
+/// churned: every silent probe is filed here and removed again when it
+/// expires.
+#[derive(Debug, Default)]
+struct TicketIndex {
+    slots: Vec<(u32, u32)>,
+    len: usize,
+}
+
+impl TicketIndex {
+    /// Whether no target is held.
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// How many targets fit before the slots double.
+    #[cfg(test)]
+    fn capacity(&self) -> usize {
+        self.slots.len() / 2
+    }
+
+    /// The slot `addr` hashes to.
+    fn home(&self, addr: u32) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (u64::from(addr).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// The slot that holds `addr`, or the free slot its probe ends at.
+    fn find(&self, addr: u32) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(addr);
+        while self.slots[at].1 != VACANT && self.slots[at].0 != addr {
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// `target`'s ticket.
+    fn get(&self, target: Ipv4Addr) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let ticket = self.slots[self.find(u32::from(target))].1;
+        (ticket != VACANT).then_some(ticket)
+    }
+
+    /// Files `ticket` for `target`; returns the ticket it replaces. Only
+    /// a new key can make the slots double.
+    fn insert(&mut self, target: Ipv4Addr, ticket: u32) -> Option<u32> {
+        debug_assert_ne!(ticket, VACANT);
+        let addr = u32::from(target);
+        if 2 * (self.len + 1) > self.slots.len() && self.get(target).is_none() {
+            self.grow();
+        }
+        let at = self.find(addr);
+        let earlier = std::mem::replace(&mut self.slots[at], (addr, ticket)).1;
+        if earlier != VACANT {
+            return Some(earlier);
+        }
+        self.len += 1;
+        None
+    }
+
+    /// Drops `target`; returns its ticket. Each later slot of the run
+    /// that its probe passes the freed slot on moves back into it.
+    fn remove(&mut self, target: Ipv4Addr) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut free = self.find(u32::from(target));
+        let ticket = self.slots[free].1;
+        if ticket == VACANT {
+            return None;
+        }
+        let mut next = (free + 1) & mask;
+        while self.slots[next].1 != VACANT {
+            let home = self.home(self.slots[next].0);
+            if next.wrapping_sub(home) & mask >= next.wrapping_sub(free) & mask {
+                self.slots[free] = self.slots[next];
+                free = next;
+            }
+            next = (next + 1) & mask;
+        }
+        self.slots[free].1 = VACANT;
+        self.len -= 1;
+        Some(ticket)
+    }
+
+    /// Doubles the slots (sixteen at first) and files every key again.
+    fn grow(&mut self) {
+        let slots = (2 * self.slots.len()).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![(0, VACANT); slots]);
+        for (addr, ticket) in old {
+            if ticket != VACANT {
+                let at = self.find(addr);
+                self.slots[at] = (addr, ticket);
+            }
+        }
     }
 }
 
@@ -388,6 +531,11 @@ impl QueryTemplate {
         self.wire[self.cluster_at..][..3].copy_from_slice(&first[2..]);
         self.wire[self.seq_at..][..7].copy_from_slice(&second);
         &self.wire
+    }
+
+    /// The Q1 for `label`, as a datagram carries it.
+    fn payload(&mut self, label: ProbeLabel) -> Payload {
+        self.fill(label).into()
     }
 }
 
@@ -461,45 +609,42 @@ impl Prober {
         }
     }
 
-    /// Sends the Q1 for `label` to `target`. Returns `false` if no Q1
-    /// can be built (the probe is skipped).
-    fn transmit(&mut self, label: ProbeLabel, target: Ipv4Addr, ctx: &mut Context<'_>) -> bool {
-        let Some(template) = &mut self.template else {
-            return false;
-        };
-        ctx.send_bytes(
-            (ctx.local_addr(), 61_000),
-            (target, 53),
-            template.fill(label),
-        );
-        true
-    }
-
-    /// Sends a fresh probe to `target`, allocating a new subdomain. A
-    /// probe still in flight to it is superseded: abandoned, and its
-    /// subdomain recycled.
-    fn send_probe(&mut self, target: Ipv4Addr, ctx: &mut Context<'_>) -> bool {
-        let label = self.generator.next_label();
-        if !self.transmit(label, target, ctx) {
-            return false;
-        }
-        if let Some(earlier) = self.in_flight.send(target, label, ctx.now()) {
-            self.generator.recycle(earlier);
-            self.stats.probes_abandoned += 1;
-        }
-        true
-    }
-
-    /// Sends every target whose slot has fallen due by this tick.
+    /// Files a fresh probe of every target whose slot has fallen due by
+    /// this tick, and sends their Q1s as one run. A probe still in flight
+    /// to its target is superseded: abandoned, and its subdomain
+    /// recycled. A Q1 is built only for a send that travels.
     fn send_batch(&mut self, ctx: &mut Context<'_>) {
         let due = Pacer::slots_due(self.tick, self.config.rate_pps);
-        while let Some((slot, target)) = self.config.targets.peek() {
-            if slot >= due {
-                break;
+        let Self {
+            config,
+            generator,
+            in_flight,
+            stats,
+            template,
+            ..
+        } = self;
+        let Some(template) = template else {
+            // No Q1 can be built: every probe is skipped.
+            while config.targets.next_due(due).is_some() {
+                generator.next_label();
             }
-            self.config.targets.next();
-            if self.send_probe(target, ctx) {
-                self.stats.q1_sent += 1;
+            return;
+        };
+        let now = ctx.now();
+        let mut fresh = std::iter::from_fn(|| {
+            let target = config.targets.next_due(due)?;
+            let label = generator.next_label();
+            if let Some(earlier) = in_flight.send(target, label, now) {
+                generator.recycle(earlier);
+                stats.probes_abandoned += 1;
+            }
+            stats.q1_sent += 1;
+            Some((target, label))
+        });
+        let from = (ctx.local_addr(), PORT);
+        if !ctx.send_run(from, 53, &mut fresh, |label| template.payload(label)) {
+            for (target, label) in fresh {
+                ctx.send_with(from, (target, 53), || template.payload(label));
             }
         }
     }
@@ -512,7 +657,11 @@ impl Prober {
         let now = ctx.now();
         while let Some((flight, level)) = self.in_flight.pop_due(now) {
             let (target, label) = (flight.target, flight.label());
-            if level < self.config.retry_limit && self.transmit(label, target, ctx) {
+            if level < self.config.retry_limit {
+                let template = self.template.as_mut().expect("a probe in flight was built");
+                ctx.send_with((ctx.local_addr(), PORT), (target, 53), || {
+                    template.payload(label)
+                });
                 self.in_flight.resend(target, label, level + 1, now);
                 self.stats.retransmits_sent += 1;
                 continue;
@@ -573,7 +722,7 @@ impl Endpoint for Prober {
             self.stats.pacer_ticks += 1;
             self.sweep_expired(ctx);
             self.send_batch(ctx);
-            if self.config.targets.peek().is_none() && self.in_flight.is_empty() {
+            if self.config.targets.is_empty() && self.in_flight.is_empty() {
                 self.stats.done = true;
                 self.stats.finished_at = ctx.now();
                 break;
@@ -606,7 +755,7 @@ mod tests {
     use super::*;
     use crate::capture::tests::Log;
     use orscope_dns_wire::{RData, Rcode, Record};
-    use orscope_netsim::{FixedLatency, SimNet};
+    use orscope_netsim::{FixedLatency, FxHashMap, SimNet};
     use std::cell::RefCell;
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
@@ -810,6 +959,30 @@ mod tests {
     }
 
     #[test]
+    fn the_ticket_index_is_a_map() {
+        // Inserts, replacements, removals and lookups over keys drawn
+        // from a small range, so runs collide and wrap the slots' end.
+        orscope_check::cases(200, |rng| {
+            let mut index = TicketIndex::default();
+            let mut map: FxHashMap<Ipv4Addr, u32> = FxHashMap::default();
+            let keys = rng.range(1..200u32);
+            for step in 0..rng.range(0..600u32) {
+                let key = Ipv4Addr::from(rng.range(0..keys).wrapping_mul(0x0100_0001));
+                match rng.range(0..3) {
+                    0 => assert_eq!(index.insert(key, step), map.insert(key, step)),
+                    1 => assert_eq!(index.remove(key), map.remove(&key)),
+                    _ => assert_eq!(index.get(key), map.get(&key).copied()),
+                }
+                assert_eq!(index.len, map.len());
+                assert!(2 * index.len <= index.slots.len());
+            }
+            for (&key, &ticket) in &map {
+                assert_eq!(index.get(key), Some(ticket));
+            }
+        });
+    }
+
+    #[test]
     fn sweeping_dead_flights_never_grows_the_index() {
         // The index at its load limit, with dead flights ahead of every
         // live one in the ring: answered ones and superseded ones. Every
@@ -818,7 +991,7 @@ mod tests {
         // retransmits every live flight in place: the index keeps its
         // length and its capacity throughout.
         let mut book = InFlight::new(Duration::from_millis(200));
-        book.index.reserve(16);
+        book.index.grow();
         let n = book.index.capacity() as u32;
         let label = |i: u32| ProbeLabel::new(0, u64::from(i));
         let (first, second) = (SimTime::ZERO, SimTime::from_nanos(1_000_000));
@@ -836,7 +1009,7 @@ mod tests {
         for i in n / 2..n {
             assert_eq!(book.send(Ipv4Addr::from(i), label(2 * n + i), second), None);
         }
-        let full = (book.index.len(), book.index.capacity());
+        let full = (book.index.len, book.index.capacity());
         assert_eq!(full.0, full.1, "the index is at its load limit");
         // Superseding every live flight at the limit takes each ticket
         // over in place.
@@ -845,7 +1018,7 @@ mod tests {
             assert_eq!(superseded, Some(label(2 * n + i)));
         }
         assert_eq!(
-            (book.index.len(), book.index.capacity()),
+            (book.index.len, book.index.capacity()),
             full,
             "a superseding probe makes no room"
         );
@@ -857,7 +1030,7 @@ mod tests {
             "the dead are dropped"
         );
         assert_eq!(
-            (book.index.len(), book.index.capacity()),
+            (book.index.len, book.index.capacity()),
             full,
             "a dead flight settles nothing and makes no room"
         );
@@ -866,7 +1039,7 @@ mod tests {
             assert_eq!(level, 0);
             book.resend(flight.target, flight.label(), 1, late);
         }
-        assert_eq!((book.index.len(), book.index.capacity()), full);
+        assert_eq!((book.index.len, book.index.capacity()), full);
         assert_eq!(book.rings[1].flights.len() as u32, n);
     }
 
@@ -1014,12 +1187,113 @@ mod tests {
             },
             |config| {
                 config.targets =
-                    TargetSource::new(std::iter::once((100, Ipv4Addr::new(9, 9, 9, 9))));
+                    TargetSource::new(Runs::new(vec![(100, Ipv4Addr::new(9, 9, 9, 9))], &[1]));
             },
         );
         let captures = scanned.captures();
         assert_eq!(captures.len(), 1);
         assert_eq!(captures[0].sent_at, SimTime::from_nanos(100_000_000));
+    }
+
+    /// A walk over fixed pairs that hands them out in runs of the
+    /// lengths `lengths` cycles through, each cut to the room asked for.
+    #[derive(Debug)]
+    struct Runs {
+        pairs: VecDeque<(u64, Ipv4Addr)>,
+        lengths: Vec<usize>,
+        next: usize,
+    }
+
+    impl Runs {
+        fn new(pairs: Vec<(u64, Ipv4Addr)>, lengths: &[usize]) -> Self {
+            Self {
+                pairs: pairs.into(),
+                lengths: lengths.to_vec(),
+                next: 0,
+            }
+        }
+    }
+
+    impl TargetWalk for Runs {
+        fn fill(&mut self, run: &mut Vec<(u64, Ipv4Addr)>, room: usize) {
+            let length = self.lengths[self.next % self.lengths.len()];
+            self.next += 1;
+            let length = length.min(room).min(self.pairs.len());
+            run.extend(self.pairs.drain(..length));
+        }
+    }
+
+    /// Logs when each datagram arrives and where; built for every
+    /// address and released after its one datagram.
+    struct Arrivals(Rc<RefCell<Vec<(SimTime, Ipv4Addr)>>>);
+
+    impl Endpoint for Arrivals {
+        fn handle_datagram(&mut self, dgram: &Datagram, ctx: &mut Context<'_>) {
+            self.0.borrow_mut().push((ctx.now(), dgram.dst));
+        }
+
+        fn is_quiescent(&self) -> bool {
+            true
+        }
+    }
+
+    impl orscope_netsim::Coverage for Arrivals {
+        fn covers(&self, _addr: Ipv4Addr) -> bool {
+            true
+        }
+    }
+
+    impl orscope_netsim::LazyRegistry for Arrivals {
+        fn materialize(&self, _addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
+            Some(Box::new(Arrivals(Rc::clone(&self.0))))
+        }
+    }
+
+    #[test]
+    fn runs_of_any_length_send_each_target_at_its_slots_tick() {
+        // 1,000 pps is ten slots a tick: runs of one pair, runs that end
+        // mid-tick, runs that end exactly where a tick's slots do, runs
+        // of mixed length, and the whole list as one run, over every
+        // slot, every fourth slot, and nothing at all. Every address is
+        // planned and the wire takes 10 ms, so each send is seen.
+        let every: Vec<(u64, Ipv4Addr)> = (0..95u32)
+            .map(|i| (u64::from(i), Ipv4Addr::from(0x0900_0000 + i)))
+            .collect();
+        let sparse: Vec<(u64, Ipv4Addr)> =
+            every.iter().map(|&(slot, a)| (4 * slot + 3, a)).collect();
+        for pairs in [every, sparse, Vec::new()] {
+            let expected: Vec<(SimTime, Ipv4Addr)> = pairs
+                .iter()
+                .map(|&(slot, target)| {
+                    let tick = Pacer::slot_tick(slot, 1_000);
+                    let sent = SimTime::from_nanos(tick * 10_000_000);
+                    (sent + Duration::from_millis(10), target)
+                })
+                .collect();
+            for lengths in [
+                &[1][..],
+                &[3],
+                &[7],
+                &[10],
+                &[10, 1, 9],
+                &[TargetSource::RUN],
+                &[usize::MAX],
+            ] {
+                let log = Rc::default();
+                let mut net = SimNet::builder()
+                    .latency(FixedLatency(Duration::from_millis(10)))
+                    .lazy_hosts(Arrivals(Rc::clone(&log)))
+                    .build();
+                let mut config = ProberConfig::new(zone(), Vec::new());
+                config.targets = TargetSource::new(Runs::new(pairs.clone(), lengths));
+                config.rate_pps = 1_000;
+                config.response_window = Duration::from_millis(200);
+                let stats = Scanned::new(config).run(&mut net).stats();
+                assert!(stats.done, "{lengths:?}");
+                assert_eq!(stats.q1_sent, pairs.len() as u64, "{lengths:?}");
+                assert_eq!(log.take(), expected, "runs of {lengths:?}");
+            }
+        }
     }
 
     /// Answers like [`FixedAnswer`] with the question section removed.

@@ -58,8 +58,14 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // would say otherwise).
     ("dense", "materializations", 3_253.0, 3_253.0),
     ("dense", "planned hosts", 3_253.0, 3_253.0),
-    // The most the whole campaign holds at once: 150,263 B. It read
-    // 150,335 B while each capture point also carried a packet log of its
+    // The most the whole campaign holds at once: 150,023 B. It read
+    // 150,263 B while the prober pulled its targets one at a time from a
+    // boxed stream of iterator adapters, where a walk now fills a buffer
+    // of 16 owned `(slot, address)` pairs (256 B) a run, and while its
+    // address-to-ticket index was a hash map of 8 B buckets and a
+    // control byte each, at most seven eighths full, where it is now
+    // open-addressed 8 B slots, at most half full (150,295 B with the
+    // run buffer and the hash map); 150,335 B while each capture point also carried a packet log of its
     // own that nothing wrote, 150,359 B while the prober's book sat in a
     // shared handle outside the prober (its reference counts, borrow flag and an R2 log no
     // campaign wrote), and 150,499 B while the prober kept a second, local pacer's carry
@@ -69,7 +75,7 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // read; 161,427 B when the prober kept each probe in flight twice — a
     // 48 B bucket of a map keyed by target and a 24 B entry of an
     // expiry queue — where one 24 B flight in a ring per attempt level
-    // and an 8 B bucket of an address-to-ticket index now do, and the
+    // and an 8 B slot of an address-to-ticket index now do, and the
     // resolvers' maps each carried 16 B of SipHash keys. It read
     // 173,982 B when about two hosts in three drew a version.bind
     // banner, which interned up to seven variants of each profile, and
@@ -100,8 +106,8 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     (
         "dense",
         "peak live bytes per planned host",
-        150_263.0 / 3_253.0,
-        150_263.0 / 3_253.0,
+        150_023.0 / 3_253.0,
+        150_023.0 / 3_253.0,
     ),
     ("dense", "live hosts at the peak", 325.0, 10.0),
     // `generate`: `Population::generate` for the `dense` campaign, on
@@ -155,16 +161,15 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // `sparse`: a one-shard full-Q1 campaign at scale 60,000, almost
     // all silence. A send to nobody is settled as unrouted on the spot:
     // it is no event, is lost from no book and is never built — the
-    // prober hands its template's bytes to `Context::send_bytes`, which
-    // copies them only for a destination somebody holds or is planned
-    // at. The ticks that pace the scan run inside one dispatch while
+    // prober hands each tick's sends to `Context::send_run`, which asks
+    // for a Q1 only for a destination somebody holds or is planned at. The ticks that pace the scan run inside one dispatch while
     // nothing else is queued, and one that must be armed waits beside
     // the wheel, not in a slot. What is left is the 1.3 % of probes
     // that are answered. A payload built for nobody, or a lone timer
     // filed into a slot, costs one allocation a datagram and trips the
     // budget twenty times over (0.033 when the wheel's slots grew
     // buffers of their own); a change to the prober's send path,
-    // `Context::send_bytes`, `TimingWheel::push` or `Coverage::covers`
+    // `Context::send_run`, `TimingWheel::push` or `Coverage::covers`
     // shows up here.
     ("sparse", "allocations per datagram sent", 0.05, 0.022),
     // Nothing is held per target: the budget is the measured peak plus
@@ -243,8 +248,8 @@ const GATES: &[(&str, &str, f64, f64)] = &[
 ];
 
 /// The `size` workload's line count and `pub` item count.
-const LINES: f64 = 22_377.0;
-const PUB_ITEMS: f64 = 1_351.0;
+const LINES: f64 = 22_624.0;
+const PUB_ITEMS: f64 = 1_354.0;
 
 /// The `generate` counter.
 const GENERATE_PEAK: &str = "peak live bytes per host";
