@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use orscope_analysis::{AnalysisMode, Dataset, StreamingAnalyzer};
 use orscope_authns::{
     AuthStats, AuthoritativeServer, CaptureHandle, CapturedPacket, ClusterZone, DelegationServer,
-    SharedSink, Zone,
+    ProbeLabel, SharedSink, Zone,
 };
 use orscope_ipspace::AllowedSpace;
 use orscope_lookup::geo::GeoDb;
@@ -225,8 +225,10 @@ impl CampaignConfig {
     /// a scale below 1 (the paper's full scan) or so large that the
     /// year's population has no responder, a forwarder fraction outside
     /// `[0, 1]`, a retry budget above [`MAX_RETRIES`], a zero probe rate,
-    /// a shard count outside `1..=64`, or a malformed fault plan (a loss
-    /// or duplication probability outside `[0, 1]` among them).
+    /// a shard count outside `1..=64`, a malformed fault plan (a loss
+    /// or duplication probability outside `[0, 1]` among them), a zone
+    /// that leaves no room for the two probe labels, or a name server
+    /// named outside its zone.
     pub fn validate(&self) -> Result<(), CampaignError> {
         let invalid = |reason: String| Err(CampaignError::InvalidConfig(reason));
         if !(self.scale.is_finite() && self.scale >= 1.0) {
@@ -273,6 +275,17 @@ impl CampaignConfig {
         }
         if self.virtual_deadline == Some(Duration::ZERO) {
             return invalid("virtual deadline of zero would fail every scan".to_owned());
+        }
+        let Infra {
+            zone, auth_ns_name, ..
+        } = &self.infra;
+        if ProbeLabel::new(0, 0).try_qname(zone).is_err() {
+            return invalid(format!(
+                "zone {zone} leaves no room for the two probe labels"
+            ));
+        }
+        if !auth_ns_name.is_subdomain_of(zone) {
+            return invalid(format!("name server {auth_ns_name} is outside zone {zone}"));
         }
         Ok(())
     }
@@ -856,7 +869,7 @@ impl PopulationRegistry {
 
 impl Coverage for PopulationRegistry {
     fn covers(&self, addr: Ipv4Addr) -> bool {
-        self.population.probes(addr)
+        self.population.find(addr).is_some()
     }
 }
 
@@ -1273,6 +1286,14 @@ mod tests {
     #[test]
     fn invalid_knobs_are_rejected_before_any_simulation() {
         let base = || CampaignConfig::new(Year::Y2018, 50_000.0);
+        let zoned = |zone: String| CampaignConfig {
+            infra: Infra {
+                auth_ns_name: format!("ns1.{zone}").parse().unwrap(),
+                zone: zone.parse().unwrap(),
+                ..Infra::default()
+            },
+            ..base()
+        };
         for config in [
             base().with_loss(1.5),
             base().with_loss(f64::NAN),
@@ -1281,10 +1302,26 @@ mod tests {
             base().with_forwarder_fraction(2.0),
             base().with_retries(17),
             base().with_retries(u32::MAX),
+            // 242 bytes on the wire: the two probe labels' 14 pass the
+            // 255-byte limit, so no Q1 could be built.
+            zoned(format!("{0}.{0}.{0}.{1}", "a".repeat(63), "b".repeat(48))),
+            // The name server's A record would sit outside its zone.
+            CampaignConfig {
+                infra: Infra {
+                    auth_ns_name: "ns1.example.net".parse().unwrap(),
+                    ..Infra::default()
+                },
+                ..base()
+            },
         ] {
             let err = Campaign::new(config).run().unwrap_err();
             assert!(matches!(err, CampaignError::InvalidConfig(_)), "{err}");
         }
+        // One byte shorter, the zone leaves the labels room: the scan
+        // runs and its probes are answered.
+        let fits = zoned(format!("{0}.{0}.{0}.{1}", "a".repeat(63), "b".repeat(47)));
+        let result = Campaign::new(fits).run().unwrap();
+        assert!(result.dataset().r2() > 0);
     }
 
     #[test]

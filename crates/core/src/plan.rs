@@ -81,7 +81,7 @@ impl TargetPlan {
                 infra
                     .iter()
                     .copied()
-                    .filter(|&addr| !population.probes(addr)),
+                    .filter(|&addr| population.find(addr).is_none()),
             )
             .filter(|&addr| space.contains(addr))
             .count() as u64;
@@ -158,7 +158,7 @@ impl ShardWalk {
                 .next()
                 .expect("the plan has a free address for every silent slot");
             let addr = self.space.nth(u64::from(rank)).expect("rank in range");
-            if !self.population.probes(addr) && !self.infra.contains(&addr) {
+            if self.population.find(addr).is_none() && !self.infra.contains(&addr) {
                 return addr;
             }
         }
@@ -342,7 +342,7 @@ mod tests {
             .ranks
             .iter()
             .map(move |rank| space.nth(u64::from(rank)).expect("rank in range"))
-            .filter(move |&addr| !infra.contains(&addr) && !silent_population.probes(addr));
+            .filter(move |&addr| !infra.contains(&addr) && silent_population.find(addr).is_none());
         let resolvers = population.resolvers.len();
         let responders = resolvers + population.off_port.len();
         let stream = (0u64..)
@@ -611,7 +611,7 @@ mod tests {
                             let Some(&&(placed, profile, _)) =
                                 responders.get(order[slot as usize] as usize)
                             else {
-                                assert!(!population.probes(addr), "{addr}: {context}");
+                                assert!(population.find(addr).is_none(), "{addr}: {context}");
                                 continue;
                             };
                             assert_eq!(addr, placed, "slot {slot}: {context}");
@@ -636,7 +636,7 @@ mod tests {
                 for shard in 0..shards {
                     let handed = pairs(&plan, shard, shards)
                         .into_iter()
-                        .filter(|&(_, addr)| population.probes(addr))
+                        .filter(|&(_, addr)| population.find(addr).is_some())
                         .count();
                     let targets = TargetSource::new(plan.shard(shard, shards));
                     let shard_plan =
@@ -719,7 +719,7 @@ mod tests {
                     let context = format!("{context}, {shards} shards");
                     assert_eq!(derived.len(), stored.len(), "{context}");
                     for (slot, (new, old)) in derived.iter().zip(&stored).enumerate() {
-                        if population.probes(*old) {
+                        if population.find(*old).is_some() {
                             assert_eq!(new, old, "responder moved from slot {slot}: {context}");
                         }
                     }
@@ -828,7 +828,7 @@ mod tests {
         for shard in 0..config.shards {
             for (_, addr) in pairs(&plan, shard, config.shards) {
                 sent += 1;
-                if !population.probes(addr) {
+                if population.find(addr).is_none() {
                     assert!(space.contains(addr) && !taken.contains(&addr), "{addr}");
                     assert!(silent.insert(addr), "{addr} probed twice");
                 }

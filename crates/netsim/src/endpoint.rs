@@ -199,43 +199,6 @@ impl<'a> Context<'a> {
         self.queue(src.0, dst.0, || Datagram::new(src, dst, payload()));
     }
 
-    /// Sends a run: for each `(address, item)` of `sends`, in order, one
-    /// datagram from `src` to that address at `dst_port`, with the payload
-    /// `payload(item)` builds. It is what as many [`Context::send_with`]
-    /// calls would do, and what they leave on every book, but the sends
-    /// to nobody are settled together, by two counts, and `payload` runs
-    /// only for the datagrams that travel.
-    ///
-    /// `false`, having drawn nothing from `sends` and built nothing,
-    /// where any fault rule is configured: a rule draws each datagram a
-    /// verdict of its own, so the caller sends each alone. Like
-    /// [`Context::advance_to`], this is a shortcut the simulator takes
-    /// only where it cannot be told apart from the long way.
-    pub fn send_run<T>(
-        &mut self,
-        src: (Ipv4Addr, u16),
-        dst_port: u16,
-        sends: impl IntoIterator<Item = (Ipv4Addr, T)>,
-        mut payload: impl FnMut(T) -> Payload,
-    ) -> bool {
-        if !self.wire.faults.is_inert() {
-            return false;
-        }
-        let mut nobody = 0;
-        for (dst, item) in sends {
-            match self.routes.route(dst) {
-                Some(host) => {
-                    let dgram = Datagram::new(src, (dst, dst_port), payload(item));
-                    self.outgoing.push((dgram, host));
-                }
-                None => nobody += 1,
-            }
-        }
-        self.wire.stats.sent += nobody;
-        self.wire.stats.unrouted += nobody;
-        true
-    }
-
     /// Routes a send: queues a datagram that will travel, and settles
     /// one to nobody on the spot.
     fn queue(&mut self, src: Ipv4Addr, dst: Ipv4Addr, dgram: impl FnOnce() -> Datagram) {

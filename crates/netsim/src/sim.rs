@@ -105,7 +105,7 @@ const DUPLICATE_GAP: std::time::Duration = std::time::Duration::from_millis(3);
 /// it is sent.
 pub(crate) struct Wire<'a> {
     pub(crate) stats: &'a mut NetStats,
-    pub(crate) faults: &'a mut FaultInjector,
+    faults: &'a mut FaultInjector,
     latency: &'a dyn LatencyModel,
 }
 
@@ -276,13 +276,6 @@ impl<H: Endpoint> SimNetBuilder<H> {
     /// Builds the simulator.
     pub fn build(self) -> SimNet<H> {
         let plan = self.faults.unwrap_or_else(|| FaultPlan::seeded(self.seed));
-        // Releasing a quiescent host is only indistinguishable from
-        // keeping it when no fault rule can retransmit, duplicate, or
-        // crash its way back into released state: a resolver rebuilt
-        // after release answers a duplicated query with a cold cache
-        // where the eager endpoint would have answered from a warm one.
-        // Any configured rule therefore pins materialized hosts.
-        let release_quiescent = plan.rules.is_empty();
         SimNet {
             hosts: Vec::new(),
             index: FxHashMap::default(),
@@ -295,7 +288,6 @@ impl<H: Endpoint> SimNetBuilder<H> {
             stats: NetStats::default(),
             max_events: self.max_events,
             lazy: self.lazy,
-            release_quiescent,
             free_slots: Vec::new(),
             lazy_live: 0,
             lazy_peak: 0,
@@ -333,8 +325,6 @@ pub struct SimNet<H = Box<dyn Endpoint>> {
     max_events: u64,
     /// On-demand endpoint source for the planned population, if any.
     lazy: Option<Box<dyn LazyRegistry<H>>>,
-    /// Whether quiescent lazy hosts may be released (fault-free plans).
-    release_quiescent: bool,
     /// Recycled slab slots from released lazy hosts.
     free_slots: Vec<HostId>,
     /// Currently materialized lazy hosts.
@@ -548,7 +538,7 @@ impl<H: Endpoint> SimNet<H> {
         if let Some(ep) = self.take_live(host, addr) {
             return Arrival::Host(ep);
         }
-        if self.release_quiescent {
+        if self.faults.is_inert() {
             let ignored = self.lazy.as_ref().is_some_and(|lazy| match dgram {
                 Some(dgram) => lazy.fresh_ignores(addr, dgram),
                 None => lazy.covers(addr),
@@ -596,9 +586,16 @@ impl<H: Endpoint> SimNet<H> {
     }
 
     /// Releases the host in slot `host` back to the registry if it is a
-    /// quiescent lazy host and the fault plan permits releases.
+    /// quiescent lazy host and the fault plan has no rule.
+    ///
+    /// Releasing a quiescent host is only indistinguishable from keeping
+    /// it when no fault rule can retransmit, duplicate, or crash its way
+    /// back into released state: a resolver rebuilt after release answers
+    /// a duplicated query with a cold cache where the eager endpoint
+    /// would have answered from a warm one. Any configured rule therefore
+    /// pins materialized hosts.
     fn maybe_release(&mut self, host: HostId) {
-        if !self.release_quiescent || host == HOST_UNRESOLVED {
+        if !self.faults.is_inert() || host == HOST_UNRESOLVED {
             return;
         }
         let slot = &mut self.hosts[host as usize];
@@ -701,7 +698,7 @@ impl<H: Endpoint> SimNet<H> {
         let mut timers = std::mem::take(&mut self.scratch_timers);
         // Running ahead is indistinguishable only where nothing but the
         // queue could happen in between: no fault rule, and no release.
-        let may_advance = self.release_quiescent && !self.hosts[host as usize].lazy;
+        let may_advance = self.faults.is_inert() && !self.hosts[host as usize].lazy;
         let SimNet {
             index,
             lazy,

@@ -258,14 +258,11 @@ impl LazyRegistry for Plans {
 }
 
 /// Sends one run a tick: `runs[token]`, each datagram carrying its
-/// tick and place, through one [`Context::send_run`] or one
-/// [`Context::send_with`] a send. Counts the payloads it built and
-/// notes what each `send_run` answered.
+/// tick and place, through one [`Context::send_with`] a send. Counts the
+/// payloads it built.
 struct RunSender {
     runs: Vec<Vec<Ipv4Addr>>,
-    one_call: bool,
     built: Rc<Cell<u64>>,
-    answers: Rc<std::cell::RefCell<Vec<bool>>>,
 }
 
 impl Endpoint for RunSender {
@@ -273,20 +270,11 @@ impl Endpoint for RunSender {
 
     fn handle_timer(&mut self, token: u64, ctx: &mut Context<'_>) {
         let from = (ctx.local_addr(), 61_000);
-        let run = &self.runs[token as usize];
-        let built = &self.built;
-        let payload = |i: usize| {
-            built.set(built.get() + 1);
-            [token as u8, i as u8][..].into()
-        };
-        if self.one_call {
-            let sends = run.iter().copied().zip(0..);
-            let answer = ctx.send_run(from, 53, sends, payload);
-            self.answers.borrow_mut().push(answer);
-        } else {
-            for (i, &dst) in run.iter().enumerate() {
-                ctx.send_with(from, (dst, 53), || payload(i));
-            }
+        for (i, &dst) in self.runs[token as usize].iter().enumerate() {
+            ctx.send_with(from, (dst, 53), || {
+                self.built.set(self.built.get() + 1);
+                [token as u8, i as u8][..].into()
+            });
         }
         if token + 1 < self.runs.len() as u64 {
             ctx.set_timer(Duration::from_millis(5), token + 1);
@@ -298,12 +286,8 @@ const RUN_SENDER: Ipv4Addr = Ipv4Addr::new(10, 1, 0, 1);
 const EAGER: Ipv4Addr = Ipv4Addr::new(10, 2, 0, 1);
 
 /// Runs `runs` from [`RUN_SENDER`] under `plan`: the books, what was
-/// heard, how many payloads were built, and what `send_run` answered.
-fn send_runs(
-    runs: &[Vec<Ipv4Addr>],
-    one_call: bool,
-    plan: FaultPlan,
-) -> (NetStats, Log, u64, Vec<bool>) {
+/// heard, and how many payloads were built.
+fn send_runs(runs: &[Vec<Ipv4Addr>], plan: FaultPlan) -> (NetStats, Log, u64) {
     let heard = Heard::default();
     let mut net = SimNet::builder()
         .latency(FixedLatency(Duration::from_millis(3)))
@@ -311,21 +295,18 @@ fn send_runs(
         .lazy_hosts(Plans(Rc::clone(&heard)))
         .build();
     let built = Rc::new(Cell::new(0));
-    let answers = Rc::default();
     net.register(EAGER, Hears(Rc::clone(&heard)));
     net.register(
         RUN_SENDER,
         RunSender {
             runs: runs.to_vec(),
-            one_call,
             built: Rc::clone(&built),
-            answers: Rc::clone(&answers),
         },
     );
     net.set_timer_for(RUN_SENDER, SimTime::ZERO, 0);
     net.run_until_idle();
     let heard = heard.take();
-    (*net.stats(), heard, built.get(), answers.take())
+    (*net.stats(), heard, built.get())
 }
 
 /// Runs of up to a dozen sends to the eager host, planned hosts and
@@ -345,31 +326,27 @@ fn runs(rng: &mut Rng) -> Vec<Vec<Ipv4Addr>> {
 }
 
 #[test]
-fn a_run_settled_in_one_call_is_each_send_settled_alone() {
+fn send_with_builds_a_payload_only_for_a_send_that_travels() {
     cases(200, |rng| {
         let runs = runs(rng);
-        let (stats, heard, built, answers) = send_runs(&runs, true, FaultPlan::new());
-        let (alone, heard_alone, built_alone, _) = send_runs(&runs, false, FaultPlan::new());
-        assert!(answers.iter().all(|&answer| answer));
-        assert_eq!(stats, alone, "every book: {runs:?}");
-        assert_eq!(heard, heard_alone, "every payload that travelled: {runs:?}");
-        // A payload is built for the sends that travel, and only for them.
+        let (stats, heard, built) = send_runs(&runs, FaultPlan::new());
         let travelled = runs
             .iter()
             .flatten()
             .filter(|dst| dst.octets()[..2] != [10, 4])
             .count() as u64;
-        assert_eq!((built, built_alone), (travelled, travelled), "{runs:?}");
+        assert_eq!(built, travelled, "{runs:?}");
+        assert_eq!(heard.len() as u64, travelled, "{runs:?}");
         assert_eq!(stats.sent, runs.iter().flatten().count() as u64);
         assert_eq!(stats.unrouted, stats.sent - travelled);
     });
 }
 
 #[test]
-fn a_run_is_refused_under_every_kind_of_fault_rule() {
+fn a_rule_of_every_kind_that_draws_no_verdict_changes_nothing() {
     // Each kind, scoped to a host no run reaches and active only long
-    // after the runs: it draws no verdict on them, yet its presence is
-    // enough to refuse the shortcut.
+    // after the runs: it draws no verdict on them, so every book and
+    // every heard payload reads as with no rule at all.
     let elsewhere = FaultScope::Host(Ipv4Addr::new(10, 9, 9, 9));
     let kinds = [
         FaultKind::Loss { probability: 1.0 },
@@ -393,7 +370,8 @@ fn a_run_is_refused_under_every_kind_of_fault_rule() {
         ];
         3
     ];
-    let (clean, clean_heard, ..) = send_runs(&runs, true, FaultPlan::new());
+    let clean = send_runs(&runs, FaultPlan::new());
+    assert_eq!(clean.1.len(), 6, "the eager and the planned host heard");
     for kind in kinds {
         let rule = FaultRule::window(
             Duration::from_secs(3_600),
@@ -401,19 +379,7 @@ fn a_run_is_refused_under_every_kind_of_fault_rule() {
             elsewhere,
             kind,
         );
-        let (stats, heard, built, answers) =
-            send_runs(&runs, true, FaultPlan::seeded(7).with_rule(rule));
-        assert_eq!(answers, [false; 3], "{kind:?}");
-        assert_eq!(
-            (stats.sent, built),
-            (0, 0),
-            "{kind:?}: nothing sent or built"
-        );
-        assert!(heard.is_empty(), "{kind:?}");
-        // Sent alone, the runs leave what one call leaves without a rule.
-        let (alone, heard_alone, ..) =
-            send_runs(&runs, false, FaultPlan::seeded(7).with_rule(rule));
-        assert_eq!(alone, clean, "{kind:?}");
-        assert_eq!(heard_alone, clean_heard, "{kind:?}");
+        let ruled = send_runs(&runs, FaultPlan::seeded(7).with_rule(rule));
+        assert_eq!(ruled, clean, "{kind:?}");
     }
 }

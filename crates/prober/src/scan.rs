@@ -560,9 +560,8 @@ pub struct Prober {
     stats: ProbeStats,
     /// Where every captured R2 goes.
     sink: SharedSink,
-    /// `None` if the zone leaves no room for the probe labels: no Q1
-    /// can be built and every probe is skipped.
-    template: Option<QueryTemplate>,
+    /// Every probe's Q1, patched for each send.
+    template: QueryTemplate,
 }
 
 impl Prober {
@@ -575,17 +574,23 @@ impl Prober {
     ///
     /// # Panics
     ///
-    /// Panics if `retry_limit` exceeds [`MAX_RETRIES`] (a campaign
-    /// refuses that budget before it builds a prober).
+    /// Panics if `retry_limit` exceeds [`MAX_RETRIES`], or if `zone`
+    /// leaves no room for the two probe labels, so that no Q1 can be
+    /// built (a campaign refuses both before it builds a prober).
     pub fn new(config: ProberConfig, sink: SharedSink) -> Result<Self, ZeroRateError> {
         assert!(
             config.retry_limit <= MAX_RETRIES,
             "retry budget {} out of range 0..={MAX_RETRIES}",
             config.retry_limit
         );
+        let template = QueryTemplate::new(&config.zone).unwrap_or_else(|| {
+            panic!(
+                "zone {} leaves no room for the two probe labels",
+                config.zone
+            )
+        });
         let pacer = Pacer::new(config.rate_pps)?;
         let generator = SubdomainGenerator::with_base(config.cluster_capacity, config.base_cluster);
-        let template = QueryTemplate::new(&config.zone);
         let in_flight = InFlight::new(config.response_window);
         Ok(Self {
             config,
@@ -610,42 +615,20 @@ impl Prober {
     }
 
     /// Files a fresh probe of every target whose slot has fallen due by
-    /// this tick, and sends their Q1s as one run. A probe still in flight
-    /// to its target is superseded: abandoned, and its subdomain
-    /// recycled. A Q1 is built only for a send that travels.
+    /// this tick, and sends its Q1. A probe still in flight to its
+    /// target is superseded: abandoned, and its subdomain recycled. A Q1
+    /// is built only for a send that travels.
     fn send_batch(&mut self, ctx: &mut Context<'_>) {
         let due = Pacer::slots_due(self.tick, self.config.rate_pps);
-        let Self {
-            config,
-            generator,
-            in_flight,
-            stats,
-            template,
-            ..
-        } = self;
-        let Some(template) = template else {
-            // No Q1 can be built: every probe is skipped.
-            while config.targets.next_due(due).is_some() {
-                generator.next_label();
+        let (now, from) = (ctx.now(), (ctx.local_addr(), PORT));
+        while let Some(target) = self.config.targets.next_due(due) {
+            let label = self.generator.next_label();
+            if let Some(earlier) = self.in_flight.send(target, label, now) {
+                self.generator.recycle(earlier);
+                self.stats.probes_abandoned += 1;
             }
-            return;
-        };
-        let now = ctx.now();
-        let mut fresh = std::iter::from_fn(|| {
-            let target = config.targets.next_due(due)?;
-            let label = generator.next_label();
-            if let Some(earlier) = in_flight.send(target, label, now) {
-                generator.recycle(earlier);
-                stats.probes_abandoned += 1;
-            }
-            stats.q1_sent += 1;
-            Some((target, label))
-        });
-        let from = (ctx.local_addr(), PORT);
-        if !ctx.send_run(from, 53, &mut fresh, |label| template.payload(label)) {
-            for (target, label) in fresh {
-                ctx.send_with(from, (target, 53), || template.payload(label));
-            }
+            self.stats.q1_sent += 1;
+            ctx.send_with(from, (target, 53), || self.template.payload(label));
         }
     }
 
@@ -658,9 +641,8 @@ impl Prober {
         while let Some((flight, level)) = self.in_flight.pop_due(now) {
             let (target, label) = (flight.target, flight.label());
             if level < self.config.retry_limit {
-                let template = self.template.as_mut().expect("a probe in flight was built");
                 ctx.send_with((ctx.local_addr(), PORT), (target, 53), || {
-                    template.payload(label)
+                    self.template.payload(label)
                 });
                 self.in_flight.resend(target, label, level + 1, now);
                 self.stats.retransmits_sent += 1;
@@ -1536,24 +1518,20 @@ mod tests {
     }
 
     #[test]
-    fn a_zone_too_long_for_probe_labels_sends_nothing() {
+    #[should_panic(expected = "leaves no room for the two probe labels")]
+    fn a_zone_too_long_for_probe_labels_is_refused() {
         // 241 bytes on the wire: the two probe labels' 14 make 255, the
         // limit; one byte more in the zone and no Q1 exists.
-        let fits = format!("{0}.{0}.{0}.{1}", "a".repeat(63), "b".repeat(47));
-        let too_long = format!("{0}.{0}.{0}.{1}", "a".repeat(63), "b".repeat(48));
-        assert!(QueryTemplate::new(&fits.parse().unwrap()).is_some());
-        let zone: Name = too_long.parse().unwrap();
-        assert!(QueryTemplate::new(&zone).is_none());
-        let target = Ipv4Addr::new(9, 9, 9, 9);
-        let scanned = scan_with(
-            vec![target],
-            |net| net.register(target, FixedAnswer(Ipv4Addr::new(1, 2, 3, 4))),
-            |config| config.zone = zone,
-        );
-        let stats = scanned.stats();
-        assert_eq!(stats.q1_sent, 0);
-        assert_eq!(stats.r2_captured, 0);
-        assert!(stats.done);
+        let fits: Name = format!("{0}.{0}.{0}.{1}", "a".repeat(63), "b".repeat(47))
+            .parse()
+            .unwrap();
+        let too_long: Name = format!("{0}.{0}.{0}.{1}", "a".repeat(63), "b".repeat(48))
+            .parse()
+            .unwrap();
+        assert!(QueryTemplate::new(&too_long).is_none());
+        let sink = Rc::<RefCell<Log>>::default;
+        assert!(Prober::new(ProberConfig::new(fits, Vec::new()), sink()).is_ok());
+        let _ = Prober::new(ProberConfig::new(too_long, Vec::new()), sink());
     }
 
     #[test]

@@ -238,25 +238,16 @@ impl HostList {
     /// share it), or `None` where no host is.
     pub fn find(&self, addr: Ipv4Addr) -> Option<ProfileId> {
         let addr = u32::from(addr);
-        if !self.index.may_hold(AddrIndex::hash(addr)) {
-            return None;
-        }
-        self.column_at(addr).map(|at| self.profiles[at])
+        let range = self.index.bucket(addr)?;
+        let start = range.start;
+        let bucket = &self.addrs[range];
+        let at = bucket.partition_point(|&a| a < addr);
+        (bucket.get(at) == Some(&addr)).then(|| self.profiles[start + at])
     }
 
     /// Whether a host is at `addr`.
     pub(crate) fn contains(&self, addr: Ipv4Addr) -> bool {
         self.find(addr).is_some()
-    }
-
-    /// Where in the columns the first host at `addr` sits: the
-    /// directory's answer, which the filter has not ruled out.
-    fn column_at(&self, addr: u32) -> Option<usize> {
-        let range = self.index.bucket(addr);
-        let start = range.start;
-        let bucket = &self.addrs[range];
-        let at = bucket.partition_point(|&a| a < addr);
-        (bucket.get(at) == Some(&addr)).then_some(start + at)
     }
 
     /// The host at `i`, resolved against `table`.
@@ -339,7 +330,7 @@ impl AddrIndex {
         let filter_shift = 64 - filter_bits.ilog2();
         let mut filter = vec![0u64; filter_bits / 64];
         for &addr in addrs {
-            let bit = Self::filter_bit(Self::hash(addr), filter_shift);
+            let bit = Self::filter_bit(addr, filter_shift);
             filter[bit / 64] |= 1 << (bit % 64);
         }
         Self {
@@ -350,22 +341,14 @@ impl AddrIndex {
         }
     }
 
-    /// Fibonacci hashing: the address times 2^64 / φ, whose top bits
-    /// pick a filter's bit. Every list's filter reads the same hash, each
-    /// at its own width.
-    fn hash(addr: u32) -> u64 {
-        u64::from(addr).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    /// Fibonacci hashing: the top bits of the address times 2^64 / φ.
+    fn filter_bit(addr: u32, filter_shift: u32) -> usize {
+        (u64::from(addr).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> filter_shift) as usize
     }
 
-    /// The filter bit `hash` picks.
-    fn filter_bit(hash: u64, filter_shift: u32) -> usize {
-        (hash >> filter_shift) as usize
-    }
-
-    /// False only where no host is: `hash` is the address's
-    /// [`AddrIndex::hash`].
-    fn may_hold(&self, hash: u64) -> bool {
-        let bit = Self::filter_bit(hash, self.filter_shift);
+    /// False only where no host is.
+    fn may_hold(&self, addr: u32) -> bool {
+        let bit = Self::filter_bit(addr, self.filter_shift);
         self.filter[bit / 64] >> (bit % 64) & 1 == 1
     }
 
@@ -374,10 +357,14 @@ impl AddrIndex {
         (u64::from(addr) >> shift) as usize
     }
 
-    /// The slots of the column that hold `addr` if any host does.
-    fn bucket(&self, addr: u32) -> std::ops::Range<usize> {
+    /// The slots of the column that hold `addr` if any host does, or
+    /// `None` where the filter rules it out.
+    fn bucket(&self, addr: u32) -> Option<std::ops::Range<usize>> {
+        if !self.may_hold(addr) {
+            return None;
+        }
         let bucket = Self::bucket_of(addr, self.shift);
-        self.directory[bucket] as usize..self.directory[bucket + 1] as usize
+        Some(self.directory[bucket] as usize..self.directory[bucket + 1] as usize)
     }
 }
 
@@ -826,24 +813,6 @@ impl Population {
         self.resolvers
             .find(addr)
             .or_else(|| self.off_port.find(addr))
-    }
-
-    /// Whether a probed host is at `addr`.
-    ///
-    /// The scan plan asks for every silent slot and routing for every
-    /// send, and nearly every address asked about holds nobody, so both
-    /// lists' filters are read off one hash and the miss is one branch;
-    /// only an address that a filter may hold goes on to a directory.
-    pub fn probes(&self, addr: Ipv4Addr) -> bool {
-        let addr = u32::from(addr);
-        let hash = AddrIndex::hash(addr);
-        let resolver = self.resolvers.index.may_hold(hash);
-        let off_port = self.off_port.index.may_hold(hash);
-        if !(resolver | off_port) {
-            return false;
-        }
-        (resolver && self.resolvers.column_at(addr).is_some())
-            || (off_port && self.off_port.column_at(addr).is_some())
     }
 
     /// Every address a probed host is at, once: the resolvers'
@@ -1635,9 +1604,7 @@ mod host_list_tests {
             // empty) and two of filter (one word when nearly empty).
             assert!(4 * index.directory.len() <= hosts.len() + 8);
             assert!(8 * index.filter.len() <= (2 * hosts.len()).max(8));
-            assert!(hosts
-                .iter()
-                .all(|&(addr, _)| index.may_hold(AddrIndex::hash(addr))));
+            assert!(hosts.iter().all(|&(addr, _)| index.may_hold(addr)));
             let near: Vec<u32> = hosts
                 .iter()
                 .flat_map(|&(a, _)| [a.wrapping_sub(1), a, a.wrapping_add(1), a ^ 0x8000_0000])
@@ -1654,7 +1621,7 @@ mod host_list_tests {
             // hits a set bit.
             let passed = random
                 .iter()
-                .filter(|&&addr| !map.contains_key(&addr) && index.may_hold(AddrIndex::hash(addr)))
+                .filter(|&&addr| !map.contains_key(&addr) && index.may_hold(addr))
                 .count();
             assert!(passed <= 200, "{passed} of 1,000 misses passed the filter");
         });

@@ -2,7 +2,6 @@
 //! scale, the generated hosts must stay faithful to the paper's cells.
 
 use std::collections::{HashMap, HashSet};
-use std::net::Ipv4Addr;
 
 use orscope_check::{cases, Rng};
 use orscope_resolver::paper::{AnswerClass, Year, YearSpec};
@@ -201,32 +200,5 @@ fn profile_table_is_exactly_the_unique_policies() {
         assert_eq!(ids.len(), unique_policies.len());
         // ...and the table holds nothing beyond them.
         assert_eq!(table.len(), unique_policies.len());
-    });
-}
-
-/// `probes` — both lists' filters read off one hash — says what `find`
-/// says: at every resolver, every off-port responder, their neighbours
-/// and random addresses.
-#[test]
-fn probes_agrees_with_find() {
-    cases(16, |rng| {
-        let population = mixed_population(rng);
-        assert!(!population.off_port.is_empty());
-        let held = population
-            .resolvers
-            .addrs()
-            .chain(population.off_port.addrs());
-        let near: Vec<u32> = held
-            .map(u32::from)
-            .flat_map(|a| [a.wrapping_sub(1), a, a.wrapping_add(1)])
-            .collect();
-        let random = (0..2_000).map(|_| rng.next_u64() as u32);
-        for addr in near.into_iter().chain(random).map(Ipv4Addr::from) {
-            assert_eq!(
-                population.probes(addr),
-                population.find(addr).is_some(),
-                "{addr}"
-            );
-        }
     });
 }

@@ -161,15 +161,16 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // `sparse`: a one-shard full-Q1 campaign at scale 60,000, almost
     // all silence. A send to nobody is settled as unrouted on the spot:
     // it is no event, is lost from no book and is never built — the
-    // prober hands each tick's sends to `Context::send_run`, which asks
-    // for a Q1 only for a destination somebody holds or is planned at. The ticks that pace the scan run inside one dispatch while
+    // prober hands each Q1 to `Context::send_with`, which asks for it
+    // only for a destination somebody holds or is planned at. The
+    // ticks that pace the scan run inside one dispatch while
     // nothing else is queued, and one that must be armed waits beside
     // the wheel, not in a slot. What is left is the 1.3 % of probes
     // that are answered. A payload built for nobody, or a lone timer
     // filed into a slot, costs one allocation a datagram and trips the
     // budget twenty times over (0.033 when the wheel's slots grew
     // buffers of their own); a change to the prober's send path,
-    // `Context::send_run`, `TimingWheel::push` or `Coverage::covers`
+    // `Context::send_with`, `TimingWheel::push` or `Coverage::covers`
     // shows up here.
     ("sparse", "allocations per datagram sent", 0.05, 0.022),
     // Nothing is held per target: the budget is the measured peak plus
@@ -248,8 +249,8 @@ const GATES: &[(&str, &str, f64, f64)] = &[
 ];
 
 /// The `size` workload's line count and `pub` item count.
-const LINES: f64 = 22_624.0;
-const PUB_ITEMS: f64 = 1_354.0;
+const LINES: f64 = 22_552.0;
+const PUB_ITEMS: f64 = 1_352.0;
 
 /// The `generate` counter.
 const GENERATE_PEAK: &str = "peak live bytes per host";
