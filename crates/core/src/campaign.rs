@@ -75,9 +75,9 @@ pub struct CampaignConfig {
     /// supervisor (tests and chaos drills only).
     pub sabotage: Option<ShardSabotage>,
     /// Virtual-time budget for the scan. A shard whose simulation still
-    /// has pending events at this deadline panics, which the shard
-    /// supervisor catches: the shard is retried once and then reported
-    /// failed, exactly like any other shard panic. `None` (the default)
+    /// has pending events at this deadline returns an error to the
+    /// shard supervisor: the shard is retried once and then reported
+    /// failed, exactly like a shard that panicked. `None` (the default)
     /// runs every shard to idle. Because per-flow send times and RTTs
     /// are shard-layout-invariant, whether a scan fits the budget does
     /// not depend on the shard count.
@@ -449,7 +449,7 @@ impl Campaign {
         // carries a `DegradedReport`.
         let run = |index: usize| {
             supervise(|attempt| {
-                Ok(self.run_shard(ShardPlan::new(
+                self.run_shard(ShardPlan::new(
                     config,
                     &knobs,
                     index,
@@ -457,7 +457,7 @@ impl Campaign {
                     // A retry walks the permutations afresh.
                     TargetSource::new(targets.shard(index, shards)),
                     &population,
-                )))
+                ))
             })
         };
         let runs: Vec<Supervised<ShardOutcome>> = std::thread::scope(|scope| {
@@ -621,8 +621,9 @@ impl Campaign {
     }
 
     /// Builds one shard's simulation, runs it to completion, and returns
-    /// its raw outcome for merging.
-    fn run_shard(&self, plan: ShardPlan) -> ShardOutcome {
+    /// its raw outcome for merging, or why it blew the virtual deadline.
+    /// A sabotaged attempt panics instead: it stands for a crash.
+    fn run_shard(&self, plan: ShardPlan) -> Result<ShardOutcome, String> {
         if let Some(sabotage) = self.config.sabotage {
             if sabotage.shard == plan.shard && plan.attempt < sabotage.failures {
                 panic!(
@@ -649,20 +650,18 @@ impl Campaign {
         match self.config.virtual_deadline {
             None => world.net.run_until_idle(),
             Some(deadline) => {
-                // A blown deadline is a shard failure like any other:
-                // panic here, let the supervisor retry once (the rerun is
-                // deterministic, so a genuine overrun fails again), and
-                // surface the loss through the degraded-result path.
+                // A blown deadline is a shard failure like any other: the
+                // supervisor retries once (the rerun is deterministic, so
+                // a genuine overrun fails again), then degrades.
                 world.net.run_until(SimTime::ZERO + deadline);
                 if !world.net.is_idle() {
-                    panic!(
-                        "virtual deadline exceeded: events still pending at {:?}",
-                        deadline
-                    );
+                    return Err(format!(
+                        "virtual deadline exceeded: events still pending at {deadline:?}"
+                    ));
                 }
             }
         }
-        world.collect(started.elapsed())
+        Ok(world.collect(started.elapsed()))
     }
 
     /// Assembles one shard's simulator: network, name-server hierarchy,
@@ -1378,5 +1377,29 @@ mod tests {
         };
         assert_eq!(failures.len(), 1);
         assert!(failures[0].message.contains("sabotaged"));
+    }
+
+    /// A shard that blows its virtual deadline returns the miss as an
+    /// error for the supervisor to retry, without unwinding.
+    #[test]
+    fn a_blown_virtual_deadline_is_an_error_not_a_panic() {
+        let config = CampaignConfig::new(Year::Y2018, 20_000.0)
+            .with_virtual_deadline(Duration::from_nanos(1));
+        let campaign = Campaign::new(config.clone());
+        let spec = YearSpec::get(config.year);
+        let knobs = campaign.shard_knobs(&spec);
+        let population = std::sync::Arc::new(campaign.build_population());
+        let targets = TargetSource::new(campaign.plan_targets(&spec, &population).shard(0, 1));
+        let plan = ShardPlan::new(&config, &knobs, 0, 0, targets, &population);
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            campaign.run_shard(plan).map(drop)
+        }));
+        let Ok(Err(message)) = run else {
+            panic!("expected Ok(Err(..)), the run unwound or finished");
+        };
+        assert!(
+            message.starts_with("virtual deadline exceeded"),
+            "{message}"
+        );
     }
 }

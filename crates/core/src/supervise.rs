@@ -1,10 +1,11 @@
 //! The one supervisor: attempt, one identical retry, then report.
 //!
 //! Shards ([`crate::Campaign::run`]) and observatory epochs both run
-//! deterministic jobs that can panic — a bug, a blown virtual deadline,
-//! injected sabotage. Rerunning the same job with the same seed tells a
-//! transient fault from a deterministic one; a second failure is
-//! reported to the caller, which degrades instead of dying.
+//! deterministic jobs that can fail — a blown virtual deadline returns
+//! an error, a bug or injected sabotage panics. Rerunning the same job
+//! with the same seed tells a transient fault from a deterministic one;
+//! a second failure is reported to the caller, which degrades instead
+//! of dying.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

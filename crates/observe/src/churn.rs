@@ -191,6 +191,16 @@ pub struct ChurnResolution {
 }
 
 impl ChurnResolution {
+    /// The `Add` that brings pool host `index` into the population.
+    fn add(&self, index: usize) -> Update {
+        let hosts = &self.pool.resolvers;
+        Update::Add {
+            addr: hosts.addr(index),
+            profile: hosts.profile_id(index),
+            country: hosts.country_id(index),
+        }
+    }
+
     /// Appends epoch `epoch`'s batch to `pending` and updates the
     /// active/spare split to match.
     fn generate_batch(&mut self, epoch: u64) {
@@ -198,8 +208,7 @@ impl ChurnResolution {
             // Initial discovery: the whole starting membership arrives
             // as `Add`s, exactly like a discovery stream warming up.
             for &i in &self.active {
-                self.pending
-                    .push_back(Update::Add(Box::new(self.pool.resolver(i).to_planned())));
+                self.pending.push_back(self.add(i));
             }
             return;
         }
@@ -229,9 +238,7 @@ impl ChurnResolution {
             let slot = rng.below(self.spares.len());
             let index = self.spares.swap_remove(slot);
             self.active.push(index);
-            self.pending.push_back(Update::Add(Box::new(
-                self.pool.resolver(index).to_planned(),
-            )));
+            self.pending.push_back(self.add(index));
         }
         for _ in 0..drifts {
             if self.active.is_empty() {
@@ -244,7 +251,7 @@ impl ChurnResolution {
             let donor = rng.below(self.pool.resolvers.len());
             self.pending.push_back(Update::Drift {
                 addr: self.pool.resolvers.addr(member),
-                to: Box::new((**self.pool.resolver(donor).policy).clone()),
+                to: self.pool.resolvers.profile_id(donor),
             });
         }
     }
@@ -315,7 +322,7 @@ mod tests {
         let mut res = model().resolve(&target);
         let batch = drain(&mut res, 0);
         assert_eq!(batch.len(), res.active_size());
-        assert!(batch.iter().all(|u| matches!(u, Update::Add(_))));
+        assert!(batch.iter().all(|u| matches!(u, Update::Add { .. })));
         // Headroom 1.0: about half the pool starts active.
         let active = res.active_size() as f64;
         let pool = res.pool_size() as f64;
@@ -352,7 +359,10 @@ mod tests {
         let _ = drain(&mut res, 0);
         let before = res.active_size();
         let batch = drain(&mut res, 1);
-        let adds = batch.iter().filter(|u| matches!(u, Update::Add(_))).count();
+        let adds = batch
+            .iter()
+            .filter(|u| matches!(u, Update::Add { .. }))
+            .count();
         let removes = batch
             .iter()
             .filter(|u| matches!(u, Update::Remove(_)))

@@ -51,7 +51,7 @@ use orscope_dns_wire::Rcode;
 use orscope_netsim::EpochClock;
 use orscope_resolver::paper::Year;
 use orscope_resolver::population::{Population, PopulationConfig};
-use orscope_resolver::{PlannedResolver, ProfileClass};
+use orscope_resolver::{ProfileClass, ProfileTable};
 use orscope_telemetry::{MetricValue, Scope, TelemetrySnapshot};
 
 use crate::churn::{ChurnConfig, ChurnModel};
@@ -661,7 +661,7 @@ impl<R: Resolve> Observatory<R> {
         }
         let start_epoch = resumed_from.unwrap_or(0);
 
-        let mut membership = Membership::default();
+        let mut membership = Membership::new(Arc::clone(&statics.table));
         for epoch in 0..start_epoch {
             while let Some(update) = resolution.poll_update(epoch) {
                 membership.apply(update);
@@ -957,11 +957,12 @@ fn ensure_state_dir(dir: &Path) -> Result<(), ServeError> {
         .map_err(|err| ServeError::StateDir(format!("{} is not writable: {err}", dir.display())))
 }
 
-/// The current membership, with a running count of it per behavior
-/// class. A member's class is its policy's, so none is stored apart.
-#[derive(Default)]
+/// The current membership as `(profile, country)` ids into the seed
+/// population's table, with a running count of it per behavior class.
+/// A member's class is its profile's, so none is stored apart.
 struct Membership {
-    members: BTreeMap<Ipv4Addr, PlannedResolver>,
+    members: BTreeMap<Ipv4Addr, (u32, u16)>,
+    table: Arc<ProfileTable>,
     /// Members per class, indexed by [`ProfileClass::index`].
     class_counts: [u64; N_CLASSES],
 }
@@ -986,20 +987,31 @@ enum Applied {
 }
 
 impl Membership {
+    fn new(table: Arc<ProfileTable>) -> Self {
+        Self {
+            members: BTreeMap::new(),
+            table,
+            class_counts: [0; N_CLASSES],
+        }
+    }
+
     fn len(&self) -> u64 {
         self.members.len() as u64
     }
 
     fn class_of(&self, addr: Ipv4Addr) -> Option<ProfileClass> {
-        self.members.get(&addr).map(|member| member.policy.class())
+        let &(profile, _) = self.members.get(&addr)?;
+        Some(self.table.get(profile).class())
     }
 
     fn apply(&mut self, update: Update) -> Applied {
         let addr = update.addr();
         let before = self.class_of(addr);
         let applied = match update {
-            Update::Add(planned) => {
-                self.members.insert(addr, *planned);
+            Update::Add {
+                profile, country, ..
+            } => {
+                self.members.insert(addr, (profile, country));
                 Applied::Join
             }
             Update::Remove(_) => match self.members.remove(&addr) {
@@ -1007,8 +1019,8 @@ impl Membership {
                 None => Applied::Ignored,
             },
             Update::Drift { to, .. } => match self.members.get_mut(&addr) {
-                Some(member) => {
-                    member.policy = *to;
+                Some((profile, _)) => {
+                    *profile = to;
                     Applied::Drift
                 }
                 None => Applied::Ignored,
@@ -1069,22 +1081,16 @@ impl Membership {
     }
 
     /// The population a round over the current members scans: `statics`
-    /// with each member's (owned) policy interned against its pool
-    /// table, so a round's storage stays ~13.5 bytes per host however
-    /// large the membership grows. For the built-in churn model every
-    /// policy is already a pool profile and interning allocates nothing
-    /// new. Members come in address order, so the round's generation
-    /// order is its storage order.
+    /// with the members as its resolvers. Their ids index `statics`'
+    /// table, which the round shares rather than copies. Members come in
+    /// address order, so the round's generation order is its storage
+    /// order.
     fn population(&self, statics: &Population) -> Population {
         let mut population = statics.clone();
-        let table = Arc::make_mut(&mut population.table);
         population.resolvers = self
             .members
-            .values()
-            .map(|member| {
-                let profile = table.intern(member.policy.clone());
-                (member.addr, profile, table.intern_country(member.country))
-            })
+            .iter()
+            .map(|(&addr, &(profile, country))| (addr, profile, country))
             .collect();
         population
     }
@@ -1113,7 +1119,7 @@ fn wait_interval(shared: &ObservatoryShared, interval: Duration) {
 #[cfg(test)]
 mod tests {
     use orscope_check::Rng;
-    use orscope_resolver::ResponsePolicy;
+    use orscope_resolver::{HostList, ResponsePolicy};
 
     use super::*;
 
@@ -1323,31 +1329,54 @@ mod tests {
     fn class_map(membership: &Membership) -> BTreeMap<Ipv4Addr, ProfileClass> {
         membership
             .members
-            .iter()
-            .map(|(addr, member)| (*addr, member.policy.class()))
+            .keys()
+            .map(|&addr| (addr, membership.class_of(addr).expect("a member")))
             .collect()
     }
 
     /// A round's population reads, at every index, the member the
     /// membership holds in that place of its address order, and its
     /// storage order is that order (the permutation is the identity).
+    /// It equals what interning each member's owned policy and country
+    /// into a copy of the pool table built, and shares the pool table
+    /// instead of copying it.
     #[test]
     fn a_rounds_population_reads_the_members_in_address_order() {
         let mut resolution = ChurnModel::new(ChurnConfig::default())
             .resolve(&PopulationConfig::new(Year::Y2018, 20_000.0));
         let statics = resolution.seed_population();
-        let mut membership = Membership::default();
+        let pool = statics.table();
+        let mut membership = Membership::new(Arc::clone(pool));
         for epoch in 0..4 {
             membership.advance(std::iter::from_fn(|| resolution.poll_update(epoch)));
             let population = membership.population(&statics);
+            assert!(Arc::ptr_eq(population.table(), pool), "epoch {epoch}");
+            let mut copy = ProfileTable::clone(pool);
+            let oracle: HostList = membership
+                .members
+                .iter()
+                .map(|(&addr, &(profile, country))| {
+                    let policy = ResponsePolicy::clone(pool.get(profile));
+                    let country = pool.country(country);
+                    (addr, copy.intern(policy), copy.intern_country(country))
+                })
+                .collect();
+            assert_eq!(population.resolvers, oracle, "epoch {epoch}");
+            assert_eq!(
+                copy.len(),
+                pool.len(),
+                "every member's policy is a pool profile"
+            );
             let resolvers = &population.resolvers;
             assert_eq!(resolvers.len(), membership.members.len());
             assert!(resolvers.addrs().eq(resolvers.distinct_addrs()));
-            let members = membership.members.values();
-            for (host, member) in population.resolvers().zip(members) {
-                assert_eq!(host.to_planned(), *member, "epoch {epoch}");
-                let found = population.find(member.addr).expect("a member is probed");
-                assert_eq!(**population.table().get(found), member.policy);
+            for (host, (&addr, &(profile, country))) in
+                population.resolvers().zip(&membership.members)
+            {
+                assert_eq!(host.addr, addr, "epoch {epoch}");
+                assert!(Arc::ptr_eq(host.policy, pool.get(profile)), "epoch {epoch}");
+                assert_eq!(host.country, pool.country(country), "epoch {epoch}");
+                assert_eq!(population.find(addr), Some(profile), "a member is probed");
             }
             assert!(population.resolvers().any(|host| host.country.is_some()));
         }
@@ -1365,10 +1394,15 @@ mod tests {
         let mut resolution =
             ChurnModel::new(churn).resolve(&PopulationConfig::new(Year::Y2018, 60_000.0));
         let mut rng = Rng::new(3);
-        let mut membership = Membership::default();
-        let mut departed: Vec<PlannedResolver> = Vec::new();
+        let pool = Arc::clone(resolution.seed_population().table());
+        let mut membership = Membership::new(Arc::clone(&pool));
+        let mut departed: Vec<(Ipv4Addr, (u32, u16))> = Vec::new();
         let stranger = |n: u8| Ipv4Addr::new(198, 51, 100, n);
-        let policies = [ResponsePolicy::honest(), ResponsePolicy::refusing()];
+        let profiles = [ProfileClass::Honest, ProfileClass::Refusing].map(|class| {
+            (0..pool.len() as u32)
+                .find(|&id| pool.get(id).class() == class)
+                .expect("the pool holds every class")
+        });
         for epoch in 0..8 {
             let mut updates: Vec<Update> =
                 std::iter::from_fn(|| resolution.poll_update(epoch)).collect();
@@ -1377,44 +1411,51 @@ mod tests {
                 // member re-added under another profile, a departed one
                 // back, a join that leaves again, a leave that re-joins,
                 // a second drift, and a remove and a drift of nobody.
-                let members: Vec<&PlannedResolver> = membership.members.values().collect();
-                let mut readded = (*rng.choice(&members)).clone();
-                readded.policy = rng.choice(&policies).clone();
-                let rejoined = (*rng.choice(&members)).clone();
-                let drifted = rng.choice(&members).addr;
-                let mut passing = readded.clone();
-                passing.addr = stranger(epoch as u8);
+                let add = |addr, (profile, country)| Update::Add {
+                    addr,
+                    profile,
+                    country,
+                };
+                let members: Vec<(Ipv4Addr, (u32, u16))> = membership
+                    .members
+                    .iter()
+                    .map(|(&addr, &member)| (addr, member))
+                    .collect();
+                let (readded, (_, country)) = *rng.choice(&members);
+                let readded_as = (*rng.choice(&profiles), country);
+                let (rejoined, rejoined_as) = *rng.choice(&members);
+                let (drifted, _) = *rng.choice(&members);
                 let mut extras = vec![
-                    Update::Add(Box::new(readded)),
-                    Update::Add(Box::new(passing)),
+                    add(readded, readded_as),
+                    add(stranger(epoch as u8), readded_as),
                     Update::Remove(stranger(epoch as u8)),
-                    Update::Remove(rejoined.addr),
-                    Update::Add(Box::new(rejoined)),
+                    Update::Remove(rejoined),
+                    add(rejoined, rejoined_as),
                     Update::Drift {
                         addr: drifted,
-                        to: Box::new(rng.choice(&policies).clone()),
+                        to: *rng.choice(&profiles),
                     },
                     Update::Drift {
                         addr: drifted,
-                        to: Box::new(rng.choice(&policies).clone()),
+                        to: *rng.choice(&profiles),
                     },
                     Update::Remove(stranger(200)),
                     Update::Drift {
                         addr: stranger(201),
-                        to: Box::new(ResponsePolicy::honest()),
+                        to: profiles[0],
                     },
                 ];
-                if let Some(back) = departed.pop() {
-                    extras.push(Update::Add(Box::new(back)));
+                if let Some((addr, back)) = departed.pop() {
+                    extras.push(add(addr, back));
                 }
                 for extra in extras {
                     updates.insert(rng.range(0..=updates.len()), extra);
                 }
             }
             for update in &updates {
-                if let Some(leaving) = membership.members.get(&update.addr()) {
+                if let Some(&leaving) = membership.members.get(&update.addr()) {
                     if matches!(update, Update::Remove(_)) {
-                        departed.push(leaving.clone());
+                        departed.push((update.addr(), leaving));
                     }
                 }
             }

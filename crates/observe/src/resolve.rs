@@ -18,13 +18,20 @@
 use std::net::Ipv4Addr;
 
 use orscope_resolver::population::{Population, PopulationConfig};
-use orscope_resolver::{PlannedResolver, ProfileClass, ResponsePolicy};
 
-/// One membership event in the scanned population.
-#[derive(Debug, Clone, PartialEq)]
+/// One membership event in the scanned population, in ids into the
+/// table of [`Resolution::seed_population`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Update {
     /// A new endpoint joined (port 53 opened, device deployed).
-    Add(Box<PlannedResolver>),
+    Add {
+        /// The endpoint's address.
+        addr: Ipv4Addr,
+        /// Its profile id.
+        profile: u32,
+        /// Its country id, mostly [`orscope_resolver::COUNTRY_NONE`].
+        country: u16,
+    },
     /// An endpoint left (port closed, host gone, address reassigned).
     Remove(Ipv4Addr),
     /// An existing endpoint changed behavior profile in place — the
@@ -33,26 +40,16 @@ pub enum Update {
     Drift {
         /// The endpoint whose behavior changed.
         addr: Ipv4Addr,
-        /// Its new policy.
-        to: Box<ResponsePolicy>,
+        /// Its new profile id.
+        to: u32,
     },
 }
 
 impl Update {
     /// The endpoint this update is about.
     pub fn addr(&self) -> Ipv4Addr {
-        match self {
-            Update::Add(planned) => planned.addr,
-            Update::Remove(addr) | Update::Drift { addr, .. } => *addr,
-        }
-    }
-
-    /// The class this update puts its endpoint in (`None` for removal).
-    pub fn class(&self) -> Option<ProfileClass> {
-        match self {
-            Update::Add(planned) => Some(planned.policy.class()),
-            Update::Remove(_) => None,
-            Update::Drift { to, .. } => Some(to.class()),
+        match *self {
+            Update::Add { addr, .. } | Update::Remove(addr) | Update::Drift { addr, .. } => addr,
         }
     }
 }
@@ -68,8 +65,10 @@ pub trait Resolution {
     /// The static, membership-independent skeleton of the population
     /// this stream describes — threat/geo seed lists, off-port
     /// responders, shared forwarder upstreams — with `resolvers` empty.
-    /// The epoch scheduler grafts the current membership into a clone of
-    /// this to build each round's concrete [`Population`].
+    /// The profile and country ids in every [`Update`] index its
+    /// `table`. The epoch scheduler grafts the current membership into a
+    /// clone of this, which shares that table, to build each round's
+    /// concrete [`Population`].
     fn seed_population(&self) -> Population;
 }
 
@@ -139,16 +138,5 @@ mod tests {
         assert_eq!(res.poll_update(0), None);
         assert_eq!(res.poll_update(1), None);
         assert_eq!(res.poll_update(7), None, "past the script: drained");
-    }
-
-    #[test]
-    fn update_class_follows_policy() {
-        let drift = Update::Drift {
-            addr: Ipv4Addr::new(10, 0, 0, 1),
-            to: Box::new(ResponsePolicy::refusing()),
-        };
-        assert_eq!(drift.class(), Some(ProfileClass::Refusing));
-        assert_eq!(drift.addr(), Ipv4Addr::new(10, 0, 0, 1));
-        assert_eq!(Update::Remove(Ipv4Addr::new(10, 0, 0, 1)).class(), None);
     }
 }

@@ -30,8 +30,10 @@ pub const COUNTRY_NONE: u16 = u16::MAX;
 /// country labels that ride along with them).
 ///
 /// Ids are assigned in first-intern order, so identically generated
-/// populations produce identical tables — the property the sharding
-/// and observatory layers rely on when they exchange bare ids.
+/// populations produce identical tables. The sharding and observatory
+/// layers exchange bare ids into one shared table: every shard reads
+/// its campaign's, and the observatory's churn updates, membership and
+/// rounds all index its pool's.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileTable {
     profiles: Vec<Arc<ResponsePolicy>>,

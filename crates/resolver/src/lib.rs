@@ -32,7 +32,7 @@ pub mod scaling;
 pub use cache::DnsCache;
 pub use engine::{ProfiledResolver, ResolverStats};
 pub use intern::{ProfileTable, COUNTRY_NONE};
-pub use population::{HostList, HostRef, Member, PlannedResolver, Population, PopulationConfig};
+pub use population::{HostList, HostRef, Member, Population, PopulationConfig};
 pub use profile::{
     AnswerData, ForwardPolicy, ImmediateResponse, ProfileClass, RecursePolicy, ResponseAction,
     ResponsePolicy,

@@ -13,9 +13,10 @@
 //! full-scale population of ~6.5M responders costs ~13.5 bytes a host,
 //! its address index included, instead of an owned [`ResponsePolicy`]
 //! each. Consumers iterate [`HostRef`]s, which borrow
-//! the shared [`ProfileTable`]; [`PlannedResolver`] remains the owned
-//! exchange type for code (churn, the observatory) that tracks
-//! individual hosts.
+//! the shared [`ProfileTable`]. Code that tracks individual hosts
+//! (churn, the observatory's membership) holds the same ids a
+//! [`HostList`] does — [`HostList::profile_id`] and
+//! [`HostList::country_id`] — against the table they index.
 
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -67,22 +68,6 @@ impl PopulationConfig {
             forwarder_fraction: 0.0,
         }
     }
-}
-
-/// One planned responder, with an owned policy.
-///
-/// This is the *exchange* representation: churn updates and observatory
-/// membership carry it. Bulk storage uses [`HostList`] instead; a
-/// [`HostRef`] converts via [`HostRef::to_planned`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlannedResolver {
-    /// The host's address in the probeable space.
-    pub addr: Ipv4Addr,
-    /// Its behaviour.
-    pub policy: ResponsePolicy,
-    /// Country tag for malicious responders (drives the geolocation
-    /// analysis of §IV-C2); `None` for everything else.
-    pub country: Option<&'static str>,
 }
 
 /// Storage for planned hosts, each held once: its packed IPv4 address
@@ -376,19 +361,9 @@ pub struct HostRef<'a> {
     pub addr: Ipv4Addr,
     /// Its behaviour, shared with every other host of the same profile.
     pub policy: &'a Arc<ResponsePolicy>,
-    /// Country tag for malicious responders; `None` for everything else.
+    /// Country tag for malicious responders (drives the geolocation
+    /// analysis of §IV-C2); `None` for everything else.
     pub country: Option<&'static str>,
-}
-
-impl HostRef<'_> {
-    /// Materializes an owned [`PlannedResolver`].
-    pub fn to_planned(&self) -> PlannedResolver {
-        PlannedResolver {
-            addr: self.addr,
-            policy: (**self.policy).clone(),
-            country: self.country,
-        }
-    }
 }
 
 /// A unique malicious answer address with its category and packet count,
