@@ -1,7 +1,7 @@
 //! Distribution-fit statistics for paper-vs-measured comparisons.
 //!
 //! Row-by-row ratios (see [`crate::report::Comparison`]) answer "is this
-//! cell right?"; the metrics here answer "is the whole *distribution*
+//! cell right?"; the metric here answers "is the whole *distribution*
 //! right?" — which is the claim a reproduction actually makes about a
 //! table like the rcode breakdown or the category split of Table IX.
 
@@ -38,64 +38,6 @@ pub fn total_variation(paper: &[u64], measured: &[u64]) -> f64 {
         .sum::<f64>()
 }
 
-/// Pearson's chi-square statistic of `measured` against the shape of
-/// `paper` (expected counts scaled to the measured total). Cells with a
-/// zero expectation are skipped (they contribute no information).
-///
-/// # Panics
-///
-/// Panics if the vectors differ in length.
-pub(crate) fn chi_square(paper: &[u64], measured: &[u64]) -> f64 {
-    assert_eq!(paper.len(), measured.len(), "length mismatch");
-    let (sp, sm) = (
-        paper.iter().sum::<u64>() as f64,
-        measured.iter().sum::<u64>() as f64,
-    );
-    if sp == 0.0 || sm == 0.0 {
-        return 0.0;
-    }
-    paper
-        .iter()
-        .zip(measured)
-        .filter(|(&p, _)| p > 0)
-        .map(|(&p, &m)| {
-            let expected = p as f64 / sp * sm;
-            let delta = m as f64 - expected;
-            delta * delta / expected
-        })
-        .sum()
-}
-
-/// A compact fit summary for one table.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FitSummary {
-    /// Total variation distance of the normalized distributions.
-    pub(crate) tvd: f64,
-    /// Chi-square statistic (measured vs paper-shaped expectation).
-    pub(crate) chi_square: f64,
-    /// Number of cells compared.
-    pub cells: usize,
-}
-
-/// Computes both metrics at once.
-pub fn fit(paper: &[u64], measured: &[u64]) -> FitSummary {
-    FitSummary {
-        tvd: total_variation(paper, measured),
-        chi_square: chi_square(paper, measured),
-        cells: paper.len(),
-    }
-}
-
-impl std::fmt::Display for FitSummary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "TVD {:.4}, chi^2 {:.2} over {} cells",
-            self.tvd, self.chi_square, self.cells
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,31 +59,8 @@ mod tests {
     }
 
     #[test]
-    fn chi_square_zero_for_exact_shape() {
-        assert_eq!(chi_square(&[50, 50], &[5, 5]), 0.0);
-        let x = chi_square(&[50, 50], &[6, 4]);
-        assert!((x - 0.4).abs() < 1e-12, "{x}");
-    }
-
-    #[test]
-    fn chi_square_skips_zero_expectation() {
-        // A cell present in measured but absent in paper is skipped
-        // rather than dividing by zero.
-        let x = chi_square(&[10, 0], &[10, 3]);
-        assert!(x.is_finite());
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn length_mismatch_panics() {
         let _ = total_variation(&[1], &[1, 2]);
-    }
-
-    #[test]
-    fn fit_summary_display() {
-        let s = fit(&[90, 10], &[85, 15]);
-        assert!(s.tvd > 0.0);
-        assert!(s.to_string().contains("TVD"));
-        assert_eq!(s.cells, 2);
     }
 }

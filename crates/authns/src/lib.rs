@@ -20,9 +20,7 @@
 //! - [`hierarchy`]: [`DelegationServer`], the endpoint of the root and
 //!   TLD servers alike,
 //! - [`capture`]: the captured records (R2, Q2/R1), the [`RecordSink`]
-//!   that consumes them, and the server-side packet log,
-//! - [`zonefile`]: BIND-style master-file parsing and serialization
-//!   (the format the real scan's generated clusters were loaded from).
+//!   that consumes them, and the server-side packet log.
 
 pub mod capture;
 pub mod cluster;
@@ -30,7 +28,6 @@ pub mod hierarchy;
 pub mod scheme;
 pub mod server;
 pub mod zone;
-pub mod zonefile;
 
 pub use capture::{CaptureHandle, CapturedPacket, Direction, R2Capture, RecordSink, SharedSink};
 pub use cluster::{ClusterAnswer, ClusterZone};

@@ -19,7 +19,10 @@ pub enum ZoneAnswer {
     OutOfZone,
 }
 
-/// An authoritative zone: origin, SOA, NS set, and explicit records.
+/// The TTL of the records the `add_*` helpers build.
+const DEFAULT_TTL: u32 = 60;
+
+/// An authoritative zone: origin, SOA, one NS record, and explicit records.
 ///
 /// # Example
 ///
@@ -41,11 +44,9 @@ pub enum ZoneAnswer {
 pub struct Zone {
     origin: Name,
     soa: Record,
-    ns: Vec<Record>,
+    ns: Record,
     /// Records keyed by owner name; values grouped in insertion order.
     records: BTreeMap<Name, Vec<Record>>,
-    /// Default TTL for added records.
-    default_ttl: u32,
 }
 
 impl Zone {
@@ -66,50 +67,13 @@ impl Zone {
                 minimum: 300,
             })),
         );
-        let ns = vec![Record::in_class(
-            origin.clone(),
-            3600,
-            RData::Ns(primary_ns),
-        )];
+        let ns = Record::in_class(origin.clone(), 3600, RData::Ns(primary_ns));
         Self {
             origin,
             soa,
             ns,
             records: BTreeMap::new(),
-            default_ttl: 60,
         }
-    }
-
-    /// Creates a zone from an explicit SOA payload (zone-file loading).
-    pub(crate) fn new_with_soa(origin: Name, soa: Soa) -> Self {
-        Self {
-            soa: Record::in_class(origin.clone(), 3600, RData::Soa(Box::new(soa))),
-            ns: Vec::new(),
-            origin,
-            records: BTreeMap::new(),
-            default_ttl: 60,
-        }
-    }
-
-    /// Adds an NS record for `owner` pointing at `target`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `owner` is outside the zone.
-    pub(crate) fn add_ns(&mut self, owner: Name, ttl: u32, target: Name) -> &mut Self {
-        assert!(
-            owner.is_subdomain_of(&self.origin),
-            "{owner} is outside zone {}",
-            self.origin
-        );
-        self.ns
-            .push(Record::in_class(owner, ttl, RData::Ns(target)));
-        self
-    }
-
-    /// Iterates the explicit (non-SOA, non-NS) records.
-    pub fn records(&self) -> impl Iterator<Item = &Record> {
-        self.records.values().flatten()
     }
 
     /// The zone origin.
@@ -122,22 +86,11 @@ impl Zone {
         &self.soa
     }
 
-    /// The zone's NS records.
-    pub fn ns_records(&self) -> &[Record] {
-        &self.ns
-    }
-
-    /// Sets the TTL used by the `add_*` helpers.
-    pub(crate) fn set_default_ttl(&mut self, ttl: u32) -> &mut Self {
-        self.default_ttl = ttl;
-        self
-    }
-
     /// Adds an arbitrary record.
     ///
     /// # Panics
     ///
-    /// Panics if the owner name is outside the zone (a zone-file bug).
+    /// Panics if the owner name is outside the zone.
     pub fn add_record(&mut self, record: Record) -> &mut Self {
         assert!(
             record.name().is_subdomain_of(&self.origin),
@@ -154,24 +107,17 @@ impl Zone {
 
     /// Adds an A record with the default TTL.
     pub fn add_a(&mut self, name: Name, addr: std::net::Ipv4Addr) -> &mut Self {
-        let ttl = self.default_ttl;
-        self.add_record(Record::in_class(name, ttl, RData::A(addr)))
+        self.add_record(Record::in_class(name, DEFAULT_TTL, RData::A(addr)))
     }
 
     /// Adds a TXT record with the default TTL (apex TXT bulk is what makes
     /// ANY queries amplify).
     pub fn add_txt(&mut self, name: Name, text: &str) -> &mut Self {
-        let ttl = self.default_ttl;
         self.add_record(Record::in_class(
             name,
-            ttl,
+            DEFAULT_TTL,
             RData::Txt(vec![text.as_bytes().to_vec()]),
         ))
-    }
-
-    /// Number of explicit records (across all names).
-    pub fn record_count(&self) -> usize {
-        self.records.values().map(Vec::len).sum()
     }
 
     /// Looks up `qname`/`qtype` with authoritative semantics.
@@ -187,7 +133,7 @@ impl Zone {
                 found.push(self.soa.clone());
             }
             if matches!(qtype, RecordType::Ns | RecordType::Any) {
-                found.extend(self.ns.iter().cloned());
+                found.push(self.ns.clone());
             }
         }
         let explicit = self.records.get(qname);
@@ -312,10 +258,5 @@ mod tests {
             z.lookup(&name("WWW.UCFSEALRESEARCH.NET"), RecordType::A),
             ZoneAnswer::Answer(_)
         ));
-    }
-
-    #[test]
-    fn record_count() {
-        assert_eq!(test_zone().record_count(), 3);
     }
 }

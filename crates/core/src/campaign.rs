@@ -366,10 +366,9 @@ impl Campaign {
     }
 
     /// Runs the campaign over a caller-supplied population (used by the
-    /// continuous-monitoring trend, which interpolates populations
-    /// between the two scans, and by the observatory's rounds). A shared
-    /// population is only read, so a caller that may run it again — a
-    /// supervised retry — keeps its copy without cloning it.
+    /// observatory's rounds). A shared population is only read, so a
+    /// caller that may run it again — a supervised retry — keeps its copy
+    /// without cloning it.
     ///
     /// # Errors
     ///

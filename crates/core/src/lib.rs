@@ -37,7 +37,6 @@ pub mod result;
 pub mod supervise;
 pub mod sync;
 pub mod tap;
-pub mod trend;
 
 pub use bus::{Captured, Record, RecordBus, DEFAULT_TAP_CAPACITY};
 pub use campaign::{Campaign, CampaignConfig};
@@ -47,4 +46,3 @@ pub use orscope_analysis::AnalysisMode;
 pub use result::CampaignResult;
 pub use supervise::{supervise, Supervised};
 pub use tap::{PredicateError, TapPredicate, TapSubscriber};
-pub use trend::{run_trend, TrendConfig};

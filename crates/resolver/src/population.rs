@@ -806,39 +806,6 @@ impl Population {
         let responders: u64 = atoms(&YearSpec::get(year)).iter().sum();
         (responders as f64 / scale).round() as u64
     }
-
-    /// Appends `part`'s hosts to this population, re-interning their
-    /// profiles and countries into this population's table (ids from
-    /// different `generate` calls are not comparable). Resolvers for
-    /// which `keep(addr)` is false are dropped — trend interpolation
-    /// uses this to discard address collisions between samples; off-port
-    /// and upstream hosts are appended unconditionally.
-    pub fn merge(&mut self, part: &Population, keep: impl Fn(Ipv4Addr) -> bool) {
-        let table = Arc::make_mut(&mut self.table);
-        let mut memo: Vec<Option<ProfileId>> = vec![None; part.table.len()];
-        let mut append = |dst: &mut HostList, src: &HostList, filtered: bool| {
-            let own = dst.iter_ids();
-            let added = src
-                .iter_ids()
-                .filter(|&(addr, _, _)| !filtered || keep(addr));
-            let added: Vec<_> = added
-                .map(|(addr, old, country)| {
-                    let profile = *memo[old as usize].get_or_insert_with(|| {
-                        table.intern(ResponsePolicy::clone(part.table.get(old)))
-                    });
-                    (
-                        addr,
-                        profile,
-                        table.intern_country(part.table.country(country)),
-                    )
-                })
-                .collect();
-            *dst = own.chain(added).collect();
-        };
-        append(&mut self.resolvers, &part.resolvers, true);
-        append(&mut self.off_port, &part.off_port, false);
-        append(&mut self.upstreams, &part.upstreams, false);
-    }
 }
 
 /// The year's cells as the one list of counts that scaling divides:
@@ -1634,11 +1601,11 @@ mod host_list_tests {
         });
     }
 
-    /// Generation, its table compaction and `merge` keep every index
-    /// where a generation-order list built from the same stream keeps
-    /// it: each list read back through a second, unsorted path.
+    /// Generation and its table compaction keep every index where a
+    /// generation-order list built from the same stream keeps it: each
+    /// list read back through a second, unsorted path.
     #[test]
-    fn generated_and_merged_lists_read_what_their_streams_held() {
+    fn generated_lists_read_what_their_streams_held() {
         let config = |year, seed, scale| {
             let mut config = PopulationConfig::new(year, scale);
             config.seed = seed;
@@ -1647,40 +1614,27 @@ mod host_list_tests {
             config
         };
         for seed in [0xD5A1_2019, 1, 77] {
-            let mut base = Population::generate(&config(Year::Y2013, seed, 20_000.0));
-            let part = Population::generate(&config(Year::Y2018, seed ^ 1, 9_000.0));
-            let mut expected: Vec<Reference> = Vec::new();
-            // What `merge` appends: interned into the base table in the
-            // order it meets them.
-            let mut table = ProfileTable::clone(&base.table);
-            for (mine, theirs, filtered) in [
-                (&base.resolvers, &part.resolvers, true),
-                (&base.off_port, &part.off_port, false),
-                (&base.upstreams, &part.upstreams, false),
+            for population in [
+                Population::generate(&config(Year::Y2013, seed, 20_000.0)),
+                Population::generate(&config(Year::Y2018, seed ^ 1, 9_000.0)),
             ] {
-                let mut reference = Reference::default();
-                for (addr, profile, country) in mine.iter_ids() {
-                    reference.push(addr, profile, country);
-                }
-                reference.assert_read_by(mine, "generated");
-                for host in theirs.iter(&part.table) {
-                    if filtered && host.addr.octets()[0] % 2 == 0 {
-                        continue;
+                for list in [
+                    &population.resolvers,
+                    &population.off_port,
+                    &population.upstreams,
+                ] {
+                    let mut reference = Reference::default();
+                    for (addr, profile, country) in list.iter_ids() {
+                        reference.push(addr, profile, country);
                     }
-                    let profile = table.intern(ResponsePolicy::clone(host.policy));
-                    reference.push(host.addr, profile, table.intern_country(host.country));
+                    reference.assert_read_by(list, "generated");
                 }
-                expected.push(reference);
-            }
-            base.merge(&part, |addr| addr.octets()[0] % 2 == 1);
-            for (list, reference) in [&base.resolvers, &base.off_port, &base.upstreams]
-                .into_iter()
-                .zip(&expected)
-            {
-                reference.assert_read_by(list, "merged");
-            }
-            for (i, host) in base.resolvers().enumerate() {
-                assert_eq!(base.find(host.addr), Some(base.resolvers.profile_id(i)));
+                for (i, host) in population.resolvers().enumerate() {
+                    assert_eq!(
+                        population.find(host.addr),
+                        Some(population.resolvers.profile_id(i))
+                    );
+                }
             }
         }
     }

@@ -11,8 +11,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use orscope_core::{
-    run_trend, Campaign, CampaignConfig, PredicateError, RecordBus, TapPredicate, TapSubscriber,
-    TrendConfig, DEFAULT_TAP_CAPACITY,
+    Campaign, CampaignConfig, PredicateError, RecordBus, TapPredicate, TapSubscriber,
+    DEFAULT_TAP_CAPACITY,
 };
 use orscope_json::Wire;
 use orscope_netsim::{FaultKind, FaultPlan, FaultRule, FaultScope};
@@ -29,7 +29,6 @@ fn main() -> ExitCode {
     let result = match command {
         "campaign" => run(CAMPAIGN_FLAGS, cmd_campaign),
         "tables" => run(TABLES_FLAGS, cmd_tables),
-        "trend" => run(TREND_FLAGS, cmd_trend),
         "serve" => run(SERVE_FLAGS, cmd_serve),
         "tap" => run(TAP_FLAGS, cmd_tap),
         "pcap" => run(PCAP_FLAGS, cmd_pcap),
@@ -57,7 +56,6 @@ const HELP: &str = "orscope — behavioral analysis of open DNS resolvers (DSN'1
      \x20                  [--faults FILE.json]\n\
      \x20                  [--json FILE] [--telemetry FILE]\n\
      \x20 orscope tables   [--scale S] [--json FILE] [--markdown FILE]\n\
-     \x20 orscope trend    [--steps N] [--scale S] [--seed N]\n\
      \x20 orscope serve    [--year 2013|2018] [--scale S] [--seed N] [--shards N]\n\
      \x20                  [--epochs N] [--epoch-secs SECS] [--port P]\n\
      \x20                  [--join R] [--leave R] [--drift R] [--headroom H]\n\
@@ -76,7 +74,6 @@ const HELP: &str = "orscope — behavioral analysis of open DNS resolvers (DSN'1
      \x20 campaign  replay one scan and print every table, paper vs measured\n\
      \x20 tables    replay both scans (the full evaluation of the paper), one\n\
      \x20           thread each; --markdown writes the tables as markdown\n\
-     \x20 trend     the 2013->2018 continuous-monitoring series (section V)\n\
      \x20 serve     run the resolver observatory: one supervised campaign\n\
      \x20           round per virtual day over a churning population, live\n\
      \x20           HTTP surface (/tables /trends /metrics /healthz /readyz),\n\
@@ -135,7 +132,6 @@ const CAMPAIGN_FLAGS: &[&str] = &[
     "--telemetry",
 ];
 const TABLES_FLAGS: &[&str] = &["--scale", "--json", "--markdown"];
-const TREND_FLAGS: &[&str] = &["--steps", "--scale", "--seed"];
 const SERVE_FLAGS: &[&str] = &[
     "--year",
     "--scale",
@@ -374,26 +370,6 @@ fn cmd_tables(args: &[String]) -> Result<(), String> {
     if let Some(path) = flag_value(args, "--markdown")? {
         std::fs::write(&path, markdown).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
-    }
-    Ok(())
-}
-
-fn cmd_trend(args: &[String]) -> Result<(), String> {
-    let config = TrendConfig {
-        steps: parse_number(args, "--steps", 6usize)?,
-        scale: parse_number(args, "--scale", 2_000.0)?,
-        seed: parse_number(args, "--seed", 0x7E3Du64)?,
-    };
-    config.validate().map_err(|err| err.to_string())?;
-    println!(
-        "{:>6} {:>12} {:>10} {:>8} {:>10}",
-        "year", "responders", "wrong", "Err%", "malicious"
-    );
-    for p in run_trend(&config) {
-        println!(
-            "{:>6.0} {:>12} {:>10} {:>7.2}% {:>10}",
-            p.year_label, p.r2, p.incorrect, p.err_pct, p.malicious
-        );
     }
     Ok(())
 }
@@ -823,15 +799,16 @@ mod tests {
         let pcap = args(&["--scale", "--5", "out.pcap"]);
         assert!(reject_unknown_flags("pcap", &pcap, PCAP_FLAGS).is_ok());
         // A repeated flag used to run its first value and drop the rest.
-        let twice = args(&["--steps", "2", "--scale", "60000", "--steps", "3"]);
-        let err = reject_unknown_flags("trend", &twice, TREND_FLAGS).unwrap_err();
-        assert!(err.contains("--steps") && err.contains("twice"), "{err}");
+        let twice = args(&["--seed", "2", "--scale", "60000", "--seed", "3"]);
+        let err = reject_unknown_flags("campaign", &twice, CAMPAIGN_FLAGS).unwrap_err();
+        assert!(err.contains("--seed") && err.contains("twice"), "{err}");
+        assert!(err.contains("campaign"), "{err}");
         let twice = args(&["--full-q1", "--full-q1"]);
         assert!(reject_unknown_flags("campaign", &twice, CAMPAIGN_FLAGS).is_err());
         // A stray positional used to be ignored.
-        let stray = args(&["--steps", "2", "--seed", "1", "bogus"]);
-        let err = reject_unknown_flags("trend", &stray, TREND_FLAGS).unwrap_err();
-        assert!(err.contains("bogus") && err.contains("trend"), "{err}");
+        let stray = args(&["--scale", "60000", "--seed", "1", "bogus"]);
+        let err = reject_unknown_flags("campaign", &stray, CAMPAIGN_FLAGS).unwrap_err();
+        assert!(err.contains("bogus") && err.contains("campaign"), "{err}");
         let stray = args(&["out.pcap", "--scale", "5000", "again.pcap"]);
         let err = reject_unknown_flags("pcap", &stray, PCAP_FLAGS).unwrap_err();
         assert!(err.contains("again.pcap"), "{err}");
@@ -876,7 +853,6 @@ mod tests {
         for (command, flags) in [
             ("campaign", CAMPAIGN_FLAGS),
             ("tables", TABLES_FLAGS),
-            ("trend", TREND_FLAGS),
             ("serve", SERVE_FLAGS),
             ("tap", TAP_FLAGS),
             ("pcap", PCAP_FLAGS),

@@ -58,8 +58,10 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     // would say otherwise).
     ("dense", "materializations", 3_253.0, 3_253.0),
     ("dense", "planned hosts", 3_253.0, 3_253.0),
-    // The most the whole campaign holds at once: 150,023 B. It read
-    // 150,263 B while the prober pulled its targets one at a time from a
+    // The most the whole campaign holds at once: 149,991 B. It read
+    // 150,023 B while each zone carried a default TTL that only the
+    // zone-file reader set and kept its one NS record in a vector of its
+    // own, 150,263 B while the prober pulled its targets one at a time from a
     // boxed stream of iterator adapters, where a walk now fills a buffer
     // of 16 owned `(slot, address)` pairs (256 B) a run, and while its
     // address-to-ticket index was a hash map of 8 B buckets and a
@@ -106,8 +108,8 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     (
         "dense",
         "peak live bytes per planned host",
-        150_023.0 / 3_253.0,
-        150_023.0 / 3_253.0,
+        149_991.0 / 3_253.0,
+        149_991.0 / 3_253.0,
     ),
     ("dense", "live hosts at the peak", 325.0, 10.0),
     // `generate`: `Population::generate` for the `dense` campaign, on
@@ -242,15 +244,15 @@ const GATES: &[(&str, &str, f64, f64)] = &[
     ("size", "CampaignConfig fields", 15.0, 15.0),
     ("size", "CampaignConfig with_* builders", 14.0, 14.0),
     ("size", "ServeConfig fields", 13.0, 13.0),
-    ("size", "orscope help flags", 36.0, 36.0),
+    ("size", "orscope help flags", 35.0, 35.0),
     ("size", "crates", 13.0, 13.0),
     ("size", "example files", 3.0, 3.0),
-    ("size", "integration test files", 31.0, 31.0),
+    ("size", "integration test files", 30.0, 30.0),
 ];
 
 /// The `size` workload's line count and `pub` item count.
-const LINES: f64 = 22_542.0;
-const PUB_ITEMS: f64 = 1_346.0;
+const LINES: f64 = 21_871.0;
+const PUB_ITEMS: f64 = 1_316.0;
 
 /// The `generate` counter.
 const GENERATE_PEAK: &str = "peak live bytes per host";
