@@ -26,7 +26,7 @@ use orscope_telemetry::{MetricValue, Scope, TelemetrySnapshot};
 use crate::error::{CampaignError, DegradedReport, ShardFailure, ShardSabotage};
 use crate::host::Host;
 use crate::infra::{seed_geo_db, seed_threat_db, Infra};
-use crate::plan::TargetPlan;
+use crate::plan::{self, ShardWalk, SilentRun, TargetPlan};
 use crate::recorder::{Publisher, ShardRecorder};
 use crate::result::CampaignResult;
 use crate::supervise::{supervise, Supervised};
@@ -454,7 +454,7 @@ impl Campaign {
                     index,
                     attempt,
                     // A retry walks the permutations afresh.
-                    TargetSource::new(targets.shard(index, shards)),
+                    targets.shard(index, shards),
                     &population,
                 ))
             })
@@ -687,6 +687,7 @@ impl Campaign {
                 std::sync::Arc::clone(&plan.population),
                 infra.root,
                 Rc::clone(&released),
+                plan.silent,
             ))
             .build();
         let mut root = DelegationServer::new();
@@ -773,6 +774,9 @@ pub(crate) struct ShardPlan {
     /// This shard's targets with their campaign-wide send slots, in
     /// scan order (see [`TargetPlan::shard`]).
     pub(crate) targets: TargetSource,
+    /// The silent addresses of the run `targets` holds, which the
+    /// shard's registry settles sends against.
+    pub(crate) silent: Rc<SilentRun>,
     /// The campaign's population, shared by every shard: this one holds
     /// the hosts [`Population::home`] places on it, is only ever sent to
     /// those, and materializes each by [`Population::find`].
@@ -781,13 +785,13 @@ pub(crate) struct ShardPlan {
 
 impl ShardPlan {
     /// Shard `index` of `config.shards` on its supervision `attempt`,
-    /// walking `targets` over `population`.
+    /// walking `walk` over `population`.
     pub(crate) fn new(
         config: &CampaignConfig,
         knobs: &ShardKnobs,
         index: usize,
         attempt: u32,
-        targets: TargetSource,
+        walk: ShardWalk,
         population: &std::sync::Arc<Population>,
     ) -> Self {
         // Disjoint cluster namespaces per shard keep merged qnames
@@ -800,7 +804,8 @@ impl ShardPlan {
             total_rate_pps: knobs.total_rate,
             base_cluster: index as u32 * cluster_stride,
             cluster_capacity: knobs.cluster_capacity,
-            targets,
+            silent: walk.silent(),
+            targets: TargetSource::new(walk),
             population: std::sync::Arc::clone(population),
         }
     }
@@ -826,6 +831,12 @@ const RESOLVER_POOL: usize = 16;
 /// Covers probed hosts (resolvers and off-port responders); upstreams
 /// are always registered eagerly.
 ///
+/// A send to a silent target is settled from the shard walk's record
+/// ([`SilentRun`]) before the simulator looks anything up: the walk
+/// already found no probed host or infrastructure there. The walk does
+/// not step over the upstreams, which are registered, so an address
+/// some upstream holds is left to the full route.
+///
 /// Endpoints the simulator releases come back through
 /// [`LazyRegistry::recycle`], where their books are added to the
 /// shard's, and are re-armed with [`ProfiledResolver::reset`] for the
@@ -848,6 +859,8 @@ struct PopulationRegistry {
     /// the allocation.
     #[allow(clippy::vec_box)]
     pool: RefCell<Vec<Box<ProfiledResolver>>>,
+    /// The silent addresses of the run the shard's walk filled last.
+    silent: Rc<SilentRun>,
 }
 
 impl PopulationRegistry {
@@ -855,26 +868,35 @@ impl PopulationRegistry {
         population: std::sync::Arc<Population>,
         root: Ipv4Addr,
         released: Rc<RefCell<ResolverStats>>,
+        silent: Rc<SilentRun>,
     ) -> Self {
         Self {
             population,
             root,
             released,
             pool: RefCell::new(Vec::with_capacity(RESOLVER_POOL)),
+            silent,
         }
     }
 }
 
 impl Coverage for PopulationRegistry {
     fn covers(&self, addr: Ipv4Addr) -> bool {
-        self.population.find(addr).is_some()
+        plan::find(&self.population, addr).is_some()
+    }
+
+    fn holds_nobody(&self, addr: Ipv4Addr) -> bool {
+        // Without forwarders there is no upstream to look for (a lookup
+        // in an empty list measured 3 % of a silent slot).
+        let upstreams = &self.population.upstreams;
+        self.silent.take(addr) && (upstreams.is_empty() || upstreams.find(addr).is_none())
     }
 }
 
 impl LazyRegistry<Host> for PopulationRegistry {
     fn materialize(&self, addr: Ipv4Addr) -> Option<Host> {
         let population = &self.population;
-        let policy = std::sync::Arc::clone(population.table().get(population.find(addr)?));
+        let policy = std::sync::Arc::clone(population.table().get(plan::find(population, addr)?));
         let resolver = match self.pool.borrow_mut().pop() {
             Some(mut resolver) => {
                 resolver.reset(policy);
@@ -1097,6 +1119,7 @@ impl ShardOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use orscope_netsim::{FxHashMap, FxHashSet};
 
     #[test]
     fn fast_campaign_runs_and_matches_scale() {
@@ -1378,6 +1401,140 @@ mod tests {
         assert!(failures[0].message.contains("sabotaged"));
     }
 
+    /// Runs shard `shard` of `campaign` over `targets` to idle, its
+    /// registry reading the walk's silent record or, with `full_route`,
+    /// a record nothing fills: its books, how often it asked
+    /// [`plan::find`] about each address, and the hosts registered
+    /// before it ran.
+    fn routed_shard(
+        campaign: &Campaign,
+        targets: &TargetPlan,
+        population: &std::sync::Arc<Population>,
+        shard: usize,
+        full_route: bool,
+    ) -> (
+        (NetStats, ProbeStats),
+        FxHashMap<Ipv4Addr, u32>,
+        FxHashSet<Ipv4Addr>,
+    ) {
+        let config = &campaign.config;
+        let knobs = campaign.shard_knobs(&YearSpec::get(config.year));
+        let walk = targets.shard(shard, config.shards);
+        let mut plan = ShardPlan::new(config, &knobs, shard, 0, walk, population);
+        if full_route {
+            plan.silent = Rc::default();
+        }
+        let recorder = ShardRecorder::new(config, plan.responders(), None);
+        let mut world = campaign.build_shard(plan, recorder);
+        let mut registered = FxHashSet::default();
+        world.net.for_each_host(|addr, _| {
+            registered.insert(addr);
+        });
+        let (outcome, finds) = plan::tests::counting_finds(|| {
+            world.net.run_until_idle();
+            world.collect(Duration::ZERO)
+        });
+        ((outcome.net_stats, outcome.probe_stats), finds, registered)
+    }
+
+    /// The silent record against the full route it cuts short. Over
+    /// seeds × {fast, full-Q1} × 1–3 shards × {no rule, loss and
+    /// duplication, a crash window on a silent target} × {the probeable
+    /// space, the /24s that hold the forwarders' upstreams}, each shard
+    /// runs as built and again with a record nothing fills, so that
+    /// every send takes the full route. The books match field for field.
+    /// Every silent target is looked up once, by the walk, where the
+    /// full route looks the shard's own up a second time; so every send
+    /// to one was settled before `covers` was asked, and none of them
+    /// has a host registered or planned. Silence that falls on an
+    /// upstream reaches it.
+    #[test]
+    fn the_silent_record_settles_only_sends_that_reach_nobody() {
+        use crate::plan::tests::{all_but, pairs};
+        for seed in [3, 77] {
+            for full_q1 in [false, true] {
+                let base =
+                    CampaignConfig::new(Year::Y2018, [20_000.0, 400_000.0][usize::from(full_q1)])
+                        .with_seed(seed)
+                        .with_forwarder_fraction(0.3);
+                let base = if full_q1 { base.with_full_q1() } else { base };
+                let spec = YearSpec::get(base.year);
+                let population =
+                    std::sync::Arc::new(Campaign::new(base.clone()).build_population());
+                let upstreams: Vec<Ipv4Addr> = population.upstreams.addrs().collect();
+                assert!(!upstreams.is_empty(), "seed {seed}: forwarders present");
+                let spaces = [AllowedSpace::probeable(), all_but(&upstreams)];
+                for (wide, space) in spaces.into_iter().enumerate() {
+                    let targets =
+                        TargetPlan::new(&base, &spec, std::sync::Arc::clone(&population), space);
+                    let silent: Vec<Ipv4Addr> = pairs(&targets, 0, 1)
+                        .into_iter()
+                        .map(|(_, addr)| addr)
+                        .filter(|&addr| population.find(addr).is_none())
+                        .collect();
+                    let on_upstreams = silent
+                        .iter()
+                        .filter(|addr| upstreams.contains(addr))
+                        .count();
+                    assert_eq!(
+                        on_upstreams > 0,
+                        wide == 1,
+                        "seed {seed}, full_q1 {full_q1}, space {wide}"
+                    );
+                    let crash = FaultPlan::seeded(seed).with_rule(FaultRule::window(
+                        Duration::ZERO,
+                        Duration::from_secs(3_600),
+                        FaultScope::Host(silent[silent.len() / 2]),
+                        FaultKind::Crash,
+                    ));
+                    let plans = [
+                        base.clone(),
+                        base.clone().with_loss(0.1).with_duplication(0.05),
+                        base.clone().with_faults(crash),
+                    ];
+                    for (rule, config) in plans.into_iter().enumerate() {
+                        for shards in 1..=3 {
+                            // The plan reads neither the shard count nor
+                            // the fault plan.
+                            let campaign = Campaign::new(config.clone().with_shards(shards));
+                            for shard in 0..shards {
+                                let context = format!("seed {seed}, full_q1 {full_q1}, space {wide}, rule {rule}, shard {shard}/{shards}");
+                                let (books, finds, registered) =
+                                    routed_shard(&campaign, &targets, &population, shard, false);
+                                let (full_books, full_finds, _) =
+                                    routed_shard(&campaign, &targets, &population, shard, true);
+                                assert_eq!(books, full_books, "{context}");
+                                let own: FxHashSet<Ipv4Addr> = pairs(&targets, shard, shards)
+                                    .into_iter()
+                                    .map(|(_, addr)| addr)
+                                    .collect();
+                                for addr in &silent {
+                                    assert_eq!(finds.get(addr), Some(&1), "{addr}: {context}");
+                                    let upstream = upstreams.contains(addr);
+                                    assert_eq!(
+                                        registered.contains(addr),
+                                        upstream && own.contains(addr),
+                                        "{addr}: {context}"
+                                    );
+                                    let full = if own.contains(addr) && !upstream {
+                                        2
+                                    } else {
+                                        1
+                                    };
+                                    assert_eq!(
+                                        full_finds.get(addr),
+                                        Some(&full),
+                                        "{addr}: {context}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     /// A shard that blows its virtual deadline returns the miss as an
     /// error for the supervisor to retry, without unwinding.
     #[test]
@@ -1388,8 +1545,8 @@ mod tests {
         let spec = YearSpec::get(config.year);
         let knobs = campaign.shard_knobs(&spec);
         let population = std::sync::Arc::new(campaign.build_population());
-        let targets = TargetSource::new(campaign.plan_targets(&spec, &population).shard(0, 1));
-        let plan = ShardPlan::new(&config, &knobs, 0, 0, targets, &population);
+        let walk = campaign.plan_targets(&spec, &population).shard(0, 1);
+        let plan = ShardPlan::new(&config, &knobs, 0, 0, walk, &population);
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             campaign.run_shard(plan).map(drop)
         }));

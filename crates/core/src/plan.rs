@@ -12,11 +12,13 @@
 //! nothing is ordered, partitioned or copied per shard before the
 //! fan-out, and a supervised retry just starts the walks again.
 
+use std::cell::Cell;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use orscope_ipspace::{AllowedSpace, ScanPermutation, ScanPermutationIter};
-use orscope_prober::TargetWalk;
+use orscope_prober::{TargetSource, TargetWalk};
 use orscope_resolver::paper::YearSpec;
 use orscope_resolver::population::{shard_index, Member, Population};
 
@@ -119,7 +121,57 @@ impl TargetPlan {
             slot: 0,
             shard,
             shards,
+            silent: Rc::default(),
         }
+    }
+}
+
+/// `population.find(addr)`: what the silent walk and a shard's registry
+/// ask of the population. Unit tests count the calls per address.
+pub(crate) fn find(population: &Population, addr: Ipv4Addr) -> Option<u32> {
+    #[cfg(test)]
+    tests::count_find(addr);
+    population.find(addr)
+}
+
+/// The silent addresses of the run a shard's walk filled last, in scan
+/// order, which its registry settles sends against
+/// ([`orscope_netsim::Coverage::holds_nobody`]). The walk proved each is
+/// neither a probed host nor infrastructure, and the prober sends a run
+/// in order before the walk fills the next, so a send is compared with
+/// the next address recorded alone. Any other send — a responder's, a
+/// retransmission, one past the record's room — takes the full route.
+#[derive(Debug, Default)]
+pub(crate) struct SilentRun {
+    addrs: [Cell<u32>; TargetSource::RUN],
+    /// How many of `addrs` the last run recorded.
+    len: Cell<usize>,
+    /// How many of them sends have matched.
+    next: Cell<usize>,
+}
+
+impl SilentRun {
+    /// Forgets the last run.
+    fn clear(&self) {
+        self.len.set(0);
+        self.next.set(0);
+    }
+
+    /// Records `addr`, if there is room.
+    fn push(&self, addr: Ipv4Addr) {
+        let len = self.len.get();
+        if let Some(slot) = self.addrs.get(len) {
+            slot.set(u32::from(addr));
+            self.len.set(len + 1);
+        }
+    }
+
+    /// Whether `addr` is the next address recorded, which it spends.
+    pub(crate) fn take(&self, addr: Ipv4Addr) -> bool {
+        let next = self.next.get();
+        let hit = next < self.len.get() && self.addrs[next].get() == u32::from(addr);
+        self.next.set(next + usize::from(hit));
+        hit
     }
 }
 
@@ -146,6 +198,8 @@ pub(crate) struct ShardWalk {
     slot: u64,
     shard: usize,
     shards: usize,
+    /// The silent addresses of the last run this shard keeps.
+    silent: Rc<SilentRun>,
 }
 
 impl ShardWalk {
@@ -158,10 +212,16 @@ impl ShardWalk {
                 .next()
                 .expect("the plan has a free address for every silent slot");
             let addr = self.space.nth(u64::from(rank)).expect("rank in range");
-            if self.population.find(addr).is_none() && !self.infra.contains(&addr) {
+            if find(&self.population, addr).is_none() && !self.infra.contains(&addr) {
                 return addr;
             }
         }
+    }
+
+    /// The record of the silent addresses each run holds, which the
+    /// walk rewrites at every fill.
+    pub(crate) fn silent(&self) -> Rc<SilentRun> {
+        Rc::clone(&self.silent)
     }
 }
 
@@ -171,6 +231,7 @@ impl TargetWalk for ShardWalk {
         let resolvers = population.resolvers.len();
         let responders = resolvers + population.off_port.len();
         let end = run.len().saturating_add(room);
+        self.silent.clear();
         while run.len() < end {
             let Some(index) = self.order.next() else {
                 return;
@@ -194,6 +255,9 @@ impl TargetWalk for ShardWalk {
                 None => shard_index(addr, self.shards),
             };
             if self.shards == 1 || home() == self.shard {
+                if member.is_none() {
+                    self.silent.push(addr);
+                }
                 run.push((slot, addr));
             }
         }
@@ -201,7 +265,7 @@ impl TargetWalk for ShardWalk {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::campaign::{Campaign, ShardPlan};
     use orscope_authns::capture::{RecordSink, SharedSink};
@@ -216,6 +280,29 @@ mod tests {
     use std::cell::RefCell;
     use std::iter::Peekable;
     use std::rc::Rc;
+
+    thread_local! {
+        /// How often this thread asked [`find`] about each address, while
+        /// a test counts.
+        static FINDS: RefCell<Option<FxHashMap<Ipv4Addr, u32>>> = const { RefCell::new(None) };
+    }
+
+    /// Counts a [`find`] of `addr`, if this thread is counting.
+    pub(super) fn count_find(addr: Ipv4Addr) {
+        FINDS.with_borrow_mut(|finds| {
+            if let Some(finds) = finds {
+                *finds.entry(addr).or_default() += 1;
+            }
+        });
+    }
+
+    /// Runs `f` and returns how often it asked [`find`] about each
+    /// address, on this thread.
+    pub(crate) fn counting_finds<T>(f: impl FnOnce() -> T) -> (T, FxHashMap<Ipv4Addr, u32>) {
+        FINDS.set(Some(FxHashMap::default()));
+        let out = f();
+        (out, FINDS.take().expect("counting"))
+    }
 
     /// The responders in index order, how many targets the scan asks
     /// for, and every address silence may not fall on.
@@ -319,7 +406,7 @@ mod tests {
     }
 
     /// Every pair shard `shard` of `shards` probes, from one fill.
-    fn pairs(plan: &TargetPlan, shard: usize, shards: usize) -> Vec<(u64, Ipv4Addr)> {
+    pub(crate) fn pairs(plan: &TargetPlan, shard: usize, shards: usize) -> Vec<(u64, Ipv4Addr)> {
         let mut run = Vec::new();
         plan.shard(shard, shards).fill(&mut run, usize::MAX);
         run
@@ -638,9 +725,14 @@ mod tests {
                         .into_iter()
                         .filter(|&(_, addr)| population.find(addr).is_some())
                         .count();
-                    let targets = TargetSource::new(plan.shard(shard, shards));
-                    let shard_plan =
-                        ShardPlan::new(&config, &knobs, shard, 0, targets, &population);
+                    let shard_plan = ShardPlan::new(
+                        &config,
+                        &knobs,
+                        shard,
+                        0,
+                        plan.shard(shard, shards),
+                        &population,
+                    );
                     assert_eq!(
                         shard_plan.responders(),
                         handed,
@@ -778,7 +870,7 @@ mod tests {
     }
 
     /// Everything but the /24s of `keep`.
-    fn all_but(keep: &[Ipv4Addr]) -> AllowedSpace {
+    pub(crate) fn all_but(keep: &[Ipv4Addr]) -> AllowedSpace {
         let mut blocked = Blocklist::new();
         for first in 0..=255u8 {
             for second in 0..=255u8 {

@@ -43,10 +43,13 @@ const PRIVATE_RANGES: [(u32, u32); 7] = [
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct GeoDb {
-    exact: HashMap<Ipv4Addr, GeoRecord>,
+    /// `(address, record)`, in insertion order until [`GeoDb::finalize`]
+    /// sorts it by address and keeps the last record of each address.
+    exact: Vec<(u32, GeoRecord)>,
     /// `(first, last, record)` sorted by `first`; ranges may nest but the
     /// narrowest match wins.
     ranges: Vec<(u32, u32, GeoRecord)>,
+    /// Whether both lists are sorted, `exact` without repeats.
     sorted: bool,
 }
 
@@ -56,9 +59,11 @@ impl GeoDb {
         Self::default()
     }
 
-    /// Registers an exact (`/32`) entry.
+    /// Registers an exact (`/32`) entry, replacing any earlier one for
+    /// `addr`.
     pub fn insert_exact(&mut self, addr: Ipv4Addr, record: GeoRecord) {
-        self.exact.insert(addr, record);
+        self.exact.push((u32::from(addr), record));
+        self.sorted = false;
     }
 
     /// Registers an inclusive range entry.
@@ -73,19 +78,23 @@ impl GeoDb {
         self.sorted = false;
     }
 
-    fn ensure_sorted(&mut self) {
-        if !self.sorted {
-            self.ranges.sort_by_key(|&(f, l, _)| (f, l));
-            self.sorted = true;
-        }
+    /// The exact entry for `a`: a binary search once the table is
+    /// finalized, the latest insert before.
+    fn exact(&self, a: u32) -> Option<&GeoRecord> {
+        let at = if self.sorted {
+            self.exact.binary_search_by_key(&a, |&(addr, _)| addr).ok()
+        } else {
+            self.exact.iter().rposition(|&(addr, _)| addr == a)
+        };
+        at.map(|at| &self.exact[at].1)
     }
 
     /// Looks up `addr`; never fails (see type-level docs for precedence).
     pub fn lookup(&self, addr: Ipv4Addr) -> GeoRecord {
-        if let Some(record) = self.exact.get(&addr) {
+        let a = u32::from(addr);
+        if let Some(record) = self.exact(a) {
             return record.clone();
         }
-        let a = u32::from(addr);
         // Narrowest covering range wins.
         let mut best: Option<&(u32, u32, GeoRecord)> = None;
         for entry in &self.ranges {
@@ -110,10 +119,21 @@ impl GeoDb {
         self.ranges.len()
     }
 
-    /// Sorts the internal range list for deterministic iteration; called
-    /// automatically where needed.
+    /// Sorts both tables by address, keeps the last exact entry of each
+    /// address and trims the exact table to its length: call it once
+    /// every entry is in. Lookups before it answer the same, slower.
     pub fn finalize(&mut self) {
-        self.ensure_sorted();
+        if self.sorted {
+            return;
+        }
+        // Reversed first, so that the stable sort puts each address's
+        // latest entry first among its own and the dedup keeps it.
+        self.exact.reverse();
+        self.exact.sort_by_key(|&(addr, _)| addr);
+        self.exact.dedup_by_key(|&mut (addr, _)| addr);
+        self.exact.shrink_to_fit();
+        self.ranges.sort_by_key(|&(f, l, _)| (f, l));
+        self.sorted = true;
     }
 }
 
@@ -209,6 +229,51 @@ mod tests {
         fn exact_count(&self) -> usize {
             self.exact.len()
         }
+    }
+
+    #[test]
+    fn the_exact_table_answers_as_the_map_it_replaced() {
+        // Inserts over a few addresses (so most repeat, the last insert
+        // winning), beside ranges that cover some of them, read back
+        // before and after `finalize` against a hash map of the exact
+        // entries and an exact-free twin for the rest.
+        orscope_check::cases(100, |rng| {
+            let mut db = GeoDb::new();
+            let mut ranges_only = GeoDb::new();
+            let mut map: HashMap<Ipv4Addr, GeoRecord> = HashMap::new();
+            let addr = |rng: &mut orscope_check::Rng| {
+                Ipv4Addr::from(rng.range(0..64u32).wrapping_mul(0x0301_0507))
+            };
+            for i in 0..rng.range(0..6u32) {
+                let first = u32::from(addr(rng));
+                let last = first.saturating_add(rng.range(0..0x0400_0000u32));
+                let record = GeoRecord::new("US", i, "range");
+                db.insert_range(first.into(), last.into(), record.clone());
+                ranges_only.insert_range(first.into(), last.into(), record);
+            }
+            for i in 0..rng.range(0..80u32) {
+                let ip = addr(rng);
+                let record = GeoRecord::new("VG", i, format!("org {i}"));
+                db.insert_exact(ip, record.clone());
+                map.insert(ip, record);
+            }
+            let probes: Vec<Ipv4Addr> = (0..100).map(|_| addr(rng)).collect();
+            let expected: Vec<GeoRecord> = probes
+                .iter()
+                .map(|ip| {
+                    map.get(ip)
+                        .cloned()
+                        .unwrap_or_else(|| ranges_only.lookup(*ip))
+                })
+                .collect();
+            let read = |db: &GeoDb| probes.iter().map(|&ip| db.lookup(ip)).collect::<Vec<_>>();
+            assert_eq!(read(&db), expected, "before finalize");
+            db.finalize();
+            assert_eq!(read(&db), expected, "after finalize");
+            assert_eq!(db.exact_count(), map.len());
+            assert!(db.exact.windows(2).all(|pair| pair[0].0 < pair[1].0));
+            assert_eq!(db.exact.capacity(), db.exact.len());
+        });
     }
 
     #[test]

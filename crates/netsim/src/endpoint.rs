@@ -90,8 +90,13 @@ impl Routes<'_> {
     /// slot reserved for `dst` ([`HOST_UNRESOLVED`] for a planned host
     /// that holds none), or `None` when nobody has ever been registered
     /// there and the registry plans nobody — a datagram with nowhere to
-    /// arrive, now or later.
+    /// arrive, now or later. A destination the registry already knows
+    /// holds nobody ([`Coverage::holds_nobody`]) is settled before
+    /// anything is looked up.
     pub(crate) fn route(&self, dst: Ipv4Addr) -> Option<HostId> {
+        if self.lazy.is_some_and(|lazy| lazy.holds_nobody(dst)) {
+            return None;
+        }
         match self.index.get(&dst) {
             Some(&host) => Some(host),
             None => self
@@ -119,6 +124,10 @@ impl std::fmt::Debug for Routes<'_> {
 pub(crate) struct Horizon<'a> {
     /// Every other pending event; only its head is looked at.
     pub(crate) queue: &'a mut TimingWheel,
+    /// When that head is due (`None`: nothing is pending), once looked
+    /// at: nothing is queued while a handler runs, so one look holds for
+    /// the whole dispatch.
+    pub(crate) head: Option<Option<SimTime>>,
     /// The deadline of the run in progress.
     pub(crate) deadline: SimTime,
     /// The simulator's event cap.
@@ -245,7 +254,10 @@ impl<'a> Context<'a> {
             || !self.timers.is_empty()
             || at > horizon.deadline
             || self.wire.stats.events >= horizon.max_events
-            || horizon.queue.next_at().is_some_and(|head| head <= at)
+            || horizon
+                .head
+                .get_or_insert_with(|| horizon.queue.next_at())
+                .is_some_and(|head| head <= at)
         {
             return false;
         }

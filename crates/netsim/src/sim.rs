@@ -35,6 +35,16 @@ pub trait Coverage {
     /// when it is asked: `covers(addr)` holds exactly when
     /// [`LazyRegistry::materialize`] would return an endpoint.
     fn covers(&self, addr: Ipv4Addr) -> bool;
+
+    /// Whether the registry already knows that nobody is at `addr`: no
+    /// host is registered there and [`Coverage::covers`] is `false`.
+    /// Routing asks this first, once per send, and settles a `true` as a
+    /// send to nobody without looking anything else up, so the answer
+    /// may spend what the registry knew. Default: `false`.
+    fn holds_nobody(&self, addr: Ipv4Addr) -> bool {
+        let _ = addr;
+        false
+    }
 }
 
 /// A source of on-demand hosts of type `H`, consulted when a datagram
@@ -159,6 +169,12 @@ impl Wire<'_> {
     /// swallows it, otherwise it is unrouted. Only a crash rule can tell
     /// one arrival instant from another, so only then is one computed.
     pub(crate) fn settle_nobody(&mut self, src: Ipv4Addr, dst: Ipv4Addr, now: SimTime) {
+        if self.faults.is_inert() {
+            // No rule to draw a verdict: sent, and unrouted.
+            self.stats.sent += 1;
+            self.stats.unrouted += 1;
+            return;
+        }
         let Some(verdict) = self.on_wire(src, dst, now) else {
             return;
         };
@@ -718,6 +734,7 @@ impl<H: Endpoint> SimNet<H> {
         };
         let horizon = may_advance.then_some(Horizon {
             queue,
+            head: None,
             deadline,
             max_events: *max_events,
         });
@@ -1164,6 +1181,75 @@ mod lazy_tests {
         net.run_until_idle();
         assert_eq!(net.stats().timers_fired, 1);
         assert_eq!(net.stats().events, 2);
+    }
+
+    /// Plans an echo at every address of the probed block but the ones
+    /// in `nobody`, which it says hold nobody when `knows`, and counts
+    /// the `covers` it is asked.
+    struct KnowsNobody {
+        nobody: Vec<Ipv4Addr>,
+        knows: bool,
+        asked: std::rc::Rc<std::cell::Cell<u64>>,
+    }
+    impl Coverage for KnowsNobody {
+        fn covers(&self, addr: Ipv4Addr) -> bool {
+            self.asked.set(self.asked.get() + 1);
+            (BASE..BASE + 50).contains(&u32::from(addr)) && !self.nobody.contains(&addr)
+        }
+        fn holds_nobody(&self, addr: Ipv4Addr) -> bool {
+            self.knows && self.nobody.contains(&addr)
+        }
+    }
+    impl LazyRegistry for KnowsNobody {
+        fn materialize(&self, addr: Ipv4Addr) -> Option<Box<dyn Endpoint>> {
+            let echo: Box<dyn Endpoint> = Box::new(QuiescentEcho);
+            self.covers(addr).then_some(echo)
+        }
+    }
+
+    #[test]
+    fn a_send_the_registry_knows_reaches_nobody_skips_the_full_route() {
+        // The same traffic through a registry that names the addresses
+        // that hold nobody and through one that leaves every send to the
+        // full route, under no rule and under duplication: the
+        // books match, and only the full route asks `covers` about them.
+        let nobody: Vec<Ipv4Addr> = (0..50)
+            .step_by(3)
+            .map(|i| Ipv4Addr::from(BASE + i))
+            .collect();
+        for faults in [
+            FaultPlan::seeded(3),
+            FaultPlan::seeded(3).with_rule(FaultRule::always(
+                FaultScope::All,
+                FaultKind::Duplicate { probability: 0.5 },
+            )),
+        ] {
+            let run = |knows: bool| {
+                let asked = std::rc::Rc::default();
+                let mut net = SimNet::builder()
+                    .latency(FixedLatency(Duration::from_millis(1)))
+                    .faults(faults.clone())
+                    .lazy_hosts(KnowsNobody {
+                        nobody: nobody.clone(),
+                        knows,
+                        asked: std::rc::Rc::clone(&asked),
+                    })
+                    .build();
+                net.register(Ipv4Addr::from(BASE + 60), QuiescentEcho);
+                for i in 0..70u32 {
+                    net.inject(Datagram::new(
+                        (Ipv4Addr::new(1, 0, 0, 1), 5353),
+                        (Ipv4Addr::from(BASE + i), 53),
+                        vec![1],
+                    ));
+                }
+                net.run_until_idle();
+                (*net.stats(), asked.get())
+            };
+            let ((known, asked_known), (full, asked_full)) = (run(true), run(false));
+            assert_eq!(known, full);
+            assert_eq!(asked_full - asked_known, nobody.len() as u64);
+        }
     }
 
     /// Echoes like [`QuiescentEcho`] and remembers which

@@ -1,5 +1,6 @@
 //! The prober endpoint: paced scanning, qname matching, reuse.
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 use std::time::Duration;
@@ -8,7 +9,7 @@ use orscope_authns::capture::SharedSink;
 use orscope_authns::scheme::ProbeLabel;
 use orscope_dns_wire::wire::Reader;
 use orscope_dns_wire::{Header, Message, Name, Question};
-use orscope_netsim::{Context, Datagram, Endpoint, Payload, SimTime};
+use orscope_netsim::{Context, Datagram, Endpoint, FxHashMap, Payload, SimTime};
 
 use crate::capture::{ProbeStats, R2Capture};
 use crate::pacer::{Pacer, ZeroRateError};
@@ -215,8 +216,9 @@ struct Ring {
 #[derive(Debug)]
 struct InFlight {
     rings: Vec<Ring>,
-    /// Each target's live flight.
-    index: TicketIndex,
+    /// Each target's live flight, keyed by its address as a `u32`: one
+    /// word to hash. Fx, not SipHash: the simulator controls every key.
+    index: FxHashMap<u32, u32>,
     window: Duration,
     next_seq: u32,
 }
@@ -225,7 +227,7 @@ impl InFlight {
     fn new(window: Duration) -> Self {
         Self {
             rings: Vec::new(),
-            index: TicketIndex::default(),
+            index: FxHashMap::default(),
             window,
             next_seq: 0,
         }
@@ -238,10 +240,18 @@ impl InFlight {
 
     /// Files a fresh probe's transmission; returns the label of the
     /// flight it supersedes, which dies. A superseding probe takes over
-    /// the target's ticket in place, as [`InFlight::resend`] does.
+    /// the target's ticket in place, as [`InFlight::resend`] does: an
+    /// entry reserves room only for a vacant key, where an insert
+    /// reserves it before it looks the key up.
     fn send(&mut self, target: Ipv4Addr, label: ProbeLabel, now: SimTime) -> Option<ProbeLabel> {
         let ticket = self.push(target, label, 0, now);
-        let earlier = self.index.insert(target, ticket)?;
+        let earlier = match self.index.entry(u32::from(target)) {
+            Entry::Vacant(slot) => {
+                slot.insert(ticket);
+                return None;
+            }
+            Entry::Occupied(mut slot) => slot.insert(ticket),
+        };
         let earlier = self.flight_mut(earlier);
         let label = earlier.label();
         earlier.label = DEAD;
@@ -250,11 +260,14 @@ impl InFlight {
 
     /// Files the retransmission at attempt `level` of a flight that
     /// [`InFlight::pop_due`] took: it takes over the target's ticket in
-    /// place.
+    /// place (an insert reserves room first, which doubles an index at
+    /// its load limit).
     fn resend(&mut self, target: Ipv4Addr, label: ProbeLabel, level: u32, now: SimTime) {
         let ticket = self.push(target, label, level, now);
-        let taken = self.index.insert(target, ticket);
-        debug_assert!(taken.is_some(), "a taken flight keeps its ticket");
+        *self
+            .index
+            .get_mut(&u32::from(target))
+            .expect("a taken flight keeps its ticket") = ticket;
     }
 
     /// Appends a transmission to its level's ring; returns its ticket.
@@ -297,7 +310,7 @@ impl InFlight {
 
     /// The label and send time of `target`'s live flight.
     fn live(&self, target: Ipv4Addr) -> Option<(ProbeLabel, SimTime)> {
-        let (level, at) = self.locate(self.index.get(target)?);
+        let (level, at) = self.locate(*self.index.get(&u32::from(target))?);
         let flight = &self.rings[level].flights[at];
         Some((flight.label(), flight.sent_at))
     }
@@ -305,7 +318,10 @@ impl InFlight {
     /// Settles `target`'s live flight, answered: it leaves the index and
     /// dies in its ring.
     fn settle(&mut self, target: Ipv4Addr) {
-        let ticket = self.index.remove(target).expect("a live flight is settled");
+        let ticket = self
+            .index
+            .remove(&u32::from(target))
+            .expect("a live flight is settled");
         self.flight_mut(ticket).label = DEAD;
     }
 
@@ -350,117 +366,7 @@ impl InFlight {
     /// Drops `target`, whose flight [`InFlight::pop_due`] took, from the
     /// index: the probe is abandoned.
     fn forget(&mut self, target: Ipv4Addr) {
-        self.index.remove(target);
-    }
-}
-
-/// A ticket no slot of a [`TicketIndex`] holds: the mark of a free
-/// slot. Every ticket's level is at most [`MAX_RETRIES`].
-const VACANT: u32 = u32::MAX;
-
-/// Each target's live ticket: open addressing over `(address, ticket)`
-/// slots, 8 B each, at most half of them full. A key is probed for
-/// linearly from its Fibonacci hash's top bits, and a removal shifts
-/// the run of slots after it back instead of leaving a tombstone, so a
-/// probe stops at the first free slot however long the keys have
-/// churned: every silent probe is filed here and removed again when it
-/// expires.
-#[derive(Debug, Default)]
-struct TicketIndex {
-    slots: Vec<(u32, u32)>,
-    len: usize,
-}
-
-impl TicketIndex {
-    /// Whether no target is held.
-    fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// How many targets fit before the slots double.
-    #[cfg(test)]
-    fn capacity(&self) -> usize {
-        self.slots.len() / 2
-    }
-
-    /// The slot `addr` hashes to.
-    fn home(&self, addr: u32) -> usize {
-        let bits = self.slots.len().trailing_zeros();
-        (u64::from(addr).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
-    }
-
-    /// The slot that holds `addr`, or the free slot its probe ends at.
-    fn find(&self, addr: u32) -> usize {
-        let mask = self.slots.len() - 1;
-        let mut at = self.home(addr);
-        while self.slots[at].1 != VACANT && self.slots[at].0 != addr {
-            at = (at + 1) & mask;
-        }
-        at
-    }
-
-    /// `target`'s ticket.
-    fn get(&self, target: Ipv4Addr) -> Option<u32> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let ticket = self.slots[self.find(u32::from(target))].1;
-        (ticket != VACANT).then_some(ticket)
-    }
-
-    /// Files `ticket` for `target`; returns the ticket it replaces. Only
-    /// a new key can make the slots double.
-    fn insert(&mut self, target: Ipv4Addr, ticket: u32) -> Option<u32> {
-        debug_assert_ne!(ticket, VACANT);
-        let addr = u32::from(target);
-        if 2 * (self.len + 1) > self.slots.len() && self.get(target).is_none() {
-            self.grow();
-        }
-        let at = self.find(addr);
-        let earlier = std::mem::replace(&mut self.slots[at], (addr, ticket)).1;
-        if earlier != VACANT {
-            return Some(earlier);
-        }
-        self.len += 1;
-        None
-    }
-
-    /// Drops `target`; returns its ticket. Each later slot of the run
-    /// that its probe passes the freed slot on moves back into it.
-    fn remove(&mut self, target: Ipv4Addr) -> Option<u32> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        let mask = self.slots.len() - 1;
-        let mut free = self.find(u32::from(target));
-        let ticket = self.slots[free].1;
-        if ticket == VACANT {
-            return None;
-        }
-        let mut next = (free + 1) & mask;
-        while self.slots[next].1 != VACANT {
-            let home = self.home(self.slots[next].0);
-            if next.wrapping_sub(home) & mask >= next.wrapping_sub(free) & mask {
-                self.slots[free] = self.slots[next];
-                free = next;
-            }
-            next = (next + 1) & mask;
-        }
-        self.slots[free].1 = VACANT;
-        self.len -= 1;
-        Some(ticket)
-    }
-
-    /// Doubles the slots (sixteen at first) and files every key again.
-    fn grow(&mut self) {
-        let slots = (2 * self.slots.len()).max(16);
-        let old = std::mem::replace(&mut self.slots, vec![(0, VACANT); slots]);
-        for (addr, ticket) in old {
-            if ticket != VACANT {
-                let at = self.find(addr);
-                self.slots[at] = (addr, ticket);
-            }
-        }
+        self.index.remove(&u32::from(target));
     }
 }
 
@@ -941,30 +847,6 @@ mod tests {
     }
 
     #[test]
-    fn the_ticket_index_is_a_map() {
-        // Inserts, replacements, removals and lookups over keys drawn
-        // from a small range, so runs collide and wrap the slots' end.
-        orscope_check::cases(200, |rng| {
-            let mut index = TicketIndex::default();
-            let mut map: FxHashMap<Ipv4Addr, u32> = FxHashMap::default();
-            let keys = rng.range(1..200u32);
-            for step in 0..rng.range(0..600u32) {
-                let key = Ipv4Addr::from(rng.range(0..keys).wrapping_mul(0x0100_0001));
-                match rng.range(0..3) {
-                    0 => assert_eq!(index.insert(key, step), map.insert(key, step)),
-                    1 => assert_eq!(index.remove(key), map.remove(&key)),
-                    _ => assert_eq!(index.get(key), map.get(&key).copied()),
-                }
-                assert_eq!(index.len, map.len());
-                assert!(2 * index.len <= index.slots.len());
-            }
-            for (&key, &ticket) in &map {
-                assert_eq!(index.get(key), Some(ticket));
-            }
-        });
-    }
-
-    #[test]
     fn sweeping_dead_flights_never_grows_the_index() {
         // The index at its load limit, with dead flights ahead of every
         // live one in the ring: answered ones and superseded ones. Every
@@ -973,7 +855,7 @@ mod tests {
         // retransmits every live flight in place: the index keeps its
         // length and its capacity throughout.
         let mut book = InFlight::new(Duration::from_millis(200));
-        book.index.grow();
+        book.index.reserve(16);
         let n = book.index.capacity() as u32;
         let label = |i: u32| ProbeLabel::new(0, u64::from(i));
         let (first, second) = (SimTime::ZERO, SimTime::from_nanos(1_000_000));
@@ -991,7 +873,7 @@ mod tests {
         for i in n / 2..n {
             assert_eq!(book.send(Ipv4Addr::from(i), label(2 * n + i), second), None);
         }
-        let full = (book.index.len, book.index.capacity());
+        let full = (book.index.len(), book.index.capacity());
         assert_eq!(full.0, full.1, "the index is at its load limit");
         // Superseding every live flight at the limit takes each ticket
         // over in place.
@@ -1000,7 +882,7 @@ mod tests {
             assert_eq!(superseded, Some(label(2 * n + i)));
         }
         assert_eq!(
-            (book.index.len, book.index.capacity()),
+            (book.index.len(), book.index.capacity()),
             full,
             "a superseding probe makes no room"
         );
@@ -1012,7 +894,7 @@ mod tests {
             "the dead are dropped"
         );
         assert_eq!(
-            (book.index.len, book.index.capacity()),
+            (book.index.len(), book.index.capacity()),
             full,
             "a dead flight settles nothing and makes no room"
         );
@@ -1021,7 +903,7 @@ mod tests {
             assert_eq!(level, 0);
             book.resend(flight.target, flight.label(), 1, late);
         }
-        assert_eq!((book.index.len, book.index.capacity()), full);
+        assert_eq!((book.index.len(), book.index.capacity()), full);
         assert_eq!(book.rings[1].flights.len() as u32, n);
     }
 
@@ -1375,7 +1257,7 @@ mod tests {
                     let deadline = SimTime::from_nanos(now + (window << attempts));
                     let target = Ipv4Addr::from(xmit as u32);
                     let ticket = book.push(target, ProbeLabel::new(0, 0), attempts, at);
-                    book.index.insert(target, ticket);
+                    book.index.insert(u32::from(target), ticket);
                     heap.push(Reverse((deadline, xmit, target)));
                     xmit += 1;
                 }
