@@ -28,9 +28,7 @@ pub mod classify;
 pub mod dataset;
 pub mod flows;
 pub mod report;
-pub mod stats;
 pub mod stream;
-pub mod summary;
 pub mod tables;
 
 pub use classify::classify;
@@ -39,4 +37,3 @@ pub use flows::FlowSummary;
 pub use orscope_authns::RecordSink;
 pub use report::{Comparison, TableReport};
 pub use stream::{AnalysisMode, StreamingAnalyzer};
-pub use summary::{ScanSummary, TemporalSummary};

@@ -4,9 +4,7 @@ use orscope_analysis::tables::{
     AmplificationTable, AsnTable, CountryTable, EmptyQuestionReport, Table10, Table2, Table3,
     Table4, Table5, Table6, Table7, Table8, Table9,
 };
-use orscope_analysis::{
-    Comparison, Dataset, FlowSummary, ScanSummary, StreamingAnalyzer, TableReport,
-};
+use orscope_analysis::{Comparison, Dataset, FlowSummary, StreamingAnalyzer, TableReport};
 use orscope_authns::CapturedPacket;
 use orscope_json::Wire;
 use orscope_lookup::geo::GeoDb;
@@ -270,20 +268,6 @@ impl CampaignResult {
             Some(stream) => stream.empty_question(),
             None => EmptyQuestionReport::measured(&self.dataset),
         }
-    }
-
-    /// The abstract-level headline numbers for this scan, computed from
-    /// the same tables either analysis mode produces.
-    pub fn scan_summary(&self) -> ScanSummary {
-        ScanSummary::from_tables(
-            self.dataset.year.as_u16(),
-            self.dataset.scale,
-            self.dataset.r2(),
-            self.table3_measured().0,
-            self.table4_measured().0,
-            self.table5_measured().0,
-            &self.table9_measured(),
-        )
     }
 
     /// De-scales a measured count to paper scale.

@@ -20,11 +20,6 @@
 //! 3. New events are never scheduled in the past (`SimNet` clamps to
 //!    `now`), so an event pushed mid-drain with `tick <= cursor` lands in
 //!    the `ready` heap and still sorts correctly against its peers.
-//! 4. An event pushed into an empty queue is the whole queue, so it
-//!    waits in a one-event register beside the wheel and is filed only
-//!    if a second event joins it before it is popped. Popping it from
-//!    there moves the cursor up to its tick: nothing is filed relative
-//!    to the cursor then, and nothing earlier can be pushed afterwards.
 //!
 //! The test module checks the wheel against the reference it replaced,
 //! `BinaryHeap<Reverse<Event>>`, over arbitrary interleavings of push,
@@ -127,8 +122,7 @@ struct Node {
 
 /// A four-level hashed hierarchical timing wheel with an overflow list.
 ///
-/// `cursor` is the last tick whose slot was drained, or the tick of an
-/// event popped while it was the only one queued. An event placed at
+/// `cursor` is the last tick whose slot was drained. An event placed at
 /// tick `t` lives in the finest level whose current block contains both
 /// `t` and the cursor; cascading at block boundaries re-files events
 /// downward until they reach the inner wheel and, finally, the `ready`
@@ -153,10 +147,6 @@ pub(crate) struct TimingWheel {
     /// The first node of the free list.
     free: u32,
     ready: BinaryHeap<Reverse<Event>>,
-    /// The event pushed into an empty queue, for as long as it is the
-    /// only one: a paced sender's self-re-arming timer lives here and
-    /// costs no slot scan, no cascade and no slab node.
-    lone: Option<Event>,
     /// Events held in `level0` + `upper` + `overflow` (not `ready`): the
     /// slab's nodes that are not free.
     stored: usize,
@@ -171,7 +161,6 @@ impl std::fmt::Debug for TimingWheel {
             .field("cursor", &self.cursor)
             .field("stored", &self.stored)
             .field("ready", &self.ready.len())
-            .field("lone", &self.lone.is_some())
             .field("nodes", &self.nodes.len())
             .finish()
     }
@@ -187,7 +176,6 @@ impl TimingWheel {
             nodes: Vec::new(),
             free: NIL,
             ready: BinaryHeap::new(),
-            lone: None,
             stored: 0,
             counts: [0; 1 + UPPER_LEVELS],
         }
@@ -198,38 +186,18 @@ impl TimingWheel {
         at.as_nanos() / TICK_NANOS
     }
 
-    pub(crate) fn push(&mut self, event: Event) {
-        if self.len() == 0 {
-            self.lone = Some(event);
-            return;
-        }
-        if let Some(first) = self.lone.take() {
-            self.place(first);
-        }
-        self.place(event);
-    }
-
     pub(crate) fn pop(&mut self) -> Option<Event> {
-        if let Some(event) = self.lone.take() {
-            // The queue is empty and the clock is at `event.at`: the
-            // cursor catches up without crawling the levels between.
-            self.cursor = self.cursor.max(Self::tick_of(event.at));
-            return Some(event);
-        }
         self.fill_ready();
         self.ready.pop().map(|Reverse(event)| event)
     }
 
     pub(crate) fn next_at(&mut self) -> Option<SimTime> {
-        if let Some(event) = &self.lone {
-            return Some(event.at);
-        }
         self.fill_ready();
         self.ready.peek().map(|Reverse(event)| event.at)
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.stored + self.ready.len() + usize::from(self.lone.is_some())
+        self.stored + self.ready.len()
     }
 
     /// Moves an empty queue's cursor up to the tick of `at`, as pushing
@@ -244,7 +212,7 @@ impl TimingWheel {
     /// Files an event into the finest structure that can hold it. Ticks
     /// at or behind the cursor go straight to the `ready` heap, which is
     /// where ordering against already-drained peers is decided.
-    fn place(&mut self, event: Event) {
+    pub(crate) fn push(&mut self, event: Event) {
         let tick = Self::tick_of(event.at);
         if tick <= self.cursor {
             self.ready.push(Reverse(event));
@@ -732,11 +700,12 @@ mod tests {
     /// time under arbitrary interleavings of `push(at >= last popped)`,
     /// `pop` and `next_at` — the peek advances the cursor, so a later
     /// push can land behind it and must still sort ahead of the peeked
-    /// event, and every queue passes through empty, so the one-event
-    /// register is filled, joined and drained along the way — and of
-    /// `catch_up`, a clock running ahead of an empty queue.
+    /// event, and every queue passes through empty, so single events
+    /// are pushed into an empty queue at every distance along the way —
+    /// and of `catch_up`, a clock running ahead of an empty queue.
     #[test]
     fn wheel_matches_reference_heap() {
+        let mut pushed_alone = 0;
         orscope_check::cases(128, |rng| {
             let mut wheel = TimingWheel::new();
             let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
@@ -751,6 +720,7 @@ mod tests {
                 let at = last_popped + Duration::from_nanos(offset);
                 match rng.range(0u8..7) {
                     0..=3 => {
+                        pushed_alone += usize::from(heap.is_empty());
                         wheel.push(timer(at, seq));
                         heap.push(Reverse(timer(at, seq)));
                         seq += 1;
@@ -783,6 +753,10 @@ mod tests {
             }
             assert_eq!(pop_all(&mut wheel), rest);
         });
+        assert!(
+            pushed_alone >= 128,
+            "{pushed_alone} pushes into an empty queue"
+        );
     }
 
     /// Tick offsets that file an event at each level of a wheel whose
@@ -795,15 +769,12 @@ mod tests {
     }
 
     #[test]
-    fn a_lone_event_waits_beside_the_wheel_however_far_ahead() {
+    fn a_lone_event_pops_with_the_cursor_on_its_tick_however_far_ahead() {
         for ticks in LEVEL_TICKS {
             let mut wheel = TimingWheel::new();
             wheel.push(timer(at_tick(ticks), 0));
-            assert!(wheel.lone.is_some(), "{ticks}");
-            assert_eq!((wheel.stored, wheel.ready.len()), (0, 0));
             assert_eq!(wheel.len(), 1);
             assert_eq!(wheel.next_at(), Some(at_tick(ticks)));
-            assert_eq!(wheel.cursor, 0, "a peek moves nothing");
             assert_eq!(pop_all(&mut wheel), vec![(at_tick(ticks), 0)]);
             assert_eq!(wheel.len(), 0);
             assert_eq!(wheel.cursor, ticks, "the pop brought the cursor along");
@@ -828,7 +799,6 @@ mod tests {
             wheel.push(timer(at_tick(ticks), 0));
             let earlier = SimTime::from_nanos(ticks * TICK_NANOS / 2);
             wheel.push(timer(earlier, 1));
-            assert!(wheel.lone.is_none(), "both are filed");
             wheel.push(timer(at_tick(2 * ticks), 2));
             wheel.push(timer(SimTime::ZERO, 3));
             assert_eq!(wheel.len(), 4);
@@ -890,7 +860,7 @@ mod tests {
     }
 
     #[test]
-    fn a_lone_timer_re_armed_ten_thousand_times_never_enters_a_slot() {
+    fn a_timer_re_armed_ten_thousand_times_reuses_one_node() {
         // The paced prober's tick at ~34 pps and at the 1.7 pps of the
         // sparse gate run: popped, then re-armed one interval on.
         for interval in [Duration::from_millis(29), Duration::from_millis(600)] {
@@ -903,16 +873,14 @@ mod tests {
                 assert_eq!(wheel.len(), 0);
                 at += interval;
                 wheel.push(timer(at, seq));
-                assert_eq!((wheel.stored, wheel.ready.len(), wheel.len()), (0, 0, 1));
+                assert_eq!(wheel.len(), 1);
                 assert_eq!(wheel.next_at(), Some(at));
             }
             assert_eq!(pop_all(&mut wheel), vec![(at, 10_000)]);
             assert_eq!(wheel.len(), 0);
             assert_eq!(wheel.cursor, TimingWheel::tick_of(at));
-            let filed = wheel.level0.iter().chain(wheel.upper.iter().flatten());
-            assert!(filed.chain([&wheel.overflow]).all(|&head| head == NIL));
-            assert_eq!(wheel.nodes.capacity(), 0);
-            assert_eq!(wheel.ready.capacity(), 0);
+            assert_eq!(wheel.nodes.len(), 1, "{interval:?}");
+            assert_well_linked(&wheel);
         }
     }
 

@@ -73,11 +73,12 @@ pub struct HttpConfig {
     pub max_connections: usize,
     /// The `Retry-After` hint (seconds) sent with `503`.
     pub(crate) retry_after_secs: u64,
-    /// How long the accept loop sleeps when idle before re-polling the
-    /// socket and the shutdown flag. Smaller = snappier shutdown,
-    /// larger = fewer wakeups.
-    pub poll_interval: Duration,
 }
+
+/// How long the accept loop sleeps when idle before re-polling the
+/// socket and the shutdown flag, and how long a `/tap` stream waits on
+/// its lane before checking for shutdown and the heartbeat.
+const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
 impl Default for HttpConfig {
     fn default() -> Self {
@@ -89,7 +90,6 @@ impl Default for HttpConfig {
             max_body_bytes: 0,
             max_connections: 64,
             retry_after_secs: 1,
-            poll_interval: Duration::from_millis(10),
         }
     }
 }
@@ -167,11 +167,11 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ObservatoryShared>, config: 
                 });
             }
             Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(config.poll_interval);
+                thread::sleep(POLL_INTERVAL);
             }
             // Transient accept errors (ECONNABORTED and friends): back
             // off briefly and keep serving.
-            Err(_) => thread::sleep(config.poll_interval),
+            Err(_) => thread::sleep(POLL_INTERVAL),
         }
     }
 }
@@ -502,7 +502,7 @@ fn stream_tap(
     let mut sent = 0u64;
     let mut last_write = Instant::now();
     while !shared.shutdown_requested() && limit.is_none_or(|limit| sent < limit) {
-        match tap.poll(config.poll_interval.max(Duration::from_millis(1))) {
+        match tap.poll(POLL_INTERVAL) {
             Some(event) => {
                 // One chunk per line: `to_ndjson` has no trailing
                 // newline, the NDJSON framing adds it here.

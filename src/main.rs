@@ -64,7 +64,6 @@ const HELP: &str = "orscope — behavioral analysis of open DNS resolvers (DSN'1
      \x20                  [--checkpoint-every N] [--keep-generations K]\n\
      \x20                  [--epoch-deadline SECS] [--fresh]\n\
      \x20                  [--http-max-conns N] [--http-timeout-ms MS]\n\
-     \x20                  [--http-poll-ms MS]\n\
      \x20 orscope tap      [--url http://HOST:PORT] [--match EXPR] [--limit N]\n\
      \x20                  [--oneshot [--year 2013|2018] [--scale S] [--seed N]\n\
      \x20                  [--shards N]]\n\
@@ -107,9 +106,9 @@ const HELP: &str = "orscope — behavioral analysis of open DNS resolvers (DSN'1
      \x20                       round still busy at S fails the attempt (one\n\
      \x20                       retry, then the epoch degrades, run continues)\n\
      \x20 --http-max-conns N    concurrent connections before 503+Retry-After\n\
-     \x20 --http-timeout-ms MS  per-connection read/write timeout (slow-loris\n\
-     \x20                       clients get 408, not a pinned thread)\n\
-     \x20 --http-poll-ms MS     accept-loop shutdown polling interval";
+     \x20                       (at least 1)\n\
+     \x20 --http-timeout-ms MS  per-connection read/write timeout, at least 1\n\
+     \x20                       (slow-loris clients get 408, not a pinned thread)";
 
 fn print_help() {
     println!("{HELP}");
@@ -153,7 +152,6 @@ const SERVE_FLAGS: &[&str] = &[
     "--fresh",
     "--http-max-conns",
     "--http-timeout-ms",
-    "--http-poll-ms",
 ];
 const TAP_FLAGS: &[&str] = &[
     "--url",
@@ -403,6 +401,27 @@ fn install_signal_handlers() {
     // periodic checkpoint (--checkpoint-every) limits lost work.
 }
 
+/// The serve surface's limits from the `--http-*` flags. A zero is
+/// refused: no socket takes a zero timeout, so every client would see
+/// its connection closed without a reply, and a zero cap answers every
+/// connection with 503.
+fn parse_http_config(args: &[String]) -> Result<HttpConfig, String> {
+    let mut http_config = HttpConfig::default();
+    http_config.max_connections =
+        parse_number(args, "--http-max-conns", http_config.max_connections)?;
+    if http_config.max_connections == 0 {
+        return Err("--http-max-conns 0 would answer every connection with 503".to_owned());
+    }
+    if let Some(ms) = parse_optional(args, "--http-timeout-ms")? {
+        if ms == 0 {
+            return Err("--http-timeout-ms 0 would close every connection unanswered".to_owned());
+        }
+        http_config.read_timeout = Duration::from_millis(ms);
+        http_config.write_timeout = Duration::from_millis(ms);
+    }
+    Ok(http_config)
+}
+
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let year = parse_year(args)?;
     let mut config = ServeConfig::new(year, parse_number(args, "--scale", 20_000.0)?);
@@ -428,14 +447,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         flag_value(args, "--state-dir")?.unwrap_or_else(|| "serve-state".to_string()),
     );
     let port: u16 = parse_number(args, "--port", 7353u16)?;
-    let mut http_config = HttpConfig::default();
-    http_config.max_connections =
-        parse_number(args, "--http-max-conns", http_config.max_connections)?;
-    if let Some(ms) = parse_optional(args, "--http-timeout-ms")? {
-        http_config.read_timeout = Duration::from_millis(ms);
-        http_config.write_timeout = Duration::from_millis(ms);
-    }
-    http_config.poll_interval = Duration::from_millis(parse_number(args, "--http-poll-ms", 10u64)?);
+    let http_config = parse_http_config(args)?;
 
     let mut observatory = Observatory::new(config).map_err(|e| e.to_string())?;
     let shared = observatory.shared();
@@ -916,6 +928,33 @@ mod tests {
                 "{retries}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn zero_http_limits_are_refused_before_a_fresh_run_wipes_its_state() {
+        let state_dir =
+            std::env::temp_dir().join(format!("orscope-refused-{}", std::process::id()));
+        let history = state_dir.join("checkpoint-00000001.ckpt");
+        std::fs::create_dir_all(&state_dir).unwrap();
+        std::fs::write(&history, b"history").unwrap();
+        let dir = state_dir.to_str().unwrap();
+        for (flag, reason) in [
+            ("--http-timeout-ms", "close every connection unanswered"),
+            ("--http-max-conns", "answer every connection with 503"),
+        ] {
+            let line = [flag, "0", "--fresh", "--port", "0", "--state-dir", dir];
+            let err = cmd_serve(&args(&line)).unwrap_err();
+            assert_eq!(err, format!("{flag} 0 would {reason}"));
+            assert_eq!(std::fs::read(&history).unwrap(), b"history", "{flag}");
+            assert!(parse_http_config(&args(&[flag, "1"])).is_ok());
+        }
+        std::fs::remove_dir_all(&state_dir).unwrap();
+        let config = parse_http_config(&args(&["--http-timeout-ms", "5"])).unwrap();
+        assert_eq!(config.write_timeout, Duration::from_millis(5));
+        // The accept loop's poll is no setting.
+        let poll = args(&["--http-poll-ms", "5"]);
+        let err = reject_unknown_flags("serve", &poll, SERVE_FLAGS).unwrap_err();
+        assert!(err.starts_with("unknown flag --http-poll-ms"), "{err}");
     }
 
     #[test]

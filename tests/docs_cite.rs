@@ -1,8 +1,10 @@
 //! README, DESIGN and EXPERIMENTS cite tests, examples, benches and
 //! command lines. Every citation must exist: a `tests/<file>.rs::<fn>`
 //! names a function in that file, an `--example` or `--bench` names a
-//! target, and an `orscope <cmd> --flag ...` (or `cargo run -- <cmd>
-//! --flag ...`) line passes only flags the CLI parses for `<cmd>`.
+//! target, an `orscope <cmd> --flag ...` (or `cargo run -- <cmd>
+//! --flag ...`) line passes only flags the CLI parses for `<cmd>`, and a
+//! `crate::path` in a table's "Implementing modules" column (DESIGN §4)
+//! names a module file or an item defined where the path leads.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -156,10 +158,82 @@ fn missing_targets(doc: &str) -> Vec<String> {
     missing
 }
 
+/// Whether `path` (`crate::module::...::item`) names something that
+/// exists: its first segment a directory under `crates/`, then module
+/// files under that crate's `src/` for as long as there are, then each
+/// remaining segment a `fn`, `struct`, `enum` or `mod` defined in the
+/// last module file reached.
+fn names_an_item(path: &str) -> bool {
+    let mut segments = path.split("::");
+    let krate = segments.next().unwrap_or_default().replace('_', "-");
+    let mut dir = root().join("crates").join(krate).join("src");
+    let Ok(mut source) = std::fs::read_to_string(dir.join("lib.rs")) else {
+        return false;
+    };
+    let mut in_item = false;
+    for segment in segments {
+        let module = [
+            dir.join(format!("{segment}.rs")),
+            dir.join(segment).join("mod.rs"),
+        ]
+        .into_iter()
+        .find(|module| module.is_file());
+        match module {
+            Some(module) if !in_item => {
+                source = std::fs::read_to_string(module).expect("the module is readable");
+                dir = dir.join(segment);
+            }
+            _ => {
+                in_item = true;
+                let defined = ["fn", "struct", "enum", "mod"].iter().any(|keyword| {
+                    let head = format!("{keyword} {segment}");
+                    source.match_indices(&head).any(|(at, _)| {
+                        !source[at + head.len()..]
+                            .starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_')
+                    })
+                });
+                if !defined {
+                    return false;
+                }
+            }
+        }
+    }
+    true
+}
+
+/// Every backticked path in an "Implementing modules" column of a table
+/// in `doc` that names nothing ([`names_an_item`]).
+fn missing_modules(doc: &str) -> Vec<String> {
+    let mut missing = Vec::new();
+    let mut column = None;
+    for line in doc.lines() {
+        if !line.starts_with('|') {
+            column = None;
+            continue;
+        }
+        let cells: Vec<&str> = line.split('|').collect();
+        let Some(at) = column else {
+            column = cells
+                .iter()
+                .position(|cell| cell.trim() == "Implementing modules");
+            continue;
+        };
+        let spans = cells
+            .get(at)
+            .map_or("", |cell| cell)
+            .split('`')
+            .skip(1)
+            .step_by(2);
+        missing.extend(spans.filter(|path| !names_an_item(path)).map(str::to_owned));
+    }
+    missing
+}
+
 /// Every citation problem in `doc`.
 fn problems(doc: &str) -> Vec<String> {
     let mut problems = missing_tests(doc);
     problems.extend(missing_targets(doc));
+    problems.extend(missing_modules(doc));
     for line in code(doc) {
         for (command, flags) in invocations(&line) {
             if flags.is_empty() {
@@ -195,6 +269,10 @@ fn the_check_finds_stale_citations() {
         "`orscope campaign --scale 3000 --shard 2`",
         "```sh\ncargo run --release -- tables --scale 500 \\\n  --full-q1\n```",
         "`target/release/orscope serve --scale 1 --epochs 1 --no-such-flag`",
+        "| Fig | Implementing modules |\n|---|---|\n| Fig 1 | `resolver::trace` |",
+        "| Implementing modules |\n|---|\n| `analysis::tables::table2` |",
+        "| Implementing modules |\n|---|\n| `analysis::tables::Table2::no_such_fn` |",
+        "| Implementing modules |\n|---|\n| `no_such_crate` |",
     ];
     for doc in stale {
         assert_eq!(problems(doc).len(), 1, "{doc}");
@@ -206,6 +284,9 @@ fn the_check_finds_stale_citations() {
         "`orscope campaign --scale 3000 --full-q1 --seed 7 --shards 2`",
         "```sh\ncargo run --release -- tables --scale 500 \\\n  --json j # --shard\n```",
         "`orscope serve --scale 1 --epochs 1 | grep x --shard`",
+        "| Fig | Implementing modules |\n|---|---|\n| Fig 2 | `prober::capture`, `dns-wire` |",
+        "| Implementing modules |\n|---|\n| `analysis::tables::Table2`, `core::plan::TargetPlan::shard` |",
+        "| Where |\n|---|\n| `resolver::trace` |",
     ];
     for doc in live {
         assert_eq!(problems(doc), Vec::<String>::new(), "{doc}");

@@ -230,9 +230,27 @@ fn blind_spot_and_reuse_bookkeeping() {
     );
 }
 
+/// Total variation distance between two count vectors after
+/// normalization, `0.5 * sum_i |p_i - q_i|`: 0 for the same shape, 1 for
+/// disjoint support.
+fn total_variation(paper: &[u64], measured: &[u64]) -> f64 {
+    assert_eq!(paper.len(), measured.len(), "length mismatch");
+    let (sp, sm) = (
+        paper.iter().sum::<u64>() as f64,
+        measured.iter().sum::<u64>() as f64,
+    );
+    if sp == 0.0 || sm == 0.0 {
+        return if sp == sm { 0.0 } else { 1.0 };
+    }
+    0.5 * paper
+        .iter()
+        .zip(measured)
+        .map(|(&p, &m)| (p as f64 / sp - m as f64 / sm).abs())
+        .sum::<f64>()
+}
+
 #[test]
 fn distribution_fit_is_tight() {
-    use orscope_analysis::stats::total_variation;
     use orscope_analysis::tables::{Table6, Table9};
     use orscope_resolver::paper::YearSpec;
     let spec = YearSpec::get(Year::Y2018);
